@@ -583,30 +583,22 @@ pub fn ablation_scalability() -> Report {
 /// **Scaling benchmark (beyond the paper's figures)** — per-event
 /// monitor cost as installed properties grow at a fixed matching
 /// fraction (events always target task 0, so exactly one property can
-/// react). The routed path arms only the interested worklist, so its
-/// per-event cost stays flat; the full-scan reference path still walks
-/// every machine's persistent step counter.
+/// react). Arming commits only the interested worklist, so the
+/// per-event cost stays flat in the number of installed machines.
 pub fn scaling() -> Report {
     use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{ExecMode, MonitorEngine, RoutingMode};
+    use artemis_monitor::MonitorEngine;
     use intermittent_sim::DeviceBuilder;
 
     const EVENTS: u64 = 200;
 
     let mut r = Report::new(
         "scaling",
-        "per-event monitor cost vs installed properties (1 matching): routed vs full scan",
-        &[
-            "properties",
-            "routed time/event (us)",
-            "routed energy/event (nJ)",
-            "full-scan time/event (us)",
-            "full-scan energy/event (nJ)",
-        ],
+        "per-event monitor cost vs installed properties (1 matching)",
+        &["properties", "time/event (us)", "energy/event (nJ)"],
     );
 
-    let mut routed_costs = Vec::new();
-    let mut scanned_costs = Vec::new();
+    let mut costs = Vec::new();
     for n_props in [1usize, 2, 4, 8, 16, 32] {
         // n tasks, each with a maxTries property; events target task 0,
         // so the other n-1 properties are never interested.
@@ -621,46 +613,31 @@ pub fn scaling() -> Report {
             .map(|i| format!("t{i} {{ maxTries: 1000 onFail: skipPath; }}\n"))
             .collect();
 
-        let mut row = vec![n_props.to_string()];
-        for routing in [RoutingMode::Routed, RoutingMode::FullScan] {
-            let suite = artemis_ir::compile(&spec, &app).expect("spec");
-            let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-            let engine = MonitorEngine::install_with_routing(
-                &mut dev,
-                suite,
-                &app,
-                ExecMode::Compiled,
-                routing,
-            )
-            .expect("installs");
-            engine.reset_monitor(&mut dev).expect("reset");
+        let suite = artemis_ir::compile(&spec, &app).expect("spec");
+        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).expect("installs");
+        engine.reset_monitor(&mut dev).expect("reset");
 
-            let before_t = dev.stats().time(CostCategory::Monitor);
-            let before_e = dev.stats().energy(CostCategory::Monitor);
-            for seq in 1..=EVENTS {
-                let ev = MonitorEvent::start(tasks[0], artemis_core::SimInstant::from_micros(seq));
-                engine.call_monitor(&mut dev, seq, &ev).expect("event");
-            }
-            let dt = dev.stats().time(CostCategory::Monitor) - before_t;
-            let de = dev.stats().energy(CostCategory::Monitor) - before_e;
-            let nj = de.as_joules_f64() * 1e9 / EVENTS as f64;
-            match routing {
-                RoutingMode::Routed => routed_costs.push(nj),
-                RoutingMode::FullScan => scanned_costs.push(nj),
-            }
-            row.push(format!("{:.1}", dt.as_secs_f64() * 1e6 / EVENTS as f64));
-            row.push(format!("{nj:.1}"));
+        let before_t = dev.stats().time(CostCategory::Monitor);
+        let before_e = dev.stats().energy(CostCategory::Monitor);
+        for seq in 1..=EVENTS {
+            let ev = MonitorEvent::start(tasks[0], artemis_core::SimInstant::from_micros(seq));
+            engine.call_monitor(&mut dev, seq, &ev).expect("event");
         }
-        r.row(row);
+        let dt = dev.stats().time(CostCategory::Monitor) - before_t;
+        let de = dev.stats().energy(CostCategory::Monitor) - before_e;
+        let nj = de.as_joules_f64() * 1e9 / EVENTS as f64;
+        costs.push(nj);
+        r.row(vec![
+            n_props.to_string(),
+            format!("{:.1}", dt.as_secs_f64() * 1e6 / EVENTS as f64),
+            format!("{nj:.1}"),
+        ]);
     }
-    let last = routed_costs.len() - 1;
     r.note(format!(
-        "routed 32-prop / 1-prop energy ratio: {:.2}x (acceptance target: <= 2x)",
-        routed_costs[last] / routed_costs[0]
-    ));
-    r.note(format!(
-        "full-scan 32-prop / 1-prop energy ratio: {:.2}x (the O(installed) baseline)",
-        scanned_costs[last] / scanned_costs[0]
+        "32-prop / 1-prop energy ratio: {:.2}x (acceptance target: <= 2x; the removed \
+         full-scan dispatch measured 4.42x at 581e74b)",
+        costs[costs.len() - 1] / costs[0]
     ));
     r
 }
@@ -810,17 +787,16 @@ pub(crate) fn guarded_sparse_suite() -> (
 }
 
 /// **Delta benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the three commit strategies: sparse delta records (load
-/// the readable slots, journal only the written ones), whole-block
-/// commits, and the interpreter's per-cell layout. Three workloads:
-/// the sparse-handler dispatch suite (one of twelve variables written
-/// — the case delta commits exist for), the dense dispatch suite
-/// (every variable written — every machine auto-degrades to
-/// whole-block), and the 32-property scaling suite (single-variable
-/// blocks — auto-degrade keeps parity with whole-block commits).
+/// traffic of the compiled engine's sparse commits (load the readable
+/// slots, journal only the written ones) against the interpreter's
+/// per-cell layout. Three workloads: the sparse-handler dispatch suite
+/// (one of twelve variables written — the case span loads exist for),
+/// the dense dispatch suite (every variable written — every machine
+/// auto-degrades to whole-block images), and the 32-property scaling
+/// suite (single-variable blocks, which degrade too).
 pub fn delta() -> Report {
     use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{DeltaMode, ExecMode, InstallOptions, MonitorEngine};
+    use artemis_monitor::{ExecMode, InstallOptions, MonitorEngine};
     use intermittent_sim::DeviceBuilder;
 
     const EVENTS: u64 = 200;
@@ -876,15 +852,11 @@ pub fn delta() -> Report {
         mode: ExecMode::Interpreter,
         ..uncached
     };
-    let whole_block = InstallOptions {
-        delta: DeltaMode::Disabled,
-        ..uncached
-    };
-    let delta_on = uncached;
+    let compiled = uncached;
 
     let mut r = Report::new(
         "delta",
-        "per-event FRAM ops: sparse delta vs whole-block vs interpreter",
+        "per-event FRAM ops: sparse commits vs interpreter",
         &[
             "workload",
             "mode",
@@ -921,22 +893,14 @@ pub fn delta() -> Report {
         (
             "dispatch",
             sparse_dispatch_suite(),
-            &[
-                ("interpreter", interpreter),
-                ("whole-block", whole_block),
-                ("delta", delta_on),
-            ][..],
+            &[("interpreter", interpreter), ("compiled", compiled)][..],
         ),
         (
             "dispatch-dense",
             dispatch_suite(),
-            &[("whole-block", whole_block), ("delta", delta_on)][..],
+            &[("compiled", compiled)][..],
         ),
-        (
-            "scaling-32",
-            scaling_suite(),
-            &[("whole-block", whole_block), ("delta", delta_on)][..],
-        ),
+        ("scaling-32", scaling_suite(), &[("compiled", compiled)][..]),
     ] {
         for (name, opts) in modes {
             let s = run(&suite, &app, t0, *opts);
@@ -958,9 +922,9 @@ pub fn delta() -> Report {
     }
 
     r.note(format!(
-        "dispatch delta vs whole-block FRAM op reduction: {:.2}x \
-         (acceptance target: >= 2x vs the whole-block baseline)",
-        dispatch_samples[1] / dispatch_samples[2]
+        "dispatch compiled: {:.1} ops/event vs the removed whole-block commit mode's \
+         156 measured at 581e74b (acceptance target: <= 78, a >= 2x reduction)",
+        dispatch_samples[1]
     ));
     // Surface the compile-time per-key degrade decision for each
     // dispatch-shaped workload (the scaling suite's blocks are
@@ -973,7 +937,7 @@ pub fn delta() -> Report {
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
         r.note(format!(
-            "{workload} access sets: {} sparse-delta machine(s), {} degraded to whole-block",
+            "{workload} access sets: {} span-loading machine(s), {} degraded to whole-block",
             key.delta_machines, key.degraded_machines
         ));
     }
@@ -1435,7 +1399,7 @@ pub fn cache() -> Report {
         "static cache-aware per-event bound: {} warm ops (= write bound; measured \
          {:.1}), cold-miss refill after a reboot <= {} extra reads (flag + seq + one \
          block fill per armed machine)",
-        key.cached_ops(),
+        key.writes,
         at("per-event", true).ops_per_event(),
         key.cold_extra_reads
     ));
@@ -1443,9 +1407,200 @@ pub fn cache() -> Report {
     r.note(format!(
         "batch-8 static bound: {} warm ops/event ceiling (measured {:.1}), cold-miss \
          refill <= {} extra reads per reboot",
-        b8.cached_ops_per_event_ceil(),
+        b8.writes.div_ceil(8),
         at("batch-8", true).ops_per_event(),
         b8.cold_extra_reads
+    ));
+    r
+}
+
+/// **Bytes benchmark** — per-event FRAM *bytes* across the commit
+/// formats on the sparse dispatch workload (one counter of a
+/// twelve-variable packed block written per event):
+///
+/// - **slot** journals the state word plus every written slot;
+/// - **diff** (warm cache only) diffs the new image against the
+///   shadow's authoritative old image and journals minimal
+///   `[addr][len][data]` runs.
+///
+/// The headline ratio compares the packed + diff warm path against the
+/// removed tagged-layout baseline (recorded in EXPERIMENTS.md). Time
+/// and energy columns price the same runs through the device cost
+/// model (FRAM access = 25 µs + 1 µs/B; 5 nJ read / 7 nJ write base —
+/// see EXPERIMENTS.md "Cost model constants").
+pub fn bytes() -> Report {
+    use artemis_core::event::MonitorEvent;
+    use artemis_monitor::{BatchMode, CacheMode, DiffMode, InstallOptions, MonitorEngine};
+    use intermittent_sim::DeviceBuilder;
+
+    const EVENTS: u64 = 200;
+    /// Bytes/event of the removed tagged layout (slot-granular, cache
+    /// off), measured at 581e74b.
+    const TAGGED_BASELINE: f64 = 858.0;
+
+    struct Sample {
+        reads: u64,
+        writes: u64,
+        read_bytes: u64,
+        write_bytes: u64,
+        time: SimDuration,
+        energy: intermittent_sim::Energy,
+    }
+    impl Sample {
+        fn bytes_per_event(&self) -> f64 {
+            (self.read_bytes + self.write_bytes) as f64 / EVENTS as f64
+        }
+    }
+
+    let (suite, app, t0) = sparse_dispatch_suite();
+
+    let run = |cache: CacheMode, diff: DiffMode, batch: Option<usize>| -> Sample {
+        let opts = InstallOptions {
+            cache,
+            diff,
+            batch: match batch {
+                Some(b) => BatchMode::Enabled { max_events: b },
+                None => BatchMode::Disabled,
+            },
+            ..InstallOptions::default()
+        };
+        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+        let engine =
+            MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
+        engine.reset_monitor(&mut dev).expect("reset");
+        let reads0 = dev.fram().read_ops();
+        let writes0 = dev.fram().write_ops();
+        let rbytes0 = dev.fram().read_bytes();
+        let wbytes0 = dev.fram().write_bytes();
+        let time0 = dev.stats().time(CostCategory::Monitor);
+        let energy0 = dev.stats().energy(CostCategory::Monitor);
+        let event = |seq: u64| MonitorEvent::start(t0, artemis_core::SimInstant::from_micros(seq));
+        match batch {
+            None => {
+                for seq in 1..=EVENTS {
+                    engine
+                        .call_monitor(&mut dev, seq, &event(seq))
+                        .expect("event");
+                }
+            }
+            Some(b) => {
+                let mut seq = 1;
+                while seq <= EVENTS {
+                    let n = (b as u64).min(EVENTS - seq + 1);
+                    let chunk: Vec<MonitorEvent> = (0..n).map(|i| event(seq + i)).collect();
+                    engine.deliver_batch(&mut dev, seq, &chunk).expect("batch");
+                    seq += n;
+                }
+            }
+        }
+        Sample {
+            reads: dev.fram().read_ops() - reads0,
+            writes: dev.fram().write_ops() - writes0,
+            read_bytes: dev.fram().read_bytes() - rbytes0,
+            write_bytes: dev.fram().write_bytes() - wbytes0,
+            time: dev.stats().time(CostCategory::Monitor) - time0,
+            energy: dev.stats().energy(CostCategory::Monitor) - energy0,
+        }
+    };
+
+    let mut r = Report::new(
+        "bytes",
+        "per-event FRAM bytes: packed machine layout + dirty-diff commits",
+        &[
+            "commit",
+            "cache",
+            "read B/event",
+            "write B/event",
+            "B/event",
+            "ops/event",
+            "time/event (us)",
+            "nJ/event",
+        ],
+    );
+
+    let configs = [
+        ("slot", "off", CacheMode::Disabled, DiffMode::Disabled, None),
+        ("slot", "warm", CacheMode::Enabled, DiffMode::Disabled, None),
+        // The default engine configuration and headline row.
+        ("diff", "warm", CacheMode::Enabled, DiffMode::Auto, None),
+        (
+            "slot",
+            "warm batch-8",
+            CacheMode::Enabled,
+            DiffMode::Disabled,
+            Some(8),
+        ),
+        (
+            "diff",
+            "warm batch-8",
+            CacheMode::Enabled,
+            DiffMode::Auto,
+            Some(8),
+        ),
+    ];
+
+    let mut samples = Vec::new();
+    for (commit, cache, cm, dm, batch) in configs {
+        let s = run(cm, dm, batch);
+        r.row(vec![
+            commit.to_string(),
+            cache.to_string(),
+            format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
+            format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
+            format!("{:.1}", s.bytes_per_event()),
+            format!("{:.1}", (s.reads + s.writes) as f64 / EVENTS as f64),
+            format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
+            format!("{:.1}", s.energy.as_nano_joules() as f64 / EVENTS as f64),
+        ]);
+        samples.push(((commit, cache), s));
+    }
+
+    let at = |commit: &str, cache: &str| -> &Sample {
+        &samples
+            .iter()
+            .find(|((c, k), _)| *c == commit && *k == cache)
+            .expect("swept configuration")
+            .1
+    };
+    let headline = at("diff", "warm");
+    r.note(format!(
+        "packed + diff (warm) vs the removed tagged slot-granular baseline: \
+         {TAGGED_BASELINE:.1} -> {:.1} FRAM B/event = {:.2}x reduction (acceptance \
+         target: >= 1.5x)",
+        headline.bytes_per_event(),
+        TAGGED_BASELINE / headline.bytes_per_event()
+    ));
+
+    // Pin the slot-granular rows against the static byte bounds:
+    // exactly tight in both cache modes.
+    let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
+    let bounds = artemis_ir::suite_bounds(&compiled);
+    let key = bounds.worst_event().expect("has event keys");
+    let cold = at("slot", "off");
+    let warm = at("slot", "warm");
+    r.note(format!(
+        "slot-granular static byte bound: {} read + {} write B/event (measured cold \
+         {:.1} + {:.1}, warm {:.1} + {:.1}; bound == measured on the cold row, warm \
+         deliveries are write-only)",
+        key.read_bytes,
+        key.write_bytes,
+        cold.read_bytes as f64 / EVENTS as f64,
+        cold.write_bytes as f64 / EVENTS as f64,
+        warm.read_bytes as f64 / EVENTS as f64,
+        warm.write_bytes as f64 / EVENTS as f64,
+    ));
+    r.note(
+        "cost model: FRAM access = 25 us + 1 us/B (5 nJ read / 7 nJ write base + \
+         0.7/1.0 nJ per byte), so the byte cut compounds into the time and energy \
+         columns; diff rows additionally drop whole sub-writes (merged runs skip \
+         the unchanged state word)"
+            .to_string(),
+    );
+    r.note(format!(
+        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} int vars, one counter \
+         incremented per event; packing narrows the unbounded counter to 8 B, the \
+         eleven untouched slots to 1 B each, the state word to 1 B and the done \
+         flags to one bitmap byte"
     ));
     r
 }
@@ -1472,269 +1627,6 @@ pub fn cache() -> Report {
 /// - **Marginal** verdicts claim neither — that is what the margin is
 ///   for.
 ///
-/// **Bytes benchmark (this PR's headline)** — per-event FRAM *bytes*
-/// across the commit-format lattice on the sparse dispatch workload
-/// (one counter of a twelve-variable block written per event). The
-/// sweep isolates the two byte levers this PR adds:
-///
-/// - **layout**: `tagged` stores every slot as a 9-byte tagged cell
-///   and the state as a u32; `packed` derives each slot's width from
-///   verifier-known value ranges and bit-packs the done flags.
-/// - **commit**: `slot` journals the state word plus every written
-///   slot; `diff` (warm cache only) diffs the new image against the
-///   shadow's authoritative old image and journals minimal
-///   `[addr][len][data]` runs.
-///
-/// The headline ratio compares the slot-granular tagged baseline (the
-/// pre-packing engine format, cache off — the differential oracle
-/// configuration) against the packed + diff warm path. Time and energy
-/// columns price the same runs through the device cost model (FRAM
-/// access = 25 µs + 1 µs/B; 5 nJ read / 7 nJ write base — see
-/// EXPERIMENTS.md "Cost model constants").
-pub fn bytes() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{
-        BatchMode, CacheMode, DiffMode, InstallOptions, LayoutMode, MonitorEngine,
-    };
-    use intermittent_sim::DeviceBuilder;
-
-    const EVENTS: u64 = 200;
-
-    struct Sample {
-        reads: u64,
-        writes: u64,
-        read_bytes: u64,
-        write_bytes: u64,
-        time: SimDuration,
-        energy: intermittent_sim::Energy,
-    }
-    impl Sample {
-        fn bytes_per_event(&self) -> f64 {
-            (self.read_bytes + self.write_bytes) as f64 / EVENTS as f64
-        }
-    }
-
-    let (suite, app, t0) = sparse_dispatch_suite();
-
-    let run =
-        |layout: LayoutMode, cache: CacheMode, diff: DiffMode, batch: Option<usize>| -> Sample {
-            let opts = InstallOptions {
-                layout,
-                cache,
-                diff,
-                batch: match batch {
-                    Some(b) => BatchMode::Enabled { max_events: b },
-                    None => BatchMode::Disabled,
-                },
-                ..InstallOptions::default()
-            };
-            let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-            let engine =
-                MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
-            engine.reset_monitor(&mut dev).expect("reset");
-            let reads0 = dev.fram().read_ops();
-            let writes0 = dev.fram().write_ops();
-            let rbytes0 = dev.fram().read_bytes();
-            let wbytes0 = dev.fram().write_bytes();
-            let time0 = dev.stats().time(CostCategory::Monitor);
-            let energy0 = dev.stats().energy(CostCategory::Monitor);
-            let event =
-                |seq: u64| MonitorEvent::start(t0, artemis_core::SimInstant::from_micros(seq));
-            match batch {
-                None => {
-                    for seq in 1..=EVENTS {
-                        engine
-                            .call_monitor(&mut dev, seq, &event(seq))
-                            .expect("event");
-                    }
-                }
-                Some(b) => {
-                    let mut seq = 1;
-                    while seq <= EVENTS {
-                        let n = (b as u64).min(EVENTS - seq + 1);
-                        let chunk: Vec<MonitorEvent> = (0..n).map(|i| event(seq + i)).collect();
-                        engine.deliver_batch(&mut dev, seq, &chunk).expect("batch");
-                        seq += n;
-                    }
-                }
-            }
-            Sample {
-                reads: dev.fram().read_ops() - reads0,
-                writes: dev.fram().write_ops() - writes0,
-                read_bytes: dev.fram().read_bytes() - rbytes0,
-                write_bytes: dev.fram().write_bytes() - wbytes0,
-                time: dev.stats().time(CostCategory::Monitor) - time0,
-                energy: dev.stats().energy(CostCategory::Monitor) - energy0,
-            }
-        };
-
-    let mut r = Report::new(
-        "bytes",
-        "per-event FRAM bytes: packed machine layout + dirty-diff commits",
-        &[
-            "layout",
-            "commit",
-            "cache",
-            "read B/event",
-            "write B/event",
-            "B/event",
-            "ops/event",
-            "time/event (us)",
-            "nJ/event",
-        ],
-    );
-
-    type BytesConfig = (
-        &'static str,
-        &'static str,
-        &'static str,
-        LayoutMode,
-        CacheMode,
-        DiffMode,
-        Option<usize>,
-    );
-    let configs: [BytesConfig; 7] = [
-        // The pre-packing engine format, cache off: the differential
-        // oracle and the headline baseline.
-        (
-            "tagged",
-            "slot",
-            "off",
-            LayoutMode::Tagged,
-            CacheMode::Disabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        (
-            "tagged",
-            "slot",
-            "warm",
-            LayoutMode::Tagged,
-            CacheMode::Enabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        (
-            "packed",
-            "slot",
-            "off",
-            LayoutMode::Packed,
-            CacheMode::Disabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        (
-            "packed",
-            "slot",
-            "warm",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        // The default engine configuration and headline row.
-        (
-            "packed",
-            "diff",
-            "warm",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Auto,
-            None,
-        ),
-        (
-            "packed",
-            "slot",
-            "warm batch-8",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Disabled,
-            Some(8),
-        ),
-        (
-            "packed",
-            "diff",
-            "warm batch-8",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Auto,
-            Some(8),
-        ),
-    ];
-
-    let mut samples = Vec::new();
-    for (layout, commit, cache, lm, cm, dm, batch) in configs {
-        let s = run(lm, cm, dm, batch);
-        r.row(vec![
-            layout.to_string(),
-            commit.to_string(),
-            cache.to_string(),
-            format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
-            format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
-            format!("{:.1}", s.bytes_per_event()),
-            format!("{:.1}", (s.reads + s.writes) as f64 / EVENTS as f64),
-            format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
-            format!("{:.1}", s.energy.as_nano_joules() as f64 / EVENTS as f64),
-        ]);
-        samples.push(((layout, commit, cache), s));
-    }
-
-    let at = |layout: &str, commit: &str, cache: &str| -> &Sample {
-        &samples
-            .iter()
-            .find(|((l, c, k), _)| *l == layout && *c == commit && *k == cache)
-            .expect("swept configuration")
-            .1
-    };
-    let baseline = at("tagged", "slot", "off");
-    let headline = at("packed", "diff", "warm");
-    r.note(format!(
-        "packed + diff (warm) vs tagged slot-granular baseline: {:.1} -> {:.1} \
-         FRAM B/event = {:.2}x reduction (acceptance target: >= 1.5x)",
-        baseline.bytes_per_event(),
-        headline.bytes_per_event(),
-        baseline.bytes_per_event() / headline.bytes_per_event()
-    ));
-
-    // Pin the slot-granular rows against the layout-aware static byte
-    // bounds: exactly tight, per layout, in both cache modes.
-    let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-    for (layout, kind) in [
-        ("tagged", artemis_ir::LayoutKind::Tagged),
-        ("packed", artemis_ir::LayoutKind::Packed),
-    ] {
-        let bounds = artemis_ir::suite_bounds_for(&compiled, kind);
-        let key = bounds.worst_event().expect("has event keys");
-        let cold = at(layout, "slot", "off");
-        let warm = at(layout, "slot", "warm");
-        r.note(format!(
-            "{layout} slot-granular static byte bound: {} read + {} write B/event \
-             (measured cold {:.1} + {:.1}, warm {:.1} + {:.1}; bound == measured on \
-             the cold row, warm deliveries are write-only)",
-            key.read_bytes,
-            key.write_bytes,
-            cold.read_bytes as f64 / EVENTS as f64,
-            cold.write_bytes as f64 / EVENTS as f64,
-            warm.read_bytes as f64 / EVENTS as f64,
-            warm.write_bytes as f64 / EVENTS as f64,
-        ));
-    }
-    r.note(
-        "cost model: FRAM access = 25 us + 1 us/B (5 nJ read / 7 nJ write base + \
-         0.7/1.0 nJ per byte), so the byte cut compounds into the time and energy \
-         columns; diff rows additionally drop whole sub-writes (merged runs skip \
-         the unchanged state word)"
-            .to_string(),
-    );
-    r.note(format!(
-        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} int vars, one counter \
-         incremented per event; packed narrows the unbounded counter to 8 B, the \
-         eleven untouched slots to 1 B each, the state word to 1 B and the done \
-         flags to one bitmap byte"
-    ));
-    r
-}
-
 /// The whole run can still complete with infeasible tasks aboard:
 /// `maxTries`/`skipPath` escalations route around them (Figure 13's
 /// non-termination shield), so the run-outcome column shows the
@@ -2435,21 +2327,14 @@ mod tests {
     #[test]
     fn scaling_routed_cost_stays_flat() {
         let r = scaling();
-        let routed = |i: usize| -> f64 { r.rows[i][2].parse().unwrap() };
-        let scanned = |i: usize| -> f64 { r.rows[i][4].parse().unwrap() };
+        let cost = |i: usize| -> f64 { r.rows[i][2].parse().unwrap() };
         let last = r.rows.len() - 1;
-        let routed_ratio = routed(last) / routed(0);
-        let scanned_ratio = scanned(last) / scanned(0);
+        let ratio = cost(last) / cost(0);
         assert!(
-            routed_ratio <= 2.0,
-            "routed per-event cost must stay flat: 1 prop {} nJ, 32 props {} nJ ({routed_ratio:.2}x)",
-            routed(0),
-            routed(last)
-        );
-        assert!(
-            scanned_ratio > routed_ratio * 2.0,
-            "full scan must show the O(installed) growth routing removes \
-             (routed {routed_ratio:.2}x vs full-scan {scanned_ratio:.2}x)"
+            ratio <= 2.0,
+            "routed per-event cost must stay flat: 1 prop {} nJ, 32 props {} nJ ({ratio:.2}x)",
+            cost(0),
+            cost(last)
         );
     }
 
@@ -2476,37 +2361,18 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        let wb = ops("dispatch", "whole-block");
-        let dl = ops("dispatch", "delta");
+        // The removed whole-block commit mode measured 156 ops/event on
+        // this workload; span loads + sparse commits must halve it.
+        let compiled = ops("dispatch", "compiled");
         assert!(
-            dl * 2.0 <= wb,
-            "delta commits must cut dispatch FRAM ops >= 2x: \
-             whole-block {wb} vs delta {dl} ({:.2}x)",
-            wb / dl
+            compiled <= 78.0,
+            "dispatch cost must be <= 78 ops/event (2x vs the 156 baseline), got {compiled}"
         );
-        // The pre-PR whole-block baseline was 156 ops/event; the 2x
-        // target is against that absolute figure too.
-        assert!(
-            dl <= 78.0,
-            "delta dispatch cost must be <= 78 ops/event (2x vs the 156 baseline), got {dl}"
-        );
-
-        // Dense handlers degrade to whole-block commits: the delta
-        // engine must never cost more than the whole-block engine.
-        let dense_wb = ops("dispatch-dense", "whole-block");
-        let dense_dl = ops("dispatch-dense", "delta");
-        assert!(
-            dense_dl <= dense_wb,
-            "degraded delta path must not regress the dense workload: \
-             whole-block {dense_wb} vs delta {dense_dl}"
-        );
-        let scaling_wb = ops("scaling-32", "whole-block");
-        let scaling_dl = ops("scaling-32", "delta");
-        assert!(
-            scaling_dl <= scaling_wb,
-            "auto-degrade must keep parity on single-variable blocks: \
-             whole-block {scaling_wb} vs delta {scaling_dl}"
-        );
+        assert!(compiled < ops("dispatch", "interpreter"));
+        // Degraded whole-block images stay under the removed mode's
+        // entry-list commits (dense: 135 ops/event at that commit).
+        let dense = ops("dispatch-dense", "compiled");
+        assert!(dense < 135.0, "dense dispatch regressed: {dense}");
     }
 
     #[test]
@@ -2578,16 +2444,11 @@ mod tests {
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
-        assert_eq!(
-            key.cached_ops() as f64,
-            b1_on,
-            "warm bound must be exactly tight"
-        );
-        let b8_bound = artemis_ir::batch_bounds(&compiled, 8);
+        assert_eq!(key.writes as f64, b1_on, "warm bound must be exactly tight");
+        let b8_bound = artemis_ir::batch_bounds(&compiled, 8).writes.div_ceil(8);
         assert!(
-            b8_bound.cached_ops_per_event_ceil() as f64 >= b8_on,
-            "batch warm bound {} must dominate measured {b8_on}",
-            b8_bound.cached_ops_per_event_ceil()
+            b8_bound as f64 >= b8_on,
+            "batch warm bound {b8_bound} must dominate measured {b8_on}"
         );
         // And a warm run never misses: every lookup is served from RAM.
         let misses: u64 = row("per-event", "enabled")[7].parse().unwrap();
@@ -2607,93 +2468,81 @@ mod tests {
             "batch diff commits must not exceed slot-granular: {b8_on} -> {b8_diff}"
         );
         assert!(
-            key.cached_ops() as f64 >= b1_diff,
+            key.writes as f64 >= b1_diff,
             "warm bound must dominate the diff path"
         );
         assert_eq!(reads("per-event", "enabled+diff"), 0.0);
         assert_eq!(reads("batch-8", "enabled+diff"), 0.0);
     }
 
-    /// The PR's acceptance criteria on the byte sweep: packed + diff
-    /// cuts FRAM bytes/event >= 1.5x against the slot-granular tagged
-    /// baseline, the layout-aware static byte bounds are exactly tight
-    /// on the slot-granular rows (cold reads+writes, warm writes), and
-    /// the diff rows only ever undercut their slot twins.
+    /// Acceptance criteria on the byte sweep: packed + diff cuts FRAM
+    /// bytes/event >= 1.5x against the removed tagged baseline, the
+    /// static byte bounds are exactly tight on the slot-granular rows
+    /// (cold reads+writes, warm writes), and the diff rows only ever
+    /// undercut their slot twins.
     #[test]
     fn bytes_packed_diff_meets_acceptance() {
         const EVENTS: f64 = 200.0;
         let r = bytes();
-        let row = |layout: &str, commit: &str, cache: &str| -> &Vec<String> {
+        let row = |commit: &str, cache: &str| -> &Vec<String> {
             r.rows
                 .iter()
-                .find(|row| row[0] == layout && row[1] == commit && row[2] == cache)
-                .unwrap_or_else(|| panic!("missing row {layout}/{commit}/{cache}"))
+                .find(|row| row[0] == commit && row[1] == cache)
+                .unwrap_or_else(|| panic!("missing row {commit}/{cache}"))
         };
-        let col = |layout: &str, commit: &str, cache: &str, i: usize| -> f64 {
-            row(layout, commit, cache)[i].parse().unwrap()
-        };
-        let total = |layout: &str, commit: &str, cache: &str| col(layout, commit, cache, 5);
+        let col =
+            |commit: &str, cache: &str, i: usize| -> f64 { row(commit, cache)[i].parse().unwrap() };
+        let total = |commit: &str, cache: &str| col(commit, cache, 4);
 
         // Headline: >= 1.5x FRAM bytes/event reduction, packed + diff
-        // warm vs the tagged slot-granular baseline.
-        let baseline = total("tagged", "slot", "off");
-        let headline = total("packed", "diff", "warm");
+        // warm vs the tagged slot-granular baseline (858 B/event).
+        let headline = total("diff", "warm");
         assert!(
-            headline * 1.5 <= baseline,
-            "packed+diff must cut FRAM bytes >= 1.5x: {baseline} -> {headline} \
-             ({:.2}x)",
-            baseline / headline
+            headline * 1.5 <= 858.0,
+            "packed+diff must cut FRAM bytes >= 1.5x: 858 -> {headline}"
         );
 
-        // The static byte bound is exactly tight on both slot-granular
-        // layouts: cold rows measure bound reads + writes, warm rows
-        // are write-only at exactly the bound's write bytes.
+        // The static byte bound is exactly tight on the slot-granular
+        // rows: cold rows measure bound reads + writes, warm rows are
+        // write-only at exactly the bound's write bytes.
         let (suite, app, _t0) = sparse_dispatch_suite();
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        for (layout, kind) in [
-            ("tagged", artemis_ir::LayoutKind::Tagged),
-            ("packed", artemis_ir::LayoutKind::Packed),
-        ] {
-            let bounds = artemis_ir::suite_bounds_for(&compiled, kind);
-            let key = bounds.worst_event().expect("has event keys");
-            assert_eq!(
-                col(layout, "slot", "off", 3) * EVENTS,
-                (key.read_bytes * 200) as f64,
-                "{layout} cold read-byte bound must be exactly tight"
-            );
-            assert_eq!(
-                col(layout, "slot", "off", 4) * EVENTS,
-                (key.write_bytes * 200) as f64,
-                "{layout} cold write-byte bound must be exactly tight"
-            );
-            assert_eq!(
-                col(layout, "slot", "warm", 3),
-                0.0,
-                "{layout} warm deliveries must be read-free"
-            );
-            assert_eq!(
-                col(layout, "slot", "warm", 4) * EVENTS,
-                (key.write_bytes * 200) as f64,
-                "{layout} warm write-byte bound must be exactly tight"
-            );
-        }
+        let bounds = artemis_ir::suite_bounds(&compiled);
+        let key = bounds.worst_event().expect("has event keys");
+        assert_eq!(
+            col("slot", "off", 2) * EVENTS,
+            (key.read_bytes * 200) as f64,
+            "cold read-byte bound must be exactly tight"
+        );
+        assert_eq!(
+            col("slot", "off", 3) * EVENTS,
+            (key.write_bytes * 200) as f64,
+            "cold write-byte bound must be exactly tight"
+        );
+        assert_eq!(
+            col("slot", "warm", 2),
+            0.0,
+            "warm deliveries must be read-free"
+        );
+        assert_eq!(
+            col("slot", "warm", 3) * EVENTS,
+            (key.write_bytes * 200) as f64,
+            "warm write-byte bound must be exactly tight"
+        );
 
-        // Packing alone shrinks every slot row; diffing shrinks further
-        // and stays under the slot-granular bound (run-merge never adds
-        // header bytes it does not save).
-        assert!(total("packed", "slot", "off") < total("tagged", "slot", "off"));
-        assert!(total("packed", "slot", "warm") < total("tagged", "slot", "warm"));
-        assert!(total("packed", "diff", "warm") < total("packed", "slot", "warm"));
-        assert!(total("packed", "diff", "warm batch-8") <= total("packed", "slot", "warm batch-8"));
+        // Diffing shrinks further and stays under the slot-granular
+        // bound (run-merge never adds header bytes it does not save).
+        assert!(total("diff", "warm") < total("slot", "warm"));
+        assert!(total("diff", "warm batch-8") <= total("slot", "warm batch-8"));
 
         // Time and energy track the byte mix through the cost model:
         // every FRAM access pays 25 us + 1 us/B, so per-event time must
         // dominate that floor on every row.
         for r2 in &r.rows {
-            let ops: f64 = r2[6].parse().unwrap();
-            let bytes: f64 = r2[5].parse().unwrap();
-            let us: f64 = r2[7].parse().unwrap();
-            let nj: f64 = r2[8].parse().unwrap();
+            let ops: f64 = r2[5].parse().unwrap();
+            let bytes: f64 = r2[4].parse().unwrap();
+            let us: f64 = r2[6].parse().unwrap();
+            let nj: f64 = r2[7].parse().unwrap();
             assert!(
                 us + 1e-6 >= 25.0 * ops + bytes,
                 "time/event {us} must cover the FRAM floor of {} ({r2:?})",

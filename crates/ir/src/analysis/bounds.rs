@@ -2,13 +2,13 @@
 //!
 //! Walks the routing index and dispatch tables to bound, per event key
 //! `(kind, task)`, what one delivered event can cost the engine's
-//! routed compiled path (the default execution mode): FRAM read/write
-//! operations and the largest single journal commit in bytes. The
-//! bounds are compared against the journal capacity at install time —
-//! a suite whose worst-case commit cannot fit is rejected *before* it
-//! allocates, instead of faulting with `JournalOverflow` mid-run — and
-//! against measured dispatch-benchmark numbers in `artemis-bench`
-//! (static must dominate measured).
+//! compiled path: FRAM read/write operations and bytes, CPU cycles, and
+//! the largest single journal commit in bytes. The bounds are compared
+//! against the journal capacity at install time — a suite whose
+//! worst-case commit cannot fit is rejected *before* it allocates,
+//! instead of faulting with `JournalOverflow` mid-run — and against
+//! measured dispatch-benchmark numbers in `artemis-bench` (static must
+//! dominate measured).
 //!
 //! # Cost model
 //!
@@ -16,80 +16,67 @@
 //! `intermittent-sim`'s journal byte-for-byte; they are pinned by tests
 //! in those crates (`bounds_model_matches_engine` in the monitor crate,
 //! the dominance assertion in the dispatch benchmark). The sim bills
-//! one FRAM op per `read_raw`/`write_raw` call. Two commit formats
-//! exist:
+//! one FRAM op per `read_raw`/`write_raw` call. Every event commit is a
+//! **sparse** record: `k` sub-writes cost `0` reads and `k+3` writes
+//! (stage the whole record in one write, set the flag, apply each
+//! sub-write from RAM, clear the flag).
 //!
-//! - an **entry-list** commit of `E` entries costs `2E+1` reads and
-//!   `3E+3` writes (stage each entry, write the count, set the flag,
-//!   re-read and apply each entry, clear the flag);
-//! - a **sparse** commit of `k` sub-writes costs `0` reads and `k+3`
-//!   writes (stage the whole record in one write, set the flag, apply
-//!   each sub-write from RAM, clear the flag).
-//!
-//! Per delivered event (routed, compiled, delta commits enabled — the
-//! default execution mode), using each key's static [`AccessSet`]:
+//! Per delivered event, using each key's static [`AccessSet`] and each
+//! machine's packed [`crate::layout::MachineLayout`]:
 //!
 //! - **arming**: recovery-flag read + sequence read, then one 5-sub-
 //!   write sparse commit (event, seq, verdict count, worklist, done
-//!   bitmap) — 2 reads, 8 writes, `87 + 2·n` record bytes for `n`
-//!   armed machines;
+//!   bitmap) — 2 reads, 8 writes, `87 + 2·n + ⌈N/8⌉` record bytes for
+//!   `n` armed out of `N` installed machines;
 //! - **worklist setup**: count + bitmap + items + event reads — 4 reads
 //!   (2 when the worklist is empty, as the items and event are never
 //!   read);
-//! - **per armed machine**, worst case (effectful step):
-//!   - *delta* (the key's access set stays under the ¾-block degrade
-//!     threshold): covering-span read + sparse commit of state + every
-//!     write-set slot + done bit — 1 read, `|W| + 5` writes;
-//!   - *degraded* (`whole_block`): block read + 2-entry commit (block,
-//!     done bit) — 6 reads, 9 writes;
-//!   - if any dispatched transition emits: + verdict-count read + the
-//!     verdict cell and count sub-writes/entries;
+//! - **per armed machine**, worst case (effectful step): one read of
+//!   the covering slot span, then a sparse commit of the state word,
+//!   every write-set slot and the done bitmap — 1 read, `|W| + 5`
+//!   writes. Keys whose access set covers ≥ ¾ of the block degrade at
+//!   compile time to loading and committing the whole block image as
+//!   one sub-write — 1 read, 5 writes. An emitting machine adds the
+//!   verdict-count read and the verdict cell and count sub-writes;
 //! - **verdict readback**: count read + one read per possible emitter.
-//!
-//! Commit-byte bounds take the **max of both formats** per key, so a
-//! capacity derived here stays safe when delta commits are disabled
-//! (`DeltaMode::Disabled`) or the engine degrades to full scan.
 //!
 //! The static bound dominates the dynamic cost because arming-time
 //! `Path:` filtering only ever *shrinks* the worklist below the routing
 //! index's interest list, effectless steps complete with a single
 //! plain write instead of a commit, and a step's dynamic write set is
-//! a subset of the static one.
+//! a subset of the static one. The engine's dirty-diff commits
+//! (`DiffMode::Auto` with a warm cache) only ever stage fewer runs and
+//! fewer bytes: changed bytes live inside the state word and write-set
+//! slots, at most one run forms per field, and the gap-merge rule only
+//! fires when the 6-byte header it saves covers the gap bytes it adds —
+//! so the slot-granular figures here dominate both commit modes.
 //!
 //! # Cache-aware bounds
 //!
-//! With the engine's volatile shadow cache enabled (`CacheMode::
-//! Enabled`, the default on the routed compiled path), every *input*
-//! read of a steady-state delivery — recovery flag, sequence, armed
-//! worklist, event, machine spans, verdict log — is served from RAM.
-//! [`EventCost::cached_reads`] bounds what remains: only the
-//! entry-list commit protocol reads of degraded (whole-block)
-//! machines, which are journal traffic, not cacheable input. For a key
-//! whose armed machines all commit sparsely the warm read bound is
-//! exactly `0`. [`EventCost::cold_extra_reads`] bounds the refill cost
-//! of the first delivery after a reboot (flag + seq + one whole-block
-//! fill per armed machine); a cold cached delivery never reads more
-//! than the uncached pattern, so [`EventCost::reads`] stays a valid
-//! bound in *both* cache modes. The same split exists on the batch
-//! path ([`BatchBounds::cached_reads`] — always `0`, every batch
-//! commit is sparse — and [`BatchBounds::cold_extra_reads`]). Write
-//! bounds are identical in both modes: the cache is write-through and
-//! never changes what the engine commits.
+//! With the engine's volatile shadow cache warm (`CacheMode::Enabled`,
+//! the default), every read of a steady-state delivery — recovery
+//! flag, sequence, armed worklist, event, machine spans, verdict log —
+//! is served from RAM, and no commit re-reads the journal, so a warm
+//! delivery reads **nothing**: it costs exactly [`EventCost::writes`].
+//! [`EventCost::cold_extra_reads`] bounds the refill cost of the first
+//! delivery after a reboot (flag + seq + one whole-block fill per armed
+//! machine); a cold cached delivery never reads more than the uncached
+//! pattern, so [`EventCost::reads`] stays a valid bound in *both* cache
+//! modes. The batch path splits the same way
+//! ([`BatchBounds::cold_extra_reads`]). Write bounds are identical in
+//! both modes: the cache is write-through and never changes what the
+//! engine commits.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 
-use crate::compile::{CompiledMachine, CompiledSuite};
+use crate::compile::{AccessSet, CompiledMachine, CompiledSuite};
 
 /// Journal entry header bytes (`addr: u32` + `len: u16`).
 const ENTRY_HEADER: usize = 6;
-/// Encoded size of one monitor variable (`NvValue`: 1-byte tag + u64).
-const NV_VALUE_BYTES: usize = 9;
 /// Encoded size of the pending-event cell (`EncodedEvent`).
 const ENCODED_EVENT_BYTES: usize = 31;
-/// State word prefix of a machine's FRAM block.
-const STATE_WORD_BYTES: usize = 4;
-/// Sequence cell / done bitmap (`u64`).
+/// Sequence cell (`u64`).
 const U64_BYTES: usize = 8;
 /// Verdict count (`u32`).
 const U32_BYTES: usize = 4;
@@ -107,43 +94,11 @@ pub const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// Cycles per dispatched transition evaluated.
 pub const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 
-/// FRAM ops of an entry-list journal commit with `entries` entries.
-const fn commit_reads(entries: usize) -> usize {
-    2 * entries + 1
-}
-const fn commit_writes(entries: usize) -> usize {
-    3 * entries + 3
-}
-
-/// Energy-billed write accesses of an entry-list commit: staging an
-/// entry is one billed base (header + payload in one access) though it
-/// counts as two op-counter writes.
-const fn commit_billed_writes(entries: usize) -> usize {
-    2 * entries + 3
-}
-
-/// FRAM writes of a sparse journal commit with `k` sub-writes (stage,
-/// flag, `k` applies, clear); sparse commits perform no reads.
-const fn sparse_commit_writes(k: usize) -> usize {
-    k + 3
-}
-
 /// Journal payload bytes of one entry carrying `data` bytes. Sub-write
 /// slots of a sparse record have the same header, plus the record's
-/// leading `count: u16` accounted separately ([`sparse_record_bytes`]).
+/// leading `count: u16`.
 const fn entry_bytes(data: usize) -> usize {
     ENTRY_HEADER + data
-}
-
-/// Journal payload bytes of a sparse record whose sub-write entries
-/// total `entries_bytes` (headers included).
-const fn sparse_record_bytes(entries_bytes: usize) -> usize {
-    2 + entries_bytes
-}
-
-/// FRAM bytes of a machine block with `vars` variable slots.
-const fn block_bytes(vars: usize) -> usize {
-    STATE_WORD_BYTES + NV_VALUE_BYTES * vars
 }
 
 /// Journal bytes of a `u16` list entry with `n` items.
@@ -151,66 +106,68 @@ const fn u16_list_entry_bytes(n: usize) -> usize {
     entry_bytes(2 + 2 * n)
 }
 
-/// Which FRAM machine-image layout to model. Must match the engine's
-/// `LayoutMode`: the byte bounds are pinned exactly tight against the
-/// engine per layout (the op bounds are layout-independent — packing
-/// changes how many bytes each access moves, never how many accesses
-/// the engine makes).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LayoutKind {
-    /// Width-packed blocks ([`crate::layout::MachineLayout::packed`],
-    /// the engine default): narrow state word, interval-narrowed `Int`
-    /// slots, untagged payloads, bitmap done flags.
-    #[default]
-    Packed,
-    /// The legacy tagged geometry: 4-byte state word + 9 bytes per
-    /// slot, `u64` done cell.
-    Tagged,
+/// Bytes of the per-engine completion bitmap for `machines` installed
+/// machines: one bit per worklist position.
+fn done_bytes(machines: usize) -> usize {
+    machines.div_ceil(8).max(1)
 }
 
-impl LayoutKind {
-    /// Full block image bytes of one machine.
-    fn machine_block_bytes(self, m: &CompiledMachine) -> usize {
-        match self {
-            LayoutKind::Packed => m.layout().block_len,
-            LayoutKind::Tagged => block_bytes(m.var_count),
-        }
+/// What one sparse journal commit costs, accumulated sub-write by
+/// sub-write.
+#[derive(Clone, Copy, Default)]
+struct SparseCost {
+    subs: usize,
+    entries: usize,
+    data: usize,
+}
+
+impl SparseCost {
+    /// Adds one sub-write carrying `payload` bytes.
+    fn with(mut self, payload: usize) -> Self {
+        self.subs += 1;
+        self.entries += entry_bytes(payload);
+        self.data += payload;
+        self
     }
 
-    /// State-word bytes of one machine.
-    fn state_bytes(self, m: &CompiledMachine) -> usize {
-        match self {
-            LayoutKind::Packed => m.layout().state_bytes,
-            LayoutKind::Tagged => STATE_WORD_BYTES,
+    /// Adds the sub-writes one machine commit stages for its state: the
+    /// whole block image when `whole`, else the state word plus every
+    /// write-set slot of `access`.
+    fn with_state(self, m: &CompiledMachine, access: &AccessSet, whole: bool) -> Self {
+        let l = m.layout();
+        if whole {
+            return self.with(l.block_len);
         }
+        access
+            .writes
+            .iter()
+            .fold(self.with(l.state_bytes), |c, &s| {
+                c.with(l.slots[s as usize].enc.width())
+            })
     }
 
-    /// Bytes of the block prefix covering the state word and slots
-    /// `0..=max_slot` (the delta path's load span).
-    fn span_bytes(self, m: &CompiledMachine, max_slot: Option<u16>) -> usize {
-        match self {
-            LayoutKind::Packed => m.layout().span(max_slot),
-            LayoutKind::Tagged => {
-                STATE_WORD_BYTES + NV_VALUE_BYTES * max_slot.map_or(0, |s| s as usize + 1)
-            }
-        }
+    /// FRAM write ops: stage, flag, one apply per sub-write, clear.
+    fn writes(&self) -> usize {
+        self.subs + 3
     }
 
-    /// Encoded bytes of one variable slot.
-    fn slot_bytes(self, m: &CompiledMachine, slot: u16) -> usize {
-        match self {
-            LayoutKind::Packed => m.layout().slots[slot as usize].enc.width(),
-            LayoutKind::Tagged => NV_VALUE_BYTES,
-        }
+    /// Journal payload bytes of the staged record.
+    fn record(&self) -> usize {
+        2 + self.entries
     }
 
-    /// Bytes of the per-engine completion bitmap for `machines`
-    /// installed machines.
-    fn done_bytes(self, machines: usize) -> usize {
-        match self {
-            LayoutKind::Packed => machines.div_ceil(8).max(1),
-            LayoutKind::Tagged => U64_BYTES,
-        }
+    /// FRAM bytes written: the record, every payload, both flag flips.
+    fn write_bytes(&self) -> usize {
+        self.record() + self.data + 2 * FLAG_BYTES
+    }
+}
+
+/// Bytes of the block prefix one step of `access` loads.
+fn load_bytes(m: &CompiledMachine, access: &AccessSet) -> usize {
+    if access.whole_block {
+        m.layout().block_len
+    } else {
+        m.layout().span(access.max_touched_slot())
     }
 }
 
@@ -226,48 +183,33 @@ pub struct EventCost {
     /// Of those, machines with at least one dispatched emitting
     /// transition (they pay the verdict-logging surcharge).
     pub emitters: usize,
-    /// Armed machines committing via sparse delta records under this
-    /// key (their access set stays below the ¾-block threshold).
+    /// Armed machines committing their state word + write-set slots
+    /// under this key (their access set stays below the ¾-block
+    /// threshold).
     pub delta_machines: usize,
-    /// Armed machines auto-degraded to whole-block commits.
+    /// Armed machines auto-degraded to whole-block loads and commits.
     pub degraded_machines: usize,
-    /// Worst-case FRAM read operations.
+    /// Worst-case FRAM read operations with the shadow cache cold or
+    /// disabled (a warm delivery reads nothing).
     pub reads: usize,
-    /// Worst-case FRAM write operations.
+    /// Worst-case FRAM write operations (identical in both cache
+    /// modes: the shadow is write-through).
     pub writes: usize,
-    /// Worst-case FRAM read operations with the volatile shadow cache
-    /// warm (`CacheMode::Enabled`, steady state): every input read is
-    /// served from RAM, so only the entry-list journal *protocol*
-    /// reads of degraded (whole-block) machines remain — `0` for keys
-    /// whose armed machines all commit sparsely.
-    pub cached_reads: usize,
-    /// Extra FRAM reads the first delivery after a reboot pays on top
-    /// of [`EventCost::cached_reads`] to refill the shadow: the
-    /// recovery flag, the sequence number, and one whole-block fill
-    /// per armed machine (the fill is one op, same as the uncached
-    /// span read). Any post-reboot delivery — including resuming an
-    /// event armed before the crash — is also bounded by the uncached
-    /// [`EventCost::reads`], because a cold cached delivery never reads
-    /// more than the uncached pattern.
+    /// Extra FRAM reads the first delivery after a reboot pays to
+    /// refill the shadow: the recovery flag, the sequence number, and
+    /// one whole-block fill per armed machine (the fill is one op, same
+    /// as the uncached span read). Any post-reboot delivery — including
+    /// resuming an event armed before the crash — is also bounded by
+    /// the uncached [`EventCost::reads`], because a cold cached
+    /// delivery never reads more than the uncached pattern.
     pub cold_extra_reads: usize,
     /// Largest single journal commit, in payload bytes.
     pub commit_bytes: usize,
     /// Worst-case FRAM bytes read (per-byte traffic priced on top of
     /// the per-op base by the sim's cost model).
     pub read_bytes: usize,
-    /// Worst-case FRAM bytes read with the shadow cache warm — only
-    /// the entry-list commit protocol re-reads of degraded machines.
-    pub cached_read_bytes: usize,
-    /// Worst-case FRAM bytes written (identical in both cache modes:
-    /// the shadow is write-through).
+    /// Worst-case FRAM bytes written.
     pub write_bytes: usize,
-    /// Worst-case FRAM write *accesses as billed by the energy meter*.
-    /// Differs from [`EventCost::writes`] only on entry-list commits:
-    /// staging one entry issues two op-counter writes (header, then
-    /// payload) but is billed as a single base-plus-bytes access, so a
-    /// degraded machine's `E`-entry commit bills `2E+3` accesses
-    /// against `3E+3` counted ops. Sparse commits bill 1:1.
-    pub billed_writes: usize,
     /// Worst-case engine CPU cycles charged for the delivery (routing
     /// lookup + per-machine dispatch + per-transition stepping).
     pub cycles: u64,
@@ -284,11 +226,6 @@ impl EventCost {
     pub fn ops(&self) -> usize {
         self.reads + self.writes
     }
-
-    /// Total FRAM operations with the shadow cache warm.
-    pub fn cached_ops(&self) -> usize {
-        self.cached_reads + self.writes
-    }
 }
 
 /// Static per-event and install-time resource bounds for a suite.
@@ -297,10 +234,11 @@ pub struct SuiteBounds {
     /// Every `(kind, task)` key of the application graph plus the two
     /// wildcard keys.
     pub per_key: Vec<EventCost>,
-    /// Largest single journal commit any event can stage, in bytes.
+    /// Largest single journal commit any event or reset can stage, in
+    /// bytes.
     pub worst_commit_bytes: usize,
     /// Bytes of the whole-suite reset commit (`resetMonitor` re-images
-    /// every machine block in one transaction).
+    /// every machine block in one entry-list transaction).
     pub reset_commit_bytes: usize,
 }
 
@@ -312,19 +250,12 @@ impl SuiteBounds {
     }
 }
 
-/// Computes the static resource bounds of a compiled suite under the
-/// engine's default packed layout. See [`suite_bounds_for`].
-pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
-    suite_bounds_for(compiled, LayoutKind::default())
-}
-
 /// Computes the static resource bounds of a compiled suite by walking
-/// its routing index and dispatch tables, modelling machine images
-/// under `layout`.
-pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBounds {
+/// its routing index and dispatch tables.
+pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
-    let done_b = layout.done_bytes(machines.len());
+    let done_b = done_bytes(machines.len());
 
     let mut per_key = Vec::with_capacity(2 * (task_count + 1));
     for kind in [EventKind::StartTask, EventKind::EndTask] {
@@ -339,38 +270,29 @@ pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBo
             let armed = compiled.routing().interested(kind, probe);
 
             // Arming: recovery flag + seq reads, then one 5-sub-write
-            // sparse commit. The byte bound covers both formats (the
-            // sparse record is the entry-list image + its count word).
+            // sparse commit.
+            let arming = SparseCost::default()
+                .with(ENCODED_EVENT_BYTES)
+                .with(U64_BYTES)
+                .with(U32_BYTES)
+                .with(2 + 2 * armed.len())
+                .with(done_b);
             let mut reads = 2;
             let mut read_bytes = FLAG_BYTES + U64_BYTES;
-            let mut writes = sparse_commit_writes(5);
-            let arming_entry_bytes = entry_bytes(ENCODED_EVENT_BYTES)
-                + entry_bytes(U64_BYTES)
-                + entry_bytes(U32_BYTES)
-                + u16_list_entry_bytes(armed.len())
-                + entry_bytes(done_b);
-            // A sparse commit writes the staged record, the flag, each
-            // sub-write's payload, and the flag clear.
-            let arming_data_bytes =
-                ENCODED_EVENT_BYTES + U64_BYTES + U32_BYTES + (2 + 2 * armed.len()) + done_b;
-            let arming_write_bytes =
-                sparse_record_bytes(arming_entry_bytes) + arming_data_bytes + 2 * FLAG_BYTES;
-            let mut write_bytes = arming_write_bytes;
-            let mut commit = sparse_record_bytes(arming_entry_bytes);
+            let mut writes = arming.writes();
+            let mut write_bytes = arming.write_bytes();
+            let mut commit = arming.record();
+            // Worklist setup: count + bitmap, then items + event when
+            // anything is armed.
             reads += if armed.is_empty() { 2 } else { 4 };
-            read_bytes += if armed.is_empty() {
-                2 + done_b
-            } else {
-                2 + done_b + 2 * armed.len() + ENCODED_EVENT_BYTES
-            };
+            read_bytes += 2 + done_b;
+            if !armed.is_empty() {
+                read_bytes += 2 * armed.len() + ENCODED_EVENT_BYTES;
+            }
             let mut cycles = ROUTING_LOOKUP_CYCLES;
-            let mut billed_writes = sparse_commit_writes(5);
 
             let mut emitters = 0;
-            let mut delta_machines = 0;
             let mut degraded_machines = 0;
-            let mut cached_reads = 0;
-            let mut cached_read_bytes = 0;
             for &mi in armed {
                 let m = &machines[mi as usize];
                 let emits = m
@@ -382,86 +304,24 @@ pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBo
                 // cycle-priced worst path through its dispatched
                 // transitions) — identical table, so the bound is exact.
                 cycles += COMPILED_DISPATCH_CYCLES + m.step_cost(kind, probe).cycles;
-                let block_b = layout.machine_block_bytes(m);
+                degraded_machines += usize::from(access.whole_block);
 
-                // Whole-block entry-list bytes: always part of the byte
-                // bound so a delta-disabled engine still fits.
-                let mut block_step_bytes = entry_bytes(block_b) + entry_bytes(done_b);
+                // Span (or block) read, plus the verdict-count read of
+                // an emitter; one sparse commit of the state, the
+                // verdict cell and count, and the done bitmap.
+                let mut step = SparseCost::default().with_state(m, access, access.whole_block);
+                reads += 1;
+                read_bytes += load_bytes(m, access);
                 if emits {
-                    block_step_bytes += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
                     emitters += 1;
+                    reads += 1;
+                    read_bytes += U32_BYTES;
+                    step = step.with(VERDICT_BYTES).with(U32_BYTES);
                 }
-
-                if access.whole_block {
-                    degraded_machines += 1;
-                    let step_entries = if emits { 4 } else { 2 };
-                    // Entry payloads: block image + done bit (+ verdict
-                    // cell and count).
-                    let mut entry_data = block_b + done_b;
-                    if emits {
-                        entry_data += VERDICT_BYTES + U32_BYTES;
-                    }
-                    reads += 1 + commit_reads(step_entries) + usize::from(emits);
-                    // Block load + protocol re-reads (count word, each
-                    // entry header and payload) + verdict count.
-                    let protocol_bytes = 2 + ENTRY_HEADER * step_entries + entry_data;
-                    read_bytes += block_b + protocol_bytes + if emits { U32_BYTES } else { 0 };
-                    writes += commit_writes(step_entries);
-                    billed_writes += commit_billed_writes(step_entries);
-                    // Stage each entry, count word, flag, apply each
-                    // payload, flag clear.
-                    write_bytes += (ENTRY_HEADER * step_entries + entry_data)
-                        + 2
-                        + FLAG_BYTES
-                        + entry_data
-                        + FLAG_BYTES;
-                    // The shadow serves the block load and the verdict
-                    // count, but the entry-list commit's re-read-and-
-                    // apply protocol reads are journal traffic the
-                    // cache cannot touch.
-                    cached_reads += commit_reads(step_entries);
-                    cached_read_bytes += protocol_bytes;
-                    commit = commit.max(block_step_bytes);
-                } else {
-                    delta_machines += 1;
-                    // Covering-span read, verdict-count read if emitting.
-                    reads += 1 + usize::from(emits);
-                    let span_bytes = layout.span_bytes(m, access.max_touched_slot());
-                    read_bytes += span_bytes + if emits { U32_BYTES } else { 0 };
-                    // Sub-writes: state word + every write-set slot +
-                    // done bit (+ verdict cell and count). The diff
-                    // path (`DiffMode::Auto` + warm cache) only ever
-                    // commits fewer runs and fewer bytes: changed bytes
-                    // live inside the state word and write-set slots,
-                    // at most one run forms per field, and the gap-
-                    // merge rule only fires when the 6-byte header it
-                    // saves covers the gap bytes it adds — so this
-                    // slot-granular bound dominates both commit modes.
-                    let state_b = layout.state_bytes(m);
-                    let slots_b: usize =
-                        access.writes.iter().map(|&s| layout.slot_bytes(m, s)).sum();
-                    let mut k = 1 + access.writes.len() + 1;
-                    let mut delta_entry_bytes = entry_bytes(state_b)
-                        + access
-                            .writes
-                            .iter()
-                            .map(|&s| entry_bytes(layout.slot_bytes(m, s)))
-                            .sum::<usize>()
-                        + entry_bytes(done_b);
-                    let mut delta_data = state_b + slots_b + done_b;
-                    if emits {
-                        k += 2;
-                        delta_entry_bytes += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
-                        delta_data += VERDICT_BYTES + U32_BYTES;
-                    }
-                    writes += sparse_commit_writes(k);
-                    billed_writes += sparse_commit_writes(k);
-                    write_bytes +=
-                        sparse_record_bytes(delta_entry_bytes) + delta_data + 2 * FLAG_BYTES;
-                    commit = commit
-                        .max(sparse_record_bytes(delta_entry_bytes))
-                        .max(block_step_bytes);
-                }
+                step = step.with(done_b);
+                writes += step.writes();
+                write_bytes += step.write_bytes();
+                commit = commit.max(step.record());
             }
 
             // Verdict readback: count + one cell per possible emitter.
@@ -473,68 +333,39 @@ pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBo
                 task,
                 machines: armed.len(),
                 emitters,
-                delta_machines,
+                delta_machines: armed.len() - degraded_machines,
                 degraded_machines,
                 reads,
                 writes,
-                cached_reads,
                 // Recovery flag + seq + one whole-block fill per armed
                 // machine (the fresh-arm cold path; resuming a
                 // pre-crash event is bounded by `reads`).
                 cold_extra_reads: 2 + armed.len(),
                 commit_bytes: commit,
                 read_bytes,
-                cached_read_bytes,
                 write_bytes,
-                billed_writes,
                 cycles,
-                arming_writes: sparse_commit_writes(5),
-                arming_write_bytes,
+                arming_writes: arming.writes(),
+                arming_write_bytes: arming.write_bytes(),
             });
         }
     }
 
     let reset_commit_bytes = machines
         .iter()
-        .map(|m| entry_bytes(layout.machine_block_bytes(m)))
+        .map(|m| entry_bytes(m.layout().block_len))
         .sum::<usize>()
         + entry_bytes(U32_BYTES) // verdict count
         + entry_bytes(U64_BYTES) // seq
         + u16_list_entry_bytes(0) // empty worklist
         + entry_bytes(done_b); // done bitmap
 
-    // The full-scan engine (`RoutingMode::FullScan`, or a suite too
-    // large to route) arms by staging the step routine's `pc` + `len`
-    // cells instead of the worklist + done bitmap, and each step
-    // completes through the routine's 4-byte `pc` rather than a done
-    // bit. Under the tagged layout the routed figures dominate both
-    // variants (the 8-byte done cell outweighs a u32); the packed
-    // bitmap can undercut them, so the scan-format commits join the
-    // capacity max explicitly.
-    let scan_arming_bytes = entry_bytes(ENCODED_EVENT_BYTES)
-        + entry_bytes(U64_BYTES)
-        + entry_bytes(U32_BYTES)
-        + 2 * entry_bytes(U32_BYTES);
-    let scan_step_bytes = machines
-        .iter()
-        .map(|m| {
-            let mut b = entry_bytes(layout.machine_block_bytes(m)) + entry_bytes(U32_BYTES);
-            if m.transitions.iter().any(|t| t.emit.is_some()) {
-                b += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
-            }
-            b
-        })
-        .max()
-        .unwrap_or(0);
-
     let worst_commit_bytes = per_key
         .iter()
         .map(|c| c.commit_bytes)
         .max()
         .unwrap_or(0)
-        .max(reset_commit_bytes)
-        .max(scan_arming_bytes)
-        .max(scan_step_bytes);
+        .max(reset_commit_bytes);
 
     SuiteBounds {
         per_key,
@@ -562,7 +393,7 @@ pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBo
 ///   span read (whole block when any key degrades), a verdict-count
 ///   read for emitters, then a single sparse commit of: the state word
 ///   (or the whole block image) + every merged write slot + up to
-///   `max_events` verdict cells + the count + the done bit.
+///   `max_events` verdict cells + the count + the done bitmap.
 /// - **verdict readback**: count read + up to `max_events` cells per
 ///   emitter.
 ///
@@ -570,7 +401,8 @@ pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBo
 /// arguments as [`suite_bounds`], plus: the merged worklist is a subset
 /// of all machines, a batch's dynamic merged access set unions access
 /// sets of *delivered* keys only (⊆ union over all keys), and a machine
-/// emits at most one verdict per event in the batch.
+/// emits at most one verdict per event in the batch. A warm batch
+/// reads nothing, exactly like a warm event.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BatchBounds {
     /// Batch capacity the bound was derived for.
@@ -586,15 +418,10 @@ pub struct BatchBounds {
     /// [`SuiteBounds::reset_commit_bytes`] when sizing a journal for a
     /// batch-enabled engine.
     pub reset_extra_bytes: usize,
-    /// Worst-case FRAM reads for one full batch.
+    /// Worst-case FRAM reads for one full batch (cache cold or off).
     pub reads: usize,
     /// Worst-case FRAM writes for one full batch.
     pub writes: usize,
-    /// Worst-case FRAM reads for one full batch with the volatile
-    /// shadow cache warm. The batch path commits exclusively through
-    /// sparse records (zero protocol reads), so a steady-state batch
-    /// reads **nothing** from FRAM.
-    pub cached_reads: usize,
     /// Extra FRAM reads the first batch after a reboot pays to refill
     /// the shadow: recovery flag + batch sequence + one whole-block
     /// fill per armed machine. A resumed (pre-crash) batch is also
@@ -602,9 +429,6 @@ pub struct BatchBounds {
     pub cold_extra_reads: usize,
     /// Worst-case FRAM bytes read for one full batch.
     pub read_bytes: usize,
-    /// Worst-case warm-cache FRAM bytes read — always `0`, mirroring
-    /// [`BatchBounds::cached_reads`].
-    pub cached_read_bytes: usize,
     /// Worst-case FRAM bytes written for one full batch.
     pub write_bytes: usize,
     /// Worst-case engine CPU cycles for one full batch. Routing is
@@ -625,55 +449,27 @@ impl BatchBounds {
     pub fn ops_per_event_ceil(&self) -> usize {
         self.ops().div_ceil(self.max_events.max(1))
     }
-
-    /// Total FRAM operations for one full batch with the shadow cache
-    /// warm.
-    pub fn cached_ops(&self) -> usize {
-        self.cached_reads + self.writes
-    }
-
-    /// Worst-case warm-cache FRAM ops per event when the batch is
-    /// full.
-    pub fn cached_ops_per_event_ceil(&self) -> usize {
-        self.cached_ops().div_ceil(self.max_events.max(1))
-    }
-}
-
-/// Computes the batch-path resource bound under the engine's default
-/// packed layout. See [`batch_bounds_for`].
-pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds {
-    batch_bounds_for(compiled, max_events, LayoutKind::default())
 }
 
 /// Computes the batch-path resource bound for batches of up to
-/// `max_events` events (see [`BatchBounds`]), modelling machine images
-/// under `layout`.
-pub fn batch_bounds_for(
-    compiled: &CompiledSuite,
-    max_events: usize,
-    layout: LayoutKind,
-) -> BatchBounds {
+/// `max_events` events (see [`BatchBounds`]).
+pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
-    let done_b = layout.done_bytes(machines.len());
+    let done_b = done_bytes(machines.len());
 
     // Arming: flag + batch-seq reads, one 5-sub-write sparse commit.
+    let arming = SparseCost::default()
+        .with(2 + ENCODED_EVENT_BYTES * max_events)
+        .with(U64_BYTES)
+        .with(U32_BYTES)
+        .with(2 + 2 * machines.len())
+        .with(done_b);
     let mut reads = 2;
     let mut read_bytes = FLAG_BYTES + U64_BYTES;
-    let mut writes = sparse_commit_writes(5);
-    let arming_entry_bytes = entry_bytes(2 + ENCODED_EVENT_BYTES * max_events)
-        + entry_bytes(U64_BYTES)
-        + entry_bytes(U32_BYTES)
-        + u16_list_entry_bytes(machines.len())
-        + entry_bytes(done_b);
-    let arming_commit_bytes = sparse_record_bytes(arming_entry_bytes);
-    let arming_data_bytes = (2 + ENCODED_EVENT_BYTES * max_events)
-        + U64_BYTES
-        + U32_BYTES
-        + (2 + 2 * machines.len())
-        + done_b;
-    let mut write_bytes = arming_commit_bytes + arming_data_bytes + 2 * FLAG_BYTES;
-    let mut commit = arming_commit_bytes;
+    let mut writes = arming.writes();
+    let mut write_bytes = arming.write_bytes();
+    let mut commit = arming.record();
     // Routing is looked up per event at arming and again when the
     // batch runs.
     let mut cycles = 2 * ROUTING_LOOKUP_CYCLES * max_events as u64;
@@ -687,7 +483,7 @@ pub fn batch_bounds_for(
     for m in machines {
         // Merged footprint over every key the machine can see, plus
         // the worst per-event dispatch length for the cycle bound.
-        let mut access = crate::compile::AccessSet::default();
+        let mut access = AccessSet::default();
         let mut emits = false;
         let mut worst_step_cycles = 0u64;
         for kind in [EventKind::StartTask, EventKind::EndTask] {
@@ -698,15 +494,12 @@ pub fn batch_bounds_for(
                     key_task as u32
                 };
                 access.union_with(m.access(kind, probe));
-                let list = m.transition_list(kind, probe);
                 worst_step_cycles = worst_step_cycles.max(m.step_cost(kind, probe).cycles);
-                emits |= list
+                emits |= m
+                    .transition_list(kind, probe)
                     .iter()
                     .any(|&ti| m.transitions[ti as usize].emit.is_some());
             }
-        }
-        if emits {
-            emitters += 1;
         }
         // Worst static step ceiling over every key the machine can see
         // — the engine bills the actual key's ceiling per event, so
@@ -715,56 +508,31 @@ pub fn batch_bounds_for(
 
         // Span (or block) read + verdict-count read for emitters.
         reads += 1 + usize::from(emits);
-        let block_b = layout.machine_block_bytes(m);
-        let span_bytes = if access.whole_block {
-            block_b
-        } else {
-            layout.span_bytes(m, access.max_touched_slot())
-        };
-        read_bytes += span_bytes + if emits { U32_BYTES } else { 0 };
+        read_bytes += load_bytes(m, &access) + if emits { U32_BYTES } else { 0 };
 
-        let verdict_subs = if emits { max_events + 1 } else { 0 };
-        let state_subs = if access.whole_block {
-            1 // whole block image in one raw sub-write
-        } else {
-            1 + access.writes.len()
+        emitters += usize::from(emits);
+        // Up to one verdict cell per event plus the count, then the
+        // done bitmap.
+        let finish = |c: SparseCost| {
+            let c = if emits {
+                (0..max_events)
+                    .fold(c, |c, _| c.with(VERDICT_BYTES))
+                    .with(U32_BYTES)
+            } else {
+                c
+            };
+            c.with(done_b)
         };
-        writes += sparse_commit_writes(state_subs + verdict_subs + 1);
-
-        let verdict_entry_bytes = if emits {
-            max_events * entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES)
-        } else {
-            0
-        };
-        let verdict_data = if emits {
-            max_events * VERDICT_BYTES + U32_BYTES
-        } else {
-            0
-        };
-        let state_b = layout.state_bytes(m);
-        let slots_b: usize = access.writes.iter().map(|&s| layout.slot_bytes(m, s)).sum();
-        let delta_entries = entry_bytes(state_b)
-            + access
-                .writes
-                .iter()
-                .map(|&s| entry_bytes(layout.slot_bytes(m, s)))
-                .sum::<usize>()
-            + verdict_entry_bytes
-            + entry_bytes(done_b);
-        let block_entries = entry_bytes(block_b) + verdict_entry_bytes + entry_bytes(done_b);
-        // Write bytes follow the format the engine actually uses for
-        // this machine (block image when the merged set degrades); the
-        // diff path only ever commits fewer runs and fewer bytes (see
-        // `suite_bounds_for`), so the slot-granular figure dominates.
-        let (record_entries, commit_data) = if access.whole_block {
-            (block_entries, block_b + verdict_data + done_b)
-        } else {
-            (delta_entries, state_b + slots_b + verdict_data + done_b)
-        };
-        write_bytes += sparse_record_bytes(record_entries) + commit_data + 2 * FLAG_BYTES;
-        commit = commit
-            .max(sparse_record_bytes(delta_entries))
-            .max(sparse_record_bytes(block_entries));
+        // The engine commits in the format its *dynamic* merged set
+        // picks, which can be the slot list even when the static union
+        // degraded: the commit-byte bound covers both formats, the
+        // traffic bound follows the static one.
+        let sparse = finish(SparseCost::default().with_state(m, &access, false));
+        let whole = finish(SparseCost::default().with_state(m, &access, true));
+        let used = if access.whole_block { whole } else { sparse };
+        writes += used.writes();
+        write_bytes += used.write_bytes();
+        commit = commit.max(sparse.record()).max(whole.record());
     }
 
     // Verdict readback: count + up to `max_events` cells per emitter.
@@ -778,15 +546,13 @@ pub fn batch_bounds_for(
 
     BatchBounds {
         max_events,
-        arming_commit_bytes,
+        arming_commit_bytes: arming.record(),
         worst_commit_bytes: commit,
         reset_extra_bytes,
         reads,
         writes,
-        cached_reads: 0,
         cold_extra_reads: 2 + machines.len(),
         read_bytes,
-        cached_read_bytes: 0,
         write_bytes,
         cycles,
     }
@@ -853,9 +619,7 @@ mod tests {
         )
         .unwrap();
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        // The byte pins below are the legacy tagged-geometry numbers;
-        // the packed layout only shrinks them (see the packed test).
-        let b = suite_bounds_for(&cs, LayoutKind::Tagged);
+        let b = suite_bounds(&cs);
 
         // 2 tasks + wildcard, both kinds.
         assert_eq!(b.per_key.len(), 6);
@@ -877,37 +641,36 @@ mod tests {
         let wild = key(EventKind::StartTask, None);
         assert_eq!(wild.machines, 0);
         assert!(start_a.ops() > wild.ops());
-        // Sparse arming (2) + worklist (4) + degraded emitting machine
-        // (11) + readback (1 + 1).
-        assert_eq!(start_a.reads, 2 + 4 + 11 + 1 + 1);
-        // Warm cache: only the degraded machine's 4-entry commit
-        // protocol reads survive; cold refill = flag + seq + 1 block.
-        assert_eq!(start_a.cached_reads, commit_reads(4));
+        // Sparse arming (2) + worklist (4) + block and verdict-count
+        // loads (2) + readback (1 + 1).
+        assert_eq!(start_a.reads, 2 + 4 + 2 + 1 + 1);
+        // Sparse arming (8) + one sparse commit of block, verdict cell,
+        // count and done bitmap (4 + 3).
+        assert_eq!(start_a.writes, 8 + 7);
         assert_eq!(start_a.cold_extra_reads, 2 + 1);
-        assert!(start_a.cached_reads < start_a.reads);
-        // Byte/cycle pins for the degraded emitting key (1-var block).
-        let entry_data = block_bytes(1) + U64_BYTES + VERDICT_BYTES + U32_BYTES;
-        let protocol = 2 + ENTRY_HEADER * 4 + entry_data;
-        assert_eq!(start_a.cached_read_bytes, protocol);
+        // Byte pins for the degraded emitting key (2-machine suite, so
+        // a 1-byte done bitmap).
+        let block = cs.machines()[0].layout().block_len;
         assert_eq!(
             start_a.read_bytes,
-            // arming flag+seq, worklist setup, block load, protocol
-            // re-reads, verdict count, readback count + one cell.
+            // arming flag+seq, worklist setup, block load, verdict
+            // count, readback count + one cell.
             (FLAG_BYTES + U64_BYTES)
-                + (2 + U64_BYTES + 2 + ENCODED_EVENT_BYTES)
-                + block_bytes(1)
-                + protocol
+                + (2 + 1 + 2 + ENCODED_EVENT_BYTES)
+                + block
                 + U32_BYTES
                 + (U32_BYTES + VERDICT_BYTES)
         );
+        let step_entries = entry_bytes(block)
+            + entry_bytes(VERDICT_BYTES)
+            + entry_bytes(U32_BYTES)
+            + entry_bytes(1);
+        let step_data = block + VERDICT_BYTES + U32_BYTES + 1;
         assert_eq!(
             start_a.write_bytes,
-            start_a.arming_write_bytes + (ENTRY_HEADER * 4 + entry_data) + 2 + 1 + entry_data + 1
+            start_a.arming_write_bytes + (2 + step_entries) + step_data + 2
         );
-        assert_eq!(start_a.arming_writes, sparse_commit_writes(5));
-        // The 4-entry degraded commit bills 4 fewer write bases than
-        // the op counter sees (one per staged entry).
-        assert_eq!(start_a.billed_writes, start_a.writes - 4);
+        assert_eq!(start_a.arming_writes, 8);
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
         // start key; optimized (fused guards), the cycle-priced worst
@@ -924,7 +687,6 @@ mod tests {
         // commit, nothing else.
         assert_eq!(wild.cycles, ROUTING_LOOKUP_CYCLES);
         assert_eq!(wild.write_bytes, wild.arming_write_bytes);
-        assert_eq!(wild.cached_read_bytes, 0);
         assert!(b.worst_commit_bytes >= b.reset_commit_bytes);
         assert!(b.worst_event().unwrap().ops() >= start_a.ops());
     }
@@ -956,7 +718,7 @@ mod tests {
         let mut suite = MonitorSuite::new();
         suite.push(sm);
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let b = suite_bounds_for(&cs, LayoutKind::Tagged);
+        let b = suite_bounds(&cs);
 
         let start_a = b
             .per_key
@@ -970,35 +732,41 @@ mod tests {
         assert_eq!(start_a.reads, 2 + 4 + 1 + 1);
         // Sparse arming (8) + sparse step of state+slot+done (6).
         assert_eq!(start_a.writes, 8 + 6);
-        // Byte pins: span covers state word + slot 0 only; the sparse
-        // step stages a 3-entry record then applies 21 payload bytes.
-        let span = STATE_WORD_BYTES + NV_VALUE_BYTES;
+        assert_eq!(start_a.cold_extra_reads, 2 + 1);
+
+        // v0's unguarded increment widens it to a full 8-byte slot, but
+        // state (1 state), done (1 machine) and the eleven untouched
+        // 1-byte counters all pack: span = 1 (state) + 8 (v0).
+        let m = &cs.machines()[0];
+        assert_eq!(m.layout().state_bytes, 1);
+        assert_eq!(m.layout().span(Some(0)), 1 + 8);
+        assert_eq!(m.layout().block_len, 1 + 8 + 11);
         assert_eq!(
             start_a.read_bytes,
-            (FLAG_BYTES + U64_BYTES) + (2 + U64_BYTES + 2 + ENCODED_EVENT_BYTES) + span + U32_BYTES
+            (FLAG_BYTES + U64_BYTES)
+                + (2 + 1 + 2 + ENCODED_EVENT_BYTES) // 1-byte done bitmap
+                + (1 + 8)
+                + U32_BYTES
         );
-        let delta_entries =
-            entry_bytes(STATE_WORD_BYTES) + entry_bytes(NV_VALUE_BYTES) + entry_bytes(U64_BYTES);
-        let delta_data = STATE_WORD_BYTES + NV_VALUE_BYTES + U64_BYTES;
+        let delta_entries = entry_bytes(1) + entry_bytes(8) + entry_bytes(1);
+        let delta_data = 1 + 8 + 1;
         assert_eq!(
             start_a.write_bytes,
-            start_a.arming_write_bytes + sparse_record_bytes(delta_entries) + delta_data + 2
+            start_a.arming_write_bytes + (2 + delta_entries) + delta_data + 2
         );
-        assert_eq!(start_a.cached_read_bytes, 0);
-        // All-sparse commits bill 1:1 with the op counter.
-        assert_eq!(start_a.billed_writes, start_a.writes);
         assert_eq!(
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
         );
-        // All-sparse key: a warm cache reads NOTHING from FRAM, and the
-        // cold refill is flag + seq + one whole-block fill.
-        assert_eq!(start_a.cached_reads, 0);
-        assert_eq!(start_a.cold_extra_reads, 2 + 1);
-        assert_eq!(start_a.cached_ops(), start_a.writes);
-        // The byte bound still covers the whole-block image, so a
-        // delta-disabled engine cannot overflow a derived capacity.
-        assert!(start_a.commit_bytes >= entry_bytes(block_bytes(12)) + entry_bytes(U64_BYTES));
+        // The largest commit is the arming record (a 1-entry worklist).
+        assert_eq!(
+            start_a.commit_bytes,
+            2 + entry_bytes(ENCODED_EVENT_BYTES)
+                + entry_bytes(U64_BYTES)
+                + entry_bytes(U32_BYTES)
+                + u16_list_entry_bytes(1)
+                + entry_bytes(1)
+        );
     }
 
     #[test]
@@ -1021,105 +789,24 @@ mod tests {
         assert!(b4.arming_commit_bytes > b1.arming_commit_bytes);
         assert!(b4.worst_commit_bytes >= b1.worst_commit_bytes);
         assert!(b4.worst_commit_bytes >= b4.arming_commit_bytes);
-        // Every batch commit is sparse: the warm-cache read bound is
-        // zero at any capacity, and cold refill scales with the suite.
-        assert_eq!(b1.cached_reads, 0);
-        assert_eq!(b4.cached_reads, 0);
+        // Cold refill scales with the suite.
         assert_eq!(b4.cold_extra_reads, 2 + 2);
-        assert_eq!(b4.cached_ops(), b4.writes);
-        assert!(b4.cached_ops_per_event_ceil() <= b4.ops_per_event_ceil());
-        // Bytes and cycles grow with capacity; warm-cache byte traffic
-        // is zero (all commits sparse); routing + dispatch are charged
-        // per event, so the cycle bound scales exactly linearly.
-        assert_eq!(b4.cached_read_bytes, 0);
+        // Bytes and cycles grow with capacity; routing + dispatch are
+        // charged per event, so the cycle bound scales exactly linearly.
         assert!(b4.read_bytes > b1.read_bytes);
         assert!(b4.write_bytes > b1.write_bytes);
         assert_eq!(b4.cycles, 4 * b1.cycles);
     }
 
-    /// The packed layout changes bytes, never ops: every op bound is
-    /// identical across layouts, and every byte bound shrinks (or ties)
-    /// under packing. Pins the packed figures on the 12-slot sparse
-    /// machine whose counter the interval analysis narrows to 1 byte.
+    /// The done bitmap grows one byte per eight installed machines, so
+    /// suites of any size get a byte-exact arming record.
     #[test]
-    fn packed_bounds_shrink_bytes_and_preserve_ops() {
-        use crate::expr::{BinOp, Expr, Value, VarType};
-        use crate::fsm::{MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
-
-        let app = app();
-        let mut sm = StateMachine::new("sparse", "a");
-        for v in 0..12 {
-            sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-        }
-        sm.add_state("S");
-        sm.transitions.push(Transition {
-            from: 0,
-            to: 0,
-            trigger: Trigger::Start(TaskPat::named("a")),
-            guard: None,
-            body: vec![Stmt::Assign(
-                "v0".into(),
-                Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-            )],
-            emit: None,
-        });
-        let mut suite = MonitorSuite::new();
-        suite.push(sm);
-        let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let packed = suite_bounds_for(&cs, LayoutKind::Packed);
-        let tagged = suite_bounds_for(&cs, LayoutKind::Tagged);
-        assert_eq!(suite_bounds(&cs), packed, "packed is the default");
-
-        for (p, t) in packed.per_key.iter().zip(&tagged.per_key) {
-            assert_eq!((p.kind, p.task), (t.kind, t.task));
-            assert_eq!(p.reads, t.reads);
-            assert_eq!(p.writes, t.writes);
-            assert_eq!(p.cached_reads, t.cached_reads);
-            assert_eq!(p.cold_extra_reads, t.cold_extra_reads);
-            assert_eq!(p.billed_writes, t.billed_writes);
-            assert_eq!(p.cycles, t.cycles);
-            assert!(p.read_bytes <= t.read_bytes);
-            assert!(p.write_bytes <= t.write_bytes);
-            assert!(p.commit_bytes <= t.commit_bytes);
-        }
-        assert!(packed.worst_commit_bytes < tagged.worst_commit_bytes);
-        assert!(packed.reset_commit_bytes < tagged.reset_commit_bytes);
-
-        // v0's unguarded increment widens it to a full 8-byte slot, but
-        // state (1 state), done (1 machine) and the eleven untouched
-        // 1-byte counters all pack: span = 1 (state) + 8 (v0).
-        let start_a = packed
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
-        let m = &cs.machines()[0];
-        assert_eq!(m.layout().state_bytes, 1);
-        assert_eq!(m.layout().span(Some(0)), 1 + 8);
-        assert_eq!(m.layout().block_len, 1 + 8 + 11);
-        assert_eq!(
-            start_a.read_bytes,
-            (FLAG_BYTES + U64_BYTES)
-                + (2 + 1 + 2 + ENCODED_EVENT_BYTES) // 1-byte done bitmap
-                + (1 + 8)
-                + U32_BYTES
-        );
-        let delta_entries = entry_bytes(1) + entry_bytes(8) + entry_bytes(1);
-        let delta_data = 1 + 8 + 1;
-        assert_eq!(
-            start_a.write_bytes,
-            start_a.arming_write_bytes + sparse_record_bytes(delta_entries) + delta_data + 2
-        );
-
-        let bp = batch_bounds_for(&cs, 4, LayoutKind::Packed);
-        let bt = batch_bounds_for(&cs, 4, LayoutKind::Tagged);
-        assert_eq!(batch_bounds(&cs, 4), bp, "packed is the default");
-        assert_eq!(bp.reads, bt.reads);
-        assert_eq!(bp.writes, bt.writes);
-        assert_eq!(bp.cycles, bt.cycles);
-        assert!(bp.read_bytes < bt.read_bytes);
-        assert!(bp.write_bytes < bt.write_bytes);
-        assert!(bp.worst_commit_bytes <= bt.worst_commit_bytes);
+    fn done_bitmap_scales_past_one_word() {
+        assert_eq!(done_bytes(0), 1);
+        assert_eq!(done_bytes(8), 1);
+        assert_eq!(done_bytes(64), 8);
+        assert_eq!(done_bytes(65), 9);
+        assert_eq!(done_bytes(100), 13);
     }
 
     #[test]

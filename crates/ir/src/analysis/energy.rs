@@ -76,32 +76,23 @@ use crate::compile::CompiledSuite;
 /// over-approximation; the margin semantics absorb the slack.
 pub const RUNTIME_ATTEMPT_OVERHEAD: Energy = Energy::from_nano_joules(2_500);
 
-/// Energy of one worst-case uncached event delivery under `cost`.
-/// Write accesses are priced at the energy meter's billing granularity
-/// ([`EventCost::billed_writes`]), which the monitor crate pins
-/// against the simulator's measured draw.
+/// Energy of one worst-case uncached event delivery under `cost`,
+/// which the monitor crate pins against the simulator's measured draw.
 pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(
         cost.reads,
         cost.read_bytes,
-        cost.billed_writes,
+        cost.writes,
         cost.write_bytes,
         cost.cycles,
     )
 }
 
 /// Energy of one worst-case event delivery with the volatile shadow
-/// cache warm (`CacheMode::Enabled`, steady state). Writes and cycles
-/// are identical to the uncached case; only cacheable input reads
-/// disappear.
+/// cache warm (`CacheMode::Enabled`, steady state): writes and cycles
+/// are identical to the uncached case, and no read remains.
 pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
-    model.traffic_energy(
-        cost.cached_reads,
-        cost.cached_read_bytes,
-        cost.billed_writes,
-        cost.write_bytes,
-        cost.cycles,
-    )
+    model.traffic_energy(0, 0, cost.writes, cost.write_bytes, cost.cycles)
 }
 
 /// Energy of the arming commit alone — the write-only monitor floor
@@ -121,16 +112,9 @@ pub fn batch_energy(bounds: &BatchBounds, model: &CostModel) -> Energy {
     )
 }
 
-/// Energy of one worst-case warm-cache full batch (every batch commit
-/// is sparse, so the warm read traffic is zero).
+/// Energy of one worst-case warm-cache full batch (no read remains).
 pub fn batch_energy_cached(bounds: &BatchBounds, model: &CostModel) -> Energy {
-    model.traffic_energy(
-        bounds.cached_reads,
-        bounds.cached_read_bytes,
-        bounds.writes,
-        bounds.write_bytes,
-        bounds.cycles,
-    )
+    model.traffic_energy(0, 0, bounds.writes, bounds.write_bytes, bounds.cycles)
 }
 
 /// Energy of one declared task body execution priced through `model`:
@@ -378,48 +362,6 @@ mod tests {
         }
         let b4 = crate::analysis::batch_bounds(&cs, 4);
         assert!(batch_energy_cached(&b4, &model) <= batch_energy(&b4, &model));
-    }
-
-    /// The packed layout must strictly tighten every energy ceiling
-    /// the feasibility gate prices against the tagged baseline: fewer
-    /// journalled bytes per commit means a lower worst-case event cost
-    /// at the same op counts, and the task verdicts inherit the
-    /// tighter bound (the default [`suite_bounds`] is packed, so this
-    /// is the ceiling installs are actually gated on).
-    #[test]
-    fn packed_layout_tightens_the_ceilings() {
-        use crate::analysis::LayoutKind;
-        let app = app_with_costs(10_000);
-        let cs = compiled(&app);
-        let model = CostModel::msp430fr5994();
-        let packed = crate::analysis::suite_bounds_for(&cs, LayoutKind::Packed);
-        let tagged = crate::analysis::suite_bounds_for(&cs, LayoutKind::Tagged);
-        assert_eq!(packed.per_key.len(), tagged.per_key.len());
-        for (p, t) in packed.per_key.iter().zip(tagged.per_key.iter()) {
-            assert!(
-                event_energy(p, &model) < event_energy(t, &model),
-                "uncached ceiling must shrink: {p:?} vs {t:?}"
-            );
-            assert!(
-                event_energy_cached(p, &model) < event_energy_cached(t, &model),
-                "cached ceiling must shrink: {p:?} vs {t:?}"
-            );
-        }
-        // The install gate's per-task ceilings inherit the tightening,
-        // and the default bounds are the packed ones.
-        let profile = EnergyProfile::with_budget(Energy::from_micro_joules(800));
-        let fp = task_feasibility(&cs, &packed, &app, &profile);
-        let ft = task_feasibility(&cs, &tagged, &app, &profile);
-        for (p, t) in fp.iter().zip(ft.iter()) {
-            assert!(
-                p.ceiling < t.ceiling,
-                "{}: {:?} vs {:?}",
-                p.name,
-                p.ceiling,
-                t.ceiling
-            );
-        }
-        assert_eq!(crate::analysis::suite_bounds(&cs).per_key, packed.per_key);
     }
 
     /// The bytecode optimizer must strictly tighten the energy

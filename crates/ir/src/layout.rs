@@ -1,11 +1,11 @@
 //! Packed FRAM machine layout: per-slot byte widths derived from
 //! verifier-known value ranges.
 //!
-//! The original ("tagged") layout spends a fixed 4-byte little-endian
-//! state word plus 9 bytes per variable slot (1 tag byte + 8 payload
-//! bytes, [`NV_VALUE_BYTES`]) regardless of what the machine can ever
-//! store there. But the documented cost model bills FRAM time/energy
-//! *per byte*, and most monitor counters are tiny: a `maxTries: 3`
+//! A type-tagged image would spend a 4-byte state word plus 9 bytes
+//! per variable slot (1 tag byte + 8 payload bytes) regardless of what
+//! the machine can ever store there. But the documented cost model
+//! bills FRAM time/energy *per byte*, and most monitor counters are
+//! tiny: a `maxTries: 3`
 //! retry counter fits in one byte, a state index over 4 states fits in
 //! one byte. This module derives a **packed layout** at compile time:
 //!
@@ -26,15 +26,14 @@
 //! exactly like access sets, so mutation cannot make it lie. Soundness
 //! contract: for every value the verified machine can ever hold in a
 //! slot, `decode(encode(v)) == v`. The monitor engine's equivalence
-//! suite pins packed ≡ tagged ≡ interpreter under power failures.
+//! suite pins the packed blocks ≡ the interpreter's per-variable
+//! cells under power failures.
 
 use crate::compile::{CompiledTransition, Op};
 use crate::expr::{BinOp, Value, VarType};
 
-/// Bytes of one tagged slot image: 1 tag byte + 8 payload bytes.
-pub const NV_VALUE_BYTES: usize = 9;
-/// Bytes of the tagged layout's state word.
-pub const STATE_WORD_BYTES: usize = 4;
+/// Bytes of the widest slot encoding (`Time`, `Float`, 8-byte `Int`).
+pub const MAX_SLOT_BYTES: usize = 8;
 
 /// How one variable slot is encoded in the machine's FRAM block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,9 +52,6 @@ pub enum SlotEnc {
     Time,
     /// 8-byte little-endian IEEE-754 bits.
     Float,
-    /// The legacy 9-byte tagged image (tag + payload) — used by the
-    /// tagged layout for every slot.
-    Tagged,
 }
 
 impl SlotEnc {
@@ -65,19 +61,6 @@ impl SlotEnc {
             SlotEnc::Bool => 1,
             SlotEnc::Int { width, .. } => width as usize,
             SlotEnc::Time | SlotEnc::Float => 8,
-            SlotEnc::Tagged => NV_VALUE_BYTES,
-        }
-    }
-
-    /// The variable type this encoding stores, or `None` for the
-    /// type-carrying tagged image.
-    pub fn var_type(self) -> Option<VarType> {
-        match self {
-            SlotEnc::Bool => Some(VarType::Bool),
-            SlotEnc::Int { .. } => Some(VarType::Int),
-            SlotEnc::Time => Some(VarType::Time),
-            SlotEnc::Float => Some(VarType::Float),
-            SlotEnc::Tagged => None,
         }
     }
 }
@@ -104,22 +87,6 @@ pub struct MachineLayout {
 }
 
 impl MachineLayout {
-    /// The legacy tagged layout: 4-byte state word + 9 tagged bytes per
-    /// slot. Bit-identical to the pre-packing engine image.
-    pub fn tagged(var_count: usize) -> Self {
-        let slots = (0..var_count)
-            .map(|i| SlotLayout {
-                offset: STATE_WORD_BYTES + i * NV_VALUE_BYTES,
-                enc: SlotEnc::Tagged,
-            })
-            .collect::<Vec<_>>();
-        MachineLayout {
-            state_bytes: STATE_WORD_BYTES,
-            slots,
-            block_len: STATE_WORD_BYTES + var_count * NV_VALUE_BYTES,
-        }
-    }
-
     /// Derives the packed layout from the machine's compiled parts:
     /// state width from the highest reachable state index, per-slot
     /// `Int` widths from [`int_bounds`], everything else from the
@@ -267,7 +234,7 @@ impl MachineLayout {
         &self,
         slot: usize,
         v: &Value,
-        buf: &mut [u8; NV_VALUE_BYTES],
+        buf: &mut [u8; MAX_SLOT_BYTES],
     ) -> usize {
         let enc = self.slots[slot].enc;
         let w = enc.width();
@@ -368,11 +335,6 @@ fn encode_slot(enc: SlotEnc, v: &Value, out: &mut [u8]) {
             };
             out.copy_from_slice(&f.to_bits().to_le_bytes());
         }
-        SlotEnc::Tagged => {
-            let mut img = [0u8; NV_VALUE_BYTES];
-            tagged_store(v, &mut img);
-            out.copy_from_slice(&img);
-        }
     }
 }
 
@@ -394,40 +356,6 @@ fn decode_slot(enc: SlotEnc, bytes: &[u8]) -> Value {
         SlotEnc::Float => Value::Float(f64::from_bits(u64::from_le_bytes(
             bytes[..8].try_into().unwrap(),
         ))),
-        SlotEnc::Tagged => tagged_load(bytes),
-    }
-}
-
-/// The tagged 9-byte image, byte-identical to the engine's historical
-/// `NvValue` encoding (tag 0..=3, little-endian payload).
-fn tagged_store(v: &Value, out: &mut [u8; NV_VALUE_BYTES]) {
-    match v {
-        Value::Int(i) => {
-            out[0] = 0;
-            out[1..9].copy_from_slice(&i.to_le_bytes());
-        }
-        Value::Bool(b) => {
-            out[0] = 1;
-            out[1..9].copy_from_slice(&(*b as u64).to_le_bytes());
-        }
-        Value::Time(t) => {
-            out[0] = 2;
-            out[1..9].copy_from_slice(&t.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out[0] = 3;
-            out[1..9].copy_from_slice(&f.to_bits().to_le_bytes());
-        }
-    }
-}
-
-fn tagged_load(bytes: &[u8]) -> Value {
-    let payload = u64::from_le_bytes(bytes[1..9].try_into().unwrap());
-    match bytes[0] {
-        0 => Value::Int(payload as i64),
-        1 => Value::Bool(payload != 0),
-        2 => Value::Time(payload),
-        _ => Value::Float(f64::from_bits(payload)),
     }
 }
 
@@ -717,16 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_layout_matches_legacy_geometry() {
-        let l = MachineLayout::tagged(3);
-        assert_eq!(l.state_bytes, 4);
-        assert_eq!(l.block_len, 4 + 3 * 9);
-        assert_eq!(l.slots[2].offset, 4 + 2 * 9);
-        assert_eq!(l.span(Some(1)), 4 + 2 * 9);
-        assert_eq!(l.span(None), 4);
-    }
-
-    #[test]
     fn encode_decode_roundtrip_all_encodings() {
         for (enc, vals) in [
             (SlotEnc::Bool, vec![Value::Bool(true), Value::Bool(false)]),
@@ -769,15 +687,6 @@ mod tests {
             (
                 SlotEnc::Float,
                 vec![Value::Float(-1.5), Value::Float(f64::MAX)],
-            ),
-            (
-                SlotEnc::Tagged,
-                vec![
-                    int(-7),
-                    Value::Bool(true),
-                    Value::Time(9),
-                    Value::Float(2.5),
-                ],
             ),
         ] {
             for v in vals {
@@ -907,16 +816,6 @@ mod tests {
         l.decode(&img, &mut state, &mut out);
         assert_eq!(state, 1);
         assert_eq!(out, vars);
-    }
-
-    #[test]
-    fn tagged_encode_matches_legacy_nv_value_images() {
-        let l = MachineLayout::tagged(1);
-        let mut img = Vec::new();
-        l.encode(7, &[int(-2)], &mut img);
-        assert_eq!(&img[..4], &7u32.to_le_bytes());
-        assert_eq!(img[4], 0); // Int tag
-        assert_eq!(&img[5..13], &(-2i64).to_le_bytes());
     }
 
     #[test]

@@ -58,19 +58,6 @@ pub enum OptLevel {
     Full,
 }
 
-impl OptLevel {
-    /// Reads the `ARTEMIS_OPT_LEVEL` environment knob (`none` /
-    /// `full`, case-insensitive; anything else — including unset —
-    /// resolves to the default). Used by the equivalence suite and the
-    /// bench drivers so CI can force the unoptimized oracle.
-    pub fn from_env() -> OptLevel {
-        match std::env::var("ARTEMIS_OPT_LEVEL") {
-            Ok(v) if v.eq_ignore_ascii_case("none") => OptLevel::None,
-            _ => OptLevel::default(),
-        }
-    }
-}
-
 /// Optimizes every guard/body range of a compiled machine and
 /// reassembles it via [`CompiledMachine::from_raw`] (recomputing
 /// access sets, layout, and step costs). Semantics-preserving for any
@@ -875,7 +862,7 @@ mod tests {
             s.machines()
                 .iter()
                 .flat_map(|m| m.to_raw().code)
-                .filter(|op| pred(op))
+                .filter(pred)
                 .count()
         };
         let fused = |op: &Op| {
@@ -945,7 +932,7 @@ mod tests {
                         let ctx = EventCtx {
                             // Mix sub-threshold and past-deadline gaps.
                             time_us: seq * if burst < 2 { 1_000 } else { 7_000_000 },
-                            dep_data: (seq % 3 == 0).then_some(seq as f64),
+                            dep_data: seq.is_multiple_of(3).then_some(seq as f64),
                             energy_nj: 42_000,
                         };
                         let ev = CompiledEvent { kind, task, ctx };

@@ -3,9 +3,9 @@
 //!
 //! The engine is the runtime realisation of the paper's
 //! application-specific monitors (§3.3–§4.2). It keeps every machine's
-//! `(state, variables)` in FRAM, processes each observable event
-//! through an ImmortalThreads-style [`Routine`] — one crash-atomic step
-//! per machine — and exposes the paper's three entry points:
+//! `(state, variables)` in FRAM, steps each interested machine once per
+//! event — exactly once across power failures — and exposes the paper's
+//! three entry points:
 //!
 //! - [`MonitorEngine::reset_monitor`] — the initial hard reset
 //!   (Figure 8, `resetMonitor`);
@@ -19,7 +19,7 @@
 //!
 //! Every delivery carries a caller-chosen sequence number. A new
 //! sequence number arms the engine atomically (event + verdict reset +
-//! step counter); re-delivering the *same* sequence number resumes or
+//! armed worklist); re-delivering the *same* sequence number resumes or
 //! returns the already-computed verdicts instead of double-stepping the
 //! machines. The ARTEMIS runtime exploits both directions: `StartTask`
 //! re-attempts get fresh numbers (attempt counting is the point of
@@ -27,53 +27,44 @@
 //! task-commit transaction so a power failure can never double-count a
 //! sample (cf. the paper's timestamp-consistency discussion, §4.1.3).
 //!
-//! # Execution modes
-//!
-//! By default the engine runs suites **compiled** to slot-indexed
-//! bytecode ([`artemis_ir::compile`]) with each machine's `(state,
-//! vars)` packed into one contiguous FRAM block: an event step loads
-//! the block with a single FRAM read and commits it with a single
-//! journal entry, so nonvolatile traffic is O(1) block ops instead of
-//! O(vars) cell ops. [`ExecMode::Interpreter`] keeps the original
-//! tree-walking path over per-variable cells as the executable
-//! reference semantics; the two are pinned together by differential
-//! tests.
-//!
 //! # Event routing
 //!
 //! Triggers are static, so at install time the compiler emits a global
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
-//! that can match. Under the default [`RoutingMode::Routed`], arming an
-//! event commits that key's **interested worklist** plus a one-word
-//! completion bitmap in the same journal transaction as the event and
-//! sequence number; only worklisted machines are stepped, the event
-//! cell is decoded once per event instead of once per machine, and
-//! dismissed machines are never read, stepped, or counter-written. A
-//! reboot resumes exactly the armed set (the worklist is part of the
-//! arming commit), and a redelivered sequence number only finishes
-//! pending bitmap entries. [`RoutingMode::FullScan`] keeps the previous
-//! O(installed machines) step loop as the reference dispatch semantics;
-//! differential proptests pin the two paths to identical verdicts and
-//! FRAM-visible state, including under random power-failure schedules.
+//! that can match. Arming an event commits that key's **interested
+//! worklist** (after the dynamic `Path:` filter) plus a cleared
+//! completion bitmap — one bit per worklist entry, `ceil(machines / 8)`
+//! bytes — in one sparse journal record together with the event and
+//! sequence number. Only worklisted machines are stepped, and each step
+//! commits its effects together with its bit, so a reboot resumes
+//! exactly the pending entries and a redelivered sequence number only
+//! finishes them. Worklists, bitmaps and scratch buffers are sized at
+//! install: a suite of any size routes.
 //!
-//! # Sparse delta commits
+//! # Compiled steps
 //!
-//! The compiler derives a static [`AccessSet`](artemis_ir::AccessSet)
-//! per `(event kind, task)` key: every variable slot the routed
-//! transitions' guards and bodies can read or write. On the default
-//! routed compiled path the engine exploits it twice per step: the
-//! machine block is loaded only up to the covering slot span, and the
-//! commit is a **sparse delta record**
-//! ([`SparseTx`](intermittent_sim::journal::SparseTx)) carrying just
-//! the state word, the write-set slots, and the completion bit — one
-//! staged FRAM write plus the scattered applies, instead of an
-//! entry-list commit of the whole block image. Event arming uses the
-//! same record format. Keys whose access set covers ≥ ¾ of the block
-//! auto-degrade to whole-block commits at compile time (the sparse
-//! headers would outweigh the savings); [`DeltaMode::Disabled`] pins
-//! the legacy whole-block behaviour for benchmarking and differential
-//! tests.
+//! Suites run **compiled** to slot-indexed bytecode
+//! ([`artemis_ir::compile`]) over one packed FRAM block per machine
+//! ([`artemis_ir::MachineLayout`]). Every compiled step — one event or a
+//! whole batch — goes through one function: it loads the block prefix
+//! the dispatched keys' static [`AccessSet`]s can touch, runs the
+//! bytecode in scratch, and commits one **sparse record**
+//! ([`SparseTx`]): the state word plus the write-set slots (or, for keys
+//! whose access set covers ≥ ¾ of the block, decided at compile time,
+//! the whole block image), one verdict cell per emitting event, and the
+//! done bitmap. Soundness: the access set over-approximates every slot
+//! the dispatched bytecode can read or write, so slots outside the
+//! loaded span are never observed and slots outside the write set
+//! cannot change; write-set slots the step did not touch write back
+//! their loaded value, which is idempotent.
+//!
+//! [`ExecMode::Interpreter`] is the reference semantics: the
+//! tree-walking interpreter of `artemis_ir::exec` over one FRAM cell
+//! per variable. It arms *every* machine — the routing index is not
+//! consulted, so the oracle stays independent of it — and commits
+//! entry-list transactions. Differential tests pin the two on verdicts
+//! and FRAM-visible state, including under random power failures.
 //!
 //! # Batch delivery (group commit)
 //!
@@ -84,13 +75,12 @@
 //! ([`MonitorEngine::deliver_batch`]): a burst of up to `max_events`
 //! events under consecutive sequence numbers is armed in ONE sparse
 //! transaction (the encoded event array, the batch sequence number, the
-//! **merged** interested worklist, and a single per-machine completion
-//! bitmap), then each armed machine steps through *all* its events of
-//! the batch in volatile scratch and commits **once**: repeated writes
-//! to the same variable slot coalesce to the last value over the
-//! merged static [`AccessSet`](artemis_ir::AccessSet) of the events it
-//! dispatched, with one verdict cell per emitting event folded into
-//! the same record as its done-bit.
+//! **merged** interested worklist, and a batch completion bitmap), then
+//! each armed machine steps through *all* its events of the batch in
+//! volatile scratch and commits **once**: repeated writes to the same
+//! variable slot coalesce to the last value over the merged static
+//! [`AccessSet`] of the events it dispatched, with one verdict cell per
+//! emitting event folded into the same record as its done bit.
 //!
 //! Crash correctness is the same argument as the per-event path, one
 //! level up: the arming commit fixes the events and the merged
@@ -100,24 +90,18 @@
 //! or all of a machine's batch effects — indistinguishable from an
 //! event-at-a-time execution that crashed between machines.
 //! Redelivering a committed batch (same first sequence number) returns
-//! the recorded verdicts without re-stepping. Differential proptests
-//! pin batched ≡ event-at-a-time ≡ interpreter on verdicts and FRAM
-//! state, including reboots injected inside the batch window.
+//! the recorded verdicts without re-stepping.
 //!
 //! # Volatile shadow cache (write-only steady state)
 //!
-//! Delta and batch commits made event delivery cheap on the *write*
-//! side, but every delivery still re-read its inputs from FRAM: the
-//! recovery flag, the sequence number, the armed worklist, the event,
-//! and each armed machine's block or slot span. Under
-//! [`CacheMode::Enabled`] (the default on the routed compiled path) the
+//! Under [`CacheMode::Enabled`] (the default for compiled engines) the
 //! engine keeps a volatile **shadow** of every FRAM location the hot
 //! path reads: after any load or commit the decoded machine images,
-//! the done bitmap, the worklists, and the verdict log stay
+//! the done bitmaps, the worklists, and the verdict log stay
 //! authoritative in RAM, so a steady-state delivery performs **zero**
-//! FRAM reads — nonvolatile memory is touched only by the existing
-//! crash-atomic commits (which are unchanged, byte for byte: the cache
-//! is strictly write-through and never defers or reorders a write).
+//! FRAM reads — nonvolatile memory is touched only by the crash-atomic
+//! commits (which are unchanged, byte for byte: the cache is strictly
+//! write-through and never defers or reorders a write).
 //!
 //! Coherence contract: the cache records the [`Sram`] reboot epoch it
 //! was filled under; every entry point re-syncs against
@@ -130,29 +114,31 @@
 //! after a reboot therefore pays cold-miss reads bounded by the armed
 //! set's block loads (see `EventCost::cold_extra_reads` in
 //! `artemis_ir`); every later delivery in the same epoch is
-//! write-only. [`CacheMode::Disabled`] keeps the always-read path as
-//! the differential oracle, pinned by the same proptests as the other
-//! modes. Hit/miss/invalidation counters are exposed through
+//! write-only. [`CacheMode::Disabled`] re-reads every input, pinned to
+//! the same verdicts and state by the differential tests.
+//! Hit/miss/invalidation counters are exposed through
 //! [`MonitorEngine::cache_stats`].
+//!
+//! [`Sram`]: intermittent_sim::fram::Sram
 
 pub mod remote;
 pub mod state;
 
 use core::cell::RefCell;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
-use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite};
+use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::{EventCtx, Value};
-use artemis_ir::fsm::MonitorSuite;
-use artemis_ir::layout::{MachineLayout, NV_VALUE_BYTES};
+use artemis_ir::fsm::{MonitorSuite, StateMachine};
+use artemis_ir::layout::MAX_SLOT_BYTES;
 use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
-use immortal::Routine;
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
 use intermittent_sim::journal::{encode_u16_list, u16_list_bytes, Journal, SparseTx, TxWriter};
@@ -160,7 +146,6 @@ use intermittent_sim::journal::{encode_u16_list, u16_list_bytes, Journal, Sparse
 use state::{EncodedEvent, NvValue};
 
 pub use remote::{NoMonitoring, RemoteMonitorEngine};
-
 /// The interface between the intermittent runtime and *some* monitoring
 /// deployment — the paper's "generic interfaces" between runtime and
 /// monitor module (Table 3, last row). Implementations: the local
@@ -241,36 +226,16 @@ const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 /// Modelled cost of the compiled path's dispatch-table lookup — a
 /// kind/task index instead of a name-comparing scan.
 const COMPILED_DISPATCH_CYCLES: u64 = 10;
-/// Modelled cost of the routed path's per-event routing-index lookup
-/// and worklist staging, charged once at arming time.
+/// Modelled cost of the per-event routing-index lookup and worklist
+/// staging, charged once at arming time.
 const ROUTING_LOOKUP_CYCLES: u64 = 12;
-
-/// Most machines a routed engine supports: the completion bitmap is a
-/// single FRAM word, so worklists hold at most 64 entries. Suites
-/// larger than this degrade to [`RoutingMode::FullScan`].
-pub const MAX_ROUTED_MACHINES: usize = 64;
-
-/// How the engine resolves which machines an event must step.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RoutingMode {
-    /// Install-time routing index + per-event armed worklists: only the
-    /// machines interested in the `(kind, task)` key are stepped — the
-    /// default, O(interested machines) per event.
-    #[default]
-    Routed,
-    /// The reference dispatch semantics: every installed machine is
-    /// stepped through the persistent [`Routine`], dismissed ones
-    /// paying a counter write. Kept behind this flag for differential
-    /// testing and as the scaling baseline.
-    FullScan,
-}
 
 /// Which execution core the engine runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecMode {
-    /// Slot-indexed bytecode over one contiguous FRAM block per machine
-    /// (load once, commit once) — the default, and the closest analogue
-    /// of the paper's generated C monitors.
+    /// Slot-indexed bytecode over one packed FRAM block per machine,
+    /// committed through sparse records — the default, and the
+    /// closest analogue of the paper's generated C monitors.
     #[default]
     Compiled,
     /// The tree-walking reference interpreter over one FRAM cell per
@@ -278,19 +243,6 @@ pub enum ExecMode {
     /// testing and as the baseline the dispatch benchmark compares
     /// against.
     Interpreter,
-}
-
-/// Whether the routed compiled path commits sparse delta records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DeltaMode {
-    /// Use each key's static access set: span loads + sparse `(slot,
-    /// value)` delta commits, with the compile-time ¾-block degrade
-    /// decision — the default.
-    #[default]
-    Auto,
-    /// Always load and commit whole machine blocks (the pre-delta
-    /// behaviour). Kept for benchmarking and differential testing.
-    Disabled,
 }
 
 /// Most events one batch can carry: the per-machine event mask is a
@@ -308,47 +260,28 @@ pub enum BatchMode {
     Disabled,
     /// Arm up to `max_events` events in one transaction and commit each
     /// machine once per batch (clamped to [`MAX_BATCH_EVENTS`]).
-    /// Requires the routed compiled path; other configurations fall
-    /// back to per-event delivery.
+    /// Compiled engines only; the interpreter falls back to per-event
+    /// delivery.
     Enabled {
         /// Batch capacity in events.
         max_events: usize,
     },
 }
 
-/// How machine blocks (FSM state + variable slots) and per-event done
-/// flags are laid out in FRAM.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LayoutMode {
-    /// Packed layout: per-slot byte widths derived from verifier-known
-    /// value ranges ([`artemis_ir::MachineLayout::packed`]), 1/2/4-byte
-    /// state words, and done flags packed into a bitmap — the default.
-    /// Smaller cold fills, smaller journal records, tighter energy
-    /// ceilings.
-    #[default]
-    Packed,
-    /// The legacy layout: 4-byte state word + 9 tagged bytes per slot
-    /// and one `u64` done word. Kept as the differential oracle and
-    /// the bytes-bench baseline.
-    Tagged,
-}
-
-/// Whether commits on the cached delta/batch paths journal only the
-/// bytes that actually changed.
+/// Whether commits journal only the bytes that actually changed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DiffMode {
     /// Diff the new image against the shadow cache's authoritative old
     /// image and journal minimal `[addr][len][data]` runs (adjacent
     /// runs merged when the gap is within the sub-write header, so
     /// header overhead never exceeds the bytes saved) — the default.
-    /// Requires the shadow cache; with the cache off (or on the
-    /// uncached whole-block path) commits stay slot-granular, keeping
-    /// [`CacheMode::Disabled`] the differential oracle.
+    /// Requires the shadow cache; with the cache off commits stay
+    /// slot-granular.
     #[default]
     Auto,
-    /// Always journal slot-granular records (the PR-4/PR-5 format even
-    /// when cached). Kept for benchmarking, differential testing and
-    /// the exactness pins of the static bounds model.
+    /// Always journal the state word plus every write-set slot. Kept
+    /// for benchmarking, differential testing and the exactness pins
+    /// of the static bounds model.
     Disabled,
 }
 
@@ -358,14 +291,12 @@ pub enum DiffMode {
 pub enum CacheMode {
     /// Serve steady-state reads from RAM; FRAM reads happen only on
     /// the first touch after a reboot — the default. Only takes effect
-    /// on the routed compiled path; other configurations silently run
-    /// uncached (query the effective mode via
-    /// [`MonitorEngine::cache_mode`]).
+    /// in compiled mode; interpreter engines silently run uncached
+    /// (query the effective mode via [`MonitorEngine::cache_mode`]).
     #[default]
     Enabled,
-    /// Re-read every input from FRAM on every delivery (the PR-4/PR-5
-    /// behaviour). Kept as the differential oracle and the bench
-    /// baseline.
+    /// Re-read every input from FRAM on every delivery. Kept as a
+    /// differential oracle and the bench baseline.
     Disabled,
 }
 
@@ -404,23 +335,14 @@ pub struct ExecStats {
 pub struct InstallOptions {
     /// Execution core (compiled bytecode by default).
     pub mode: ExecMode,
-    /// Event dispatch strategy (routed worklists by default).
-    pub routing: RoutingMode,
-    /// Sparse delta commits on the routed compiled path (on by
-    /// default; ignored by the interpreter and full-scan paths, which
-    /// always use whole-block/per-cell commits).
-    pub delta: DeltaMode,
-    /// Group-commit batch delivery (off by default; only takes effect
-    /// on the routed compiled path).
+    /// Group-commit batch delivery (off by default; compiled engines
+    /// only).
     pub batch: BatchMode,
     /// Volatile shadow cache for the hot-path FRAM reads (on by
-    /// default; only takes effect on the routed compiled path).
+    /// default; compiled engines only).
     pub cache: CacheMode,
-    /// FRAM machine-block and done-flag layout (packed by default;
-    /// the interpreter's per-cell storage ignores it).
-    pub layout: LayoutMode,
-    /// Byte-granular dirty-diff commits on the cached delta/batch
-    /// paths (on by default; inert whenever the shadow cache is off).
+    /// Byte-granular dirty-diff commits (on by default; inert whenever
+    /// the shadow cache is off).
     pub diff: DiffMode,
     /// Bytecode optimization level for ahead-of-time compilation
     /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
@@ -431,8 +353,8 @@ pub struct InstallOptions {
     pub opt: OptLevel,
     /// Journal capacity override in payload bytes. `None` derives the
     /// capacity from the static resource bounds: the worst-case single
-    /// commit any event or reset can stage, across both commit formats
-    /// (see [`artemis_ir::suite_bounds`]). The bound pass checks the
+    /// commit any event or reset can stage (see
+    /// [`artemis_ir::suite_bounds`]). The bound pass checks the
     /// suite against whatever capacity ends up in force, so an
     /// undersized override rejects the install with
     /// [`InstallError::Analysis`] instead of faulting with
@@ -518,50 +440,72 @@ enum MachineStore {
         var_cells: Vec<NvCell<NvValue>>,
     },
     /// One contiguous block: the state field followed by the variable
-    /// slots, in the machine's [`MachineLayout`] (packed widths by
-    /// default, the legacy tagged image under [`LayoutMode::Tagged`])
-    /// — a single FRAM op to load and a single journal entry to
-    /// commit.
+    /// slots, in the compiled machine's packed layout — a single FRAM
+    /// op to load and a single sub-write to commit whole.
     Block { addr: usize, len: usize },
 }
 
-/// A persistent completion bitmap: `len` little-endian mask bytes (8
-/// in the tagged layout, `ceil(machines / 8)` packed — the done-flag
-/// half of the packed layout). The mask value itself stays a `u64`
-/// everywhere in the engine; only its FRAM image shrinks.
+/// A persistent completion bitmap of `len` bytes: bit `j % 8` of byte
+/// `j / 8` is set once worklist entry `j` has stepped.
 struct DoneCell {
     addr: usize,
     len: usize,
 }
 
-impl DoneCell {
-    /// The mask's FRAM image.
-    fn bytes(&self, mask: u64) -> Vec<u8> {
-        mask.to_le_bytes()[..self.len].to_vec()
+/// `true` iff worklist entry `j` is marked done in `map`.
+fn done_bit(map: &[u8], j: usize) -> bool {
+    map[j / 8] & (1 << (j % 8)) != 0
+}
+
+/// `true` iff the first `count` worklist entries are all done.
+fn all_done(map: &[u8], count: usize) -> bool {
+    (0..count).all(|j| done_bit(map, j))
+}
+
+/// Which armed delivery a step completes. Each lane owns a worklist
+/// region and a done bitmap (and their shadows), so batch and
+/// per-event deliveries can interleave without clobbering each other's
+/// pending-work detection.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Lane {
+    /// The per-event worklist armed by [`MonitorEngine::call_monitor`].
+    Event = 0,
+    /// The merged worklist armed by [`MonitorEngine::deliver_batch`].
+    Batch = 1,
+}
+
+/// Persistent state of one lane: the armed worklist (a
+/// length-prefixed `u16` list region) and its completion bitmap, both
+/// committed atomically with the events they belong to.
+struct LaneState {
+    worklist_addr: usize,
+    done: DoneCell,
+}
+
+impl LaneState {
+    /// Stages the armed `worklist` and a cleared bitmap.
+    fn arm(&self, stx: &mut SparseTx, worklist: &[u16]) {
+        stx.push_raw(self.worklist_addr, encode_u16_list(worklist));
+        stx.push_raw(self.done.addr, vec![0; self.done.len]);
     }
 
-    /// One-op billed read of the whole mask.
-    fn read(&self, dev: &mut Device) -> Result<u64, Interrupt> {
-        let b = dev.nv_read_raw(self.addr, self.len)?;
-        let mut w = [0u8; 8];
-        w[..b.len()].copy_from_slice(b);
-        Ok(u64::from_le_bytes(w))
+    /// Stages an empty worklist ("nothing pending") and a cleared
+    /// bitmap into a reset transaction.
+    fn clear(&self, tx: &mut TxWriter) {
+        tx.write_u16_list(self.worklist_addr, &[]);
+        tx.write_raw(self.done.addr, vec![0; self.done.len]);
     }
+}
 
-    /// Stages the mask into an entry-list transaction.
-    fn stage(&self, tx: &mut TxWriter, mask: u64) {
-        tx.write_raw(self.addr, self.bytes(mask));
-    }
-
-    /// Stages the mask as one sparse sub-write.
-    fn push(&self, stx: &mut SparseTx, mask: u64) {
-        stx.push_raw(self.addr, self.bytes(mask));
-    }
-
-    /// Plain idempotent write (completion of an effectless step).
-    fn write(&self, dev: &mut Device, mask: u64) -> Result<(), Interrupt> {
-        dev.nv_write_raw(self.addr, &self.bytes(mask))
-    }
+/// Persistent state of the group-commit batch path beyond its lane,
+/// all fixed by one arming transaction: the encoded event array (`u16`
+/// count + `max_events` × [`EncodedEvent`]) and the batch's first
+/// sequence number.
+struct BatchState {
+    max_events: usize,
+    seq_cell: NvCell<u64>,
+    events_addr: usize,
+    lane: LaneState,
 }
 
 /// Stages a machine's re-initialisation into `tx`, honouring its
@@ -581,6 +525,29 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
     }
 }
 
+/// Journal entry header bytes (`addr: u32` + `len: u16`), as staged by
+/// `intermittent_sim::journal`.
+const JOURNAL_ENTRY_HEADER: usize = 6;
+
+/// Largest single journal commit of the interpreter's per-cell layout:
+/// the whole-suite reset (state cell + every variable cell), the
+/// arming record (every machine armed), or one machine's step.
+fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
+    let entry = |bytes: usize| JOURNAL_ENTRY_HEADER + bytes;
+    let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
+    let lane = entry(u16_list_bytes(suite.len())) + entry(done_len);
+    let reset = suite.machines().iter().map(cells).sum::<usize>()
+        + entry(u32::SIZE)
+        + entry(u64::SIZE)
+        + lane;
+    let arming = 2 + entry(EncodedEvent::SIZE) + entry(u64::SIZE) + entry(u32::SIZE) + lane;
+    let step = suite.machines().iter().map(cells).max().unwrap_or(0)
+        + entry(VerdictCell::SIZE)
+        + entry(u32::SIZE)
+        + entry(done_len);
+    reset.max(arming).max(step)
+}
+
 /// Sub-write header bytes of one [`SparseTx`] run — the diff-commit
 /// merge threshold: two changed runs separated by an unchanged gap of
 /// at most this many bytes are cheaper merged (the gap's idempotent
@@ -594,8 +561,8 @@ const DIFF_MERGE_GAP: usize = 6;
 /// journal record after a power failure is safe. By the merge rule a
 /// diff record never exceeds the slot-granular record in bytes *or*
 /// sub-write count: every changed byte lies in the state field or a
-/// written slot (≤ 8 mutable bytes each, so at most one run apiece
-/// before merging), and each merge saves `header − gap ≥ 0` bytes.
+/// written slot (≤ 8 bytes each, so at most one run apiece before
+/// merging), and each merge saves `header − gap ≥ 0` bytes.
 fn diff_runs(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
     debug_assert_eq!(old.len(), new.len());
     let mut runs: Vec<(usize, usize)> = Vec::new();
@@ -614,9 +581,6 @@ fn diff_runs(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
 struct LoadedMachine {
     machine: artemis_ir::StateMachine,
     store: MachineStore,
-    /// FRAM image layout of the machine block (packed or tagged;
-    /// unused in cell mode).
-    layout: MachineLayout,
     /// Block image of the initial state, staged whole on resets (empty
     /// in cell mode).
     initial_image: Vec<u8>,
@@ -627,7 +591,7 @@ struct LoadedMachine {
 }
 
 /// Reused per-event buffers: once installed, the engine's hot path
-/// allocates nothing.
+/// allocates little.
 struct Scratch {
     /// Bytecode register file (compiled mode).
     regs: Vec<Value>,
@@ -641,56 +605,22 @@ struct Scratch {
     block_new: Vec<u8>,
     /// Verdict staging for read-back.
     verdicts: Vec<MonitorVerdict>,
-    /// Worklist staging at arming time (routed mode).
+    /// Worklist staging at arming time.
     worklist: Vec<u16>,
 }
 
-/// Persistent state of the routed event path: the armed worklist (a
-/// length-prefixed `u16` list region) and the one-word completion
-/// bitmap, both committed atomically with the event they belong to.
-struct RoutedState {
-    worklist_addr: usize,
-    done: DoneCell,
+/// The lane being run: its worklist items, each entry's event mask,
+/// and the decoded events — sized at install to the whole suite and
+/// the batch capacity.
+struct Armed {
+    items: Vec<u16>,
+    masks: Vec<u32>,
+    events: Vec<EncodedEvent>,
 }
 
-/// Persistent state of the group-commit batch path, all fixed by one
-/// arming transaction: the encoded event array (`u16` count +
-/// `max_events` × [`EncodedEvent`]), the batch's first sequence
-/// number, the **merged** interested worklist, and the per-machine
-/// completion bitmap. Separate from [`RoutedState`] so batch and
-/// per-event deliveries can interleave without clobbering each other's
-/// pending-work detection.
-struct BatchState {
-    max_events: usize,
-    seq_cell: NvCell<u64>,
-    events_addr: usize,
-    worklist_addr: usize,
-    done: DoneCell,
-}
-
-/// Bitmap with the low `count` bits set: "every worklist entry done".
-fn worklist_mask(count: usize) -> u64 {
-    debug_assert!(count <= MAX_ROUTED_MACHINES);
-    if count >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << count) - 1
-    }
-}
-
-/// How a machine step records its completion: by advancing the
-/// full-scan [`Routine`] counter, or by setting its bit in the routed
-/// path's completion bitmap (the value carried is the bitmap *after*
-/// this step). Either way, effectless steps complete with one plain
-/// idempotent FRAM write and effectful steps fold the marker into
-/// their crash-atomic journal commit.
-enum Completion {
-    Step(u32),
-    Bit(u64),
-}
-
-/// An encoded verdict cell: `(machine index, (action tag, path))` —
-/// the exact value one `verdict_cells` slot stores.
+/// An encoded verdict cell: `(machine index | event position << 16,
+/// (action tag, path))` — the exact value one `verdict_cells` slot
+/// stores.
 type VerdictCell = (u32, (u8, u32));
 
 /// One machine's decoded shadow image. Live iff `gen` equals the
@@ -703,17 +633,24 @@ struct MachineShadow {
     vars: Vec<Value>,
 }
 
+/// One lane's shadowed worklist and done bitmap.
+#[derive(Clone, Default)]
+struct LaneShadow {
+    worklist: Option<Vec<u16>>,
+    done: Option<Vec<u8>>,
+}
+
 /// The volatile shadow of every FRAM location the hot path reads (see
 /// the module docs, "Volatile shadow cache"). Strictly write-through:
 /// entries are updated only from bytes that are already durable (after
 /// a successful read or commit), so shadow contents always equal the
-/// corresponding FRAM bytes within one reboot epoch. `NvValue`
+/// corresponding FRAM bytes within one reboot epoch. The packed
 /// encoding is canonical (`encode(decode(x)) == x` for every
 /// engine-written image), which is what lets the machine shadows store
 /// *decoded* `(state, vars)` and regenerate byte-identical block
 /// images for change detection.
 struct ShadowCache {
-    /// [`Sram`] reboot generation the cache was last synced to.
+    /// `Sram` reboot generation the cache was last synced to.
     epoch: u64,
     /// Cache generation; a [`MachineShadow`] or verdict entry is live
     /// iff its tag equals this. Bumping it is the O(1) whole-cache
@@ -725,16 +662,14 @@ struct ShadowCache {
     journal_clean: bool,
     seq: Option<u64>,
     event: Option<EncodedEvent>,
-    worklist: Option<Vec<u16>>,
-    done: Option<u64>,
     verdict_count: Option<u32>,
     /// Generation-tagged verdict cells, indexed like `verdict_cells`.
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
     batch_seq: Option<u64>,
     batch_events: Option<Vec<EncodedEvent>>,
-    batch_worklist: Option<Vec<u16>>,
-    batch_done: Option<u64>,
+    /// Indexed by [`Lane`].
+    lanes: [LaneShadow; 2],
     stats: CacheStats,
 }
 
@@ -746,8 +681,6 @@ impl ShadowCache {
             journal_clean: false,
             seq: None,
             event: None,
-            worklist: None,
-            done: None,
             verdict_count: None,
             verdicts: vec![(0, (0, (0, 0))); verdict_slots],
             machines: vec![
@@ -760,8 +693,7 @@ impl ShadowCache {
             ],
             batch_seq: None,
             batch_events: None,
-            batch_worklist: None,
-            batch_done: None,
+            lanes: Default::default(),
             stats: CacheStats::default(),
         }
     }
@@ -776,33 +708,31 @@ impl ShadowCache {
         self.journal_clean = false;
         self.seq = None;
         self.event = None;
-        self.worklist = None;
-        self.done = None;
         self.verdict_count = None;
         self.batch_seq = None;
         self.batch_events = None;
-        self.batch_worklist = None;
-        self.batch_done = None;
+        self.lanes = Default::default();
+    }
+
+    /// Shadows a freshly armed (or reset) lane.
+    fn arm(&mut self, lane: Lane, worklist: Vec<u16>, done_len: usize) {
+        self.lanes[lane as usize] = LaneShadow {
+            worklist: Some(worklist),
+            done: Some(vec![0; done_len]),
+        };
+    }
+
+    /// Shadows a lane's bitmap after a durable done write.
+    fn set_done(&mut self, lane: Lane, done: &[u8]) {
+        match &mut self.lanes[lane as usize].done {
+            Some(d) => d.copy_from_slice(done),
+            slot => *slot = Some(done.to_vec()),
+        }
     }
 }
 
-/// Field accessors so the worklist read helpers can serve both the
-/// routed and the batch list region (plain `fn` pointers — no capture).
-fn shadow_routed_wl(c: &ShadowCache) -> &Option<Vec<u16>> {
-    &c.worklist
-}
-fn shadow_routed_wl_mut(c: &mut ShadowCache) -> &mut Option<Vec<u16>> {
-    &mut c.worklist
-}
-fn shadow_batch_wl(c: &ShadowCache) -> &Option<Vec<u16>> {
-    &c.batch_worklist
-}
-fn shadow_batch_wl_mut(c: &mut ShadowCache) -> &mut Option<Vec<u16>> {
-    &mut c.batch_worklist
-}
-
-/// The engine. Create with [`MonitorEngine::install`] (compiled mode)
-/// or [`MonitorEngine::install_with_mode`].
+/// The engine. Create with [`MonitorEngine::install`] or
+/// [`MonitorEngine::install_with`].
 pub struct MonitorEngine {
     mode: ExecMode,
     /// Bytecode, dispatch tables, the routing index, and the task-name
@@ -810,80 +740,38 @@ pub struct MonitorEngine {
     /// ids through it).
     compiled: Arc<CompiledSuite>,
     machines: Vec<LoadedMachine>,
-    routine: Routine,
     journal: Journal,
     event_cell: NvCell<EncodedEvent>,
     seq_cell: NvCell<u64>,
     verdict_count: NvCell<u32>,
-    verdict_cells: Vec<NvCell<(u32, (u8, u32))>>,
-    /// `Some` iff the engine runs [`RoutingMode::Routed`].
-    routed: Option<RoutedState>,
-    /// `Some` iff [`BatchMode::Enabled`] took effect (routed compiled
-    /// path only).
+    verdict_cells: Vec<NvCell<VerdictCell>>,
+    /// The per-event lane.
+    events: LaneState,
+    /// `Some` iff [`BatchMode::Enabled`] took effect (compiled only).
     batch: Option<BatchState>,
-    /// `true` iff the routed compiled path commits sparse delta
-    /// records ([`DeltaMode::Auto`] and the suite actually routes).
-    delta_enabled: bool,
-    /// The block/done layout actually in force ([`LayoutMode::Packed`]
-    /// only takes effect in compiled mode).
-    layout_mode: LayoutMode,
-    /// `true` iff the cached delta/batch commits diff against the
-    /// shadow image ([`DiffMode::Auto`] and the cache took effect).
+    /// `true` iff cached commits diff against the shadow image
+    /// ([`DiffMode::Auto`] and the cache took effect).
     diff_enabled: bool,
-    /// `Some` iff [`CacheMode::Enabled`] took effect (routed compiled
-    /// path only): the volatile shadow of the hot path's FRAM reads.
+    /// `Some` iff [`CacheMode::Enabled`] took effect (compiled only):
+    /// the volatile shadow of the hot path's FRAM reads.
     cache: Option<RefCell<ShadowCache>>,
     /// Dynamic executed-instruction counters (volatile, like the cache
     /// stats — see [`ExecStats`]).
     exec: RefCell<ExecStats>,
     scratch: RefCell<Scratch>,
+    armed: RefCell<Armed>,
 }
 
 impl MonitorEngine {
     /// Validates the suite against `app`, compiles it to bytecode, and
     /// allocates all persistent monitor state in FRAM (billed to the
-    /// monitor component). Equivalent to [`MonitorEngine::install_with_mode`]
-    /// with [`ExecMode::Compiled`].
+    /// monitor component), with default [`InstallOptions`].
     pub fn install(
         dev: &mut Device,
         suite: MonitorSuite,
         app: &AppGraph,
     ) -> Result<Self, InstallError> {
-        Self::install_with_mode(dev, suite, app, ExecMode::default())
-    }
-
-    /// [`MonitorEngine::install`] with an explicit execution mode
-    /// (routed dispatch, the default routing mode).
-    pub fn install_with_mode(
-        dev: &mut Device,
-        suite: MonitorSuite,
-        app: &AppGraph,
-        mode: ExecMode,
-    ) -> Result<Self, InstallError> {
-        Self::install_with_routing(dev, suite, app, mode, RoutingMode::default())
-    }
-
-    /// [`MonitorEngine::install`] with explicit execution *and* routing
-    /// modes. Suites larger than [`MAX_ROUTED_MACHINES`] degrade
-    /// [`RoutingMode::Routed`] to [`RoutingMode::FullScan`] (the
-    /// completion bitmap is a single FRAM word).
-    pub fn install_with_routing(
-        dev: &mut Device,
-        suite: MonitorSuite,
-        app: &AppGraph,
-        mode: ExecMode,
-        routing: RoutingMode,
-    ) -> Result<Self, InstallError> {
-        Self::install_with(
-            dev,
-            suite,
-            app,
-            InstallOptions {
-                mode,
-                routing,
-                ..InstallOptions::default()
-            },
-        )
+        Self::install_with(dev, suite, app, InstallOptions::default())
     }
 
     /// [`MonitorEngine::install`] with full [`InstallOptions`]: source
@@ -965,57 +853,37 @@ impl MonitorEngine {
     ) -> Result<Self, InstallError> {
         let InstallOptions {
             mode,
-            routing,
-            delta,
             batch,
             cache,
-            layout,
             diff,
             journal_capacity,
             energy,
             // Compilation already happened in the caller's hands.
             opt: _,
         } = opts;
+        let compiled_mode = mode == ExecMode::Compiled;
 
-        // The packed layout only exists in compiled mode (the
-        // interpreter stores one tagged cell per variable); requesting
-        // it there silently runs tagged, mirroring the other
-        // mode-lattice degrades.
-        let layout_mode = match mode {
-            ExecMode::Compiled => layout,
-            ExecMode::Interpreter => LayoutMode::Tagged,
-        };
-
-        // The batch path only exists on the routed compiled path (its
-        // completion bitmap and merged worklists reuse the routing
-        // machinery); any other configuration silently falls back to
-        // per-event delivery.
+        // The batch path steps compiled blocks; the interpreter
+        // silently falls back to per-event delivery.
         let batch_events = match batch {
-            BatchMode::Enabled { max_events }
-                if mode == ExecMode::Compiled
-                    && routing == RoutingMode::Routed
-                    && suite.len() <= MAX_ROUTED_MACHINES =>
-            {
+            BatchMode::Enabled { max_events } if compiled_mode => {
                 Some(max_events.clamp(1, MAX_BATCH_EVENTS))
             }
             _ => None,
         };
+        // One done bit per worklist entry; a worklist never outgrows
+        // the suite.
+        let done_len = suite.len().div_ceil(8).max(1);
 
         // Default journal capacity = the static worst-case transaction
-        // bound: the largest of the whole-suite reset commit and any
-        // event key's worst commit, across both record formats (so a
-        // `DeltaMode` toggle can never overflow a derived capacity).
-        // With batching enabled the per-batch bound joins the max (the
-        // batch arming record carries the whole event array). The
-        // interpreter's per-cell layout stages one entry per variable,
-        // so its reset commit is costed separately.
-        let layout_kind = match layout_mode {
-            LayoutMode::Packed => artemis_ir::analysis::bounds::LayoutKind::Packed,
-            LayoutMode::Tagged => artemis_ir::analysis::bounds::LayoutKind::Tagged,
-        };
-        let bounds = artemis_ir::analysis::bounds::suite_bounds_for(&compiled, layout_kind);
-        let bbounds = batch_events
-            .map(|n| artemis_ir::analysis::bounds::batch_bounds_for(&compiled, n, layout_kind));
+        // bound: the larger of the whole-suite reset commit and any
+        // event key's worst commit. With batching enabled the per-batch
+        // bound joins the max (the batch arming record carries the
+        // whole event array). The interpreter's per-cell layout stages
+        // one entry per variable, so its commits are costed separately.
+        let bounds = artemis_ir::analysis::bounds::suite_bounds(&compiled);
+        let bbounds =
+            batch_events.map(|n| artemis_ir::analysis::bounds::batch_bounds(&compiled, n));
         // The batch cells ride along in the whole-suite reset commit,
         // so a batch-enabled engine's reset can outgrow both per-event
         // figures — it joins the max too.
@@ -1027,15 +895,7 @@ impl MonitorEngine {
             let derived = bounds.worst_commit_bytes.max(batch_floor);
             match mode {
                 ExecMode::Compiled => derived,
-                ExecMode::Interpreter => derived.max(
-                    suite
-                        .machines()
-                        .iter()
-                        .map(|m| 10 + 15 * m.vars.len())
-                        .sum::<usize>()
-                        + u16_list_bytes(suite.len())
-                        + 64,
-                ),
+                ExecMode::Interpreter => derived.max(interpreter_commit_bytes(&suite, done_len)),
             }
         });
         // The analysis gate below checks per-event commits against the
@@ -1048,19 +908,6 @@ impl MonitorEngine {
                 format!(
                     "worst-case batch commit of {batch_floor} journal bytes \
                      exceeds the capacity of {capacity}"
-                ),
-            )));
-        }
-        // The analyzer's own capacity check prices the default packed
-        // layout; a tagged engine's commits are larger, so re-check the
-        // override against this engine's actual layout.
-        if mode == ExecMode::Compiled && bounds.worst_commit_bytes > capacity {
-            return Err(InstallError::Analysis(artemis_spec::Diagnostic::error(
-                "bounds",
-                "journal",
-                format!(
-                    "worst-case commit of {} journal bytes exceeds the capacity of {capacity}",
-                    bounds.worst_commit_bytes
                 ),
             )));
         }
@@ -1090,7 +937,6 @@ impl MonitorEngine {
         dev.set_category(CostCategory::Monitor);
 
         let result = (|| {
-            let routine = Routine::new(dev, owner, "monitor.routine").map_err(dev_err)?;
             let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
             let event_cell = dev
                 .nv_alloc(EncodedEvent::default(), owner, "monitor.event")
@@ -1100,38 +946,32 @@ impl MonitorEngine {
                 .nv_alloc(0u32, owner, "monitor.verdicts.count")
                 .map_err(dev_err)?;
 
-            // Routed dispatch: the armed-worklist region (count word +
-            // one u16 per machine) and the completion bitmap, both
-            // zeroed, i.e. "no event pending". The packed layout
-            // shrinks the bitmap to one byte per 8 machines.
-            let done_len = match layout_mode {
-                LayoutMode::Packed => suite.len().div_ceil(8).max(1),
-                LayoutMode::Tagged => 8,
-            };
-            let routed = if routing == RoutingMode::Routed && suite.len() <= MAX_ROUTED_MACHINES {
+            // A lane: the armed-worklist region (count word + one u16
+            // per machine) and its completion bitmap, both zeroed,
+            // i.e. "nothing pending".
+            let mut lane = |name: &str| -> Result<LaneState, InstallError> {
                 let worklist_addr = dev
-                    .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.worklist")
+                    .nv_alloc_raw(u16_list_bytes(suite.len()), owner, name)
                     .map_err(dev_err)?;
-                let done_addr = dev
-                    .nv_alloc_raw(done_len, owner, "monitor.worklist.done")
+                let addr = dev
+                    .nv_alloc_raw(done_len, owner, &format!("{name}.done"))
                     .map_err(dev_err)?;
-                Some(RoutedState {
+                Ok(LaneState {
                     worklist_addr,
                     done: DoneCell {
-                        addr: done_addr,
+                        addr,
                         len: done_len,
                     },
                 })
-            } else {
-                None
             };
+            let events = lane("monitor.worklist")?;
 
             // Batch delivery: the encoded event array, the batch
-            // sequence number, the merged worklist, and the
-            // per-machine completion bitmap — all zeroed ("no batch
-            // pending").
+            // sequence number, and the batch lane — all zeroed ("no
+            // batch pending").
             let batch_state = match batch_events {
                 Some(max_events) => {
+                    let lane = lane("monitor.batch.worklist")?;
                     let seq_cell = dev
                         .nv_alloc(0u64, owner, "monitor.batch.seq")
                         .map_err(dev_err)?;
@@ -1142,21 +982,11 @@ impl MonitorEngine {
                             "monitor.batch.events",
                         )
                         .map_err(dev_err)?;
-                    let worklist_addr = dev
-                        .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.batch.worklist")
-                        .map_err(dev_err)?;
-                    let done_addr = dev
-                        .nv_alloc_raw(done_len, owner, "monitor.batch.done")
-                        .map_err(dev_err)?;
                     Some(BatchState {
                         max_events,
                         seq_cell,
                         events_addr,
-                        worklist_addr,
-                        done: DoneCell {
-                            addr: done_addr,
-                            len: done_len,
-                        },
+                        lane,
                     })
                 }
                 None => None,
@@ -1165,7 +995,7 @@ impl MonitorEngine {
             // One verdict cell per machine per event the largest
             // delivery can carry (a batched machine can emit once per
             // event it dispatches).
-            let verdict_slots = suite.len() * batch_events.unwrap_or(1).max(1);
+            let verdict_slots = suite.len() * batch_events.unwrap_or(1);
             let mut verdict_cells = Vec::with_capacity(verdict_slots);
             for i in 0..verdict_slots {
                 verdict_cells.push(
@@ -1180,67 +1010,38 @@ impl MonitorEngine {
 
             let mut machines = Vec::with_capacity(suite.len());
             for (mi, m) in suite.into_iter().enumerate() {
-                // Compiled mode: the block geometry comes from the
-                // compiled machine (packed widths derived from its
-                // bytecode, or the legacy tagged image), and so does
-                // the initial snapshot — install_precompiled callers
-                // may hand-assemble machines, and the block must agree
-                // with the bytecode that steps it.
-                let cmach = &compiled.machines()[mi];
-                let mlayout = match layout_mode {
-                    LayoutMode::Packed => cmach.layout().clone(),
-                    LayoutMode::Tagged => MachineLayout::tagged(cmach.var_count()),
-                };
-                let (store, initial_image) = match mode {
-                    ExecMode::Compiled => {
-                        // One contiguous block per machine, pre-imaged
-                        // with the initial snapshot.
-                        let mut image = Vec::with_capacity(mlayout.block_len);
-                        mlayout.encode(cmach.initial_state(), cmach.var_inits(), &mut image);
-                        let addr = dev
-                            .nv_alloc_raw(image.len(), owner, &format!("{}.block", m.name))
-                            .map_err(dev_err)?;
-                        dev.nv_write_raw(addr, &image).map_err(dev_err)?;
-                        (
-                            MachineStore::Block {
-                                addr,
-                                len: image.len(),
-                            },
-                            image,
-                        )
-                    }
-                    ExecMode::Interpreter => {
-                        let state_cell = dev
-                            .nv_alloc(m.initial, owner, &format!("{}.state", m.name))
-                            .map_err(dev_err)?;
-                        let mut var_cells = Vec::with_capacity(m.vars.len());
-                        for v in &m.vars {
-                            var_cells.push(
-                                dev.nv_alloc(
-                                    NvValue(v.init),
-                                    owner,
-                                    &format!("{}.{}", m.name, v.name),
-                                )
-                                .map_err(dev_err)?,
-                            );
-                        }
-                        (
-                            MachineStore::Cells {
-                                state_cell,
-                                var_cells,
-                            },
-                            Vec::new(),
-                        )
-                    }
-                };
-                // Pre-resolve the observed task set so events for other
-                // tasks skip the machine without touching its state (the
-                // generated C's trigger test, one compare per machine).
-                // The compiled path answers this from its dispatch
-                // tables instead.
-                let observed = if mode == ExecMode::Compiled {
-                    None
+                let (store, initial_image, observed) = if compiled_mode {
+                    // One contiguous block per machine, pre-imaged with
+                    // the initial snapshot. Geometry and snapshot come
+                    // from the compiled machine: install_precompiled
+                    // callers may hand-assemble machines, and the block
+                    // must agree with the bytecode that steps it.
+                    let cmach = &compiled.machines()[mi];
+                    let mut image = Vec::with_capacity(cmach.layout().block_len);
+                    cmach
+                        .layout()
+                        .encode(cmach.initial_state(), cmach.var_inits(), &mut image);
+                    let addr = dev
+                        .nv_alloc_raw(image.len(), owner, &format!("{}.block", m.name))
+                        .map_err(dev_err)?;
+                    dev.nv_write_raw(addr, &image).map_err(dev_err)?;
+                    let len = image.len();
+                    (MachineStore::Block { addr, len }, image, None)
                 } else {
+                    let state_cell = dev
+                        .nv_alloc(m.initial, owner, &format!("{}.state", m.name))
+                        .map_err(dev_err)?;
+                    let mut var_cells = Vec::with_capacity(m.vars.len());
+                    for v in &m.vars {
+                        var_cells.push(
+                            dev.nv_alloc(NvValue(v.init), owner, &format!("{}.{}", m.name, v.name))
+                                .map_err(dev_err)?,
+                        );
+                    }
+                    // Pre-resolve the observed task set so events for
+                    // other tasks skip the machine without touching its
+                    // state (the generated C's trigger test, one compare
+                    // per machine).
                     let has_wildcard = m.transitions.iter().any(|t| {
                         matches!(
                             t.trigger,
@@ -1249,21 +1050,21 @@ impl MonitorEngine {
                                 | artemis_ir::fsm::Trigger::End(artemis_ir::fsm::TaskPat::Any)
                         )
                     });
-                    if has_wildcard {
-                        None
-                    } else {
-                        Some(
-                            m.observed_tasks()
-                                .iter()
-                                .filter_map(|n| app.task_by_name(n).map(|t| t.0))
-                                .collect::<Vec<u32>>(),
-                        )
-                    }
+                    let observed = (!has_wildcard).then(|| {
+                        m.observed_tasks()
+                            .iter()
+                            .filter_map(|n| app.task_by_name(n).map(|t| t.0))
+                            .collect::<Vec<u32>>()
+                    });
+                    let store = MachineStore::Cells {
+                        state_cell,
+                        var_cells,
+                    };
+                    (store, Vec::new(), observed)
                 };
                 machines.push(LoadedMachine {
                     machine: m,
                     store,
-                    layout: mlayout,
                     initial_image,
                     observed,
                 });
@@ -1288,45 +1089,42 @@ impl MonitorEngine {
                 verdicts: Vec::new(),
                 worklist: Vec::with_capacity(machines.len()),
             });
+            let armed = RefCell::new(Armed {
+                items: Vec::with_capacity(machines.len()),
+                masks: Vec::with_capacity(machines.len()),
+                events: Vec::with_capacity(batch_events.unwrap_or(1)),
+            });
 
-            let delta_enabled =
-                delta == DeltaMode::Auto && mode == ExecMode::Compiled && routed.is_some();
-            // The shadow cache only exists on the routed compiled path
-            // (the layouts it mirrors — block images, worklists, the
-            // done bitmap — are that path's). The epoch starts at the
-            // device's *current* reboot generation so a freshly
-            // installed engine doesn't count a spurious invalidation.
-            let cache =
-                (cache == CacheMode::Enabled && mode == ExecMode::Compiled && routed.is_some())
-                    .then(|| {
-                        RefCell::new(ShadowCache::new(
-                            dev.sram().generation(),
-                            machines.len(),
-                            verdict_cells.len(),
-                        ))
-                    });
+            // The shadow cache mirrors block images, so it exists in
+            // compiled mode only. The epoch starts at the device's
+            // *current* reboot generation so a freshly installed
+            // engine doesn't count a spurious invalidation.
+            let cache = (cache == CacheMode::Enabled && compiled_mode).then(|| {
+                RefCell::new(ShadowCache::new(
+                    dev.sram().generation(),
+                    machines.len(),
+                    verdict_cells.len(),
+                ))
+            });
             // Dirty-diff commits need the shadow's authoritative old
-            // image; with the cache off the sparse paths stay
-            // slot-granular (the differential oracle).
+            // image; with the cache off commits stay slot-granular.
             let diff_enabled = diff == DiffMode::Auto && cache.is_some();
             Ok(MonitorEngine {
                 mode,
                 compiled,
                 machines,
-                routine,
                 journal,
                 event_cell,
                 seq_cell,
                 verdict_count,
                 verdict_cells,
-                routed,
+                events,
                 batch: batch_state,
-                delta_enabled,
-                layout_mode,
                 diff_enabled,
                 cache,
                 exec: RefCell::new(ExecStats::default()),
                 scratch,
+                armed,
             })
         })();
         dev.set_category(prev);
@@ -1338,33 +1136,15 @@ impl MonitorEngine {
         self.mode
     }
 
-    /// The routing mode the engine actually runs (a requested
-    /// [`RoutingMode::Routed`] degrades to full scan for suites larger
-    /// than [`MAX_ROUTED_MACHINES`]).
-    pub fn routing_mode(&self) -> RoutingMode {
-        if self.routed.is_some() {
-            RoutingMode::Routed
-        } else {
-            RoutingMode::FullScan
-        }
-    }
-
     /// The shadow-cache mode the engine actually runs (a requested
-    /// [`CacheMode::Enabled`] degrades to uncached off the routed
-    /// compiled path).
+    /// [`CacheMode::Enabled`] degrades to uncached in interpreter
+    /// mode).
     pub fn cache_mode(&self) -> CacheMode {
         if self.cache.is_some() {
             CacheMode::Enabled
         } else {
             CacheMode::Disabled
         }
-    }
-
-    /// The block/done-flag layout the engine actually runs (a
-    /// requested [`LayoutMode::Packed`] degrades to tagged in
-    /// interpreter mode).
-    pub fn layout_mode(&self) -> LayoutMode {
-        self.layout_mode
     }
 
     /// The diff-commit mode the engine actually runs (a requested
@@ -1389,8 +1169,8 @@ impl MonitorEngine {
 
     /// Dynamic bytecode execution counters (all-zero in interpreter
     /// mode, which runs no bytecode). The measured side of the static
-    /// [`CompiledMachine::step_cost`] ceilings: for every delivered
-    /// event, `instructions` grows by at most the key's
+    /// [`artemis_ir::CompiledMachine::step_cost`] ceilings: for every
+    /// delivered event, `instructions` grows by at most the key's
     /// `step_cost(kind, task).instructions`.
     pub fn exec_stats(&self) -> ExecStats {
         *self.exec.borrow()
@@ -1488,75 +1268,98 @@ impl MonitorEngine {
         Ok(v)
     }
 
-    /// Shadow-aware read of a worklist region's count word. A cold
-    /// count read only fills the shadow when the list is empty — a
-    /// non-empty list's items are still unknown, and the shadow never
-    /// stores partial knowledge.
-    fn list_count_cached(
-        &self,
-        dev: &mut Device,
-        addr: usize,
-        field: fn(&ShadowCache) -> &Option<Vec<u16>>,
-        field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
-    ) -> Result<usize, Interrupt> {
+    /// The persistent state of `lane`.
+    fn lane(&self, lane: Lane) -> &LaneState {
+        match lane {
+            Lane::Event => &self.events,
+            Lane::Batch => {
+                &self
+                    .batch
+                    .as_ref()
+                    .expect("batch lane without batch state")
+                    .lane
+            }
+        }
+    }
+
+    /// Shadow-aware read of a lane's worklist count (0 = nothing
+    /// armed). A cold count read only fills the shadow when the list is
+    /// empty — a non-empty list's items are still unknown, and the
+    /// shadow never stores partial knowledge.
+    fn read_count(&self, dev: &mut Device, lane: Lane) -> Result<usize, Interrupt> {
         if let Some(cache) = &self.cache {
-            let hit = field(&cache.borrow()).as_ref().map(Vec::len);
+            let hit = cache.borrow().lanes[lane as usize]
+                .worklist
+                .as_ref()
+                .map(Vec::len);
             if let Some(n) = hit {
                 cache.borrow_mut().stats.hits += 1;
                 return Ok(n);
             }
         }
-        let bytes = dev.nv_read_raw(addr, 2)?;
+        let bytes = dev.nv_read_raw(self.lane(lane).worklist_addr, 2)?;
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         self.cache_put(|c| {
             if n == 0 {
-                *field_mut(c) = Some(Vec::new());
+                c.lanes[lane as usize].worklist = Some(Vec::new());
             }
             c.stats.misses += 1;
         });
         Ok(n)
     }
 
-    /// Shadow-aware read of a worklist's items (`count` already known
-    /// and non-zero). Preserves the uncached read order — the count
-    /// and item reads stay separate ops so a cold cached delivery
-    /// performs exactly the uncached read sequence.
-    fn list_items_cached(
+    /// Shadow-aware read of a lane's worklist items (`count` already
+    /// known and non-zero) into `out`. The count and item reads stay
+    /// separate ops so a cold cached delivery performs exactly the
+    /// uncached read sequence.
+    fn read_items(
         &self,
         dev: &mut Device,
-        addr: usize,
+        lane: Lane,
         count: usize,
-        wl: &mut [u16; MAX_ROUTED_MACHINES],
-        field: fn(&ShadowCache) -> &Option<Vec<u16>>,
-        field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
+        out: &mut Vec<u16>,
     ) -> Result<(), Interrupt> {
+        out.clear();
         if let Some(cache) = &self.cache {
-            let copied = {
-                let c = cache.borrow();
-                match field(&c) {
-                    Some(list) if list.len() == count => {
-                        for (slot, &v) in wl.iter_mut().zip(list) {
-                            *slot = v;
-                        }
-                        true
-                    }
-                    _ => false,
+            if let Some(list) = &cache.borrow().lanes[lane as usize].worklist {
+                if list.len() == count {
+                    out.extend_from_slice(list);
                 }
-            };
-            if copied {
+            }
+            if !out.is_empty() {
                 cache.borrow_mut().stats.hits += 1;
                 return Ok(());
             }
         }
-        let bytes = dev.nv_read_raw(addr + 2, count * 2)?;
-        for (slot, ch) in wl.iter_mut().zip(bytes.chunks_exact(2)) {
-            *slot = u16::from_le_bytes([ch[0], ch[1]]);
-        }
+        let bytes = dev.nv_read_raw(self.lane(lane).worklist_addr + 2, count * 2)?;
+        out.extend(
+            bytes
+                .chunks_exact(2)
+                .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
+        );
         self.cache_put(|c| {
-            *field_mut(c) = Some(wl[..count].to_vec());
+            c.lanes[lane as usize].worklist = Some(out.clone());
             c.stats.misses += 1;
         });
         Ok(())
+    }
+
+    /// Shadow-aware read of a lane's completion bitmap.
+    fn read_done(&self, dev: &mut Device, lane: Lane) -> Result<Vec<u8>, Interrupt> {
+        let cell = &self.lane(lane).done;
+        self.cache_read(
+            dev,
+            |c| c.lanes[lane as usize].done.clone(),
+            |c, v| c.lanes[lane as usize].done = Some(v.clone()),
+            |d| Ok(d.nv_read_raw(cell.addr, cell.len)?.to_vec()),
+        )
+    }
+
+    /// `true` iff `lane` holds an armed worklist with unfinished
+    /// entries (an interrupted delivery).
+    fn lane_pending(&self, dev: &mut Device, lane: Lane) -> Result<bool, Interrupt> {
+        let count = self.read_count(dev, lane)?;
+        Ok(count > 0 && !all_done(&self.read_done(dev, lane)?, count))
     }
 
     /// Fills `scratch.block` with the first `span` bytes of machine
@@ -1572,7 +1375,7 @@ impl MonitorEngine {
         span: usize,
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
-        let layout = &self.machines[i].layout;
+        let layout = self.compiled.machines()[i].layout();
         if let Some(cache) = &self.cache {
             let hit = {
                 let c = cache.borrow();
@@ -1665,26 +1468,6 @@ impl MonitorEngine {
         )
     }
 
-    /// Shadow-aware read of the routed completion bitmap.
-    fn read_done_cached(&self, dev: &mut Device, rs: &RoutedState) -> Result<u64, Interrupt> {
-        self.cache_read(
-            dev,
-            |c| c.done,
-            |c, v| c.done = Some(*v),
-            |d| rs.done.read(d),
-        )
-    }
-
-    /// Shadow-aware read of the batch completion bitmap.
-    fn read_batch_done_cached(&self, dev: &mut Device, bs: &BatchState) -> Result<u64, Interrupt> {
-        self.cache_read(
-            dev,
-            |c| c.batch_done,
-            |c, v| c.batch_done = Some(*v),
-            |d| bs.done.read(d),
-        )
-    }
-
     /// Shadow-aware read of the armed batch's encoded event array
     /// (count word + payload — two FRAM ops cold, zero warm).
     fn read_batch_events_cached(
@@ -1701,12 +1484,11 @@ impl MonitorEngine {
                     let b = d.nv_read_raw(bs.events_addr, 2)?;
                     u16::from_le_bytes([b[0], b[1]]) as usize
                 };
-                let mut events = Vec::with_capacity(n);
                 let bytes = d.nv_read_raw(bs.events_addr + 2, n * EncodedEvent::SIZE)?;
-                for ch in bytes.chunks_exact(EncodedEvent::SIZE) {
-                    events.push(EncodedEvent::load(ch));
-                }
-                Ok(events)
+                Ok(bytes
+                    .chunks_exact(EncodedEvent::SIZE)
+                    .map(EncodedEvent::load)
+                    .collect())
             },
         )
     }
@@ -1717,7 +1499,8 @@ impl MonitorEngine {
     pub fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
         self.machines
             .iter()
-            .map(|lm| match &lm.store {
+            .zip(self.compiled.machines())
+            .map(|(lm, cm)| match &lm.store {
                 MachineStore::Cells {
                     state_cell,
                     var_cells,
@@ -1728,7 +1511,7 @@ impl MonitorEngine {
                 MachineStore::Block { addr, len } => {
                     let mut vars = Vec::new();
                     let mut state = 0u32;
-                    lm.layout
+                    cm.layout()
                         .decode(dev.peek_raw(*addr, *len), &mut state, &mut vars);
                     (state, vars)
                 }
@@ -1749,6 +1532,26 @@ impl MonitorEngine {
             .collect()
     }
 
+    /// Refills the shadows of the machines `reset` selects with their
+    /// initial images (after a commit that re-imaged them).
+    fn shadow_reset_machines(&self, reset: impl Fn(&LoadedMachine) -> bool) {
+        self.cache_put(|c| {
+            c.journal_clean = true;
+            let ShadowCache { gen, machines, .. } = &mut *c;
+            for ((ms, lm), cm) in machines
+                .iter_mut()
+                .zip(&self.machines)
+                .zip(self.compiled.machines())
+            {
+                if reset(lm) {
+                    cm.layout()
+                        .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
+                    ms.gen = *gen;
+                }
+            }
+        });
+    }
+
     /// Hard reset: re-initialises every machine and clears the pending
     /// event (Figure 8 `resetMonitor`; run once at first boot).
     pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
@@ -1760,42 +1563,27 @@ impl MonitorEngine {
             }
             tx.write(&self.verdict_count, 0u32);
             tx.write(&self.seq_cell, 0u64);
-            if let Some(rs) = &self.routed {
-                // An empty worklist means "no event pending".
-                tx.write_u16_list(rs.worklist_addr, &[]);
-                rs.done.stage(&mut tx, 0);
-            }
+            self.events.clear(&mut tx);
             if let Some(bs) = &self.batch {
                 tx.write(&bs.seq_cell, 0u64);
                 tx.write_raw(bs.events_addr, vec![0u8; 2]);
-                tx.write_u16_list(bs.worklist_addr, &[]);
-                bs.done.stage(&mut tx, 0);
+                bs.lane.clear(&mut tx);
             }
             dev.commit(&self.journal, &tx)?;
             // The reset commit just (re)wrote every location the cache
             // mirrors — fill all the shadows, so even the first event
             // after a reset runs write-only.
             self.cache_put(|c| {
-                c.journal_clean = true;
                 c.seq = Some(0);
                 c.verdict_count = Some(0);
-                if self.routed.is_some() {
-                    c.worklist = Some(Vec::new());
-                    c.done = Some(0);
-                }
-                if self.batch.is_some() {
+                c.arm(Lane::Event, Vec::new(), self.events.done.len);
+                if let Some(bs) = &self.batch {
                     c.batch_seq = Some(0);
                     c.batch_events = Some(Vec::new());
-                    c.batch_worklist = Some(Vec::new());
-                    c.batch_done = Some(0);
-                }
-                let ShadowCache { gen, machines, .. } = &mut *c;
-                for (ms, lm) in machines.iter_mut().zip(&self.machines) {
-                    lm.layout
-                        .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
-                    ms.gen = *gen;
+                    c.arm(Lane::Batch, Vec::new(), bs.lane.done.len);
                 }
             });
+            self.shadow_reset_machines(|_| true);
             Ok(())
         });
         if r.is_err() {
@@ -1812,41 +1600,21 @@ impl MonitorEngine {
             self.cache_sync(dev);
             // Repair a torn journal commit first.
             self.recover_cached(dev)?;
-            // A batch interrupted mid-window resumes from the first
-            // incomplete machine (the events and merged worklist were
-            // fixed by the batch arming commit).
-            if let Some(bs) = &self.batch {
-                let count = self.read_batch_worklist_count(dev, bs)?;
-                if count > 0 {
-                    let done = self.read_batch_done_cached(dev, bs)?;
-                    if done & worklist_mask(count) != worklist_mask(count) {
-                        self.run_batch(dev, bs)?;
-                        return Ok(true);
-                    }
+            // An interrupted batch or event resumes from its first
+            // incomplete worklist entry (the events and worklist were
+            // fixed by the arming commit).
+            let lanes: &[Lane] = if self.batch.is_some() {
+                &[Lane::Batch, Lane::Event]
+            } else {
+                &[Lane::Event]
+            };
+            for &lane in lanes {
+                if self.lane_pending(dev, lane)? {
+                    self.run_lane(dev, lane)?;
+                    return Ok(true);
                 }
             }
-            match &self.routed {
-                Some(rs) => {
-                    // Pending iff an armed worklist has unfinished bits.
-                    let count = self.read_worklist_count(dev, rs)?;
-                    if count == 0 {
-                        return Ok(false);
-                    }
-                    let done = self.read_done_cached(dev, rs)?;
-                    if done & worklist_mask(count) == worklist_mask(count) {
-                        return Ok(false);
-                    }
-                    self.run_worklist(dev, rs)?;
-                    Ok(true)
-                }
-                None => {
-                    if self.routine.is_complete(dev)? {
-                        return Ok(false);
-                    }
-                    self.run_steps(dev)?;
-                    Ok(true)
-                }
-            }
+            Ok(false)
         });
         if r.is_err() {
             self.cache_wipe();
@@ -1876,47 +1644,21 @@ impl MonitorEngine {
                 |d| d.nv_read(&self.seq_cell),
             )?;
             if last_seq != seq {
-                // Arm atomically: event, seq, verdict reset, AND the
-                // dispatch state (armed worklist + completion bitmap,
-                // or the full-scan step counter) — a failure after this
-                // commit resumes exactly the armed set, a failure
-                // before it re-arms cleanly.
+                // Arm atomically with one sparse record: event, seq,
+                // verdict reset, armed worklist and cleared bitmap — a
+                // failure after this commit resumes exactly the armed
+                // set, a failure before it re-arms cleanly.
                 let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-                match &self.routed {
-                    Some(rs) if self.delta_enabled => {
-                        // Sparse arming: the whole record is staged
-                        // with one write and the five sub-writes apply
-                        // from RAM — no journal re-reads.
-                        dev.compute(ROUTING_LOOKUP_CYCLES)?;
-                        self.compute_worklist(&encoded);
-                        let mut stx = SparseTx::new();
-                        stx.push(&self.event_cell, encoded);
-                        stx.push(&self.seq_cell, seq);
-                        stx.push(&self.verdict_count, 0u32);
-                        {
-                            let scratch = self.scratch.borrow();
-                            stx.push_raw(rs.worklist_addr, encode_u16_list(&scratch.worklist));
-                        }
-                        rs.done.push(&mut stx, 0);
-                        dev.commit_sparse(&self.journal, &stx)?;
-                    }
-                    _ => {
-                        let mut tx = TxWriter::new();
-                        tx.write(&self.event_cell, encoded);
-                        tx.write(&self.seq_cell, seq);
-                        tx.write(&self.verdict_count, 0u32);
-                        match &self.routed {
-                            Some(rs) => {
-                                dev.compute(ROUTING_LOOKUP_CYCLES)?;
-                                self.stage_worklist(rs, &encoded, &mut tx);
-                            }
-                            None => self
-                                .routine
-                                .stage_begin(&mut tx, self.machines.len() as u32),
-                        }
-                        dev.commit(&self.journal, &tx)?;
-                    }
-                }
+                dev.compute(ROUTING_LOOKUP_CYCLES)?;
+                self.compute_worklist(&encoded);
+                let scratch = self.scratch.borrow();
+                let worklist = &scratch.worklist;
+                let mut stx = SparseTx::new();
+                stx.push(&self.event_cell, encoded);
+                stx.push(&self.seq_cell, seq);
+                stx.push(&self.verdict_count, 0u32);
+                self.events.arm(&mut stx, worklist);
+                dev.commit_sparse(&self.journal, &stx)?;
                 // The arming commit fixed every activation input —
                 // shadow them all, so the worklist walk below reads
                 // nothing from FRAM.
@@ -1925,13 +1667,10 @@ impl MonitorEngine {
                     c.seq = Some(seq);
                     c.event = Some(encoded);
                     c.verdict_count = Some(0);
-                    if self.routed.is_some() {
-                        c.worklist = Some(self.scratch.borrow().worklist.clone());
-                        c.done = Some(0);
-                    }
+                    c.arm(Lane::Event, worklist.clone(), self.events.done.len);
                 });
             }
-            self.run_steps(dev)?;
+            self.run_lane(dev, Lane::Event)?;
             self.read_verdicts(dev)
         });
         if r.is_err() {
@@ -1990,10 +1729,9 @@ impl MonitorEngine {
             if last != first_seq {
                 // Arm the whole batch atomically: the encoded event
                 // array, the batch sequence, the verdict reset, the
-                // MERGED interested worklist, and the cleared
-                // per-machine bitmap — one staged record, five
-                // sub-writes, no matter how many events the burst
-                // carries.
+                // MERGED interested worklist, and the cleared bitmap —
+                // one staged record, five sub-writes, no matter how
+                // many events the burst carries.
                 dev.compute(ROUTING_LOOKUP_CYCLES * events.len() as u64)?;
                 let mut region = vec![0u8; 2 + EncodedEvent::SIZE * events.len()];
                 region[0..2].copy_from_slice(&(events.len() as u16).to_le_bytes());
@@ -2015,8 +1753,7 @@ impl MonitorEngine {
                 stx.push_raw(bs.events_addr, region);
                 stx.push(&bs.seq_cell, first_seq);
                 stx.push(&self.verdict_count, 0u32);
-                stx.push_raw(bs.worklist_addr, encode_u16_list(&merged));
-                bs.done.push(&mut stx, 0);
+                bs.lane.arm(&mut stx, &merged);
                 dev.commit_sparse(&self.journal, &stx)?;
                 // Shadow the whole armed batch: the window below runs
                 // without a single FRAM read.
@@ -2025,11 +1762,10 @@ impl MonitorEngine {
                     c.batch_seq = Some(first_seq);
                     c.batch_events = Some(encoded_events);
                     c.verdict_count = Some(0);
-                    c.batch_worklist = Some(merged);
-                    c.batch_done = Some(0);
+                    c.arm(Lane::Batch, merged, bs.lane.done.len);
                 });
             }
-            self.run_batch(dev, bs)?;
+            self.run_lane(dev, Lane::Batch)?;
             self.read_batch_verdicts(dev, events.len())
         });
         if r.is_err() {
@@ -2038,86 +1774,98 @@ impl MonitorEngine {
         r
     }
 
-    /// The armed batch worklist's entry count (0 = no batch pending).
-    fn read_batch_worklist_count(
-        &self,
-        dev: &mut Device,
-        bs: &BatchState,
-    ) -> Result<usize, Interrupt> {
-        self.list_count_cached(dev, bs.worklist_addr, shadow_batch_wl, shadow_batch_wl_mut)
-    }
-
-    /// Steps the pending machines of the armed batch. Everything the
-    /// loop depends on — the event array, the merged worklist, the
-    /// per-machine interest masks (a deterministic function of the
-    /// stored events) — was fixed by the arming commit, so a resume
-    /// after any power failure processes exactly the armed batch;
-    /// completed machines are skipped via the bitmap.
-    fn run_batch(&self, dev: &mut Device, bs: &BatchState) -> Result<(), Interrupt> {
-        let count = self.read_batch_worklist_count(dev, bs)?;
+    /// Steps the pending entries of `lane`'s armed worklist.
+    /// Everything the loop depends on — the events, the worklist, each
+    /// entry's event mask (a deterministic function of the stored
+    /// events) — was fixed by the arming commit, so a resume after any
+    /// power failure processes exactly the armed set; completed entries
+    /// are skipped via the bitmap, and the events are decoded once per
+    /// activation instead of once per machine.
+    fn run_lane(&self, dev: &mut Device, lane: Lane) -> Result<(), Interrupt> {
+        let count = self.read_count(dev, lane)?;
         if count == 0 {
             return Ok(());
         }
-        let full = worklist_mask(count);
-        let mut done = self.read_batch_done_cached(dev, bs)?;
-        if done & full == full {
+        let mut done = self.read_done(dev, lane)?;
+        if all_done(&done, count) {
             return Ok(());
         }
 
-        let mut wl = [0u16; MAX_ROUTED_MACHINES];
-        self.list_items_cached(
-            dev,
-            bs.worklist_addr,
-            count,
-            &mut wl,
-            shadow_batch_wl,
-            shadow_batch_wl_mut,
-        )?;
-        let events = self.read_batch_events_cached(dev, bs)?;
-        let n = events.len();
-
-        dev.compute(ROUTING_LOOKUP_CYCLES * n as u64)?;
-        let mut masks = [0u32; MAX_ROUTED_MACHINES];
-        for (e, encoded) in events.iter().enumerate() {
-            self.compute_worklist(encoded);
-            for &mi in &*self.scratch.borrow().worklist {
-                if let Some(j) = wl[..count].iter().position(|&w| w == mi) {
-                    masks[j] |= 1 << e;
+        let armed = &mut *self.armed.borrow_mut();
+        self.read_items(dev, lane, count, &mut armed.items)?;
+        armed.masks.clear();
+        match lane {
+            Lane::Event => {
+                // Every worklisted machine is interested in the one
+                // event: routing and the `Path:` filter ran at arming.
+                let encoded = self.cache_read(
+                    dev,
+                    |c| c.event,
+                    |c, v| c.event = Some(*v),
+                    |d| d.nv_read(&self.event_cell),
+                )?;
+                armed.events.clear();
+                armed.events.push(encoded);
+                armed.masks.resize(count, 1);
+            }
+            Lane::Batch => {
+                let bs = self.batch.as_ref().expect("batch lane without batch state");
+                armed.events = self.read_batch_events_cached(dev, bs)?;
+                dev.compute(ROUTING_LOOKUP_CYCLES * armed.events.len() as u64)?;
+                armed.masks.resize(count, 0);
+                for (e, encoded) in armed.events.iter().enumerate() {
+                    self.compute_worklist(encoded);
+                    for mi in &self.scratch.borrow().worklist {
+                        // The merged worklist is sorted.
+                        if let Ok(j) = armed.items.binary_search(mi) {
+                            armed.masks[j] |= 1 << e;
+                        }
+                    }
                 }
             }
         }
 
         for j in 0..count {
-            let bit = 1u64 << j;
-            if done & bit != 0 {
+            if done_bit(&done, j) {
                 continue;
             }
-            self.step_batch_machine(dev, u32::from(wl[j]), &events, masks[j], done | bit, bs)?;
-            done |= bit;
+            done[j / 8] |= 1 << (j % 8);
+            let i = armed.items[j] as usize;
+            match self.mode {
+                ExecMode::Compiled => {
+                    self.step_block(dev, i, &armed.events, armed.masks[j], lane, &done)?
+                }
+                ExecMode::Interpreter => self.step_interpreted(dev, i, &armed.events[0], &done)?,
+            }
         }
         Ok(())
     }
 
-    /// Steps one machine through every batch event it dispatches, in
-    /// delivery order, and commits the **coalesced** net effect once:
-    /// repeated writes to a slot collapse to the last value in scratch,
-    /// and the sparse record carries the state word, the merged static
-    /// write set (or the whole block image for degraded machines), one
-    /// verdict per emitting event, and the machine's done-bit.
-    fn step_batch_machine(
+    /// Steps compiled machine `i` through every event of `events` whose
+    /// bit is set in `mask`, in delivery order, and commits the
+    /// **coalesced** net effect once: repeated writes to a slot
+    /// collapse to the last value in scratch, and the sparse record
+    /// carries the state word and the merged static write set (or the
+    /// whole block image for degraded keys, or only the changed byte
+    /// runs in diff mode), one verdict cell per emitting event, and
+    /// `lane`'s bitmap `done` — which already has this machine's bit
+    /// set. The one step function of both the per-event (one-event
+    /// mask) and the batch lane.
+    fn step_block(
         &self,
         dev: &mut Device,
-        i: u32,
+        i: usize,
         events: &[EncodedEvent],
         mask: u32,
-        done: u64,
-        bs: &BatchState,
+        lane: Lane,
+        done: &[u8],
     ) -> Result<(), Interrupt> {
-        let lm = &self.machines[i as usize];
+        let lm = &self.machines[i];
         let MachineStore::Block { addr, len } = lm.store else {
-            unreachable!("batch mode allocates block storage");
+            unreachable!("compiled mode allocates block storage");
         };
-        let cm = &self.compiled.machines()[i as usize];
+        let cm = &self.compiled.machines()[i];
+        let layout = cm.layout();
         let kind_of = |encoded: &EncodedEvent| {
             if encoded.kind == 0 {
                 EventKind::StartTask
@@ -2127,8 +1875,12 @@ impl MonitorEngine {
         };
 
         // Merge the static footprints of the events this machine will
-        // actually dispatch; bill each dispatch-table test.
-        let mut access = AccessSet::default();
+        // actually dispatch and bill each dispatch-table test plus the
+        // key's static compute ceiling (cycle-priced worst path through
+        // the dispatched transitions). Static and state-independent, so
+        // the charge never leaks machine state — and the bounds/energy
+        // passes price the exact same table.
+        let mut access: Option<Cow<AccessSet>> = None;
         let mut step_mask = 0u32;
         let mut cycles = 0u64;
         for (e, encoded) in events.iter().enumerate() {
@@ -2136,42 +1888,37 @@ impl MonitorEngine {
                 continue;
             }
             let kind = kind_of(encoded);
-            let dispatched = cm.dispatch_len(kind, encoded.task);
             cycles += COMPILED_DISPATCH_CYCLES;
-            if dispatched > 0 {
-                // Same static per-key compute ceiling the per-event
-                // path bills (see `step_compiled`).
+            if cm.dispatch_len(kind, encoded.task) > 0 {
                 cycles += cm.step_cost(kind, encoded.task).cycles;
-                access.union_with(cm.access(kind, encoded.task));
+                let key = cm.access(kind, encoded.task);
+                match &mut access {
+                    None => access = Some(Cow::Borrowed(key)),
+                    Some(a) => a.to_mut().union_with(key),
+                }
                 step_mask |= 1 << e;
             }
         }
         dev.compute(cycles)?;
-        if step_mask == 0 {
-            // Every event dismissed: plain idempotent done-bit write.
-            bs.done.write(dev, done)?;
-            self.cache_put(|c| c.batch_done = Some(done));
-            return Ok(());
-        }
-
-        // Degraded machines (and delta-disabled engines) load and
-        // commit the full block image; sparse ones the covering span.
-        let whole = access.whole_block || !self.delta_enabled;
-        let covered = if whole {
-            lm.layout.var_count()
-        } else {
-            access.max_touched_slot().map_or(0, |s| s as usize + 1)
+        let Some(access) = access else {
+            // Every event dismissed: plain idempotent done write.
+            return self.finish_plain(dev, lane, done);
         };
-        let span = if whole {
-            len
+
+        // Degraded keys load and commit the full block image; sparse
+        // ones the covering span.
+        let whole = access.whole_block;
+        let (covered, span) = if whole {
+            (layout.var_count(), len)
         } else {
-            lm.layout.span(access.max_touched_slot())
+            let max = access.max_touched_slot();
+            (max.map_or(0, |s| s as usize + 1), layout.span(max))
         };
 
         let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, addr, len, span, scratch)?;
+        self.load_block_cached(dev, i, addr, len, span, scratch)?;
         let mut before_state = 0u32;
-        lm.layout.decode_prefix(
+        layout.decode_prefix(
             &scratch.block,
             covered,
             &mut before_state,
@@ -2194,6 +1941,11 @@ impl MonitorEngine {
                     energy_nj: encoded.energy_nj,
                 },
             };
+            // Evaluation errors cannot occur on verified machines;
+            // treat them as accept-silently to keep the monitor total
+            // (the C monitor has no error channel either). Partial
+            // variable mutations are kept, matching the interpreter's
+            // observable effects.
             let mut executed = 0u64;
             let emit = cm
                 .step_counting(
@@ -2214,44 +1966,33 @@ impl MonitorEngine {
             }
         }
 
-        // Change detection over the merged written footprint. In diff
-        // mode the re-encoded prefix is diffed byte-for-byte against
-        // the authoritative old image (canonical encoding makes the
-        // comparison exact); otherwise the static write set is checked
-        // slot by slot.
-        let mut buf = [0u8; NV_VALUE_BYTES];
+        // Change detection over the merged written footprint. Whole
+        // blocks and diff mode re-encode and compare byte-for-byte
+        // (canonical encoding makes the comparison exact); otherwise
+        // the static write set is checked slot by slot.
+        let mut buf = [0u8; MAX_SLOT_BYTES];
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let changed = if whole {
-            lm.layout
-                .encode(state, &scratch.vars, &mut scratch.block_new);
+            layout.encode(state, &scratch.vars, &mut scratch.block_new);
             scratch.block_new != scratch.block
         } else if self.diff_enabled {
-            lm.layout
-                .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
+            layout.encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
             runs = diff_runs(&scratch.block, &scratch.block_new);
             !runs.is_empty()
         } else {
-            let mut c = state != before_state;
-            if !c {
-                for &slot in &access.writes {
-                    let off = lm.layout.slots[slot as usize].offset;
-                    let w = lm.layout.encode_slot_into(
+            state != before_state
+                || access.writes.iter().any(|&slot| {
+                    let off = layout.slots[slot as usize].offset;
+                    let w = layout.encode_slot_into(
                         slot as usize,
                         &scratch.vars[slot as usize],
                         &mut buf,
                     );
-                    if scratch.block[off..off + w] != buf[..w] {
-                        c = true;
-                        break;
-                    }
-                }
-            }
-            c
+                    scratch.block[off..off + w] != buf[..w]
+                })
         };
         if emits.is_empty() && !changed {
-            bs.done.write(dev, done)?;
-            self.cache_put(|c| c.batch_done = Some(done));
-            return Ok(());
+            return self.finish_plain(dev, lane, done);
         }
 
         let mut stx = SparseTx::new();
@@ -2262,50 +2003,56 @@ impl MonitorEngine {
                 stx.push_raw(addr + s, scratch.block_new[s..e].to_vec());
             }
         } else {
-            stx.push_raw(addr, lm.layout.encode_state(state));
+            stx.push_raw(addr, layout.encode_state(state));
             for &slot in &access.writes {
-                let off = lm.layout.slots[slot as usize].offset;
-                let w = lm.layout.encode_slot_into(
-                    slot as usize,
-                    &scratch.vars[slot as usize],
-                    &mut buf,
-                );
+                let off = layout.slots[slot as usize].offset;
+                let w =
+                    layout.encode_slot_into(slot as usize, &scratch.vars[slot as usize], &mut buf);
                 stx.push_raw(addr + off, buf[..w].to_vec());
             }
         }
         let mut count = 0;
+        let cell = |(e, action, path): &(usize, OnFail, Option<u32>)| -> VerdictCell {
+            (
+                i as u32 | ((*e as u32) << 16),
+                encode_action(*action, *path),
+            )
+        };
         if !emits.is_empty() {
             count = self.read_verdict_count_cached(dev)?;
-            for (k, (e, action, path)) in emits.iter().enumerate() {
-                stx.push(
-                    &self.verdict_cells[count as usize + k],
-                    (i | ((*e as u32) << 16), encode_action(*action, *path)),
-                );
+            for (k, emit) in emits.iter().enumerate() {
+                stx.push(&self.verdict_cells[count as usize + k], cell(emit));
             }
             stx.push(&self.verdict_count, count + emits.len() as u32);
         }
-        bs.done.push(&mut stx, done);
+        stx.push_raw(self.lane(lane).done.addr, done.to_vec());
         dev.commit_sparse(&self.journal, &stx)?;
         self.shadow_machine_update(
-            i as usize,
+            i,
             state,
             &scratch.vars,
             if whole { None } else { Some(&access.writes) },
         );
         self.cache_put(|c| {
             c.journal_clean = true;
-            c.batch_done = Some(done);
+            c.set_done(lane, done);
             if !emits.is_empty() {
                 let gen = c.gen;
-                for (k, (e, action, path)) in emits.iter().enumerate() {
-                    c.verdicts[count as usize + k] = (
-                        gen,
-                        (i | ((*e as u32) << 16), encode_action(*action, *path)),
-                    );
+                for (k, emit) in emits.iter().enumerate() {
+                    c.verdicts[count as usize + k] = (gen, cell(emit));
                 }
                 c.verdict_count = Some(count + emits.len() as u32);
             }
         });
+        Ok(())
+    }
+
+    /// Marks a step with no FRAM effects complete: one plain idempotent
+    /// write of `lane`'s bitmap (re-execution after a power failure is
+    /// harmless).
+    fn finish_plain(&self, dev: &mut Device, lane: Lane, done: &[u8]) -> Result<(), Interrupt> {
+        dev.nv_write_raw(self.lane(lane).done.addr, done)?;
+        self.cache_put(|c| c.set_done(lane, done));
         Ok(())
     }
 
@@ -2368,28 +2115,19 @@ impl MonitorEngine {
     /// Re-initialises the machines affected by a restart of `path`
     /// (paper §3.3: monitors linked to tasks of a restarted path).
     pub fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
+        let affected = |lm: &LoadedMachine| {
+            lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number())
+        };
         let r = dev.billed(CostCategory::Monitor, |dev| {
             self.cache_sync(dev);
             let mut tx = TxWriter::new();
-            for lm in &self.machines {
-                if lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number()) {
-                    stage_machine_reset(&mut tx, lm);
-                }
+            for lm in self.machines.iter().filter(|lm| affected(lm)) {
+                stage_machine_reset(&mut tx, lm);
             }
             dev.commit(&self.journal, &tx)?;
             // The commit rewrote the affected machines' images to
             // their initial snapshots — mirror that in their shadows.
-            self.cache_put(|c| {
-                c.journal_clean = true;
-                let ShadowCache { gen, machines, .. } = &mut *c;
-                for (ms, lm) in machines.iter_mut().zip(&self.machines) {
-                    if lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number()) {
-                        lm.layout
-                            .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
-                        ms.gen = *gen;
-                    }
-                }
-            });
+            self.shadow_reset_machines(affected);
             Ok(())
         });
         if r.is_err() {
@@ -2398,461 +2136,43 @@ impl MonitorEngine {
         r
     }
 
-    fn run_steps(&self, dev: &mut Device) -> Result<(), Interrupt> {
-        match &self.routed {
-            Some(rs) => self.run_worklist(dev, rs),
-            None => {
-                let routine = self.routine;
-                routine.run(dev, &mut |dev, i| self.step_machine(dev, i))
-            }
-        }
-    }
-
-    /// Computes the event's interested worklist (routing-index lookup +
-    /// the dynamic `Path:` filter, both deterministic functions of the
-    /// event) into the scratch buffer.
+    /// Computes the event's worklist into the scratch buffer: in
+    /// compiled mode the routing-index lookup plus the dynamic `Path:`
+    /// filter, both deterministic functions of the event; the
+    /// interpreter arms every machine and dismisses in its step.
     fn compute_worklist(&self, encoded: &EncodedEvent) {
+        let scratch = &mut *self.scratch.borrow_mut();
+        scratch.worklist.clear();
+        if self.mode == ExecMode::Interpreter {
+            scratch
+                .worklist
+                .extend((0..self.machines.len()).map(|i| i as u16));
+            return;
+        }
         let kind = if encoded.kind == 0 {
             EventKind::StartTask
         } else {
             EventKind::EndTask
         };
-        let scratch = &mut *self.scratch.borrow_mut();
-        scratch.worklist.clear();
         for &mi in self.compiled.routing().interested(kind, encoded.task) {
-            let lm = &self.machines[mi as usize];
-            let path_dismissed = match lm.machine.path {
-                Some(machine_path) => {
-                    encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
-                }
-                None => false,
-            };
-            if !path_dismissed {
+            if !path_dismissed(&self.machines[mi as usize], encoded) {
                 scratch.worklist.push(mi);
             }
         }
     }
 
-    /// Stages the computed worklist and a cleared completion bitmap
-    /// into the arming `tx`.
-    fn stage_worklist(&self, rs: &RoutedState, encoded: &EncodedEvent, tx: &mut TxWriter) {
-        self.compute_worklist(encoded);
-        let scratch = self.scratch.borrow();
-        tx.write_u16_list(rs.worklist_addr, &scratch.worklist);
-        rs.done.stage(tx, 0);
-    }
-
-    /// The armed worklist's entry count (0 = nothing pending).
-    fn read_worklist_count(&self, dev: &mut Device, rs: &RoutedState) -> Result<usize, Interrupt> {
-        self.list_count_cached(
-            dev,
-            rs.worklist_addr,
-            shadow_routed_wl,
-            shadow_routed_wl_mut,
-        )
-    }
-
-    /// Routed dispatch: step the pending entries of the armed worklist.
-    /// The worklist and the event were fixed by the same journal commit,
-    /// so a resume after any power failure processes exactly the armed
-    /// set; completed entries are skipped via the bitmap, and the event
-    /// cell is decoded once per activation instead of once per machine.
-    fn run_worklist(&self, dev: &mut Device, rs: &RoutedState) -> Result<(), Interrupt> {
-        let count = self.read_worklist_count(dev, rs)?;
-        if count == 0 {
-            return Ok(());
-        }
-        let full = worklist_mask(count);
-        let mut done = self.read_done_cached(dev, rs)?;
-        if done & full == full {
-            return Ok(());
-        }
-
-        let mut wl = [0u16; MAX_ROUTED_MACHINES];
-        self.list_items_cached(
-            dev,
-            rs.worklist_addr,
-            count,
-            &mut wl,
-            shadow_routed_wl,
-            shadow_routed_wl_mut,
-        )?;
-        let encoded = self.cache_read(
-            dev,
-            |c| c.event,
-            |c, v| c.event = Some(*v),
-            |d| d.nv_read(&self.event_cell),
-        )?;
-
-        for (j, &mi) in wl.iter().enumerate().take(count) {
-            let bit = 1u64 << j;
-            if done & bit != 0 {
-                continue;
-            }
-            let lm = &self.machines[mi as usize];
-            // Path dismissal was resolved at arming time; worklisted
-            // machines always get a real step.
-            let completion = Completion::Bit(done | bit);
-            match self.mode {
-                ExecMode::Compiled => {
-                    self.step_compiled(dev, mi as u32, lm, &encoded, false, completion)?
-                }
-                ExecMode::Interpreter => {
-                    self.step_interpreted(dev, mi as u32, lm, &encoded, false, completion)?
-                }
-            }
-            done |= bit;
-        }
-        Ok(())
-    }
-
-    /// Marks a step with no FRAM effects complete: one plain idempotent
-    /// write (re-execution after a power failure is harmless).
-    fn finish_plain(&self, dev: &mut Device, completion: Completion) -> Result<(), Interrupt> {
-        match completion {
-            Completion::Step(i) => self.routine.complete_step(dev, i),
-            Completion::Bit(done) => {
-                let rs = self
-                    .routed
-                    .as_ref()
-                    .expect("bitmap completion without routed state");
-                rs.done.write(dev, done)?;
-                self.cache_put(|c| c.done = Some(done));
-                Ok(())
-            }
-        }
-    }
-
-    /// Commits a step's staged FRAM effects together with its
-    /// completion marker in one crash-atomic transaction (exactly-once).
-    fn finish_atomic(
-        &self,
-        dev: &mut Device,
-        completion: Completion,
-        tx: &mut TxWriter,
-    ) -> Result<(), Interrupt> {
-        match completion {
-            Completion::Step(i) => self.routine.atomic_step(dev, &self.journal, i, tx),
-            Completion::Bit(done) => {
-                let rs = self
-                    .routed
-                    .as_ref()
-                    .expect("bitmap completion without routed state");
-                rs.done.stage(tx, done);
-                dev.commit(&self.journal, tx)?;
-                self.cache_put(|c| {
-                    c.journal_clean = true;
-                    c.done = Some(done);
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Processes the stored event through machine `i` as one
-    /// crash-atomic step (full-scan reference path: the event cell is
-    /// re-read per machine and dismissal is tested dynamically).
-    fn step_machine(&self, dev: &mut Device, i: u32) -> Result<(), Interrupt> {
-        let lm = &self.machines[i as usize];
-
-        let encoded = dev.nv_read(&self.event_cell)?;
-
-        // The `Path:` qualifier (paper §3.2): a property on a merged
-        // task is checked only against events from its governing path.
-        let path_dismissed = match lm.machine.path {
-            Some(machine_path) => {
-                encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
-            }
-            None => false,
-        };
-
-        match self.mode {
-            ExecMode::Compiled => {
-                self.step_compiled(dev, i, lm, &encoded, path_dismissed, Completion::Step(i))
-            }
-            ExecMode::Interpreter => {
-                self.step_interpreted(dev, i, lm, &encoded, path_dismissed, Completion::Step(i))
-            }
-        }
-    }
-
-    /// Compiled step: dispatch-table trigger test, one FRAM read for
-    /// the whole machine block, bytecode evaluation over scratch
-    /// registers, one journal entry to commit.
-    fn step_compiled(
-        &self,
-        dev: &mut Device,
-        i: u32,
-        lm: &LoadedMachine,
-        encoded: &EncodedEvent,
-        path_dismissed: bool,
-        completion: Completion,
-    ) -> Result<(), Interrupt> {
-        let MachineStore::Block { addr, len } = lm.store else {
-            unreachable!("compiled mode allocates block storage");
-        };
-        let cm = &self.compiled.machines()[i as usize];
-        let kind = if encoded.kind == 0 {
-            EventKind::StartTask
-        } else {
-            EventKind::EndTask
-        };
-
-        // O(1) trigger test off the dispatch table — kind-aware, so
-        // finer than the interpreter's observed-task set, but identical
-        // in effect: a dismissed machine has no transition that could
-        // match, and the interpreter's step would be an implicit
-        // self-transition with no FRAM writes. A dismissed machine's
-        // step completion is a plain counter write (re-execution is
-        // harmless).
-        let dispatched = cm.dispatch_len(kind, encoded.task);
-        if path_dismissed || dispatched == 0 {
-            dev.compute(COMPILED_DISPATCH_CYCLES)?;
-            return self.finish_plain(dev, completion);
-        }
-        // Bill the key's static compute ceiling (cycle-priced worst
-        // path through the dispatched transitions). Static and
-        // state-independent, so the charge never leaks machine state —
-        // and the bounds/energy passes can price the exact same table.
-        dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, encoded.task).cycles)?;
-
-        // Routed + delta: load only the covering slot span and commit
-        // a sparse record over the static write set. Keys that touch
-        // most of the block degraded at compile time.
-        if self.delta_enabled {
-            let access = cm.access(kind, encoded.task);
-            if !access.whole_block {
-                if let Completion::Bit(done) = completion {
-                    return self
-                        .step_compiled_delta(dev, i, lm, cm, access, encoded, kind, addr, done);
-                }
-            }
-        }
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, addr, len, len, scratch)?;
-        let mut before_state = 0u32;
-        lm.layout
-            .decode(&scratch.block, &mut before_state, &mut scratch.vars);
-        let mut state = before_state;
-
-        let event = CompiledEvent {
-            kind,
-            task: encoded.task,
-            ctx: EventCtx {
-                time_us: encoded.timestamp_us,
-                dep_data: encoded.dep_data(),
-                energy_nj: encoded.energy_nj,
-            },
-        };
-
-        // Evaluation errors cannot occur on validated machines; treat
-        // them as accept-silently to keep the monitor total (the C
-        // monitor has no error channel either). Partial variable
-        // mutations are kept, matching the interpreter's observable
-        // effects.
-        let mut executed = 0u64;
-        let emit = cm
-            .step_counting(
-                &mut state,
-                &mut scratch.vars,
-                &event,
-                &mut scratch.regs,
-                &mut executed,
-            )
-            .unwrap_or(None);
-        {
-            let mut exec = self.exec.borrow_mut();
-            exec.instructions += executed;
-            exec.machine_steps += 1;
-        }
-
-        lm.layout
-            .encode(state, &scratch.vars, &mut scratch.block_new);
-        if emit.is_none() && scratch.block_new == scratch.block {
-            return self.finish_plain(dev, completion);
-        }
-
-        let mut tx = TxWriter::new();
-        tx.write_raw(addr, scratch.block_new.clone());
-        let mut staged = None;
-        if let Some(fail) = emit {
-            staged = Some(self.stage_verdict(
-                dev,
-                &mut tx,
-                i,
-                fail.action,
-                fail.path.or(lm.machine.path),
-            )?);
-        }
-        self.finish_atomic(dev, completion, &mut tx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, None);
-        if let Some((slot, value)) = staged {
-            self.cache_put(|c| {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, value);
-                c.verdict_count = Some(slot as u32 + 1);
-            });
-        }
-        Ok(())
-    }
-
-    /// Delta variant of [`MonitorEngine::step_compiled`]: one FRAM read
-    /// for the key's covering slot span, then a sparse commit of the
-    /// state word, the static write-set slots, and the completion bit.
-    ///
-    /// Soundness: the access set over-approximates every slot the
-    /// dispatched bytecode can read or write, so slots outside the
-    /// loaded span are never observed (they are placeholder-filled to
-    /// keep slot indexing in bounds) and slots outside the write set
-    /// cannot change. Write-set slots the step did not actually touch
-    /// write back their loaded value — idempotent, because the write
-    /// set is inside the read span by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn step_compiled_delta(
-        &self,
-        dev: &mut Device,
-        i: u32,
-        lm: &LoadedMachine,
-        cm: &CompiledMachine,
-        access: &AccessSet,
-        encoded: &EncodedEvent,
-        kind: EventKind,
-        addr: usize,
-        done: u64,
-    ) -> Result<(), Interrupt> {
-        let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
-        let span = lm.layout.span(access.max_touched_slot());
-        let MachineStore::Block { len, .. } = lm.store else {
-            unreachable!("compiled mode allocates block storage");
-        };
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, addr, len, span, scratch)?;
-        let mut before_state = 0u32;
-        lm.layout.decode_prefix(
-            &scratch.block,
-            covered,
-            &mut before_state,
-            &mut scratch.vars,
-        );
-        scratch.vars.resize(cm.var_count(), Value::Int(0));
-        let mut state = before_state;
-
-        let event = CompiledEvent {
-            kind,
-            task: encoded.task,
-            ctx: EventCtx {
-                time_us: encoded.timestamp_us,
-                dep_data: encoded.dep_data(),
-                energy_nj: encoded.energy_nj,
-            },
-        };
-        let mut executed = 0u64;
-        let emit = cm
-            .step_counting(
-                &mut state,
-                &mut scratch.vars,
-                &event,
-                &mut scratch.regs,
-                &mut executed,
-            )
-            .unwrap_or(None);
-        {
-            let mut exec = self.exec.borrow_mut();
-            exec.instructions += executed;
-            exec.machine_steps += 1;
-        }
-
-        // Change detection over the written footprint only (byte-level,
-        // like the whole-block path): anything else cannot have moved.
-        // In diff mode the re-encoded prefix is diffed against the
-        // authoritative old image and only the changed runs are staged;
-        // otherwise the state word plus every write-set slot commit.
-        let mut buf = [0u8; NV_VALUE_BYTES];
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let changed = if self.diff_enabled {
-            lm.layout
-                .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-            runs = diff_runs(&scratch.block, &scratch.block_new);
-            !runs.is_empty()
-        } else {
-            let mut c = state != before_state;
-            if !c {
-                for &slot in &access.writes {
-                    let off = lm.layout.slots[slot as usize].offset;
-                    let w = lm.layout.encode_slot_into(
-                        slot as usize,
-                        &scratch.vars[slot as usize],
-                        &mut buf,
-                    );
-                    if scratch.block[off..off + w] != buf[..w] {
-                        c = true;
-                        break;
-                    }
-                }
-            }
-            c
-        };
-        if emit.is_none() && !changed {
-            return self.finish_plain(dev, Completion::Bit(done));
-        }
-
-        let mut stx = SparseTx::new();
-        if self.diff_enabled {
-            for &(s, e) in &runs {
-                stx.push_raw(addr + s, scratch.block_new[s..e].to_vec());
-            }
-        } else {
-            stx.push_raw(addr, lm.layout.encode_state(state));
-            for &slot in &access.writes {
-                let off = lm.layout.slots[slot as usize].offset;
-                let w = lm.layout.encode_slot_into(
-                    slot as usize,
-                    &scratch.vars[slot as usize],
-                    &mut buf,
-                );
-                stx.push_raw(addr + off, buf[..w].to_vec());
-            }
-        }
-        let mut staged = None;
-        if let Some(fail) = emit {
-            let count = self.read_verdict_count_cached(dev)?;
-            let value = (i, encode_action(fail.action, fail.path.or(lm.machine.path)));
-            stx.push(&self.verdict_cells[count as usize], value);
-            stx.push(&self.verdict_count, count + 1);
-            staged = Some((count as usize, value));
-        }
-        let rs = self
-            .routed
-            .as_ref()
-            .expect("delta step without routed state");
-        rs.done.push(&mut stx, done);
-        dev.commit_sparse(&self.journal, &stx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, Some(&access.writes));
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            c.done = Some(done);
-            if let Some((slot, value)) = staged {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, value);
-                c.verdict_count = Some(slot as u32 + 1);
-            }
-        });
-        Ok(())
-    }
-
-    /// Interpreter step: the original reference path over per-variable
-    /// cells.
+    /// Interpreter step: the reference path over per-variable cells,
+    /// committing the changed cells, any verdict and `done` (the event
+    /// lane's bitmap with this machine's bit set) in one entry-list
+    /// transaction.
     fn step_interpreted(
         &self,
         dev: &mut Device,
-        i: u32,
-        lm: &LoadedMachine,
+        i: usize,
         encoded: &EncodedEvent,
-        path_dismissed: bool,
-        completion: Completion,
+        done: &[u8],
     ) -> Result<(), Interrupt> {
+        let lm = &self.machines[i];
         let MachineStore::Cells {
             state_cell,
             var_cells,
@@ -2863,12 +2183,12 @@ impl MonitorEngine {
 
         // Cheap dismissals first — the generated C's trigger test. A
         // dismissed machine cannot change state, so its step completion
-        // is a plain counter write (re-execution is harmless).
-        let dismissed =
-            path_dismissed || matches!(&lm.observed, Some(tasks) if !tasks.contains(&encoded.task));
+        // is a plain bitmap write (re-execution is harmless).
+        let dismissed = path_dismissed(lm, encoded)
+            || matches!(&lm.observed, Some(tasks) if !tasks.contains(&encoded.task));
         if dismissed {
             dev.compute(STEP_BASE_CYCLES)?;
-            return self.finish_plain(dev, completion);
+            return self.finish_plain(dev, Lane::Event, done);
         }
 
         // Model the compute cost of the generated step function.
@@ -2912,11 +2232,11 @@ impl MonitorEngine {
         let emit = step(&lm.machine, &mut mstate, &ir_event).unwrap_or(None);
         scratch.vars = mstate.vars;
 
-        // Implicit self-transition with no effects: plain counter write,
+        // Implicit self-transition with no effects: plain bitmap write,
         // no journal round-trip (matches the generated C, which only
         // touches FRAM on actual assignments).
         if emit.is_none() && mstate.state == before_state && scratch.vars == scratch.before_vars {
-            return self.finish_plain(dev, completion);
+            return self.finish_plain(dev, Lane::Event, done);
         }
 
         let mut tx = TxWriter::new();
@@ -2933,27 +2253,16 @@ impl MonitorEngine {
             }
         }
         if let Some(fail) = emit {
-            self.stage_verdict(dev, &mut tx, i, fail.action, fail.path.or(lm.machine.path))?;
+            let count = self.read_verdict_count_cached(dev)?;
+            let value = (
+                i as u32,
+                encode_action(fail.action, fail.path.or(lm.machine.path)),
+            );
+            tx.write(&self.verdict_cells[count as usize], value);
+            tx.write(&self.verdict_count, count + 1);
         }
-        self.finish_atomic(dev, completion, &mut tx)
-    }
-
-    /// Appends one verdict to the persistent verdict log inside `tx`.
-    /// Returns the staged `(slot, value)` so callers can write it
-    /// through to the shadow once the transaction commits.
-    fn stage_verdict(
-        &self,
-        dev: &mut Device,
-        tx: &mut TxWriter,
-        i: u32,
-        action: OnFail,
-        path: Option<u32>,
-    ) -> Result<(usize, VerdictCell), Interrupt> {
-        let count = self.read_verdict_count_cached(dev)?;
-        let value = (i, encode_action(action, path));
-        tx.write(&self.verdict_cells[count as usize], value);
-        tx.write(&self.verdict_count, count + 1);
-        Ok((count as usize, value))
+        tx.write_raw(self.events.done.addr, done.to_vec());
+        dev.commit(&self.journal, &tx)
     }
 
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
@@ -2985,6 +2294,17 @@ impl MonitorEngine {
     /// Resolves a task's id to the name index used in encoded events.
     pub fn encode_task(task: TaskId) -> u32 {
         task.0
+    }
+}
+
+/// The `Path:` qualifier (paper §3.2): a property on a merged task is
+/// checked only against events from its governing path.
+fn path_dismissed(lm: &LoadedMachine, encoded: &EncodedEvent) -> bool {
+    match lm.machine.path {
+        Some(machine_path) => {
+            encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
+        }
+        None => false,
     }
 }
 
@@ -3449,18 +2769,17 @@ mod tests {
             .unwrap();
         assert_eq!(key.machines, MACHINES);
         assert_eq!(key.emitters, 0);
-        // Every machine degrades to whole-block commits, so the warm-
-        // cache bound keeps exactly the 2-entry commit protocol reads.
+        // Every machine degrades to whole-block commits: one block
+        // read and one 3-sub-write sparse commit each.
         assert_eq!(key.degraded_machines, MACHINES);
-        assert_eq!(key.cached_reads, MACHINES * 5);
+        assert_eq!(key.reads, 2 + 4 + MACHINES + 1);
+        assert_eq!(key.writes, 8 + MACHINES * 5);
         assert_eq!(key.cold_extra_reads, 2 + MACHINES);
 
-        // Both cache modes must match their static model exactly; the
-        // write model is cache-independent (write-through).
-        for (cache, model_reads) in [
-            (CacheMode::Disabled, key.reads),
-            (CacheMode::Enabled, key.cached_reads),
-        ] {
+        // Both cache modes must match their static model exactly: a
+        // warm delivery reads nothing, and the write model is
+        // cache-independent (write-through).
+        for (cache, model_reads) in [(CacheMode::Disabled, key.reads), (CacheMode::Enabled, 0)] {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let engine = MonitorEngine::install_with(
                 &mut dev,
@@ -3553,20 +2872,14 @@ mod tests {
         // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
         assert_eq!(key.reads, 2 + 4 + MACHINES + 1);
         assert_eq!(key.writes, 8 + MACHINES * 6);
-        // Every commit on this key is sparse: warm deliveries are
-        // WRITE-ONLY (the headline cache bound), and a reboot's refill
-        // is flag + seq + one whole-block fill per armed machine.
-        assert_eq!(key.cached_reads, 0);
+        // A reboot's refill is flag + seq + one whole-block fill per
+        // armed machine.
         assert_eq!(key.cold_extra_reads, 2 + MACHINES);
-        assert_eq!(key.cached_ops(), key.writes);
 
         // `DiffMode::Disabled` pins the slot-granular commit format the
         // static model prices; the dirty-diff default can only shave
         // sub-writes off it (see `diff_commits_undercut_the_model`).
-        for (cache, model_reads) in [
-            (CacheMode::Disabled, key.reads),
-            (CacheMode::Enabled, key.cached_reads),
-        ] {
+        for (cache, model_reads) in [(CacheMode::Disabled, key.reads), (CacheMode::Enabled, 0)] {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let engine = MonitorEngine::install_with(
                 &mut dev,
@@ -3768,9 +3081,16 @@ mod tests {
 
         // Interpreter mode runs no bytecode: counters stay zero.
         let mut dev_i = DeviceBuilder::msp430fr5994().build();
-        let engine_i =
-            MonitorEngine::install_with_mode(&mut dev_i, suite, &app, ExecMode::Interpreter)
-                .unwrap();
+        let engine_i = MonitorEngine::install_with(
+            &mut dev_i,
+            suite,
+            &app,
+            InstallOptions {
+                mode: ExecMode::Interpreter,
+                ..InstallOptions::default()
+            },
+        )
+        .unwrap();
         engine_i.reset_monitor(&mut dev_i).unwrap();
         engine_i
             .call_monitor(&mut dev_i, 1, &MonitorEvent::start(t0, t(1)))
@@ -3977,13 +3297,11 @@ mod tests {
         );
     }
 
-    /// The shadow cache is on by default on the routed compiled path
-    /// and silently degrades to `Disabled` everywhere it cannot help:
-    /// the interpreter (per-cell storage, no block image to shadow),
-    /// full-scan routing (no worklist to shadow), and an explicit
-    /// opt-out.
+    /// The shadow cache is on by default in compiled mode and silently
+    /// degrades to `Disabled` in the interpreter (per-cell storage, no
+    /// block image to shadow) and on an explicit opt-out.
     #[test]
-    fn cache_degrades_off_the_routed_compiled_path() {
+    fn cache_runs_on_compiled_engines_only() {
         let spec = "accel { maxTries: 3 onFail: skipPath; }";
         let app = app();
 
@@ -3999,13 +3317,6 @@ mod tests {
             (
                 InstallOptions {
                     mode: ExecMode::Interpreter,
-                    ..InstallOptions::default()
-                },
-                CacheMode::Disabled,
-            ),
-            (
-                InstallOptions {
-                    routing: RoutingMode::FullScan,
                     ..InstallOptions::default()
                 },
                 CacheMode::Disabled,
@@ -4072,8 +3383,8 @@ mod tests {
     }
 
     /// Reboot storm: every clean reboot re-pays only the cold-miss
-    /// refill, which the static bound caps at `cold_extra_reads` (flag
-    /// + seq + one whole-block fill per armed machine) on top of the
+    /// refill, which the static bound caps at `cold_extra_reads` (flag,
+    /// seq and one whole-block fill per armed machine) on top of the
     /// finalize probe — and nothing accumulates across reboots.
     #[test]
     fn reboot_storm_cold_misses_stay_within_static_bound() {
@@ -4118,8 +3429,6 @@ mod tests {
             .iter()
             .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
             .unwrap();
-        assert_eq!(key.cached_reads, 0);
-
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
@@ -4131,7 +3440,7 @@ mod tests {
         // The finalize pending-probe after a clean reboot costs 3 cold
         // reads (journal flag + worklist count + done mask); the next
         // delivery pays the cold refill, bounded by cold_extra_reads.
-        let per_reboot_bound = 3 + key.cold_extra_reads + key.cached_reads;
+        let per_reboot_bound = 3 + key.cold_extra_reads;
         for r in 0..REBOOTS {
             dev.power_cycle();
             let reads0 = dev.fram().read_ops();
@@ -4215,87 +3524,43 @@ mod tests {
         assert!(after > before, "monitor state must live in monitor FRAM");
     }
 
-    #[test]
-    fn routed_is_the_default_and_full_scan_is_selectable() {
-        let app = app();
-        let spec = "accel { maxTries: 5 onFail: skipPath; }";
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let suite = artemis_ir::compile(spec, &app).unwrap();
-        let routed = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        assert_eq!(routed.routing_mode(), RoutingMode::Routed);
-
-        let suite = artemis_ir::compile(spec, &app).unwrap();
-        let scan = MonitorEngine::install_with_routing(
-            &mut dev,
-            suite,
-            &app,
-            ExecMode::Compiled,
-            RoutingMode::FullScan,
-        )
-        .unwrap();
-        assert_eq!(scan.routing_mode(), RoutingMode::FullScan);
-    }
-
-    #[test]
-    fn oversized_suite_degrades_to_full_scan() {
-        let app = app();
-        let mut src = String::new();
-        for i in 0..=MAX_ROUTED_MACHINES {
-            src.push_str(&format!(
-                "machine m{i} task accel persistent {{ state S initial; \
-                 on startTask(accel) from S to S {{ }}; }}\n"
-            ));
-        }
-        let suite = artemis_ir::parse::parse_suite(&src).unwrap();
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        assert_eq!(engine.routing_mode(), RoutingMode::FullScan);
-    }
-
+    /// A start event on `accel` must not touch machines that only
+    /// watch `send`: the routed delivery reads exactly as much FRAM
+    /// with seven bystanders installed as without them.
     #[test]
     fn routed_path_skips_uninterested_machines() {
-        // One machine watches `accel`, fifteen watch `send`. A start
-        // event on `accel` must not read the fifteen bystanders' blocks:
-        // routed FRAM reads stay well below the full scan's.
         let app = app();
-        let mut src = String::from(
-            "machine hot task accel persistent { state S initial; \
-             on startTask(accel) from S to S { }; }\n",
-        );
-        for i in 0..15 {
-            src.push_str(&format!(
-                "machine cold{i} task send persistent {{ state S initial; \
-                 on startTask(send) from S to S {{ }}; }}\n"
-            ));
-        }
-
-        let ops_for = |routing: RoutingMode| {
+        let hot = "machine hot task accel persistent { state S initial; \
+                   on startTask(accel) from S to S { }; }\n";
+        let reads_with = |bystanders: usize| {
+            let mut src = String::from(hot);
+            for i in 0..bystanders {
+                src.push_str(&format!(
+                    "machine cold{i} task send persistent {{ state S initial; \
+                     on startTask(send) from S to S {{ }}; }}\n"
+                ));
+            }
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let suite = artemis_ir::parse::parse_suite(&src).unwrap();
-            let engine = MonitorEngine::install_with_routing(
-                &mut dev,
-                suite,
-                &app,
-                ExecMode::Compiled,
-                routing,
-            )
-            .unwrap();
+            let opts = InstallOptions {
+                cache: CacheMode::Disabled,
+                ..InstallOptions::default()
+            };
+            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
             engine.reset_monitor(&mut dev).unwrap();
             let accel = app.task_by_name("accel").unwrap();
-            let before = dev.fram().read_ops();
+            let before = (dev.fram().read_ops(), dev.fram().read_bytes());
             engine
                 .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
                 .unwrap();
-            dev.fram().read_ops() - before
+            (
+                dev.fram().read_ops() - before.0,
+                dev.fram().read_bytes() - before.1,
+            )
         };
-
-        let routed = ops_for(RoutingMode::Routed);
-        let scanned = ops_for(RoutingMode::FullScan);
-        assert!(
-            routed * 2 < scanned,
-            "routing saved too little: routed={routed} full-scan={scanned}"
-        );
+        // Eight machines still fit the one-byte done bitmap, so even
+        // the byte counts agree.
+        assert_eq!(reads_with(7), reads_with(0));
     }
 
     #[test]
@@ -4370,8 +3635,10 @@ mod finalize_tests {
         // between machine steps, then finalize after "reboot".
         let mut interrupted = false;
         for seq in 1..200u64 {
-            // Drain close to empty so the next event brown-outs mid-way.
-            while dev.energy_level() > Energy::from_nano_joules(900) {
+            // Drain close to empty so the next event brown-outs mid-way;
+            // sweep the residue so some attempt lands between steps.
+            let residue = Energy::from_nano_joules(200 + (seq * 53) % 1_200);
+            while dev.energy_level() > residue {
                 let _ = dev.compute(100);
             }
             let ev = MonitorEvent::start(a, SimInstant::from_micros(seq));

@@ -3,6 +3,11 @@
 //! [`MonitorEngine`] (FRAM-backed, journaled, resumable) equal those of
 //! the pure in-memory interpreter in `artemis_ir::exec` — with and
 //! without power failures injected between deliveries.
+//!
+//! Every differential property runs across the whole configuration
+//! matrix ([`matrix`]: both shadow-cache modes × both bytecode
+//! optimization levels), so one `cargo test` covers every engine the
+//! install options can build.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
 use artemis_core::event::MonitorEvent;
@@ -10,10 +15,9 @@ use artemis_core::property::OnFail;
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
-use artemis_ir::OptLevel;
+use artemis_ir::{MonitorSuite, OptLevel};
 use artemis_monitor::{
-    BatchMode, CacheMode, DeltaMode, DiffMode, ExecMode, InstallOptions, MonitorEngine,
-    MonitorVerdict, RoutingMode,
+    BatchMode, CacheMode, DiffMode, ExecMode, InstallOptions, MonitorEngine, MonitorVerdict,
 };
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
@@ -36,32 +40,45 @@ fn app() -> AppGraph {
     builder.build().unwrap()
 }
 
-/// CI runs this whole suite twice: once with the shadow cache at its
-/// default (`Enabled`) and once with `ARTEMIS_CACHE_MODE=disabled`, so
-/// every differential property below doubles as a cache oracle.
-fn env_cache_mode() -> CacheMode {
-    match std::env::var("ARTEMIS_CACHE_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("disabled") => CacheMode::Disabled,
-        _ => CacheMode::Enabled,
-    }
+/// Every compiled-engine configuration the differential properties
+/// run: both shadow-cache modes × both bytecode optimization levels
+/// (the cache and the optimizer are each observationally invisible,
+/// so every cell must match the interpreter).
+fn matrix() -> impl Iterator<Item = InstallOptions> {
+    [CacheMode::Enabled, CacheMode::Disabled]
+        .into_iter()
+        .flat_map(|cache| {
+            [OptLevel::Full, OptLevel::None]
+                .into_iter()
+                .map(move |opt| InstallOptions {
+                    cache,
+                    opt,
+                    ..InstallOptions::default()
+                })
+        })
 }
 
-/// CI also runs the suite once with `ARTEMIS_OPT_LEVEL=none`, forcing
-/// every engine below onto the unoptimized differential oracle — so
-/// each property doubles as a bytecode-optimizer oracle too.
-fn env_opt_level() -> OptLevel {
-    OptLevel::from_env()
-}
-
-/// [`InstallOptions::default`] with the cache mode and bytecode
-/// optimization level taken from the environment — the baseline every
-/// helper in this file installs with.
-fn base_opts() -> InstallOptions {
+/// The interpreter's options: the reference semantics every matrix
+/// cell is compared against.
+fn interpreter() -> InstallOptions {
     InstallOptions {
-        cache: env_cache_mode(),
-        opt: env_opt_level(),
+        mode: ExecMode::Interpreter,
         ..InstallOptions::default()
     }
+}
+
+/// An intermittent device that browns out every `budget_nj`.
+fn flaky_device(budget_nj: u64) -> Device {
+    DeviceBuilder::msp430fr5994()
+        .trace_disabled()
+        .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
+        .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
+        .build()
+}
+
+/// A device on continuous power.
+fn steady_device() -> Device {
+    DeviceBuilder::msp430fr5994().trace_disabled().build()
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -111,9 +128,14 @@ fn oracle(app: &AppGraph, events: &[Ev]) -> Vec<Vec<(usize, OnFail)>> {
 }
 
 /// Engine verdicts on the given device (which may inject failures).
-fn engine_run(app: &AppGraph, events: &[Ev], dev: &mut Device) -> Vec<Vec<(usize, OnFail)>> {
+fn engine_run(
+    app: &AppGraph,
+    events: &[Ev],
+    dev: &mut Device,
+    opts: InstallOptions,
+) -> Vec<Vec<(usize, OnFail)>> {
     let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let engine = MonitorEngine::install_with(dev, suite, app, base_opts()).unwrap();
+    let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
     // Drive through the simulator so power failures reboot and resume.
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -164,11 +186,6 @@ fn engine_run(app: &AppGraph, events: &[Ev], dev: &mut Device) -> Vec<Vec<(usize
     });
     assert!(outcome.is_completed(), "stream never finished");
     results
-}
-
-/// Lowers the oracle's EmitFail actions to the same space.
-fn normalise(oracle: Vec<Vec<(usize, OnFail)>>) -> Vec<Vec<(usize, OnFail)>> {
-    oracle
 }
 
 // ---------------------------------------------------------------------------
@@ -310,43 +327,8 @@ fn rich_event(e: &Ev, dep: Option<u32>, t: u64) -> MonitorEvent {
 /// (state word, variable values) of one engine run.
 type RunOutcome = (Vec<Vec<MonitorVerdict>>, Vec<(u32, Vec<Value>)>);
 
-/// Runs one spec/event stream through the engine in the given mode and
-/// returns (per-event verdicts, final FRAM-visible machine state).
-fn engine_run_mode(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    mode: ExecMode,
-) -> RunOutcome {
-    engine_run_routing(app, spec, events, dev, mode, RoutingMode::default())
-}
-
-/// [`engine_run_mode`] with an explicit routing mode (armed worklists
-/// vs the full-scan reference path).
-fn engine_run_routing(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    mode: ExecMode,
-    routing: RoutingMode,
-) -> RunOutcome {
-    engine_run_opts(
-        app,
-        spec,
-        events,
-        dev,
-        InstallOptions {
-            mode,
-            routing,
-            ..base_opts()
-        },
-    )
-}
-
-/// [`engine_run_mode`] with full [`InstallOptions`] (delta commits on
-/// or off, capacity overrides).
+/// Runs one spec/event stream through an engine installed with `opts`
+/// and returns (per-event verdicts, final FRAM-visible machine state).
 fn engine_run_opts(
     app: &AppGraph,
     spec: &str,
@@ -355,6 +337,17 @@ fn engine_run_opts(
     opts: InstallOptions,
 ) -> RunOutcome {
     let suite = artemis_ir::compile(spec, app).unwrap();
+    engine_run_suite(app, suite, events, dev, opts)
+}
+
+/// [`engine_run_opts`] over an already-lowered suite.
+fn engine_run_suite(
+    app: &AppGraph,
+    suite: MonitorSuite,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+    opts: InstallOptions,
+) -> RunOutcome {
     let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -395,19 +388,7 @@ fn engine_run_batch(
     events: &[(Ev, Option<u32>)],
     dev: &mut Device,
     chunk: usize,
-) -> RunOutcome {
-    engine_run_batch_cache(app, spec, events, dev, chunk, env_cache_mode())
-}
-
-/// [`engine_run_batch`] with an explicit cache mode, for the cached vs
-/// uncached batch differentials below.
-fn engine_run_batch_cache(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    chunk: usize,
-    cache: CacheMode,
+    opts: InstallOptions,
 ) -> RunOutcome {
     let suite = artemis_ir::compile(spec, app).unwrap();
     let engine = MonitorEngine::install_with(
@@ -416,8 +397,7 @@ fn engine_run_batch_cache(
         app,
         InstallOptions {
             batch: BatchMode::Enabled { max_events: chunk },
-            cache,
-            ..InstallOptions::default()
+            ..opts
         },
     )
     .unwrap();
@@ -456,17 +436,39 @@ fn engine_run_batch_cache(
     (results, snapshot)
 }
 
+/// A 100-machine IR suite — past what one 64-bit bitmap word could
+/// track — mixing every trigger shape over both tasks: each machine
+/// counts its trigger and emits `skipTask` (resetting the count) once
+/// the count reaches a per-machine limit.
+fn hundred_machine_suite() -> MonitorSuite {
+    let src: String = (0..100)
+        .map(|i| {
+            let trigger = ["startTask(a)", "endTask(a)", "startTask(b)", "endTask(b)"][i % 4];
+            let task = if i % 4 < 2 { "a" } else { "b" };
+            let limit = 1 + i % 5;
+            format!(
+                "machine m{i} task {task} persistent {{ var n: int = 0; state S initial; \
+                 on {trigger} from S to S if n < {limit} {{ n := (n + 1); }}; \
+                 on {trigger} from S to S if n >= {limit} {{ n := 0; }} fail skipTask; }}\n"
+            )
+        })
+        .collect();
+    artemis_ir::parse::parse_suite(&src).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Continuous power: engine ≡ interpreter, verdict for verdict.
+    /// Continuous power: engine ≡ interpreter, verdict for verdict, in
+    /// every configuration.
     #[test]
     fn engine_equals_interpreter_on_continuous_power(events in ev_strategy()) {
         let app = app();
-        let expected = normalise(oracle(&app, &events));
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let got = engine_run(&app, &events, &mut dev);
-        prop_assert_eq!(got, expected);
+        let expected = oracle(&app, &events);
+        for opts in matrix() {
+            let got = engine_run(&app, &events, &mut steady_device(), opts);
+            prop_assert_eq!(&got, &expected, "{:?}", opts);
+        }
     }
 
     /// Intermittent power: power failures between (and inside) event
@@ -477,35 +479,34 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = app();
-        let expected = normalise(oracle(&app, &events));
-        let mut dev = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let got = engine_run(&app, &events, &mut dev);
-        prop_assert_eq!(got, expected, "budget {} nJ", budget_nj);
+        let expected = oracle(&app, &events);
+        for opts in matrix() {
+            let got = engine_run(&app, &events, &mut flaky_device(budget_nj), opts);
+            prop_assert_eq!(&got, &expected, "budget {} nJ, {:?}", budget_nj, opts);
+        }
     }
 
-    /// Random specs, continuous power: the compiled bytecode path and
-    /// the interpreter path agree on every verdict (machine, action,
-    /// path target) and on the final persistent machine state.
+    /// Random specs, continuous power: the compiled engine agrees with
+    /// the interpreter engine on every verdict (machine, action, path
+    /// target) and on the final persistent machine state — routed
+    /// worklists, span loads, sparse and whole-block commits, the
+    /// shadow cache and the optimizer included.
     #[test]
     fn compiled_equals_interpreter_on_random_specs(
         spec in spec_strategy(),
         events in rich_ev_strategy(),
     ) {
         let app = rich_app();
-        let mut dev_c = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_mode(&app, &spec, &events, &mut dev_c, ExecMode::Compiled);
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(vc, vi, "verdict divergence on spec: {}", spec);
-        prop_assert_eq!(sc, si, "state divergence on spec: {}", spec);
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        for opts in matrix() {
+            let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut steady_device(), opts);
+            prop_assert_eq!(&vc, &vi, "verdict divergence, {:?}, spec: {}", opts, spec);
+            prop_assert_eq!(&sc, &si, "state divergence, {:?}, spec: {}", opts, spec);
+        }
     }
 
     /// Random specs under random power-failure schedules: the compiled
-    /// path on an intermittent device must match the interpreter on
+    /// engine on an intermittent device must match the interpreter on
     /// continuous power — resumability and semantics at once.
     #[test]
     fn compiled_equals_interpreter_under_random_power_failures(
@@ -514,174 +515,21 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_mode(&app, &spec, &events, &mut dev_c, ExecMode::Compiled);
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(vc, vi, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(sc, si, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
-    }
-
-    /// Optimized bytecode (`OptLevel::Full`) vs the unoptimized oracle
-    /// (`OptLevel::None`) vs the interpreter, on random specs and
-    /// continuous power: every verdict and the final decoded machine
-    /// state must agree three ways.
-    #[test]
-    fn optimized_equals_unoptimized_and_interpreter_on_random_specs(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-    ) {
-        let app = rich_app();
-        let mut dev_o = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vo, so) = engine_run_opts(
-            &app, &spec, &events, &mut dev_o,
-            InstallOptions { opt: OptLevel::Full, ..base_opts() });
-        let (vu, su) = engine_run_opts(
-            &app, &spec, &events, &mut dev_u,
-            InstallOptions { opt: OptLevel::None, ..base_opts() });
-        let (vi, si) = engine_run_opts(
-            &app, &spec, &events, &mut dev_i,
-            InstallOptions { mode: ExecMode::Interpreter, ..base_opts() });
-        prop_assert_eq!(&vo, &vu, "Full/None verdict divergence on spec: {}", spec);
-        prop_assert_eq!(&so, &su, "Full/None state divergence on spec: {}", spec);
-        prop_assert_eq!(vo, vi, "Full/interpreter verdict divergence on spec: {}", spec);
-        prop_assert_eq!(so, si, "Full/interpreter state divergence on spec: {}", spec);
-    }
-
-    /// Optimized bytecode on an intermittent device vs the unoptimized
-    /// oracle on continuous power: fused superinstructions must replay
-    /// across random power-failure schedules without changing a verdict
-    /// or a variable — the optimizer cannot move a crash window in an
-    /// observable way.
-    #[test]
-    fn optimized_equals_unoptimized_under_random_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_o = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vo, so) = engine_run_opts(
-            &app, &spec, &events, &mut dev_o,
-            InstallOptions { opt: OptLevel::Full, ..base_opts() });
-        let (vu, su) = engine_run_opts(
-            &app, &spec, &events, &mut dev_u,
-            InstallOptions { opt: OptLevel::None, ..base_opts() });
-        prop_assert_eq!(vo, vu, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(so, su, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
-    }
-
-    /// Routed dispatch (armed worklists + completion bitmap) vs the
-    /// full-scan reference path: identical verdicts and FRAM-visible
-    /// machine state on every random spec and event stream.
-    #[test]
-    fn routed_equals_full_scan_on_random_specs(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-    ) {
-        let app = rich_app();
-        let mut dev_r = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vr, sr) = engine_run_routing(
-            &app, &spec, &events, &mut dev_r, ExecMode::Compiled, RoutingMode::Routed);
-        let (vf, sf) = engine_run_routing(
-            &app, &spec, &events, &mut dev_f, ExecMode::Compiled, RoutingMode::FullScan);
-        prop_assert_eq!(vr, vf, "verdict divergence on spec: {}", spec);
-        prop_assert_eq!(sr, sf, "state divergence on spec: {}", spec);
-    }
-
-    /// Sparse delta commits vs whole-block commits: the two journal
-    /// formats must be observationally identical — same verdicts, same
-    /// FRAM-visible machine state — on every random spec and stream.
-    #[test]
-    fn delta_equals_whole_block_on_random_specs(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_w = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { delta: DeltaMode::Auto, ..base_opts() });
-        let (vw, sw) = engine_run_opts(
-            &app, &spec, &events, &mut dev_w,
-            InstallOptions { delta: DeltaMode::Disabled, ..base_opts() });
-        prop_assert_eq!(vd, vw, "verdict divergence on spec: {}", spec);
-        prop_assert_eq!(sd, sw, "state divergence on spec: {}", spec);
-    }
-
-    /// Sparse delta commits on an intermittent device vs whole-block
-    /// commits on continuous power: delta records must recover across
-    /// random power-failure schedules without changing a verdict or a
-    /// variable.
-    #[test]
-    fn delta_equals_whole_block_under_random_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_w = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { delta: DeltaMode::Auto, ..base_opts() });
-        let (vw, sw) = engine_run_opts(
-            &app, &spec, &events, &mut dev_w,
-            InstallOptions { delta: DeltaMode::Disabled, ..base_opts() });
-        prop_assert_eq!(vd, vw, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(sd, sw, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        for opts in matrix() {
+            let (vc, sc) =
+                engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), opts);
+            prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
+            prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
+        }
     }
 
     /// Byte-granular dirty-diff commits vs slot-granular commits vs the
-    /// tree-walking interpreter, continuous power: journalling only the
-    /// changed bytes of a machine image must be observationally
-    /// invisible on every random spec and stream. (CI reruns the file
-    /// with `ARTEMIS_CACHE_MODE=disabled`, where `DiffMode::Auto`
-    /// degrades to slot-granular and this becomes a pure oracle run.)
-    #[test]
-    fn diff_equals_slot_granular_and_interpreter_on_random_specs(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_s = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { diff: DiffMode::Auto, ..base_opts() });
-        let (vs, ss) = engine_run_opts(
-            &app, &spec, &events, &mut dev_s,
-            InstallOptions { diff: DiffMode::Disabled, ..base_opts() });
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vd, &vs, "diff vs slot-granular verdicts, spec: {}", spec);
-        prop_assert_eq!(&sd, &ss, "diff vs slot-granular state, spec: {}", spec);
-        prop_assert_eq!(&vd, &vi, "diff vs interpreter verdicts, spec: {}", spec);
-        prop_assert_eq!(&sd, &si, "diff vs interpreter state, spec: {}", spec);
-    }
-
-    /// Dirty-diff commits on an intermittent device vs slot-granular
-    /// commits and the interpreter on continuous power: a reboot can
-    /// land between any two diff-run applications, and replaying the
-    /// minimal `[addr][len][data]` records must reconstruct exactly the
-    /// image slot-granular replay would have.
+    /// interpreter on an intermittent device: a reboot can land between
+    /// any two diff-run applications, and replaying the minimal
+    /// `[addr][len][data]` records must reconstruct exactly the image
+    /// slot-granular replay would have. (With the cache off,
+    /// `DiffMode::Auto` degrades to slot-granular.)
     #[test]
     fn diff_equals_slot_granular_and_interpreter_under_random_power_failures(
         spec in spec_strategy(),
@@ -689,130 +537,112 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_s = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { diff: DiffMode::Auto, ..base_opts() });
-        let (vs, ss) = engine_run_opts(
-            &app, &spec, &events, &mut dev_s,
-            InstallOptions { diff: DiffMode::Disabled, ..base_opts() });
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vd, &vs, "diff vs slot-granular verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sd, &ss, "diff vs slot-granular state, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&vd, &vi, "diff vs interpreter verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sd, &si, "diff vs interpreter state, budget {} nJ, spec: {}", budget_nj, spec);
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        for opts in matrix() {
+            for diff in [DiffMode::Auto, DiffMode::Disabled] {
+                let opts = InstallOptions { diff, ..opts };
+                let (vd, sd) =
+                    engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), opts);
+                prop_assert_eq!(&vd, &vi, "verdicts, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
+                prop_assert_eq!(&sd, &si, "state, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
+            }
+        }
     }
 
-    /// Group-commit batch delivery vs the per-event delta path vs the
-    /// tree-walking interpreter, on burst-shaped streams: all three
-    /// must agree on every verdict and on the final FRAM-visible
-    /// machine state, for every batch size.
+    /// Group-commit batch delivery vs the interpreter, on burst-shaped
+    /// streams: every verdict and the final FRAM-visible machine state
+    /// must agree, for every batch size and configuration.
     #[test]
-    fn batched_equals_per_event_and_interpreter_on_burst_streams(
+    fn batched_equals_interpreter_on_burst_streams(
         spec in spec_strategy(),
         events in burst_ev_strategy(),
         chunk in 1usize..5,
     ) {
         let app = rich_app();
-        let mut dev_b = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_e = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut dev_b, chunk);
-        let (ve, se) = engine_run_mode(&app, &spec, &events, &mut dev_e, ExecMode::Compiled);
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vb, &ve, "batch(chunk {}) vs per-event verdicts, spec: {}", chunk, spec);
-        prop_assert_eq!(&sb, &se, "batch(chunk {}) vs per-event state, spec: {}", chunk, spec);
-        prop_assert_eq!(&vb, &vi, "batch(chunk {}) vs interpreter verdicts, spec: {}", chunk, spec);
-        prop_assert_eq!(&sb, &si, "batch(chunk {}) vs interpreter state, spec: {}", chunk, spec);
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        for opts in matrix() {
+            let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut steady_device(), chunk, opts);
+            prop_assert_eq!(&vb, &vi, "batch(chunk {}) verdicts, {:?}, spec: {}", chunk, opts, spec);
+            prop_assert_eq!(&sb, &si, "batch(chunk {}) state, {:?}, spec: {}", chunk, opts, spec);
+        }
     }
 
-    /// Batch delivery on an intermittent device vs the per-event path
-    /// on continuous power: reboots land inside the batch window —
-    /// after arming, between per-machine commits, during readback —
-    /// and must never change a verdict or a variable.
+    /// Batch delivery on an intermittent device vs the interpreter on
+    /// continuous power: reboots land inside the batch window — after
+    /// arming, between per-machine commits, during readback — and must
+    /// never change a verdict or a variable.
     #[test]
-    fn batched_equals_per_event_under_random_power_failures(
+    fn batched_equals_interpreter_under_random_power_failures(
         spec in spec_strategy(),
         events in burst_ev_strategy(),
         chunk in 2usize..5,
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_b = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_e = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut dev_b, chunk);
-        let (ve, se) = engine_run_mode(&app, &spec, &events, &mut dev_e, ExecMode::Compiled);
-        prop_assert_eq!(vb, ve, "verdicts, chunk {}, budget {} nJ, spec: {}", chunk, budget_nj, spec);
-        prop_assert_eq!(sb, se, "state, chunk {}, budget {} nJ, spec: {}", chunk, budget_nj, spec);
-    }
-
-    /// Routed dispatch on an intermittent device vs full scan on
-    /// continuous power: the armed worklist must resume exactly across
-    /// random power-failure schedules, verdict for verdict.
-    #[test]
-    fn routed_equals_full_scan_under_random_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_r = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vr, sr) = engine_run_routing(
-            &app, &spec, &events, &mut dev_r, ExecMode::Compiled, RoutingMode::Routed);
-        let (vf, sf) = engine_run_routing(
-            &app, &spec, &events, &mut dev_f, ExecMode::Compiled, RoutingMode::FullScan);
-        prop_assert_eq!(vr, vf, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(sr, sf, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
-    }
-
-    /// The shadow cache must be observationally invisible: cached
-    /// delivery on an intermittent device (reboots wipe the shadows
-    /// mid-stream) vs uncached delivery and the interpreter on
-    /// continuous power — identical verdicts and FRAM-visible state on
-    /// every random spec, stream, and power-failure schedule.
-    #[test]
-    fn cached_equals_uncached_and_interpreter_under_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_opts(
-            &app, &spec, &events, &mut dev_c,
-            InstallOptions { cache: CacheMode::Enabled, ..InstallOptions::default() });
-        let (vu, su) = engine_run_opts(
-            &app, &spec, &events, &mut dev_u,
-            InstallOptions { cache: CacheMode::Disabled, ..InstallOptions::default() });
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vc, &vu, "cached vs uncached verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sc, &su, "cached vs uncached state, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&vc, &vi, "cached vs interpreter verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sc, &si, "cached vs interpreter state, budget {} nJ, spec: {}", budget_nj, spec);
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        for opts in matrix() {
+            let (vb, sb) =
+                engine_run_batch(&app, &spec, &events, &mut flaky_device(budget_nj), chunk, opts);
+            prop_assert_eq!(&vb, &vi, "verdicts, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, opts, spec);
+            prop_assert_eq!(&sb, &si, "state, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, opts, spec);
+        }
     }
 }
 
+/// Guards the premise of the 100-machine property: on a plain stream
+/// its machines do fire, on both tasks' keys.
+#[test]
+fn hundred_machine_suite_fires_verdicts() {
+    let app = rich_app();
+    let events: Vec<(Ev, Option<u32>)> = (0..12)
+        .map(|i| {
+            let e = Ev {
+                start: i % 2 == 0,
+                task_a: i % 4 < 2,
+                gap_ms: 10,
+            };
+            (e, None)
+        })
+        .collect();
+    let (verdicts, _) = engine_run_suite(
+        &app,
+        hundred_machine_suite(),
+        &events,
+        &mut steady_device(),
+        InstallOptions::default(),
+    );
+    let fired: Vec<usize> = verdicts.iter().flatten().map(|v| v.machine_index).collect();
+    assert!(fired.iter().any(|&m| m >= 64), "{fired:?}");
+    assert!(fired.iter().any(|&m| m % 4 < 2) && fired.iter().any(|&m| m % 4 >= 2));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// A 100-machine suite routes, installs with the shadow cache, and
+    /// matches the interpreter on verdicts and FRAM-visible state under
+    /// random power failures — no machine-count cliff.
+    #[test]
+    fn hundred_machine_suite_matches_interpreter_under_power_failures(
+        events in rich_ev_strategy(),
+        budget_nj in 4_000u64..40_000,
+    ) {
+        let app = rich_app();
+        let mut dev = flaky_device(budget_nj);
+        let cached = MonitorEngine::install(&mut dev, hundred_machine_suite(), &app).unwrap();
+        prop_assert_eq!(cached.cache_mode(), CacheMode::Enabled);
+        prop_assert_eq!(cached.machine_count(), 100);
+
+        let (vi, si) = engine_run_suite(
+            &app, hundred_machine_suite(), &events, &mut steady_device(), interpreter());
+        for opts in matrix() {
+            let (vc, sc) = engine_run_suite(
+                &app, hundred_machine_suite(), &events, &mut flaky_device(budget_nj), opts);
+            prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}", budget_nj, opts);
+            prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}", budget_nj, opts);
+        }
+    }
+}
 // ---------------------------------------------------------------------------
 // Arming-commit crash windows (deterministic).
 //
@@ -865,30 +695,23 @@ fn crash_events() -> Vec<(Ev, Option<u32>)> {
 fn arming_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vf, sf) = engine_run_routing(
+    let (vf, sf) = engine_run_opts(
         &app,
         CRASH_SPEC,
         &events,
-        &mut dev_f,
-        ExecMode::Compiled,
-        RoutingMode::FullScan,
+        &mut steady_device(),
+        interpreter(),
     );
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
-        let mut dev_r = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let (vr, sr) = engine_run_routing(
+        let mut dev_r = flaky_device(budget_nj);
+        let (vr, sr) = engine_run_opts(
             &app,
             CRASH_SPEC,
             &events,
             &mut dev_r,
-            ExecMode::Compiled,
-            RoutingMode::Routed,
+            InstallOptions::default(),
         );
         assert_eq!(vr, vf, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sr, sf, "state divergence at budget {budget_nj} nJ");
@@ -917,7 +740,7 @@ fn optimizer_crash_windows_preserve_verdicts_and_state() {
         &mut dev_u,
         InstallOptions {
             opt: OptLevel::None,
-            ..base_opts()
+            ..InstallOptions::default()
         },
     );
 
@@ -935,7 +758,7 @@ fn optimizer_crash_windows_preserve_verdicts_and_state() {
             &mut dev_o,
             InstallOptions {
                 opt: OptLevel::Full,
-                ..base_opts()
+                ..InstallOptions::default()
             },
         );
         assert_eq!(vo, vu, "verdict divergence at budget {budget_nj} nJ");
@@ -973,7 +796,7 @@ const TWIN_IR: &str = "\
 /// Budget sweep landing brown-outs in every window of the sparse
 /// commit: after every recovery point the two correlated counters must
 /// be equal (old image or new image, never a mix), and the final state
-/// must match a continuous-power whole-block run.
+/// must match a continuous-power interpreter run.
 #[test]
 fn sparse_delta_commit_crash_windows_never_tear() {
     const EVENTS: u64 = 30;
@@ -994,20 +817,11 @@ fn sparse_delta_commit_crash_windows_never_tear() {
     );
     assert_eq!(key.degraded_machines, 0);
 
-    // Continuous-power whole-block reference image.
+    // Continuous-power interpreter reference image.
     let reference = {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                delta: DeltaMode::Disabled,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
+        let engine = MonitorEngine::install_with(&mut dev, suite, &app, interpreter()).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
         for seq in 1..=EVENTS {
             engine
@@ -1212,32 +1026,33 @@ fn diff_commit_crash_windows_never_tear() {
 // ---------------------------------------------------------------------------
 
 /// Budget sweep over the whole batch protocol on the multi-machine
-/// crash stream: verdicts and FRAM state must match the full-scan
-/// per-event reference at every budget. The floor sits just above the
+/// crash stream: verdicts and FRAM state must match the interpreter
+/// reference at every budget. The floor sits just above the
 /// batch engine's install cost (the batch regions make installation a
 /// little dearer than the per-event engine's 700 nJ).
 #[test]
 fn batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vf, sf) = engine_run_routing(
+    let (vf, sf) = engine_run_opts(
         &app,
         CRASH_SPEC,
         &events,
-        &mut dev_f,
-        ExecMode::Compiled,
-        RoutingMode::FullScan,
+        &mut steady_device(),
+        interpreter(),
     );
 
     let mut total_reboots = 0u64;
     for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_b = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let (vb, sb) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_b, 4);
+        let mut dev_b = flaky_device(budget_nj);
+        let (vb, sb) = engine_run_batch(
+            &app,
+            CRASH_SPEC,
+            &events,
+            &mut dev_b,
+            4,
+            InstallOptions::default(),
+        );
         assert_eq!(vb, vf, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sb, sf, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_b.reboots();
@@ -1316,14 +1131,11 @@ fn cached_batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
     let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vu, su) = engine_run_batch_cache(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_u,
-        4,
-        CacheMode::Disabled,
-    );
+    let uncached = InstallOptions {
+        cache: CacheMode::Disabled,
+        ..InstallOptions::default()
+    };
+    let (vu, su) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_u, 4, uncached);
 
     let mut total_reboots = 0u64;
     for budget_nj in (900..3_200).step_by(25) {
@@ -1332,8 +1144,8 @@ fn cached_batch_crash_windows_preserve_verdicts_and_state() {
             .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
             .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
             .build();
-        let (vc, sc) =
-            engine_run_batch_cache(&app, CRASH_SPEC, &events, &mut dev_c, 4, CacheMode::Enabled);
+        let cached = InstallOptions::default();
+        let (vc, sc) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_c, 4, cached);
         assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_c.reboots();
@@ -1418,7 +1230,6 @@ fn redelivered_completed_seq_only_replays_verdicts() {
     let mut dev = DeviceBuilder::msp430fr5994().build();
     let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
     engine.reset_monitor(&mut dev).unwrap();
-    assert_eq!(engine.routing_mode(), RoutingMode::Routed);
 
     let a = TaskId(0);
     // Rapid-fire starts until a property fires (maxTries: 3 fires by
