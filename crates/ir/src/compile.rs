@@ -116,6 +116,67 @@ pub enum Op {
     },
 }
 
+impl Op {
+    /// The instruction's branch target, if it has one.
+    pub(crate) fn target(&self) -> Option<u32> {
+        match *self {
+            Op::Jump { target }
+            | Op::JumpIfFalse { target, .. }
+            | Op::JumpIfTrue { target, .. }
+            | Op::CmpBranch { target, .. }
+            | Op::LoadCmpBranch { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the instruction's branch target.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jump { target }
+            | Op::JumpIfFalse { target, .. }
+            | Op::JumpIfTrue { target, .. }
+            | Op::CmpBranch { target, .. }
+            | Op::LoadCmpBranch { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// `(reads, write)`: the scratch registers the instruction reads
+    /// and the one it writes.
+    pub(crate) fn regs(&self) -> ([Option<u16>; 2], Option<u16>) {
+        match *self {
+            Op::Const { dst, .. }
+            | Op::LoadVar { dst, .. }
+            | Op::LoadEventTime { dst }
+            | Op::LoadDepData { dst }
+            | Op::LoadEnergy { dst }
+            | Op::LoadCmpBranch { dst, .. } => ([None, None], Some(dst)),
+            Op::Bin { dst, a, b, .. } | Op::CmpBranch { dst, a, b, .. } => {
+                ([Some(a), Some(b)], Some(dst))
+            }
+            Op::Not { dst, src } => ([Some(src), None], Some(dst)),
+            Op::AssertBool { src }
+            | Op::JumpIfFalse { src, .. }
+            | Op::JumpIfTrue { src, .. }
+            | Op::StoreVar { src, .. } => ([Some(src), None], None),
+            Op::Jump { .. } | Op::ConstStore { .. } => ([None, None], None),
+        }
+    }
+
+    /// One past the highest register the instruction names (0 when it
+    /// names none): the scratch file it needs.
+    pub(crate) fn reg_span(&self) -> usize {
+        let (reads, write) = self.regs();
+        reads
+            .into_iter()
+            .chain([write])
+            .flatten()
+            .map(|r| r as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// Why a machine could not be compiled. Machines that pass
 /// [`crate::validate::validate_strict`] and observe only tasks present
 /// in the application graph always compile.
@@ -256,96 +317,6 @@ impl AccessSet {
     }
 }
 
-/// Computes the access set of one dispatch list by scanning the guard
-/// and body ranges of every routed transition. Tolerates raw machines
-/// with out-of-range indices (clamped / skipped): access sets are
-/// derived data, and unverified machines are rejected by the analyser
-/// before any of this matters.
-fn access_for_list(
-    code: &[Op],
-    transitions: &[CompiledTransition],
-    list: &[u16],
-    var_count: usize,
-) -> AccessSet {
-    let mut read = vec![false; var_count];
-    let mut written = vec![false; var_count];
-    let scan = |range: &Range<u32>, read: &mut Vec<bool>, written: &mut Vec<bool>| {
-        let ops = code
-            .get(range.start as usize..range.end as usize)
-            .unwrap_or(&[]);
-        for op in ops {
-            match op {
-                Op::LoadVar { slot, .. } => {
-                    if let Some(r) = read.get_mut(*slot as usize) {
-                        *r = true;
-                    }
-                }
-                Op::StoreVar { slot, .. } => {
-                    if let Some(w) = written.get_mut(*slot as usize) {
-                        *w = true;
-                    }
-                }
-                Op::LoadCmpBranch { slot, .. } => {
-                    if let Some(r) = read.get_mut(*slot as usize) {
-                        *r = true;
-                    }
-                }
-                Op::ConstStore { slot, .. } => {
-                    if let Some(w) = written.get_mut(*slot as usize) {
-                        *w = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-    };
-    for &ti in list {
-        let Some(t) = transitions.get(ti as usize) else {
-            continue;
-        };
-        if let Some(g) = &t.guard {
-            scan(g, &mut read, &mut written);
-        }
-        scan(&t.body, &mut read, &mut written);
-    }
-    let collect = |bits: &[bool]| {
-        bits.iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i as u16)
-            .collect::<Vec<u16>>()
-    };
-    let reads = collect(&read);
-    let writes = collect(&written);
-    let touched = (0..var_count).filter(|&i| read[i] || written[i]).count();
-    let whole_block = var_count == 0 || touched * DEGRADE_DEN >= var_count * DEGRADE_NUM;
-    AccessSet {
-        reads,
-        writes,
-        whole_block,
-    }
-}
-
-/// Derives per-key access sets for a machine's dispatch tables. Called
-/// from both the compiler and [`CompiledMachine::from_raw`], so mutated
-/// raw machines always carry access sets consistent with their code.
-fn build_access_sets(
-    code: &[Op],
-    transitions: &[CompiledTransition],
-    dispatch: &[Vec<Vec<u16>>; 2],
-    wildcard: &[Vec<u16>; 2],
-    var_count: usize,
-) -> ([Vec<AccessSet>; 2], [AccessSet; 2]) {
-    let per_kind = |k: usize| {
-        dispatch[k]
-            .iter()
-            .map(|list| access_for_list(code, transitions, list, var_count))
-            .collect::<Vec<_>>()
-    };
-    let wc = |k: usize| access_for_list(code, transitions, &wildcard[k], var_count);
-    ([per_kind(0), per_kind(1)], [wc(0), wc(1)])
-}
-
 /// The statically-derived worst-case compute cost of delivering one
 /// event to one `(event kind, task)` dispatch key: a CPU-cycle ceiling
 /// (priced through [`OpCycles`], including the per-transition dispatch
@@ -360,6 +331,24 @@ pub struct StepCost {
     pub cycles: u64,
     /// Worst-case bytecode instructions one `step` can execute.
     pub instructions: u64,
+}
+
+impl StepCost {
+    /// Component-wise saturating sum.
+    fn plus(self, o: StepCost) -> StepCost {
+        StepCost {
+            cycles: self.cycles.saturating_add(o.cycles),
+            instructions: self.instructions.saturating_add(o.instructions),
+        }
+    }
+
+    /// Component-wise maximum.
+    fn max_each(self, o: StepCost) -> StepCost {
+        StepCost {
+            cycles: self.cycles.max(o.cycles),
+            instructions: self.instructions.max(o.instructions),
+        }
+    }
 }
 
 /// Cycle price of one instruction under `c`.
@@ -378,18 +367,24 @@ fn op_price(op: &Op, c: &OpCycles) -> u64 {
 
 /// Worst-path cost of one instruction range: a longest-path DP over
 /// the forward-jump DAG (exact for straight-line code, the maximising
-/// branch side otherwise). Backward or out-of-range targets — which
-/// the verifier rejects, so they never reach the engine — degrade to
-/// the sum of every instruction in the range.
-fn range_cost(code: &[Op], range: &Range<u32>, prices: &OpCycles) -> StepCost {
+/// branch side otherwise), in the reusable buffer `dp`. Backward or
+/// out-of-range targets — which the verifier rejects, so they never
+/// reach the engine — degrade to the sum of every instruction in the
+/// range.
+fn range_cost(
+    code: &[Op],
+    range: &Range<u32>,
+    prices: &OpCycles,
+    dp: &mut Vec<StepCost>,
+) -> StepCost {
     let start = range.start as usize;
     let end = (range.end as usize).min(code.len());
     if start >= end {
         return StepCost::default();
     }
     let n = end - start;
-    let mut cyc = vec![0u64; n + 1];
-    let mut ins = vec![0u64; n + 1];
+    dp.clear();
+    dp.resize(n + 1, StepCost::default());
     for i in (0..n).rev() {
         let op = &code[start + i];
         // Local successor of a branch target; `None` marks a target the
@@ -398,33 +393,22 @@ fn range_cost(code: &[Op], range: &Range<u32>, prices: &OpCycles) -> StepCost {
             let t = t as usize;
             (t > start + i && t <= end).then(|| t - start)
         };
-        let succs: (usize, Option<usize>) = match op {
-            Op::Jump { target } => match local(*target) {
-                Some(t) => (t, None),
-                None => {
-                    return sum_cost(&code[start..end], prices);
-                }
-            },
-            Op::JumpIfFalse { target, .. }
-            | Op::JumpIfTrue { target, .. }
-            | Op::CmpBranch { target, .. }
-            | Op::LoadCmpBranch { target, .. } => match local(*target) {
-                Some(t) => (i + 1, Some(t)),
-                None => {
-                    return sum_cost(&code[start..end], prices);
-                }
-            },
-            _ => (i + 1, None),
+        let succs = match (op, op.target()) {
+            (Op::Jump { .. }, Some(t)) => local(t).map(|t| (t, None)),
+            (_, Some(t)) => local(t).map(|t| (i + 1, Some(t))),
+            (_, None) => Some((i + 1, None)),
         };
-        let (s0, s1) = succs;
-        let max2 = |v: &[u64]| v[s0].max(s1.map_or(0, |s| v[s]));
-        cyc[i] = op_price(op, prices).saturating_add(max2(&cyc));
-        ins[i] = 1 + max2(&ins);
+        let Some((s0, s1)) = succs else {
+            return sum_cost(&code[start..end], prices);
+        };
+        let next = s1.map_or(dp[s0], |s| dp[s0].max_each(dp[s]));
+        dp[i] = StepCost {
+            cycles: op_price(op, prices),
+            instructions: 1,
+        }
+        .plus(next);
     }
-    StepCost {
-        cycles: cyc[0],
-        instructions: ins[0],
-    }
+    dp[0]
 }
 
 /// Conservative fallback for ranges the DP cannot order: every
@@ -436,79 +420,150 @@ fn sum_cost(ops: &[Op], prices: &OpCycles) -> StepCost {
     }
 }
 
-/// Worst-case cost of one `step` over `list`: the dispatch scan price
-/// for every listed transition, plus — maximised over every state the
-/// listed transitions fire from — the worst stop point of the
-/// first-match scan (guards of every earlier same-state transition,
-/// then either a taken transition's body or no match at all).
-fn list_step_cost(
-    code: &[Op],
-    transitions: &[CompiledTransition],
-    list: &[u16],
-    prices: &OpCycles,
-) -> StepCost {
-    let cost_of =
-        |r: Option<&Range<u32>>| r.map_or(StepCost::default(), |r| range_cost(code, r, prices));
-    let mut states: Vec<u32> = list
-        .iter()
-        .filter_map(|&ti| transitions.get(ti as usize).map(|t| t.from))
-        .collect();
-    states.sort_unstable();
-    states.dedup();
-    let mut best = StepCost::default();
-    for s in states {
-        let mut run = StepCost::default();
-        let mut worst = StepCost::default();
+/// What every dispatch key's derived data is folded from: the slots
+/// each transition's guard or body may read or write (bitsets) and the
+/// worst-path cost of its guard and body. Computed once per transition,
+/// however many keys dispatch it.
+struct TransitionFacts {
+    /// `u64` words per slot bitset.
+    words: usize,
+    /// Read bitsets, `words` per transition.
+    reads: Vec<u64>,
+    /// Write bitsets, `words` per transition.
+    writes: Vec<u64>,
+    /// `(guard, body)` worst-path cost per transition.
+    costs: Vec<(StepCost, StepCost)>,
+}
+
+impl TransitionFacts {
+    /// Scans every transition's ranges once. Tolerates raw machines
+    /// with out-of-range indices (such ranges read as empty, such slots
+    /// are skipped): derived data is only trusted for machines the
+    /// analyser accepts.
+    fn derive(
+        code: &[Op],
+        transitions: &[CompiledTransition],
+        var_count: usize,
+        prices: &OpCycles,
+    ) -> Self {
+        let words = var_count.div_ceil(64);
+        let mut reads = vec![0u64; transitions.len() * words];
+        let mut writes = vec![0u64; transitions.len() * words];
+        let mut costs = Vec::with_capacity(transitions.len());
+        let mut dp = Vec::new();
+        for (ti, t) in transitions.iter().enumerate() {
+            for range in t.guard.iter().chain([&t.body]) {
+                let ops = code
+                    .get(range.start as usize..range.end as usize)
+                    .unwrap_or(&[]);
+                for op in ops {
+                    let (bits, slot) = match *op {
+                        Op::LoadVar { slot, .. } | Op::LoadCmpBranch { slot, .. } => {
+                            (&mut reads, slot as usize)
+                        }
+                        Op::StoreVar { slot, .. } | Op::ConstStore { slot, .. } => {
+                            (&mut writes, slot as usize)
+                        }
+                        _ => continue,
+                    };
+                    if slot < var_count {
+                        bits[ti * words + slot / 64] |= 1u64 << (slot % 64);
+                    }
+                }
+            }
+            let guard = t.guard.as_ref().map_or(StepCost::default(), |g| {
+                range_cost(code, g, prices, &mut dp)
+            });
+            costs.push((guard, range_cost(code, &t.body, prices, &mut dp)));
+        }
+        TransitionFacts {
+            words,
+            reads,
+            writes,
+            costs,
+        }
+    }
+
+    /// The access set of one dispatch list: the union of its
+    /// transitions' bitsets, accumulated in the reusable buffer `acc`.
+    fn access(&self, list: &[u16], var_count: usize, acc: &mut Vec<u64>) -> AccessSet {
+        let w = self.words;
+        acc.clear();
+        acc.resize(2 * w, 0);
+        let (reads, writes) = acc.split_at_mut(w);
         for &ti in list {
-            let Some(t) = transitions.get(ti as usize) else {
+            let ti = ti as usize;
+            if ti < self.costs.len() {
+                let row = ti * w..(ti + 1) * w;
+                for (a, b) in reads.iter_mut().zip(&self.reads[row.clone()]) {
+                    *a |= b;
+                }
+                for (a, b) in writes.iter_mut().zip(&self.writes[row]) {
+                    *a |= b;
+                }
+            }
+        }
+        let touched: usize = reads
+            .iter()
+            .zip(writes.iter())
+            .map(|(r, w)| (r | w).count_ones() as usize)
+            .sum();
+        AccessSet {
+            reads: slots_of(reads),
+            writes: slots_of(writes),
+            whole_block: var_count == 0 || touched * DEGRADE_DEN >= var_count * DEGRADE_NUM,
+        }
+    }
+
+    /// Worst-case cost of one `step` over `list`: the dispatch scan
+    /// price for every listed transition, plus — maximised over every
+    /// state the listed transitions fire from — the worst stop point of
+    /// the first-match scan (guards of every earlier same-state
+    /// transition, then either a taken transition's body or no match at
+    /// all).
+    fn step_cost(&self, transitions: &[CompiledTransition], list: &[u16], scan: u64) -> StepCost {
+        let from = |ti: u16| transitions.get(ti as usize).map(|t| t.from);
+        let mut best = StepCost::default();
+        for (j, &tj) in list.iter().enumerate() {
+            let Some(s) = from(tj) else {
                 continue;
             };
-            if t.from != s {
+            // Each source state once, at its first listed transition.
+            if list[..j].iter().any(|&e| from(e) == Some(s)) {
                 continue;
             }
-            let guard = cost_of(t.guard.as_ref());
-            run.cycles = run.cycles.saturating_add(guard.cycles);
-            run.instructions = run.instructions.saturating_add(guard.instructions);
-            let body = cost_of(Some(&t.body));
-            worst.cycles = worst.cycles.max(run.cycles.saturating_add(body.cycles));
-            worst.instructions = worst
-                .instructions
-                .max(run.instructions.saturating_add(body.instructions));
+            let (mut run, mut worst) = (StepCost::default(), StepCost::default());
+            for &ti in &list[j..] {
+                if from(ti) != Some(s) {
+                    continue;
+                }
+                let (guard, body) = self.costs[ti as usize];
+                run = run.plus(guard);
+                worst = worst.max_each(run.plus(body));
+            }
+            // No transition matched: every same-state guard still ran.
+            best = best.max_each(worst.max_each(run));
         }
-        // No transition matched: every same-state guard still ran.
-        worst.cycles = worst.cycles.max(run.cycles);
-        worst.instructions = worst.instructions.max(run.instructions);
-        best.cycles = best.cycles.max(worst.cycles);
-        best.instructions = best.instructions.max(worst.instructions);
-    }
-    StepCost {
-        cycles: best
-            .cycles
-            .saturating_add(prices.transition_scan.saturating_mul(list.len() as u64)),
-        instructions: best.instructions,
+        StepCost {
+            cycles: best
+                .cycles
+                .saturating_add(scan.saturating_mul(list.len() as u64)),
+            instructions: best.instructions,
+        }
     }
 }
 
-/// Derives per-key step-cost ceilings for a machine's dispatch tables,
-/// mirroring [`build_access_sets`]: recomputed from the code in both
-/// the compiler and [`CompiledMachine::from_raw`], so optimized or
-/// mutated programs always carry costs consistent with what they
-/// execute.
-fn build_step_costs(
-    code: &[Op],
-    transitions: &[CompiledTransition],
-    dispatch: &[Vec<Vec<u16>>; 2],
-    wildcard: &[Vec<u16>; 2],
-) -> ([Vec<StepCost>; 2], [StepCost; 2]) {
-    let prices = OpCycles::default();
-    let per_kind = |k: usize| {
-        dispatch[k]
-            .iter()
-            .map(|list| list_step_cost(code, transitions, list, &prices))
-            .collect::<Vec<_>>()
-    };
-    let wc = |k: usize| list_step_cost(code, transitions, &wildcard[k], &prices);
-    ([per_kind(0), per_kind(1)], [wc(0), wc(1)])
+/// The set bits of a slot bitset, ascending.
+fn slots_of(bits: &[u64]) -> Vec<u16> {
+    let mut slots = Vec::new();
+    for (k, &word) in bits.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            slots.push((k * 64 + w.trailing_zeros() as usize) as u16);
+            w &= w - 1;
+        }
+    }
+    slots
 }
 
 /// One monitor compiled to bytecode plus dispatch tables.
@@ -596,16 +651,20 @@ impl CompiledMachine {
     /// straight-from-lowering bytecode and serves as the differential
     /// oracle for the optimizer, exactly as `ExecMode::Interpreter`
     /// does for the compiler.
+    ///
+    /// Codegen yields raw parts, the optimizer rewrites them in place,
+    /// and [`CompiledMachine::from_raw`] derives the access sets,
+    /// packed layout and step costs once, from the final code.
     pub fn compile_with(
         machine: &StateMachine,
         app: &AppGraph,
         opt: crate::opt::OptLevel,
     ) -> Result<Self, CompileIssue> {
-        let compiled = Compiler::new(machine, app).run()?;
-        Ok(match opt {
-            crate::opt::OptLevel::None => compiled,
-            crate::opt::OptLevel::Full => crate::opt::optimize_machine(&compiled),
-        })
+        let raw = Compiler::new(machine, app).run()?;
+        Ok(CompiledMachine::from_raw(match opt {
+            crate::opt::OptLevel::None => raw,
+            crate::opt::OptLevel::Full => crate::opt::optimize_raw(raw),
+        }))
     }
 
     /// Registers [`CompiledMachine::step`] requires in its scratch file.
@@ -690,15 +749,25 @@ impl CompiledMachine {
     /// keeping derived data consistent; `var_inits` is padded with
     /// `Int(0)` / truncated to `var_count`.
     pub fn from_raw(raw: RawMachine) -> Self {
-        let (access, wildcard_access) = build_access_sets(
-            &raw.code,
-            &raw.transitions,
-            &raw.dispatch,
-            &raw.wildcard,
-            raw.var_count,
-        );
-        let (step_cost, wildcard_step_cost) =
-            build_step_costs(&raw.code, &raw.transitions, &raw.dispatch, &raw.wildcard);
+        let prices = OpCycles::default();
+        let facts = TransitionFacts::derive(&raw.code, &raw.transitions, raw.var_count, &prices);
+        let mut acc = Vec::new();
+        let mut per_key = |list: &[u16]| {
+            (
+                facts.access(list, raw.var_count, &mut acc),
+                facts.step_cost(&raw.transitions, list, prices.transition_scan),
+            )
+        };
+        let mut access: [Vec<AccessSet>; 2] = Default::default();
+        let mut step_cost: [Vec<StepCost>; 2] = Default::default();
+        for ((lists, acc_k), cost_k) in raw.dispatch.iter().zip(&mut access).zip(&mut step_cost) {
+            for list in lists {
+                let (a, c) = per_key(list);
+                acc_k.push(a);
+                cost_k.push(c);
+            }
+        }
+        let [(wa0, wc0), (wa1, wc1)] = [0, 1].map(|k| per_key(&raw.wildcard[k]));
         let mut var_inits = raw.var_inits;
         var_inits.resize(raw.var_count, Value::Int(0));
         let layout = MachineLayout::packed(
@@ -719,10 +788,10 @@ impl CompiledMachine {
             var_count: raw.var_count,
             var_inits,
             access,
-            wildcard_access,
+            wildcard_access: [wa0, wa1],
             layout,
             step_cost,
-            wildcard_step_cost,
+            wildcard_step_cost: [wc0, wc1],
         }
     }
 
@@ -935,7 +1004,7 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn run(mut self) -> Result<CompiledMachine, CompileIssue> {
+    fn run(mut self) -> Result<RawMachine, CompileIssue> {
         if self.machine.vars.len() > u16::MAX as usize
             || self.machine.transitions.len() > u16::MAX as usize
         {
@@ -984,24 +1053,7 @@ impl<'a> Compiler<'a> {
             }
         }
 
-        let (access, wildcard_access) = build_access_sets(
-            &self.code,
-            &transitions,
-            &dispatch,
-            &wildcard,
-            self.machine.vars.len(),
-        );
-        let (step_cost, wildcard_step_cost) =
-            build_step_costs(&self.code, &transitions, &dispatch, &wildcard);
-        let var_inits = self.machine.initial_vars();
-        let layout = MachineLayout::packed(
-            &var_inits,
-            &self.code,
-            &self.lits,
-            &transitions,
-            self.machine.initial,
-        );
-        Ok(CompiledMachine {
+        Ok(RawMachine {
             code: self.code,
             lits: self.lits,
             transitions,
@@ -1010,12 +1062,7 @@ impl<'a> Compiler<'a> {
             max_regs: self.max_regs,
             initial_state: self.machine.initial,
             var_count: self.machine.vars.len(),
-            var_inits,
-            access,
-            wildcard_access,
-            layout,
-            step_cost,
-            wildcard_step_cost,
+            var_inits: self.machine.initial_vars(),
         })
     }
 
@@ -1629,6 +1676,37 @@ mod tests {
         }
         let c2 = CompiledMachine::from_raw(raw);
         assert_eq!(c2.access(EventKind::StartTask, 0).writes, vec![2]);
+    }
+
+    /// Compiling derives access sets, layout and step costs once, from
+    /// the final code: the one-shot compile equals the staged
+    /// codegen → `optimize_machine` pipeline, and both equal a
+    /// reassembly from their own raw parts.
+    #[test]
+    fn derived_data_is_a_function_of_the_final_code() {
+        use crate::opt::OptLevel;
+        let app = app();
+        let spec = "a { maxTries: 3 onFail: skipPath; }\n\
+                    b { MITD: 10s dpTask: a onFail: restartPath maxAttempt: 2 onFail: skipPath; \
+                        collect: 2 dpTask: a onFail: restartPath; \
+                        maxDuration: 5s onFail: skipTask; }";
+        let suite = crate::compile(spec, &app).unwrap();
+        for m in suite.machines() {
+            let full = CompiledMachine::compile_with(m, &app, OptLevel::Full).unwrap();
+            let none = CompiledMachine::compile_with(m, &app, OptLevel::None).unwrap();
+            let staged = crate::opt::optimize_machine(&none);
+            let again = CompiledMachine::from_raw(full.to_raw());
+            for other in [&staged, &again] {
+                assert_eq!(full.code, other.code, "{}", m.name);
+                assert_eq!(full.lits, other.lits, "{}", m.name);
+                assert_eq!(full.max_regs, other.max_regs, "{}", m.name);
+                assert_eq!(full.access, other.access, "{}", m.name);
+                assert_eq!(full.wildcard_access, other.wildcard_access, "{}", m.name);
+                assert_eq!(full.step_cost, other.step_cost, "{}", m.name);
+                assert_eq!(full.wildcard_step_cost, other.wildcard_step_cost);
+                assert_eq!(full.layout, other.layout, "{}", m.name);
+            }
+        }
     }
 
     #[test]

@@ -406,10 +406,6 @@ impl AbsVal {
 }
 
 const FULL: (i64, i64) = (i64::MIN, i64::MAX);
-/// Outer fixpoint pass budget before widening every unstable `Int`
-/// slot to the full `i64` range (a terminal state, so the analysis
-/// always converges).
-const MAX_PASSES: usize = 64;
 
 /// Sound per-slot integer bounds: for each `Int`-typed slot, an
 /// interval containing every value the machine can ever store there.
@@ -431,6 +427,17 @@ const MAX_PASSES: usize = 64;
 /// join across the pass: the compiler only emits forward jumps, so any
 /// execution's register value at an instruction is covered by some
 /// in-order prefix's accumulated state.
+///
+/// **Pass budget.** A store chain moves an interval one slot further
+/// per pass, so `n` slots without a growth cycle stop changing within
+/// `n` passes; the budget of `n + 2` consecutive changing passes adds
+/// slack for a mirror store (`x := c - x` settles on its second
+/// application). A slot still moving after that sits on a growth cycle
+/// (`x := x + 1`) whose least fixpoint reaches an `i64` bound — an
+/// 8-byte encoding either way — so it is widened to the full range
+/// there and then. A widened slot never moves again, so each widening
+/// retires at least one slot and the analysis ends within
+/// `(n + 1) · (n + 2)` passes.
 pub fn int_bounds(var_inits: &[Value], code: &[Op], lits: &[Value]) -> Vec<(i64, i64)> {
     let n = var_inits.len();
     let mut slots: Vec<AbsVal> = var_inits.iter().map(AbsVal::of).collect();
@@ -439,162 +446,28 @@ pub fn int_bounds(var_inits: &[Value], code: &[Op], lits: &[Value]) -> Vec<(i64,
     // control flow (the verifier's strictly-forward jump rule, which
     // every installed machine has passed). Mutated raw code with a
     // backward jump gets the trivially sound answer instead.
-    let backward = code.iter().enumerate().any(|(i, op)| match *op {
-        Op::Jump { target }
-        | Op::JumpIfFalse { target, .. }
-        | Op::JumpIfTrue { target, .. }
-        | Op::CmpBranch { target, .. }
-        | Op::LoadCmpBranch { target, .. } => (target as usize) <= i,
-        _ => false,
-    });
+    let backward = code
+        .iter()
+        .enumerate()
+        .any(|(i, op)| op.target().is_some_and(|t| t as usize <= i));
     if backward {
         return vec![FULL; n];
     }
 
-    let max_reg = code
-        .iter()
-        .map(|op| match *op {
-            Op::Const { dst, .. }
-            | Op::LoadVar { dst, .. }
-            | Op::LoadEventTime { dst }
-            | Op::LoadDepData { dst }
-            | Op::LoadEnergy { dst } => dst as usize,
-            Op::Bin { dst, a, b, .. } | Op::CmpBranch { dst, a, b, .. } => {
-                (dst as usize).max(a as usize).max(b as usize)
-            }
-            Op::Not { dst, src } => (dst as usize).max(src as usize),
-            Op::AssertBool { src } | Op::JumpIfFalse { src, .. } | Op::JumpIfTrue { src, .. } => {
-                src as usize
-            }
-            Op::Jump { .. } | Op::ConstStore { .. } => 0,
-            Op::StoreVar { src, .. } => src as usize,
-            Op::LoadCmpBranch { dst, .. } => dst as usize,
-        })
-        .max()
-        .map(|m| m + 1)
-        .unwrap_or(1);
-
-    // Outer fixpoint with per-slot widening: after `MAX_PASSES` passes
-    // without convergence, the slots still moving are widened to the
-    // full range (terminal), the budget resets, and the remaining
-    // (smaller) system continues. Stable slots keep their tight
-    // intervals — one diverging counter cannot cost its neighbours
-    // their packing. The hard cap bounds total work even for adversarial
-    // mutated bytecode.
-    let mut pass = 0usize;
-    let mut total = 0usize;
-    let hard_cap = MAX_PASSES * (n + 2);
-    loop {
-        let mut changed = false;
-        let mut changed_slots = vec![false; n];
-        let store = |slots: &mut Vec<AbsVal>,
-                     changed_slots: &mut Vec<bool>,
-                     slot: usize,
-                     v: AbsVal,
-                     changed: &mut bool| {
-            if slot >= n {
-                return;
-            }
-            // StoreVar runs through `coerce`: the stored value lands in
-            // the slot only when it coerces to the slot's type. For an
-            // Int slot that means Int stays as-is, Time maps into
-            // [0, i64::MAX] (try_from floor 0 / fallback MAX), anything
-            // else leaves the slot unchanged. Non-Int slots keep their
-            // type by the same rule.
-            let cur = slots[slot];
-            let incoming = match (v, cur) {
-                (AbsVal::Int(lo, hi), AbsVal::Int(..)) => AbsVal::Int(lo, hi),
-                (AbsVal::Time, AbsVal::Int(..)) => AbsVal::Int(0, i64::MAX),
-                (AbsVal::Top, AbsVal::Int(..)) => AbsVal::Int(FULL.0, FULL.1),
-                (AbsVal::Bot, _) => return,
-                // Same-type (or unknown) stores into non-Int slots keep
-                // the slot's abstract type.
-                _ => cur,
-            };
-            let joined = cur.join(incoming);
-            if joined != cur {
-                slots[slot] = joined;
-                changed_slots[slot] = true;
-                *changed = true;
-            }
-        };
-
-        let mut regs = vec![AbsVal::Bot; max_reg];
-        for op in code {
-            match *op {
-                Op::Const { dst, lit } => {
-                    regs[dst as usize] = lits
-                        .get(lit as usize)
-                        .map(AbsVal::of)
-                        .unwrap_or(AbsVal::Top);
-                }
-                Op::LoadVar { dst, slot } => {
-                    regs[dst as usize] = if (slot as usize) < n {
-                        slots[slot as usize]
-                    } else {
-                        AbsVal::Top
-                    };
-                }
-                Op::LoadEventTime { dst } => regs[dst as usize] = AbsVal::Time,
-                Op::LoadDepData { dst } => regs[dst as usize] = AbsVal::Float,
-                Op::LoadEnergy { dst } => regs[dst as usize] = AbsVal::Int(0, i64::MAX),
-                Op::Bin { op, dst, a, b } => {
-                    let (a, b) = (regs[a as usize], regs[b as usize]);
-                    regs[dst as usize] = abs_bin(op, a, b);
-                }
-                Op::Not { dst, .. } => regs[dst as usize] = AbsVal::Bool,
-                Op::AssertBool { .. } | Op::Jump { .. } => {}
-                Op::JumpIfFalse { .. } | Op::JumpIfTrue { .. } => {}
-                Op::StoreVar { slot, src } => {
-                    let v = regs[src as usize];
-                    store(
-                        &mut slots,
-                        &mut changed_slots,
-                        slot as usize,
-                        v,
-                        &mut changed,
-                    );
-                }
-                // The fused branches survive only when their result
-                // reads as a bool, so `dst` is `Bool` past them — same
-                // reasoning as `Not`.
-                Op::CmpBranch { dst, .. } | Op::LoadCmpBranch { dst, .. } => {
-                    regs[dst as usize] = AbsVal::Bool
-                }
-                Op::ConstStore { slot, lit } => {
-                    let v = lits
-                        .get(lit as usize)
-                        .map(AbsVal::of)
-                        .unwrap_or(AbsVal::Top);
-                    store(
-                        &mut slots,
-                        &mut changed_slots,
-                        slot as usize,
-                        v,
-                        &mut changed,
-                    );
+    let regs_len = code.iter().map(Op::reg_span).max().unwrap_or(0).max(1);
+    let mut regs = vec![AbsVal::Bot; regs_len];
+    let mut moved = vec![false; n];
+    let mut streak = 0;
+    while interval_pass(code, lits, &mut slots, &mut regs, &mut moved) {
+        streak += 1;
+        if streak >= n + 2 {
+            for (s, &m) in slots.iter_mut().zip(&moved) {
+                if m {
+                    // Only `Int` slots ever move (see `store`).
+                    *s = AbsVal::Int(FULL.0, FULL.1);
                 }
             }
-        }
-
-        if !changed {
-            break;
-        }
-        pass += 1;
-        total += 1;
-        if pass >= MAX_PASSES || total >= hard_cap {
-            for (s, &moved) in slots.iter_mut().zip(&changed_slots) {
-                if moved || total >= hard_cap {
-                    *s = match s {
-                        AbsVal::Int(..) => AbsVal::Int(FULL.0, FULL.1),
-                        _ => AbsVal::Top,
-                    };
-                }
-            }
-            if total >= hard_cap {
-                break;
-            }
-            pass = 0;
+            streak = 0;
         }
     }
 
@@ -605,6 +478,75 @@ pub fn int_bounds(var_inits: &[Value], code: &[Op], lits: &[Value]) -> Vec<(i64,
             _ => FULL,
         })
         .collect()
+}
+
+/// One in-order pass over `code`, joining every store into `slots`.
+/// `moved` flags the slots that grew; returns `true` when any did.
+fn interval_pass(
+    code: &[Op],
+    lits: &[Value],
+    slots: &mut [AbsVal],
+    regs: &mut [AbsVal],
+    moved: &mut [bool],
+) -> bool {
+    regs.fill(AbsVal::Bot);
+    moved.fill(false);
+    let lit = |l: u16| lits.get(l as usize).map(AbsVal::of).unwrap_or(AbsVal::Top);
+    for op in code {
+        match *op {
+            Op::Const { dst, lit: l } => regs[dst as usize] = lit(l),
+            Op::LoadVar { dst, slot } => {
+                regs[dst as usize] = slots.get(slot as usize).copied().unwrap_or(AbsVal::Top)
+            }
+            Op::LoadEventTime { dst } => regs[dst as usize] = AbsVal::Time,
+            Op::LoadDepData { dst } => regs[dst as usize] = AbsVal::Float,
+            Op::LoadEnergy { dst } => regs[dst as usize] = AbsVal::Int(0, i64::MAX),
+            Op::Bin { op, dst, a, b } => {
+                regs[dst as usize] = abs_bin(op, regs[a as usize], regs[b as usize])
+            }
+            Op::Not { dst, .. } => regs[dst as usize] = AbsVal::Bool,
+            Op::AssertBool { .. }
+            | Op::Jump { .. }
+            | Op::JumpIfFalse { .. }
+            | Op::JumpIfTrue { .. } => {}
+            Op::StoreVar { slot, src } => store(slots, moved, slot as usize, regs[src as usize]),
+            // The fused branches survive only when their result
+            // reads as a bool, so `dst` is `Bool` past them — same
+            // reasoning as `Not`.
+            Op::CmpBranch { dst, .. } | Op::LoadCmpBranch { dst, .. } => {
+                regs[dst as usize] = AbsVal::Bool
+            }
+            Op::ConstStore { slot, lit: l } => store(slots, moved, slot as usize, lit(l)),
+        }
+    }
+    moved.contains(&true)
+}
+
+/// Joins a stored value into `slots[slot]` (out-of-range slots are
+/// ignored). `StoreVar` runs through `coerce`: the stored value lands
+/// in the slot only when it coerces to the slot's type. For an `Int`
+/// slot that means `Int` stays as-is, `Time` maps into `[0, i64::MAX]`
+/// (`try_from` floor 0 / fallback MAX), anything else leaves the slot
+/// unchanged. Non-`Int` slots keep their type by the same rule, so
+/// only `Int` slots ever move.
+fn store(slots: &mut [AbsVal], moved: &mut [bool], slot: usize, v: AbsVal) {
+    let Some(&cur) = slots.get(slot) else {
+        return;
+    };
+    let incoming = match (v, cur) {
+        (AbsVal::Int(lo, hi), AbsVal::Int(..)) => AbsVal::Int(lo, hi),
+        (AbsVal::Time, AbsVal::Int(..)) => AbsVal::Int(0, i64::MAX),
+        (AbsVal::Top, AbsVal::Int(..)) => AbsVal::Int(FULL.0, FULL.1),
+        (AbsVal::Bot, _) => return,
+        // Same-type (or unknown) stores into non-Int slots keep the
+        // slot's abstract type.
+        _ => cur,
+    };
+    let joined = cur.join(incoming);
+    if joined != cur {
+        slots[slot] = joined;
+        moved[slot] = true;
+    }
 }
 
 /// Abstract transfer of one binary operator, mirroring
@@ -826,6 +768,43 @@ mod tests {
         ];
         let b = int_bounds(&[int(0)], &code, &[]);
         assert_eq!(b[0], (0, i64::MAX));
+    }
+
+    #[test]
+    fn long_store_chains_converge_without_widening() {
+        // s[k] := s[k-1] for k = n-1 down to 1, then s[0] := 5: each
+        // pass pushes the interval one link further, so the chain needs
+        // n changing passes before it settles on [0, 5] everywhere.
+        let n = 100u16;
+        let mut code = Vec::new();
+        for k in (1..n).rev() {
+            code.push(Op::LoadVar {
+                dst: 0,
+                slot: k - 1,
+            });
+            code.push(Op::StoreVar { slot: k, src: 0 });
+        }
+        code.push(Op::Const { dst: 0, lit: 0 });
+        code.push(Op::StoreVar { slot: 0, src: 0 });
+        let b = int_bounds(&vec![int(0); n as usize], &code, &[int(5)]);
+        assert!(b.iter().all(|&r| r == (0, 5)), "{b:?}");
+    }
+
+    #[test]
+    fn mirror_store_settles_without_widening() {
+        // x := 5 - x settles on [0, 5] at its second application.
+        let code = vec![
+            Op::Const { dst: 0, lit: 0 },
+            Op::LoadVar { dst: 1, slot: 0 },
+            Op::Bin {
+                op: BinOp::Sub,
+                dst: 0,
+                a: 0,
+                b: 1,
+            },
+            Op::StoreVar { slot: 0, src: 0 },
+        ];
+        assert_eq!(int_bounds(&[int(0)], &code, &[int(5)])[0], (0, 5));
     }
 
     #[test]
