@@ -223,11 +223,6 @@ impl MachineLayout {
         }
     }
 
-    /// Encodes the state field alone (the first `state_bytes` bytes).
-    pub fn encode_state(&self, state: u32) -> Vec<u8> {
-        state.to_le_bytes()[..self.state_bytes].to_vec()
-    }
-
     /// Encodes one slot's image into the front of `buf`, returning the
     /// encoded width — the engine's allocation-free change detector.
     pub fn encode_slot_into(
@@ -240,14 +235,6 @@ impl MachineLayout {
         let w = enc.width();
         encode_slot(enc, v, &mut buf[..w]);
         w
-    }
-
-    /// Encodes one slot's image alone.
-    pub fn encode_slot(&self, slot: usize, v: &Value) -> Vec<u8> {
-        let enc = self.slots[slot].enc;
-        let mut buf = vec![0u8; enc.width()];
-        encode_slot(enc, v, &mut buf);
-        buf
     }
 }
 

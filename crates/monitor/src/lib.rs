@@ -141,7 +141,7 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{encode_u16_list, u16_list_bytes, Journal, SparseTx, TxWriter};
+use intermittent_sim::journal::{u16_list_bytes, Journal, SparseTx, TxWriter};
 
 use state::{EncodedEvent, NvValue};
 
@@ -485,15 +485,15 @@ struct LaneState {
 impl LaneState {
     /// Stages the armed `worklist` and a cleared bitmap.
     fn arm(&self, stx: &mut SparseTx, worklist: &[u16]) {
-        stx.push_raw(self.worklist_addr, encode_u16_list(worklist));
-        stx.push_raw(self.done.addr, vec![0; self.done.len]);
+        stx.push_u16_list(self.worklist_addr, worklist);
+        stx.push_zeroed(self.done.addr, self.done.len);
     }
 
     /// Stages an empty worklist ("nothing pending") and a cleared
     /// bitmap into a reset transaction.
     fn clear(&self, tx: &mut TxWriter) {
         tx.write_u16_list(self.worklist_addr, &[]);
-        tx.write_raw(self.done.addr, vec![0; self.done.len]);
+        tx.write_zeroed(self.done.addr, self.done.len);
     }
 }
 
@@ -521,7 +521,7 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
                 tx.write(cell, NvValue(decl.init));
             }
         }
-        MachineStore::Block { addr, .. } => tx.write_raw(*addr, lm.initial_image.clone()),
+        MachineStore::Block { addr, .. } => tx.write_raw(*addr, &lm.initial_image),
     }
 }
 
@@ -554,18 +554,19 @@ fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
 /// re-write costs `gap` bytes, a separate run costs another header).
 const DIFF_MERGE_GAP: usize = 6;
 
-/// Byte-granular dirty diff: the changed runs of `new` vs `old` as
-/// `(start, end)` half-open ranges, adjacent runs merged when the
-/// unchanged gap between them is within [`DIFF_MERGE_GAP`]. Merged
-/// gap bytes re-write their old value — idempotent, so replaying the
-/// journal record after a power failure is safe. By the merge rule a
+/// Byte-granular dirty diff: fills `runs` with the changed runs of
+/// `new` vs `old` as `(start, end)` half-open ranges, adjacent runs
+/// merged when the unchanged gap between them is within
+/// [`DIFF_MERGE_GAP`]. Merged gap bytes re-write their old value —
+/// idempotent, so replaying the journal record after a power failure
+/// is safe. By the merge rule a
 /// diff record never exceeds the slot-granular record in bytes *or*
 /// sub-write count: every changed byte lies in the state field or a
 /// written slot (≤ 8 bytes each, so at most one run apiece before
 /// merging), and each merge saves `header − gap ≥ 0` bytes.
-fn diff_runs(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
+fn diff_runs(old: &[u8], new: &[u8], runs: &mut Vec<(usize, usize)>) {
     debug_assert_eq!(old.len(), new.len());
-    let mut runs: Vec<(usize, usize)> = Vec::new();
+    runs.clear();
     for (i, (o, n)) in old.iter().zip(new).enumerate() {
         if o == n {
             continue;
@@ -575,7 +576,6 @@ fn diff_runs(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
             _ => runs.push((i, i + 1)),
         }
     }
-    runs
 }
 
 struct LoadedMachine {
@@ -590,8 +590,10 @@ struct LoadedMachine {
     observed: Option<Vec<u32>>,
 }
 
-/// Reused per-event buffers: once installed, the engine's hot path
-/// allocates little.
+/// Reused per-event buffers. Sized at install and refilled in place,
+/// they make a warm, verdict-free compiled delivery perform **zero**
+/// heap allocations (pinned by `tests/alloc_free.rs`); an event with
+/// `k` verdicts allocates only its returned list and the `k` names.
 struct Scratch {
     /// Bytecode register file (compiled mode).
     regs: Vec<Value>,
@@ -603,19 +605,25 @@ struct Scratch {
     block: Vec<u8>,
     /// Block image after the step (compiled).
     block_new: Vec<u8>,
-    /// Verdict staging for read-back.
-    verdicts: Vec<MonitorVerdict>,
+    /// Changed byte runs of a diff commit (compiled).
+    runs: Vec<(usize, usize)>,
+    /// Verdicts of one step: event position, action, governing path.
+    emits: Vec<(usize, OnFail, Option<u32>)>,
     /// Worklist staging at arming time.
     worklist: Vec<u16>,
+    /// The sparse record of the current arming or step commit, cleared
+    /// and re-staged in place by every commit.
+    stx: SparseTx,
 }
 
 /// The lane being run: its worklist items, each entry's event mask,
-/// and the decoded events — sized at install to the whole suite and
-/// the batch capacity.
+/// the decoded events and the completion bitmap — sized at install to
+/// the whole suite and the batch capacity.
 struct Armed {
     items: Vec<u16>,
     masks: Vec<u32>,
     events: Vec<EncodedEvent>,
+    done: Vec<u8>,
 }
 
 /// An encoded verdict cell: `(machine index | event position << 16,
@@ -633,11 +641,39 @@ struct MachineShadow {
     vars: Vec<Value>,
 }
 
+/// A shadowed variable-length FRAM region. Invalidation only clears
+/// `live`, so a refill reuses the buffer instead of allocating.
+struct ShadowBuf<T> {
+    live: bool,
+    buf: Vec<T>,
+}
+
+impl<T: Copy> ShadowBuf<T> {
+    /// A dead shadow with room for `n` items.
+    fn with_capacity(n: usize) -> Self {
+        ShadowBuf {
+            live: false,
+            buf: Vec::with_capacity(n),
+        }
+    }
+
+    /// The shadowed contents, if known.
+    fn get(&self) -> Option<&[T]> {
+        self.live.then_some(self.buf.as_slice())
+    }
+
+    /// Shadows `v`.
+    fn set(&mut self, v: &[T]) {
+        self.buf.clear();
+        self.buf.extend_from_slice(v);
+        self.live = true;
+    }
+}
+
 /// One lane's shadowed worklist and done bitmap.
-#[derive(Clone, Default)]
 struct LaneShadow {
-    worklist: Option<Vec<u16>>,
-    done: Option<Vec<u8>>,
+    worklist: ShadowBuf<u16>,
+    done: ShadowBuf<u8>,
 }
 
 /// The volatile shadow of every FRAM location the hot path reads (see
@@ -667,14 +703,27 @@ struct ShadowCache {
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
     batch_seq: Option<u64>,
-    batch_events: Option<Vec<EncodedEvent>>,
+    batch_events: ShadowBuf<EncodedEvent>,
     /// Indexed by [`Lane`].
     lanes: [LaneShadow; 2],
     stats: CacheStats,
 }
 
 impl ShadowCache {
-    fn new(epoch: u64, machines: usize, verdict_slots: usize) -> Self {
+    /// A cold cache whose buffers are sized for `machines`-entry
+    /// worklists, `done_len`-byte bitmaps and `batch_events`-event
+    /// batches, so refills never grow them.
+    fn new(
+        epoch: u64,
+        machines: usize,
+        verdict_slots: usize,
+        done_len: usize,
+        batch_events: usize,
+    ) -> Self {
+        let lane = || LaneShadow {
+            worklist: ShadowBuf::with_capacity(machines),
+            done: ShadowBuf::with_capacity(done_len),
+        };
         ShadowCache {
             epoch,
             gen: 1,
@@ -692,8 +741,8 @@ impl ShadowCache {
                 machines
             ],
             batch_seq: None,
-            batch_events: None,
-            lanes: Default::default(),
+            batch_events: ShadowBuf::with_capacity(batch_events),
+            lanes: [lane(), lane()],
             stats: CacheStats::default(),
         }
     }
@@ -710,24 +759,25 @@ impl ShadowCache {
         self.event = None;
         self.verdict_count = None;
         self.batch_seq = None;
-        self.batch_events = None;
-        self.lanes = Default::default();
+        self.batch_events.live = false;
+        for lane in &mut self.lanes {
+            lane.worklist.live = false;
+            lane.done.live = false;
+        }
     }
 
     /// Shadows a freshly armed (or reset) lane.
-    fn arm(&mut self, lane: Lane, worklist: Vec<u16>, done_len: usize) {
-        self.lanes[lane as usize] = LaneShadow {
-            worklist: Some(worklist),
-            done: Some(vec![0; done_len]),
-        };
+    fn arm(&mut self, lane: Lane, worklist: &[u16], done_len: usize) {
+        let shadow = &mut self.lanes[lane as usize];
+        shadow.worklist.set(worklist);
+        shadow.done.buf.clear();
+        shadow.done.buf.resize(done_len, 0);
+        shadow.done.live = true;
     }
 
     /// Shadows a lane's bitmap after a durable done write.
     fn set_done(&mut self, lane: Lane, done: &[u8]) {
-        match &mut self.lanes[lane as usize].done {
-            Some(d) => d.copy_from_slice(done),
-            slot => *slot = Some(done.to_vec()),
-        }
+        self.lanes[lane as usize].done.set(done);
     }
 }
 
@@ -1086,13 +1136,17 @@ impl MonitorEngine {
                 before_vars: Vec::with_capacity(max_vars),
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
-                verdicts: Vec::new(),
+                runs: Vec::with_capacity(max_block),
+                emits: Vec::with_capacity(batch_events.unwrap_or(1)),
                 worklist: Vec::with_capacity(machines.len()),
+                // Every record fits the journal, so staging never grows it.
+                stx: SparseTx::with_capacity(capacity),
             });
             let armed = RefCell::new(Armed {
                 items: Vec::with_capacity(machines.len()),
                 masks: Vec::with_capacity(machines.len()),
                 events: Vec::with_capacity(batch_events.unwrap_or(1)),
+                done: Vec::with_capacity(done_len),
             });
 
             // The shadow cache mirrors block images, so it exists in
@@ -1104,6 +1158,8 @@ impl MonitorEngine {
                     dev.sram().generation(),
                     machines.len(),
                     verdict_cells.len(),
+                    done_len,
+                    batch_events.unwrap_or(0),
                 ))
             });
             // Dirty-diff commits need the shadow's authoritative old
@@ -1268,6 +1324,35 @@ impl MonitorEngine {
         Ok(v)
     }
 
+    /// [`MonitorEngine::cache_read`] for a variable-length region:
+    /// fills `out` from the shadow `shadow` selects when it is live,
+    /// else through `read` from FRAM, refilling the shadow in place.
+    fn cache_read_buf<T: Copy>(
+        &self,
+        dev: &mut Device,
+        shadow: impl Fn(&mut ShadowCache) -> &mut ShadowBuf<T>,
+        out: &mut Vec<T>,
+        read: impl FnOnce(&mut Device, &mut Vec<T>) -> Result<(), Interrupt>,
+    ) -> Result<(), Interrupt> {
+        out.clear();
+        let Some(cache) = &self.cache else {
+            return read(dev, out);
+        };
+        {
+            let mut c = cache.borrow_mut();
+            if let Some(v) = shadow(&mut c).get() {
+                out.extend_from_slice(v);
+                c.stats.hits += 1;
+                return Ok(());
+            }
+        }
+        read(dev, out)?;
+        let mut c = cache.borrow_mut();
+        shadow(&mut c).set(out);
+        c.stats.misses += 1;
+        Ok(())
+    }
+
     /// The persistent state of `lane`.
     fn lane(&self, lane: Lane) -> &LaneState {
         match lane {
@@ -1290,8 +1375,8 @@ impl MonitorEngine {
         if let Some(cache) = &self.cache {
             let hit = cache.borrow().lanes[lane as usize]
                 .worklist
-                .as_ref()
-                .map(Vec::len);
+                .get()
+                .map(<[u16]>::len);
             if let Some(n) = hit {
                 cache.borrow_mut().stats.hits += 1;
                 return Ok(n);
@@ -1301,7 +1386,7 @@ impl MonitorEngine {
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         self.cache_put(|c| {
             if n == 0 {
-                c.lanes[lane as usize].worklist = Some(Vec::new());
+                c.lanes[lane as usize].worklist.set(&[]);
             }
             c.stats.misses += 1;
         });
@@ -1321,7 +1406,7 @@ impl MonitorEngine {
     ) -> Result<(), Interrupt> {
         out.clear();
         if let Some(cache) = &self.cache {
-            if let Some(list) = &cache.borrow().lanes[lane as usize].worklist {
+            if let Some(list) = cache.borrow().lanes[lane as usize].worklist.get() {
                 if list.len() == count {
                     out.extend_from_slice(list);
                 }
@@ -1338,20 +1423,23 @@ impl MonitorEngine {
                 .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
         );
         self.cache_put(|c| {
-            c.lanes[lane as usize].worklist = Some(out.clone());
+            c.lanes[lane as usize].worklist.set(out);
             c.stats.misses += 1;
         });
         Ok(())
     }
 
-    /// Shadow-aware read of a lane's completion bitmap.
-    fn read_done(&self, dev: &mut Device, lane: Lane) -> Result<Vec<u8>, Interrupt> {
+    /// Shadow-aware read of a lane's completion bitmap into `out`.
+    fn read_done(&self, dev: &mut Device, lane: Lane, out: &mut Vec<u8>) -> Result<(), Interrupt> {
         let cell = &self.lane(lane).done;
-        self.cache_read(
+        self.cache_read_buf(
             dev,
-            |c| c.lanes[lane as usize].done.clone(),
-            |c, v| c.lanes[lane as usize].done = Some(v.clone()),
-            |d| Ok(d.nv_read_raw(cell.addr, cell.len)?.to_vec()),
+            |c| &mut c.lanes[lane as usize].done,
+            out,
+            |d, out| {
+                out.extend_from_slice(d.nv_read_raw(cell.addr, cell.len)?);
+                Ok(())
+            },
         )
     }
 
@@ -1359,7 +1447,12 @@ impl MonitorEngine {
     /// entries (an interrupted delivery).
     fn lane_pending(&self, dev: &mut Device, lane: Lane) -> Result<bool, Interrupt> {
         let count = self.read_count(dev, lane)?;
-        Ok(count > 0 && !all_done(&self.read_done(dev, lane)?, count))
+        if count == 0 {
+            return Ok(false);
+        }
+        let done = &mut self.armed.borrow_mut().done;
+        self.read_done(dev, lane, done)?;
+        Ok(!all_done(done, count))
     }
 
     /// Fills `scratch.block` with the first `span` bytes of machine
@@ -1468,27 +1561,30 @@ impl MonitorEngine {
         )
     }
 
-    /// Shadow-aware read of the armed batch's encoded event array
-    /// (count word + payload — two FRAM ops cold, zero warm).
-    fn read_batch_events_cached(
+    /// Shadow-aware read of the armed batch's encoded event array into
+    /// `out` (count word + payload — two FRAM ops cold, zero warm).
+    fn read_batch_events(
         &self,
         dev: &mut Device,
         bs: &BatchState,
-    ) -> Result<Vec<EncodedEvent>, Interrupt> {
-        self.cache_read(
+        out: &mut Vec<EncodedEvent>,
+    ) -> Result<(), Interrupt> {
+        self.cache_read_buf(
             dev,
-            |c| c.batch_events.clone(),
-            |c, v| c.batch_events = Some(v.clone()),
-            |d| {
+            |c| &mut c.batch_events,
+            out,
+            |d, out| {
                 let n = {
                     let b = d.nv_read_raw(bs.events_addr, 2)?;
                     u16::from_le_bytes([b[0], b[1]]) as usize
                 };
                 let bytes = d.nv_read_raw(bs.events_addr + 2, n * EncodedEvent::SIZE)?;
-                Ok(bytes
-                    .chunks_exact(EncodedEvent::SIZE)
-                    .map(EncodedEvent::load)
-                    .collect())
+                out.extend(
+                    bytes
+                        .chunks_exact(EncodedEvent::SIZE)
+                        .map(EncodedEvent::load),
+                );
+                Ok(())
             },
         )
     }
@@ -1566,7 +1662,7 @@ impl MonitorEngine {
             self.events.clear(&mut tx);
             if let Some(bs) = &self.batch {
                 tx.write(&bs.seq_cell, 0u64);
-                tx.write_raw(bs.events_addr, vec![0u8; 2]);
+                tx.write_zeroed(bs.events_addr, 2);
                 bs.lane.clear(&mut tx);
             }
             dev.commit(&self.journal, &tx)?;
@@ -1576,11 +1672,11 @@ impl MonitorEngine {
             self.cache_put(|c| {
                 c.seq = Some(0);
                 c.verdict_count = Some(0);
-                c.arm(Lane::Event, Vec::new(), self.events.done.len);
+                c.arm(Lane::Event, &[], self.events.done.len);
                 if let Some(bs) = &self.batch {
                     c.batch_seq = Some(0);
-                    c.batch_events = Some(Vec::new());
-                    c.arm(Lane::Batch, Vec::new(), bs.lane.done.len);
+                    c.batch_events.set(&[]);
+                    c.arm(Lane::Batch, &[], bs.lane.done.len);
                 }
             });
             self.shadow_reset_machines(|_| true);
@@ -1651,14 +1747,15 @@ impl MonitorEngine {
                 let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
                 dev.compute(ROUTING_LOOKUP_CYCLES)?;
                 self.compute_worklist(&encoded);
-                let scratch = self.scratch.borrow();
+                let scratch = &mut *self.scratch.borrow_mut();
                 let worklist = &scratch.worklist;
-                let mut stx = SparseTx::new();
+                let stx = &mut scratch.stx;
+                stx.clear();
                 stx.push(&self.event_cell, encoded);
                 stx.push(&self.seq_cell, seq);
                 stx.push(&self.verdict_count, 0u32);
-                self.events.arm(&mut stx, worklist);
-                dev.commit_sparse(&self.journal, &stx)?;
+                self.events.arm(stx, worklist);
+                dev.commit_sparse(&self.journal, stx)?;
                 // The arming commit fixed every activation input —
                 // shadow them all, so the worklist walk below reads
                 // nothing from FRAM.
@@ -1667,7 +1764,7 @@ impl MonitorEngine {
                     c.seq = Some(seq);
                     c.event = Some(encoded);
                     c.verdict_count = Some(0);
-                    c.arm(Lane::Event, worklist.clone(), self.events.done.len);
+                    c.arm(Lane::Event, worklist, self.events.done.len);
                 });
             }
             self.run_lane(dev, Lane::Event)?;
@@ -1749,20 +1846,21 @@ impl MonitorEngine {
                 merged.sort_unstable();
                 merged.dedup();
 
-                let mut stx = SparseTx::new();
-                stx.push_raw(bs.events_addr, region);
+                let stx = &mut self.scratch.borrow_mut().stx;
+                stx.clear();
+                stx.push_raw(bs.events_addr, &region);
                 stx.push(&bs.seq_cell, first_seq);
                 stx.push(&self.verdict_count, 0u32);
-                bs.lane.arm(&mut stx, &merged);
-                dev.commit_sparse(&self.journal, &stx)?;
+                bs.lane.arm(stx, &merged);
+                dev.commit_sparse(&self.journal, stx)?;
                 // Shadow the whole armed batch: the window below runs
                 // without a single FRAM read.
                 self.cache_put(|c| {
                     c.journal_clean = true;
                     c.batch_seq = Some(first_seq);
-                    c.batch_events = Some(encoded_events);
+                    c.batch_events.set(&encoded_events);
                     c.verdict_count = Some(0);
-                    c.arm(Lane::Batch, merged, bs.lane.done.len);
+                    c.arm(Lane::Batch, &merged, bs.lane.done.len);
                 });
             }
             self.run_lane(dev, Lane::Batch)?;
@@ -1786,12 +1884,12 @@ impl MonitorEngine {
         if count == 0 {
             return Ok(());
         }
-        let mut done = self.read_done(dev, lane)?;
-        if all_done(&done, count) {
+        let armed = &mut *self.armed.borrow_mut();
+        self.read_done(dev, lane, &mut armed.done)?;
+        if all_done(&armed.done, count) {
             return Ok(());
         }
 
-        let armed = &mut *self.armed.borrow_mut();
         self.read_items(dev, lane, count, &mut armed.items)?;
         armed.masks.clear();
         match lane {
@@ -1810,7 +1908,7 @@ impl MonitorEngine {
             }
             Lane::Batch => {
                 let bs = self.batch.as_ref().expect("batch lane without batch state");
-                armed.events = self.read_batch_events_cached(dev, bs)?;
+                self.read_batch_events(dev, bs, &mut armed.events)?;
                 dev.compute(ROUTING_LOOKUP_CYCLES * armed.events.len() as u64)?;
                 armed.masks.resize(count, 0);
                 for (e, encoded) in armed.events.iter().enumerate() {
@@ -1826,16 +1924,17 @@ impl MonitorEngine {
         }
 
         for j in 0..count {
-            if done_bit(&done, j) {
+            if done_bit(&armed.done, j) {
                 continue;
             }
-            done[j / 8] |= 1 << (j % 8);
+            armed.done[j / 8] |= 1 << (j % 8);
             let i = armed.items[j] as usize;
+            let done = &armed.done;
             match self.mode {
                 ExecMode::Compiled => {
-                    self.step_block(dev, i, &armed.events, armed.masks[j], lane, &done)?
+                    self.step_block(dev, i, &armed.events, armed.masks[j], lane, done)?
                 }
-                ExecMode::Interpreter => self.step_interpreted(dev, i, &armed.events[0], &done)?,
+                ExecMode::Interpreter => self.step_interpreted(dev, i, &armed.events[0], done)?,
             }
         }
         Ok(())
@@ -1927,7 +2026,7 @@ impl MonitorEngine {
         scratch.vars.resize(cm.var_count(), Value::Int(0));
         let mut state = before_state;
 
-        let mut emits: Vec<(usize, OnFail, Option<u32>)> = Vec::new();
+        scratch.emits.clear();
         for (e, encoded) in events.iter().enumerate() {
             if step_mask & (1 << e) == 0 {
                 continue;
@@ -1962,7 +2061,9 @@ impl MonitorEngine {
                 exec.machine_steps += 1;
             }
             if let Some(fail) = emit {
-                emits.push((e, fail.action, fail.path.or(lm.machine.path)));
+                scratch
+                    .emits
+                    .push((e, fail.action, fail.path.or(lm.machine.path)));
             }
         }
 
@@ -1971,14 +2072,13 @@ impl MonitorEngine {
         // (canonical encoding makes the comparison exact); otherwise
         // the static write set is checked slot by slot.
         let mut buf = [0u8; MAX_SLOT_BYTES];
-        let mut runs: Vec<(usize, usize)> = Vec::new();
         let changed = if whole {
             layout.encode(state, &scratch.vars, &mut scratch.block_new);
             scratch.block_new != scratch.block
         } else if self.diff_enabled {
             layout.encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-            runs = diff_runs(&scratch.block, &scratch.block_new);
-            !runs.is_empty()
+            diff_runs(&scratch.block, &scratch.block_new, &mut scratch.runs);
+            !scratch.runs.is_empty()
         } else {
             state != before_state
                 || access.writes.iter().any(|&slot| {
@@ -1991,24 +2091,26 @@ impl MonitorEngine {
                     scratch.block[off..off + w] != buf[..w]
                 })
         };
+        let emits = &scratch.emits;
         if emits.is_empty() && !changed {
             return self.finish_plain(dev, lane, done);
         }
 
-        let mut stx = SparseTx::new();
+        let stx = &mut scratch.stx;
+        stx.clear();
         if whole {
-            stx.push_raw(addr, scratch.block_new.clone());
+            stx.push_raw(addr, &scratch.block_new);
         } else if self.diff_enabled {
-            for &(s, e) in &runs {
-                stx.push_raw(addr + s, scratch.block_new[s..e].to_vec());
+            for &(s, e) in &scratch.runs {
+                stx.push_raw(addr + s, &scratch.block_new[s..e]);
             }
         } else {
-            stx.push_raw(addr, layout.encode_state(state));
+            stx.push_raw(addr, &state.to_le_bytes()[..layout.state_bytes]);
             for &slot in &access.writes {
                 let off = layout.slots[slot as usize].offset;
                 let w =
                     layout.encode_slot_into(slot as usize, &scratch.vars[slot as usize], &mut buf);
-                stx.push_raw(addr + off, buf[..w].to_vec());
+                stx.push_raw(addr + off, &buf[..w]);
             }
         }
         let mut count = 0;
@@ -2025,8 +2127,8 @@ impl MonitorEngine {
             }
             stx.push(&self.verdict_count, count + emits.len() as u32);
         }
-        stx.push_raw(self.lane(lane).done.addr, done.to_vec());
-        dev.commit_sparse(&self.journal, &stx)?;
+        stx.push_raw(self.lane(lane).done.addr, done);
+        dev.commit_sparse(&self.journal, stx)?;
         self.shadow_machine_update(
             i,
             state,
@@ -2261,34 +2363,28 @@ impl MonitorEngine {
             tx.write(&self.verdict_cells[count as usize], value);
             tx.write(&self.verdict_count, count + 1);
         }
-        tx.write_raw(self.events.done.addr, done.to_vec());
+        tx.write_raw(self.events.done.addr, done);
         dev.commit(&self.journal, &tx)
     }
 
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
         let count = self.read_verdict_count_cached(dev)?;
-        let scratch = &mut *self.scratch.borrow_mut();
-        scratch.verdicts.clear();
+        // No verdicts, no allocation: an empty `Vec` owns no heap.
+        let mut out = Vec::with_capacity(count as usize);
         for slot in 0..count {
             let (packed, encoded) = self.read_verdict_cell_cached(dev, slot as usize)?;
             // Batch deliveries pack the event position into the high
             // half-word; the machine index is the low half either way.
             let machine_index = (packed & 0xFFFF) as usize;
             if let Some(action) = decode_action(encoded) {
-                scratch.verdicts.push(MonitorVerdict {
+                out.push(MonitorVerdict {
                     machine_index,
                     machine: self.machines[machine_index].machine.name.clone(),
                     action,
                 });
             }
         }
-        // The common case (no verdicts) allocates nothing: staging
-        // reuses the scratch buffer and the empty result has no heap.
-        if scratch.verdicts.is_empty() {
-            Ok(Vec::new())
-        } else {
-            Ok(scratch.verdicts.clone())
-        }
+        Ok(out)
     }
 
     /// Resolves a task's id to the name index used in encoded events.

@@ -65,6 +65,11 @@ pub enum Fault {
     /// simulator to detect non-termination on continuous power, where
     /// no reboot boundary would otherwise check the run limit.
     DeadlineExceeded,
+    /// Reboot recovery found a pending journal record that cannot be
+    /// replayed safely: an unknown flag value, or an entry reaching
+    /// past the journal region or targeting memory outside FRAM or
+    /// inside the journal. Nothing of the record was applied.
+    CorruptJournal,
 }
 
 impl fmt::Display for Interrupt {
@@ -87,6 +92,7 @@ impl fmt::Display for Interrupt {
             Interrupt::Fault(Fault::DeadlineExceeded) => {
                 write!(f, "simulation deadline exceeded")
             }
+            Interrupt::Fault(Fault::CorruptJournal) => write!(f, "corrupt journal record"),
         }
     }
 }

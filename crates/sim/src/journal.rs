@@ -33,6 +33,8 @@
 //!   This is the commit path for statically-derived write sets, where
 //!   an event touches a handful of scattered slots.
 
+use core::ops::Range;
+
 use crate::device::{Fault, Interrupt};
 use crate::fram::{Fram, MemOwner, NvCell, NvData, OutOfFram};
 
@@ -62,15 +64,66 @@ const FLAG_ENTRIES: u8 = 1;
 /// Flag value: a committed sparse-delta record is pending.
 const FLAG_SPARSE: u8 = 2;
 
+/// Decodes an entry header: the target address and the data length.
+fn header(h: &[u8]) -> (usize, usize) {
+    let addr = u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize;
+    (addr, u16::from_le_bytes([h[4], h[5]]) as usize)
+}
+
+/// Offset of the first entry of the record whose count word sits at
+/// `count_off`: right behind the count in the sparse format, at
+/// [`ENTRIES_OFF`] in the entry-list format (count at [`COUNT_OFF`]).
+fn first_entry(count_off: usize) -> usize {
+    (count_off + 2).max(ENTRIES_OFF)
+}
+
+/// Walks a flat sequence of journal entries — `[addr u32][len u16]`
+/// then `len` data bytes each, the on-FRAM entry format of both
+/// record kinds — yielding each entry's target address and the range
+/// of its data within `bytes`.
+fn entries(bytes: &[u8]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let mut off = 0;
+    core::iter::from_fn(move || {
+        let (addr, len) = header(bytes.get(off..off + ENTRY_HEADER)?);
+        let data = off + ENTRY_HEADER..off + ENTRY_HEADER + len;
+        off = data.end;
+        Some((addr, data))
+    })
+}
+
+/// Data range of the entry for `(addr, len)` in a flat entry sequence,
+/// if one is staged.
+fn find_entry(bytes: &[u8], addr: usize, len: usize) -> Option<Range<usize>> {
+    entries(bytes)
+        .find(|(a, data)| *a == addr && data.len() == len)
+        .map(|(_, data)| data)
+}
+
+/// Appends a zeroed entry for `(addr, len)` and returns its data range.
+fn append_entry(buf: &mut Vec<u8>, addr: usize, len: usize) -> Range<usize> {
+    assert!(
+        addr <= u32::MAX as usize && len <= u16::MAX as usize,
+        "journal entry ({addr:#x}, {len} B) exceeds its header fields"
+    );
+    buf.extend_from_slice(&(addr as u32).to_le_bytes());
+    buf.extend_from_slice(&(len as u16).to_le_bytes());
+    let start = buf.len();
+    buf.resize(start + len, 0);
+    start..start + len
+}
+
 /// A volatile write-set staged by a task before commit.
 ///
-/// Writes to the same cell are merged in place, so re-assigning an
-/// output inside one task costs a single journal entry. Reads go
-/// through [`TxWriter::read`], which observes staged values
-/// (read-your-writes).
+/// Entries are kept serialised in their journal format (`[addr u32]
+/// [len u16][data]`) in one buffer, so staging a write allocates
+/// nothing once the buffer has grown. Writes to the same cell are
+/// merged in place, so re-assigning an output inside one task costs a
+/// single journal entry. Reads go through [`TxWriter::read`], which
+/// observes staged values (read-your-writes).
 #[derive(Default, Debug)]
 pub struct TxWriter {
-    entries: Vec<(usize, Vec<u8>)>,
+    entries: Vec<u8>,
+    count: usize,
 }
 
 impl TxWriter {
@@ -79,27 +132,37 @@ impl TxWriter {
         Self::default()
     }
 
+    /// The staged data bytes for `(addr, len)`: the existing entry of
+    /// that address and width, else a freshly appended zeroed one.
+    fn slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
+        let data = match find_entry(&self.entries, addr, len) {
+            Some(data) => data,
+            None => {
+                self.count += 1;
+                append_entry(&mut self.entries, addr, len)
+            }
+        };
+        &mut self.entries[data]
+    }
+
     /// Stages a typed write.
     pub fn write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        let mut buf = vec![0u8; T::SIZE];
-        value.store(&mut buf);
-        self.write_raw(cell.addr(), buf);
+        value.store(self.slot(cell.addr(), T::SIZE));
     }
 
     /// Stages a raw write.
-    pub fn write_raw(&mut self, addr: usize, data: Vec<u8>) {
-        for (a, d) in self.entries.iter_mut() {
-            if *a == addr && d.len() == data.len() {
-                *d = data;
-                return;
-            }
-        }
-        self.entries.push((addr, data));
+    pub fn write_raw(&mut self, addr: usize, data: &[u8]) {
+        self.slot(addr, data.len()).copy_from_slice(data);
+    }
+
+    /// Stages `len` zero bytes at `addr`.
+    pub fn write_zeroed(&mut self, addr: usize, len: usize) {
+        self.slot(addr, len).fill(0);
     }
 
     /// Stages a variable-length `u16` list at `addr` as **one** journal
     /// entry: a `u16` count followed by the items, little-endian (see
-    /// [`encode_u16_list`]). Unlike [`TxWriter::write_raw`], re-staging
+    /// [`decode_u16_list`]). Unlike [`TxWriter::write_raw`], re-staging
     /// a list at the same address replaces the previous entry even when
     /// the lengths differ — the count word makes the shorter image
     /// self-delimiting, so stale tail bytes can never be misread.
@@ -108,54 +171,65 @@ impl TxWriter {
     /// commits atomically with whatever else is in the transaction, so
     /// a reboot sees either the complete new list or the old one.
     pub fn write_u16_list(&mut self, addr: usize, items: &[u16]) {
-        self.entries.retain(|(a, _)| *a != addr);
-        self.entries.push((addr, encode_u16_list(items)));
+        let at = |bytes: &[u8]| entries(bytes).find(|(a, _)| *a == addr).map(|(_, d)| d);
+        while let Some(data) = at(&self.entries) {
+            self.entries.drain(data.start - ENTRY_HEADER..data.end);
+            self.count -= 1;
+        }
+        self.count += 1;
+        let data = append_entry(&mut self.entries, addr, u16_list_bytes(items.len()));
+        store_u16_list(items, &mut self.entries[data]);
     }
 
     /// Reads a cell, observing staged writes first.
     pub fn read<T: NvData>(&self, fram: &mut Fram, cell: &NvCell<T>) -> T {
-        for (a, d) in &self.entries {
-            if *a == cell.addr() && d.len() == T::SIZE {
-                return T::load(d);
-            }
+        match find_entry(&self.entries, cell.addr(), T::SIZE) {
+            Some(data) => T::load(&self.entries[data]),
+            None => fram.read(cell),
         }
-        fram.read(cell)
     }
 
     /// Number of staged entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.count
     }
 
     /// Returns `true` if nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.count == 0
     }
 
     /// Total journal bytes this write-set will occupy.
     pub fn journal_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(_, d)| ENTRY_HEADER + d.len())
-            .sum()
+        self.entries.len()
     }
 
-    /// Discards all staged writes.
+    /// Discards all staged writes, keeping the buffer's capacity.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.count = 0;
     }
 }
 
 /// A volatile write-set destined for a single-record sparse commit.
 ///
-/// Unlike [`TxWriter`], the staged sub-writes are serialised into one
-/// length-prefixed record (`count: u16`, then `addr: u32`, `len: u16`,
-/// `data` per sub-write) that [`Journal::commit_sparse`] stages with a
-/// single FRAM write and applies straight from RAM. Sub-writes to the
-/// same address are merged in place, mirroring [`TxWriter::write_raw`].
-#[derive(Default, Debug)]
+/// The sub-writes are staged already serialised as the record image
+/// [`Journal::commit_sparse`] writes to FRAM in one operation: `count:
+/// u16`, then `addr: u32`, `len: u16`, `data` per sub-write. Staging
+/// writes into that one buffer in place, so a write-set reused across
+/// commits (see [`SparseTx::clear`]) allocates nothing once warm.
+/// Sub-writes to the same address and width are merged in place,
+/// mirroring [`TxWriter::write_raw`]; the same address at a different
+/// width is a separate sub-write.
+#[derive(Debug)]
 pub struct SparseTx {
-    writes: Vec<(usize, Vec<u8>)>,
+    record: Vec<u8>,
+}
+
+impl Default for SparseTx {
+    fn default() -> Self {
+        SparseTx { record: vec![0; 2] }
+    }
 }
 
 impl SparseTx {
@@ -164,72 +238,88 @@ impl SparseTx {
         Self::default()
     }
 
+    /// Creates an empty sparse write-set whose buffer holds a record of
+    /// `record_bytes` without growing — size it to the journal capacity
+    /// and staging never allocates.
+    pub fn with_capacity(record_bytes: usize) -> Self {
+        let mut record = Vec::with_capacity(record_bytes.max(2));
+        record.extend_from_slice(&[0, 0]);
+        SparseTx { record }
+    }
+
+    /// The staged data bytes for `(addr, len)`: the existing sub-write
+    /// of that address and width, else a freshly appended zeroed one.
+    fn slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
+        let data = match find_entry(&self.record[2..], addr, len) {
+            Some(data) => data.start + 2..data.end + 2,
+            None => {
+                let count = self.len() + 1;
+                assert!(count <= u16::MAX as usize, "sparse record count overflow");
+                self.record[..2].copy_from_slice(&(count as u16).to_le_bytes());
+                append_entry(&mut self.record, addr, len)
+            }
+        };
+        &mut self.record[data]
+    }
+
     /// Stages a typed sub-write.
     pub fn push<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        let mut buf = vec![0u8; T::SIZE];
-        value.store(&mut buf);
-        self.push_raw(cell.addr(), buf);
+        value.store(self.slot(cell.addr(), T::SIZE));
     }
 
     /// Stages a raw sub-write.
-    pub fn push_raw(&mut self, addr: usize, data: Vec<u8>) {
-        for (a, d) in self.writes.iter_mut() {
-            if *a == addr && d.len() == data.len() {
-                *d = data;
-                return;
-            }
-        }
-        self.writes.push((addr, data));
+    pub fn push_raw(&mut self, addr: usize, data: &[u8]) {
+        self.slot(addr, data.len()).copy_from_slice(data);
+    }
+
+    /// Stages `len` zero bytes at `addr`.
+    pub fn push_zeroed(&mut self, addr: usize, len: usize) {
+        self.slot(addr, len).fill(0);
+    }
+
+    /// Stages a `u16` list image (count word + items, see
+    /// [`decode_u16_list`]) as one sub-write at `addr`.
+    pub fn push_u16_list(&mut self, addr: usize, items: &[u16]) {
+        store_u16_list(items, self.slot(addr, u16_list_bytes(items.len())));
     }
 
     /// Number of staged sub-writes.
     pub fn len(&self) -> usize {
-        self.writes.len()
+        u16::from_le_bytes([self.record[0], self.record[1]]) as usize
     }
 
     /// Returns `true` if nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
+        self.len() == 0
     }
 
     /// Journal bytes the serialised record occupies: the count word
     /// plus a header and payload per sub-write.
     pub fn record_bytes(&self) -> usize {
-        2 + self
-            .writes
-            .iter()
-            .map(|(_, d)| ENTRY_HEADER + d.len())
-            .sum::<usize>()
+        self.record.len()
     }
 
-    /// Serialises the record image staged into the journal region.
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.record_bytes());
-        buf.extend_from_slice(&(self.writes.len() as u16).to_le_bytes());
-        for (addr, data) in &self.writes {
-            buf.extend_from_slice(&(*addr as u32).to_le_bytes());
-            buf.extend_from_slice(&(data.len() as u16).to_le_bytes());
-            buf.extend_from_slice(data);
-        }
-        buf
+    /// The record image staged into the journal region.
+    pub fn record(&self) -> &[u8] {
+        &self.record
     }
 
-    /// Discards all staged sub-writes.
+    /// Discards all staged sub-writes, keeping the buffer's capacity.
     pub fn clear(&mut self) {
-        self.writes.clear();
+        self.record.clear();
+        self.record.extend_from_slice(&[0, 0]);
     }
 }
 
-/// Encodes a `u16` list as its FRAM image: a `u16` count followed by
-/// the items, all little-endian. The inverse of [`decode_u16_list`].
-pub fn encode_u16_list(items: &[u16]) -> Vec<u8> {
+/// Writes a `u16` list's FRAM image into `out` (exactly
+/// [`u16_list_bytes`]`(items.len())` long): a `u16` count followed by
+/// the items, all little-endian.
+fn store_u16_list(items: &[u16], out: &mut [u8]) {
     debug_assert!(items.len() <= u16::MAX as usize);
-    let mut buf = Vec::with_capacity(2 + items.len() * 2);
-    buf.extend_from_slice(&(items.len() as u16).to_le_bytes());
-    for v in items {
-        buf.extend_from_slice(&v.to_le_bytes());
+    out[..2].copy_from_slice(&(items.len() as u16).to_le_bytes());
+    for (dst, v) in out[2..].chunks_exact_mut(2).zip(items) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
-    buf
 }
 
 /// Bytes a `u16` list of `n` items occupies in FRAM (count word +
@@ -238,9 +328,10 @@ pub fn u16_list_bytes(n: usize) -> usize {
     2 + 2 * n
 }
 
-/// Decodes a `u16` list image produced by [`encode_u16_list`]. The
-/// slice may be longer than the encoded list (a region sized for the
-/// maximum); only `count` items are read.
+/// Decodes a `u16` list image staged by [`TxWriter::write_u16_list`]
+/// or [`SparseTx::push_u16_list`]. The slice may be longer than the
+/// encoded list (a region sized for the maximum); only `count` items
+/// are read.
 pub fn decode_u16_list(bytes: &[u8]) -> Vec<u16> {
     let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
     bytes[2..2 + count * 2]
@@ -285,6 +376,11 @@ impl Journal {
         self.capacity
     }
 
+    /// One past the journal region's last byte.
+    fn end(&self) -> usize {
+        self.base + ENTRIES_OFF + self.capacity
+    }
+
     /// Commits a write-set atomically.
     ///
     /// `spend` is charged once per FRAM access with its byte count and
@@ -308,29 +404,25 @@ impl Journal {
             }));
         }
 
-        // Phase 1: copy entries into the journal region.
-        let mut off = self.base + ENTRIES_OFF;
-        for (addr, data) in &tx.entries {
+        // Phase 1: copy entries into the journal region, each as a
+        // header write and a data write. The staged buffer already holds
+        // the region image, so entry offsets carry over unchanged.
+        let region = self.base + ENTRIES_OFF;
+        for (_, data) in entries(&tx.entries) {
+            let header = data.start - ENTRY_HEADER;
             spend(ENTRY_HEADER + data.len(), JournalOp::Write)?;
-            let mut header = [0u8; ENTRY_HEADER];
-            header[..4].copy_from_slice(&(*addr as u32).to_le_bytes());
-            header[4..].copy_from_slice(&(data.len() as u16).to_le_bytes());
-            fram.write_raw(off, &header);
-            fram.write_raw(off + ENTRY_HEADER, data);
-            off += ENTRY_HEADER + data.len();
+            fram.write_raw(region + header, &tx.entries[header..data.start]);
+            fram.write_raw(region + data.start, &tx.entries[data]);
         }
         spend(2, JournalOp::Write)?;
-        fram.write_raw(
-            self.base + COUNT_OFF,
-            &(tx.entries.len() as u16).to_le_bytes(),
-        );
+        fram.write_raw(self.base + COUNT_OFF, &(tx.count as u16).to_le_bytes());
 
         // Phase 2: the linearisation point — one atomic byte.
         spend(1, JournalOp::Write)?;
         fram.write_raw(self.base + FLAG_OFF, &[FLAG_ENTRIES]);
 
         // Phase 3: apply; a failure here is repaired by `recover`.
-        self.apply(fram, spend)
+        self.replay(fram, COUNT_OFF, spend)
     }
 
     /// Commits a sparse write-set atomically as one journal record.
@@ -359,7 +451,7 @@ impl Journal {
 
         // Phase 1: stage the whole record in one write.
         spend(needed, JournalOp::Write)?;
-        fram.write_raw(self.base + ENTRIES_OFF, &tx.encode());
+        fram.write_raw(self.base + ENTRIES_OFF, tx.record());
 
         // Phase 2: the linearisation point — one atomic byte.
         spend(1, JournalOp::Write)?;
@@ -367,9 +459,10 @@ impl Journal {
 
         // Phase 3: apply straight from RAM; a failure here is repaired
         // by `recover`, which replays the FRAM copy.
-        for (addr, data) in &tx.writes {
+        let subs = &tx.record[2..];
+        for (addr, data) in entries(subs) {
             spend(data.len(), JournalOp::Write)?;
-            fram.write_raw(*addr, data);
+            fram.write_raw(addr, &subs[data]);
         }
 
         spend(1, JournalOp::Write)?;
@@ -381,6 +474,10 @@ impl Journal {
     ///
     /// Returns `Ok(true)` when a pending transaction was re-applied.
     /// Called by the runtime on every boot before any other FRAM use.
+    /// A pending record whose flag, count or entry headers are out of
+    /// range — entries past the journal region, targets past the end of
+    /// FRAM or inside the journal — is rejected whole with
+    /// [`Fault::CorruptJournal`] before any of it is applied.
     pub fn recover(
         &self,
         fram: &mut Fram,
@@ -388,17 +485,15 @@ impl Journal {
     ) -> Result<bool, Interrupt> {
         spend(1, JournalOp::Read)?;
         let flag = fram.read_raw(self.base + FLAG_OFF, 1)[0];
-        match flag {
-            FLAG_IDLE => Ok(false),
-            FLAG_SPARSE => {
-                self.replay_sparse(fram, spend)?;
-                Ok(true)
-            }
-            _ => {
-                self.apply(fram, spend)?;
-                Ok(true)
-            }
-        }
+        let count_off = match flag {
+            FLAG_IDLE => return Ok(false),
+            FLAG_ENTRIES => COUNT_OFF,
+            FLAG_SPARSE => ENTRIES_OFF,
+            _ => return Err(Interrupt::Fault(Fault::CorruptJournal)),
+        };
+        self.check_record(fram, count_off)?;
+        self.replay(fram, count_off, spend)?;
+        Ok(true)
     }
 
     /// Returns `true` if a committed-but-unapplied transaction is
@@ -407,21 +502,46 @@ impl Journal {
         fram.peek_raw(self.base + FLAG_OFF, 1)[0] != FLAG_IDLE
     }
 
-    fn apply(
+    /// Validates the pending record whose `u16` entry count sits at
+    /// `count_off`, without billing: every entry must lie inside the
+    /// journal region and target FRAM outside it.
+    fn check_record(&self, fram: &Fram, count_off: usize) -> Result<(), Interrupt> {
+        let corrupt = Err(Interrupt::Fault(Fault::CorruptJournal));
+        let c = fram.peek_raw(self.base + count_off, 2);
+        let count = u16::from_le_bytes([c[0], c[1]]) as usize;
+        let mut off = self.base + first_entry(count_off);
+        for _ in 0..count {
+            if off + ENTRY_HEADER > self.end() {
+                return corrupt;
+            }
+            let (addr, len) = header(fram.peek_raw(off, ENTRY_HEADER));
+            off += ENTRY_HEADER + len;
+            let hits_journal = addr < self.end() && self.base < addr + len;
+            if off > self.end() || addr + len > fram.capacity() || hits_journal {
+                return corrupt;
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-applies the pending record whose entry count sits at
+    /// `count_off` by re-reading every entry from FRAM, then clears the
+    /// flag — the entry-list commit's apply phase and the reboot replay
+    /// of both formats (redo, idempotent).
+    fn replay(
         &self,
         fram: &mut Fram,
+        count_off: usize,
         spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
     ) -> Result<(), Interrupt> {
         spend(2, JournalOp::Read)?;
-        let count_bytes = fram.read_raw(self.base + COUNT_OFF, 2);
+        let count_bytes = fram.read_raw(self.base + count_off, 2);
         let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
 
-        let mut off = self.base + ENTRIES_OFF;
+        let mut off = self.base + first_entry(count_off);
         for _ in 0..count {
             spend(ENTRY_HEADER, JournalOp::Read)?;
-            let header = fram.read_raw(off, ENTRY_HEADER).to_vec();
-            let addr = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let len = u16::from_le_bytes([header[4], header[5]]) as usize;
+            let (addr, len) = header(fram.read_raw(off, ENTRY_HEADER));
             spend(len, JournalOp::Read)?;
             let data = fram.read_raw(off + ENTRY_HEADER, len).to_vec();
             spend(len, JournalOp::Write)?;
@@ -430,35 +550,6 @@ impl Journal {
         }
 
         // Clear the flag: the transaction is fully applied.
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
-        Ok(())
-    }
-
-    /// Replays a committed sparse record from its FRAM copy (reboot
-    /// path only — the happy path applies from RAM).
-    fn replay_sparse(
-        &self,
-        fram: &mut Fram,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        spend(2, JournalOp::Read)?;
-        let count_bytes = fram.read_raw(self.base + ENTRIES_OFF, 2);
-        let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
-
-        let mut off = self.base + ENTRIES_OFF + 2;
-        for _ in 0..count {
-            spend(ENTRY_HEADER, JournalOp::Read)?;
-            let header = fram.read_raw(off, ENTRY_HEADER).to_vec();
-            let addr = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let len = u16::from_le_bytes([header[4], header[5]]) as usize;
-            spend(len, JournalOp::Read)?;
-            let data = fram.read_raw(off + ENTRY_HEADER, len).to_vec();
-            spend(len, JournalOp::Write)?;
-            fram.write_raw(addr, &data);
-            off += ENTRY_HEADER + len;
-        }
-
         spend(1, JournalOp::Write)?;
         fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
         Ok(())
@@ -583,6 +674,13 @@ mod tests {
         // Lists at other addresses are unaffected.
         tx.write_u16_list(200, &[6, 7]);
         assert_eq!(tx.len(), 2);
+        // A re-staged list moves behind the other entries, which keep
+        // their order.
+        tx.write_raw(300, &[1]);
+        tx.write_u16_list(100, &[8, 9]);
+        assert_eq!(tx.len(), 3);
+        let staged: Vec<usize> = entries(&tx.entries).map(|(a, _)| a).collect();
+        assert_eq!(staged, vec![200, 300, 100]);
     }
 
     /// The core atomicity property: inject a power failure after every
@@ -842,7 +940,7 @@ mod tests {
             let mut tx = SparseTx::new();
             tx.push(&a, 0xDEAD_BEEF_u64);
             tx.push(&b, 0xCAFE_u32);
-            tx.encode()
+            tx.record().to_vec()
         };
 
         // Simulate a crash mid-stage at every record prefix length: the
@@ -855,6 +953,158 @@ mod tests {
             assert!(!journal.is_pending(&fram));
             assert_eq!(fram.peek(&a), 1, "torn={torn}: old image lost");
             assert_eq!(fram.peek(&b), 2, "torn={torn}: old image lost");
+        }
+    }
+
+    /// The staged record is the exact image the old per-sub-write
+    /// `Vec` representation serialised: count word, then `[addr u32]
+    /// [len u16][data]` per sub-write in first-staged order, merged
+    /// rewrites in place.
+    #[test]
+    fn sparse_record_image_matches_golden_bytes() {
+        let mut tx = SparseTx::new();
+        assert_eq!(tx.record(), &[0, 0]);
+        tx.push_raw(0x0102_0304, &[0xAA, 0xBB]);
+        tx.push_zeroed(0x10, 3);
+        tx.push_u16_list(0x20, &[7, 0x0102]);
+        tx.push_raw(0x0102_0304, &[0xCC, 0xDD]);
+        #[rustfmt::skip]
+        let golden = [
+            3, 0,
+            0x04, 0x03, 0x02, 0x01, 2, 0, 0xCC, 0xDD,
+            0x10, 0, 0, 0, 3, 0, 0, 0, 0,
+            0x20, 0, 0, 0, 6, 0, 2, 0, 7, 0, 0x02, 0x01,
+        ];
+        assert_eq!(tx.record(), &golden);
+        assert_eq!(tx.record_bytes(), golden.len());
+        assert_eq!(tx.len(), 3);
+    }
+
+    #[test]
+    fn staging_merges_only_same_address_and_width() {
+        let mut tx = SparseTx::new();
+        tx.push_raw(40, &[1, 2]);
+        tx.push_raw(40, &[3, 4]);
+        assert_eq!(tx.len(), 1, "same address and width merges");
+        tx.push_raw(40, &[5, 6, 7, 8]);
+        assert_eq!(tx.len(), 2, "same address, other width appends");
+        assert_eq!(tx.record_bytes(), 2 + 2 * ENTRY_HEADER + 2 + 4);
+
+        let mut w = TxWriter::new();
+        w.write_raw(40, &[1, 2]);
+        w.write_raw(40, &[3, 4]);
+        assert_eq!(w.len(), 1);
+        w.write_raw(40, &[5, 6, 7, 8]);
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.journal_bytes(), 2 * ENTRY_HEADER + 2 + 4);
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_restages_identically() {
+        let mut tx = SparseTx::new();
+        tx.push_raw(100, &[9; 32]);
+        tx.push_zeroed(200, 16);
+        let image = tx.record().to_vec();
+        let cap = tx.record.capacity();
+        tx.clear();
+        assert!(tx.is_empty());
+        assert_eq!(tx.record(), &[0, 0]);
+        assert_eq!(tx.record.capacity(), cap);
+        tx.push_raw(100, &[9; 32]);
+        tx.push_zeroed(200, 16);
+        assert_eq!(tx.record(), &image[..]);
+        assert_eq!(tx.record.capacity(), cap, "re-staging reuses the buffer");
+
+        let mut w = TxWriter::new();
+        w.write_raw(100, &[9; 32]);
+        let cap = w.entries.capacity();
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!(w.entries.capacity(), cap);
+    }
+
+    /// Flips every bit of a committed, still-pending record (both
+    /// formats, flag byte included): recovery either replays whatever
+    /// the record now says or rejects it with `CorruptJournal` — it
+    /// never panics.
+    #[test]
+    fn recover_rejects_bit_flipped_records_without_panicking() {
+        // A fresh journal holding a committed two-write record in either
+        // format, stopped right after its flag write; returns the record
+        // length past the flag.
+        fn pending(sparse: bool) -> (Fram, Journal, usize) {
+            let (mut fram, journal, a, b) = setup();
+            // Two headers plus a u64 and a u32 payload; either format
+            // adds a count word and the flag byte before the apply phase.
+            let entries = 2 * ENTRY_HEADER + 8 + 4;
+            let budget = entries + 2 + 1;
+            let len = if sparse { 2 + entries } else { entries };
+            let mut spent = 0;
+            let mut stop = |n, _| {
+                if spent + n > budget {
+                    return Err(Interrupt::PowerFailure);
+                }
+                spent += n;
+                Ok(())
+            };
+            let r = if sparse {
+                let mut tx = SparseTx::new();
+                tx.push(&a, 77u64);
+                tx.push(&b, 88u32);
+                journal.commit_sparse(&mut fram, &tx, &mut stop)
+            } else {
+                let mut tx = TxWriter::new();
+                tx.write(&a, 77);
+                tx.write(&b, 88);
+                journal.commit(&mut fram, &tx, &mut stop)
+            };
+            assert_eq!(r, Err(Interrupt::PowerFailure));
+            assert!(journal.is_pending(&fram));
+            (fram, journal, len)
+        }
+        let mut faults = 0;
+        for sparse in [false, true] {
+            let len = pending(sparse).2;
+            for byte in 0..ENTRIES_OFF + len {
+                for bit in 0..8 {
+                    let (mut fram, journal, _) = pending(sparse);
+                    let at = journal.base + byte;
+                    let flipped = fram.peek_raw(at, 1)[0] ^ (1 << bit);
+                    fram.write_raw(at, &[flipped]);
+                    match journal.recover(&mut fram, &mut no_fail) {
+                        Ok(_) => {}
+                        Err(Interrupt::Fault(Fault::CorruptJournal)) => faults += 1,
+                        Err(e) => panic!("sparse={sparse} byte {byte} bit {bit}: {e}"),
+                    }
+                }
+            }
+        }
+        assert!(faults > 0, "no flip was detected as corruption");
+    }
+
+    #[test]
+    fn recover_faults_on_out_of_range_headers_before_applying() {
+        let (mut fram, journal, a, _) = setup();
+        let region = journal.base + ENTRIES_OFF;
+        let cases: [(usize, u16); 3] = [
+            (fram.capacity() - 2, 8),            // target past the end of FRAM
+            (journal.base + 1, 2),               // target inside the journal
+            (a.addr(), journal.capacity as u16), // data past the region
+        ];
+        for (addr, len) in cases {
+            let mut record = vec![2, 0];
+            record.extend_from_slice(&(a.addr() as u32).to_le_bytes());
+            record.extend_from_slice(&8u16.to_le_bytes());
+            record.extend_from_slice(&5u64.to_le_bytes());
+            record.extend_from_slice(&(addr as u32).to_le_bytes());
+            record.extend_from_slice(&len.to_le_bytes());
+            fram.write_raw(region, &record);
+            fram.write_raw(journal.base + FLAG_OFF, &[FLAG_SPARSE]);
+            assert_eq!(
+                journal.recover(&mut fram, &mut no_fail),
+                Err(Interrupt::Fault(Fault::CorruptJournal))
+            );
+            assert_eq!(fram.peek(&a), 1, "nothing of a corrupt record applies");
         }
     }
 }
