@@ -14,8 +14,8 @@ fn usage() -> ExitCode {
          Regenerates the evaluation figures/tables of the ARTEMIS paper.\n\
          analyze  lint shipped specs/examples with the static analyser\n\
          \x20        (exits non-zero on any error-severity finding)\n\
-         cache    shadow-cache FRAM-traffic comparison (cached vs uncached)\n\
-         bytes    per-event FRAM bytes across the layout/commit lattice\n\
+         cache    shadow-cache FRAM traffic, warm vs always-cold\n\
+         bytes    per-event FRAM bytes of packed blocks + dirty-diff commits\n\
          energy   install-time energy feasibility verdicts vs measured\n\
          \x20        forward progress across a capacitor sweep\n\
          opt      bytecode optimizer sweep: executed instructions/event and\n\

@@ -44,28 +44,32 @@
 //! `Path:` filtering only ever *shrinks* the worklist below the routing
 //! index's interest list, effectless steps complete with a single
 //! plain write instead of a commit, and a step's dynamic write set is
-//! a subset of the static one. The engine's dirty-diff commits
-//! (`DiffMode::Auto` with a warm cache) only ever stage fewer runs and
-//! fewer bytes: changed bytes live inside the state word and write-set
-//! slots, at most one run forms per field, and the gap-merge rule only
-//! fires when the 6-byte header it saves covers the gap bytes it adds —
-//! so the slot-granular figures here dominate both commit modes.
+//! a subset of the static one. The model prices each sparse commit
+//! slot-granular (state word + every write-set slot); the engine's
+//! dirty-diff commits only ever stage fewer runs and fewer bytes:
+//! changed bytes live inside the state word and write-set slots, at
+//! most one run forms per field, and the gap-merge rule only fires
+//! when the 6-byte header it saves covers the gap bytes it adds. The
+//! figures are attained exactly when every byte of the state word and
+//! of every written slot changes and the fields lie more than a header
+//! apart (the monitor crate's exactness pins use such a suite).
 //!
 //! # Cache-aware bounds
 //!
-//! With the engine's volatile shadow cache warm (`CacheMode::Enabled`,
-//! the default), every read of a steady-state delivery — recovery
-//! flag, sequence, armed worklist, event, machine spans, verdict log —
-//! is served from RAM, and no commit re-reads the journal, so a warm
-//! delivery reads **nothing**: it costs exactly [`EventCost::writes`].
-//! [`EventCost::cold_extra_reads`] bounds the refill cost of the first
+//! The compiled engine reads through a volatile shadow cache. Warm,
+//! every read of a steady-state delivery — recovery flag, sequence,
+//! armed worklist, event, machine spans, verdict log — is served from
+//! RAM, and no commit re-reads the journal, so a warm delivery reads
+//! **nothing**: it costs exactly [`EventCost::writes`].
+//! [`EventCost::cold_extra_reads`] is the refill cost of the first
 //! delivery after a reboot (flag + seq + one whole-block fill per armed
-//! machine); a cold cached delivery never reads more than the uncached
-//! pattern, so [`EventCost::reads`] stays a valid bound in *both* cache
-//! modes. The batch path splits the same way
-//! ([`BatchBounds::cold_extra_reads`]). Write bounds are identical in
-//! both modes: the cache is write-through and never changes what the
-//! engine commits.
+//! machine); [`EventCost::reads`] and [`EventCost::read_bytes`] price
+//! every read the delivery performs as if nothing were shadowed — the
+//! post-reboot ceiling the energy gate charges, which dominates any
+//! cold delivery's read ops (a resumed one included). The batch path
+//! splits the same way ([`BatchBounds::cold_extra_reads`]). Write
+//! bounds hold warm and cold alike: the cache is write-through and
+//! never changes what the engine commits.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
@@ -189,24 +193,27 @@ pub struct EventCost {
     pub delta_machines: usize,
     /// Armed machines auto-degraded to whole-block loads and commits.
     pub degraded_machines: usize,
-    /// Worst-case FRAM read operations with the shadow cache cold or
-    /// disabled (a warm delivery reads nothing).
+    /// Worst-case FRAM read operations with every read priced as if
+    /// nothing were shadowed: the post-reboot ceiling. A warm delivery
+    /// reads nothing; a freshly armed cold one reads
+    /// `cold_extra_reads`.
     pub reads: usize,
-    /// Worst-case FRAM write operations (identical in both cache
-    /// modes: the shadow is write-through).
+    /// Worst-case FRAM write operations, warm or cold (the shadow is
+    /// write-through).
     pub writes: usize,
     /// Extra FRAM reads the first delivery after a reboot pays to
     /// refill the shadow: the recovery flag, the sequence number, and
-    /// one whole-block fill per armed machine (the fill is one op, same
-    /// as the uncached span read). Any post-reboot delivery — including
-    /// resuming an event armed before the crash — is also bounded by
-    /// the uncached [`EventCost::reads`], because a cold cached
-    /// delivery never reads more than the uncached pattern.
+    /// one whole-block fill per armed machine (one op each, like the
+    /// span read [`EventCost::reads`] prices). Any post-reboot delivery
+    /// — including resuming an event armed before the crash — reads at
+    /// most [`EventCost::reads`] ops.
     pub cold_extra_reads: usize,
     /// Largest single journal commit, in payload bytes.
     pub commit_bytes: usize,
-    /// Worst-case FRAM bytes read (per-byte traffic priced on top of
-    /// the per-op base by the sim's cost model).
+    /// Worst-case FRAM bytes read with every read priced, machine
+    /// loads at their span (per-byte traffic priced on top of the
+    /// per-op base by the sim's cost model). A cold fill reads whole
+    /// blocks, so on span-loading keys it can exceed this figure.
     pub read_bytes: usize,
     /// Worst-case FRAM bytes written.
     pub write_bytes: usize,
@@ -214,8 +221,8 @@ pub struct EventCost {
     /// lookup + per-machine dispatch + per-transition stepping).
     pub cycles: u64,
     /// FRAM write ops of the arming commit alone — a floor *every*
-    /// delivered event pays before any machine steps, in either cache
-    /// mode (the cache is write-through and never absorbs writes).
+    /// delivered event pays before any machine steps, warm or cold (the
+    /// cache is write-through and never absorbs writes).
     pub arming_writes: usize,
     /// FRAM bytes the arming commit alone writes.
     pub arming_write_bytes: usize,
@@ -418,14 +425,15 @@ pub struct BatchBounds {
     /// [`SuiteBounds::reset_commit_bytes`] when sizing a journal for a
     /// batch-enabled engine.
     pub reset_extra_bytes: usize,
-    /// Worst-case FRAM reads for one full batch (cache cold or off).
+    /// Worst-case FRAM reads for one full batch with every read priced
+    /// (the post-reboot ceiling; a warm batch reads nothing).
     pub reads: usize,
     /// Worst-case FRAM writes for one full batch.
     pub writes: usize,
     /// Extra FRAM reads the first batch after a reboot pays to refill
     /// the shadow: recovery flag + batch sequence + one whole-block
-    /// fill per armed machine. A resumed (pre-crash) batch is also
-    /// bounded by the uncached [`BatchBounds::reads`].
+    /// fill per armed machine. A resumed (pre-crash) batch reads at
+    /// most [`BatchBounds::reads`] ops.
     pub cold_extra_reads: usize,
     /// Worst-case FRAM bytes read for one full batch.
     pub read_bytes: usize,

@@ -43,8 +43,12 @@
 //!   `Harvester::FixedDelay`): **Infeasible** is an error and the
 //!   install is rejected before any FRAM is allocated.
 //! - the **ceiling** over-approximates a worst-case attempt: declared
-//!   body cost + runtime allowance + the full *uncached* worst-case
-//!   event cost (which dominates both cache modes, warm or cold). If
+//!   body cost + runtime allowance + the full post-reboot worst-case
+//!   event cost, every read priced as if the shadow cache held
+//!   nothing (a warm delivery reads nothing; a cold one reads at most
+//!   `cold_extra_reads ≤ reads` ops, though on span-loading keys its
+//!   whole-block fills can read more bytes than the span-priced
+//!   `read_bytes`). If
 //!   the ceiling fits under the budget less the configured margin, the
 //!   task is **Feasible**. Between the two — the ceiling crosses the
 //!   margin threshold but the floor still fits — the verdict is
@@ -76,8 +80,10 @@ use crate::compile::CompiledSuite;
 /// over-approximation; the margin semantics absorb the slack.
 pub const RUNTIME_ATTEMPT_OVERHEAD: Energy = Energy::from_nano_joules(2_500);
 
-/// Energy of one worst-case uncached event delivery under `cost`,
-/// which the monitor crate pins against the simulator's measured draw.
+/// Energy of one worst-case event delivery under `cost` with every
+/// read priced (`EventCost::reads` and `read_bytes`): the post-reboot
+/// ceiling the feasibility gate charges. The monitor crate checks
+/// always-cold deliveries against it.
 pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(
         cost.reads,
@@ -89,19 +95,21 @@ pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
 }
 
 /// Energy of one worst-case event delivery with the volatile shadow
-/// cache warm (`CacheMode::Enabled`, steady state): writes and cycles
-/// are identical to the uncached case, and no read remains.
+/// cache warm (steady state): the writes and cycles of
+/// [`event_energy`], and no read. The monitor crate pins it against
+/// the simulator's measured draw.
 pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.writes, cost.write_bytes, cost.cycles)
 }
 
 /// Energy of the arming commit alone — the write-only monitor floor
-/// every delivered event pays in either cache mode.
+/// every delivered event pays, warm or cold.
 pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
 }
 
-/// Energy of one worst-case uncached full batch under `bounds`.
+/// Energy of one worst-case full batch under `bounds` with every read
+/// priced — the batch twin of [`event_energy`].
 pub fn batch_energy(bounds: &BatchBounds, model: &CostModel) -> Energy {
     model.traffic_energy(
         bounds.reads,
@@ -151,7 +159,7 @@ pub struct TaskFeasibility {
     /// cost + the two events' arming commits only.
     pub floor: Energy,
     /// Over-approximation of the worst-case attempt: declared body
-    /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + full uncached
+    /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + full post-reboot
     /// `StartTask` + `EndTask` worst cases.
     pub ceiling: Energy,
     /// The verdict `floor`/`ceiling` imply under the profile's budget

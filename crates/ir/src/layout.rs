@@ -32,9 +32,6 @@
 use crate::compile::{CompiledTransition, Op};
 use crate::expr::{BinOp, Value, VarType};
 
-/// Bytes of the widest slot encoding (`Time`, `Float`, 8-byte `Int`).
-pub const MAX_SLOT_BYTES: usize = 8;
-
 /// How one variable slot is encoded in the machine's FRAM block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SlotEnc {
@@ -221,20 +218,6 @@ impl MachineLayout {
                 &mut out[slot.offset..slot.offset + slot.enc.width()],
             );
         }
-    }
-
-    /// Encodes one slot's image into the front of `buf`, returning the
-    /// encoded width — the engine's allocation-free change detector.
-    pub fn encode_slot_into(
-        &self,
-        slot: usize,
-        v: &Value,
-        buf: &mut [u8; MAX_SLOT_BYTES],
-    ) -> usize {
-        let enc = self.slots[slot].enc;
-        let w = enc.width();
-        encode_slot(enc, v, &mut buf[..w]);
-        w
     }
 }
 

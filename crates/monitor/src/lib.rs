@@ -50,14 +50,14 @@
 //! whole batch — goes through one function: it loads the block prefix
 //! the dispatched keys' static [`AccessSet`]s can touch, runs the
 //! bytecode in scratch, and commits one **sparse record**
-//! ([`SparseTx`]): the state word plus the write-set slots (or, for keys
-//! whose access set covers ≥ ¾ of the block, decided at compile time,
-//! the whole block image), one verdict cell per emitting event, and the
-//! done bitmap. Soundness: the access set over-approximates every slot
-//! the dispatched bytecode can read or write, so slots outside the
-//! loaded span are never observed and slots outside the write set
-//! cannot change; write-set slots the step did not touch write back
-//! their loaded value, which is idempotent.
+//! ([`SparseTx`]): the changed byte runs of the loaded prefix (or, for
+//! keys whose access set covers ≥ ¾ of the block, decided at compile
+//! time, the whole block image — see "Dirty-diff commits"), one verdict
+//! cell per emitting event, and the done bitmap. Soundness: the access
+//! set over-approximates every slot the dispatched bytecode can read or
+//! write, so slots outside the loaded span are never observed and slots
+//! outside the write set cannot change; unchanged bytes a merged run
+//! re-writes carry their loaded value, which is idempotent.
 //!
 //! [`ExecMode::Interpreter`] is the reference semantics: the
 //! tree-walking interpreter of `artemis_ir::exec` over one FRAM cell
@@ -78,9 +78,12 @@
 //! **merged** interested worklist, and a batch completion bitmap), then
 //! each armed machine steps through *all* its events of the batch in
 //! volatile scratch and commits **once**: repeated writes to the same
-//! variable slot coalesce to the last value over the merged static
-//! [`AccessSet`] of the events it dispatched, with one verdict cell per
-//! emitting event folded into the same record as its done bit.
+//! variable slot coalesce to the last value, the record carries the
+//! changed runs of the prefix the merged static [`AccessSet`] of the
+//! dispatched events covers (a net-unchanged byte costs nothing), and
+//! one verdict cell per emitting event rides in the same record as its
+//! done bit. The batch lane reads through the same shadow cache as the
+//! per-event lane: a warm batch reads no FRAM at all.
 //!
 //! Crash correctness is the same argument as the per-event path, one
 //! level up: the arming commit fixes the events and the merged
@@ -94,14 +97,15 @@
 //!
 //! # Volatile shadow cache (write-only steady state)
 //!
-//! Under [`CacheMode::Enabled`] (the default for compiled engines) the
-//! engine keeps a volatile **shadow** of every FRAM location the hot
-//! path reads: after any load or commit the decoded machine images,
-//! the done bitmaps, the worklists, and the verdict log stay
+//! Compiled engines keep a volatile **shadow** of every FRAM location
+//! the hot path reads: after any load or commit the decoded machine
+//! images, the done bitmaps, the worklists, and the verdict log stay
 //! authoritative in RAM, so a steady-state delivery performs **zero**
 //! FRAM reads — nonvolatile memory is touched only by the crash-atomic
-//! commits (which are unchanged, byte for byte: the cache is strictly
-//! write-through and never defers or reorders a write).
+//! commits. The cache is strictly write-through and never defers or
+//! reorders a write; it is the compiled engine's one read path. The
+//! interpreter stays uncached: it is the independent reference
+//! semantics.
 //!
 //! Coherence contract: the cache records the [`Sram`] reboot epoch it
 //! was filled under; every entry point re-syncs against
@@ -111,13 +115,28 @@
 //! *after* `dev.recover` has replayed any torn journal commit —
 //! replay-then-invalidate is safe because replay is idempotent against
 //! FRAM and completes before the first cold read. The first delivery
-//! after a reboot therefore pays cold-miss reads bounded by the armed
-//! set's block loads (see `EventCost::cold_extra_reads` in
-//! `artemis_ir`); every later delivery in the same epoch is
-//! write-only. [`CacheMode::Disabled`] re-reads every input, pinned to
-//! the same verdicts and state by the differential tests.
+//! after a reboot therefore pays cold-miss reads, exactly
+//! `EventCost::cold_extra_reads` in `artemis_ir` for a freshly armed
+//! event; every later delivery in the same epoch is write-only. Tests
+//! get the "always cold" engine by clearing SRAM before each delivery
+//! (`Device::sram_mut().clear()`), which is exactly the post-reboot
+//! read path. Cold fills validate what they read: a worklist longer
+//! than the suite or naming no installed machine faults with
+//! [`Fault::CorruptState`] instead of indexing out of bounds.
 //! Hit/miss/invalidation counters are exposed through
 //! [`MonitorEngine::cache_stats`].
+//!
+//! # Dirty-diff commits
+//!
+//! Every compiled step commits byte-granular runs: the new image of
+//! the covered block prefix is diffed against the shadow's
+//! authoritative old image and only the changed `[addr][len][data]`
+//! runs are journalled (runs separated by at most one sub-write
+//! header of unchanged bytes merge). The static bounds model prices
+//! the state word plus every write-set slot; a diff record never
+//! exceeds that, and equals it whenever every byte of the state word
+//! and of each written slot changes and the fields lie more than a
+//! header apart.
 //!
 //! [`Sram`]: intermittent_sim::fram::Sram
 
@@ -136,10 +155,9 @@ use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledSuite}
 use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
-use artemis_ir::layout::MAX_SLOT_BYTES;
 use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
-use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
+use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
 use intermittent_sim::journal::{u16_list_bytes, Journal, SparseTx, TxWriter};
 
@@ -268,38 +286,6 @@ pub enum BatchMode {
     },
 }
 
-/// Whether commits journal only the bytes that actually changed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DiffMode {
-    /// Diff the new image against the shadow cache's authoritative old
-    /// image and journal minimal `[addr][len][data]` runs (adjacent
-    /// runs merged when the gap is within the sub-write header, so
-    /// header overhead never exceeds the bytes saved) — the default.
-    /// Requires the shadow cache; with the cache off commits stay
-    /// slot-granular.
-    #[default]
-    Auto,
-    /// Always journal the state word plus every write-set slot. Kept
-    /// for benchmarking, differential testing and the exactness pins
-    /// of the static bounds model.
-    Disabled,
-}
-
-/// Whether the engine keeps a volatile shadow of the FRAM locations
-/// the hot path reads (see the module docs, "Volatile shadow cache").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CacheMode {
-    /// Serve steady-state reads from RAM; FRAM reads happen only on
-    /// the first touch after a reboot — the default. Only takes effect
-    /// in compiled mode; interpreter engines silently run uncached
-    /// (query the effective mode via [`MonitorEngine::cache_mode`]).
-    #[default]
-    Enabled,
-    /// Re-read every input from FRAM on every delivery. Kept as a
-    /// differential oracle and the bench baseline.
-    Disabled,
-}
-
 /// Shadow-cache effectiveness counters
 /// ([`MonitorEngine::cache_stats`]). `hits` counts shadow lookups that
 /// avoided FRAM traffic, `misses` counts cold FRAM reads that
@@ -338,12 +324,6 @@ pub struct InstallOptions {
     /// Group-commit batch delivery (off by default; compiled engines
     /// only).
     pub batch: BatchMode,
-    /// Volatile shadow cache for the hot-path FRAM reads (on by
-    /// default; compiled engines only).
-    pub cache: CacheMode,
-    /// Byte-granular dirty-diff commits (on by default; inert whenever
-    /// the shadow cache is off).
-    pub diff: DiffMode,
     /// Bytecode optimization level for ahead-of-time compilation
     /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
     /// straight-from-lowering bytecode and serves as the differential
@@ -560,8 +540,9 @@ const DIFF_MERGE_GAP: usize = 6;
 /// [`DIFF_MERGE_GAP`]. Merged gap bytes re-write their old value —
 /// idempotent, so replaying the journal record after a power failure
 /// is safe. By the merge rule a
-/// diff record never exceeds the slot-granular record in bytes *or*
-/// sub-write count: every changed byte lies in the state field or a
+/// diff record never exceeds the record the static bounds model
+/// prices (state word + every written slot) in bytes *or* sub-write
+/// count: every changed byte lies in the state field or a
 /// written slot (≤ 8 bytes each, so at most one run apiece before
 /// merging), and each merge saves `header − gap ≥ 0` bytes.
 fn diff_runs(old: &[u8], new: &[u8], runs: &mut Vec<(usize, usize)>) {
@@ -799,11 +780,8 @@ pub struct MonitorEngine {
     events: LaneState,
     /// `Some` iff [`BatchMode::Enabled`] took effect (compiled only).
     batch: Option<BatchState>,
-    /// `true` iff cached commits diff against the shadow image
-    /// ([`DiffMode::Auto`] and the cache took effect).
-    diff_enabled: bool,
-    /// `Some` iff [`CacheMode::Enabled`] took effect (compiled only):
-    /// the volatile shadow of the hot path's FRAM reads.
+    /// The volatile shadow of the hot path's FRAM reads: `Some` iff
+    /// the engine is compiled (the interpreter reads FRAM directly).
     cache: Option<RefCell<ShadowCache>>,
     /// Dynamic executed-instruction counters (volatile, like the cache
     /// stats — see [`ExecStats`]).
@@ -904,8 +882,6 @@ impl MonitorEngine {
         let InstallOptions {
             mode,
             batch,
-            cache,
-            diff,
             journal_capacity,
             energy,
             // Compilation already happened in the caller's hands.
@@ -1153,7 +1129,7 @@ impl MonitorEngine {
             // compiled mode only. The epoch starts at the device's
             // *current* reboot generation so a freshly installed
             // engine doesn't count a spurious invalidation.
-            let cache = (cache == CacheMode::Enabled && compiled_mode).then(|| {
+            let cache = compiled_mode.then(|| {
                 RefCell::new(ShadowCache::new(
                     dev.sram().generation(),
                     machines.len(),
@@ -1162,9 +1138,6 @@ impl MonitorEngine {
                     batch_events.unwrap_or(0),
                 ))
             });
-            // Dirty-diff commits need the shadow's authoritative old
-            // image; with the cache off commits stay slot-granular.
-            let diff_enabled = diff == DiffMode::Auto && cache.is_some();
             Ok(MonitorEngine {
                 mode,
                 compiled,
@@ -1176,7 +1149,6 @@ impl MonitorEngine {
                 verdict_cells,
                 events,
                 batch: batch_state,
-                diff_enabled,
                 cache,
                 exec: RefCell::new(ExecStats::default()),
                 scratch,
@@ -1192,30 +1164,8 @@ impl MonitorEngine {
         self.mode
     }
 
-    /// The shadow-cache mode the engine actually runs (a requested
-    /// [`CacheMode::Enabled`] degrades to uncached in interpreter
-    /// mode).
-    pub fn cache_mode(&self) -> CacheMode {
-        if self.cache.is_some() {
-            CacheMode::Enabled
-        } else {
-            CacheMode::Disabled
-        }
-    }
-
-    /// The diff-commit mode the engine actually runs (a requested
-    /// [`DiffMode::Auto`] degrades to slot-granular whenever the
-    /// shadow cache is off).
-    pub fn diff_mode(&self) -> DiffMode {
-        if self.diff_enabled {
-            DiffMode::Auto
-        } else {
-            DiffMode::Disabled
-        }
-    }
-
-    /// Shadow-cache effectiveness counters; all-zero when the cache is
-    /// disabled. The engine-level mirror of
+    /// Shadow-cache effectiveness counters; all-zero for the
+    /// (uncached) interpreter. The engine-level mirror of
     /// `ArtemisRuntime::events_delivered`.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
@@ -1370,7 +1320,9 @@ impl MonitorEngine {
     /// Shadow-aware read of a lane's worklist count (0 = nothing
     /// armed). A cold count read only fills the shadow when the list is
     /// empty — a non-empty list's items are still unknown, and the
-    /// shadow never stores partial knowledge.
+    /// shadow never stores partial knowledge. A count above the suite
+    /// size faults with [`Fault::CorruptState`]: no commit arms more
+    /// machines than are installed.
     fn read_count(&self, dev: &mut Device, lane: Lane) -> Result<usize, Interrupt> {
         if let Some(cache) = &self.cache {
             let hit = cache.borrow().lanes[lane as usize]
@@ -1384,6 +1336,9 @@ impl MonitorEngine {
         }
         let bytes = dev.nv_read_raw(self.lane(lane).worklist_addr, 2)?;
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+        if n > self.machines.len() {
+            return Err(Interrupt::Fault(Fault::CorruptState));
+        }
         self.cache_put(|c| {
             if n == 0 {
                 c.lanes[lane as usize].worklist.set(&[]);
@@ -1394,9 +1349,9 @@ impl MonitorEngine {
     }
 
     /// Shadow-aware read of a lane's worklist items (`count` already
-    /// known and non-zero) into `out`. The count and item reads stay
-    /// separate ops so a cold cached delivery performs exactly the
-    /// uncached read sequence.
+    /// known and non-zero) into `out`; a cold read is one FRAM op after
+    /// the count's. An item naming no installed machine faults with
+    /// [`Fault::CorruptState`].
     fn read_items(
         &self,
         dev: &mut Device,
@@ -1422,6 +1377,9 @@ impl MonitorEngine {
                 .chunks_exact(2)
                 .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
         );
+        if out.iter().any(|&i| i as usize >= self.machines.len()) {
+            return Err(Interrupt::Fault(Fault::CorruptState));
+        }
         self.cache_put(|c| {
             c.lanes[lane as usize].worklist.set(out);
             c.stats.misses += 1;
@@ -1457,9 +1415,9 @@ impl MonitorEngine {
 
     /// Fills `scratch.block` with the first `span` bytes of machine
     /// `i`'s block image — from the shadow when warm, else one
-    /// whole-block FRAM read (the same single op as the uncached span
-    /// read) that also refills the shadow, so the *next* touch is free.
-    fn load_block_cached(
+    /// whole-block FRAM read that also refills the shadow, so the
+    /// *next* touch is free.
+    fn load_block(
         &self,
         dev: &mut Device,
         i: usize,
@@ -1469,22 +1427,23 @@ impl MonitorEngine {
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
         let layout = self.compiled.machines()[i].layout();
-        if let Some(cache) = &self.cache {
-            let hit = {
-                let c = cache.borrow();
-                let ms = &c.machines[i];
-                if ms.gen == c.gen {
-                    layout.encode(ms.state, &ms.vars, &mut scratch.block);
-                    scratch.block.truncate(span);
-                    true
-                } else {
-                    false
-                }
-            };
-            if hit {
-                cache.borrow_mut().stats.hits += 1;
-                return Ok(());
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("compiled engines keep a shadow cache");
+        let hit = {
+            let c = cache.borrow();
+            let ms = &c.machines[i];
+            if ms.gen == c.gen {
+                layout.encode(ms.state, &ms.vars, &mut scratch.block);
+                true
+            } else {
+                false
             }
+        };
+        if hit {
+            cache.borrow_mut().stats.hits += 1;
+        } else {
             {
                 let bytes = dev.nv_read_raw(addr, len)?;
                 scratch.block.clear();
@@ -1496,40 +1455,23 @@ impl MonitorEngine {
             layout.decode(&scratch.block, &mut ms.state, &mut ms.vars);
             ms.gen = *gen;
             c.stats.misses += 1;
-            scratch.block.truncate(span);
-            return Ok(());
         }
-        let bytes = dev.nv_read_raw(addr, span)?;
-        scratch.block.clear();
-        scratch.block.extend_from_slice(bytes);
+        scratch.block.truncate(span);
         Ok(())
     }
 
     /// Write-through after a successful machine-step commit: fold the
-    /// new state and the written slots back into the shadow (FRAM and
-    /// shadow now agree again). `writes == None` means the commit
-    /// carried the whole block, so the shadow can be (re)filled even
-    /// when it was cold; a sparse commit can only *update* a warm
-    /// shadow (partial knowledge is never stored).
-    fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value], writes: Option<&[u16]>) {
+    /// new state and the committed prefix `vars` (slots `0..len`) back
+    /// into machine `i`'s shadow, so FRAM and shadow agree again. The
+    /// step loaded the machine before committing, so its shadow is
+    /// live; a dead one stays dead (partial knowledge is never stored).
+    fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value]) {
         self.cache_put(|c| {
             let gen = c.gen;
             let ms = &mut c.machines[i];
-            match writes {
-                Some(writes) => {
-                    if ms.gen == gen {
-                        ms.state = state;
-                        for &slot in writes {
-                            ms.vars[slot as usize] = vars[slot as usize];
-                        }
-                    }
-                }
-                None => {
-                    ms.state = state;
-                    ms.vars.clear();
-                    ms.vars.extend_from_slice(vars);
-                    ms.gen = gen;
-                }
+            if ms.gen == gen {
+                ms.state = state;
+                ms.vars[..vars.len()].copy_from_slice(vars);
             }
         });
     }
@@ -1562,7 +1504,9 @@ impl MonitorEngine {
     }
 
     /// Shadow-aware read of the armed batch's encoded event array into
-    /// `out` (count word + payload — two FRAM ops cold, zero warm).
+    /// `out` (count word + payload — two FRAM ops cold, zero warm). A
+    /// count above the batch capacity faults with
+    /// [`Fault::CorruptState`].
     fn read_batch_events(
         &self,
         dev: &mut Device,
@@ -1578,6 +1522,9 @@ impl MonitorEngine {
                     let b = d.nv_read_raw(bs.events_addr, 2)?;
                     u16::from_le_bytes([b[0], b[1]]) as usize
                 };
+                if n > bs.max_events {
+                    return Err(Interrupt::Fault(Fault::CorruptState));
+                }
                 let bytes = d.nv_read_raw(bs.events_addr + 2, n * EncodedEvent::SIZE)?;
                 out.extend(
                     bytes
@@ -1944,9 +1891,9 @@ impl MonitorEngine {
     /// bit is set in `mask`, in delivery order, and commits the
     /// **coalesced** net effect once: repeated writes to a slot
     /// collapse to the last value in scratch, and the sparse record
-    /// carries the state word and the merged static write set (or the
-    /// whole block image for degraded keys, or only the changed byte
-    /// runs in diff mode), one verdict cell per emitting event, and
+    /// carries the changed byte runs of the covered block prefix (the
+    /// whole block image for degraded keys), one verdict cell per
+    /// emitting event, and
     /// `lane`'s bitmap `done` — which already has this machine's bit
     /// set. The one step function of both the per-event (one-event
     /// mask) and the batch lane.
@@ -2015,16 +1962,10 @@ impl MonitorEngine {
         };
 
         let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i, addr, len, span, scratch)?;
-        let mut before_state = 0u32;
-        layout.decode_prefix(
-            &scratch.block,
-            covered,
-            &mut before_state,
-            &mut scratch.vars,
-        );
+        self.load_block(dev, i, addr, len, span, scratch)?;
+        let mut state = 0u32;
+        layout.decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
         scratch.vars.resize(cm.var_count(), Value::Int(0));
-        let mut state = before_state;
 
         scratch.emits.clear();
         for (e, encoded) in events.iter().enumerate() {
@@ -2067,29 +2008,19 @@ impl MonitorEngine {
             }
         }
 
-        // Change detection over the merged written footprint. Whole
-        // blocks and diff mode re-encode and compare byte-for-byte
-        // (canonical encoding makes the comparison exact); otherwise
-        // the static write set is checked slot by slot.
-        let mut buf = [0u8; MAX_SLOT_BYTES];
+        // Re-encode and compare byte for byte against the loaded image
+        // (canonical encoding makes the comparison exact). A degraded
+        // key commits its whole block as one run whenever it commits
+        // at all; a sparse key commits only the changed runs.
         let changed = if whole {
             layout.encode(state, &scratch.vars, &mut scratch.block_new);
+            scratch.runs.clear();
+            scratch.runs.push((0, len));
             scratch.block_new != scratch.block
-        } else if self.diff_enabled {
+        } else {
             layout.encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
             diff_runs(&scratch.block, &scratch.block_new, &mut scratch.runs);
             !scratch.runs.is_empty()
-        } else {
-            state != before_state
-                || access.writes.iter().any(|&slot| {
-                    let off = layout.slots[slot as usize].offset;
-                    let w = layout.encode_slot_into(
-                        slot as usize,
-                        &scratch.vars[slot as usize],
-                        &mut buf,
-                    );
-                    scratch.block[off..off + w] != buf[..w]
-                })
         };
         let emits = &scratch.emits;
         if emits.is_empty() && !changed {
@@ -2098,20 +2029,8 @@ impl MonitorEngine {
 
         let stx = &mut scratch.stx;
         stx.clear();
-        if whole {
-            stx.push_raw(addr, &scratch.block_new);
-        } else if self.diff_enabled {
-            for &(s, e) in &scratch.runs {
-                stx.push_raw(addr + s, &scratch.block_new[s..e]);
-            }
-        } else {
-            stx.push_raw(addr, &state.to_le_bytes()[..layout.state_bytes]);
-            for &slot in &access.writes {
-                let off = layout.slots[slot as usize].offset;
-                let w =
-                    layout.encode_slot_into(slot as usize, &scratch.vars[slot as usize], &mut buf);
-                stx.push_raw(addr + off, &buf[..w]);
-            }
+        for &(s, e) in &scratch.runs {
+            stx.push_raw(addr + s, &scratch.block_new[s..e]);
         }
         let mut count = 0;
         let cell = |(e, action, path): &(usize, OnFail, Option<u32>)| -> VerdictCell {
@@ -2129,12 +2048,7 @@ impl MonitorEngine {
         }
         stx.push_raw(self.lane(lane).done.addr, done);
         dev.commit_sparse(&self.journal, stx)?;
-        self.shadow_machine_update(
-            i,
-            state,
-            &scratch.vars,
-            if whole { None } else { Some(&access.writes) },
-        );
+        self.shadow_machine_update(i, state, &scratch.vars[..covered]);
         self.cache_put(|c| {
             c.journal_clean = true;
             c.set_done(lane, done);
@@ -2811,58 +2725,104 @@ mod tests {
         assert_eq!(dev.fram().used_by(MemOwner::Monitor), before);
     }
 
+    /// FRAM traffic and monitor energy of the deliveries of one run.
+    struct Traffic {
+        reads: usize,
+        writes: usize,
+        write_bytes: usize,
+        energy: Energy,
+    }
+
+    /// Installs `suite` on the default engine (batching `batch` events
+    /// per delivery when `Some`), resets it, and makes `deliveries`
+    /// deliveries of consecutive `start(t0)` events. With `cold`, SRAM
+    /// is cleared before every delivery — the always-cold engine, where
+    /// each delivery takes the post-reboot read path.
+    fn measure(
+        suite: &MonitorSuite,
+        app: &AppGraph,
+        batch: Option<usize>,
+        deliveries: u64,
+        cold: bool,
+    ) -> Traffic {
+        let t0 = app.task_by_name("t0").unwrap();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let opts = InstallOptions {
+            batch: batch.map_or(BatchMode::Disabled, |max_events| BatchMode::Enabled {
+                max_events,
+            }),
+            ..InstallOptions::default()
+        };
+        let engine = MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+
+        let per = batch.unwrap_or(1) as u64;
+        let (reads0, writes0) = (dev.fram().read_ops(), dev.fram().write_ops());
+        let bytes0 = dev.fram().write_bytes();
+        let energy0 = dev.stats().energy(CostCategory::Monitor);
+        for d in 0..deliveries {
+            if cold {
+                dev.sram_mut().clear();
+            }
+            let first = 1 + d * per;
+            let events: Vec<MonitorEvent> = (first..first + per)
+                .map(|seq| MonitorEvent::start(t0, t(seq)))
+                .collect();
+            match batch {
+                Some(_) => drop(engine.deliver_batch(&mut dev, first, &events).unwrap()),
+                None => drop(engine.call_monitor(&mut dev, first, &events[0]).unwrap()),
+            }
+        }
+        Traffic {
+            reads: (dev.fram().read_ops() - reads0) as usize,
+            writes: (dev.fram().write_ops() - writes0) as usize,
+            write_bytes: (dev.fram().write_bytes() - bytes0) as usize,
+            energy: dev.stats().energy(CostCategory::Monitor) - energy0,
+        }
+    }
+
+    /// The static per-event cost of `start(t0)` in `suite`.
+    fn t0_key(suite: &MonitorSuite, app: &AppGraph) -> artemis_ir::analysis::EventCost {
+        let compiled = CompiledSuite::compile(suite, app).unwrap();
+        artemis_ir::suite_bounds(&compiled)
+            .per_key
+            .into_iter()
+            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
+            .unwrap()
+    }
+
+    /// Pins one key's static model on the default engine: warm
+    /// deliveries read nothing and write exactly the modelled ops and
+    /// bytes; always-cold deliveries read exactly `cold_extra_reads`,
+    /// under the post-reboot ceiling `reads`, and write the same.
+    fn assert_event_model_attained(
+        suite: &MonitorSuite,
+        app: &AppGraph,
+        key: &artemis_ir::analysis::EventCost,
+        events: u64,
+    ) {
+        let n = events as usize;
+        let warm = measure(suite, app, None, events, false);
+        assert_eq!(warm.reads, 0, "warm delivery must be write-only");
+        assert_eq!(warm.writes, key.writes * n, "write model drifted");
+        assert_eq!(warm.write_bytes, key.write_bytes * n, "byte model drifted");
+
+        let cold = measure(suite, app, None, events, true);
+        assert_eq!(cold.reads, key.cold_extra_reads * n, "cold model drifted");
+        assert!(key.cold_extra_reads <= key.reads);
+        assert_eq!(cold.writes, warm.writes, "the shadow is write-through");
+        assert_eq!(cold.write_bytes, warm.write_bytes);
+    }
+
     /// Pins the static FRAM cost model of `artemis_ir::analysis::bounds`
-    /// to the engine it describes: for the dispatch-benchmark-shaped
-    /// suite, the per-event bound must equal what the engine actually
-    /// bills (and therefore dominate any measured run, since arming-time
-    /// path filtering only ever shrinks the worklist).
+    /// to the engine it describes on the degraded dispatch workload:
+    /// every machine writes all twelve variables, so every commit is a
+    /// whole-block image and the model is attained exactly.
     #[test]
     fn bounds_model_matches_engine() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
         const MACHINES: usize = 8;
-        const VARS: usize = 12;
-        const EVENTS: u64 = 20;
-
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-            }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: (0..VARS)
-                    .map(|v| {
-                        Stmt::Assign(
-                            format!("v{v}"),
-                            Expr::bin(BinOp::Add, Expr::var(&format!("v{v}")), Expr::int(1)),
-                        )
-                    })
-                    .collect(),
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
+        let (suite, app) = dispatch_suite(MACHINES, 12);
+        let key = t0_key(&suite, &app);
         assert_eq!(key.machines, MACHINES);
         assert_eq!(key.emitters, 0);
         // Every machine degrades to whole-block commits: one block
@@ -2871,96 +2831,18 @@ mod tests {
         assert_eq!(key.reads, 2 + 4 + MACHINES + 1);
         assert_eq!(key.writes, 8 + MACHINES * 5);
         assert_eq!(key.cold_extra_reads, 2 + MACHINES);
-
-        // Both cache modes must match their static model exactly: a
-        // warm delivery reads nothing, and the write model is
-        // cache-independent (write-through).
-        for (cache, model_reads) in [(CacheMode::Disabled, key.reads), (CacheMode::Enabled, 0)] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite.clone(),
-                &app,
-                InstallOptions {
-                    cache,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-
-            let reads0 = dev.fram().read_ops();
-            let writes0 = dev.fram().write_ops();
-            for seq in 1..=EVENTS {
-                engine
-                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                    .unwrap();
-            }
-            let reads = (dev.fram().read_ops() - reads0) as usize;
-            let writes = (dev.fram().write_ops() - writes0) as usize;
-            assert_eq!(
-                reads,
-                model_reads * EVENTS as usize,
-                "read model drifted ({cache:?})"
-            );
-            assert_eq!(
-                writes,
-                key.writes * EVENTS as usize,
-                "write model drifted ({cache:?})"
-            );
-        }
+        assert_event_model_attained(&suite, &app, &key, 20);
     }
 
-    /// The delta-commit twin of [`bounds_model_matches_engine`]: when
-    /// each handler touches a small slice of its block, every machine
-    /// takes the sparse path and the static per-key bound — one span
-    /// read plus `|writes| + 3` journalled writes per machine — must
-    /// equal the engine's billing exactly.
+    /// The sparse twin of [`bounds_model_matches_engine`]: on the
+    /// every-byte-flips suite each machine stays on the span-loading
+    /// path and its dirty-diff commit carries exactly the state word
+    /// and the written slot the model prices.
     #[test]
     fn bounds_model_matches_engine_delta() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
         const MACHINES: usize = 8;
-        const VARS: usize = 12;
-        const EVENTS: u64 = 20;
-
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        // Each handler increments only v0: 1 of 12 slots written, far
-        // below the ¾ degrade threshold, so all machines stay sparse.
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-            }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: vec![Stmt::Assign(
-                    "v0".into(),
-                    Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-                )],
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
+        let (suite, app) = flip_suite(MACHINES);
+        let key = t0_key(&suite, &app);
         assert_eq!(key.machines, MACHINES);
         assert_eq!(key.delta_machines, MACHINES, "all machines must go sparse");
         assert_eq!(key.degraded_machines, 0);
@@ -2971,133 +2853,30 @@ mod tests {
         // A reboot's refill is flag + seq + one whole-block fill per
         // armed machine.
         assert_eq!(key.cold_extra_reads, 2 + MACHINES);
-
-        // `DiffMode::Disabled` pins the slot-granular commit format the
-        // static model prices; the dirty-diff default can only shave
-        // sub-writes off it (see `diff_commits_undercut_the_model`).
-        for (cache, model_reads) in [(CacheMode::Disabled, key.reads), (CacheMode::Enabled, 0)] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite.clone(),
-                &app,
-                InstallOptions {
-                    cache,
-                    diff: DiffMode::Disabled,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-
-            let reads0 = dev.fram().read_ops();
-            let writes0 = dev.fram().write_ops();
-            for seq in 1..=EVENTS {
-                engine
-                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                    .unwrap();
-            }
-            let reads = (dev.fram().read_ops() - reads0) as usize;
-            let writes = (dev.fram().write_ops() - writes0) as usize;
-            assert_eq!(
-                reads,
-                model_reads * EVENTS as usize,
-                "delta read model drifted ({cache:?})"
-            );
-            assert_eq!(
-                writes,
-                key.writes * EVENTS as usize,
-                "delta write model drifted ({cache:?})"
-            );
-        }
+        assert_event_model_attained(&suite, &app, &key, 20);
     }
 
-    /// The dirty-diff default commits strictly less than the
-    /// slot-granular format the static model prices, and stays under
-    /// the model: on the sparse increment workload the state word never
+    /// Dirty-diff commits undercut the model strictly when bytes stay
+    /// unchanged: on the sparse increment workload the state word never
     /// changes and only the counter's low byte does, so each machine's
-    /// commit shrinks from 3 sub-writes (state + slot + done) to 2
-    /// (one 1-byte run + done).
+    /// commit shrinks from 3 sub-writes (state + slot + done) to 2 (one
+    /// 1-byte run + done).
     #[test]
     fn diff_commits_undercut_the_model() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
         const MACHINES: usize = 8;
-        const VARS: usize = 12;
         const EVENTS: u64 = 20;
-
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-            }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: vec![Stmt::Assign(
-                    "v0".into(),
-                    Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-                )],
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite.clone(),
-            &app,
-            InstallOptions {
-                cache: CacheMode::Enabled,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(engine.diff_mode(), DiffMode::Auto);
-        engine.reset_monitor(&mut dev).unwrap();
-
-        let reads0 = dev.fram().read_ops();
-        let writes0 = dev.fram().write_ops();
-        let bytes0 = dev.fram().write_bytes();
-        for seq in 1..=EVENTS {
-            engine
-                .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                .unwrap();
-        }
-        let reads = (dev.fram().read_ops() - reads0) as usize;
-        let writes = (dev.fram().write_ops() - writes0) as usize;
-        let write_bytes = (dev.fram().write_bytes() - bytes0) as usize;
-
-        // Warm deliveries stay write-only, each machine commit drops
-        // one sub-write (5 instead of 6 FRAM writes), and both figures
-        // stay under the slot-granular static model.
-        assert_eq!(reads, 0, "diff path must stay write-only when warm");
-        assert_eq!(writes, (8 + MACHINES * 5) * EVENTS as usize);
-        assert!(writes < key.writes * EVENTS as usize);
+        let (suite, app) = dispatch_suite(MACHINES, 1);
+        let key = t0_key(&suite, &app);
+        let n = EVENTS as usize;
+        let warm = measure(&suite, &app, None, EVENTS, false);
+        assert_eq!(warm.reads, 0, "diff path must stay write-only when warm");
+        assert_eq!(warm.writes, (8 + MACHINES * 5) * n);
+        assert!(warm.writes < key.writes * n);
         assert!(
-            write_bytes <= key.write_bytes * EVENTS as usize,
-            "diff write bytes {write_bytes} must stay under the model {}",
-            key.write_bytes * EVENTS as usize
+            warm.write_bytes < key.write_bytes * n,
+            "diff write bytes {} must stay under the model {}",
+            warm.write_bytes,
+            key.write_bytes * n
         );
     }
 
@@ -3109,12 +2888,6 @@ mod tests {
         use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
 
         const VARS: usize = 12;
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
         let mut suite = MonitorSuite::new();
         for m in 0..machines {
             let mut sm = StateMachine::new(&format!("m{m}"), "t0");
@@ -3139,7 +2912,56 @@ mod tests {
             });
             suite.push(sm);
         }
-        (suite, app)
+        (suite, t_app())
+    }
+
+    /// The suite on which dirty-diff commits attain the slot-granular
+    /// model exactly: `machines` machines cycle through three states,
+    /// and each `startTask(t0)` adds `0x0101010101010101` to `x`, so
+    /// every byte of the 1-byte state word and of the 8-byte `x`
+    /// changes on every event (and on every batch of 8). Seven
+    /// never-written 1-byte pads keep the two fields 7 bytes apart,
+    /// more than the 6-byte sub-write header, so their runs never
+    /// merge.
+    fn flip_suite(machines: usize) -> (MonitorSuite, AppGraph) {
+        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
+        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
+
+        let mut suite = MonitorSuite::new();
+        for m in 0..machines {
+            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
+            for p in 0..7 {
+                sm.add_var(&format!("p{p}"), VarType::Int, Value::Int(0));
+            }
+            sm.add_var("x", VarType::Int, Value::Int(0));
+            for s in 0..3 {
+                sm.add_state(&format!("S{s}"));
+            }
+            for from in 0..3 {
+                sm.transitions.push(Transition {
+                    from,
+                    to: (from + 1) % 3,
+                    trigger: Trigger::Start(TaskPat::named("t0")),
+                    guard: None,
+                    body: vec![Stmt::Assign(
+                        "x".into(),
+                        Expr::bin(BinOp::Add, Expr::var("x"), Expr::int(0x0101_0101_0101_0101)),
+                    )],
+                    emit: None,
+                });
+            }
+            suite.push(sm);
+        }
+        (suite, t_app())
+    }
+
+    /// Two tasks `t0`, `t1` on one path.
+    fn t_app() -> AppGraph {
+        let mut b = AppGraphBuilder::new();
+        let t0 = b.task("t0");
+        let t1 = b.task("t1");
+        b.path(&[t0, t1]);
+        b.build().unwrap()
     }
 
     /// The dynamic executed-instruction counters must agree with the
@@ -3194,122 +3016,75 @@ mod tests {
         assert_eq!(engine_i.exec_stats(), ExecStats::default());
     }
 
-    /// The energy twin of [`bounds_model_matches_engine`]: per-event
-    /// predicted delivery energy (ops, bytes and cycles priced through
-    /// the device's cost model) must equal the simulator's measured
-    /// monitor-category draw exactly, in both cache modes, on both the
-    /// degraded (whole-block) and sparse (delta) workloads. This is
-    /// what lets the install-time feasibility analysis trust its
-    /// per-attempt numbers.
+    /// The energy twin of [`bounds_model_matches_engine`]: warm
+    /// per-event delivery energy (ops, bytes and cycles priced through
+    /// the device's cost model) equals the simulator's measured
+    /// monitor-category draw exactly, on both the degraded
+    /// (whole-block) and sparse (every-byte-flips) workloads; always-cold
+    /// deliveries stay under the post-reboot ceiling `event_energy`.
+    /// This is what lets the install-time feasibility analysis trust
+    /// its per-attempt numbers.
     #[test]
     fn energy_model_matches_engine() {
         use artemis_ir::analysis::{event_energy, event_energy_cached};
 
         const EVENTS: u64 = 20;
-
-        // writes=12 degrades every machine; writes=1 keeps all sparse.
-        for (label, writes) in [("degraded", 12), ("delta", 1)] {
-            let (suite, app) = dispatch_suite(8, writes);
-            let t0 = app.task_by_name("t0").unwrap();
-            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let bounds = artemis_ir::suite_bounds(&compiled);
-            let key = bounds
-                .per_key
-                .iter()
-                .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-                .unwrap();
-
-            for cache in [CacheMode::Disabled, CacheMode::Enabled] {
-                let mut dev = DeviceBuilder::msp430fr5994().build();
-                let model = *dev.cost_model();
-                let predicted = match cache {
-                    CacheMode::Disabled => event_energy(key, &model),
-                    CacheMode::Enabled => event_energy_cached(key, &model),
-                };
-                // Slot-granular commits: the energy model prices that
-                // format; the diff default only ever draws less.
-                let engine = MonitorEngine::install_with(
-                    &mut dev,
-                    suite.clone(),
-                    &app,
-                    InstallOptions {
-                        cache,
-                        diff: DiffMode::Disabled,
-                        ..InstallOptions::default()
-                    },
-                )
-                .unwrap();
-                engine.reset_monitor(&mut dev).unwrap();
-
-                let spent0 = dev.stats().energy(CostCategory::Monitor);
-                for seq in 1..=EVENTS {
-                    engine
-                        .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                        .unwrap();
-                }
-                let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
-                assert_eq!(
-                    spent,
-                    predicted.saturating_mul(EVENTS),
-                    "energy model drifted ({label}, {cache:?})"
-                );
-            }
+        let model = *DeviceBuilder::msp430fr5994().build().cost_model();
+        for (label, (suite, app)) in [
+            ("degraded", dispatch_suite(8, 12)),
+            ("sparse", flip_suite(8)),
+        ] {
+            let key = t0_key(&suite, &app);
+            let warm = measure(&suite, &app, None, EVENTS, false);
+            assert_eq!(
+                warm.energy,
+                event_energy_cached(&key, &model).saturating_mul(EVENTS),
+                "energy model drifted ({label})"
+            );
+            let cold = measure(&suite, &app, None, EVENTS, true);
+            assert_eq!(cold.reads, key.cold_extra_reads * EVENTS as usize);
+            assert!(cold.energy > warm.energy, "{label}");
+            assert!(
+                cold.energy <= event_energy(&key, &model).saturating_mul(EVENTS),
+                "cold draw above the post-reboot ceiling ({label})"
+            );
         }
     }
 
     /// Batched counterpart of [`energy_model_matches_engine`]: a full
-    /// batch on the sparse workload must draw exactly the static
-    /// [`artemis_ir::BatchBounds`] energy in both cache modes (warm
+    /// warm batch on the every-byte-flips workload writes and draws
+    /// exactly the static [`artemis_ir::BatchBounds`] figures (warm
     /// batches are write-only, so the cached prediction is writes +
-    /// cycles alone).
+    /// cycles alone); an always-cold batch reads exactly
+    /// `cold_extra_reads` and stays under the post-reboot ceiling.
     #[test]
     fn batch_energy_model_matches_engine() {
         use artemis_ir::analysis::{batch_energy, batch_energy_cached};
 
         const BATCH: usize = 8;
         const BATCHES: u64 = 5;
+        let n = BATCHES as usize;
 
-        let (suite, app) = dispatch_suite(8, 1);
-        let t0 = app.task_by_name("t0").unwrap();
+        let (suite, app) = flip_suite(8);
         let compiled = CompiledSuite::compile(&suite, &app).unwrap();
         let bound = artemis_ir::batch_bounds(&compiled, BATCH);
+        let model = *DeviceBuilder::msp430fr5994().build().cost_model();
 
-        for cache in [CacheMode::Disabled, CacheMode::Enabled] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let model = *dev.cost_model();
-            let predicted = match cache {
-                CacheMode::Disabled => batch_energy(&bound, &model),
-                CacheMode::Enabled => batch_energy_cached(&bound, &model),
-            };
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite.clone(),
-                &app,
-                InstallOptions {
-                    batch: BatchMode::Enabled { max_events: BATCH },
-                    cache,
-                    diff: DiffMode::Disabled,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
+        let warm = measure(&suite, &app, Some(BATCH), BATCHES, false);
+        assert_eq!(warm.reads, 0, "warm batches must be write-only");
+        assert_eq!(warm.writes, bound.writes * n);
+        assert_eq!(warm.write_bytes, bound.write_bytes * n);
+        assert_eq!(
+            warm.energy,
+            batch_energy_cached(&bound, &model).saturating_mul(BATCHES),
+            "batch energy model drifted"
+        );
 
-            let spent0 = dev.stats().energy(CostCategory::Monitor);
-            for batch in 0..BATCHES {
-                let first_seq = 1 + batch * BATCH as u64;
-                let events: Vec<MonitorEvent> = (0..BATCH)
-                    .map(|i| MonitorEvent::start(t0, t(first_seq + i as u64)))
-                    .collect();
-                engine.deliver_batch(&mut dev, first_seq, &events).unwrap();
-            }
-            let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
-            assert_eq!(
-                spent,
-                predicted.saturating_mul(BATCHES),
-                "batch energy model drifted ({cache:?})"
-            );
-        }
+        let cold = measure(&suite, &app, Some(BATCH), BATCHES, true);
+        assert_eq!(cold.reads, bound.cold_extra_reads * n);
+        assert!(bound.cold_extra_reads <= bound.reads);
+        assert_eq!(cold.writes, warm.writes);
+        assert!(cold.energy <= batch_energy(&bound, &model).saturating_mul(BATCHES));
     }
 
     /// A statically infeasible task rejects the install with a typed
@@ -3393,36 +3168,30 @@ mod tests {
         );
     }
 
-    /// The shadow cache is on by default in compiled mode and silently
-    /// degrades to `Disabled` in the interpreter (per-cell storage, no
-    /// block image to shadow) and on an explicit opt-out.
+    /// Only compiled engines keep a shadow: the interpreter, the
+    /// independent reference semantics, reads FRAM directly.
     #[test]
     fn cache_runs_on_compiled_engines_only() {
-        let spec = "accel { maxTries: 3 onFail: skipPath; }";
         let app = app();
-
-        let cases = [
-            (InstallOptions::default(), CacheMode::Enabled),
-            (
-                InstallOptions {
-                    cache: CacheMode::Disabled,
-                    ..InstallOptions::default()
-                },
-                CacheMode::Disabled,
-            ),
-            (
-                InstallOptions {
-                    mode: ExecMode::Interpreter,
-                    ..InstallOptions::default()
-                },
-                CacheMode::Disabled,
-            ),
-        ];
-        for (opts, expect) in cases {
+        let accel = app.task_by_name("accel").unwrap();
+        for (mode, shadowed) in [(ExecMode::Compiled, true), (ExecMode::Interpreter, false)] {
             let mut dev = DeviceBuilder::msp430fr5994().build();
-            let suite = artemis_ir::compile(spec, &app).unwrap();
+            let suite =
+                artemis_ir::compile("accel { maxTries: 3 onFail: skipPath; }", &app).unwrap();
+            let opts = InstallOptions {
+                mode,
+                ..InstallOptions::default()
+            };
             let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            assert_eq!(engine.cache_mode(), expect);
+            engine.reset_monitor(&mut dev).unwrap();
+            engine
+                .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
+                .unwrap();
+            assert_eq!(
+                engine.cache_stats() != CacheStats::default(),
+                shadowed,
+                "{mode:?}"
+            );
         }
     }
 
@@ -3434,7 +3203,6 @@ mod tests {
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let (engine, app) = engine(&mut dev, "accel { maxTries: 10 onFail: skipPath; }");
         let accel = app.task_by_name("accel").unwrap();
-        assert_eq!(engine.cache_mode(), CacheMode::Enabled);
 
         // reset_monitor pre-fills every shadow, so warm deliveries are
         // pure hits: no misses, and strictly growing hit counts.
@@ -3484,47 +3252,12 @@ mod tests {
     /// finalize probe — and nothing accumulates across reboots.
     #[test]
     fn reboot_storm_cold_misses_stay_within_static_bound() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
         const MACHINES: usize = 8;
-        const VARS: usize = 12;
         const REBOOTS: u64 = 50;
 
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-            }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: vec![Stmt::Assign(
-                    "v0".into(),
-                    Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-                )],
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
+        let (suite, app) = dispatch_suite(MACHINES, 1);
+        let t0 = app.task_by_name("t0").unwrap();
+        let key = t0_key(&suite, &app);
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
@@ -3621,8 +3354,8 @@ mod tests {
     }
 
     /// A start event on `accel` must not touch machines that only
-    /// watch `send`: the routed delivery reads exactly as much FRAM
-    /// with seven bystanders installed as without them.
+    /// watch `send`: an always-cold routed delivery reads exactly as
+    /// much FRAM with seven bystanders installed as without them.
     #[test]
     fn routed_path_skips_uninterested_machines() {
         let app = app();
@@ -3638,13 +3371,10 @@ mod tests {
             }
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let suite = artemis_ir::parse::parse_suite(&src).unwrap();
-            let opts = InstallOptions {
-                cache: CacheMode::Disabled,
-                ..InstallOptions::default()
-            };
-            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
             engine.reset_monitor(&mut dev).unwrap();
             let accel = app.task_by_name("accel").unwrap();
+            dev.sram_mut().clear();
             let before = (dev.fram().read_ops(), dev.fram().read_bytes());
             engine
                 .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
@@ -3657,6 +3387,48 @@ mod tests {
         // Eight machines still fit the one-byte done bitmap, so even
         // the byte counts agree.
         assert_eq!(reads_with(7), reads_with(0));
+    }
+
+    /// A corrupt armed worklist — a count above the suite size, or an
+    /// item naming no installed machine — faults with a typed error on
+    /// the cold fill after a reboot instead of indexing out of bounds,
+    /// on both the per-event and the batch lane.
+    #[test]
+    fn corrupt_worklists_fault_instead_of_panicking() {
+        let app = app();
+        let spec = "accel { maxTries: 5 onFail: skipPath; }\n\
+                    send { collect: 2 dpTask: accel onFail: restartPath; }";
+        let accel = app.task_by_name("accel").unwrap();
+        for lane in [Lane::Event, Lane::Batch] {
+            // (byte offset in the worklist region, value): the count
+            // word, then the first item.
+            for (offset, value) in [(0, 200u16), (2, 500)] {
+                let mut dev = DeviceBuilder::msp430fr5994().build();
+                let suite = artemis_ir::compile(spec, &app).unwrap();
+                let opts = InstallOptions {
+                    batch: BatchMode::Enabled { max_events: 4 },
+                    ..InstallOptions::default()
+                };
+                let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+                engine.reset_monitor(&mut dev).unwrap();
+                let ev = MonitorEvent::start(accel, t(0));
+                match lane {
+                    Lane::Event => drop(engine.call_monitor(&mut dev, 1, &ev).unwrap()),
+                    Lane::Batch => drop(engine.deliver_batch(&mut dev, 1, &[ev]).unwrap()),
+                }
+                let state = engine.lane(lane);
+                dev.nv_write_raw(state.worklist_addr + offset, &value.to_le_bytes())
+                    .unwrap();
+                dev.nv_write_raw(state.done.addr, &vec![0; state.done.len])
+                    .unwrap();
+                dev.power_cycle();
+                assert_eq!(
+                    engine.monitor_finalize(&mut dev),
+                    Err(Interrupt::Fault(Fault::CorruptState)),
+                    "{lane:?} lane, offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

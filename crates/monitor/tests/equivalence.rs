@@ -5,9 +5,9 @@
 //! without power failures injected between deliveries.
 //!
 //! Every differential property runs across the whole configuration
-//! matrix ([`matrix`]: both shadow-cache modes × both bytecode
+//! matrix ([`matrix`]: warm and always-cold reads × both bytecode
 //! optimization levels), so one `cargo test` covers every engine the
-//! install options can build.
+//! install options can build, on both of its read paths.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
 use artemis_core::event::MonitorEvent;
@@ -16,9 +16,7 @@ use artemis_core::time::{SimDuration, SimInstant};
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::{MonitorSuite, OptLevel};
-use artemis_monitor::{
-    BatchMode, CacheMode, DiffMode, ExecMode, InstallOptions, MonitorEngine, MonitorVerdict,
-};
+use artemis_monitor::{BatchMode, ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
@@ -40,22 +38,58 @@ fn app() -> AppGraph {
     builder.build().unwrap()
 }
 
+/// One engine configuration: install options, plus whether SRAM is
+/// cleared before every delivery. An always-cold engine serves no read
+/// from its shadow cache: every delivery takes the post-reboot path
+/// and refills from FRAM.
+#[derive(Clone, Copy, Debug, Default)]
+struct Config {
+    opts: InstallOptions,
+    always_cold: bool,
+}
+
+impl From<InstallOptions> for Config {
+    fn from(opts: InstallOptions) -> Self {
+        Config {
+            opts,
+            always_cold: false,
+        }
+    }
+}
+
+impl Config {
+    /// Wipes SRAM ahead of a delivery when the engine runs always cold.
+    fn before_delivery(&self, dev: &mut Device) {
+        if self.always_cold {
+            dev.sram_mut().clear();
+        }
+    }
+}
+
 /// Every compiled-engine configuration the differential properties
-/// run: both shadow-cache modes × both bytecode optimization levels
+/// run: warm and always-cold reads × both bytecode optimization levels
 /// (the cache and the optimizer are each observationally invisible,
 /// so every cell must match the interpreter).
-fn matrix() -> impl Iterator<Item = InstallOptions> {
-    [CacheMode::Enabled, CacheMode::Disabled]
-        .into_iter()
-        .flat_map(|cache| {
-            [OptLevel::Full, OptLevel::None]
-                .into_iter()
-                .map(move |opt| InstallOptions {
-                    cache,
+fn matrix() -> impl Iterator<Item = Config> {
+    [false, true].into_iter().flat_map(|always_cold| {
+        [OptLevel::Full, OptLevel::None]
+            .into_iter()
+            .map(move |opt| Config {
+                opts: InstallOptions {
                     opt,
                     ..InstallOptions::default()
-                })
-        })
+                },
+                always_cold,
+            })
+    })
+}
+
+/// The default engine, always cold.
+fn always_cold() -> Config {
+    Config {
+        opts: InstallOptions::default(),
+        always_cold: true,
+    }
 }
 
 /// The interpreter's options: the reference semantics every matrix
@@ -132,10 +166,10 @@ fn engine_run(
     app: &AppGraph,
     events: &[Ev],
     dev: &mut Device,
-    opts: InstallOptions,
+    cfg: Config,
 ) -> Vec<Vec<(usize, OnFail)>> {
     let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
+    let engine = MonitorEngine::install_with(dev, suite, app, cfg.opts).unwrap();
     // Drive through the simulator so power failures reboot and resume.
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -161,6 +195,7 @@ fn engine_run(
                 MonitorEvent::end(task, SimInstant::from_micros(t))
             };
             let seq = idx as u64 + 1;
+            cfg.before_delivery(dev);
             let verdicts = engine.call_monitor(dev, seq, &event)?;
             // Record (volatile is fine: re-recording after a failure
             // overwrites the same index deterministically).
@@ -327,17 +362,17 @@ fn rich_event(e: &Ev, dep: Option<u32>, t: u64) -> MonitorEvent {
 /// (state word, variable values) of one engine run.
 type RunOutcome = (Vec<Vec<MonitorVerdict>>, Vec<(u32, Vec<Value>)>);
 
-/// Runs one spec/event stream through an engine installed with `opts`
+/// Runs one spec/event stream through an engine configured by `cfg`
 /// and returns (per-event verdicts, final FRAM-visible machine state).
 fn engine_run_opts(
     app: &AppGraph,
     spec: &str,
     events: &[(Ev, Option<u32>)],
     dev: &mut Device,
-    opts: InstallOptions,
+    cfg: impl Into<Config>,
 ) -> RunOutcome {
     let suite = artemis_ir::compile(spec, app).unwrap();
-    engine_run_suite(app, suite, events, dev, opts)
+    engine_run_suite(app, suite, events, dev, cfg)
 }
 
 /// [`engine_run_opts`] over an already-lowered suite.
@@ -346,9 +381,10 @@ fn engine_run_suite(
     suite: MonitorSuite,
     events: &[(Ev, Option<u32>)],
     dev: &mut Device,
-    opts: InstallOptions,
+    cfg: impl Into<Config>,
 ) -> RunOutcome {
-    let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
+    let cfg = cfg.into();
+    let engine = MonitorEngine::install_with(dev, suite, app, cfg.opts).unwrap();
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
         .unwrap();
@@ -364,6 +400,7 @@ fn engine_run_suite(
             }
             let (e, dep) = events[idx];
             let t: u64 = events[..=idx].iter().map(|(e, _)| e.gap_ms * 1_000).sum();
+            cfg.before_delivery(dev);
             let verdicts = engine.call_monitor(dev, idx as u64 + 1, &rich_event(&e, dep, t))?;
             if results.len() <= idx {
                 results.resize(idx + 1, Vec::new());
@@ -388,8 +425,9 @@ fn engine_run_batch(
     events: &[(Ev, Option<u32>)],
     dev: &mut Device,
     chunk: usize,
-    opts: InstallOptions,
+    cfg: impl Into<Config>,
 ) -> RunOutcome {
+    let cfg = cfg.into();
     let suite = artemis_ir::compile(spec, app).unwrap();
     let engine = MonitorEngine::install_with(
         dev,
@@ -397,7 +435,7 @@ fn engine_run_batch(
         app,
         InstallOptions {
             batch: BatchMode::Enabled { max_events: chunk },
-            ..opts
+            ..cfg.opts
         },
     )
     .unwrap();
@@ -423,6 +461,7 @@ fn engine_run_batch(
                     .sum();
                 batch.push(rich_event(e, *dep, t));
             }
+            cfg.before_delivery(dev);
             let verdicts = engine.deliver_batch(dev, idx as u64 + 1, &batch)?;
             if results.len() < idx + n {
                 results.resize(idx + n, Vec::new());
@@ -465,9 +504,9 @@ proptest! {
     fn engine_equals_interpreter_on_continuous_power(events in ev_strategy()) {
         let app = app();
         let expected = oracle(&app, &events);
-        for opts in matrix() {
-            let got = engine_run(&app, &events, &mut steady_device(), opts);
-            prop_assert_eq!(&got, &expected, "{:?}", opts);
+        for cfg in matrix() {
+            let got = engine_run(&app, &events, &mut steady_device(), cfg);
+            prop_assert_eq!(&got, &expected, "{:?}", cfg);
         }
     }
 
@@ -480,9 +519,9 @@ proptest! {
     ) {
         let app = app();
         let expected = oracle(&app, &events);
-        for opts in matrix() {
-            let got = engine_run(&app, &events, &mut flaky_device(budget_nj), opts);
-            prop_assert_eq!(&got, &expected, "budget {} nJ, {:?}", budget_nj, opts);
+        for cfg in matrix() {
+            let got = engine_run(&app, &events, &mut flaky_device(budget_nj), cfg);
+            prop_assert_eq!(&got, &expected, "budget {} nJ, {:?}", budget_nj, cfg);
         }
     }
 
@@ -498,10 +537,10 @@ proptest! {
     ) {
         let app = rich_app();
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for opts in matrix() {
-            let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut steady_device(), opts);
-            prop_assert_eq!(&vc, &vi, "verdict divergence, {:?}, spec: {}", opts, spec);
-            prop_assert_eq!(&sc, &si, "state divergence, {:?}, spec: {}", opts, spec);
+        for cfg in matrix() {
+            let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut steady_device(), cfg);
+            prop_assert_eq!(&vc, &vi, "verdict divergence, {:?}, spec: {}", cfg, spec);
+            prop_assert_eq!(&sc, &si, "state divergence, {:?}, spec: {}", cfg, spec);
         }
     }
 
@@ -516,36 +555,11 @@ proptest! {
     ) {
         let app = rich_app();
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for opts in matrix() {
+        for cfg in matrix() {
             let (vc, sc) =
-                engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), opts);
-            prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
-            prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
-        }
-    }
-
-    /// Byte-granular dirty-diff commits vs slot-granular commits vs the
-    /// interpreter on an intermittent device: a reboot can land between
-    /// any two diff-run applications, and replaying the minimal
-    /// `[addr][len][data]` records must reconstruct exactly the image
-    /// slot-granular replay would have. (With the cache off,
-    /// `DiffMode::Auto` degrades to slot-granular.)
-    #[test]
-    fn diff_equals_slot_granular_and_interpreter_under_random_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for opts in matrix() {
-            for diff in [DiffMode::Auto, DiffMode::Disabled] {
-                let opts = InstallOptions { diff, ..opts };
-                let (vd, sd) =
-                    engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), opts);
-                prop_assert_eq!(&vd, &vi, "verdicts, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
-                prop_assert_eq!(&sd, &si, "state, budget {} nJ, {:?}, spec: {}", budget_nj, opts, spec);
-            }
+                engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), cfg);
+            prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}, spec: {}", budget_nj, cfg, spec);
+            prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}, spec: {}", budget_nj, cfg, spec);
         }
     }
 
@@ -560,10 +574,10 @@ proptest! {
     ) {
         let app = rich_app();
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for opts in matrix() {
-            let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut steady_device(), chunk, opts);
-            prop_assert_eq!(&vb, &vi, "batch(chunk {}) verdicts, {:?}, spec: {}", chunk, opts, spec);
-            prop_assert_eq!(&sb, &si, "batch(chunk {}) state, {:?}, spec: {}", chunk, opts, spec);
+        for cfg in matrix() {
+            let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut steady_device(), chunk, cfg);
+            prop_assert_eq!(&vb, &vi, "batch(chunk {}) verdicts, {:?}, spec: {}", chunk, cfg, spec);
+            prop_assert_eq!(&sb, &si, "batch(chunk {}) state, {:?}, spec: {}", chunk, cfg, spec);
         }
     }
 
@@ -580,11 +594,11 @@ proptest! {
     ) {
         let app = rich_app();
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for opts in matrix() {
+        for cfg in matrix() {
             let (vb, sb) =
-                engine_run_batch(&app, &spec, &events, &mut flaky_device(budget_nj), chunk, opts);
-            prop_assert_eq!(&vb, &vi, "verdicts, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, opts, spec);
-            prop_assert_eq!(&sb, &si, "state, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, opts, spec);
+                engine_run_batch(&app, &spec, &events, &mut flaky_device(budget_nj), chunk, cfg);
+            prop_assert_eq!(&vb, &vi, "verdicts, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, cfg, spec);
+            prop_assert_eq!(&sb, &si, "state, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, cfg, spec);
         }
     }
 }
@@ -629,17 +643,16 @@ proptest! {
     ) {
         let app = rich_app();
         let mut dev = flaky_device(budget_nj);
-        let cached = MonitorEngine::install(&mut dev, hundred_machine_suite(), &app).unwrap();
-        prop_assert_eq!(cached.cache_mode(), CacheMode::Enabled);
-        prop_assert_eq!(cached.machine_count(), 100);
+        let engine = MonitorEngine::install(&mut dev, hundred_machine_suite(), &app).unwrap();
+        prop_assert_eq!(engine.machine_count(), 100);
 
         let (vi, si) = engine_run_suite(
             &app, hundred_machine_suite(), &events, &mut steady_device(), interpreter());
-        for opts in matrix() {
+        for cfg in matrix() {
             let (vc, sc) = engine_run_suite(
-                &app, hundred_machine_suite(), &events, &mut flaky_device(budget_nj), opts);
-            prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}", budget_nj, opts);
-            prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}", budget_nj, opts);
+                &app, hundred_machine_suite(), &events, &mut flaky_device(budget_nj), cfg);
+            prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}", budget_nj, cfg);
+            prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}", budget_nj, cfg);
         }
     }
 }
@@ -887,131 +900,86 @@ fn sparse_delta_commit_crash_windows_never_tear() {
 }
 
 // ---------------------------------------------------------------------------
-// Dirty-diff commit crash windows (deterministic).
+// Dirty-diff commit crash windows, always cold (deterministic).
 //
-// The diff-commit transaction journals minimal `[addr][len][data]` runs
-// computed against the shadow cache's old image instead of whole slots.
-// Its crash windows are a superset of the sparse path's: a reboot can
-// land after the diff record is staged but before the flag flips,
-// between two run applications during replay, or after a wipe that
-// cold-refills the shadows mid-stream (a stale old image would make the
-// next diff silently wrong). The twin-counter machine makes any torn or
+// Every compiled commit journals minimal `[addr][len][data]` runs
+// computed against the shadow cache's old image. Its crash windows are
+// a superset of the sparse path's: a reboot can land after the diff
+// record is staged but before the flag flips, between two run
+// applications during replay, or after a wipe that cold-refills the
+// shadows mid-stream (a stale old image would make the next diff
+// silently wrong). The warm sweep is
+// `sparse_delta_commit_crash_windows_never_tear`; this one clears SRAM
+// before every delivery, so every diff is taken against a freshly
+// cold-filled image. The twin-counter machine makes any torn or
 // misdiffed application observable as `a != b` at the next recovery
-// point. The sweep runs in both cache modes: with the cache enabled the
-// diff path is genuinely active (guarded below), with it disabled
-// `DiffMode::Auto` must degrade to slot-granular and stay equivalent.
+// point.
 // ---------------------------------------------------------------------------
 
 /// Budget sweep landing brown-outs in every window of the diff-commit
-/// transaction (>100 reboots per cache mode): the correlated counters
-/// must be equal at every recovery point, and the final image must
-/// match a continuous-power slot-granular run.
+/// transaction (>100 reboots) on the always-cold engine: the correlated
+/// counters must be equal at every recovery point, and the final image
+/// must match a continuous-power interpreter run.
 #[test]
 fn diff_commit_crash_windows_never_tear() {
     const EVENTS: u64 = 30;
     let app = rich_app();
+    let event = |seq: u64| MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000));
 
-    // Continuous-power slot-granular reference image.
+    // Continuous-power interpreter reference image.
     let reference = {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                diff: DiffMode::Disabled,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
+        let engine = MonitorEngine::install_with(&mut dev, suite, &app, interpreter()).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
         for seq in 1..=EVENTS {
-            engine
-                .call_monitor(
-                    &mut dev,
-                    seq,
-                    &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                )
-                .unwrap();
+            engine.call_monitor(&mut dev, seq, &event(seq)).unwrap();
         }
         engine.snapshot(&dev)
     };
 
     let twins = |snap: &[(u32, Vec<Value>)]| (snap[0].1[0], snap[0].1[1]);
 
-    for cache in [CacheMode::Enabled, CacheMode::Disabled] {
-        let mut total_reboots = 0u64;
-        for budget_nj in (700..3_000).step_by(25) {
-            let mut dev = DeviceBuilder::msp430fr5994()
-                .trace_disabled()
-                .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-                .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-                .build();
-            let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite,
-                &app,
-                InstallOptions {
-                    cache,
-                    diff: DiffMode::Auto,
-                    ..InstallOptions::default()
-                },
-            )
+    let mut total_reboots = 0u64;
+    for budget_nj in (700..3_000).step_by(25) {
+        let mut dev = flaky_device(budget_nj);
+        let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        let done = dev
+            .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
             .unwrap();
-            // Guard the premise: with the cache on, the diff path must
-            // actually be live; with it off, Auto must have degraded.
-            let want = match cache {
-                CacheMode::Enabled => DiffMode::Auto,
-                CacheMode::Disabled => DiffMode::Disabled,
-            };
-            assert_eq!(engine.diff_mode(), want, "cache {cache:?}");
-            let done = dev
-                .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
-                .unwrap();
-            let sim = Simulator::new(RunLimit::reboots(100_000));
-            let outcome = sim.run(&mut dev, &mut |dev: &mut Device| {
-                engine.monitor_finalize(dev)?;
-                // Every reboot is a recovery point: a torn or misdiffed
-                // commit surfaces here as a half-applied increment.
-                let (a, b) = twins(&engine.snapshot(dev));
-                assert_eq!(
-                    a, b,
-                    "torn diff commit at budget {budget_nj} nJ ({cache:?})"
-                );
-                loop {
-                    let idx = dev.nv_read(&done)? as usize;
-                    if idx as u64 >= EVENTS {
-                        return Ok(());
-                    }
-                    let seq = idx as u64 + 1;
-                    engine.call_monitor(
-                        dev,
-                        seq,
-                        &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                    )?;
-                    let (a, b) = twins(&engine.snapshot(dev));
-                    assert_eq!(
-                        a, b,
-                        "torn diff commit at budget {budget_nj} nJ ({cache:?})"
-                    );
-                    dev.nv_write(&done, (idx + 1) as u32)?;
+        let sim = Simulator::new(RunLimit::reboots(100_000));
+        let outcome = sim.run(&mut dev, &mut |dev: &mut Device| {
+            engine.monitor_finalize(dev)?;
+            // Every reboot is a recovery point: a torn or misdiffed
+            // commit surfaces here as a half-applied increment.
+            let (a, b) = twins(&engine.snapshot(dev));
+            assert_eq!(a, b, "torn diff commit at budget {budget_nj} nJ");
+            loop {
+                let idx = dev.nv_read(&done)? as usize;
+                if idx as u64 >= EVENTS {
+                    return Ok(());
                 }
-            });
-            assert!(outcome.is_completed(), "stream never finished");
-            assert_eq!(
-                engine.snapshot(&dev),
-                reference,
-                "final image diverged at budget {budget_nj} nJ ({cache:?})"
-            );
-            total_reboots += dev.reboots();
-        }
-        assert!(
-            total_reboots > 100,
-            "sweep too gentle to hit the diff commit windows ({total_reboots} reboots, {cache:?})"
+                let seq = idx as u64 + 1;
+                always_cold().before_delivery(dev);
+                engine.call_monitor(dev, seq, &event(seq))?;
+                let (a, b) = twins(&engine.snapshot(dev));
+                assert_eq!(a, b, "torn diff commit at budget {budget_nj} nJ");
+                dev.nv_write(&done, (idx + 1) as u32)?;
+            }
+        });
+        assert!(outcome.is_completed(), "stream never finished");
+        assert_eq!(
+            engine.snapshot(&dev),
+            reference,
+            "final image diverged at budget {budget_nj} nJ"
         );
+        total_reboots += dev.reboots();
     }
+    assert!(
+        total_reboots > 100,
+        "sweep too gentle to hit the diff commit windows ({total_reboots} reboots)"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,56 +1032,40 @@ fn batch_crash_windows_preserve_verdicts_and_state() {
 }
 
 // ---------------------------------------------------------------------------
-// Shadow-cache crash windows (deterministic).
+// Shadow-cache crash windows, always cold (deterministic).
 //
-// The cache is strictly write-through, so its only new failure mode is
-// stale RAM surviving a reboot or a wipe landing between two of the
-// FRAM writes that make up a cached delivery (arming commit, sparse
-// machine commits, batch finalize). The same fine-grained budget
-// sweeps as above land a brown-out at every one of those writes with
-// the cache enabled; the runs must match an uncached continuous-power
-// reference byte for byte.
+// The cache is strictly write-through, so its only failure modes are
+// stale RAM surviving a reboot, a wipe landing between two of the FRAM
+// writes that make up a delivery (arming commit, sparse machine
+// commits, batch finalize), and a cold fill reading a half-updated
+// region. The warm sweeps above cover the first two; these clear SRAM
+// before every delivery, so every delivery cold-fills its shadows and
+// the brown-outs land inside those fills too. The runs must match a
+// continuous-power interpreter reference.
 // ---------------------------------------------------------------------------
 
-/// Per-event cached delivery under the arming/commit crash sweep:
-/// every budget reboots mid-delivery, wiping warm shadows at every
-/// possible FRAM-write boundary, and must still match the uncached
-/// reference's verdicts and FRAM-visible state.
+/// Per-event always-cold delivery under the arming/commit crash sweep:
+/// every budget reboots mid-delivery, at every possible FRAM-write
+/// boundary, and must still match the interpreter's verdicts and
+/// FRAM-visible state.
 #[test]
 fn cached_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vu, su) = engine_run_opts(
+    let (vf, sf) = engine_run_opts(
         &app,
         CRASH_SPEC,
         &events,
-        &mut dev_u,
-        InstallOptions {
-            cache: CacheMode::Disabled,
-            ..InstallOptions::default()
-        },
+        &mut steady_device(),
+        interpreter(),
     );
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let (vc, sc) = engine_run_opts(
-            &app,
-            CRASH_SPEC,
-            &events,
-            &mut dev_c,
-            InstallOptions {
-                cache: CacheMode::Enabled,
-                ..InstallOptions::default()
-            },
-        );
-        assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
-        assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
+        let mut dev_c = flaky_device(budget_nj);
+        let (vc, sc) = engine_run_opts(&app, CRASH_SPEC, &events, &mut dev_c, always_cold());
+        assert_eq!(vc, vf, "verdict divergence at budget {budget_nj} nJ");
+        assert_eq!(sc, sf, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_c.reboots();
     }
     assert!(
@@ -1122,32 +1074,28 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
     );
 }
 
-/// Batch cached delivery under the batch crash sweep: brown-outs land
-/// inside the batch arming commit, between per-machine batch commits,
-/// and during the finalize/readback window — all with warm shadows
-/// that the reboot must invalidate.
+/// Batch always-cold delivery under the batch crash sweep: brown-outs
+/// land inside the batch arming commit, between per-machine batch
+/// commits, and during the finalize/readback window, each after a cold
+/// fill.
 #[test]
 fn cached_batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let uncached = InstallOptions {
-        cache: CacheMode::Disabled,
-        ..InstallOptions::default()
-    };
-    let (vu, su) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_u, 4, uncached);
+    let (vf, sf) = engine_run_opts(
+        &app,
+        CRASH_SPEC,
+        &events,
+        &mut steady_device(),
+        interpreter(),
+    );
 
     let mut total_reboots = 0u64;
     for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let cached = InstallOptions::default();
-        let (vc, sc) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_c, 4, cached);
-        assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
-        assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
+        let mut dev_c = flaky_device(budget_nj);
+        let (vc, sc) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_c, 4, always_cold());
+        assert_eq!(vc, vf, "verdict divergence at budget {budget_nj} nJ");
+        assert_eq!(sc, sf, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_c.reboots();
     }
     assert!(

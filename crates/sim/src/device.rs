@@ -70,6 +70,10 @@ pub enum Fault {
     /// past the journal region or targeting memory outside FRAM or
     /// inside the journal. Nothing of the record was applied.
     CorruptJournal,
+    /// A persistent region holds a value no commit can have written —
+    /// e.g. an armed worklist longer than the installed suite, or an
+    /// entry naming no installed machine. Nothing was stepped.
+    CorruptState,
 }
 
 impl fmt::Display for Interrupt {
@@ -93,6 +97,7 @@ impl fmt::Display for Interrupt {
                 write!(f, "simulation deadline exceeded")
             }
             Interrupt::Fault(Fault::CorruptJournal) => write!(f, "corrupt journal record"),
+            Interrupt::Fault(Fault::CorruptState) => write!(f, "corrupt persistent state"),
         }
     }
 }
