@@ -583,8 +583,8 @@ pub fn ablation_scalability() -> Report {
 /// **Scaling benchmark (beyond the paper's figures)** — per-event
 /// monitor cost as installed properties grow at a fixed matching
 /// fraction (events always target task 0, so exactly one property can
-/// react). Arming commits only the interested worklist, so the
-/// per-event cost stays flat in the number of installed machines.
+/// react). Only the interested worklist steps, so the per-event cost
+/// stays flat in the number of installed machines.
 pub fn scaling() -> Report {
     use artemis_core::event::MonitorEvent;
     use artemis_monitor::MonitorEngine;
@@ -1204,9 +1204,9 @@ pub fn cache() -> Report {
     let key = bounds.worst_event().expect("has event keys");
     let b8 = artemis_ir::batch_bounds(&compiled, 8);
     r.note(format!(
-        "always-cold: {:.1} reads/event per-event = cold_extra_reads {} (flag + seq + one \
-         block fill per armed machine), {:.1} reads/event batch-8 = {} per batch; the \
-         post-reboot ceilings are {} and {}",
+        "always-cold: {:.1} reads/event per-event = cold_extra_reads {} (flag, seq, event \
+         array, done bitmap + one block fill per armed machine), {:.1} reads/event batch-8 \
+         = {} per batch; the post-reboot ceilings are {} and {}",
         at("per-event", true).reads_per_event(),
         key.cold_extra_reads,
         at("batch-8", true).reads_per_event(),

@@ -77,16 +77,6 @@ pub enum TraceEvent {
         /// The rendered diagnostic text.
         message: String,
     },
-    /// A snapshot of the monitor engine's shadow-cache counters
-    /// (pushed on demand via `MonitorEngine::trace_cache_stats`).
-    CacheStats {
-        /// Shadow lookups served from RAM.
-        hits: u64,
-        /// Cold FRAM reads that filled a shadow entry.
-        misses: u64,
-        /// Whole-cache wipes caused by a reboot-epoch bump.
-        invalidations: u64,
-    },
 }
 
 /// A timestamped [`TraceEvent`].
@@ -263,14 +253,6 @@ impl Trace {
                 TraceEvent::InstallWarning { message } => {
                     writeln!(out, "install warning: {message}")
                 }
-                TraceEvent::CacheStats {
-                    hits,
-                    misses,
-                    invalidations,
-                } => writeln!(
-                    out,
-                    "cache {hits} hits / {misses} misses / {invalidations} invalidations"
-                ),
             };
         }
         out

@@ -24,13 +24,13 @@
 //! Per delivered event, using each key's static [`AccessSet`] and each
 //! machine's packed [`crate::layout::MachineLayout`]:
 //!
-//! - **arming**: recovery-flag read + sequence read, then one 5-sub-
-//!   write sparse commit (event, seq, verdict count, worklist, done
-//!   bitmap) — 2 reads, 8 writes, `87 + 2·n + ⌈N/8⌉` record bytes for
-//!   `n` armed out of `N` installed machines;
-//! - **worklist setup**: count + bitmap + items + event reads — 4 reads
-//!   (2 when the worklist is empty, as the items and event are never
-//!   read);
+//! - **armed-delivery load**: recovery flag, sequence number, event
+//!   array and done bitmap — 4 reads, one op each. The worklist is not
+//!   persisted: the engine derives it from the armed events;
+//! - **arming**: one 4-sub-write sparse commit (event array, sequence
+//!   number, verdict count, done bitmap) — 7 writes, `40 + 31·e + ⌈N/8⌉`
+//!   record bytes for `e` events and `N` installed machines; the same
+//!   formula prices a one-event delivery and a batch;
 //! - **per armed machine**, worst case (effectful step): one read of
 //!   the covering slot span, then a sparse commit of the state word,
 //!   every write-set slot and the done bitmap — 1 read, `|W| + 5`
@@ -40,9 +40,9 @@
 //!   verdict-count read and the verdict cell and count sub-writes;
 //! - **verdict readback**: count read + one read per possible emitter.
 //!
-//! The static bound dominates the dynamic cost because arming-time
-//! `Path:` filtering only ever *shrinks* the worklist below the routing
-//! index's interest list, effectless steps complete with a single
+//! The static bound dominates the dynamic cost because the `Path:`
+//! filter only ever *shrinks* the worklist below the routing index's
+//! interest list, effectless steps complete with a single
 //! plain write instead of a commit, and a step's dynamic write set is
 //! a subset of the static one. The model prices each sparse commit
 //! slot-granular (state word + every write-set slot); the engine's
@@ -58,18 +58,22 @@
 //!
 //! The compiled engine reads through a volatile shadow cache. Warm,
 //! every read of a steady-state delivery — recovery flag, sequence,
-//! armed worklist, event, machine spans, verdict log — is served from
-//! RAM, and no commit re-reads the journal, so a warm delivery reads
-//! **nothing**: it costs exactly [`EventCost::writes`].
+//! armed delivery and its derived worklist, machine spans, verdict log
+//! — is served from RAM, and no commit re-reads the journal, so a warm
+//! delivery reads **nothing**: it costs exactly [`EventCost::writes`].
 //! [`EventCost::cold_extra_reads`] is the refill cost of the first
-//! delivery after a reboot (flag + seq + one whole-block fill per armed
-//! machine); [`EventCost::reads`] and [`EventCost::read_bytes`] price
-//! every read the delivery performs as if nothing were shadowed — the
-//! post-reboot ceiling the energy gate charges, which dominates any
-//! cold delivery's read ops (a resumed one included). The batch path
-//! splits the same way ([`BatchBounds::cold_extra_reads`]). Write
-//! bounds hold warm and cold alike: the cache is write-through and
-//! never changes what the engine commits.
+//! delivery after a reboot (the armed-delivery load + one whole-block
+//! fill per armed machine); [`EventCost::reads`] and
+//! [`EventCost::read_bytes`] price every read the delivery performs as
+//! if nothing were shadowed — the post-reboot ceiling the energy gate
+//! charges, which dominates any cold delivery's read ops (a resumed one
+//! included). A cold load also re-derives the loaded delivery's
+//! worklist, one [`ROUTING_LOOKUP_CYCLES`] charge per event of it, on
+//! top of the warm [`EventCost::cycles`]; the energy ceilings price it.
+//! The batch path splits the same way
+//! ([`BatchBounds::cold_extra_reads`]). Write bounds hold warm and cold
+//! alike: the cache is write-through and never changes what the engine
+//! commits.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
@@ -103,11 +107,6 @@ pub const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 /// leading `count: u16`.
 const fn entry_bytes(data: usize) -> usize {
     ENTRY_HEADER + data
-}
-
-/// Journal bytes of a `u16` list entry with `n` items.
-const fn u16_list_entry_bytes(n: usize) -> usize {
-    entry_bytes(2 + 2 * n)
 }
 
 /// Bytes of the per-engine completion bitmap for `machines` installed
@@ -166,6 +165,27 @@ impl SparseCost {
     }
 }
 
+/// The arming commit of a delivery of `events` events: one sparse
+/// record of the event array (`u16` count + events), the sequence
+/// number, the verdict count and the done bitmap.
+fn arming(events: usize, done_b: usize) -> SparseCost {
+    SparseCost::default()
+        .with(2 + ENCODED_EVENT_BYTES * events)
+        .with(U64_BYTES)
+        .with(U32_BYTES)
+        .with(done_b)
+}
+
+/// FRAM read ops and bytes of loading the armed delivery of an engine
+/// holding up to `capacity` events, with nothing shadowed: recovery
+/// flag, sequence number, the whole event array and the done bitmap.
+fn armed_load(capacity: usize, done_b: usize) -> (usize, usize) {
+    (
+        4,
+        FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES * capacity + done_b,
+    )
+}
+
 /// Bytes of the block prefix one step of `access` loads.
 fn load_bytes(m: &CompiledMachine, access: &AccessSet) -> usize {
     if access.whole_block {
@@ -202,10 +222,11 @@ pub struct EventCost {
     /// write-through).
     pub writes: usize,
     /// Extra FRAM reads the first delivery after a reboot pays to
-    /// refill the shadow: the recovery flag, the sequence number, and
-    /// one whole-block fill per armed machine (one op each, like the
-    /// span read [`EventCost::reads`] prices). Any post-reboot delivery
-    /// — including resuming an event armed before the crash — reads at
+    /// refill the shadow: the armed-delivery load (recovery flag,
+    /// sequence number, event array, done bitmap), and one whole-block
+    /// fill per armed machine (one op each, like the span read
+    /// [`EventCost::reads`] prices). Any post-reboot delivery —
+    /// including resuming an event armed before the crash — reads at
     /// most [`EventCost::reads`] ops.
     pub cold_extra_reads: usize,
     /// Largest single journal commit, in payload bytes.
@@ -217,8 +238,10 @@ pub struct EventCost {
     pub read_bytes: usize,
     /// Worst-case FRAM bytes written.
     pub write_bytes: usize,
-    /// Worst-case engine CPU cycles charged for the delivery (routing
-    /// lookup + per-machine dispatch + per-transition stepping).
+    /// Worst-case engine CPU cycles a warm delivery charges (routing
+    /// lookup + per-machine dispatch + per-transition stepping). A
+    /// cold one also re-derives the loaded delivery's worklist: one
+    /// more [`ROUTING_LOOKUP_CYCLES`].
     pub cycles: u64,
     /// FRAM write ops of the arming commit alone — a floor *every*
     /// delivered event pays before any machine steps, warm or cold (the
@@ -258,7 +281,8 @@ impl SuiteBounds {
 }
 
 /// Computes the static resource bounds of a compiled suite by walking
-/// its routing index and dispatch tables.
+/// its routing index and dispatch tables, for an engine delivering one
+/// event at a time (see [`batch_bounds`] for larger capacities).
 pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
@@ -276,26 +300,11 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
             };
             let armed = compiled.routing().interested(kind, probe);
 
-            // Arming: recovery flag + seq reads, then one 5-sub-write
-            // sparse commit.
-            let arming = SparseCost::default()
-                .with(ENCODED_EVENT_BYTES)
-                .with(U64_BYTES)
-                .with(U32_BYTES)
-                .with(2 + 2 * armed.len())
-                .with(done_b);
-            let mut reads = 2;
-            let mut read_bytes = FLAG_BYTES + U64_BYTES;
+            let arming = arming(1, done_b);
+            let (mut reads, mut read_bytes) = armed_load(1, done_b);
             let mut writes = arming.writes();
             let mut write_bytes = arming.write_bytes();
             let mut commit = arming.record();
-            // Worklist setup: count + bitmap, then items + event when
-            // anything is armed.
-            reads += if armed.is_empty() { 2 } else { 4 };
-            read_bytes += 2 + done_b;
-            if !armed.is_empty() {
-                read_bytes += 2 * armed.len() + ENCODED_EVENT_BYTES;
-            }
             let mut cycles = ROUTING_LOOKUP_CYCLES;
 
             let mut emitters = 0;
@@ -344,10 +353,10 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 degraded_machines,
                 reads,
                 writes,
-                // Recovery flag + seq + one whole-block fill per armed
-                // machine (the fresh-arm cold path; resuming a
+                // The armed-delivery load + one whole-block fill per
+                // armed machine (the fresh-arm cold path; resuming a
                 // pre-crash event is bounded by `reads`).
-                cold_extra_reads: 2 + armed.len(),
+                cold_extra_reads: 4 + armed.len(),
                 commit_bytes: commit,
                 read_bytes,
                 write_bytes,
@@ -364,7 +373,7 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
         .sum::<usize>()
         + entry_bytes(U32_BYTES) // verdict count
         + entry_bytes(U64_BYTES) // seq
-        + u16_list_entry_bytes(0) // empty worklist
+        + entry_bytes(2) // event count
         + entry_bytes(done_b); // done bitmap
 
     let worst_commit_bytes = per_key
@@ -381,19 +390,16 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
     }
 }
 
-/// Worst-case cost of delivering one **batch** of up to `max_events`
-/// events through the group-commit path (`BatchMode::Enabled`).
+/// Worst-case cost of delivering one **batch** of `max_events` events
+/// on an engine of that capacity (`BatchMode::Enabled`).
 ///
 /// The model is deliberately conservative — it must dominate any
 /// actual batch the engine can run:
 ///
-/// - **arming**: recovery-flag + batch-seq reads, then one 5-sub-write
-///   sparse commit (events region, batch seq, verdict count, merged
-///   worklist, done bitmap). The events region entry carries a `u16`
-///   count plus `max_events` encoded events; the merged worklist is
-///   bounded by the whole suite.
-/// - **batch setup**: worklist count + done bitmap + worklist items +
-///   events count + events payload — 5 reads.
+/// - **armed-delivery load** and **arming**: the per-event formulas of
+///   [`suite_bounds`] at `max_events` events — 4 reads, then one
+///   4-sub-write sparse commit whose event array carries a `u16` count
+///   plus `max_events` encoded events.
 /// - **per machine** (all machines may be armed): the footprint is the
 ///   union of the machine's access sets over *every* dispatch key, and
 ///   a machine emits if *any* of its transitions emits. One covering
@@ -405,8 +411,8 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
 ///   emitter.
 ///
 /// Dominance over the engine's dynamic cost follows from the same
-/// arguments as [`suite_bounds`], plus: the merged worklist is a subset
-/// of all machines, a batch's dynamic merged access set unions access
+/// arguments as [`suite_bounds`], plus: the derived worklist is a
+/// subset of all machines, a batch's dynamic merged access set unions access
 /// sets of *delivered* keys only (⊆ union over all keys), and a machine
 /// emits at most one verdict per event in the batch. A warm batch
 /// reads nothing, exactly like a warm event.
@@ -419,30 +425,25 @@ pub struct BatchBounds {
     /// Largest single journal commit the batch path can stage (arming
     /// or any machine's coalesced commit).
     pub worst_commit_bytes: usize,
-    /// Journal bytes the batch cells add to the whole-suite reset
-    /// commit (batch sequence, cleared events region, empty merged
-    /// worklist, done bitmap) — add to
-    /// [`SuiteBounds::reset_commit_bytes`] when sizing a journal for a
-    /// batch-enabled engine.
-    pub reset_extra_bytes: usize,
     /// Worst-case FRAM reads for one full batch with every read priced
     /// (the post-reboot ceiling; a warm batch reads nothing).
     pub reads: usize,
     /// Worst-case FRAM writes for one full batch.
     pub writes: usize,
     /// Extra FRAM reads the first batch after a reboot pays to refill
-    /// the shadow: recovery flag + batch sequence + one whole-block
-    /// fill per armed machine. A resumed (pre-crash) batch reads at
+    /// the shadow: the armed-delivery load + one whole-block fill per
+    /// armed machine. A resumed (pre-crash) batch reads at
     /// most [`BatchBounds::reads`] ops.
     pub cold_extra_reads: usize,
     /// Worst-case FRAM bytes read for one full batch.
     pub read_bytes: usize,
     /// Worst-case FRAM bytes written for one full batch.
     pub write_bytes: usize,
-    /// Worst-case engine CPU cycles for one full batch. Routing is
-    /// charged twice per event (lookup at arming, again when the batch
-    /// runs), then each machine pays dispatch + worst-key stepping per
-    /// event.
+    /// Worst-case engine CPU cycles a warm full batch charges: one
+    /// routing lookup per event at arming, then each machine pays
+    /// dispatch + worst-key stepping per event. A cold one re-derives
+    /// the loaded delivery's worklist on top: up to `max_events` more
+    /// [`ROUTING_LOOKUP_CYCLES`].
     pub cycles: u64,
 }
 
@@ -466,26 +467,12 @@ pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds 
     let task_count = compiled.task_count();
     let done_b = done_bytes(machines.len());
 
-    // Arming: flag + batch-seq reads, one 5-sub-write sparse commit.
-    let arming = SparseCost::default()
-        .with(2 + ENCODED_EVENT_BYTES * max_events)
-        .with(U64_BYTES)
-        .with(U32_BYTES)
-        .with(2 + 2 * machines.len())
-        .with(done_b);
-    let mut reads = 2;
-    let mut read_bytes = FLAG_BYTES + U64_BYTES;
+    let arming = arming(max_events, done_b);
+    let (mut reads, mut read_bytes) = armed_load(max_events, done_b);
     let mut writes = arming.writes();
     let mut write_bytes = arming.write_bytes();
     let mut commit = arming.record();
-    // Routing is looked up per event at arming and again when the
-    // batch runs.
-    let mut cycles = 2 * ROUTING_LOOKUP_CYCLES * max_events as u64;
-
-    // Batch setup: worklist count + done bitmap + items + events count
-    // + events payload.
-    reads += 5;
-    read_bytes += 2 + done_b + 2 * machines.len() + 2 + ENCODED_EVENT_BYTES * max_events;
+    let mut cycles = ROUTING_LOOKUP_CYCLES * max_events as u64;
 
     let mut emitters = 0;
     for m in machines {
@@ -547,19 +534,13 @@ pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds 
     reads += 1 + emitters * max_events;
     read_bytes += U32_BYTES + VERDICT_BYTES * emitters * max_events;
 
-    // Reset surcharge: batch seq + cleared events count (a 2-byte raw
-    // image) + empty merged worklist + done bitmap.
-    let reset_extra_bytes =
-        entry_bytes(U64_BYTES) + entry_bytes(2) + u16_list_entry_bytes(0) + entry_bytes(done_b);
-
     BatchBounds {
         max_events,
         arming_commit_bytes: arming.record(),
         worst_commit_bytes: commit,
-        reset_extra_bytes,
         reads,
         writes,
-        cold_extra_reads: 2 + machines.len(),
+        cold_extra_reads: 4 + machines.len(),
         read_bytes,
         write_bytes,
         cycles,
@@ -649,22 +630,21 @@ mod tests {
         let wild = key(EventKind::StartTask, None);
         assert_eq!(wild.machines, 0);
         assert!(start_a.ops() > wild.ops());
-        // Sparse arming (2) + worklist (4) + block and verdict-count
-        // loads (2) + readback (1 + 1).
-        assert_eq!(start_a.reads, 2 + 4 + 2 + 1 + 1);
-        // Sparse arming (8) + one sparse commit of block, verdict cell,
+        // Armed-delivery load (4) + block and verdict-count loads (2) +
+        // readback (1 + 1).
+        assert_eq!(start_a.reads, 4 + 2 + 1 + 1);
+        // Sparse arming (7) + one sparse commit of block, verdict cell,
         // count and done bitmap (4 + 3).
-        assert_eq!(start_a.writes, 8 + 7);
-        assert_eq!(start_a.cold_extra_reads, 2 + 1);
+        assert_eq!(start_a.writes, 7 + 7);
+        assert_eq!(start_a.cold_extra_reads, 4 + 1);
         // Byte pins for the degraded emitting key (2-machine suite, so
         // a 1-byte done bitmap).
         let block = cs.machines()[0].layout().block_len;
         assert_eq!(
             start_a.read_bytes,
-            // arming flag+seq, worklist setup, block load, verdict
-            // count, readback count + one cell.
-            (FLAG_BYTES + U64_BYTES)
-                + (2 + 1 + 2 + ENCODED_EVENT_BYTES)
+            // flag, seq, event array and done bitmap, block load,
+            // verdict count, readback count + one cell.
+            (FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1)
                 + block
                 + U32_BYTES
                 + (U32_BYTES + VERDICT_BYTES)
@@ -678,7 +658,7 @@ mod tests {
             start_a.write_bytes,
             start_a.arming_write_bytes + (2 + step_entries) + step_data + 2
         );
-        assert_eq!(start_a.arming_writes, 8);
+        assert_eq!(start_a.arming_writes, 7);
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
         // start key; optimized (fused guards), the cycle-priced worst
@@ -735,12 +715,11 @@ mod tests {
             .unwrap();
         assert_eq!(start_a.delta_machines, 1);
         assert_eq!(start_a.degraded_machines, 0);
-        // Arming flag+seq (2) + worklist (4) + span load (1) +
-        // readback (1).
-        assert_eq!(start_a.reads, 2 + 4 + 1 + 1);
-        // Sparse arming (8) + sparse step of state+slot+done (6).
-        assert_eq!(start_a.writes, 8 + 6);
-        assert_eq!(start_a.cold_extra_reads, 2 + 1);
+        // Armed-delivery load (4) + span load (1) + readback (1).
+        assert_eq!(start_a.reads, 4 + 1 + 1);
+        // Sparse arming (7) + sparse step of state+slot+done (6).
+        assert_eq!(start_a.writes, 7 + 6);
+        assert_eq!(start_a.cold_extra_reads, 4 + 1);
 
         // v0's unguarded increment widens it to a full 8-byte slot, but
         // state (1 state), done (1 machine) and the eleven untouched
@@ -751,8 +730,7 @@ mod tests {
         assert_eq!(m.layout().block_len, 1 + 8 + 11);
         assert_eq!(
             start_a.read_bytes,
-            (FLAG_BYTES + U64_BYTES)
-                + (2 + 1 + 2 + ENCODED_EVENT_BYTES) // 1-byte done bitmap
+            (FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1) // 1-byte done bitmap
                 + (1 + 8)
                 + U32_BYTES
         );
@@ -766,13 +744,12 @@ mod tests {
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
         );
-        // The largest commit is the arming record (a 1-entry worklist).
+        // The largest commit is the arming record.
         assert_eq!(
             start_a.commit_bytes,
-            2 + entry_bytes(ENCODED_EVENT_BYTES)
+            2 + entry_bytes(2 + ENCODED_EVENT_BYTES)
                 + entry_bytes(U64_BYTES)
                 + entry_bytes(U32_BYTES)
-                + u16_list_entry_bytes(1)
                 + entry_bytes(1)
         );
     }
@@ -798,7 +775,7 @@ mod tests {
         assert!(b4.worst_commit_bytes >= b1.worst_commit_bytes);
         assert!(b4.worst_commit_bytes >= b4.arming_commit_bytes);
         // Cold refill scales with the suite.
-        assert_eq!(b4.cold_extra_reads, 2 + 2);
+        assert_eq!(b4.cold_extra_reads, 4 + 2);
         // Bytes and cycles grow with capacity; routing + dispatch are
         // charged per event, so the cycle bound scales exactly linearly.
         assert!(b4.read_bytes > b1.read_bytes);

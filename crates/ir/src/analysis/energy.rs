@@ -48,7 +48,8 @@
 //!   nothing (a warm delivery reads nothing; a cold one reads at most
 //!   `cold_extra_reads ≤ reads` ops, though on span-loading keys its
 //!   whole-block fills can read more bytes than the span-priced
-//!   `read_bytes`). If
+//!   `read_bytes`) and the cold load's worklist re-derivation charged.
+//!   If
 //!   the ceiling fits under the budget less the configured margin, the
 //!   task is **Feasible**. Between the two — the ceiling crosses the
 //!   margin threshold but the floor still fits — the verdict is
@@ -69,7 +70,7 @@ use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{CostModel, Energy, EnergyProfile};
 
-use crate::analysis::bounds::{BatchBounds, EventCost, SuiteBounds};
+use crate::analysis::bounds::{BatchBounds, EventCost, SuiteBounds, ROUTING_LOOKUP_CYCLES};
 use crate::compile::CompiledSuite;
 
 /// Constant allowance for the task runtime's own per-attempt FRAM
@@ -81,16 +82,17 @@ use crate::compile::CompiledSuite;
 pub const RUNTIME_ATTEMPT_OVERHEAD: Energy = Energy::from_nano_joules(2_500);
 
 /// Energy of one worst-case event delivery under `cost` with every
-/// read priced (`EventCost::reads` and `read_bytes`): the post-reboot
-/// ceiling the feasibility gate charges. The monitor crate checks
-/// always-cold deliveries against it.
+/// read priced (`EventCost::reads` and `read_bytes`) and the cold
+/// load's re-derivation of the previous one-event delivery's worklist
+/// charged: the post-reboot ceiling the feasibility gate charges. The
+/// monitor crate checks always-cold deliveries against it.
 pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(
         cost.reads,
         cost.read_bytes,
         cost.writes,
         cost.write_bytes,
-        cost.cycles,
+        cost.cycles + ROUTING_LOOKUP_CYCLES,
     )
 }
 
@@ -109,14 +111,15 @@ pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
 }
 
 /// Energy of one worst-case full batch under `bounds` with every read
-/// priced — the batch twin of [`event_energy`].
+/// priced and a full previous batch re-derived — the batch twin of
+/// [`event_energy`].
 pub fn batch_energy(bounds: &BatchBounds, model: &CostModel) -> Energy {
     model.traffic_energy(
         bounds.reads,
         bounds.read_bytes,
         bounds.writes,
         bounds.write_bytes,
-        bounds.cycles,
+        bounds.cycles + ROUTING_LOOKUP_CYCLES * bounds.max_events as u64,
     )
 }
 

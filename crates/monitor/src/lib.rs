@@ -18,29 +18,36 @@
 //! # Exactly-once event processing
 //!
 //! Every delivery carries a caller-chosen sequence number. A new
-//! sequence number arms the engine atomically (event + verdict reset +
-//! armed worklist); re-delivering the *same* sequence number resumes or
-//! returns the already-computed verdicts instead of double-stepping the
-//! machines. The ARTEMIS runtime exploits both directions: `StartTask`
-//! re-attempts get fresh numbers (attempt counting is the point of
-//! `maxTries`), while `EndTask` events reuse the number fixed in the
-//! task-commit transaction so a power failure can never double-count a
-//! sample (cf. the paper's timestamp-consistency discussion, §4.1.3).
+//! sequence number arms the engine atomically (events + sequence +
+//! verdict reset + cleared done bitmap); re-delivering the *same*
+//! sequence number resumes or returns the already-computed verdicts
+//! instead of double-stepping the machines. The ARTEMIS runtime
+//! exploits both directions: `StartTask` re-attempts get fresh numbers
+//! (attempt counting is the point of `maxTries`), while `EndTask`
+//! events reuse the number fixed in the task-commit transaction so a
+//! power failure can never double-count a sample (cf. the paper's
+//! timestamp-consistency discussion, §4.1.3).
 //!
-//! # Event routing
+//! # Event routing and the armed delivery
 //!
 //! Triggers are static, so at install time the compiler emits a global
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
-//! that can match. Arming an event commits that key's **interested
-//! worklist** (after the dynamic `Path:` filter) plus a cleared
-//! completion bitmap — one bit per worklist entry, `ceil(machines / 8)`
-//! bytes — in one sparse journal record together with the event and
-//! sequence number. Only worklisted machines are stepped, and each step
-//! commits its effects together with its bit, so a reboot resumes
-//! exactly the pending entries and a redelivered sequence number only
-//! finishes them. Worklists, bitmaps and scratch buffers are sized at
-//! install: a suite of any size routes.
+//! that can match. The engine persists one **armed delivery**: the
+//! first sequence number, the event array (`u16` count + capacity ×
+//! [`EncodedEvent`]), the verdict count and a completion bitmap — one
+//! bit per worklist entry, `ceil(machines / 8)` bytes. Arming commits
+//! all four in one sparse journal record. The **worklist** (the
+//! interested machines after the `Path:` filter, each with a mask of
+//! the armed events it dispatches) is never persisted: it is a
+//! deterministic function of the armed events, derived at arming and
+//! re-derived once on a cold load after a reboot. Only worklisted
+//! machines are stepped, and each step commits its effects together
+//! with its bit, so a reboot resumes exactly the pending entries and a
+//! redelivered sequence number only finishes them. A derived worklist
+//! names only installed machines, so it needs no validation; the
+//! persisted event count does, and a count past the capacity faults
+//! with [`Fault::CorruptState`].
 //!
 //! # Compiled steps
 //!
@@ -69,38 +76,36 @@
 //! # Batch delivery (group commit)
 //!
 //! Events arrive in bursts at task boundaries — an `EndTask`, the next
-//! `StartTask`, `collect` samples — yet the per-event path pays a full
-//! arming transaction and one commit per machine *per event*.
-//! [`BatchMode::Enabled`] adds a group-commit path
-//! ([`MonitorEngine::deliver_batch`]): a burst of up to `max_events`
-//! events under consecutive sequence numbers is armed in ONE sparse
-//! transaction (the encoded event array, the batch sequence number, the
-//! **merged** interested worklist, and a batch completion bitmap), then
-//! each armed machine steps through *all* its events of the batch in
-//! volatile scratch and commits **once**: repeated writes to the same
-//! variable slot coalesce to the last value, the record carries the
-//! changed runs of the prefix the merged static [`AccessSet`] of the
-//! dispatched events covers (a net-unchanged byte costs nothing), and
-//! one verdict cell per emitting event rides in the same record as its
-//! done bit. The batch lane reads through the same shadow cache as the
-//! per-event lane: a warm batch reads no FRAM at all.
+//! `StartTask`, `collect` samples. [`MonitorEngine::deliver_batch`]
+//! arms up to the installed capacity ([`BatchMode`]) of them under
+//! consecutive sequence numbers as one armed delivery, then each
+//! worklisted machine steps through *all* its events in volatile
+//! scratch and commits **once**: repeated writes to the same variable
+//! slot coalesce to the last value, the record carries the changed
+//! runs of the prefix the dispatched keys' static [`AccessSet`]s
+//! cover (a net-unchanged byte costs nothing), and one verdict cell per
+//! emitting event rides in the same record as its done bit.
+//! [`MonitorEngine::call_monitor`] is the same delivery with one event:
+//! both entry points share the arming and run functions.
 //!
-//! Crash correctness is the same argument as the per-event path, one
-//! level up: the arming commit fixes the events and the merged
-//! worklist; a machine's bit flips only in the transaction that
-//! persists the *net* effect of all its steps, so a reboot anywhere
-//! resumes from the first incomplete machine and observes either none
-//! or all of a machine's batch effects — indistinguishable from an
-//! event-at-a-time execution that crashed between machines.
-//! Redelivering a committed batch (same first sequence number) returns
-//! the recorded verdicts without re-stepping.
+//! Crash correctness: the arming commit fixes the events, so the
+//! worklist derived from them is fixed too; a machine's bit flips only
+//! in the transaction that persists the *net* effect of all its steps,
+//! so a reboot anywhere resumes from the first incomplete machine and
+//! observes either none or all of a machine's effects —
+//! indistinguishable from an event-at-a-time execution that crashed
+//! between machines. Arming a new sequence number first finishes any
+//! pending delivery, so interleaved per-event and batch deliveries
+//! never discard each other's work. Redelivering a committed delivery
+//! (same first sequence number) returns the recorded verdicts without
+//! re-stepping.
 //!
 //! # Volatile shadow cache (write-only steady state)
 //!
 //! Compiled engines keep a volatile **shadow** of every FRAM location
 //! the hot path reads: after any load or commit the decoded machine
-//! images, the done bitmaps, the worklists, and the verdict log stay
-//! authoritative in RAM, so a steady-state delivery performs **zero**
+//! images, the armed delivery (events, derived worklist and done
+//! bitmap), and the verdict log stay authoritative in RAM, so a steady-state delivery performs **zero**
 //! FRAM reads — nonvolatile memory is touched only by the crash-atomic
 //! commits. The cache is strictly write-through and never defers or
 //! reorders a write; it is the compiled engine's one read path. The
@@ -120,9 +125,10 @@
 //! event; every later delivery in the same epoch is write-only. Tests
 //! get the "always cold" engine by clearing SRAM before each delivery
 //! (`Device::sram_mut().clear()`), which is exactly the post-reboot
-//! read path. Cold fills validate what they read: a worklist longer
-//! than the suite or naming no installed machine faults with
-//! [`Fault::CorruptState`] instead of indexing out of bounds.
+//! read path. Cold fills validate what they read: an event count past
+//! the capacity, a verdict count past the verdict log, or a verdict
+//! cell naming no installed machine faults with [`Fault::CorruptState`]
+//! instead of indexing out of bounds.
 //! Hit/miss/invalidation counters are exposed through
 //! [`MonitorEngine::cache_stats`].
 //!
@@ -138,20 +144,20 @@
 //! and of each written slot changes and the fields lie more than a
 //! header apart.
 //!
+//! [`AccessSet`]: artemis_ir::compile::AccessSet
 //! [`Sram`]: intermittent_sim::fram::Sram
 
 pub mod remote;
 pub mod state;
 
 use core::cell::RefCell;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
-use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledSuite};
+use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
@@ -159,7 +165,7 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{u16_list_bytes, Journal, SparseTx, TxWriter};
+use intermittent_sim::journal::{Journal, SparseTx, TxWriter};
 
 use state::{EncodedEvent, NvValue};
 
@@ -244,8 +250,8 @@ const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 /// Modelled cost of the compiled path's dispatch-table lookup — a
 /// kind/task index instead of a name-comparing scan.
 const COMPILED_DISPATCH_CYCLES: u64 = 10;
-/// Modelled cost of the per-event routing-index lookup and worklist
-/// staging, charged once at arming time.
+/// Modelled cost of the per-event routing-index lookup that derives the
+/// worklist, charged at arming and again on a cold load.
 const ROUTING_LOOKUP_CYCLES: u64 = 12;
 
 /// Which execution core the engine runs.
@@ -263,22 +269,23 @@ pub enum ExecMode {
     Interpreter,
 }
 
-/// Most events one batch can carry: the per-machine event mask is a
-/// half-word and the encoded-event array must stay journal-sized.
-/// [`BatchMode::Enabled`] requests above this clamp to it.
+/// Most events one delivery can carry: the verdict cell packs the
+/// event position into a half-word and the encoded-event array must
+/// stay journal-sized. [`BatchMode::Enabled`] requests above this
+/// clamp to it.
 pub const MAX_BATCH_EVENTS: usize = 16;
 
-/// Whether the engine allocates the group-commit batch path
-/// ([`MonitorEngine::deliver_batch`]).
+/// Capacity of the engine's armed delivery, in events
+/// ([`MonitorEngine::batch_capacity`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BatchMode {
-    /// No batch state; `deliver_batch` falls back to the per-event
-    /// path — the default.
+    /// A one-event armed delivery: `deliver_batch` delivers event by
+    /// event — the default.
     #[default]
     Disabled,
     /// Arm up to `max_events` events in one transaction and commit each
     /// machine once per batch (clamped to [`MAX_BATCH_EVENTS`]).
-    /// Compiled engines only; the interpreter falls back to per-event
+    /// Compiled engines only; the interpreter keeps a one-event
     /// delivery.
     Enabled {
         /// Batch capacity in events.
@@ -321,8 +328,8 @@ pub struct ExecStats {
 pub struct InstallOptions {
     /// Execution core (compiled bytecode by default).
     pub mode: ExecMode,
-    /// Group-commit batch delivery (off by default; compiled engines
-    /// only).
+    /// Armed-delivery capacity (one event by default; group commits
+    /// need compiled engines).
     pub batch: BatchMode,
     /// Bytecode optimization level for ahead-of-time compilation
     /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
@@ -437,57 +444,6 @@ fn done_bit(map: &[u8], j: usize) -> bool {
     map[j / 8] & (1 << (j % 8)) != 0
 }
 
-/// `true` iff the first `count` worklist entries are all done.
-fn all_done(map: &[u8], count: usize) -> bool {
-    (0..count).all(|j| done_bit(map, j))
-}
-
-/// Which armed delivery a step completes. Each lane owns a worklist
-/// region and a done bitmap (and their shadows), so batch and
-/// per-event deliveries can interleave without clobbering each other's
-/// pending-work detection.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Lane {
-    /// The per-event worklist armed by [`MonitorEngine::call_monitor`].
-    Event = 0,
-    /// The merged worklist armed by [`MonitorEngine::deliver_batch`].
-    Batch = 1,
-}
-
-/// Persistent state of one lane: the armed worklist (a
-/// length-prefixed `u16` list region) and its completion bitmap, both
-/// committed atomically with the events they belong to.
-struct LaneState {
-    worklist_addr: usize,
-    done: DoneCell,
-}
-
-impl LaneState {
-    /// Stages the armed `worklist` and a cleared bitmap.
-    fn arm(&self, stx: &mut SparseTx, worklist: &[u16]) {
-        stx.push_u16_list(self.worklist_addr, worklist);
-        stx.push_zeroed(self.done.addr, self.done.len);
-    }
-
-    /// Stages an empty worklist ("nothing pending") and a cleared
-    /// bitmap into a reset transaction.
-    fn clear(&self, tx: &mut TxWriter) {
-        tx.write_u16_list(self.worklist_addr, &[]);
-        tx.write_zeroed(self.done.addr, self.done.len);
-    }
-}
-
-/// Persistent state of the group-commit batch path beyond its lane,
-/// all fixed by one arming transaction: the encoded event array (`u16`
-/// count + `max_events` × [`EncodedEvent`]) and the batch's first
-/// sequence number.
-struct BatchState {
-    max_events: usize,
-    seq_cell: NvCell<u64>,
-    events_addr: usize,
-    lane: LaneState,
-}
-
 /// Stages a machine's re-initialisation into `tx`, honouring its
 /// storage layout.
 fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
@@ -511,16 +467,13 @@ const JOURNAL_ENTRY_HEADER: usize = 6;
 
 /// Largest single journal commit of the interpreter's per-cell layout:
 /// the whole-suite reset (state cell + every variable cell), the
-/// arming record (every machine armed), or one machine's step.
+/// one-event arming record, or one machine's step.
 fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
     let entry = |bytes: usize| JOURNAL_ENTRY_HEADER + bytes;
     let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
-    let lane = entry(u16_list_bytes(suite.len())) + entry(done_len);
-    let reset = suite.machines().iter().map(cells).sum::<usize>()
-        + entry(u32::SIZE)
-        + entry(u64::SIZE)
-        + lane;
-    let arming = 2 + entry(EncodedEvent::SIZE) + entry(u64::SIZE) + entry(u32::SIZE) + lane;
+    let armed = entry(u64::SIZE) + entry(u32::SIZE) + entry(done_len);
+    let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(2) + armed;
+    let arming = 2 + entry(2 + EncodedEvent::SIZE) + armed;
     let step = suite.machines().iter().map(cells).max().unwrap_or(0)
         + entry(VerdictCell::SIZE)
         + entry(u32::SIZE)
@@ -590,20 +543,21 @@ struct Scratch {
     runs: Vec<(usize, usize)>,
     /// Verdicts of one step: event position, action, governing path.
     emits: Vec<(usize, OnFail, Option<u32>)>,
-    /// Worklist staging at arming time.
-    worklist: Vec<u16>,
     /// The sparse record of the current arming or step commit, cleared
     /// and re-staged in place by every commit.
     stx: SparseTx,
 }
 
-/// The lane being run: its worklist items, each entry's event mask,
-/// the decoded events and the completion bitmap — sized at install to
-/// the whole suite and the batch capacity.
+/// The armed delivery in RAM: the decoded events and the completion
+/// bitmap as persisted, plus the worklist derived from the events —
+/// ascending machine indices, each with the mask of armed events it
+/// dispatches. Sized at install to the capacity and the whole suite.
+/// In compiled engines it doubles as the shadow of the armed-delivery
+/// region while [`ShadowCache::armed`] is set.
 struct Armed {
+    events: Vec<EncodedEvent>,
     items: Vec<u16>,
     masks: Vec<u32>,
-    events: Vec<EncodedEvent>,
     done: Vec<u8>,
 }
 
@@ -622,46 +576,13 @@ struct MachineShadow {
     vars: Vec<Value>,
 }
 
-/// A shadowed variable-length FRAM region. Invalidation only clears
-/// `live`, so a refill reuses the buffer instead of allocating.
-struct ShadowBuf<T> {
-    live: bool,
-    buf: Vec<T>,
-}
-
-impl<T: Copy> ShadowBuf<T> {
-    /// A dead shadow with room for `n` items.
-    fn with_capacity(n: usize) -> Self {
-        ShadowBuf {
-            live: false,
-            buf: Vec::with_capacity(n),
-        }
-    }
-
-    /// The shadowed contents, if known.
-    fn get(&self) -> Option<&[T]> {
-        self.live.then_some(self.buf.as_slice())
-    }
-
-    /// Shadows `v`.
-    fn set(&mut self, v: &[T]) {
-        self.buf.clear();
-        self.buf.extend_from_slice(v);
-        self.live = true;
-    }
-}
-
-/// One lane's shadowed worklist and done bitmap.
-struct LaneShadow {
-    worklist: ShadowBuf<u16>,
-    done: ShadowBuf<u8>,
-}
-
 /// The volatile shadow of every FRAM location the hot path reads (see
 /// the module docs, "Volatile shadow cache"). Strictly write-through:
 /// entries are updated only from bytes that are already durable (after
 /// a successful read or commit), so shadow contents always equal the
-/// corresponding FRAM bytes within one reboot epoch. The packed
+/// corresponding FRAM bytes within one reboot epoch — save a done bit
+/// set just ahead of the commit that persists it, which a failed
+/// commit wipes along with everything else. The packed
 /// encoding is canonical (`encode(decode(x)) == x` for every
 /// engine-written image), which is what lets the machine shadows store
 /// *decoded* `(state, vars)` and regenerate byte-identical block
@@ -678,39 +599,25 @@ struct ShadowCache {
     /// the recovery flag read.
     journal_clean: bool,
     seq: Option<u64>,
-    event: Option<EncodedEvent>,
     verdict_count: Option<u32>,
     /// Generation-tagged verdict cells, indexed like `verdict_cells`.
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
-    batch_seq: Option<u64>,
-    batch_events: ShadowBuf<EncodedEvent>,
-    /// Indexed by [`Lane`].
-    lanes: [LaneShadow; 2],
+    /// `true` while the engine's [`Armed`] buffers mirror the armed
+    /// delivery in FRAM (its worklist already derived).
+    armed: bool,
     stats: CacheStats,
 }
 
 impl ShadowCache {
-    /// A cold cache whose buffers are sized for `machines`-entry
-    /// worklists, `done_len`-byte bitmaps and `batch_events`-event
-    /// batches, so refills never grow them.
-    fn new(
-        epoch: u64,
-        machines: usize,
-        verdict_slots: usize,
-        done_len: usize,
-        batch_events: usize,
-    ) -> Self {
-        let lane = || LaneShadow {
-            worklist: ShadowBuf::with_capacity(machines),
-            done: ShadowBuf::with_capacity(done_len),
-        };
+    /// A cold cache for `machines` machines and `verdict_slots`
+    /// verdict cells.
+    fn new(epoch: u64, machines: usize, verdict_slots: usize) -> Self {
         ShadowCache {
             epoch,
             gen: 1,
             journal_clean: false,
             seq: None,
-            event: None,
             verdict_count: None,
             verdicts: vec![(0, (0, (0, 0))); verdict_slots],
             machines: vec![
@@ -721,9 +628,7 @@ impl ShadowCache {
                 };
                 machines
             ],
-            batch_seq: None,
-            batch_events: ShadowBuf::with_capacity(batch_events),
-            lanes: [lane(), lane()],
+            armed: false,
             stats: CacheStats::default(),
         }
     }
@@ -737,28 +642,8 @@ impl ShadowCache {
         self.gen += 1;
         self.journal_clean = false;
         self.seq = None;
-        self.event = None;
         self.verdict_count = None;
-        self.batch_seq = None;
-        self.batch_events.live = false;
-        for lane in &mut self.lanes {
-            lane.worklist.live = false;
-            lane.done.live = false;
-        }
-    }
-
-    /// Shadows a freshly armed (or reset) lane.
-    fn arm(&mut self, lane: Lane, worklist: &[u16], done_len: usize) {
-        let shadow = &mut self.lanes[lane as usize];
-        shadow.worklist.set(worklist);
-        shadow.done.buf.clear();
-        shadow.done.buf.resize(done_len, 0);
-        shadow.done.live = true;
-    }
-
-    /// Shadows a lane's bitmap after a durable done write.
-    fn set_done(&mut self, lane: Lane, done: &[u8]) {
-        self.lanes[lane as usize].done.set(done);
+        self.armed = false;
     }
 }
 
@@ -772,14 +657,17 @@ pub struct MonitorEngine {
     compiled: Arc<CompiledSuite>,
     machines: Vec<LoadedMachine>,
     journal: Journal,
-    event_cell: NvCell<EncodedEvent>,
+    /// Events one armed delivery holds (1 unless [`BatchMode::Enabled`]
+    /// took effect on a compiled engine).
+    capacity: usize,
+    /// The armed delivery, all fixed by one arming commit: its first
+    /// sequence number, its event array (`u16` count + `capacity` ×
+    /// [`EncodedEvent`]), the verdict log and the done bitmap.
     seq_cell: NvCell<u64>,
+    events_addr: usize,
     verdict_count: NvCell<u32>,
     verdict_cells: Vec<NvCell<VerdictCell>>,
-    /// The per-event lane.
-    events: LaneState,
-    /// `Some` iff [`BatchMode::Enabled`] took effect (compiled only).
-    batch: Option<BatchState>,
+    done: DoneCell,
     /// The volatile shadow of the hot path's FRAM reads: `Some` iff
     /// the engine is compiled (the interpreter reads FRAM directly).
     cache: Option<RefCell<ShadowCache>>,
@@ -889,13 +777,13 @@ impl MonitorEngine {
         } = opts;
         let compiled_mode = mode == ExecMode::Compiled;
 
-        // The batch path steps compiled blocks; the interpreter
-        // silently falls back to per-event delivery.
-        let batch_events = match batch {
+        // Group commits step compiled blocks; the interpreter keeps a
+        // one-event delivery.
+        let max_events = match batch {
             BatchMode::Enabled { max_events } if compiled_mode => {
-                Some(max_events.clamp(1, MAX_BATCH_EVENTS))
+                max_events.clamp(1, MAX_BATCH_EVENTS)
             }
-            _ => None,
+            _ => 1,
         };
         // One done bit per worklist entry; a worklist never outgrows
         // the suite.
@@ -903,20 +791,16 @@ impl MonitorEngine {
 
         // Default journal capacity = the static worst-case transaction
         // bound: the larger of the whole-suite reset commit and any
-        // event key's worst commit. With batching enabled the per-batch
-        // bound joins the max (the batch arming record carries the
-        // whole event array). The interpreter's per-cell layout stages
-        // one entry per variable, so its commits are costed separately.
+        // event key's worst commit. A multi-event delivery's bound
+        // joins the max (its arming record carries the whole event
+        // array). The interpreter's per-cell layout stages one entry
+        // per variable, so its commits are costed separately.
         let bounds = artemis_ir::analysis::bounds::suite_bounds(&compiled);
-        let bbounds =
-            batch_events.map(|n| artemis_ir::analysis::bounds::batch_bounds(&compiled, n));
-        // The batch cells ride along in the whole-suite reset commit,
-        // so a batch-enabled engine's reset can outgrow both per-event
-        // figures — it joins the max too.
-        let batch_floor = bbounds.as_ref().map_or(0, |b| {
-            b.worst_commit_bytes
-                .max(bounds.reset_commit_bytes + b.reset_extra_bytes)
-        });
+        let batch_floor = if max_events > 1 {
+            artemis_ir::analysis::bounds::batch_bounds(&compiled, max_events).worst_commit_bytes
+        } else {
+            0
+        };
         let capacity = journal_capacity.unwrap_or_else(|| {
             let derived = bounds.worst_commit_bytes.max(batch_floor);
             match mode {
@@ -925,9 +809,9 @@ impl MonitorEngine {
             }
         });
         // The analysis gate below checks per-event commits against the
-        // capacity; the batch path's larger transactions get the same
+        // capacity; a batch's larger transactions get the same
         // install-time rejection here.
-        if bbounds.is_some() && batch_floor > capacity {
+        if batch_floor > capacity {
             return Err(InstallError::Analysis(artemis_spec::Diagnostic::error(
                 "bounds",
                 "batch",
@@ -964,64 +848,25 @@ impl MonitorEngine {
 
         let result = (|| {
             let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
-            let event_cell = dev
-                .nv_alloc(EncodedEvent::default(), owner, "monitor.event")
-                .map_err(dev_err)?;
+            // The armed delivery, zeroed: no events, nothing pending.
             let seq_cell = dev.nv_alloc(0u64, owner, "monitor.seq").map_err(dev_err)?;
+            let events_addr = dev
+                .nv_alloc_raw(2 + EncodedEvent::SIZE * max_events, owner, "monitor.events")
+                .map_err(dev_err)?;
             let verdict_count = dev
                 .nv_alloc(0u32, owner, "monitor.verdicts.count")
                 .map_err(dev_err)?;
-
-            // A lane: the armed-worklist region (count word + one u16
-            // per machine) and its completion bitmap, both zeroed,
-            // i.e. "nothing pending".
-            let mut lane = |name: &str| -> Result<LaneState, InstallError> {
-                let worklist_addr = dev
-                    .nv_alloc_raw(u16_list_bytes(suite.len()), owner, name)
-                    .map_err(dev_err)?;
-                let addr = dev
-                    .nv_alloc_raw(done_len, owner, &format!("{name}.done"))
-                    .map_err(dev_err)?;
-                Ok(LaneState {
-                    worklist_addr,
-                    done: DoneCell {
-                        addr,
-                        len: done_len,
-                    },
-                })
-            };
-            let events = lane("monitor.worklist")?;
-
-            // Batch delivery: the encoded event array, the batch
-            // sequence number, and the batch lane — all zeroed ("no
-            // batch pending").
-            let batch_state = match batch_events {
-                Some(max_events) => {
-                    let lane = lane("monitor.batch.worklist")?;
-                    let seq_cell = dev
-                        .nv_alloc(0u64, owner, "monitor.batch.seq")
-                        .map_err(dev_err)?;
-                    let events_addr = dev
-                        .nv_alloc_raw(
-                            2 + EncodedEvent::SIZE * max_events,
-                            owner,
-                            "monitor.batch.events",
-                        )
-                        .map_err(dev_err)?;
-                    Some(BatchState {
-                        max_events,
-                        seq_cell,
-                        events_addr,
-                        lane,
-                    })
-                }
-                None => None,
+            let done = DoneCell {
+                addr: dev
+                    .nv_alloc_raw(done_len, owner, "monitor.done")
+                    .map_err(dev_err)?,
+                len: done_len,
             };
 
             // One verdict cell per machine per event the largest
             // delivery can carry (a batched machine can emit once per
             // event it dispatches).
-            let verdict_slots = suite.len() * batch_events.unwrap_or(1);
+            let verdict_slots = suite.len() * max_events;
             let mut verdict_cells = Vec::with_capacity(verdict_slots);
             for i in 0..verdict_slots {
                 verdict_cells.push(
@@ -1113,15 +958,14 @@ impl MonitorEngine {
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
                 runs: Vec::with_capacity(max_block),
-                emits: Vec::with_capacity(batch_events.unwrap_or(1)),
-                worklist: Vec::with_capacity(machines.len()),
+                emits: Vec::with_capacity(max_events),
                 // Every record fits the journal, so staging never grows it.
                 stx: SparseTx::with_capacity(capacity),
             });
             let armed = RefCell::new(Armed {
+                events: Vec::with_capacity(max_events),
                 items: Vec::with_capacity(machines.len()),
                 masks: Vec::with_capacity(machines.len()),
-                events: Vec::with_capacity(batch_events.unwrap_or(1)),
                 done: Vec::with_capacity(done_len),
             });
 
@@ -1134,8 +978,6 @@ impl MonitorEngine {
                     dev.sram().generation(),
                     machines.len(),
                     verdict_cells.len(),
-                    done_len,
-                    batch_events.unwrap_or(0),
                 ))
             });
             Ok(MonitorEngine {
@@ -1143,12 +985,12 @@ impl MonitorEngine {
                 compiled,
                 machines,
                 journal,
-                event_cell,
+                capacity: max_events,
                 seq_cell,
+                events_addr,
                 verdict_count,
                 verdict_cells,
-                events,
-                batch: batch_state,
+                done,
                 cache,
                 exec: RefCell::new(ExecStats::default()),
                 scratch,
@@ -1182,17 +1024,6 @@ impl MonitorEngine {
         *self.exec.borrow()
     }
 
-    /// Pushes the current [`CacheStats`] onto the device trace ring
-    /// buffer (`TraceEvent::CacheStats`) for debugging.
-    pub fn trace_cache_stats(&self, dev: &mut Device) {
-        let s = self.cache_stats();
-        dev.trace_push(artemis_core::trace::TraceEvent::CacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            invalidations: s.invalidations,
-        });
-    }
-
     /// Re-syncs the shadow cache with the device's reboot epoch —
     /// called on entry to every public path that touches FRAM. An
     /// epoch mismatch means at least one power failure happened since
@@ -1209,16 +1040,6 @@ impl MonitorEngine {
                 c.wipe();
                 c.stats.invalidations += 1;
             }
-        }
-    }
-
-    /// Defensive wholesale invalidation after an entry point returned
-    /// `Err` (a power failure mid-delivery): anything staged since the
-    /// last commit is suspect, so drop it all. Silent on the counters —
-    /// the epoch sync after the reboot accounts the invalidation.
-    fn cache_wipe(&self) {
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().wipe();
         }
     }
 
@@ -1274,143 +1095,43 @@ impl MonitorEngine {
         Ok(v)
     }
 
-    /// [`MonitorEngine::cache_read`] for a variable-length region:
-    /// fills `out` from the shadow `shadow` selects when it is live,
-    /// else through `read` from FRAM, refilling the shadow in place.
-    fn cache_read_buf<T: Copy>(
-        &self,
-        dev: &mut Device,
-        shadow: impl Fn(&mut ShadowCache) -> &mut ShadowBuf<T>,
-        out: &mut Vec<T>,
-        read: impl FnOnce(&mut Device, &mut Vec<T>) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        out.clear();
-        let Some(cache) = &self.cache else {
-            return read(dev, out);
-        };
-        {
+    /// Makes `armed` hold the armed delivery: from the shadow when it
+    /// is live, else one FRAM read of the event array and one of the
+    /// done bitmap, with the worklist re-derived from the events. An
+    /// event count past the capacity faults with
+    /// [`Fault::CorruptState`].
+    fn load_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
+        if let Some(cache) = &self.cache {
             let mut c = cache.borrow_mut();
-            if let Some(v) = shadow(&mut c).get() {
-                out.extend_from_slice(v);
+            if c.armed {
                 c.stats.hits += 1;
                 return Ok(());
             }
         }
-        read(dev, out)?;
-        let mut c = cache.borrow_mut();
-        shadow(&mut c).set(out);
-        c.stats.misses += 1;
-        Ok(())
-    }
-
-    /// The persistent state of `lane`.
-    fn lane(&self, lane: Lane) -> &LaneState {
-        match lane {
-            Lane::Event => &self.events,
-            Lane::Batch => {
-                &self
-                    .batch
-                    .as_ref()
-                    .expect("batch lane without batch state")
-                    .lane
+        {
+            let bytes =
+                dev.nv_read_raw(self.events_addr, 2 + EncodedEvent::SIZE * self.capacity)?;
+            let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+            if n > self.capacity {
+                return Err(Interrupt::Fault(Fault::CorruptState));
             }
+            armed.events.clear();
+            armed.events.extend(
+                bytes[2..2 + n * EncodedEvent::SIZE]
+                    .chunks_exact(EncodedEvent::SIZE)
+                    .map(EncodedEvent::load),
+            );
         }
-    }
-
-    /// Shadow-aware read of a lane's worklist count (0 = nothing
-    /// armed). A cold count read only fills the shadow when the list is
-    /// empty — a non-empty list's items are still unknown, and the
-    /// shadow never stores partial knowledge. A count above the suite
-    /// size faults with [`Fault::CorruptState`]: no commit arms more
-    /// machines than are installed.
-    fn read_count(&self, dev: &mut Device, lane: Lane) -> Result<usize, Interrupt> {
-        if let Some(cache) = &self.cache {
-            let hit = cache.borrow().lanes[lane as usize]
-                .worklist
-                .get()
-                .map(<[u16]>::len);
-            if let Some(n) = hit {
-                cache.borrow_mut().stats.hits += 1;
-                return Ok(n);
-            }
-        }
-        let bytes = dev.nv_read_raw(self.lane(lane).worklist_addr, 2)?;
-        let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        if n > self.machines.len() {
-            return Err(Interrupt::Fault(Fault::CorruptState));
-        }
+        armed.done.clear();
+        armed
+            .done
+            .extend_from_slice(dev.nv_read_raw(self.done.addr, self.done.len)?);
+        self.derive_worklist(dev, armed)?;
         self.cache_put(|c| {
-            if n == 0 {
-                c.lanes[lane as usize].worklist.set(&[]);
-            }
-            c.stats.misses += 1;
-        });
-        Ok(n)
-    }
-
-    /// Shadow-aware read of a lane's worklist items (`count` already
-    /// known and non-zero) into `out`; a cold read is one FRAM op after
-    /// the count's. An item naming no installed machine faults with
-    /// [`Fault::CorruptState`].
-    fn read_items(
-        &self,
-        dev: &mut Device,
-        lane: Lane,
-        count: usize,
-        out: &mut Vec<u16>,
-    ) -> Result<(), Interrupt> {
-        out.clear();
-        if let Some(cache) = &self.cache {
-            if let Some(list) = cache.borrow().lanes[lane as usize].worklist.get() {
-                if list.len() == count {
-                    out.extend_from_slice(list);
-                }
-            }
-            if !out.is_empty() {
-                cache.borrow_mut().stats.hits += 1;
-                return Ok(());
-            }
-        }
-        let bytes = dev.nv_read_raw(self.lane(lane).worklist_addr + 2, count * 2)?;
-        out.extend(
-            bytes
-                .chunks_exact(2)
-                .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
-        );
-        if out.iter().any(|&i| i as usize >= self.machines.len()) {
-            return Err(Interrupt::Fault(Fault::CorruptState));
-        }
-        self.cache_put(|c| {
-            c.lanes[lane as usize].worklist.set(out);
+            c.armed = true;
             c.stats.misses += 1;
         });
         Ok(())
-    }
-
-    /// Shadow-aware read of a lane's completion bitmap into `out`.
-    fn read_done(&self, dev: &mut Device, lane: Lane, out: &mut Vec<u8>) -> Result<(), Interrupt> {
-        let cell = &self.lane(lane).done;
-        self.cache_read_buf(
-            dev,
-            |c| &mut c.lanes[lane as usize].done,
-            out,
-            |d, out| {
-                out.extend_from_slice(d.nv_read_raw(cell.addr, cell.len)?);
-                Ok(())
-            },
-        )
-    }
-
-    /// `true` iff `lane` holds an armed worklist with unfinished
-    /// entries (an interrupted delivery).
-    fn lane_pending(&self, dev: &mut Device, lane: Lane) -> Result<bool, Interrupt> {
-        let count = self.read_count(dev, lane)?;
-        if count == 0 {
-            return Ok(false);
-        }
-        let done = &mut self.armed.borrow_mut().done;
-        self.read_done(dev, lane, done)?;
-        Ok(!all_done(done, count))
     }
 
     /// Fills `scratch.block` with the first `span` bytes of machine
@@ -1476,23 +1197,31 @@ impl MonitorEngine {
         });
     }
 
-    /// Shadow-aware read of the verdict-log length.
+    /// Shadow-aware read of the verdict-log length. A count past the
+    /// log faults with [`Fault::CorruptState`].
     fn read_verdict_count_cached(&self, dev: &mut Device) -> Result<u32, Interrupt> {
         self.cache_read(
             dev,
             |c| c.verdict_count,
             |c, v| c.verdict_count = Some(*v),
-            |d| d.nv_read(&self.verdict_count),
+            |d| match d.nv_read(&self.verdict_count)? {
+                n if n as usize > self.verdict_cells.len() => {
+                    Err(Interrupt::Fault(Fault::CorruptState))
+                }
+                n => Ok(n),
+            },
         )
     }
 
-    /// Shadow-aware read of one verdict cell.
-    fn read_verdict_cell_cached(
+    /// Shadow-aware read of verdict cell `slot`, decoded to its event
+    /// position and verdict (`None` for an unknown action tag). A
+    /// machine index past the suite faults with [`Fault::CorruptState`].
+    fn read_verdict(
         &self,
         dev: &mut Device,
         slot: usize,
-    ) -> Result<VerdictCell, Interrupt> {
-        self.cache_read(
+    ) -> Result<(usize, Option<MonitorVerdict>), Interrupt> {
+        let (packed, encoded) = self.cache_read(
             dev,
             |c| (c.verdicts[slot].0 == c.gen).then_some(c.verdicts[slot].1),
             |c, v| {
@@ -1500,40 +1229,20 @@ impl MonitorEngine {
                 c.verdicts[slot] = (gen, *v);
             },
             |d| d.nv_read(&self.verdict_cells[slot]),
-        )
-    }
-
-    /// Shadow-aware read of the armed batch's encoded event array into
-    /// `out` (count word + payload — two FRAM ops cold, zero warm). A
-    /// count above the batch capacity faults with
-    /// [`Fault::CorruptState`].
-    fn read_batch_events(
-        &self,
-        dev: &mut Device,
-        bs: &BatchState,
-        out: &mut Vec<EncodedEvent>,
-    ) -> Result<(), Interrupt> {
-        self.cache_read_buf(
-            dev,
-            |c| &mut c.batch_events,
-            out,
-            |d, out| {
-                let n = {
-                    let b = d.nv_read_raw(bs.events_addr, 2)?;
-                    u16::from_le_bytes([b[0], b[1]]) as usize
-                };
-                if n > bs.max_events {
-                    return Err(Interrupt::Fault(Fault::CorruptState));
-                }
-                let bytes = d.nv_read_raw(bs.events_addr + 2, n * EncodedEvent::SIZE)?;
-                out.extend(
-                    bytes
-                        .chunks_exact(EncodedEvent::SIZE)
-                        .map(EncodedEvent::load),
-                );
-                Ok(())
-            },
-        )
+        )?;
+        // The event position rides in the high half-word, the machine
+        // index in the low one.
+        let machine_index = (packed & 0xFFFF) as usize;
+        let lm = self
+            .machines
+            .get(machine_index)
+            .ok_or(Interrupt::Fault(Fault::CorruptState))?;
+        let verdict = decode_action(encoded).map(|action| MonitorVerdict {
+            machine_index,
+            machine: lm.machine.name.clone(),
+            action,
+        });
+        Ok(((packed >> 16) as usize, verdict))
     }
 
     /// Costless read of every machine's persistent `(state, vars)` —
@@ -1595,74 +1304,71 @@ impl MonitorEngine {
         });
     }
 
-    /// Hard reset: re-initialises every machine and clears the pending
-    /// event (Figure 8 `resetMonitor`; run once at first boot).
-    pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+    /// Runs an entry point billed to the monitor and synced to the
+    /// reboot epoch. On `Err` (a power failure mid-delivery) anything
+    /// shadowed since the last commit is suspect, so the whole cache is
+    /// dropped — silently: the epoch sync after the reboot accounts the
+    /// invalidation.
+    fn entry<T>(
+        &self,
+        dev: &mut Device,
+        f: impl FnOnce(&mut Device) -> Result<T, Interrupt>,
+    ) -> Result<T, Interrupt> {
         let r = dev.billed(CostCategory::Monitor, |dev| {
             self.cache_sync(dev);
+            f(dev)
+        });
+        if r.is_err() {
+            if let Some(cache) = &self.cache {
+                cache.borrow_mut().wipe();
+            }
+        }
+        r
+    }
+
+    /// Hard reset: re-initialises every machine and clears the armed
+    /// delivery (Figure 8 `resetMonitor`; run once at first boot).
+    pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+        self.entry(dev, |dev| {
             let mut tx = TxWriter::new();
             for lm in &self.machines {
                 stage_machine_reset(&mut tx, lm);
             }
             tx.write(&self.verdict_count, 0u32);
             tx.write(&self.seq_cell, 0u64);
-            self.events.clear(&mut tx);
-            if let Some(bs) = &self.batch {
-                tx.write(&bs.seq_cell, 0u64);
-                tx.write_zeroed(bs.events_addr, 2);
-                bs.lane.clear(&mut tx);
-            }
+            tx.write_zeroed(self.events_addr, 2);
+            tx.write_zeroed(self.done.addr, self.done.len);
             dev.commit(&self.journal, &tx)?;
             // The reset commit just (re)wrote every location the cache
             // mirrors — fill all the shadows, so even the first event
             // after a reset runs write-only.
+            let armed = &mut *self.armed.borrow_mut();
+            armed.events.clear();
+            armed.items.clear();
+            armed.masks.clear();
+            armed.done.clear();
+            armed.done.resize(self.done.len, 0);
             self.cache_put(|c| {
                 c.seq = Some(0);
                 c.verdict_count = Some(0);
-                c.arm(Lane::Event, &[], self.events.done.len);
-                if let Some(bs) = &self.batch {
-                    c.batch_seq = Some(0);
-                    c.batch_events.set(&[]);
-                    c.arm(Lane::Batch, &[], bs.lane.done.len);
-                }
+                c.armed = true;
             });
             self.shadow_reset_machines(|_| true);
             Ok(())
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+        })
     }
 
-    /// Completes an event interrupted by a power failure, if any
+    /// Completes a delivery interrupted by a power failure, if any
     /// (Figure 8 `monitorFinalize`; run on every reboot before task
     /// processing). Returns `true` if there was work to finish.
     pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
+        self.entry(dev, |dev| {
             // Repair a torn journal commit first.
             self.recover_cached(dev)?;
-            // An interrupted batch or event resumes from its first
-            // incomplete worklist entry (the events and worklist were
-            // fixed by the arming commit).
-            let lanes: &[Lane] = if self.batch.is_some() {
-                &[Lane::Batch, Lane::Event]
-            } else {
-                &[Lane::Event]
-            };
-            for &lane in lanes {
-                if self.lane_pending(dev, lane)? {
-                    self.run_lane(dev, lane)?;
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+            let armed = &mut *self.armed.borrow_mut();
+            self.load_armed(dev, armed)?;
+            self.run_armed(dev, armed)
+        })
     }
 
     /// Delivers one event under a sequence number and returns the
@@ -1677,214 +1383,186 @@ impl MonitorEngine {
         seq: u64,
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
-            self.recover_cached(dev)?;
-            let last_seq = self.cache_read(
-                dev,
-                |c| c.seq,
-                |c, v| c.seq = Some(*v),
-                |d| d.nv_read(&self.seq_cell),
-            )?;
-            if last_seq != seq {
-                // Arm atomically with one sparse record: event, seq,
-                // verdict reset, armed worklist and cleared bitmap — a
-                // failure after this commit resumes exactly the armed
-                // set, a failure before it re-arms cleanly.
-                let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-                dev.compute(ROUTING_LOOKUP_CYCLES)?;
-                self.compute_worklist(&encoded);
-                let scratch = &mut *self.scratch.borrow_mut();
-                let worklist = &scratch.worklist;
-                let stx = &mut scratch.stx;
-                stx.clear();
-                stx.push(&self.event_cell, encoded);
-                stx.push(&self.seq_cell, seq);
-                stx.push(&self.verdict_count, 0u32);
-                self.events.arm(stx, worklist);
-                dev.commit_sparse(&self.journal, stx)?;
-                // The arming commit fixed every activation input —
-                // shadow them all, so the worklist walk below reads
-                // nothing from FRAM.
-                self.cache_put(|c| {
-                    c.journal_clean = true;
-                    c.seq = Some(seq);
-                    c.event = Some(encoded);
-                    c.verdict_count = Some(0);
-                    c.arm(Lane::Event, worklist, self.events.done.len);
-                });
-            }
-            self.run_lane(dev, Lane::Event)?;
+        self.entry(dev, |dev| {
+            self.deliver(dev, seq, core::slice::from_ref(event))?;
             self.read_verdicts(dev)
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+        })
     }
 
     /// Delivers a burst of events under consecutive sequence numbers
     /// (`first_seq`, `first_seq + 1`, …) through the group-commit path
     /// and returns one verdict list per event, in delivery order.
     ///
-    /// One sparse transaction arms the whole batch (event array, batch
-    /// sequence, merged worklist, cleared bitmap); each interested
-    /// machine then steps through all its events in volatile scratch
-    /// and commits its coalesced net effect once. Redelivering a
-    /// processed batch (same `first_seq` and events) only finishes
-    /// pending machines and returns the recorded verdicts. Bursts
-    /// longer than the installed capacity split into maximal groups;
-    /// engines without batch state fall back to per-event delivery.
+    /// One sparse transaction arms up to [`MonitorEngine::batch_capacity`]
+    /// events; each interested machine then steps through all its events
+    /// in volatile scratch and commits its coalesced net effect once.
+    /// Redelivering a processed batch (same `first_seq` and events) only
+    /// finishes pending machines and returns the recorded verdicts.
+    /// Bursts longer than the capacity split into maximal groups.
     pub fn deliver_batch(
         &self,
         dev: &mut Device,
         first_seq: u64,
         events: &[MonitorEvent],
     ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        let Some(bs) = &self.batch else {
-            let mut out = Vec::with_capacity(events.len());
-            for (i, event) in events.iter().enumerate() {
-                out.push(self.call_monitor(dev, first_seq + i as u64, event)?);
-            }
-            return Ok(out);
-        };
-        if events.is_empty() {
-            return Ok(Vec::new());
+        let mut out = Vec::with_capacity(events.len());
+        for (ci, chunk) in events.chunks(self.capacity).enumerate() {
+            let seq = first_seq + (ci * self.capacity) as u64;
+            self.entry(dev, |dev| {
+                self.deliver(dev, seq, chunk)?;
+                self.read_batch_verdicts(dev, chunk.len(), &mut out)
+            })?;
         }
-        if events.len() > bs.max_events {
-            let mut out = Vec::with_capacity(events.len());
-            for (ci, chunk) in events.chunks(bs.max_events).enumerate() {
-                let seq = first_seq + (ci * bs.max_events) as u64;
-                out.extend(self.deliver_batch(dev, seq, chunk)?);
-            }
-            return Ok(out);
-        }
-        assert!(first_seq >= 1, "sequence numbers start at 1");
-
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
-            self.recover_cached(dev)?;
-            let last = self.cache_read(
-                dev,
-                |c| c.batch_seq,
-                |c, v| c.batch_seq = Some(*v),
-                |d| d.nv_read(&bs.seq_cell),
-            )?;
-            if last != first_seq {
-                // Arm the whole batch atomically: the encoded event
-                // array, the batch sequence, the verdict reset, the
-                // MERGED interested worklist, and the cleared bitmap —
-                // one staged record, five sub-writes, no matter how
-                // many events the burst carries.
-                dev.compute(ROUTING_LOOKUP_CYCLES * events.len() as u64)?;
-                let mut region = vec![0u8; 2 + EncodedEvent::SIZE * events.len()];
-                region[0..2].copy_from_slice(&(events.len() as u16).to_le_bytes());
-                let mut merged: Vec<u16> = Vec::new();
-                let mut encoded_events = Vec::with_capacity(events.len());
-                for (i, event) in events.iter().enumerate() {
-                    let encoded =
-                        EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-                    let off = 2 + EncodedEvent::SIZE * i;
-                    encoded.store(&mut region[off..off + EncodedEvent::SIZE]);
-                    self.compute_worklist(&encoded);
-                    merged.extend_from_slice(&self.scratch.borrow().worklist);
-                    encoded_events.push(encoded);
-                }
-                merged.sort_unstable();
-                merged.dedup();
-
-                let stx = &mut self.scratch.borrow_mut().stx;
-                stx.clear();
-                stx.push_raw(bs.events_addr, &region);
-                stx.push(&bs.seq_cell, first_seq);
-                stx.push(&self.verdict_count, 0u32);
-                bs.lane.arm(stx, &merged);
-                dev.commit_sparse(&self.journal, stx)?;
-                // Shadow the whole armed batch: the window below runs
-                // without a single FRAM read.
-                self.cache_put(|c| {
-                    c.journal_clean = true;
-                    c.batch_seq = Some(first_seq);
-                    c.batch_events.set(&encoded_events);
-                    c.verdict_count = Some(0);
-                    c.arm(Lane::Batch, &merged, bs.lane.done.len);
-                });
-            }
-            self.run_lane(dev, Lane::Batch)?;
-            self.read_batch_verdicts(dev, events.len())
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+        Ok(out)
     }
 
-    /// Steps the pending entries of `lane`'s armed worklist.
-    /// Everything the loop depends on — the events, the worklist, each
-    /// entry's event mask (a deterministic function of the stored
-    /// events) — was fixed by the arming commit, so a resume after any
-    /// power failure processes exactly the armed set; completed entries
-    /// are skipped via the bitmap, and the events are decoded once per
-    /// activation instead of once per machine.
-    fn run_lane(&self, dev: &mut Device, lane: Lane) -> Result<(), Interrupt> {
-        let count = self.read_count(dev, lane)?;
-        if count == 0 {
-            return Ok(());
-        }
+    /// Delivers `events` (at most the capacity) as one armed delivery
+    /// under `first_seq` — the one delivery path of both public entry
+    /// points. A new sequence number first finishes any pending
+    /// delivery, so arming never discards one, then arms; a redelivered
+    /// one only finishes its pending entries.
+    fn deliver(
+        &self,
+        dev: &mut Device,
+        first_seq: u64,
+        events: &[MonitorEvent],
+    ) -> Result<(), Interrupt> {
+        self.recover_cached(dev)?;
+        let last = self.cache_read(
+            dev,
+            |c| c.seq,
+            |c, v| c.seq = Some(*v),
+            |d| d.nv_read(&self.seq_cell),
+        )?;
         let armed = &mut *self.armed.borrow_mut();
-        self.read_done(dev, lane, &mut armed.done)?;
-        if all_done(&armed.done, count) {
-            return Ok(());
+        self.load_armed(dev, armed)?;
+        if last != first_seq {
+            self.run_armed(dev, armed)?;
+            self.arm(dev, first_seq, events, armed)?;
         }
+        self.run_armed(dev, armed)?;
+        Ok(())
+    }
 
-        self.read_items(dev, lane, count, &mut armed.items)?;
-        armed.masks.clear();
-        match lane {
-            Lane::Event => {
-                // Every worklisted machine is interested in the one
-                // event: routing and the `Path:` filter ran at arming.
-                let encoded = self.cache_read(
-                    dev,
-                    |c| c.event,
-                    |c, v| c.event = Some(*v),
-                    |d| d.nv_read(&self.event_cell),
-                )?;
-                armed.events.clear();
-                armed.events.push(encoded);
-                armed.masks.resize(count, 1);
+    /// Arms `events` under `first_seq` with one sparse record — the
+    /// event array, the sequence number, the verdict reset and a cleared
+    /// done bitmap — and derives their worklist into `armed`. A failure
+    /// after this commit resumes exactly the armed set; a failure
+    /// before it re-arms cleanly.
+    fn arm(
+        &self,
+        dev: &mut Device,
+        first_seq: u64,
+        events: &[MonitorEvent],
+        armed: &mut Armed,
+    ) -> Result<(), Interrupt> {
+        // `armed` runs ahead of FRAM until the commit lands; a failure
+        // before then wipes its shadow with the rest (`entry`).
+        let energy_nj = dev.energy_level().as_nano_joules();
+        armed.events.clear();
+        armed.events.extend(
+            events
+                .iter()
+                .map(|e| EncodedEvent::from_event(e, energy_nj)),
+        );
+        self.derive_worklist(dev, armed)?;
+        armed.done.clear();
+        armed.done.resize(self.done.len, 0);
+
+        let stx = &mut self.scratch.borrow_mut().stx;
+        stx.clear();
+        let region = stx.push_slot(self.events_addr, 2 + EncodedEvent::SIZE * events.len());
+        region[..2].copy_from_slice(&(events.len() as u16).to_le_bytes());
+        for (encoded, dst) in armed
+            .events
+            .iter()
+            .zip(region[2..].chunks_exact_mut(EncodedEvent::SIZE))
+        {
+            encoded.store(dst);
+        }
+        stx.push(&self.seq_cell, first_seq);
+        stx.push(&self.verdict_count, 0u32);
+        stx.push_zeroed(self.done.addr, self.done.len);
+        dev.commit_sparse(&self.journal, stx)?;
+        // The arming commit fixed every activation input — shadow them
+        // all, so the run below reads nothing from FRAM.
+        self.cache_put(|c| {
+            c.journal_clean = true;
+            c.seq = Some(first_seq);
+            c.verdict_count = Some(0);
+            c.armed = true;
+        });
+        Ok(())
+    }
+
+    /// Derives the worklist of `armed.events` — ascending machine
+    /// indices, each with the mask of the events it dispatches —
+    /// charging one routing lookup per event. In compiled mode that is
+    /// the routing-index lookup plus the dynamic `Path:` filter, both
+    /// deterministic functions of the events; the interpreter arms
+    /// every machine and dismisses in its step.
+    fn derive_worklist(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
+        dev.compute(ROUTING_LOOKUP_CYCLES * armed.events.len() as u64)?;
+        let Armed {
+            events,
+            items,
+            masks,
+            ..
+        } = armed;
+        items.clear();
+        masks.clear();
+        for (e, encoded) in events.iter().enumerate() {
+            let mut arm = |mi: u16| match items.binary_search(&mi) {
+                Ok(j) => masks[j] |= 1 << e,
+                Err(j) => {
+                    items.insert(j, mi);
+                    masks.insert(j, 1 << e);
+                }
+            };
+            if self.mode == ExecMode::Interpreter {
+                (0..self.machines.len() as u16).for_each(&mut arm);
+                continue;
             }
-            Lane::Batch => {
-                let bs = self.batch.as_ref().expect("batch lane without batch state");
-                self.read_batch_events(dev, bs, &mut armed.events)?;
-                dev.compute(ROUTING_LOOKUP_CYCLES * armed.events.len() as u64)?;
-                armed.masks.resize(count, 0);
-                for (e, encoded) in armed.events.iter().enumerate() {
-                    self.compute_worklist(encoded);
-                    for mi in &self.scratch.borrow().worklist {
-                        // The merged worklist is sorted.
-                        if let Ok(j) = armed.items.binary_search(mi) {
-                            armed.masks[j] |= 1 << e;
-                        }
-                    }
+            for &mi in self
+                .compiled
+                .routing()
+                .interested(encoded.event_kind(), encoded.task)
+            {
+                if !path_dismissed(&self.machines[mi as usize], encoded) {
+                    arm(mi);
                 }
             }
         }
+        Ok(())
+    }
 
-        for j in 0..count {
+    /// Steps the pending entries of the armed delivery and reports
+    /// whether there were any. Everything the loop depends on — the
+    /// events and the worklist derived from them — was fixed by the
+    /// arming commit, so a resume after any power failure processes
+    /// exactly the armed set; completed entries are skipped via the
+    /// bitmap.
+    fn run_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<bool, Interrupt> {
+        let mut pending = false;
+        for j in 0..armed.items.len() {
             if done_bit(&armed.done, j) {
                 continue;
             }
+            pending = true;
+            // Set in RAM just ahead of the commit that persists it: if
+            // that commit fails, the entry point wipes the shadow these
+            // buffers belong to.
             armed.done[j / 8] |= 1 << (j % 8);
             let i = armed.items[j] as usize;
             let done = &armed.done;
             match self.mode {
                 ExecMode::Compiled => {
-                    self.step_block(dev, i, &armed.events, armed.masks[j], lane, done)?
+                    self.step_block(dev, i, &armed.events, armed.masks[j], done)?
                 }
                 ExecMode::Interpreter => self.step_interpreted(dev, i, &armed.events[0], done)?,
             }
         }
-        Ok(())
+        Ok(pending)
     }
 
     /// Steps compiled machine `i` through every event of `events` whose
@@ -1893,17 +1571,14 @@ impl MonitorEngine {
     /// collapse to the last value in scratch, and the sparse record
     /// carries the changed byte runs of the covered block prefix (the
     /// whole block image for degraded keys), one verdict cell per
-    /// emitting event, and
-    /// `lane`'s bitmap `done` — which already has this machine's bit
-    /// set. The one step function of both the per-event (one-event
-    /// mask) and the batch lane.
+    /// emitting event, and the bitmap `done` — which already has this
+    /// machine's bit set.
     fn step_block(
         &self,
         dev: &mut Device,
         i: usize,
         events: &[EncodedEvent],
         mask: u32,
-        lane: Lane,
         done: &[u8],
     ) -> Result<(), Interrupt> {
         let lm = &self.machines[i];
@@ -1912,53 +1587,48 @@ impl MonitorEngine {
         };
         let cm = &self.compiled.machines()[i];
         let layout = cm.layout();
-        let kind_of = |encoded: &EncodedEvent| {
-            if encoded.kind == 0 {
-                EventKind::StartTask
-            } else {
-                EventKind::EndTask
-            }
-        };
 
         // Merge the static footprints of the events this machine will
-        // actually dispatch and bill each dispatch-table test plus the
-        // key's static compute ceiling (cycle-priced worst path through
-        // the dispatched transitions). Static and state-independent, so
-        // the charge never leaks machine state — and the bounds/energy
+        // actually dispatch — the union of their access sets, of which
+        // the step needs only the degrade flag and the highest touched
+        // slot — and bill each dispatch-table test plus the key's static
+        // compute ceiling (cycle-priced worst path through the
+        // dispatched transitions). Static and state-independent, so the
+        // charge never leaks machine state — and the bounds/energy
         // passes price the exact same table.
-        let mut access: Option<Cow<AccessSet>> = None;
+        let mut whole = false;
+        let mut max_slot = None;
         let mut step_mask = 0u32;
         let mut cycles = 0u64;
         for (e, encoded) in events.iter().enumerate() {
             if mask & (1 << e) == 0 {
                 continue;
             }
-            let kind = kind_of(encoded);
+            let kind = encoded.event_kind();
             cycles += COMPILED_DISPATCH_CYCLES;
             if cm.dispatch_len(kind, encoded.task) > 0 {
                 cycles += cm.step_cost(kind, encoded.task).cycles;
                 let key = cm.access(kind, encoded.task);
-                match &mut access {
-                    None => access = Some(Cow::Borrowed(key)),
-                    Some(a) => a.to_mut().union_with(key),
-                }
+                whole |= key.whole_block;
+                max_slot = max_slot.max(key.max_touched_slot());
                 step_mask |= 1 << e;
             }
         }
         dev.compute(cycles)?;
-        let Some(access) = access else {
+        if step_mask == 0 {
             // Every event dismissed: plain idempotent done write.
-            return self.finish_plain(dev, lane, done);
-        };
+            return self.finish_plain(dev, done);
+        }
 
         // Degraded keys load and commit the full block image; sparse
         // ones the covering span.
-        let whole = access.whole_block;
         let (covered, span) = if whole {
             (layout.var_count(), len)
         } else {
-            let max = access.max_touched_slot();
-            (max.map_or(0, |s| s as usize + 1), layout.span(max))
+            (
+                max_slot.map_or(0, |s| s as usize + 1),
+                layout.span(max_slot),
+            )
         };
 
         let scratch = &mut *self.scratch.borrow_mut();
@@ -1973,7 +1643,7 @@ impl MonitorEngine {
                 continue;
             }
             let event = CompiledEvent {
-                kind: kind_of(encoded),
+                kind: encoded.event_kind(),
                 task: encoded.task,
                 ctx: EventCtx {
                     time_us: encoded.timestamp_us,
@@ -2024,7 +1694,7 @@ impl MonitorEngine {
         };
         let emits = &scratch.emits;
         if emits.is_empty() && !changed {
-            return self.finish_plain(dev, lane, done);
+            return self.finish_plain(dev, done);
         }
 
         let stx = &mut scratch.stx;
@@ -2041,17 +1711,20 @@ impl MonitorEngine {
         };
         if !emits.is_empty() {
             count = self.read_verdict_count_cached(dev)?;
-            for (k, emit) in emits.iter().enumerate() {
-                stx.push(&self.verdict_cells[count as usize + k], cell(emit));
+            let cells = self
+                .verdict_cells
+                .get(count as usize..count as usize + emits.len())
+                .ok_or(Interrupt::Fault(Fault::CorruptState))?;
+            for (vc, emit) in cells.iter().zip(emits) {
+                stx.push(vc, cell(emit));
             }
             stx.push(&self.verdict_count, count + emits.len() as u32);
         }
-        stx.push_raw(self.lane(lane).done.addr, done);
+        stx.push_raw(self.done.addr, done);
         dev.commit_sparse(&self.journal, stx)?;
         self.shadow_machine_update(i, state, &scratch.vars[..covered]);
         self.cache_put(|c| {
             c.journal_clean = true;
-            c.set_done(lane, done);
             if !emits.is_empty() {
                 let gen = c.gen;
                 for (k, emit) in emits.iter().enumerate() {
@@ -2064,47 +1737,40 @@ impl MonitorEngine {
     }
 
     /// Marks a step with no FRAM effects complete: one plain idempotent
-    /// write of `lane`'s bitmap (re-execution after a power failure is
+    /// write of the bitmap (re-execution after a power failure is
     /// harmless).
-    fn finish_plain(&self, dev: &mut Device, lane: Lane, done: &[u8]) -> Result<(), Interrupt> {
-        dev.nv_write_raw(self.lane(lane).done.addr, done)?;
-        self.cache_put(|c| c.set_done(lane, done));
-        Ok(())
+    fn finish_plain(&self, dev: &mut Device, done: &[u8]) -> Result<(), Interrupt> {
+        dev.nv_write_raw(self.done.addr, done)
     }
 
-    /// Regroups the verdict log of the armed batch by event position.
-    /// Machines run in ascending suite order and push their events in
-    /// delivery order, so each per-event list comes back in the same
-    /// machine order the per-event path produces.
+    /// Appends the verdicts of the armed delivery of `n_events` events
+    /// to `out`, one list per event in delivery order. Machines step in
+    /// ascending suite order and log their events in delivery order, so
+    /// each list comes back in suite order, as a one-event delivery's.
     fn read_batch_verdicts(
         &self,
         dev: &mut Device,
         n_events: usize,
-    ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        let mut out = vec![Vec::new(); n_events];
+        out: &mut Vec<Vec<MonitorVerdict>>,
+    ) -> Result<(), Interrupt> {
+        let base = out.len();
+        out.resize_with(base + n_events, Vec::new);
         let count = self.read_verdict_count_cached(dev)?;
-        for slot in 0..count {
-            let (packed, encoded) = self.read_verdict_cell_cached(dev, slot as usize)?;
-            let e = (packed >> 16) as usize;
-            let mi = (packed & 0xFFFF) as usize;
-            if let (Some(list), Some(action)) = (out.get_mut(e), decode_action(encoded)) {
-                list.push(MonitorVerdict {
-                    machine_index: mi,
-                    machine: self.machines[mi].machine.name.clone(),
-                    action,
-                });
+        for slot in 0..count as usize {
+            if let (e, Some(verdict)) = self.read_verdict(dev, slot)? {
+                if let Some(list) = out[base..].get_mut(e) {
+                    list.push(verdict);
+                }
             }
         }
-        for list in &mut out {
-            list.sort_by_key(|v| v.machine_index);
-        }
-        Ok(out)
+        Ok(())
     }
 
-    /// Largest burst the group-commit path can arm at once (1 when
-    /// batching is disabled or fell back at install time).
+    /// Events one armed delivery holds: the largest burst
+    /// [`MonitorEngine::deliver_batch`] commits as one group (1 unless
+    /// [`BatchMode::Enabled`] took effect).
     pub fn batch_capacity(&self) -> usize {
-        self.batch.as_ref().map_or(1, |b| b.max_events)
+        self.capacity
     }
 
     /// Static gate for runtime bursts: `true` iff no machine interested
@@ -2122,10 +1788,7 @@ impl MonitorEngine {
 
     /// Reads back the verdicts of the most recently processed event.
     pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
-            self.read_verdicts(dev)
-        })
+        self.entry(dev, |dev| self.read_verdicts(dev))
     }
 
     /// Re-initialises the machines affected by a restart of `path`
@@ -2134,8 +1797,7 @@ impl MonitorEngine {
         let affected = |lm: &LoadedMachine| {
             lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number())
         };
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
+        self.entry(dev, |dev| {
             let mut tx = TxWriter::new();
             for lm in self.machines.iter().filter(|lm| affected(lm)) {
                 stage_machine_reset(&mut tx, lm);
@@ -2145,42 +1807,12 @@ impl MonitorEngine {
             // their initial snapshots — mirror that in their shadows.
             self.shadow_reset_machines(affected);
             Ok(())
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
-    }
-
-    /// Computes the event's worklist into the scratch buffer: in
-    /// compiled mode the routing-index lookup plus the dynamic `Path:`
-    /// filter, both deterministic functions of the event; the
-    /// interpreter arms every machine and dismisses in its step.
-    fn compute_worklist(&self, encoded: &EncodedEvent) {
-        let scratch = &mut *self.scratch.borrow_mut();
-        scratch.worklist.clear();
-        if self.mode == ExecMode::Interpreter {
-            scratch
-                .worklist
-                .extend((0..self.machines.len()).map(|i| i as u16));
-            return;
-        }
-        let kind = if encoded.kind == 0 {
-            EventKind::StartTask
-        } else {
-            EventKind::EndTask
-        };
-        for &mi in self.compiled.routing().interested(kind, encoded.task) {
-            if !path_dismissed(&self.machines[mi as usize], encoded) {
-                scratch.worklist.push(mi);
-            }
-        }
+        })
     }
 
     /// Interpreter step: the reference path over per-variable cells,
-    /// committing the changed cells, any verdict and `done` (the event
-    /// lane's bitmap with this machine's bit set) in one entry-list
-    /// transaction.
+    /// committing the changed cells, any verdict and `done` (the bitmap
+    /// with this machine's bit set) in one entry-list transaction.
     fn step_interpreted(
         &self,
         dev: &mut Device,
@@ -2204,7 +1836,7 @@ impl MonitorEngine {
             || matches!(&lm.observed, Some(tasks) if !tasks.contains(&encoded.task));
         if dismissed {
             dev.compute(STEP_BASE_CYCLES)?;
-            return self.finish_plain(dev, Lane::Event, done);
+            return self.finish_plain(dev, done);
         }
 
         // Model the compute cost of the generated step function.
@@ -2229,11 +1861,7 @@ impl MonitorEngine {
         };
 
         let ir_event = IrEvent {
-            kind: if encoded.kind == 0 {
-                EventKind::StartTask
-            } else {
-                EventKind::EndTask
-            },
+            kind: encoded.event_kind(),
             task: task_name,
             ctx: EventCtx {
                 time_us: encoded.timestamp_us,
@@ -2252,7 +1880,7 @@ impl MonitorEngine {
         // no journal round-trip (matches the generated C, which only
         // touches FRAM on actual assignments).
         if emit.is_none() && mstate.state == before_state && scratch.vars == scratch.before_vars {
-            return self.finish_plain(dev, Lane::Event, done);
+            return self.finish_plain(dev, done);
         }
 
         let mut tx = TxWriter::new();
@@ -2274,10 +1902,14 @@ impl MonitorEngine {
                 i as u32,
                 encode_action(fail.action, fail.path.or(lm.machine.path)),
             );
-            tx.write(&self.verdict_cells[count as usize], value);
+            let vc = self
+                .verdict_cells
+                .get(count as usize)
+                .ok_or(Interrupt::Fault(Fault::CorruptState))?;
+            tx.write(vc, value);
             tx.write(&self.verdict_count, count + 1);
         }
-        tx.write_raw(self.events.done.addr, done);
+        tx.write_raw(self.done.addr, done);
         dev.commit(&self.journal, &tx)
     }
 
@@ -2285,18 +1917,8 @@ impl MonitorEngine {
         let count = self.read_verdict_count_cached(dev)?;
         // No verdicts, no allocation: an empty `Vec` owns no heap.
         let mut out = Vec::with_capacity(count as usize);
-        for slot in 0..count {
-            let (packed, encoded) = self.read_verdict_cell_cached(dev, slot as usize)?;
-            // Batch deliveries pack the event position into the high
-            // half-word; the machine index is the low half either way.
-            let machine_index = (packed & 0xFFFF) as usize;
-            if let Some(action) = decode_action(encoded) {
-                out.push(MonitorVerdict {
-                    machine_index,
-                    machine: self.machines[machine_index].machine.name.clone(),
-                    action,
-                });
-            }
+        for slot in 0..count as usize {
+            out.extend(self.read_verdict(dev, slot)?.1);
         }
         Ok(out)
     }
@@ -2828,9 +2450,9 @@ mod tests {
         // Every machine degrades to whole-block commits: one block
         // read and one 3-sub-write sparse commit each.
         assert_eq!(key.degraded_machines, MACHINES);
-        assert_eq!(key.reads, 2 + 4 + MACHINES + 1);
-        assert_eq!(key.writes, 8 + MACHINES * 5);
-        assert_eq!(key.cold_extra_reads, 2 + MACHINES);
+        assert_eq!(key.reads, 4 + MACHINES + 1);
+        assert_eq!(key.writes, 7 + MACHINES * 5);
+        assert_eq!(key.cold_extra_reads, 4 + MACHINES);
         assert_event_model_attained(&suite, &app, &key, 20);
     }
 
@@ -2846,13 +2468,13 @@ mod tests {
         assert_eq!(key.machines, MACHINES);
         assert_eq!(key.delta_machines, MACHINES, "all machines must go sparse");
         assert_eq!(key.degraded_machines, 0);
-        // Arming (2r+8w) + worklist setup (4r) + per machine 1 span
+        // Armed-delivery load (4r) + arming (7w) + per machine 1 span
         // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
-        assert_eq!(key.reads, 2 + 4 + MACHINES + 1);
-        assert_eq!(key.writes, 8 + MACHINES * 6);
-        // A reboot's refill is flag + seq + one whole-block fill per
-        // armed machine.
-        assert_eq!(key.cold_extra_reads, 2 + MACHINES);
+        assert_eq!(key.reads, 4 + MACHINES + 1);
+        assert_eq!(key.writes, 7 + MACHINES * 6);
+        // A reboot's refill is the armed-delivery load (flag, seq,
+        // events, done) + one whole-block fill per armed machine.
+        assert_eq!(key.cold_extra_reads, 4 + MACHINES);
         assert_event_model_attained(&suite, &app, &key, 20);
     }
 
@@ -2870,7 +2492,7 @@ mod tests {
         let n = EVENTS as usize;
         let warm = measure(&suite, &app, None, EVENTS, false);
         assert_eq!(warm.reads, 0, "diff path must stay write-only when warm");
-        assert_eq!(warm.writes, (8 + MACHINES * 5) * n);
+        assert_eq!(warm.writes, (7 + MACHINES * 5) * n);
         assert!(warm.writes < key.writes * n);
         assert!(
             warm.write_bytes < key.write_bytes * n,
@@ -3196,8 +2818,8 @@ mod tests {
     }
 
     /// Steady-state deliveries are all hits, a power cycle invalidates
-    /// the whole cache exactly once, and the counters surface through
-    /// the trace ring buffer.
+    /// the whole cache exactly once, and the refill it forces is paid
+    /// once.
     #[test]
     fn cache_stats_count_hits_misses_and_invalidations() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
@@ -3231,25 +2853,21 @@ mod tests {
         assert_eq!(cold.invalidations, 1);
         assert!(cold.misses > 0);
 
-        // And the counters render through the trace ring buffer.
-        engine.trace_cache_stats(&mut dev);
-        let pushed = dev.trace().count(|e| {
-            matches!(
-                e,
-                artemis_core::trace::TraceEvent::CacheStats {
-                    invalidations: 1,
-                    ..
-                }
-            )
-        });
-        assert_eq!(pushed, 1);
-        assert!(dev.trace().render().contains("invalidations"));
+        // The next delivery in the same epoch is warm again: hits only.
+        engine
+            .call_monitor(&mut dev, 4, &MonitorEvent::start(accel, t(3)))
+            .unwrap();
+        let rewarmed = engine.cache_stats();
+        assert_eq!(rewarmed.misses, cold.misses);
+        assert_eq!(rewarmed.invalidations, 1);
+        assert!(rewarmed.hits > cold.hits);
     }
 
     /// Reboot storm: every clean reboot re-pays only the cold-miss
-    /// refill, which the static bound caps at `cold_extra_reads` (flag,
-    /// seq and one whole-block fill per armed machine) on top of the
-    /// finalize probe — and nothing accumulates across reboots.
+    /// refill — exactly `cold_extra_reads` across the finalize probe and
+    /// the next delivery (flag, events and done bitmap, then seq and
+    /// one whole-block fill per armed machine) — and nothing
+    /// accumulates across reboots.
     #[test]
     fn reboot_storm_cold_misses_stay_within_static_bound() {
         const MACHINES: usize = 8;
@@ -3266,10 +2884,6 @@ mod tests {
             .call_monitor(&mut dev, 1, &MonitorEvent::start(t0, t(0)))
             .unwrap();
 
-        // The finalize pending-probe after a clean reboot costs 3 cold
-        // reads (journal flag + worklist count + done mask); the next
-        // delivery pays the cold refill, bounded by cold_extra_reads.
-        let per_reboot_bound = 3 + key.cold_extra_reads;
         for r in 0..REBOOTS {
             dev.power_cycle();
             let reads0 = dev.fram().read_ops();
@@ -3284,7 +2898,7 @@ mod tests {
                 "cold refill drifted on reboot {r}: finalize probe (3) \
                  + seq (1) + one block fill per machine"
             );
-            assert!(reads <= per_reboot_bound, "static cold bound violated");
+            assert_eq!(reads, key.cold_extra_reads, "static cold model drifted");
         }
         assert_eq!(engine.cache_stats().invalidations, REBOOTS);
     }
@@ -3389,46 +3003,99 @@ mod tests {
         assert_eq!(reads_with(7), reads_with(0));
     }
 
-    /// A corrupt armed worklist — a count above the suite size, or an
-    /// item naming no installed machine — faults with a typed error on
-    /// the cold fill after a reboot instead of indexing out of bounds,
-    /// on both the per-event and the batch lane.
+    /// A corrupt armed event count — past the engine's capacity —
+    /// faults with a typed error on the cold load after a reboot
+    /// instead of slicing out of bounds, on one-event and batch engines
+    /// alike.
     #[test]
-    fn corrupt_worklists_fault_instead_of_panicking() {
+    fn corrupt_armed_events_fault_instead_of_panicking() {
         let app = app();
         let spec = "accel { maxTries: 5 onFail: skipPath; }\n\
                     send { collect: 2 dpTask: accel onFail: restartPath; }";
         let accel = app.task_by_name("accel").unwrap();
-        for lane in [Lane::Event, Lane::Batch] {
-            // (byte offset in the worklist region, value): the count
-            // word, then the first item.
-            for (offset, value) in [(0, 200u16), (2, 500)] {
-                let mut dev = DeviceBuilder::msp430fr5994().build();
-                let suite = artemis_ir::compile(spec, &app).unwrap();
-                let opts = InstallOptions {
-                    batch: BatchMode::Enabled { max_events: 4 },
-                    ..InstallOptions::default()
-                };
-                let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-                engine.reset_monitor(&mut dev).unwrap();
-                let ev = MonitorEvent::start(accel, t(0));
-                match lane {
-                    Lane::Event => drop(engine.call_monitor(&mut dev, 1, &ev).unwrap()),
-                    Lane::Batch => drop(engine.deliver_batch(&mut dev, 1, &[ev]).unwrap()),
+        for batch in [BatchMode::Disabled, BatchMode::Enabled { max_events: 4 }] {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let suite = artemis_ir::compile(spec, &app).unwrap();
+            let opts = InstallOptions {
+                batch,
+                ..InstallOptions::default()
+            };
+            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+            engine.reset_monitor(&mut dev).unwrap();
+            let ev = MonitorEvent::start(accel, t(0));
+            match batch {
+                BatchMode::Disabled => drop(engine.call_monitor(&mut dev, 1, &ev).unwrap()),
+                BatchMode::Enabled { .. } => {
+                    drop(engine.deliver_batch(&mut dev, 1, &[ev]).unwrap())
                 }
-                let state = engine.lane(lane);
-                dev.nv_write_raw(state.worklist_addr + offset, &value.to_le_bytes())
-                    .unwrap();
-                dev.nv_write_raw(state.done.addr, &vec![0; state.done.len])
-                    .unwrap();
-                dev.power_cycle();
-                assert_eq!(
-                    engine.monitor_finalize(&mut dev),
-                    Err(Interrupt::Fault(Fault::CorruptState)),
-                    "{lane:?} lane, offset {offset}"
-                );
             }
+            let count = engine.capacity as u16 + 1;
+            dev.nv_write_raw(engine.events_addr, &count.to_le_bytes())
+                .unwrap();
+            dev.power_cycle();
+            assert_eq!(
+                engine.monitor_finalize(&mut dev),
+                Err(Interrupt::Fault(Fault::CorruptState)),
+                "{batch:?}"
+            );
         }
+    }
+
+    /// A bit-flipped verdict log faults with a typed error instead of
+    /// indexing out of bounds: a count past the log (read back by
+    /// `last_verdicts`), a count at the end of the log while an
+    /// emitting step is pending (resumed by `monitor_finalize`), and a
+    /// cell naming no installed machine (read back by a redelivery).
+    #[test]
+    fn corrupt_verdict_logs_fault_instead_of_panicking() {
+        let app = app();
+        let accel = app.task_by_name("accel").unwrap();
+        let ev = MonitorEvent::start(accel, t(0));
+        // One machine that emits on every start: seq 1 logs a verdict.
+        let fresh = || {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let suite = artemis_ir::parse::parse_suite(
+                "machine e task accel persistent { state S initial; \
+                 on startTask(accel) from S to S { } fail skipTask; }",
+            )
+            .unwrap();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+            engine.reset_monitor(&mut dev).unwrap();
+            assert_eq!(engine.call_monitor(&mut dev, 1, &ev).unwrap().len(), 1);
+            (dev, engine)
+        };
+        let corrupt: Result<(), Interrupt> = Err(Interrupt::Fault(Fault::CorruptState));
+
+        let (mut dev, engine) = fresh();
+        dev.nv_write(&engine.verdict_count, 1_000).unwrap();
+        dev.power_cycle();
+        assert_eq!(
+            engine.last_verdicts(&mut dev),
+            corrupt.map(|()| Vec::new()),
+            "count past the log"
+        );
+
+        let (mut dev, engine) = fresh();
+        let full = engine.verdict_cells.len() as u32;
+        dev.nv_write(&engine.verdict_count, full).unwrap();
+        dev.nv_write_raw(engine.done.addr, &vec![0; engine.done.len])
+            .unwrap();
+        dev.power_cycle();
+        assert_eq!(
+            engine.monitor_finalize(&mut dev),
+            corrupt.map(|()| false),
+            "count at the end of the log"
+        );
+
+        let (mut dev, engine) = fresh();
+        dev.nv_write(&engine.verdict_cells[0], (999, (0, 0)))
+            .unwrap();
+        dev.power_cycle();
+        assert_eq!(
+            engine.call_monitor(&mut dev, 1, &ev),
+            corrupt.map(|()| Vec::new()),
+            "cell past the suite"
+        );
     }
 
     #[test]
@@ -3529,5 +3196,62 @@ mod finalize_tests {
         assert!(interrupted, "never observed a mid-event interruption");
         // A second finalize is a no-op.
         assert!(!engine.monitor_finalize(&mut dev).unwrap());
+    }
+
+    /// Arming a new sequence number first finishes a delivery a power
+    /// failure left pending, even when no `monitorFinalize` ran in
+    /// between: the final machine state equals a continuous run of both
+    /// events.
+    #[test]
+    fn arming_finishes_a_pending_delivery() {
+        let mut b = AppGraphBuilder::new();
+        let a = b.task("a");
+        b.path(&[a]);
+        let app = b.build().unwrap();
+        // Three machines step on every start, so a brown-out can land
+        // between their commits.
+        let spec = "a { maxTries: 100 onFail: skipPath; \
+                    maxDuration: 1s onFail: skipTask; \
+                    period: 1min onFail: restartTask; }";
+        let first = MonitorEvent::start(a, SimInstant::from_micros(1));
+        let second = MonitorEvent::start(a, SimInstant::from_micros(2));
+
+        let mut steady = DeviceBuilder::msp430fr5994().build();
+        let suite = artemis_ir::compile(spec, &app).unwrap();
+        let reference = MonitorEngine::install(&mut steady, suite, &app).unwrap();
+        reference.reset_monitor(&mut steady).unwrap();
+        reference.call_monitor(&mut steady, 1, &first).unwrap();
+        reference.call_monitor(&mut steady, 2, &second).unwrap();
+        let expected = reference.snapshot(&steady);
+
+        let mut resumed = 0;
+        for residue_nj in (200..1_400).step_by(20) {
+            let mut dev = DeviceBuilder::msp430fr5994()
+                .capacitor(Capacitor::with_budget(Energy::from_micro_joules(500)))
+                .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+                .build();
+            let suite = artemis_ir::compile(spec, &app).unwrap();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+            engine.reset_monitor(&mut dev).unwrap();
+            while dev.energy_level() > Energy::from_nano_joules(residue_nj) {
+                let _ = dev.compute(100);
+            }
+            if engine.call_monitor(&mut dev, 1, &first).is_ok() {
+                continue;
+            }
+            dev.power_cycle();
+            // Armed (seq 1 persisted) with some machine still pending.
+            let armed = engine
+                .compiled
+                .routing()
+                .interested(EventKind::StartTask, a.0);
+            let all_done = (1u8 << armed.len()) - 1;
+            let pending =
+                dev.peek(&engine.seq_cell) == 1 && dev.peek_raw(engine.done.addr, 1)[0] != all_done;
+            engine.call_monitor(&mut dev, 2, &second).unwrap();
+            assert_eq!(engine.snapshot(&dev), expected, "residue {residue_nj} nJ");
+            resumed += usize::from(pending);
+        }
+        assert!(resumed > 0, "never left a delivery pending");
     }
 }

@@ -77,6 +77,15 @@ impl EncodedEvent {
         }
     }
 
+    /// The event kind `kind` encodes.
+    pub fn event_kind(&self) -> EventKind {
+        if self.kind == 0 {
+            EventKind::StartTask
+        } else {
+            EventKind::EndTask
+        }
+    }
+
     /// The monitored value, if present.
     pub fn dep_data(&self) -> Option<f64> {
         (self.has_dep != 0).then(|| f64::from_bits(self.dep_bits))

@@ -3,7 +3,8 @@
 //! zero heap allocations — arming, routing, stepping, diffing and both
 //! journal commits all run in buffers sized at install — and an event
 //! with `k` verdicts allocates only the returned list and the `k`
-//! machine names.
+//! machine names. A verdict-free `deliver_batch` allocates only the
+//! returned outer list.
 //!
 //! A counting global allocator tallies allocations made by the test
 //! thread. Everything else the test does (event generation, verdict
@@ -15,7 +16,7 @@ use std::cell::Cell;
 use artemis_core::app::{AppGraph, AppGraphBuilder, PathId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::time::SimInstant;
-use artemis_monitor::MonitorEngine;
+use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
 use intermittent_sim::device::DeviceBuilder;
 use intermittent_sim::harvester::Harvester;
 
@@ -146,4 +147,42 @@ fn warm_call_monitor_allocates_nothing_without_verdicts() {
     // The walk exercises both budgets.
     assert!(silent > MEASURED / 2, "only {silent} verdict-free events");
     assert!(loud > 0, "no event produced a verdict");
+}
+
+#[test]
+fn warm_deliver_batch_allocates_only_the_returned_list() {
+    const WARMUP: usize = 500;
+    const MEASURED: usize = 8_000;
+
+    let app = health_app();
+    let events = walk(&app, WARMUP + MEASURED);
+    for burst in [2, 8] {
+        let suite = artemis_ir::compile(artemis_spec::samples::FIGURE5, &app).unwrap();
+        let mut dev = DeviceBuilder::msp430fr5994()
+            .harvester(Harvester::Continuous)
+            .build();
+        let opts = InstallOptions {
+            batch: BatchMode::Enabled { max_events: burst },
+            ..InstallOptions::default()
+        };
+        let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+
+        let mut silent = 0;
+        for (b, chunk) in events.chunks_exact(burst).enumerate() {
+            let first = (b * burst) as u64 + 1;
+            let before = allocs();
+            let verdicts = engine.deliver_batch(&mut dev, first, chunk).unwrap();
+            let spent = allocs() - before;
+            if b * burst < WARMUP || verdicts.iter().any(|v| !v.is_empty()) {
+                continue;
+            }
+            assert_eq!(spent, 1, "batch {b} of {burst} allocated {spent} times");
+            silent += 1;
+        }
+        assert!(
+            silent > MEASURED / burst / 4,
+            "only {silent} verdict-free batches of {burst}"
+        );
+    }
 }

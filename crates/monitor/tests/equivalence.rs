@@ -475,6 +475,81 @@ fn engine_run_batch(
     (results, snapshot)
 }
 
+/// Like [`engine_run_batch`], but on one capacity-4 engine whose
+/// deliveries alternate along `plan`: each step `(via_call, chunk)`
+/// takes the next event alone through `call_monitor`, or the next
+/// `chunk` (1–4) events through `deliver_batch`. The plan repeats until
+/// the stream is covered. The persistent cursor counts steps, so a
+/// power failure redelivers the interrupted step the same way.
+fn engine_run_mixed(
+    app: &AppGraph,
+    spec: &str,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+    plan: &[(bool, usize)],
+    cfg: Config,
+) -> RunOutcome {
+    let suite = artemis_ir::compile(spec, app).unwrap();
+    let engine = MonitorEngine::install_with(
+        dev,
+        suite,
+        app,
+        InstallOptions {
+            batch: BatchMode::Enabled { max_events: 4 },
+            ..cfg.opts
+        },
+    )
+    .unwrap();
+    // (first event, event count, via call_monitor) per step.
+    let mut steps = Vec::new();
+    let mut idx = 0;
+    for &(via_call, chunk) in plan.iter().cycle() {
+        if idx >= events.len() {
+            break;
+        }
+        let n = if via_call {
+            1
+        } else {
+            chunk.min(events.len() - idx)
+        };
+        steps.push((idx, n, via_call));
+        idx += n;
+    }
+    let cursor = dev
+        .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "step")
+        .unwrap();
+    let sim = Simulator::new(RunLimit::reboots(100_000));
+
+    let mut results: Vec<Vec<MonitorVerdict>> = vec![Vec::new(); events.len()];
+    let outcome = sim.run(dev, &mut |dev: &mut Device| {
+        engine.monitor_finalize(dev)?;
+        loop {
+            let k = dev.nv_read(&cursor)? as usize;
+            let Some(&(idx, n, via_call)) = steps.get(k) else {
+                return Ok(());
+            };
+            let batch: Vec<MonitorEvent> = (idx..idx + n)
+                .map(|j| {
+                    let t: u64 = events[..=j].iter().map(|(e, _)| e.gap_ms * 1_000).sum();
+                    rich_event(&events[j].0, events[j].1, t)
+                })
+                .collect();
+            cfg.before_delivery(dev);
+            let seq = idx as u64 + 1;
+            if via_call {
+                results[idx] = engine.call_monitor(dev, seq, &batch[0])?;
+            } else {
+                let verdicts = engine.deliver_batch(dev, seq, &batch)?;
+                results[idx..idx + n].clone_from_slice(&verdicts);
+            }
+            dev.nv_write(&cursor, (k + 1) as u32)?;
+        }
+    });
+    assert!(outcome.is_completed(), "stream never finished");
+    let snapshot = engine.snapshot(dev);
+    (results, snapshot)
+}
+
 /// A 100-machine IR suite — past what one 64-bit bitmap word could
 /// track — mixing every trigger shape over both tasks: each machine
 /// counts its trigger and emits `skipTask` (resetting the count) once
@@ -599,6 +674,27 @@ proptest! {
                 engine_run_batch(&app, &spec, &events, &mut flaky_device(budget_nj), chunk, cfg);
             prop_assert_eq!(&vb, &vi, "verdicts, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, cfg, spec);
             prop_assert_eq!(&sb, &si, "state, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, cfg, spec);
+        }
+    }
+
+    /// Per-event and batch deliveries interleaved on one capacity-4
+    /// engine under random power failures vs the interpreter on
+    /// continuous power: both entry points share the one armed
+    /// delivery, so neither may clobber the other's pending work.
+    #[test]
+    fn mixed_delivery_equals_interpreter_under_random_power_failures(
+        spec in spec_strategy(),
+        events in burst_ev_strategy(),
+        plan in proptest::collection::vec((any::<bool>(), 1usize..5), 1..8),
+        budget_nj in 4_000u64..40_000,
+    ) {
+        let app = rich_app();
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        for cfg in matrix() {
+            let (vm, sm) =
+                engine_run_mixed(&app, &spec, &events, &mut flaky_device(budget_nj), &plan, cfg);
+            prop_assert_eq!(&vm, &vi, "verdicts, plan {:?}, budget {} nJ, {:?}, spec: {}", plan, budget_nj, cfg, spec);
+            prop_assert_eq!(&sm, &si, "state, plan {:?}, budget {} nJ, {:?}, spec: {}", plan, budget_nj, cfg, spec);
         }
     }
 }
@@ -996,8 +1092,9 @@ fn diff_commit_crash_windows_never_tear() {
 /// Budget sweep over the whole batch protocol on the multi-machine
 /// crash stream: verdicts and FRAM state must match the interpreter
 /// reference at every budget. The floor sits just above the
-/// batch engine's install cost (the batch regions make installation a
-/// little dearer than the per-event engine's 700 nJ).
+/// batch engine's install cost (its four-event array and verdict cells
+/// make installation a little dearer than the per-event engine's
+/// 700 nJ).
 #[test]
 fn batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();

@@ -28,8 +28,7 @@
 //!
 //! # Task-boundary bursts
 //!
-//! With [`ArtemisRuntimeBuilder::burst`] enabled and a monitoring
-//! deployment that has a group-commit path
+//! When the monitoring deployment has a group-commit path
 //! ([`Monitoring::batch_capacity`] ≥ 2), the loop folds each task
 //! boundary's `EndTask` + next `StartTask` pair into one
 //! [`Monitoring::deliver_batch`] call — one arming transaction and one
@@ -200,7 +199,6 @@ pub struct ArtemisRuntimeBuilder {
     app: AppGraph,
     bodies: Vec<Option<TaskBody>>,
     channels: Vec<String>,
-    burst: bool,
 }
 
 impl ArtemisRuntimeBuilder {
@@ -211,18 +209,7 @@ impl ArtemisRuntimeBuilder {
             app,
             bodies: (0..n).map(|_| None).collect(),
             channels: Vec::new(),
-            burst: false,
         }
-    }
-
-    /// Enables task-boundary bursts: `EndTask` + next `StartTask`
-    /// pairs go through [`Monitoring::deliver_batch`] when the
-    /// deployment supports batching and the end event is provably
-    /// silent (off by default; see the module docs for the exact
-    /// semantics).
-    pub fn burst(&mut self, enabled: bool) -> &mut Self {
-        self.burst = enabled;
-        self
     }
 
     /// Registers the body of a task.
@@ -357,7 +344,6 @@ impl ArtemisRuntimeBuilder {
             journal,
             cells,
             channels,
-            burst: self.burst,
             current_task_cached: TaskId(0),
         })
     }
@@ -399,7 +385,6 @@ pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     journal: Journal,
     cells: Cells,
     channels: HashMap<String, Channel>,
-    burst: bool,
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
     current_task_cached: TaskId,
@@ -469,9 +454,18 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         Action::arbitrate(&actions)
     }
 
-    /// Executes the current task body and commits its effects.
-    fn run_task(&mut self, dev: &mut Device, task: TaskId) -> Result<(), Interrupt> {
-        if self.burst {
+    /// `true` when the deployment can group-commit a task boundary's
+    /// end + start pair (see the module docs).
+    fn bursts(&self) -> bool {
+        self.engine.batch_capacity() >= 2
+    }
+
+    /// Executes the current task body (at `cur_idx` on its path) and
+    /// commits its effects.
+    fn run_task(&mut self, dev: &mut Device, task: TaskId, cur_idx: u32) -> Result<(), Interrupt> {
+        // Only a task past its path's head can carry the burst marker: a
+        // burst sets it for the next task of the same path.
+        if self.bursts() && cur_idx > 0 {
             // The burst marker has served its purpose once the task
             // actually starts running; a crash before this write only
             // causes one more idempotent batch redelivery.
@@ -656,8 +650,9 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
             if status == STATUS_READY {
                 let action = if monitored {
-                    let redelivered =
-                        self.burst && cur_idx > 0 && dev.nv_read(&self.cells.start_delivered)? != 0;
+                    let redelivered = self.bursts()
+                        && cur_idx > 0
+                        && dev.nv_read(&self.cells.start_delivered)? != 0;
                     let verdicts = if redelivered {
                         // This task's StartTask already went out as the
                         // second half of a task-boundary burst.
@@ -695,7 +690,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                     None
                 };
                 match action {
-                    None | Some(Action::RestartTask) => self.run_task(dev, task)?,
+                    None | Some(Action::RestartTask) => self.run_task(dev, task, cur_idx)?,
                     Some(Action::SkipTask) => {
                         dev.trace_push(TraceEvent::ActionTaken {
                             action: Action::SkipTask,
@@ -709,7 +704,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         // Suspend monitoring and run the task.
                         dev.trace_push(TraceEvent::ActionTaken { action: a });
                         self.apply_path_action(dev, a)?;
-                        self.run_task(dev, task)?;
+                        self.run_task(dev, task, cur_idx)?;
                     }
                     Some(a) => self.apply_path_action(dev, a)?,
                 }
@@ -718,8 +713,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 // reserved sequence number (exactly-once).
                 let path_len = self.app.path(PathId(cur_path)).tasks.len() as u32;
                 let can_burst = monitored
-                    && self.burst
-                    && self.engine.batch_capacity() >= 2
+                    && self.bursts()
                     && cur_idx + 1 < path_len
                     && self.engine.end_event_is_silent(task);
                 if can_burst {

@@ -63,23 +63,28 @@ fn committed_sends(rt: &ArtemisRuntime, dev: &mut Device) -> usize {
     ch.len(dev, &tx).unwrap()
 }
 
-/// Like [`install`], but deploys the engine with a group-commit batch
-/// and (optionally) enables task-boundary bursts on the runtime.
+/// Like [`install`], but with `burst` deploys the engine with a
+/// group-commit capacity of 4, which folds task-boundary bursts; else
+/// with the default one-event capacity.
 fn install_burst(dev: &mut Device, app: &AppGraph, spec: &str, burst: bool) -> ArtemisRuntime {
     use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
     let suite = artemis_ir::compile(spec, app).unwrap();
+    let batch = if burst {
+        BatchMode::Enabled { max_events: 4 }
+    } else {
+        BatchMode::Disabled
+    };
     let engine = MonitorEngine::install_with(
         dev,
         suite,
         app,
         InstallOptions {
-            batch: BatchMode::Enabled { max_events: 4 },
+            batch,
             ..InstallOptions::default()
         },
     )
     .unwrap();
     let mut rb = ArtemisRuntimeBuilder::new(app.clone());
-    rb.burst(burst);
     rb.channel("samples");
     rb.channel("sent");
     rb.body("sense", |ctx| {
@@ -538,9 +543,10 @@ fn start_triggered_complete_path_runs_task_unmonitored() {
 
 #[test]
 fn burst_delivery_matches_unbursted_and_saves_fram_writes() {
-    // Same app, same spec, same batch-capable engine; the only
-    // difference is the runtime-side burst fold. Observable behaviour
-    // must be identical and the burst run must touch FRAM less.
+    // Same app, same spec; the only difference is the engine's
+    // group-commit capacity, which turns on the runtime-side burst
+    // fold. Observable behaviour must be identical and the burst run
+    // must touch FRAM less.
     let app = sense_send_app();
     let spec = "sense { maxTries: 10 onFail: skipPath; }";
 

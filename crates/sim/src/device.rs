@@ -71,8 +71,9 @@ pub enum Fault {
     /// inside the journal. Nothing of the record was applied.
     CorruptJournal,
     /// A persistent region holds a value no commit can have written —
-    /// e.g. an armed worklist longer than the installed suite, or an
-    /// entry naming no installed machine. Nothing was stepped.
+    /// e.g. an armed event count past the engine's capacity, or a
+    /// verdict log reaching past its cells or naming no installed
+    /// machine. Nothing was committed.
     CorruptState,
 }
 

@@ -160,27 +160,6 @@ impl TxWriter {
         self.slot(addr, len).fill(0);
     }
 
-    /// Stages a variable-length `u16` list at `addr` as **one** journal
-    /// entry: a `u16` count followed by the items, little-endian (see
-    /// [`decode_u16_list`]). Unlike [`TxWriter::write_raw`], re-staging
-    /// a list at the same address replaces the previous entry even when
-    /// the lengths differ — the count word makes the shorter image
-    /// self-delimiting, so stale tail bytes can never be misread.
-    ///
-    /// This is the staging primitive for armed worklists: the list
-    /// commits atomically with whatever else is in the transaction, so
-    /// a reboot sees either the complete new list or the old one.
-    pub fn write_u16_list(&mut self, addr: usize, items: &[u16]) {
-        let at = |bytes: &[u8]| entries(bytes).find(|(a, _)| *a == addr).map(|(_, d)| d);
-        while let Some(data) = at(&self.entries) {
-            self.entries.drain(data.start - ENTRY_HEADER..data.end);
-            self.count -= 1;
-        }
-        self.count += 1;
-        let data = append_entry(&mut self.entries, addr, u16_list_bytes(items.len()));
-        store_u16_list(items, &mut self.entries[data]);
-    }
-
     /// Reads a cell, observing staged writes first.
     pub fn read<T: NvData>(&self, fram: &mut Fram, cell: &NvCell<T>) -> T {
         match find_entry(&self.entries, cell.addr(), T::SIZE) {
@@ -247,9 +226,10 @@ impl SparseTx {
         SparseTx { record }
     }
 
-    /// The staged data bytes for `(addr, len)`: the existing sub-write
-    /// of that address and width, else a freshly appended zeroed one.
-    fn slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
+    /// Stages a `len`-byte sub-write at `addr` and returns its data
+    /// bytes for the caller to fill in place: the existing sub-write of
+    /// that address and width, else a freshly appended zeroed one.
+    pub fn push_slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
         let data = match find_entry(&self.record[2..], addr, len) {
             Some(data) => data.start + 2..data.end + 2,
             None => {
@@ -264,23 +244,17 @@ impl SparseTx {
 
     /// Stages a typed sub-write.
     pub fn push<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        value.store(self.slot(cell.addr(), T::SIZE));
+        value.store(self.push_slot(cell.addr(), T::SIZE));
     }
 
     /// Stages a raw sub-write.
     pub fn push_raw(&mut self, addr: usize, data: &[u8]) {
-        self.slot(addr, data.len()).copy_from_slice(data);
+        self.push_slot(addr, data.len()).copy_from_slice(data);
     }
 
     /// Stages `len` zero bytes at `addr`.
     pub fn push_zeroed(&mut self, addr: usize, len: usize) {
-        self.slot(addr, len).fill(0);
-    }
-
-    /// Stages a `u16` list image (count word + items, see
-    /// [`decode_u16_list`]) as one sub-write at `addr`.
-    pub fn push_u16_list(&mut self, addr: usize, items: &[u16]) {
-        store_u16_list(items, self.slot(addr, u16_list_bytes(items.len())));
+        self.push_slot(addr, len).fill(0);
     }
 
     /// Number of staged sub-writes.
@@ -309,35 +283,6 @@ impl SparseTx {
         self.record.clear();
         self.record.extend_from_slice(&[0, 0]);
     }
-}
-
-/// Writes a `u16` list's FRAM image into `out` (exactly
-/// [`u16_list_bytes`]`(items.len())` long): a `u16` count followed by
-/// the items, all little-endian.
-fn store_u16_list(items: &[u16], out: &mut [u8]) {
-    debug_assert!(items.len() <= u16::MAX as usize);
-    out[..2].copy_from_slice(&(items.len() as u16).to_le_bytes());
-    for (dst, v) in out[2..].chunks_exact_mut(2).zip(items) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Bytes a `u16` list of `n` items occupies in FRAM (count word +
-/// items) — use to size the backing region at allocation time.
-pub fn u16_list_bytes(n: usize) -> usize {
-    2 + 2 * n
-}
-
-/// Decodes a `u16` list image staged by [`TxWriter::write_u16_list`]
-/// or [`SparseTx::push_u16_list`]. The slice may be longer than the
-/// encoded list (a region sized for the maximum); only `count` items
-/// are read.
-pub fn decode_u16_list(bytes: &[u8]) -> Vec<u16> {
-    let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-    bytes[2..2 + count * 2]
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect()
 }
 
 /// The journal region handle.
@@ -631,58 +576,6 @@ mod tests {
         assert_eq!(fram.peek(&a), 0, "target untouched");
     }
 
-    #[test]
-    fn u16_list_round_trips_through_commit() {
-        let mut fram = Fram::new(4096);
-        let journal = Journal::new(&mut fram, 256, MemOwner::Runtime).unwrap();
-        let addr = fram
-            .alloc_raw(u16_list_bytes(8), MemOwner::Monitor, "wl")
-            .unwrap();
-
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(addr, &[3, 1, 7]);
-        assert_eq!(tx.len(), 1, "one journal entry for the whole list");
-        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
-        assert_eq!(
-            decode_u16_list(fram.peek_raw(addr, u16_list_bytes(8))),
-            vec![3, 1, 7]
-        );
-
-        // A shorter re-stage replaces the longer image: the count word
-        // self-delimits, stale tail bytes are never read.
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(addr, &[9]);
-        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
-        assert_eq!(
-            decode_u16_list(fram.peek_raw(addr, u16_list_bytes(8))),
-            vec![9]
-        );
-
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(addr, &[]);
-        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
-        assert!(decode_u16_list(fram.peek_raw(addr, u16_list_bytes(8))).is_empty());
-    }
-
-    #[test]
-    fn restaging_a_u16_list_in_one_tx_keeps_one_entry() {
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(100, &[1, 2, 3, 4]);
-        tx.write_u16_list(100, &[5]);
-        assert_eq!(tx.len(), 1);
-        assert_eq!(tx.journal_bytes(), 6 + u16_list_bytes(1));
-        // Lists at other addresses are unaffected.
-        tx.write_u16_list(200, &[6, 7]);
-        assert_eq!(tx.len(), 2);
-        // A re-staged list moves behind the other entries, which keep
-        // their order.
-        tx.write_raw(300, &[1]);
-        tx.write_u16_list(100, &[8, 9]);
-        assert_eq!(tx.len(), 3);
-        let staged: Vec<usize> = entries(&tx.entries).map(|(a, _)| a).collect();
-        assert_eq!(staged, vec![200, 300, 100]);
-    }
-
     /// The core atomicity property: inject a power failure after every
     /// possible number of charged bytes; after recovery the FRAM state
     /// must be either fully pre-transaction or fully post-transaction.
@@ -966,7 +859,8 @@ mod tests {
         assert_eq!(tx.record(), &[0, 0]);
         tx.push_raw(0x0102_0304, &[0xAA, 0xBB]);
         tx.push_zeroed(0x10, 3);
-        tx.push_u16_list(0x20, &[7, 0x0102]);
+        tx.push_slot(0x20, 6)
+            .copy_from_slice(&[2, 0, 7, 0, 0x02, 0x01]);
         tx.push_raw(0x0102_0304, &[0xCC, 0xDD]);
         #[rustfmt::skip]
         let golden = [

@@ -9,8 +9,6 @@
 //!   properties, traces);
 //! - [`sim`] — the MSP430FR-style intermittent device simulator
 //!   (FRAM/SRAM, capacitor, harvesters, persistent clock, peripherals);
-//! - [`immortal`] — the ImmortalThreads-style local-continuation
-//!   substrate for power-failure-resilient routines;
 //! - [`spec`] — the property specification language front end;
 //! - [`ir`] — the intermediate state-machine language, the spec → FSM
 //!   lowering, and C/Rust monitor code generation;
@@ -52,8 +50,6 @@ pub use artemis_ir as ir;
 pub use artemis_monitor as monitor;
 pub use artemis_runtime as runtime;
 pub use artemis_spec as spec;
-pub use checkpoint;
-pub use immortal;
 pub use intermittent_sim as sim;
 pub use mayfly;
 
