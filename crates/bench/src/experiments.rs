@@ -1889,9 +1889,31 @@ pub fn all() -> Vec<Report> {
 mod tests {
     use super::*;
 
+    /// Asserts that a driver whose every column is simulated — so its
+    /// report is deterministic — produced exactly its committed
+    /// artifact (regenerate with `experiments -- <id> --emit` from the
+    /// repository root). Shape tests call this on the report they
+    /// already built, so no driver runs twice.
+    fn assert_committed(report: &Report) {
+        let path = format!(
+            "{}/../../BENCH_{}.json",
+            env!("CARGO_MANIFEST_DIR"),
+            report.id
+        );
+        let committed =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        assert_eq!(
+            report.to_json(),
+            committed,
+            "BENCH_{}.json is stale",
+            report.id
+        );
+    }
+
     #[test]
     fn fig12_shape_matches_paper() {
         let r = fig12();
+        assert_committed(&r);
         assert_eq!(r.rows.len(), 10);
         for row in &r.rows {
             let n: u64 = row[0].parse().unwrap();
@@ -1914,6 +1936,7 @@ mod tests {
     #[test]
     fn energy_analysis_agrees_with_measured_progress() {
         let r = energy();
+        assert_committed(&r);
         for row in &r.rows {
             assert_eq!(
                 row.last().unwrap(),
@@ -1957,6 +1980,7 @@ mod tests {
     #[test]
     fn fig13_shows_three_attempts_then_skip() {
         let r = fig13();
+        assert_committed(&r);
         let note = r.notes.last().unwrap();
         assert!(note.contains("completed: true"), "{note}");
         assert!(note.contains("restart attempts: 2"), "{note}");
@@ -1966,6 +1990,7 @@ mod tests {
     #[test]
     fn fig14_overheads_are_small_and_totals_close() {
         let r = fig14();
+        assert_committed(&r);
         let artemis_total: f64 = r.rows[0][4].parse().unwrap();
         let mayfly_total: f64 = r.rows[1][4].parse().unwrap();
         let ratio = artemis_total / mayfly_total;
@@ -1985,6 +2010,7 @@ mod tests {
     #[test]
     fn fig15_artemis_overhead_slightly_above_mayfly() {
         let r = fig15();
+        assert_committed(&r);
         let artemis: f64 = r.rows[0][3].parse().unwrap();
         let mayfly: f64 = r.rows[1][3].parse().unwrap();
         assert!(
@@ -2000,6 +2026,7 @@ mod tests {
     #[test]
     fn fig16_energy_shape() {
         let r = fig16();
+        assert_committed(&r);
         // Continuous, 1 min, 2 min: parity (within 25%).
         for row in &r.rows[..3] {
             let a: f64 = row[1].parse().unwrap();
@@ -2026,6 +2053,7 @@ mod tests {
     #[test]
     fn ablation_deployment_shape() {
         let r = ablation_deployment();
+        assert_committed(&r);
         let energy = |i: usize| -> f64 { r.rows[i][3].parse().unwrap() };
         let (local, remote, none) = (energy(0), energy(1), energy(2));
         assert!(
@@ -2038,6 +2066,7 @@ mod tests {
     #[test]
     fn ablation_scalability_is_sublinear() {
         let r = ablation_scalability();
+        assert_committed(&r);
         let cost = |i: usize| -> f64 { r.rows[i][2].parse().unwrap() };
         let one = cost(0);
         let thirty_two = cost(r.rows.len() - 1);
@@ -2051,6 +2080,7 @@ mod tests {
     #[test]
     fn scaling_routed_cost_stays_flat() {
         let r = scaling();
+        assert_committed(&r);
         let cost = |i: usize| -> f64 { r.rows[i][2].parse().unwrap() };
         let last = r.rows.len() - 1;
         let ratio = cost(last) / cost(0);
@@ -2249,25 +2279,13 @@ mod tests {
         }
     }
 
-    /// Every column of these drivers is simulated, so their reports are
-    /// deterministic: the committed artifacts must be exactly what the
-    /// drivers produce (regenerate with `experiments -- <id> --emit`
-    /// from the repository root).
+    /// The cost-sweep drivers' committed artifacts are current (the
+    /// figure, scaling, energy and ablation drivers are diffed inside
+    /// their shape tests).
     #[test]
     fn committed_simulated_artifacts_are_current() {
-        for (report, committed) in [
-            (delta(), include_str!("../../../BENCH_delta.json")),
-            (batch(), include_str!("../../../BENCH_batch.json")),
-            (dispatch(), include_str!("../../../BENCH_dispatch.json")),
-            (cache(), include_str!("../../../BENCH_cache.json")),
-            (bytes(), include_str!("../../../BENCH_bytes.json")),
-        ] {
-            assert_eq!(
-                report.to_json(),
-                committed,
-                "BENCH_{}.json is stale",
-                report.id
-            );
+        for report in [delta(), batch(), dispatch(), cache(), bytes()] {
+            assert_committed(&report);
         }
     }
 

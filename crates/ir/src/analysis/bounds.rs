@@ -3,12 +3,12 @@
 //! Walks the routing index and dispatch tables to bound, per event key
 //! `(kind, task)`, what one delivered event can cost the engine's
 //! compiled path: FRAM read/write operations and bytes, CPU cycles, and
-//! the largest single journal commit in bytes. The bounds are compared
-//! against the journal capacity at install time — a suite whose
-//! worst-case commit cannot fit is rejected *before* it allocates,
-//! instead of faulting with `JournalOverflow` mid-run — and against
-//! measured dispatch-benchmark numbers in `artemis-bench` (static must
-//! dominate measured).
+//! the largest single journal commit in bytes. The engine sizes its
+//! journal from the worst-case commit at install time, so no commit
+//! can fault with `JournalOverflow` mid-run ([`check_bounds`] checks a
+//! suite against any other capacity), and the bounds are compared
+//! against measured dispatch-benchmark numbers in `artemis-bench`
+//! (static must dominate measured).
 //!
 //! # Cost model
 //!
@@ -16,10 +16,12 @@
 //! `intermittent-sim`'s journal byte-for-byte; they are pinned by tests
 //! in those crates (`bounds_model_matches_engine` in the monitor crate,
 //! the dominance assertion in the dispatch benchmark). The sim bills
-//! one FRAM op per `read_raw`/`write_raw` call. Every event commit is a
-//! **sparse** record: `k` sub-writes cost `0` reads and `k+3` writes
-//! (stage the whole record in one write, set the flag, apply each
-//! sub-write from RAM, clear the flag).
+//! one FRAM op per `read_raw`/`write_raw` call. Every commit — event,
+//! reset or path restart — is one journal record: `k` sub-writes cost
+//! `0` reads and `k+3` writes (stage the whole record in one write, set
+//! the flag, apply each sub-write from RAM, clear the flag), and the
+//! record is a `u16` count plus a 6-byte header and the payload per
+//! sub-write.
 //!
 //! Per delivered event, using each key's static [`AccessSet`] and each
 //! machine's packed [`crate::layout::MachineLayout`]:
@@ -102,9 +104,8 @@ pub const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// Cycles per dispatched transition evaluated.
 pub const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 
-/// Journal payload bytes of one entry carrying `data` bytes. Sub-write
-/// slots of a sparse record have the same header, plus the record's
-/// leading `count: u16`.
+/// Journal bytes of one sub-write carrying `data` bytes; a record adds
+/// its leading `count: u16` once.
 const fn entry_bytes(data: usize) -> usize {
     ENTRY_HEADER + data
 }
@@ -115,16 +116,15 @@ fn done_bytes(machines: usize) -> usize {
     machines.div_ceil(8).max(1)
 }
 
-/// What one sparse journal commit costs, accumulated sub-write by
-/// sub-write.
+/// What one journal commit costs, accumulated sub-write by sub-write.
 #[derive(Clone, Copy, Default)]
-struct SparseCost {
+struct RecordCost {
     subs: usize,
     entries: usize,
     data: usize,
 }
 
-impl SparseCost {
+impl RecordCost {
     /// Adds one sub-write carrying `payload` bytes.
     fn with(mut self, payload: usize) -> Self {
         self.subs += 1;
@@ -154,7 +154,7 @@ impl SparseCost {
         self.subs + 3
     }
 
-    /// Journal payload bytes of the staged record.
+    /// Journal bytes of the staged record, count word included.
     fn record(&self) -> usize {
         2 + self.entries
     }
@@ -168,8 +168,8 @@ impl SparseCost {
 /// The arming commit of a delivery of `events` events: one sparse
 /// record of the event array (`u16` count + events), the sequence
 /// number, the verdict count and the done bitmap.
-fn arming(events: usize, done_b: usize) -> SparseCost {
-    SparseCost::default()
+fn arming(events: usize, done_b: usize) -> RecordCost {
+    RecordCost::default()
         .with(2 + ENCODED_EVENT_BYTES * events)
         .with(U64_BYTES)
         .with(U32_BYTES)
@@ -267,8 +267,8 @@ pub struct SuiteBounds {
     /// Largest single journal commit any event or reset can stage, in
     /// bytes.
     pub worst_commit_bytes: usize,
-    /// Bytes of the whole-suite reset commit (`resetMonitor` re-images
-    /// every machine block in one entry-list transaction).
+    /// Bytes of the whole-suite reset record (`resetMonitor` re-images
+    /// every machine block in one journal record), count word included.
     pub reset_commit_bytes: usize,
 }
 
@@ -325,7 +325,7 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 // Span (or block) read, plus the verdict-count read of
                 // an emitter; one sparse commit of the state, the
                 // verdict cell and count, and the done bitmap.
-                let mut step = SparseCost::default().with_state(m, access, access.whole_block);
+                let mut step = RecordCost::default().with_state(m, access, access.whole_block);
                 reads += 1;
                 read_bytes += load_bytes(m, access);
                 if emits {
@@ -367,10 +367,11 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
         }
     }
 
-    let reset_commit_bytes = machines
-        .iter()
-        .map(|m| entry_bytes(m.layout().block_len))
-        .sum::<usize>()
+    let reset_commit_bytes = 2 // record count word
+        + machines
+            .iter()
+            .map(|m| entry_bytes(m.layout().block_len))
+            .sum::<usize>()
         + entry_bytes(U32_BYTES) // verdict count
         + entry_bytes(U64_BYTES) // seq
         + entry_bytes(2) // event count
@@ -508,7 +509,7 @@ pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds 
         emitters += usize::from(emits);
         // Up to one verdict cell per event plus the count, then the
         // done bitmap.
-        let finish = |c: SparseCost| {
+        let finish = |c: RecordCost| {
             let c = if emits {
                 (0..max_events)
                     .fold(c, |c, _| c.with(VERDICT_BYTES))
@@ -522,8 +523,8 @@ pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds 
         // picks, which can be the slot list even when the static union
         // degraded: the commit-byte bound covers both formats, the
         // traffic bound follows the static one.
-        let sparse = finish(SparseCost::default().with_state(m, &access, false));
-        let whole = finish(SparseCost::default().with_state(m, &access, true));
+        let sparse = finish(RecordCost::default().with_state(m, &access, false));
+        let whole = finish(RecordCost::default().with_state(m, &access, true));
         let used = if access.whole_block { whole } else { sparse };
         writes += used.writes();
         write_bytes += used.write_bytes();

@@ -19,9 +19,9 @@
 //!    fuzzers in `crates/ir/tests/verifier_fuzz.rs`).
 //! 2. [`bounds`] — worst-case per-event FRAM reads/writes and
 //!    journal-commit bytes, computed by walking the dispatch tables and
-//!    the routing index; cross-checked against the journal capacity at
-//!    install and against measured dispatch-benchmark numbers in
-//!    `artemis-bench`.
+//!    the routing index; the engine sizes its journal from them at
+//!    install, and they are checked against measured
+//!    dispatch-benchmark numbers in `artemis-bench`.
 //! 3. [`reachability`] — dead states and transitions the optimiser
 //!    produced or the spec implied.
 //! 4. [`conflicts`] — event keys on which two machines can
@@ -60,7 +60,7 @@ use crate::fsm::MonitorSuite;
 /// Runs every analysis pass over a compiled suite paired with its
 /// source machines. Returns all findings, errors first.
 ///
-/// `journal_capacity` is the payload capacity (bytes) of the journal
+/// `journal_capacity` is the record capacity (bytes) of the journal
 /// the engine will commit through; pass `None` to skip the capacity
 /// cross-check (e.g. when linting outside an install).
 pub fn analyze_suite(

@@ -434,7 +434,15 @@ impl MayflyRuntime {
 
     fn main_loop(&mut self, dev: &mut Device) -> Result<MayflyOutcome, Interrupt> {
         dev.set_category(CostCategory::Runtime);
-        dev.recover(&self.journal)?;
+        // A replayed record that leaves the task finished is its task
+        // commit (every other record writes `STATUS_READY`): the task
+        // completed, but the power failure came before its `TaskEnd`
+        // was traced. The trace is bookkeeping, so read without cost.
+        if dev.recover(&self.journal)? && dev.peek(&self.cells.status) == STATUS_FINISHED {
+            let path = self.app.path(PathId(dev.peek(&self.cells.cur_path)));
+            let task = path.tasks[dev.peek(&self.cells.cur_idx) as usize];
+            dev.trace_push(TraceEvent::TaskEnd { task });
+        }
 
         loop {
             dev.compute(DISPATCH_CYCLES)?;
@@ -603,6 +611,33 @@ mod tests {
         let out = rt.run_once(&mut dev, RunLimit::reboots(100_000));
         assert!(out.is_completed());
         assert!(dev.reboots() > 0, "test needs power failures");
+    }
+
+    /// A power failure after the task commit's flag write leaves the
+    /// task committed by recovery's replay: its completion must still
+    /// be traced, at every capacitor budget.
+    #[test]
+    fn task_end_is_traced_when_recovery_completes_the_commit() {
+        let mut interrupted = 0;
+        for budget_nj in (8_000u64..=90_000).step_by(100) {
+            let mut dev = DeviceBuilder::msp430fr5994()
+                .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
+                .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+                .build();
+            let mut rb = MayflyRuntimeBuilder::new(app());
+            simple_bodies(&mut rb);
+            rb.collect("send", "sense", 3);
+            let mut rt = rb.install(&mut dev).unwrap();
+            let out = rt.run_once(&mut dev, RunLimit::reboots(1_000_000));
+            assert!(out.is_completed(), "budget {budget_nj} nJ did not complete");
+            let sense = rt.app().task_by_name("sense").unwrap();
+            let send = rt.app().task_by_name("send").unwrap();
+            let trace = dev.trace();
+            assert_eq!(trace.completions_of(sense), 3, "budget {budget_nj} nJ");
+            assert_eq!(trace.completions_of(send), 1, "budget {budget_nj} nJ");
+            interrupted += usize::from(dev.reboots() > 0);
+        }
+        assert!(interrupted > 0, "the sweep must see power failures");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! first sequence number, the event array (`u16` count + capacity ×
 //! [`EncodedEvent`]), the verdict count and a completion bitmap — one
 //! bit per worklist entry, `ceil(machines / 8)` bytes. Arming commits
-//! all four in one sparse journal record. The **worklist** (the
+//! all four in one journal record. The **worklist** (the
 //! interested machines after the `Path:` filter, each with a mask of
 //! the armed events it dispatches) is never persisted: it is a
 //! deterministic function of the armed events, derived at arming and
@@ -56,8 +56,8 @@
 //! ([`artemis_ir::MachineLayout`]). Every compiled step — one event or a
 //! whole batch — goes through one function: it loads the block prefix
 //! the dispatched keys' static [`AccessSet`]s can touch, runs the
-//! bytecode in scratch, and commits one **sparse record**
-//! ([`SparseTx`]): the changed byte runs of the loaded prefix (or, for
+//! bytecode in scratch, and commits one journal record
+//! ([`TxWriter`]): the changed byte runs of the loaded prefix (or, for
 //! keys whose access set covers ≥ ¾ of the block, decided at compile
 //! time, the whole block image — see "Dirty-diff commits"), one verdict
 //! cell per emitting event, and the done bitmap. Soundness: the access
@@ -69,8 +69,8 @@
 //! [`ExecMode::Interpreter`] is the reference semantics: the
 //! tree-walking interpreter of `artemis_ir::exec` over one FRAM cell
 //! per variable. It arms *every* machine — the routing index is not
-//! consulted, so the oracle stays independent of it — and commits
-//! entry-list transactions. Differential tests pin the two on verdicts
+//! consulted, so the oracle stays independent of it — and commits one
+//! sub-write per changed cell. Differential tests pin the two on verdicts
 //! and FRAM-visible state, including under random power failures.
 //!
 //! # Batch delivery (group commit)
@@ -165,7 +165,7 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{Journal, SparseTx, TxWriter};
+use intermittent_sim::journal::{Journal, TxWriter};
 
 use state::{EncodedEvent, NvValue};
 
@@ -258,8 +258,8 @@ const ROUTING_LOOKUP_CYCLES: u64 = 12;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecMode {
     /// Slot-indexed bytecode over one packed FRAM block per machine,
-    /// committed through sparse records — the default, and the
-    /// closest analogue of the paper's generated C monitors.
+    /// committed through one journal record per step — the default,
+    /// and the closest analogue of the paper's generated C monitors.
     #[default]
     Compiled,
     /// The tree-walking reference interpreter over one FRAM cell per
@@ -338,15 +338,6 @@ pub struct InstallOptions {
     /// [`MonitorEngine::install_precompiled`], whose caller already
     /// holds compiled bytecode.
     pub opt: OptLevel,
-    /// Journal capacity override in payload bytes. `None` derives the
-    /// capacity from the static resource bounds: the worst-case single
-    /// commit any event or reset can stage (see
-    /// [`artemis_ir::suite_bounds`]). The bound pass checks the
-    /// suite against whatever capacity ends up in force, so an
-    /// undersized override rejects the install with
-    /// [`InstallError::Analysis`] instead of faulting with
-    /// `JournalOverflow` mid-run.
-    pub journal_capacity: Option<usize>,
     /// Device energy profile for the install-time feasibility gate.
     /// `Some(profile)` runs `artemis_ir::analysis::energy` over every
     /// task: a task whose statically under-approximated attempt energy
@@ -380,9 +371,8 @@ pub enum InstallError {
     /// The suite failed ahead-of-time compilation to bytecode.
     Compile(CompileIssue),
     /// Install-time static analysis found an error: the bytecode
-    /// verifier, the resource-bound pass, the cross-monitor conflict
-    /// pass, or the energy feasibility pass rejected the suite. No
-    /// FRAM was touched.
+    /// verifier, the cross-monitor conflict pass, or the energy
+    /// feasibility pass rejected the suite. No FRAM was touched.
     Analysis(artemis_spec::Diagnostic),
     /// Device-level failure (FRAM exhaustion) during installation.
     Device(Interrupt),
@@ -461,27 +451,27 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
     }
 }
 
-/// Journal entry header bytes (`addr: u32` + `len: u16`), as staged by
-/// `intermittent_sim::journal`.
+/// Journal sub-write header bytes (`addr: u32` + `len: u16`), as staged
+/// by `intermittent_sim::journal`.
 const JOURNAL_ENTRY_HEADER: usize = 6;
 
-/// Largest single journal commit of the interpreter's per-cell layout:
-/// the whole-suite reset (state cell + every variable cell), the
-/// one-event arming record, or one machine's step.
+/// Largest single journal record of the interpreter's per-cell layout,
+/// count word included: the whole-suite reset (state cell + every
+/// variable cell), the one-event arming record, or one machine's step.
 fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
     let entry = |bytes: usize| JOURNAL_ENTRY_HEADER + bytes;
     let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
     let armed = entry(u64::SIZE) + entry(u32::SIZE) + entry(done_len);
     let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(2) + armed;
-    let arming = 2 + entry(2 + EncodedEvent::SIZE) + armed;
+    let arming = entry(2 + EncodedEvent::SIZE) + armed;
     let step = suite.machines().iter().map(cells).max().unwrap_or(0)
         + entry(VerdictCell::SIZE)
         + entry(u32::SIZE)
         + entry(done_len);
-    reset.max(arming).max(step)
+    2 + reset.max(arming).max(step)
 }
 
-/// Sub-write header bytes of one [`SparseTx`] run — the diff-commit
+/// Sub-write header bytes of one journalled run — the diff-commit
 /// merge threshold: two changed runs separated by an unchanged gap of
 /// at most this many bytes are cheaper merged (the gap's idempotent
 /// re-write costs `gap` bytes, a separate run costs another header).
@@ -543,9 +533,9 @@ struct Scratch {
     runs: Vec<(usize, usize)>,
     /// Verdicts of one step: event position, action, governing path.
     emits: Vec<(usize, OnFail, Option<u32>)>,
-    /// The sparse record of the current arming or step commit, cleared
-    /// and re-staged in place by every commit.
-    stx: SparseTx,
+    /// The journal record of the current commit, cleared and re-staged
+    /// in place by every compiled-path commit and every reset.
+    tx: TxWriter,
 }
 
 /// The armed delivery in RAM: the decoded events and the completion
@@ -770,7 +760,6 @@ impl MonitorEngine {
         let InstallOptions {
             mode,
             batch,
-            journal_capacity,
             energy,
             // Compilation already happened in the caller's hands.
             opt: _,
@@ -789,43 +778,29 @@ impl MonitorEngine {
         // the suite.
         let done_len = suite.len().div_ceil(8).max(1);
 
-        // Default journal capacity = the static worst-case transaction
-        // bound: the larger of the whole-suite reset commit and any
-        // event key's worst commit. A multi-event delivery's bound
-        // joins the max (its arming record carries the whole event
-        // array). The interpreter's per-cell layout stages one entry
-        // per variable, so its commits are costed separately.
+        // Journal capacity = the static worst-case record: the larger
+        // of the whole-suite reset commit and any event key's worst
+        // commit. A multi-event delivery's bound joins the max (its
+        // arming record carries the whole event array). The
+        // interpreter's per-cell layout stages one sub-write per
+        // variable, so its records are costed separately.
         let bounds = artemis_ir::analysis::bounds::suite_bounds(&compiled);
-        let batch_floor = if max_events > 1 {
-            artemis_ir::analysis::bounds::batch_bounds(&compiled, max_events).worst_commit_bytes
-        } else {
-            0
-        };
-        let capacity = journal_capacity.unwrap_or_else(|| {
-            let derived = bounds.worst_commit_bytes.max(batch_floor);
-            match mode {
-                ExecMode::Compiled => derived,
-                ExecMode::Interpreter => derived.max(interpreter_commit_bytes(&suite, done_len)),
-            }
-        });
-        // The analysis gate below checks per-event commits against the
-        // capacity; a batch's larger transactions get the same
-        // install-time rejection here.
-        if batch_floor > capacity {
-            return Err(InstallError::Analysis(artemis_spec::Diagnostic::error(
-                "bounds",
-                "batch",
-                format!(
-                    "worst-case batch commit of {batch_floor} journal bytes \
-                     exceeds the capacity of {capacity}"
-                ),
-            )));
+        let mut capacity = bounds.worst_commit_bytes;
+        if max_events > 1 {
+            capacity = capacity.max(
+                artemis_ir::analysis::bounds::batch_bounds(&compiled, max_events)
+                    .worst_commit_bytes,
+            );
+        }
+        if mode == ExecMode::Interpreter {
+            capacity = capacity.max(interpreter_commit_bytes(&suite, done_len));
         }
 
         // Static analysis gate — before anything touches FRAM. The
         // first (most severe) error rejects the install; warnings
-        // surface on the trace.
-        let mut diags = artemis_ir::analysis::analyze_suite(&suite, &compiled, Some(capacity));
+        // surface on the trace. The capacity is derived from the same
+        // bounds, so the gate skips the capacity cross-check.
+        let mut diags = artemis_ir::analysis::analyze_suite(&suite, &compiled, None);
         if let Some(profile) = energy {
             diags.extend(artemis_ir::analysis::check_energy(
                 &compiled, &bounds, app, &profile,
@@ -960,7 +935,7 @@ impl MonitorEngine {
                 runs: Vec::with_capacity(max_block),
                 emits: Vec::with_capacity(max_events),
                 // Every record fits the journal, so staging never grows it.
-                stx: SparseTx::with_capacity(capacity),
+                tx: TxWriter::with_capacity(capacity),
             });
             let armed = RefCell::new(Armed {
                 events: Vec::with_capacity(max_events),
@@ -999,11 +974,6 @@ impl MonitorEngine {
         })();
         dev.set_category(prev);
         result
-    }
-
-    /// The execution mode the engine was installed with.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Shadow-cache effectiveness counters; all-zero for the
@@ -1330,15 +1300,16 @@ impl MonitorEngine {
     /// delivery (Figure 8 `resetMonitor`; run once at first boot).
     pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
         self.entry(dev, |dev| {
-            let mut tx = TxWriter::new();
+            let tx = &mut self.scratch.borrow_mut().tx;
+            tx.clear();
             for lm in &self.machines {
-                stage_machine_reset(&mut tx, lm);
+                stage_machine_reset(tx, lm);
             }
             tx.write(&self.verdict_count, 0u32);
             tx.write(&self.seq_cell, 0u64);
             tx.write_zeroed(self.events_addr, 2);
             tx.write_zeroed(self.done.addr, self.done.len);
-            dev.commit(&self.journal, &tx)?;
+            dev.commit(&self.journal, tx)?;
             // The reset commit just (re)wrote every location the cache
             // mirrors — fill all the shadows, so even the first event
             // after a reset runs write-only.
@@ -1393,7 +1364,7 @@ impl MonitorEngine {
     /// (`first_seq`, `first_seq + 1`, …) through the group-commit path
     /// and returns one verdict list per event, in delivery order.
     ///
-    /// One sparse transaction arms up to [`MonitorEngine::batch_capacity`]
+    /// One journal record arms up to [`MonitorEngine::batch_capacity`]
     /// events; each interested machine then steps through all its events
     /// in volatile scratch and commits its coalesced net effect once.
     /// Redelivering a processed batch (same `first_seq` and events) only
@@ -1444,7 +1415,7 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Arms `events` under `first_seq` with one sparse record — the
+    /// Arms `events` under `first_seq` with one journal record — the
     /// event array, the sequence number, the verdict reset and a cleared
     /// done bitmap — and derives their worklist into `armed`. A failure
     /// after this commit resumes exactly the armed set; a failure
@@ -1469,9 +1440,9 @@ impl MonitorEngine {
         armed.done.clear();
         armed.done.resize(self.done.len, 0);
 
-        let stx = &mut self.scratch.borrow_mut().stx;
-        stx.clear();
-        let region = stx.push_slot(self.events_addr, 2 + EncodedEvent::SIZE * events.len());
+        let tx = &mut self.scratch.borrow_mut().tx;
+        tx.clear();
+        let region = tx.write_slot(self.events_addr, 2 + EncodedEvent::SIZE * events.len());
         region[..2].copy_from_slice(&(events.len() as u16).to_le_bytes());
         for (encoded, dst) in armed
             .events
@@ -1480,10 +1451,10 @@ impl MonitorEngine {
         {
             encoded.store(dst);
         }
-        stx.push(&self.seq_cell, first_seq);
-        stx.push(&self.verdict_count, 0u32);
-        stx.push_zeroed(self.done.addr, self.done.len);
-        dev.commit_sparse(&self.journal, stx)?;
+        tx.write(&self.seq_cell, first_seq);
+        tx.write(&self.verdict_count, 0u32);
+        tx.write_zeroed(self.done.addr, self.done.len);
+        dev.commit(&self.journal, tx)?;
         // The arming commit fixed every activation input — shadow them
         // all, so the run below reads nothing from FRAM.
         self.cache_put(|c| {
@@ -1568,7 +1539,7 @@ impl MonitorEngine {
     /// Steps compiled machine `i` through every event of `events` whose
     /// bit is set in `mask`, in delivery order, and commits the
     /// **coalesced** net effect once: repeated writes to a slot
-    /// collapse to the last value in scratch, and the sparse record
+    /// collapse to the last value in scratch, and the journal record
     /// carries the changed byte runs of the covered block prefix (the
     /// whole block image for degraded keys), one verdict cell per
     /// emitting event, and the bitmap `done` — which already has this
@@ -1697,10 +1668,10 @@ impl MonitorEngine {
             return self.finish_plain(dev, done);
         }
 
-        let stx = &mut scratch.stx;
-        stx.clear();
+        let tx = &mut scratch.tx;
+        tx.clear();
         for &(s, e) in &scratch.runs {
-            stx.push_raw(addr + s, &scratch.block_new[s..e]);
+            tx.write_raw(addr + s, &scratch.block_new[s..e]);
         }
         let mut count = 0;
         let cell = |(e, action, path): &(usize, OnFail, Option<u32>)| -> VerdictCell {
@@ -1716,12 +1687,12 @@ impl MonitorEngine {
                 .get(count as usize..count as usize + emits.len())
                 .ok_or(Interrupt::Fault(Fault::CorruptState))?;
             for (vc, emit) in cells.iter().zip(emits) {
-                stx.push(vc, cell(emit));
+                tx.write(vc, cell(emit));
             }
-            stx.push(&self.verdict_count, count + emits.len() as u32);
+            tx.write(&self.verdict_count, count + emits.len() as u32);
         }
-        stx.push_raw(self.done.addr, done);
-        dev.commit_sparse(&self.journal, stx)?;
+        tx.write_raw(self.done.addr, done);
+        dev.commit(&self.journal, tx)?;
         self.shadow_machine_update(i, state, &scratch.vars[..covered]);
         self.cache_put(|c| {
             c.journal_clean = true;
@@ -1798,11 +1769,12 @@ impl MonitorEngine {
             lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number())
         };
         self.entry(dev, |dev| {
-            let mut tx = TxWriter::new();
+            let tx = &mut self.scratch.borrow_mut().tx;
+            tx.clear();
             for lm in self.machines.iter().filter(|lm| affected(lm)) {
-                stage_machine_reset(&mut tx, lm);
+                stage_machine_reset(tx, lm);
             }
-            dev.commit(&self.journal, &tx)?;
+            dev.commit(&self.journal, tx)?;
             // The commit rewrote the affected machines' images to
             // their initial snapshots — mirror that in their shadows.
             self.shadow_reset_machines(affected);
@@ -1812,7 +1784,7 @@ impl MonitorEngine {
 
     /// Interpreter step: the reference path over per-variable cells,
     /// committing the changed cells, any verdict and `done` (the bitmap
-    /// with this machine's bit set) in one entry-list transaction.
+    /// with this machine's bit set) in one journal record.
     fn step_interpreted(
         &self,
         dev: &mut Device,
@@ -1922,11 +1894,6 @@ impl MonitorEngine {
         }
         Ok(out)
     }
-
-    /// Resolves a task's id to the name index used in encoded events.
-    pub fn encode_task(task: TaskId) -> u32 {
-        task.0
-    }
 }
 
 /// The `Path:` qualifier (paper §3.2): a property on a merged task is
@@ -1993,17 +1960,7 @@ impl Monitoring for MonitorEngine {
 }
 
 /// Encodes an action as `(tag, one-based path or 0)`.
-pub(crate) fn encode_action_pub(action: OnFail, path: Option<u32>) -> (u8, u32) {
-    encode_action(action, path)
-}
-
-/// Decodes an action tag back; `None` for unknown tags.
-pub(crate) fn decode_action_pub(encoded: (u8, u32)) -> Option<Action> {
-    decode_action(encoded)
-}
-
-/// Encodes an action as `(tag, one-based path or 0)`.
-fn encode_action(action: OnFail, path: Option<u32>) -> (u8, u32) {
+pub(crate) fn encode_action(action: OnFail, path: Option<u32>) -> (u8, u32) {
     let tag = match action {
         OnFail::RestartTask => 0,
         OnFail::SkipTask => 1,
@@ -2014,7 +1971,8 @@ fn encode_action(action: OnFail, path: Option<u32>) -> (u8, u32) {
     (tag, path.unwrap_or(0))
 }
 
-fn decode_action(encoded: (u8, u32)) -> Option<Action> {
+/// Decodes an action tag back; `None` for unknown tags.
+pub(crate) fn decode_action(encoded: (u8, u32)) -> Option<Action> {
     let (tag, path_num) = encoded;
     let path = || PathId(path_num.saturating_sub(1));
     Some(match tag {
@@ -2290,33 +2248,6 @@ mod tests {
             before,
             "a rejected install must not touch FRAM"
         );
-    }
-
-    #[test]
-    fn install_rejects_over_budget_journal_capacity() {
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let app = app();
-        let suite = artemis_ir::compile("accel { maxTries: 5 onFail: skipPath; }", &app).unwrap();
-        let before = dev.fram().used_by(MemOwner::Monitor);
-        let err = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                journal_capacity: Some(16),
-                ..InstallOptions::default()
-            },
-        )
-        .err()
-        .expect("install must be rejected");
-        match err {
-            InstallError::Analysis(d) => {
-                assert!(d.is_error());
-                assert_eq!(d.pass, "bounds");
-            }
-            other => panic!("expected a bounds rejection, got {other}"),
-        }
-        assert_eq!(dev.fram().used_by(MemOwner::Monitor), before);
     }
 
     #[test]
@@ -2903,45 +2834,39 @@ mod tests {
         assert_eq!(engine.cache_stats().invalidations, REBOOTS);
     }
 
-    /// The derived journal capacity is exactly the static worst-case
-    /// commit: the default installs and runs, while overriding it one
-    /// byte smaller is rejected up front by the bounds pass.
+    /// The derived journal capacity is exactly the largest record the
+    /// engine stages on the suite: the arming record on a one-machine
+    /// suite, the whole-suite reset on an eight-machine one. Each
+    /// commit leaves its record in the engine's reused buffer.
     #[test]
-    fn derived_journal_capacity_is_tight() {
+    fn derived_journal_capacity_is_the_largest_record() {
         let app = app();
-        let spec = "accel { maxTries: 5 onFail: skipPath; }";
+        let spec = artemis_ir::compile("accel { maxTries: 2 onFail: skipPath; }", &app).unwrap();
+        for (suite, app) in [(spec, app), flip_suite(8)] {
+            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+            let bounds = artemis_ir::suite_bounds(&compiled);
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+            let staged = || engine.scratch.borrow().tx.record_bytes();
 
-        let suite = artemis_ir::compile(spec, &app).unwrap();
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let worst = artemis_ir::suite_bounds(&compiled).worst_commit_bytes;
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-        let accel = app.task_by_name("accel").unwrap();
-        engine
-            .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
-            .unwrap();
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let suite = artemis_ir::compile(spec, &app).unwrap();
-        let err = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                journal_capacity: Some(worst - 1),
-                ..InstallOptions::default()
-            },
-        )
-        .err()
-        .expect("a capacity below the static bound must be rejected");
-        match err {
-            InstallError::Analysis(d) => {
-                assert!(d.is_error());
-                assert_eq!(d.pass, "bounds");
+            engine.reset_monitor(&mut dev).unwrap();
+            assert_eq!(staged(), bounds.reset_commit_bytes);
+            let mut largest = staged();
+            // Start events of the first task step (and eventually
+            // trip) every machine; end events of the last task arm
+            // and dismiss, leaving the arming record staged.
+            let (first, last) = (TaskId(0), TaskId(app.task_count() as u32 - 1));
+            for seq in 1..=4u64 {
+                let event = if seq % 2 == 0 {
+                    MonitorEvent::end(last, t(seq))
+                } else {
+                    MonitorEvent::start(first, t(seq))
+                };
+                engine.call_monitor(&mut dev, seq, &event).unwrap();
+                largest = largest.max(staged());
             }
-            other => panic!("expected a bounds rejection, got {other}"),
+            assert_eq!(largest, engine.journal.capacity());
+            assert_eq!(largest, bounds.worst_commit_bytes);
         }
     }
 

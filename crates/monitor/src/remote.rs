@@ -29,7 +29,7 @@ use artemis_ir::fsm::MonitorSuite;
 use artemis_ir::validate::validate_strict;
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
 
-use crate::{decode_action_pub as decode_action, encode_action_pub as encode_action};
+use crate::{decode_action, encode_action};
 use crate::{InstallError, MonitorVerdict, Monitoring};
 
 /// Bytes on the wire for one event message (kind, task, timestamp,

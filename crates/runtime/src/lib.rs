@@ -633,7 +633,15 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         dev.set_category(CostCategory::Runtime);
         // Reboot and monitor progress (Figure 8 lines 14-16).
         self.engine.monitor_finalize(dev)?;
-        dev.recover(&self.journal)?;
+        // A replayed record that leaves the task finished is its task
+        // commit (every other record writes `STATUS_READY`): the task
+        // completed, but the power failure came before its `TaskEnd`
+        // was traced. The trace is bookkeeping, so read without cost.
+        if dev.recover(&self.journal)? && dev.peek(&self.cells.status) == STATUS_FINISHED {
+            let path = self.app.path(PathId(dev.peek(&self.cells.cur_path)));
+            let task = path.tasks[dev.peek(&self.cells.cur_idx) as usize];
+            dev.trace_push(TraceEvent::TaskEnd { task });
+        }
 
         loop {
             dev.compute(CHECK_TASK_CYCLES)?;

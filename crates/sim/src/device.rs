@@ -20,7 +20,7 @@ use crate::energy::Energy;
 pub use crate::fram::MemOwner;
 use crate::fram::{Fram, NvCell, NvData, Sram};
 use crate::harvester::Harvester;
-use crate::journal::{Journal, JournalOp, SparseTx, TxWriter};
+use crate::journal::{Journal, JournalOp, TxWriter};
 use crate::mcu::{Cost, CostModel};
 use crate::peripherals::{Peripheral, PeripheralBank};
 
@@ -42,7 +42,7 @@ pub enum Fault {
     JournalOverflow {
         /// Bytes the transaction needed.
         needed: usize,
-        /// Journal payload capacity.
+        /// Journal record capacity.
         capacity: usize,
     },
     /// A single operation costs more than a full capacitor holds; it
@@ -380,7 +380,8 @@ impl Device {
         self.fram.peek_raw(addr, len)
     }
 
-    /// Creates a commit journal with `capacity` payload bytes.
+    /// Creates a commit journal holding records of up to `capacity`
+    /// bytes.
     pub fn make_journal(&mut self, capacity: usize, owner: MemOwner) -> Result<Journal, Interrupt> {
         Journal::new(&mut self.fram, capacity, owner).map_err(|e| {
             Interrupt::Fault(Fault::OutOfFram {
@@ -390,25 +391,12 @@ impl Device {
         })
     }
 
-    /// Commits a staged write-set crash-atomically, billing each
-    /// journal FRAM access at its direction's price.
+    /// Commits a staged write-set crash-atomically as one journal
+    /// record, billing each FRAM access at its direction's price.
     pub fn commit(&mut self, journal: &Journal, tx: &TxWriter) -> Result<(), Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
         journal.commit(&mut self.fram, tx, &mut |bytes, op| {
-            power.spend(match op {
-                JournalOp::Read => costs.fram_read(bytes),
-                JournalOp::Write => costs.fram_write(bytes),
-            })
-        })
-    }
-
-    /// Commits a sparse write-set crash-atomically as one journal
-    /// record, billing each FRAM access at its direction's price.
-    pub fn commit_sparse(&mut self, journal: &Journal, tx: &SparseTx) -> Result<(), Interrupt> {
-        let power = &mut self.power;
-        let costs = &self.costs;
-        journal.commit_sparse(&mut self.fram, tx, &mut |bytes, op| {
             power.spend(match op {
                 JournalOp::Read => costs.fram_read(bytes),
                 JournalOp::Write => costs.fram_write(bytes),

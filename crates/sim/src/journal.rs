@@ -4,34 +4,28 @@
 //! effects: either every output of a task reaches nonvolatile memory or
 //! none does, no matter where a power failure lands (paper §3.1, "Tasks
 //! are atomic units with all-or-nothing semantics"). The classic
-//! implementation — used here — is a redo journal in FRAM:
+//! implementation — used here — is a redo journal in FRAM.
 //!
-//! 1. staged writes are copied into the journal region;
-//! 2. the entry count is written;
-//! 3. a single-byte *commit flag* is set (the linearisation point — a
+//! A transaction is staged in RAM as its own on-FRAM record image
+//! ([`TxWriter`]): a `count: u16`, then `[addr u32][len u16][data]` per
+//! sub-write. [`Journal::commit`] then
+//!
+//! 1. writes the whole record into the journal region in one FRAM write;
+//! 2. sets a single-byte *pending flag* (the linearisation point — a
 //!    one-byte FRAM write is atomic on the real part);
-//! 4. entries are applied to their home locations;
-//! 5. the flag is cleared.
+//! 3. applies every sub-write to its home location straight from RAM;
+//! 4. clears the flag.
 //!
-//! A failure before step 3 discards the transaction; a failure after it
-//! is repaired on reboot by [`Journal::recover`], which re-applies the
-//! (idempotent) redo entries. Fault-injection tests in this module drive
-//! a commit through a power failure at **every** possible byte boundary
-//! and assert atomicity each time.
+//! `k` sub-writes cost `k+3` FRAM writes and **zero** reads. A failure
+//! before step 2 discards the transaction; a failure after it is
+//! repaired on reboot by [`Journal::recover`], the only place that
+//! re-reads the record from FRAM: it re-applies the (idempotent) redo
+//! sub-writes. Fault-injection tests in this module drive a commit
+//! through a power failure at **every** possible byte boundary and
+//! assert atomicity each time.
 //!
-//! Two record formats share the region, discriminated by the flag byte:
-//!
-//! - **Entry-list** ([`TxWriter`] via [`Journal::commit`], flag = 1):
-//!   the classic format above. Each entry is staged with its own header
-//!   write, and the apply phase re-reads every entry from the journal —
-//!   `2e+1` FRAM reads and `3e+3` writes for `e` entries.
-//! - **Sparse delta** ([`SparseTx`] via [`Journal::commit_sparse`],
-//!   flag = 2): the whole length-prefixed record is staged in a single
-//!   FRAM write, and after the flag is set the sub-writes are applied
-//!   straight from RAM — `k+3` writes and **zero** reads for `k`
-//!   sub-writes. Only reboot recovery re-reads the record from FRAM.
-//!   This is the commit path for statically-derived write sets, where
-//!   an event touches a handful of scattered slots.
+//! The region is the flag byte followed by one record of up to
+//! [`Journal::capacity`] bytes, count word included.
 
 use core::ops::Range;
 
@@ -49,81 +43,63 @@ pub enum JournalOp {
     Write,
 }
 
-/// Byte cost of a journal entry header: `addr: u32` + `len: u16`.
+/// Byte cost of a sub-write header: `addr: u32` + `len: u16`.
 const ENTRY_HEADER: usize = 6;
-/// Byte offset of the commit flag within the journal region.
+/// Byte offset of the pending flag within the journal region.
 const FLAG_OFF: usize = 0;
-/// Byte offset of the entry count (`u16`).
-const COUNT_OFF: usize = 1;
-/// First entry byte.
-const ENTRIES_OFF: usize = 3;
+/// Byte offset of the record (its `u16` count first).
+const RECORD_OFF: usize = 1;
 /// Flag value: no transaction pending.
 const FLAG_IDLE: u8 = 0;
-/// Flag value: a committed entry-list transaction is pending.
-const FLAG_ENTRIES: u8 = 1;
-/// Flag value: a committed sparse-delta record is pending.
-const FLAG_SPARSE: u8 = 2;
+/// Flag value: a committed record is pending.
+const FLAG_PENDING: u8 = 1;
 
-/// Decodes an entry header: the target address and the data length.
+/// Decodes a sub-write header: the target address and the data length.
 fn header(h: &[u8]) -> (usize, usize) {
     let addr = u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize;
     (addr, u16::from_le_bytes([h[4], h[5]]) as usize)
 }
 
-/// Offset of the first entry of the record whose count word sits at
-/// `count_off`: right behind the count in the sparse format, at
-/// [`ENTRIES_OFF`] in the entry-list format (count at [`COUNT_OFF`]).
-fn first_entry(count_off: usize) -> usize {
-    (count_off + 2).max(ENTRIES_OFF)
-}
-
-/// Walks a flat sequence of journal entries — `[addr u32][len u16]`
-/// then `len` data bytes each, the on-FRAM entry format of both
-/// record kinds — yielding each entry's target address and the range
-/// of its data within `bytes`.
-fn entries(bytes: &[u8]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-    let mut off = 0;
+/// Walks the sub-writes of a record image (count word first), yielding
+/// each target address and the range of its data within `record`.
+fn entries(record: &[u8]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let mut off = 2;
     core::iter::from_fn(move || {
-        let (addr, len) = header(bytes.get(off..off + ENTRY_HEADER)?);
+        let (addr, len) = header(record.get(off..off + ENTRY_HEADER)?);
         let data = off + ENTRY_HEADER..off + ENTRY_HEADER + len;
         off = data.end;
         Some((addr, data))
     })
 }
 
-/// Data range of the entry for `(addr, len)` in a flat entry sequence,
-/// if one is staged.
-fn find_entry(bytes: &[u8], addr: usize, len: usize) -> Option<Range<usize>> {
-    entries(bytes)
+/// Data range of the sub-write for `(addr, len)` in a record image, if
+/// one is staged.
+fn find_entry(record: &[u8], addr: usize, len: usize) -> Option<Range<usize>> {
+    entries(record)
         .find(|(a, data)| *a == addr && data.len() == len)
         .map(|(_, data)| data)
 }
 
-/// Appends a zeroed entry for `(addr, len)` and returns its data range.
-fn append_entry(buf: &mut Vec<u8>, addr: usize, len: usize) -> Range<usize> {
-    assert!(
-        addr <= u32::MAX as usize && len <= u16::MAX as usize,
-        "journal entry ({addr:#x}, {len} B) exceeds its header fields"
-    );
-    buf.extend_from_slice(&(addr as u32).to_le_bytes());
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    let start = buf.len();
-    buf.resize(start + len, 0);
-    start..start + len
-}
-
 /// A volatile write-set staged by a task before commit.
 ///
-/// Entries are kept serialised in their journal format (`[addr u32]
-/// [len u16][data]`) in one buffer, so staging a write allocates
-/// nothing once the buffer has grown. Writes to the same cell are
-/// merged in place, so re-assigning an output inside one task costs a
-/// single journal entry. Reads go through [`TxWriter::read`], which
-/// observes staged values (read-your-writes).
-#[derive(Default, Debug)]
+/// The sub-writes are kept already serialised as the record image
+/// [`Journal::commit`] writes to FRAM in one operation: `count: u16`,
+/// then `addr: u32`, `len: u16`, `data` per sub-write. Staging writes
+/// into that one buffer in place, so a write-set reused across commits
+/// (see [`TxWriter::clear`]) allocates nothing once warm. Writes to the
+/// same address and width merge in place, so re-assigning an output
+/// inside one task costs a single sub-write; the same address at a
+/// different width is a separate sub-write. Reads go through
+/// [`TxWriter::read`], which observes staged values (read-your-writes).
+#[derive(Debug)]
 pub struct TxWriter {
-    entries: Vec<u8>,
-    count: usize,
+    record: Vec<u8>,
+}
+
+impl Default for TxWriter {
+    fn default() -> Self {
+        TxWriter { record: vec![0; 2] }
+    }
 }
 
 impl TxWriter {
@@ -132,129 +108,61 @@ impl TxWriter {
         Self::default()
     }
 
-    /// The staged data bytes for `(addr, len)`: the existing entry of
-    /// that address and width, else a freshly appended zeroed one.
-    fn slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
-        let data = match find_entry(&self.entries, addr, len) {
-            Some(data) => data,
-            None => {
-                self.count += 1;
-                append_entry(&mut self.entries, addr, len)
-            }
-        };
-        &mut self.entries[data]
-    }
-
-    /// Stages a typed write.
-    pub fn write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        value.store(self.slot(cell.addr(), T::SIZE));
-    }
-
-    /// Stages a raw write.
-    pub fn write_raw(&mut self, addr: usize, data: &[u8]) {
-        self.slot(addr, data.len()).copy_from_slice(data);
-    }
-
-    /// Stages `len` zero bytes at `addr`.
-    pub fn write_zeroed(&mut self, addr: usize, len: usize) {
-        self.slot(addr, len).fill(0);
-    }
-
-    /// Reads a cell, observing staged writes first.
-    pub fn read<T: NvData>(&self, fram: &mut Fram, cell: &NvCell<T>) -> T {
-        match find_entry(&self.entries, cell.addr(), T::SIZE) {
-            Some(data) => T::load(&self.entries[data]),
-            None => fram.read(cell),
-        }
-    }
-
-    /// Number of staged entries.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Returns `true` if nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Total journal bytes this write-set will occupy.
-    pub fn journal_bytes(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Discards all staged writes, keeping the buffer's capacity.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.count = 0;
-    }
-}
-
-/// A volatile write-set destined for a single-record sparse commit.
-///
-/// The sub-writes are staged already serialised as the record image
-/// [`Journal::commit_sparse`] writes to FRAM in one operation: `count:
-/// u16`, then `addr: u32`, `len: u16`, `data` per sub-write. Staging
-/// writes into that one buffer in place, so a write-set reused across
-/// commits (see [`SparseTx::clear`]) allocates nothing once warm.
-/// Sub-writes to the same address and width are merged in place,
-/// mirroring [`TxWriter::write_raw`]; the same address at a different
-/// width is a separate sub-write.
-#[derive(Debug)]
-pub struct SparseTx {
-    record: Vec<u8>,
-}
-
-impl Default for SparseTx {
-    fn default() -> Self {
-        SparseTx { record: vec![0; 2] }
-    }
-}
-
-impl SparseTx {
-    /// Creates an empty sparse write-set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty sparse write-set whose buffer holds a record of
+    /// Creates an empty write-set whose buffer holds a record of
     /// `record_bytes` without growing — size it to the journal capacity
     /// and staging never allocates.
     pub fn with_capacity(record_bytes: usize) -> Self {
         let mut record = Vec::with_capacity(record_bytes.max(2));
         record.extend_from_slice(&[0, 0]);
-        SparseTx { record }
+        TxWriter { record }
     }
 
-    /// Stages a `len`-byte sub-write at `addr` and returns its data
-    /// bytes for the caller to fill in place: the existing sub-write of
-    /// that address and width, else a freshly appended zeroed one.
-    pub fn push_slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
-        let data = match find_entry(&self.record[2..], addr, len) {
-            Some(data) => data.start + 2..data.end + 2,
+    /// Stages a `len`-byte write at `addr` and returns its data bytes
+    /// for the caller to fill in place: the existing sub-write of that
+    /// address and width, else a freshly appended zeroed one.
+    pub fn write_slot(&mut self, addr: usize, len: usize) -> &mut [u8] {
+        let data = match find_entry(&self.record, addr, len) {
+            Some(data) => data,
             None => {
                 let count = self.len() + 1;
-                assert!(count <= u16::MAX as usize, "sparse record count overflow");
+                assert!(
+                    count <= u16::MAX as usize
+                        && addr <= u32::MAX as usize
+                        && len <= u16::MAX as usize,
+                    "journal sub-write ({addr:#x}, {len} B) exceeds the record's fields"
+                );
                 self.record[..2].copy_from_slice(&(count as u16).to_le_bytes());
-                append_entry(&mut self.record, addr, len)
+                self.record.extend_from_slice(&(addr as u32).to_le_bytes());
+                self.record.extend_from_slice(&(len as u16).to_le_bytes());
+                let start = self.record.len();
+                self.record.resize(start + len, 0);
+                start..start + len
             }
         };
         &mut self.record[data]
     }
 
-    /// Stages a typed sub-write.
-    pub fn push<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        value.store(self.push_slot(cell.addr(), T::SIZE));
+    /// Stages a typed write.
+    pub fn write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
+        value.store(self.write_slot(cell.addr(), T::SIZE));
     }
 
-    /// Stages a raw sub-write.
-    pub fn push_raw(&mut self, addr: usize, data: &[u8]) {
-        self.push_slot(addr, data.len()).copy_from_slice(data);
+    /// Stages a raw write.
+    pub fn write_raw(&mut self, addr: usize, data: &[u8]) {
+        self.write_slot(addr, data.len()).copy_from_slice(data);
     }
 
     /// Stages `len` zero bytes at `addr`.
-    pub fn push_zeroed(&mut self, addr: usize, len: usize) {
-        self.push_slot(addr, len).fill(0);
+    pub fn write_zeroed(&mut self, addr: usize, len: usize) {
+        self.write_slot(addr, len).fill(0);
+    }
+
+    /// Reads a cell, observing staged writes first.
+    pub fn read<T: NvData>(&self, fram: &mut Fram, cell: &NvCell<T>) -> T {
+        match find_entry(&self.record, cell.addr(), T::SIZE) {
+            Some(data) => T::load(&self.record[data]),
+            None => fram.read(cell),
+        }
     }
 
     /// Number of staged sub-writes.
@@ -278,7 +186,7 @@ impl SparseTx {
         &self.record
     }
 
-    /// Discards all staged sub-writes, keeping the buffer's capacity.
+    /// Discards all staged writes, keeping the buffer's capacity.
     pub fn clear(&mut self) {
         self.record.clear();
         self.record.extend_from_slice(&[0, 0]);
@@ -309,78 +217,37 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Reserves a journal region of `capacity` payload bytes.
+    /// Reserves a journal region holding one record of up to `capacity`
+    /// bytes, count word included, behind the pending flag.
     pub fn new(fram: &mut Fram, capacity: usize, owner: MemOwner) -> Result<Journal, OutOfFram> {
-        let base = fram.alloc_raw(ENTRIES_OFF + capacity, owner, "commit journal")?;
+        let base = fram.alloc_raw(RECORD_OFF + capacity, owner, "commit journal")?;
         // The freshly zeroed flag byte means "idle".
         Ok(Journal { base, capacity })
     }
 
-    /// The journal's payload capacity in bytes.
+    /// The largest record the journal holds, in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// One past the journal region's last byte.
     fn end(&self) -> usize {
-        self.base + ENTRIES_OFF + self.capacity
+        self.base + RECORD_OFF + self.capacity
     }
 
-    /// Commits a write-set atomically.
+    /// Commits a write-set atomically as one journal record.
     ///
-    /// `spend` is charged once per FRAM access with its byte count and
-    /// direction ([`JournalOp`]) and may fail with
-    /// [`Interrupt::PowerFailure`], aborting the commit at that point;
-    /// the journal protocol guarantees the abort is clean.
+    /// The record is staged with a single FRAM write, linearised by the
+    /// flag byte, and the sub-writes are then applied from RAM — no
+    /// journal re-reads on the happy path. `spend` is charged once per
+    /// FRAM access with its byte count and direction ([`JournalOp`]) and
+    /// may fail with [`Interrupt::PowerFailure`], aborting the commit at
+    /// that point: before the flag write the record is discarded, after
+    /// it [`Journal::recover`] replays it (redo, idempotent).
     pub fn commit(
         &self,
         fram: &mut Fram,
         tx: &TxWriter,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        if tx.is_empty() {
-            return Ok(());
-        }
-        let needed = tx.journal_bytes();
-        if needed > self.capacity {
-            return Err(Interrupt::Fault(Fault::JournalOverflow {
-                needed,
-                capacity: self.capacity,
-            }));
-        }
-
-        // Phase 1: copy entries into the journal region, each as a
-        // header write and a data write. The staged buffer already holds
-        // the region image, so entry offsets carry over unchanged.
-        let region = self.base + ENTRIES_OFF;
-        for (_, data) in entries(&tx.entries) {
-            let header = data.start - ENTRY_HEADER;
-            spend(ENTRY_HEADER + data.len(), JournalOp::Write)?;
-            fram.write_raw(region + header, &tx.entries[header..data.start]);
-            fram.write_raw(region + data.start, &tx.entries[data]);
-        }
-        spend(2, JournalOp::Write)?;
-        fram.write_raw(self.base + COUNT_OFF, &(tx.count as u16).to_le_bytes());
-
-        // Phase 2: the linearisation point — one atomic byte.
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_ENTRIES]);
-
-        // Phase 3: apply; a failure here is repaired by `recover`.
-        self.replay(fram, COUNT_OFF, spend)
-    }
-
-    /// Commits a sparse write-set atomically as one journal record.
-    ///
-    /// The record is staged with a single FRAM write, linearised by the
-    /// flag byte, and the sub-writes are then applied from RAM — no
-    /// journal re-reads on the happy path. A failure before the flag
-    /// write discards the record; after it, [`Journal::recover`]
-    /// replays the record from FRAM (redo, idempotent).
-    pub fn commit_sparse(
-        &self,
-        fram: &mut Fram,
-        tx: &SparseTx,
         spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
     ) -> Result<(), Interrupt> {
         if tx.is_empty() {
@@ -396,18 +263,17 @@ impl Journal {
 
         // Phase 1: stage the whole record in one write.
         spend(needed, JournalOp::Write)?;
-        fram.write_raw(self.base + ENTRIES_OFF, tx.record());
+        fram.write_raw(self.base + RECORD_OFF, tx.record());
 
         // Phase 2: the linearisation point — one atomic byte.
         spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_SPARSE]);
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_PENDING]);
 
         // Phase 3: apply straight from RAM; a failure here is repaired
         // by `recover`, which replays the FRAM copy.
-        let subs = &tx.record[2..];
-        for (addr, data) in entries(subs) {
+        for (addr, data) in entries(tx.record()) {
             spend(data.len(), JournalOp::Write)?;
-            fram.write_raw(addr, &subs[data]);
+            fram.write_raw(addr, &tx.record[data]);
         }
 
         spend(1, JournalOp::Write)?;
@@ -419,9 +285,9 @@ impl Journal {
     ///
     /// Returns `Ok(true)` when a pending transaction was re-applied.
     /// Called by the runtime on every boot before any other FRAM use.
-    /// A pending record whose flag, count or entry headers are out of
-    /// range — entries past the journal region, targets past the end of
-    /// FRAM or inside the journal — is rejected whole with
+    /// A pending record whose flag, count or sub-write headers are out
+    /// of range — sub-writes past the journal region, targets past the
+    /// end of FRAM or inside the journal — is rejected whole with
     /// [`Fault::CorruptJournal`] before any of it is applied.
     pub fn recover(
         &self,
@@ -429,32 +295,47 @@ impl Journal {
         spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
     ) -> Result<bool, Interrupt> {
         spend(1, JournalOp::Read)?;
-        let flag = fram.read_raw(self.base + FLAG_OFF, 1)[0];
-        let count_off = match flag {
+        match fram.read_raw(self.base + FLAG_OFF, 1)[0] {
             FLAG_IDLE => return Ok(false),
-            FLAG_ENTRIES => COUNT_OFF,
-            FLAG_SPARSE => ENTRIES_OFF,
+            FLAG_PENDING => {}
             _ => return Err(Interrupt::Fault(Fault::CorruptJournal)),
-        };
-        self.check_record(fram, count_off)?;
-        self.replay(fram, count_off, spend)?;
+        }
+        self.check_record(fram)?;
+
+        // Re-apply every sub-write by re-reading it from FRAM, then
+        // clear the flag.
+        spend(2, JournalOp::Read)?;
+        let c = fram.read_raw(self.base + RECORD_OFF, 2);
+        let count = u16::from_le_bytes([c[0], c[1]]) as usize;
+        let mut off = self.base + RECORD_OFF + 2;
+        for _ in 0..count {
+            spend(ENTRY_HEADER, JournalOp::Read)?;
+            let (addr, len) = header(fram.read_raw(off, ENTRY_HEADER));
+            spend(len, JournalOp::Read)?;
+            let data = fram.read_raw(off + ENTRY_HEADER, len).to_vec();
+            spend(len, JournalOp::Write)?;
+            fram.write_raw(addr, &data);
+            off += ENTRY_HEADER + len;
+        }
+        spend(1, JournalOp::Write)?;
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
         Ok(true)
     }
 
     /// Returns `true` if a committed-but-unapplied transaction is
-    /// pending (for tests).
-    pub fn is_pending(&self, fram: &Fram) -> bool {
+    /// pending.
+    #[cfg(test)]
+    fn is_pending(&self, fram: &Fram) -> bool {
         fram.peek_raw(self.base + FLAG_OFF, 1)[0] != FLAG_IDLE
     }
 
-    /// Validates the pending record whose `u16` entry count sits at
-    /// `count_off`, without billing: every entry must lie inside the
-    /// journal region and target FRAM outside it.
-    fn check_record(&self, fram: &Fram, count_off: usize) -> Result<(), Interrupt> {
+    /// Validates the pending record without billing: every sub-write
+    /// must lie inside the journal region and target FRAM outside it.
+    fn check_record(&self, fram: &Fram) -> Result<(), Interrupt> {
         let corrupt = Err(Interrupt::Fault(Fault::CorruptJournal));
-        let c = fram.peek_raw(self.base + count_off, 2);
+        let c = fram.peek_raw(self.base + RECORD_OFF, 2);
         let count = u16::from_le_bytes([c[0], c[1]]) as usize;
-        let mut off = self.base + first_entry(count_off);
+        let mut off = self.base + RECORD_OFF + 2;
         for _ in 0..count {
             if off + ENTRY_HEADER > self.end() {
                 return corrupt;
@@ -466,37 +347,6 @@ impl Journal {
                 return corrupt;
             }
         }
-        Ok(())
-    }
-
-    /// Re-applies the pending record whose entry count sits at
-    /// `count_off` by re-reading every entry from FRAM, then clears the
-    /// flag — the entry-list commit's apply phase and the reboot replay
-    /// of both formats (redo, idempotent).
-    fn replay(
-        &self,
-        fram: &mut Fram,
-        count_off: usize,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        spend(2, JournalOp::Read)?;
-        let count_bytes = fram.read_raw(self.base + count_off, 2);
-        let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
-
-        let mut off = self.base + first_entry(count_off);
-        for _ in 0..count {
-            spend(ENTRY_HEADER, JournalOp::Read)?;
-            let (addr, len) = header(fram.read_raw(off, ENTRY_HEADER));
-            spend(len, JournalOp::Read)?;
-            let data = fram.read_raw(off + ENTRY_HEADER, len).to_vec();
-            spend(len, JournalOp::Write)?;
-            fram.write_raw(addr, &data);
-            off += ENTRY_HEADER + len;
-        }
-
-        // Clear the flag: the transaction is fully applied.
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
         Ok(())
     }
 }
@@ -517,6 +367,24 @@ mod tests {
         Ok(())
     }
 
+    /// Commits `tx`, failing with a power failure once more than
+    /// `budget` bytes would have been charged.
+    fn commit_within(
+        fram: &mut Fram,
+        journal: &Journal,
+        tx: &TxWriter,
+        budget: usize,
+    ) -> Result<(), Interrupt> {
+        let mut spent = 0usize;
+        journal.commit(fram, tx, &mut |n, _| {
+            if spent + n > budget {
+                return Err(Interrupt::PowerFailure);
+            }
+            spent += n;
+            Ok(())
+        })
+    }
+
     #[test]
     fn empty_commit_is_a_no_op() {
         let (mut fram, journal, _, _) = setup();
@@ -533,7 +401,11 @@ mod tests {
         let mut tx = TxWriter::new();
         tx.write(&a, 10);
         tx.write(&b, 20);
+        let (reads, writes) = (fram.read_ops(), fram.write_ops());
         journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
+        // k sub-writes cost k+3 raw writes and zero reads.
+        assert_eq!(fram.read_ops(), reads);
+        assert_eq!(fram.write_ops(), writes + 2 + 3);
         assert_eq!(fram.read(&a), 10);
         assert_eq!(fram.read(&b), 20);
         assert!(!journal.is_pending(&fram));
@@ -547,6 +419,7 @@ mod tests {
         tx.write(&a, 2);
         tx.write(&a, 3);
         assert_eq!(tx.len(), 1);
+        assert_eq!(tx.record_bytes(), 2 + ENTRY_HEADER + 8);
         journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
         assert_eq!(fram.read(&a), 3);
     }
@@ -561,55 +434,61 @@ mod tests {
         assert_eq!(fram.peek(&a), 1, "FRAM unchanged before commit");
     }
 
+    /// The capacity counts the whole record, count word included: a
+    /// record of exactly the capacity commits, one byte more is
+    /// rejected before anything is written.
     #[test]
     fn overflowing_tx_is_rejected_cleanly() {
-        let mut fram = Fram::new(4096);
-        let journal = Journal::new(&mut fram, 8, MemOwner::Runtime).unwrap();
-        let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
-        let mut tx = TxWriter::new();
-        tx.write(&a, 7);
-        let err = journal.commit(&mut fram, &tx, &mut no_fail).unwrap_err();
-        assert!(matches!(
-            err,
-            Interrupt::Fault(Fault::JournalOverflow { .. })
-        ));
-        assert_eq!(fram.peek(&a), 0, "target untouched");
+        let record = 2 + ENTRY_HEADER + 8;
+        for (capacity, fits) in [(record, true), (record - 1, false)] {
+            let mut fram = Fram::new(4096);
+            let journal = Journal::new(&mut fram, capacity, MemOwner::Runtime).unwrap();
+            let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
+            let mut tx = TxWriter::new();
+            tx.write(&a, 7);
+            let written = fram.bytes_written();
+            let r = journal.commit(&mut fram, &tx, &mut no_fail);
+            if fits {
+                assert_eq!(r, Ok(()));
+                assert_eq!(fram.peek(&a), 7);
+            } else {
+                assert!(matches!(
+                    r,
+                    Err(Interrupt::Fault(Fault::JournalOverflow { needed, capacity: c }))
+                        if needed == record && c == capacity
+                ));
+                assert_eq!(fram.bytes_written(), written, "nothing written");
+                assert_eq!(fram.peek(&a), 0, "target untouched");
+            }
+        }
     }
 
     /// The core atomicity property: inject a power failure after every
     /// possible number of charged bytes; after recovery the FRAM state
-    /// must be either fully pre-transaction or fully post-transaction.
+    /// must be either fully pre-transaction or fully post-transaction —
+    /// a torn record (failure before the flag) is discarded wholesale.
     #[test]
     fn commit_is_atomic_under_exhaustive_failure_injection() {
+        let stage = |a: &NvCell<u64>, b: &NvCell<u32>| {
+            let mut tx = TxWriter::new();
+            tx.write(a, 0xAAAA_AAAA_AAAA_AAAA);
+            tx.write(b, 0xBBBB_BBBB);
+            tx
+        };
         // First measure the total byte budget of a successful commit.
         let (mut fram, journal, a, b) = setup();
-        let mut tx = TxWriter::new();
-        tx.write(&a, 0xAAAA_AAAA_AAAA_AAAA);
-        tx.write(&b, 0xBBBB_BBBB);
         let mut total = 0usize;
         journal
-            .commit(&mut fram, &tx, &mut |n, _| {
+            .commit(&mut fram, &stage(&a, &b), &mut |n, _| {
                 total += n;
                 Ok(())
             })
             .unwrap();
-        assert!(total > 0);
+        assert_eq!(total, (2 + 2 * ENTRY_HEADER + 8 + 4) + 1 + (8 + 4) + 1);
 
         for fail_at in 0..total {
             let (mut fram, journal, a, b) = setup();
-            let mut tx = TxWriter::new();
-            tx.write(&a, 0xAAAA_AAAA_AAAA_AAAA);
-            tx.write(&b, 0xBBBB_BBBB);
-
-            let mut spent = 0usize;
-            let result = journal.commit(&mut fram, &tx, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
+            let result = commit_within(&mut fram, &journal, &stage(&a, &b), fail_at);
             assert!(matches!(result, Err(Interrupt::PowerFailure)));
 
             // Reboot: recovery must complete or discard the transaction.
@@ -635,21 +514,12 @@ mod tests {
         tx.write(&a, 77);
         tx.write(&b, 88);
 
-        // Stop the commit exactly after the flag write: staging bytes +
-        // count (2) + flag (1) are allowed through, the apply phase is
-        // not.
-        let flag_budget = tx.journal_bytes() + 2 + 1;
-        let mut spent = 0usize;
-        let r = journal.commit(&mut fram, &tx, &mut |n, _| {
-            if spent + n > flag_budget {
-                Err(Interrupt::PowerFailure)
-            } else {
-                spent += n;
-                Ok(())
-            }
-        });
+        // Stop the commit exactly after the flag write: the record and
+        // the flag are allowed through, the apply phase is not.
+        let r = commit_within(&mut fram, &journal, &tx, tx.record_bytes() + 1);
         assert!(matches!(r, Err(Interrupt::PowerFailure)));
         assert!(journal.is_pending(&fram));
+        assert_eq!(fram.peek(&a), 1, "no sub-write applied yet");
 
         // Interrupt recovery at progressively later byte boundaries; the
         // final successful pass must land the full transaction.
@@ -681,158 +551,15 @@ mod tests {
         assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
     }
 
-    #[test]
-    fn sparse_commit_applies_scattered_writes_without_reads() {
-        let (mut fram, journal, a, b) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 10u64);
-        tx.push(&b, 20u32);
-        let reads = fram.read_ops();
-        journal.commit_sparse(&mut fram, &tx, &mut no_fail).unwrap();
-        assert_eq!(fram.read(&a), 10);
-        assert_eq!(fram.read(&b), 20);
-        assert!(!journal.is_pending(&fram));
-        // k sub-writes cost k+3 raw writes and zero reads.
-        assert_eq!(fram.read_ops(), reads + 2, "only the two readbacks");
-    }
-
-    #[test]
-    fn sparse_tx_merges_rewrites_of_same_cell() {
-        let (mut fram, journal, a, _) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 1u64);
-        tx.push(&a, 9u64);
-        assert_eq!(tx.len(), 1);
-        assert_eq!(tx.record_bytes(), 2 + ENTRY_HEADER + 8);
-        journal.commit_sparse(&mut fram, &tx, &mut no_fail).unwrap();
-        assert_eq!(fram.peek(&a), 9);
-    }
-
-    #[test]
-    fn oversized_sparse_tx_is_rejected_cleanly() {
-        let mut fram = Fram::new(4096);
-        let journal = Journal::new(&mut fram, 8, MemOwner::Runtime).unwrap();
-        let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 7u64);
-        let err = journal
-            .commit_sparse(&mut fram, &tx, &mut no_fail)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            Interrupt::Fault(Fault::JournalOverflow { .. })
-        ));
-        assert_eq!(fram.peek(&a), 0, "target untouched");
-    }
-
-    /// Same exhaustive fault-injection sweep as the entry-list commit:
-    /// a power failure at every byte boundary must leave FRAM fully
-    /// pre- or fully post-transaction after recovery — a torn sparse
-    /// record (failure before the flag) must be discarded wholesale.
-    #[test]
-    fn sparse_commit_is_atomic_under_exhaustive_failure_injection() {
-        let (mut fram, journal, a, b) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 0xAAAA_AAAA_AAAA_AAAA_u64);
-        tx.push(&b, 0xBBBB_BBBB_u32);
-        let mut total = 0usize;
-        journal
-            .commit_sparse(&mut fram, &tx, &mut |n, _| {
-                total += n;
-                Ok(())
-            })
-            .unwrap();
-        assert!(total > 0);
-
-        for fail_at in 0..total {
-            let (mut fram, journal, a, b) = setup();
-            let mut tx = SparseTx::new();
-            tx.push(&a, 0xAAAA_AAAA_AAAA_AAAA_u64);
-            tx.push(&b, 0xBBBB_BBBB_u32);
-
-            let mut spent = 0usize;
-            let result = journal.commit_sparse(&mut fram, &tx, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
-            assert!(matches!(result, Err(Interrupt::PowerFailure)));
-
-            journal.recover(&mut fram, &mut no_fail).unwrap();
-            let va = fram.peek(&a);
-            let vb = fram.peek(&b);
-            let old = (va, vb) == (1, 2);
-            let new = (va, vb) == (0xAAAA_AAAA_AAAA_AAAA, 0xBBBB_BBBB);
-            assert!(
-                old || new,
-                "fail_at={fail_at}: torn state a={va:#x} b={vb:#x}"
-            );
-            assert!(!journal.is_pending(&fram));
-        }
-    }
-
-    /// Replay of a committed sparse record is redo-idempotent: recovery
-    /// itself may be interrupted arbitrarily often and must converge.
-    #[test]
-    fn sparse_recover_is_idempotent_under_repeated_failures() {
-        let (mut fram, journal, a, b) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 77u64);
-        tx.push(&b, 88u32);
-
-        // Allow staging + flag through, stop before any apply write.
-        let flag_budget = tx.record_bytes() + 1;
-        let mut spent = 0usize;
-        let r = journal.commit_sparse(&mut fram, &tx, &mut |n, _| {
-            if spent + n > flag_budget {
-                Err(Interrupt::PowerFailure)
-            } else {
-                spent += n;
-                Ok(())
-            }
-        });
-        assert!(matches!(r, Err(Interrupt::PowerFailure)));
-        assert!(journal.is_pending(&fram));
-        assert_eq!(fram.peek(&a), 1, "no sub-write applied yet");
-
-        let mut fail_at = 0usize;
-        loop {
-            let mut spent = 0usize;
-            let r = journal.recover(&mut fram, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
-            match r {
-                Ok(applied) => {
-                    assert!(applied);
-                    break;
-                }
-                Err(_) => fail_at += 1,
-            }
-            assert!(fail_at < 10_000, "recovery never converged");
-        }
-        assert_eq!(fram.peek(&a), 77);
-        assert_eq!(fram.peek(&b), 88);
-        assert!(!journal.is_pending(&fram));
-        assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
-    }
-
     /// A torn record prefix with the flag still idle must be invisible:
     /// recovery is a no-op and the targets keep their old image.
     #[test]
-    fn torn_sparse_record_prefix_recovers_to_old_image() {
+    fn torn_record_prefix_recovers_to_old_image() {
         let image = {
             let (_, _, a, b) = setup();
-            let mut tx = SparseTx::new();
-            tx.push(&a, 0xDEAD_BEEF_u64);
-            tx.push(&b, 0xCAFE_u32);
+            let mut tx = TxWriter::new();
+            tx.write(&a, 0xDEAD_BEEF_u64);
+            tx.write(&b, 0xCAFE_u32);
             tx.record().to_vec()
         };
 
@@ -841,7 +568,7 @@ mod tests {
         // is dead data.
         for torn in 0..=image.len() {
             let (mut fram, journal, a, b) = setup();
-            fram.write_raw(journal.base + ENTRIES_OFF, &image[..torn]);
+            fram.write_raw(journal.base + RECORD_OFF, &image[..torn]);
             assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
             assert!(!journal.is_pending(&fram));
             assert_eq!(fram.peek(&a), 1, "torn={torn}: old image lost");
@@ -849,19 +576,18 @@ mod tests {
         }
     }
 
-    /// The staged record is the exact image the old per-sub-write
-    /// `Vec` representation serialised: count word, then `[addr u32]
-    /// [len u16][data]` per sub-write in first-staged order, merged
-    /// rewrites in place.
+    /// The staged record is the exact on-FRAM image: count word, then
+    /// `[addr u32][len u16][data]` per sub-write in first-staged order,
+    /// merged rewrites in place.
     #[test]
-    fn sparse_record_image_matches_golden_bytes() {
-        let mut tx = SparseTx::new();
+    fn record_image_matches_golden_bytes() {
+        let mut tx = TxWriter::new();
         assert_eq!(tx.record(), &[0, 0]);
-        tx.push_raw(0x0102_0304, &[0xAA, 0xBB]);
-        tx.push_zeroed(0x10, 3);
-        tx.push_slot(0x20, 6)
+        tx.write_raw(0x0102_0304, &[0xAA, 0xBB]);
+        tx.write_zeroed(0x10, 3);
+        tx.write_slot(0x20, 6)
             .copy_from_slice(&[2, 0, 7, 0, 0x02, 0x01]);
-        tx.push_raw(0x0102_0304, &[0xCC, 0xDD]);
+        tx.write_raw(0x0102_0304, &[0xCC, 0xDD]);
         #[rustfmt::skip]
         let golden = [
             3, 0,
@@ -876,100 +602,63 @@ mod tests {
 
     #[test]
     fn staging_merges_only_same_address_and_width() {
-        let mut tx = SparseTx::new();
-        tx.push_raw(40, &[1, 2]);
-        tx.push_raw(40, &[3, 4]);
+        let mut tx = TxWriter::new();
+        tx.write_raw(40, &[1, 2]);
+        tx.write_raw(40, &[3, 4]);
         assert_eq!(tx.len(), 1, "same address and width merges");
-        tx.push_raw(40, &[5, 6, 7, 8]);
+        tx.write_raw(40, &[5, 6, 7, 8]);
         assert_eq!(tx.len(), 2, "same address, other width appends");
         assert_eq!(tx.record_bytes(), 2 + 2 * ENTRY_HEADER + 2 + 4);
-
-        let mut w = TxWriter::new();
-        w.write_raw(40, &[1, 2]);
-        w.write_raw(40, &[3, 4]);
-        assert_eq!(w.len(), 1);
-        w.write_raw(40, &[5, 6, 7, 8]);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.journal_bytes(), 2 * ENTRY_HEADER + 2 + 4);
     }
 
     #[test]
     fn clear_keeps_capacity_and_restages_identically() {
-        let mut tx = SparseTx::new();
-        tx.push_raw(100, &[9; 32]);
-        tx.push_zeroed(200, 16);
-        let image = tx.record().to_vec();
+        let mut tx = TxWriter::with_capacity(64);
         let cap = tx.record.capacity();
+        tx.write_raw(100, &[9; 32]);
+        tx.write_zeroed(200, 16);
+        let image = tx.record().to_vec();
+        assert_eq!(tx.record.capacity(), cap, "a sized buffer never grows");
         tx.clear();
         assert!(tx.is_empty());
         assert_eq!(tx.record(), &[0, 0]);
         assert_eq!(tx.record.capacity(), cap);
-        tx.push_raw(100, &[9; 32]);
-        tx.push_zeroed(200, 16);
+        tx.write_raw(100, &[9; 32]);
+        tx.write_zeroed(200, 16);
         assert_eq!(tx.record(), &image[..]);
         assert_eq!(tx.record.capacity(), cap, "re-staging reuses the buffer");
-
-        let mut w = TxWriter::new();
-        w.write_raw(100, &[9; 32]);
-        let cap = w.entries.capacity();
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.entries.capacity(), cap);
     }
 
-    /// Flips every bit of a committed, still-pending record (both
-    /// formats, flag byte included): recovery either replays whatever
-    /// the record now says or rejects it with `CorruptJournal` — it
-    /// never panics.
+    /// Flips every bit of a committed, still-pending record (flag byte
+    /// included): recovery either replays whatever the record now says
+    /// or rejects it with `CorruptJournal` — it never panics.
     #[test]
     fn recover_rejects_bit_flipped_records_without_panicking() {
-        // A fresh journal holding a committed two-write record in either
-        // format, stopped right after its flag write; returns the record
-        // length past the flag.
-        fn pending(sparse: bool) -> (Fram, Journal, usize) {
+        // A fresh journal holding a committed two-write record, stopped
+        // right after its flag write; returns the record length.
+        fn pending() -> (Fram, Journal, usize) {
             let (mut fram, journal, a, b) = setup();
-            // Two headers plus a u64 and a u32 payload; either format
-            // adds a count word and the flag byte before the apply phase.
-            let entries = 2 * ENTRY_HEADER + 8 + 4;
-            let budget = entries + 2 + 1;
-            let len = if sparse { 2 + entries } else { entries };
-            let mut spent = 0;
-            let mut stop = |n, _| {
-                if spent + n > budget {
-                    return Err(Interrupt::PowerFailure);
-                }
-                spent += n;
-                Ok(())
-            };
-            let r = if sparse {
-                let mut tx = SparseTx::new();
-                tx.push(&a, 77u64);
-                tx.push(&b, 88u32);
-                journal.commit_sparse(&mut fram, &tx, &mut stop)
-            } else {
-                let mut tx = TxWriter::new();
-                tx.write(&a, 77);
-                tx.write(&b, 88);
-                journal.commit(&mut fram, &tx, &mut stop)
-            };
+            let mut tx = TxWriter::new();
+            tx.write(&a, 77u64);
+            tx.write(&b, 88u32);
+            let len = tx.record_bytes();
+            let r = commit_within(&mut fram, &journal, &tx, len + 1);
             assert_eq!(r, Err(Interrupt::PowerFailure));
             assert!(journal.is_pending(&fram));
             (fram, journal, len)
         }
         let mut faults = 0;
-        for sparse in [false, true] {
-            let len = pending(sparse).2;
-            for byte in 0..ENTRIES_OFF + len {
-                for bit in 0..8 {
-                    let (mut fram, journal, _) = pending(sparse);
-                    let at = journal.base + byte;
-                    let flipped = fram.peek_raw(at, 1)[0] ^ (1 << bit);
-                    fram.write_raw(at, &[flipped]);
-                    match journal.recover(&mut fram, &mut no_fail) {
-                        Ok(_) => {}
-                        Err(Interrupt::Fault(Fault::CorruptJournal)) => faults += 1,
-                        Err(e) => panic!("sparse={sparse} byte {byte} bit {bit}: {e}"),
-                    }
+        let len = pending().2;
+        for byte in 0..RECORD_OFF + len {
+            for bit in 0..8 {
+                let (mut fram, journal, _) = pending();
+                let at = journal.base + byte;
+                let flipped = fram.peek_raw(at, 1)[0] ^ (1 << bit);
+                fram.write_raw(at, &[flipped]);
+                match journal.recover(&mut fram, &mut no_fail) {
+                    Ok(_) => {}
+                    Err(Interrupt::Fault(Fault::CorruptJournal)) => faults += 1,
+                    Err(e) => panic!("byte {byte} bit {bit}: {e}"),
                 }
             }
         }
@@ -979,7 +668,7 @@ mod tests {
     #[test]
     fn recover_faults_on_out_of_range_headers_before_applying() {
         let (mut fram, journal, a, _) = setup();
-        let region = journal.base + ENTRIES_OFF;
+        let region = journal.base + RECORD_OFF;
         let cases: [(usize, u16); 3] = [
             (fram.capacity() - 2, 8),            // target past the end of FRAM
             (journal.base + 1, 2),               // target inside the journal
@@ -993,7 +682,7 @@ mod tests {
             record.extend_from_slice(&(addr as u32).to_le_bytes());
             record.extend_from_slice(&len.to_le_bytes());
             fram.write_raw(region, &record);
-            fram.write_raw(journal.base + FLAG_OFF, &[FLAG_SPARSE]);
+            fram.write_raw(journal.base + FLAG_OFF, &[FLAG_PENDING]);
             assert_eq!(
                 journal.recover(&mut fram, &mut no_fail),
                 Err(Interrupt::Fault(Fault::CorruptJournal))

@@ -177,6 +177,35 @@ fn monitors_survive_power_failures_at_every_budget() {
     }
 }
 
+/// A power failure after the task commit's flag write leaves the task
+/// committed by recovery's replay: its completion must still be traced.
+/// The 100 nJ grid hits the windows a coarse sweep steps over.
+#[test]
+fn task_end_is_traced_when_recovery_completes_the_commit() {
+    let app = two_task_app();
+    let sense = app.task_by_name("sense").unwrap();
+    let send = app.task_by_name("send").unwrap();
+    for budget_nj in (8_000u64..=90_000).step_by(100) {
+        let mut dev = DeviceBuilder::msp430fr5994()
+            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
+            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+            .build();
+        let mut rt = install(
+            &mut dev,
+            &app,
+            "send { collect: 3 dpTask: sense onFail: restartPath; }",
+        );
+        let out = rt.run_once(&mut dev, RunLimit::reboots(1_000_000));
+        assert!(
+            out.completed().is_some_and(|o| o.all_completed()),
+            "budget {budget_nj} nJ did not complete"
+        );
+        let trace = dev.trace();
+        assert_eq!(trace.completions_of(sense), 3, "budget {budget_nj} nJ");
+        assert_eq!(trace.completions_of(send), 1, "budget {budget_nj} nJ");
+    }
+}
+
 #[test]
 fn artemis_beats_mayfly_on_the_non_termination_scenario() {
     // The paper's core comparison, miniaturised: a producer-consumer
