@@ -2250,6 +2250,43 @@ mod tests {
         );
     }
 
+    /// The journal is the install's first FRAM allocation, sized to
+    /// the derived worst-case record: a device whose FRAM cannot hold
+    /// it rejects the install before the monitor owns a byte.
+    #[test]
+    fn install_rejects_over_budget_journal_capacity() {
+        let app = app();
+        let spec = "accel { maxTries: 5 onFail: skipPath; }";
+        let suite = artemis_ir::compile(spec, &app).unwrap();
+        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+        let worst = artemis_ir::suite_bounds(&compiled).worst_commit_bytes;
+
+        // The flag byte plus a record of `worst` bytes needs one byte
+        // more than this device has.
+        let mut dev = DeviceBuilder::msp430fr5994().fram_capacity(worst).build();
+        let err = MonitorEngine::install(&mut dev, suite, &app)
+            .err()
+            .expect("install must be rejected");
+        match err {
+            InstallError::Device(Interrupt::Fault(Fault::OutOfFram {
+                requested,
+                available,
+            })) => {
+                assert_eq!(requested, worst + 1);
+                assert_eq!(available, worst);
+            }
+            other => panic!("expected an out-of-FRAM rejection, got {other}"),
+        }
+        assert_eq!(dev.fram().used_by(MemOwner::Monitor), 0);
+        assert_eq!(dev.fram().used(), 0);
+
+        // The same suite installs once the journal fits.
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let suite = artemis_ir::compile(spec, &app).unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        assert_eq!(engine.journal.capacity(), worst);
+    }
+
     #[test]
     fn install_rejects_conflicting_unguarded_actions() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
@@ -2837,14 +2874,23 @@ mod tests {
     /// The derived journal capacity is exactly the largest record the
     /// engine stages on the suite: the arming record on a one-machine
     /// suite, the whole-suite reset on an eight-machine one. Each
-    /// commit leaves its record in the engine's reused buffer.
+    /// commit leaves its record in the engine's reused buffer. It is
+    /// also tight against the bounds pass: one byte less is rejected.
     #[test]
-    fn derived_journal_capacity_is_the_largest_record() {
+    fn derived_journal_capacity_is_tight() {
         let app = app();
         let spec = artemis_ir::compile("accel { maxTries: 2 onFail: skipPath; }", &app).unwrap();
         for (suite, app) in [(spec, app), flip_suite(8)] {
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
             let bounds = artemis_ir::suite_bounds(&compiled);
+            let gate = |capacity| {
+                artemis_ir::analysis::analyze_suite(&suite, &compiled, Some(capacity))
+                    .into_iter()
+                    .filter(|d| d.pass == "bounds" && d.is_error())
+                    .count()
+            };
+            assert_eq!(gate(bounds.worst_commit_bytes), 0);
+            assert!(gate(bounds.worst_commit_bytes - 1) > 0);
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
             let staged = || engine.scratch.borrow().tx.record_bytes();

@@ -551,6 +551,188 @@ mod tests {
         assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
     }
 
+    /// Sub-writes scattered across FRAM, of mixed widths and up to its
+    /// last byte, land from RAM: `k+3` writes, no reads, and the bytes
+    /// between the targets are untouched.
+    #[test]
+    fn sparse_commit_applies_scattered_writes_without_reads() {
+        let (mut fram, journal, _, _) = setup();
+        let end = fram.capacity();
+        let targets: [(usize, &[u8]); 4] = [
+            (600, &[0x11]),
+            (1500, &[0x22, 0x23]),
+            (3000, &[0x33; 7]),
+            (end - 4, &[0x44, 0x45, 0x46, 0x47]),
+        ];
+        let mut tx = TxWriter::new();
+        for (addr, data) in targets {
+            tx.write_raw(addr, data);
+        }
+        let (reads, writes, written) = (fram.read_ops(), fram.write_ops(), fram.bytes_written());
+        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
+        assert_eq!(fram.read_ops(), reads, "applied from RAM");
+        assert_eq!(fram.write_ops(), writes + targets.len() as u64 + 3);
+        let data: usize = targets.iter().map(|(_, d)| d.len()).sum();
+        assert_eq!(
+            fram.bytes_written(),
+            written + (tx.record_bytes() + 1 + data + 1) as u64
+        );
+        for (addr, data) in targets {
+            assert_eq!(fram.peek_raw(addr, data.len()), data);
+            assert_eq!(fram.peek_raw(addr - 1, 1), &[0], "byte before {addr}");
+        }
+        assert_eq!(fram.peek_raw(1500 + 2, 1), &[0], "byte after the u16");
+        assert!(!journal.is_pending(&fram));
+    }
+
+    /// Interleaved rewrites of two cells merge in place: each keeps the
+    /// slot of its first write, and only the final values are applied.
+    #[test]
+    fn sparse_tx_merges_rewrites_of_same_cell() {
+        let (mut fram, journal, a, b) = setup();
+        let mut tx = TxWriter::new();
+        tx.write(&a, 1);
+        tx.write(&b, 2);
+        tx.write(&a, 9);
+        tx.write(&b, 8);
+        tx.write(&a, 7);
+        assert_eq!(tx.len(), 2);
+        assert_eq!(tx.record_bytes(), 2 + 2 * ENTRY_HEADER + 8 + 4);
+        let first = &tx.record()[2..2 + 4];
+        assert_eq!(first, &(a.addr() as u32).to_le_bytes(), "a stays first");
+        let written = fram.bytes_written();
+        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
+        assert_eq!(fram.peek(&a), 7);
+        assert_eq!(fram.peek(&b), 8);
+        let applied = (tx.record_bytes() + 1 + 8 + 4 + 1) as u64;
+        assert_eq!(fram.bytes_written(), written + applied);
+    }
+
+    /// A record whose sub-writes each fit the journal but together do
+    /// not is rejected before anything is written, and the journal
+    /// stays usable for the next record.
+    #[test]
+    fn oversized_sparse_tx_is_rejected_cleanly() {
+        let mut fram = Fram::new(4096);
+        let capacity = 2 + ENTRY_HEADER + 8;
+        let journal = Journal::new(&mut fram, capacity, MemOwner::Runtime).unwrap();
+        let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
+        let b = fram.alloc::<u32>(0, MemOwner::App, "b").unwrap();
+        let mut tx = TxWriter::new();
+        tx.write(&a, 7);
+        tx.write(&b, 5);
+        let written = fram.bytes_written();
+        assert_eq!(
+            journal.commit(&mut fram, &tx, &mut no_fail),
+            Err(Interrupt::Fault(Fault::JournalOverflow {
+                needed: 2 + 2 * ENTRY_HEADER + 8 + 4,
+                capacity,
+            }))
+        );
+        assert_eq!(fram.bytes_written(), written, "nothing written");
+        assert_eq!((fram.peek(&a), fram.peek(&b)), (0, 0), "targets untouched");
+        assert!(!journal.is_pending(&fram));
+        assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
+
+        tx.clear();
+        tx.write(&a, 7);
+        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
+        assert_eq!((fram.peek(&a), fram.peek(&b)), (7, 0));
+    }
+
+    /// The every-byte sweep on a record staged the way the engine
+    /// stages it — one sized buffer, cleared and re-staged through
+    /// `write_slot` — with a merged rewrite and a zeroed sub-write.
+    /// The flag write is the exact linearisation point: a failure
+    /// before it leaves the old image and nothing to recover, any
+    /// later failure is replayed to the new image.
+    #[test]
+    fn sparse_commit_is_atomic_under_exhaustive_failure_injection() {
+        fn stage(tx: &mut TxWriter, a: &NvCell<u64>, b: &NvCell<u32>, c: usize) -> usize {
+            tx.clear();
+            tx.write_slot(a.addr(), 8).copy_from_slice(&[0x5A; 8]);
+            tx.write_zeroed(b.addr(), 4);
+            tx.write_slot(c, 2).copy_from_slice(&[0xC0, 0xDE]);
+            tx.write_slot(a.addr(), 8).copy_from_slice(&[0xA5; 8]);
+            tx.record_bytes()
+        }
+        let mut tx = TxWriter::with_capacity(64);
+        let (_, _, a, b) = setup();
+        let record = stage(&mut tx, &a, &b, 2000);
+        let total = record + 1 + (8 + 4 + 2) + 1;
+
+        for fail_at in 0..total {
+            let (mut fram, journal, a, b) = setup();
+            fram.write_raw(2000, &[0x01, 0x02]);
+            stage(&mut tx, &a, &b, 2000);
+            let mut spent = 0usize;
+            let result = journal.commit(&mut fram, &tx, &mut |n, _| {
+                if spent + n > fail_at {
+                    return Err(Interrupt::PowerFailure);
+                }
+                spent += n;
+                Ok(())
+            });
+            assert_eq!(result, Err(Interrupt::PowerFailure));
+
+            let replayed = journal.recover(&mut fram, &mut no_fail).unwrap();
+            assert_eq!(replayed, fail_at > record, "fail_at={fail_at}");
+            let state = (
+                fram.peek(&a),
+                fram.peek(&b),
+                fram.peek_raw(2000, 2).to_vec(),
+            );
+            let expected = if replayed {
+                (0xA5A5_A5A5_A5A5_A5A5, 0, vec![0xC0, 0xDE])
+            } else {
+                (1, 2, vec![0x01, 0x02])
+            };
+            assert_eq!(state, expected, "fail_at={fail_at}");
+            assert!(!journal.is_pending(&fram));
+        }
+    }
+
+    /// A crash anywhere in the apply phase leaves FRAM part-applied
+    /// behind a pending flag; recovery, itself interrupted at every
+    /// byte boundary in turn, converges to the new image each time.
+    #[test]
+    fn sparse_recover_is_idempotent_under_repeated_failures() {
+        let stage = |a: &NvCell<u64>, b: &NvCell<u32>| {
+            let mut tx = TxWriter::new();
+            tx.write(a, 77);
+            tx.write(b, 88);
+            tx
+        };
+        let (_, _, a, b) = setup();
+        let record = stage(&a, &b).record_bytes();
+        for stop in record + 1..record + 1 + 8 + 4 {
+            let (mut fram, journal, a, b) = setup();
+            let r = commit_within(&mut fram, &journal, &stage(&a, &b), stop);
+            assert_eq!(r, Err(Interrupt::PowerFailure));
+            assert!(journal.is_pending(&fram), "stop={stop}");
+
+            let mut fail_at = 0usize;
+            while let Err(e) = {
+                let mut spent = 0usize;
+                journal.recover(&mut fram, &mut |n, _| {
+                    if spent + n > fail_at {
+                        return Err(Interrupt::PowerFailure);
+                    }
+                    spent += n;
+                    Ok(())
+                })
+            } {
+                assert_eq!(e, Interrupt::PowerFailure);
+                assert!(journal.is_pending(&fram), "stop={stop}: flag cleared early");
+                fail_at += 1;
+                assert!(fail_at < 10_000, "recovery never converged");
+            }
+            assert_eq!((fram.peek(&a), fram.peek(&b)), (77, 88), "stop={stop}");
+            assert!(!journal.is_pending(&fram));
+            assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
+        }
+    }
+
     /// A torn record prefix with the flag still idle must be invisible:
     /// recovery is a no-op and the targets keep their old image.
     #[test]
