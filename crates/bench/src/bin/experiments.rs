@@ -7,24 +7,53 @@ use std::process::ExitCode;
 use artemis_bench::Report;
 use artemis_bench::{analyze, experiments};
 
+/// What a subcommand runs.
+enum Run {
+    /// One driver, producing one report.
+    One(experiments::Driver),
+    /// The static-analysis lint, which also counts error findings.
+    Analyze,
+    /// Every driver of `experiments::ALL`.
+    All,
+}
+
+/// Every subcommand: each driver `all` runs, under the id of the report
+/// it writes, then the two long sweeps `all` leaves out, the lint, and
+/// `all` itself. Parsing, usage and dispatch all read this one table.
+fn subcommands() -> Vec<(&'static str, Run)> {
+    let mut table: Vec<_> = experiments::ALL
+        .iter()
+        .map(|&(id, run)| (id, Run::One(run)))
+        .collect();
+    table.extend([
+        ("opt", Run::One(experiments::opt)),
+        ("fleet", Run::One(experiments::fleet)),
+        ("analyze", Run::Analyze),
+        ("all", Run::All),
+    ]);
+    table
+}
+
 fn usage() -> ExitCode {
+    let ids: Vec<&str> = subcommands().iter().map(|(id, _)| *id).collect();
     eprintln!(
-        "usage: experiments [--json] [--emit] \
-         <fig12|fig13|fig14|fig15|fig16|table2|ablation|scaling|dispatch|delta|batch|cache|bytes|energy|opt|fleet|analyze|all>\n\
+        "usage: experiments [--json] [--emit] <{}>\n\
          Regenerates the evaluation figures/tables of the ARTEMIS paper.\n\
-         analyze  lint shipped specs/examples with the static analyser\n\
-         \x20        (exits non-zero on any error-severity finding)\n\
-         cache    shadow-cache FRAM traffic, warm vs always-cold\n\
-         bytes    per-event FRAM bytes of packed blocks + dirty-diff commits\n\
+         traffic  per-event FRAM ops/bytes/time/energy by workload, engine,\n\
+         \x20        delivery (per-event, batch-b) and reads (warm, always-cold)\n\
          energy   install-time energy feasibility verdicts vs measured\n\
          \x20        forward progress across a capacitor sweep\n\
          opt      bytecode optimizer sweep: executed instructions/event and\n\
          \x20        fleet events/sec across OptLevel none/full\n\
-         fleet    full fleet-scale sharded simulation sweep (`all` includes a\n\
-         \x20        small fleet_smoke run; FLEET_DEVICES / FLEET_SEED /\n\
-         \x20        FLEET_WORKERS override the full sweep)\n\
+         fleet    full fleet-scale sharded simulation sweep (`all` includes the\n\
+         \x20        small fleet_smoke run; FLEET_DEVICES / FLEET_WORKERS\n\
+         \x20        override the full sweep)\n\
+         analyze  lint shipped specs/examples with the static analyser\n\
+         \x20        (exits non-zero on any error-severity finding)\n\
+         all      every report above except opt, fleet and analyze\n\
          --json   print a JSON array to stdout\n\
-         --emit   also write each report to BENCH_<id>.json"
+         --emit   also write each report to BENCH_<id>.json",
+        ids.join("|")
     );
     ExitCode::FAILURE
 }
@@ -33,14 +62,15 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut emit = false;
     let mut which = None;
+    let table = subcommands();
     for arg in env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--emit" => emit = true,
-            "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "table2" | "ablation" | "scaling"
-            | "dispatch" | "delta" | "batch" | "cache" | "bytes" | "energy" | "opt" | "fleet"
-            | "analyze" | "all" => which = Some(arg),
-            _ => return usage(),
+            _ => match table.iter().find(|(id, _)| *id == arg) {
+                Some((_, run)) => which = Some(run),
+                None => return usage(),
+            },
         }
     }
     let Some(which) = which else {
@@ -48,29 +78,14 @@ fn main() -> ExitCode {
     };
 
     let mut analysis_errors = 0;
-    let reports: Vec<Report> = match which.as_str() {
-        "analyze" => {
+    let reports: Vec<Report> = match which {
+        Run::One(run) => vec![run()],
+        Run::Analyze => {
             let (report, errors) = analyze::analyze_all();
             analysis_errors = errors;
             vec![report]
         }
-        "fig12" => vec![experiments::fig12()],
-        "fig13" => vec![experiments::fig13()],
-        "fig14" => vec![experiments::fig14()],
-        "fig15" => vec![experiments::fig15()],
-        "fig16" => vec![experiments::fig16()],
-        "table2" => vec![experiments::table2()],
-        "ablation" => vec![experiments::ablation_deployment()],
-        "scaling" => vec![experiments::scaling()],
-        "dispatch" => vec![experiments::dispatch()],
-        "delta" => vec![experiments::delta()],
-        "batch" => vec![experiments::batch()],
-        "cache" => vec![experiments::cache()],
-        "bytes" => vec![experiments::bytes()],
-        "energy" => vec![experiments::energy()],
-        "opt" => vec![experiments::opt()],
-        "fleet" => vec![experiments::fleet()],
-        _ => experiments::all(),
+        Run::All => experiments::all(),
     };
 
     if json {

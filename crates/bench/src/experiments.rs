@@ -388,9 +388,10 @@ pub fn fig16() -> Report {
 }
 
 /// **Table 2** — memory requirements in bytes. FRAM/RAM are measured
-/// exactly from the allocator; `.text` uses the documented proxies
-/// (source bytes / 4 for the runtimes, generated-C bytes / 4 for the
-/// monitors — relative comparison only, see EXPERIMENTS.md).
+/// exactly from the allocator. The paper's `.text` column has no
+/// simulated counterpart for the runtimes; for the monitors, the
+/// nearest measured figure is the packed machine images the engine
+/// installs (one `MachineLayout::block_len` per compiled machine).
 pub fn table2() -> Report {
     // Install both systems on fresh devices and read the allocators.
     let mut dev = benchmark_device(Harvester::Continuous);
@@ -405,49 +406,42 @@ pub fn table2() -> Report {
     let mayfly_fram = dev.fram().used_by(MemOwner::Runtime);
     let mayfly_ram = dev.sram().used_by(MemOwner::Runtime);
 
-    // `.text` proxies for the runtimes; the monitor's figure is the
-    // measured packed FRAM machine images the engine actually installs
-    // (one `MachineLayout::block_len` per compiled machine — exact,
-    // replacing the earlier generated-C-bytes/4 proxy).
     let app = health_app();
     let suite = artemis_ir::compile(HEALTH_SPEC, &app).expect("spec compiles");
     let compiled =
         artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("suite compiles");
-    let monitor_text: usize = compiled
+    let monitor_images: usize = compiled
         .machines()
         .iter()
         .map(|m| m.layout().block_len)
         .sum();
-    let artemis_rt_text = include_str!("../../runtime/src/lib.rs").len() / 4;
-    let mayfly_text = include_str!("../../mayfly/src/lib.rs").len() / 4;
 
     let mut r = Report::new(
         "table2",
         "memory requirements (bytes)",
-        &["component", ".text (proxy)", "RAM", "FRAM"],
+        &["component", "packed machine images", "RAM", "FRAM"],
     );
-    r.row(vec![
-        "Mayfly runtime".to_string(),
-        mayfly_text.to_string(),
-        mayfly_ram.to_string(),
-        mayfly_fram.to_string(),
-    ]);
-    r.row(vec![
-        "ARTEMIS runtime".to_string(),
-        artemis_rt_text.to_string(),
-        artemis_rt_ram.to_string(),
-        artemis_rt_fram.to_string(),
-    ]);
-    r.row(vec![
-        "ARTEMIS monitor".to_string(),
-        monitor_text.to_string(),
-        artemis_mon_ram.to_string(),
-        artemis_mon_fram.to_string(),
-    ]);
+    for (component, images, ram, fram) in [
+        ("Mayfly runtime", None, mayfly_ram, mayfly_fram),
+        ("ARTEMIS runtime", None, artemis_rt_ram, artemis_rt_fram),
+        (
+            "ARTEMIS monitor",
+            Some(monitor_images),
+            artemis_mon_ram,
+            artemis_mon_fram,
+        ),
+    ] {
+        r.row(vec![
+            component.to_string(),
+            images.map_or("-".to_string(), |n| n.to_string()),
+            ram.to_string(),
+            fram.to_string(),
+        ]);
+    }
     r.note(
-        ".text proxy: source bytes / 4 (runtimes); the monitor figure is the measured \
-         packed FRAM machine images (sum of per-machine block_len from the compiled \
-         layouts), replacing the earlier generated-C-bytes/4 proxy",
+        "packed machine images: sum of per-machine block_len from the compiled layouts, \
+         measured; the runtimes have no machine images, and their code size has no \
+         simulated counterpart, so the paper's .text column is not reproduced",
     );
     r.note("FRAM/RAM measured from the simulator's allocator, exact to the byte");
     r
@@ -526,54 +520,11 @@ pub fn ablation_deployment() -> Report {
 /// the marginal cost of an *irrelevant* property to a counter write, so
 /// cost grows far slower than linearly in total properties.
 pub fn ablation_scalability() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::MonitorEngine;
-    use intermittent_sim::DeviceBuilder;
-
-    let mut r = Report::new(
+    let (mut r, _) = property_sweep(
         "ablation_scalability",
         "per-event monitor cost vs number of installed properties",
         &["properties", "time per event (us)", "energy per event (nJ)"],
     );
-
-    for n_props in [1usize, 2, 4, 8, 16, 32] {
-        // n tasks, each with a maxTries property; events target task 0.
-        let mut b = artemis_core::app::AppGraphBuilder::new();
-        let mut tasks = Vec::new();
-        for i in 0..n_props {
-            tasks.push(b.task(&format!("t{i}")));
-        }
-        b.path(&tasks);
-        let app = b.build().expect("graph");
-        let spec: String = (0..n_props)
-            .map(|i| {
-                format!(
-                    "t{i} {{ maxTries: 1000 onFail: skipPath; }}
-"
-                )
-            })
-            .collect();
-        let suite = artemis_ir::compile(&spec, &app).expect("spec");
-
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).expect("installs");
-        engine.reset_monitor(&mut dev).expect("reset");
-
-        let before_t = dev.stats().time(CostCategory::Monitor);
-        let before_e = dev.stats().energy(CostCategory::Monitor);
-        let events = 200u64;
-        for seq in 1..=events {
-            let ev = MonitorEvent::start(tasks[0], artemis_core::SimInstant::from_micros(seq));
-            engine.call_monitor(&mut dev, seq, &ev).expect("event");
-        }
-        let dt = dev.stats().time(CostCategory::Monitor) - before_t;
-        let de = dev.stats().energy(CostCategory::Monitor) - before_e;
-        r.row(vec![
-            n_props.to_string(),
-            format!("{:.1}", dt.as_secs_f64() * 1e6 / events as f64),
-            format!("{:.1}", de.as_joules_f64() * 1e9 / events as f64),
-        ]);
-    }
     r.note(
         "events all target one task; the other properties are dismissed by the trigger pre-filter",
     );
@@ -586,77 +537,87 @@ pub fn ablation_scalability() -> Report {
 /// react). Only the interested worklist steps, so the per-event cost
 /// stays flat in the number of installed machines.
 pub fn scaling() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::MonitorEngine;
-    use intermittent_sim::DeviceBuilder;
-
-    const EVENTS: u64 = 200;
-
-    let mut r = Report::new(
+    let (mut r, nj) = property_sweep(
         "scaling",
         "per-event monitor cost vs installed properties (1 matching)",
         &["properties", "time/event (us)", "energy/event (nJ)"],
     );
-
-    let mut costs = Vec::new();
-    for n_props in [1usize, 2, 4, 8, 16, 32] {
-        // n tasks, each with a maxTries property; events target task 0,
-        // so the other n-1 properties are never interested.
-        let mut b = artemis_core::app::AppGraphBuilder::new();
-        let mut tasks = Vec::new();
-        for i in 0..n_props {
-            tasks.push(b.task(&format!("t{i}")));
-        }
-        b.path(&tasks);
-        let app = b.build().expect("graph");
-        let spec: String = (0..n_props)
-            .map(|i| format!("t{i} {{ maxTries: 1000 onFail: skipPath; }}\n"))
-            .collect();
-
-        let suite = artemis_ir::compile(&spec, &app).expect("spec");
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).expect("installs");
-        engine.reset_monitor(&mut dev).expect("reset");
-
-        let before_t = dev.stats().time(CostCategory::Monitor);
-        let before_e = dev.stats().energy(CostCategory::Monitor);
-        for seq in 1..=EVENTS {
-            let ev = MonitorEvent::start(tasks[0], artemis_core::SimInstant::from_micros(seq));
-            engine.call_monitor(&mut dev, seq, &ev).expect("event");
-        }
-        let dt = dev.stats().time(CostCategory::Monitor) - before_t;
-        let de = dev.stats().energy(CostCategory::Monitor) - before_e;
-        let nj = de.as_joules_f64() * 1e9 / EVENTS as f64;
-        costs.push(nj);
-        r.row(vec![
-            n_props.to_string(),
-            format!("{:.1}", dt.as_secs_f64() * 1e6 / EVENTS as f64),
-            format!("{nj:.1}"),
-        ]);
-    }
     r.note(format!(
         "32-prop / 1-prop energy ratio: {:.2}x (acceptance target: <= 2x; the removed \
          full-scan dispatch measured 4.42x at 581e74b)",
-        costs[costs.len() - 1] / costs[0]
+        nj[nj.len() - 1] / nj[0]
     ));
     r
 }
 
-/// Shape of the dispatch stress suite ([`dispatch_suite`]).
-pub(crate) const DISPATCH_MACHINES: usize = 8;
-pub(crate) const DISPATCH_VARS: usize = 12;
+/// The property sweep [`scaling`] and [`ablation_scalability`] share:
+/// one row per installed-property count (properties, monitor
+/// time/event, monitor energy/event), plus the energy figures.
+fn property_sweep(id: &str, title: &str, columns: &[&str]) -> (Report, Vec<f64>) {
+    let mut r = Report::new(id, title, columns);
+    let mut nj = Vec::new();
+    for n_props in [1usize, 2, 4, 8, 16, 32] {
+        let t = measure(
+            &properties_workload(n_props),
+            artemis_monitor::InstallOptions::default(),
+            None,
+            false,
+        );
+        let energy = t.nj_per_event();
+        r.row(vec![
+            n_props.to_string(),
+            format!("{:.1}", t.time_us()),
+            format!("{energy:.1}"),
+        ]);
+        nj.push(energy);
+    }
+    (r, nj)
+}
 
-/// The monitor-heavy suite the dispatch benchmark runs: every `start(t0)`
-/// event drives every variable of every machine, the worst case for the
-/// interpreter's one-cell-per-variable layout. Hand-built because spec
-/// properties top out at a couple of variables. Shared with the
-/// static-bound dominance test so the analysed and measured suites can
-/// never drift apart.
-pub(crate) fn dispatch_suite() -> (
+/// A monitor suite, its application graph, and the task whose starts
+/// drive the measured stream.
+type Workload = (
     artemis_ir::fsm::MonitorSuite,
     artemis_core::app::AppGraph,
     artemis_core::app::TaskId,
-) {
+);
+
+/// `n` tasks on one path, each with a `maxTries` property. The
+/// measured stream starts task 0, so exactly one property reacts and
+/// the other `n - 1` are never interested.
+fn properties_workload(n: usize) -> Workload {
+    let mut b = artemis_core::app::AppGraphBuilder::new();
+    let tasks: Vec<_> = (0..n).map(|i| b.task(&format!("t{i}"))).collect();
+    b.path(&tasks);
+    let app = b.build().expect("graph");
+    let spec: String = (0..n)
+        .map(|i| format!("t{i} {{ maxTries: 1000 onFail: skipPath; }}\n"))
+        .collect();
+    let suite = artemis_ir::compile(&spec, &app).expect("spec");
+    (suite, app, tasks[0])
+}
+
+/// Shape of the stress suites ([`stress_suite`]).
+const DISPATCH_MACHINES: usize = 8;
+const DISPATCH_VARS: usize = 12;
+
+/// The monitor-heavy suite the traffic and optimizer benchmarks run:
+/// [`DISPATCH_MACHINES`] machines of [`DISPATCH_VARS`] int variables,
+/// each stepping on every `start(t0)` and incrementing its first
+/// `written` variables. `written = DISPATCH_VARS` is the dense worst
+/// case for the interpreter's one-cell-per-variable layout; `written =
+/// 1` is the sparse case span loads and dirty-diff commits exist for.
+/// Hand-built because spec properties top out at a couple of variables.
+///
+/// With `guarded`, every transition carries the guard `v0 < 1000000 &&
+/// v0 >= 0`. Unoptimized, the short-circuit `&&` lowers to two full
+/// compare/branch ladders plus an `AssertBool`; the optimizer fuses
+/// each comparison into one superinstruction and threads the jumps. The
+/// guard stays true for the benchmark's event counts, which keeps every
+/// event on the same straight-line path — executed instructions equal
+/// the static [`artemis_ir::StepCost`] ceiling exactly, at both
+/// optimization levels.
+fn stress_suite(written: usize, guarded: bool) -> Workload {
     use artemis_ir::expr::{BinOp, Expr, Value, VarType};
     use artemis_ir::fsm::{MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
 
@@ -677,8 +638,14 @@ pub(crate) fn dispatch_suite() -> (
             from: 0,
             to: 0,
             trigger: Trigger::Start(TaskPat::named("t0")),
-            guard: None,
-            body: (0..DISPATCH_VARS)
+            guard: guarded.then(|| {
+                Expr::bin(
+                    BinOp::And,
+                    Expr::bin(BinOp::Lt, Expr::var("v0"), Expr::int(1_000_000)),
+                    Expr::bin(BinOp::Ge, Expr::var("v0"), Expr::int(0)),
+                )
+            }),
+            body: (0..written)
                 .map(|v| {
                     Stmt::Assign(
                         format!("v{v}"),
@@ -693,108 +660,7 @@ pub(crate) fn dispatch_suite() -> (
     (suite, app, t0)
 }
 
-/// Sparse-handler variant of the dispatch stress suite: the same
-/// machines and variables, but every event increments only `v0` — the
-/// motivating case for sparse delta commits (a transition that touches
-/// one counter of a twelve-variable block).
-pub(crate) fn sparse_dispatch_suite() -> (
-    artemis_ir::fsm::MonitorSuite,
-    artemis_core::app::AppGraph,
-    artemis_core::app::TaskId,
-) {
-    use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-    use artemis_ir::fsm::{MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
-
-    let mut b = artemis_core::app::AppGraphBuilder::new();
-    let t0 = b.task("t0");
-    let t1 = b.task("t1");
-    b.path(&[t0, t1]);
-    let app = b.build().expect("graph");
-
-    let mut suite = MonitorSuite::new();
-    for m in 0..DISPATCH_MACHINES {
-        let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-        for v in 0..DISPATCH_VARS {
-            sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-        }
-        sm.add_state("S");
-        sm.transitions.push(Transition {
-            from: 0,
-            to: 0,
-            trigger: Trigger::Start(TaskPat::named("t0")),
-            guard: None,
-            body: vec![Stmt::Assign(
-                "v0".to_string(),
-                Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-            )],
-            emit: None,
-        });
-        suite.push(sm);
-    }
-    (suite, app, t0)
-}
-
-/// Guarded variant of the sparse dispatch suite, built for the
-/// optimizer benchmark: every `start(t0)` transition carries the guard
-/// `v0 < 1000000 && v0 >= 0` in front of the single `v0 := v0 + 1`
-/// increment. Unoptimized, the short-circuit `&&` lowers to two full
-/// compare/branch ladders plus an `AssertBool`; the optimizer fuses
-/// each comparison into one superinstruction and threads the jumps, so
-/// the same semantics execute in a fraction of the instructions. The
-/// guard is always true for the benchmark's event counts, which keeps
-/// every event on the same straight-line path — executed instructions
-/// equal the static [`artemis_ir::StepCost`] ceiling exactly, at both
-/// optimization levels.
-pub(crate) fn guarded_sparse_suite() -> (
-    artemis_ir::fsm::MonitorSuite,
-    artemis_core::app::AppGraph,
-    artemis_core::app::TaskId,
-) {
-    use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-    use artemis_ir::fsm::{MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
-
-    let mut b = artemis_core::app::AppGraphBuilder::new();
-    let t0 = b.task("t0");
-    let t1 = b.task("t1");
-    b.path(&[t0, t1]);
-    let app = b.build().expect("graph");
-
-    let mut suite = MonitorSuite::new();
-    for m in 0..DISPATCH_MACHINES {
-        let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-        for v in 0..DISPATCH_VARS {
-            sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-        }
-        sm.add_state("S");
-        sm.transitions.push(Transition {
-            from: 0,
-            to: 0,
-            trigger: Trigger::Start(TaskPat::named("t0")),
-            guard: Some(Expr::bin(
-                BinOp::And,
-                Expr::bin(BinOp::Lt, Expr::var("v0"), Expr::int(1_000_000)),
-                Expr::bin(BinOp::Ge, Expr::var("v0"), Expr::int(0)),
-            )),
-            body: vec![Stmt::Assign(
-                "v0".to_string(),
-                Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-            )],
-            emit: None,
-        });
-        suite.push(sm);
-    }
-    (suite, app, t0)
-}
-
-/// A monitor suite, its application graph, and the task whose starts
-/// drive the measured stream.
-type Workload = (
-    artemis_ir::fsm::MonitorSuite,
-    artemis_core::app::AppGraph,
-    artemis_core::app::TaskId,
-);
-
-/// Events per measured FRAM-traffic stream.
+/// Events per measured stream.
 const STREAM_EVENTS: u64 = 200;
 
 /// FRAM traffic, monitor time and energy, and shadow-cache counters of
@@ -810,58 +676,12 @@ struct Traffic {
 }
 
 impl Traffic {
-    fn per_event(total: u64) -> f64 {
-        total as f64 / STREAM_EVENTS as f64
-    }
-    fn reads_per_event(&self) -> f64 {
-        Self::per_event(self.reads)
-    }
-    fn ops_per_event(&self) -> f64 {
-        Self::per_event(self.reads + self.writes)
-    }
-    fn read_b(&self) -> f64 {
-        Self::per_event(self.read_bytes)
-    }
-    fn write_b(&self) -> f64 {
-        Self::per_event(self.write_bytes)
-    }
-    fn bytes_per_event(&self) -> f64 {
-        Self::per_event(self.read_bytes + self.write_bytes)
-    }
     fn time_us(&self) -> f64 {
         self.time.as_secs_f64() * 1e6 / STREAM_EVENTS as f64
     }
-
-    /// The shared traffic columns: FRAM reads, FRAM writes,
-    /// reads/event, ops/event, time/event (us), read B/event, write
-    /// B/event.
-    fn cells(&self) -> Vec<String> {
-        vec![
-            self.reads.to_string(),
-            self.writes.to_string(),
-            format!("{:.1}", self.reads_per_event()),
-            format!("{:.1}", self.ops_per_event()),
-            format!("{:.2}", self.time_us()),
-            format!("{:.1}", self.read_b()),
-            format!("{:.1}", self.write_b()),
-        ]
+    fn nj_per_event(&self) -> f64 {
+        self.energy.as_joules_f64() * 1e9 / STREAM_EVENTS as f64
     }
-}
-
-/// The shared traffic column names, in [`Traffic::cells`] order.
-const TRAFFIC_COLUMNS: [&str; 7] = [
-    "FRAM reads",
-    "FRAM writes",
-    "reads/event",
-    "ops/event",
-    "time/event (us)",
-    "read B/event",
-    "write B/event",
-];
-
-/// Column list: `lead` names followed by [`TRAFFIC_COLUMNS`].
-fn traffic_columns(lead: &[&'static str]) -> Vec<&'static str> {
-    lead.iter().chain(&TRAFFIC_COLUMNS).copied().collect()
 }
 
 /// Installs the workload's suite with `opts` on a fresh device, resets
@@ -927,407 +747,165 @@ fn measure(
     }
 }
 
-/// **Delta benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the compiled engine's sparse commits (load the readable
-/// slots, journal only the changed bytes) against the interpreter's
-/// per-cell layout. Three workloads: the sparse-handler dispatch suite
-/// (one of twelve variables written — the case span loads exist for),
-/// the dense dispatch suite (every variable written — every machine
-/// auto-degrades to whole-block images), and the 32-property scaling
-/// suite (single-variable blocks, which degrade too).
-pub fn delta() -> Report {
-    use artemis_monitor::{ExecMode, InstallOptions};
-
-    let compiled = InstallOptions::default();
-    let interpreter = InstallOptions {
-        mode: ExecMode::Interpreter,
-        ..compiled
-    };
-
-    let mut r = Report::new(
-        "delta",
-        "per-event FRAM ops: sparse commits vs interpreter",
-        &traffic_columns(&["workload", "mode"]),
-    );
-
-    // The 32-property scaling workload: events target task 0, one
-    // matching single-variable property among 32 installed.
-    let scaling_suite = || {
-        let mut b = artemis_core::app::AppGraphBuilder::new();
-        let mut tasks = Vec::new();
-        for i in 0..32 {
-            tasks.push(b.task(&format!("t{i}")));
-        }
-        b.path(&tasks);
-        let app = b.build().expect("graph");
-        let spec: String = (0..32)
-            .map(|i| format!("t{i} {{ maxTries: 1000 onFail: skipPath; }}\n"))
-            .collect();
-        let suite = artemis_ir::compile(&spec, &app).expect("spec");
-        let t0 = tasks[0];
-        (suite, app, t0)
-    };
-
-    let mut dispatch_samples = Vec::new();
-    for (workload, w, modes) in [
-        (
-            "dispatch",
-            sparse_dispatch_suite(),
-            &[("interpreter", interpreter), ("compiled", compiled)][..],
-        ),
-        (
-            "dispatch-dense",
-            dispatch_suite(),
-            &[("compiled", compiled)][..],
-        ),
-        ("scaling-32", scaling_suite(), &[("compiled", compiled)][..]),
-    ] {
-        for (name, opts) in modes {
-            let s = measure(&w, *opts, None, false);
-            if workload == "dispatch" {
-                dispatch_samples.push(s.ops_per_event());
-            }
-            let mut row = vec![workload.to_string(), name.to_string()];
-            row.extend(s.cells());
-            r.row(row);
-        }
-    }
-
-    r.note(format!(
-        "dispatch compiled: {:.1} ops/event vs the removed whole-block commit mode's \
-         156 measured at 581e74b (acceptance target: <= 78, a >= 2x reduction)",
-        dispatch_samples[1]
-    ));
-    // Surface the compile-time per-key degrade decision for each
-    // dispatch-shaped workload (the scaling suite's blocks are
-    // single-variable, so they always degrade).
-    for (workload, (suite, app, _)) in [
-        ("dispatch", sparse_dispatch_suite()),
-        ("dispatch-dense", dispatch_suite()),
-    ] {
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds.worst_event().expect("has event keys");
-        r.note(format!(
-            "{workload} access sets: {} span-loading machine(s), {} degraded to whole-block",
-            key.delta_machines, key.degraded_machines
-        ));
-    }
-    r.note(format!(
-        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} vars; dispatch writes 1 slot/event, \
-         dispatch-dense writes all {DISPATCH_VARS} (>= 3/4 of the block, so commits degrade)"
-    ));
-    r
-}
-
-/// **Batch benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of group-commit batch delivery versus the per-event sparse
-/// delta path on the sparse-handler dispatch suite. One sparse
-/// transaction arms the whole batch, each machine steps every event in
-/// volatile scratch and commits its coalesced net effect once, so the
-/// arming and per-machine commit overheads amortise across the batch:
-/// larger batches spend fewer FRAM ops per event.
-pub fn batch() -> Report {
-    use artemis_monitor::InstallOptions;
-
-    /// Batch capacities swept (200 events divide evenly into each).
-    const SIZES: [usize; 4] = [1, 2, 4, 8];
-
-    let workload = sparse_dispatch_suite();
-    let (suite, app, _) = &workload;
-    let mut r = Report::new(
-        "batch",
-        "per-event FRAM ops: group-commit batches vs per-event delta",
-        &traffic_columns(&["mode"]),
-    );
-
-    // The same 200-event stream through the per-event entry point, then
-    // through `deliver_batch` in full chunks of each size.
-    let baseline = measure(&workload, InstallOptions::default(), None, false);
-    let mut row = vec!["per-event delta".to_string()];
-    row.extend(baseline.cells());
-    r.row(row);
-    let mut samples = Vec::new();
-    for b in SIZES {
-        let s = measure(&workload, InstallOptions::default(), Some(b), false);
-        let mut row = vec![format!("batch-{b}")];
-        row.extend(s.cells());
-        r.row(row);
-        samples.push((b, s));
-    }
-
-    let at = |b: usize| -> f64 {
-        samples
-            .iter()
-            .find(|(sb, _)| *sb == b)
-            .expect("swept size")
-            .1
-            .ops_per_event()
-    };
-    r.note(format!(
-        "batch-4 vs per-event delta FRAM op reduction: {:.2}x \
-         (acceptance target: >= 1.5x on the sparse dispatch workload)",
-        baseline.ops_per_event() / at(4)
-    ));
-    r.note(format!(
-        "batch-1 vs per-event delta: {:.1} vs {:.1} ops/event \
-         (acceptance target: within noise — batching must not tax unbatched traffic)",
-        at(1),
-        baseline.ops_per_event()
-    ));
-
+/// Static ceilings of a compiled-engine traffic row, in the order of
+/// the report's last four columns: FRAM ops/event, FRAM writes/event,
+/// FRAM write B/event, and the extra reads a cold delivery refills.
+/// Per-event delivery prices the suite's worst event key
+/// ([`artemis_ir::suite_bounds`]); batch-`b` delivery prices one full
+/// batch ([`artemis_ir::batch_bounds`]) and charges each event its
+/// rounded-up share.
+fn static_ceilings((suite, app, _): &Workload, batch: Option<usize>) -> [usize; 4] {
     let compiled = artemis_ir::compile::CompiledSuite::compile(suite, app).expect("compiles");
-    for (b, s) in &samples {
-        let bound = artemis_ir::batch_bounds(&compiled, *b);
-        debug_assert!(bound.ops_per_event_ceil() as f64 >= s.ops_per_event());
-        r.note(format!(
-            "batch-{b} static bound: {} ops/event ceiling, {} B worst commit \
-             (measured {:.1} ops/event stays under it)",
-            bound.ops_per_event_ceil(),
-            bound.worst_commit_bytes,
-            s.ops_per_event()
-        ));
+    match batch {
+        None => {
+            let bounds = artemis_ir::suite_bounds(&compiled);
+            let key = bounds.worst_event().expect("has event keys");
+            [key.ops(), key.writes, key.write_bytes, key.cold_extra_reads]
+        }
+        Some(b) => {
+            let bound = artemis_ir::batch_bounds(&compiled, b);
+            [
+                bound.ops_per_event_ceil(),
+                bound.writes.div_ceil(b),
+                bound.write_bytes.div_ceil(b),
+                bound.cold_extra_reads,
+            ]
+        }
     }
-    r
 }
 
-/// **Dispatch benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the two execution modes on a monitor-heavy workload:
-/// every event drives every variable of every machine, the worst case
-/// for the interpreter's one-cell-per-variable layout. The compiled
-/// mode loads each machine as one block and commits it as one journal
-/// entry, so its op count is flat in the variable count.
-pub fn dispatch() -> Report {
+/// **FRAM-traffic benchmark (beyond the paper's figures)** — what the
+/// monitor costs the device per event, in FRAM ops and bytes, time and
+/// energy, for each distinct engine configuration: the interpreter's
+/// one-cell-per-variable layout against the compiled engine's packed
+/// blocks, span loads and dirty-diff commits; per-event delivery
+/// against group-commit batches, which arm once and commit each
+/// machine's coalesced net effect once; and warm delivery (the shadow
+/// cache serves every read, so delivery is write-only) against
+/// always-cold delivery, which clears SRAM first and pays the
+/// post-reboot refill. Compiled rows carry the static ceilings the
+/// install-time bounds pass prices for them.
+pub fn traffic() -> Report {
     use artemis_monitor::{ExecMode, InstallOptions};
+    use ExecMode::{Compiled, Interpreter};
 
-    let workload = dispatch_suite();
-    let (suite, app, _) = &workload;
+    let sparse = stress_suite(1, false);
+    let dense = stress_suite(DISPATCH_VARS, false);
+    let scaling = properties_workload(32);
+    let configs = [
+        ("sparse", &sparse, Interpreter, None, false),
+        ("sparse", &sparse, Compiled, None, false),
+        ("sparse", &sparse, Compiled, None, true),
+        ("sparse", &sparse, Compiled, Some(1), false),
+        ("sparse", &sparse, Compiled, Some(2), false),
+        ("sparse", &sparse, Compiled, Some(4), false),
+        ("sparse", &sparse, Compiled, Some(8), false),
+        ("sparse", &sparse, Compiled, Some(8), true),
+        ("dense", &dense, Interpreter, None, false),
+        ("dense", &dense, Compiled, None, false),
+        ("scaling-32", &scaling, Compiled, None, false),
+    ];
+
     let mut r = Report::new(
-        "dispatch",
-        "per-event FRAM ops: compiled bytecode vs interpreter",
-        &traffic_columns(&["mode", "events"]),
+        "traffic",
+        "per-event FRAM traffic by workload, engine, delivery and reads",
+        &[
+            "workload",
+            "engine",
+            "delivery",
+            "reads",
+            "events",
+            "FRAM reads",
+            "FRAM writes",
+            "reads/event",
+            "ops/event",
+            "read B/event",
+            "write B/event",
+            "B/event",
+            "time/event (us)",
+            "nJ/event",
+            "hits",
+            "misses",
+            "invalidations",
+            "ops ceiling/event",
+            "writes ceiling/event",
+            "write B ceiling/event",
+            "cold reads/delivery",
+        ],
     );
-    let mut ops_per_event = Vec::new();
-    for (name, mode) in [
-        ("interpreter", ExecMode::Interpreter),
-        ("compiled", ExecMode::Compiled),
-    ] {
+    let mut ops = Vec::new();
+    for (workload, w, mode, batch, always_cold) in configs {
         let opts = InstallOptions {
             mode,
             ..InstallOptions::default()
         };
-        let s = measure(&workload, opts, None, false);
-        ops_per_event.push(s.ops_per_event());
-        let mut row = vec![name.to_string(), STREAM_EVENTS.to_string()];
-        row.extend(s.cells());
-        r.row(row);
-    }
-    r.note(format!(
-        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} vars; every event updates every variable"
-    ));
-    r.note(format!(
-        "FRAM op reduction: {:.2}x (acceptance target: >= 3x)",
-        ops_per_event[0] / ops_per_event[1]
-    ));
-    let compiled = artemis_ir::compile::CompiledSuite::compile(suite, app).expect("suite compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
-    let key = bounds
-        .worst_event()
-        .expect("the stress suite has at least one event key");
-    r.note(format!(
-        "static per-event bound (analysis::bounds, worst key): {} FRAM ops \
-         >= measured compiled {:.1}",
-        key.ops(),
-        ops_per_event[1]
-    ));
-    r
-}
-
-/// **Cache benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the compiled engine's one read path, the volatile shadow
-/// cache, on the sparse-handler dispatch workload, per event and at
-/// batch size 8. **Warm** rows are the steady state: the engine steps
-/// from RAM and FRAM sees only the crash-atomic commits, so delivery
-/// is write-only. **Always-cold** rows clear SRAM before every
-/// delivery, so each one pays the post-reboot refill the static
-/// `cold_extra_reads` bound prices.
-pub fn cache() -> Report {
-    use artemis_monitor::InstallOptions;
-
-    let workload = sparse_dispatch_suite();
-    let (suite, app, _) = &workload;
-    let mut columns = traffic_columns(&["mode", "cache"]);
-    columns.splice(6..6, ["hits", "misses", "invalidations"]);
-    let mut r = Report::new(
-        "cache",
-        "per-event FRAM ops: warm vs always-cold shadow cache",
-        &columns,
-    );
-
-    let mut samples = Vec::new();
-    for (mode, batch) in [("per-event", None), ("batch-8", Some(8))] {
-        for (reads, always_cold) in [("warm", false), ("always-cold", true)] {
-            let s = measure(&workload, InstallOptions::default(), batch, always_cold);
-            let mut row = vec![mode.to_string(), reads.to_string()];
-            row.extend(s.cells());
-            row.splice(
-                6..6,
-                [s.cache.hits, s.cache.misses, s.cache.invalidations].map(|n| n.to_string()),
-            );
-            r.row(row);
-            samples.push(((mode, always_cold), s));
+        let t = measure(w, opts, batch, always_cold);
+        let per_event = |n: u64| format!("{:.1}", n as f64 / STREAM_EVENTS as f64);
+        let engine = match mode {
+            Compiled => "compiled",
+            Interpreter => "interpreter",
+        };
+        let mut row = vec![
+            workload.to_string(),
+            engine.to_string(),
+            batch.map_or("per-event".to_string(), |b| format!("batch-{b}")),
+            if always_cold { "always-cold" } else { "warm" }.to_string(),
+            STREAM_EVENTS.to_string(),
+            t.reads.to_string(),
+            t.writes.to_string(),
+            per_event(t.reads),
+            per_event(t.reads + t.writes),
+            per_event(t.read_bytes),
+            per_event(t.write_bytes),
+            per_event(t.read_bytes + t.write_bytes),
+            format!("{:.2}", t.time_us()),
+            format!("{:.1}", t.nj_per_event()),
+        ];
+        // The interpreter has no shadow cache and no static model.
+        if mode == Compiled {
+            let c = t.cache;
+            row.extend([c.hits, c.misses, c.invalidations].map(|n| n.to_string()));
+            row.extend(static_ceilings(w, batch).map(|n| n.to_string()));
+        } else {
+            row.extend(std::iter::repeat_n("-".to_string(), 7));
         }
+        r.row(row);
+        ops.push((t.reads + t.writes) as f64);
     }
 
-    let at = |mode: &str, cold: bool| -> &Traffic {
-        &samples
-            .iter()
-            .find(|((m, c), _)| *m == mode && *c == cold)
-            .expect("swept configuration")
-            .1
-    };
+    // Row positions in `configs`.
+    let [sparse_per_event, sparse_batch4, dense_interpreter, dense_compiled] =
+        [1, 5, 8, 9].map(|i| ops[i]);
     r.note(format!(
-        "steady-state (warm) FRAM reads/event: {:.1} per-event, {:.1} batch-8 \
-         (acceptance target: = 0 — delivery is write-only)",
-        at("per-event", false).reads_per_event(),
-        at("batch-8", false).reads_per_event()
+        "FRAM op reduction: compiled vs interpreter on dense {:.2}x (acceptance target: \
+         >= 3x); batch-4 vs per-event on sparse {:.2}x (acceptance target: >= 1.5x)",
+        dense_interpreter / dense_compiled,
+        sparse_per_event / sparse_batch4
     ));
     r.note(format!(
-        "warm: {:.1} ops/event per-event, {:.1} batch-8 (acceptance: strictly below the \
-         removed uncached baselines of 71 and 9, EXPERIMENTS.md \"Removed modes\")",
-        at("per-event", false).ops_per_event(),
-        at("batch-8", false).ops_per_event()
-    ));
-
-    let compiled = artemis_ir::compile::CompiledSuite::compile(suite, app).expect("compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
-    let key = bounds.worst_event().expect("has event keys");
-    let b8 = artemis_ir::batch_bounds(&compiled, 8);
-    r.note(format!(
-        "always-cold: {:.1} reads/event per-event = cold_extra_reads {} (flag, seq, event \
-         array, done bitmap + one block fill per armed machine), {:.1} reads/event batch-8 \
-         = {} per batch; the post-reboot ceilings are {} and {}",
-        at("per-event", true).reads_per_event(),
-        key.cold_extra_reads,
-        at("batch-8", true).reads_per_event(),
-        b8.cold_extra_reads,
-        key.reads,
-        b8.reads
+        "workloads: sparse and dense are {DISPATCH_MACHINES} machines x {DISPATCH_VARS} int \
+         vars stepping on every event; sparse increments one counter (packing narrows it to \
+         8 B, the eleven untouched slots to 1 B each, the state word to 1 B and the done \
+         flags to one bitmap byte), dense increments all {DISPATCH_VARS} (>= 3/4 of the \
+         block, so its commits degrade to whole-block images); scaling-32 is 32 \
+         single-variable maxTries properties, one of them matching"
     ));
     r.note(format!(
-        "static warm bounds: {} ops/event per-event, {} batch-8 (measured {:.1} and {:.1}; \
-         dirty-diff commits stay under the slot-granular write model)",
-        key.writes,
-        b8.writes.div_ceil(8),
-        at("per-event", false).ops_per_event(),
-        at("batch-8", false).ops_per_event()
+        "{STREAM_EVENTS} start events per row, delivered one at a time (per-event) or in \
+         full deliver_batch groups of b (batch-b); always-cold clears SRAM before every \
+         delivery, so each one refills the shadow cache from FRAM"
     ));
-    r
-}
-
-/// **Bytes benchmark** — per-event FRAM *bytes* of the packed machine
-/// layout and dirty-diff commits on the sparse dispatch workload (one
-/// counter of a twelve-variable packed block written per event): each
-/// commit diffs the new image against the shadow's authoritative old
-/// image and journals minimal `[addr][len][data]` runs. Rows: warm and
-/// always-cold per-event delivery, and warm batch-8.
-///
-/// The headline ratio compares the warm path against the removed
-/// tagged-layout baseline (recorded in EXPERIMENTS.md). Time and
-/// energy columns price the same runs through the device cost model
-/// (FRAM access = 25 µs + 1 µs/B; 5 nJ read / 7 nJ write base — see
-/// EXPERIMENTS.md "Cost model constants").
-pub fn bytes() -> Report {
-    use artemis_monitor::InstallOptions;
-
-    /// Bytes/event of the removed tagged layout (slot-granular, cache
-    /// off), measured at 581e74b.
-    const TAGGED_BASELINE: f64 = 858.0;
-
-    let workload = sparse_dispatch_suite();
-    let (suite, app, _) = &workload;
-    let mut r = Report::new(
-        "bytes",
-        "per-event FRAM bytes: packed machine layout + dirty-diff commits",
-        &[
-            "commit",
-            "cache",
-            "read B/event",
-            "write B/event",
-            "B/event",
-            "ops/event",
-            "time/event (us)",
-            "nJ/event",
-        ],
+    r.note(
+        "ceilings (compiled rows): artemis_ir::suite_bounds' worst event key for per-event \
+         rows, batch_bounds(b) per full batch divided by b (rounded up) for batch-b rows; \
+         cold reads/delivery is the static cold_extra_reads refill, which always-cold rows \
+         pay exactly once per delivery",
     );
-
-    let configs = [
-        // The default engine in steady state: the headline row.
-        ("warm", None, false),
-        ("always-cold", None, true),
-        ("warm batch-8", Some(8), false),
-    ];
-    let mut samples = Vec::new();
-    for (cache, batch, always_cold) in configs {
-        let s = measure(&workload, InstallOptions::default(), batch, always_cold);
-        r.row(vec![
-            "diff".to_string(),
-            cache.to_string(),
-            format!("{:.1}", s.read_b()),
-            format!("{:.1}", s.write_b()),
-            format!("{:.1}", s.bytes_per_event()),
-            format!("{:.1}", s.ops_per_event()),
-            format!("{:.2}", s.time_us()),
-            format!(
-                "{:.1}",
-                s.energy.as_nano_joules() as f64 / STREAM_EVENTS as f64
-            ),
-        ]);
-        samples.push((cache, s));
-    }
-    let at = |cache: &str| -> &Traffic {
-        &samples
-            .iter()
-            .find(|(c, _)| *c == cache)
-            .expect("swept configuration")
-            .1
-    };
-
-    let headline = at("warm");
-    r.note(format!(
-        "packed + diff (warm) vs the removed tagged slot-granular baseline: \
-         {TAGGED_BASELINE:.1} -> {:.1} FRAM B/event = {:.2}x reduction (acceptance \
-         target: >= 1.5x)",
-        headline.bytes_per_event(),
-        TAGGED_BASELINE / headline.bytes_per_event()
-    ));
-
-    // The static write-byte bound dominates every row; the monitor
-    // crate pins it exactly on a suite whose every committed byte
-    // changes.
-    let compiled = artemis_ir::compile::CompiledSuite::compile(suite, app).expect("compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
-    let key = bounds.worst_event().expect("has event keys");
-    let cold = at("always-cold");
-    r.note(format!(
-        "static byte bound: {} write B/event, above the measured {:.1} warm and          always-cold alike (the bound prices the state word and every written slot;          the diff commits only the bytes that changed). Its {} read B/event prices          span loads; an always-cold delivery fills whole blocks and reads {:.1}",
-        key.write_bytes,
-        headline.write_b(),
-        key.read_bytes,
-        cold.read_b(),
-    ));
     r.note(
         "cost model: FRAM access = 25 us + 1 us/B (5 nJ read / 7 nJ write base + \
          0.7/1.0 nJ per byte), so the byte cut compounds into the time and energy \
-         columns; merged runs skip the unchanged state word"
-            .to_string(),
+         columns; merged runs skip the unchanged state word",
     );
-    r.note(format!(
-        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} int vars, one counter \
-         incremented per event; packing narrows the unbounded counter to 8 B, the \
-         eleven untouched slots to 1 B each, the state word to 1 B and the done \
-         flags to one bitmap byte"
-    ));
     r
 }
 
@@ -1478,6 +1056,10 @@ pub fn energy() -> Report {
     r
 }
 
+/// Master seed of every fleet run: each device's workload is derived
+/// from it and the device index.
+const FLEET_MASTER_SEED: u64 = 0xA27E_F1EE;
+
 /// `key` parsed as an integer, or `default` when unset/invalid.
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -1509,14 +1091,13 @@ fn fleet_worker_sweep() -> Vec<usize> {
 /// bit-identical for every sweep point — the determinism contract that
 /// makes fleet-scale results reproducible from a single seed.
 ///
-/// Env overrides (for CI smoke runs): `FLEET_DEVICES`, `FLEET_SEED`,
-/// `FLEET_WORKERS` (comma-separated sweep).
+/// Env overrides (for CI smoke runs): `FLEET_DEVICES`, `FLEET_WORKERS`
+/// (comma-separated sweep).
 pub fn fleet() -> Report {
     use artemis_fleet::{run_fleet, FleetConfig, FleetStats};
     use std::time::Instant;
 
     let devices = env_u64("FLEET_DEVICES", 100_000);
-    let seed = env_u64("FLEET_SEED", 0xA27E_F1EE);
     let sweep = fleet_worker_sweep();
     let factory = crate::health::fleet_factory();
 
@@ -1538,7 +1119,7 @@ pub fn fleet() -> Report {
 
     let mut baseline: Option<(f64, FleetStats)> = None;
     for &workers in &sweep {
-        let cfg = FleetConfig::new(devices, workers, seed);
+        let cfg = FleetConfig::new(devices, workers, FLEET_MASTER_SEED);
         let t0 = Instant::now();
         let stats = run_fleet(&cfg, &factory);
         let wall = t0.elapsed().as_secs_f64();
@@ -1578,7 +1159,7 @@ pub fn fleet() -> Report {
     ));
     r.note(format!(
         "determinism: merged FleetStats bit-identical across the {{{}}}-worker sweep \
-         (asserted, run would abort otherwise); fleet seed {seed:#x}",
+         (asserted, run would abort otherwise); fleet seed {FLEET_MASTER_SEED:#x}",
         sweep
             .iter()
             .map(|w| w.to_string())
@@ -1620,14 +1201,14 @@ pub fn fleet() -> Report {
 /// Small fleet run included in the default `all` sweep: a few hundred
 /// wearable devices across a 1-vs-2 worker sweep, each installing the
 /// default (shadow-cache-enabled) engine — so the standard experiment
-/// run exercises the sharded fleet path too. The full 100k-device
-/// sweep stays behind the standalone `fleet` subcommand.
+/// run exercises the sharded fleet path too. Every column is simulated,
+/// so the report is deterministic. The full 100k-device sweep, with
+/// its host-timed throughput, stays behind the standalone `fleet`
+/// subcommand.
 pub fn fleet_smoke() -> Report {
     use artemis_fleet::{run_fleet, FleetConfig, FleetStats};
-    use std::time::Instant;
 
     const DEVICES: u64 = 500;
-    const SEED: u64 = 0xA27E_F1EE;
 
     let factory = crate::health::fleet_factory();
     let mut r = Report::new(
@@ -1636,8 +1217,6 @@ pub fn fleet_smoke() -> Report {
         &[
             "workers",
             "devices",
-            "wall (s)",
-            "events/sec",
             "completed",
             "dnf",
             "reboots",
@@ -1647,10 +1226,10 @@ pub fn fleet_smoke() -> Report {
 
     let mut baseline: Option<FleetStats> = None;
     for workers in [1usize, 2] {
-        let cfg = FleetConfig::new(DEVICES, workers, SEED);
-        let t0 = Instant::now();
-        let stats = run_fleet(&cfg, &factory);
-        let wall = t0.elapsed().as_secs_f64();
+        let stats = run_fleet(
+            &FleetConfig::new(DEVICES, workers, FLEET_MASTER_SEED),
+            &factory,
+        );
         if let Some(base) = &baseline {
             assert_eq!(
                 &stats, base,
@@ -1660,8 +1239,6 @@ pub fn fleet_smoke() -> Report {
         r.row(vec![
             workers.to_string(),
             stats.devices.to_string(),
-            format!("{wall:.2}"),
-            format!("{:.0}", stats.events as f64 / wall),
             stats.completed.to_string(),
             stats.dnf.to_string(),
             stats.reboots.to_string(),
@@ -1670,7 +1247,7 @@ pub fn fleet_smoke() -> Report {
         baseline.get_or_insert(stats);
     }
     r.note(format!(
-        "{DEVICES} devices, seed {SEED:#x}; every device installs the default engine \
+        "{DEVICES} devices, seed {FLEET_MASTER_SEED:#x}; every device installs the default engine \
          (shadow cache enabled); merged FleetStats asserted bit-identical across the \
          1-vs-2 worker sweep"
     ));
@@ -1704,7 +1281,7 @@ pub(crate) struct OptMicro {
 }
 
 /// Runs the optimizer micro benchmark at `level`. The guard in
-/// [`guarded_sparse_suite`] stays true for every delivered event, so
+/// [`stress_suite`] stays true for every delivered event, so
 /// each event walks the one straight-line path the static ceiling
 /// prices — measured instructions/event must equal the ceiling
 /// exactly, at both levels (asserted here; the bench doubles as an
@@ -1717,7 +1294,7 @@ pub(crate) fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
 
     const EVENTS: u64 = 200;
 
-    let (suite, app, t0) = guarded_sparse_suite();
+    let (suite, app, t0) = stress_suite(1, true);
     let compiled = artemis_ir::compile::CompiledSuite::compile_with(&suite, &app, level)
         .expect("benchmark suite compiles");
     let bytecode_ops: usize = compiled
@@ -1781,8 +1358,8 @@ pub(crate) fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
 /// benchmark across many devices at both levels, sharing one compiled
 /// suite per level via `fleet_factory_opt`.
 ///
-/// Env overrides (for CI smoke runs): `FLEET_DEVICES`, `FLEET_SEED`,
-/// `FLEET_WORKERS` (the largest sweep entry is used).
+/// Env overrides (for CI smoke runs): `FLEET_DEVICES`, `FLEET_WORKERS`
+/// (the largest sweep entry is used).
 pub fn opt() -> Report {
     use artemis_fleet::{run_fleet, FleetConfig};
     use artemis_ir::OptLevel;
@@ -1822,11 +1399,10 @@ pub fn opt() -> Report {
     }
 
     let devices = env_u64("FLEET_DEVICES", 100_000);
-    let seed = env_u64("FLEET_SEED", 0xA27E_F1EE);
     let workers = fleet_worker_sweep().into_iter().max().unwrap_or(8);
     for (name, level) in [("none", OptLevel::None), ("full", OptLevel::Full)] {
         let factory = crate::health::fleet_factory_opt(level);
-        let cfg = FleetConfig::new(devices, workers, seed);
+        let cfg = FleetConfig::new(devices, workers, FLEET_MASTER_SEED);
         let t0 = Instant::now();
         let stats = run_fleet(&cfg, &factory);
         let wall = t0.elapsed().as_secs_f64();
@@ -1856,45 +1432,56 @@ pub fn opt() -> Report {
          — the always-true guard keeps every event on the one priced path",
     );
     r.note(format!(
-        "fleet rows: wearable benchmark, {devices} devices, seed {seed:#x}, {workers} \
+        "fleet rows: wearable benchmark, {devices} devices, seed {FLEET_MASTER_SEED:#x}, {workers} \
          worker(s); each level compiles its suite once and shares it across the fleet \
          (`fleet_factory_opt`)"
     ));
     r
 }
 
-/// Runs every experiment, in paper order, plus the ablations.
+/// An experiment driver.
+pub type Driver = fn() -> Report;
+
+/// Every driver [`all`] runs, in paper order, keyed by the id of the
+/// report it returns: `experiments -- <id>` runs one alone. Each
+/// report is deterministic and diffed against its committed
+/// `BENCH_<id>.json` by `cargo test`.
+pub const ALL: [(&str, Driver); 12] = [
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("table2", table2),
+    ("ablation_deployment", ablation_deployment),
+    ("ablation_scalability", ablation_scalability),
+    ("scaling", scaling),
+    ("traffic", traffic),
+    ("energy", energy),
+    ("fleet_smoke", fleet_smoke),
+];
+
+/// Runs every experiment in [`ALL`].
 pub fn all() -> Vec<Report> {
-    vec![
-        fig12(),
-        fig13(),
-        fig14(),
-        fig15(),
-        fig16(),
-        table2(),
-        ablation_deployment(),
-        ablation_scalability(),
-        scaling(),
-        dispatch(),
-        delta(),
-        batch(),
-        cache(),
-        bytes(),
-        energy(),
-        fleet_smoke(),
-    ]
+    ALL.iter().map(|(_, run)| run()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Asserts that a driver whose every column is simulated — so its
-    /// report is deterministic — produced exactly its committed
+    /// Asserts that a driver of [`ALL`] — every column simulated, so
+    /// its report is deterministic — produced exactly its committed
     /// artifact (regenerate with `experiments -- <id> --emit` from the
     /// repository root). Shape tests call this on the report they
     /// already built, so no driver runs twice.
     fn assert_committed(report: &Report) {
+        assert!(
+            ALL.iter().any(|(id, _)| *id == report.id),
+            "`{}` is not an id in ALL, so `experiments -- {} --emit` cannot regenerate it",
+            report.id,
+            report.id
+        );
         let path = format!(
             "{}/../../BENCH_{}.json",
             env!("CARGO_MANIFEST_DIR"),
@@ -2092,11 +1679,50 @@ mod tests {
         );
     }
 
+    /// The traffic report, built once and shared by every test that
+    /// reads it.
+    fn traffic_report() -> &'static Report {
+        static REPORT: std::sync::OnceLock<Report> = std::sync::OnceLock::new();
+        REPORT.get_or_init(traffic)
+    }
+
+    /// The traffic row keyed `"<workload> <engine> <delivery> <reads>"`.
+    fn traffic_row(key: &str) -> &'static [String] {
+        traffic_report()
+            .rows
+            .iter()
+            .find(|row| row[..4].iter().eq(key.split(' ')))
+            .unwrap_or_else(|| panic!("missing traffic row {key}"))
+    }
+
+    /// Column `name` of a traffic row, as a number.
+    fn cell(row: &[String], name: &str) -> f64 {
+        let i = traffic_report()
+            .columns
+            .iter()
+            .position(|c| c == name)
+            .unwrap_or_else(|| panic!("no traffic column {name}"));
+        row[i]
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} is not a number: {row:?}"))
+    }
+
+    /// The compiled suite a traffic workload installs.
+    fn compiled_workload(workload: &str) -> artemis_ir::compile::CompiledSuite {
+        let (suite, app, _) = match workload {
+            "sparse" => stress_suite(1, false),
+            "dense" => stress_suite(DISPATCH_VARS, false),
+            "scaling-32" => properties_workload(32),
+            _ => panic!("unknown workload {workload}"),
+        };
+        artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles")
+    }
+
     #[test]
     fn dispatch_compiled_cuts_fram_ops_3x() {
-        let r = dispatch();
-        let ops = |i: usize| -> f64 { r.rows[i][5].parse().unwrap() };
-        let (interp, compiled) = (ops(0), ops(1));
+        let ops = |key| cell(traffic_row(key), "ops/event");
+        let interp = ops("dense interpreter per-event warm");
+        let compiled = ops("dense compiled per-event warm");
         let ratio = interp / compiled;
         assert!(
             ratio >= 3.0,
@@ -2106,54 +1732,46 @@ mod tests {
 
     #[test]
     fn delta_cuts_dispatch_fram_ops_2x() {
-        let r = delta();
-        let ops = |workload: &str, mode: &str| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == workload && row[1] == mode)
-                .unwrap_or_else(|| panic!("missing row {workload}/{mode}"))[5]
-                .parse()
-                .unwrap()
-        };
+        let ops = |key| cell(traffic_row(key), "ops/event");
         // The removed whole-block commit mode measured 156 ops/event on
         // this workload; span loads + sparse commits must halve it.
-        let compiled = ops("dispatch", "compiled");
+        let compiled = ops("sparse compiled per-event warm");
         assert!(
             compiled <= 78.0,
-            "dispatch cost must be <= 78 ops/event (2x vs the 156 baseline), got {compiled}"
+            "sparse cost must be <= 78 ops/event (2x vs the 156 baseline), got {compiled}"
         );
-        assert!(compiled < ops("dispatch", "interpreter"));
+        assert!(compiled < ops("sparse interpreter per-event warm"));
         // Degraded whole-block images stay under the removed mode's
         // entry-list commits (dense: 135 ops/event at that commit).
-        let dense = ops("dispatch-dense", "compiled");
+        let dense = ops("dense compiled per-event warm");
         assert!(dense < 135.0, "dense dispatch regressed: {dense}");
     }
 
     #[test]
     fn batch_cuts_sparse_dispatch_fram_ops_1_5x() {
-        let r = batch();
-        let ops = |mode: &str| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == mode)
-                .unwrap_or_else(|| panic!("missing row {mode}"))[4]
-                .parse()
-                .unwrap()
+        let ops = |delivery: &str| {
+            cell(
+                traffic_row(&format!("sparse compiled {delivery} warm")),
+                "ops/event",
+            )
         };
-        let baseline = ops("per-event delta");
+        let baseline = ops("per-event");
         let b4 = ops("batch-4");
         assert!(
             b4 * 1.5 <= baseline,
-            "batch-4 must cut FRAM ops >= 1.5x vs per-event delta: \
-             {baseline} vs {b4} ({:.2}x)",
+            "batch-4 must cut FRAM ops >= 1.5x vs per-event: {baseline} vs {b4} ({:.2}x)",
             baseline / b4
         );
-        // Size-1 batches pay the arming record for nothing: they may
-        // not beat the per-event path, but must stay within noise.
-        let b1 = ops("batch-1");
-        assert!(
-            b1 <= baseline * 1.1,
-            "batch-1 must stay within noise of per-event delta: {baseline} vs {b1}"
+        // Both entry points share one arm/run path, so a size-1 batch
+        // is a per-event delivery in every measured column.
+        let measured = 4..traffic_report()
+            .columns
+            .iter()
+            .position(|c| c == "ops ceiling/event")
+            .unwrap();
+        assert_eq!(
+            traffic_row("sparse compiled batch-1 warm")[measured.clone()],
+            traffic_row("sparse compiled per-event warm")[measured]
         );
         // Larger batches amortise more.
         assert!(ops("batch-8") < b4, "batch-8 must beat batch-4");
@@ -2167,29 +1785,19 @@ mod tests {
     /// refill while writing exactly what a warm one does.
     #[test]
     fn cache_eliminates_steady_state_reads() {
-        let r = cache();
-        let col = |mode: &str, cache: &str, i: usize| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == mode && row[1] == cache)
-                .unwrap_or_else(|| panic!("missing row {mode}/{cache}"))[i]
-                .parse()
-                .unwrap()
-        };
-        let (reads, writes, ops, misses, invalidations) = (2, 3, 5, 7, 8);
-
         // Write-only steady state: not one FRAM read, not one miss.
-        for mode in ["per-event", "batch-8"] {
-            assert_eq!(col(mode, "warm", reads), 0.0, "{mode}");
-            assert_eq!(col(mode, "warm", misses), 0.0, "{mode}");
-            assert_eq!(col(mode, "warm", invalidations), 0.0, "{mode}");
-            assert_eq!(
-                col(mode, "always-cold", writes),
-                col(mode, "warm", writes),
-                "{mode}: the shadow is write-through"
-            );
+        for row in traffic_report()
+            .rows
+            .iter()
+            .filter(|row| row[1] == "compiled" && row[3] == "warm")
+        {
+            for column in ["FRAM reads", "misses", "invalidations"] {
+                assert_eq!(cell(row, column), 0.0, "{column}: {row:?}");
+            }
         }
-        let (b1, b8) = (col("per-event", "warm", ops), col("batch-8", "warm", ops));
+        let ops = |key| cell(traffic_row(key), "ops/event");
+        let b1 = ops("sparse compiled per-event warm");
+        let b8 = ops("sparse compiled batch-8 warm");
         assert!(
             b1 < 71.0,
             "warm B=1 must beat the 71 ops/event baseline: {b1}"
@@ -2199,94 +1807,85 @@ mod tests {
             "warm B=8 must beat the 9 ops/event baseline: {b8}"
         );
 
-        let (suite, app, _t0) = sparse_dispatch_suite();
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
+        let compiled = compiled_workload("sparse");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
         let b8_bound = artemis_ir::batch_bounds(&compiled, 8);
         assert!(key.writes as f64 >= b1, "warm bound must dominate");
         assert!(b8_bound.writes.div_ceil(8) as f64 >= b8);
 
-        // Always cold: every delivery is invalidated once and refills
-        // exactly the static cold-miss bound.
-        for (mode, n) in [("per-event", 200.0), ("batch-8", 25.0)] {
-            assert_eq!(col(mode, "always-cold", invalidations), n, "{mode}");
+        // Always cold: every delivery is invalidated once, refills
+        // exactly the static cold-miss bound, and writes what a warm
+        // delivery writes (the shadow is write-through).
+        for (delivery, deliveries, cold_extra_reads) in [
+            ("per-event", 200.0, key.cold_extra_reads),
+            ("batch-8", 25.0, b8_bound.cold_extra_reads),
+        ] {
+            let warm = traffic_row(&format!("sparse compiled {delivery} warm"));
+            let cold = traffic_row(&format!("sparse compiled {delivery} always-cold"));
+            assert_eq!(cell(cold, "FRAM writes"), cell(warm, "FRAM writes"));
+            assert_eq!(cell(cold, "invalidations"), deliveries, "{delivery}");
+            assert_eq!(cell(cold, "cold reads/delivery"), cold_extra_reads as f64);
+            assert_eq!(
+                cell(cold, "FRAM reads"),
+                deliveries * cold_extra_reads as f64,
+                "{delivery}"
+            );
         }
-        assert_eq!(
-            col("per-event", "always-cold", reads),
-            200.0 * key.cold_extra_reads as f64
-        );
-        assert_eq!(
-            col("batch-8", "always-cold", reads),
-            25.0 * b8_bound.cold_extra_reads as f64
-        );
     }
 
-    /// Acceptance criteria on the byte sweep: packed + diff cuts FRAM
+    /// Acceptance criteria on FRAM bytes: packed + diff cuts FRAM
     /// bytes/event >= 1.5x against the removed tagged baseline, the
-    /// static write-byte bound dominates every row, always-cold
-    /// delivery writes exactly what warm delivery does, and batching
-    /// only ever shrinks the bytes.
+    /// static write-byte bound dominates, always-cold delivery writes
+    /// exactly what warm delivery does, batching only ever shrinks the
+    /// bytes, and every row's time covers the cost model's FRAM floor.
     #[test]
     fn bytes_packed_diff_meets_acceptance() {
-        let r = bytes();
-        let col = |cache: &str, i: usize| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == "diff" && row[1] == cache)
-                .unwrap_or_else(|| panic!("missing row {cache}"))[i]
-                .parse()
-                .unwrap()
-        };
-        let (read_b, write_b, total) = (2, 3, 4);
+        let warm = traffic_row("sparse compiled per-event warm");
+        let cold = traffic_row("sparse compiled per-event always-cold");
 
         // Headline: >= 1.5x FRAM bytes/event reduction, packed + diff
         // warm vs the tagged slot-granular baseline (858 B/event).
-        let headline = col("warm", total);
+        let headline = cell(warm, "B/event");
         assert!(
             headline * 1.5 <= 858.0,
             "packed+diff must cut FRAM bytes >= 1.5x: 858 -> {headline}"
         );
 
-        let (suite, app, _t0) = sparse_dispatch_suite();
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
+        let compiled = compiled_workload("sparse");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
         assert_eq!(
-            col("warm", read_b),
+            cell(warm, "read B/event"),
             0.0,
             "warm deliveries must be read-free"
         );
-        assert!(col("warm", write_b) < key.write_bytes as f64);
-        assert_eq!(col("always-cold", write_b), col("warm", write_b));
-        assert!(col("always-cold", read_b) > 0.0);
-        assert!(col("warm batch-8", total) < headline);
+        assert!(cell(warm, "write B/event") < key.write_bytes as f64);
+        assert_eq!(cell(cold, "write B/event"), cell(warm, "write B/event"));
+        assert!(cell(cold, "read B/event") > 0.0);
+        assert!(cell(traffic_row("sparse compiled batch-8 warm"), "B/event") < headline);
 
         // Time and energy track the byte mix through the cost model:
         // every FRAM access pays 25 us + 1 us/B, so per-event time must
         // dominate that floor on every row.
-        for r2 in &r.rows {
-            let ops: f64 = r2[5].parse().unwrap();
-            let bytes: f64 = r2[4].parse().unwrap();
-            let us: f64 = r2[6].parse().unwrap();
-            let nj: f64 = r2[7].parse().unwrap();
+        for row in &traffic_report().rows {
+            let floor = 25.0 * cell(row, "ops/event") + cell(row, "B/event");
+            let us = cell(row, "time/event (us)");
             assert!(
-                us + 1e-6 >= 25.0 * ops + bytes,
-                "time/event {us} must cover the FRAM floor of {} ({r2:?})",
-                25.0 * ops + bytes
+                us + 1e-6 >= floor,
+                "time/event {us} must cover the FRAM floor of {floor} ({row:?})"
             );
-            assert!(nj > 0.0);
+            assert!(cell(row, "nJ/event") > 0.0);
         }
     }
 
-    /// The cost-sweep drivers' committed artifacts are current (the
-    /// figure, scaling, energy and ablation drivers are diffed inside
-    /// their shape tests).
+    /// The drivers without a shape test of their own produce exactly
+    /// their committed artifacts (the figure, table, scaling, energy
+    /// and ablation drivers are diffed inside their shape tests).
     #[test]
     fn committed_simulated_artifacts_are_current() {
-        for report in [delta(), batch(), dispatch(), cache(), bytes()] {
-            assert_committed(&report);
-        }
+        assert_committed(traffic_report());
+        assert_committed(&fleet_smoke());
     }
 
     /// Same soundness direction as
@@ -2295,13 +1894,16 @@ mod tests {
     /// never under-estimate the measured per-event cost.
     #[test]
     fn batch_static_bound_dominates_measured() {
-        let r = batch();
-        let (suite, app, _t0) = sparse_dispatch_suite();
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        for row in r.rows.iter().filter(|row| row[0].starts_with("batch-")) {
-            let b: usize = row[0]["batch-".len()..].parse().unwrap();
-            let measured: f64 = row[4].parse().unwrap();
+        let compiled = compiled_workload("sparse");
+        for row in traffic_report()
+            .rows
+            .iter()
+            .filter(|row| row[0] == "sparse" && row[2].starts_with("batch-"))
+        {
+            let b: usize = row[2]["batch-".len()..].parse().unwrap();
+            let measured = cell(row, "ops/event");
             let bound = artemis_ir::batch_bounds(&compiled, b).ops_per_event_ceil();
+            assert_eq!(cell(row, "ops ceiling/event"), bound as f64, "{row:?}");
             assert!(
                 bound as f64 >= measured,
                 "batch-{b}: static bound {bound} must dominate measured {measured} ops/event"
@@ -2310,28 +1912,33 @@ mod tests {
     }
 
     /// The static resource-bound pass must dominate what the engine
-    /// actually does on the dispatch workload — the soundness direction
-    /// of the bound (the monitor crate pins exact equality for this
-    /// shape; here it must at least never under-estimate).
+    /// actually does per event on every workload — the soundness
+    /// direction of the bound (the monitor crate pins exact equality
+    /// for the dense shape; here it must at least never under-estimate).
     #[test]
     fn dispatch_static_bound_dominates_measured() {
-        let r = dispatch();
-        let measured: f64 = r.rows[1][5].parse().unwrap();
-
-        let (suite, app, _t0) = dispatch_suite();
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds.worst_event().expect("has event keys");
-        assert!(
-            key.ops() as f64 >= measured,
-            "static bound {} must dominate measured compiled ops/event {measured}",
-            key.ops()
-        );
+        for row in traffic_report()
+            .rows
+            .iter()
+            .filter(|row| row[1] == "compiled" && row[2] == "per-event")
+        {
+            let compiled = compiled_workload(&row[0]);
+            let bounds = artemis_ir::suite_bounds(&compiled);
+            let key = bounds.worst_event().expect("has event keys");
+            let measured = cell(row, "ops/event");
+            assert_eq!(cell(row, "ops ceiling/event"), key.ops() as f64, "{row:?}");
+            assert!(
+                key.ops() as f64 >= measured,
+                "static bound {} must dominate measured compiled ops/event {measured} ({row:?})",
+                key.ops()
+            );
+        }
     }
 
     #[test]
     fn table2_orderings_match_paper() {
         let r = table2();
+        assert_committed(&r);
         let fram = |i: usize| -> usize { r.rows[i][3].parse().unwrap() };
         let mayfly_fram = fram(0);
         let artemis_rt_fram = fram(1);
