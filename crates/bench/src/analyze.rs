@@ -140,7 +140,7 @@ fn lint_suite(
         out.push((target.to_string(), d));
     }
     let profile = wearable_profile();
-    let bounds = artemis_ir::suite_bounds(&compiled);
+    let bounds = artemis_ir::suite_bounds(&compiled, &profile);
     for d in artemis_ir::analysis::check_energy(&compiled, &bounds, app, &profile) {
         out.push((target.to_string(), d));
     }

@@ -26,18 +26,17 @@ fn dnf_limit() -> RunLimit {
 const DNF_TRACE_CAP: usize = 4096;
 
 /// The benchmark's static-analysis context: app graph (with task cost
-/// declarations), compiled suite, and per-key FRAM-op bounds —
-/// everything `artemis_ir::analysis::task_feasibility` prices.
+/// declarations) and compiled suite — with
+/// `artemis_ir::suite_bounds` of a device profile, everything
+/// `artemis_ir::analysis::task_feasibility` prices.
 fn health_analysis() -> (
     artemis_core::app::AppGraph,
     artemis_ir::compile::CompiledSuite,
-    artemis_ir::SuiteBounds,
 ) {
     let app = health_app();
     let suite = artemis_ir::compile(HEALTH_SPEC, &app).expect("benchmark spec compiles");
     let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
-    (app, compiled, bounds)
+    (app, compiled)
 }
 
 fn verdict_name(v: artemis_ir::analysis::Verdict) -> &'static str {
@@ -53,10 +52,11 @@ fn verdict_name(v: artemis_ir::analysis::Verdict) -> &'static str {
 /// the 800 µJ benchmark capacitor (the testbed the DNF sweeps run on).
 fn health_worst_verdict() -> artemis_ir::analysis::Verdict {
     use artemis_ir::analysis::Verdict;
-    let (app, compiled, bounds) = health_analysis();
+    let (app, compiled) = health_analysis();
     let profile = intermittent_sim::EnergyProfile::with_budget(
         crate::health::benchmark_capacitor().usable_budget(),
     );
+    let bounds = artemis_ir::suite_bounds(&compiled, &profile);
     artemis_ir::analysis::task_feasibility(&compiled, &bounds, &app, &profile)
         .into_iter()
         .map(|f| f.verdict)
@@ -663,6 +663,15 @@ fn stress_suite(written: usize, guarded: bool) -> Workload {
 /// Events per measured stream.
 const STREAM_EVENTS: u64 = 200;
 
+/// The device every traffic row runs on: the MSP430FR5994 testbed on
+/// continuous power, whose 1.6 mJ capacitor fits each workload's whole
+/// worklist in one commit group.
+fn traffic_device() -> intermittent_sim::Device {
+    intermittent_sim::DeviceBuilder::msp430fr5994()
+        .trace_disabled()
+        .build()
+}
+
 /// FRAM traffic, monitor time and energy, and shadow-cache counters of
 /// one [`measure`] run.
 struct Traffic {
@@ -670,6 +679,7 @@ struct Traffic {
     writes: u64,
     read_bytes: u64,
     write_bytes: u64,
+    records: u64,
     time: SimDuration,
     energy: intermittent_sim::Energy,
     cache: artemis_monitor::CacheStats,
@@ -703,9 +713,7 @@ fn measure(
         batch: batch.map_or(opts.batch, |max_events| BatchMode::Enabled { max_events }),
         ..opts
     };
-    let mut dev = intermittent_sim::DeviceBuilder::msp430fr5994()
-        .trace_disabled()
-        .build();
+    let mut dev = traffic_device();
     let engine = MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).expect("installs");
     engine.reset_monitor(&mut dev).expect("reset");
     let fram = |dev: &intermittent_sim::Device| {
@@ -713,6 +721,7 @@ fn measure(
         [f.read_ops(), f.write_ops(), f.read_bytes(), f.write_bytes()]
     };
     let fram0 = fram(&dev);
+    let records0 = dev.journal_records();
     let time0 = dev.stats().time(CostCategory::Monitor);
     let energy0 = dev.stats().energy(CostCategory::Monitor);
     let group = batch.unwrap_or(1) as u64;
@@ -741,6 +750,7 @@ fn measure(
         writes,
         read_bytes,
         write_bytes,
+        records: dev.journal_records() - records0,
         time: dev.stats().time(CostCategory::Monitor) - time0,
         energy: dev.stats().energy(CostCategory::Monitor) - energy0,
         cache: engine.cache_stats(),
@@ -756,14 +766,15 @@ fn measure(
 /// rounded-up share.
 fn static_ceilings((suite, app, _): &Workload, batch: Option<usize>) -> [usize; 4] {
     let compiled = artemis_ir::compile::CompiledSuite::compile(suite, app).expect("compiles");
+    let profile = traffic_device().energy_profile();
     match batch {
         None => {
-            let bounds = artemis_ir::suite_bounds(&compiled);
+            let bounds = artemis_ir::suite_bounds(&compiled, &profile);
             let key = bounds.worst_event().expect("has event keys");
             [key.ops(), key.writes, key.write_bytes, key.cold_extra_reads]
         }
         Some(b) => {
-            let bound = artemis_ir::batch_bounds(&compiled, b);
+            let bound = artemis_ir::batch_bounds(&compiled, b, &profile);
             [
                 bound.ops_per_event_ceil(),
                 bound.writes.div_ceil(b),
@@ -819,6 +830,7 @@ pub fn traffic() -> Report {
             "FRAM writes",
             "reads/event",
             "ops/event",
+            "records/event",
             "read B/event",
             "write B/event",
             "B/event",
@@ -855,6 +867,7 @@ pub fn traffic() -> Report {
             t.writes.to_string(),
             per_event(t.reads),
             per_event(t.reads + t.writes),
+            format!("{:.2}", t.records as f64 / STREAM_EVENTS as f64),
             per_event(t.read_bytes),
             per_event(t.write_bytes),
             per_event(t.read_bytes + t.write_bytes),
@@ -900,6 +913,12 @@ pub fn traffic() -> Report {
          rows, batch_bounds(b) per full batch divided by b (rounded up) for batch-b rows; \
          cold reads/delivery is the static cold_extra_reads refill, which always-cold rows \
          pay exactly once per delivery",
+    );
+    r.note(
+        "records/event: journal records committed per event (Device::journal_records), \
+         one per commit group; the testbed's 1.6 mJ capacitor fits each compiled \
+         worklist in one group, whose record also carries the arming sub-writes, and the \
+         interpreter commits one machine per group",
     );
     r.note(
         "cost model: FRAM access = 25 us + 1 us/B (5 nJ read / 7 nJ write base + \
@@ -953,13 +972,14 @@ pub fn energy() -> Report {
             "agreement",
         ],
     );
-    let (app, compiled, bounds) = health_analysis();
+    let (app, compiled) = health_analysis();
     for budget_uj in [150u64, 250, 350, 450, 550, 600, 650, 700, 800, 1000] {
         let mut dev = benchmark_device_with_budget(
             intermittent_sim::Energy::from_micro_joules(budget_uj),
             Harvester::FixedDelay(nominal_minutes(1)),
         );
         let profile = dev.energy_profile();
+        let bounds = artemis_ir::suite_bounds(&compiled, &profile);
         let feas = artemis_ir::analysis::task_feasibility(&compiled, &bounds, &app, &profile);
 
         let mut rt = install_artemis(&mut dev, HEALTH_SPEC);
@@ -1808,9 +1828,10 @@ mod tests {
         );
 
         let compiled = compiled_workload("sparse");
-        let bounds = artemis_ir::suite_bounds(&compiled);
+        let profile = traffic_device().energy_profile();
+        let bounds = artemis_ir::suite_bounds(&compiled, &profile);
         let key = bounds.worst_event().expect("has event keys");
-        let b8_bound = artemis_ir::batch_bounds(&compiled, 8);
+        let b8_bound = artemis_ir::batch_bounds(&compiled, 8, &profile);
         assert!(key.writes as f64 >= b1, "warm bound must dominate");
         assert!(b8_bound.writes.div_ceil(8) as f64 >= b8);
 
@@ -1834,6 +1855,28 @@ mod tests {
         }
     }
 
+    /// Grouped commits on the traffic device: the sparse per-event
+    /// worklist fits one commit group, so each event commits one
+    /// record — the arming sub-writes and eight one-byte runs — for 15
+    /// writes and 184 write B, where one arming record plus a record
+    /// per machine cost 47 writes and 280 B. An always-cold delivery
+    /// reads exactly the static refill bytes, whole blocks included.
+    #[test]
+    fn sparse_events_commit_one_record_each() {
+        let warm = traffic_row("sparse compiled per-event warm");
+        assert_eq!(cell(warm, "FRAM writes"), 15.0 * STREAM_EVENTS as f64);
+        assert_eq!(cell(warm, "write B/event"), 184.0);
+        assert_eq!(cell(warm, "records/event"), 1.0);
+
+        let compiled = compiled_workload("sparse");
+        let bounds = artemis_ir::suite_bounds(&compiled, &traffic_device().energy_profile());
+        let key = bounds.worst_event().expect("has event keys");
+        assert_eq!(key.groups, 1);
+        let cold = traffic_row("sparse compiled per-event always-cold");
+        assert_eq!(cell(cold, "read B/event"), key.cold_read_bytes as f64);
+        assert_eq!(key.cold_read_bytes, 203);
+    }
+
     /// Acceptance criteria on FRAM bytes: packed + diff cuts FRAM
     /// bytes/event >= 1.5x against the removed tagged baseline, the
     /// static write-byte bound dominates, always-cold delivery writes
@@ -1853,7 +1896,7 @@ mod tests {
         );
 
         let compiled = compiled_workload("sparse");
-        let bounds = artemis_ir::suite_bounds(&compiled);
+        let bounds = artemis_ir::suite_bounds(&compiled, &traffic_device().energy_profile());
         let key = bounds.worst_event().expect("has event keys");
         assert_eq!(
             cell(warm, "read B/event"),
@@ -1902,7 +1945,8 @@ mod tests {
         {
             let b: usize = row[2]["batch-".len()..].parse().unwrap();
             let measured = cell(row, "ops/event");
-            let bound = artemis_ir::batch_bounds(&compiled, b).ops_per_event_ceil();
+            let bound = artemis_ir::batch_bounds(&compiled, b, &traffic_device().energy_profile())
+                .ops_per_event_ceil();
             assert_eq!(cell(row, "ops ceiling/event"), bound as f64, "{row:?}");
             assert!(
                 bound as f64 >= measured,
@@ -1923,7 +1967,7 @@ mod tests {
             .filter(|row| row[1] == "compiled" && row[2] == "per-event")
         {
             let compiled = compiled_workload(&row[0]);
-            let bounds = artemis_ir::suite_bounds(&compiled);
+            let bounds = artemis_ir::suite_bounds(&compiled, &traffic_device().energy_profile());
             let key = bounds.worst_event().expect("has event keys");
             let measured = cell(row, "ops/event");
             assert_eq!(cell(row, "ops ceiling/event"), key.ops() as f64, "{row:?}");

@@ -1,4 +1,5 @@
-//! Pass 2: static worst-case FRAM resource bounds.
+//! Pass 2: static worst-case FRAM resource bounds, and the cut of a
+//! delivery's worklist into energy-sized commit groups.
 //!
 //! Walks the routing index and dispatch tables to bound, per event key
 //! `(kind, task)`, what one delivered event can cost the engine's
@@ -10,51 +11,79 @@
 //! against measured dispatch-benchmark numbers in `artemis-bench`
 //! (static must dominate measured).
 //!
+//! # Commit groups
+//!
+//! The engine commits a delivery's worklist in **commit groups**:
+//! consecutive runs of worklist entries, one journal record per group
+//! and one done bit per group. Group 0's record also carries the
+//! arming sub-writes (event array, sequence number, verdict count,
+//! done bitmap), so a delivery whose whole worklist fits one group
+//! costs one record. [`commit_groups`] is the one function that cuts a
+//! worklist: a group grows while its **cold cost from a full charge**
+//! fits the device's energy budget less the profile's margin —
+//! recovery (replaying the group's own record), the armed-delivery
+//! load, each member's whole-block fill and step, and the group's
+//! record. The margin is the feasibility gate's warning band: it keeps
+//! room for the work the model does not price, such as the task
+//! runtime's boot bookkeeping before a redelivery, which runs ahead of
+//! group 0 on every attempt. A single member always forms a
+//! group, so a capacitor too small for two members still makes
+//! progress one machine at a time. The engine calls it at arming and
+//! on every cold load (the partition is derived, never persisted), and
+//! [`suite_bounds`], [`batch_bounds`] and the journal-capacity check
+//! call it on the same static [`MemberCost`]s.
+//!
 //! # Cost model
 //!
 //! The constants below mirror `artemis-monitor`'s engine and
 //! `intermittent-sim`'s journal byte-for-byte; they are pinned by tests
 //! in those crates (`bounds_model_matches_engine` in the monitor crate,
 //! the dominance assertion in the dispatch benchmark). The sim bills
-//! one FRAM op per `read_raw`/`write_raw` call. Every commit — event,
-//! reset or path restart — is one journal record: `k` sub-writes cost
-//! `0` reads and `k+3` writes (stage the whole record in one write, set
-//! the flag, apply each sub-write from RAM, clear the flag), and the
-//! record is a `u16` count plus a 6-byte header and the payload per
-//! sub-write.
+//! one FRAM op per `read_raw`/`write_raw` call. Every commit — event
+//! group, reset or path restart — is one journal record: `k` sub-writes
+//! cost `0` reads and `k+3` writes (stage the whole record in one
+//! write, set the flag, apply each sub-write from RAM, clear the flag),
+//! and the record is a `u16` count plus a 6-byte header and the payload
+//! per sub-write.
 //!
 //! Per delivered event, using each key's static [`AccessSet`] and each
 //! machine's packed [`crate::layout::MachineLayout`]:
 //!
 //! - **armed-delivery load**: recovery flag, sequence number, event
-//!   array and done bitmap — 4 reads, one op each. The worklist is not
-//!   persisted: the engine derives it from the armed events;
-//! - **arming**: one 4-sub-write sparse commit (event array, sequence
-//!   number, verdict count, done bitmap) — 7 writes, `40 + 31·e + ⌈N/8⌉`
-//!   record bytes for `e` events and `N` installed machines; the same
-//!   formula prices a one-event delivery and a batch;
-//! - **per armed machine**, worst case (effectful step): one read of
-//!   the covering slot span, then a sparse commit of the state word,
-//!   every write-set slot and the done bitmap — 1 read, `|W| + 5`
-//!   writes. Keys whose access set covers ≥ ¾ of the block degrade at
-//!   compile time to loading and committing the whole block image as
-//!   one sub-write — 1 read, 5 writes. An emitting machine adds the
-//!   verdict-count read and the verdict cell and count sub-writes;
+//!   array and done bitmap — 4 reads, one op each. The worklist and its
+//!   groups are not persisted: the engine derives both from the armed
+//!   events;
+//! - **group 0**: one record of the arming sub-writes (event array,
+//!   sequence number, verdict count, done bitmap — `40 + 31·e + ⌈N/8⌉`
+//!   record bytes for `e` events and `N` installed machines) plus its
+//!   members' sub-writes. With no members it is the 7-write arming
+//!   record every delivery pays;
+//! - **group g ≥ 1**: one record of its members' sub-writes and the
+//!   done bitmap (3 + 1 + members' sub-writes writes), plus the verdict
+//!   count when a member can emit;
+//! - **per member**, worst case (effectful step): one whole-block read
+//!   on a cold fill, and the state word plus every write-set slot as
+//!   sub-writes of its group's record. Keys whose access set covers ≥ ¾
+//!   of the block degrade at compile time to committing the whole block
+//!   image as one sub-write. An emitting member adds a verdict-cell
+//!   sub-write;
 //! - **verdict readback**: count read + one read per possible emitter.
 //!
 //! The static bound dominates the dynamic cost because the `Path:`
-//! filter only ever *shrinks* the worklist below the routing index's
-//! interest list, effectless steps complete with a single
-//! plain write instead of a commit, and a step's dynamic write set is
-//! a subset of the static one. The model prices each sparse commit
-//! slot-granular (state word + every write-set slot); the engine's
-//! dirty-diff commits only ever stage fewer runs and fewer bytes:
-//! changed bytes live inside the state word and write-set slots, at
-//! most one run forms per field, and the gap-merge rule only fires
-//! when the 6-byte header it saves covers the gap bytes it adds. The
-//! figures are attained exactly when every byte of the state word and
-//! of every written slot changes and the fields lie more than a header
-//! apart (the monitor crate's exactness pins use such a suite).
+//! filter only ever *dismisses* members inside their groups (the cut
+//! itself runs on the routing index's interest lists, so per-event
+//! groups are exactly the static ones), effectless steps stage nothing,
+//! a group `g ≥ 1` left holding only its done bit completes with a plain
+//! write instead of a commit, and a step's dynamic write set is a
+//! subset of the static one. The model prices each member slot-granular
+//! (state word + every write-set slot); the engine's dirty-diff runs
+//! only ever stage fewer runs and fewer bytes: changed bytes live
+//! inside the state word and write-set slots, at most one run forms per
+//! field, and the gap-merge rule only fires when the 6-byte header it
+//! saves covers the gap bytes it adds. The figures are attained exactly
+//! when every byte of the state word and of every written slot changes
+//! and the fields lie more than a header apart (the monitor crate's
+//! exactness pins use such a suite).
 //!
 //! # Cache-aware bounds
 //!
@@ -63,22 +92,23 @@
 //! armed delivery and its derived worklist, machine spans, verdict log
 //! — is served from RAM, and no commit re-reads the journal, so a warm
 //! delivery reads **nothing**: it costs exactly [`EventCost::writes`].
-//! [`EventCost::cold_extra_reads`] is the refill cost of the first
-//! delivery after a reboot (the armed-delivery load + one whole-block
-//! fill per armed machine); [`EventCost::reads`] and
-//! [`EventCost::read_bytes`] price every read the delivery performs as
-//! if nothing were shadowed — the post-reboot ceiling the energy gate
-//! charges, which dominates any cold delivery's read ops (a resumed one
-//! included). A cold load also re-derives the loaded delivery's
-//! worklist, one [`ROUTING_LOOKUP_CYCLES`] charge per event of it, on
-//! top of the warm [`EventCost::cycles`]; the energy ceilings price it.
-//! The batch path splits the same way
+//! [`EventCost::cold_extra_reads`] and [`EventCost::cold_read_bytes`]
+//! are the refill of the first delivery after a reboot (the
+//! armed-delivery load + one whole-block fill per armed machine);
+//! [`EventCost::reads`] and [`EventCost::read_bytes`] price every read
+//! the delivery performs as if nothing were shadowed — the post-reboot
+//! ceiling the energy gate charges, which dominates any cold delivery
+//! (a resumed one included). A cold load also re-derives the loaded
+//! delivery's worklist, one [`ROUTING_LOOKUP_CYCLES`] charge per event
+//! of it, on top of the warm [`EventCost::cycles`]; the energy ceilings
+//! price it. The batch path splits the same way
 //! ([`BatchBounds::cold_extra_reads`]). Write bounds hold warm and cold
 //! alike: the cache is write-through and never changes what the engine
 //! commits.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
+use intermittent_sim::{Energy, EnergyProfile};
 
 use crate::compile::{AccessSet, CompiledMachine, CompiledSuite};
 
@@ -111,13 +141,14 @@ const fn entry_bytes(data: usize) -> usize {
 }
 
 /// Bytes of the per-engine completion bitmap for `machines` installed
-/// machines: one bit per worklist position.
-fn done_bytes(machines: usize) -> usize {
+/// machines: one bit per commit group, and a worklist never holds more
+/// groups than machines.
+pub fn done_bytes(machines: usize) -> usize {
     machines.div_ceil(8).max(1)
 }
 
 /// What one journal commit costs, accumulated sub-write by sub-write.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, Debug)]
 struct RecordCost {
     subs: usize,
     entries: usize,
@@ -131,6 +162,15 @@ impl RecordCost {
         self.entries += entry_bytes(payload);
         self.data += payload;
         self
+    }
+
+    /// Adds every sub-write of `other`.
+    fn plus(self, other: RecordCost) -> Self {
+        RecordCost {
+            subs: self.subs + other.subs,
+            entries: self.entries + other.entries,
+            data: self.data + other.data,
+        }
     }
 
     /// Adds the sub-writes one machine commit stages for its state: the
@@ -165,9 +205,9 @@ impl RecordCost {
     }
 }
 
-/// The arming commit of a delivery of `events` events: one sparse
-/// record of the event array (`u16` count + events), the sequence
-/// number, the verdict count and the done bitmap.
+/// The arming sub-writes of a delivery of `events` events: the event
+/// array (`u16` count + events), the sequence number, the verdict count
+/// and the done bitmap.
 fn arming(events: usize, done_b: usize) -> RecordCost {
     RecordCost::default()
         .with(2 + ENCODED_EVENT_BYTES * events)
@@ -186,13 +226,219 @@ fn armed_load(capacity: usize, done_b: usize) -> (usize, usize) {
     )
 }
 
-/// Bytes of the block prefix one step of `access` loads.
-fn load_bytes(m: &CompiledMachine, access: &AccessSet) -> usize {
-    if access.whole_block {
-        m.layout().block_len
-    } else {
-        m.layout().span(access.max_touched_slot())
+/// The geometry of one armed delivery a commit group is priced in: the
+/// events its array holds (`capacity`, which sizes the cold load), the
+/// events armed now, and the done-bitmap bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ArmedShape {
+    /// Events one armed delivery holds.
+    pub capacity: usize,
+    /// Events of this delivery.
+    pub events: usize,
+    /// Bytes of the done bitmap ([`done_bytes`] of the suite size).
+    pub done_bytes: usize,
+}
+
+/// The static ceilings one worklist member adds to its commit group,
+/// from the per-key tables of the events it is routed: its whole-block
+/// cold fill, its dispatch and step cycles, its sub-writes (the state
+/// word plus the union of the keys' write sets, or the whole block
+/// image when any key degrades) and one verdict cell per emitting key.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MemberCost {
+    fill_bytes: usize,
+    cycles: u64,
+    record: RecordCost,
+    verdicts: usize,
+}
+
+impl MemberCost {
+    /// The cost of machine `m` routed the events whose keys `keys`
+    /// yields (one per event, in any order): what the engine prices a
+    /// worklist entry at, and what [`suite_bounds`] prices a key's
+    /// members at. Allocation-free.
+    pub fn routed(
+        m: &CompiledMachine,
+        keys: impl Iterator<Item = (EventKind, u32)> + Clone,
+    ) -> Self {
+        let l = m.layout();
+        let mut cost = MemberCost {
+            fill_bytes: l.block_len,
+            ..MemberCost::default()
+        };
+        let mut whole = false;
+        for (kind, task) in keys.clone() {
+            cost.cycles += COMPILED_DISPATCH_CYCLES + m.step_cost(kind, task).cycles;
+            cost.verdicts += usize::from(m.may_emit(kind, task));
+            whole |= m.access(kind, task).whole_block;
+        }
+        cost.record = if whole {
+            RecordCost::default().with(l.block_len)
+        } else {
+            (0..l.var_count() as u16)
+                .filter(|s| {
+                    keys.clone()
+                        .any(|(kind, task)| m.access(kind, task).writes.binary_search(s).is_ok())
+                })
+                .fold(RecordCost::default().with(l.state_bytes), |c, s| {
+                    c.with(l.slots[s as usize].enc.width())
+                })
+        };
+        cost
     }
+}
+
+/// One commit group's members folded together, with the group-level
+/// sub-writes derived on demand.
+#[derive(Clone, Copy, Debug, Default)]
+struct GroupCost {
+    first: bool,
+    members: usize,
+    fill_bytes: usize,
+    cycles: u64,
+    staged: RecordCost,
+    verdicts: usize,
+}
+
+impl GroupCost {
+    fn new(first: bool) -> Self {
+        GroupCost {
+            first,
+            ..GroupCost::default()
+        }
+    }
+
+    fn with(mut self, m: &MemberCost) -> Self {
+        self.members += 1;
+        self.fill_bytes += m.fill_bytes;
+        self.cycles += m.cycles;
+        self.staged = self.staged.plus(m.record);
+        self.verdicts += m.verdicts;
+        self
+    }
+
+    /// `true` when the group re-reads the verdict count before logging:
+    /// group 0 resets it, later groups append to it.
+    fn reads_count(&self) -> bool {
+        !self.first && self.verdicts > 0
+    }
+
+    /// The group's journal record: group 0's arming sub-writes, or the
+    /// done bitmap plus — when a member can emit — the verdict count,
+    /// then every member's sub-writes and verdict cells.
+    fn record(&self, shape: &ArmedShape) -> RecordCost {
+        let base = if self.first {
+            arming(shape.events, shape.done_bytes)
+        } else if self.verdicts > 0 {
+            RecordCost::default().with(U32_BYTES).with(shape.done_bytes)
+        } else {
+            RecordCost::default().with(shape.done_bytes)
+        };
+        (0..self.verdicts).fold(base.plus(self.staged), |c, _| c.with(VERDICT_BYTES))
+    }
+
+    /// Energy of running the group from a full charge right after a
+    /// reboot: recovery (the flag read and a replay of the group's own
+    /// record), the armed-delivery load and worklist re-derivation,
+    /// every member's whole-block fill and step, the verdict-count read
+    /// of a later emitting group, and the group's commit.
+    fn cold_energy(&self, shape: &ArmedShape, profile: &EnergyProfile) -> Energy {
+        let record = self.record(shape);
+        let (load_reads, load_bytes) = armed_load(shape.capacity, shape.done_bytes);
+        let count = usize::from(self.reads_count());
+        profile.model.traffic_energy(
+            load_reads + 1 + 2 * record.subs + self.members + count,
+            load_bytes + 2 + record.entries + self.fill_bytes + U32_BYTES * count,
+            record.subs + 1 + record.writes(),
+            record.data + FLAG_BYTES + record.write_bytes(),
+            ROUTING_LOOKUP_CYCLES * shape.events as u64 + self.cycles,
+        )
+    }
+}
+
+/// Cuts a worklist into commit groups: `ends` receives each group's
+/// exclusive end index into `members`, in order. Groups are
+/// consecutive; a group grows while its cold cost from a full charge
+/// fits `profile.margin_threshold()` (the budget less the margin the
+/// feasibility gate warns within), and a member that would push it
+/// over starts the next one. A single member always forms a group. An empty
+/// worklist still has group 0 — the arming record — so `ends` is never
+/// empty. Pure and allocation-free once `ends` has capacity for every
+/// group.
+pub fn commit_groups(
+    members: impl IntoIterator<Item = MemberCost>,
+    shape: &ArmedShape,
+    profile: &EnergyProfile,
+    ends: &mut Vec<u16>,
+) {
+    ends.clear();
+    let mut group = GroupCost::new(true);
+    let mut n = 0u16;
+    for m in members {
+        let grown = group.with(&m);
+        if group.members > 0 && grown.cold_energy(shape, profile) > profile.margin_threshold() {
+            ends.push(n);
+            group = GroupCost::new(false).with(&m);
+        } else {
+            group = grown;
+        }
+        n += 1;
+    }
+    ends.push(n);
+}
+
+/// What delivering a worklist of `members` costs, before the verdict
+/// readback: the armed-delivery load and routing, then per commit
+/// group [`commit_groups`] cuts — one whole-block fill per member (the
+/// engine's cold read), a count read for a later emitting group, and
+/// one record.
+#[derive(Default)]
+struct Priced {
+    groups: usize,
+    reads: usize,
+    read_bytes: usize,
+    writes: usize,
+    write_bytes: usize,
+    cycles: u64,
+    largest_record: usize,
+    /// Bytes of the cold refill: the armed-delivery load and every fill.
+    cold_read_bytes: usize,
+}
+
+fn price(
+    members: &[MemberCost],
+    shape: &ArmedShape,
+    profile: &EnergyProfile,
+    ends: &mut Vec<u16>,
+) -> Priced {
+    commit_groups(members.iter().copied(), shape, profile, ends);
+    let (reads, load_bytes) = armed_load(shape.capacity, shape.done_bytes);
+    let fills: usize = members.iter().map(|m| m.fill_bytes).sum();
+    let mut p = Priced {
+        reads,
+        read_bytes: load_bytes,
+        cycles: ROUTING_LOOKUP_CYCLES * shape.events as u64,
+        cold_read_bytes: load_bytes + fills,
+        ..Priced::default()
+    };
+    let mut start = 0;
+    for (g, &end) in ends.iter().enumerate() {
+        let end = end as usize;
+        let group = members[start..end]
+            .iter()
+            .fold(GroupCost::new(g == 0), |c, m| c.with(m));
+        start = end;
+        let count = usize::from(group.reads_count());
+        p.reads += group.members + count;
+        p.read_bytes += group.fill_bytes + U32_BYTES * count;
+        p.cycles += group.cycles;
+        let record = group.record(shape);
+        p.writes += record.writes();
+        p.write_bytes += record.write_bytes();
+        p.largest_record = p.largest_record.max(record.record());
+        p.groups += 1;
+    }
+    p
 }
 
 /// Worst-case cost of delivering one event under a given key.
@@ -213,6 +459,9 @@ pub struct EventCost {
     pub delta_machines: usize,
     /// Armed machines auto-degraded to whole-block loads and commits.
     pub degraded_machines: usize,
+    /// Commit groups [`commit_groups`] cuts the key's worklist into —
+    /// journal records per delivery (group 0 always exists).
+    pub groups: usize,
     /// Worst-case FRAM read operations with every read priced as if
     /// nothing were shadowed: the post-reboot ceiling. A warm delivery
     /// reads nothing; a freshly armed cold one reads
@@ -224,17 +473,19 @@ pub struct EventCost {
     /// Extra FRAM reads the first delivery after a reboot pays to
     /// refill the shadow: the armed-delivery load (recovery flag,
     /// sequence number, event array, done bitmap), and one whole-block
-    /// fill per armed machine (one op each, like the span read
-    /// [`EventCost::reads`] prices). Any post-reboot delivery —
-    /// including resuming an event armed before the crash — reads at
-    /// most [`EventCost::reads`] ops.
+    /// fill per armed machine. Any post-reboot delivery — including
+    /// resuming an event armed before the crash — reads at most
+    /// [`EventCost::reads`] ops.
     pub cold_extra_reads: usize,
+    /// FRAM bytes of the `cold_extra_reads` refill: the armed-delivery
+    /// load plus every armed machine's whole block.
+    pub cold_read_bytes: usize,
     /// Largest single journal commit, in payload bytes.
     pub commit_bytes: usize,
-    /// Worst-case FRAM bytes read with every read priced, machine
-    /// loads at their span (per-byte traffic priced on top of the
-    /// per-op base by the sim's cost model). A cold fill reads whole
-    /// blocks, so on span-loading keys it can exceed this figure.
+    /// Worst-case FRAM bytes read with every read priced — machine
+    /// loads at their whole block, as a cold fill reads them (per-byte
+    /// traffic priced on top of the per-op base by the sim's cost
+    /// model).
     pub read_bytes: usize,
     /// Worst-case FRAM bytes written.
     pub write_bytes: usize,
@@ -243,11 +494,12 @@ pub struct EventCost {
     /// cold one also re-derives the loaded delivery's worklist: one
     /// more [`ROUTING_LOOKUP_CYCLES`].
     pub cycles: u64,
-    /// FRAM write ops of the arming commit alone — a floor *every*
-    /// delivered event pays before any machine steps, warm or cold (the
-    /// cache is write-through and never absorbs writes).
+    /// FRAM write ops of the arming sub-writes alone, as one record —
+    /// a floor *every* delivered event pays before any machine steps,
+    /// warm or cold (the cache is write-through and never absorbs
+    /// writes): group 0 with no member effects.
     pub arming_writes: usize,
-    /// FRAM bytes the arming commit alone writes.
+    /// FRAM bytes the arming record alone writes.
     pub arming_write_bytes: usize,
 }
 
@@ -282,13 +534,23 @@ impl SuiteBounds {
 
 /// Computes the static resource bounds of a compiled suite by walking
 /// its routing index and dispatch tables, for an engine delivering one
-/// event at a time (see [`batch_bounds`] for larger capacities).
-pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
+/// event at a time (see [`batch_bounds`] for larger capacities) on a
+/// device of energy profile `profile`, whose budget sizes the commit
+/// groups.
+pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
     let done_b = done_bytes(machines.len());
+    let shape = ArmedShape {
+        capacity: 1,
+        events: 1,
+        done_bytes: done_b,
+    };
+    let arming = arming(1, done_b);
 
     let mut per_key = Vec::with_capacity(2 * (task_count + 1));
+    let mut members = Vec::with_capacity(machines.len());
+    let mut ends = Vec::with_capacity(machines.len() + 1);
     for kind in [EventKind::StartTask, EventKind::EndTask] {
         for key_task in 0..=task_count {
             // `task_count` stands in for any out-of-graph id: the
@@ -299,50 +561,17 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 (Some(key_task as u32), key_task as u32)
             };
             let armed = compiled.routing().interested(kind, probe);
+            members.clear();
+            members.extend(armed.iter().map(|&mi| {
+                MemberCost::routed(&machines[mi as usize], core::iter::once((kind, probe)))
+            }));
 
-            let arming = arming(1, done_b);
-            let (mut reads, mut read_bytes) = armed_load(1, done_b);
-            let mut writes = arming.writes();
-            let mut write_bytes = arming.write_bytes();
-            let mut commit = arming.record();
-            let mut cycles = ROUTING_LOOKUP_CYCLES;
-
-            let mut emitters = 0;
-            let mut degraded_machines = 0;
-            for &mi in armed {
-                let m = &machines[mi as usize];
-                let emits = m
-                    .transition_list(kind, probe)
-                    .iter()
-                    .any(|&ti| m.transitions[ti as usize].emit.is_some());
-                let access = m.access(kind, probe);
-                // The engine bills the key's static step ceiling (the
-                // cycle-priced worst path through its dispatched
-                // transitions) — identical table, so the bound is exact.
-                cycles += COMPILED_DISPATCH_CYCLES + m.step_cost(kind, probe).cycles;
-                degraded_machines += usize::from(access.whole_block);
-
-                // Span (or block) read, plus the verdict-count read of
-                // an emitter; one sparse commit of the state, the
-                // verdict cell and count, and the done bitmap.
-                let mut step = RecordCost::default().with_state(m, access, access.whole_block);
-                reads += 1;
-                read_bytes += load_bytes(m, access);
-                if emits {
-                    emitters += 1;
-                    reads += 1;
-                    read_bytes += U32_BYTES;
-                    step = step.with(VERDICT_BYTES).with(U32_BYTES);
-                }
-                step = step.with(done_b);
-                writes += step.writes();
-                write_bytes += step.write_bytes();
-                commit = commit.max(step.record());
-            }
-
-            // Verdict readback: count + one cell per possible emitter.
-            reads += 1 + emitters;
-            read_bytes += U32_BYTES + VERDICT_BYTES * emitters;
+            let p = price(&members, &shape, profile, &mut ends);
+            let emitters = members.iter().filter(|m| m.verdicts > 0).count();
+            let degraded_machines = armed
+                .iter()
+                .filter(|&&mi| machines[mi as usize].access(kind, probe).whole_block)
+                .count();
 
             per_key.push(EventCost {
                 kind,
@@ -351,16 +580,20 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 emitters,
                 delta_machines: armed.len() - degraded_machines,
                 degraded_machines,
-                reads,
-                writes,
+                groups: p.groups,
+                // Verdict readback: count + one cell per possible
+                // emitter.
+                reads: p.reads + 1 + emitters,
+                writes: p.writes,
                 // The armed-delivery load + one whole-block fill per
                 // armed machine (the fresh-arm cold path; resuming a
                 // pre-crash event is bounded by `reads`).
                 cold_extra_reads: 4 + armed.len(),
-                commit_bytes: commit,
-                read_bytes,
-                write_bytes,
-                cycles,
+                cold_read_bytes: p.cold_read_bytes,
+                commit_bytes: p.largest_record,
+                read_bytes: p.read_bytes + U32_BYTES + VERDICT_BYTES * emitters,
+                write_bytes: p.write_bytes,
+                cycles: p.cycles,
                 arming_writes: arming.writes(),
                 arming_write_bytes: arming.write_bytes(),
             });
@@ -397,35 +630,49 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
 /// The model is deliberately conservative — it must dominate any
 /// actual batch the engine can run:
 ///
-/// - **armed-delivery load** and **arming**: the per-event formulas of
-///   [`suite_bounds`] at `max_events` events — 4 reads, then one
-///   4-sub-write sparse commit whose event array carries a `u16` count
-///   plus `max_events` encoded events.
+/// - **armed-delivery load**: the per-event formula of [`suite_bounds`]
+///   at `max_events` events — 4 reads of a `u16` count plus
+///   `max_events` encoded events, seq and done bitmap.
 /// - **per machine** (all machines may be armed): the footprint is the
 ///   union of the machine's access sets over *every* dispatch key, and
-///   a machine emits if *any* of its transitions emits. One covering
-///   span read (whole block when any key degrades), a verdict-count
-///   read for emitters, then a single sparse commit of: the state word
-///   (or the whole block image) + every merged write slot + up to
-///   `max_events` verdict cells + the count + the done bitmap.
+///   a machine emits if *any* of its transitions emits. One whole-block
+///   cold fill, then its state word (or the whole block image) + every
+///   merged write slot + up to `max_events` verdict cells as sub-writes
+///   of its group's record.
+/// - **groups**: [`commit_groups`] over every machine in suite order at
+///   those worst-case member costs; group 0 carries the arming
+///   sub-writes of `max_events` events.
 /// - **verdict readback**: count read + up to `max_events` cells per
 ///   emitter.
 ///
 /// Dominance over the engine's dynamic cost follows from the same
 /// arguments as [`suite_bounds`], plus: the derived worklist is a
-/// subset of all machines, a batch's dynamic merged access set unions access
-/// sets of *delivered* keys only (⊆ union over all keys), and a machine
-/// emits at most one verdict per event in the batch. A warm batch
-/// reads nothing, exactly like a warm event.
+/// subset of all machines, a batch's dynamic merged access set unions
+/// access sets of *delivered* keys only (⊆ union over all keys), and a
+/// machine emits at most one verdict per event in the batch. Smaller
+/// members never cut into more groups (the cut is next-fit, which is
+/// monotone in member costs and worklist subsets), so the engine's
+/// groups are never more than the bound's. A warm batch reads nothing,
+/// exactly like a warm event.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BatchBounds {
     /// Batch capacity the bound was derived for.
     pub max_events: usize,
-    /// Journal bytes of the batch arming commit.
+    /// Journal bytes of the batch arming sub-writes as one record.
     pub arming_commit_bytes: usize,
-    /// Largest single journal commit the batch path can stage (arming
-    /// or any machine's coalesced commit).
+    /// Largest single journal commit the batch path can stage: every
+    /// machine in one group, in the larger of its two commit formats —
+    /// a smaller member cost can let the engine pack more members into
+    /// one group than the bound's cut does, never more than all of them.
     pub worst_commit_bytes: usize,
+    /// Commit groups of a full batch arming every machine.
+    pub groups: usize,
+    /// `true` when every machine in one group, each at its largest
+    /// commit format and verdict count, fits the margin threshold: then
+    /// [`commit_groups`] never cuts a worklist an engine of this
+    /// capacity can arm, since the cut is next-fit, monotone in member
+    /// costs and in worklist subsets.
+    pub fits_one_group: bool,
     /// Worst-case FRAM reads for one full batch with every read priced
     /// (the post-reboot ceiling; a warm batch reads nothing).
     pub reads: usize,
@@ -436,6 +683,8 @@ pub struct BatchBounds {
     /// armed machine. A resumed (pre-crash) batch reads at
     /// most [`BatchBounds::reads`] ops.
     pub cold_extra_reads: usize,
+    /// FRAM bytes of the `cold_extra_reads` refill.
+    pub cold_read_bytes: usize,
     /// Worst-case FRAM bytes read for one full batch.
     pub read_bytes: usize,
     /// Worst-case FRAM bytes written for one full batch.
@@ -462,19 +711,26 @@ impl BatchBounds {
 }
 
 /// Computes the batch-path resource bound for batches of up to
-/// `max_events` events (see [`BatchBounds`]).
-pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds {
+/// `max_events` events on a device of energy profile `profile` (see
+/// [`BatchBounds`]).
+pub fn batch_bounds(
+    compiled: &CompiledSuite,
+    max_events: usize,
+    profile: &EnergyProfile,
+) -> BatchBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
     let done_b = done_bytes(machines.len());
+    let shape = ArmedShape {
+        capacity: max_events,
+        events: max_events,
+        done_bytes: done_b,
+    };
 
-    let arming = arming(max_events, done_b);
-    let (mut reads, mut read_bytes) = armed_load(max_events, done_b);
-    let mut writes = arming.writes();
-    let mut write_bytes = arming.write_bytes();
-    let mut commit = arming.record();
-    let mut cycles = ROUTING_LOOKUP_CYCLES * max_events as u64;
-
+    // Members as the bound's traffic prices them, and in the larger of
+    // their two commit formats for the record-size bound.
+    let mut members = Vec::with_capacity(machines.len());
+    let mut largest = GroupCost::new(true);
     let mut emitters = 0;
     for m in machines {
         // Merged footprint over every key the machine can see, plus
@@ -491,72 +747,68 @@ pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds 
                 };
                 access.union_with(m.access(kind, probe));
                 worst_step_cycles = worst_step_cycles.max(m.step_cost(kind, probe).cycles);
-                emits |= m
-                    .transition_list(kind, probe)
-                    .iter()
-                    .any(|&ti| m.transitions[ti as usize].emit.is_some());
+                emits |= m.may_emit(kind, probe);
             }
         }
-        // Worst static step ceiling over every key the machine can see
-        // — the engine bills the actual key's ceiling per event, so
-        // the batch bound stays sound for any event mix.
-        cycles += max_events as u64 * (COMPILED_DISPATCH_CYCLES + worst_step_cycles);
-
-        // Span (or block) read + verdict-count read for emitters.
-        reads += 1 + usize::from(emits);
-        read_bytes += load_bytes(m, &access) + if emits { U32_BYTES } else { 0 };
-
         emitters += usize::from(emits);
-        // Up to one verdict cell per event plus the count, then the
-        // done bitmap.
-        let finish = |c: RecordCost| {
-            let c = if emits {
-                (0..max_events)
-                    .fold(c, |c, _| c.with(VERDICT_BYTES))
-                    .with(U32_BYTES)
-            } else {
-                c
-            };
-            c.with(done_b)
-        };
         // The engine commits in the format its *dynamic* merged set
         // picks, which can be the slot list even when the static union
         // degraded: the commit-byte bound covers both formats, the
         // traffic bound follows the static one.
-        let sparse = finish(RecordCost::default().with_state(m, &access, false));
-        let whole = finish(RecordCost::default().with_state(m, &access, true));
+        let sparse = RecordCost::default().with_state(m, &access, false);
+        let whole = RecordCost::default().with_state(m, &access, true);
+        let member = |record| MemberCost {
+            fill_bytes: m.layout().block_len,
+            // Worst static step ceiling over every key the machine can
+            // see — the engine bills the actual key's ceiling per event,
+            // so the batch bound stays sound for any event mix.
+            cycles: max_events as u64 * (COMPILED_DISPATCH_CYCLES + worst_step_cycles),
+            record,
+            verdicts: if emits { max_events } else { 0 },
+        };
         let used = if access.whole_block { whole } else { sparse };
-        writes += used.writes();
-        write_bytes += used.write_bytes();
-        commit = commit.max(sparse.record()).max(whole.record());
+        members.push(member(used));
+        let larger = if whole.record() > sparse.record() {
+            whole
+        } else {
+            sparse
+        };
+        largest = largest.with(&member(larger));
     }
 
+    let p = price(&members, &shape, profile, &mut Vec::new());
     // Verdict readback: count + up to `max_events` cells per emitter.
-    reads += 1 + emitters * max_events;
-    read_bytes += U32_BYTES + VERDICT_BYTES * emitters * max_events;
-
+    let readback = emitters * max_events;
     BatchBounds {
         max_events,
-        arming_commit_bytes: arming.record(),
-        worst_commit_bytes: commit,
-        reads,
-        writes,
+        arming_commit_bytes: arming(max_events, done_b).record(),
+        worst_commit_bytes: largest.record(&shape).record(),
+        groups: p.groups,
+        fits_one_group: largest.members <= 1
+            || largest.cold_energy(&shape, profile) <= profile.margin_threshold(),
+        reads: p.reads + 1 + readback,
+        writes: p.writes,
         cold_extra_reads: 4 + machines.len(),
-        read_bytes,
-        write_bytes,
-        cycles,
+        cold_read_bytes: p.cold_read_bytes,
+        read_bytes: p.read_bytes + U32_BYTES + VERDICT_BYTES * readback,
+        write_bytes: p.write_bytes,
+        cycles: p.cycles,
     }
 }
 
-/// Cross-checks the suite's static bounds against a journal capacity.
-/// With `journal_capacity: None` the check degenerates to computing the
-/// bounds (no findings).
-pub fn check_bounds(compiled: &CompiledSuite, journal_capacity: Option<usize>) -> Vec<Diagnostic> {
+/// Cross-checks the suite's static bounds against a journal capacity
+/// on a device of the given energy profile (the profile sizes the
+/// commit groups, and so the records). With `journal: None` the check
+/// degenerates to computing nothing (no findings).
+pub fn check_bounds(
+    compiled: &CompiledSuite,
+    journal: Option<(usize, &EnergyProfile)>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let Some(capacity) = journal_capacity else {
+    let Some((capacity, profile)) = journal else {
         return diags;
     };
-    let b = suite_bounds(compiled);
+    let b = suite_bounds(compiled, profile);
     if b.reset_commit_bytes > capacity {
         diags.push(Diagnostic::error(
             "bounds",
@@ -599,6 +851,28 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A budget every worklist of these tests fits in one group.
+    fn roomy() -> EnergyProfile {
+        EnergyProfile::with_budget(Energy::from_micro_joules(800))
+    }
+
+    /// A budget no two members share: one machine per group.
+    fn tiny() -> EnergyProfile {
+        EnergyProfile::with_budget(Energy::from_nano_joules(1))
+    }
+
+    /// The arming sub-writes' record bytes and payload for one event
+    /// and a one-byte done bitmap.
+    fn arming_record() -> (usize, usize) {
+        (
+            2 + entry_bytes(2 + ENCODED_EVENT_BYTES)
+                + entry_bytes(U64_BYTES)
+                + entry_bytes(U32_BYTES)
+                + entry_bytes(1),
+            2 + ENCODED_EVENT_BYTES + U64_BYTES + U32_BYTES + 1,
+        )
+    }
+
     #[test]
     fn bounds_scale_with_interest_and_emits() {
         let app = app();
@@ -609,7 +883,7 @@ mod tests {
         )
         .unwrap();
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let b = suite_bounds(&cs);
+        let b = suite_bounds(&cs, &roomy());
 
         // 2 tasks + wildcard, both kinds.
         assert_eq!(b.per_key.len(), 6);
@@ -627,39 +901,36 @@ mod tests {
         assert_eq!(start_a.emitters, 1);
         assert_eq!(start_a.degraded_machines, 1);
         assert_eq!(start_a.delta_machines, 0);
+        assert_eq!(start_a.groups, 1);
         // An armed emitting machine costs more than an un-armed key.
         let wild = key(EventKind::StartTask, None);
         assert_eq!(wild.machines, 0);
+        assert_eq!(wild.groups, 1, "group 0 is the arming record");
         assert!(start_a.ops() > wild.ops());
-        // Armed-delivery load (4) + block and verdict-count loads (2) +
-        // readback (1 + 1).
-        assert_eq!(start_a.reads, 4 + 2 + 1 + 1);
-        // Sparse arming (7) + one sparse commit of block, verdict cell,
-        // count and done bitmap (4 + 3).
-        assert_eq!(start_a.writes, 7 + 7);
+        // Armed-delivery load (4) + block fill (1) + readback (1 + 1);
+        // group 0 resets the verdict count, so it never reads it.
+        assert_eq!(start_a.reads, 4 + 1 + 1 + 1);
+        // One record: arming (4) + block + verdict cell.
+        assert_eq!(start_a.writes, 3 + 4 + 2);
         assert_eq!(start_a.cold_extra_reads, 4 + 1);
         // Byte pins for the degraded emitting key (2-machine suite, so
         // a 1-byte done bitmap).
         let block = cs.machines()[0].layout().block_len;
+        let load = FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1;
+        assert_eq!(start_a.cold_read_bytes, load + block);
+        // flag, seq, event array and done bitmap, whole-block fill,
+        // readback count + one cell.
         assert_eq!(
             start_a.read_bytes,
-            // flag, seq, event array and done bitmap, block load,
-            // verdict count, readback count + one cell.
-            (FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1)
-                + block
-                + U32_BYTES
-                + (U32_BYTES + VERDICT_BYTES)
+            load + block + (U32_BYTES + VERDICT_BYTES)
         );
-        let step_entries = entry_bytes(block)
-            + entry_bytes(VERDICT_BYTES)
-            + entry_bytes(U32_BYTES)
-            + entry_bytes(1);
-        let step_data = block + VERDICT_BYTES + U32_BYTES + 1;
-        assert_eq!(
-            start_a.write_bytes,
-            start_a.arming_write_bytes + (2 + step_entries) + step_data + 2
-        );
+        let (arm_record, arm_data) = arming_record();
+        let record = arm_record + entry_bytes(block) + entry_bytes(VERDICT_BYTES);
+        let data = arm_data + block + VERDICT_BYTES;
+        assert_eq!(start_a.write_bytes, record + data + 2);
+        assert_eq!(start_a.commit_bytes, record);
         assert_eq!(start_a.arming_writes, 7);
+        assert_eq!(start_a.arming_write_bytes, arm_record + arm_data + 2);
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
         // start key; optimized (fused guards), the cycle-priced worst
@@ -673,8 +944,9 @@ mod tests {
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + sc.cycles
         );
         // An un-armed key still pays the routing lookup and arming
-        // commit, nothing else.
+        // record, nothing else.
         assert_eq!(wild.cycles, ROUTING_LOOKUP_CYCLES);
+        assert_eq!(wild.writes, wild.arming_writes);
         assert_eq!(wild.write_bytes, wild.arming_write_bytes);
         assert!(b.worst_commit_bytes >= b.reset_commit_bytes);
         assert!(b.worst_event().unwrap().ops() >= start_a.ops());
@@ -707,7 +979,7 @@ mod tests {
         let mut suite = MonitorSuite::new();
         suite.push(sm);
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let b = suite_bounds(&cs);
+        let b = suite_bounds(&cs, &roomy());
 
         let start_a = b
             .per_key
@@ -716,43 +988,134 @@ mod tests {
             .unwrap();
         assert_eq!(start_a.delta_machines, 1);
         assert_eq!(start_a.degraded_machines, 0);
-        // Armed-delivery load (4) + span load (1) + readback (1).
+        // Armed-delivery load (4) + block fill (1) + readback (1).
         assert_eq!(start_a.reads, 4 + 1 + 1);
-        // Sparse arming (7) + sparse step of state+slot+done (6).
-        assert_eq!(start_a.writes, 7 + 6);
+        // One record: arming (4) + state word + slot.
+        assert_eq!(start_a.writes, 3 + 4 + 2);
         assert_eq!(start_a.cold_extra_reads, 4 + 1);
 
         // v0's unguarded increment widens it to a full 8-byte slot, but
         // state (1 state), done (1 machine) and the eleven untouched
-        // 1-byte counters all pack: span = 1 (state) + 8 (v0).
+        // 1-byte counters all pack: block = 1 (state) + 8 (v0) + 11.
         let m = &cs.machines()[0];
         assert_eq!(m.layout().state_bytes, 1);
         assert_eq!(m.layout().span(Some(0)), 1 + 8);
         assert_eq!(m.layout().block_len, 1 + 8 + 11);
-        assert_eq!(
-            start_a.read_bytes,
-            (FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1) // 1-byte done bitmap
-                + (1 + 8)
-                + U32_BYTES
-        );
-        let delta_entries = entry_bytes(1) + entry_bytes(8) + entry_bytes(1);
-        let delta_data = 1 + 8 + 1;
-        assert_eq!(
-            start_a.write_bytes,
-            start_a.arming_write_bytes + (2 + delta_entries) + delta_data + 2
-        );
+        // A cold fill reads the whole block, not the 9-byte span the
+        // step decodes.
+        let load = FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1;
+        assert_eq!(start_a.cold_read_bytes, load + 20);
+        assert_eq!(start_a.read_bytes, load + 20 + U32_BYTES);
+        let (arm_record, arm_data) = arming_record();
+        let record = arm_record + entry_bytes(1) + entry_bytes(8);
+        assert_eq!(start_a.write_bytes, record + arm_data + 1 + 8 + 2);
         assert_eq!(
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
         );
-        // The largest commit is the arming record.
-        assert_eq!(
-            start_a.commit_bytes,
-            2 + entry_bytes(2 + ENCODED_EVENT_BYTES)
-                + entry_bytes(U64_BYTES)
-                + entry_bytes(U32_BYTES)
-                + entry_bytes(1)
-        );
+        // The largest commit is the one group's record.
+        assert_eq!(start_a.commit_bytes, record);
+    }
+
+    /// On a budget no two members share, every armed machine is its
+    /// own group: group 0 carries the arming sub-writes and the first
+    /// machine, each later group one machine and the done bitmap.
+    #[test]
+    fn tiny_budgets_commit_one_machine_per_group() {
+        let app = app();
+        let suite = crate::compile(
+            "a { maxTries: 2 onFail: skipPath; \
+                 maxDuration: 1s onFail: skipTask; \
+                 period: 1min onFail: restartTask; }",
+            &app,
+        )
+        .unwrap();
+        let cs = CompiledSuite::compile(&suite, &app).unwrap();
+        let key = |p: &EnergyProfile| {
+            suite_bounds(&cs, p)
+                .per_key
+                .into_iter()
+                .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
+                .unwrap()
+        };
+        let (one, each) = (key(&roomy()), key(&tiny()));
+        assert_eq!(one.machines, 3);
+        assert_eq!((one.groups, each.groups), (1, 3));
+        // Each later group adds a record's 3 fixed writes and the done
+        // bitmap, plus — where its member emits — the verdict count
+        // sub-write and a count read before logging.
+        let later_emitters = cs.machines()[1..]
+            .iter()
+            .filter(|m| m.may_emit(EventKind::StartTask, 0))
+            .count();
+        assert!(later_emitters > 0, "premise: a later group logs verdicts");
+        assert_eq!(each.writes, one.writes + 2 * 4 + later_emitters);
+        assert_eq!(each.reads, one.reads + later_emitters);
+        assert!(each.commit_bytes < one.commit_bytes);
+        assert_eq!(each.cycles, one.cycles);
+        assert_eq!(each.cold_extra_reads, one.cold_extra_reads);
+        assert_eq!(each.cold_read_bytes, one.cold_read_bytes);
+        assert_eq!(each.arming_writes, one.arming_writes);
+    }
+
+    /// The cut is next-fit over member costs: every group but the last
+    /// is closed by a member that did not fit, a lone member forms a
+    /// group however large, and an empty worklist keeps group 0.
+    #[test]
+    fn commit_groups_cut_by_cold_energy() {
+        let app = app();
+        let suite = crate::compile(
+            "a { maxTries: 2 onFail: skipPath; \
+                 maxDuration: 1s onFail: skipTask; \
+                 period: 1min onFail: restartTask; }",
+            &app,
+        )
+        .unwrap();
+        let cs = CompiledSuite::compile(&suite, &app).unwrap();
+        let members: Vec<MemberCost> = cs
+            .machines()
+            .iter()
+            .map(|m| MemberCost::routed(m, core::iter::once((EventKind::StartTask, 0))))
+            .collect();
+        let shape = ArmedShape {
+            capacity: 1,
+            events: 1,
+            done_bytes: 1,
+        };
+        let mut ends = Vec::new();
+        commit_groups([], &shape, &tiny(), &mut ends);
+        assert_eq!(ends, [0]);
+        commit_groups(members.iter().copied(), &shape, &tiny(), &mut ends);
+        assert_eq!(ends, [1, 2, 3]);
+        commit_groups(members.iter().copied(), &shape, &roomy(), &mut ends);
+        assert_eq!(ends, [3]);
+        // The smallest budget whose threshold covers the first two
+        // members' cold cost fits them as group 0, and one picojoule
+        // less cuts after the first. The threshold is the budget less
+        // its margin, in whole percent of the budget.
+        let two = GroupCost::new(true)
+            .with(&members[0])
+            .with(&members[1])
+            .cold_energy(&shape, &roomy())
+            .as_pico_joules();
+        let mut group0 = |margin_percent, pj| {
+            let profile = EnergyProfile {
+                margin_percent,
+                ..EnergyProfile::with_budget(Energy::from_pico_joules(pj))
+            };
+            commit_groups(members.iter().copied(), &shape, &profile, &mut ends);
+            ends[0]
+        };
+        let fits = |margin: u8| two.div_ceil(u64::from(100 - margin)) * 100;
+        let margin = EnergyProfile::DEFAULT_MARGIN_PERCENT;
+        for m in [0, margin] {
+            assert_eq!(group0(m, fits(m)), 2, "margin {m}%");
+            assert_eq!(group0(m, fits(m) - 1), 1, "margin {m}%");
+        }
+        // The default margin keeps its share free: a budget the two
+        // would fill exactly holds only the first.
+        assert!(fits(margin) > two);
+        assert_eq!(group0(margin, two), 1);
     }
 
     #[test]
@@ -765,8 +1128,8 @@ mod tests {
         )
         .unwrap();
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let b1 = batch_bounds(&cs, 1);
-        let b4 = batch_bounds(&cs, 4);
+        let b1 = batch_bounds(&cs, 1, &roomy());
+        let b4 = batch_bounds(&cs, 4, &roomy());
         // Arming once for four events amortises: a full batch costs
         // far less than four batches of one, so per-event ops shrink.
         assert!(b4.ops() < 4 * b1.ops());
@@ -777,11 +1140,20 @@ mod tests {
         assert!(b4.worst_commit_bytes >= b4.arming_commit_bytes);
         // Cold refill scales with the suite.
         assert_eq!(b4.cold_extra_reads, 4 + 2);
+        assert_eq!((b1.groups, b4.groups), (1, 1));
         // Bytes and cycles grow with capacity; routing + dispatch are
         // charged per event, so the cycle bound scales exactly linearly.
         assert!(b4.read_bytes > b1.read_bytes);
         assert!(b4.write_bytes > b1.write_bytes);
         assert_eq!(b4.cycles, 4 * b1.cycles);
+        // One machine per group on a tiny budget, and the record bound
+        // still covers the engine packing both into one.
+        assert!(b4.fits_one_group);
+        let t4 = batch_bounds(&cs, 4, &tiny());
+        assert_eq!(t4.groups, 2);
+        assert!(!t4.fits_one_group);
+        assert!(t4.writes > b4.writes);
+        assert_eq!(t4.worst_commit_bytes, b4.worst_commit_bytes);
     }
 
     /// The done bitmap grows one byte per eight installed machines, so
@@ -800,9 +1172,10 @@ mod tests {
         let app = app();
         let suite = crate::compile("a { maxTries: 2 onFail: skipPath; }", &app).unwrap();
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
+        let p = roomy();
         assert!(check_bounds(&cs, None).is_empty());
-        assert!(check_bounds(&cs, Some(1 << 20)).is_empty());
-        let diags = check_bounds(&cs, Some(16));
+        assert!(check_bounds(&cs, Some((1 << 20, &p))).is_empty());
+        let diags = check_bounds(&cs, Some((16, &p)));
         assert!(
             diags.iter().any(|d| d.is_error() && d.pass == "bounds"),
             "{diags:?}"

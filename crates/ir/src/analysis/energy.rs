@@ -35,9 +35,10 @@
 //! direction rests on a bound with the right sign:
 //!
 //! - the **floor** under-approximates any successful attempt: the
-//!   declared body cost plus only the *arming commits* of the two
-//!   events — FRAM writes the engine stages before any machine steps,
-//!   which the write-through shadow cache can never absorb. If even
+//!   declared body cost plus only the *arming records* of the two
+//!   events — the arming sub-writes every delivery commits in its group
+//!   0 record even when no machine has an effect, FRAM writes the
+//!   write-through shadow cache can never absorb. If even
 //!   the floor exceeds the budget, no attempt can complete on a
 //!   harvester that only recharges between outages (e.g.
 //!   `Harvester::FixedDelay`): **Infeasible** is an error and the
@@ -46,11 +47,10 @@
 //!   body cost + runtime allowance + the full post-reboot worst-case
 //!   event cost, every read priced as if the shadow cache held
 //!   nothing (a warm delivery reads nothing; a cold one reads at most
-//!   `cold_extra_reads ≤ reads` ops, though on span-loading keys its
-//!   whole-block fills can read more bytes than the span-priced
-//!   `read_bytes`) and the cold load's worklist re-derivation charged.
-//!   If
-//!   the ceiling fits under the budget less the configured margin, the
+//!   `cold_extra_reads ≤ reads` ops and `cold_read_bytes ≤ read_bytes`
+//!   bytes, machine blocks priced whole as a cold fill reads them) and
+//!   the cold load's worklist re-derivation charged. If the ceiling
+//!   fits under the budget less the configured margin, the
 //!   task is **Feasible**. Between the two — the ceiling crosses the
 //!   margin threshold but the floor still fits — the verdict is
 //!   **Marginal**, surfaced as a warning: the task may complete, but
@@ -104,7 +104,7 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.writes, cost.write_bytes, cost.cycles)
 }
 
-/// Energy of the arming commit alone — the write-only monitor floor
+/// Energy of the arming record alone — the write-only monitor floor
 /// every delivered event pays, warm or cold.
 pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
@@ -159,7 +159,7 @@ pub struct TaskFeasibility {
     /// Source-level task name.
     pub name: String,
     /// Under-approximation of any successful attempt: declared body
-    /// cost + the two events' arming commits only.
+    /// cost + the two events' arming records only.
     pub floor: Energy,
     /// Over-approximation of the worst-case attempt: declared body
     /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + full post-reboot
@@ -174,8 +174,10 @@ pub struct TaskFeasibility {
 /// of `app` against `profile`.
 ///
 /// `bounds` must be the [`suite_bounds`](super::suite_bounds) of
-/// `compiled`; passing bounds of a different suite yields nonsense
-/// verdicts (but no unsafety — everything here is arithmetic).
+/// `compiled` on the device the profile describes (its budget sizes
+/// the commit groups the bounds price); passing bounds of a different
+/// suite yields nonsense verdicts (but no unsafety — everything here
+/// is arithmetic).
 pub fn task_feasibility(
     compiled: &CompiledSuite,
     bounds: &SuiteBounds,
@@ -281,6 +283,11 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The 800 µJ wearable profile the bounds are derived for.
+    fn roomy() -> EnergyProfile {
+        EnergyProfile::with_budget(Energy::from_micro_joules(800))
+    }
+
     fn compiled(app: &AppGraph) -> CompiledSuite {
         let suite = crate::compile("a { maxTries: 2 onFail: skipPath; }", app).unwrap();
         CompiledSuite::compile(&suite, app).unwrap()
@@ -290,7 +297,7 @@ mod tests {
     fn floor_is_below_ceiling_and_tracks_declared_cost() {
         let app = app_with_costs(10_000);
         let cs = compiled(&app);
-        let b = crate::analysis::suite_bounds(&cs);
+        let b = crate::analysis::suite_bounds(&cs, &roomy());
         let profile = EnergyProfile::with_budget(Energy::from_micro_joules(800));
         let fs = task_feasibility(&cs, &b, &app, &profile);
         assert_eq!(fs.len(), 2);
@@ -298,7 +305,7 @@ mod tests {
         assert_eq!(fa.name, "a");
         assert!(fa.floor < fa.ceiling, "{fa:?}");
         // The floor includes the declared body (10k cycles ≈ 3.6 µJ +
-        // 1 ms idle ≈ 3 nJ) plus two write-only arming commits.
+        // 1 ms idle ≈ 3 nJ) plus two write-only arming records.
         assert!(fa.floor > Energy::from_micro_joules(3));
         assert_eq!(fa.verdict, Verdict::Feasible);
         // The undeclared task still pays monitor + runtime overhead.
@@ -311,7 +318,7 @@ mod tests {
     fn verdicts_degrade_as_the_budget_shrinks() {
         let app = app_with_costs(100_000);
         let cs = compiled(&app);
-        let b = crate::analysis::suite_bounds(&cs);
+        let b = crate::analysis::suite_bounds(&cs, &roomy());
         let fa = |budget| {
             let profile = EnergyProfile::with_budget(budget);
             task_feasibility(&cs, &b, &app, &profile)[0].clone()
@@ -337,7 +344,7 @@ mod tests {
     fn check_energy_maps_verdicts_to_diagnostics() {
         let app = app_with_costs(100_000);
         let cs = compiled(&app);
-        let b = crate::analysis::suite_bounds(&cs);
+        let b = crate::analysis::suite_bounds(&cs, &roomy());
         let ok = EnergyProfile::with_budget(Energy::from_micro_joules(800));
         assert!(check_energy(&cs, &b, &app, &ok).is_empty());
 
@@ -365,13 +372,13 @@ mod tests {
     fn cached_event_energy_never_exceeds_uncached() {
         let app = app_with_costs(0);
         let cs = compiled(&app);
-        let b = crate::analysis::suite_bounds(&cs);
+        let b = crate::analysis::suite_bounds(&cs, &roomy());
         let model = CostModel::msp430fr5994();
         for cost in &b.per_key {
             assert!(event_energy_cached(cost, &model) <= event_energy(cost, &model));
             assert!(arming_energy(cost, &model) <= event_energy_cached(cost, &model));
         }
-        let b4 = crate::analysis::batch_bounds(&cs, 4);
+        let b4 = crate::analysis::batch_bounds(&cs, 4, &roomy());
         assert!(batch_energy_cached(&b4, &model) <= batch_energy(&b4, &model));
     }
 
@@ -389,8 +396,8 @@ mod tests {
         let full = CompiledSuite::compile_with(&suite, &app, OptLevel::Full).unwrap();
         let none = CompiledSuite::compile_with(&suite, &app, OptLevel::None).unwrap();
         let model = CostModel::msp430fr5994();
-        let bf = crate::analysis::suite_bounds(&full);
-        let bn = crate::analysis::suite_bounds(&none);
+        let bf = crate::analysis::suite_bounds(&full, &roomy());
+        let bn = crate::analysis::suite_bounds(&none, &roomy());
         assert_eq!(bf.per_key.len(), bn.per_key.len());
         let mut strictly_tighter = 0usize;
         for (f, n) in bf.per_key.iter().zip(bn.per_key.iter()) {

@@ -19,9 +19,11 @@
 //!    fuzzers in `crates/ir/tests/verifier_fuzz.rs`).
 //! 2. [`bounds`] — worst-case per-event FRAM reads/writes and
 //!    journal-commit bytes, computed by walking the dispatch tables and
-//!    the routing index; the engine sizes its journal from them at
-//!    install, and they are checked against measured
-//!    dispatch-benchmark numbers in `artemis-bench`.
+//!    the routing index, and the energy-sized cut of a worklist into
+//!    commit groups ([`commit_groups`]) the engine runs at arming; the
+//!    engine sizes its journal from them at install, and they are
+//!    checked against measured dispatch-benchmark numbers in
+//!    `artemis-bench`.
 //! 3. [`reachability`] — dead states and transitions the optimiser
 //!    produced or the spec implied.
 //! 4. [`conflicts`] — event keys on which two machines can
@@ -42,7 +44,10 @@ pub mod energy;
 pub mod reachability;
 pub mod verifier;
 
-pub use bounds::{batch_bounds, check_bounds, suite_bounds, BatchBounds, EventCost, SuiteBounds};
+pub use bounds::{
+    batch_bounds, check_bounds, commit_groups, done_bytes, suite_bounds, ArmedShape, BatchBounds,
+    EventCost, MemberCost, SuiteBounds,
+};
 pub use conflicts::check_conflicts;
 pub use energy::{
     arming_energy, batch_energy, batch_energy_cached, body_energy, check_energy, event_energy,
@@ -60,13 +65,15 @@ use crate::fsm::MonitorSuite;
 /// Runs every analysis pass over a compiled suite paired with its
 /// source machines. Returns all findings, errors first.
 ///
-/// `journal_capacity` is the record capacity (bytes) of the journal
-/// the engine will commit through; pass `None` to skip the capacity
-/// cross-check (e.g. when linting outside an install).
+/// `journal` is the record capacity (bytes) of the journal the engine
+/// will commit through, with the energy profile of the device it runs
+/// on (its budget sizes the commit groups, and so the records); pass
+/// `None` to skip the capacity cross-check (e.g. when linting outside
+/// an install).
 pub fn analyze_suite(
     suite: &MonitorSuite,
     compiled: &CompiledSuite,
-    journal_capacity: Option<usize>,
+    journal: Option<(usize, &intermittent_sim::EnergyProfile)>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
@@ -95,7 +102,7 @@ pub fn analyze_suite(
     }
 
     diags.extend(check_conflicts(suite, compiled));
-    diags.extend(check_bounds(compiled, journal_capacity));
+    diags.extend(check_bounds(compiled, journal));
 
     sort_diagnostics(&mut diags);
     diags

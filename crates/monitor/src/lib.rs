@@ -19,7 +19,8 @@
 //!
 //! Every delivery carries a caller-chosen sequence number. A new
 //! sequence number arms the engine atomically (events + sequence +
-//! verdict reset + cleared done bitmap); re-delivering the *same*
+//! verdict reset + done bitmap, riding in the delivery's first commit
+//! record); re-delivering the *same*
 //! sequence number resumes or returns the already-computed verdicts
 //! instead of double-stepping the machines. The ARTEMIS runtime
 //! exploits both directions: `StartTask` re-attempts get fresh numbers
@@ -36,18 +37,24 @@
 //! that can match. The engine persists one **armed delivery**: the
 //! first sequence number, the event array (`u16` count + capacity ×
 //! [`EncodedEvent`]), the verdict count and a completion bitmap — one
-//! bit per worklist entry, `ceil(machines / 8)` bytes. Arming commits
-//! all four in one journal record. The **worklist** (the
-//! interested machines after the `Path:` filter, each with a mask of
-//! the armed events it dispatches) is never persisted: it is a
-//! deterministic function of the armed events, derived at arming and
-//! re-derived once on a cold load after a reboot. Only worklisted
-//! machines are stepped, and each step commits its effects together
-//! with its bit, so a reboot resumes exactly the pending entries and a
-//! redelivered sequence number only finishes them. A derived worklist
-//! names only installed machines, so it needs no validation; the
-//! persisted event count does, and a count past the capacity faults
-//! with [`Fault::CorruptState`].
+//! bit per commit group, `ceil(machines / 8)` bytes. The **worklist**
+//! (the machines the routing index names for the armed events, each
+//! with a mask of the events it dispatches after the `Path:` filter)
+//! and its cut into **commit groups** (consecutive runs of worklist
+//! entries, sized by [`artemis_ir::analysis::commit_groups`] against
+//! the device's energy budget) are never persisted: both are
+//! deterministic functions of the armed events, derived at arming and
+//! re-derived once on a cold load after a reboot. Each group commits
+//! its members' effects together with its bit in **one journal
+//! record**, and group 0's record also carries the arming sub-writes
+//! (events, sequence number, verdict count, done bitmap), so a delivery
+//! whose worklist fits one group costs one record. A reboot resumes
+//! exactly the pending groups and a redelivered sequence number only
+//! finishes them. A derived worklist names only installed machines, so
+//! it needs no validation; the persisted event count does, and a count
+//! past the capacity — or a loaded delivery whose group 0 is not done,
+//! which no commit can leave behind — faults with
+//! [`Fault::CorruptState`].
 //!
 //! # Compiled steps
 //!
@@ -56,11 +63,14 @@
 //! ([`artemis_ir::MachineLayout`]). Every compiled step — one event or a
 //! whole batch — goes through one function: it loads the block prefix
 //! the dispatched keys' static [`AccessSet`]s can touch, runs the
-//! bytecode in scratch, and commits one journal record
-//! ([`TxWriter`]): the changed byte runs of the loaded prefix (or, for
+//! bytecode in scratch, and stages into its group's record
+//! ([`TxWriter`]) the changed byte runs of the loaded prefix (or, for
 //! keys whose access set covers ≥ ¾ of the block, decided at compile
-//! time, the whole block image — see "Dirty-diff commits"), one verdict
-//! cell per emitting event, and the done bitmap. Soundness: the access
+//! time, the whole block image — see "Dirty-diff commits") and one
+//! verdict per emitting event. One committer then adds the verdict
+//! cells, the verdict count and the done bitmap and commits the group.
+//! A later group left with nothing but its done bit completes with one
+//! plain idempotent write. Soundness: the access
 //! set over-approximates every slot the dispatched bytecode can read or
 //! write, so slots outside the loaded span are never observed and slots
 //! outside the write set cannot change; unchanged bytes a merged run
@@ -68,10 +78,11 @@
 //!
 //! [`ExecMode::Interpreter`] is the reference semantics: the
 //! tree-walking interpreter of `artemis_ir::exec` over one FRAM cell
-//! per variable. It arms *every* machine — the routing index is not
-//! consulted, so the oracle stays independent of it — and commits one
-//! sub-write per changed cell. Differential tests pin the two on verdicts
-//! and FRAM-visible state, including under random power failures.
+//! per variable. It arms *every* machine, one machine per commit group
+//! — neither the routing index nor the energy cut is consulted, so the
+//! oracle stays independent of both — and stages one sub-write per
+//! changed cell. Differential tests pin the two on verdicts and
+//! FRAM-visible state, including under random power failures.
 //!
 //! # Batch delivery (group commit)
 //!
@@ -80,19 +91,23 @@
 //! arms up to the installed capacity ([`BatchMode`]) of them under
 //! consecutive sequence numbers as one armed delivery, then each
 //! worklisted machine steps through *all* its events in volatile
-//! scratch and commits **once**: repeated writes to the same variable
-//! slot coalesce to the last value, the record carries the changed
-//! runs of the prefix the dispatched keys' static [`AccessSet`]s
-//! cover (a net-unchanged byte costs nothing), and one verdict cell per
-//! emitting event rides in the same record as its done bit.
+//! scratch and stages its net effect **once**: repeated writes to the
+//! same variable slot coalesce to the last value, its group's record
+//! carries the changed runs of the prefix the dispatched keys' static
+//! [`AccessSet`]s cover (a net-unchanged byte costs nothing), and one
+//! verdict cell per emitting event rides in the same record as the
+//! group's done bit.
 //! [`MonitorEngine::call_monitor`] is the same delivery with one event:
 //! both entry points share the arming and run functions.
 //!
-//! Crash correctness: the arming commit fixes the events, so the
-//! worklist derived from them is fixed too; a machine's bit flips only
-//! in the transaction that persists the *net* effect of all its steps,
-//! so a reboot anywhere resumes from the first incomplete machine and
-//! observes either none or all of a machine's effects —
+//! Crash correctness: until group 0's flag write lands nothing of the
+//! delivery is persisted, so a crash before it looks exactly like a
+//! crash before arming — the event is redelivered and re-armed. Group
+//! 0's record fixes the events, so the worklist and the groups derived
+//! from them are fixed too; a group's bit flips only in the
+//! transaction that persists the *net* effect of all its members'
+//! steps, so a reboot anywhere resumes from the first incomplete group
+//! and observes either none or all of a group's effects —
 //! indistinguishable from an event-at-a-time execution that crashed
 //! between machines. Arming a new sequence number first finishes any
 //! pending delivery, so interleaved per-event and batch deliveries
@@ -104,11 +119,12 @@
 //!
 //! Compiled engines keep a volatile **shadow** of every FRAM location
 //! the hot path reads: after any load or commit the decoded machine
-//! images, the armed delivery (events, derived worklist and done
-//! bitmap), and the verdict log stay authoritative in RAM, so a steady-state delivery performs **zero**
-//! FRAM reads — nonvolatile memory is touched only by the crash-atomic
-//! commits. The cache is strictly write-through and never defers or
-//! reorders a write; it is the compiled engine's one read path. The
+//! images, the armed delivery (events, derived worklist, groups and
+//! done bitmap), and the verdict log stay authoritative in RAM, so a
+//! steady-state delivery performs **zero** FRAM reads — nonvolatile
+//! memory is touched only by the crash-atomic commits. The cache is
+//! write-through and never defers or reorders a write; it is the
+//! compiled engine's one read path. The
 //! interpreter stays uncached: it is the independent reference
 //! semantics.
 //!
@@ -126,8 +142,9 @@
 //! get the "always cold" engine by clearing SRAM before each delivery
 //! (`Device::sram_mut().clear()`), which is exactly the post-reboot
 //! read path. Cold fills validate what they read: an event count past
-//! the capacity, a verdict count past the verdict log, or a verdict
-//! cell naming no installed machine faults with [`Fault::CorruptState`]
+//! the capacity, a verdict count past the verdict log, a verdict cell
+//! naming no installed machine, or a machine block whose state word is
+//! past the machine's state count faults with [`Fault::CorruptState`]
 //! instead of indexing out of bounds.
 //! Hit/miss/invalidation counters are exposed through
 //! [`MonitorEngine::cache_stats`].
@@ -157,6 +174,7 @@ use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
+use artemis_ir::analysis::{commit_groups, ArmedShape, MemberCost};
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::{EventCtx, Value};
@@ -166,6 +184,7 @@ use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
 use intermittent_sim::journal::{Journal, TxWriter};
+use intermittent_sim::EnergyProfile;
 
 use state::{EncodedEvent, NvValue};
 
@@ -258,8 +277,9 @@ const ROUTING_LOOKUP_CYCLES: u64 = 12;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecMode {
     /// Slot-indexed bytecode over one packed FRAM block per machine,
-    /// committed through one journal record per step — the default,
-    /// and the closest analogue of the paper's generated C monitors.
+    /// committed through one journal record per energy-sized commit
+    /// group — the default, and the closest analogue of the paper's
+    /// generated C monitors.
     #[default]
     Compiled,
     /// The tree-walking reference interpreter over one FRAM cell per
@@ -283,8 +303,9 @@ pub enum BatchMode {
     /// event — the default.
     #[default]
     Disabled,
-    /// Arm up to `max_events` events in one transaction and commit each
-    /// machine once per batch (clamped to [`MAX_BATCH_EVENTS`]).
+    /// Arm up to `max_events` events as one delivery and stage each
+    /// machine's net effect once per batch (clamped to
+    /// [`MAX_BATCH_EVENTS`]).
     /// Compiled engines only; the interpreter keeps a one-event
     /// delivery.
     Enabled {
@@ -422,16 +443,16 @@ enum MachineStore {
     Block { addr: usize, len: usize },
 }
 
-/// A persistent completion bitmap of `len` bytes: bit `j % 8` of byte
-/// `j / 8` is set once worklist entry `j` has stepped.
+/// A persistent completion bitmap of `len` bytes: bit `g % 8` of byte
+/// `g / 8` is set once commit group `g` has committed.
 struct DoneCell {
     addr: usize,
     len: usize,
 }
 
-/// `true` iff worklist entry `j` is marked done in `map`.
-fn done_bit(map: &[u8], j: usize) -> bool {
-    map[j / 8] & (1 << (j % 8)) != 0
+/// `true` iff commit group `g` is marked done in `map`.
+fn done_bit(map: &[u8], g: usize) -> bool {
+    map[g / 8] & (1 << (g % 8)) != 0
 }
 
 /// Stages a machine's re-initialisation into `tx`, honouring its
@@ -457,18 +478,18 @@ const JOURNAL_ENTRY_HEADER: usize = 6;
 
 /// Largest single journal record of the interpreter's per-cell layout,
 /// count word included: the whole-suite reset (state cell + every
-/// variable cell), the one-event arming record, or one machine's step.
+/// variable cell), or a one-machine commit group — group 0 adding the
+/// one-event arming sub-writes to its machine's cells and verdict.
 fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
     let entry = |bytes: usize| JOURNAL_ENTRY_HEADER + bytes;
     let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
     let armed = entry(u64::SIZE) + entry(u32::SIZE) + entry(done_len);
     let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(2) + armed;
-    let arming = entry(2 + EncodedEvent::SIZE) + armed;
-    let step = suite.machines().iter().map(cells).max().unwrap_or(0)
-        + entry(VerdictCell::SIZE)
-        + entry(u32::SIZE)
-        + entry(done_len);
-    2 + reset.max(arming).max(step)
+    let group0 = entry(2 + EncodedEvent::SIZE)
+        + armed
+        + suite.machines().iter().map(cells).max().unwrap_or(0)
+        + entry(VerdictCell::SIZE);
+    2 + reset.max(group0)
 }
 
 /// Sub-write header bytes of one journalled run — the diff-commit
@@ -531,30 +552,52 @@ struct Scratch {
     block_new: Vec<u8>,
     /// Changed byte runs of a diff commit (compiled).
     runs: Vec<(usize, usize)>,
-    /// Verdicts of one step: event position, action, governing path.
-    emits: Vec<(usize, OnFail, Option<u32>)>,
+    /// Verdicts of one commit group, in logging order: machine index,
+    /// event position, action, governing path.
+    emits: Vec<Emit>,
     /// The journal record of the current commit, cleared and re-staged
-    /// in place by every compiled-path commit and every reset.
+    /// in place by every commit group and every reset.
     tx: TxWriter,
 }
 
-/// The armed delivery in RAM: the decoded events and the completion
-/// bitmap as persisted, plus the worklist derived from the events —
-/// ascending machine indices, each with the mask of armed events it
-/// dispatches. Sized at install to the capacity and the whole suite.
-/// In compiled engines it doubles as the shadow of the armed-delivery
-/// region while [`ShadowCache::armed`] is set.
+/// The armed delivery in RAM: its sequence number, the decoded events
+/// and the completion bitmap as persisted, plus the worklist derived
+/// from the events — ascending machine indices, each with the mask of
+/// armed events it dispatches — and the worklist's cut into commit
+/// groups (each group's exclusive end index; group 0 always exists).
+/// Sized at install to the capacity and the whole suite. In compiled
+/// engines it doubles as the shadow of the armed-delivery region while
+/// [`ShadowCache::armed`] is set.
 struct Armed {
+    seq: u64,
     events: Vec<EncodedEvent>,
     items: Vec<u16>,
     masks: Vec<u32>,
+    ends: Vec<u16>,
     done: Vec<u8>,
 }
+
+impl Armed {
+    /// The worklist range of commit group `g`.
+    fn group(&self, g: usize) -> core::ops::Range<usize> {
+        let start = g.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        start..self.ends[g] as usize
+    }
+}
+
+/// One verdict a step staged: machine index, event position, action,
+/// governing path.
+type Emit = (usize, usize, OnFail, Option<u32>);
 
 /// An encoded verdict cell: `(machine index | event position << 16,
 /// (action tag, path))` — the exact value one `verdict_cells` slot
 /// stores.
 type VerdictCell = (u32, (u8, u32));
+
+/// The verdict cell logging `emit`.
+fn verdict_cell(&(i, e, action, path): &Emit) -> VerdictCell {
+    (i as u32 | ((e as u32) << 16), encode_action(action, path))
+}
 
 /// One machine's decoded shadow image. Live iff `gen` equals the
 /// cache's current generation; `gen == 0` never matches (generations
@@ -567,12 +610,13 @@ struct MachineShadow {
 }
 
 /// The volatile shadow of every FRAM location the hot path reads (see
-/// the module docs, "Volatile shadow cache"). Strictly write-through:
-/// entries are updated only from bytes that are already durable (after
-/// a successful read or commit), so shadow contents always equal the
-/// corresponding FRAM bytes within one reboot epoch — save a done bit
-/// set just ahead of the commit that persists it, which a failed
-/// commit wipes along with everything else. The packed
+/// the module docs, "Volatile shadow cache"). Write-through: entries
+/// are updated from bytes that are durable (after a successful read or
+/// commit) or staged in the record of the commit group about to be
+/// committed — a machine's new image, its group's done bit, a freshly
+/// armed delivery — and every entry point that fails wipes the whole
+/// cache, so shadow contents equal the corresponding FRAM bytes within
+/// one reboot epoch whenever an entry point returns. The packed
 /// encoding is canonical (`encode(decode(x)) == x` for every
 /// engine-written image), which is what lets the machine shadows store
 /// *decoded* `(state, vars)` and regenerate byte-identical block
@@ -650,9 +694,10 @@ pub struct MonitorEngine {
     /// Events one armed delivery holds (1 unless [`BatchMode::Enabled`]
     /// took effect on a compiled engine).
     capacity: usize,
-    /// The armed delivery, all fixed by one arming commit: its first
+    /// The armed delivery, all fixed by its group 0 record: its first
     /// sequence number, its event array (`u16` count + `capacity` ×
-    /// [`EncodedEvent`]), the verdict log and the done bitmap.
+    /// [`EncodedEvent`]), the verdict log and the done bitmap (one bit
+    /// per commit group).
     seq_cell: NvCell<u64>,
     events_addr: usize,
     verdict_count: NvCell<u32>,
@@ -661,6 +706,14 @@ pub struct MonitorEngine {
     /// The volatile shadow of the hot path's FRAM reads: `Some` iff
     /// the engine is compiled (the interpreter reads FRAM directly).
     cache: Option<RefCell<ShadowCache>>,
+    /// The device's cost model and energy budget, which size the commit
+    /// groups ([`artemis_ir::analysis::commit_groups`]).
+    profile: EnergyProfile,
+    /// `true` when the bounds pass proved at install that the cut never
+    /// splits a worklist this engine can arm, so arming skips pricing
+    /// members: the answer [`artemis_ir::analysis::commit_groups`]
+    /// would give is one group.
+    one_group: bool,
     /// Dynamic executed-instruction counters (volatile, like the cache
     /// stats — see [`ExecStats`]).
     exec: RefCell<ExecStats>,
@@ -774,23 +827,30 @@ impl MonitorEngine {
             }
             _ => 1,
         };
-        // One done bit per worklist entry; a worklist never outgrows
-        // the suite.
-        let done_len = suite.len().div_ceil(8).max(1);
+        // One done bit per commit group; a worklist never holds more
+        // groups than the suite has machines.
+        let done_len = artemis_ir::analysis::done_bytes(suite.len());
 
         // Journal capacity = the static worst-case record: the larger
-        // of the whole-suite reset commit and any event key's worst
-        // commit. A multi-event delivery's bound joins the max (its
-        // arming record carries the whole event array). The
+        // of the whole-suite reset commit and any event key's largest
+        // commit group, cut against this device's energy budget. A
+        // multi-event delivery's bound joins the max (every machine in
+        // one group, group 0 carrying the whole event array). The
         // interpreter's per-cell layout stages one sub-write per
         // variable, so its records are costed separately.
-        let bounds = artemis_ir::analysis::bounds::suite_bounds(&compiled);
+        //
+        // A one-event delivery's worklist is its key's interest list, so
+        // when the bounds pass cuts every key into one group, so does
+        // the engine; a batch bound that fits every machine in one group
+        // covers any worklist a batch can arm.
+        let profile = dev.energy_profile();
+        let bounds = artemis_ir::analysis::suite_bounds(&compiled, &profile);
         let mut capacity = bounds.worst_commit_bytes;
+        let mut one_group = bounds.per_key.iter().all(|k| k.groups == 1);
         if max_events > 1 {
-            capacity = capacity.max(
-                artemis_ir::analysis::bounds::batch_bounds(&compiled, max_events)
-                    .worst_commit_bytes,
-            );
+            let batch = artemis_ir::analysis::batch_bounds(&compiled, max_events, &profile);
+            capacity = capacity.max(batch.worst_commit_bytes);
+            one_group = batch.fits_one_group;
         }
         if mode == ExecMode::Interpreter {
             capacity = capacity.max(interpreter_commit_bytes(&suite, done_len));
@@ -801,9 +861,9 @@ impl MonitorEngine {
         // surface on the trace. The capacity is derived from the same
         // bounds, so the gate skips the capacity cross-check.
         let mut diags = artemis_ir::analysis::analyze_suite(&suite, &compiled, None);
-        if let Some(profile) = energy {
+        if let Some(gate) = energy {
             diags.extend(artemis_ir::analysis::check_energy(
-                &compiled, &bounds, app, &profile,
+                &compiled, &bounds, app, &gate,
             ));
             artemis_spec::sort_diagnostics(&mut diags);
         }
@@ -933,14 +993,16 @@ impl MonitorEngine {
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
                 runs: Vec::with_capacity(max_block),
-                emits: Vec::with_capacity(max_events),
+                emits: Vec::with_capacity(verdict_cells.len()),
                 // Every record fits the journal, so staging never grows it.
                 tx: TxWriter::with_capacity(capacity),
             });
             let armed = RefCell::new(Armed {
+                seq: 0,
                 events: Vec::with_capacity(max_events),
                 items: Vec::with_capacity(machines.len()),
                 masks: Vec::with_capacity(machines.len()),
+                ends: Vec::with_capacity(machines.len() + 1),
                 done: Vec::with_capacity(done_len),
             });
 
@@ -967,6 +1029,8 @@ impl MonitorEngine {
                 verdict_cells,
                 done,
                 cache,
+                profile,
+                one_group,
                 exec: RefCell::new(ExecStats::default()),
                 scratch,
                 armed,
@@ -1024,21 +1088,21 @@ impl MonitorEngine {
 
     /// Journal recovery with the known-clean fast path: once recovery
     /// (or a completed commit) has left the journal idle in this
-    /// epoch, the flag re-read is skipped entirely.
-    fn recover_cached(&self, dev: &mut Device) -> Result<(), Interrupt> {
+    /// epoch, the flag re-read is skipped entirely. Returns `true` when
+    /// a torn commit was replayed.
+    fn recover_cached(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         let Some(cache) = &self.cache else {
-            dev.recover(&self.journal)?;
-            return Ok(());
+            return dev.recover(&self.journal);
         };
         if cache.borrow().journal_clean {
             cache.borrow_mut().stats.hits += 1;
-            return Ok(());
+            return Ok(false);
         }
-        dev.recover(&self.journal)?;
+        let replayed = dev.recover(&self.journal)?;
         let mut c = cache.borrow_mut();
         c.journal_clean = true;
         c.stats.misses += 1;
-        Ok(())
+        Ok(replayed)
     }
 
     /// Generic shadow-aware scalar read: serve from the shadow when
@@ -1067,9 +1131,12 @@ impl MonitorEngine {
 
     /// Makes `armed` hold the armed delivery: from the shadow when it
     /// is live, else one FRAM read of the event array and one of the
-    /// done bitmap, with the worklist re-derived from the events. An
-    /// event count past the capacity faults with
-    /// [`Fault::CorruptState`].
+    /// done bitmap, with the worklist and its commit groups re-derived
+    /// from the events. The empty delivery of a fresh install or a
+    /// reset has nothing to commit, so its group 0 counts as done. An
+    /// event count past the capacity, or an armed delivery whose group
+    /// 0 is not marked done — group 0's record persists the arming
+    /// together with that bit — faults with [`Fault::CorruptState`].
     fn load_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
         if let Some(cache) = &self.cache {
             let mut c = cache.borrow_mut();
@@ -1096,6 +1163,11 @@ impl MonitorEngine {
         armed
             .done
             .extend_from_slice(dev.nv_read_raw(self.done.addr, self.done.len)?);
+        if armed.events.is_empty() {
+            armed.done[0] |= 1;
+        } else if !done_bit(&armed.done, 0) {
+            return Err(Interrupt::Fault(Fault::CorruptState));
+        }
         self.derive_worklist(dev, armed)?;
         self.cache_put(|c| {
             c.armed = true;
@@ -1107,7 +1179,8 @@ impl MonitorEngine {
     /// Fills `scratch.block` with the first `span` bytes of machine
     /// `i`'s block image — from the shadow when warm, else one
     /// whole-block FRAM read that also refills the shadow, so the
-    /// *next* touch is free.
+    /// *next* touch is free. A cold block whose state word is past the
+    /// machine's state count faults with [`Fault::CorruptState`].
     fn load_block(
         &self,
         dev: &mut Device,
@@ -1144,6 +1217,9 @@ impl MonitorEngine {
             let ShadowCache { gen, machines, .. } = &mut *c;
             let ms = &mut machines[i];
             layout.decode(&scratch.block, &mut ms.state, &mut ms.vars);
+            if ms.state as usize >= self.machines[i].machine.states.len() {
+                return Err(Interrupt::Fault(Fault::CorruptState));
+            }
             ms.gen = *gen;
             c.stats.misses += 1;
         }
@@ -1151,11 +1227,12 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Write-through after a successful machine-step commit: fold the
-    /// new state and the committed prefix `vars` (slots `0..len`) back
-    /// into machine `i`'s shadow, so FRAM and shadow agree again. The
-    /// step loaded the machine before committing, so its shadow is
-    /// live; a dead one stays dead (partial knowledge is never stored).
+    /// Write-through of a staged machine step: fold the new state and
+    /// the staged prefix `vars` (slots `0..len`) into machine `i`'s
+    /// shadow, so shadow and FRAM agree once the group commits (a
+    /// failed commit wipes the cache). The step loaded the machine
+    /// before staging, so its shadow is live; a dead one stays dead
+    /// (partial knowledge is never stored).
     fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value]) {
         self.cache_put(|c| {
             let gen = c.gen;
@@ -1314,11 +1391,15 @@ impl MonitorEngine {
             // mirrors — fill all the shadows, so even the first event
             // after a reset runs write-only.
             let armed = &mut *self.armed.borrow_mut();
+            armed.seq = 0;
             armed.events.clear();
             armed.items.clear();
             armed.masks.clear();
+            armed.ends.clear();
+            armed.ends.push(0);
             armed.done.clear();
             armed.done.resize(self.done.len, 0);
+            armed.done[0] = 1; // an empty delivery is complete (`load_armed`)
             self.cache_put(|c| {
                 c.seq = Some(0);
                 c.verdict_count = Some(0);
@@ -1331,14 +1412,15 @@ impl MonitorEngine {
 
     /// Completes a delivery interrupted by a power failure, if any
     /// (Figure 8 `monitorFinalize`; run on every reboot before task
-    /// processing). Returns `true` if there was work to finish.
+    /// processing). Returns `true` if there was work to finish: a torn
+    /// commit group to replay, or pending groups to run.
     pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         self.entry(dev, |dev| {
             // Repair a torn journal commit first.
-            self.recover_cached(dev)?;
+            let replayed = self.recover_cached(dev)?;
             let armed = &mut *self.armed.borrow_mut();
             self.load_armed(dev, armed)?;
-            self.run_armed(dev, armed)
+            Ok(self.run_armed(dev, armed)? || replayed)
         })
     }
 
@@ -1364,12 +1446,13 @@ impl MonitorEngine {
     /// (`first_seq`, `first_seq + 1`, …) through the group-commit path
     /// and returns one verdict list per event, in delivery order.
     ///
-    /// One journal record arms up to [`MonitorEngine::batch_capacity`]
-    /// events; each interested machine then steps through all its events
-    /// in volatile scratch and commits its coalesced net effect once.
+    /// One armed delivery holds up to [`MonitorEngine::batch_capacity`]
+    /// events; each interested machine steps through all its events in
+    /// volatile scratch and stages its coalesced net effect once, into
+    /// its commit group's record (group 0's also arms the events).
     /// Redelivering a processed batch (same `first_seq` and events) only
-    /// finishes pending machines and returns the recorded verdicts.
-    /// Bursts longer than the capacity split into maximal groups.
+    /// finishes pending groups and returns the recorded verdicts.
+    /// Bursts longer than the capacity split into maximal deliveries.
     pub fn deliver_batch(
         &self,
         dev: &mut Device,
@@ -1415,11 +1498,13 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Arms `events` under `first_seq` with one journal record — the
-    /// event array, the sequence number, the verdict reset and a cleared
-    /// done bitmap — and derives their worklist into `armed`. A failure
-    /// after this commit resumes exactly the armed set; a failure
-    /// before it re-arms cleanly.
+    /// Arms `events` under `first_seq` in RAM: encodes them, derives
+    /// their worklist and commit groups into `armed`, and clears the
+    /// done bitmap. Nothing is written: the arming sub-writes ride in
+    /// group 0's record ([`MonitorEngine::commit_group`]), so a failure
+    /// before that record's flag write leaves the previous delivery
+    /// armed and the caller re-arms cleanly; a failure after it resumes
+    /// exactly the armed set.
     fn arm(
         &self,
         dev: &mut Device,
@@ -1427,9 +1512,10 @@ impl MonitorEngine {
         events: &[MonitorEvent],
         armed: &mut Armed,
     ) -> Result<(), Interrupt> {
-        // `armed` runs ahead of FRAM until the commit lands; a failure
+        // `armed` runs ahead of FRAM until group 0 commits; a failure
         // before then wipes its shadow with the rest (`entry`).
         let energy_nj = dev.energy_level().as_nano_joules();
+        armed.seq = first_seq;
         armed.events.clear();
         armed.events.extend(
             events
@@ -1439,119 +1525,213 @@ impl MonitorEngine {
         self.derive_worklist(dev, armed)?;
         armed.done.clear();
         armed.done.resize(self.done.len, 0);
-
-        let tx = &mut self.scratch.borrow_mut().tx;
-        tx.clear();
-        let region = tx.write_slot(self.events_addr, 2 + EncodedEvent::SIZE * events.len());
-        region[..2].copy_from_slice(&(events.len() as u16).to_le_bytes());
-        for (encoded, dst) in armed
-            .events
-            .iter()
-            .zip(region[2..].chunks_exact_mut(EncodedEvent::SIZE))
-        {
-            encoded.store(dst);
-        }
-        tx.write(&self.seq_cell, first_seq);
-        tx.write(&self.verdict_count, 0u32);
-        tx.write_zeroed(self.done.addr, self.done.len);
-        dev.commit(&self.journal, tx)?;
-        // The arming commit fixed every activation input — shadow them
-        // all, so the run below reads nothing from FRAM.
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            c.seq = Some(first_seq);
-            c.verdict_count = Some(0);
-            c.armed = true;
-        });
         Ok(())
     }
 
     /// Derives the worklist of `armed.events` — ascending machine
-    /// indices, each with the mask of the events it dispatches —
-    /// charging one routing lookup per event. In compiled mode that is
-    /// the routing-index lookup plus the dynamic `Path:` filter, both
-    /// deterministic functions of the events; the interpreter arms
-    /// every machine and dismisses in its step.
+    /// indices, each with the mask of the events it dispatches — and
+    /// its commit groups, charging one routing lookup per event. In
+    /// compiled mode the worklist is the routing index's interest
+    /// lists, cut into groups by
+    /// [`artemis_ir::analysis::commit_groups`] on the members' static
+    /// ceilings and the device's energy budget; the dynamic `Path:`
+    /// filter then clears dismissed events from the masks, leaving the
+    /// groups exactly the ones the bounds pass prices. All of it is a
+    /// deterministic function of the events. The interpreter arms every
+    /// machine, one per group, and dismisses in its step.
     fn derive_worklist(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
         dev.compute(ROUTING_LOOKUP_CYCLES * armed.events.len() as u64)?;
         let Armed {
             events,
             items,
             masks,
+            ends,
             ..
         } = armed;
         items.clear();
         masks.clear();
-        for (e, encoded) in events.iter().enumerate() {
-            let mut arm = |mi: u16| match items.binary_search(&mi) {
-                Ok(j) => masks[j] |= 1 << e,
-                Err(j) => {
-                    items.insert(j, mi);
-                    masks.insert(j, 1 << e);
-                }
-            };
-            if self.mode == ExecMode::Interpreter {
-                (0..self.machines.len() as u16).for_each(&mut arm);
-                continue;
+        ends.clear();
+        if self.mode == ExecMode::Interpreter {
+            // Every machine sees the (one) armed event, if any.
+            if !events.is_empty() {
+                items.extend(0..self.machines.len() as u16);
+                masks.resize(items.len(), 1);
+                ends.extend(1..=items.len() as u16);
             }
+            if ends.is_empty() {
+                ends.push(0);
+            }
+            return Ok(());
+        }
+        for (e, encoded) in events.iter().enumerate() {
             for &mi in self
                 .compiled
                 .routing()
                 .interested(encoded.event_kind(), encoded.task)
             {
-                if !path_dismissed(&self.machines[mi as usize], encoded) {
-                    arm(mi);
+                match items.binary_search(&mi) {
+                    Ok(j) => masks[j] |= 1 << e,
+                    Err(j) => {
+                        items.insert(j, mi);
+                        masks.insert(j, 1 << e);
+                    }
+                }
+            }
+        }
+        if self.one_group {
+            ends.push(items.len() as u16);
+        } else {
+            let machines = self.compiled.machines();
+            let routed = |mask: u32| {
+                events
+                    .iter()
+                    .enumerate()
+                    .filter(move |(e, _)| mask & (1 << e) != 0)
+                    .map(|(_, ev)| (ev.event_kind(), ev.task))
+            };
+            let members = items
+                .iter()
+                .zip(masks.iter())
+                .map(|(&mi, &mask)| MemberCost::routed(&machines[mi as usize], routed(mask)));
+            let shape = ArmedShape {
+                capacity: self.capacity,
+                events: events.len(),
+                done_bytes: self.done.len,
+            };
+            commit_groups(members, &shape, &self.profile, ends);
+        }
+        for (&mi, mask) in items.iter().zip(masks.iter_mut()) {
+            for (e, encoded) in events.iter().enumerate() {
+                if path_dismissed(&self.machines[mi as usize], encoded) {
+                    *mask &= !(1 << e);
                 }
             }
         }
         Ok(())
     }
 
-    /// Steps the pending entries of the armed delivery and reports
-    /// whether there were any. Everything the loop depends on — the
-    /// events and the worklist derived from them — was fixed by the
-    /// arming commit, so a resume after any power failure processes
-    /// exactly the armed set; completed entries are skipped via the
-    /// bitmap.
+    /// Commits the pending groups of the armed delivery, in order, and
+    /// reports whether there were any. Everything the loop depends on —
+    /// the events, and the worklist and groups derived from them — was
+    /// fixed by group 0's record, so a resume after any power failure
+    /// processes exactly the armed set; completed groups are skipped
+    /// via the bitmap.
     fn run_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<bool, Interrupt> {
         let mut pending = false;
-        for j in 0..armed.items.len() {
-            if done_bit(&armed.done, j) {
+        for g in 0..armed.ends.len() {
+            if done_bit(&armed.done, g) {
                 continue;
             }
             pending = true;
             // Set in RAM just ahead of the commit that persists it: if
             // that commit fails, the entry point wipes the shadow these
             // buffers belong to.
-            armed.done[j / 8] |= 1 << (j % 8);
-            let i = armed.items[j] as usize;
-            let done = &armed.done;
-            match self.mode {
-                ExecMode::Compiled => {
-                    self.step_block(dev, i, &armed.events, armed.masks[j], done)?
-                }
-                ExecMode::Interpreter => self.step_interpreted(dev, i, &armed.events[0], done)?,
-            }
+            armed.done[g / 8] |= 1 << (g % 8);
+            self.commit_group(dev, armed, g)?;
         }
         Ok(pending)
     }
 
+    /// Steps every member of commit group `g` and commits the group as
+    /// **one** journal record: group 0's arming sub-writes (event
+    /// array and sequence number), each member's staged runs, one
+    /// verdict cell per staged verdict, the verdict count (reset by
+    /// group 0, appended to by later groups) and the done bitmap — which
+    /// already has `g`'s bit set. A later group that staged nothing but
+    /// its bit completes with one plain idempotent bitmap write
+    /// (re-execution after a power failure is harmless).
+    fn commit_group(&self, dev: &mut Device, armed: &Armed, g: usize) -> Result<(), Interrupt> {
+        let scratch = &mut *self.scratch.borrow_mut();
+        scratch.tx.clear();
+        scratch.emits.clear();
+        if g == 0 {
+            let n = armed.events.len();
+            let region = scratch
+                .tx
+                .write_slot(self.events_addr, 2 + EncodedEvent::SIZE * n);
+            region[..2].copy_from_slice(&(n as u16).to_le_bytes());
+            for (encoded, dst) in armed
+                .events
+                .iter()
+                .zip(region[2..].chunks_exact_mut(EncodedEvent::SIZE))
+            {
+                encoded.store(dst);
+            }
+            scratch.tx.write(&self.seq_cell, armed.seq);
+        }
+        for j in armed.group(g) {
+            let i = armed.items[j] as usize;
+            match self.mode {
+                ExecMode::Compiled => {
+                    self.step_block(dev, i, &armed.events, armed.masks[j], scratch)?
+                }
+                ExecMode::Interpreter => {
+                    self.step_interpreted(dev, i, &armed.events[0], scratch)?
+                }
+            }
+        }
+
+        // Group 0 resets the verdict log, later groups append to it.
+        let Scratch { tx, emits, .. } = scratch;
+        let logs = g == 0 || !emits.is_empty();
+        let count = if g > 0 && logs {
+            self.read_verdict_count_cached(dev)?
+        } else {
+            0
+        };
+        if logs {
+            let cells = self
+                .verdict_cells
+                .get(count as usize..count as usize + emits.len())
+                .ok_or(Interrupt::Fault(Fault::CorruptState))?;
+            for (vc, emit) in cells.iter().zip(emits.iter()) {
+                tx.write(vc, verdict_cell(emit));
+            }
+            tx.write(&self.verdict_count, count + emits.len() as u32);
+        }
+        tx.write_raw(self.done.addr, &armed.done);
+        if tx.len() == 1 {
+            return dev.nv_write_raw(self.done.addr, &armed.done);
+        }
+        dev.commit(&self.journal, tx)?;
+        self.cache_put(|c| {
+            c.journal_clean = true;
+            if logs {
+                let gen = c.gen;
+                for (k, emit) in emits.iter().enumerate() {
+                    c.verdicts[count as usize + k] = (gen, verdict_cell(emit));
+                }
+                c.verdict_count = Some(count + emits.len() as u32);
+            }
+            if g == 0 {
+                // Group 0 fixed every activation input — the run reads
+                // nothing more from FRAM.
+                c.seq = Some(armed.seq);
+                c.armed = true;
+            }
+        });
+        Ok(())
+    }
+
     /// Steps compiled machine `i` through every event of `events` whose
-    /// bit is set in `mask`, in delivery order, and commits the
-    /// **coalesced** net effect once: repeated writes to a slot
-    /// collapse to the last value in scratch, and the journal record
-    /// carries the changed byte runs of the covered block prefix (the
-    /// whole block image for degraded keys), one verdict cell per
-    /// emitting event, and the bitmap `done` — which already has this
-    /// machine's bit set.
+    /// bit is set in `mask`, in delivery order, and stages its
+    /// **coalesced** net effect into its group's record: repeated
+    /// writes to a slot collapse to the last value in scratch, and the
+    /// record gains the changed byte runs of the covered block prefix
+    /// (the whole block image for degraded keys); each emitting event
+    /// adds a verdict to `scratch.emits`. A member whose events the
+    /// `Path:` filter dismissed (empty `mask`) costs nothing.
     fn step_block(
         &self,
         dev: &mut Device,
         i: usize,
         events: &[EncodedEvent],
         mask: u32,
-        done: &[u8],
+        scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
+        if mask == 0 {
+            return Ok(());
+        }
         let lm = &self.machines[i];
         let MachineStore::Block { addr, len } = lm.store else {
             unreachable!("compiled mode allocates block storage");
@@ -1587,8 +1767,7 @@ impl MonitorEngine {
         }
         dev.compute(cycles)?;
         if step_mask == 0 {
-            // Every event dismissed: plain idempotent done write.
-            return self.finish_plain(dev, done);
+            return Ok(());
         }
 
         // Degraded keys load and commit the full block image; sparse
@@ -1602,13 +1781,11 @@ impl MonitorEngine {
             )
         };
 
-        let scratch = &mut *self.scratch.borrow_mut();
         self.load_block(dev, i, addr, len, span, scratch)?;
         let mut state = 0u32;
         layout.decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
         scratch.vars.resize(cm.var_count(), Value::Int(0));
 
-        scratch.emits.clear();
         for (e, encoded) in events.iter().enumerate() {
             if step_mask & (1 << e) == 0 {
                 continue;
@@ -1645,73 +1822,32 @@ impl MonitorEngine {
             if let Some(fail) = emit {
                 scratch
                     .emits
-                    .push((e, fail.action, fail.path.or(lm.machine.path)));
+                    .push((i, e, fail.action, fail.path.or(lm.machine.path)));
             }
         }
 
         // Re-encode and compare byte for byte against the loaded image
         // (canonical encoding makes the comparison exact). A degraded
-        // key commits its whole block as one run whenever it commits
-        // at all; a sparse key commits only the changed runs.
-        let changed = if whole {
+        // key stages its whole block as one run whenever it changed at
+        // all; a sparse key stages only the changed runs.
+        if whole {
             layout.encode(state, &scratch.vars, &mut scratch.block_new);
-            scratch.runs.clear();
-            scratch.runs.push((0, len));
-            scratch.block_new != scratch.block
+            if scratch.block_new == scratch.block {
+                return Ok(());
+            }
+            scratch.tx.write_raw(addr, &scratch.block_new);
         } else {
             layout.encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
             diff_runs(&scratch.block, &scratch.block_new, &mut scratch.runs);
-            !scratch.runs.is_empty()
-        };
-        let emits = &scratch.emits;
-        if emits.is_empty() && !changed {
-            return self.finish_plain(dev, done);
-        }
-
-        let tx = &mut scratch.tx;
-        tx.clear();
-        for &(s, e) in &scratch.runs {
-            tx.write_raw(addr + s, &scratch.block_new[s..e]);
-        }
-        let mut count = 0;
-        let cell = |(e, action, path): &(usize, OnFail, Option<u32>)| -> VerdictCell {
-            (
-                i as u32 | ((*e as u32) << 16),
-                encode_action(*action, *path),
-            )
-        };
-        if !emits.is_empty() {
-            count = self.read_verdict_count_cached(dev)?;
-            let cells = self
-                .verdict_cells
-                .get(count as usize..count as usize + emits.len())
-                .ok_or(Interrupt::Fault(Fault::CorruptState))?;
-            for (vc, emit) in cells.iter().zip(emits) {
-                tx.write(vc, cell(emit));
+            if scratch.runs.is_empty() {
+                return Ok(());
             }
-            tx.write(&self.verdict_count, count + emits.len() as u32);
+            for &(s, e) in &scratch.runs {
+                scratch.tx.write_raw(addr + s, &scratch.block_new[s..e]);
+            }
         }
-        tx.write_raw(self.done.addr, done);
-        dev.commit(&self.journal, tx)?;
         self.shadow_machine_update(i, state, &scratch.vars[..covered]);
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            if !emits.is_empty() {
-                let gen = c.gen;
-                for (k, emit) in emits.iter().enumerate() {
-                    c.verdicts[count as usize + k] = (gen, cell(emit));
-                }
-                c.verdict_count = Some(count + emits.len() as u32);
-            }
-        });
         Ok(())
-    }
-
-    /// Marks a step with no FRAM effects complete: one plain idempotent
-    /// write of the bitmap (re-execution after a power failure is
-    /// harmless).
-    fn finish_plain(&self, dev: &mut Device, done: &[u8]) -> Result<(), Interrupt> {
-        dev.nv_write_raw(self.done.addr, done)
     }
 
     /// Appends the verdicts of the armed delivery of `n_events` events
@@ -1783,14 +1919,14 @@ impl MonitorEngine {
     }
 
     /// Interpreter step: the reference path over per-variable cells,
-    /// committing the changed cells, any verdict and `done` (the bitmap
-    /// with this machine's bit set) in one journal record.
+    /// staging the changed cells and any verdict into its group's
+    /// record.
     fn step_interpreted(
         &self,
         dev: &mut Device,
         i: usize,
         encoded: &EncodedEvent,
-        done: &[u8],
+        scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
         let lm = &self.machines[i];
         let MachineStore::Cells {
@@ -1802,13 +1938,11 @@ impl MonitorEngine {
         };
 
         // Cheap dismissals first — the generated C's trigger test. A
-        // dismissed machine cannot change state, so its step completion
-        // is a plain bitmap write (re-execution is harmless).
+        // dismissed machine cannot change state, so it stages nothing.
         let dismissed = path_dismissed(lm, encoded)
             || matches!(&lm.observed, Some(tasks) if !tasks.contains(&encoded.task));
         if dismissed {
-            dev.compute(STEP_BASE_CYCLES)?;
-            return self.finish_plain(dev, done);
+            return dev.compute(STEP_BASE_CYCLES);
         }
 
         // Model the compute cost of the generated step function.
@@ -1818,8 +1952,10 @@ impl MonitorEngine {
 
         let task_name = self.compiled.task_name(encoded.task);
 
-        let scratch = &mut *self.scratch.borrow_mut();
         let before_state = dev.nv_read(state_cell)?;
+        if before_state as usize >= lm.machine.states.len() {
+            return Err(Interrupt::Fault(Fault::CorruptState));
+        }
         scratch.vars.clear();
         for c in var_cells {
             scratch.vars.push(dev.nv_read(c)?.0);
@@ -1848,16 +1984,10 @@ impl MonitorEngine {
         let emit = step(&lm.machine, &mut mstate, &ir_event).unwrap_or(None);
         scratch.vars = mstate.vars;
 
-        // Implicit self-transition with no effects: plain bitmap write,
-        // no journal round-trip (matches the generated C, which only
-        // touches FRAM on actual assignments).
-        if emit.is_none() && mstate.state == before_state && scratch.vars == scratch.before_vars {
-            return self.finish_plain(dev, done);
-        }
-
-        let mut tx = TxWriter::new();
+        // Only changed cells are staged (matches the generated C, which
+        // only touches FRAM on actual assignments).
         if mstate.state != before_state {
-            tx.write(state_cell, mstate.state);
+            scratch.tx.write(state_cell, mstate.state);
         }
         for ((cell, v), old) in var_cells
             .iter()
@@ -1865,24 +1995,15 @@ impl MonitorEngine {
             .zip(&scratch.before_vars)
         {
             if v != old {
-                tx.write(cell, NvValue(*v));
+                scratch.tx.write(cell, NvValue(*v));
             }
         }
         if let Some(fail) = emit {
-            let count = self.read_verdict_count_cached(dev)?;
-            let value = (
-                i as u32,
-                encode_action(fail.action, fail.path.or(lm.machine.path)),
-            );
-            let vc = self
-                .verdict_cells
-                .get(count as usize)
-                .ok_or(Interrupt::Fault(Fault::CorruptState))?;
-            tx.write(vc, value);
-            tx.write(&self.verdict_count, count + 1);
+            scratch
+                .emits
+                .push((i, 0, fail.action, fail.path.or(lm.machine.path)));
         }
-        tx.write_raw(self.done.addr, done);
-        dev.commit(&self.journal, &tx)
+        Ok(())
     }
 
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
@@ -2259,7 +2380,8 @@ mod tests {
         let spec = "accel { maxTries: 5 onFail: skipPath; }";
         let suite = artemis_ir::compile(spec, &app).unwrap();
         let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let worst = artemis_ir::suite_bounds(&compiled).worst_commit_bytes;
+        let profile = DeviceBuilder::msp430fr5994().build().energy_profile();
+        let worst = artemis_ir::suite_bounds(&compiled, &profile).worst_commit_bytes;
 
         // The flag byte plus a record of `worst` bytes needs one byte
         // more than this device has.
@@ -2318,25 +2440,46 @@ mod tests {
     /// FRAM traffic and monitor energy of the deliveries of one run.
     struct Traffic {
         reads: usize,
+        read_bytes: usize,
         writes: usize,
         write_bytes: usize,
         energy: Energy,
+        records: u64,
     }
 
-    /// Installs `suite` on the default engine (batching `batch` events
-    /// per delivery when `Some`), resets it, and makes `deliveries`
-    /// deliveries of consecutive `start(t0)` events. With `cold`, SRAM
-    /// is cleared before every delivery — the always-cold engine, where
-    /// each delivery takes the post-reboot read path.
+    /// The two commit-group regimes the exactness pins run in: the
+    /// default 1.6 mJ capacitor, which fits every worklist of these
+    /// suites in one group, and a 1 nJ one (on continuous power), which
+    /// fits no two machines — one machine per group.
+    const REGIMES: [bool; 2] = [false, true];
+
+    /// A continuously powered device of the `tiny` regime.
+    fn regime_device(tiny: bool) -> Device {
+        let b = DeviceBuilder::msp430fr5994();
+        match tiny {
+            false => b.build(),
+            true => b
+                .capacitor(Capacitor::with_budget(Energy::from_nano_joules(1)))
+                .build(),
+        }
+    }
+
+    /// Installs `suite` on the default engine of a `tiny`-regime device
+    /// (batching `batch` events per delivery when `Some`), resets it,
+    /// and makes `deliveries` deliveries of consecutive `start(t0)`
+    /// events. With `cold`, SRAM is cleared before every delivery — the
+    /// always-cold engine, where each delivery takes the post-reboot
+    /// read path.
     fn measure(
         suite: &MonitorSuite,
         app: &AppGraph,
         batch: Option<usize>,
         deliveries: u64,
         cold: bool,
+        tiny: bool,
     ) -> Traffic {
         let t0 = app.task_by_name("t0").unwrap();
-        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let mut dev = regime_device(tiny);
         let opts = InstallOptions {
             batch: batch.map_or(BatchMode::Disabled, |max_events| BatchMode::Enabled {
                 max_events,
@@ -2347,8 +2490,12 @@ mod tests {
         engine.reset_monitor(&mut dev).unwrap();
 
         let per = batch.unwrap_or(1) as u64;
-        let (reads0, writes0) = (dev.fram().read_ops(), dev.fram().write_ops());
-        let bytes0 = dev.fram().write_bytes();
+        let fram = |dev: &Device| {
+            let f = dev.fram();
+            [f.read_ops(), f.read_bytes(), f.write_ops(), f.write_bytes()]
+        };
+        let fram0 = fram(&dev);
+        let records0 = dev.journal_records();
         let energy0 = dev.stats().energy(CostCategory::Monitor);
         for d in 0..deliveries {
             if cold {
@@ -2363,18 +2510,24 @@ mod tests {
                 None => drop(engine.call_monitor(&mut dev, first, &events[0]).unwrap()),
             }
         }
+        let now = fram(&dev);
+        let [reads, read_bytes, writes, write_bytes] =
+            [0, 1, 2, 3].map(|i| (now[i] - fram0[i]) as usize);
         Traffic {
-            reads: (dev.fram().read_ops() - reads0) as usize,
-            writes: (dev.fram().write_ops() - writes0) as usize,
-            write_bytes: (dev.fram().write_bytes() - bytes0) as usize,
+            reads,
+            read_bytes,
+            writes,
+            write_bytes,
             energy: dev.stats().energy(CostCategory::Monitor) - energy0,
+            records: dev.journal_records() - records0,
         }
     }
 
-    /// The static per-event cost of `start(t0)` in `suite`.
-    fn t0_key(suite: &MonitorSuite, app: &AppGraph) -> artemis_ir::analysis::EventCost {
+    /// The static per-event cost of `start(t0)` in `suite` on a
+    /// `tiny`-regime device.
+    fn t0_key(suite: &MonitorSuite, app: &AppGraph, tiny: bool) -> artemis_ir::analysis::EventCost {
         let compiled = CompiledSuite::compile(suite, app).unwrap();
-        artemis_ir::suite_bounds(&compiled)
+        artemis_ir::suite_bounds(&compiled, &regime_device(tiny).energy_profile())
             .per_key
             .into_iter()
             .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
@@ -2383,84 +2536,119 @@ mod tests {
 
     /// Pins one key's static model on the default engine: warm
     /// deliveries read nothing and write exactly the modelled ops and
-    /// bytes; always-cold deliveries read exactly `cold_extra_reads`,
-    /// under the post-reboot ceiling `reads`, and write the same.
+    /// bytes, one journal record per commit group; always-cold
+    /// deliveries read exactly `cold_extra_reads` ops and
+    /// `cold_read_bytes` bytes, under the post-reboot ceilings, and
+    /// write the same.
     fn assert_event_model_attained(
         suite: &MonitorSuite,
         app: &AppGraph,
         key: &artemis_ir::analysis::EventCost,
         events: u64,
+        tiny: bool,
     ) {
         let n = events as usize;
-        let warm = measure(suite, app, None, events, false);
+        let warm = measure(suite, app, None, events, false, tiny);
         assert_eq!(warm.reads, 0, "warm delivery must be write-only");
         assert_eq!(warm.writes, key.writes * n, "write model drifted");
         assert_eq!(warm.write_bytes, key.write_bytes * n, "byte model drifted");
+        assert_eq!(
+            warm.records,
+            (key.groups * n) as u64,
+            "one record per group"
+        );
 
-        let cold = measure(suite, app, None, events, true);
+        let cold = measure(suite, app, None, events, true, tiny);
         assert_eq!(cold.reads, key.cold_extra_reads * n, "cold model drifted");
+        assert_eq!(
+            cold.read_bytes,
+            key.cold_read_bytes * n,
+            "cold byte model drifted"
+        );
         assert!(key.cold_extra_reads <= key.reads);
+        assert!(key.cold_read_bytes <= key.read_bytes);
         assert_eq!(cold.writes, warm.writes, "the shadow is write-through");
         assert_eq!(cold.write_bytes, warm.write_bytes);
     }
 
     /// Pins the static FRAM cost model of `artemis_ir::analysis::bounds`
     /// to the engine it describes on the degraded dispatch workload:
-    /// every machine writes all twelve variables, so every commit is a
-    /// whole-block image and the model is attained exactly.
+    /// every machine writes all twelve variables, so every member
+    /// stages a whole-block image and the model is attained exactly —
+    /// with the worklist in one commit group, and one machine per group.
     #[test]
     fn bounds_model_matches_engine() {
         const MACHINES: usize = 8;
         let (suite, app) = dispatch_suite(MACHINES, 12);
-        let key = t0_key(&suite, &app);
-        assert_eq!(key.machines, MACHINES);
-        assert_eq!(key.emitters, 0);
-        // Every machine degrades to whole-block commits: one block
-        // read and one 3-sub-write sparse commit each.
-        assert_eq!(key.degraded_machines, MACHINES);
-        assert_eq!(key.reads, 4 + MACHINES + 1);
-        assert_eq!(key.writes, 7 + MACHINES * 5);
-        assert_eq!(key.cold_extra_reads, 4 + MACHINES);
-        assert_event_model_attained(&suite, &app, &key, 20);
+        for tiny in REGIMES {
+            let key = t0_key(&suite, &app, tiny);
+            assert_eq!(key.machines, MACHINES);
+            assert_eq!(key.emitters, 0);
+            // Every machine degrades to whole-block commits: one block
+            // read and one block sub-write each.
+            assert_eq!(key.degraded_machines, MACHINES);
+            assert_eq!(key.reads, 4 + MACHINES + 1);
+            assert_eq!(key.cold_extra_reads, 4 + MACHINES);
+            if tiny {
+                // Group 0: arming (4) + a block, 3 fixed writes; each
+                // later group: a block and the done bitmap.
+                assert_eq!(key.groups, MACHINES);
+                assert_eq!(key.writes, 3 + 4 + 1 + (MACHINES - 1) * (3 + 2));
+            } else {
+                // One record: arming (4) + every block, 3 fixed writes.
+                assert_eq!(key.groups, 1);
+                assert_eq!(key.writes, 3 + 4 + MACHINES);
+            }
+            assert_event_model_attained(&suite, &app, &key, 20, tiny);
+        }
     }
 
     /// The sparse twin of [`bounds_model_matches_engine`]: on the
     /// every-byte-flips suite each machine stays on the span-loading
-    /// path and its dirty-diff commit carries exactly the state word
-    /// and the written slot the model prices.
+    /// path and its dirty-diff runs carry exactly the state word and
+    /// the written slot the model prices, in both group regimes.
     #[test]
     fn bounds_model_matches_engine_delta() {
         const MACHINES: usize = 8;
         let (suite, app) = flip_suite(MACHINES);
-        let key = t0_key(&suite, &app);
-        assert_eq!(key.machines, MACHINES);
-        assert_eq!(key.delta_machines, MACHINES, "all machines must go sparse");
-        assert_eq!(key.degraded_machines, 0);
-        // Armed-delivery load (4r) + arming (7w) + per machine 1 span
-        // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
-        assert_eq!(key.reads, 4 + MACHINES + 1);
-        assert_eq!(key.writes, 7 + MACHINES * 6);
-        // A reboot's refill is the armed-delivery load (flag, seq,
-        // events, done) + one whole-block fill per armed machine.
-        assert_eq!(key.cold_extra_reads, 4 + MACHINES);
-        assert_event_model_attained(&suite, &app, &key, 20);
+        for tiny in REGIMES {
+            let key = t0_key(&suite, &app, tiny);
+            assert_eq!(key.machines, MACHINES);
+            assert_eq!(key.delta_machines, MACHINES, "all machines must go sparse");
+            assert_eq!(key.degraded_machines, 0);
+            // Armed-delivery load (4r) + per machine one whole-block
+            // fill + one readback read.
+            assert_eq!(key.reads, 4 + MACHINES + 1);
+            // A reboot's refill is the armed-delivery load (flag, seq,
+            // events, done) + one whole-block fill per armed machine.
+            assert_eq!(key.cold_extra_reads, 4 + MACHINES);
+            if tiny {
+                // Group 0: arming (4) + state + x; each later group:
+                // state + x + done.
+                assert_eq!(key.groups, MACHINES);
+                assert_eq!(key.writes, 3 + 4 + 2 + (MACHINES - 1) * (3 + 3));
+            } else {
+                assert_eq!(key.groups, 1);
+                assert_eq!(key.writes, 3 + 4 + MACHINES * 2);
+            }
+            assert_event_model_attained(&suite, &app, &key, 20, tiny);
+        }
     }
 
     /// Dirty-diff commits undercut the model strictly when bytes stay
     /// unchanged: on the sparse increment workload the state word never
-    /// changes and only the counter's low byte does, so each machine's
-    /// commit shrinks from 3 sub-writes (state + slot + done) to 2 (one
-    /// 1-byte run + done).
+    /// changes and only the counter's low byte does, so each machine
+    /// stages one 1-byte run instead of the state word and the slot.
     #[test]
     fn diff_commits_undercut_the_model() {
         const MACHINES: usize = 8;
         const EVENTS: u64 = 20;
         let (suite, app) = dispatch_suite(MACHINES, 1);
-        let key = t0_key(&suite, &app);
+        let key = t0_key(&suite, &app, false);
         let n = EVENTS as usize;
-        let warm = measure(&suite, &app, None, EVENTS, false);
+        let warm = measure(&suite, &app, None, EVENTS, false, false);
         assert_eq!(warm.reads, 0, "diff path must stay write-only when warm");
-        assert_eq!(warm.writes, (7 + MACHINES * 5) * n);
+        assert_eq!(warm.writes, (7 + MACHINES) * n);
         assert!(warm.writes < key.writes * n);
         assert!(
             warm.write_bytes < key.write_bytes * n,
@@ -2610,10 +2798,10 @@ mod tests {
     /// per-event delivery energy (ops, bytes and cycles priced through
     /// the device's cost model) equals the simulator's measured
     /// monitor-category draw exactly, on both the degraded
-    /// (whole-block) and sparse (every-byte-flips) workloads; always-cold
-    /// deliveries stay under the post-reboot ceiling `event_energy`.
-    /// This is what lets the install-time feasibility analysis trust
-    /// its per-attempt numbers.
+    /// (whole-block) and sparse (every-byte-flips) workloads and in
+    /// both group regimes; always-cold deliveries stay under the
+    /// post-reboot ceiling `event_energy`. This is what lets the
+    /// install-time feasibility analysis trust its per-attempt numbers.
     #[test]
     fn energy_model_matches_engine() {
         use artemis_ir::analysis::{event_energy, event_energy_cached};
@@ -2624,20 +2812,23 @@ mod tests {
             ("degraded", dispatch_suite(8, 12)),
             ("sparse", flip_suite(8)),
         ] {
-            let key = t0_key(&suite, &app);
-            let warm = measure(&suite, &app, None, EVENTS, false);
-            assert_eq!(
-                warm.energy,
-                event_energy_cached(&key, &model).saturating_mul(EVENTS),
-                "energy model drifted ({label})"
-            );
-            let cold = measure(&suite, &app, None, EVENTS, true);
-            assert_eq!(cold.reads, key.cold_extra_reads * EVENTS as usize);
-            assert!(cold.energy > warm.energy, "{label}");
-            assert!(
-                cold.energy <= event_energy(&key, &model).saturating_mul(EVENTS),
-                "cold draw above the post-reboot ceiling ({label})"
-            );
+            for tiny in REGIMES {
+                let key = t0_key(&suite, &app, tiny);
+                let warm = measure(&suite, &app, None, EVENTS, false, tiny);
+                assert_eq!(
+                    warm.energy,
+                    event_energy_cached(&key, &model).saturating_mul(EVENTS),
+                    "energy model drifted ({label}, tiny {tiny})"
+                );
+                let cold = measure(&suite, &app, None, EVENTS, true, tiny);
+                assert_eq!(cold.reads, key.cold_extra_reads * EVENTS as usize);
+                assert_eq!(cold.read_bytes, key.cold_read_bytes * EVENTS as usize);
+                assert!(cold.energy > warm.energy, "{label}");
+                assert!(
+                    cold.energy <= event_energy(&key, &model).saturating_mul(EVENTS),
+                    "cold draw above the post-reboot ceiling ({label}, tiny {tiny})"
+                );
+            }
         }
     }
 
@@ -2645,8 +2836,9 @@ mod tests {
     /// warm batch on the every-byte-flips workload writes and draws
     /// exactly the static [`artemis_ir::BatchBounds`] figures (warm
     /// batches are write-only, so the cached prediction is writes +
-    /// cycles alone); an always-cold batch reads exactly
-    /// `cold_extra_reads` and stays under the post-reboot ceiling.
+    /// cycles alone), one record per group, in both group regimes; an
+    /// always-cold batch reads exactly `cold_extra_reads` ops and
+    /// `cold_read_bytes` bytes and stays under the post-reboot ceiling.
     #[test]
     fn batch_energy_model_matches_engine() {
         use artemis_ir::analysis::{batch_energy, batch_energy_cached};
@@ -2657,24 +2849,30 @@ mod tests {
 
         let (suite, app) = flip_suite(8);
         let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bound = artemis_ir::batch_bounds(&compiled, BATCH);
-        let model = *DeviceBuilder::msp430fr5994().build().cost_model();
+        for tiny in REGIMES {
+            let profile = regime_device(tiny).energy_profile();
+            let bound = artemis_ir::batch_bounds(&compiled, BATCH, &profile);
+            assert_eq!(bound.groups, if tiny { 8 } else { 1 });
+            let model = profile.model;
 
-        let warm = measure(&suite, &app, Some(BATCH), BATCHES, false);
-        assert_eq!(warm.reads, 0, "warm batches must be write-only");
-        assert_eq!(warm.writes, bound.writes * n);
-        assert_eq!(warm.write_bytes, bound.write_bytes * n);
-        assert_eq!(
-            warm.energy,
-            batch_energy_cached(&bound, &model).saturating_mul(BATCHES),
-            "batch energy model drifted"
-        );
+            let warm = measure(&suite, &app, Some(BATCH), BATCHES, false, tiny);
+            assert_eq!(warm.reads, 0, "warm batches must be write-only");
+            assert_eq!(warm.writes, bound.writes * n);
+            assert_eq!(warm.write_bytes, bound.write_bytes * n);
+            assert_eq!(warm.records, (bound.groups * n) as u64);
+            assert_eq!(
+                warm.energy,
+                batch_energy_cached(&bound, &model).saturating_mul(BATCHES),
+                "batch energy model drifted (tiny {tiny})"
+            );
 
-        let cold = measure(&suite, &app, Some(BATCH), BATCHES, true);
-        assert_eq!(cold.reads, bound.cold_extra_reads * n);
-        assert!(bound.cold_extra_reads <= bound.reads);
-        assert_eq!(cold.writes, warm.writes);
-        assert!(cold.energy <= batch_energy(&bound, &model).saturating_mul(BATCHES));
+            let cold = measure(&suite, &app, Some(BATCH), BATCHES, true, tiny);
+            assert_eq!(cold.reads, bound.cold_extra_reads * n);
+            assert_eq!(cold.read_bytes, bound.cold_read_bytes * n);
+            assert!(bound.cold_extra_reads <= bound.reads);
+            assert_eq!(cold.writes, warm.writes);
+            assert!(cold.energy <= batch_energy(&bound, &model).saturating_mul(BATCHES));
+        }
     }
 
     /// A statically infeasible task rejects the install with a typed
@@ -2688,7 +2886,7 @@ mod tests {
         let (suite, app) = dispatch_suite(2, 1);
         let mut dev = DeviceBuilder::msp430fr5994().build();
 
-        // A 100 nJ capacitor cannot even buffer the two arming commits.
+        // A 100 nJ capacitor cannot even buffer the two arming records.
         let starved = EnergyProfile::with_budget(Energy::from_nano_joules(100));
         let before = dev.fram().used_by(MemOwner::Monitor);
         let err = MonitorEngine::install_with(
@@ -2734,7 +2932,7 @@ mod tests {
         // A budget between floor and margin threshold: installs with an
         // InstallWarning trace event.
         let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let b = artemis_ir::suite_bounds(&compiled);
+        let b = artemis_ir::suite_bounds(&compiled, &profile);
         let fs = artemis_ir::analysis::task_feasibility(&compiled, &b, &app, &profile);
         let worst_ceiling = fs.iter().map(|f| f.ceiling).max().unwrap();
         let marginal = EnergyProfile::with_budget(Energy::from_pico_joules(
@@ -2843,7 +3041,7 @@ mod tests {
 
         let (suite, app) = dispatch_suite(MACHINES, 1);
         let t0 = app.task_by_name("t0").unwrap();
-        let key = t0_key(&suite, &app);
+        let key = t0_key(&suite, &app, false);
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
@@ -2872,47 +3070,54 @@ mod tests {
     }
 
     /// The derived journal capacity is exactly the largest record the
-    /// engine stages on the suite: the arming record on a one-machine
-    /// suite, the whole-suite reset on an eight-machine one. Each
-    /// commit leaves its record in the engine's reused buffer. It is
-    /// also tight against the bounds pass: one byte less is rejected.
+    /// engine commits on the suite, in both group regimes: group 0 —
+    /// the arming sub-writes, the machine's block and its verdict — on
+    /// a one-machine suite, the whole-suite reset on the eight-machine
+    /// one when each machine is its own group, and the one group of
+    /// all eight when they share it. It is also tight against the
+    /// bounds pass: one byte less is rejected.
     #[test]
     fn derived_journal_capacity_is_tight() {
         let app = app();
         let spec = artemis_ir::compile("accel { maxTries: 2 onFail: skipPath; }", &app).unwrap();
         for (suite, app) in [(spec, app), flip_suite(8)] {
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let bounds = artemis_ir::suite_bounds(&compiled);
-            let gate = |capacity| {
-                artemis_ir::analysis::analyze_suite(&suite, &compiled, Some(capacity))
+            for tiny in REGIMES {
+                let mut dev = regime_device(tiny);
+                let profile = dev.energy_profile();
+                let bounds = artemis_ir::suite_bounds(&compiled, &profile);
+                let gate = |capacity| {
+                    artemis_ir::analysis::analyze_suite(
+                        &suite,
+                        &compiled,
+                        Some((capacity, &profile)),
+                    )
                     .into_iter()
                     .filter(|d| d.pass == "bounds" && d.is_error())
                     .count()
-            };
-            assert_eq!(gate(bounds.worst_commit_bytes), 0);
-            assert!(gate(bounds.worst_commit_bytes - 1) > 0);
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-            let staged = || engine.scratch.borrow().tx.record_bytes();
-
-            engine.reset_monitor(&mut dev).unwrap();
-            assert_eq!(staged(), bounds.reset_commit_bytes);
-            let mut largest = staged();
-            // Start events of the first task step (and eventually
-            // trip) every machine; end events of the last task arm
-            // and dismiss, leaving the arming record staged.
-            let (first, last) = (TaskId(0), TaskId(app.task_count() as u32 - 1));
-            for seq in 1..=4u64 {
-                let event = if seq % 2 == 0 {
-                    MonitorEvent::end(last, t(seq))
-                } else {
-                    MonitorEvent::start(first, t(seq))
                 };
-                engine.call_monitor(&mut dev, seq, &event).unwrap();
-                largest = largest.max(staged());
+                assert_eq!(gate(bounds.worst_commit_bytes), 0);
+                assert!(gate(bounds.worst_commit_bytes - 1) > 0);
+                let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
+
+                engine.reset_monitor(&mut dev).unwrap();
+                assert_eq!(dev.largest_journal_record(), bounds.reset_commit_bytes);
+                // Start events of the first task step every machine (and
+                // trip maxTries on the third); end events of the last
+                // task arm and dismiss.
+                let (first, last) = (TaskId(0), TaskId(app.task_count() as u32 - 1));
+                for seq in 1..=6u64 {
+                    let event = if seq % 2 == 0 {
+                        MonitorEvent::end(last, t(seq))
+                    } else {
+                        MonitorEvent::start(first, t(seq))
+                    };
+                    engine.call_monitor(&mut dev, seq, &event).unwrap();
+                }
+                let largest = dev.largest_journal_record();
+                assert_eq!(largest, engine.journal.capacity(), "tiny {tiny}");
+                assert_eq!(largest, bounds.worst_commit_bytes, "tiny {tiny}");
             }
-            assert_eq!(largest, engine.journal.capacity());
-            assert_eq!(largest, bounds.worst_commit_bytes);
         }
     }
 
@@ -3015,8 +3220,10 @@ mod tests {
     /// A bit-flipped verdict log faults with a typed error instead of
     /// indexing out of bounds: a count past the log (read back by
     /// `last_verdicts`), a count at the end of the log while an
-    /// emitting step is pending (resumed by `monitor_finalize`), and a
-    /// cell naming no installed machine (read back by a redelivery).
+    /// emitting commit group is pending (resumed by
+    /// `monitor_finalize`), and a cell naming no installed machine
+    /// (read back by a redelivery). So does a done bitmap that lost
+    /// group 0's bit.
     #[test]
     fn corrupt_verdict_logs_fault_instead_of_panicking() {
         let app = app();
@@ -3046,16 +3253,43 @@ mod tests {
             "count past the log"
         );
 
-        let (mut dev, engine) = fresh();
+        // Two emitting machines, one per commit group: group 1 appends
+        // to the count group 0 left. Mark group 1 pending behind a full
+        // log.
+        let mut dev = DeviceBuilder::msp430fr5994()
+            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(1)))
+            .build();
+        let suite = artemis_ir::parse::parse_suite(
+            "machine e task accel persistent { state S initial; \
+             on startTask(accel) from S to S { } fail skipTask; }\n\
+             machine f task accel persistent { state S initial; \
+             on startTask(accel) from S to S { } fail skipTask; }",
+        )
+        .unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        assert_eq!(engine.call_monitor(&mut dev, 1, &ev).unwrap().len(), 2);
+        assert_eq!(engine.armed.borrow().ends, [1, 2], "one machine per group");
         let full = engine.verdict_cells.len() as u32;
         dev.nv_write(&engine.verdict_count, full).unwrap();
+        dev.nv_write_raw(engine.done.addr, &[0b01]).unwrap();
+        dev.power_cycle();
+        assert_eq!(
+            engine.monitor_finalize(&mut dev),
+            corrupt.map(|()| false),
+            "count at the end of the log"
+        );
+
+        // Group 0 persists the arming: a loaded delivery without its
+        // bit is no state any commit leaves behind.
+        let (mut dev, engine) = fresh();
         dev.nv_write_raw(engine.done.addr, &vec![0; engine.done.len])
             .unwrap();
         dev.power_cycle();
         assert_eq!(
             engine.monitor_finalize(&mut dev),
             corrupt.map(|()| false),
-            "count at the end of the log"
+            "group 0 not done"
         );
 
         let (mut dev, engine) = fresh();
@@ -3067,6 +3301,41 @@ mod tests {
             corrupt.map(|()| Vec::new()),
             "cell past the suite"
         );
+    }
+
+    /// A machine block (or interpreter state cell) whose state word is
+    /// past the machine's state count faults with a typed error on the
+    /// cold load instead of stepping from a state no commit wrote.
+    #[test]
+    fn corrupt_state_word_faults_instead_of_stepping() {
+        let app = app();
+        let accel = app.task_by_name("accel").unwrap();
+        for mode in [ExecMode::Compiled, ExecMode::Interpreter] {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let suite =
+                artemis_ir::compile("accel { maxTries: 5 onFail: skipPath; }", &app).unwrap();
+            let states = suite.machines()[0].states.len() as u32;
+            let opts = InstallOptions {
+                mode,
+                ..InstallOptions::default()
+            };
+            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+            engine.reset_monitor(&mut dev).unwrap();
+            let ev = |us| MonitorEvent::start(accel, t(us));
+            engine.call_monitor(&mut dev, 1, &ev(0)).unwrap();
+            match &engine.machines[0].store {
+                MachineStore::Block { addr, .. } => {
+                    dev.nv_write_raw(*addr, &[states as u8]).unwrap()
+                }
+                MachineStore::Cells { state_cell, .. } => dev.nv_write(state_cell, states).unwrap(),
+            }
+            dev.sram_mut().clear();
+            assert_eq!(
+                engine.call_monitor(&mut dev, 2, &ev(1)),
+                Err(Interrupt::Fault(Fault::CorruptState)),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -3172,15 +3441,16 @@ mod finalize_tests {
     /// Arming a new sequence number first finishes a delivery a power
     /// failure left pending, even when no `monitorFinalize` ran in
     /// between: the final machine state equals a continuous run of both
-    /// events.
+    /// events. A crash before every write op of the first delivery, on
+    /// a device whose budget commits one machine per group, leaves it
+    /// torn, pending between groups, or not armed at all.
     #[test]
     fn arming_finishes_a_pending_delivery() {
         let mut b = AppGraphBuilder::new();
         let a = b.task("a");
         b.path(&[a]);
         let app = b.build().unwrap();
-        // Three machines step on every start, so a brown-out can land
-        // between their commits.
+        // Three machines step on every start, one commit group each.
         let spec = "a { maxTries: 100 onFail: skipPath; \
                     maxDuration: 1s onFail: skipTask; \
                     period: 1min onFail: restartTask; }";
@@ -3195,32 +3465,45 @@ mod finalize_tests {
         reference.call_monitor(&mut steady, 2, &second).unwrap();
         let expected = reference.snapshot(&steady);
 
-        let mut resumed = 0;
-        for residue_nj in (200..1_400).step_by(20) {
+        let fresh = || {
             let mut dev = DeviceBuilder::msp430fr5994()
-                .capacitor(Capacitor::with_budget(Energy::from_micro_joules(500)))
-                .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+                .capacitor(Capacitor::with_budget(Energy::from_nano_joules(1)))
                 .build();
             let suite = artemis_ir::compile(spec, &app).unwrap();
             let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
             engine.reset_monitor(&mut dev).unwrap();
-            while dev.energy_level() > Energy::from_nano_joules(residue_nj) {
-                let _ = dev.compute(100);
-            }
-            if engine.call_monitor(&mut dev, 1, &first).is_ok() {
+            (dev, engine)
+        };
+        let writes = {
+            let (mut dev, engine) = fresh();
+            let w0 = dev.fram().write_ops();
+            engine.call_monitor(&mut dev, 1, &first).unwrap();
+            assert_eq!(
+                engine.armed.borrow().ends,
+                [1, 2, 3],
+                "one machine per group"
+            );
+            dev.fram().write_ops() - w0
+        };
+
+        let mut resumed = 0;
+        for k in 1..=writes {
+            let (mut dev, engine) = fresh();
+            dev.fail_before_write(k);
+            assert_eq!(
+                engine.call_monitor(&mut dev, 1, &first),
+                Err(Interrupt::PowerFailure)
+            );
+            dev.power_cycle();
+            if dev.peek(&engine.seq_cell) != 1 {
+                // Group 0 never landed: the first event is not armed,
+                // and redelivering it is the caller's job.
                 continue;
             }
-            dev.power_cycle();
-            // Armed (seq 1 persisted) with some machine still pending.
-            let armed = engine
-                .compiled
-                .routing()
-                .interested(EventKind::StartTask, a.0);
-            let all_done = (1u8 << armed.len()) - 1;
-            let pending =
-                dev.peek(&engine.seq_cell) == 1 && dev.peek_raw(engine.done.addr, 1)[0] != all_done;
+            // Armed, with some group still pending (or torn).
+            let pending = dev.peek_raw(engine.done.addr, 1)[0] != 0b111;
             engine.call_monitor(&mut dev, 2, &second).unwrap();
-            assert_eq!(engine.snapshot(&dev), expected, "residue {residue_nj} nJ");
+            assert_eq!(engine.snapshot(&dev), expected, "crash before write {k}");
             resumed += usize::from(pending);
         }
         assert!(resumed > 0, "never left a delivery pending");

@@ -753,14 +753,17 @@ proptest! {
     }
 }
 // ---------------------------------------------------------------------------
-// Arming-commit crash windows (deterministic).
+// Arming crash windows (deterministic).
 //
 // The routed event path has three crash windows the worklist design
-// must survive: a power failure after the arming commit but before the
-// first step, a failure mid-worklist (some completion bits set), and a
+// must survive: a power failure before group 0's record lands (the
+// arming rides in it), a failure between commit groups (some
+// completion bits set — the capacitor budget sizes the groups, so the
+// small budgets of the sweep cut the worklist into several), and a
 // redelivery of a seq whose worklist already completed. A fine-grained
 // capacitor-budget sweep lands the brown-out in every window of the
-// multi-machine stream below.
+// multi-machine stream below; `tests/crash_points.rs` enumerates every
+// write boundary instead.
 // ---------------------------------------------------------------------------
 
 /// Spec with four machines on `a` and two on `b`: every `a` event arms
@@ -915,7 +918,8 @@ fn sparse_delta_commit_crash_windows_never_tear() {
     // on the sparse path, not the degraded whole-block path.
     let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
     let compiled = artemis_ir::CompiledSuite::compile(&suite, &app).unwrap();
-    let key = artemis_ir::suite_bounds(&compiled)
+    let profile = DeviceBuilder::msp430fr5994().build().energy_profile();
+    let key = artemis_ir::suite_bounds(&compiled, &profile)
         .per_key
         .into_iter()
         .find(|c| c.task == Some(0))
@@ -1081,24 +1085,27 @@ fn diff_commit_crash_windows_never_tear() {
 // ---------------------------------------------------------------------------
 // Batch crash windows (deterministic).
 //
-// The group-commit path adds crash windows of its own: after the batch
-// arming commit but before any machine steps, between two per-machine
-// batch commits (some done bits set), and during verdict readback. The
+// The batch path adds crash windows of its own: inside group 0's record
+// of the batch arming, between two commit groups of coalesced machine
+// effects (some done bits set), and during verdict readback. The
 // same fine-grained budget sweep as the arming tests lands brown-outs
 // in each of them; the chunked cursor in `engine_run_batch` then
 // redelivers the interrupted batch, exercising the bitmap resume.
 // ---------------------------------------------------------------------------
 
 /// Budget sweep over the whole batch protocol on the multi-machine
-/// crash stream: verdicts and FRAM state must match the interpreter
-/// reference at every budget. The floor sits just above the
+/// crash stream (delivered twice): verdicts and FRAM state must match
+/// the interpreter reference at every budget. The floor sits just above the
 /// batch engine's install cost (its four-event array and verdict cells
 /// make installation a little dearer than the per-event engine's
 /// 700 nJ).
 #[test]
 fn batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
-    let events = crash_events();
+    // The crash stream twice over: one commit group per batch on most
+    // budgets makes a batch cheap enough that a single pass reboots
+    // fewer than the floor's 100 times.
+    let events = [crash_events(), crash_events()].concat();
     let (vf, sf) = engine_run_opts(
         &app,
         CRASH_SPEC,
@@ -1133,8 +1140,8 @@ fn batch_crash_windows_preserve_verdicts_and_state() {
 //
 // The cache is strictly write-through, so its only failure modes are
 // stale RAM surviving a reboot, a wipe landing between two of the FRAM
-// writes that make up a delivery (arming commit, sparse machine
-// commits, batch finalize), and a cold fill reading a half-updated
+// writes that make up a delivery (group records, plain done writes,
+// batch finalize), and a cold fill reading a half-updated
 // region. The warm sweeps above cover the first two; these clear SRAM
 // before every delivery, so every delivery cold-fills its shadows and
 // the brown-outs land inside those fills too. The runs must match a
@@ -1172,8 +1179,8 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
 }
 
 /// Batch always-cold delivery under the batch crash sweep: brown-outs
-/// land inside the batch arming commit, between per-machine batch
-/// commits, and during the finalize/readback window, each after a cold
+/// land inside group 0's record of the batch arming, between commit
+/// groups, and during the finalize/readback window, each after a cold
 /// fill.
 #[test]
 fn cached_batch_crash_windows_preserve_verdicts_and_state() {

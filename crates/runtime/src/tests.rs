@@ -727,3 +727,103 @@ fn end_triggered_restart_task_reruns_until_in_budget() {
         1
     );
 }
+
+/// A delivery's commit groups are cut where a group's cold cost from a
+/// full charge meets the capacitor budget less its margin, and nothing
+/// of a delivery persists until group 0's record lands. At a budget
+/// exactly on a group-0 boundary the runtime's own boot work (journal
+/// recovery, cursor reads, the sequence write), which the cut does not
+/// price, runs before that group on every attempt; on a harvester that
+/// only recharges between outages the run must still complete.
+#[test]
+fn deliveries_progress_at_every_group_zero_boundary() {
+    use artemis_core::event::EventKind;
+    use artemis_ir::analysis::{commit_groups, done_bytes, ArmedShape, MemberCost};
+    use artemis_ir::compile::CompiledSuite;
+    use intermittent_sim::EnergyProfile;
+
+    let mut b = AppGraphBuilder::new();
+    let src = b.task_with_var("src", "v");
+    let dst = b.task("dst");
+    b.path(&[src, dst]);
+    let app = b.build().unwrap();
+    // Four machines route EndTask(src) and three StartTask(dst); no
+    // property can fail, so every run must complete its path.
+    let spec = "src { dpData: v Range: [0, 100] onFail: skipTask; }\n\
+                src { maxDuration: 1h onFail: skipTask; }\n\
+                dst { collect: 1 dpTask: src onFail: restartPath; }\n\
+                dst { MITD: 1h dpTask: src onFail: restartPath; }";
+    let suite = artemis_ir::compile(spec, &app).unwrap();
+    let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+    let shape = ArmedShape {
+        capacity: 1,
+        events: 1,
+        done_bytes: done_bytes(compiled.machines().len()),
+    };
+    let groups_at = |kind: EventKind, task: u32, pj: u64| {
+        let members = compiled.routing().interested(kind, task).iter().map(|&m| {
+            MemberCost::routed(
+                &compiled.machines()[m as usize],
+                core::iter::once((kind, task)),
+            )
+        });
+        let mut ends = Vec::new();
+        let profile = EnergyProfile::with_budget(Energy::from_pico_joules(pj));
+        commit_groups(members, &shape, &profile, &mut ends);
+        ends
+    };
+
+    // Every budget (in pJ) at which some key's group 0 grows to two or
+    // more members, found by bisecting the partition over the range.
+    let (lo, hi) = (1_000u64, 20_000_000u64);
+    let mut edges = Vec::new();
+    for kind in [EventKind::StartTask, EventKind::EndTask] {
+        for task in [src.0, dst.0] {
+            assert_eq!(
+                groups_at(kind, task, hi).len(),
+                1,
+                "premise: one group at the top"
+            );
+            let mut spans = vec![(lo, hi)];
+            while let Some((a, z)) = spans.pop() {
+                if groups_at(kind, task, a) == groups_at(kind, task, z) {
+                    continue;
+                }
+                if z - a == 1 {
+                    let ends = groups_at(kind, task, z);
+                    if ends[0] >= 2 {
+                        edges.push((z, ends));
+                    }
+                    continue;
+                }
+                let mid = a + (z - a) / 2;
+                spans.push((a, mid));
+                spans.push((mid, z));
+            }
+        }
+    }
+    assert!(
+        edges.iter().any(|(_, ends)| ends[0] == 2 && ends.len() > 1),
+        "premise: a two-member group 0 with a later group: {edges:?}"
+    );
+
+    for (pj, ends) in edges {
+        let mut dev = DeviceBuilder::msp430fr5994()
+            .capacitor(Capacitor::with_budget(Energy::from_pico_joules(pj)))
+            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+            .build();
+        let mut rb = ArtemisRuntimeBuilder::new(app.clone());
+        rb.body("src", |ctx| {
+            ctx.set_monitored(50.0);
+            ctx.compute(10)
+        });
+        rb.body("dst", |ctx| ctx.compute(10));
+        let mut rt = rb.install(&mut dev, suite.clone()).unwrap();
+        let out = rt
+            .run_once(&mut dev, RunLimit::reboots(1_000))
+            .completed()
+            .unwrap_or_else(|| panic!("no progress at {pj} pJ (groups {ends:?})"));
+        assert!(out.all_completed(), "{pj} pJ (groups {ends:?})");
+        assert!(dev.reboots() > 0, "premise: outages at {pj} pJ");
+    }
+}

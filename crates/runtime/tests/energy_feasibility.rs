@@ -62,8 +62,8 @@ fn static_verdict(app: &AppGraph, budget: Energy) -> Verdict {
     let suite = artemis_ir::compile(SPEC, app).expect("spec compiles");
     let compiled =
         artemis_ir::compile::CompiledSuite::compile(&suite, app).expect("suite compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
     let profile = intermittent_sim::EnergyProfile::with_budget(budget);
+    let bounds = artemis_ir::suite_bounds(&compiled, &profile);
     artemis_ir::analysis::task_feasibility(&compiled, &bounds, app, &profile)
         .into_iter()
         .find(|f| f.name == "work")

@@ -179,9 +179,35 @@ struct PowerState {
     stats: DeviceStats,
     category: CostCategory,
     deadline: Option<SimInstant>,
+    /// Write-priced FRAM accesses still allowed before the scheduled
+    /// failure of [`Device::fail_before_write`]; `None` when none is
+    /// scheduled.
+    writes_before_failure: Option<u64>,
 }
 
 impl PowerState {
+    /// [`PowerState::spend`] for one FRAM write op, honouring the
+    /// scheduled failure: the write that reaches it browns out instead
+    /// of happening, and the schedule clears.
+    fn spend_write(&mut self, cost: Cost) -> Result<(), Interrupt> {
+        match self.writes_before_failure {
+            Some(0) => {
+                self.writes_before_failure = None;
+                if !self.harvester.is_continuous() {
+                    let left = self.cap.stored();
+                    self.cap.draw(left);
+                    self.stats.energies[self.category.idx()] += left;
+                    self.stats.consumed += left;
+                }
+                self.stats.power_failures += 1;
+                return Err(Interrupt::PowerFailure);
+            }
+            Some(n) => self.writes_before_failure = Some(n - 1),
+            None => {}
+        }
+        self.spend(cost)
+    }
+
     fn spend(&mut self, cost: Cost) -> Result<(), Interrupt> {
         // Time passes regardless of whether the energy was there: a
         // brown-out happens *during* the operation.
@@ -251,6 +277,10 @@ pub struct Device {
     sensor_cursors: Option<NvCell<[u64; 4]>>,
     trace: Trace,
     reboots: u64,
+    /// Journal records committed through [`Device::commit`], and the
+    /// largest of them in bytes.
+    journal_records: u64,
+    largest_journal_record: usize,
 }
 
 impl Device {
@@ -310,7 +340,7 @@ impl Device {
         label: &str,
     ) -> Result<NvCell<T>, Interrupt> {
         let cost = self.costs.fram_write(T::SIZE);
-        self.power.spend(cost)?;
+        self.power.spend_write(cost)?;
         self.fram.alloc(init, owner, label).map_err(|e| {
             Interrupt::Fault(Fault::OutOfFram {
                 requested: e.requested,
@@ -330,7 +360,7 @@ impl Device {
     /// journal for multi-cell atomicity).
     pub fn nv_write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) -> Result<(), Interrupt> {
         let cost = self.costs.fram_write(T::SIZE);
-        self.power.spend(cost)?;
+        self.power.spend_write(cost)?;
         self.fram.write(cell, value);
         Ok(())
     }
@@ -365,7 +395,7 @@ impl Device {
     /// transactional; stage into a journal for atomicity).
     pub fn nv_write_raw(&mut self, addr: usize, data: &[u8]) -> Result<(), Interrupt> {
         let cost = self.costs.fram_write(data.len());
-        self.power.spend(cost)?;
+        self.power.spend_write(cost)?;
         self.fram.write_raw(addr, data);
         Ok(())
     }
@@ -392,16 +422,49 @@ impl Device {
     }
 
     /// Commits a staged write-set crash-atomically as one journal
-    /// record, billing each FRAM access at its direction's price.
+    /// record, billing each FRAM access at its direction's price. A
+    /// non-empty write-set that commits in full counts one record
+    /// ([`Device::journal_records`]).
     pub fn commit(&mut self, journal: &Journal, tx: &TxWriter) -> Result<(), Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
-        journal.commit(&mut self.fram, tx, &mut |bytes, op| {
-            power.spend(match op {
-                JournalOp::Read => costs.fram_read(bytes),
-                JournalOp::Write => costs.fram_write(bytes),
-            })
-        })
+        journal.commit(&mut self.fram, tx, &mut |bytes, op| match op {
+            JournalOp::Read => power.spend(costs.fram_read(bytes)),
+            JournalOp::Write => power.spend_write(costs.fram_write(bytes)),
+        })?;
+        if !tx.is_empty() {
+            self.journal_records += 1;
+            self.largest_journal_record = self.largest_journal_record.max(tx.record_bytes());
+        }
+        Ok(())
+    }
+
+    /// Journal records committed in full so far: one per non-empty
+    /// [`Device::commit`] that returned `Ok`, whoever staged it
+    /// (monitor, runtime or application). Lossless, never sampled.
+    pub fn journal_records(&self) -> u64 {
+        self.journal_records
+    }
+
+    /// Bytes of the largest record [`Device::journal_records`] counts,
+    /// count word included — the high-water mark a journal's capacity
+    /// must cover.
+    pub fn largest_journal_record(&self) -> usize {
+        self.largest_journal_record
+    }
+
+    /// Schedules a deterministic power failure in place of the `k`-th
+    /// FRAM write op from now (`k = 1` is the next one): plain cell and
+    /// raw writes, and every journal stage, flag and apply write of a
+    /// commit or a recovery count one op each, exactly as
+    /// [`Fram::write_ops`] does. The failing write does not happen, the
+    /// capacitor empties and the call returns
+    /// [`Interrupt::PowerFailure`], just like a brown-out there; the
+    /// schedule then clears. `k = 0` cancels a pending schedule. The
+    /// crash-point explorer uses this to enumerate every write
+    /// boundary of a run instead of sampling capacitor budgets.
+    pub fn fail_before_write(&mut self, k: u64) {
+        self.power.writes_before_failure = k.checked_sub(1);
     }
 
     /// Completes an interrupted commit on boot, if any. Replay reads
@@ -409,11 +472,9 @@ impl Device {
     pub fn recover(&mut self, journal: &Journal) -> Result<bool, Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
-        journal.recover(&mut self.fram, &mut |bytes, op| {
-            power.spend(match op {
-                JournalOp::Read => costs.fram_read(bytes),
-                JournalOp::Write => costs.fram_write(bytes),
-            })
+        journal.recover(&mut self.fram, &mut |bytes, op| match op {
+            JournalOp::Read => power.spend(costs.fram_read(bytes)),
+            JournalOp::Write => power.spend_write(costs.fram_write(bytes)),
         })
     }
 
@@ -654,12 +715,15 @@ impl DeviceBuilder {
                 stats: DeviceStats::default(),
                 category: CostCategory::App,
                 deadline: None,
+                writes_before_failure: None,
             },
             costs: self.costs,
             peripherals: self.peripherals,
             sensor_cursors: None,
             trace: self.trace,
             reboots: 0,
+            journal_records: 0,
+            largest_journal_record: 0,
         }
     }
 }
@@ -775,6 +839,39 @@ mod tests {
         dev.commit(&journal, &tx).unwrap();
         assert_eq!(dev.peek(&cell), 9);
         assert!(!dev.recover(&journal).unwrap());
+    }
+
+    /// A scheduled failure replaces exactly the `k`-th FRAM write op,
+    /// counted the way `Fram::write_ops` counts, journal writes
+    /// included; reads never count, and the schedule fires once.
+    #[test]
+    fn scheduled_failure_replaces_the_kth_write() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let journal = dev.make_journal(64, MemOwner::Runtime).unwrap();
+        let cell = dev.nv_alloc::<u32>(0, MemOwner::App, "x").unwrap();
+        let mut tx = TxWriter::new();
+        tx.write(&cell, 5);
+        // One commit of one sub-write is 4 write ops: stage, flag,
+        // apply, clear. Fail the apply.
+        dev.fail_before_write(3);
+        dev.nv_read(&cell).unwrap();
+        let writes = dev.fram().write_ops();
+        assert_eq!(dev.commit(&journal, &tx), Err(Interrupt::PowerFailure));
+        assert_eq!(dev.fram().write_ops(), writes + 2, "stage and flag landed");
+        assert_eq!(dev.peek(&cell), 0, "the apply never happened");
+        assert_eq!(dev.stats().power_failures, 1);
+        assert_eq!(dev.journal_records(), 0);
+        dev.power_cycle();
+        assert!(dev.recover(&journal).unwrap(), "replayed after the flag");
+        assert_eq!(dev.peek(&cell), 5);
+        // Cleared after firing; a cancelled schedule never fires.
+        dev.fail_before_write(1);
+        dev.fail_before_write(0);
+        dev.commit(&journal, &tx).unwrap();
+        dev.nv_write(&cell, 6).unwrap();
+        assert_eq!(dev.journal_records(), 1);
+        assert_eq!(dev.largest_journal_record(), tx.record_bytes());
+        assert_eq!(dev.stats().power_failures, 1);
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //!
 //! The region is the flag byte followed by one record of up to
 //! [`Journal::capacity`] bytes, count word included.
+//!
+//! Every transaction of the system is one such record: both runtimes'
+//! task commits, and the monitor engine's resets, path restarts and
+//! **commit groups** — a delivery's worklist is cut into consecutive
+//! groups sized by the device's energy budget, each committed as one
+//! record with one done bit, and the first group's record also carries
+//! the delivery's arming sub-writes. A delivery whose worklist fits one
+//! group therefore costs `k + 3` writes for its `k` sub-writes in all,
+//! where an arming record plus one record per effectful machine paid
+//! the 3 fixed writes each time. [`crate::device::Device::commit`]
+//! counts the records it commits.
 
 use core::ops::Range;
 
