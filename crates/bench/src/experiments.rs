@@ -917,7 +917,7 @@ pub fn traffic() -> Report {
     r.note(
         "records/event: journal records committed per event (Device::journal_records), \
          one per commit group; the testbed's 1.6 mJ capacitor fits each compiled \
-         worklist in one group, whose record also carries the arming sub-writes, and the \
+         worklist in one group, whose record also arms the delivery with one header run, and the \
          interpreter commits one machine per group",
     );
     r.note(
@@ -1857,15 +1857,16 @@ mod tests {
 
     /// Grouped commits on the traffic device: the sparse per-event
     /// worklist fits one commit group, so each event commits one
-    /// record — the arming sub-writes and eight one-byte runs — for 15
-    /// writes and 184 write B, where one arming record plus a record
-    /// per machine cost 47 writes and 280 B. An always-cold delivery
+    /// record — the armed-delivery header as one run and eight
+    /// one-byte runs — for 12 writes and 166 write B, where four arming
+    /// sub-writes cost 15 writes and 184 B, and one arming record plus
+    /// a record per machine 47 writes and 280 B. An always-cold delivery
     /// reads exactly the static refill bytes, whole blocks included.
     #[test]
     fn sparse_events_commit_one_record_each() {
         let warm = traffic_row("sparse compiled per-event warm");
-        assert_eq!(cell(warm, "FRAM writes"), 15.0 * STREAM_EVENTS as f64);
-        assert_eq!(cell(warm, "write B/event"), 184.0);
+        assert_eq!(cell(warm, "FRAM writes"), 12.0 * STREAM_EVENTS as f64);
+        assert_eq!(cell(warm, "write B/event"), 166.0);
         assert_eq!(cell(warm, "records/event"), 1.0);
 
         let compiled = compiled_workload("sparse");
@@ -1874,7 +1875,7 @@ mod tests {
         assert_eq!(key.groups, 1);
         let cold = traffic_row("sparse compiled per-event always-cold");
         assert_eq!(cell(cold, "read B/event"), key.cold_read_bytes as f64);
-        assert_eq!(key.cold_read_bytes, 203);
+        assert_eq!(key.cold_read_bytes, 207);
     }
 
     /// Acceptance criteria on FRAM bytes: packed + diff cuts FRAM

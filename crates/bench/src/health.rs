@@ -108,6 +108,8 @@ pub fn nominal_minutes(n: u64) -> SimDuration {
 /// on a successful execution, so omitting it keeps Infeasible verdicts
 /// sound while the analysis's own monitor/runtime allowances cover the
 /// protocol overhead.
+///
+/// [`PeripheralBank::thunderboard_defaults`]: intermittent_sim::PeripheralBank::thunderboard_defaults
 pub fn health_app() -> AppGraph {
     use artemis_core::app::TaskCostDecl;
     use intermittent_sim::peripherals::PeripheralBank;

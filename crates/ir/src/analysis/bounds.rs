@@ -15,10 +15,11 @@
 //!
 //! The engine commits a delivery's worklist in **commit groups**:
 //! consecutive runs of worklist entries, one journal record per group
-//! and one done bit per group. Group 0's record also carries the
-//! arming sub-writes (event array, sequence number, verdict count,
-//! done bitmap), so a delivery whose whole worklist fits one group
-//! costs one record. [`commit_groups`] is the one function that cuts a
+//! and one done bit per group. Group 0's record also arms the delivery
+//! (event array, sequence number, verdict count, done bitmap and its
+//! own verdict cells, one run of the engine's contiguous header), so a
+//! delivery whose whole worklist fits one group costs one record.
+//! [`commit_groups`] is the one function that cuts a
 //! worklist: a group grows while its **cold cost from a full charge**
 //! fits the device's energy budget less the profile's margin —
 //! recovery (replaying the group's own record), the armed-delivery
@@ -49,33 +50,44 @@
 //! Per delivered event, using each key's static [`AccessSet`] and each
 //! machine's packed [`crate::layout::MachineLayout`]:
 //!
-//! - **armed-delivery load**: recovery flag, sequence number, event
-//!   array and done bitmap — 4 reads, one op each. The worklist and its
-//!   groups are not persisted: the engine derives both from the armed
-//!   events;
-//! - **group 0**: one record of the arming sub-writes (event array,
-//!   sequence number, verdict count, done bitmap — `40 + 31·e + ⌈N/8⌉`
-//!   record bytes for `e` events and `N` installed machines) plus its
-//!   members' sub-writes. With no members it is the 7-write arming
-//!   record every delivery pays;
+//! The engine keeps the armed delivery in one contiguous header,
+//! `[events × capacity][seq u64][event count u16][verdict count u32]
+//! [done bitmap][verdict cells]`, with the event array filled from its
+//! end so the armed events abut `seq`. Each contiguous run it stages
+//! is one sub-write, however many fields it spans. With `e` armed
+//! events, capacity `E`, `N` installed machines and `c` logged cells:
+//!
+//! - **armed-delivery load**: the recovery flag, then the header from
+//!   the event array to the done bitmap — 2 reads, `15 + 31·E + ⌈N/8⌉`
+//!   bytes; the verdict count rides along, so no later read needs it.
+//!   The worklist and its groups are not persisted: the engine derives
+//!   both from the armed events;
+//! - **group 0**: one record of its members' sub-writes plus **one**
+//!   header run from the first armed event to its last logged cell —
+//!   `20 + 31·e + ⌈N/8⌉ + 9·c` record bytes; verdict cells add bytes,
+//!   never sub-writes. With no members it is the 4-write arming record
+//!   every delivery pays;
 //! - **group g ≥ 1**: one record of its members' sub-writes and the
-//!   done bitmap (3 + 1 + members' sub-writes writes), plus the verdict
-//!   count when a member can emit;
+//!   done bitmap (3 + 1 + members' sub-writes writes); a group with an
+//!   emitting member stages `[verdict count | done]` and one run of its
+//!   cells instead (3 + 2 + members' sub-writes);
 //! - **per member**, worst case (effectful step): one whole-block read
 //!   on a cold fill, and the state word plus every write-set slot as
 //!   sub-writes of its group's record. Keys whose access set covers ≥ ¾
 //!   of the block degrade at compile time to committing the whole block
-//!   image as one sub-write. An emitting member adds a verdict-cell
-//!   sub-write;
-//! - **verdict readback**: count read + one read per possible emitter.
+//!   image as one sub-write. An emitting member adds one verdict cell
+//!   to its group's log;
+//! - **verdict readback**: one read per possible emitter's cell.
 //!
 //! The static bound dominates the dynamic cost because the `Path:`
 //! filter only ever *dismisses* members inside their groups (the cut
 //! itself runs on the routing index's interest lists, so per-event
 //! groups are exactly the static ones), effectless steps stage nothing,
-//! a group `g ≥ 1` left holding only its done bit completes with a plain
-//! write instead of a commit, and a step's dynamic write set is a
-//! subset of the static one. The model prices each member slot-granular
+//! a member that emits less logs fewer cell bytes (and a later group
+//! that logs nothing stages only its bitmap), a group `g ≥ 1` left
+//! holding only its done bit completes with a plain write instead of a
+//! commit, and a step's dynamic write set is a subset of the static
+//! one. The model prices each member slot-granular
 //! (state word + every write-set slot); the engine's dirty-diff runs
 //! only ever stage fewer runs and fewer bytes: changed bytes live
 //! inside the state word and write-set slots, at most one run forms per
@@ -88,9 +100,9 @@
 //! # Cache-aware bounds
 //!
 //! The compiled engine reads through a volatile shadow cache. Warm,
-//! every read of a steady-state delivery — recovery flag, sequence,
-//! armed delivery and its derived worklist, machine spans, verdict log
-//! — is served from RAM, and no commit re-reads the journal, so a warm
+//! every read of a steady-state delivery — recovery flag, the header
+//! and its derived worklist, machine spans, verdict cells — is served
+//! from RAM, and no commit re-reads the journal, so a warm
 //! delivery reads **nothing**: it costs exactly [`EventCost::writes`].
 //! [`EventCost::cold_extra_reads`] and [`EventCost::cold_read_bytes`]
 //! are the refill of the first delivery after a reboot (the
@@ -205,24 +217,35 @@ impl RecordCost {
     }
 }
 
-/// The arming sub-writes of a delivery of `events` events: the event
-/// array (`u16` count + events), the sequence number, the verdict count
-/// and the done bitmap.
-fn arming(events: usize, done_b: usize) -> RecordCost {
-    RecordCost::default()
-        .with(2 + ENCODED_EVENT_BYTES * events)
-        .with(U64_BYTES)
-        .with(U32_BYTES)
-        .with(done_b)
+/// Bytes of an armed delivery's fixed header fields: `[seq u64][event
+/// count u16][verdict count u32][done bitmap]`. The event array sits in
+/// front of them, filled from its end, and the verdict cells follow, so
+/// a reset zeroes exactly these bytes in one run.
+const fn fixed_bytes(done_b: usize) -> usize {
+    U64_BYTES + 2 + U32_BYTES + done_b
+}
+
+/// Group 0's header run for a delivery shaped `shape` that logs
+/// `verdicts` cells: the armed events abut the fixed fields and the
+/// cells follow them, so arming is **one** sub-write for any event
+/// count, and verdict cells add bytes, never sub-writes.
+fn arming(shape: &ArmedShape, verdicts: usize) -> RecordCost {
+    RecordCost::default().with(
+        ENCODED_EVENT_BYTES * shape.events
+            + fixed_bytes(shape.done_bytes)
+            + VERDICT_BYTES * verdicts,
+    )
 }
 
 /// FRAM read ops and bytes of loading the armed delivery of an engine
-/// holding up to `capacity` events, with nothing shadowed: recovery
-/// flag, sequence number, the whole event array and the done bitmap.
+/// holding up to `capacity` events, with nothing shadowed: the
+/// recovery flag, then the header from the event array to the done
+/// bitmap in one read (the sequence number and verdict count ride
+/// along).
 fn armed_load(capacity: usize, done_b: usize) -> (usize, usize) {
     (
-        4,
-        FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES * capacity + done_b,
+        2,
+        FLAG_BYTES + ENCODED_EVENT_BYTES * capacity + fixed_bytes(done_b),
     )
 }
 
@@ -317,38 +340,34 @@ impl GroupCost {
         self
     }
 
-    /// `true` when the group re-reads the verdict count before logging:
-    /// group 0 resets it, later groups append to it.
-    fn reads_count(&self) -> bool {
-        !self.first && self.verdicts > 0
-    }
-
-    /// The group's journal record: group 0's arming sub-writes, or the
-    /// done bitmap plus — when a member can emit — the verdict count,
-    /// then every member's sub-writes and verdict cells.
+    /// The group's journal record: every member's sub-writes, then
+    /// group 0's header run with its verdict cells, or a later group's
+    /// `[verdict count | done]` run and one run of its cells — only the
+    /// done bitmap when no member can emit.
     fn record(&self, shape: &ArmedShape) -> RecordCost {
-        let base = if self.first {
-            arming(shape.events, shape.done_bytes)
+        let header = if self.first {
+            arming(shape, self.verdicts)
         } else if self.verdicts > 0 {
-            RecordCost::default().with(U32_BYTES).with(shape.done_bytes)
+            RecordCost::default()
+                .with(U32_BYTES + shape.done_bytes)
+                .with(VERDICT_BYTES * self.verdicts)
         } else {
             RecordCost::default().with(shape.done_bytes)
         };
-        (0..self.verdicts).fold(base.plus(self.staged), |c, _| c.with(VERDICT_BYTES))
+        self.staged.plus(header)
     }
 
     /// Energy of running the group from a full charge right after a
     /// reboot: recovery (the flag read and a replay of the group's own
     /// record), the armed-delivery load and worklist re-derivation,
-    /// every member's whole-block fill and step, the verdict-count read
-    /// of a later emitting group, and the group's commit.
+    /// every member's whole-block fill and step, and the group's
+    /// commit.
     fn cold_energy(&self, shape: &ArmedShape, profile: &EnergyProfile) -> Energy {
         let record = self.record(shape);
         let (load_reads, load_bytes) = armed_load(shape.capacity, shape.done_bytes);
-        let count = usize::from(self.reads_count());
         profile.model.traffic_energy(
-            load_reads + 1 + 2 * record.subs + self.members + count,
-            load_bytes + 2 + record.entries + self.fill_bytes + U32_BYTES * count,
+            load_reads + 1 + 2 * record.subs + self.members,
+            load_bytes + 2 + record.entries + self.fill_bytes,
             record.subs + 1 + record.writes(),
             record.data + FLAG_BYTES + record.write_bytes(),
             ROUTING_LOOKUP_CYCLES * shape.events as u64 + self.cycles,
@@ -390,8 +409,7 @@ pub fn commit_groups(
 /// What delivering a worklist of `members` costs, before the verdict
 /// readback: the armed-delivery load and routing, then per commit
 /// group [`commit_groups`] cuts — one whole-block fill per member (the
-/// engine's cold read), a count read for a later emitting group, and
-/// one record.
+/// engine's cold read) and one record.
 #[derive(Default)]
 struct Priced {
     groups: usize,
@@ -428,9 +446,8 @@ fn price(
             .iter()
             .fold(GroupCost::new(g == 0), |c, m| c.with(m));
         start = end;
-        let count = usize::from(group.reads_count());
-        p.reads += group.members + count;
-        p.read_bytes += group.fill_bytes + U32_BYTES * count;
+        p.reads += group.members;
+        p.read_bytes += group.fill_bytes;
         p.cycles += group.cycles;
         let record = group.record(shape);
         p.writes += record.writes();
@@ -471,11 +488,10 @@ pub struct EventCost {
     /// write-through).
     pub writes: usize,
     /// Extra FRAM reads the first delivery after a reboot pays to
-    /// refill the shadow: the armed-delivery load (recovery flag,
-    /// sequence number, event array, done bitmap), and one whole-block
-    /// fill per armed machine. Any post-reboot delivery — including
-    /// resuming an event armed before the crash — reads at most
-    /// [`EventCost::reads`] ops.
+    /// refill the shadow: the armed-delivery load (recovery flag and
+    /// one header read), and one whole-block fill per armed machine.
+    /// Any post-reboot delivery — including resuming an event armed
+    /// before the crash — reads at most [`EventCost::reads`] ops.
     pub cold_extra_reads: usize,
     /// FRAM bytes of the `cold_extra_reads` refill: the armed-delivery
     /// load plus every armed machine's whole block.
@@ -494,7 +510,7 @@ pub struct EventCost {
     /// cold one also re-derives the loaded delivery's worklist: one
     /// more [`ROUTING_LOOKUP_CYCLES`].
     pub cycles: u64,
-    /// FRAM write ops of the arming sub-writes alone, as one record —
+    /// FRAM write ops of the arming run alone, as one record —
     /// a floor *every* delivered event pays before any machine steps,
     /// warm or cold (the cache is write-through and never absorbs
     /// writes): group 0 with no member effects.
@@ -546,7 +562,7 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
         events: 1,
         done_bytes: done_b,
     };
-    let arming = arming(1, done_b);
+    let arming = arming(&shape, 0);
 
     let mut per_key = Vec::with_capacity(2 * (task_count + 1));
     let mut members = Vec::with_capacity(machines.len());
@@ -581,17 +597,17 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
                 delta_machines: armed.len() - degraded_machines,
                 degraded_machines,
                 groups: p.groups,
-                // Verdict readback: count + one cell per possible
-                // emitter.
-                reads: p.reads + 1 + emitters,
+                // Verdict readback: one cell per possible emitter (the
+                // count came with the header).
+                reads: p.reads + emitters,
                 writes: p.writes,
                 // The armed-delivery load + one whole-block fill per
                 // armed machine (the fresh-arm cold path; resuming a
                 // pre-crash event is bounded by `reads`).
-                cold_extra_reads: 4 + armed.len(),
+                cold_extra_reads: 2 + armed.len(),
                 cold_read_bytes: p.cold_read_bytes,
                 commit_bytes: p.largest_record,
-                read_bytes: p.read_bytes + U32_BYTES + VERDICT_BYTES * emitters,
+                read_bytes: p.read_bytes + VERDICT_BYTES * emitters,
                 write_bytes: p.write_bytes,
                 cycles: p.cycles,
                 arming_writes: arming.writes(),
@@ -605,10 +621,7 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
             .iter()
             .map(|m| entry_bytes(m.layout().block_len))
             .sum::<usize>()
-        + entry_bytes(U32_BYTES) // verdict count
-        + entry_bytes(U64_BYTES) // seq
-        + entry_bytes(2) // event count
-        + entry_bytes(done_b); // done bitmap
+        + entry_bytes(fixed_bytes(done_b)); // the zeroed fixed header fields
 
     let worst_commit_bytes = per_key
         .iter()
@@ -631,19 +644,18 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
 /// actual batch the engine can run:
 ///
 /// - **armed-delivery load**: the per-event formula of [`suite_bounds`]
-///   at `max_events` events — 4 reads of a `u16` count plus
-///   `max_events` encoded events, seq and done bitmap.
+///   at `max_events` events — the flag and one header read spanning
+///   `max_events` encoded events and the fixed fields.
 /// - **per machine** (all machines may be armed): the footprint is the
 ///   union of the machine's access sets over *every* dispatch key, and
 ///   a machine emits if *any* of its transitions emits. One whole-block
 ///   cold fill, then its state word (or the whole block image) + every
-///   merged write slot + up to `max_events` verdict cells as sub-writes
-///   of its group's record.
+///   merged write slot as sub-writes of its group's record, and up to
+///   `max_events` verdict cells in its group's log.
 /// - **groups**: [`commit_groups`] over every machine in suite order at
-///   those worst-case member costs; group 0 carries the arming
-///   sub-writes of `max_events` events.
-/// - **verdict readback**: count read + up to `max_events` cells per
-///   emitter.
+///   those worst-case member costs; group 0's header run carries
+///   `max_events` events.
+/// - **verdict readback**: up to `max_events` cells per emitter.
 ///
 /// Dominance over the engine's dynamic cost follows from the same
 /// arguments as [`suite_bounds`], plus: the derived worklist is a
@@ -658,7 +670,7 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
 pub struct BatchBounds {
     /// Batch capacity the bound was derived for.
     pub max_events: usize,
-    /// Journal bytes of the batch arming sub-writes as one record.
+    /// Journal bytes of the batch arming run as one record.
     pub arming_commit_bytes: usize,
     /// Largest single journal commit the batch path can stage: every
     /// machine in one group, in the larger of its two commit formats —
@@ -777,20 +789,20 @@ pub fn batch_bounds(
     }
 
     let p = price(&members, &shape, profile, &mut Vec::new());
-    // Verdict readback: count + up to `max_events` cells per emitter.
+    // Verdict readback: up to `max_events` cells per emitter.
     let readback = emitters * max_events;
     BatchBounds {
         max_events,
-        arming_commit_bytes: arming(max_events, done_b).record(),
+        arming_commit_bytes: arming(&shape, 0).record(),
         worst_commit_bytes: largest.record(&shape).record(),
         groups: p.groups,
         fits_one_group: largest.members <= 1
             || largest.cold_energy(&shape, profile) <= profile.margin_threshold(),
-        reads: p.reads + 1 + readback,
+        reads: p.reads + readback,
         writes: p.writes,
-        cold_extra_reads: 4 + machines.len(),
+        cold_extra_reads: 2 + machines.len(),
         cold_read_bytes: p.cold_read_bytes,
-        read_bytes: p.read_bytes + U32_BYTES + VERDICT_BYTES * readback,
+        read_bytes: p.read_bytes + VERDICT_BYTES * readback,
         write_bytes: p.write_bytes,
         cycles: p.cycles,
     }
@@ -861,17 +873,14 @@ mod tests {
         EnergyProfile::with_budget(Energy::from_nano_joules(1))
     }
 
-    /// The arming sub-writes' record bytes and payload for one event
-    /// and a one-byte done bitmap.
-    fn arming_record() -> (usize, usize) {
-        (
-            2 + entry_bytes(2 + ENCODED_EVENT_BYTES)
-                + entry_bytes(U64_BYTES)
-                + entry_bytes(U32_BYTES)
-                + entry_bytes(1),
-            2 + ENCODED_EVENT_BYTES + U64_BYTES + U32_BYTES + 1,
-        )
+    /// The header run's payload for one event, a one-byte done bitmap
+    /// and `verdicts` logged cells: the event through the last cell.
+    fn header_run(verdicts: usize) -> usize {
+        U64_BYTES + 2 + ENCODED_EVENT_BYTES + U32_BYTES + 1 + VERDICT_BYTES * verdicts
     }
+
+    /// A one-event armed-delivery load: the flag and `events … done`.
+    const LOAD: usize = FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + U32_BYTES + 1;
 
     #[test]
     fn bounds_scale_with_interest_and_emits() {
@@ -907,30 +916,26 @@ mod tests {
         assert_eq!(wild.machines, 0);
         assert_eq!(wild.groups, 1, "group 0 is the arming record");
         assert!(start_a.ops() > wild.ops());
-        // Armed-delivery load (4) + block fill (1) + readback (1 + 1);
-        // group 0 resets the verdict count, so it never reads it.
-        assert_eq!(start_a.reads, 4 + 1 + 1 + 1);
-        // One record: arming (4) + block + verdict cell.
-        assert_eq!(start_a.writes, 3 + 4 + 2);
-        assert_eq!(start_a.cold_extra_reads, 4 + 1);
+        // Armed-delivery load (flag + header) + block fill (1) +
+        // readback of one cell; the count rides the header.
+        assert_eq!(start_a.reads, 2 + 1 + 1);
+        // One record: the header run, its verdict cell included, and
+        // the block.
+        assert_eq!(start_a.writes, 3 + 1 + 1);
+        assert_eq!(start_a.cold_extra_reads, 2 + 1);
         // Byte pins for the degraded emitting key (2-machine suite, so
         // a 1-byte done bitmap).
         let block = cs.machines()[0].layout().block_len;
-        let load = FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1;
-        assert_eq!(start_a.cold_read_bytes, load + block);
-        // flag, seq, event array and done bitmap, whole-block fill,
-        // readback count + one cell.
-        assert_eq!(
-            start_a.read_bytes,
-            load + block + (U32_BYTES + VERDICT_BYTES)
-        );
-        let (arm_record, arm_data) = arming_record();
-        let record = arm_record + entry_bytes(block) + entry_bytes(VERDICT_BYTES);
-        let data = arm_data + block + VERDICT_BYTES;
+        assert_eq!(start_a.cold_read_bytes, LOAD + block);
+        // flag and header, whole-block fill, one cell read back.
+        assert_eq!(start_a.read_bytes, LOAD + block + VERDICT_BYTES);
+        let record = 2 + entry_bytes(header_run(1)) + entry_bytes(block);
+        let data = header_run(1) + block;
         assert_eq!(start_a.write_bytes, record + data + 2);
         assert_eq!(start_a.commit_bytes, record);
-        assert_eq!(start_a.arming_writes, 7);
-        assert_eq!(start_a.arming_write_bytes, arm_record + arm_data + 2);
+        assert_eq!(start_a.arming_writes, 4);
+        let arm_record = 2 + entry_bytes(header_run(0));
+        assert_eq!(start_a.arming_write_bytes, arm_record + header_run(0) + 2);
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
         // start key; optimized (fused guards), the cycle-priced worst
@@ -988,11 +993,11 @@ mod tests {
             .unwrap();
         assert_eq!(start_a.delta_machines, 1);
         assert_eq!(start_a.degraded_machines, 0);
-        // Armed-delivery load (4) + block fill (1) + readback (1).
-        assert_eq!(start_a.reads, 4 + 1 + 1);
-        // One record: arming (4) + state word + slot.
-        assert_eq!(start_a.writes, 3 + 4 + 2);
-        assert_eq!(start_a.cold_extra_reads, 4 + 1);
+        // Armed-delivery load (flag + header) + block fill (1).
+        assert_eq!(start_a.reads, 2 + 1);
+        // One record: the header run + state word + slot.
+        assert_eq!(start_a.writes, 3 + 1 + 2);
+        assert_eq!(start_a.cold_extra_reads, 2 + 1);
 
         // v0's unguarded increment widens it to a full 8-byte slot, but
         // state (1 state), done (1 machine) and the eleven untouched
@@ -1003,12 +1008,10 @@ mod tests {
         assert_eq!(m.layout().block_len, 1 + 8 + 11);
         // A cold fill reads the whole block, not the 9-byte span the
         // step decodes.
-        let load = FLAG_BYTES + U64_BYTES + 2 + ENCODED_EVENT_BYTES + 1;
-        assert_eq!(start_a.cold_read_bytes, load + 20);
-        assert_eq!(start_a.read_bytes, load + 20 + U32_BYTES);
-        let (arm_record, arm_data) = arming_record();
-        let record = arm_record + entry_bytes(1) + entry_bytes(8);
-        assert_eq!(start_a.write_bytes, record + arm_data + 1 + 8 + 2);
+        assert_eq!(start_a.cold_read_bytes, LOAD + 20);
+        assert_eq!(start_a.read_bytes, LOAD + 20);
+        let record = 2 + entry_bytes(header_run(0)) + entry_bytes(1) + entry_bytes(8);
+        assert_eq!(start_a.write_bytes, record + header_run(0) + 1 + 8 + 2);
         assert_eq!(
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
@@ -1018,7 +1021,7 @@ mod tests {
     }
 
     /// On a budget no two members share, every armed machine is its
-    /// own group: group 0 carries the arming sub-writes and the first
+    /// own group: group 0 carries the arming run and the first
     /// machine, each later group one machine and the done bitmap.
     #[test]
     fn tiny_budgets_commit_one_machine_per_group() {
@@ -1042,15 +1045,17 @@ mod tests {
         assert_eq!(one.machines, 3);
         assert_eq!((one.groups, each.groups), (1, 3));
         // Each later group adds a record's 3 fixed writes and the done
-        // bitmap, plus — where its member emits — the verdict count
-        // sub-write and a count read before logging.
+        // bitmap — where its member emits, the `[verdict count | done]`
+        // run and one run of cells. Group 0's cells ride its header run
+        // either way, and no group reads the count: it came with the
+        // header.
         let later_emitters = cs.machines()[1..]
             .iter()
             .filter(|m| m.may_emit(EventKind::StartTask, 0))
             .count();
         assert!(later_emitters > 0, "premise: a later group logs verdicts");
         assert_eq!(each.writes, one.writes + 2 * 4 + later_emitters);
-        assert_eq!(each.reads, one.reads + later_emitters);
+        assert_eq!(each.reads, one.reads);
         assert!(each.commit_bytes < one.commit_bytes);
         assert_eq!(each.cycles, one.cycles);
         assert_eq!(each.cold_extra_reads, one.cold_extra_reads);
@@ -1139,7 +1144,7 @@ mod tests {
         assert!(b4.worst_commit_bytes >= b1.worst_commit_bytes);
         assert!(b4.worst_commit_bytes >= b4.arming_commit_bytes);
         // Cold refill scales with the suite.
-        assert_eq!(b4.cold_extra_reads, 4 + 2);
+        assert_eq!(b4.cold_extra_reads, 2 + 2);
         assert_eq!((b1.groups, b4.groups), (1, 1));
         // Bytes and cycles grow with capacity; routing + dispatch are
         // charged per event, so the cycle bound scales exactly linearly.
@@ -1154,6 +1159,39 @@ mod tests {
         assert!(!t4.fits_one_group);
         assert!(t4.writes > b4.writes);
         assert_eq!(t4.worst_commit_bytes, b4.worst_commit_bytes);
+    }
+
+    /// Group 0 arms with one sub-write for any event count — the armed
+    /// events abut the fixed header fields — and its logged cells add
+    /// bytes only; a later emitting group stages `[verdict count |
+    /// done]` and its cells as two sub-writes, a silent one the bitmap.
+    #[test]
+    fn header_runs_are_one_sub_write_each() {
+        for (capacity, events) in [(1, 1), (4, 4), (4, 3), (4, 1)] {
+            let shape = ArmedShape {
+                capacity,
+                events,
+                done_bytes: 1,
+            };
+            for verdicts in [0, 1, 5] {
+                let run = arming(&shape, verdicts);
+                assert_eq!(run.subs, 1);
+                let fixed = U64_BYTES + 2 + U32_BYTES + 1;
+                let cells = VERDICT_BYTES * verdicts;
+                assert_eq!(run.data, ENCODED_EVENT_BYTES * events + fixed + cells);
+            }
+            let later = |verdicts| {
+                GroupCost {
+                    verdicts,
+                    ..GroupCost::new(false)
+                }
+                .record(&shape)
+            };
+            let log = later(3);
+            assert_eq!((log.subs, log.data), (2, U32_BYTES + 1 + 3 * VERDICT_BYTES));
+            let silent = later(0);
+            assert_eq!((silent.subs, silent.data), (1, 1));
+        }
     }
 
     /// The done bitmap grows one byte per eight installed machines, so

@@ -36,8 +36,8 @@
 //!
 //! - the **floor** under-approximates any successful attempt: the
 //!   declared body cost plus only the *arming records* of the two
-//!   events — the arming sub-writes every delivery commits in its group
-//!   0 record even when no machine has an effect, FRAM writes the
+//!   events — the header run every delivery commits in its group 0
+//!   record even when no machine has an effect, FRAM writes the
 //!   write-through shadow cache can never absorb. If even
 //!   the floor exceeds the budget, no attempt can complete on a
 //!   harvester that only recharges between outages (e.g.
@@ -106,7 +106,7 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
 
 /// Energy of the arming record alone — the write-only monitor floor
 /// every delivered event pays, warm or cold.
-pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
+pub(crate) fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
 }
 

@@ -50,7 +50,7 @@ pub use bounds::{
 };
 pub use conflicts::check_conflicts;
 pub use energy::{
-    arming_energy, batch_energy, batch_energy_cached, body_energy, check_energy, event_energy,
+    batch_energy, batch_energy_cached, body_energy, check_energy, event_energy,
     event_energy_cached, task_feasibility, TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
 };
 pub use reachability::check_reachability;

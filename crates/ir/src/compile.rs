@@ -641,7 +641,7 @@ pub struct RawMachine {
 
 impl CompiledMachine {
     /// Compiles one machine against the application graph at the
-    /// default optimization level ([`OptLevel::Full`]).
+    /// default optimization level ([`OptLevel::Full`](crate::opt::OptLevel::Full)).
     pub fn compile(machine: &StateMachine, app: &AppGraph) -> Result<Self, CompileIssue> {
         Self::compile_with(machine, app, crate::opt::OptLevel::default())
     }
@@ -804,7 +804,7 @@ impl CompiledMachine {
     }
 
     /// The static FRAM access set of `(kind, task)` — same fallback
-    /// rule as [`CompiledMachine::transition_list`].
+    /// rule as `CompiledMachine::transition_list`.
     pub fn access(&self, kind: EventKind, task: u32) -> &AccessSet {
         let k = kind_index(kind);
         self.access[k]
@@ -813,7 +813,7 @@ impl CompiledMachine {
     }
 
     /// The static compute ceiling of one `step` for `(kind, task)` —
-    /// same fallback rule as [`CompiledMachine::transition_list`]. The
+    /// same fallback rule as `CompiledMachine::transition_list`. The
     /// engine bills exactly this many cycles per delivered event
     /// (static and state-independent, so billing never leaks machine
     /// state), and the bounds/energy passes price through the same
@@ -1287,7 +1287,7 @@ pub struct CompiledSuite {
 
 impl CompiledSuite {
     /// Compiles every machine of `suite` against `app` at the default
-    /// optimization level ([`OptLevel::Full`]) and builds the global
+    /// optimization level ([`OptLevel::Full`](crate::opt::OptLevel::Full)) and builds the global
     /// routing index.
     pub fn compile(suite: &MonitorSuite, app: &AppGraph) -> Result<Self, CompileIssue> {
         Self::compile_with(suite, app, crate::opt::OptLevel::default())

@@ -381,8 +381,8 @@ const FULL: (i64, i64) = (i64::MIN, i64::MAX);
 /// interval containing every value the machine can ever store there.
 /// Non-`Int` slots get the full range (their encoding ignores it).
 ///
-/// The transfer functions mirror [`crate::expr::apply`] and
-/// [`crate::exec::coerce`] exactly:
+/// The transfer functions mirror the interpreter's `expr::apply` and
+/// `exec::coerce` exactly:
 /// - `Int + Int` / `Int - Int` are **saturating**, so interval
 ///   endpoints saturate too (no wrap to reason about);
 /// - comparisons yield `Bool`, which a `StoreVar` into an `Int` slot

@@ -1,6 +1,6 @@
 //! Bytecode optimizer pipeline.
 //!
-//! Runs between codegen ([`crate::compile`]) and the install-time
+//! Runs between codegen ([`crate::compile()`]) and the install-time
 //! verifier ([`crate::analysis::verify_machine`]) — deliberately in
 //! that order: the verifier checks exactly the instruction stream the
 //! engine will execute, so no optimizer bug can smuggle an unverified

@@ -19,7 +19,7 @@
 //!
 //! Every delivery carries a caller-chosen sequence number. A new
 //! sequence number arms the engine atomically (events + sequence +
-//! verdict reset + done bitmap, riding in the delivery's first commit
+//! verdict reset + done bitmap, one run of the delivery's first commit
 //! record); re-delivering the *same*
 //! sequence number resumes or returns the already-computed verdicts
 //! instead of double-stepping the machines. The ARTEMIS runtime
@@ -34,32 +34,42 @@
 //! Triggers are static, so at install time the compiler emits a global
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
-//! that can match. The engine persists one **armed delivery**: the
-//! first sequence number, the event array (`u16` count + capacity ×
-//! [`EncodedEvent`]), the verdict count and a completion bitmap — one
-//! bit per commit group, `ceil(machines / 8)` bytes. The **worklist**
-//! (the machines the routing index names for the armed events, each
-//! with a mask of the events it dispatches after the `Path:` filter)
-//! and its cut into **commit groups** (consecutive runs of worklist
-//! entries, sized by [`artemis_ir::analysis::commit_groups`] against
-//! the device's energy budget) are never persisted: both are
-//! deterministic functions of the armed events, derived at arming and
-//! re-derived once on a cold load after a reboot. Each group commits
-//! its members' effects together with its bit in **one journal
-//! record**, and group 0's record also carries the arming sub-writes
-//! (events, sequence number, verdict count, done bitmap), so a delivery
-//! whose worklist fits one group costs one record. A reboot resumes
-//! exactly the pending groups and a redelivered sequence number only
-//! finishes them. A derived worklist names only installed machines, so
-//! it needs no validation; the persisted event count does, and a count
-//! past the capacity — or a loaded delivery whose group 0 is not done,
-//! which no commit can leave behind — faults with
-//! [`Fault::CorruptState`].
+//! that can match. The engine persists one **armed delivery** in one
+//! contiguous FRAM region, the header:
+//!
+//! ```text
+//! [events × capacity][seq u64][event count u16][verdict count u32][done bitmap][verdict cells × slots]
+//! ```
+//!
+//! — the encoded events (filled from the array's end, so the armed ones
+//! abut `seq`), the first sequence number, the verdict log and a
+//! completion bitmap with one bit per commit group, `ceil(machines / 8)`
+//! bytes. The **worklist** (the machines the routing index names for
+//! the armed events, each with a mask of the events it dispatches after
+//! the `Path:` filter) and its cut into **commit groups** (consecutive
+//! runs of worklist entries, sized by
+//! [`artemis_ir::analysis::commit_groups`] against the device's energy
+//! budget) are never persisted: both are deterministic functions of the
+//! armed events, derived at arming and re-derived once on a cold load
+//! after a reboot. Each group commits its members' effects together
+//! with its bit in **one journal record**. Group 0's record also arms
+//! the delivery with **one** sub-write — the run from the first armed
+//! event through `seq`, the counts and the bitmap to its last logged
+//! verdict cell — so a delivery whose worklist fits one group costs one
+//! record of its members' runs plus that one. A later group adds
+//! `[verdict count | done]` and a run of its cells. A cold load reads
+//! the header from the event array to the bitmap in **one** op. A
+//! reboot resumes exactly the pending groups and a redelivered sequence
+//! number only finishes them. A derived worklist names only installed
+//! machines, so it needs no validation; the loaded header does, once,
+//! where it is read: an event count past the capacity, a verdict count
+//! past the log, or a loaded delivery whose group 0 is not done (which
+//! no commit can leave behind) faults with [`Fault::CorruptState`].
 //!
 //! # Compiled steps
 //!
 //! Suites run **compiled** to slot-indexed bytecode
-//! ([`artemis_ir::compile`]) over one packed FRAM block per machine
+//! ([`artemis_ir::compile()`]) over one packed FRAM block per machine
 //! ([`artemis_ir::MachineLayout`]). Every compiled step — one event or a
 //! whole batch — goes through one function: it loads the block prefix
 //! the dispatched keys' static [`AccessSet`]s can touch, runs the
@@ -67,10 +77,11 @@
 //! ([`TxWriter`]) the changed byte runs of the loaded prefix (or, for
 //! keys whose access set covers ≥ ¾ of the block, decided at compile
 //! time, the whole block image — see "Dirty-diff commits") and one
-//! verdict per emitting event. One committer then adds the verdict
-//! cells, the verdict count and the done bitmap and commits the group.
-//! A later group left with nothing but its done bit completes with one
-//! plain idempotent write. Soundness: the access
+//! verdict per emitting event. One committer then adds the group's
+//! header runs — verdict cells, verdict count and done bitmap, and for
+//! group 0 the armed events — and commits the group. A later group
+//! left with nothing but its done bit completes with one plain
+//! idempotent write. Soundness: the access
 //! set over-approximates every slot the dispatched bytecode can read or
 //! write, so slots outside the loaded span are never observed and slots
 //! outside the write set cannot change; unchanged bytes a merged run
@@ -165,7 +176,7 @@
 //! [`Sram`]: intermittent_sim::fram::Sram
 
 pub mod remote;
-pub mod state;
+mod state;
 
 use core::cell::RefCell;
 use std::sync::Arc;
@@ -332,9 +343,9 @@ pub struct CacheStats {
 /// Dynamic bytecode execution counters
 /// ([`MonitorEngine::exec_stats`]): what the compiled core *actually*
 /// ran, as opposed to the static per-key ceilings the engine bills
-/// through [`CompiledMachine::step_cost`]. Volatile (a reboot replays
-/// the in-flight event and re-counts its instructions — the honest
-/// dynamic figure on an intermittent device).
+/// through [`artemis_ir::CompiledMachine::step_cost`]. Volatile (a
+/// reboot replays the in-flight event and re-counts its instructions —
+/// the honest dynamic figure on an intermittent device).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExecStats {
     /// Bytecode instructions dispatched across all machine steps.
@@ -443,11 +454,92 @@ enum MachineStore {
     Block { addr: usize, len: usize },
 }
 
-/// A persistent completion bitmap of `len` bytes: bit `g % 8` of byte
-/// `g / 8` is set once commit group `g` has committed.
-struct DoneCell {
+/// The armed delivery's persistent header: one contiguous FRAM region
+///
+/// `[events × capacity][seq u64][event count u16][verdict count u32]
+/// [done bitmap][verdict cells × slots]`
+///
+/// The order is what makes a delivery cheap. The two variable-length
+/// parts sit at the outer edges of the fixed fields, and the event
+/// array is filled from its end, so the `n` armed events always abut
+/// `seq`: group 0's record stages everything from the first armed event
+/// to its last logged cell as **one** run, for any `n`. A later group
+/// stages `[verdict count | done]` and its cells as two runs; a cold
+/// load reads `events … done` in one op; a reset zeroes `seq … done` in
+/// one run. The done bitmap keeps bit `g % 8` of byte `g / 8` for
+/// commit group `g`. Offsets are relative to `addr`.
+struct Header {
     addr: usize,
-    len: usize,
+    /// Events the array holds.
+    capacity: usize,
+    /// Bytes of the done bitmap.
+    done_len: usize,
+    /// Verdict cells.
+    slots: usize,
+}
+
+impl Header {
+    /// Start of the last `n` event slots, where `n` armed events live.
+    fn events(&self, n: usize) -> usize {
+        EncodedEvent::SIZE * (self.capacity - n)
+    }
+
+    fn seq(&self) -> usize {
+        self.events(0)
+    }
+
+    fn event_count(&self) -> usize {
+        self.seq() + u64::SIZE
+    }
+
+    fn verdict_count(&self) -> usize {
+        self.event_count() + u16::SIZE
+    }
+
+    fn done(&self) -> usize {
+        self.verdict_count() + u32::SIZE
+    }
+
+    /// Start of verdict cell `k`; `cell(0)` ends the part a cold load
+    /// reads.
+    fn cell(&self, k: usize) -> usize {
+        self.done() + self.done_len + VerdictCell::SIZE * k
+    }
+}
+
+/// Fills `dst` with group 0's header run: the armed events, `seq`, the
+/// event count, then the log tail of [`put_log`].
+fn put_arming(dst: &mut [u8], armed: &Armed, emits: &[Emit]) {
+    let (events, rest) = dst.split_at_mut(EncodedEvent::SIZE * armed.events.len());
+    for (encoded, slot) in armed
+        .events
+        .iter()
+        .zip(events.chunks_exact_mut(EncodedEvent::SIZE))
+    {
+        encoded.store(slot);
+    }
+    let (seq, rest) = rest.split_at_mut(u64::SIZE);
+    armed.seq.store(seq);
+    let (n, log) = rest.split_at_mut(u16::SIZE);
+    (armed.events.len() as u16).store(n);
+    put_log(log, armed.verdicts, &armed.done, emits);
+}
+
+/// Fills `dst` with `[verdict count | done bitmap]` followed by the
+/// cells of `emits`.
+fn put_log(dst: &mut [u8], count: u32, done: &[u8], emits: &[Emit]) {
+    let (count_b, rest) = dst.split_at_mut(u32::SIZE);
+    count.store(count_b);
+    let (done_b, cells) = rest.split_at_mut(done.len());
+    done_b.copy_from_slice(done);
+    put_cells(cells, emits);
+}
+
+/// Fills `dst` with one verdict cell per emit.
+fn put_cells(dst: &mut [u8], emits: &[Emit]) {
+    for (cell, emit) in dst.chunks_exact_mut(VerdictCell::SIZE).zip(emits) {
+        verdict_cell(emit).store(cell);
+    }
 }
 
 /// `true` iff commit group `g` is marked done in `map`.
@@ -478,17 +570,20 @@ const JOURNAL_ENTRY_HEADER: usize = 6;
 
 /// Largest single journal record of the interpreter's per-cell layout,
 /// count word included: the whole-suite reset (state cell + every
-/// variable cell), or a one-machine commit group — group 0 adding the
-/// one-event arming sub-writes to its machine's cells and verdict.
+/// variable cell, and the zeroed `seq … done` run), or a one-machine
+/// commit group — group 0 adding the one-event header run, its one
+/// verdict cell included, to its machine's cells.
 fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
     let entry = |bytes: usize| JOURNAL_ENTRY_HEADER + bytes;
     let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
-    let armed = entry(u64::SIZE) + entry(u32::SIZE) + entry(done_len);
-    let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(2) + armed;
-    let group0 = entry(2 + EncodedEvent::SIZE)
-        + armed
-        + suite.machines().iter().map(cells).max().unwrap_or(0)
-        + entry(VerdictCell::SIZE);
+    let h = Header {
+        addr: 0,
+        capacity: 1,
+        done_len,
+        slots: suite.len(),
+    };
+    let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(h.cell(0) - h.seq());
+    let group0 = entry(h.cell(1)) + suite.machines().iter().map(cells).max().unwrap_or(0);
     2 + reset.max(group0)
 }
 
@@ -560,17 +655,18 @@ struct Scratch {
     tx: TxWriter,
 }
 
-/// The armed delivery in RAM: its sequence number, the decoded events
-/// and the completion bitmap as persisted, plus the worklist derived
-/// from the events — ascending machine indices, each with the mask of
-/// armed events it dispatches — and the worklist's cut into commit
-/// groups (each group's exclusive end index; group 0 always exists).
-/// Sized at install to the capacity and the whole suite. In compiled
-/// engines it doubles as the shadow of the armed-delivery region while
-/// [`ShadowCache::armed`] is set.
+/// The armed delivery in RAM: its sequence number, the decoded events,
+/// the verdict-log length and the completion bitmap as persisted in the
+/// [`Header`], plus the worklist derived from the events — ascending
+/// machine indices, each with the mask of armed events it dispatches —
+/// and the worklist's cut into commit groups (each group's exclusive
+/// end index; group 0 always exists). Sized at install to the capacity
+/// and the whole suite. In compiled engines it doubles as the shadow of
+/// the header while [`ShadowCache::armed`] is set.
 struct Armed {
     seq: u64,
     events: Vec<EncodedEvent>,
+    verdicts: u32,
     items: Vec<u16>,
     masks: Vec<u32>,
     ends: Vec<u16>,
@@ -590,7 +686,7 @@ impl Armed {
 type Emit = (usize, usize, OnFail, Option<u32>);
 
 /// An encoded verdict cell: `(machine index | event position << 16,
-/// (action tag, path))` — the exact value one `verdict_cells` slot
+/// (action tag, path))` — the exact value one header verdict cell
 /// stores.
 type VerdictCell = (u32, (u8, u32));
 
@@ -632,13 +728,11 @@ struct ShadowCache {
     /// journal idle) in this epoch — lets steady-state deliveries skip
     /// the recovery flag read.
     journal_clean: bool,
-    seq: Option<u64>,
-    verdict_count: Option<u32>,
-    /// Generation-tagged verdict cells, indexed like `verdict_cells`.
+    /// Generation-tagged verdict cells, indexed like the header's.
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
-    /// `true` while the engine's [`Armed`] buffers mirror the armed
-    /// delivery in FRAM (its worklist already derived).
+    /// `true` while the engine's [`Armed`] buffers mirror the header in
+    /// FRAM (the worklist already derived).
     armed: bool,
     stats: CacheStats,
 }
@@ -651,8 +745,6 @@ impl ShadowCache {
             epoch,
             gen: 1,
             journal_clean: false,
-            seq: None,
-            verdict_count: None,
             verdicts: vec![(0, (0, (0, 0))); verdict_slots],
             machines: vec![
                 MachineShadow {
@@ -667,16 +759,15 @@ impl ShadowCache {
         }
     }
 
-    /// Drops every entry in O(1): scalars go to `None`, tagged entries
-    /// (machines, verdict cells) die by generation bump. Does not bump
-    /// the invalidation counter — callers account the wipe (epoch
-    /// syncs do; the defensive wipe after an interrupted entry point
-    /// stays silent because the next epoch sync counts that reboot).
+    /// Drops every entry in O(1): the header mirror goes stale, tagged
+    /// entries (machines, verdict cells) die by generation bump. Does
+    /// not bump the invalidation counter — callers account the wipe
+    /// (epoch syncs do; the defensive wipe after an interrupted entry
+    /// point stays silent because the next epoch sync counts that
+    /// reboot).
     fn wipe(&mut self) {
         self.gen += 1;
         self.journal_clean = false;
-        self.seq = None;
-        self.verdict_count = None;
         self.armed = false;
     }
 }
@@ -695,14 +786,9 @@ pub struct MonitorEngine {
     /// took effect on a compiled engine).
     capacity: usize,
     /// The armed delivery, all fixed by its group 0 record: its first
-    /// sequence number, its event array (`u16` count + `capacity` ×
-    /// [`EncodedEvent`]), the verdict log and the done bitmap (one bit
-    /// per commit group).
-    seq_cell: NvCell<u64>,
-    events_addr: usize,
-    verdict_count: NvCell<u32>,
-    verdict_cells: Vec<NvCell<VerdictCell>>,
-    done: DoneCell,
+    /// sequence number, its event array, the verdict log and the done
+    /// bitmap (one bit per commit group), in one region.
+    header: Header,
     /// The volatile shadow of the hot path's FRAM reads: `Some` iff
     /// the engine is compiled (the interpreter reads FRAM directly).
     cache: Option<RefCell<ShadowCache>>,
@@ -884,35 +970,19 @@ impl MonitorEngine {
         let result = (|| {
             let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
             // The armed delivery, zeroed: no events, nothing pending.
-            let seq_cell = dev.nv_alloc(0u64, owner, "monitor.seq").map_err(dev_err)?;
-            let events_addr = dev
-                .nv_alloc_raw(2 + EncodedEvent::SIZE * max_events, owner, "monitor.events")
-                .map_err(dev_err)?;
-            let verdict_count = dev
-                .nv_alloc(0u32, owner, "monitor.verdicts.count")
-                .map_err(dev_err)?;
-            let done = DoneCell {
-                addr: dev
-                    .nv_alloc_raw(done_len, owner, "monitor.done")
-                    .map_err(dev_err)?,
-                len: done_len,
-            };
-
             // One verdict cell per machine per event the largest
             // delivery can carry (a batched machine can emit once per
             // event it dispatches).
-            let verdict_slots = suite.len() * max_events;
-            let mut verdict_cells = Vec::with_capacity(verdict_slots);
-            for i in 0..verdict_slots {
-                verdict_cells.push(
-                    dev.nv_alloc(
-                        (0u32, (0u8, 0u32)),
-                        owner,
-                        &format!("monitor.verdicts[{i}]"),
-                    )
-                    .map_err(dev_err)?,
-                );
-            }
+            let slots = suite.len() * max_events;
+            let mut header = Header {
+                addr: 0,
+                capacity: max_events,
+                done_len,
+                slots,
+            };
+            header.addr = dev
+                .nv_alloc_raw(header.cell(slots), owner, "monitor.header")
+                .map_err(dev_err)?;
 
             let mut machines = Vec::with_capacity(suite.len());
             for (mi, m) in suite.into_iter().enumerate() {
@@ -993,13 +1063,14 @@ impl MonitorEngine {
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
                 runs: Vec::with_capacity(max_block),
-                emits: Vec::with_capacity(verdict_cells.len()),
+                emits: Vec::with_capacity(slots),
                 // Every record fits the journal, so staging never grows it.
                 tx: TxWriter::with_capacity(capacity),
             });
             let armed = RefCell::new(Armed {
                 seq: 0,
                 events: Vec::with_capacity(max_events),
+                verdicts: 0,
                 items: Vec::with_capacity(machines.len()),
                 masks: Vec::with_capacity(machines.len()),
                 ends: Vec::with_capacity(machines.len() + 1),
@@ -1014,7 +1085,7 @@ impl MonitorEngine {
                 RefCell::new(ShadowCache::new(
                     dev.sram().generation(),
                     machines.len(),
-                    verdict_cells.len(),
+                    slots,
                 ))
             });
             Ok(MonitorEngine {
@@ -1023,11 +1094,7 @@ impl MonitorEngine {
                 machines,
                 journal,
                 capacity: max_events,
-                seq_cell,
-                events_addr,
-                verdict_count,
-                verdict_cells,
-                done,
+                header,
                 cache,
                 profile,
                 one_group,
@@ -1105,38 +1172,16 @@ impl MonitorEngine {
         Ok(replayed)
     }
 
-    /// Generic shadow-aware scalar read: serve from the shadow when
-    /// present, else read FRAM and fill the shadow.
-    fn cache_read<T: Clone>(
-        &self,
-        dev: &mut Device,
-        get: impl Fn(&ShadowCache) -> Option<T>,
-        put: impl Fn(&mut ShadowCache, &T),
-        read: impl FnOnce(&mut Device) -> Result<T, Interrupt>,
-    ) -> Result<T, Interrupt> {
-        let Some(cache) = &self.cache else {
-            return read(dev);
-        };
-        let hit = get(&cache.borrow());
-        if let Some(v) = hit {
-            cache.borrow_mut().stats.hits += 1;
-            return Ok(v);
-        }
-        let v = read(dev)?;
-        let mut c = cache.borrow_mut();
-        put(&mut c, &v);
-        c.stats.misses += 1;
-        Ok(v)
-    }
-
     /// Makes `armed` hold the armed delivery: from the shadow when it
-    /// is live, else one FRAM read of the event array and one of the
-    /// done bitmap, with the worklist and its commit groups re-derived
-    /// from the events. The empty delivery of a fresh install or a
-    /// reset has nothing to commit, so its group 0 counts as done. An
-    /// event count past the capacity, or an armed delivery whose group
-    /// 0 is not marked done — group 0's record persists the arming
-    /// together with that bit — faults with [`Fault::CorruptState`].
+    /// is live, else **one** FRAM read of the header from the event
+    /// array to the done bitmap, with the worklist and its commit
+    /// groups re-derived from the events. The empty delivery of a fresh
+    /// install or a reset has nothing to commit, so its group 0 counts
+    /// as done. The read is validated here, once: an event count past
+    /// the capacity, a verdict count past the log, or an armed delivery
+    /// whose group 0 is not marked done — group 0's record persists the
+    /// arming together with that bit — faults with
+    /// [`Fault::CorruptState`].
     fn load_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
         if let Some(cache) = &self.cache {
             let mut c = cache.borrow_mut();
@@ -1145,24 +1190,24 @@ impl MonitorEngine {
                 return Ok(());
             }
         }
-        {
-            let bytes =
-                dev.nv_read_raw(self.events_addr, 2 + EncodedEvent::SIZE * self.capacity)?;
-            let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-            if n > self.capacity {
-                return Err(Interrupt::Fault(Fault::CorruptState));
-            }
-            armed.events.clear();
-            armed.events.extend(
-                bytes[2..2 + n * EncodedEvent::SIZE]
-                    .chunks_exact(EncodedEvent::SIZE)
-                    .map(EncodedEvent::load),
-            );
+        let h = &self.header;
+        let bytes = dev.nv_read_raw(h.addr, h.cell(0))?;
+        let field = |at: usize, len: usize| &bytes[at..at + len];
+        let n = u16::load(field(h.event_count(), u16::SIZE)) as usize;
+        let verdicts = u32::load(field(h.verdict_count(), u32::SIZE));
+        if n > h.capacity || verdicts as usize > h.slots {
+            return Err(Interrupt::Fault(Fault::CorruptState));
         }
+        armed.seq = u64::load(field(h.seq(), u64::SIZE));
+        armed.events.clear();
+        armed.events.extend(
+            bytes[h.events(n)..h.seq()]
+                .chunks_exact(EncodedEvent::SIZE)
+                .map(EncodedEvent::load),
+        );
+        armed.verdicts = verdicts;
         armed.done.clear();
-        armed
-            .done
-            .extend_from_slice(dev.nv_read_raw(self.done.addr, self.done.len)?);
+        armed.done.extend_from_slice(field(h.done(), h.done_len));
         if armed.events.is_empty() {
             armed.done[0] |= 1;
         } else if !done_bit(&armed.done, 0) {
@@ -1244,23 +1289,8 @@ impl MonitorEngine {
         });
     }
 
-    /// Shadow-aware read of the verdict-log length. A count past the
-    /// log faults with [`Fault::CorruptState`].
-    fn read_verdict_count_cached(&self, dev: &mut Device) -> Result<u32, Interrupt> {
-        self.cache_read(
-            dev,
-            |c| c.verdict_count,
-            |c, v| c.verdict_count = Some(*v),
-            |d| match d.nv_read(&self.verdict_count)? {
-                n if n as usize > self.verdict_cells.len() => {
-                    Err(Interrupt::Fault(Fault::CorruptState))
-                }
-                n => Ok(n),
-            },
-        )
-    }
-
-    /// Shadow-aware read of verdict cell `slot`, decoded to its event
+    /// Shadow-aware read of verdict cell `slot` — from the shadow when
+    /// live, else one FRAM read that refills it — decoded to its event
     /// position and verdict (`None` for an unknown action tag). A
     /// machine index past the suite faults with [`Fault::CorruptState`].
     fn read_verdict(
@@ -1268,15 +1298,26 @@ impl MonitorEngine {
         dev: &mut Device,
         slot: usize,
     ) -> Result<(usize, Option<MonitorVerdict>), Interrupt> {
-        let (packed, encoded) = self.cache_read(
-            dev,
-            |c| (c.verdicts[slot].0 == c.gen).then_some(c.verdicts[slot].1),
-            |c, v| {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, *v);
-            },
-            |d| d.nv_read(&self.verdict_cells[slot]),
-        )?;
+        let hit = self.cache.as_ref().and_then(|cache| {
+            let mut c = cache.borrow_mut();
+            let (gen, cell) = c.verdicts[slot];
+            (gen == c.gen).then(|| {
+                c.stats.hits += 1;
+                cell
+            })
+        });
+        let (packed, encoded) = match hit {
+            Some(cell) => cell,
+            None => {
+                let at = self.header.addr + self.header.cell(slot);
+                let cell = VerdictCell::load(dev.nv_read_raw(at, VerdictCell::SIZE)?);
+                self.cache_put(|c| {
+                    c.verdicts[slot] = (c.gen, cell);
+                    c.stats.misses += 1;
+                });
+                cell
+            }
+        };
         // The event position rides in the high half-word, the machine
         // index in the low one.
         let machine_index = (packed & 0xFFFF) as usize;
@@ -1382,10 +1423,9 @@ impl MonitorEngine {
             for lm in &self.machines {
                 stage_machine_reset(tx, lm);
             }
-            tx.write(&self.verdict_count, 0u32);
-            tx.write(&self.seq_cell, 0u64);
-            tx.write_zeroed(self.events_addr, 2);
-            tx.write_zeroed(self.done.addr, self.done.len);
+            // `seq … done` zeroed as one run: no events, an empty log.
+            let h = &self.header;
+            tx.write_zeroed(h.addr + h.seq(), h.cell(0) - h.seq());
             dev.commit(&self.journal, tx)?;
             // The reset commit just (re)wrote every location the cache
             // mirrors — fill all the shadows, so even the first event
@@ -1393,18 +1433,15 @@ impl MonitorEngine {
             let armed = &mut *self.armed.borrow_mut();
             armed.seq = 0;
             armed.events.clear();
+            armed.verdicts = 0;
             armed.items.clear();
             armed.masks.clear();
             armed.ends.clear();
             armed.ends.push(0);
             armed.done.clear();
-            armed.done.resize(self.done.len, 0);
+            armed.done.resize(self.header.done_len, 0);
             armed.done[0] = 1; // an empty delivery is complete (`load_armed`)
-            self.cache_put(|c| {
-                c.seq = Some(0);
-                c.verdict_count = Some(0);
-                c.armed = true;
-            });
+            self.cache_put(|c| c.armed = true);
             self.shadow_reset_machines(|_| true);
             Ok(())
         })
@@ -1482,15 +1519,9 @@ impl MonitorEngine {
         events: &[MonitorEvent],
     ) -> Result<(), Interrupt> {
         self.recover_cached(dev)?;
-        let last = self.cache_read(
-            dev,
-            |c| c.seq,
-            |c, v| c.seq = Some(*v),
-            |d| d.nv_read(&self.seq_cell),
-        )?;
         let armed = &mut *self.armed.borrow_mut();
         self.load_armed(dev, armed)?;
-        if last != first_seq {
+        if armed.seq != first_seq {
             self.run_armed(dev, armed)?;
             self.arm(dev, first_seq, events, armed)?;
         }
@@ -1499,9 +1530,10 @@ impl MonitorEngine {
     }
 
     /// Arms `events` under `first_seq` in RAM: encodes them, derives
-    /// their worklist and commit groups into `armed`, and clears the
-    /// done bitmap. Nothing is written: the arming sub-writes ride in
-    /// group 0's record ([`MonitorEngine::commit_group`]), so a failure
+    /// their worklist and commit groups into `armed`, and empties the
+    /// verdict log and the done bitmap. Nothing is written: the arming
+    /// fields ride in group 0's header run
+    /// ([`MonitorEngine::commit_group`]), so a failure
     /// before that record's flag write leaves the previous delivery
     /// armed and the caller re-arms cleanly; a failure after it resumes
     /// exactly the armed set.
@@ -1522,9 +1554,10 @@ impl MonitorEngine {
                 .iter()
                 .map(|e| EncodedEvent::from_event(e, energy_nj)),
         );
+        armed.verdicts = 0;
         self.derive_worklist(dev, armed)?;
         armed.done.clear();
-        armed.done.resize(self.done.len, 0);
+        armed.done.resize(self.header.done_len, 0);
         Ok(())
     }
 
@@ -1596,7 +1629,7 @@ impl MonitorEngine {
             let shape = ArmedShape {
                 capacity: self.capacity,
                 events: events.len(),
-                done_bytes: self.done.len,
+                done_bytes: self.header.done_len,
             };
             commit_groups(members, &shape, &self.profile, ends);
         }
@@ -1633,32 +1666,21 @@ impl MonitorEngine {
     }
 
     /// Steps every member of commit group `g` and commits the group as
-    /// **one** journal record: group 0's arming sub-writes (event
-    /// array and sequence number), each member's staged runs, one
-    /// verdict cell per staged verdict, the verdict count (reset by
-    /// group 0, appended to by later groups) and the done bitmap — which
+    /// **one** journal record: each member's staged runs, then the
+    /// [`Header`] fields the group changes. Group 0 arms the delivery
+    /// with one run from the first armed event to its last logged cell
+    /// — the events, the sequence number and event count, the verdict
+    /// count it resets, the done bitmap and its own verdict cells. A
+    /// later group stages `[verdict count | done]` and its cells as one
+    /// more run, or only the bitmap when it logs nothing. The bitmap
     /// already has `g`'s bit set. A later group that staged nothing but
     /// its bit completes with one plain idempotent bitmap write
-    /// (re-execution after a power failure is harmless).
-    fn commit_group(&self, dev: &mut Device, armed: &Armed, g: usize) -> Result<(), Interrupt> {
+    /// (re-execution after a power failure is harmless); group 0 always
+    /// commits, because its run fixes the whole delivery.
+    fn commit_group(&self, dev: &mut Device, armed: &mut Armed, g: usize) -> Result<(), Interrupt> {
         let scratch = &mut *self.scratch.borrow_mut();
         scratch.tx.clear();
         scratch.emits.clear();
-        if g == 0 {
-            let n = armed.events.len();
-            let region = scratch
-                .tx
-                .write_slot(self.events_addr, 2 + EncodedEvent::SIZE * n);
-            region[..2].copy_from_slice(&(n as u16).to_le_bytes());
-            for (encoded, dst) in armed
-                .events
-                .iter()
-                .zip(region[2..].chunks_exact_mut(EncodedEvent::SIZE))
-            {
-                encoded.store(dst);
-            }
-            scratch.tx.write(&self.seq_cell, armed.seq);
-        }
         for j in armed.group(g) {
             let i = armed.items[j] as usize;
             match self.mode {
@@ -1673,42 +1695,38 @@ impl MonitorEngine {
 
         // Group 0 resets the verdict log, later groups append to it.
         let Scratch { tx, emits, .. } = scratch;
-        let logs = g == 0 || !emits.is_empty();
-        let count = if g > 0 && logs {
-            self.read_verdict_count_cached(dev)?
-        } else {
-            0
-        };
-        if logs {
-            let cells = self
-                .verdict_cells
-                .get(count as usize..count as usize + emits.len())
-                .ok_or(Interrupt::Fault(Fault::CorruptState))?;
-            for (vc, emit) in cells.iter().zip(emits.iter()) {
-                tx.write(vc, verdict_cell(emit));
-            }
-            tx.write(&self.verdict_count, count + emits.len() as u32);
+        let h = &self.header;
+        let first = armed.verdicts as usize;
+        let count = first + emits.len();
+        if count > h.slots {
+            return Err(Interrupt::Fault(Fault::CorruptState));
         }
-        tx.write_raw(self.done.addr, &armed.done);
-        if tx.len() == 1 {
-            return dev.nv_write_raw(self.done.addr, &armed.done);
+        // Set in RAM ahead of the commit, like the done bit.
+        armed.verdicts = count as u32;
+        if g == 0 {
+            let at = h.events(armed.events.len());
+            put_arming(tx.write_slot(h.addr + at, h.cell(count) - at), armed, emits);
+        } else if emits.is_empty() {
+            tx.write_raw(h.addr + h.done(), &armed.done);
+            if tx.len() == 1 {
+                return dev.nv_write_raw(h.addr + h.done(), &armed.done);
+            }
+        } else {
+            let run = tx.write_slot(h.addr + h.verdict_count(), u32::SIZE + h.done_len);
+            put_log(run, count as u32, &armed.done, &[]);
+            let cells = tx.write_slot(h.addr + h.cell(first), h.cell(count) - h.cell(first));
+            put_cells(cells, emits);
         }
         dev.commit(&self.journal, tx)?;
         self.cache_put(|c| {
             c.journal_clean = true;
-            if logs {
-                let gen = c.gen;
-                for (k, emit) in emits.iter().enumerate() {
-                    c.verdicts[count as usize + k] = (gen, verdict_cell(emit));
-                }
-                c.verdict_count = Some(count + emits.len() as u32);
+            let gen = c.gen;
+            for (k, emit) in emits.iter().enumerate() {
+                c.verdicts[first + k] = (gen, verdict_cell(emit));
             }
-            if g == 0 {
-                // Group 0 fixed every activation input — the run reads
-                // nothing more from FRAM.
-                c.seq = Some(armed.seq);
-                c.armed = true;
-            }
+            // Group 0 fixed every activation input — the run reads
+            // nothing more from FRAM.
+            c.armed |= g == 0;
         });
         Ok(())
     }
@@ -1850,7 +1868,7 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Appends the verdicts of the armed delivery of `n_events` events
+    /// Appends the verdicts of the loaded delivery of `n_events` events
     /// to `out`, one list per event in delivery order. Machines step in
     /// ascending suite order and log their events in delivery order, so
     /// each list comes back in suite order, as a one-event delivery's.
@@ -1862,7 +1880,7 @@ impl MonitorEngine {
     ) -> Result<(), Interrupt> {
         let base = out.len();
         out.resize_with(base + n_events, Vec::new);
-        let count = self.read_verdict_count_cached(dev)?;
+        let count = self.armed.borrow().verdicts;
         for slot in 0..count as usize {
             if let (e, Some(verdict)) = self.read_verdict(dev, slot)? {
                 if let Some(list) = out[base..].get_mut(e) {
@@ -1895,7 +1913,11 @@ impl MonitorEngine {
 
     /// Reads back the verdicts of the most recently processed event.
     pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        self.entry(dev, |dev| self.read_verdicts(dev))
+        self.entry(dev, |dev| {
+            self.recover_cached(dev)?;
+            self.load_armed(dev, &mut self.armed.borrow_mut())?;
+            self.read_verdicts(dev)
+        })
     }
 
     /// Re-initialises the machines affected by a restart of `path`
@@ -2006,8 +2028,10 @@ impl MonitorEngine {
         Ok(())
     }
 
+    /// The verdicts of the loaded delivery (read after
+    /// [`MonitorEngine::load_armed`]).
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        let count = self.read_verdict_count_cached(dev)?;
+        let count = self.armed.borrow().verdicts;
         // No verdicts, no allocation: an empty `Vec` owns no heap.
         let mut out = Vec::with_capacity(count as usize);
         for slot in 0..count as usize {
@@ -2587,17 +2611,20 @@ mod tests {
             // Every machine degrades to whole-block commits: one block
             // read and one block sub-write each.
             assert_eq!(key.degraded_machines, MACHINES);
-            assert_eq!(key.reads, 4 + MACHINES + 1);
-            assert_eq!(key.cold_extra_reads, 4 + MACHINES);
+            // Armed-delivery load (flag + header) + one fill each; no
+            // readback (nothing emits, the count rides the header).
+            assert_eq!(key.reads, 2 + MACHINES);
+            assert_eq!(key.cold_extra_reads, 2 + MACHINES);
             if tiny {
-                // Group 0: arming (4) + a block, 3 fixed writes; each
-                // later group: a block and the done bitmap.
+                // Group 0: the header run + a block, 3 fixed writes;
+                // each later group: a block and the done bitmap.
                 assert_eq!(key.groups, MACHINES);
-                assert_eq!(key.writes, 3 + 4 + 1 + (MACHINES - 1) * (3 + 2));
+                assert_eq!(key.writes, 3 + 1 + 1 + (MACHINES - 1) * (3 + 2));
             } else {
-                // One record: arming (4) + every block, 3 fixed writes.
+                // One record: the header run + every block, 3 fixed
+                // writes.
                 assert_eq!(key.groups, 1);
-                assert_eq!(key.writes, 3 + 4 + MACHINES);
+                assert_eq!(key.writes, 3 + 1 + MACHINES);
             }
             assert_event_model_attained(&suite, &app, &key, 20, tiny);
         }
@@ -2616,20 +2643,20 @@ mod tests {
             assert_eq!(key.machines, MACHINES);
             assert_eq!(key.delta_machines, MACHINES, "all machines must go sparse");
             assert_eq!(key.degraded_machines, 0);
-            // Armed-delivery load (4r) + per machine one whole-block
-            // fill + one readback read.
-            assert_eq!(key.reads, 4 + MACHINES + 1);
-            // A reboot's refill is the armed-delivery load (flag, seq,
-            // events, done) + one whole-block fill per armed machine.
-            assert_eq!(key.cold_extra_reads, 4 + MACHINES);
+            // Armed-delivery load (flag + header) + per machine one
+            // whole-block fill.
+            assert_eq!(key.reads, 2 + MACHINES);
+            // A reboot's refill is the same: nothing emits, so nothing
+            // is read back.
+            assert_eq!(key.cold_extra_reads, 2 + MACHINES);
             if tiny {
-                // Group 0: arming (4) + state + x; each later group:
-                // state + x + done.
+                // Group 0: the header run + state + x; each later
+                // group: state + x + done.
                 assert_eq!(key.groups, MACHINES);
-                assert_eq!(key.writes, 3 + 4 + 2 + (MACHINES - 1) * (3 + 3));
+                assert_eq!(key.writes, 3 + 1 + 2 + (MACHINES - 1) * (3 + 3));
             } else {
                 assert_eq!(key.groups, 1);
-                assert_eq!(key.writes, 3 + 4 + MACHINES * 2);
+                assert_eq!(key.writes, 3 + 1 + MACHINES * 2);
             }
             assert_event_model_attained(&suite, &app, &key, 20, tiny);
         }
@@ -2648,7 +2675,7 @@ mod tests {
         let n = EVENTS as usize;
         let warm = measure(&suite, &app, None, EVENTS, false, false);
         assert_eq!(warm.reads, 0, "diff path must stay write-only when warm");
-        assert_eq!(warm.writes, (7 + MACHINES) * n);
+        assert_eq!(warm.writes, (4 + MACHINES) * n);
         assert!(warm.writes < key.writes * n);
         assert!(
             warm.write_bytes < key.write_bytes * n,
@@ -3031,9 +3058,9 @@ mod tests {
 
     /// Reboot storm: every clean reboot re-pays only the cold-miss
     /// refill — exactly `cold_extra_reads` across the finalize probe and
-    /// the next delivery (flag, events and done bitmap, then seq and
-    /// one whole-block fill per armed machine) — and nothing
-    /// accumulates across reboots.
+    /// the next delivery (the recovery flag and the header, then one
+    /// whole-block fill per armed machine) — and nothing accumulates
+    /// across reboots.
     #[test]
     fn reboot_storm_cold_misses_stay_within_static_bound() {
         const MACHINES: usize = 8;
@@ -3060,9 +3087,9 @@ mod tests {
             let reads = (dev.fram().read_ops() - reads0) as usize;
             assert_eq!(
                 reads,
-                4 + MACHINES,
-                "cold refill drifted on reboot {r}: finalize probe (3) \
-                 + seq (1) + one block fill per machine"
+                2 + MACHINES,
+                "cold refill drifted on reboot {r}: finalize probe (flag \
+                 + header) + one block fill per machine"
             );
             assert_eq!(reads, key.cold_extra_reads, "static cold model drifted");
         }
@@ -3071,7 +3098,7 @@ mod tests {
 
     /// The derived journal capacity is exactly the largest record the
     /// engine commits on the suite, in both group regimes: group 0 —
-    /// the arming sub-writes, the machine's block and its verdict — on
+    /// the header run with its verdict cell, and the machine's block — on
     /// a one-machine suite, the whole-suite reset on the eight-machine
     /// one when each machine is its own group, and the one group of
     /// all eight when they share it. It is also tight against the
@@ -3206,8 +3233,8 @@ mod tests {
                 }
             }
             let count = engine.capacity as u16 + 1;
-            dev.nv_write_raw(engine.events_addr, &count.to_le_bytes())
-                .unwrap();
+            let at = engine.header.addr + engine.header.event_count();
+            dev.nv_write_raw(at, &count.to_le_bytes()).unwrap();
             dev.power_cycle();
             assert_eq!(
                 engine.monitor_finalize(&mut dev),
@@ -3244,8 +3271,11 @@ mod tests {
         };
         let corrupt: Result<(), Interrupt> = Err(Interrupt::Fault(Fault::CorruptState));
 
+        let count_at = |engine: &MonitorEngine| engine.header.addr + engine.header.verdict_count();
+        let done_at = |engine: &MonitorEngine| engine.header.addr + engine.header.done();
         let (mut dev, engine) = fresh();
-        dev.nv_write(&engine.verdict_count, 1_000).unwrap();
+        dev.nv_write_raw(count_at(&engine), &1_000u32.to_le_bytes())
+            .unwrap();
         dev.power_cycle();
         assert_eq!(
             engine.last_verdicts(&mut dev),
@@ -3270,9 +3300,10 @@ mod tests {
         engine.reset_monitor(&mut dev).unwrap();
         assert_eq!(engine.call_monitor(&mut dev, 1, &ev).unwrap().len(), 2);
         assert_eq!(engine.armed.borrow().ends, [1, 2], "one machine per group");
-        let full = engine.verdict_cells.len() as u32;
-        dev.nv_write(&engine.verdict_count, full).unwrap();
-        dev.nv_write_raw(engine.done.addr, &[0b01]).unwrap();
+        let full = engine.header.slots as u32;
+        dev.nv_write_raw(count_at(&engine), &full.to_le_bytes())
+            .unwrap();
+        dev.nv_write_raw(done_at(&engine), &[0b01]).unwrap();
         dev.power_cycle();
         assert_eq!(
             engine.monitor_finalize(&mut dev),
@@ -3283,7 +3314,7 @@ mod tests {
         // Group 0 persists the arming: a loaded delivery without its
         // bit is no state any commit leaves behind.
         let (mut dev, engine) = fresh();
-        dev.nv_write_raw(engine.done.addr, &vec![0; engine.done.len])
+        dev.nv_write_raw(done_at(&engine), &vec![0; engine.header.done_len])
             .unwrap();
         dev.power_cycle();
         assert_eq!(
@@ -3293,8 +3324,11 @@ mod tests {
         );
 
         let (mut dev, engine) = fresh();
-        dev.nv_write(&engine.verdict_cells[0], (999, (0, 0)))
-            .unwrap();
+        let mut cell = [0; VerdictCell::SIZE];
+        let bogus: VerdictCell = (999, (0, 0));
+        bogus.store(&mut cell);
+        let at = engine.header.addr + engine.header.cell(0);
+        dev.nv_write_raw(at, &cell).unwrap();
         dev.power_cycle();
         assert_eq!(
             engine.call_monitor(&mut dev, 1, &ev),
@@ -3335,6 +3369,55 @@ mod tests {
                 Err(Interrupt::Fault(Fault::CorruptState)),
                 "{mode:?}"
             );
+        }
+    }
+
+    /// The armed delivery is one FRAM allocation whose fields tile it
+    /// in the documented order with no gap — what lets group 0 stage
+    /// it as one run and a cold load read it in one op — for one-event
+    /// and batch engines alike.
+    #[test]
+    fn header_is_one_contiguous_region() {
+        let app = app();
+        let spec = "accel { maxTries: 5 onFail: skipPath; }\n\
+                    send { collect: 2 dpTask: accel onFail: restartPath; }";
+        for (batch, capacity) in [
+            (BatchMode::Disabled, 1),
+            (BatchMode::Enabled { max_events: 4 }, 4),
+        ] {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let suite = artemis_ir::compile(spec, &app).unwrap();
+            let opts = InstallOptions {
+                batch,
+                ..InstallOptions::default()
+            };
+            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+            let h = &engine.header;
+            assert_eq!(
+                (h.capacity, h.done_len, h.slots),
+                (capacity, 1, 2 * capacity)
+            );
+            let fields = [
+                (h.events(capacity), EncodedEvent::SIZE * capacity),
+                (h.seq(), u64::SIZE),
+                (h.event_count(), u16::SIZE),
+                (h.verdict_count(), u32::SIZE),
+                (h.done(), h.done_len),
+                (h.cell(0), VerdictCell::SIZE * h.slots),
+            ];
+            let end = fields.iter().fold(0, |at, &(start, len)| {
+                assert_eq!(start, at, "gap before offset {start}");
+                start + len
+            });
+            // The last armed event abuts `seq`.
+            assert_eq!(h.events(1) + EncodedEvent::SIZE, h.seq());
+            let region = dev
+                .fram()
+                .allocations()
+                .iter()
+                .find(|a| a.label == "monitor.header")
+                .unwrap();
+            assert_eq!((region.addr, region.size), (h.addr, end));
         }
     }
 
@@ -3495,13 +3578,14 @@ mod finalize_tests {
                 Err(Interrupt::PowerFailure)
             );
             dev.power_cycle();
-            if dev.peek(&engine.seq_cell) != 1 {
+            let h = &engine.header;
+            if dev.peek_raw(h.addr + h.seq(), 8) != 1u64.to_le_bytes() {
                 // Group 0 never landed: the first event is not armed,
                 // and redelivering it is the caller's job.
                 continue;
             }
             // Armed, with some group still pending (or torn).
-            let pending = dev.peek_raw(engine.done.addr, 1)[0] != 0b111;
+            let pending = dev.peek_raw(h.addr + h.done(), 1)[0] != 0b111;
             engine.call_monitor(&mut dev, 2, &second).unwrap();
             assert_eq!(engine.snapshot(&dev), expected, "crash before write {k}");
             resumed += usize::from(pending);

@@ -246,11 +246,6 @@ impl Monitoring for NoMonitoring {
     }
 }
 
-/// Re-exported for reports: one event's wire cost in bytes.
-pub fn event_wire_bytes() -> usize {
-    EVENT_MSG_BYTES + VERDICT_MSG_BYTES
-}
-
 // Keep `Action` referenced for rustdoc links.
 const _: Option<Action> = None;
 

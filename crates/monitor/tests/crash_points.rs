@@ -8,10 +8,13 @@
 //! at any FRAM write is indistinguishable from a continuous one.
 //!
 //! The explorer covers the Fig. 5 suite and the every-byte-flips suite,
-//! per-event and batch-4 delivery, on two continuously powered devices
-//! whose capacitor budgets size the commit groups: the default 1.6 mJ
-//! one, where every worklist is one group, and a 1 nJ one, where every
-//! machine is a group of its own.
+//! per-event and batch-4 delivery; a batch-4 engine fed 3-event chunks,
+//! so every delivery arms a partial event array; a suite whose group 0
+//! logs several verdicts in one delivery, so the cells ride the header
+//! run; and the minimal sample spec. Each runs on two continuously
+//! powered devices whose capacitor budgets size the commit groups: the
+//! default 1.6 mJ one, where every worklist is one group, and a 1 nJ
+//! one, where every machine is a group of its own.
 
 use std::sync::Arc;
 
@@ -118,6 +121,59 @@ fn flip() -> Workload {
     workload(app, suite, events)
 }
 
+/// Two machines that emit on every `start(t0)` while flipping their
+/// state and `x`: every delivery logs one verdict per machine and
+/// event, so on the one-group device group 0 logs two or more cells
+/// in one delivery, and on the tiny device a later group appends to
+/// the log group 0 left.
+fn emitters() -> Workload {
+    let mut b = AppGraphBuilder::new();
+    let t0 = b.task("t0");
+    let t1 = b.task("t1");
+    b.path(&[t0, t1]);
+    let app = b.build().unwrap();
+    let src: String = (0..2)
+        .map(|m| {
+            format!(
+                "machine e{m} task t0 persistent {{ var x: int = 0; \
+                 state S0 initial; state S1; \
+                 on startTask(t0) from S0 to S1 {{ x := (x + 1); }} fail skipTask; \
+                 on startTask(t0) from S1 to S0 {{ x := (x + 1); }} fail skipTask; }}\n"
+            )
+        })
+        .collect();
+    let suite = artemis_ir::parse::parse_suite(&src).unwrap();
+    let events = (1..=5)
+        .map(|i| MonitorEvent::start(TaskId(0), SimInstant::from_micros(i)))
+        .collect();
+    workload(app, suite, events)
+}
+
+/// The minimal sample spec (`maxTries: 3` on `sense`): two rounds of
+/// five attempts of `sense` before it completes, each round tripping
+/// the property.
+fn minimal() -> Workload {
+    let mut b = AppGraphBuilder::new();
+    let sense = b.task("sense");
+    let send = b.task("send");
+    b.path(&[sense, send]);
+    let app = b.build().unwrap();
+    let at = |round: u64, i: u64| SimInstant::from_micros(100 * round + i);
+    let events = (0..2)
+        .flat_map(|r| {
+            (0..5)
+                .map(move |i| MonitorEvent::start(sense, at(r, i)))
+                .chain([
+                    MonitorEvent::end(sense, at(r, 5)),
+                    MonitorEvent::start(send, at(r, 6)),
+                ])
+        })
+        .map(|e| e.on_path(PathId(0)))
+        .collect();
+    let suite = artemis_ir::compile(artemis_spec::samples::MINIMAL, &app).unwrap();
+    workload(app, suite, events)
+}
+
 fn workload(app: AppGraph, suite: MonitorSuite, events: Vec<MonitorEvent>) -> Workload {
     let compiled = Arc::new(CompiledSuite::compile(&suite, &app).unwrap());
     Workload {
@@ -158,6 +214,24 @@ fn reference(w: &Workload) -> Outcome {
     (verdicts, engine.snapshot(&dev))
 }
 
+/// How a run delivers its events.
+#[derive(Clone, Copy)]
+enum Delivery {
+    /// One `call_monitor` per event on a one-event engine.
+    PerEvent,
+    /// `deliver_batch` calls of `chunk` events on an engine holding
+    /// `capacity` events per delivery.
+    Batch { capacity: usize, chunk: usize },
+}
+
+/// A batch engine fed full deliveries.
+const fn batch(capacity: usize) -> Delivery {
+    Delivery::Batch {
+        capacity,
+        chunk: capacity,
+    }
+}
+
 /// What one explored run observed besides its outcome.
 struct Run {
     outcome: Outcome,
@@ -170,17 +244,23 @@ struct Run {
     failures: u64,
 }
 
-/// Runs `w` on a fresh engine through the reboot loop, delivering
-/// event by event (`batch: None`) or in chunks of `batch` through a
-/// batch engine of that capacity. Boot `b` arms a failure before write
-/// op `crashes[b]` of that boot, if given. A persistent cursor counts
+/// Runs `w` on a fresh engine through the reboot loop, delivering as
+/// `delivery` says. Boot `b` arms a failure before write op
+/// `crashes[b]` of that boot, if given. A persistent cursor counts
 /// completed steps, so a failure redelivers the interrupted one.
-fn run(w: &Workload, batch: Option<usize>, tiny: bool, crashes: &[u64]) -> Run {
+fn run(w: &Workload, delivery: Delivery, tiny: bool, crashes: &[u64]) -> Run {
     let mut dev = device(tiny);
+    let (batch, chunk) = match delivery {
+        Delivery::PerEvent => (BatchMode::Disabled, 1),
+        Delivery::Batch { capacity, chunk } => (
+            BatchMode::Enabled {
+                max_events: capacity,
+            },
+            chunk,
+        ),
+    };
     let opts = InstallOptions {
-        batch: batch.map_or(BatchMode::Disabled, |max_events| BatchMode::Enabled {
-            max_events,
-        }),
+        batch,
         ..InstallOptions::default()
     };
     let engine = MonitorEngine::install_precompiled_shared(
@@ -193,7 +273,6 @@ fn run(w: &Workload, batch: Option<usize>, tiny: bool, crashes: &[u64]) -> Run {
     .unwrap();
     engine.reset_monitor(&mut dev).unwrap();
     let cursor = dev.nv_alloc::<u32>(0, MemOwner::App, "cursor").unwrap();
-    let chunk = batch.unwrap_or(1);
 
     let writes0 = dev.fram().write_ops();
     let mut results: Vec<Vec<MonitorVerdict>> = vec![Vec::new(); w.events.len()];
@@ -214,9 +293,11 @@ fn run(w: &Workload, batch: Option<usize>, tiny: bool, crashes: &[u64]) -> Run {
             }
             let n = chunk.min(w.events.len() - idx);
             let seq = idx as u64 + 1;
-            match batch {
-                None => results[idx] = engine.call_monitor(dev, seq, &w.events[idx])?,
-                Some(_) => {
+            match delivery {
+                Delivery::PerEvent => {
+                    results[idx] = engine.call_monitor(dev, seq, &w.events[idx])?
+                }
+                Delivery::Batch { .. } => {
                     let verdicts = engine.deliver_batch(dev, seq, &w.events[idx..idx + n])?;
                     results[idx..idx + n].clone_from_slice(&verdicts);
                 }
@@ -239,22 +320,22 @@ fn run(w: &Workload, batch: Option<usize>, tiny: bool, crashes: &[u64]) -> Run {
 /// Explores every single crash point of `w`'s run, and every second
 /// crash point of the recovery each one forces, on both devices.
 /// Returns the number of schedules explored.
-fn explore(w: &Workload, batch: Option<usize>) -> usize {
+fn explore(w: &Workload, delivery: Delivery) -> usize {
     let expected = reference(w);
     let mut explored = 0;
     for tiny in [false, true] {
-        let steady = run(w, batch, tiny, &[]);
+        let steady = run(w, delivery, tiny, &[]);
         assert_eq!(steady.outcome, expected, "continuous run, tiny {tiny}");
         assert_eq!(steady.failures, 0);
         for k in 1..=steady.writes {
-            let once = run(w, batch, tiny, &[k]);
+            let once = run(w, delivery, tiny, &[k]);
             assert_eq!(once.failures, 1, "crash before write {k} never fired");
             assert_eq!(
                 once.outcome, expected,
                 "crash before write {k}, tiny {tiny}"
             );
             for j in 1..=once.recovery_writes {
-                let twice = run(w, batch, tiny, &[k, j]);
+                let twice = run(w, delivery, tiny, &[k, j]);
                 assert_eq!(twice.failures, 2, "second crash {j} after {k} never fired");
                 assert_eq!(
                     twice.outcome, expected,
@@ -270,22 +351,52 @@ fn explore(w: &Workload, batch: Option<usize>) -> usize {
 
 #[test]
 fn figure5_per_event_crash_points_match_the_interpreter() {
-    assert!(explore(&figure5(), None) > 1_000);
+    assert!(explore(&figure5(), Delivery::PerEvent) > 1_000);
 }
 
 #[test]
 fn figure5_batch_crash_points_match_the_interpreter() {
-    assert!(explore(&figure5(), Some(4)) > 500);
+    assert!(explore(&figure5(), batch(4)) > 500);
+}
+
+/// Every delivery of a batch-4 engine fed 3-event chunks (3, 3, 3, 1)
+/// arms a partial event array: group 0's header run starts inside it.
+#[test]
+fn figure5_partial_batch_crash_points_match_the_interpreter() {
+    let partial = Delivery::Batch {
+        capacity: 4,
+        chunk: 3,
+    };
+    assert!(explore(&figure5(), partial) > 500);
 }
 
 #[test]
 fn flip_per_event_crash_points_match_the_interpreter() {
-    assert!(explore(&flip(), None) > 500);
+    assert!(explore(&flip(), Delivery::PerEvent) > 500);
 }
 
 #[test]
 fn flip_batch_crash_points_match_the_interpreter() {
-    assert!(explore(&flip(), Some(4)) > 200);
+    assert!(explore(&flip(), batch(4)) > 200);
+}
+
+/// Group 0 logs two verdicts per event, eight per full batch, in its
+/// header run (one group); on the tiny device group 1 appends its
+/// cells after group 0's.
+#[test]
+fn multi_verdict_crash_points_match_the_interpreter() {
+    let w = emitters();
+    let per_event = explore(&w, Delivery::PerEvent);
+    let batched = explore(&w, batch(4));
+    assert!(per_event > 200 && batched > 100, "{per_event} + {batched}");
+}
+
+#[test]
+fn minimal_spec_crash_points_match_the_interpreter() {
+    let w = minimal();
+    let per_event = explore(&w, Delivery::PerEvent);
+    let batched = explore(&w, batch(4));
+    assert!(per_event > 200 && batched > 100, "{per_event} + {batched}");
 }
 
 /// The two devices really are the two commit-group regimes: on the

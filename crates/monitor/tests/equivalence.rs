@@ -1185,7 +1185,10 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
 #[test]
 fn cached_batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
-    let events = crash_events();
+    // The crash stream twice over, as in the warm batch sweep: with the
+    // header armed in one run and loaded in one read, a single pass
+    // reboots fewer than the floor's 100 times.
+    let events = [crash_events(), crash_events()].concat();
     let (vf, sf) = engine_run_opts(
         &app,
         CRASH_SPEC,

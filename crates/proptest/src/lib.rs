@@ -2,7 +2,7 @@
 //!
 //! The workspace must build without network access, so this in-tree
 //! crate re-implements the subset of proptest the test suites use:
-//! the [`Strategy`] trait with `prop_map` / `prop_filter`, tuple,
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_filter`, tuple,
 //! range, vector, option and union strategies, a regex-subset string
 //! generator, and the `proptest!` / `prop_assert!` / `prop_assert_eq!`
 //! / `prop_oneof!` macros. Cases are generated from a seed derived

@@ -31,12 +31,16 @@
 //! task commits, and the monitor engine's resets, path restarts and
 //! **commit groups** — a delivery's worklist is cut into consecutive
 //! groups sized by the device's energy budget, each committed as one
-//! record with one done bit, and the first group's record also carries
-//! the delivery's arming sub-writes. A delivery whose worklist fits one
-//! group therefore costs `k + 3` writes for its `k` sub-writes in all,
-//! where an arming record plus one record per effectful machine paid
-//! the 3 fixed writes each time. [`crate::device::Device::commit`]
-//! counts the records it commits.
+//! record with one done bit, and the first group's record also arms
+//! the delivery. Since a sub-write's cost is one write op and a 6-byte
+//! header however many bytes it carries, the engine lays the armed
+//! delivery's fields out as one contiguous header and stages each
+//! contiguous run as one sub-write: arming — events, sequence number,
+//! verdict count, done bitmap and the first group's verdict cells — is
+//! a single sub-write. A delivery whose worklist fits one group
+//! therefore costs `k + 4` writes for its members' `k` sub-writes in
+//! all. [`crate::device::Device::commit`] counts the records it
+//! commits.
 
 use core::ops::Range;
 
