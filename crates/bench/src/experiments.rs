@@ -4,8 +4,8 @@
 
 use artemis_core::time::SimDuration;
 use artemis_core::trace::TraceEvent;
-use intermittent_sim::device::CostCategory;
-use intermittent_sim::fram::MemOwner;
+use intermittent_sim::device::{CostCategory, Device};
+use intermittent_sim::fram::{FramTraffic, MemOwner};
 use intermittent_sim::harvester::Harvester;
 use intermittent_sim::simulator::RunLimit;
 
@@ -213,40 +213,52 @@ pub fn fig13() -> Report {
 }
 
 /// Shared driver for Figures 14 and 15: one continuously-powered run of
-/// each system, split into application / runtime / monitor time.
+/// each system, split into application / runtime / monitor time, with
+/// the run's FRAM traffic and journal records.
 struct OverheadSample {
     app: SimDuration,
     runtime: SimDuration,
     monitor: SimDuration,
+    /// FRAM traffic billed to the runtime.
+    runtime_fram: FramTraffic,
+    /// FRAM traffic of the whole run, every category.
+    fram: FramTraffic,
+    /// Journal records the run committed.
+    records: u64,
+}
+
+/// Measures `run` on `dev` — the run only, installation excluded.
+fn overhead_sample(dev: &mut Device, run: impl FnOnce(&mut Device)) -> OverheadSample {
+    let (before, records) = (*dev.stats(), dev.journal_records());
+    run(dev);
+    let stats = *dev.stats();
+    let time = |c| stats.time(c) - before.time(c);
+    OverheadSample {
+        app: time(CostCategory::App),
+        runtime: time(CostCategory::Runtime),
+        monitor: time(CostCategory::Monitor),
+        runtime_fram: stats.fram(CostCategory::Runtime) - before.fram(CostCategory::Runtime),
+        fram: stats.fram_total() - before.fram_total(),
+        records: dev.journal_records() - records,
+    }
 }
 
 fn overheads() -> (OverheadSample, OverheadSample) {
     let mut dev = benchmark_device(Harvester::Continuous);
     let mut rt = install_artemis(&mut dev, HEALTH_SPEC);
-    // Exclude installation costs: measure the run only.
-    let before = *dev.stats();
-    rt.run_once(&mut dev, dnf_limit())
-        .completed()
-        .expect("continuous ARTEMIS run completes");
-    let stats = *dev.stats();
-    let artemis = OverheadSample {
-        app: stats.time(CostCategory::App) - before.time(CostCategory::App),
-        runtime: stats.time(CostCategory::Runtime) - before.time(CostCategory::Runtime),
-        monitor: stats.time(CostCategory::Monitor) - before.time(CostCategory::Monitor),
-    };
+    let artemis = overhead_sample(&mut dev, |dev| {
+        rt.run_once(dev, dnf_limit())
+            .completed()
+            .expect("continuous ARTEMIS run completes");
+    });
 
     let mut dev = benchmark_device(Harvester::Continuous);
     let mut rt = install_mayfly(&mut dev);
-    let before = *dev.stats();
-    rt.run_once(&mut dev, dnf_limit())
-        .completed()
-        .expect("continuous Mayfly run completes");
-    let stats = *dev.stats();
-    let mayfly = OverheadSample {
-        app: stats.time(CostCategory::App) - before.time(CostCategory::App),
-        runtime: stats.time(CostCategory::Runtime) - before.time(CostCategory::Runtime),
-        monitor: stats.time(CostCategory::Monitor) - before.time(CostCategory::Monitor),
-    };
+    let mayfly = overhead_sample(&mut dev, |dev| {
+        rt.run_once(dev, dnf_limit())
+            .completed()
+            .expect("continuous Mayfly run completes");
+    });
     (artemis, mayfly)
 }
 
@@ -275,6 +287,10 @@ pub fn fig14() -> Report {
         ]);
     }
     r.note("Mayfly's property checking is inseparable from its runtime (monitor column = 0)");
+    r.note(format!(
+        "FRAM write ops / journal records per run: ARTEMIS {} / {}, Mayfly {} / {}",
+        artemis.fram.write_ops, artemis.records, mayfly.fram.write_ops, mayfly.records
+    ));
     r
 }
 
@@ -305,6 +321,15 @@ pub fn fig15() -> Report {
     r.note(format!(
         "ARTEMIS overhead / Mayfly overhead = {:.2}x (paper: slightly above 1)",
         a_total.as_secs_f64() / m_total.as_secs_f64().max(1e-12)
+    ));
+    let fram = |s: &OverheadSample| {
+        let f = s.runtime_fram;
+        format!("{} B written + {} B read", f.write_bytes, f.read_bytes)
+    };
+    r.note(format!(
+        "runtime-billed FRAM traffic: ARTEMIS {}, Mayfly {}",
+        fram(&artemis),
+        fram(&mayfly)
     ));
     r
 }
@@ -1612,6 +1637,15 @@ mod tests {
             artemis_overhead < artemis_app * 0.1,
             "overheads must be minor"
         );
+    }
+
+    /// The Fig. 14 runs' FRAM write ops and journal records — the crash
+    /// windows a whole-system explorer enumerates — are pinned exactly.
+    #[test]
+    fn fig14_runs_keep_their_write_ops_and_records() {
+        let (artemis, mayfly) = overheads();
+        assert_eq!((artemis.fram.write_ops, artemis.records), (731, 103));
+        assert_eq!((mayfly.fram.write_ops, mayfly.records), (323, 47));
     }
 
     #[test]

@@ -305,6 +305,11 @@ impl MayflyRuntime {
         &self.app
     }
 
+    /// Looks up a declared channel (for post-run inspection).
+    pub fn channel(&self, name: &str) -> Option<Channel> {
+        self.channels.get(name).copied()
+    }
+
     /// Runs the application once.
     pub fn run_once(&mut self, dev: &mut Device, limit: RunLimit) -> SimOutcome<MayflyOutcome> {
         Simulator::new(limit).run(dev, self)
@@ -619,7 +624,7 @@ mod tests {
     #[test]
     fn task_end_is_traced_when_recovery_completes_the_commit() {
         let mut interrupted = 0;
-        for budget_nj in (8_000u64..=90_000).step_by(100) {
+        for budget_nj in (6_000u64..=90_000).step_by(100) {
             let mut dev = DeviceBuilder::msp430fr5994()
                 .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
                 .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))

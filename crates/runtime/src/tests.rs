@@ -11,7 +11,7 @@ use intermittent_sim::harvester::Harvester;
 use intermittent_sim::peripherals::Peripheral;
 use intermittent_sim::simulator::{RunLimit, SimOutcome};
 
-use crate::{ArtemisRuntime, ArtemisRuntimeBuilder, RunOutcome};
+use crate::{ArtemisRuntime, ArtemisRuntimeBuilder, RunOutcome, CHANNEL_CAPACITY};
 
 fn continuous_device() -> Device {
     DeviceBuilder::msp430fr5994().build()
@@ -480,6 +480,46 @@ fn overheads_are_attributed_to_categories() {
     );
 }
 
+/// Every FRAM access of an intermittent run — task bodies, runtime
+/// commits, monitor deliveries and boot recoveries — lands in exactly
+/// one category's counters, and they sum to the arena's own.
+#[test]
+fn fram_traffic_categories_sum_to_the_arena_counters() {
+    use intermittent_sim::device::CostCategory;
+
+    let mut dev = intermittent_device(8, SimDuration::from_secs(1));
+    let app = sense_send_app();
+    let mut rt = install(&mut dev, &app, "sense { maxTries: 10 onFail: skipPath; }");
+    rt.run_once(&mut dev, RunLimit::reboots(100_000))
+        .completed()
+        .unwrap();
+    assert!(dev.reboots() > 0, "test needs power failures");
+    let stats = dev.stats();
+    assert_eq!(stats.fram_total(), dev.fram().traffic());
+    for c in CostCategory::ALL {
+        let t = stats.fram(c);
+        assert!(t.read_ops > 0 && t.write_ops > 0, "{c:?}: {t:?}");
+    }
+}
+
+/// The spec checker's `collect` bound is the runtime's channel
+/// capacity: a count that fits one channel is accepted, one more is a
+/// contradiction.
+#[test]
+fn collect_bound_tracks_the_channel_capacity() {
+    use artemis_spec::consistency::{check, ConsistencySeverity};
+
+    let app = sense_send_app();
+    for (count, fits) in [(CHANNEL_CAPACITY, true), (CHANNEL_CAPACITY + 1, false)] {
+        let spec = format!("send {{ collect: {count} dpTask: sense onFail: restartPath; }}");
+        let set = artemis_spec::compile(&spec, &app).unwrap();
+        let contradiction = check(&set, &app)
+            .iter()
+            .any(|i| i.severity == ConsistencySeverity::Contradiction);
+        assert_eq!(contradiction, !fits, "collect: {count}");
+    }
+}
+
 #[test]
 fn unmonitored_spec_mode_works_without_machines() {
     // An empty specification yields zero monitors; the runtime must
@@ -654,7 +694,7 @@ fn burst_is_crash_consistent_across_budget_sweep() {
     let expected = committed_sends(&rt, &mut cont);
 
     let mut total_reboots = 0usize;
-    for budget_nj in (7_000u64..17_000).step_by(50) {
+    for budget_nj in (6_500u64..17_000).step_by(50) {
         let mut dev = DeviceBuilder::msp430fr5994()
             .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
             .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))

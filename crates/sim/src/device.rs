@@ -18,7 +18,7 @@ use crate::capacitor::Capacitor;
 use crate::clock::PersistentClock;
 use crate::energy::Energy;
 pub use crate::fram::MemOwner;
-use crate::fram::{Fram, NvCell, NvData, Sram};
+use crate::fram::{Fram, FramTraffic, NvCell, NvData, Sram};
 use crate::harvester::Harvester;
 use crate::journal::{Journal, JournalOp, TxWriter};
 use crate::mcu::{Cost, CostModel};
@@ -142,11 +142,13 @@ impl CostCategory {
     }
 }
 
-/// Accumulated time/energy per category plus device-level counters.
+/// Accumulated time/energy and FRAM traffic per category plus
+/// device-level counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeviceStats {
     times: [SimDuration; 3],
     energies: [Energy; 3],
+    fram: [FramTraffic; 3],
     /// Total energy drawn from the capacitor.
     pub consumed: Energy,
     /// Number of power failures experienced.
@@ -168,6 +170,20 @@ impl DeviceStats {
     pub fn total_time(&self) -> SimDuration {
         self.times.iter().fold(SimDuration::ZERO, |a, b| a + *b)
     }
+
+    /// FRAM traffic counted while `c` was the current category: every
+    /// access the [`Fram`] counters saw, counted where the device made
+    /// it (plain, raw, write-set, commit, recovery and sensor-cursor
+    /// paths), so the categories sum exactly to those counters.
+    pub fn fram(&self, c: CostCategory) -> FramTraffic {
+        self.fram[c.idx()]
+    }
+
+    /// FRAM traffic summed over the categories — equal to
+    /// [`Fram::traffic`] of the device's arena.
+    pub fn fram_total(&self) -> FramTraffic {
+        self.fram.iter().fold(FramTraffic::default(), |a, b| a + *b)
+    }
 }
 
 /// Internal power/time state, separated from memory so journal commits
@@ -186,6 +202,32 @@ struct PowerState {
 }
 
 impl PowerState {
+    /// Counts one FRAM access of `bytes` to the current category.
+    fn count(&mut self, op: JournalOp, bytes: usize) {
+        let t = &mut self.stats.fram[self.category.idx()];
+        match op {
+            JournalOp::Read => t.read(bytes),
+            JournalOp::Write => t.write(bytes),
+        }
+    }
+
+    /// Bills one FRAM access — a write honouring the scheduled failure
+    /// — and counts it once it succeeded: the journal's `spend`
+    /// callback, which precedes each of its FRAM accesses one to one.
+    fn journal_access(
+        &mut self,
+        costs: &CostModel,
+        bytes: usize,
+        op: JournalOp,
+    ) -> Result<(), Interrupt> {
+        match op {
+            JournalOp::Read => self.spend(costs.fram_read(bytes))?,
+            JournalOp::Write => self.spend_write(costs.fram_write(bytes))?,
+        }
+        self.count(op, bytes);
+        Ok(())
+    }
+
     /// [`PowerState::spend`] for one FRAM write op, honouring the
     /// scheduled failure: the write that reaches it browns out instead
     /// of happening, and the schedule clears.
@@ -341,18 +383,21 @@ impl Device {
     ) -> Result<NvCell<T>, Interrupt> {
         let cost = self.costs.fram_write(T::SIZE);
         self.power.spend_write(cost)?;
-        self.fram.alloc(init, owner, label).map_err(|e| {
+        let cell = self.fram.alloc(init, owner, label).map_err(|e| {
             Interrupt::Fault(Fault::OutOfFram {
                 requested: e.requested,
                 available: e.available,
             })
-        })
+        })?;
+        self.power.count(JournalOp::Write, T::SIZE);
+        Ok(cell)
     }
 
     /// Reads a nonvolatile cell.
     pub fn nv_read<T: NvData>(&mut self, cell: &NvCell<T>) -> Result<T, Interrupt> {
         let cost = self.costs.fram_read(T::SIZE);
         self.power.spend(cost)?;
+        self.power.count(JournalOp::Read, T::SIZE);
         Ok(self.fram.read(cell))
     }
 
@@ -361,6 +406,7 @@ impl Device {
     pub fn nv_write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) -> Result<(), Interrupt> {
         let cost = self.costs.fram_write(T::SIZE);
         self.power.spend_write(cost)?;
+        self.power.count(JournalOp::Write, T::SIZE);
         self.fram.write(cell, value);
         Ok(())
     }
@@ -388,6 +434,7 @@ impl Device {
     pub fn nv_read_raw(&mut self, addr: usize, len: usize) -> Result<&[u8], Interrupt> {
         let cost = self.costs.fram_read(len);
         self.power.spend(cost)?;
+        self.power.count(JournalOp::Read, len);
         Ok(self.fram.read_raw(addr, len))
     }
 
@@ -396,6 +443,7 @@ impl Device {
     pub fn nv_write_raw(&mut self, addr: usize, data: &[u8]) -> Result<(), Interrupt> {
         let cost = self.costs.fram_write(data.len());
         self.power.spend_write(cost)?;
+        self.power.count(JournalOp::Write, data.len());
         self.fram.write_raw(addr, data);
         Ok(())
     }
@@ -428,9 +476,8 @@ impl Device {
     pub fn commit(&mut self, journal: &Journal, tx: &TxWriter) -> Result<(), Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
-        journal.commit(&mut self.fram, tx, &mut |bytes, op| match op {
-            JournalOp::Read => power.spend(costs.fram_read(bytes)),
-            JournalOp::Write => power.spend_write(costs.fram_write(bytes)),
+        journal.commit(&mut self.fram, tx, &mut |bytes, op| {
+            power.journal_access(costs, bytes, op)
         })?;
         if !tx.is_empty() {
             self.journal_records += 1;
@@ -472,17 +519,40 @@ impl Device {
     pub fn recover(&mut self, journal: &Journal) -> Result<bool, Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
-        journal.recover(&mut self.fram, &mut |bytes, op| match op {
-            JournalOp::Read => power.spend(costs.fram_read(bytes)),
-            JournalOp::Write => power.spend_write(costs.fram_write(bytes)),
+        journal.recover(&mut self.fram, &mut |bytes, op| {
+            power.journal_access(costs, bytes, op)
         })
     }
 
-    /// Reads a staged-or-committed value through a write-set.
+    /// Reads a staged-or-committed value through a write-set. Billed
+    /// as one read either way; FRAM is touched (and counted) only when
+    /// no sub-write of the cell's address and width is staged.
     pub fn tx_read<T: NvData>(&mut self, tx: &TxWriter, cell: &NvCell<T>) -> Result<T, Interrupt> {
         let cost = self.costs.fram_read(T::SIZE);
         self.power.spend(cost)?;
-        Ok(tx.read(&mut self.fram, cell))
+        if let Some(v) = tx.staged(cell) {
+            return Ok(v);
+        }
+        self.power.count(JournalOp::Read, T::SIZE);
+        Ok(self.fram.read(cell))
+    }
+
+    /// Reads `buf.len()` raw bytes at `addr` through a write-set in one
+    /// FRAM read: the committed bytes with every staged sub-write that
+    /// overlaps the range laid over them ([`TxWriter::overlay`]) — what
+    /// the range would hold after the write-set commits.
+    pub fn tx_read_raw(
+        &mut self,
+        tx: &TxWriter,
+        addr: usize,
+        buf: &mut [u8],
+    ) -> Result<(), Interrupt> {
+        let cost = self.costs.fram_read(buf.len());
+        self.power.spend(cost)?;
+        self.power.count(JournalOp::Read, buf.len());
+        buf.copy_from_slice(self.fram.read_raw(addr, buf.len()));
+        tx.overlay(addr, buf);
+        Ok(())
     }
 
     /// Samples a sensor, paying its cost; the reading cursor persists
@@ -491,6 +561,9 @@ impl Device {
         let cost = self.peripherals.sample_cost(p);
         self.power.spend(cost)?;
         let cursor_cell = self.ensure_cursors()?;
+        // The cursor round trip is unbilled (it models registers) but
+        // counted, like every access `Fram` sees.
+        self.power.count(JournalOp::Read, cursor_cell.size());
         let mut cursors = self.fram.read(&cursor_cell);
         let slot = match p {
             Peripheral::TemperatureAdc => 0,
@@ -499,6 +572,7 @@ impl Device {
             Peripheral::BleRadio => 3,
         };
         let value = self.peripherals.sample_value(p, &mut cursors[slot]);
+        self.power.count(JournalOp::Write, cursor_cell.size());
         self.fram.write(&cursor_cell, cursors);
         Ok(value)
     }
@@ -528,6 +602,7 @@ impl Device {
                     available: e.available,
                 })
             })?;
+        self.power.count(JournalOp::Write, cell.size());
         self.sensor_cursors = Some(cell);
         Ok(cell)
     }
@@ -872,6 +947,78 @@ mod tests {
         assert_eq!(dev.journal_records(), 1);
         assert_eq!(dev.largest_journal_record(), tx.record_bytes());
         assert_eq!(dev.stats().power_failures, 1);
+    }
+
+    /// `tx_read_raw` is one billed, counted read of the whole range,
+    /// with every overlapping staged sub-write laid over FRAM's bytes.
+    #[test]
+    fn tx_read_raw_is_one_read_with_staged_bytes_overlaid() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let addr = dev.nv_alloc_raw(16, MemOwner::App, "blk").unwrap();
+        dev.nv_write_raw(addr, &[1; 16]).unwrap();
+        let mut tx = TxWriter::new();
+        tx.write_raw(addr + 2, &[7, 7, 7, 7]);
+        tx.write_raw(addr + 4, &[9, 9]);
+        tx.write_raw(addr + 14, &[5, 5, 5, 5]);
+        let (before, t0) = (dev.fram().traffic(), dev.now());
+        let mut buf = [0u8; 12];
+        dev.tx_read_raw(&tx, addr + 1, &mut buf).unwrap();
+        assert_eq!(buf, [1, 7, 7, 9, 9, 1, 1, 1, 1, 1, 1, 1]);
+        let read = dev.fram().traffic() - before;
+        assert_eq!((read.read_ops, read.read_bytes, read.write_ops), (1, 12, 0));
+        assert_eq!(dev.now() - t0, dev.cost_model().fram_read(12).time);
+        assert_eq!(dev.peek_raw(addr, 16), &[1; 16], "FRAM untouched");
+    }
+
+    /// The per-category FRAM counters see every access the arena's own
+    /// counters do — plain, raw, write-set, commit, recovery and sensor
+    /// cursor paths, staged-hit reads (no FRAM access) excluded — and
+    /// attribute each to the category current when it happened.
+    #[test]
+    fn fram_traffic_per_category_sums_to_the_arena_counters() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let journal = dev.make_journal(64, MemOwner::Runtime).unwrap();
+        dev.set_category(CostCategory::Runtime);
+        let cell = dev.nv_alloc::<u32>(3, MemOwner::Runtime, "x").unwrap();
+        let raw = dev.nv_alloc_raw(8, MemOwner::Runtime, "raw").unwrap();
+        dev.nv_write_raw(raw, &[2; 8]).unwrap();
+        dev.nv_read_raw(raw, 8).unwrap();
+        let runtime = dev.stats().fram(CostCategory::Runtime);
+        assert_eq!((runtime.write_ops, runtime.write_bytes), (2, 12));
+        assert_eq!((runtime.read_ops, runtime.read_bytes), (1, 8));
+
+        dev.set_category(CostCategory::App);
+        dev.sample(Peripheral::TemperatureAdc).unwrap();
+        let mut tx = TxWriter::new();
+        dev.tx_read(&tx, &cell).unwrap();
+        tx.write(&cell, 4);
+        dev.tx_read(&tx, &cell).unwrap(); // staged: no FRAM access
+        let mut buf = [0u8; 8];
+        dev.tx_read_raw(&tx, raw, &mut buf).unwrap();
+
+        dev.billed(CostCategory::Monitor, |dev| {
+            dev.nv_write(&cell, 5)?;
+            dev.nv_read(&cell)?;
+            dev.fail_before_write(3);
+            assert_eq!(dev.commit(&journal, &tx), Err(Interrupt::PowerFailure));
+            dev.power_cycle();
+            dev.recover(&journal).map(drop)
+        })
+        .unwrap();
+        dev.commit(&journal, &tx).unwrap();
+
+        let stats = *dev.stats();
+        assert_eq!(stats.fram_total(), dev.fram().traffic());
+        let app = stats.fram(CostCategory::App);
+        // Cursor read + write, the unstaged `tx_read`, `tx_read_raw`,
+        // and one commit of one sub-write (four writes).
+        assert_eq!((app.read_ops, app.read_bytes), (3, 32 + 4 + 8));
+        assert_eq!(app.write_ops, 1 + 1 + 4);
+        let monitor = stats.fram(CostCategory::Monitor);
+        // The plain pair, the commit's stage and flag, and the replay:
+        // flag, count, header and data reads; apply and clear writes.
+        assert_eq!((monitor.write_ops, monitor.read_ops), (1 + 2 + 2, 1 + 4));
+        assert_eq!(stats.fram(CostCategory::Runtime), runtime);
     }
 
     #[test]

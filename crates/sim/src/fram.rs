@@ -241,16 +241,64 @@ pub struct Fram {
     bytes: Vec<u8>,
     next: usize,
     allocs: Vec<AllocRecord>,
-    /// Total bytes written since construction (wear/energy accounting).
-    bytes_written: u64,
-    /// Total bytes read since construction.
-    bytes_read: u64,
-    /// Number of write operations (calls), regardless of width. On the
-    /// real part each operation is a bus transaction, so op counts —
-    /// not byte counts — are what batching optimisations reduce.
-    write_ops: u64,
-    /// Number of read operations (calls).
-    read_ops: u64,
+    /// Access counters since construction (`peek` excluded).
+    traffic: FramTraffic,
+}
+
+/// FRAM access counters: operations (calls, regardless of width) and
+/// bytes in each direction. On the real part each operation is a bus
+/// transaction, so op counts — not byte counts — are what batching
+/// optimisations reduce; byte counts are the wear/energy side.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FramTraffic {
+    /// Read operations.
+    pub read_ops: u64,
+    /// Bytes read.
+    pub read_bytes: u64,
+    /// Write operations.
+    pub write_ops: u64,
+    /// Bytes written.
+    pub write_bytes: u64,
+}
+
+impl FramTraffic {
+    /// Counts one read of `bytes`.
+    pub(crate) fn read(&mut self, bytes: usize) {
+        self.read_ops += 1;
+        self.read_bytes += bytes as u64;
+    }
+
+    /// Counts one write of `bytes`.
+    pub(crate) fn write(&mut self, bytes: usize) {
+        self.write_ops += 1;
+        self.write_bytes += bytes as u64;
+    }
+}
+
+impl core::ops::Add for FramTraffic {
+    type Output = FramTraffic;
+
+    fn add(self, o: FramTraffic) -> FramTraffic {
+        FramTraffic {
+            read_ops: self.read_ops + o.read_ops,
+            read_bytes: self.read_bytes + o.read_bytes,
+            write_ops: self.write_ops + o.write_ops,
+            write_bytes: self.write_bytes + o.write_bytes,
+        }
+    }
+}
+
+impl core::ops::Sub for FramTraffic {
+    type Output = FramTraffic;
+
+    fn sub(self, o: FramTraffic) -> FramTraffic {
+        FramTraffic {
+            read_ops: self.read_ops - o.read_ops,
+            read_bytes: self.read_bytes - o.read_bytes,
+            write_ops: self.write_ops - o.write_ops,
+            write_bytes: self.write_bytes - o.write_bytes,
+        }
+    }
 }
 
 impl Fram {
@@ -260,10 +308,7 @@ impl Fram {
             bytes: vec![0; capacity],
             next: 0,
             allocs: Vec::new(),
-            bytes_written: 0,
-            bytes_read: 0,
-            write_ops: 0,
-            read_ops: 0,
+            traffic: FramTraffic::default(),
         }
     }
 
@@ -325,8 +370,7 @@ impl Fram {
     /// Panics if the cell does not belong to this arena (address out of
     /// range), which is a programming error.
     pub fn read<T: NvData>(&mut self, cell: &NvCell<T>) -> T {
-        self.bytes_read += T::SIZE as u64;
-        self.read_ops += 1;
+        self.traffic.read(T::SIZE);
         T::load(&self.bytes[cell.addr..cell.addr + T::SIZE])
     }
 
@@ -337,15 +381,13 @@ impl Fram {
 
     /// Writes a typed cell.
     pub fn write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        self.bytes_written += T::SIZE as u64;
-        self.write_ops += 1;
+        self.traffic.write(T::SIZE);
         value.store(&mut self.bytes[cell.addr..cell.addr + T::SIZE]);
     }
 
     /// Reads `len` raw bytes at `addr`.
     pub fn read_raw(&mut self, addr: usize, len: usize) -> &[u8] {
-        self.bytes_read += len as u64;
-        self.read_ops += 1;
+        self.traffic.read(len);
         &self.bytes[addr..addr + len]
     }
 
@@ -356,41 +398,45 @@ impl Fram {
 
     /// Writes raw bytes at `addr`.
     pub fn write_raw(&mut self, addr: usize, data: &[u8]) {
-        self.bytes_written += data.len() as u64;
-        self.write_ops += 1;
+        self.traffic.write(data.len());
         self.bytes[addr..addr + data.len()].copy_from_slice(data);
     }
 
     /// Total bytes written since construction.
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
+        self.traffic.write_bytes
     }
 
     /// Total bytes read since construction.
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
+        self.traffic.read_bytes
     }
 
     /// Number of write operations since construction (`peek` excluded).
     pub fn write_ops(&self) -> u64 {
-        self.write_ops
+        self.traffic.write_ops
     }
 
     /// Number of read operations since construction (`peek` excluded).
     pub fn read_ops(&self) -> u64 {
-        self.read_ops
+        self.traffic.read_ops
     }
 
     /// Total bytes written since construction — [`Fram::bytes_written`]
     /// under the name the benchmarks pair with [`Fram::write_ops`].
     pub fn write_bytes(&self) -> u64 {
-        self.bytes_written
+        self.traffic.write_bytes
     }
 
     /// Total bytes read since construction — [`Fram::bytes_read`]
     /// under the name the benchmarks pair with [`Fram::read_ops`].
     pub fn read_bytes(&self) -> u64 {
-        self.bytes_read
+        self.traffic.read_bytes
+    }
+
+    /// All four access counters at once.
+    pub fn traffic(&self) -> FramTraffic {
+        self.traffic
     }
 
     /// All allocation records, in allocation order.

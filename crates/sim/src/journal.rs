@@ -104,8 +104,9 @@ fn find_entry(record: &[u8], addr: usize, len: usize) -> Option<Range<usize>> {
 /// (see [`TxWriter::clear`]) allocates nothing once warm. Writes to the
 /// same address and width merge in place, so re-assigning an output
 /// inside one task costs a single sub-write; the same address at a
-/// different width is a separate sub-write. Reads go through
-/// [`TxWriter::read`], which observes staged values (read-your-writes).
+/// different width is a separate sub-write. Reads observe staged
+/// values (read-your-writes): [`TxWriter::read`] per cell, and
+/// [`TxWriter::overlay`] byte-granular over any raw range.
 #[derive(Debug)]
 pub struct TxWriter {
     record: Vec<u8>,
@@ -174,9 +175,27 @@ impl TxWriter {
 
     /// Reads a cell, observing staged writes first.
     pub fn read<T: NvData>(&self, fram: &mut Fram, cell: &NvCell<T>) -> T {
-        match find_entry(&self.record, cell.addr(), T::SIZE) {
-            Some(data) => T::load(&self.record[data]),
-            None => fram.read(cell),
+        self.staged(cell).unwrap_or_else(|| fram.read(cell))
+    }
+
+    /// The value staged for `cell` — a sub-write of its address and
+    /// width — if any.
+    pub(crate) fn staged<T: NvData>(&self, cell: &NvCell<T>) -> Option<T> {
+        find_entry(&self.record, cell.addr(), T::SIZE).map(|data| T::load(&self.record[data]))
+    }
+
+    /// Lays every staged sub-write that overlaps `addr..addr +
+    /// buf.len()` over `buf`, which holds that range's committed bytes,
+    /// in record order — the order [`Journal::commit`] applies them —
+    /// so `buf` ends up holding what the range will after the commit.
+    pub fn overlay(&self, addr: usize, buf: &mut [u8]) {
+        let end = addr + buf.len();
+        for (at, data) in entries(&self.record) {
+            let (lo, hi) = (at.max(addr), (at + data.len()).min(end));
+            if lo < hi {
+                let src = data.start + (lo - at)..data.start + (hi - at);
+                buf[lo - addr..hi - addr].copy_from_slice(&self.record[src]);
+            }
         }
     }
 

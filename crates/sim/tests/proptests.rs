@@ -12,6 +12,20 @@ use intermittent_sim::journal::{Journal, TxWriter};
 use intermittent_sim::PersistentClock;
 use proptest::prelude::*;
 
+/// Bytes of the FRAM window the overlay property stages into.
+const WINDOW: usize = 96;
+
+/// An arena holding a journal and then a `WINDOW`-byte region laid out
+/// with `base`; returns the region's address. Deterministic, so two
+/// calls build identical arenas.
+fn arena(base: &[u8]) -> (Fram, Journal, usize) {
+    let mut fram = Fram::new(2048);
+    let journal = Journal::new(&mut fram, 1024, MemOwner::Runtime).unwrap();
+    let window = fram.alloc_raw(WINDOW, MemOwner::App, "window").unwrap();
+    fram.write_raw(window, base);
+    (fram, journal, window)
+}
+
 fn round_trip<T: NvData + PartialEq + core::fmt::Debug>(v: T) {
     let mut buf = vec![0u8; T::SIZE];
     v.store(&mut buf);
@@ -86,6 +100,40 @@ proptest! {
                 "torn state: {:?} (old {:?}, new {:?})",
                 now, old, values
             );
+        }
+    }
+
+    /// Read-your-writes at byte granularity: for staged sub-writes of
+    /// mixed widths that overlap and merge, overlaying the write-set on
+    /// any range of committed bytes yields exactly what committing the
+    /// write-set (on an identical arena) and then reading gives.
+    #[test]
+    fn tx_overlay_matches_commit_then_read(
+        base in proptest::collection::vec(any::<u8>(), WINDOW..WINDOW + 1),
+        writes in proptest::collection::vec(
+            (
+                prop_oneof![(0usize..WINDOW / 8).prop_map(|i| i * 8), 0usize..WINDOW],
+                0usize..5,
+                any::<u8>(),
+            ),
+            0..16,
+        ),
+        ranges in proptest::collection::vec((0usize..WINDOW, 1usize..WINDOW + 1), 1..8),
+    ) {
+        let (mut committed, journal, window) = arena(&base);
+        let mut tx = TxWriter::new();
+        for (off, width, seed) in writes {
+            let len = [1, 2, 4, 8, 16][width].min(WINDOW - off);
+            let data: Vec<u8> = (0..len as u8).map(|i| seed.wrapping_add(i)).collect();
+            tx.write_raw(window + off, &data);
+        }
+        journal.commit(&mut committed, &tx, &mut |_, _| Ok(())).unwrap();
+        let (overlaid, _, _) = arena(&base);
+        for (off, len) in ranges.into_iter().chain([(0, WINDOW)]) {
+            let len = len.min(WINDOW - off);
+            let mut buf = overlaid.peek_raw(window + off, len).to_vec();
+            tx.overlay(window + off, &mut buf);
+            prop_assert_eq!(&buf[..], committed.peek_raw(window + off, len), "range {}+{}", off, len);
         }
     }
 
