@@ -39,8 +39,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments [--json] [--emit] <{}>\n\
          Regenerates the evaluation figures/tables of the ARTEMIS paper.\n\
-         traffic  per-event FRAM ops/bytes/time/energy by workload, engine,\n\
-         \x20        delivery (per-event, batch-b) and reads (warm, always-cold)\n\
+         traffic  per-event FRAM ops/bytes/time/energy by workload, engine\n\
+         \x20        and reads (warm, always-cold)\n\
          energy   install-time energy feasibility verdicts vs measured\n\
          \x20        forward progress across a capacitor sweep\n\
          opt      bytecode optimizer sweep: executed instructions/event and\n\

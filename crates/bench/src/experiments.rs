@@ -585,7 +585,6 @@ fn property_sweep(id: &str, title: &str, columns: &[&str]) -> (Report, Vec<f64>)
         let t = measure(
             &properties_workload(n_props),
             artemis_monitor::InstallOptions::default(),
-            None,
             false,
         );
         let energy = t.nj_per_event();
@@ -720,24 +719,18 @@ impl Traffic {
 }
 
 /// Installs the workload's suite with `opts` on a fresh device, resets
-/// it, and delivers [`STREAM_EVENTS`] consecutive starts of its task —
-/// one at a time, or through `deliver_batch` in full groups of `batch`
-/// — returning the traffic of the deliveries alone. With
+/// it, and delivers [`STREAM_EVENTS`] consecutive starts of its task,
+/// one at a time, returning the traffic of the deliveries alone. With
 /// `always_cold`, SRAM is cleared before every delivery, so each one
 /// takes the post-reboot read path.
 fn measure(
     (suite, app, t0): &Workload,
     opts: artemis_monitor::InstallOptions,
-    batch: Option<usize>,
     always_cold: bool,
 ) -> Traffic {
     use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
+    use artemis_monitor::MonitorEngine;
 
-    let opts = InstallOptions {
-        batch: batch.map_or(opts.batch, |max_events| BatchMode::Enabled { max_events }),
-        ..opts
-    };
     let mut dev = traffic_device();
     let engine = MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).expect("installs");
     engine.reset_monitor(&mut dev).expect("reset");
@@ -749,24 +742,12 @@ fn measure(
     let records0 = dev.journal_records();
     let time0 = dev.stats().time(CostCategory::Monitor);
     let energy0 = dev.stats().energy(CostCategory::Monitor);
-    let group = batch.unwrap_or(1) as u64;
-    let mut seq = 1;
-    while seq <= STREAM_EVENTS {
+    for seq in 1..=STREAM_EVENTS {
         if always_cold {
             dev.sram_mut().clear();
         }
-        let n = group.min(STREAM_EVENTS - seq + 1);
-        let events: Vec<MonitorEvent> = (seq..seq + n)
-            .map(|s| MonitorEvent::start(*t0, artemis_core::SimInstant::from_micros(s)))
-            .collect();
-        if batch.is_some() {
-            engine.deliver_batch(&mut dev, seq, &events).expect("batch");
-        } else {
-            engine
-                .call_monitor(&mut dev, seq, &events[0])
-                .expect("event");
-        }
-        seq += n;
+        let event = MonitorEvent::start(*t0, artemis_core::SimInstant::from_micros(seq));
+        engine.call_monitor(&mut dev, seq, &event).expect("event");
     }
     let now = fram(&dev);
     let [reads, writes, read_bytes, write_bytes] = [0, 1, 2, 3].map(|i| now[i] - fram0[i]);
@@ -784,39 +765,20 @@ fn measure(
 
 /// Static ceilings of a compiled-engine traffic row, in the order of
 /// the report's last four columns: FRAM ops/event, FRAM writes/event,
-/// FRAM write B/event, and the extra reads a cold delivery refills.
-/// Per-event delivery prices the suite's worst event key
-/// ([`artemis_ir::suite_bounds`]); batch-`b` delivery prices one full
-/// batch ([`artemis_ir::batch_bounds`]) and charges each event its
-/// rounded-up share.
-fn static_ceilings((suite, app, _): &Workload, batch: Option<usize>) -> [usize; 4] {
+/// FRAM write B/event, and the extra reads a cold delivery refills —
+/// the suite's worst event key ([`artemis_ir::suite_bounds`]).
+fn static_ceilings((suite, app, _): &Workload) -> [usize; 4] {
     let compiled = artemis_ir::compile::CompiledSuite::compile(suite, app).expect("compiles");
-    let profile = traffic_device().energy_profile();
-    match batch {
-        None => {
-            let bounds = artemis_ir::suite_bounds(&compiled, &profile);
-            let key = bounds.worst_event().expect("has event keys");
-            [key.ops(), key.writes, key.write_bytes, key.cold_extra_reads]
-        }
-        Some(b) => {
-            let bound = artemis_ir::batch_bounds(&compiled, b, &profile);
-            [
-                bound.ops_per_event_ceil(),
-                bound.writes.div_ceil(b),
-                bound.write_bytes.div_ceil(b),
-                bound.cold_extra_reads,
-            ]
-        }
-    }
+    let bounds = artemis_ir::suite_bounds(&compiled, &traffic_device().energy_profile());
+    let key = bounds.worst_event().expect("has event keys");
+    [key.ops(), key.writes, key.write_bytes, key.cold_extra_reads]
 }
 
 /// **FRAM-traffic benchmark (beyond the paper's figures)** — what the
 /// monitor costs the device per event, in FRAM ops and bytes, time and
 /// energy, for each distinct engine configuration: the interpreter's
 /// one-cell-per-variable layout against the compiled engine's packed
-/// blocks, span loads and dirty-diff commits; per-event delivery
-/// against group-commit batches, which arm once and commit each
-/// machine's coalesced net effect once; and warm delivery (the shadow
+/// blocks, span loads and dirty-diff commits; and warm delivery (the shadow
 /// cache serves every read, so delivery is write-only) against
 /// always-cold delivery, which clears SRAM first and pays the
 /// post-reboot refill. Compiled rows carry the static ceilings the
@@ -829,17 +791,12 @@ pub fn traffic() -> Report {
     let dense = stress_suite(DISPATCH_VARS, false);
     let scaling = properties_workload(32);
     let configs = [
-        ("sparse", &sparse, Interpreter, None, false),
-        ("sparse", &sparse, Compiled, None, false),
-        ("sparse", &sparse, Compiled, None, true),
-        ("sparse", &sparse, Compiled, Some(1), false),
-        ("sparse", &sparse, Compiled, Some(2), false),
-        ("sparse", &sparse, Compiled, Some(4), false),
-        ("sparse", &sparse, Compiled, Some(8), false),
-        ("sparse", &sparse, Compiled, Some(8), true),
-        ("dense", &dense, Interpreter, None, false),
-        ("dense", &dense, Compiled, None, false),
-        ("scaling-32", &scaling, Compiled, None, false),
+        ("sparse", &sparse, Interpreter, false),
+        ("sparse", &sparse, Compiled, false),
+        ("sparse", &sparse, Compiled, true),
+        ("dense", &dense, Interpreter, false),
+        ("dense", &dense, Compiled, false),
+        ("scaling-32", &scaling, Compiled, false),
     ];
 
     let mut r = Report::new(
@@ -871,12 +828,12 @@ pub fn traffic() -> Report {
         ],
     );
     let mut ops = Vec::new();
-    for (workload, w, mode, batch, always_cold) in configs {
+    for (workload, w, mode, always_cold) in configs {
         let opts = InstallOptions {
             mode,
             ..InstallOptions::default()
         };
-        let t = measure(w, opts, batch, always_cold);
+        let t = measure(w, opts, always_cold);
         let per_event = |n: u64| format!("{:.1}", n as f64 / STREAM_EVENTS as f64);
         let engine = match mode {
             Compiled => "compiled",
@@ -885,7 +842,7 @@ pub fn traffic() -> Report {
         let mut row = vec![
             workload.to_string(),
             engine.to_string(),
-            batch.map_or("per-event".to_string(), |b| format!("batch-{b}")),
+            "per-event".to_string(),
             if always_cold { "always-cold" } else { "warm" }.to_string(),
             STREAM_EVENTS.to_string(),
             t.reads.to_string(),
@@ -903,7 +860,7 @@ pub fn traffic() -> Report {
         if mode == Compiled {
             let c = t.cache;
             row.extend([c.hits, c.misses, c.invalidations].map(|n| n.to_string()));
-            row.extend(static_ceilings(w, batch).map(|n| n.to_string()));
+            row.extend(static_ceilings(w).map(|n| n.to_string()));
         } else {
             row.extend(std::iter::repeat_n("-".to_string(), 7));
         }
@@ -912,13 +869,11 @@ pub fn traffic() -> Report {
     }
 
     // Row positions in `configs`.
-    let [sparse_per_event, sparse_batch4, dense_interpreter, dense_compiled] =
-        [1, 5, 8, 9].map(|i| ops[i]);
+    let [dense_interpreter, dense_compiled] = [3, 4].map(|i| ops[i]);
     r.note(format!(
         "FRAM op reduction: compiled vs interpreter on dense {:.2}x (acceptance target: \
-         >= 3x); batch-4 vs per-event on sparse {:.2}x (acceptance target: >= 1.5x)",
-        dense_interpreter / dense_compiled,
-        sparse_per_event / sparse_batch4
+         >= 3x)",
+        dense_interpreter / dense_compiled
     ));
     r.note(format!(
         "workloads: sparse and dense are {DISPATCH_MACHINES} machines x {DISPATCH_VARS} int \
@@ -929,15 +884,14 @@ pub fn traffic() -> Report {
          single-variable maxTries properties, one of them matching"
     ));
     r.note(format!(
-        "{STREAM_EVENTS} start events per row, delivered one at a time (per-event) or in \
-         full deliver_batch groups of b (batch-b); always-cold clears SRAM before every \
-         delivery, so each one refills the shadow cache from FRAM"
+        "{STREAM_EVENTS} start events per row, delivered one at a time (per-event); \
+         always-cold clears SRAM before every delivery, so each one refills the shadow \
+         cache from FRAM"
     ));
     r.note(
-        "ceilings (compiled rows): artemis_ir::suite_bounds' worst event key for per-event \
-         rows, batch_bounds(b) per full batch divided by b (rounded up) for batch-b rows; \
-         cold reads/delivery is the static cold_extra_reads refill, which always-cold rows \
-         pay exactly once per delivery",
+        "ceilings (compiled rows): artemis_ir::suite_bounds' worst event key; cold \
+         reads/delivery is the static cold_extra_reads refill, which always-cold rows pay \
+         exactly once per delivery",
     );
     r.note(
         "records/event: journal records committed per event (Device::journal_records), \
@@ -1644,7 +1598,7 @@ mod tests {
     #[test]
     fn fig14_runs_keep_their_write_ops_and_records() {
         let (artemis, mayfly) = overheads();
-        assert_eq!((artemis.fram.write_ops, artemis.records), (731, 103));
+        assert_eq!((artemis.fram.write_ops, artemis.records), (703, 103));
         assert_eq!((mayfly.fram.write_ops, mayfly.records), (323, 47));
     }
 
@@ -1801,40 +1755,9 @@ mod tests {
         assert!(dense < 135.0, "dense dispatch regressed: {dense}");
     }
 
-    #[test]
-    fn batch_cuts_sparse_dispatch_fram_ops_1_5x() {
-        let ops = |delivery: &str| {
-            cell(
-                traffic_row(&format!("sparse compiled {delivery} warm")),
-                "ops/event",
-            )
-        };
-        let baseline = ops("per-event");
-        let b4 = ops("batch-4");
-        assert!(
-            b4 * 1.5 <= baseline,
-            "batch-4 must cut FRAM ops >= 1.5x vs per-event: {baseline} vs {b4} ({:.2}x)",
-            baseline / b4
-        );
-        // Both entry points share one arm/run path, so a size-1 batch
-        // is a per-event delivery in every measured column.
-        let measured = 4..traffic_report()
-            .columns
-            .iter()
-            .position(|c| c == "ops ceiling/event")
-            .unwrap();
-        assert_eq!(
-            traffic_row("sparse compiled batch-1 warm")[measured.clone()],
-            traffic_row("sparse compiled per-event warm")[measured]
-        );
-        // Larger batches amortise more.
-        assert!(ops("batch-8") < b4, "batch-8 must beat batch-4");
-        assert!(b4 < ops("batch-2"), "batch-4 must beat batch-2");
-    }
-
     /// The shadow cache's acceptance criteria: warm delivery is
-    /// write-only and beats the removed uncached baselines (71
-    /// ops/event at B=1, 9 at B=8) under the static warm bounds, and an
+    /// write-only and beats the removed uncached baseline (71
+    /// ops/event) under the static warm bound, and an
     /// always-cold delivery reads exactly the static `cold_extra_reads`
     /// refill while writing exactly what a warm one does.
     #[test]
@@ -1851,42 +1774,28 @@ mod tests {
         }
         let ops = |key| cell(traffic_row(key), "ops/event");
         let b1 = ops("sparse compiled per-event warm");
-        let b8 = ops("sparse compiled batch-8 warm");
         assert!(
             b1 < 71.0,
             "warm B=1 must beat the 71 ops/event baseline: {b1}"
-        );
-        assert!(
-            b8 < 9.0,
-            "warm B=8 must beat the 9 ops/event baseline: {b8}"
         );
 
         let compiled = compiled_workload("sparse");
         let profile = traffic_device().energy_profile();
         let bounds = artemis_ir::suite_bounds(&compiled, &profile);
         let key = bounds.worst_event().expect("has event keys");
-        let b8_bound = artemis_ir::batch_bounds(&compiled, 8, &profile);
         assert!(key.writes as f64 >= b1, "warm bound must dominate");
-        assert!(b8_bound.writes.div_ceil(8) as f64 >= b8);
 
         // Always cold: every delivery is invalidated once, refills
         // exactly the static cold-miss bound, and writes what a warm
         // delivery writes (the shadow is write-through).
-        for (delivery, deliveries, cold_extra_reads) in [
-            ("per-event", 200.0, key.cold_extra_reads),
-            ("batch-8", 25.0, b8_bound.cold_extra_reads),
-        ] {
-            let warm = traffic_row(&format!("sparse compiled {delivery} warm"));
-            let cold = traffic_row(&format!("sparse compiled {delivery} always-cold"));
-            assert_eq!(cell(cold, "FRAM writes"), cell(warm, "FRAM writes"));
-            assert_eq!(cell(cold, "invalidations"), deliveries, "{delivery}");
-            assert_eq!(cell(cold, "cold reads/delivery"), cold_extra_reads as f64);
-            assert_eq!(
-                cell(cold, "FRAM reads"),
-                deliveries * cold_extra_reads as f64,
-                "{delivery}"
-            );
-        }
+        let deliveries = STREAM_EVENTS as f64;
+        let warm = traffic_row("sparse compiled per-event warm");
+        let cold = traffic_row("sparse compiled per-event always-cold");
+        assert_eq!(cell(cold, "FRAM writes"), cell(warm, "FRAM writes"));
+        assert_eq!(cell(cold, "invalidations"), deliveries);
+        let cold_extra_reads = key.cold_extra_reads as f64;
+        assert_eq!(cell(cold, "cold reads/delivery"), cold_extra_reads);
+        assert_eq!(cell(cold, "FRAM reads"), deliveries * cold_extra_reads);
     }
 
     /// Grouped commits on the traffic device: the sparse per-event
@@ -1915,8 +1824,8 @@ mod tests {
     /// Acceptance criteria on FRAM bytes: packed + diff cuts FRAM
     /// bytes/event >= 1.5x against the removed tagged baseline, the
     /// static write-byte bound dominates, always-cold delivery writes
-    /// exactly what warm delivery does, batching only ever shrinks the
-    /// bytes, and every row's time covers the cost model's FRAM floor.
+    /// exactly what warm delivery does, and every row's time covers the
+    /// cost model's FRAM floor.
     #[test]
     fn bytes_packed_diff_meets_acceptance() {
         let warm = traffic_row("sparse compiled per-event warm");
@@ -1941,7 +1850,6 @@ mod tests {
         assert!(cell(warm, "write B/event") < key.write_bytes as f64);
         assert_eq!(cell(cold, "write B/event"), cell(warm, "write B/event"));
         assert!(cell(cold, "read B/event") > 0.0);
-        assert!(cell(traffic_row("sparse compiled batch-8 warm"), "B/event") < headline);
 
         // Time and energy track the byte mix through the cost model:
         // every FRAM access pays 25 us + 1 us/B, so per-event time must
@@ -1964,30 +1872,6 @@ mod tests {
     fn committed_simulated_artifacts_are_current() {
         assert_committed(traffic_report());
         assert_committed(&fleet_smoke());
-    }
-
-    /// Same soundness direction as
-    /// [`dispatch_static_bound_dominates_measured`], for the batch
-    /// path: the per-batch static bound divided by the batch size must
-    /// never under-estimate the measured per-event cost.
-    #[test]
-    fn batch_static_bound_dominates_measured() {
-        let compiled = compiled_workload("sparse");
-        for row in traffic_report()
-            .rows
-            .iter()
-            .filter(|row| row[0] == "sparse" && row[2].starts_with("batch-"))
-        {
-            let b: usize = row[2]["batch-".len()..].parse().unwrap();
-            let measured = cell(row, "ops/event");
-            let bound = artemis_ir::batch_bounds(&compiled, b, &traffic_device().energy_profile())
-                .ops_per_event_ceil();
-            assert_eq!(cell(row, "ops ceiling/event"), bound as f64, "{row:?}");
-            assert!(
-                bound as f64 >= measured,
-                "batch-{b}: static bound {bound} must dominate measured {measured} ops/event"
-            );
-        }
     }
 
     /// The static resource-bound pass must dominate what the engine

@@ -1,8 +1,8 @@
 //! Fleet-scale sharded simulation: drive very large numbers of
 //! self-contained simulated devices across OS threads, deterministically.
 //!
-//! The single-device hot path is no longer the bottleneck (9–18 FRAM
-//! ops/event after the delta + batch work); serving "heavy traffic
+//! The single-device hot path is no longer the bottleneck (12 FRAM
+//! ops/event on the sparse traffic workload); serving "heavy traffic
 //! from millions of users" now means running *many* devices at host
 //! speed. Intermittent workloads are embarrassingly parallel across
 //! devices — each device's FRAM image, journal, capacitor, harvester

@@ -16,7 +16,7 @@
 //! The engine commits a delivery's worklist in **commit groups**:
 //! consecutive runs of worklist entries, one journal record per group
 //! and one done bit per group. Group 0's record also arms the delivery
-//! (event array, sequence number, verdict count, done bitmap and its
+//! (event, sequence number, verdict count, done bitmap and its
 //! own verdict cells, one run of the engine's contiguous header), so a
 //! delivery whose whole worklist fits one group costs one record.
 //! [`commit_groups`] is the one function that cuts a
@@ -31,8 +31,8 @@
 //! group, so a capacitor too small for two members still makes
 //! progress one machine at a time. The engine calls it at arming and
 //! on every cold load (the partition is derived, never persisted), and
-//! [`suite_bounds`], [`batch_bounds`] and the journal-capacity check
-//! call it on the same static [`MemberCost`]s.
+//! [`suite_bounds`] and the journal-capacity check call it on the same
+//! static [`MemberCost`]s.
 //!
 //! # Cost model
 //!
@@ -47,24 +47,24 @@
 //! and the record is a `u16` count plus a 6-byte header and the payload
 //! per sub-write.
 //!
-//! Per delivered event, using each key's static [`AccessSet`] and each
+//! Per delivered event, using each key's static
+//! [`AccessSet`](crate::compile::AccessSet) and each
 //! machine's packed [`crate::layout::MachineLayout`]:
 //!
-//! The engine keeps the armed delivery in one contiguous header,
-//! `[events × capacity][seq u64][event count u16][verdict count u32]
-//! [done bitmap][verdict cells]`, with the event array filled from its
-//! end so the armed events abut `seq`. Each contiguous run it stages
-//! is one sub-write, however many fields it spans. With `e` armed
-//! events, capacity `E`, `N` installed machines and `c` logged cells:
+//! The engine keeps the armed delivery — one event — in one contiguous
+//! header, `[event][seq u64][event count u16][verdict count u32]
+//! [done bitmap][verdict cells]`. Each contiguous run it stages is one
+//! sub-write, however many fields it spans. With `N` installed machines
+//! and `c` logged cells:
 //!
 //! - **armed-delivery load**: the recovery flag, then the header from
-//!   the event array to the done bitmap — 2 reads, `15 + 31·E + ⌈N/8⌉`
-//!   bytes; the verdict count rides along, so no later read needs it.
-//!   The worklist and its groups are not persisted: the engine derives
-//!   both from the armed events;
+//!   the event to the done bitmap — 2 reads, `46 + ⌈N/8⌉` bytes; the
+//!   verdict count rides along, so no later read needs it. The worklist
+//!   and its groups are not persisted: the engine derives both from the
+//!   armed event;
 //! - **group 0**: one record of its members' sub-writes plus **one**
-//!   header run from the first armed event to its last logged cell —
-//!   `20 + 31·e + ⌈N/8⌉ + 9·c` record bytes; verdict cells add bytes,
+//!   header run from the event to its last logged cell —
+//!   `51 + ⌈N/8⌉ + 9·c` record bytes; verdict cells add bytes,
 //!   never sub-writes. With no members it is the 4-write arming record
 //!   every delivery pays;
 //! - **group g ≥ 1**: one record of its members' sub-writes and the
@@ -111,18 +111,15 @@
 //! the delivery performs as if nothing were shadowed — the post-reboot
 //! ceiling the energy gate charges, which dominates any cold delivery
 //! (a resumed one included). A cold load also re-derives the loaded
-//! delivery's worklist, one [`ROUTING_LOOKUP_CYCLES`] charge per event
-//! of it, on top of the warm [`EventCost::cycles`]; the energy ceilings
-//! price it. The batch path splits the same way
-//! ([`BatchBounds::cold_extra_reads`]). Write bounds hold warm and cold
-//! alike: the cache is write-through and never changes what the engine
-//! commits.
+//! delivery's worklist, one more [`ROUTING_LOOKUP_CYCLES`] charge on
+//! top of the warm [`EventCost::cycles`]; the energy ceilings price it. Write bounds hold warm and cold alike: the cache is
+//! write-through and never changes what the engine commits.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{Energy, EnergyProfile};
 
-use crate::compile::{AccessSet, CompiledMachine, CompiledSuite};
+use crate::compile::{CompiledMachine, CompiledSuite};
 
 /// Journal entry header bytes (`addr: u32` + `len: u16`).
 const ENTRY_HEADER: usize = 6;
@@ -185,22 +182,6 @@ impl RecordCost {
         }
     }
 
-    /// Adds the sub-writes one machine commit stages for its state: the
-    /// whole block image when `whole`, else the state word plus every
-    /// write-set slot of `access`.
-    fn with_state(self, m: &CompiledMachine, access: &AccessSet, whole: bool) -> Self {
-        let l = m.layout();
-        if whole {
-            return self.with(l.block_len);
-        }
-        access
-            .writes
-            .iter()
-            .fold(self.with(l.state_bytes), |c, &s| {
-                c.with(l.slots[s as usize].enc.width())
-            })
-    }
-
     /// FRAM write ops: stage, flag, one apply per sub-write, clear.
     fn writes(&self) -> usize {
         self.subs + 3
@@ -218,48 +199,27 @@ impl RecordCost {
 }
 
 /// Bytes of an armed delivery's fixed header fields: `[seq u64][event
-/// count u16][verdict count u32][done bitmap]`. The event array sits in
-/// front of them, filled from its end, and the verdict cells follow, so
-/// a reset zeroes exactly these bytes in one run.
+/// count u16][verdict count u32][done bitmap]`. The event sits in front
+/// of them and the verdict cells follow, so a reset zeroes exactly these
+/// bytes in one run.
 const fn fixed_bytes(done_b: usize) -> usize {
     U64_BYTES + 2 + U32_BYTES + done_b
 }
 
-/// Group 0's header run for a delivery shaped `shape` that logs
-/// `verdicts` cells: the armed events abut the fixed fields and the
-/// cells follow them, so arming is **one** sub-write for any event
-/// count, and verdict cells add bytes, never sub-writes.
-fn arming(shape: &ArmedShape, verdicts: usize) -> RecordCost {
-    RecordCost::default().with(
-        ENCODED_EVENT_BYTES * shape.events
-            + fixed_bytes(shape.done_bytes)
-            + VERDICT_BYTES * verdicts,
-    )
+/// Group 0's header run for a delivery with a `done_b`-byte bitmap that
+/// logs `verdicts` cells: the event abuts the fixed fields and the cells
+/// follow them, so arming is **one** sub-write, and verdict cells add
+/// bytes, never sub-writes.
+fn arming(done_b: usize, verdicts: usize) -> RecordCost {
+    RecordCost::default().with(ENCODED_EVENT_BYTES + fixed_bytes(done_b) + VERDICT_BYTES * verdicts)
 }
 
-/// FRAM read ops and bytes of loading the armed delivery of an engine
-/// holding up to `capacity` events, with nothing shadowed: the
-/// recovery flag, then the header from the event array to the done
-/// bitmap in one read (the sequence number and verdict count ride
+/// FRAM read ops and bytes of loading the armed delivery with nothing
+/// shadowed: the recovery flag, then the header from the event to the
+/// done bitmap in one read (the sequence number and verdict count ride
 /// along).
-fn armed_load(capacity: usize, done_b: usize) -> (usize, usize) {
-    (
-        2,
-        FLAG_BYTES + ENCODED_EVENT_BYTES * capacity + fixed_bytes(done_b),
-    )
-}
-
-/// The geometry of one armed delivery a commit group is priced in: the
-/// events its array holds (`capacity`, which sizes the cold load), the
-/// events armed now, and the done-bitmap bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArmedShape {
-    /// Events one armed delivery holds.
-    pub capacity: usize,
-    /// Events of this delivery.
-    pub events: usize,
-    /// Bytes of the done bitmap ([`done_bytes`] of the suite size).
-    pub done_bytes: usize,
+fn armed_load(done_b: usize) -> (usize, usize) {
+    (2, FLAG_BYTES + ENCODED_EVENT_BYTES + fixed_bytes(done_b))
 }
 
 /// The static ceilings one worklist member adds to its commit group,
@@ -344,15 +304,15 @@ impl GroupCost {
     /// group 0's header run with its verdict cells, or a later group's
     /// `[verdict count | done]` run and one run of its cells — only the
     /// done bitmap when no member can emit.
-    fn record(&self, shape: &ArmedShape) -> RecordCost {
+    fn record(&self, done_b: usize) -> RecordCost {
         let header = if self.first {
-            arming(shape, self.verdicts)
+            arming(done_b, self.verdicts)
         } else if self.verdicts > 0 {
             RecordCost::default()
-                .with(U32_BYTES + shape.done_bytes)
+                .with(U32_BYTES + done_b)
                 .with(VERDICT_BYTES * self.verdicts)
         } else {
-            RecordCost::default().with(shape.done_bytes)
+            RecordCost::default().with(done_b)
         };
         self.staged.plus(header)
     }
@@ -362,21 +322,23 @@ impl GroupCost {
     /// record), the armed-delivery load and worklist re-derivation,
     /// every member's whole-block fill and step, and the group's
     /// commit.
-    fn cold_energy(&self, shape: &ArmedShape, profile: &EnergyProfile) -> Energy {
-        let record = self.record(shape);
-        let (load_reads, load_bytes) = armed_load(shape.capacity, shape.done_bytes);
+    fn cold_energy(&self, done_b: usize, profile: &EnergyProfile) -> Energy {
+        let record = self.record(done_b);
+        let (load_reads, load_bytes) = armed_load(done_b);
         profile.model.traffic_energy(
             load_reads + 1 + 2 * record.subs + self.members,
             load_bytes + 2 + record.entries + self.fill_bytes,
             record.subs + 1 + record.writes(),
             record.data + FLAG_BYTES + record.write_bytes(),
-            ROUTING_LOOKUP_CYCLES * shape.events as u64 + self.cycles,
+            ROUTING_LOOKUP_CYCLES + self.cycles,
         )
     }
 }
 
-/// Cuts a worklist into commit groups: `ends` receives each group's
-/// exclusive end index into `members`, in order. Groups are
+/// Cuts a worklist into commit groups, for a header whose done bitmap
+/// is `done_b` bytes ([`done_bytes`] of the suite size): `ends`
+/// receives each group's exclusive end index into `members`, in
+/// order. Groups are
 /// consecutive; a group grows while its cold cost from a full charge
 /// fits `profile.margin_threshold()` (the budget less the margin the
 /// feasibility gate warns within), and a member that would push it
@@ -386,7 +348,7 @@ impl GroupCost {
 /// group.
 pub fn commit_groups(
     members: impl IntoIterator<Item = MemberCost>,
-    shape: &ArmedShape,
+    done_b: usize,
     profile: &EnergyProfile,
     ends: &mut Vec<u16>,
 ) {
@@ -395,7 +357,7 @@ pub fn commit_groups(
     let mut n = 0u16;
     for m in members {
         let grown = group.with(&m);
-        if group.members > 0 && grown.cold_energy(shape, profile) > profile.margin_threshold() {
+        if group.members > 0 && grown.cold_energy(done_b, profile) > profile.margin_threshold() {
             ends.push(n);
             group = GroupCost::new(false).with(&m);
         } else {
@@ -425,17 +387,17 @@ struct Priced {
 
 fn price(
     members: &[MemberCost],
-    shape: &ArmedShape,
+    done_b: usize,
     profile: &EnergyProfile,
     ends: &mut Vec<u16>,
 ) -> Priced {
-    commit_groups(members.iter().copied(), shape, profile, ends);
-    let (reads, load_bytes) = armed_load(shape.capacity, shape.done_bytes);
+    commit_groups(members.iter().copied(), done_b, profile, ends);
+    let (reads, load_bytes) = armed_load(done_b);
     let fills: usize = members.iter().map(|m| m.fill_bytes).sum();
     let mut p = Priced {
         reads,
         read_bytes: load_bytes,
-        cycles: ROUTING_LOOKUP_CYCLES * shape.events as u64,
+        cycles: ROUTING_LOOKUP_CYCLES,
         cold_read_bytes: load_bytes + fills,
         ..Priced::default()
     };
@@ -449,7 +411,7 @@ fn price(
         p.reads += group.members;
         p.read_bytes += group.fill_bytes;
         p.cycles += group.cycles;
-        let record = group.record(shape);
+        let record = group.record(done_b);
         p.writes += record.writes();
         p.write_bytes += record.write_bytes();
         p.largest_record = p.largest_record.max(record.record());
@@ -550,19 +512,13 @@ impl SuiteBounds {
 
 /// Computes the static resource bounds of a compiled suite by walking
 /// its routing index and dispatch tables, for an engine delivering one
-/// event at a time (see [`batch_bounds`] for larger capacities) on a
-/// device of energy profile `profile`, whose budget sizes the commit
-/// groups.
+/// event at a time on a device of energy profile `profile`, whose
+/// budget sizes the commit groups.
 pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
     let done_b = done_bytes(machines.len());
-    let shape = ArmedShape {
-        capacity: 1,
-        events: 1,
-        done_bytes: done_b,
-    };
-    let arming = arming(&shape, 0);
+    let arming = arming(done_b, 0);
 
     let mut per_key = Vec::with_capacity(2 * (task_count + 1));
     let mut members = Vec::with_capacity(machines.len());
@@ -582,7 +538,7 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
                 MemberCost::routed(&machines[mi as usize], core::iter::once((kind, probe)))
             }));
 
-            let p = price(&members, &shape, profile, &mut ends);
+            let p = price(&members, done_b, profile, &mut ends);
             let emitters = members.iter().filter(|m| m.verdicts > 0).count();
             let degraded_machines = armed
                 .iter()
@@ -634,177 +590,6 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
         per_key,
         worst_commit_bytes,
         reset_commit_bytes,
-    }
-}
-
-/// Worst-case cost of delivering one **batch** of `max_events` events
-/// on an engine of that capacity (`BatchMode::Enabled`).
-///
-/// The model is deliberately conservative — it must dominate any
-/// actual batch the engine can run:
-///
-/// - **armed-delivery load**: the per-event formula of [`suite_bounds`]
-///   at `max_events` events — the flag and one header read spanning
-///   `max_events` encoded events and the fixed fields.
-/// - **per machine** (all machines may be armed): the footprint is the
-///   union of the machine's access sets over *every* dispatch key, and
-///   a machine emits if *any* of its transitions emits. One whole-block
-///   cold fill, then its state word (or the whole block image) + every
-///   merged write slot as sub-writes of its group's record, and up to
-///   `max_events` verdict cells in its group's log.
-/// - **groups**: [`commit_groups`] over every machine in suite order at
-///   those worst-case member costs; group 0's header run carries
-///   `max_events` events.
-/// - **verdict readback**: up to `max_events` cells per emitter.
-///
-/// Dominance over the engine's dynamic cost follows from the same
-/// arguments as [`suite_bounds`], plus: the derived worklist is a
-/// subset of all machines, a batch's dynamic merged access set unions
-/// access sets of *delivered* keys only (⊆ union over all keys), and a
-/// machine emits at most one verdict per event in the batch. Smaller
-/// members never cut into more groups (the cut is next-fit, which is
-/// monotone in member costs and worklist subsets), so the engine's
-/// groups are never more than the bound's. A warm batch reads nothing,
-/// exactly like a warm event.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchBounds {
-    /// Batch capacity the bound was derived for.
-    pub max_events: usize,
-    /// Journal bytes of the batch arming run as one record.
-    pub arming_commit_bytes: usize,
-    /// Largest single journal commit the batch path can stage: every
-    /// machine in one group, in the larger of its two commit formats —
-    /// a smaller member cost can let the engine pack more members into
-    /// one group than the bound's cut does, never more than all of them.
-    pub worst_commit_bytes: usize,
-    /// Commit groups of a full batch arming every machine.
-    pub groups: usize,
-    /// `true` when every machine in one group, each at its largest
-    /// commit format and verdict count, fits the margin threshold: then
-    /// [`commit_groups`] never cuts a worklist an engine of this
-    /// capacity can arm, since the cut is next-fit, monotone in member
-    /// costs and in worklist subsets.
-    pub fits_one_group: bool,
-    /// Worst-case FRAM reads for one full batch with every read priced
-    /// (the post-reboot ceiling; a warm batch reads nothing).
-    pub reads: usize,
-    /// Worst-case FRAM writes for one full batch.
-    pub writes: usize,
-    /// Extra FRAM reads the first batch after a reboot pays to refill
-    /// the shadow: the armed-delivery load + one whole-block fill per
-    /// armed machine. A resumed (pre-crash) batch reads at
-    /// most [`BatchBounds::reads`] ops.
-    pub cold_extra_reads: usize,
-    /// FRAM bytes of the `cold_extra_reads` refill.
-    pub cold_read_bytes: usize,
-    /// Worst-case FRAM bytes read for one full batch.
-    pub read_bytes: usize,
-    /// Worst-case FRAM bytes written for one full batch.
-    pub write_bytes: usize,
-    /// Worst-case engine CPU cycles a warm full batch charges: one
-    /// routing lookup per event at arming, then each machine pays
-    /// dispatch + worst-key stepping per event. A cold one re-derives
-    /// the loaded delivery's worklist on top: up to `max_events` more
-    /// [`ROUTING_LOOKUP_CYCLES`].
-    pub cycles: u64,
-}
-
-impl BatchBounds {
-    /// Total FRAM operations (reads + writes) for one full batch.
-    pub fn ops(&self) -> usize {
-        self.reads + self.writes
-    }
-
-    /// Worst-case FRAM ops per event when the batch is full — the
-    /// number the bench's measured per-event figure must stay under.
-    pub fn ops_per_event_ceil(&self) -> usize {
-        self.ops().div_ceil(self.max_events.max(1))
-    }
-}
-
-/// Computes the batch-path resource bound for batches of up to
-/// `max_events` events on a device of energy profile `profile` (see
-/// [`BatchBounds`]).
-pub fn batch_bounds(
-    compiled: &CompiledSuite,
-    max_events: usize,
-    profile: &EnergyProfile,
-) -> BatchBounds {
-    let machines = compiled.machines();
-    let task_count = compiled.task_count();
-    let done_b = done_bytes(machines.len());
-    let shape = ArmedShape {
-        capacity: max_events,
-        events: max_events,
-        done_bytes: done_b,
-    };
-
-    // Members as the bound's traffic prices them, and in the larger of
-    // their two commit formats for the record-size bound.
-    let mut members = Vec::with_capacity(machines.len());
-    let mut largest = GroupCost::new(true);
-    let mut emitters = 0;
-    for m in machines {
-        // Merged footprint over every key the machine can see, plus
-        // the worst per-event dispatch length for the cycle bound.
-        let mut access = AccessSet::default();
-        let mut emits = false;
-        let mut worst_step_cycles = 0u64;
-        for kind in [EventKind::StartTask, EventKind::EndTask] {
-            for key_task in 0..=task_count {
-                let probe = if key_task == task_count {
-                    u32::MAX
-                } else {
-                    key_task as u32
-                };
-                access.union_with(m.access(kind, probe));
-                worst_step_cycles = worst_step_cycles.max(m.step_cost(kind, probe).cycles);
-                emits |= m.may_emit(kind, probe);
-            }
-        }
-        emitters += usize::from(emits);
-        // The engine commits in the format its *dynamic* merged set
-        // picks, which can be the slot list even when the static union
-        // degraded: the commit-byte bound covers both formats, the
-        // traffic bound follows the static one.
-        let sparse = RecordCost::default().with_state(m, &access, false);
-        let whole = RecordCost::default().with_state(m, &access, true);
-        let member = |record| MemberCost {
-            fill_bytes: m.layout().block_len,
-            // Worst static step ceiling over every key the machine can
-            // see — the engine bills the actual key's ceiling per event,
-            // so the batch bound stays sound for any event mix.
-            cycles: max_events as u64 * (COMPILED_DISPATCH_CYCLES + worst_step_cycles),
-            record,
-            verdicts: if emits { max_events } else { 0 },
-        };
-        let used = if access.whole_block { whole } else { sparse };
-        members.push(member(used));
-        let larger = if whole.record() > sparse.record() {
-            whole
-        } else {
-            sparse
-        };
-        largest = largest.with(&member(larger));
-    }
-
-    let p = price(&members, &shape, profile, &mut Vec::new());
-    // Verdict readback: up to `max_events` cells per emitter.
-    let readback = emitters * max_events;
-    BatchBounds {
-        max_events,
-        arming_commit_bytes: arming(&shape, 0).record(),
-        worst_commit_bytes: largest.record(&shape).record(),
-        groups: p.groups,
-        fits_one_group: largest.members <= 1
-            || largest.cold_energy(&shape, profile) <= profile.margin_threshold(),
-        reads: p.reads + readback,
-        writes: p.writes,
-        cold_extra_reads: 2 + machines.len(),
-        cold_read_bytes: p.cold_read_bytes,
-        read_bytes: p.read_bytes + VERDICT_BYTES * readback,
-        write_bytes: p.write_bytes,
-        cycles: p.cycles,
     }
 }
 
@@ -1082,17 +867,12 @@ mod tests {
             .iter()
             .map(|m| MemberCost::routed(m, core::iter::once((EventKind::StartTask, 0))))
             .collect();
-        let shape = ArmedShape {
-            capacity: 1,
-            events: 1,
-            done_bytes: 1,
-        };
         let mut ends = Vec::new();
-        commit_groups([], &shape, &tiny(), &mut ends);
+        commit_groups([], 1, &tiny(), &mut ends);
         assert_eq!(ends, [0]);
-        commit_groups(members.iter().copied(), &shape, &tiny(), &mut ends);
+        commit_groups(members.iter().copied(), 1, &tiny(), &mut ends);
         assert_eq!(ends, [1, 2, 3]);
-        commit_groups(members.iter().copied(), &shape, &roomy(), &mut ends);
+        commit_groups(members.iter().copied(), 1, &roomy(), &mut ends);
         assert_eq!(ends, [3]);
         // The smallest budget whose threshold covers the first two
         // members' cold cost fits them as group 0, and one picojoule
@@ -1101,14 +881,14 @@ mod tests {
         let two = GroupCost::new(true)
             .with(&members[0])
             .with(&members[1])
-            .cold_energy(&shape, &roomy())
+            .cold_energy(1, &roomy())
             .as_pico_joules();
         let mut group0 = |margin_percent, pj| {
             let profile = EnergyProfile {
                 margin_percent,
                 ..EnergyProfile::with_budget(Energy::from_pico_joules(pj))
             };
-            commit_groups(members.iter().copied(), &shape, &profile, &mut ends);
+            commit_groups(members.iter().copied(), 1, &profile, &mut ends);
             ends[0]
         };
         let fits = |margin: u8| two.div_ceil(u64::from(100 - margin)) * 100;
@@ -1123,75 +903,30 @@ mod tests {
         assert_eq!(group0(margin, two), 1);
     }
 
-    #[test]
-    fn batch_bounds_amortise_arming_and_grow_with_capacity() {
-        let app = app();
-        let suite = crate::compile(
-            "a { maxTries: 2 onFail: skipPath; }\n\
-             b { maxTries: 2 onFail: skipTask; }",
-            &app,
-        )
-        .unwrap();
-        let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let b1 = batch_bounds(&cs, 1, &roomy());
-        let b4 = batch_bounds(&cs, 4, &roomy());
-        // Arming once for four events amortises: a full batch costs
-        // far less than four batches of one, so per-event ops shrink.
-        assert!(b4.ops() < 4 * b1.ops());
-        assert!(b4.ops_per_event_ceil() < b1.ops());
-        // Bigger batches stage bigger arming records and commits.
-        assert!(b4.arming_commit_bytes > b1.arming_commit_bytes);
-        assert!(b4.worst_commit_bytes >= b1.worst_commit_bytes);
-        assert!(b4.worst_commit_bytes >= b4.arming_commit_bytes);
-        // Cold refill scales with the suite.
-        assert_eq!(b4.cold_extra_reads, 2 + 2);
-        assert_eq!((b1.groups, b4.groups), (1, 1));
-        // Bytes and cycles grow with capacity; routing + dispatch are
-        // charged per event, so the cycle bound scales exactly linearly.
-        assert!(b4.read_bytes > b1.read_bytes);
-        assert!(b4.write_bytes > b1.write_bytes);
-        assert_eq!(b4.cycles, 4 * b1.cycles);
-        // One machine per group on a tiny budget, and the record bound
-        // still covers the engine packing both into one.
-        assert!(b4.fits_one_group);
-        let t4 = batch_bounds(&cs, 4, &tiny());
-        assert_eq!(t4.groups, 2);
-        assert!(!t4.fits_one_group);
-        assert!(t4.writes > b4.writes);
-        assert_eq!(t4.worst_commit_bytes, b4.worst_commit_bytes);
-    }
-
-    /// Group 0 arms with one sub-write for any event count — the armed
-    /// events abut the fixed header fields — and its logged cells add
-    /// bytes only; a later emitting group stages `[verdict count |
-    /// done]` and its cells as two sub-writes, a silent one the bitmap.
+    /// Group 0 arms with one sub-write — the event abuts the fixed
+    /// header fields — and its logged cells add bytes only; a later
+    /// emitting group stages `[verdict count | done]` and its cells as
+    /// two sub-writes, a silent one the bitmap.
     #[test]
     fn header_runs_are_one_sub_write_each() {
-        for (capacity, events) in [(1, 1), (4, 4), (4, 3), (4, 1)] {
-            let shape = ArmedShape {
-                capacity,
-                events,
-                done_bytes: 1,
-            };
-            for verdicts in [0, 1, 5] {
-                let run = arming(&shape, verdicts);
-                assert_eq!(run.subs, 1);
-                let fixed = U64_BYTES + 2 + U32_BYTES + 1;
-                let cells = VERDICT_BYTES * verdicts;
-                assert_eq!(run.data, ENCODED_EVENT_BYTES * events + fixed + cells);
-            }
-            let later = |verdicts| {
-                GroupCost {
-                    verdicts,
-                    ..GroupCost::new(false)
-                }
-                .record(&shape)
-            };
-            let log = later(3);
-            assert_eq!((log.subs, log.data), (2, U32_BYTES + 1 + 3 * VERDICT_BYTES));
-            let silent = later(0);
-            assert_eq!((silent.subs, silent.data), (1, 1));
+        for verdicts in [0, 1, 5] {
+            let run = arming(1, verdicts);
+            assert_eq!(run.subs, 1);
+            let fixed = U64_BYTES + 2 + U32_BYTES + 1;
+            let cells = VERDICT_BYTES * verdicts;
+            assert_eq!(run.data, ENCODED_EVENT_BYTES + fixed + cells);
         }
+        let later = |verdicts| {
+            GroupCost {
+                verdicts,
+                ..GroupCost::new(false)
+            }
+            .record(1)
+        };
+        let log = later(3);
+        assert_eq!((log.subs, log.data), (2, U32_BYTES + 1 + 3 * VERDICT_BYTES));
+        let silent = later(0);
+        assert_eq!((silent.subs, silent.data), (1, 1));
     }
 
     /// The done bitmap grows one byte per eight installed machines, so

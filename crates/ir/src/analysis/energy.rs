@@ -70,7 +70,7 @@ use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{CostModel, Energy, EnergyProfile};
 
-use crate::analysis::bounds::{BatchBounds, EventCost, SuiteBounds, ROUTING_LOOKUP_CYCLES};
+use crate::analysis::bounds::{EventCost, SuiteBounds, ROUTING_LOOKUP_CYCLES};
 use crate::compile::CompiledSuite;
 
 /// Constant allowance for the task runtime's own per-attempt FRAM
@@ -108,24 +108,6 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
 /// every delivered event pays, warm or cold.
 pub(crate) fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
-}
-
-/// Energy of one worst-case full batch under `bounds` with every read
-/// priced and a full previous batch re-derived — the batch twin of
-/// [`event_energy`].
-pub fn batch_energy(bounds: &BatchBounds, model: &CostModel) -> Energy {
-    model.traffic_energy(
-        bounds.reads,
-        bounds.read_bytes,
-        bounds.writes,
-        bounds.write_bytes,
-        bounds.cycles + ROUTING_LOOKUP_CYCLES * bounds.max_events as u64,
-    )
-}
-
-/// Energy of one worst-case warm-cache full batch (no read remains).
-pub fn batch_energy_cached(bounds: &BatchBounds, model: &CostModel) -> Energy {
-    model.traffic_energy(0, 0, bounds.writes, bounds.write_bytes, bounds.cycles)
 }
 
 /// Energy of one declared task body execution priced through `model`:
@@ -378,8 +360,6 @@ mod tests {
             assert!(event_energy_cached(cost, &model) <= event_energy(cost, &model));
             assert!(arming_energy(cost, &model) <= event_energy_cached(cost, &model));
         }
-        let b4 = crate::analysis::batch_bounds(&cs, 4, &roomy());
-        assert!(batch_energy_cached(&b4, &model) <= batch_energy(&b4, &model));
     }
 
     /// The bytecode optimizer must strictly tighten the energy

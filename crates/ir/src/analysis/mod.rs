@@ -45,13 +45,12 @@ pub mod reachability;
 pub mod verifier;
 
 pub use bounds::{
-    batch_bounds, check_bounds, commit_groups, done_bytes, suite_bounds, ArmedShape, BatchBounds,
-    EventCost, MemberCost, SuiteBounds,
+    check_bounds, commit_groups, done_bytes, suite_bounds, EventCost, MemberCost, SuiteBounds,
 };
 pub use conflicts::check_conflicts;
 pub use energy::{
-    batch_energy, batch_energy_cached, body_energy, check_energy, event_energy,
-    event_energy_cached, task_feasibility, TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
+    body_energy, check_energy, event_energy, event_energy_cached, task_feasibility,
+    TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
 };
 pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};

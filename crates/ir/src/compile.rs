@@ -301,10 +301,7 @@ impl AccessSet {
     }
 
     /// Folds `other` into `self`: reads and writes become the sorted,
-    /// deduplicated union and `whole_block` is sticky. Used by the
-    /// batch delivery path to merge the footprints of every event a
-    /// machine sees in one burst before committing a single coalesced
-    /// record.
+    /// deduplicated union and `whole_block` is sticky.
     pub fn union_with(&mut self, other: &AccessSet) {
         fn merge(dst: &mut Vec<u16>, src: &[u16]) {
             dst.extend_from_slice(src);
@@ -720,8 +717,8 @@ impl CompiledMachine {
 
     /// `true` when some transition the `(kind, task)` key dispatches
     /// can emit a failure action — i.e. delivering such an event may
-    /// produce a verdict from this machine. The static gate callers
-    /// use before reordering deliveries around the event.
+    /// produce a verdict from this machine. The bounds pass sizes a
+    /// member's verdict cells by it.
     pub fn may_emit(&self, kind: EventKind, task: u32) -> bool {
         self.transition_list(kind, task)
             .iter()

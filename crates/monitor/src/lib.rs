@@ -18,7 +18,7 @@
 //! # Exactly-once event processing
 //!
 //! Every delivery carries a caller-chosen sequence number. A new
-//! sequence number arms the engine atomically (events + sequence +
+//! sequence number arms the engine atomically (event + sequence +
 //! verdict reset + done bitmap, one run of the delivery's first commit
 //! record); re-delivering the *same*
 //! sequence number resumes or returns the already-computed verdicts
@@ -34,54 +34,65 @@
 //! Triggers are static, so at install time the compiler emits a global
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
-//! that can match. The engine persists one **armed delivery** in one
-//! contiguous FRAM region, the header:
+//! that can match. The engine persists one **armed delivery** — one
+//! event — in one contiguous FRAM region, the header:
 //!
 //! ```text
-//! [events × capacity][seq u64][event count u16][verdict count u32][done bitmap][verdict cells × slots]
+//! [event][seq u64][event count u16][verdict count u32][done bitmap][verdict cells × machines]
 //! ```
 //!
-//! — the encoded events (filled from the array's end, so the armed ones
-//! abut `seq`), the first sequence number, the verdict log and a
+//! — the encoded event, its sequence number, the event count (1 once
+//! an event is armed, 0 after a reset), the verdict log and a
 //! completion bitmap with one bit per commit group, `ceil(machines / 8)`
 //! bytes. The **worklist** (the machines the routing index names for
-//! the armed events, each with a mask of the events it dispatches after
-//! the `Path:` filter) and its cut into **commit groups** (consecutive
-//! runs of worklist entries, sized by
+//! the armed event's key) and its cut into **commit groups**
+//! (consecutive runs of worklist entries, sized by
 //! [`artemis_ir::analysis::commit_groups`] against the device's energy
 //! budget) are never persisted: both are deterministic functions of the
-//! armed events, derived at arming and re-derived once on a cold load
+//! armed event, derived at arming and re-derived once on a cold load
 //! after a reboot. Each group commits its members' effects together
 //! with its bit in **one journal record**. Group 0's record also arms
-//! the delivery with **one** sub-write — the run from the first armed
-//! event through `seq`, the counts and the bitmap to its last logged
-//! verdict cell — so a delivery whose worklist fits one group costs one
-//! record of its members' runs plus that one. A later group adds
+//! the delivery with **one** sub-write — the run from the event through
+//! `seq`, the counts and the bitmap to its last logged verdict cell — so
+//! a delivery whose worklist fits one group costs one record of its
+//! members' runs plus that one. A later group adds
 //! `[verdict count | done]` and a run of its cells. A cold load reads
-//! the header from the event array to the bitmap in **one** op. A
-//! reboot resumes exactly the pending groups and a redelivered sequence
-//! number only finishes them. A derived worklist names only installed
-//! machines, so it needs no validation; the loaded header does, once,
-//! where it is read: an event count past the capacity, a verdict count
-//! past the log, or a loaded delivery whose group 0 is not done (which
-//! no commit can leave behind) faults with [`Fault::CorruptState`].
+//! the header from the event to the bitmap in **one** op. A reboot
+//! resumes exactly the pending groups and a redelivered sequence number
+//! only finishes them.
+//!
+//! Crash correctness: until group 0's flag write lands nothing of the
+//! delivery is persisted, so a crash before it looks exactly like a
+//! crash before arming — the event is redelivered and re-armed. Group
+//! 0's record fixes the event, so the worklist and the groups derived
+//! from it are fixed too; a group's bit flips only in the transaction
+//! that persists its members' effects, so a reboot anywhere resumes
+//! from the first incomplete group and observes either none or all of
+//! a group's effects — indistinguishable from an execution that crashed
+//! between machines. Arming a new sequence number first finishes any
+//! pending delivery, so it never discards one.
+//!
+//! A derived worklist names only installed machines, so it needs no
+//! validation; the loaded header does, once, where it is read: an event
+//! count past one, a verdict count past the log, or a loaded delivery
+//! whose group 0 is not done (which no commit can leave behind) faults
+//! with [`Fault::CorruptState`].
 //!
 //! # Compiled steps
 //!
 //! Suites run **compiled** to slot-indexed bytecode
 //! ([`artemis_ir::compile()`]) over one packed FRAM block per machine
-//! ([`artemis_ir::MachineLayout`]). Every compiled step — one event or a
-//! whole batch — goes through one function: it loads the block prefix
-//! the dispatched keys' static [`AccessSet`]s can touch, runs the
-//! bytecode in scratch, and stages into its group's record
-//! ([`TxWriter`]) the changed byte runs of the loaded prefix (or, for
-//! keys whose access set covers ≥ ¾ of the block, decided at compile
-//! time, the whole block image — see "Dirty-diff commits") and one
-//! verdict per emitting event. One committer then adds the group's
-//! header runs — verdict cells, verdict count and done bitmap, and for
-//! group 0 the armed events — and commits the group. A later group
-//! left with nothing but its done bit completes with one plain
-//! idempotent write. Soundness: the access
+//! ([`artemis_ir::MachineLayout`]). Every compiled step goes through
+//! one function: it loads the block prefix the dispatched key's static
+//! [`AccessSet`] can touch, runs the bytecode in scratch, and stages
+//! into its group's record ([`TxWriter`]) the changed byte runs of the
+//! loaded prefix (or, for keys whose access set covers ≥ ¾ of the
+//! block, decided at compile time, the whole block image — see
+//! "Dirty-diff commits") and its verdict, if any. One committer then
+//! adds the group's header runs — verdict cells, verdict count and done
+//! bitmap, and for group 0 the armed event — and commits the group. A
+//! later group left with nothing but its done bit completes with one
+//! plain idempotent write. Soundness: the access
 //! set over-approximates every slot the dispatched bytecode can read or
 //! write, so slots outside the loaded span are never observed and slots
 //! outside the write set cannot change; unchanged bytes a merged run
@@ -95,42 +106,11 @@
 //! changed cell. Differential tests pin the two on verdicts and
 //! FRAM-visible state, including under random power failures.
 //!
-//! # Batch delivery (group commit)
-//!
-//! Events arrive in bursts at task boundaries — an `EndTask`, the next
-//! `StartTask`, `collect` samples. [`MonitorEngine::deliver_batch`]
-//! arms up to the installed capacity ([`BatchMode`]) of them under
-//! consecutive sequence numbers as one armed delivery, then each
-//! worklisted machine steps through *all* its events in volatile
-//! scratch and stages its net effect **once**: repeated writes to the
-//! same variable slot coalesce to the last value, its group's record
-//! carries the changed runs of the prefix the dispatched keys' static
-//! [`AccessSet`]s cover (a net-unchanged byte costs nothing), and one
-//! verdict cell per emitting event rides in the same record as the
-//! group's done bit.
-//! [`MonitorEngine::call_monitor`] is the same delivery with one event:
-//! both entry points share the arming and run functions.
-//!
-//! Crash correctness: until group 0's flag write lands nothing of the
-//! delivery is persisted, so a crash before it looks exactly like a
-//! crash before arming — the event is redelivered and re-armed. Group
-//! 0's record fixes the events, so the worklist and the groups derived
-//! from them are fixed too; a group's bit flips only in the
-//! transaction that persists the *net* effect of all its members'
-//! steps, so a reboot anywhere resumes from the first incomplete group
-//! and observes either none or all of a group's effects —
-//! indistinguishable from an event-at-a-time execution that crashed
-//! between machines. Arming a new sequence number first finishes any
-//! pending delivery, so interleaved per-event and batch deliveries
-//! never discard each other's work. Redelivering a committed delivery
-//! (same first sequence number) returns the recorded verdicts without
-//! re-stepping.
-//!
 //! # Volatile shadow cache (write-only steady state)
 //!
 //! Compiled engines keep a volatile **shadow** of every FRAM location
 //! the hot path reads: after any load or commit the decoded machine
-//! images, the armed delivery (events, derived worklist, groups and
+//! images, the armed delivery (event, derived worklist, groups and
 //! done bitmap), and the verdict log stay authoritative in RAM, so a
 //! steady-state delivery performs **zero** FRAM reads — nonvolatile
 //! memory is touched only by the crash-atomic commits. The cache is
@@ -153,10 +133,10 @@
 //! get the "always cold" engine by clearing SRAM before each delivery
 //! (`Device::sram_mut().clear()`), which is exactly the post-reboot
 //! read path. Cold fills validate what they read: an event count past
-//! the capacity, a verdict count past the verdict log, a verdict cell
-//! naming no installed machine, or a machine block whose state word is
-//! past the machine's state count faults with [`Fault::CorruptState`]
-//! instead of indexing out of bounds.
+//! one, a verdict count past the verdict log, a verdict cell naming no
+//! installed machine or carrying an event position, or a machine block
+//! whose state word is past the machine's state count faults with
+//! [`Fault::CorruptState`] instead of indexing out of bounds.
 //! Hit/miss/invalidation counters are exposed through
 //! [`MonitorEngine::cache_stats`].
 //!
@@ -183,9 +163,9 @@ use std::sync::Arc;
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
-use artemis_core::event::{EventKind, MonitorEvent};
+use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
-use artemis_ir::analysis::{commit_groups, ArmedShape, MemberCost};
+use artemis_ir::analysis::{commit_groups, MemberCost};
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::{EventCtx, Value};
@@ -221,13 +201,13 @@ pub trait Monitoring {
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt>;
 
-    /// Delivers a burst of events under consecutive sequence numbers
-    /// (`first_seq`, `first_seq + 1`, …) and returns one verdict list
-    /// per event, in delivery order. Redelivering a processed batch
-    /// (same `first_seq` and events) must not double-step.
-    ///
-    /// The default forwards to [`Monitoring::call_monitor`] event by
-    /// event; deployments with a group-commit path override it.
+    /// Delivers `events` under consecutive sequence numbers
+    /// (`first_seq`, `first_seq + 1`, …), one [`Monitoring::call_monitor`]
+    /// each, and returns one verdict list per event. Nothing in this
+    /// workspace calls or overrides it: it stays, with
+    /// [`Monitoring::batch_capacity`] and
+    /// [`Monitoring::end_event_is_silent`], only because the benchmark
+    /// package's timing wrapper forwards all three.
     fn deliver_batch(
         &self,
         dev: &mut Device,
@@ -241,16 +221,14 @@ pub trait Monitoring {
         Ok(out)
     }
 
-    /// Largest burst [`Monitoring::deliver_batch`] can commit as one
-    /// group (1 = no group-commit path; the default loop applies).
+    /// Events one delivery holds: always 1. Kept only for the
+    /// benchmark package's timing wrapper, which forwards it.
     fn batch_capacity(&self) -> usize {
         1
     }
 
-    /// `true` when delivering `EndTask(task)` provably produces no
-    /// verdicts — the static gate the runtime uses before folding an
-    /// end event into a batch whose later events it must not depend
-    /// on. Conservative deployments return `false`.
+    /// Always `false`. Kept only for the benchmark package's timing
+    /// wrapper, which forwards it.
     fn end_event_is_silent(&self, _task: TaskId) -> bool {
         false
     }
@@ -300,31 +278,6 @@ pub enum ExecMode {
     Interpreter,
 }
 
-/// Most events one delivery can carry: the verdict cell packs the
-/// event position into a half-word and the encoded-event array must
-/// stay journal-sized. [`BatchMode::Enabled`] requests above this
-/// clamp to it.
-pub const MAX_BATCH_EVENTS: usize = 16;
-
-/// Capacity of the engine's armed delivery, in events
-/// ([`MonitorEngine::batch_capacity`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum BatchMode {
-    /// A one-event armed delivery: `deliver_batch` delivers event by
-    /// event — the default.
-    #[default]
-    Disabled,
-    /// Arm up to `max_events` events as one delivery and stage each
-    /// machine's net effect once per batch (clamped to
-    /// [`MAX_BATCH_EVENTS`]).
-    /// Compiled engines only; the interpreter keeps a one-event
-    /// delivery.
-    Enabled {
-        /// Batch capacity in events.
-        max_events: usize,
-    },
-}
-
 /// Shadow-cache effectiveness counters
 /// ([`MonitorEngine::cache_stats`]). `hits` counts shadow lookups that
 /// avoided FRAM traffic, `misses` counts cold FRAM reads that
@@ -360,9 +313,6 @@ pub struct ExecStats {
 pub struct InstallOptions {
     /// Execution core (compiled bytecode by default).
     pub mode: ExecMode,
-    /// Armed-delivery capacity (one event by default; group commits
-    /// need compiled engines).
-    pub batch: BatchMode,
     /// Bytecode optimization level for ahead-of-time compilation
     /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
     /// straight-from-lowering bytecode and serves as the differential
@@ -456,22 +406,18 @@ enum MachineStore {
 
 /// The armed delivery's persistent header: one contiguous FRAM region
 ///
-/// `[events × capacity][seq u64][event count u16][verdict count u32]
-/// [done bitmap][verdict cells × slots]`
+/// `[event][seq u64][event count u16][verdict count u32][done bitmap]
+/// [verdict cells × slots]`
 ///
-/// The order is what makes a delivery cheap. The two variable-length
-/// parts sit at the outer edges of the fixed fields, and the event
-/// array is filled from its end, so the `n` armed events always abut
-/// `seq`: group 0's record stages everything from the first armed event
-/// to its last logged cell as **one** run, for any `n`. A later group
-/// stages `[verdict count | done]` and its cells as two runs; a cold
-/// load reads `events … done` in one op; a reset zeroes `seq … done` in
-/// one run. The done bitmap keeps bit `g % 8` of byte `g / 8` for
-/// commit group `g`. Offsets are relative to `addr`.
+/// The order is what makes a delivery cheap: group 0's record stages
+/// everything from the event to its last logged cell as **one** run. A
+/// later group stages `[verdict count | done]` and its cells as two
+/// runs; a cold load reads `event … done` in one op; a reset zeroes
+/// `seq … done` in one run. The done bitmap keeps bit `g % 8` of byte
+/// `g / 8` for commit group `g`. Offsets are relative to `addr`; the
+/// event sits at offset 0.
 struct Header {
     addr: usize,
-    /// Events the array holds.
-    capacity: usize,
     /// Bytes of the done bitmap.
     done_len: usize,
     /// Verdict cells.
@@ -479,13 +425,8 @@ struct Header {
 }
 
 impl Header {
-    /// Start of the last `n` event slots, where `n` armed events live.
-    fn events(&self, n: usize) -> usize {
-        EncodedEvent::SIZE * (self.capacity - n)
-    }
-
     fn seq(&self) -> usize {
-        self.events(0)
+        EncodedEvent::SIZE
     }
 
     fn event_count(&self) -> usize {
@@ -507,21 +448,15 @@ impl Header {
     }
 }
 
-/// Fills `dst` with group 0's header run: the armed events, `seq`, the
+/// Fills `dst` with group 0's header run: the armed event, `seq`, the
 /// event count, then the log tail of [`put_log`].
-fn put_arming(dst: &mut [u8], armed: &Armed, emits: &[Emit]) {
-    let (events, rest) = dst.split_at_mut(EncodedEvent::SIZE * armed.events.len());
-    for (encoded, slot) in armed
-        .events
-        .iter()
-        .zip(events.chunks_exact_mut(EncodedEvent::SIZE))
-    {
-        encoded.store(slot);
-    }
+fn put_arming(dst: &mut [u8], event: &EncodedEvent, armed: &Armed, emits: &[Emit]) {
+    let (encoded, rest) = dst.split_at_mut(EncodedEvent::SIZE);
+    event.store(encoded);
     let (seq, rest) = rest.split_at_mut(u64::SIZE);
     armed.seq.store(seq);
     let (n, log) = rest.split_at_mut(u16::SIZE);
-    (armed.events.len() as u16).store(n);
+    1u16.store(n);
     put_log(log, armed.verdicts, &armed.done, emits);
 }
 
@@ -578,7 +513,6 @@ fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
     let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
     let h = Header {
         addr: 0,
-        capacity: 1,
         done_len,
         slots: suite.len(),
     };
@@ -655,20 +589,19 @@ struct Scratch {
     tx: TxWriter,
 }
 
-/// The armed delivery in RAM: its sequence number, the decoded events,
-/// the verdict-log length and the completion bitmap as persisted in the
-/// [`Header`], plus the worklist derived from the events — ascending
-/// machine indices, each with the mask of armed events it dispatches —
-/// and the worklist's cut into commit groups (each group's exclusive
-/// end index; group 0 always exists). Sized at install to the capacity
-/// and the whole suite. In compiled engines it doubles as the shadow of
-/// the header while [`ShadowCache::armed`] is set.
+/// The armed delivery in RAM: its sequence number, the decoded event
+/// (`None` after a reset), the verdict-log length and the completion
+/// bitmap as persisted in the [`Header`], plus the worklist derived
+/// from the event — ascending machine indices — and the worklist's cut
+/// into commit groups (each group's exclusive end index; group 0 always
+/// exists). Sized at install to the whole suite. In compiled engines it
+/// doubles as the shadow of the header while [`ShadowCache::armed`] is
+/// set.
 struct Armed {
     seq: u64,
-    events: Vec<EncodedEvent>,
+    event: Option<EncodedEvent>,
     verdicts: u32,
     items: Vec<u16>,
-    masks: Vec<u32>,
     ends: Vec<u16>,
     done: Vec<u8>,
 }
@@ -681,18 +614,18 @@ impl Armed {
     }
 }
 
-/// One verdict a step staged: machine index, event position, action,
-/// governing path.
-type Emit = (usize, usize, OnFail, Option<u32>);
+/// One verdict a step staged: machine index, action, governing path.
+type Emit = (usize, OnFail, Option<u32>);
 
-/// An encoded verdict cell: `(machine index | event position << 16,
-/// (action tag, path))` — the exact value one header verdict cell
-/// stores.
+/// An encoded verdict cell: `(machine index, (action tag, path))` — the
+/// exact value one header verdict cell stores. The machine index fills
+/// the low half-word; the high half-word is always zero
+/// (`read_verdict` faults otherwise).
 type VerdictCell = (u32, (u8, u32));
 
 /// The verdict cell logging `emit`.
-fn verdict_cell(&(i, e, action, path): &Emit) -> VerdictCell {
-    (i as u32 | ((e as u32) << 16), encode_action(action, path))
+fn verdict_cell(&(i, action, path): &Emit) -> VerdictCell {
+    (i as u32, encode_action(action, path))
 }
 
 /// One machine's decoded shadow image. Live iff `gen` equals the
@@ -782,12 +715,9 @@ pub struct MonitorEngine {
     compiled: Arc<CompiledSuite>,
     machines: Vec<LoadedMachine>,
     journal: Journal,
-    /// Events one armed delivery holds (1 unless [`BatchMode::Enabled`]
-    /// took effect on a compiled engine).
-    capacity: usize,
-    /// The armed delivery, all fixed by its group 0 record: its first
-    /// sequence number, its event array, the verdict log and the done
-    /// bitmap (one bit per commit group), in one region.
+    /// The armed delivery, all fixed by its group 0 record: its
+    /// sequence number, its event, the verdict log and the done bitmap
+    /// (one bit per commit group), in one region.
     header: Header,
     /// The volatile shadow of the hot path's FRAM reads: `Some` iff
     /// the engine is compiled (the interpreter reads FRAM directly).
@@ -796,9 +726,9 @@ pub struct MonitorEngine {
     /// groups ([`artemis_ir::analysis::commit_groups`]).
     profile: EnergyProfile,
     /// `true` when the bounds pass proved at install that the cut never
-    /// splits a worklist this engine can arm, so arming skips pricing
-    /// members: the answer [`artemis_ir::analysis::commit_groups`]
-    /// would give is one group.
+    /// splits any key's worklist, so arming skips pricing members: the
+    /// answer [`artemis_ir::analysis::commit_groups`] would give is one
+    /// group.
     one_group: bool,
     /// Dynamic executed-instruction counters (volatile, like the cache
     /// stats — see [`ExecStats`]).
@@ -898,46 +828,27 @@ impl MonitorEngine {
     ) -> Result<Self, InstallError> {
         let InstallOptions {
             mode,
-            batch,
             energy,
             // Compilation already happened in the caller's hands.
             opt: _,
         } = opts;
         let compiled_mode = mode == ExecMode::Compiled;
-
-        // Group commits step compiled blocks; the interpreter keeps a
-        // one-event delivery.
-        let max_events = match batch {
-            BatchMode::Enabled { max_events } if compiled_mode => {
-                max_events.clamp(1, MAX_BATCH_EVENTS)
-            }
-            _ => 1,
-        };
         // One done bit per commit group; a worklist never holds more
         // groups than the suite has machines.
         let done_len = artemis_ir::analysis::done_bytes(suite.len());
 
         // Journal capacity = the static worst-case record: the larger
         // of the whole-suite reset commit and any event key's largest
-        // commit group, cut against this device's energy budget. A
-        // multi-event delivery's bound joins the max (every machine in
-        // one group, group 0 carrying the whole event array). The
+        // commit group, cut against this device's energy budget. The
         // interpreter's per-cell layout stages one sub-write per
         // variable, so its records are costed separately.
         //
-        // A one-event delivery's worklist is its key's interest list, so
-        // when the bounds pass cuts every key into one group, so does
-        // the engine; a batch bound that fits every machine in one group
-        // covers any worklist a batch can arm.
+        // A delivery's worklist is its key's interest list, so when the
+        // bounds pass cuts every key into one group, so does the engine.
         let profile = dev.energy_profile();
         let bounds = artemis_ir::analysis::suite_bounds(&compiled, &profile);
         let mut capacity = bounds.worst_commit_bytes;
-        let mut one_group = bounds.per_key.iter().all(|k| k.groups == 1);
-        if max_events > 1 {
-            let batch = artemis_ir::analysis::batch_bounds(&compiled, max_events, &profile);
-            capacity = capacity.max(batch.worst_commit_bytes);
-            one_group = batch.fits_one_group;
-        }
+        let one_group = bounds.per_key.iter().all(|k| k.groups == 1);
         if mode == ExecMode::Interpreter {
             capacity = capacity.max(interpreter_commit_bytes(&suite, done_len));
         }
@@ -969,14 +880,11 @@ impl MonitorEngine {
 
         let result = (|| {
             let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
-            // The armed delivery, zeroed: no events, nothing pending.
-            // One verdict cell per machine per event the largest
-            // delivery can carry (a batched machine can emit once per
-            // event it dispatches).
-            let slots = suite.len() * max_events;
+            // The armed delivery, zeroed: no event, nothing pending.
+            // One verdict cell per machine.
+            let slots = suite.len();
             let mut header = Header {
                 addr: 0,
-                capacity: max_events,
                 done_len,
                 slots,
             };
@@ -1069,10 +977,9 @@ impl MonitorEngine {
             });
             let armed = RefCell::new(Armed {
                 seq: 0,
-                events: Vec::with_capacity(max_events),
+                event: None,
                 verdicts: 0,
                 items: Vec::with_capacity(machines.len()),
-                masks: Vec::with_capacity(machines.len()),
                 ends: Vec::with_capacity(machines.len() + 1),
                 done: Vec::with_capacity(done_len),
             });
@@ -1093,7 +1000,6 @@ impl MonitorEngine {
                 compiled,
                 machines,
                 journal,
-                capacity: max_events,
                 header,
                 cache,
                 profile,
@@ -1173,12 +1079,12 @@ impl MonitorEngine {
     }
 
     /// Makes `armed` hold the armed delivery: from the shadow when it
-    /// is live, else **one** FRAM read of the header from the event
-    /// array to the done bitmap, with the worklist and its commit
-    /// groups re-derived from the events. The empty delivery of a fresh
-    /// install or a reset has nothing to commit, so its group 0 counts
-    /// as done. The read is validated here, once: an event count past
-    /// the capacity, a verdict count past the log, or an armed delivery
+    /// is live, else **one** FRAM read of the header from the event to
+    /// the done bitmap, with the worklist and its commit groups
+    /// re-derived from the event. The empty delivery of a fresh install
+    /// or a reset has nothing to commit, so its group 0 counts as done.
+    /// The read is validated here, once: an event count past one, a
+    /// verdict count past the log, or an armed delivery
     /// whose group 0 is not marked done — group 0's record persists the
     /// arming together with that bit — faults with
     /// [`Fault::CorruptState`].
@@ -1195,20 +1101,15 @@ impl MonitorEngine {
         let field = |at: usize, len: usize| &bytes[at..at + len];
         let n = u16::load(field(h.event_count(), u16::SIZE)) as usize;
         let verdicts = u32::load(field(h.verdict_count(), u32::SIZE));
-        if n > h.capacity || verdicts as usize > h.slots {
+        if n > 1 || verdicts as usize > h.slots {
             return Err(Interrupt::Fault(Fault::CorruptState));
         }
         armed.seq = u64::load(field(h.seq(), u64::SIZE));
-        armed.events.clear();
-        armed.events.extend(
-            bytes[h.events(n)..h.seq()]
-                .chunks_exact(EncodedEvent::SIZE)
-                .map(EncodedEvent::load),
-        );
+        armed.event = (n == 1).then(|| EncodedEvent::load(field(0, EncodedEvent::SIZE)));
         armed.verdicts = verdicts;
         armed.done.clear();
         armed.done.extend_from_slice(field(h.done(), h.done_len));
-        if armed.events.is_empty() {
+        if armed.event.is_none() {
             armed.done[0] |= 1;
         } else if !done_bit(&armed.done, 0) {
             return Err(Interrupt::Fault(Fault::CorruptState));
@@ -1290,14 +1191,16 @@ impl MonitorEngine {
     }
 
     /// Shadow-aware read of verdict cell `slot` — from the shadow when
-    /// live, else one FRAM read that refills it — decoded to its event
-    /// position and verdict (`None` for an unknown action tag). A
-    /// machine index past the suite faults with [`Fault::CorruptState`].
+    /// live, else one FRAM read that refills it — decoded to its verdict
+    /// (`None` for an unknown action tag). A cell naming no installed
+    /// machine faults with [`Fault::CorruptState`], and so does one
+    /// whose high half-word is non-zero: suites index machines in a
+    /// `u16`, so such a cell is no state any commit writes.
     fn read_verdict(
         &self,
         dev: &mut Device,
         slot: usize,
-    ) -> Result<(usize, Option<MonitorVerdict>), Interrupt> {
+    ) -> Result<Option<MonitorVerdict>, Interrupt> {
         let hit = self.cache.as_ref().and_then(|cache| {
             let mut c = cache.borrow_mut();
             let (gen, cell) = c.verdicts[slot];
@@ -1318,9 +1221,7 @@ impl MonitorEngine {
                 cell
             }
         };
-        // The event position rides in the high half-word, the machine
-        // index in the low one.
-        let machine_index = (packed & 0xFFFF) as usize;
+        let machine_index = packed as usize;
         let lm = self
             .machines
             .get(machine_index)
@@ -1330,7 +1231,7 @@ impl MonitorEngine {
             machine: lm.machine.name.clone(),
             action,
         });
-        Ok(((packed >> 16) as usize, verdict))
+        Ok(verdict)
     }
 
     /// Costless read of every machine's persistent `(state, vars)` —
@@ -1432,10 +1333,9 @@ impl MonitorEngine {
             // after a reset runs write-only.
             let armed = &mut *self.armed.borrow_mut();
             armed.seq = 0;
-            armed.events.clear();
+            armed.event = None;
             armed.verdicts = 0;
             armed.items.clear();
-            armed.masks.clear();
             armed.ends.clear();
             armed.ends.push(0);
             armed.done.clear();
@@ -1474,86 +1374,46 @@ impl MonitorEngine {
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt> {
         self.entry(dev, |dev| {
-            self.deliver(dev, seq, core::slice::from_ref(event))?;
+            self.deliver(dev, seq, event)?;
             self.read_verdicts(dev)
         })
     }
 
-    /// Delivers a burst of events under consecutive sequence numbers
-    /// (`first_seq`, `first_seq + 1`, …) through the group-commit path
-    /// and returns one verdict list per event, in delivery order.
-    ///
-    /// One armed delivery holds up to [`MonitorEngine::batch_capacity`]
-    /// events; each interested machine steps through all its events in
-    /// volatile scratch and stages its coalesced net effect once, into
-    /// its commit group's record (group 0's also arms the events).
-    /// Redelivering a processed batch (same `first_seq` and events) only
-    /// finishes pending groups and returns the recorded verdicts.
-    /// Bursts longer than the capacity split into maximal deliveries.
-    pub fn deliver_batch(
-        &self,
-        dev: &mut Device,
-        first_seq: u64,
-        events: &[MonitorEvent],
-    ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        let mut out = Vec::with_capacity(events.len());
-        for (ci, chunk) in events.chunks(self.capacity).enumerate() {
-            let seq = first_seq + (ci * self.capacity) as u64;
-            self.entry(dev, |dev| {
-                self.deliver(dev, seq, chunk)?;
-                self.read_batch_verdicts(dev, chunk.len(), &mut out)
-            })?;
-        }
-        Ok(out)
-    }
-
-    /// Delivers `events` (at most the capacity) as one armed delivery
-    /// under `first_seq` — the one delivery path of both public entry
-    /// points. A new sequence number first finishes any pending
-    /// delivery, so arming never discards one, then arms; a redelivered
-    /// one only finishes its pending entries.
-    fn deliver(
-        &self,
-        dev: &mut Device,
-        first_seq: u64,
-        events: &[MonitorEvent],
-    ) -> Result<(), Interrupt> {
+    /// Delivers `event` as the armed delivery under `seq`. A new
+    /// sequence number first finishes any pending delivery, so arming
+    /// never discards one, then arms; a redelivered one only finishes
+    /// its pending groups.
+    fn deliver(&self, dev: &mut Device, seq: u64, event: &MonitorEvent) -> Result<(), Interrupt> {
         self.recover_cached(dev)?;
         let armed = &mut *self.armed.borrow_mut();
         self.load_armed(dev, armed)?;
-        if armed.seq != first_seq {
+        if armed.seq != seq {
             self.run_armed(dev, armed)?;
-            self.arm(dev, first_seq, events, armed)?;
+            self.arm(dev, seq, event, armed)?;
         }
         self.run_armed(dev, armed)?;
         Ok(())
     }
 
-    /// Arms `events` under `first_seq` in RAM: encodes them, derives
-    /// their worklist and commit groups into `armed`, and empties the
-    /// verdict log and the done bitmap. Nothing is written: the arming
-    /// fields ride in group 0's header run
-    /// ([`MonitorEngine::commit_group`]), so a failure
-    /// before that record's flag write leaves the previous delivery
-    /// armed and the caller re-arms cleanly; a failure after it resumes
-    /// exactly the armed set.
+    /// Arms `event` under `seq` in RAM: encodes it, derives its worklist
+    /// and commit groups into `armed`, and empties the verdict log and
+    /// the done bitmap. Nothing is written: the arming fields ride in
+    /// group 0's header run ([`MonitorEngine::commit_group`]), so a
+    /// failure before that record's flag write leaves the previous
+    /// delivery armed and the caller re-arms cleanly; a failure after it
+    /// resumes exactly the armed worklist.
     fn arm(
         &self,
         dev: &mut Device,
-        first_seq: u64,
-        events: &[MonitorEvent],
+        seq: u64,
+        event: &MonitorEvent,
         armed: &mut Armed,
     ) -> Result<(), Interrupt> {
         // `armed` runs ahead of FRAM until group 0 commits; a failure
         // before then wipes its shadow with the rest (`entry`).
         let energy_nj = dev.energy_level().as_nano_joules();
-        armed.seq = first_seq;
-        armed.events.clear();
-        armed.events.extend(
-            events
-                .iter()
-                .map(|e| EncodedEvent::from_event(e, energy_nj)),
-        );
+        armed.seq = seq;
+        armed.event = Some(EncodedEvent::from_event(event, energy_nj));
         armed.verdicts = 0;
         self.derive_worklist(dev, armed)?;
         armed.done.clear();
@@ -1561,95 +1421,60 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Derives the worklist of `armed.events` — ascending machine
-    /// indices, each with the mask of the events it dispatches — and
-    /// its commit groups, charging one routing lookup per event. In
-    /// compiled mode the worklist is the routing index's interest
-    /// lists, cut into groups by
+    /// Derives the worklist of `armed.event` — ascending machine
+    /// indices — and its commit groups, charging one routing lookup per
+    /// armed event. In
+    /// compiled mode the worklist is the routing index's interest list
+    /// for the event's key, cut into groups by
     /// [`artemis_ir::analysis::commit_groups`] on the members' static
-    /// ceilings and the device's energy budget; the dynamic `Path:`
-    /// filter then clears dismissed events from the masks, leaving the
-    /// groups exactly the ones the bounds pass prices. All of it is a
-    /// deterministic function of the events. The interpreter arms every
-    /// machine, one per group, and dismisses in its step.
+    /// ceilings and the device's energy budget, exactly the groups the
+    /// bounds pass prices; the dynamic `Path:` filter dismisses members
+    /// inside their groups when they step. All of it is a deterministic
+    /// function of the event. The interpreter arms every machine, one
+    /// per group, and dismisses in its step.
     fn derive_worklist(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
-        dev.compute(ROUTING_LOOKUP_CYCLES * armed.events.len() as u64)?;
         let Armed {
-            events,
-            items,
-            masks,
-            ends,
-            ..
+            event, items, ends, ..
         } = armed;
         items.clear();
-        masks.clear();
         ends.clear();
+        dev.compute(ROUTING_LOOKUP_CYCLES * u64::from(event.is_some()))?;
+        let Some(event) = event else {
+            ends.push(0);
+            return Ok(());
+        };
+        let (kind, task) = (event.event_kind(), event.task);
         if self.mode == ExecMode::Interpreter {
-            // Every machine sees the (one) armed event, if any.
-            if !events.is_empty() {
-                items.extend(0..self.machines.len() as u16);
-                masks.resize(items.len(), 1);
-                ends.extend(1..=items.len() as u16);
-            }
+            items.extend(0..self.machines.len() as u16);
+            ends.extend(1..=items.len() as u16);
             if ends.is_empty() {
                 ends.push(0);
             }
             return Ok(());
         }
-        for (e, encoded) in events.iter().enumerate() {
-            for &mi in self
-                .compiled
-                .routing()
-                .interested(encoded.event_kind(), encoded.task)
-            {
-                match items.binary_search(&mi) {
-                    Ok(j) => masks[j] |= 1 << e,
-                    Err(j) => {
-                        items.insert(j, mi);
-                        masks.insert(j, 1 << e);
-                    }
-                }
-            }
-        }
+        items.extend_from_slice(self.compiled.routing().interested(kind, task));
         if self.one_group {
             ends.push(items.len() as u16);
         } else {
             let machines = self.compiled.machines();
-            let routed = |mask: u32| {
-                events
-                    .iter()
-                    .enumerate()
-                    .filter(move |(e, _)| mask & (1 << e) != 0)
-                    .map(|(_, ev)| (ev.event_kind(), ev.task))
-            };
-            let members = items
-                .iter()
-                .zip(masks.iter())
-                .map(|(&mi, &mask)| MemberCost::routed(&machines[mi as usize], routed(mask)));
-            let shape = ArmedShape {
-                capacity: self.capacity,
-                events: events.len(),
-                done_bytes: self.header.done_len,
-            };
-            commit_groups(members, &shape, &self.profile, ends);
-        }
-        for (&mi, mask) in items.iter().zip(masks.iter_mut()) {
-            for (e, encoded) in events.iter().enumerate() {
-                if path_dismissed(&self.machines[mi as usize], encoded) {
-                    *mask &= !(1 << e);
-                }
-            }
+            let members = items.iter().map(|&mi| {
+                MemberCost::routed(&machines[mi as usize], core::iter::once((kind, task)))
+            });
+            commit_groups(members, self.header.done_len, &self.profile, ends);
         }
         Ok(())
     }
 
     /// Commits the pending groups of the armed delivery, in order, and
     /// reports whether there were any. Everything the loop depends on —
-    /// the events, and the worklist and groups derived from them — was
+    /// the event, and the worklist and groups derived from it — was
     /// fixed by group 0's record, so a resume after any power failure
-    /// processes exactly the armed set; completed groups are skipped
-    /// via the bitmap.
+    /// processes exactly the armed worklist; completed groups are
+    /// skipped via the bitmap. An empty delivery has nothing pending.
     fn run_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<bool, Interrupt> {
+        let Some(event) = armed.event else {
+            return Ok(false);
+        };
         let mut pending = false;
         for g in 0..armed.ends.len() {
             if done_bit(&armed.done, g) {
@@ -1660,36 +1485,38 @@ impl MonitorEngine {
             // that commit fails, the entry point wipes the shadow these
             // buffers belong to.
             armed.done[g / 8] |= 1 << (g % 8);
-            self.commit_group(dev, armed, g)?;
+            self.commit_group(dev, &event, armed, g)?;
         }
         Ok(pending)
     }
 
-    /// Steps every member of commit group `g` and commits the group as
-    /// **one** journal record: each member's staged runs, then the
-    /// [`Header`] fields the group changes. Group 0 arms the delivery
-    /// with one run from the first armed event to its last logged cell
-    /// — the events, the sequence number and event count, the verdict
-    /// count it resets, the done bitmap and its own verdict cells. A
-    /// later group stages `[verdict count | done]` and its cells as one
-    /// more run, or only the bitmap when it logs nothing. The bitmap
-    /// already has `g`'s bit set. A later group that staged nothing but
-    /// its bit completes with one plain idempotent bitmap write
-    /// (re-execution after a power failure is harmless); group 0 always
-    /// commits, because its run fixes the whole delivery.
-    fn commit_group(&self, dev: &mut Device, armed: &mut Armed, g: usize) -> Result<(), Interrupt> {
+    /// Steps every member of commit group `g` on `event` and commits the
+    /// group as **one** journal record: each member's staged runs, then
+    /// the [`Header`] fields the group changes. Group 0 arms the
+    /// delivery with one run from the event to its last logged cell —
+    /// the event, the sequence number and event count, the verdict count
+    /// it resets, the done bitmap and its own verdict cells. A later
+    /// group stages `[verdict count | done]` and its cells as one more
+    /// run, or only the bitmap when it logs nothing. The bitmap already
+    /// has `g`'s bit set. A later group that staged nothing but its bit
+    /// completes with one plain idempotent bitmap write (re-execution
+    /// after a power failure is harmless); group 0 always commits,
+    /// because its run fixes the whole delivery.
+    fn commit_group(
+        &self,
+        dev: &mut Device,
+        event: &EncodedEvent,
+        armed: &mut Armed,
+        g: usize,
+    ) -> Result<(), Interrupt> {
         let scratch = &mut *self.scratch.borrow_mut();
         scratch.tx.clear();
         scratch.emits.clear();
         for j in armed.group(g) {
             let i = armed.items[j] as usize;
             match self.mode {
-                ExecMode::Compiled => {
-                    self.step_block(dev, i, &armed.events, armed.masks[j], scratch)?
-                }
-                ExecMode::Interpreter => {
-                    self.step_interpreted(dev, i, &armed.events[0], scratch)?
-                }
+                ExecMode::Compiled => self.step_block(dev, i, event, scratch)?,
+                ExecMode::Interpreter => self.step_interpreted(dev, i, event, scratch)?,
             }
         }
 
@@ -1704,8 +1531,7 @@ impl MonitorEngine {
         // Set in RAM ahead of the commit, like the done bit.
         armed.verdicts = count as u32;
         if g == 0 {
-            let at = h.events(armed.events.len());
-            put_arming(tx.write_slot(h.addr + at, h.cell(count) - at), armed, emits);
+            put_arming(tx.write_slot(h.addr, h.cell(count)), event, armed, emits);
         } else if emits.is_empty() {
             tx.write_raw(h.addr + h.done(), &armed.done);
             if tx.len() == 1 {
@@ -1731,62 +1557,42 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Steps compiled machine `i` through every event of `events` whose
-    /// bit is set in `mask`, in delivery order, and stages its
-    /// **coalesced** net effect into its group's record: repeated
-    /// writes to a slot collapse to the last value in scratch, and the
-    /// record gains the changed byte runs of the covered block prefix
-    /// (the whole block image for degraded keys); each emitting event
-    /// adds a verdict to `scratch.emits`. A member whose events the
-    /// `Path:` filter dismissed (empty `mask`) costs nothing.
+    /// Steps compiled machine `i` on `event` and stages its effect into
+    /// its group's record: the changed byte runs of the covered block
+    /// prefix (the whole block image for degraded keys), and a verdict
+    /// in `scratch.emits` if the step emits. A member the `Path:` filter
+    /// dismisses costs nothing.
     fn step_block(
         &self,
         dev: &mut Device,
         i: usize,
-        events: &[EncodedEvent],
-        mask: u32,
+        event: &EncodedEvent,
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
-        if mask == 0 {
+        let lm = &self.machines[i];
+        if path_dismissed(lm, event) {
             return Ok(());
         }
-        let lm = &self.machines[i];
         let MachineStore::Block { addr, len } = lm.store else {
             unreachable!("compiled mode allocates block storage");
         };
         let cm = &self.compiled.machines()[i];
         let layout = cm.layout();
 
-        // Merge the static footprints of the events this machine will
-        // actually dispatch — the union of their access sets, of which
-        // the step needs only the degrade flag and the highest touched
-        // slot — and bill each dispatch-table test plus the key's static
-        // compute ceiling (cycle-priced worst path through the
-        // dispatched transitions). Static and state-independent, so the
-        // charge never leaks machine state — and the bounds/energy
-        // passes price the exact same table.
-        let mut whole = false;
-        let mut max_slot = None;
-        let mut step_mask = 0u32;
-        let mut cycles = 0u64;
-        for (e, encoded) in events.iter().enumerate() {
-            if mask & (1 << e) == 0 {
-                continue;
-            }
-            let kind = encoded.event_kind();
-            cycles += COMPILED_DISPATCH_CYCLES;
-            if cm.dispatch_len(kind, encoded.task) > 0 {
-                cycles += cm.step_cost(kind, encoded.task).cycles;
-                let key = cm.access(kind, encoded.task);
-                whole |= key.whole_block;
-                max_slot = max_slot.max(key.max_touched_slot());
-                step_mask |= 1 << e;
-            }
+        // Bill the dispatch-table test plus the key's static compute
+        // ceiling (cycle-priced worst path through the dispatched
+        // transitions). Static and state-independent, so the charge never
+        // leaks machine state — and the bounds/energy passes price the
+        // exact same table. The key's access set gives the degrade flag
+        // and the highest touched slot.
+        let (kind, task) = (event.event_kind(), event.task);
+        if cm.dispatch_len(kind, task) == 0 {
+            return dev.compute(COMPILED_DISPATCH_CYCLES);
         }
-        dev.compute(cycles)?;
-        if step_mask == 0 {
-            return Ok(());
-        }
+        dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, task).cycles)?;
+        let key = cm.access(kind, task);
+        let whole = key.whole_block;
+        let max_slot = key.max_touched_slot();
 
         // Degraded keys load and commit the full block image; sparse
         // ones the covering span.
@@ -1804,44 +1610,39 @@ impl MonitorEngine {
         layout.decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
         scratch.vars.resize(cm.var_count(), Value::Int(0));
 
-        for (e, encoded) in events.iter().enumerate() {
-            if step_mask & (1 << e) == 0 {
-                continue;
-            }
-            let event = CompiledEvent {
-                kind: encoded.event_kind(),
-                task: encoded.task,
-                ctx: EventCtx {
-                    time_us: encoded.timestamp_us,
-                    dep_data: encoded.dep_data(),
-                    energy_nj: encoded.energy_nj,
-                },
-            };
-            // Evaluation errors cannot occur on verified machines;
-            // treat them as accept-silently to keep the monitor total
-            // (the C monitor has no error channel either). Partial
-            // variable mutations are kept, matching the interpreter's
-            // observable effects.
-            let mut executed = 0u64;
-            let emit = cm
-                .step_counting(
-                    &mut state,
-                    &mut scratch.vars,
-                    &event,
-                    &mut scratch.regs,
-                    &mut executed,
-                )
-                .unwrap_or(None);
-            {
-                let mut exec = self.exec.borrow_mut();
-                exec.instructions += executed;
-                exec.machine_steps += 1;
-            }
-            if let Some(fail) = emit {
-                scratch
-                    .emits
-                    .push((i, e, fail.action, fail.path.or(lm.machine.path)));
-            }
+        let step_event = CompiledEvent {
+            kind,
+            task,
+            ctx: EventCtx {
+                time_us: event.timestamp_us,
+                dep_data: event.dep_data(),
+                energy_nj: event.energy_nj,
+            },
+        };
+        // Evaluation errors cannot occur on verified machines; treat
+        // them as accept-silently to keep the monitor total (the C
+        // monitor has no error channel either). Partial variable
+        // mutations are kept, matching the interpreter's observable
+        // effects.
+        let mut executed = 0u64;
+        let emit = cm
+            .step_counting(
+                &mut state,
+                &mut scratch.vars,
+                &step_event,
+                &mut scratch.regs,
+                &mut executed,
+            )
+            .unwrap_or(None);
+        {
+            let mut exec = self.exec.borrow_mut();
+            exec.instructions += executed;
+            exec.machine_steps += 1;
+        }
+        if let Some(fail) = emit {
+            scratch
+                .emits
+                .push((i, fail.action, fail.path.or(lm.machine.path)));
         }
 
         // Re-encode and compare byte for byte against the loaded image
@@ -1866,49 +1667,6 @@ impl MonitorEngine {
         }
         self.shadow_machine_update(i, state, &scratch.vars[..covered]);
         Ok(())
-    }
-
-    /// Appends the verdicts of the loaded delivery of `n_events` events
-    /// to `out`, one list per event in delivery order. Machines step in
-    /// ascending suite order and log their events in delivery order, so
-    /// each list comes back in suite order, as a one-event delivery's.
-    fn read_batch_verdicts(
-        &self,
-        dev: &mut Device,
-        n_events: usize,
-        out: &mut Vec<Vec<MonitorVerdict>>,
-    ) -> Result<(), Interrupt> {
-        let base = out.len();
-        out.resize_with(base + n_events, Vec::new);
-        let count = self.armed.borrow().verdicts;
-        for slot in 0..count as usize {
-            if let (e, Some(verdict)) = self.read_verdict(dev, slot)? {
-                if let Some(list) = out[base..].get_mut(e) {
-                    list.push(verdict);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Events one armed delivery holds: the largest burst
-    /// [`MonitorEngine::deliver_batch`] commits as one group (1 unless
-    /// [`BatchMode::Enabled`] took effect).
-    pub fn batch_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Static gate for runtime bursts: `true` iff no machine interested
-    /// in `EndTask(task)` has an emitting transition in that dispatch
-    /// list — delivering the event can then never produce a verdict, so
-    /// the runtime may fold it into a batch whose later events must not
-    /// depend on its (necessarily empty) verdicts.
-    pub fn end_event_is_silent(&self, task: TaskId) -> bool {
-        self.compiled
-            .routing()
-            .interested(EventKind::EndTask, task.0)
-            .iter()
-            .all(|&mi| !self.compiled.machines()[mi as usize].may_emit(EventKind::EndTask, task.0))
     }
 
     /// Reads back the verdicts of the most recently processed event.
@@ -2023,7 +1781,7 @@ impl MonitorEngine {
         if let Some(fail) = emit {
             scratch
                 .emits
-                .push((i, 0, fail.action, fail.path.or(lm.machine.path)));
+                .push((i, fail.action, fail.path.or(lm.machine.path)));
         }
         Ok(())
     }
@@ -2035,7 +1793,7 @@ impl MonitorEngine {
         // No verdicts, no allocation: an empty `Vec` owns no heap.
         let mut out = Vec::with_capacity(count as usize);
         for slot in 0..count as usize {
-            out.extend(self.read_verdict(dev, slot)?.1);
+            out.extend(self.read_verdict(dev, slot)?);
         }
         Ok(out)
     }
@@ -2068,23 +1826,6 @@ impl Monitoring for MonitorEngine {
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt> {
         MonitorEngine::call_monitor(self, dev, seq, event)
-    }
-
-    fn deliver_batch(
-        &self,
-        dev: &mut Device,
-        first_seq: u64,
-        events: &[MonitorEvent],
-    ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        MonitorEngine::deliver_batch(self, dev, first_seq, events)
-    }
-
-    fn batch_capacity(&self) -> usize {
-        MonitorEngine::batch_capacity(self)
-    }
-
-    fn end_event_is_silent(&self, task: TaskId) -> bool {
-        MonitorEngine::end_event_is_silent(self, task)
     }
 
     fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
@@ -2134,6 +1875,7 @@ pub(crate) fn decode_action(encoded: (u8, u32)) -> Option<Action> {
 mod tests {
     use super::*;
     use artemis_core::app::AppGraphBuilder;
+    use artemis_core::event::EventKind;
     use artemis_core::time::SimDuration;
     use intermittent_sim::capacitor::Capacitor;
     use intermittent_sim::device::DeviceBuilder;
@@ -2488,32 +2230,23 @@ mod tests {
         }
     }
 
-    /// Installs `suite` on the default engine of a `tiny`-regime device
-    /// (batching `batch` events per delivery when `Some`), resets it,
-    /// and makes `deliveries` deliveries of consecutive `start(t0)`
-    /// events. With `cold`, SRAM is cleared before every delivery — the
-    /// always-cold engine, where each delivery takes the post-reboot
-    /// read path.
+    /// Installs `suite` on the default engine of a `tiny`-regime device,
+    /// resets it, and makes `deliveries` deliveries of consecutive
+    /// `start(t0)` events. With `cold`, SRAM is cleared before every
+    /// delivery — the always-cold engine, where each delivery takes the
+    /// post-reboot read path.
     fn measure(
         suite: &MonitorSuite,
         app: &AppGraph,
-        batch: Option<usize>,
         deliveries: u64,
         cold: bool,
         tiny: bool,
     ) -> Traffic {
         let t0 = app.task_by_name("t0").unwrap();
         let mut dev = regime_device(tiny);
-        let opts = InstallOptions {
-            batch: batch.map_or(BatchMode::Disabled, |max_events| BatchMode::Enabled {
-                max_events,
-            }),
-            ..InstallOptions::default()
-        };
-        let engine = MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite.clone(), app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
 
-        let per = batch.unwrap_or(1) as u64;
         let fram = |dev: &Device| {
             let f = dev.fram();
             [f.read_ops(), f.read_bytes(), f.write_ops(), f.write_bytes()]
@@ -2521,18 +2254,15 @@ mod tests {
         let fram0 = fram(&dev);
         let records0 = dev.journal_records();
         let energy0 = dev.stats().energy(CostCategory::Monitor);
-        for d in 0..deliveries {
+        for seq in 1..=deliveries {
             if cold {
                 dev.sram_mut().clear();
             }
-            let first = 1 + d * per;
-            let events: Vec<MonitorEvent> = (first..first + per)
-                .map(|seq| MonitorEvent::start(t0, t(seq)))
-                .collect();
-            match batch {
-                Some(_) => drop(engine.deliver_batch(&mut dev, first, &events).unwrap()),
-                None => drop(engine.call_monitor(&mut dev, first, &events[0]).unwrap()),
-            }
+            drop(
+                engine
+                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
+                    .unwrap(),
+            );
         }
         let now = fram(&dev);
         let [reads, read_bytes, writes, write_bytes] =
@@ -2572,7 +2302,7 @@ mod tests {
         tiny: bool,
     ) {
         let n = events as usize;
-        let warm = measure(suite, app, None, events, false, tiny);
+        let warm = measure(suite, app, events, false, tiny);
         assert_eq!(warm.reads, 0, "warm delivery must be write-only");
         assert_eq!(warm.writes, key.writes * n, "write model drifted");
         assert_eq!(warm.write_bytes, key.write_bytes * n, "byte model drifted");
@@ -2582,7 +2312,7 @@ mod tests {
             "one record per group"
         );
 
-        let cold = measure(suite, app, None, events, true, tiny);
+        let cold = measure(suite, app, events, true, tiny);
         assert_eq!(cold.reads, key.cold_extra_reads * n, "cold model drifted");
         assert_eq!(
             cold.read_bytes,
@@ -2673,7 +2403,7 @@ mod tests {
         let (suite, app) = dispatch_suite(MACHINES, 1);
         let key = t0_key(&suite, &app, false);
         let n = EVENTS as usize;
-        let warm = measure(&suite, &app, None, EVENTS, false, false);
+        let warm = measure(&suite, &app, EVENTS, false, false);
         assert_eq!(warm.reads, 0, "diff path must stay write-only when warm");
         assert_eq!(warm.writes, (4 + MACHINES) * n);
         assert!(warm.writes < key.writes * n);
@@ -2724,7 +2454,7 @@ mod tests {
     /// model exactly: `machines` machines cycle through three states,
     /// and each `startTask(t0)` adds `0x0101010101010101` to `x`, so
     /// every byte of the 1-byte state word and of the 8-byte `x`
-    /// changes on every event (and on every batch of 8). Seven
+    /// changes on every event. Seven
     /// never-written 1-byte pads keep the two fields 7 bytes apart,
     /// more than the 6-byte sub-write header, so their runs never
     /// merge.
@@ -2841,13 +2571,13 @@ mod tests {
         ] {
             for tiny in REGIMES {
                 let key = t0_key(&suite, &app, tiny);
-                let warm = measure(&suite, &app, None, EVENTS, false, tiny);
+                let warm = measure(&suite, &app, EVENTS, false, tiny);
                 assert_eq!(
                     warm.energy,
                     event_energy_cached(&key, &model).saturating_mul(EVENTS),
                     "energy model drifted ({label}, tiny {tiny})"
                 );
-                let cold = measure(&suite, &app, None, EVENTS, true, tiny);
+                let cold = measure(&suite, &app, EVENTS, true, tiny);
                 assert_eq!(cold.reads, key.cold_extra_reads * EVENTS as usize);
                 assert_eq!(cold.read_bytes, key.cold_read_bytes * EVENTS as usize);
                 assert!(cold.energy > warm.energy, "{label}");
@@ -2856,49 +2586,6 @@ mod tests {
                     "cold draw above the post-reboot ceiling ({label}, tiny {tiny})"
                 );
             }
-        }
-    }
-
-    /// Batched counterpart of [`energy_model_matches_engine`]: a full
-    /// warm batch on the every-byte-flips workload writes and draws
-    /// exactly the static [`artemis_ir::BatchBounds`] figures (warm
-    /// batches are write-only, so the cached prediction is writes +
-    /// cycles alone), one record per group, in both group regimes; an
-    /// always-cold batch reads exactly `cold_extra_reads` ops and
-    /// `cold_read_bytes` bytes and stays under the post-reboot ceiling.
-    #[test]
-    fn batch_energy_model_matches_engine() {
-        use artemis_ir::analysis::{batch_energy, batch_energy_cached};
-
-        const BATCH: usize = 8;
-        const BATCHES: u64 = 5;
-        let n = BATCHES as usize;
-
-        let (suite, app) = flip_suite(8);
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        for tiny in REGIMES {
-            let profile = regime_device(tiny).energy_profile();
-            let bound = artemis_ir::batch_bounds(&compiled, BATCH, &profile);
-            assert_eq!(bound.groups, if tiny { 8 } else { 1 });
-            let model = profile.model;
-
-            let warm = measure(&suite, &app, Some(BATCH), BATCHES, false, tiny);
-            assert_eq!(warm.reads, 0, "warm batches must be write-only");
-            assert_eq!(warm.writes, bound.writes * n);
-            assert_eq!(warm.write_bytes, bound.write_bytes * n);
-            assert_eq!(warm.records, (bound.groups * n) as u64);
-            assert_eq!(
-                warm.energy,
-                batch_energy_cached(&bound, &model).saturating_mul(BATCHES),
-                "batch energy model drifted (tiny {tiny})"
-            );
-
-            let cold = measure(&suite, &app, Some(BATCH), BATCHES, true, tiny);
-            assert_eq!(cold.reads, bound.cold_extra_reads * n);
-            assert_eq!(cold.read_bytes, bound.cold_read_bytes * n);
-            assert!(bound.cold_extra_reads <= bound.reads);
-            assert_eq!(cold.writes, warm.writes);
-            assert!(cold.energy <= batch_energy(&bound, &model).saturating_mul(BATCHES));
         }
     }
 
@@ -3206,42 +2893,28 @@ mod tests {
         assert_eq!(reads_with(7), reads_with(0));
     }
 
-    /// A corrupt armed event count — past the engine's capacity —
-    /// faults with a typed error on the cold load after a reboot
-    /// instead of slicing out of bounds, on one-event and batch engines
-    /// alike.
+    /// A corrupt armed event count — past one — faults with a typed
+    /// error on the cold load after a reboot instead of slicing out of
+    /// bounds.
     #[test]
     fn corrupt_armed_events_fault_instead_of_panicking() {
-        let app = app();
         let spec = "accel { maxTries: 5 onFail: skipPath; }\n\
                     send { collect: 2 dpTask: accel onFail: restartPath; }";
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let (engine, app) = engine(&mut dev, spec);
         let accel = app.task_by_name("accel").unwrap();
-        for batch in [BatchMode::Disabled, BatchMode::Enabled { max_events: 4 }] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let suite = artemis_ir::compile(spec, &app).unwrap();
-            let opts = InstallOptions {
-                batch,
-                ..InstallOptions::default()
-            };
-            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-            let ev = MonitorEvent::start(accel, t(0));
-            match batch {
-                BatchMode::Disabled => drop(engine.call_monitor(&mut dev, 1, &ev).unwrap()),
-                BatchMode::Enabled { .. } => {
-                    drop(engine.deliver_batch(&mut dev, 1, &[ev]).unwrap())
-                }
-            }
-            let count = engine.capacity as u16 + 1;
-            let at = engine.header.addr + engine.header.event_count();
-            dev.nv_write_raw(at, &count.to_le_bytes()).unwrap();
-            dev.power_cycle();
-            assert_eq!(
-                engine.monitor_finalize(&mut dev),
-                Err(Interrupt::Fault(Fault::CorruptState)),
-                "{batch:?}"
-            );
-        }
+        drop(
+            engine
+                .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
+                .unwrap(),
+        );
+        let at = engine.header.addr + engine.header.event_count();
+        dev.nv_write_raw(at, &2u16.to_le_bytes()).unwrap();
+        dev.power_cycle();
+        assert_eq!(
+            engine.monitor_finalize(&mut dev),
+            Err(Interrupt::Fault(Fault::CorruptState))
+        );
     }
 
     /// A bit-flipped verdict log faults with a typed error instead of
@@ -3249,8 +2922,8 @@ mod tests {
     /// `last_verdicts`), a count at the end of the log while an
     /// emitting commit group is pending (resumed by
     /// `monitor_finalize`), and a cell naming no installed machine
-    /// (read back by a redelivery). So does a done bitmap that lost
-    /// group 0's bit.
+    /// (read back by a redelivery), or a cell whose event-position
+    /// half-word is set. So does a done bitmap that lost group 0's bit.
     #[test]
     fn corrupt_verdict_logs_fault_instead_of_panicking() {
         let app = app();
@@ -3335,6 +3008,19 @@ mod tests {
             corrupt.map(|()| Vec::new()),
             "cell past the suite"
         );
+
+        // One event per delivery: a cell whose high half-word (once an
+        // event position) is set is no state any commit writes.
+        let (mut dev, engine) = fresh();
+        let positioned: VerdictCell = (1 << 16, (1, 0));
+        positioned.store(&mut cell);
+        dev.nv_write_raw(at, &cell).unwrap();
+        dev.power_cycle();
+        assert_eq!(
+            engine.call_monitor(&mut dev, 1, &ev),
+            corrupt.map(|()| Vec::new()),
+            "cell with an event position"
+        );
     }
 
     /// A machine block (or interpreter state cell) whose state word is
@@ -3374,51 +3060,34 @@ mod tests {
 
     /// The armed delivery is one FRAM allocation whose fields tile it
     /// in the documented order with no gap — what lets group 0 stage
-    /// it as one run and a cold load read it in one op — for one-event
-    /// and batch engines alike.
+    /// it as one run and a cold load read it in one op.
     #[test]
     fn header_is_one_contiguous_region() {
-        let app = app();
         let spec = "accel { maxTries: 5 onFail: skipPath; }\n\
                     send { collect: 2 dpTask: accel onFail: restartPath; }";
-        for (batch, capacity) in [
-            (BatchMode::Disabled, 1),
-            (BatchMode::Enabled { max_events: 4 }, 4),
-        ] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let suite = artemis_ir::compile(spec, &app).unwrap();
-            let opts = InstallOptions {
-                batch,
-                ..InstallOptions::default()
-            };
-            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            let h = &engine.header;
-            assert_eq!(
-                (h.capacity, h.done_len, h.slots),
-                (capacity, 1, 2 * capacity)
-            );
-            let fields = [
-                (h.events(capacity), EncodedEvent::SIZE * capacity),
-                (h.seq(), u64::SIZE),
-                (h.event_count(), u16::SIZE),
-                (h.verdict_count(), u32::SIZE),
-                (h.done(), h.done_len),
-                (h.cell(0), VerdictCell::SIZE * h.slots),
-            ];
-            let end = fields.iter().fold(0, |at, &(start, len)| {
-                assert_eq!(start, at, "gap before offset {start}");
-                start + len
-            });
-            // The last armed event abuts `seq`.
-            assert_eq!(h.events(1) + EncodedEvent::SIZE, h.seq());
-            let region = dev
-                .fram()
-                .allocations()
-                .iter()
-                .find(|a| a.label == "monitor.header")
-                .unwrap();
-            assert_eq!((region.addr, region.size), (h.addr, end));
-        }
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let (engine, _) = engine(&mut dev, spec);
+        let h = &engine.header;
+        assert_eq!((h.done_len, h.slots), (1, 2));
+        let fields = [
+            (0, EncodedEvent::SIZE),
+            (h.seq(), u64::SIZE),
+            (h.event_count(), u16::SIZE),
+            (h.verdict_count(), u32::SIZE),
+            (h.done(), h.done_len),
+            (h.cell(0), VerdictCell::SIZE * h.slots),
+        ];
+        let end = fields.iter().fold(0, |at, &(start, len)| {
+            assert_eq!(start, at, "gap before offset {start}");
+            start + len
+        });
+        let region = dev
+            .fram()
+            .allocations()
+            .iter()
+            .find(|a| a.label == "monitor.header")
+            .unwrap();
+        assert_eq!((region.addr, region.size), (h.addr, end));
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! interpreter run — the formal criterion that an execution interrupted
 //! at any FRAM write is indistinguishable from a continuous one.
 //!
-//! The explorer covers the Fig. 5 suite and the every-byte-flips suite,
-//! per-event and batch-4 delivery; a batch-4 engine fed 3-event chunks,
-//! so every delivery arms a partial event array; a suite whose group 0
-//! logs several verdicts in one delivery, so the cells ride the header
-//! run; and the minimal sample spec. Each runs on two continuously
+//! The explorer covers the Fig. 5 suite and the every-byte-flips suite;
+//! a suite whose group 0 logs several verdicts in one delivery, so the
+//! cells ride the header run; and the minimal sample spec. Each runs on two continuously
 //! powered devices whose capacitor budgets size the commit groups: the
 //! default 1.6 mJ one, where every worklist is one group, and a 1 nJ
 //! one, where every machine is a group of its own.
@@ -23,7 +21,7 @@ use artemis_core::event::MonitorEvent;
 use artemis_core::time::SimInstant;
 use artemis_ir::expr::Value;
 use artemis_ir::{CompiledSuite, MonitorSuite};
-use artemis_monitor::{BatchMode, ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
+use artemis_monitor::{ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
@@ -122,10 +120,9 @@ fn flip() -> Workload {
 }
 
 /// Two machines that emit on every `start(t0)` while flipping their
-/// state and `x`: every delivery logs one verdict per machine and
-/// event, so on the one-group device group 0 logs two or more cells
-/// in one delivery, and on the tiny device a later group appends to
-/// the log group 0 left.
+/// state and `x`: every delivery logs one verdict per machine, so on
+/// the one-group device group 0 logs two cells in one delivery, and on
+/// the tiny device a later group appends to the log group 0 left.
 fn emitters() -> Workload {
     let mut b = AppGraphBuilder::new();
     let t0 = b.task("t0");
@@ -214,24 +211,6 @@ fn reference(w: &Workload) -> Outcome {
     (verdicts, engine.snapshot(&dev))
 }
 
-/// How a run delivers its events.
-#[derive(Clone, Copy)]
-enum Delivery {
-    /// One `call_monitor` per event on a one-event engine.
-    PerEvent,
-    /// `deliver_batch` calls of `chunk` events on an engine holding
-    /// `capacity` events per delivery.
-    Batch { capacity: usize, chunk: usize },
-}
-
-/// A batch engine fed full deliveries.
-const fn batch(capacity: usize) -> Delivery {
-    Delivery::Batch {
-        capacity,
-        chunk: capacity,
-    }
-}
-
 /// What one explored run observed besides its outcome.
 struct Run {
     outcome: Outcome,
@@ -244,31 +223,18 @@ struct Run {
     failures: u64,
 }
 
-/// Runs `w` on a fresh engine through the reboot loop, delivering as
-/// `delivery` says. Boot `b` arms a failure before write op
+/// Runs `w` on a fresh engine through the reboot loop, one
+/// `call_monitor` per event. Boot `b` arms a failure before write op
 /// `crashes[b]` of that boot, if given. A persistent cursor counts
-/// completed steps, so a failure redelivers the interrupted one.
-fn run(w: &Workload, delivery: Delivery, tiny: bool, crashes: &[u64]) -> Run {
+/// delivered events, so a failure redelivers the interrupted one.
+fn run(w: &Workload, tiny: bool, crashes: &[u64]) -> Run {
     let mut dev = device(tiny);
-    let (batch, chunk) = match delivery {
-        Delivery::PerEvent => (BatchMode::Disabled, 1),
-        Delivery::Batch { capacity, chunk } => (
-            BatchMode::Enabled {
-                max_events: capacity,
-            },
-            chunk,
-        ),
-    };
-    let opts = InstallOptions {
-        batch,
-        ..InstallOptions::default()
-    };
     let engine = MonitorEngine::install_precompiled_shared(
         &mut dev,
         w.suite.clone(),
         Arc::clone(&w.compiled),
         &w.app,
-        opts,
+        InstallOptions::default(),
     )
     .unwrap();
     engine.reset_monitor(&mut dev).unwrap();
@@ -291,18 +257,8 @@ fn run(w: &Workload, delivery: Delivery, tiny: bool, crashes: &[u64]) -> Run {
             if idx >= w.events.len() {
                 return Ok(());
             }
-            let n = chunk.min(w.events.len() - idx);
-            let seq = idx as u64 + 1;
-            match delivery {
-                Delivery::PerEvent => {
-                    results[idx] = engine.call_monitor(dev, seq, &w.events[idx])?
-                }
-                Delivery::Batch { .. } => {
-                    let verdicts = engine.deliver_batch(dev, seq, &w.events[idx..idx + n])?;
-                    results[idx..idx + n].clone_from_slice(&verdicts);
-                }
-            }
-            dev.nv_write(&cursor, (idx + n) as u32)?;
+            results[idx] = engine.call_monitor(dev, idx as u64 + 1, &w.events[idx])?;
+            dev.nv_write(&cursor, idx as u32 + 1)?;
             if boot == 2 && recovery_writes.is_none() {
                 recovery_writes = Some(dev.fram().write_ops() - boot_writes);
             }
@@ -320,22 +276,22 @@ fn run(w: &Workload, delivery: Delivery, tiny: bool, crashes: &[u64]) -> Run {
 /// Explores every single crash point of `w`'s run, and every second
 /// crash point of the recovery each one forces, on both devices.
 /// Returns the number of schedules explored.
-fn explore(w: &Workload, delivery: Delivery) -> usize {
+fn explore(w: &Workload) -> usize {
     let expected = reference(w);
     let mut explored = 0;
     for tiny in [false, true] {
-        let steady = run(w, delivery, tiny, &[]);
+        let steady = run(w, tiny, &[]);
         assert_eq!(steady.outcome, expected, "continuous run, tiny {tiny}");
         assert_eq!(steady.failures, 0);
         for k in 1..=steady.writes {
-            let once = run(w, delivery, tiny, &[k]);
+            let once = run(w, tiny, &[k]);
             assert_eq!(once.failures, 1, "crash before write {k} never fired");
             assert_eq!(
                 once.outcome, expected,
                 "crash before write {k}, tiny {tiny}"
             );
             for j in 1..=once.recovery_writes {
-                let twice = run(w, delivery, tiny, &[k, j]);
+                let twice = run(w, tiny, &[k, j]);
                 assert_eq!(twice.failures, 2, "second crash {j} after {k} never fired");
                 assert_eq!(
                     twice.outcome, expected,
@@ -351,52 +307,26 @@ fn explore(w: &Workload, delivery: Delivery) -> usize {
 
 #[test]
 fn figure5_per_event_crash_points_match_the_interpreter() {
-    assert!(explore(&figure5(), Delivery::PerEvent) > 1_000);
-}
-
-#[test]
-fn figure5_batch_crash_points_match_the_interpreter() {
-    assert!(explore(&figure5(), batch(4)) > 500);
-}
-
-/// Every delivery of a batch-4 engine fed 3-event chunks (3, 3, 3, 1)
-/// arms a partial event array: group 0's header run starts inside it.
-#[test]
-fn figure5_partial_batch_crash_points_match_the_interpreter() {
-    let partial = Delivery::Batch {
-        capacity: 4,
-        chunk: 3,
-    };
-    assert!(explore(&figure5(), partial) > 500);
+    assert!(explore(&figure5()) > 1_000);
 }
 
 #[test]
 fn flip_per_event_crash_points_match_the_interpreter() {
-    assert!(explore(&flip(), Delivery::PerEvent) > 500);
+    assert!(explore(&flip()) > 500);
 }
 
-#[test]
-fn flip_batch_crash_points_match_the_interpreter() {
-    assert!(explore(&flip(), batch(4)) > 200);
-}
-
-/// Group 0 logs two verdicts per event, eight per full batch, in its
-/// header run (one group); on the tiny device group 1 appends its
-/// cells after group 0's.
+/// Group 0 logs two verdicts per event in its header run (one group);
+/// on the tiny device group 1 appends its cell after group 0's.
 #[test]
 fn multi_verdict_crash_points_match_the_interpreter() {
-    let w = emitters();
-    let per_event = explore(&w, Delivery::PerEvent);
-    let batched = explore(&w, batch(4));
-    assert!(per_event > 200 && batched > 100, "{per_event} + {batched}");
+    let per_event = explore(&emitters());
+    assert!(per_event > 200, "{per_event}");
 }
 
 #[test]
 fn minimal_spec_crash_points_match_the_interpreter() {
-    let w = minimal();
-    let per_event = explore(&w, Delivery::PerEvent);
-    let batched = explore(&w, batch(4));
-    assert!(per_event > 200 && batched > 100, "{per_event} + {batched}");
+    let per_event = explore(&minimal());
+    assert!(per_event > 200, "{per_event}");
 }
 
 /// The two devices really are the two commit-group regimes: on the

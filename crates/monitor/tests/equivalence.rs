@@ -16,7 +16,7 @@ use artemis_core::time::{SimDuration, SimInstant};
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::{MonitorSuite, OptLevel};
-use artemis_monitor::{BatchMode, ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
+use artemis_monitor::{ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
@@ -314,40 +314,6 @@ fn rich_ev_strategy() -> impl Strategy<Value = Vec<(Ev, Option<u32>)>> {
     )
 }
 
-/// Events shaped like the runtime's task-boundary bursts: whole runs
-/// of correlated `EndTask` → next `StartTask` pairs (tiny in-burst
-/// gaps), separated by larger inter-burst gaps — the traffic the
-/// group-commit batch path is built for.
-fn burst_ev_strategy() -> impl Strategy<Value = Vec<(Ev, Option<u32>)>> {
-    let pair = (
-        any::<bool>(),                   // ending task
-        any::<bool>(),                   // starting task
-        0u64..20_000,                    // gap before the burst
-        proptest::option::of(25u32..45), // dpData sample on a's end
-    )
-        .prop_map(|(end_a, start_a, gap_ms, dep)| {
-            vec![
-                (
-                    Ev {
-                        start: false,
-                        task_a: end_a,
-                        gap_ms,
-                    },
-                    dep,
-                ),
-                (
-                    Ev {
-                        start: true,
-                        task_a: start_a,
-                        gap_ms: 0,
-                    },
-                    None,
-                ),
-            ]
-        });
-    proptest::collection::runs(pair, 1..14)
-}
-
 fn rich_event(e: &Ev, dep: Option<u32>, t: u64) -> MonitorEvent {
     let task = if e.task_a { TaskId(0) } else { TaskId(1) };
     let at = SimInstant::from_micros(t);
@@ -407,142 +373,6 @@ fn engine_run_suite(
             }
             results[idx] = verdicts;
             dev.nv_write(&done, (idx + 1) as u32)?;
-        }
-    });
-    assert!(outcome.is_completed(), "stream never finished");
-    let snapshot = engine.snapshot(dev);
-    (results, snapshot)
-}
-
-/// Like [`engine_run_opts`], but delivers the stream through the
-/// group-commit batch path in chunks of `chunk` events. The persistent
-/// cursor advances a whole chunk at a time, so a power failure inside
-/// a batch redelivers the same chunk — exercising arming replay,
-/// mid-batch resume via the done bitmap, and verdict readback.
-fn engine_run_batch(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    chunk: usize,
-    cfg: impl Into<Config>,
-) -> RunOutcome {
-    let cfg = cfg.into();
-    let suite = artemis_ir::compile(spec, app).unwrap();
-    let engine = MonitorEngine::install_with(
-        dev,
-        suite,
-        app,
-        InstallOptions {
-            batch: BatchMode::Enabled { max_events: chunk },
-            ..cfg.opts
-        },
-    )
-    .unwrap();
-    let done = dev
-        .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
-        .unwrap();
-    let sim = Simulator::new(RunLimit::reboots(100_000));
-
-    let mut results: Vec<Vec<MonitorVerdict>> = Vec::new();
-    let outcome = sim.run(dev, &mut |dev: &mut Device| {
-        engine.monitor_finalize(dev)?;
-        loop {
-            let idx = dev.nv_read(&done)? as usize;
-            if idx >= events.len() {
-                return Ok(());
-            }
-            let n = chunk.min(events.len() - idx);
-            let mut batch = Vec::with_capacity(n);
-            for (j, (e, dep)) in events[idx..idx + n].iter().enumerate() {
-                let t: u64 = events[..=idx + j]
-                    .iter()
-                    .map(|(e, _)| e.gap_ms * 1_000)
-                    .sum();
-                batch.push(rich_event(e, *dep, t));
-            }
-            cfg.before_delivery(dev);
-            let verdicts = engine.deliver_batch(dev, idx as u64 + 1, &batch)?;
-            if results.len() < idx + n {
-                results.resize(idx + n, Vec::new());
-            }
-            results[idx..idx + n].clone_from_slice(&verdicts);
-            dev.nv_write(&done, (idx + n) as u32)?;
-        }
-    });
-    assert!(outcome.is_completed(), "stream never finished");
-    let snapshot = engine.snapshot(dev);
-    (results, snapshot)
-}
-
-/// Like [`engine_run_batch`], but on one capacity-4 engine whose
-/// deliveries alternate along `plan`: each step `(via_call, chunk)`
-/// takes the next event alone through `call_monitor`, or the next
-/// `chunk` (1–4) events through `deliver_batch`. The plan repeats until
-/// the stream is covered. The persistent cursor counts steps, so a
-/// power failure redelivers the interrupted step the same way.
-fn engine_run_mixed(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    plan: &[(bool, usize)],
-    cfg: Config,
-) -> RunOutcome {
-    let suite = artemis_ir::compile(spec, app).unwrap();
-    let engine = MonitorEngine::install_with(
-        dev,
-        suite,
-        app,
-        InstallOptions {
-            batch: BatchMode::Enabled { max_events: 4 },
-            ..cfg.opts
-        },
-    )
-    .unwrap();
-    // (first event, event count, via call_monitor) per step.
-    let mut steps = Vec::new();
-    let mut idx = 0;
-    for &(via_call, chunk) in plan.iter().cycle() {
-        if idx >= events.len() {
-            break;
-        }
-        let n = if via_call {
-            1
-        } else {
-            chunk.min(events.len() - idx)
-        };
-        steps.push((idx, n, via_call));
-        idx += n;
-    }
-    let cursor = dev
-        .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "step")
-        .unwrap();
-    let sim = Simulator::new(RunLimit::reboots(100_000));
-
-    let mut results: Vec<Vec<MonitorVerdict>> = vec![Vec::new(); events.len()];
-    let outcome = sim.run(dev, &mut |dev: &mut Device| {
-        engine.monitor_finalize(dev)?;
-        loop {
-            let k = dev.nv_read(&cursor)? as usize;
-            let Some(&(idx, n, via_call)) = steps.get(k) else {
-                return Ok(());
-            };
-            let batch: Vec<MonitorEvent> = (idx..idx + n)
-                .map(|j| {
-                    let t: u64 = events[..=j].iter().map(|(e, _)| e.gap_ms * 1_000).sum();
-                    rich_event(&events[j].0, events[j].1, t)
-                })
-                .collect();
-            cfg.before_delivery(dev);
-            let seq = idx as u64 + 1;
-            if via_call {
-                results[idx] = engine.call_monitor(dev, seq, &batch[0])?;
-            } else {
-                let verdicts = engine.deliver_batch(dev, seq, &batch)?;
-                results[idx..idx + n].clone_from_slice(&verdicts);
-            }
-            dev.nv_write(&cursor, (k + 1) as u32)?;
         }
     });
     assert!(outcome.is_completed(), "stream never finished");
@@ -635,66 +465,6 @@ proptest! {
                 engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), cfg);
             prop_assert_eq!(&vc, &vi, "verdicts, budget {} nJ, {:?}, spec: {}", budget_nj, cfg, spec);
             prop_assert_eq!(&sc, &si, "state, budget {} nJ, {:?}, spec: {}", budget_nj, cfg, spec);
-        }
-    }
-
-    /// Group-commit batch delivery vs the interpreter, on burst-shaped
-    /// streams: every verdict and the final FRAM-visible machine state
-    /// must agree, for every batch size and configuration.
-    #[test]
-    fn batched_equals_interpreter_on_burst_streams(
-        spec in spec_strategy(),
-        events in burst_ev_strategy(),
-        chunk in 1usize..5,
-    ) {
-        let app = rich_app();
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for cfg in matrix() {
-            let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut steady_device(), chunk, cfg);
-            prop_assert_eq!(&vb, &vi, "batch(chunk {}) verdicts, {:?}, spec: {}", chunk, cfg, spec);
-            prop_assert_eq!(&sb, &si, "batch(chunk {}) state, {:?}, spec: {}", chunk, cfg, spec);
-        }
-    }
-
-    /// Batch delivery on an intermittent device vs the interpreter on
-    /// continuous power: reboots land inside the batch window — after
-    /// arming, between per-machine commits, during readback — and must
-    /// never change a verdict or a variable.
-    #[test]
-    fn batched_equals_interpreter_under_random_power_failures(
-        spec in spec_strategy(),
-        events in burst_ev_strategy(),
-        chunk in 2usize..5,
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for cfg in matrix() {
-            let (vb, sb) =
-                engine_run_batch(&app, &spec, &events, &mut flaky_device(budget_nj), chunk, cfg);
-            prop_assert_eq!(&vb, &vi, "verdicts, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, cfg, spec);
-            prop_assert_eq!(&sb, &si, "state, chunk {}, budget {} nJ, {:?}, spec: {}", chunk, budget_nj, cfg, spec);
-        }
-    }
-
-    /// Per-event and batch deliveries interleaved on one capacity-4
-    /// engine under random power failures vs the interpreter on
-    /// continuous power: both entry points share the one armed
-    /// delivery, so neither may clobber the other's pending work.
-    #[test]
-    fn mixed_delivery_equals_interpreter_under_random_power_failures(
-        spec in spec_strategy(),
-        events in burst_ev_strategy(),
-        plan in proptest::collection::vec((any::<bool>(), 1usize..5), 1..8),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
-        for cfg in matrix() {
-            let (vm, sm) =
-                engine_run_mixed(&app, &spec, &events, &mut flaky_device(budget_nj), &plan, cfg);
-            prop_assert_eq!(&vm, &vi, "verdicts, plan {:?}, budget {} nJ, {:?}, spec: {}", plan, budget_nj, cfg, spec);
-            prop_assert_eq!(&sm, &si, "state, plan {:?}, budget {} nJ, {:?}, spec: {}", plan, budget_nj, cfg, spec);
         }
     }
 }
@@ -1083,65 +853,12 @@ fn diff_commit_crash_windows_never_tear() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch crash windows (deterministic).
-//
-// The batch path adds crash windows of its own: inside group 0's record
-// of the batch arming, between two commit groups of coalesced machine
-// effects (some done bits set), and during verdict readback. The
-// same fine-grained budget sweep as the arming tests lands brown-outs
-// in each of them; the chunked cursor in `engine_run_batch` then
-// redelivers the interrupted batch, exercising the bitmap resume.
-// ---------------------------------------------------------------------------
-
-/// Budget sweep over the whole batch protocol on the multi-machine
-/// crash stream (delivered twice): verdicts and FRAM state must match
-/// the interpreter reference at every budget. The floor sits just above the
-/// batch engine's install cost (its four-event array and verdict cells
-/// make installation a little dearer than the per-event engine's
-/// 700 nJ).
-#[test]
-fn batch_crash_windows_preserve_verdicts_and_state() {
-    let app = rich_app();
-    // The crash stream twice over: one commit group per batch on most
-    // budgets makes a batch cheap enough that a single pass reboots
-    // fewer than the floor's 100 times.
-    let events = [crash_events(), crash_events()].concat();
-    let (vf, sf) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut steady_device(),
-        interpreter(),
-    );
-
-    let mut total_reboots = 0u64;
-    for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_b = flaky_device(budget_nj);
-        let (vb, sb) = engine_run_batch(
-            &app,
-            CRASH_SPEC,
-            &events,
-            &mut dev_b,
-            4,
-            InstallOptions::default(),
-        );
-        assert_eq!(vb, vf, "verdict divergence at budget {budget_nj} nJ");
-        assert_eq!(sb, sf, "state divergence at budget {budget_nj} nJ");
-        total_reboots += dev_b.reboots();
-    }
-    assert!(
-        total_reboots > 100,
-        "sweep too gentle to hit the batch crash windows ({total_reboots} reboots)"
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Shadow-cache crash windows, always cold (deterministic).
 //
 // The cache is strictly write-through, so its only failure modes are
 // stale RAM surviving a reboot, a wipe landing between two of the FRAM
 // writes that make up a delivery (group records, plain done writes,
-// batch finalize), and a cold fill reading a half-updated
+// finalize), and a cold fill reading a half-updated
 // region. The warm sweeps above cover the first two; these clear SRAM
 // before every delivery, so every delivery cold-fills its shadows and
 // the brown-outs land inside those fills too. The runs must match a
@@ -1176,103 +893,6 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
         total_reboots > 100,
         "sweep too gentle to hit the cached crash windows ({total_reboots} reboots)"
     );
-}
-
-/// Batch always-cold delivery under the batch crash sweep: brown-outs
-/// land inside group 0's record of the batch arming, between commit
-/// groups, and during the finalize/readback window, each after a cold
-/// fill.
-#[test]
-fn cached_batch_crash_windows_preserve_verdicts_and_state() {
-    let app = rich_app();
-    // The crash stream twice over, as in the warm batch sweep: with the
-    // header armed in one run and loaded in one read, a single pass
-    // reboots fewer than the floor's 100 times.
-    let events = [crash_events(), crash_events()].concat();
-    let (vf, sf) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut steady_device(),
-        interpreter(),
-    );
-
-    let mut total_reboots = 0u64;
-    for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_c = flaky_device(budget_nj);
-        let (vc, sc) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_c, 4, always_cold());
-        assert_eq!(vc, vf, "verdict divergence at budget {budget_nj} nJ");
-        assert_eq!(sc, sf, "state divergence at budget {budget_nj} nJ");
-        total_reboots += dev_c.reboots();
-    }
-    assert!(
-        total_reboots > 100,
-        "sweep too gentle to hit the cached batch crash windows ({total_reboots} reboots)"
-    );
-}
-
-/// A fully committed batch redelivered after multiple reboots must be
-/// a pure no-op: same verdicts back, not one byte of FRAM-visible
-/// machine state changed, no machine re-stepped.
-#[test]
-fn redelivered_completed_batch_is_a_noop() {
-    let app = rich_app();
-    let events = crash_events();
-    let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
-    let mut dev = DeviceBuilder::msp430fr5994().build();
-    let engine = MonitorEngine::install_with(
-        &mut dev,
-        suite,
-        &app,
-        InstallOptions {
-            batch: BatchMode::Enabled { max_events: 4 },
-            ..InstallOptions::default()
-        },
-    )
-    .unwrap();
-    engine.reset_monitor(&mut dev).unwrap();
-
-    // Deliver the stream in batches of 4, keeping the last batch.
-    let timed: Vec<MonitorEvent> = {
-        let mut t = 0u64;
-        events
-            .iter()
-            .map(|(e, dep)| {
-                t += e.gap_ms * 1_000;
-                rich_event(e, *dep, t)
-            })
-            .collect()
-    };
-    let mut seq = 1u64;
-    let mut verdicts = Vec::new();
-    let mut idx = 0usize;
-    while idx < timed.len() {
-        let n = 4.min(timed.len() - idx);
-        seq = idx as u64 + 1;
-        verdicts = engine
-            .deliver_batch(&mut dev, seq, &timed[idx..idx + n])
-            .unwrap();
-        idx += n;
-    }
-    let batch = &timed[(seq - 1) as usize..];
-    let snap = engine.snapshot(&dev);
-
-    // Replay the committed batch across several reboots: the sequence
-    // check must short-circuit everything but the verdict readback.
-    for round in 0..3 {
-        dev.power_cycle();
-        assert!(
-            !engine.monitor_finalize(&mut dev).unwrap(),
-            "nothing may be pending on round {round}"
-        );
-        let again = engine.deliver_batch(&mut dev, seq, batch).unwrap();
-        assert_eq!(again, verdicts, "verdicts changed on round {round}");
-        assert_eq!(
-            engine.snapshot(&dev),
-            snap,
-            "state changed on round {round}"
-        );
-    }
 }
 
 /// Redelivering a seq whose armed worklist already ran to completion

@@ -26,25 +26,10 @@
 //!   power failure between commit and monitor delivery can neither
 //!   alter the finish time nor double-count the completion.
 //!
-//! # Task-boundary bursts
-//!
-//! When the monitoring deployment has a group-commit path
-//! ([`Monitoring::batch_capacity`] ≥ 2), the loop folds each task
-//! boundary's `EndTask` + next `StartTask` pair into one
-//! [`Monitoring::deliver_batch`] call — one arming transaction and one
-//! commit per machine for the pair. The fold is gated on
-//! [`Monitoring::end_event_is_silent`]: the end event must provably
-//! produce no verdicts, because its corrective action (there is none)
-//! can no longer run before the start event is delivered. A persistent
-//! `start_delivered` marker, committed atomically with the advance,
-//! records that the next task's start already went out; the following
-//! loop iteration redelivers the same batch (idempotent by its first
-//! sequence number) to pick up the start verdicts, and the marker
-//! clears when the task actually runs. Two documented deviations from
-//! unbatched delivery: the start timestamp and energy level are
-//! sampled at batch arming (just before the advance rather than just
-//! after), and a crash inside the short advance→run window redelivers
-//! the recorded start instead of stamping a fresh attempt.
+//! Every monitor event goes out as its own delivery
+//! ([`Monitoring::call_monitor`]) when the loop reaches it, so a
+//! `StartTask` is always judged after any outage that precedes the
+//! attempt it opens.
 
 pub mod channel;
 
@@ -314,9 +299,6 @@ impl ArtemisRuntimeBuilder {
             path_results: dev
                 .nv_alloc([PATH_PENDING; MAX_PATHS], owner, "rt.path_results")
                 .map_err(dev_err)?,
-            start_delivered: dev
-                .nv_alloc(0u8, owner, "rt.start_delivered")
-                .map_err(dev_err)?,
         };
 
         let mut channels = HashMap::new();
@@ -368,9 +350,6 @@ struct Cells {
     emergency: NvCell<u8>,
     /// Per-path outcome codes.
     path_results: NvCell<[u8; MAX_PATHS]>,
-    /// 1 while the current task's `StartTask` event already went out
-    /// as part of a task-boundary burst (see the module docs).
-    start_delivered: NvCell<u8>,
 }
 
 /// The installed runtime; drive it with
@@ -431,7 +410,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             tx.write(&self.cells.unmonitored, 0u8);
             tx.write(&self.cells.emergency, 0u8);
             tx.write(&self.cells.path_results, [PATH_PENDING; MAX_PATHS]);
-            tx.write(&self.cells.start_delivered, 0u8);
             dev.commit(&self.journal, &tx)
         })
     }
@@ -454,23 +432,8 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         Action::arbitrate(&actions)
     }
 
-    /// `true` when the deployment can group-commit a task boundary's
-    /// end + start pair (see the module docs).
-    fn bursts(&self) -> bool {
-        self.engine.batch_capacity() >= 2
-    }
-
-    /// Executes the current task body (at `cur_idx` on its path) and
-    /// commits its effects.
-    fn run_task(&mut self, dev: &mut Device, task: TaskId, cur_idx: u32) -> Result<(), Interrupt> {
-        // Only a task past its path's head can carry the burst marker: a
-        // burst sets it for the next task of the same path.
-        if self.bursts() && cur_idx > 0 {
-            // The burst marker has served its purpose once the task
-            // actually starts running; a crash before this write only
-            // causes one more idempotent batch redelivery.
-            dev.nv_write(&self.cells.start_delivered, 0u8)?;
-        }
+    /// Executes the current task body and commits its effects.
+    fn run_task(&mut self, dev: &mut Device, task: TaskId) -> Result<(), Interrupt> {
         let attempt = dev.nv_read(&self.cells.attempt)? + 1;
         dev.nv_write(&self.cells.attempt, attempt)?;
         dev.trace_push(TraceEvent::TaskStart { task, attempt });
@@ -526,7 +489,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         let mut tx = TxWriter::new();
         tx.write(&self.cells.status, STATUS_READY);
         tx.write(&self.cells.attempt, 0u32);
-        tx.write(&self.cells.start_delivered, 0u8);
 
         if cur_idx + 1 < path_len {
             tx.write(&self.cells.cur_idx, cur_idx + 1);
@@ -577,7 +539,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 tx.write(&self.cells.cur_idx, 0u32);
                 tx.write(&self.cells.status, STATUS_READY);
                 tx.write(&self.cells.attempt, 0u32);
-                tx.write(&self.cells.start_delivered, 0u8);
                 dev.commit(&self.journal, &tx)?;
                 dev.trace_push(TraceEvent::PathStart { path: p });
             }
@@ -593,7 +554,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 tx.write(&self.cells.cur_idx, 0u32);
                 tx.write(&self.cells.status, STATUS_READY);
                 tx.write(&self.cells.attempt, 0u32);
-                tx.write(&self.cells.start_delivered, 0u8);
                 dev.commit(&self.journal, &tx)?;
             }
             Action::CompletePath(_) => {
@@ -658,47 +618,15 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
             if status == STATUS_READY {
                 let action = if monitored {
-                    let redelivered = self.bursts()
-                        && cur_idx > 0
-                        && dev.nv_read(&self.cells.start_delivered)? != 0;
-                    let verdicts = if redelivered {
-                        // This task's StartTask already went out as the
-                        // second half of a task-boundary burst.
-                        // Redeliver the same batch — a no-op by its
-                        // first sequence number — to pick up the start
-                        // verdicts; the reconstructed event contents
-                        // are ignored on the dedup hit.
-                        let end_seq = dev.nv_read(&self.cells.end_seq)?;
-                        let end_time = dev.nv_read(&self.cells.end_time)?;
-                        let (has_dep, dep_bits) = dev.nv_read(&self.cells.end_dep)?;
-                        let prev = self.app.path(PathId(cur_path)).tasks[cur_idx as usize - 1];
-                        let end_event = if has_dep != 0 {
-                            MonitorEvent::end_with_data(prev, end_time, f64::from_bits(dep_bits))
-                        } else {
-                            MonitorEvent::end(prev, end_time)
-                        }
-                        .on_path(PathId(cur_path));
-                        let start_event =
-                            MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
-                        let mut vs =
-                            self.engine
-                                .deliver_batch(dev, end_seq, &[end_event, start_event])?;
-                        if vs.len() > 1 {
-                            vs.swap_remove(1)
-                        } else {
-                            Vec::new()
-                        }
-                    } else {
-                        let seq = self.fresh_seq(dev)?;
-                        let event = MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
-                        self.engine.call_monitor(dev, seq, &event)?
-                    };
+                    let seq = self.fresh_seq(dev)?;
+                    let event = MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
+                    let verdicts = self.engine.call_monitor(dev, seq, &event)?;
                     self.arbitrate(dev, &verdicts)
                 } else {
                     None
                 };
                 match action {
-                    None | Some(Action::RestartTask) => self.run_task(dev, task, cur_idx)?,
+                    None | Some(Action::RestartTask) => self.run_task(dev, task)?,
                     Some(Action::SkipTask) => {
                         dev.trace_push(TraceEvent::ActionTaken {
                             action: Action::SkipTask,
@@ -712,54 +640,13 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         // Suspend monitoring and run the task.
                         dev.trace_push(TraceEvent::ActionTaken { action: a });
                         self.apply_path_action(dev, a)?;
-                        self.run_task(dev, task, cur_idx)?;
+                        self.run_task(dev, task)?;
                     }
                     Some(a) => self.apply_path_action(dev, a)?,
                 }
             } else {
                 // STATUS_FINISHED: deliver the EndTask event under its
                 // reserved sequence number (exactly-once).
-                let path_len = self.app.path(PathId(cur_path)).tasks.len() as u32;
-                let can_burst = monitored
-                    && self.bursts()
-                    && cur_idx + 1 < path_len
-                    && self.engine.end_event_is_silent(task);
-                if can_burst {
-                    // Fold this EndTask with the next task's StartTask
-                    // into one group commit: one arming transaction and
-                    // one FRAM commit per machine for the pair. Gated
-                    // on the end event being provably verdict-free, so
-                    // skipping its (empty) arbitration is sound.
-                    let end_seq = dev.nv_read(&self.cells.end_seq)?;
-                    let end_time = dev.nv_read(&self.cells.end_time)?;
-                    let (has_dep, dep_bits) = dev.nv_read(&self.cells.end_dep)?;
-                    let end_event = if has_dep != 0 {
-                        MonitorEvent::end_with_data(task, end_time, f64::from_bits(dep_bits))
-                    } else {
-                        MonitorEvent::end(task, end_time)
-                    }
-                    .on_path(PathId(cur_path));
-                    let next = self.app.path(PathId(cur_path)).tasks[cur_idx as usize + 1];
-                    let start_seq = end_seq + 1;
-                    let start_event =
-                        MonitorEvent::start(next, dev.now()).on_path(PathId(cur_path));
-                    let verdicts =
-                        self.engine
-                            .deliver_batch(dev, end_seq, &[end_event, start_event])?;
-                    debug_assert!(verdicts.first().map(Vec::is_empty).unwrap_or(true));
-                    // Advance atomically with the start-delivered
-                    // marker and the consumed sequence number; the
-                    // next iteration picks up the start verdicts.
-                    dev.compute(ADVANCE_CYCLES)?;
-                    let mut tx = TxWriter::new();
-                    tx.write(&self.cells.status, STATUS_READY);
-                    tx.write(&self.cells.attempt, 0u32);
-                    tx.write(&self.cells.cur_idx, cur_idx + 1);
-                    tx.write(&self.cells.seq, start_seq);
-                    tx.write(&self.cells.start_delivered, 1u8);
-                    dev.commit(&self.journal, &tx)?;
-                    continue;
-                }
                 let action = if monitored {
                     let end_seq = dev.nv_read(&self.cells.end_seq)?;
                     let end_time = dev.nv_read(&self.cells.end_time)?;

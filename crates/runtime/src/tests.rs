@@ -63,45 +63,6 @@ fn committed_sends(rt: &ArtemisRuntime, dev: &mut Device) -> usize {
     ch.len(dev, &tx).unwrap()
 }
 
-/// Like [`install`], but with `burst` deploys the engine with a
-/// group-commit capacity of 4, which folds task-boundary bursts; else
-/// with the default one-event capacity.
-fn install_burst(dev: &mut Device, app: &AppGraph, spec: &str, burst: bool) -> ArtemisRuntime {
-    use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
-    let suite = artemis_ir::compile(spec, app).unwrap();
-    let batch = if burst {
-        BatchMode::Enabled { max_events: 4 }
-    } else {
-        BatchMode::Disabled
-    };
-    let engine = MonitorEngine::install_with(
-        dev,
-        suite,
-        app,
-        InstallOptions {
-            batch,
-            ..InstallOptions::default()
-        },
-    )
-    .unwrap();
-    let mut rb = ArtemisRuntimeBuilder::new(app.clone());
-    rb.channel("samples");
-    rb.channel("sent");
-    rb.body("sense", |ctx| {
-        let v = ctx.sample(Peripheral::TemperatureAdc)?;
-        ctx.push("samples", v)
-    });
-    rb.body("send", |ctx| {
-        for _ in 0..5 {
-            ctx.compute(2_000)?;
-        }
-        let n = ctx.channel_len("samples")? as f64;
-        ctx.consume("samples")?;
-        ctx.push("sent", n)
-    });
-    rb.install_with(dev, engine).unwrap()
-}
-
 #[test]
 fn completes_on_continuous_power() {
     let mut dev = continuous_device();
@@ -581,140 +542,63 @@ fn start_triggered_complete_path_runs_task_unmonitored() {
     );
 }
 
+/// `send`'s `StartTask` is judged after any outage that precedes the
+/// attempt it opens: an MITD bound on `sense` shorter than the recharge
+/// delay must fire whenever a power failure lands between `sense`'s task
+/// commit and `send`'s attempt write. A crash is injected before every
+/// FRAM write of the continuous run in turn; the trace orders `sense`'s
+/// `TaskEnd`, the failure and `send`'s first `TaskStart`.
 #[test]
-fn burst_delivery_matches_unbursted_and_saves_fram_writes() {
-    // Same app, same spec; the only difference is the engine's
-    // group-commit capacity, which turns on the runtime-side burst
-    // fold. Observable behaviour must be identical and the burst run
-    // must touch FRAM less.
+fn start_events_are_judged_after_the_outage_they_follow() {
     let app = sense_send_app();
-    let spec = "sense { maxTries: 10 onFail: skipPath; }";
-
-    let mut plain_dev = continuous_device();
-    let mut plain = install_burst(&mut plain_dev, &app, spec, false);
-    let plain_out = plain
-        .run_once(&mut plain_dev, RunLimit::unbounded())
-        .completed()
-        .unwrap();
-
-    let mut burst_dev = continuous_device();
-    let mut burst = install_burst(&mut burst_dev, &app, spec, true);
-    // The gate's premises hold for this suite: batching is on and the
-    // maxTries machine emits nothing on EndTask.
-    assert!(burst.engine().batch_capacity() >= 2);
-    assert!(burst
-        .engine()
-        .end_event_is_silent(app.task_by_name("sense").unwrap()));
-    let burst_out = burst
-        .run_once(&mut burst_dev, RunLimit::unbounded())
-        .completed()
-        .unwrap();
-
-    assert_eq!(plain_out, burst_out);
-    for task in ["sense", "send"] {
-        let id = app.task_by_name(task).unwrap();
-        assert_eq!(
-            plain_dev.trace().completions_of(id),
-            burst_dev.trace().completions_of(id),
-            "{task}"
-        );
-    }
+    let spec = "send { MITD: 100ms dpTask: sense onFail: restartPath; }";
+    let sense = app.task_by_name("sense").unwrap();
+    let send = app.task_by_name("send").unwrap();
+    let run = |crash: u64| {
+        let mut dev = intermittent_device(100_000, SimDuration::from_secs(1));
+        let mut rt = install(&mut dev, &app, spec);
+        let writes0 = dev.fram().write_ops();
+        dev.fail_before_write(crash);
+        let out = rt
+            .run_once(&mut dev, RunLimit::reboots(16))
+            .completed()
+            .unwrap_or_else(|| panic!("crash before write {crash}: run never finished"));
+        assert!(out.all_completed(), "crash before write {crash}");
+        (dev.fram().write_ops() - writes0, dev)
+    };
+    let violated = |dev: &Device| {
+        dev.trace()
+            .count(|e| matches!(e, TraceEvent::Violation { task, .. } if *task == send))
+    };
+    let (writes, steady) = run(0);
+    assert_eq!(steady.reboots(), 0);
     assert_eq!(
-        committed_sends(&plain, &mut plain_dev),
-        committed_sends(&burst, &mut burst_dev)
+        violated(&steady),
+        0,
+        "premise: no violation on continuous power"
     );
-    // The whole point: one arming transaction and one commit per
-    // machine for the end+start pair beats two per-event deliveries.
-    assert!(
-        burst_dev.fram().write_ops() < plain_dev.fram().write_ops(),
-        "burst {} vs plain {} FRAM writes",
-        burst_dev.fram().write_ops(),
-        plain_dev.fram().write_ops()
-    );
-}
 
-#[test]
-fn burst_verdicts_survive_the_marker_redelivery() {
-    // A start-triggered property on the *second* task of the path: its
-    // verdict is produced inside the batch and must surface through the
-    // next iteration's idempotent redelivery.
-    let app = sense_send_app();
-    let spec = "send { period: 10min onFail: restartTask; }";
-
-    let mut counts = Vec::new();
-    for burst in [false, true] {
-        let mut dev = continuous_device();
-        let mut rt = install_burst(&mut dev, &app, spec, burst);
-        // First run arms the periodicity baseline; the stalled second
-        // run violates it on send's StartTask.
-        rt.run_once(&mut dev, RunLimit::unbounded())
-            .completed()
-            .unwrap();
-        rt.rearm(&mut dev).unwrap();
-        dev.idle(SimDuration::from_mins(15)).unwrap();
-        let out = rt
-            .run_once(&mut dev, RunLimit::unbounded())
-            .completed()
-            .unwrap();
-        assert!(out.all_completed(), "burst={burst}");
-        counts.push((
-            dev.trace()
-                .count(|e| matches!(e, TraceEvent::Violation { .. })),
-            dev.trace().count(|e| {
-                matches!(
-                    e,
-                    TraceEvent::ActionTaken {
-                        action: Action::RestartTask
-                    }
-                )
-            }),
-        ));
-    }
-    assert_eq!(counts[0], counts[1], "burst run diverged: {counts:?}");
-    assert!(counts[0].0 >= 1, "the stalled run must violate the period");
-}
-
-#[test]
-fn burst_is_crash_consistent_across_budget_sweep() {
-    // Deterministic crash-window sweep over the whole burst protocol:
-    // arming, per-machine batch commits, the advance+marker commit and
-    // the redelivery all get interrupted at some budget. The committed
-    // application output must match the continuous-power run at every
-    // budget.
-    let app = sense_send_app();
-    // A machine interested in both sense events, with a bound generous
-    // enough that no budget in the sweep ever triggers it.
-    let spec = "sense { maxTries: 100000 onFail: skipPath; }";
-
-    let mut cont = continuous_device();
-    let mut rt = install_burst(&mut cont, &app, spec, true);
-    rt.run_once(&mut cont, RunLimit::unbounded())
-        .completed()
-        .unwrap();
-    let expected = committed_sends(&rt, &mut cont);
-
-    let mut total_reboots = 0usize;
-    for budget_nj in (6_500u64..17_000).step_by(50) {
-        let mut dev = DeviceBuilder::msp430fr5994()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
-            .build();
-        let mut rt = install_burst(&mut dev, &app, spec, true);
-        let out = rt
-            .run_once(&mut dev, RunLimit::reboots(1_000_000))
-            .completed()
-            .unwrap_or_else(|| panic!("budget {budget_nj} nJ did not complete"));
-        assert!(out.all_completed(), "budget {budget_nj}");
-        assert_eq!(
-            committed_sends(&rt, &mut dev),
-            expected,
-            "budget {budget_nj} nJ diverged from continuous burst run"
-        );
-        total_reboots += dev.reboots() as usize;
+    let mut window = 0;
+    for k in 1..=writes {
+        let (_, dev) = run(k);
+        let events: Vec<&TraceEvent> = dev.trace().records().map(|r| &r.event).collect();
+        let first = |p: &dyn Fn(&TraceEvent) -> bool| events.iter().position(|e| p(e));
+        let end = first(&|e| matches!(e, TraceEvent::TaskEnd { task } if *task == sense));
+        let failure = first(&|e| matches!(e, TraceEvent::PowerFailure));
+        let start = first(&|e| matches!(e, TraceEvent::TaskStart { task, .. } if *task == send));
+        if let (Some(end), Some(failure), Some(start)) = (end, failure, start) {
+            if end < failure && failure < start {
+                window += 1;
+                assert!(
+                    violated(&dev) > 0,
+                    "crash before write {k}: stale StartTask"
+                );
+            }
+        }
     }
     assert!(
-        total_reboots > 100,
-        "sweep too coarse to hit the burst windows: {total_reboots} reboots"
+        window >= 10,
+        "premise: only {window} crash points in the window"
     );
 }
 
@@ -778,7 +662,7 @@ fn end_triggered_restart_task_reruns_until_in_budget() {
 #[test]
 fn deliveries_progress_at_every_group_zero_boundary() {
     use artemis_core::event::EventKind;
-    use artemis_ir::analysis::{commit_groups, done_bytes, ArmedShape, MemberCost};
+    use artemis_ir::analysis::{commit_groups, done_bytes, MemberCost};
     use artemis_ir::compile::CompiledSuite;
     use intermittent_sim::EnergyProfile;
 
@@ -795,11 +679,7 @@ fn deliveries_progress_at_every_group_zero_boundary() {
                 dst { MITD: 1h dpTask: src onFail: restartPath; }";
     let suite = artemis_ir::compile(spec, &app).unwrap();
     let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-    let shape = ArmedShape {
-        capacity: 1,
-        events: 1,
-        done_bytes: done_bytes(compiled.machines().len()),
-    };
+    let done_b = done_bytes(compiled.machines().len());
     let groups_at = |kind: EventKind, task: u32, pj: u64| {
         let members = compiled.routing().interested(kind, task).iter().map(|&m| {
             MemberCost::routed(
@@ -809,7 +689,7 @@ fn deliveries_progress_at_every_group_zero_boundary() {
         });
         let mut ends = Vec::new();
         let profile = EnergyProfile::with_budget(Energy::from_pico_joules(pj));
-        commit_groups(members, &shape, &profile, &mut ends);
+        commit_groups(members, done_b, &profile, &mut ends);
         ends
     };
 
