@@ -107,6 +107,14 @@ impl Workload {
     pub fn install(&self, dev: &mut Device) -> Result<ArtemisRuntime, String> {
         let suite = artemis_ir::compile(&self.spec, &self.app)
             .map_err(|e| format!("{e}\n{}", self.spec))?;
+        self.builder()
+            .install(dev, suite)
+            .map_err(|e| e.to_string())
+    }
+
+    /// The workload's runtime builder (channel + task bodies) without a
+    /// monitoring deployment, for `install_with` variants.
+    pub fn builder(&self) -> ArtemisRuntimeBuilder {
         let mut rb = ArtemisRuntimeBuilder::new(self.app.clone());
         rb.channel("out");
         for (i, decl) in self.app.tasks().iter().enumerate() {
@@ -121,7 +129,7 @@ impl Workload {
                 Ok::<(), Interrupt>(())
             });
         }
-        rb.install(dev, suite).map_err(|e| e.to_string())
+        rb
     }
 }
 

@@ -299,19 +299,6 @@ impl AccessSet {
         }
         n
     }
-
-    /// Folds `other` into `self`: reads and writes become the sorted,
-    /// deduplicated union and `whole_block` is sticky.
-    pub fn union_with(&mut self, other: &AccessSet) {
-        fn merge(dst: &mut Vec<u16>, src: &[u16]) {
-            dst.extend_from_slice(src);
-            dst.sort_unstable();
-            dst.dedup();
-        }
-        merge(&mut self.reads, &other.reads);
-        merge(&mut self.writes, &other.writes);
-        self.whole_block |= other.whole_block;
-    }
 }
 
 /// The statically-derived worst-case compute cost of delivering one
@@ -1611,35 +1598,6 @@ mod tests {
         let far = c.access(EventKind::StartTask, 999);
         assert!(far.reads.is_empty() && far.writes.is_empty());
         assert_eq!(far.max_touched_slot(), None);
-    }
-
-    #[test]
-    fn access_set_union_merges_sorted_and_sticks_whole_block() {
-        let mut a = AccessSet {
-            reads: vec![1, 4],
-            writes: vec![4],
-            whole_block: false,
-        };
-        let b = AccessSet {
-            reads: vec![0, 4, 7],
-            writes: vec![2, 4],
-            whole_block: false,
-        };
-        a.union_with(&b);
-        assert_eq!(a.reads, vec![0, 1, 4, 7]);
-        assert_eq!(a.writes, vec![2, 4]);
-        assert!(!a.whole_block);
-
-        // Empty other is the identity; whole_block is sticky.
-        let before = a.clone();
-        a.union_with(&AccessSet::default());
-        assert_eq!(a, before);
-        a.union_with(&AccessSet {
-            whole_block: true,
-            ..AccessSet::default()
-        });
-        assert!(a.whole_block);
-        assert_eq!(a.reads, before.reads);
     }
 
     #[test]

@@ -18,15 +18,38 @@
 //! [`CostCategory::Runtime`]: in Mayfly they are inseparable from the
 //! runtime, which is also why its runtime FRAM footprint exceeds the
 //! ARTEMIS runtime's in Table 2.
+//!
+//! # The Mayfly header
+//!
+//! The cursor and the freshness table are one packed 521-byte FRAM
+//! region, `mayfly.header`:
+//!
+//! ```text
+//! [cur_path u32][cur_idx u32][status u8]
+//! [end_time u64 × 32][completions u32 × 32][rule_count u32 × 32]
+//! ```
+//!
+//! behind the same write-through SRAM mirror the ARTEMIS runtime keeps
+//! ([`PersistentHeader`]), so Fig. 15 compares equal journal
+//! discipline: the first use in a power cycle replays the journal and
+//! reads the whole header in one op, validating the cursor once (a
+//! cursor past its path or app, or an unknown status, faults with
+//! [`Fault::CorruptState`](intermittent_sim::device::Fault)); the loop
+//! and the inline checks then read the mirror only. Each commit stages
+//! only the bytes that changed — the advance past a task is one
+//! `cur_idx | status` run.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_core::trace::TraceEvent;
 use artemis_runtime::channel::Channel;
+use artemis_runtime::header::cursor_valid;
+use artemis_runtime::PersistentHeader;
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
-use intermittent_sim::fram::NvCell;
+use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::{Journal, TxWriter};
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
@@ -229,27 +252,8 @@ impl MayflyRuntimeBuilder {
         let journal = dev.make_journal(1024, owner)?;
         // The freshness table: Mayfly keeps per-task timestamps and
         // per-rule counters inside the runtime — the FRAM bulk that
-        // Table 2 attributes to its runtime. One cell per entry so a
-        // task commit only touches its own rows.
-        let mut end_times = Vec::with_capacity(MAX_TASKS);
-        let mut completions = Vec::with_capacity(MAX_TASKS);
-        for t in 0..MAX_TASKS {
-            end_times.push(dev.nv_alloc(0u64, owner, &format!("mayfly.end_time[{t}]"))?);
-            completions.push(dev.nv_alloc(0u32, owner, &format!("mayfly.completions[{t}]"))?);
-        }
-        let mut rule_counts = Vec::with_capacity(MAX_RULES);
-        for rix in 0..MAX_RULES {
-            rule_counts.push(dev.nv_alloc(0u32, owner, &format!("mayfly.rule_count[{rix}]"))?);
-        }
-        let cells = Cells {
-            cur_path: dev.nv_alloc(0u32, owner, "mayfly.cur_path")?,
-            cur_idx: dev.nv_alloc(0u32, owner, "mayfly.cur_idx")?,
-            status: dev.nv_alloc(STATUS_READY, owner, "mayfly.status")?,
-            end_times,
-            completions,
-            rule_counts,
-            done: dev.nv_alloc(0u8, owner, "mayfly.done")?,
-        };
+        // Table 2 attributes to its runtime.
+        let header = PersistentHeader::alloc(dev, Header::INITIAL, owner, "mayfly.header")?;
 
         let mut channels = HashMap::new();
         dev.set_category(CostCategory::App);
@@ -264,20 +268,84 @@ impl MayflyRuntimeBuilder {
             bodies: self.bodies,
             rules: self.rules,
             journal,
-            cells,
+            header,
             channels,
         })
     }
 }
 
-struct Cells {
-    cur_path: NvCell<u32>,
-    cur_idx: NvCell<u32>,
-    status: NvCell<u8>,
-    end_times: Vec<NvCell<u64>>,
-    completions: Vec<NvCell<u32>>,
-    rule_counts: Vec<NvCell<u32>>,
-    done: NvCell<u8>,
+/// Byte ranges of the header's cursor fields and start offsets of its
+/// tables (see the module docs).
+const CUR_PATH: Range<usize> = 0..4;
+const CUR_IDX: Range<usize> = 4..8;
+const STATUS: usize = 8;
+const END_TIMES: usize = 9;
+const COMPLETIONS: usize = END_TIMES + 8 * MAX_TASKS;
+const RULE_COUNTS: usize = COMPLETIONS + 4 * MAX_TASKS;
+
+/// The runtime's persistent state, decoded: the cursor and the
+/// freshness table.
+#[derive(Clone, Debug, PartialEq)]
+struct Header {
+    cur_path: u32,
+    cur_idx: u32,
+    status: u8,
+    /// Per task: the last completion's time, in µs.
+    end_times: [u64; MAX_TASKS],
+    /// Per task: completions so far.
+    completions: [u32; MAX_TASKS],
+    /// Per collect rule: producer completions since the consumer last
+    /// committed.
+    rule_counts: [u32; MAX_RULES],
+}
+
+impl Header {
+    const INITIAL: Header = Header {
+        cur_path: 0,
+        cur_idx: 0,
+        status: STATUS_READY,
+        end_times: [0; MAX_TASKS],
+        completions: [0; MAX_TASKS],
+        rule_counts: [0; MAX_RULES],
+    };
+
+    /// `true` if some sequence of commits can have written this cursor
+    /// for `app`: it names a task, or it is one past the last path with
+    /// nothing pending. Every table value is reachable.
+    fn valid(&self, app: &AppGraph) -> bool {
+        let finished = self.status == STATUS_FINISHED;
+        cursor_valid(app, self.cur_path, self.cur_idx, finished) && self.status <= STATUS_FINISHED
+    }
+
+    /// The task the cursor names; the header must be valid and not
+    /// past the last path.
+    fn task(&self, app: &AppGraph) -> TaskId {
+        app.path(PathId(self.cur_path)).tasks[self.cur_idx as usize]
+    }
+}
+
+impl NvData for Header {
+    const SIZE: usize = RULE_COUNTS + 4 * MAX_RULES;
+
+    fn store(&self, dst: &mut [u8]) {
+        self.cur_path.store(&mut dst[CUR_PATH]);
+        self.cur_idx.store(&mut dst[CUR_IDX]);
+        dst[STATUS] = self.status;
+        self.end_times.store(&mut dst[END_TIMES..COMPLETIONS]);
+        self.completions.store(&mut dst[COMPLETIONS..RULE_COUNTS]);
+        self.rule_counts.store(&mut dst[RULE_COUNTS..]);
+    }
+
+    fn load(src: &[u8]) -> Self {
+        Header {
+            cur_path: NvData::load(&src[CUR_PATH]),
+            cur_idx: NvData::load(&src[CUR_IDX]),
+            status: src[STATUS],
+            end_times: NvData::load(&src[END_TIMES..COMPLETIONS]),
+            completions: NvData::load(&src[COMPLETIONS..RULE_COUNTS]),
+            rule_counts: NvData::load(&src[RULE_COUNTS..Self::SIZE]),
+        }
+    }
 }
 
 /// The Mayfly runtime; drive it with
@@ -287,7 +355,7 @@ pub struct MayflyRuntime {
     bodies: Vec<Option<TaskBody>>,
     rules: Vec<Rule>,
     journal: Journal,
-    cells: Cells,
+    header: PersistentHeader<Header>,
     channels: HashMap<String, Channel>,
 }
 
@@ -318,13 +386,39 @@ impl MayflyRuntime {
     /// Re-arms for another run (cursor only; freshness state persists).
     pub fn rearm(&self, dev: &mut Device) -> Result<(), Interrupt> {
         dev.billed(CostCategory::Runtime, |dev| {
-            let mut tx = TxWriter::new();
-            tx.write(&self.cells.cur_path, 0u32);
-            tx.write(&self.cells.cur_idx, 0u32);
-            tx.write(&self.cells.status, STATUS_READY);
-            tx.write(&self.cells.done, 0u8);
-            dev.commit(&self.journal, &tx)
+            let next = Header {
+                cur_path: 0,
+                cur_idx: 0,
+                status: STATUS_READY,
+                ..self.header(dev)?
+            };
+            self.commit(dev, &mut TxWriter::new(), next)
         })
+    }
+
+    /// The header: the mirror when it is current, else — first thing
+    /// after a power failure — journal recovery and one validated load.
+    fn header(&self, dev: &mut Device) -> Result<Header, Interrupt> {
+        if let Some(h) = self.header.mirrored(dev) {
+            return Ok(h);
+        }
+        let recovered = dev.recover(&self.journal)?;
+        let h = self.header.load(dev, |h| h.valid(&self.app))?;
+        // A replayed record that leaves the task finished is its task
+        // commit (every commit from a finished task moves `status`, so
+        // its record carries it): the task completed, but the power
+        // failure came before its `TaskEnd` was traced.
+        if recovered && h.status == STATUS_FINISHED {
+            dev.trace_push(TraceEvent::TaskEnd {
+                task: h.task(&self.app),
+            });
+        }
+        Ok(h)
+    }
+
+    /// Commits `tx` together with the header changed to `next`.
+    fn commit(&self, dev: &mut Device, tx: &mut TxWriter, next: Header) -> Result<(), Interrupt> {
+        self.header.commit(dev, &self.journal, tx, next)
     }
 
     /// Returns `true` when `rule` concerns `task` on the current path.
@@ -355,6 +449,7 @@ impl MayflyRuntime {
         cur_path: PathId,
     ) -> Result<bool, Interrupt> {
         let now = dev.now();
+        let h = self.header(dev)?;
         for (ri, rule) in self.rules.iter().enumerate() {
             dev.compute(CHECK_CYCLES)?;
             if !self.rule_active(rule, task, cur_path) {
@@ -364,19 +459,17 @@ impl MayflyRuntime {
                 Rule::Expiration {
                     producer, limit, ..
                 } => {
-                    if dev.nv_read(&self.cells.completions[producer.index()])? == 0 {
+                    if h.completions[producer.index()] == 0 {
                         // No data at all: treat as expired.
                         return Ok(false);
                     }
-                    let end = SimInstant::from_micros(
-                        dev.nv_read(&self.cells.end_times[producer.index()])?,
-                    );
+                    let end = SimInstant::from_micros(h.end_times[producer.index()]);
                     if now.duration_since(end) > *limit {
                         return Ok(false);
                     }
                 }
                 Rule::Collect { count, .. } => {
-                    if dev.nv_read(&self.cells.rule_counts[ri])? < *count {
+                    if h.rule_counts[ri] < *count {
                         return Ok(false);
                     }
                 }
@@ -411,89 +504,70 @@ impl MayflyRuntime {
 
         dev.compute(TASK_FINISH_CYCLES)?;
         // Update the task's freshness rows atomically with its effects.
-        let completions = dev.nv_read(&self.cells.completions[task.index()])?;
-        tx.write(&self.cells.end_times[task.index()], dev.now().as_micros());
-        tx.write(
-            &self.cells.completions[task.index()],
-            completions.saturating_add(1),
-        );
+        let mut next = self.header(dev)?;
+        let t = task.index();
+        next.end_times[t] = dev.now().as_micros();
+        next.completions[t] = next.completions[t].saturating_add(1);
         for (ri, rule) in self.rules.iter().enumerate() {
             if let Rule::Collect { producer, .. } = rule {
                 if *producer == task {
-                    let c = dev.nv_read(&self.cells.rule_counts[ri])?;
-                    tx.write(&self.cells.rule_counts[ri], c.saturating_add(1));
+                    next.rule_counts[ri] = next.rule_counts[ri].saturating_add(1);
                 }
             }
             // Collected data is consumed when the consumer *commits*
             // (mirrors the channel semantics: a power failure before
             // commit re-runs the task with its inputs intact).
             if matches!(rule, Rule::Collect { .. }) && self.rule_active(rule, task, cur_path) {
-                tx.write(&self.cells.rule_counts[ri], 0u32);
+                next.rule_counts[ri] = 0;
             }
         }
-        tx.write(&self.cells.status, STATUS_FINISHED);
-        dev.commit(&self.journal, &tx)?;
+        next.status = STATUS_FINISHED;
+        self.commit(dev, &mut tx, next)?;
         dev.trace_push(TraceEvent::TaskEnd { task });
         Ok(())
     }
 
     fn main_loop(&mut self, dev: &mut Device) -> Result<MayflyOutcome, Interrupt> {
         dev.set_category(CostCategory::Runtime);
-        // A replayed record that leaves the task finished is its task
-        // commit (every other record writes `STATUS_READY`): the task
-        // completed, but the power failure came before its `TaskEnd`
-        // was traced. The trace is bookkeeping, so read without cost.
-        if dev.recover(&self.journal)? && dev.peek(&self.cells.status) == STATUS_FINISHED {
-            let path = self.app.path(PathId(dev.peek(&self.cells.cur_path)));
-            let task = path.tasks[dev.peek(&self.cells.cur_idx) as usize];
-            dev.trace_push(TraceEvent::TaskEnd { task });
-        }
-
         loop {
             dev.compute(DISPATCH_CYCLES)?;
-            let cur_path = dev.nv_read(&self.cells.cur_path)?;
-            if cur_path >= self.app.paths().len() as u32 {
+            let h = self.header(dev)?;
+            if h.cur_path as usize >= self.app.paths().len() {
                 dev.trace_push(TraceEvent::RunComplete);
                 return Ok(MayflyOutcome {
                     paths: self.app.paths().len(),
                 });
             }
-            let cur_idx = dev.nv_read(&self.cells.cur_idx)?;
-            let task = self.app.path(PathId(cur_path)).tasks[cur_idx as usize];
-            let status = dev.nv_read(&self.cells.status)?;
+            let task = h.task(&self.app);
+            let cur_path = PathId(h.cur_path);
 
-            if status == STATUS_READY {
-                if self.props_satisfied(dev, task, PathId(cur_path))? {
-                    self.run_task(dev, task, PathId(cur_path))?;
+            if h.status == STATUS_READY {
+                if self.props_satisfied(dev, task, cur_path)? {
+                    self.run_task(dev, task, cur_path)?;
                 } else {
                     // The only reaction Mayfly has: restart the graph
                     // (the whole current path), unconditionally.
                     dev.trace_push(TraceEvent::ActionTaken {
-                        action: artemis_core::action::Action::RestartPath(PathId(cur_path)),
+                        action: artemis_core::action::Action::RestartPath(cur_path),
                     });
-                    let mut tx = TxWriter::new();
-                    tx.write(&self.cells.cur_idx, 0u32);
-                    tx.write(&self.cells.status, STATUS_READY);
-                    dev.commit(&self.journal, &tx)?;
-                    dev.trace_push(TraceEvent::PathStart {
-                        path: PathId(cur_path),
-                    });
+                    self.commit(dev, &mut TxWriter::new(), Header { cur_idx: 0, ..h })?;
+                    dev.trace_push(TraceEvent::PathStart { path: cur_path });
                 }
             } else {
                 // Advance past the finished task.
-                let path_len = self.app.path(PathId(cur_path)).tasks.len() as u32;
-                let mut tx = TxWriter::new();
-                tx.write(&self.cells.status, STATUS_READY);
-                if cur_idx + 1 < path_len {
-                    tx.write(&self.cells.cur_idx, cur_idx + 1);
+                let path_len = self.app.path(cur_path).tasks.len() as u32;
+                let mut next = Header {
+                    status: STATUS_READY,
+                    ..h
+                };
+                if h.cur_idx + 1 < path_len {
+                    next.cur_idx += 1;
                 } else {
-                    dev.trace_push(TraceEvent::PathComplete {
-                        path: PathId(cur_path),
-                    });
-                    tx.write(&self.cells.cur_path, cur_path + 1);
-                    tx.write(&self.cells.cur_idx, 0u32);
+                    dev.trace_push(TraceEvent::PathComplete { path: cur_path });
+                    next.cur_path += 1;
+                    next.cur_idx = 0;
                 }
-                dev.commit(&self.journal, &tx)?;
+                self.commit(dev, &mut TxWriter::new(), next)?;
             }
         }
     }
@@ -624,7 +698,7 @@ mod tests {
     #[test]
     fn task_end_is_traced_when_recovery_completes_the_commit() {
         let mut interrupted = 0;
-        for budget_nj in (6_000u64..=90_000).step_by(100) {
+        for budget_nj in (1_500u64..=90_000).step_by(100) {
             let mut dev = DeviceBuilder::msp430fr5994()
                 .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
                 .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))

@@ -145,12 +145,16 @@
 //! Every compiled step commits byte-granular runs: the new image of
 //! the covered block prefix is diffed against the shadow's
 //! authoritative old image and only the changed `[addr][len][data]`
-//! runs are journalled (runs separated by at most one sub-write
-//! header of unchanged bytes merge). The static bounds model prices
-//! the state word plus every write-set slot; a diff record never
-//! exceeds that, and equals it whenever every byte of the state word
-//! and of each written slot changes and the fields lie more than a
-//! header apart.
+//! runs are journalled ([`TxWriter::write_diff`]: runs separated by at
+//! most one sub-write header of unchanged bytes merge; merged gap
+//! bytes re-write their old value, which replay makes idempotent).
+//! Every changed byte lies in the state word or a written slot (≤ 8
+//! bytes each, so one run apiece before merging), and each merge saves
+//! `header − gap ≥ 0` bytes. So the static bounds model, which prices
+//! the state word plus every write-set slot, bounds a diff record in
+//! bytes and in sub-writes, and equals it whenever every byte of the
+//! state word and of each written slot changes and the fields lie more
+//! than a header apart.
 //!
 //! [`AccessSet`]: artemis_ir::compile::AccessSet
 //! [`Sram`]: intermittent_sim::fram::Sram
@@ -174,7 +178,7 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{Journal, TxWriter};
+use intermittent_sim::journal::{Journal, TxWriter, ENTRY_HEADER};
 use intermittent_sim::EnergyProfile;
 
 use state::{EncodedEvent, NvValue};
@@ -499,17 +503,13 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
     }
 }
 
-/// Journal sub-write header bytes (`addr: u32` + `len: u16`), as staged
-/// by `intermittent_sim::journal`.
-const JOURNAL_ENTRY_HEADER: usize = 6;
-
 /// Largest single journal record of the interpreter's per-cell layout,
 /// count word included: the whole-suite reset (state cell + every
 /// variable cell, and the zeroed `seq … done` run), or a one-machine
 /// commit group — group 0 adding the one-event header run, its one
 /// verdict cell included, to its machine's cells.
 fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
-    let entry = |bytes: usize| JOURNAL_ENTRY_HEADER + bytes;
+    let entry = |bytes: usize| ENTRY_HEADER + bytes;
     let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
     let h = Header {
         addr: 0,
@@ -519,37 +519,6 @@ fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
     let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(h.cell(0) - h.seq());
     let group0 = entry(h.cell(1)) + suite.machines().iter().map(cells).max().unwrap_or(0);
     2 + reset.max(group0)
-}
-
-/// Sub-write header bytes of one journalled run — the diff-commit
-/// merge threshold: two changed runs separated by an unchanged gap of
-/// at most this many bytes are cheaper merged (the gap's idempotent
-/// re-write costs `gap` bytes, a separate run costs another header).
-const DIFF_MERGE_GAP: usize = 6;
-
-/// Byte-granular dirty diff: fills `runs` with the changed runs of
-/// `new` vs `old` as `(start, end)` half-open ranges, adjacent runs
-/// merged when the unchanged gap between them is within
-/// [`DIFF_MERGE_GAP`]. Merged gap bytes re-write their old value —
-/// idempotent, so replaying the journal record after a power failure
-/// is safe. By the merge rule a
-/// diff record never exceeds the record the static bounds model
-/// prices (state word + every written slot) in bytes *or* sub-write
-/// count: every changed byte lies in the state field or a
-/// written slot (≤ 8 bytes each, so at most one run apiece before
-/// merging), and each merge saves `header − gap ≥ 0` bytes.
-fn diff_runs(old: &[u8], new: &[u8], runs: &mut Vec<(usize, usize)>) {
-    debug_assert_eq!(old.len(), new.len());
-    runs.clear();
-    for (i, (o, n)) in old.iter().zip(new).enumerate() {
-        if o == n {
-            continue;
-        }
-        match runs.last_mut() {
-            Some((_, end)) if i - *end <= DIFF_MERGE_GAP => *end = i + 1,
-            _ => runs.push((i, i + 1)),
-        }
-    }
 }
 
 struct LoadedMachine {
@@ -579,8 +548,6 @@ struct Scratch {
     block: Vec<u8>,
     /// Block image after the step (compiled).
     block_new: Vec<u8>,
-    /// Changed byte runs of a diff commit (compiled).
-    runs: Vec<(usize, usize)>,
     /// Verdicts of one commit group, in logging order: machine index,
     /// event position, action, governing path.
     emits: Vec<Emit>,
@@ -970,7 +937,6 @@ impl MonitorEngine {
                 before_vars: Vec::with_capacity(max_vars),
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
-                runs: Vec::with_capacity(max_block),
                 emits: Vec::with_capacity(slots),
                 // Every record fits the journal, so staging never grows it.
                 tx: TxWriter::with_capacity(capacity),
@@ -988,6 +954,14 @@ impl MonitorEngine {
             // compiled mode only. The epoch starts at the device's
             // *current* reboot generation so a freshly installed
             // engine doesn't count a spurious invalidation.
+            // Its volatile footprint, for Table 2: one image per
+            // machine block and the whole armed header.
+            if compiled_mode {
+                let blocks = machines.iter().map(|lm| lm.initial_image.len()).sum();
+                let sram = dev.sram_mut();
+                sram.register(owner, "shadow: machine images", blocks);
+                sram.register(owner, "shadow: armed header", header.cell(slots));
+            }
             let cache = compiled_mode.then(|| {
                 RefCell::new(ShadowCache::new(
                     dev.sram().generation(),
@@ -1657,12 +1631,11 @@ impl MonitorEngine {
             scratch.tx.write_raw(addr, &scratch.block_new);
         } else {
             layout.encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-            diff_runs(&scratch.block, &scratch.block_new, &mut scratch.runs);
-            if scratch.runs.is_empty() {
+            if !scratch
+                .tx
+                .write_diff(addr, &scratch.block, &scratch.block_new)
+            {
                 return Ok(());
-            }
-            for &(s, e) in &scratch.runs {
-                scratch.tx.write_raw(addr + s, &scratch.block_new[s..e]);
             }
         }
         self.shadow_machine_update(i, state, &scratch.vars[..covered]);

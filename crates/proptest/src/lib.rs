@@ -28,24 +28,13 @@ pub mod prelude {
 
 /// `proptest::collection`: sized containers of generated values.
 pub mod collection {
-    use crate::strategy::{RunsStrategy, Strategy, VecStrategy};
+    use crate::strategy::{Strategy, VecStrategy};
     use core::ops::Range;
 
     /// A `Vec` whose length is drawn from `size` and whose elements
     /// come from `element`.
     pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
         VecStrategy::new(element, size)
-    }
-
-    /// Concatenation of `count` bursts, each drawn from `burst` (a
-    /// strategy producing a `Vec` — e.g. a correlated event pair).
-    /// Shim extension beyond upstream proptest: models streams made of
-    /// short correlated runs, which plain `vec` cannot express.
-    pub fn runs<S, T>(burst: S, count: Range<usize>) -> RunsStrategy<S>
-    where
-        S: Strategy<Value = Vec<T>>,
-    {
-        RunsStrategy::new(burst, count)
     }
 }
 

@@ -128,36 +128,6 @@ where
     }
 }
 
-/// See [`crate::collection::runs`].
-#[derive(Clone, Debug)]
-pub struct RunsStrategy<S> {
-    burst: S,
-    count: Range<usize>,
-}
-
-impl<S> RunsStrategy<S> {
-    pub(crate) fn new(burst: S, count: Range<usize>) -> Self {
-        assert!(count.start < count.end, "empty count range");
-        RunsStrategy { burst, count }
-    }
-}
-
-impl<S, T> Strategy for RunsStrategy<S>
-where
-    S: Strategy<Value = Vec<T>>,
-{
-    type Value = Vec<T>;
-
-    fn generate(&self, rng: &mut StdRng) -> NewValue<Vec<T>> {
-        let n = rng.random_range(self.count.clone());
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.extend(self.burst.generate(rng)?);
-        }
-        Ok(out)
-    }
-}
-
 /// See [`Strategy::prop_filter`].
 #[derive(Clone, Debug)]
 pub struct Filter<S, F> {
@@ -432,25 +402,6 @@ mod tests {
         for _ in 0..200 {
             let v = strat.generate(&mut rng).unwrap();
             assert!((1..6).contains(&v.len()));
-        }
-    }
-
-    #[test]
-    fn runs_concatenates_whole_bursts() {
-        let mut rng = StdRng::seed_from_u64(16);
-        // Each burst is a correlated (end, start) pair; the stream must
-        // be a whole number of pairs with the correlation intact.
-        let burst = (0u32..8).prop_map(|t| vec![(false, t), (true, t)]);
-        let strat = crate::collection::runs(burst, 1..7);
-        for _ in 0..200 {
-            let v = strat.generate(&mut rng).unwrap();
-            assert_eq!(v.len() % 2, 0);
-            assert!((1..7).contains(&(v.len() / 2)));
-            for pair in v.chunks(2) {
-                assert!(!pair[0].0);
-                assert!(pair[1].0);
-                assert_eq!(pair[0].1, pair[1].1, "burst split across runs");
-            }
         }
     }
 

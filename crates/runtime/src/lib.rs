@@ -12,8 +12,9 @@
 //!
 //! All progress state — current path/task, task status, attempt
 //! counters, the pending `EndTask` event — lives in FRAM and moves only
-//! through journal transactions, so the loop can be re-entered after
-//! any power failure (the simulator's reboot loop calls
+//! through journal transactions (apart from three single-field plain
+//! writes, below), so the loop can be re-entered after any power
+//! failure (the simulator's reboot loop calls
 //! [`ArtemisRuntime::on_boot`] again, exactly like hardware re-entering
 //! `main`). Two details follow the paper §4.1.3 precisely:
 //!
@@ -30,10 +31,40 @@
 //! ([`Monitoring::call_monitor`]) when the loop reaches it, so a
 //! `StartTask` is always judged after any outage that precedes the
 //! attempt it opens.
+//!
+//! # The runtime header
+//!
+//! That state is one packed 56-byte FRAM region, `rt.header`:
+//!
+//! ```text
+//! [cur_path u32][cur_idx u32][status u8][attempt u32][seq u64]
+//! [end_time u64][end_dep (u8, u64)][unmonitored u8][emergency u8]
+//! [path_results u8 × 16]
+//! ```
+//!
+//! behind a write-through SRAM mirror ([`PersistentHeader`]): the
+//! first use in a power cycle replays the runtime's journal and then
+//! reads the whole header in **one** op, validating it once — a cursor
+//! past its path or app, or a status, flag or path code no commit
+//! writes, faults with [`Fault::CorruptState`](intermittent_sim::device::Fault)
+//! instead of indexing out of bounds. From then on the loop reads the
+//! mirror, so a steady-state iteration makes no FRAM reads. Every
+//! journal commit (task commit, advance, rearm, `restartTask`, path
+//! actions) stages only the header bytes that changed, as runs merged
+//! across gaps of up to one sub-write header; the `seq`, `attempt` and
+//! `unmonitored` updates that need no atomicity stay one plain write
+//! each.
+//!
+//! The pending `EndTask`'s sequence number is not stored apart: the
+//! task commit advances `seq` to it, and nothing moves `seq` again
+//! until the advance past the finished task has committed, so while
+//! `status` is finished it *is* `seq`.
 
 pub mod channel;
+pub mod header;
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
@@ -42,12 +73,13 @@ use artemis_core::time::SimInstant;
 use artemis_core::trace::TraceEvent;
 use artemis_monitor::{InstallError, MonitorEngine, MonitorVerdict, Monitoring};
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
-use intermittent_sim::fram::NvCell;
+use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::{Journal, TxWriter};
 use intermittent_sim::peripherals::Peripheral;
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
 pub use channel::{Channel, CHANNEL_CAPACITY};
+pub use header::PersistentHeader;
 
 /// Maximum number of paths a runtime instance supports.
 pub const MAX_PATHS: usize = 16;
@@ -277,29 +309,8 @@ impl ArtemisRuntimeBuilder {
         dev.set_category(CostCategory::Runtime);
         let owner = MemOwner::Runtime;
         let journal = dev.make_journal(1024, owner).map_err(dev_err)?;
-        let cells = Cells {
-            cur_path: dev.nv_alloc(0u32, owner, "rt.cur_path").map_err(dev_err)?,
-            cur_idx: dev.nv_alloc(0u32, owner, "rt.cur_idx").map_err(dev_err)?,
-            status: dev
-                .nv_alloc(STATUS_READY, owner, "rt.status")
-                .map_err(dev_err)?,
-            attempt: dev.nv_alloc(0u32, owner, "rt.attempt").map_err(dev_err)?,
-            seq: dev.nv_alloc(0u64, owner, "rt.seq").map_err(dev_err)?,
-            end_seq: dev.nv_alloc(0u64, owner, "rt.end_seq").map_err(dev_err)?,
-            end_time: dev
-                .nv_alloc(SimInstant::EPOCH, owner, "rt.end_time")
-                .map_err(dev_err)?,
-            end_dep: dev
-                .nv_alloc((0u8, 0u64), owner, "rt.end_dep")
-                .map_err(dev_err)?,
-            unmonitored: dev
-                .nv_alloc(0u8, owner, "rt.unmonitored")
-                .map_err(dev_err)?,
-            emergency: dev.nv_alloc(0u8, owner, "rt.emergency").map_err(dev_err)?,
-            path_results: dev
-                .nv_alloc([PATH_PENDING; MAX_PATHS], owner, "rt.path_results")
-                .map_err(dev_err)?,
-        };
+        let header =
+            PersistentHeader::alloc(dev, Header::INITIAL, owner, "rt.header").map_err(dev_err)?;
 
         let mut channels = HashMap::new();
         dev.set_category(CostCategory::App);
@@ -324,32 +335,124 @@ impl ArtemisRuntimeBuilder {
             bodies: self.bodies,
             engine,
             journal,
-            cells,
+            header,
             channels,
             current_task_cached: TaskId(0),
         })
     }
 }
 
-struct Cells {
-    cur_path: NvCell<u32>,
-    cur_idx: NvCell<u32>,
-    status: NvCell<u8>,
-    attempt: NvCell<u32>,
-    /// Monotone event-sequence counter.
-    seq: NvCell<u64>,
-    /// Sequence number reserved for the pending `EndTask` event.
-    end_seq: NvCell<u64>,
+/// Byte ranges of the header fields (see the module docs).
+const CUR_PATH: Range<usize> = 0..4;
+const CUR_IDX: Range<usize> = 4..8;
+const STATUS: Range<usize> = 8..9;
+const ATTEMPT: Range<usize> = 9..13;
+const SEQ: Range<usize> = 13..21;
+const END_TIME: Range<usize> = 21..29;
+const END_DEP: Range<usize> = 29..38;
+const UNMONITORED: Range<usize> = 38..39;
+const EMERGENCY: Range<usize> = 39..40;
+const PATH_RESULTS: Range<usize> = 40..56;
+
+/// The runtime's persistent progress state, decoded.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Header {
+    cur_path: u32,
+    cur_idx: u32,
+    status: u8,
+    attempt: u32,
+    /// Monotone event-sequence counter; while `status` is finished,
+    /// the pending `EndTask`'s number.
+    seq: u64,
     /// Finish time fixed at task commit (§4.1.3).
-    end_time: NvCell<SimInstant>,
+    end_time: SimInstant,
     /// Monitored output `(present, f64 bits)` fixed at task commit.
-    end_dep: NvCell<(u8, u64)>,
+    end_dep: (u8, u64),
     /// 1 while a `completePath` suspension is active.
-    unmonitored: NvCell<u8>,
+    unmonitored: u8,
     /// 1 once a `completePath` ended the run early.
-    emergency: NvCell<u8>,
+    emergency: u8,
     /// Per-path outcome codes.
-    path_results: NvCell<[u8; MAX_PATHS]>,
+    path_results: [u8; MAX_PATHS],
+}
+
+impl Header {
+    const INITIAL: Header = Header {
+        cur_path: 0,
+        cur_idx: 0,
+        status: STATUS_READY,
+        attempt: 0,
+        seq: 0,
+        end_time: SimInstant::EPOCH,
+        end_dep: (0, 0),
+        unmonitored: 0,
+        emergency: 0,
+        path_results: [PATH_PENDING; MAX_PATHS],
+    };
+
+    /// `true` if some sequence of commits can have written this header
+    /// for `app`: the cursor names a task, or it is one past the last
+    /// path with nothing pending; status, flags and path codes are in
+    /// range.
+    fn valid(&self, app: &AppGraph) -> bool {
+        let finished = self.status == STATUS_FINISHED;
+        header::cursor_valid(app, self.cur_path, self.cur_idx, finished)
+            && self.status <= STATUS_FINISHED
+            && self.end_dep.0 <= 1
+            && self.unmonitored <= 1
+            && self.emergency <= 1
+            && self.path_results.iter().all(|&r| r <= PATH_SKIPPED)
+    }
+
+    /// This header with the cursor at the first task of `cur_path`,
+    /// ready for a first attempt.
+    fn at_path_start(self, cur_path: u32) -> Header {
+        Header {
+            cur_path,
+            cur_idx: 0,
+            status: STATUS_READY,
+            attempt: 0,
+            ..self
+        }
+    }
+
+    /// The task the cursor names; the header must be valid and not
+    /// past the last path.
+    fn task(&self, app: &AppGraph) -> TaskId {
+        app.path(PathId(self.cur_path)).tasks[self.cur_idx as usize]
+    }
+}
+
+impl NvData for Header {
+    const SIZE: usize = PATH_RESULTS.end;
+
+    fn store(&self, dst: &mut [u8]) {
+        self.cur_path.store(&mut dst[CUR_PATH]);
+        self.cur_idx.store(&mut dst[CUR_IDX]);
+        self.status.store(&mut dst[STATUS]);
+        self.attempt.store(&mut dst[ATTEMPT]);
+        self.seq.store(&mut dst[SEQ]);
+        self.end_time.store(&mut dst[END_TIME]);
+        self.end_dep.store(&mut dst[END_DEP]);
+        self.unmonitored.store(&mut dst[UNMONITORED]);
+        self.emergency.store(&mut dst[EMERGENCY]);
+        self.path_results.store(&mut dst[PATH_RESULTS]);
+    }
+
+    fn load(src: &[u8]) -> Self {
+        Header {
+            cur_path: NvData::load(&src[CUR_PATH]),
+            cur_idx: NvData::load(&src[CUR_IDX]),
+            status: NvData::load(&src[STATUS]),
+            attempt: NvData::load(&src[ATTEMPT]),
+            seq: NvData::load(&src[SEQ]),
+            end_time: NvData::load(&src[END_TIME]),
+            end_dep: NvData::load(&src[END_DEP]),
+            unmonitored: NvData::load(&src[UNMONITORED]),
+            emergency: NvData::load(&src[EMERGENCY]),
+            path_results: NvData::load(&src[PATH_RESULTS]),
+        }
+    }
 }
 
 /// The installed runtime; drive it with
@@ -362,7 +465,7 @@ pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     bodies: Vec<Option<TaskBody>>,
     engine: M,
     journal: Journal,
-    cells: Cells,
+    header: PersistentHeader<Header>,
     channels: HashMap<String, Channel>,
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
@@ -389,7 +492,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// sequence counter, read without cost. Fleet aggregation uses this
     /// as the per-device throughput figure after a run.
     pub fn events_delivered(&self, dev: &Device) -> u64 {
-        dev.peek(&self.cells.seq)
+        self.header.peek(dev).seq
     }
 
     /// Runs the application once on `dev` under `limit`.
@@ -402,22 +505,47 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// (periodicity and collect counters span runs).
     pub fn rearm(&self, dev: &mut Device) -> Result<(), Interrupt> {
         dev.billed(CostCategory::Runtime, |dev| {
-            let mut tx = TxWriter::new();
-            tx.write(&self.cells.cur_path, 0u32);
-            tx.write(&self.cells.cur_idx, 0u32);
-            tx.write(&self.cells.status, STATUS_READY);
-            tx.write(&self.cells.attempt, 0u32);
-            tx.write(&self.cells.unmonitored, 0u8);
-            tx.write(&self.cells.emergency, 0u8);
-            tx.write(&self.cells.path_results, [PATH_PENDING; MAX_PATHS]);
-            dev.commit(&self.journal, &tx)
+            let h = self.header(dev)?;
+            let next = Header {
+                seq: h.seq,
+                end_time: h.end_time,
+                end_dep: h.end_dep,
+                ..Header::INITIAL
+            };
+            self.commit(dev, &mut TxWriter::new(), next)
         })
     }
 
+    /// The header: the mirror when it is current, else — first thing
+    /// after a power failure — journal recovery and one validated load.
+    fn header(&self, dev: &mut Device) -> Result<Header, Interrupt> {
+        if let Some(h) = self.header.mirrored(dev) {
+            return Ok(h);
+        }
+        let recovered = dev.recover(&self.journal)?;
+        let h = self.header.load(dev, |h| h.valid(&self.app))?;
+        // A replayed record that leaves the task finished is its task
+        // commit (every commit from a finished task moves `status`, so
+        // its record carries it): the task completed, but the power
+        // failure came before its `TaskEnd` was traced.
+        if recovered && h.status == STATUS_FINISHED {
+            dev.trace_push(TraceEvent::TaskEnd {
+                task: h.task(&self.app),
+            });
+        }
+        Ok(h)
+    }
+
+    /// Commits `tx` together with the header changed to `next`.
+    fn commit(&self, dev: &mut Device, tx: &mut TxWriter, next: Header) -> Result<(), Interrupt> {
+        self.header.commit(dev, &self.journal, tx, next)
+    }
+
     fn fresh_seq(&self, dev: &mut Device) -> Result<u64, Interrupt> {
-        let next = dev.nv_read(&self.cells.seq)? + 1;
-        dev.nv_write(&self.cells.seq, next)?;
-        Ok(next)
+        let mut h = self.header(dev)?;
+        h.seq = h.seq.wrapping_add(1);
+        self.header.write(dev, h, SEQ)?;
+        Ok(h.seq)
     }
 
     fn arbitrate(&self, dev: &mut Device, verdicts: &[MonitorVerdict]) -> Option<Action> {
@@ -434,9 +562,13 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
     /// Executes the current task body and commits its effects.
     fn run_task(&mut self, dev: &mut Device, task: TaskId) -> Result<(), Interrupt> {
-        let attempt = dev.nv_read(&self.cells.attempt)? + 1;
-        dev.nv_write(&self.cells.attempt, attempt)?;
-        dev.trace_push(TraceEvent::TaskStart { task, attempt });
+        let mut h = self.header(dev)?;
+        h.attempt = h.attempt.saturating_add(1);
+        self.header.write(dev, h, ATTEMPT)?;
+        dev.trace_push(TraceEvent::TaskStart {
+            task,
+            attempt: h.attempt,
+        });
 
         let mut tx = TxWriter::new();
         let mut monitored = None;
@@ -462,104 +594,89 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         // sequence number and the monitored value atomically with the
         // task's own effects and the status flip.
         dev.compute(TASK_FINISH_CYCLES)?;
-        let end_seq = dev.nv_read(&self.cells.seq)? + 1;
-        let now = dev.now();
-        tx.write(&self.cells.seq, end_seq);
-        tx.write(&self.cells.end_seq, end_seq);
-        tx.write(&self.cells.end_time, now);
-        tx.write(
-            &self.cells.end_dep,
-            match monitored {
-                Some(v) => (1u8, v.to_bits()),
-                None => (0u8, 0u64),
-            },
-        );
-        tx.write(&self.cells.status, STATUS_FINISHED);
-        tx.write(&self.cells.attempt, 0u32);
-        dev.commit(&self.journal, &tx)?;
+        let next = Header {
+            status: STATUS_FINISHED,
+            attempt: 0,
+            seq: h.seq.wrapping_add(1),
+            end_time: dev.now(),
+            end_dep: monitored.map_or((0, 0), |v| (1, v.to_bits())),
+            ..h
+        };
+        self.commit(dev, &mut tx, next)?;
         dev.trace_push(TraceEvent::TaskEnd { task });
         Ok(())
     }
 
     /// Moves to the next task, handling path boundaries. Returns `true`
     /// when the whole run finished.
-    fn advance(&self, dev: &mut Device, cur_path: u32, cur_idx: u32) -> Result<bool, Interrupt> {
+    fn advance(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         dev.compute(ADVANCE_CYCLES)?;
-        let path_len = self.app.path(PathId(cur_path)).tasks.len() as u32;
-        let mut tx = TxWriter::new();
-        tx.write(&self.cells.status, STATUS_READY);
-        tx.write(&self.cells.attempt, 0u32);
-
-        if cur_idx + 1 < path_len {
-            tx.write(&self.cells.cur_idx, cur_idx + 1);
-            dev.commit(&self.journal, &tx)?;
-            return Ok(false);
-        }
-
-        // Path completed.
-        let mut results = dev.nv_read(&self.cells.path_results)?;
-        results[cur_path as usize] = PATH_COMPLETED;
-        dev.trace_push(TraceEvent::PathComplete {
-            path: PathId(cur_path),
-        });
-
-        let unmonitored = dev.nv_read(&self.cells.unmonitored)? != 0;
-        if unmonitored {
-            // completePath semantics: the current path ran to completion
-            // unmonitored; no further paths execute this run.
-            for r in results
-                .iter_mut()
-                .take(self.app.paths().len())
-                .skip(cur_path as usize + 1)
-            {
-                if *r == PATH_PENDING {
-                    *r = PATH_SKIPPED;
-                }
-            }
-            tx.write(&self.cells.unmonitored, 0u8);
-            tx.write(&self.cells.emergency, 1u8);
-            tx.write(&self.cells.cur_path, self.app.paths().len() as u32);
+        let h = self.header(dev)?;
+        let paths = self.app.paths().len();
+        let path_len = self.app.path(PathId(h.cur_path)).tasks.len() as u32;
+        let mut next = Header {
+            status: STATUS_READY,
+            attempt: 0,
+            ..h
+        };
+        if h.cur_idx + 1 < path_len {
+            next.cur_idx += 1;
         } else {
-            tx.write(&self.cells.cur_path, cur_path + 1);
+            // Path completed.
+            next.path_results[h.cur_path as usize] = PATH_COMPLETED;
+            dev.trace_push(TraceEvent::PathComplete {
+                path: PathId(h.cur_path),
+            });
+            if h.unmonitored != 0 {
+                // completePath semantics: the current path ran to
+                // completion unmonitored; no further paths execute
+                // this run.
+                for r in next.path_results[..paths]
+                    .iter_mut()
+                    .skip(h.cur_path as usize + 1)
+                {
+                    if *r == PATH_PENDING {
+                        *r = PATH_SKIPPED;
+                    }
+                }
+                next.unmonitored = 0;
+                next.emergency = 1;
+                next.cur_path = paths as u32;
+            } else {
+                next.cur_path += 1;
+            }
+            next.cur_idx = 0;
         }
-        tx.write(&self.cells.cur_idx, 0u32);
-        tx.write(&self.cells.path_results, results);
-        dev.commit(&self.journal, &tx)?;
-        Ok(dev.nv_read(&self.cells.cur_path)? >= self.app.paths().len() as u32)
+        self.commit(dev, &mut TxWriter::new(), next)?;
+        Ok(next.cur_path as usize >= paths)
     }
 
     /// Applies a path-directed corrective action.
     fn apply_path_action(&self, dev: &mut Device, action: Action) -> Result<(), Interrupt> {
         dev.trace_push(TraceEvent::ActionTaken { action });
+        let h = self.header(dev)?;
         match action {
             Action::RestartPath(p) => {
                 self.engine.on_path_restart(dev, p)?;
-                let mut tx = TxWriter::new();
-                tx.write(&self.cells.cur_path, p.0);
-                tx.write(&self.cells.cur_idx, 0u32);
-                tx.write(&self.cells.status, STATUS_READY);
-                tx.write(&self.cells.attempt, 0u32);
-                dev.commit(&self.journal, &tx)?;
+                self.commit(dev, &mut TxWriter::new(), h.at_path_start(p.0))?;
                 dev.trace_push(TraceEvent::PathStart { path: p });
             }
             Action::SkipPath(p) => {
-                let mut results = dev.nv_read(&self.cells.path_results)?;
-                if (p.index()) < MAX_PATHS {
-                    results[p.index()] = PATH_SKIPPED;
+                let mut next = h.at_path_start(p.0 + 1);
+                if p.index() < MAX_PATHS {
+                    next.path_results[p.index()] = PATH_SKIPPED;
                 }
                 dev.trace_push(TraceEvent::PathSkipped { path: p });
-                let mut tx = TxWriter::new();
-                tx.write(&self.cells.path_results, results);
-                tx.write(&self.cells.cur_path, p.0 + 1);
-                tx.write(&self.cells.cur_idx, 0u32);
-                tx.write(&self.cells.status, STATUS_READY);
-                tx.write(&self.cells.attempt, 0u32);
-                dev.commit(&self.journal, &tx)?;
+                self.commit(dev, &mut TxWriter::new(), next)?;
             }
             Action::CompletePath(_) => {
                 // Suspend monitoring; the caller decides how the
                 // current task proceeds.
-                dev.nv_write(&self.cells.unmonitored, 1u8)?;
+                let next = Header {
+                    unmonitored: 1,
+                    ..h
+                };
+                self.header.write(dev, next, UNMONITORED)?;
             }
             Action::RestartTask | Action::SkipTask => {
                 unreachable!("task-level actions are handled inline")
@@ -568,21 +685,26 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         Ok(())
     }
 
-    fn outcome(&self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
-        let results = dev.nv_read(&self.cells.path_results)?;
-        let emergency = dev.nv_read(&self.cells.emergency)? != 0;
+    /// The run's outcome as the header records it.
+    fn outcome(&self, h: &Header) -> RunOutcome {
         let mut outcome = RunOutcome {
-            emergency,
+            emergency: h.emergency != 0,
             ..RunOutcome::default()
         };
-        for (i, &r) in results.iter().take(self.app.paths().len()).enumerate() {
+        for (i, &r) in h.path_results[..self.app.paths().len()].iter().enumerate() {
             match r {
                 PATH_COMPLETED => outcome.completed.push(PathId(i as u32)),
                 PATH_SKIPPED => outcome.skipped.push(PathId(i as u32)),
                 _ => {}
             }
         }
-        Ok(outcome)
+        outcome
+    }
+
+    /// Traces the run's completion and returns its outcome.
+    fn finish(&self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
+        dev.trace_push(TraceEvent::RunComplete);
+        Ok(self.outcome(&self.header(dev)?))
     }
 }
 
@@ -591,35 +713,25 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// failures; resumes from the persistent cursor.
     pub fn on_boot_impl(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
         dev.set_category(CostCategory::Runtime);
-        // Reboot and monitor progress (Figure 8 lines 14-16).
+        // Reboot and monitor progress (Figure 8 lines 14-16); the
+        // runtime's own journal recovery rides the first header use.
         self.engine.monitor_finalize(dev)?;
-        // A replayed record that leaves the task finished is its task
-        // commit (every other record writes `STATUS_READY`): the task
-        // completed, but the power failure came before its `TaskEnd`
-        // was traced. The trace is bookkeeping, so read without cost.
-        if dev.recover(&self.journal)? && dev.peek(&self.cells.status) == STATUS_FINISHED {
-            let path = self.app.path(PathId(dev.peek(&self.cells.cur_path)));
-            let task = path.tasks[dev.peek(&self.cells.cur_idx) as usize];
-            dev.trace_push(TraceEvent::TaskEnd { task });
-        }
 
         loop {
             dev.compute(CHECK_TASK_CYCLES)?;
-            let cur_path = dev.nv_read(&self.cells.cur_path)?;
-            if cur_path >= self.app.paths().len() as u32 {
-                dev.trace_push(TraceEvent::RunComplete);
-                return self.outcome(dev);
+            let h = self.header(dev)?;
+            if h.cur_path as usize >= self.app.paths().len() {
+                return self.finish(dev);
             }
-            let cur_idx = dev.nv_read(&self.cells.cur_idx)?;
-            let task = self.app.path(PathId(cur_path)).tasks[cur_idx as usize];
+            let task = h.task(&self.app);
+            let path = PathId(h.cur_path);
             self.current_task_cached = task;
-            let status = dev.nv_read(&self.cells.status)?;
-            let monitored = dev.nv_read(&self.cells.unmonitored)? == 0;
+            let monitored = h.unmonitored == 0;
 
-            if status == STATUS_READY {
+            if h.status == STATUS_READY {
                 let action = if monitored {
                     let seq = self.fresh_seq(dev)?;
-                    let event = MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
+                    let event = MonitorEvent::start(task, dev.now()).on_path(path);
                     let verdicts = self.engine.call_monitor(dev, seq, &event)?;
                     self.arbitrate(dev, &verdicts)
                 } else {
@@ -631,9 +743,8 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         dev.trace_push(TraceEvent::ActionTaken {
                             action: Action::SkipTask,
                         });
-                        if self.advance(dev, cur_path, cur_idx)? {
-                            dev.trace_push(TraceEvent::RunComplete);
-                            return self.outcome(dev);
+                        if self.advance(dev)? {
+                            return self.finish(dev);
                         }
                     }
                     Some(a @ Action::CompletePath(_)) => {
@@ -646,43 +757,41 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 }
             } else {
                 // STATUS_FINISHED: deliver the EndTask event under its
-                // reserved sequence number (exactly-once).
+                // reserved sequence number, `seq` (exactly-once).
                 let action = if monitored {
-                    let end_seq = dev.nv_read(&self.cells.end_seq)?;
-                    let end_time = dev.nv_read(&self.cells.end_time)?;
-                    let (has_dep, dep_bits) = dev.nv_read(&self.cells.end_dep)?;
+                    let (has_dep, dep_bits) = h.end_dep;
                     let event = if has_dep != 0 {
-                        MonitorEvent::end_with_data(task, end_time, f64::from_bits(dep_bits))
+                        MonitorEvent::end_with_data(task, h.end_time, f64::from_bits(dep_bits))
                     } else {
-                        MonitorEvent::end(task, end_time)
+                        MonitorEvent::end(task, h.end_time)
                     }
-                    .on_path(PathId(cur_path));
-                    let verdicts = self.engine.call_monitor(dev, end_seq, &event)?;
+                    .on_path(path);
+                    let verdicts = self.engine.call_monitor(dev, h.seq, &event)?;
                     self.arbitrate(dev, &verdicts)
                 } else {
                     None
                 };
                 match action {
                     None | Some(Action::SkipTask) => {
-                        if self.advance(dev, cur_path, cur_idx)? {
-                            dev.trace_push(TraceEvent::RunComplete);
-                            return self.outcome(dev);
+                        if self.advance(dev)? {
+                            return self.finish(dev);
                         }
                     }
                     Some(Action::RestartTask) => {
                         dev.trace_push(TraceEvent::ActionTaken {
                             action: Action::RestartTask,
                         });
-                        let mut tx = TxWriter::new();
-                        tx.write(&self.cells.status, STATUS_READY);
-                        dev.commit(&self.journal, &tx)?;
+                        let next = Header {
+                            status: STATUS_READY,
+                            ..self.header(dev)?
+                        };
+                        self.commit(dev, &mut TxWriter::new(), next)?;
                     }
                     Some(a @ Action::CompletePath(_)) => {
                         dev.trace_push(TraceEvent::ActionTaken { action: a });
                         self.apply_path_action(dev, a)?;
-                        if self.advance(dev, cur_path, cur_idx)? {
-                            dev.trace_push(TraceEvent::RunComplete);
-                            return self.outcome(dev);
+                        if self.advance(dev)? {
+                            return self.finish(dev);
                         }
                     }
                     Some(a) => self.apply_path_action(dev, a)?,
