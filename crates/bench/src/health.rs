@@ -256,9 +256,10 @@ pub fn artemis_builder(app: AppGraph) -> ArtemisRuntimeBuilder {
 /// A fleet-device factory over the wearable benchmark, for the
 /// fleet-scale sharded simulation (`experiments::fleet`).
 ///
-/// The spec is parsed and lowered **once**, here; each device clones the
-/// compiled [`artemis_ir::MonitorSuite`] instead of re-running the spec
-/// front end 100k times. Every per-device decision — which energy
+/// The spec is parsed and lowered **once**, here; each device installs
+/// a clone of the [`artemis_ir::MonitorSuite`] handle — one shared
+/// machine list — instead of re-running the spec front end 100k times.
+/// Every per-device decision — which energy
 /// environment the wearer lives in — is drawn from the device's derived
 /// stream seed, so device `i` of a fleet seeded with `m` is a pure
 /// function of `(m, i)`:
@@ -281,8 +282,11 @@ pub fn fleet_factory() -> impl Fn(u64, u64) -> FleetDevice + Sync {
 /// `opt` bench sweeps both). The suite is compiled to bytecode **once**
 /// and shared across all devices through an [`std::sync::Arc`] — a
 /// 100k-device fleet holds one copy of the immutable
-/// [`artemis_ir::CompiledSuite`], not 100k; only the per-device FRAM
-/// image, journal, and caches are private.
+/// [`artemis_ir::CompiledSuite`], not 100k. Every device passes the same
+/// suite handle on the same benchmark capacitor, so the install gate's
+/// suite-level passes run for the first device only
+/// ([`artemis_ir::CompiledSuite::install_facts`]); only the per-device
+/// FRAM image, journal, and caches are private.
 pub fn fleet_factory_opt(opt: artemis_ir::OptLevel) -> impl Fn(u64, u64) -> FleetDevice + Sync {
     let app = health_app();
     let suite = artemis_ir::compile(HEALTH_SPEC, &app).expect("benchmark spec compiles");

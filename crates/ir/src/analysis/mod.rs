@@ -56,10 +56,38 @@ pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};
 
 use artemis_spec::{sort_diagnostics, Diagnostic};
+use intermittent_sim::EnergyProfile;
 
 use crate::compile::CompiledSuite;
 use crate::expr::VarType;
 use crate::fsm::MonitorSuite;
+
+/// The install gate's suite-level results: what an install of a suite
+/// computes before it looks at the application's energy or the device's
+/// FRAM, and so the same for every device of one energy profile.
+/// [`CompiledSuite::install_facts`] keeps them per compiled suite.
+#[derive(Clone, Debug)]
+pub struct InstallFacts {
+    /// [`suite_bounds`] for the device's profile.
+    pub bounds: SuiteBounds,
+    /// [`analyze_suite`] without the journal cross-check (the engine
+    /// sizes its journal from `bounds`), errors first.
+    pub diags: Vec<Diagnostic>,
+}
+
+impl InstallFacts {
+    /// Runs both passes.
+    pub(crate) fn compute(
+        suite: &MonitorSuite,
+        compiled: &CompiledSuite,
+        profile: &EnergyProfile,
+    ) -> Self {
+        InstallFacts {
+            bounds: suite_bounds(compiled, profile),
+            diags: analyze_suite(suite, compiled, None),
+        }
+    }
+}
 
 /// Runs every analysis pass over a compiled suite paired with its
 /// source machines. Returns all findings, errors first.
@@ -72,7 +100,7 @@ use crate::fsm::MonitorSuite;
 pub fn analyze_suite(
     suite: &MonitorSuite,
     compiled: &CompiledSuite,
-    journal: Option<(usize, &intermittent_sim::EnergyProfile)>,
+    journal: Option<(usize, &EnergyProfile)>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 

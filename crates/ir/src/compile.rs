@@ -25,11 +25,14 @@
 //! tests in `artemis-monitor` pin down.
 
 use core::ops::Range;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use artemis_core::app::AppGraph;
 use artemis_core::event::EventKind;
-use intermittent_sim::OpCycles;
+use intermittent_sim::{EnergyProfile, OpCycles};
 
+use crate::analysis::InstallFacts;
 use crate::exec::coerce;
 use crate::expr::{apply, BinOp, EvalError, EventCtx, Expr, Value};
 use crate::fsm::{EmitFail, MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
@@ -1267,6 +1270,9 @@ pub struct CompiledSuite {
     task_names: Box<[Box<str>]>,
     max_regs: usize,
     routing: RoutingIndex,
+    /// The first [`CompiledSuite::install_facts`] answer, with the
+    /// suite handle and profile it was computed for.
+    memo: OnceLock<(MonitorSuite, EnergyProfile, InstallFacts)>,
 }
 
 impl CompiledSuite {
@@ -1307,6 +1313,7 @@ impl CompiledSuite {
                 .collect(),
             max_regs,
             routing,
+            memo: OnceLock::new(),
         })
     }
 
@@ -1342,6 +1349,7 @@ impl CompiledSuite {
     ///
     /// Panics if `idx` is out of range.
     pub fn set_machine(&mut self, idx: usize, raw: RawMachine) {
+        self.memo = OnceLock::new();
         self.machines[idx] = CompiledMachine::from_raw(raw);
         self.max_regs = self
             .machines
@@ -1350,6 +1358,30 @@ impl CompiledSuite {
             .max()
             .unwrap_or(0);
         self.routing = RoutingIndex::build(&self.machines, self.task_names.len());
+    }
+
+    /// The install gate's suite-level results for `suite` on a device
+    /// of energy profile `profile`: the static bounds and the analysis
+    /// findings ([`InstallFacts`]). They depend on nothing
+    /// else, so the first call's answer is kept and returned again
+    /// whenever the same suite handle ([`MonitorSuite::same`]) comes
+    /// with an equal profile — every device a fleet installs from one
+    /// compiled suite. Any other pair is computed fresh and leaves the
+    /// kept answer as it is; [`CompiledSuite::set_machine`] drops it.
+    pub fn install_facts(
+        &self,
+        suite: &MonitorSuite,
+        profile: &EnergyProfile,
+    ) -> Cow<'_, InstallFacts> {
+        let (memo_suite, memo_profile, facts) = self.memo.get_or_init(|| {
+            let facts = InstallFacts::compute(suite, self, profile);
+            (suite.clone(), *profile, facts)
+        });
+        if memo_suite.same(suite) && memo_profile == profile {
+            Cow::Borrowed(facts)
+        } else {
+            Cow::Owned(InstallFacts::compute(suite, self, profile))
+        }
     }
 
     /// Resolves a dense task id back to its source name ("" when out of

@@ -12,6 +12,7 @@
 //! the application graph when it loads a machine.
 
 use core::fmt;
+use std::sync::Arc;
 
 use artemis_core::property::OnFail;
 
@@ -218,9 +219,14 @@ impl fmt::Display for StateMachine {
 }
 
 /// A set of machines compiled from one specification.
+///
+/// A cheap handle: clones share one read-only machine list, so every
+/// device installing the same suite holds the same machines. Equality
+/// compares machines; [`MonitorSuite::same`] asks whether two handles
+/// share them.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct MonitorSuite {
-    machines: Vec<StateMachine>,
+    machines: Arc<Vec<StateMachine>>,
 }
 
 impl MonitorSuite {
@@ -229,9 +235,16 @@ impl MonitorSuite {
         Self::default()
     }
 
-    /// Adds a machine.
+    /// Adds a machine. Copies the machine list first if another handle
+    /// shares it, so the other handles never see the change.
     pub fn push(&mut self, m: StateMachine) {
-        self.machines.push(m);
+        Arc::make_mut(&mut self.machines).push(m);
+    }
+
+    /// `true` iff both handles share one machine list (a clone of the
+    /// same suite, with no `push` on either since).
+    pub fn same(&self, other: &MonitorSuite) -> bool {
+        Arc::ptr_eq(&self.machines, &other.machines)
     }
 
     /// All machines, in declaration order.
@@ -252,15 +265,6 @@ impl MonitorSuite {
     /// Returns `true` if the suite holds no machines.
     pub fn is_empty(&self) -> bool {
         self.machines.is_empty()
-    }
-}
-
-impl IntoIterator for MonitorSuite {
-    type Item = StateMachine;
-    type IntoIter = std::vec::IntoIter<StateMachine>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.machines.into_iter()
     }
 }
 
@@ -313,6 +317,27 @@ mod tests {
         assert!(suite.machine("y").is_some());
         assert!(suite.machine("z").is_none());
         assert!(!suite.is_empty());
+    }
+
+    /// Clones share one machine list until a `push`, which copies it
+    /// and leaves the other handles as they were.
+    #[test]
+    fn suite_clones_share_until_push() {
+        let mut suite = MonitorSuite::new();
+        suite.push(StateMachine::new("x", "a"));
+        let shared = suite.clone();
+        assert!(shared.same(&suite));
+        let mut grown = suite.clone();
+        grown.push(StateMachine::new("y", "b"));
+        assert!(!grown.same(&suite));
+        assert!(shared.same(&suite));
+        assert_eq!(suite.len(), 1);
+        assert_eq!(grown.len(), 2);
+
+        let mut equal = MonitorSuite::new();
+        equal.push(StateMachine::new("x", "a"));
+        assert_eq!(equal, suite);
+        assert!(!equal.same(&suite), "equal is not the same");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod validate;
 use artemis_core::app::AppGraph;
 use artemis_spec::SpecAst;
 
-pub use analysis::{analyze_suite, suite_bounds, SuiteBounds};
+pub use analysis::{analyze_suite, suite_bounds, InstallFacts, SuiteBounds};
 pub use compile::{
     AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite, RawMachine, StepCost,
 };

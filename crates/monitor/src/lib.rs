@@ -487,15 +487,15 @@ fn done_bit(map: &[u8], g: usize) -> bool {
 }
 
 /// Stages a machine's re-initialisation into `tx`, honouring its
-/// storage layout.
-fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
+/// storage layout; `m` is its source machine.
+fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine, m: &StateMachine) {
     match &lm.store {
         MachineStore::Cells {
             state_cell,
             var_cells,
         } => {
-            tx.write(state_cell, lm.machine.initial);
-            for (cell, decl) in var_cells.iter().zip(&lm.machine.vars) {
+            tx.write(state_cell, m.initial);
+            for (cell, decl) in var_cells.iter().zip(&m.vars) {
                 tx.write(cell, NvValue(decl.init));
             }
         }
@@ -522,7 +522,9 @@ fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
 }
 
 struct LoadedMachine {
-    machine: artemis_ir::StateMachine,
+    /// The machine's `Path:` qualifier, copied from the source machine
+    /// so the compiled hot path never reads the suite.
+    path: Option<u32>,
     store: MachineStore,
     /// Block image of the initial state, staged whole on resets (empty
     /// in cell mode).
@@ -680,6 +682,9 @@ pub struct MonitorEngine {
     /// table interned once at install (both modes resolve event task
     /// ids through it).
     compiled: Arc<CompiledSuite>,
+    /// The source machines (names, paths, interpreter semantics), shared
+    /// with every engine installed from the same suite handle.
+    suite: MonitorSuite,
     machines: Vec<LoadedMachine>,
     journal: Journal,
     /// The armed delivery, all fixed by its group 0 record: its
@@ -784,8 +789,12 @@ impl MonitorEngine {
     /// suite: many engines (one per simulated device) can hold the same
     /// immutable bytecode through an [`Arc`] instead of each carrying a
     /// private copy — the fleet harness compiles once per worker sweep,
-    /// not once per device. All mutable monitor state (FRAM blocks,
-    /// journal, caches, scratch) stays per-engine.
+    /// not once per device. The engines share the suite handle too, and
+    /// installs that pass clones of one handle on devices of equal
+    /// energy profiles share the gate's suite-level results
+    /// ([`CompiledSuite::install_facts`]); each install still runs the
+    /// energy check and traces every warning. All mutable monitor state
+    /// (FRAM blocks, journal, caches, scratch) stays per-engine.
     pub fn install_precompiled_shared(
         dev: &mut Device,
         suite: MonitorSuite,
@@ -813,7 +822,8 @@ impl MonitorEngine {
         // A delivery's worklist is its key's interest list, so when the
         // bounds pass cuts every key into one group, so does the engine.
         let profile = dev.energy_profile();
-        let bounds = artemis_ir::analysis::suite_bounds(&compiled, &profile);
+        let facts = compiled.install_facts(&suite, &profile);
+        let bounds = &facts.bounds;
         let mut capacity = bounds.worst_commit_bytes;
         let one_group = bounds.per_key.iter().all(|k| k.groups == 1);
         if mode == ExecMode::Interpreter {
@@ -824,21 +834,25 @@ impl MonitorEngine {
         // first (most severe) error rejects the install; warnings
         // surface on the trace. The capacity is derived from the same
         // bounds, so the gate skips the capacity cross-check.
-        let mut diags = artemis_ir::analysis::analyze_suite(&suite, &compiled, None);
+        let mut diags = std::borrow::Cow::Borrowed(facts.diags.as_slice());
         if let Some(gate) = energy {
+            let diags = diags.to_mut();
             diags.extend(artemis_ir::analysis::check_energy(
-                &compiled, &bounds, app, &gate,
+                &compiled, bounds, app, &gate,
             ));
-            artemis_spec::sort_diagnostics(&mut diags);
+            artemis_spec::sort_diagnostics(diags);
         }
-        if !diags.is_empty() && diags[0].is_error() {
-            return Err(InstallError::Analysis(diags.swap_remove(0)));
+        if let Some(d) = diags.first().filter(|d| d.is_error()) {
+            return Err(InstallError::Analysis(d.clone()));
         }
-        for d in diags {
+        for d in diags.iter() {
             dev.trace_push(artemis_core::trace::TraceEvent::InstallWarning {
                 message: d.to_string(),
             });
         }
+        // Both borrow `compiled`, which the engine takes below.
+        drop(diags);
+        drop(facts);
 
         let dev_err = InstallError::Device;
         let owner = MemOwner::Monitor;
@@ -860,7 +874,7 @@ impl MonitorEngine {
                 .map_err(dev_err)?;
 
             let mut machines = Vec::with_capacity(suite.len());
-            for (mi, m) in suite.into_iter().enumerate() {
+            for (mi, m) in suite.machines().iter().enumerate() {
                 let (store, initial_image, observed) = if compiled_mode {
                     // One contiguous block per machine, pre-imaged with
                     // the initial snapshot. Geometry and snapshot come
@@ -914,16 +928,17 @@ impl MonitorEngine {
                     (store, Vec::new(), observed)
                 };
                 machines.push(LoadedMachine {
-                    machine: m,
+                    path: m.path,
                     store,
                     initial_image,
                     observed,
                 });
             }
 
-            let max_vars = machines
+            let max_vars = suite
+                .machines()
                 .iter()
-                .map(|lm| lm.machine.vars.len())
+                .map(|m| m.vars.len())
                 .max()
                 .unwrap_or(0);
             let max_block = machines
@@ -972,6 +987,7 @@ impl MonitorEngine {
             Ok(MonitorEngine {
                 mode,
                 compiled,
+                suite,
                 machines,
                 journal,
                 header,
@@ -1137,7 +1153,7 @@ impl MonitorEngine {
             let ShadowCache { gen, machines, .. } = &mut *c;
             let ms = &mut machines[i];
             layout.decode(&scratch.block, &mut ms.state, &mut ms.vars);
-            if ms.state as usize >= self.machines[i].machine.states.len() {
+            if ms.state as usize >= self.suite.machines()[i].states.len() {
                 return Err(Interrupt::Fault(Fault::CorruptState));
             }
             ms.gen = *gen;
@@ -1196,13 +1212,14 @@ impl MonitorEngine {
             }
         };
         let machine_index = packed as usize;
-        let lm = self
-            .machines
+        let m = self
+            .suite
+            .machines()
             .get(machine_index)
             .ok_or(Interrupt::Fault(Fault::CorruptState))?;
         let verdict = decode_action(encoded).map(|action| MonitorVerdict {
             machine_index,
-            machine: lm.machine.name.clone(),
+            machine: m.name.clone(),
             action,
         });
         Ok(verdict)
@@ -1241,24 +1258,26 @@ impl MonitorEngine {
 
     /// Machine names, in suite order.
     pub fn machine_names(&self) -> Vec<String> {
-        self.machines
+        self.suite
+            .machines()
             .iter()
-            .map(|m| m.machine.name.clone())
+            .map(|m| m.name.clone())
             .collect()
     }
 
     /// Refills the shadows of the machines `reset` selects with their
     /// initial images (after a commit that re-imaged them).
-    fn shadow_reset_machines(&self, reset: impl Fn(&LoadedMachine) -> bool) {
+    fn shadow_reset_machines(&self, reset: impl Fn(&StateMachine) -> bool) {
         self.cache_put(|c| {
             c.journal_clean = true;
             let ShadowCache { gen, machines, .. } = &mut *c;
-            for ((ms, lm), cm) in machines
+            for (((ms, lm), cm), m) in machines
                 .iter_mut()
                 .zip(&self.machines)
                 .zip(self.compiled.machines())
+                .zip(self.suite.machines())
             {
-                if reset(lm) {
+                if reset(m) {
                     cm.layout()
                         .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
                     ms.gen = *gen;
@@ -1295,8 +1314,8 @@ impl MonitorEngine {
         self.entry(dev, |dev| {
             let tx = &mut self.scratch.borrow_mut().tx;
             tx.clear();
-            for lm in &self.machines {
-                stage_machine_reset(tx, lm);
+            for (lm, m) in self.machines.iter().zip(self.suite.machines()) {
+                stage_machine_reset(tx, lm, m);
             }
             // `seq … done` zeroed as one run: no events, an empty log.
             let h = &self.header;
@@ -1614,9 +1633,7 @@ impl MonitorEngine {
             exec.machine_steps += 1;
         }
         if let Some(fail) = emit {
-            scratch
-                .emits
-                .push((i, fail.action, fail.path.or(lm.machine.path)));
+            scratch.emits.push((i, fail.action, fail.path.or(lm.path)));
         }
 
         // Re-encode and compare byte for byte against the loaded image
@@ -1654,14 +1671,14 @@ impl MonitorEngine {
     /// Re-initialises the machines affected by a restart of `path`
     /// (paper §3.3: monitors linked to tasks of a restarted path).
     pub fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
-        let affected = |lm: &LoadedMachine| {
-            lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number())
-        };
+        let affected = |m: &StateMachine| m.reset_on_path_restart && m.path == Some(path.number());
         self.entry(dev, |dev| {
             let tx = &mut self.scratch.borrow_mut().tx;
             tx.clear();
-            for lm in self.machines.iter().filter(|lm| affected(lm)) {
-                stage_machine_reset(tx, lm);
+            for (lm, m) in self.machines.iter().zip(self.suite.machines()) {
+                if affected(m) {
+                    stage_machine_reset(tx, lm, m);
+                }
             }
             dev.commit(&self.journal, tx)?;
             // The commit rewrote the affected machines' images to
@@ -1682,6 +1699,7 @@ impl MonitorEngine {
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
         let lm = &self.machines[i];
+        let m = &self.suite.machines()[i];
         let MachineStore::Cells {
             state_cell,
             var_cells,
@@ -1699,14 +1717,12 @@ impl MonitorEngine {
         }
 
         // Model the compute cost of the generated step function.
-        dev.compute(
-            STEP_BASE_CYCLES + STEP_PER_TRANSITION_CYCLES * lm.machine.transitions.len() as u64,
-        )?;
+        dev.compute(STEP_BASE_CYCLES + STEP_PER_TRANSITION_CYCLES * m.transitions.len() as u64)?;
 
         let task_name = self.compiled.task_name(encoded.task);
 
         let before_state = dev.nv_read(state_cell)?;
-        if before_state as usize >= lm.machine.states.len() {
+        if before_state as usize >= m.states.len() {
             return Err(Interrupt::Fault(Fault::CorruptState));
         }
         scratch.vars.clear();
@@ -1734,7 +1750,7 @@ impl MonitorEngine {
         // Evaluation errors cannot occur on validated machines; treat
         // them as accept-silently to keep the monitor total (the C
         // monitor has no error channel either).
-        let emit = step(&lm.machine, &mut mstate, &ir_event).unwrap_or(None);
+        let emit = step(m, &mut mstate, &ir_event).unwrap_or(None);
         scratch.vars = mstate.vars;
 
         // Only changed cells are staged (matches the generated C, which
@@ -1752,9 +1768,7 @@ impl MonitorEngine {
             }
         }
         if let Some(fail) = emit {
-            scratch
-                .emits
-                .push((i, fail.action, fail.path.or(lm.machine.path)));
+            scratch.emits.push((i, fail.action, fail.path.or(lm.path)));
         }
         Ok(())
     }
@@ -1775,7 +1789,7 @@ impl MonitorEngine {
 /// The `Path:` qualifier (paper §3.2): a property on a merged task is
 /// checked only against events from its governing path.
 fn path_dismissed(lm: &LoadedMachine, encoded: &EncodedEvent) -> bool {
-    match lm.machine.path {
+    match lm.path {
         Some(machine_path) => {
             encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
         }

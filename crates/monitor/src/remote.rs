@@ -41,13 +41,15 @@ const VERDICT_MSG_BYTES: usize = 16;
 const CONTROL_MSG_BYTES: usize = 8;
 
 struct RemoteState {
-    machines: Vec<(artemis_ir::StateMachine, MachineState)>,
+    /// One state per machine of the engine's suite, in suite order.
+    machines: Vec<MachineState>,
     /// Last processed sequence number and its verdicts (dedup).
     last: Option<(u64, Vec<MonitorVerdict>)>,
 }
 
 /// Monitors deployed on an external, continuously-powered device.
 pub struct RemoteMonitorEngine {
+    suite: MonitorSuite,
     task_names: Vec<String>,
     state: RefCell<RemoteState>,
     /// Verdict cache by sequence number for re-queries.
@@ -75,14 +77,9 @@ impl RemoteMonitorEngine {
                 }
             }
         }
-        let machines = suite
-            .into_iter()
-            .map(|m| {
-                let st = MachineState::initial(&m);
-                (m, st)
-            })
-            .collect();
+        let machines = suite.machines().iter().map(MachineState::initial).collect();
         Ok(RemoteMonitorEngine {
+            suite,
             task_names: app.tasks().iter().map(|t| t.name.clone()).collect(),
             state: RefCell::new(RemoteState {
                 machines,
@@ -107,7 +104,8 @@ impl RemoteMonitorEngine {
             .cloned()
             .unwrap_or_default();
         let mut verdicts = Vec::new();
-        for (idx, (machine, mstate)) in state.machines.iter_mut().enumerate() {
+        let machines = self.suite.machines().iter().zip(&mut state.machines);
+        for (idx, (machine, mstate)) in machines.enumerate() {
             // The `Path:` qualifier filter, as in the local engine.
             if let (Some(mp), Some(ep)) = (machine.path, event.path) {
                 if mp != ep.number() {
@@ -145,7 +143,7 @@ impl Monitoring for RemoteMonitorEngine {
         // A control message over the radio.
         dev.billed(CostCategory::Monitor, |dev| dev.transmit(CONTROL_MSG_BYTES))?;
         let mut state = self.state.borrow_mut();
-        for (machine, mstate) in state.machines.iter_mut() {
+        for (machine, mstate) in self.suite.machines().iter().zip(&mut state.machines) {
             mstate.reset(machine);
         }
         state.last = None;
@@ -189,7 +187,7 @@ impl Monitoring for RemoteMonitorEngine {
     fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
         dev.billed(CostCategory::Monitor, |dev| dev.transmit(CONTROL_MSG_BYTES))?;
         let mut state = self.state.borrow_mut();
-        for (machine, mstate) in state.machines.iter_mut() {
+        for (machine, mstate) in self.suite.machines().iter().zip(&mut state.machines) {
             if machine.reset_on_path_restart && machine.path == Some(path.number()) {
                 mstate.reset(machine);
             }
@@ -198,15 +196,14 @@ impl Monitoring for RemoteMonitorEngine {
     }
 
     fn machine_count(&self) -> usize {
-        self.state.borrow().machines.len()
+        self.suite.len()
     }
 
     fn machine_names(&self) -> Vec<String> {
-        self.state
-            .borrow()
-            .machines
+        self.suite
+            .machines()
             .iter()
-            .map(|(m, _)| m.name.clone())
+            .map(|m| m.name.clone())
             .collect()
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The MSP430FR5994 couples 256 KB of ferroelectric RAM (nonvolatile,
 //! byte-writable, cheap writes) with 4 KB of SRAM that is lost on every
-//! power failure. The [`Fram`] arena models the former: a flat byte
-//! array plus a bump allocator that records *who* owns each allocation
-//! (runtime, monitor, application), which is exactly the accounting the
-//! paper's Table 2 reports.
+//! power failure. The [`Fram`] arena models the former: a bump
+//! allocator that records *who* owns each allocation (runtime, monitor,
+//! application), which is exactly the accounting the paper's Table 2
+//! reports, over a byte array that holds only the allocated prefix.
 //!
 //! Typed access goes through [`NvCell<T>`] handles and the [`NvData`]
 //! encoding trait — explicit little-endian serialisation, so a "byte of
@@ -225,6 +225,12 @@ impl std::error::Error for OutOfFram {}
 
 /// The nonvolatile memory arena.
 ///
+/// Only the allocated prefix is stored: each allocation zero-extends
+/// the byte array, so building a device costs what it allocates (a few
+/// KB), not the part's whole 256 KB. Every access must land inside an
+/// allocation; an address past [`Fram::used`] is a programming error
+/// and panics, like one past the capacity.
+///
 /// # Examples
 ///
 /// ```
@@ -238,8 +244,9 @@ impl std::error::Error for OutOfFram {}
 /// assert_eq!(fram.used_by(MemOwner::Runtime), 4);
 /// ```
 pub struct Fram {
+    /// The allocated prefix, `used()` bytes long.
     bytes: Vec<u8>,
-    next: usize,
+    capacity: usize,
     allocs: Vec<AllocRecord>,
     /// Access counters since construction (`peek` excluded).
     traffic: FramTraffic,
@@ -302,11 +309,12 @@ impl core::ops::Sub for FramTraffic {
 }
 
 impl Fram {
-    /// Creates an arena of `capacity` bytes, zero-initialised.
+    /// Creates an arena of `capacity` bytes; every allocation starts
+    /// zeroed.
     pub fn new(capacity: usize) -> Self {
         Fram {
-            bytes: vec![0; capacity],
-            next: 0,
+            bytes: Vec::new(),
+            capacity,
             allocs: Vec::new(),
             traffic: FramTraffic::default(),
         }
@@ -314,12 +322,12 @@ impl Fram {
 
     /// The arena capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.bytes.len()
+        self.capacity
     }
 
     /// Bytes allocated so far.
     pub fn used(&self) -> usize {
-        self.next
+        self.bytes.len()
     }
 
     /// Allocates a typed cell with an initial value.
@@ -345,15 +353,15 @@ impl Fram {
         owner: MemOwner,
         label: &str,
     ) -> Result<usize, OutOfFram> {
-        let available = self.bytes.len() - self.next;
+        let addr = self.bytes.len();
+        let available = self.capacity - addr;
         if size > available {
             return Err(OutOfFram {
                 requested: size,
                 available,
             });
         }
-        let addr = self.next;
-        self.next += size;
+        self.bytes.resize(addr + size, 0);
         self.allocs.push(AllocRecord {
             label: label.to_string(),
             owner,
@@ -457,8 +465,8 @@ impl Fram {
 impl fmt::Debug for Fram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Fram")
-            .field("capacity", &self.bytes.len())
-            .field("used", &self.next)
+            .field("capacity", &self.capacity)
+            .field("used", &self.bytes.len())
             .field("allocations", &self.allocs.len())
             .finish()
     }

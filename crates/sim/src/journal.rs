@@ -396,7 +396,8 @@ impl Journal {
     }
 
     /// Validates the pending record without billing: every sub-write
-    /// must lie inside the journal region and target FRAM outside it.
+    /// must lie inside the journal region and target allocated FRAM
+    /// outside it (the arena stores nothing past [`Fram::used`]).
     fn check_record(&self, fram: &Fram) -> Result<(), Interrupt> {
         let corrupt = Err(Interrupt::Fault(Fault::CorruptJournal));
         let c = fram.peek_raw(self.base + RECORD_OFF, 2);
@@ -409,7 +410,7 @@ impl Journal {
             let (addr, len) = header(fram.peek_raw(off, ENTRY_HEADER));
             off += ENTRY_HEADER + len;
             let hits_journal = addr < self.end() && self.base < addr + len;
-            if off > self.end() || addr + len > fram.capacity() || hits_journal {
+            if off > self.end() || addr + len > fram.used() || hits_journal {
                 return corrupt;
             }
         }
@@ -421,11 +422,22 @@ impl Journal {
 mod tests {
     use super::*;
 
-    fn setup() -> (Fram, Journal, NvCell<u64>, NvCell<u32>) {
+    /// A 4 KiB arena holding the journal and two cells, the rest
+    /// unallocated.
+    fn setup_unfilled() -> (Fram, Journal, NvCell<u64>, NvCell<u32>) {
         let mut fram = Fram::new(4096);
         let journal = Journal::new(&mut fram, 256, MemOwner::Runtime).unwrap();
         let a = fram.alloc::<u64>(1, MemOwner::App, "a").unwrap();
         let b = fram.alloc::<u32>(2, MemOwner::App, "b").unwrap();
+        (fram, journal, a, b)
+    }
+
+    /// [`setup_unfilled`] with the rest of the arena allocated, so
+    /// sub-writes may target any byte up to the last.
+    fn setup() -> (Fram, Journal, NvCell<u64>, NvCell<u32>) {
+        let (mut fram, journal, a, b) = setup_unfilled();
+        let rest = fram.capacity() - fram.used();
+        fram.alloc_raw(rest, MemOwner::App, "rest").unwrap();
         (fram, journal, a, b)
     }
 
@@ -940,10 +952,11 @@ mod tests {
 
     #[test]
     fn recover_faults_on_out_of_range_headers_before_applying() {
-        let (mut fram, journal, a, _) = setup();
+        let (mut fram, journal, a, _) = setup_unfilled();
         let region = journal.base + RECORD_OFF;
-        let cases: [(usize, u16); 3] = [
+        let cases: [(usize, u16); 4] = [
             (fram.capacity() - 2, 8),            // target past the end of FRAM
+            (fram.used(), 4),                    // target in unallocated FRAM
             (journal.base + 1, 2),               // target inside the journal
             (a.addr(), journal.capacity as u16), // data past the region
         ];

@@ -6,7 +6,7 @@ use artemis_core::time::{SimDuration, SimInstant};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{DeviceBuilder, Interrupt};
 use intermittent_sim::energy::Energy;
-use intermittent_sim::fram::{Fram, MemOwner, NvData};
+use intermittent_sim::fram::{Fram, MemOwner, NvData, OutOfFram};
 use intermittent_sim::harvester::Harvester;
 use intermittent_sim::journal::{Journal, TxWriter};
 use intermittent_sim::PersistentClock;
@@ -24,6 +24,31 @@ fn arena(base: &[u8]) -> (Fram, Journal, usize) {
     let window = fram.alloc_raw(WINDOW, MemOwner::App, "window").unwrap();
     fram.write_raw(window, base);
     (fram, journal, window)
+}
+
+/// Capacity of the arena the lazy-allocation model drives.
+const MODEL_CAPACITY: usize = 2048;
+
+/// The FRAM arena as it was before it sized itself to its
+/// allocations: every byte of the capacity zeroed up front, a bump
+/// pointer, and the same out-of-space report.
+struct EagerFram {
+    bytes: Vec<u8>,
+    next: usize,
+}
+
+impl EagerFram {
+    fn alloc_raw(&mut self, size: usize) -> Result<usize, OutOfFram> {
+        let available = self.bytes.len() - self.next;
+        if size > available {
+            return Err(OutOfFram {
+                requested: size,
+                available,
+            });
+        }
+        self.next += size;
+        Ok(self.next - size)
+    }
 }
 
 fn round_trip<T: NvData + PartialEq + core::fmt::Debug>(v: T) {
@@ -135,6 +160,50 @@ proptest! {
             tx.overlay(window + off, &mut buf);
             prop_assert_eq!(&buf[..], committed.peek_raw(window + off, len), "range {}+{}", off, len);
         }
+    }
+
+    /// An arena that stores only its allocated prefix behaves like one
+    /// zeroed up front: the same addresses and out-of-space reports,
+    /// fresh allocations read zero (also after writes elsewhere), and
+    /// every allocated byte reads back what was written.
+    #[test]
+    fn lazy_fram_matches_eager_model(
+        ops in proptest::collection::vec((0u8..4, 0usize..700, any::<u64>()), 1..48),
+    ) {
+        let mut fram = Fram::new(MODEL_CAPACITY);
+        let mut model = EagerFram { bytes: vec![0; MODEL_CAPACITY], next: 0 };
+        for (op, n, seed) in ops {
+            match op {
+                0 => {
+                    let got = fram.alloc_raw(n, MemOwner::App, "raw");
+                    prop_assert_eq!(got, model.alloc_raw(n));
+                }
+                1 => {
+                    let got = fram.alloc::<u64>(seed, MemOwner::App, "cell").map(|c| c.addr());
+                    let want = model.alloc_raw(8);
+                    prop_assert_eq!(got, want);
+                    if let Ok(addr) = want {
+                        model.bytes[addr..addr + 8].copy_from_slice(&seed.to_le_bytes());
+                    }
+                }
+                _ if model.next == 0 => {}
+                2 => {
+                    let addr = n % model.next;
+                    let len = (seed as usize % 64).min(model.next - addr);
+                    let data: Vec<u8> = (0..len).map(|i| (seed >> 8) as u8 ^ i as u8).collect();
+                    fram.write_raw(addr, &data);
+                    model.bytes[addr..addr + len].copy_from_slice(&data);
+                }
+                _ => {
+                    let addr = n % model.next;
+                    let len = (seed as usize % 64).min(model.next - addr);
+                    prop_assert_eq!(fram.read_raw(addr, len), &model.bytes[addr..addr + len]);
+                }
+            }
+            prop_assert_eq!(fram.used(), model.next);
+            prop_assert_eq!(fram.capacity(), MODEL_CAPACITY);
+        }
+        prop_assert_eq!(fram.peek_raw(0, fram.used()), &model.bytes[..model.next]);
     }
 
     /// Capacitor: stored energy never exceeds the budget, `draw`
@@ -252,4 +321,44 @@ proptest! {
             "overshoot {} too large", overshoot
         );
     }
+}
+
+/// The part's 256 KiB arena keeps its capacity and its out-of-space
+/// numbers at the boundary, though it stores only what is allocated.
+#[test]
+fn lazy_fram_keeps_capacity_and_out_of_fram_at_256_kib() {
+    const KIB_256: usize = 256 * 1024;
+    let mut fram = Fram::new(KIB_256);
+    assert_eq!(fram.capacity(), KIB_256);
+    assert_eq!(fram.used(), 0);
+    let err = fram.alloc_raw(KIB_256 + 1, MemOwner::App, "too big");
+    assert_eq!(
+        err,
+        Err(OutOfFram {
+            requested: KIB_256 + 1,
+            available: KIB_256,
+        })
+    );
+    let cell = fram.alloc::<u32>(7, MemOwner::App, "cell").unwrap();
+    let rest = fram.alloc_raw(KIB_256 - 6, MemOwner::App, "rest").unwrap();
+    assert_eq!(fram.used(), KIB_256 - 2);
+    assert_eq!(
+        fram.alloc::<u32>(0, MemOwner::App, "over").unwrap_err(),
+        OutOfFram {
+            requested: 4,
+            available: 2,
+        }
+    );
+    fram.alloc_raw(2, MemOwner::App, "last").unwrap();
+    assert_eq!(
+        fram.alloc_raw(1, MemOwner::App, "full"),
+        Err(OutOfFram {
+            requested: 1,
+            available: 0,
+        })
+    );
+    assert_eq!(fram.capacity(), KIB_256);
+    assert_eq!(fram.used(), KIB_256);
+    assert_eq!(fram.read(&cell), 7);
+    assert!(fram.peek_raw(rest, KIB_256 - rest).iter().all(|&b| b == 0));
 }

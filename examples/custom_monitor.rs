@@ -44,8 +44,8 @@ fn main() {
     // Mix in a generated property from the specification language.
     let generated =
         artemis::ir::compile("sense: { maxTries: 5 onFail: skipPath; }", &app).expect("compiles");
-    for m in generated {
-        suite.push(m);
+    for m in generated.machines() {
+        suite.push(m.clone());
     }
     println!(
         "installed machines: {:?}",
