@@ -100,7 +100,8 @@ pub fn nominal_minutes(n: u64) -> SimDuration {
 /// The task graph of Figures 4 and 6, with each task's body cost
 /// declared for the install-time energy feasibility analysis.
 ///
-/// The declarations mirror the bodies in [`artemis_builder`] exactly:
+/// The declarations mirror the benchmark's one set of bodies
+/// ([`artemis_builder`], which both runtimes install) exactly:
 /// the same compute cycles and idle periods, plus the peripheral and
 /// radio draws priced from [`PeripheralBank::thunderboard_defaults`]
 /// (the single source of those constants). Channel FRAM traffic is
@@ -186,7 +187,8 @@ pub fn install_artemis(dev: &mut Device, spec: &str) -> ArtemisRuntime {
 
 /// The benchmark's runtime builder (channels + task bodies) without a
 /// monitoring deployment, for `install_with` variants (e.g. the §7
-/// external-monitor ablation).
+/// external-monitor ablation) and for [`install_mayfly`], which runs
+/// the same bodies.
 pub fn artemis_builder(app: AppGraph) -> ArtemisRuntimeBuilder {
     let mut rb = ArtemisRuntimeBuilder::new(app);
     rb.channel("temps");
@@ -329,66 +331,7 @@ pub fn fleet_factory_opt(opt: artemis_ir::OptLevel) -> impl Fn(u64, u64) -> Flee
 /// `MITD` (expiration) rules — Mayfly supports neither `maxTries` nor
 /// `maxAttempt`.
 pub fn install_mayfly(dev: &mut Device) -> MayflyRuntime {
-    let app = health_app();
-    let mut rb = MayflyRuntimeBuilder::new(app);
-    rb.channel("temps");
-    rb.channel("avg");
-    rb.channel("breath");
-    rb.channel("cough");
-
-    rb.body("bodyTemp", |ctx| {
-        ctx.idle(settle(300))?;
-        let raw = ctx.sample(Peripheral::TemperatureAdc)?;
-        ctx.compute(2_000)?;
-        ctx.push("temps", raw)
-    });
-    rb.body("calcAvg", |ctx| {
-        let temps = ctx.read_all("temps")?;
-        ctx.compute(5_000)?;
-        let avg = if temps.is_empty() {
-            0.0
-        } else {
-            temps.iter().sum::<f64>() / temps.len() as f64
-        };
-        ctx.consume("temps")?;
-        ctx.push("avg", avg)
-    });
-    rb.body("heartRate", |ctx| {
-        ctx.idle(settle(500))?;
-        ctx.compute(20_000)
-    });
-    rb.body("accel", |ctx| {
-        ctx.idle(settle(1_000))?;
-        let x = ctx.sample(Peripheral::Accelerometer)?;
-        ctx.idle(settle(1_000))?;
-        let y = ctx.sample(Peripheral::Accelerometer)?;
-        ctx.compute(10_000)?;
-        ctx.push("breath", (x * x + y * y).sqrt())
-    });
-    rb.body("classify", |ctx| {
-        ctx.idle(settle(500))?;
-        ctx.compute(50_000)
-    });
-    rb.body("micSense", |ctx| {
-        ctx.idle(settle(500))?;
-        let a = ctx.sample(Peripheral::Microphone)?;
-        ctx.idle(settle(500))?;
-        let b = ctx.sample(Peripheral::Microphone)?;
-        ctx.compute(10_000)?;
-        ctx.push("cough", a.max(b))
-    });
-    rb.body("filter", |ctx| {
-        ctx.idle(settle(500))?;
-        ctx.compute(30_000)
-    });
-    rb.body("send", |ctx| {
-        ctx.compute(2_000)?;
-        ctx.transmit(32)?;
-        ctx.consume("avg")?;
-        ctx.consume("breath")?;
-        ctx.consume("cough")
-    });
-
+    let mut rb = MayflyRuntimeBuilder::new(artemis_builder(health_app()));
     // Figure 5's checkable subset: collect on calcAvg and send, MITD
     // (expiration) between accel and send.
     rb.collect("calcAvg", "bodyTemp", 10);
@@ -427,6 +370,43 @@ mod tests {
         assert!(out.is_completed(), "{out:?}");
         let body = rt.app().task_by_name("bodyTemp").unwrap();
         assert_eq!(dev.trace().completions_of(body), 10);
+    }
+
+    /// The App plane of the continuous Fig. 14 device — time, energy
+    /// and FRAM traffic billed to the application, from install to the
+    /// run's end — is exactly the same under both runtimes: they
+    /// install and run one set of bodies in one sandbox, so the
+    /// figures compare runtimes, not applications.
+    #[test]
+    fn app_plane_is_identical_under_both_runtimes() {
+        use intermittent_sim::device::CostCategory::App;
+
+        let app_plane = |dev: &Device| {
+            let s = dev.stats();
+            let fram = s.fram(App);
+            format!(
+                "{}, {}, {} read ops / {} B, {} write ops / {} B",
+                s.time(App),
+                s.energy(App),
+                fram.read_ops,
+                fram.read_bytes,
+                fram.write_ops,
+                fram.write_bytes
+            )
+        };
+        let limit = || RunLimit::sim_time(SimDuration::from_hours(1));
+        let mut dev = benchmark_device(Harvester::Continuous);
+        let mut rt = install_artemis(&mut dev, HEALTH_SPEC);
+        assert!(rt.run_once(&mut dev, limit()).is_completed());
+        let artemis = app_plane(&dev);
+        let mut dev = benchmark_device(Harvester::Continuous);
+        let mut rt = install_mayfly(&mut dev);
+        assert!(rt.run_once(&mut dev, limit()).is_completed());
+        assert_eq!(artemis, app_plane(&dev));
+        assert_eq!(
+            artemis,
+            "8.023519s, 1.638mJ, 29 read ops / 584 B, 23 write ops / 1520 B"
+        );
     }
 
     #[test]

@@ -14,6 +14,10 @@ use std::collections::HashMap;
 use crate::error::BuildError;
 use crate::time::SimDuration;
 
+/// Samples one inter-task channel buffers: the runtimes' ring size, and
+/// the largest `collect` count the specification checker accepts.
+pub const CHANNEL_CAPACITY: usize = 32;
+
 /// Index of a task within an [`AppGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(pub u32);

@@ -11,13 +11,17 @@
 //! expiration bound this produces the unbounded restart loop of the
 //! paper's Figures 12 and 16.
 //!
-//! The execution substrate (paths, atomic task commit, persistent
-//! cursor, channels) matches the ARTEMIS runtime so that overhead
+//! The execution substrate is the ARTEMIS runtime's own, so overhead
 //! comparisons isolate the property-checking architecture, not
-//! unrelated engineering differences. Checking costs are billed to
-//! [`CostCategory::Runtime`]: in Mayfly they are inseparable from the
-//! runtime, which is also why its runtime FRAM footprint exceeds the
-//! ARTEMIS runtime's in Table 2.
+//! unrelated engineering differences: a [`MayflyRuntimeBuilder`] starts
+//! from an [`ArtemisRuntimeBuilder`] (the app, its task bodies and
+//! channels), installs through the same step, and runs the same bodies
+//! in the same sandbox ([`TaskCtx`](artemis_runtime::TaskCtx); a
+//! body's monitored value is discarded, as Mayfly has no monitors).
+//! This crate keeps only Mayfly's rules, its freshness table and its
+//! main loop. Checking costs are billed to [`CostCategory::Runtime`]:
+//! in Mayfly they are inseparable from the runtime, which is also why
+//! its runtime FRAM footprint exceeds the ARTEMIS runtime's in Table 2.
 //!
 //! # The Mayfly header
 //!
@@ -29,28 +33,27 @@
 //! [end_time u64 × 32][completions u32 × 32][rule_count u32 × 32]
 //! ```
 //!
-//! behind the same write-through SRAM mirror the ARTEMIS runtime keeps
-//! ([`PersistentHeader`]), so Fig. 15 compares equal journal
-//! discipline: the first use in a power cycle replays the journal and
-//! reads the whole header in one op, validating the cursor once (a
-//! cursor past its path or app, or an unknown status, faults with
-//! [`Fault::CorruptState`](intermittent_sim::device::Fault)); the loop
-//! and the inline checks then read the mirror only. Each commit stages
-//! only the bytes that changed — the advance past a task is one
+//! behind the same write-through SRAM mirror and journal the ARTEMIS
+//! runtime keeps ([`PersistentHeader`]), so Fig. 15 compares equal
+//! journal discipline: the first use in a power cycle replays the
+//! journal and reads the whole header in one op, validating the cursor
+//! once (a cursor past its path or app, or an unknown status, faults
+//! with [`Fault::CorruptState`](intermittent_sim::device::Fault)); the
+//! loop and the inline checks then read the mirror only. Each commit
+//! stages only the bytes that changed — the advance past a task is one
 //! `cur_idx | status` run.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_core::trace::TraceEvent;
 use artemis_runtime::channel::Channel;
-use artemis_runtime::header::cursor_valid;
-use artemis_runtime::PersistentHeader;
-use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
+use artemis_runtime::header::{STATUS_FINISHED, STATUS_READY};
+use artemis_runtime::{ArtemisRuntimeBuilder, PersistentHeader, TaskHeader, Tasks};
+use intermittent_sim::device::{CostCategory, Device, Interrupt};
 use intermittent_sim::fram::NvData;
-use intermittent_sim::journal::{Journal, TxWriter};
+use intermittent_sim::journal::TxWriter;
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
 /// Maximum number of freshness/collect rules.
@@ -66,82 +69,6 @@ const CHECK_CYCLES: u64 = 55;
 const DISPATCH_CYCLES: u64 = 80;
 /// Modelled cost of `taskFinish` bookkeeping, in cycles.
 const TASK_FINISH_CYCLES: u64 = 70;
-
-const STATUS_READY: u8 = 0;
-const STATUS_FINISHED: u8 = 1;
-
-/// A task body (same signature as the ARTEMIS runtime's).
-pub type TaskBody = Box<dyn FnMut(&mut MayflyCtx<'_>) -> Result<(), Interrupt>>;
-
-/// The sandbox Mayfly task bodies execute in (a trimmed-down
-/// [`TaskCtx`](artemis_runtime::TaskCtx)).
-pub struct MayflyCtx<'a> {
-    dev: &'a mut Device,
-    tx: &'a mut TxWriter,
-    channels: &'a HashMap<String, Channel>,
-}
-
-impl MayflyCtx<'_> {
-    /// Executes application compute cycles.
-    pub fn compute(&mut self, cycles: u64) -> Result<(), Interrupt> {
-        self.dev.compute(cycles)
-    }
-
-    /// Idles in low-power mode.
-    pub fn idle(&mut self, dt: SimDuration) -> Result<(), Interrupt> {
-        self.dev.idle(dt)
-    }
-
-    /// Samples a sensor.
-    pub fn sample(
-        &mut self,
-        p: intermittent_sim::peripherals::Peripheral,
-    ) -> Result<f64, Interrupt> {
-        self.dev.sample(p)
-    }
-
-    /// Transmits over the radio.
-    pub fn transmit(&mut self, payload_bytes: usize) -> Result<(), Interrupt> {
-        self.dev.transmit(payload_bytes)
-    }
-
-    /// Current time.
-    pub fn now(&self) -> SimInstant {
-        self.dev.now()
-    }
-
-    /// Appends a sample to a channel (staged until commit).
-    pub fn push(&mut self, name: &str, value: f64) -> Result<(), Interrupt> {
-        let ch = self.channel(name);
-        ch.push(self.dev, self.tx, value)
-    }
-
-    /// Reads all samples of a channel.
-    pub fn read_all(&mut self, name: &str) -> Result<Vec<f64>, Interrupt> {
-        let ch = self.channel(name);
-        ch.read_all(self.dev, self.tx)
-    }
-
-    /// Number of samples in a channel.
-    pub fn channel_len(&mut self, name: &str) -> Result<usize, Interrupt> {
-        let ch = self.channel(name);
-        ch.len(self.dev, self.tx)
-    }
-
-    /// Stages consumption of a channel.
-    pub fn consume(&mut self, name: &str) -> Result<(), Interrupt> {
-        let ch = self.channel(name);
-        ch.clear(self.tx);
-        Ok(())
-    }
-
-    fn channel(&self, name: &str) -> Channel {
-        *self
-            .channels
-            .get(name)
-            .unwrap_or_else(|| panic!("channel `{name}` was not declared"))
-    }
-}
 
 /// One hard-coded rule in the Mayfly scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -163,46 +90,18 @@ enum Rule {
 
 /// Builder for [`MayflyRuntime`].
 pub struct MayflyRuntimeBuilder {
-    app: AppGraph,
-    bodies: Vec<Option<TaskBody>>,
-    channels: Vec<String>,
+    tasks: ArtemisRuntimeBuilder,
     rules: Vec<Rule>,
 }
 
 impl MayflyRuntimeBuilder {
-    /// Starts a builder for `app`.
-    pub fn new(app: AppGraph) -> Self {
-        let n = app.task_count();
+    /// Starts a builder over the app, task bodies and channels declared
+    /// on `tasks`.
+    pub fn new(tasks: ArtemisRuntimeBuilder) -> Self {
         MayflyRuntimeBuilder {
-            app,
-            bodies: (0..n).map(|_| None).collect(),
-            channels: Vec::new(),
+            tasks,
             rules: Vec::new(),
         }
-    }
-
-    /// Registers a task body.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown task names — a programming error.
-    pub fn body(
-        &mut self,
-        task: &str,
-        body: impl FnMut(&mut MayflyCtx<'_>) -> Result<(), Interrupt> + 'static,
-    ) -> &mut Self {
-        let id = self
-            .app
-            .task_by_name(task)
-            .unwrap_or_else(|| panic!("unknown task `{task}`"));
-        self.bodies[id.index()] = Some(Box::new(body));
-        self
-    }
-
-    /// Declares a channel.
-    pub fn channel(&mut self, name: &str) -> &mut Self {
-        self.channels.push(name.to_string());
-        self
     }
 
     /// Adds an expiration (freshness) rule: `consumer` must start
@@ -230,46 +129,28 @@ impl MayflyRuntimeBuilder {
     }
 
     fn task(&self, name: &str) -> TaskId {
-        self.app
+        self.tasks
+            .app()
             .task_by_name(name)
             .unwrap_or_else(|| panic!("unknown task `{name}`"))
     }
 
-    /// Installs the runtime on a device.
+    /// Installs the runtime on a device, through the install step the
+    /// ARTEMIS runtime uses ([`ArtemisRuntimeBuilder::install_tasks`]).
     pub fn install(self, dev: &mut Device) -> Result<MayflyRuntime, Interrupt> {
         assert!(self.rules.len() <= MAX_RULES, "too many rules");
-        assert!(self.app.task_count() <= MAX_TASKS, "too many tasks");
-        for (i, b) in self.bodies.iter().enumerate() {
-            assert!(
-                b.is_some(),
-                "task `{}` has no body",
-                self.app.task_name(TaskId(i as u32))
-            );
-        }
-
-        dev.set_category(CostCategory::Runtime);
-        let owner = MemOwner::Runtime;
-        let journal = dev.make_journal(1024, owner)?;
+        assert!(self.tasks.app().task_count() <= MAX_TASKS, "too many tasks");
         // The freshness table: Mayfly keeps per-task timestamps and
-        // per-rule counters inside the runtime — the FRAM bulk that
-        // Table 2 attributes to its runtime.
-        let header = PersistentHeader::alloc(dev, Header::INITIAL, owner, "mayfly.header")?;
-
-        let mut channels = HashMap::new();
-        dev.set_category(CostCategory::App);
-        for name in &self.channels {
-            channels.insert(name.clone(), Channel::new(dev, MemOwner::App, name)?);
-        }
-        dev.set_category(CostCategory::Runtime);
-        dev.sram_mut().register(owner, "mayfly loop state", 2);
-
+        // per-rule counters inside the runtime header — the FRAM bulk
+        // that Table 2 attributes to its runtime.
+        let (app, tasks, header) =
+            self.tasks
+                .install_tasks(dev, Header::INITIAL, "mayfly.header")?;
         Ok(MayflyRuntime {
-            app: self.app,
-            bodies: self.bodies,
+            app,
+            tasks,
             rules: self.rules,
-            journal,
             header,
-            channels,
         })
     }
 }
@@ -308,19 +189,12 @@ impl Header {
         completions: [0; MAX_TASKS],
         rule_counts: [0; MAX_RULES],
     };
+}
 
-    /// `true` if some sequence of commits can have written this cursor
-    /// for `app`: it names a task, or it is one past the last path with
-    /// nothing pending. Every table value is reachable.
-    fn valid(&self, app: &AppGraph) -> bool {
-        let finished = self.status == STATUS_FINISHED;
-        cursor_valid(app, self.cur_path, self.cur_idx, finished) && self.status <= STATUS_FINISHED
-    }
-
-    /// The task the cursor names; the header must be valid and not
-    /// past the last path.
-    fn task(&self, app: &AppGraph) -> TaskId {
-        app.path(PathId(self.cur_path)).tasks[self.cur_idx as usize]
+/// Every table value is reachable, so only the cursor is validated.
+impl TaskHeader for Header {
+    fn cursor(&self) -> (u32, u32, u8) {
+        (self.cur_path, self.cur_idx, self.status)
     }
 }
 
@@ -352,11 +226,9 @@ impl NvData for Header {
 /// [`Simulator::run`](intermittent_sim::simulator::Simulator).
 pub struct MayflyRuntime {
     app: AppGraph,
-    bodies: Vec<Option<TaskBody>>,
+    tasks: Tasks,
     rules: Vec<Rule>,
-    journal: Journal,
     header: PersistentHeader<Header>,
-    channels: HashMap<String, Channel>,
 }
 
 /// What one completed Mayfly run reports.
@@ -375,7 +247,7 @@ impl MayflyRuntime {
 
     /// Looks up a declared channel (for post-run inspection).
     pub fn channel(&self, name: &str) -> Option<Channel> {
-        self.channels.get(name).copied()
+        self.tasks.channel(name)
     }
 
     /// Runs the application once.
@@ -390,35 +262,10 @@ impl MayflyRuntime {
                 cur_path: 0,
                 cur_idx: 0,
                 status: STATUS_READY,
-                ..self.header(dev)?
+                ..self.header.read(dev, &self.app)?
             };
-            self.commit(dev, &mut TxWriter::new(), next)
+            self.header.commit(dev, &mut TxWriter::new(), next)
         })
-    }
-
-    /// The header: the mirror when it is current, else — first thing
-    /// after a power failure — journal recovery and one validated load.
-    fn header(&self, dev: &mut Device) -> Result<Header, Interrupt> {
-        if let Some(h) = self.header.mirrored(dev) {
-            return Ok(h);
-        }
-        let recovered = dev.recover(&self.journal)?;
-        let h = self.header.load(dev, |h| h.valid(&self.app))?;
-        // A replayed record that leaves the task finished is its task
-        // commit (every commit from a finished task moves `status`, so
-        // its record carries it): the task completed, but the power
-        // failure came before its `TaskEnd` was traced.
-        if recovered && h.status == STATUS_FINISHED {
-            dev.trace_push(TraceEvent::TaskEnd {
-                task: h.task(&self.app),
-            });
-        }
-        Ok(h)
-    }
-
-    /// Commits `tx` together with the header changed to `next`.
-    fn commit(&self, dev: &mut Device, tx: &mut TxWriter, next: Header) -> Result<(), Interrupt> {
-        self.header.commit(dev, &self.journal, tx, next)
     }
 
     /// Returns `true` when `rule` concerns `task` on the current path.
@@ -449,7 +296,7 @@ impl MayflyRuntime {
         cur_path: PathId,
     ) -> Result<bool, Interrupt> {
         let now = dev.now();
-        let h = self.header(dev)?;
+        let h = self.header.read(dev, &self.app)?;
         for (ri, rule) in self.rules.iter().enumerate() {
             dev.compute(CHECK_CYCLES)?;
             if !self.rule_active(rule, task, cur_path) {
@@ -486,25 +333,11 @@ impl MayflyRuntime {
     ) -> Result<(), Interrupt> {
         dev.trace_push(TraceEvent::TaskStart { task, attempt: 1 });
         let mut tx = TxWriter::new();
-        {
-            let body = self.bodies[task.index()]
-                .as_mut()
-                .expect("bodies checked at install");
-            let mut ctx = MayflyCtx {
-                dev,
-                tx: &mut tx,
-                channels: &self.channels,
-            };
-            let prev = ctx.dev.category();
-            ctx.dev.set_category(CostCategory::App);
-            let result = body(&mut ctx);
-            ctx.dev.set_category(prev);
-            result?;
-        }
+        self.tasks.run_body(dev, task, &mut tx)?;
 
         dev.compute(TASK_FINISH_CYCLES)?;
         // Update the task's freshness rows atomically with its effects.
-        let mut next = self.header(dev)?;
+        let mut next = self.header.read(dev, &self.app)?;
         let t = task.index();
         next.end_times[t] = dev.now().as_micros();
         next.completions[t] = next.completions[t].saturating_add(1);
@@ -522,7 +355,7 @@ impl MayflyRuntime {
             }
         }
         next.status = STATUS_FINISHED;
-        self.commit(dev, &mut tx, next)?;
+        self.header.commit(dev, &mut tx, next)?;
         dev.trace_push(TraceEvent::TaskEnd { task });
         Ok(())
     }
@@ -531,7 +364,7 @@ impl MayflyRuntime {
         dev.set_category(CostCategory::Runtime);
         loop {
             dev.compute(DISPATCH_CYCLES)?;
-            let h = self.header(dev)?;
+            let h = self.header.read(dev, &self.app)?;
             if h.cur_path as usize >= self.app.paths().len() {
                 dev.trace_push(TraceEvent::RunComplete);
                 return Ok(MayflyOutcome {
@@ -550,7 +383,8 @@ impl MayflyRuntime {
                     dev.trace_push(TraceEvent::ActionTaken {
                         action: artemis_core::action::Action::RestartPath(cur_path),
                     });
-                    self.commit(dev, &mut TxWriter::new(), Header { cur_idx: 0, ..h })?;
+                    self.header
+                        .commit(dev, &mut TxWriter::new(), Header { cur_idx: 0, ..h })?;
                     dev.trace_push(TraceEvent::PathStart { path: cur_path });
                 }
             } else {
@@ -567,7 +401,7 @@ impl MayflyRuntime {
                     next.cur_path += 1;
                     next.cur_idx = 0;
                 }
-                self.commit(dev, &mut TxWriter::new(), next)?;
+                self.header.commit(dev, &mut TxWriter::new(), next)?;
             }
         }
     }
@@ -586,7 +420,7 @@ mod tests {
     use super::*;
     use artemis_core::app::AppGraphBuilder;
     use intermittent_sim::capacitor::Capacitor;
-    use intermittent_sim::device::DeviceBuilder;
+    use intermittent_sim::device::{DeviceBuilder, MemOwner};
     use intermittent_sim::energy::Energy;
     use intermittent_sim::harvester::Harvester;
     use intermittent_sim::simulator::NonTermination;
@@ -599,7 +433,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn simple_bodies(rb: &mut MayflyRuntimeBuilder) {
+    fn simple_bodies(rb: &mut ArtemisRuntimeBuilder) {
         rb.channel("samples");
         rb.body("sense", |ctx| {
             ctx.compute(2_000)?;
@@ -612,10 +446,17 @@ mod tests {
     }
 
     #[test]
+    fn mayfly_runtime_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<MayflyRuntime>();
+    }
+
+    #[test]
     fn completes_on_continuous_power() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
+        let mut rb = ArtemisRuntimeBuilder::new(app());
         simple_bodies(&mut rb);
+        let rb = MayflyRuntimeBuilder::new(rb);
         let mut rt = rb.install(&mut dev).unwrap();
         let out = rt.run_once(&mut dev, RunLimit::unbounded());
         assert_eq!(out, SimOutcome::Completed(MayflyOutcome { paths: 1 }));
@@ -624,8 +465,9 @@ mod tests {
     #[test]
     fn collect_rule_restarts_until_satisfied() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
+        let mut rb = ArtemisRuntimeBuilder::new(app());
         simple_bodies(&mut rb);
+        let mut rb = MayflyRuntimeBuilder::new(rb);
         rb.collect("send", "sense", 3);
         let mut rt = rb.install(&mut dev).unwrap();
         let out = rt.run_once(&mut dev, RunLimit::unbounded());
@@ -637,8 +479,9 @@ mod tests {
     #[test]
     fn fresh_data_satisfies_expiration() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
+        let mut rb = ArtemisRuntimeBuilder::new(app());
         simple_bodies(&mut rb);
+        let mut rb = MayflyRuntimeBuilder::new(rb);
         rb.expiration("send", "sense", SimDuration::from_secs(5));
         let mut rt = rb.install(&mut dev).unwrap();
         let out = rt.run_once(&mut dev, RunLimit::sim_time(SimDuration::from_mins(5)));
@@ -657,12 +500,13 @@ mod tests {
         let app = b.build().unwrap();
 
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let mut rb = MayflyRuntimeBuilder::new(app);
+        let mut rb = ArtemisRuntimeBuilder::new(app);
         rb.channel("samples");
         rb.body("sense", |ctx| ctx.push("samples", 1.0));
         // `wait` models a long charging delay deterministically.
         rb.body("wait", |ctx| ctx.idle(SimDuration::from_secs(10)));
         rb.body("send", |ctx| ctx.consume("samples"));
+        let mut rb = MayflyRuntimeBuilder::new(rb);
         rb.expiration("send", "sense", SimDuration::from_secs(5));
         let mut rt = rb.install(&mut dev).unwrap();
 
@@ -684,8 +528,9 @@ mod tests {
             .capacitor(Capacitor::with_budget(Energy::from_nano_joules(2_000)))
             .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
             .build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
+        let mut rb = ArtemisRuntimeBuilder::new(app());
         simple_bodies(&mut rb);
+        let rb = MayflyRuntimeBuilder::new(rb);
         let mut rt = rb.install(&mut dev).unwrap();
         let out = rt.run_once(&mut dev, RunLimit::reboots(100_000));
         assert!(out.is_completed());
@@ -703,8 +548,9 @@ mod tests {
                 .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
                 .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
                 .build();
-            let mut rb = MayflyRuntimeBuilder::new(app());
+            let mut rb = ArtemisRuntimeBuilder::new(app());
             simple_bodies(&mut rb);
+            let mut rb = MayflyRuntimeBuilder::new(rb);
             rb.collect("send", "sense", 3);
             let mut rt = rb.install(&mut dev).unwrap();
             let out = rt.run_once(&mut dev, RunLimit::reboots(1_000_000));
@@ -722,8 +568,9 @@ mod tests {
     #[test]
     fn rearm_supports_repeated_runs() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
+        let mut rb = ArtemisRuntimeBuilder::new(app());
         simple_bodies(&mut rb);
+        let mut rb = MayflyRuntimeBuilder::new(rb);
         rb.collect("send", "sense", 1);
         let mut rt = rb.install(&mut dev).unwrap();
         for _ in 0..3 {
@@ -736,8 +583,9 @@ mod tests {
     fn freshness_table_lives_in_runtime_fram() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let before = dev.fram().used_by(MemOwner::Runtime);
-        let mut rb = MayflyRuntimeBuilder::new(app());
+        let mut rb = ArtemisRuntimeBuilder::new(app());
         simple_bodies(&mut rb);
+        let rb = MayflyRuntimeBuilder::new(rb);
         let _rt = rb.install(&mut dev).unwrap();
         let used = dev.fram().used_by(MemOwner::Runtime) - before;
         // end_times + completions + rule_counts dominate: the coupling

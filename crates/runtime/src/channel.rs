@@ -30,12 +30,10 @@
 //!   ([`Device::tx_read_raw`]), so a task sees its own pushes.
 //! - [`Channel::clear`] stages one cursor word.
 
+pub use artemis_core::app::CHANNEL_CAPACITY;
 use intermittent_sim::device::{Device, Interrupt, MemOwner};
 use intermittent_sim::fram::NvCell;
 use intermittent_sim::journal::TxWriter;
-
-/// Fixed capacity of every channel, in samples.
-pub const CHANNEL_CAPACITY: usize = 32;
 
 /// Bytes per sample slot.
 const SLOT: usize = 8;

@@ -1,19 +1,20 @@
 //! A runtime's persistent progress state as one FRAM region behind a
-//! write-through SRAM mirror.
+//! write-through SRAM mirror, committed through the runtime's journal.
 //!
 //! Both task runtimes — ARTEMIS here and the Mayfly baseline — keep
 //! their cursor and bookkeeping as one value `T` encoded in one
 //! contiguous FRAM region, the **header**. A [`PersistentHeader`] owns
-//! that region and a volatile mirror of it, under the monitor engine's
+//! that region, the journal every commit of the runtime goes through,
+//! and a volatile mirror of the region, under the monitor engine's
 //! coherence contract:
 //!
 //! - the mirror is tagged with the SRAM power-cycle generation
 //!   (`dev.sram().generation()`) it was filled in, so a power failure
 //!   makes it stale in O(1);
-//! - it is filled by **one** read of the whole region
-//!   ([`PersistentHeader::load`]), which the caller makes only after
-//!   its journal recovery has replayed any torn commit, and which
-//!   validates the value once;
+//! - it is filled by [`PersistentHeader::read`], the one
+//!   recover-then-load path: journal recovery replays any torn commit,
+//!   then **one** read of the whole region loads the value and
+//!   validates it once;
 //! - it is write-through: a commit or plain write updates it only once
 //!   the FRAM write has returned `Ok`, and any `Err` drops it, so while
 //!   it is current it equals the region byte for byte.
@@ -25,14 +26,46 @@
 use core::cell::RefCell;
 use core::ops::Range;
 
-use artemis_core::app::AppGraph;
+use artemis_core::app::{AppGraph, PathId, TaskId};
+use artemis_core::trace::TraceEvent;
 use intermittent_sim::device::{Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
 use intermittent_sim::journal::{Journal, TxWriter};
 
-/// One persistent header region and its SRAM mirror; see the module
-/// docs.
+/// Capacity of a runtime's journal, in bytes.
+const JOURNAL_BYTES: usize = 1024;
+
+/// Cursor status: the named task has not committed yet.
+pub const STATUS_READY: u8 = 0;
+/// Cursor status: the named task committed; the advance past it has
+/// not.
+pub const STATUS_FINISHED: u8 = 1;
+
+/// A task runtime's header value. Every header begins with the cursor
+/// `(cur_path, cur_idx, status)`: the task the runtime is at, and
+/// whether it has committed.
+pub trait TaskHeader: NvData + Clone {
+    /// The cursor `(cur_path, cur_idx, status)`.
+    fn cursor(&self) -> (u32, u32, u8);
+
+    /// `true` if the fields after the cursor hold values the runtime's
+    /// commits can write.
+    fn valid(&self) -> bool {
+        true
+    }
+
+    /// The task the cursor names; the header must be valid and not
+    /// past the last path.
+    fn task(&self, app: &AppGraph) -> TaskId {
+        let (cur_path, cur_idx, _) = self.cursor();
+        app.path(PathId(cur_path)).tasks[cur_idx as usize]
+    }
+}
+
+/// One persistent header region, its journal and its SRAM mirror; see
+/// the module docs.
 pub struct PersistentHeader<T: NvData> {
+    journal: Journal,
     cell: NvCell<T>,
     mirror: RefCell<Mirror<T>>,
 }
@@ -47,20 +80,23 @@ struct Mirror<T> {
     next: Vec<u8>,
 }
 
-impl<T: NvData + Clone> PersistentHeader<T> {
-    /// Allocates the region holding `init` and registers the mirror's
-    /// bytes as volatile state of `owner`. The mirror starts empty: the
-    /// first [`PersistentHeader::load`] fills it.
+impl<T: TaskHeader> PersistentHeader<T> {
+    /// Allocates the journal, then the region holding `init`, and
+    /// registers the mirror's bytes as volatile state of `owner`. The
+    /// mirror starts empty: the first [`PersistentHeader::read`] fills
+    /// it.
     pub fn alloc(
         dev: &mut Device,
         init: T,
         owner: MemOwner,
         label: &str,
     ) -> Result<Self, Interrupt> {
+        let journal = dev.make_journal(JOURNAL_BYTES, owner)?;
         let cell = dev.nv_alloc(init.clone(), owner, label)?;
         dev.sram_mut()
             .register(owner, &format!("{label} mirror"), T::SIZE);
         Ok(PersistentHeader {
+            journal,
             cell,
             mirror: RefCell::new(Mirror {
                 epoch: None,
@@ -71,24 +107,41 @@ impl<T: NvData + Clone> PersistentHeader<T> {
         })
     }
 
-    /// The mirrored value, if the mirror is current: filled or written
-    /// in this power cycle and not dropped since.
-    pub fn mirrored(&self, dev: &Device) -> Option<T> {
-        let m = self.mirror.borrow();
-        (m.epoch == Some(dev.sram().generation())).then(|| m.value.clone())
-    }
-
-    /// Fills the mirror with one read of the whole region. A value
-    /// `valid` rejects faults with [`Fault::CorruptState`] and leaves
-    /// the mirror empty.
-    pub fn load(&self, dev: &mut Device, valid: impl FnOnce(&T) -> bool) -> Result<T, Interrupt> {
+    /// The header: the mirror when it is current, else — first thing
+    /// after a power failure — journal recovery and one read of the
+    /// whole region. A loaded value whose cursor names no task of
+    /// `app` (and is not one past the last path with nothing pending),
+    /// or whose status or later fields no commit writes, faults with
+    /// [`Fault::CorruptState`] and leaves the mirror empty.
+    pub fn read(&self, dev: &mut Device, app: &AppGraph) -> Result<T, Interrupt> {
         let m = &mut *self.mirror.borrow_mut();
+        if m.epoch == Some(dev.sram().generation()) {
+            return Ok(m.value.clone());
+        }
         m.epoch = None;
+        let recovered = dev.recover(&self.journal)?;
         m.image
             .copy_from_slice(dev.nv_read_raw(self.cell.addr(), T::SIZE)?);
         let value = T::load(&m.image);
-        if !valid(&value) {
+        // The cursor names a task, or sits one past the last path, at
+        // index 0, with no finished task pending.
+        let (cur_path, cur_idx, status) = value.cursor();
+        let cursor_valid = match app.paths().get(cur_path as usize) {
+            Some(path) => (cur_idx as usize) < path.tasks.len() && status <= STATUS_FINISHED,
+            None => {
+                cur_path as usize == app.paths().len() && cur_idx == 0 && status == STATUS_READY
+            }
+        };
+        if !(cursor_valid && value.valid()) {
             return Err(Interrupt::Fault(Fault::CorruptState));
+        }
+        // A replayed record that leaves the task finished is its task
+        // commit (every commit from a finished task moves `status`, so
+        // its record carries it): the task completed, but the power
+        // failure came before its `TaskEnd` was traced.
+        if recovered && status == STATUS_FINISHED {
+            let task = value.task(app);
+            dev.trace_push(TraceEvent::TaskEnd { task });
         }
         m.value = value.clone();
         m.epoch = Some(dev.sram().generation());
@@ -99,13 +152,7 @@ impl<T: NvData + Clone> PersistentHeader<T> {
     /// record: the bytes that differ from the mirror are staged as runs
     /// after whatever `tx` already holds (the whole image if the mirror
     /// is not current).
-    pub fn commit(
-        &self,
-        dev: &mut Device,
-        journal: &Journal,
-        tx: &mut TxWriter,
-        new: T,
-    ) -> Result<(), Interrupt> {
+    pub fn commit(&self, dev: &mut Device, tx: &mut TxWriter, new: T) -> Result<(), Interrupt> {
         let m = &mut *self.mirror.borrow_mut();
         new.store(&mut m.next);
         let addr = self.cell.addr();
@@ -114,7 +161,7 @@ impl<T: NvData + Clone> PersistentHeader<T> {
         } else {
             tx.write_raw(addr, &m.next);
         }
-        let result = dev.commit(journal, tx);
+        let result = dev.commit(&self.journal, tx);
         m.settle(dev, new, 0..T::SIZE, result)
     }
 
@@ -163,16 +210,5 @@ impl<T> Mirror<T> {
             self.epoch = Some(generation);
         }
         result
-    }
-}
-
-/// `true` if a task runtime's cursor is one its commits can leave
-/// behind for `app`: `(cur_path, cur_idx)` names a task, or the cursor
-/// sits one past the last path, at index 0, with no finished task
-/// pending. Both runtimes' headers start with this cursor.
-pub fn cursor_valid(app: &AppGraph, cur_path: u32, cur_idx: u32, finished: bool) -> bool {
-    match app.paths().get(cur_path as usize) {
-        Some(path) => (cur_idx as usize) < path.tasks.len(),
-        None => cur_path as usize == app.paths().len() && cur_idx == 0 && !finished,
     }
 }

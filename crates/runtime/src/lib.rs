@@ -8,6 +8,12 @@
 //! `restartPath` with monitor re-initialisation, `completePath` with
 //! monitoring suspension).
 //!
+//! The task substrate is shared with the Mayfly baseline, which keeps
+//! only its scheduler: the sandbox task bodies run in ([`TaskCtx`],
+//! [`Tasks::run_body`]), the install step
+//! ([`ArtemisRuntimeBuilder::install_tasks`]) and the journalled header
+//! with its recover-then-load path ([`PersistentHeader`]).
+//!
 //! # Crash consistency
 //!
 //! All progress state — current path/task, task status, attempt
@@ -74,12 +80,13 @@ use artemis_core::trace::TraceEvent;
 use artemis_monitor::{InstallError, MonitorEngine, MonitorVerdict, Monitoring};
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
 use intermittent_sim::fram::NvData;
-use intermittent_sim::journal::{Journal, TxWriter};
+use intermittent_sim::journal::TxWriter;
 use intermittent_sim::peripherals::Peripheral;
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
 pub use channel::{Channel, CHANNEL_CAPACITY};
-pub use header::PersistentHeader;
+pub use header::{PersistentHeader, TaskHeader};
+use header::{STATUS_FINISHED, STATUS_READY};
 
 /// Maximum number of paths a runtime instance supports.
 pub const MAX_PATHS: usize = 16;
@@ -91,16 +98,13 @@ const TASK_FINISH_CYCLES: u64 = 70;
 /// Modelled cost of advancing the task/path cursor, in cycles.
 const ADVANCE_CYCLES: u64 = 40;
 
-/// Task status values stored in FRAM.
-const STATUS_READY: u8 = 0;
-const STATUS_FINISHED: u8 = 1;
-
 /// Per-path result codes stored in FRAM.
 const PATH_PENDING: u8 = 0;
 const PATH_COMPLETED: u8 = 1;
 const PATH_SKIPPED: u8 = 2;
 
-/// A task body: application code run inside the task sandbox.
+/// A task body: application code run inside the task sandbox, under
+/// either runtime.
 ///
 /// Bodies are `Send` so that a fully installed runtime (and the device
 /// it drives) is one self-contained `Send` value — the property the
@@ -186,9 +190,46 @@ impl TaskCtx<'_> {
     }
 
     /// Sets the task's monitored output value (the `dpData` variable
-    /// declared on the task; carried on the `EndTask` event).
+    /// declared on the task; carried on the `EndTask` event). Mayfly,
+    /// which has no monitors, discards it.
     pub fn set_monitored(&mut self, value: f64) {
         *self.monitored = Some(value);
+    }
+}
+
+/// The installed task bodies and channels, shared by both runtimes.
+pub struct Tasks {
+    bodies: Vec<TaskBody>,
+    channels: HashMap<String, Channel>,
+}
+
+impl Tasks {
+    /// Looks up a declared channel.
+    pub fn channel(&self, name: &str) -> Option<Channel> {
+        self.channels.get(name).copied()
+    }
+
+    /// Runs the body of `task` in its sandbox: device work billed to
+    /// the application, channel writes staged into `tx`. Returns the
+    /// monitored value the body set, if any.
+    pub fn run_body(
+        &mut self,
+        dev: &mut Device,
+        task: TaskId,
+        tx: &mut TxWriter,
+    ) -> Result<Option<f64>, Interrupt> {
+        let mut monitored = None;
+        let body = &mut self.bodies[task.index()];
+        let channels = &self.channels;
+        dev.billed(CostCategory::App, |dev| {
+            body(&mut TaskCtx {
+                dev,
+                tx,
+                channels,
+                monitored: &mut monitored,
+            })
+        })?;
+        Ok(monitored)
     }
 }
 
@@ -211,7 +252,8 @@ impl RunOutcome {
     }
 }
 
-/// Builder for [`ArtemisRuntime`].
+/// Builder for [`ArtemisRuntime`]: the app, its task bodies and its
+/// channels — also what the Mayfly baseline's builder starts from.
 pub struct ArtemisRuntimeBuilder {
     app: AppGraph,
     bodies: Vec<Option<TaskBody>>,
@@ -251,6 +293,11 @@ impl ArtemisRuntimeBuilder {
     pub fn channel(&mut self, name: &str) -> &mut Self {
         self.channels.push(name.to_string());
         self
+    }
+
+    /// The application graph.
+    pub fn app(&self) -> &AppGraph {
+        &self.app
     }
 
     /// Installs the runtime on a device with the given monitor suite,
@@ -297,48 +344,60 @@ impl ArtemisRuntimeBuilder {
             self.app.paths().len() <= MAX_PATHS,
             "at most {MAX_PATHS} paths are supported"
         );
-        for (i, b) in self.bodies.iter().enumerate() {
-            assert!(
-                b.is_some(),
-                "task `{}` has no body",
-                self.app.task_name(TaskId(i as u32))
-            );
-        }
-
         let dev_err = InstallError::Device;
-        dev.set_category(CostCategory::Runtime);
-        let owner = MemOwner::Runtime;
-        let journal = dev.make_journal(1024, owner).map_err(dev_err)?;
-        let header =
-            PersistentHeader::alloc(dev, Header::INITIAL, owner, "rt.header").map_err(dev_err)?;
-
-        let mut channels = HashMap::new();
-        dev.set_category(CostCategory::App);
-        for name in &self.channels {
-            channels.insert(
-                name.clone(),
-                Channel::new(dev, MemOwner::App, name).map_err(dev_err)?,
-            );
-        }
-        dev.set_category(CostCategory::Runtime);
-
-        // Volatile footprint of the main loop, for Table 2 reports.
-        dev.sram_mut().register(owner, "main loop state", 2);
-
+        let (app, tasks, header) = self
+            .install_tasks(dev, Header::INITIAL, "rt.header")
+            .map_err(dev_err)?;
         engine.reset_monitor(dev).map_err(dev_err)?;
         // Violation trace records carry monitor indices; register the
         // suite's names so they resolve at render time.
         dev.trace_mut().set_monitor_names(engine.machine_names());
 
         Ok(ArtemisRuntime {
-            app: self.app,
-            bodies: self.bodies,
+            app,
+            tasks,
             engine,
-            journal,
             header,
-            channels,
             current_task_cached: TaskId(0),
         })
+    }
+
+    /// The install step both runtimes share. Checks that every task
+    /// has a body, then allocates the runtime's journal and its header
+    /// region holding `init` (labelled `label`), billed to the runtime;
+    /// the channels, billed to the application; and the main loop's
+    /// SRAM state. The device's cost category is the caller's again on
+    /// return, also on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a task has no body — a programming error.
+    pub fn install_tasks<H: TaskHeader>(
+        self,
+        dev: &mut Device,
+        init: H,
+        label: &str,
+    ) -> Result<(AppGraph, Tasks, PersistentHeader<H>), Interrupt> {
+        let app = self.app;
+        let bodies = (self.bodies.into_iter().enumerate())
+            .map(|(i, b)| {
+                b.unwrap_or_else(|| {
+                    panic!("task `{}` has no body", app.task_name(TaskId(i as u32)))
+                })
+            })
+            .collect();
+        let owner = MemOwner::Runtime;
+        let header = dev.billed(CostCategory::Runtime, |dev| {
+            PersistentHeader::alloc(dev, init, owner, label)
+        })?;
+        let channels = dev.billed(CostCategory::App, |dev| {
+            (self.channels.iter())
+                .map(|name| Ok((name.clone(), Channel::new(dev, MemOwner::App, name)?)))
+                .collect::<Result<_, Interrupt>>()
+        })?;
+        // Volatile footprint of the main loop, for Table 2 reports.
+        dev.sram_mut().register(owner, "main loop state", 2);
+        Ok((app, Tasks { bodies, channels }, header))
     }
 }
 
@@ -390,20 +449,6 @@ impl Header {
         path_results: [PATH_PENDING; MAX_PATHS],
     };
 
-    /// `true` if some sequence of commits can have written this header
-    /// for `app`: the cursor names a task, or it is one past the last
-    /// path with nothing pending; status, flags and path codes are in
-    /// range.
-    fn valid(&self, app: &AppGraph) -> bool {
-        let finished = self.status == STATUS_FINISHED;
-        header::cursor_valid(app, self.cur_path, self.cur_idx, finished)
-            && self.status <= STATUS_FINISHED
-            && self.end_dep.0 <= 1
-            && self.unmonitored <= 1
-            && self.emergency <= 1
-            && self.path_results.iter().all(|&r| r <= PATH_SKIPPED)
-    }
-
     /// This header with the cursor at the first task of `cur_path`,
     /// ready for a first attempt.
     fn at_path_start(self, cur_path: u32) -> Header {
@@ -415,11 +460,19 @@ impl Header {
             ..self
         }
     }
+}
 
-    /// The task the cursor names; the header must be valid and not
-    /// past the last path.
-    fn task(&self, app: &AppGraph) -> TaskId {
-        app.path(PathId(self.cur_path)).tasks[self.cur_idx as usize]
+impl TaskHeader for Header {
+    fn cursor(&self) -> (u32, u32, u8) {
+        (self.cur_path, self.cur_idx, self.status)
+    }
+
+    /// Flags and path codes are in range.
+    fn valid(&self) -> bool {
+        self.end_dep.0 <= 1
+            && self.unmonitored <= 1
+            && self.emergency <= 1
+            && self.path_results.iter().all(|&r| r <= PATH_SKIPPED)
     }
 }
 
@@ -462,11 +515,9 @@ impl NvData for Header {
 /// engine by default; see [`ArtemisRuntimeBuilder::install_with`]).
 pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     app: AppGraph,
-    bodies: Vec<Option<TaskBody>>,
+    tasks: Tasks,
     engine: M,
-    journal: Journal,
     header: PersistentHeader<Header>,
-    channels: HashMap<String, Channel>,
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
     current_task_cached: TaskId,
@@ -485,7 +536,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
     /// Looks up a declared channel (for post-run inspection).
     pub fn channel(&self, name: &str) -> Option<Channel> {
-        self.channels.get(name).copied()
+        self.tasks.channel(name)
     }
 
     /// Total monitor events delivered so far: the persistent event
@@ -505,44 +556,19 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// (periodicity and collect counters span runs).
     pub fn rearm(&self, dev: &mut Device) -> Result<(), Interrupt> {
         dev.billed(CostCategory::Runtime, |dev| {
-            let h = self.header(dev)?;
+            let h = self.header.read(dev, &self.app)?;
             let next = Header {
                 seq: h.seq,
                 end_time: h.end_time,
                 end_dep: h.end_dep,
                 ..Header::INITIAL
             };
-            self.commit(dev, &mut TxWriter::new(), next)
+            self.header.commit(dev, &mut TxWriter::new(), next)
         })
     }
 
-    /// The header: the mirror when it is current, else — first thing
-    /// after a power failure — journal recovery and one validated load.
-    fn header(&self, dev: &mut Device) -> Result<Header, Interrupt> {
-        if let Some(h) = self.header.mirrored(dev) {
-            return Ok(h);
-        }
-        let recovered = dev.recover(&self.journal)?;
-        let h = self.header.load(dev, |h| h.valid(&self.app))?;
-        // A replayed record that leaves the task finished is its task
-        // commit (every commit from a finished task moves `status`, so
-        // its record carries it): the task completed, but the power
-        // failure came before its `TaskEnd` was traced.
-        if recovered && h.status == STATUS_FINISHED {
-            dev.trace_push(TraceEvent::TaskEnd {
-                task: h.task(&self.app),
-            });
-        }
-        Ok(h)
-    }
-
-    /// Commits `tx` together with the header changed to `next`.
-    fn commit(&self, dev: &mut Device, tx: &mut TxWriter, next: Header) -> Result<(), Interrupt> {
-        self.header.commit(dev, &self.journal, tx, next)
-    }
-
     fn fresh_seq(&self, dev: &mut Device) -> Result<u64, Interrupt> {
-        let mut h = self.header(dev)?;
+        let mut h = self.header.read(dev, &self.app)?;
         h.seq = h.seq.wrapping_add(1);
         self.header.write(dev, h, SEQ)?;
         Ok(h.seq)
@@ -562,7 +588,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
     /// Executes the current task body and commits its effects.
     fn run_task(&mut self, dev: &mut Device, task: TaskId) -> Result<(), Interrupt> {
-        let mut h = self.header(dev)?;
+        let mut h = self.header.read(dev, &self.app)?;
         h.attempt = h.attempt.saturating_add(1);
         self.header.write(dev, h, ATTEMPT)?;
         dev.trace_push(TraceEvent::TaskStart {
@@ -571,24 +597,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         });
 
         let mut tx = TxWriter::new();
-        let mut monitored = None;
-        {
-            let body = self.bodies[task.index()]
-                .as_mut()
-                .expect("bodies checked at install");
-            let mut ctx = TaskCtx {
-                dev,
-                tx: &mut tx,
-                channels: &self.channels,
-                monitored: &mut monitored,
-            };
-            // Application work is billed to the application.
-            let prev = ctx.dev.category();
-            ctx.dev.set_category(CostCategory::App);
-            let result = body(&mut ctx);
-            ctx.dev.set_category(prev);
-            result?;
-        }
+        let monitored = self.tasks.run_body(dev, task, &mut tx)?;
 
         // taskFinish (Figure 9): fix the finish time, the EndTask
         // sequence number and the monitored value atomically with the
@@ -602,7 +611,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             end_dep: monitored.map_or((0, 0), |v| (1, v.to_bits())),
             ..h
         };
-        self.commit(dev, &mut tx, next)?;
+        self.header.commit(dev, &mut tx, next)?;
         dev.trace_push(TraceEvent::TaskEnd { task });
         Ok(())
     }
@@ -611,7 +620,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// when the whole run finished.
     fn advance(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         dev.compute(ADVANCE_CYCLES)?;
-        let h = self.header(dev)?;
+        let h = self.header.read(dev, &self.app)?;
         let paths = self.app.paths().len();
         let path_len = self.app.path(PathId(h.cur_path)).tasks.len() as u32;
         let mut next = Header {
@@ -647,18 +656,19 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             }
             next.cur_idx = 0;
         }
-        self.commit(dev, &mut TxWriter::new(), next)?;
+        self.header.commit(dev, &mut TxWriter::new(), next)?;
         Ok(next.cur_path as usize >= paths)
     }
 
     /// Applies a path-directed corrective action.
     fn apply_path_action(&self, dev: &mut Device, action: Action) -> Result<(), Interrupt> {
         dev.trace_push(TraceEvent::ActionTaken { action });
-        let h = self.header(dev)?;
+        let h = self.header.read(dev, &self.app)?;
         match action {
             Action::RestartPath(p) => {
                 self.engine.on_path_restart(dev, p)?;
-                self.commit(dev, &mut TxWriter::new(), h.at_path_start(p.0))?;
+                self.header
+                    .commit(dev, &mut TxWriter::new(), h.at_path_start(p.0))?;
                 dev.trace_push(TraceEvent::PathStart { path: p });
             }
             Action::SkipPath(p) => {
@@ -667,7 +677,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                     next.path_results[p.index()] = PATH_SKIPPED;
                 }
                 dev.trace_push(TraceEvent::PathSkipped { path: p });
-                self.commit(dev, &mut TxWriter::new(), next)?;
+                self.header.commit(dev, &mut TxWriter::new(), next)?;
             }
             Action::CompletePath(_) => {
                 // Suspend monitoring; the caller decides how the
@@ -704,7 +714,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// Traces the run's completion and returns its outcome.
     fn finish(&self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
         dev.trace_push(TraceEvent::RunComplete);
-        Ok(self.outcome(&self.header(dev)?))
+        Ok(self.outcome(&self.header.read(dev, &self.app)?))
     }
 }
 
@@ -719,7 +729,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
         loop {
             dev.compute(CHECK_TASK_CYCLES)?;
-            let h = self.header(dev)?;
+            let h = self.header.read(dev, &self.app)?;
             if h.cur_path as usize >= self.app.paths().len() {
                 return self.finish(dev);
             }
@@ -783,9 +793,9 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         });
                         let next = Header {
                             status: STATUS_READY,
-                            ..self.header(dev)?
+                            ..self.header.read(dev, &self.app)?
                         };
-                        self.commit(dev, &mut TxWriter::new(), next)?;
+                        self.header.commit(dev, &mut TxWriter::new(), next)?;
                     }
                     Some(a @ Action::CompletePath(_)) => {
                         dev.trace_push(TraceEvent::ActionTaken { action: a });

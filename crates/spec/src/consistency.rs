@@ -23,7 +23,7 @@
 //! - `restartTask` as the reaction to `maxTries` — restarting the task
 //!   that already exhausted its attempts is a guaranteed loop.
 
-use artemis_core::app::AppGraph;
+use artemis_core::app::{AppGraph, CHANNEL_CAPACITY};
 use artemis_core::property::{OnFail, PropertyKind, PropertySet};
 
 use crate::diag::{Diagnostic, Severity};
@@ -73,10 +73,6 @@ impl From<ConsistencyIssue> for Diagnostic {
         }
     }
 }
-
-/// Channel capacity the runtime buffers per channel; `collect` counts
-/// above this can never be satisfied from one channel.
-const RUNTIME_CHANNEL_CAPACITY: u32 = 32;
 
 /// Checks a resolved property set for internal contradictions.
 ///
@@ -147,13 +143,13 @@ pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
                 });
             }
             PropertyKind::Collect { count, dp_task } => {
-                if *count > RUNTIME_CHANNEL_CAPACITY {
+                if *count as usize > CHANNEL_CAPACITY {
                     issues.push(ConsistencyIssue {
                         severity: ConsistencySeverity::Contradiction,
                         task: task_name.clone(),
                         message: format!(
                             "`collect: {count}` exceeds the runtime channel capacity \
-                             ({RUNTIME_CHANNEL_CAPACITY}); the data cannot be buffered"
+                             ({CHANNEL_CAPACITY}); the data cannot be buffered"
                         ),
                     });
                 }

@@ -250,19 +250,9 @@ fn artemis_beats_mayfly_on_the_non_termination_scenario() {
 
     // Mayfly with the same freshness bound: non-termination.
     let mut dev = device(50, 5);
-    let mut rb = MayflyRuntimeBuilder::new(app.clone());
-    rb.body("produce", |ctx| {
-        for _ in 0..10 {
-            ctx.compute(10_000)?;
-        }
-        Ok(())
-    });
-    rb.body("consume", |ctx| {
-        for _ in 0..10 {
-            ctx.compute(10_000)?;
-        }
-        Ok(())
-    });
+    let mut rb = ArtemisRuntimeBuilder::new(app.clone());
+    bodies(&mut rb);
+    let mut rb = MayflyRuntimeBuilder::new(rb);
     rb.expiration("consume", "produce", SimDuration::from_secs(2));
     let mut rt = rb.install(&mut dev).unwrap();
     let mayfly_out = rt.run_once(&mut dev, RunLimit::sim_time(SimDuration::from_mins(30)));
@@ -350,4 +340,65 @@ fn emergency_complete_path_works_across_the_stack() {
         0,
         "no further paths execute after an emergency completion"
     );
+}
+
+/// Every runtime install leaves the device's cost category as it found
+/// it: on success, and when FRAM runs out at any of its allocations —
+/// the engine's, the runtime's journal and header (billed to the
+/// runtime) or a channel (billed to the application).
+#[test]
+fn installs_leave_the_cost_category_as_they_found_it() {
+    use artemis::monitor::NoMonitoring;
+    use artemis::sim::CostCategory;
+
+    let app = two_task_app();
+    let builder = || {
+        let mut rb = ArtemisRuntimeBuilder::new(app.clone());
+        rb.channel("samples");
+        rb.channel("sent");
+        rb.body("sense", |ctx| ctx.push("samples", 1.0));
+        rb.body("send", |ctx| ctx.consume("samples"));
+        rb
+    };
+    let spec = "sense { maxTries: 3 onFail: skipPath; }";
+    type Install<'a> = &'a dyn Fn(&mut Device) -> Result<(), String>;
+    let installs: [(&str, Install); 3] = [
+        ("install", &|dev| {
+            let suite = artemis::ir::compile(spec, &app).unwrap();
+            builder()
+                .install(dev, suite)
+                .map(drop)
+                .map_err(|e| format!("{e:?}"))
+        }),
+        ("install_with", &|dev| {
+            (builder().install_with(dev, NoMonitoring))
+                .map(drop)
+                .map_err(|e| format!("{e:?}"))
+        }),
+        ("Mayfly install", &|dev| {
+            (MayflyRuntimeBuilder::new(builder()).install(dev))
+                .map(drop)
+                .map_err(|e| format!("{e:?}"))
+        }),
+    ];
+    for (name, install) in installs {
+        for category in CostCategory::ALL {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            dev.set_category(category);
+            install(&mut dev).unwrap();
+            assert_eq!(dev.category(), category, "{name} succeeded");
+            let allocs = dev.fram().allocations().to_vec();
+            // One byte short of each allocation's end: the install runs
+            // out of FRAM exactly there.
+            for a in allocs {
+                let mut dev = DeviceBuilder::msp430fr5994()
+                    .fram_capacity(a.addr + a.size - 1)
+                    .build();
+                dev.set_category(category);
+                let err = install(&mut dev).unwrap_err();
+                assert!(err.contains("OutOfFram"), "{name} at {}: {err}", a.label);
+                assert_eq!(dev.category(), category, "{name} failed at {}", a.label);
+            }
+        }
+    }
 }

@@ -46,33 +46,40 @@ fn samples(i: usize, n: usize) -> impl Iterator<Item = f64> {
 const SPEC: &str = "sum { maxDuration: 10s onFail: skipTask; \
                     collect: 1 dpTask: f3 onFail: restartPath Path: 1; }";
 
-/// Declares the channels and task bodies on either runtime's builder
-/// (their task contexts share the channel API).
-macro_rules! declare {
-    ($rb:ident) => {
-        for c in CHANNELS {
-            $rb.channel(c);
-        }
-        for (i, f) in FILLS.iter().enumerate() {
-            $rb.body(f, move |ctx| {
-                ctx.compute(1_000)?;
-                samples(i, PUSHES_PER_FILL).try_for_each(|v| ctx.push("ring", v))
-            });
-        }
-        $rb.body("refill", |ctx| {
-            samples(FILLS.len(), 3).try_for_each(|v| ctx.push("ring", v))
+/// The app's builder, with its channels and task bodies — what either
+/// runtime installs.
+fn builder() -> ArtemisRuntimeBuilder {
+    let mut rb = ArtemisRuntimeBuilder::new(app());
+    for c in CHANNELS {
+        rb.channel(c);
+    }
+    for (i, f) in FILLS.iter().enumerate() {
+        rb.body(f, move |ctx| {
+            ctx.compute(1_000)?;
+            samples(i, PUSHES_PER_FILL).try_for_each(|v| ctx.push("ring", v))
         });
-        $rb.body("sum", |ctx| {
-            let all = ctx.read_all("ring")?;
-            ctx.compute(2_000)?;
-            ctx.consume("ring")?;
-            ctx.push("out", all.len() as f64)?;
-            ctx.push("out", all.iter().sum())
-        });
-        $rb.body("tail", |ctx| {
-            samples(FILLS.len() + 1, 2).try_for_each(|v| ctx.push("ring", v))
-        });
-    };
+    }
+    rb.body("refill", |ctx| {
+        samples(FILLS.len(), 3).try_for_each(|v| ctx.push("ring", v))
+    });
+    rb.body("sum", |ctx| {
+        let all = ctx.read_all("ring")?;
+        ctx.compute(2_000)?;
+        ctx.consume("ring")?;
+        ctx.push("out", all.len() as f64)?;
+        ctx.push("out", all.iter().sum())
+    });
+    rb.body("tail", |ctx| {
+        samples(FILLS.len() + 1, 2).try_for_each(|v| ctx.push("ring", v))
+    });
+    rb
+}
+
+/// The app under Mayfly, with a collect rule in place of the monitors.
+fn mayfly_builder() -> MayflyRuntimeBuilder {
+    let mut rb = MayflyRuntimeBuilder::new(builder());
+    rb.collect("sum", "f3", 1);
+    rb
 }
 
 /// What a run leaves behind.
@@ -154,11 +161,8 @@ where
 /// schedule `crashes` (see [`drive`]).
 fn artemis_run(crashes: &[u64]) -> Run {
     let mut dev = DeviceBuilder::msp430fr5994().build();
-    let app = app();
-    let suite = artemis::ir::compile(SPEC, &app).unwrap();
-    let mut rb = ArtemisRuntimeBuilder::new(app);
-    declare!(rb);
-    let mut rt = rb.install(&mut dev, suite).unwrap();
+    let suite = artemis::ir::compile(SPEC, &app()).unwrap();
+    let mut rt = builder().install(&mut dev, suite).unwrap();
     let (outcome, writes, failures, recovered) = drive(&mut dev, &mut rt, crashes);
     Run {
         observed: observe(&mut dev, outcome, |c| rt.channel(c).unwrap()),
@@ -168,14 +172,10 @@ fn artemis_run(crashes: &[u64]) -> Run {
     }
 }
 
-/// [`artemis_run`] under Mayfly, with a collect rule in place of the
-/// monitors.
+/// [`artemis_run`] under Mayfly ([`mayfly_builder`]).
 fn mayfly_run(crashes: &[u64]) -> Run {
     let mut dev = DeviceBuilder::msp430fr5994().build();
-    let mut rb = MayflyRuntimeBuilder::new(app());
-    declare!(rb);
-    rb.collect("sum", "f3", 1);
-    let mut rt = rb.install(&mut dev).unwrap();
+    let mut rt = mayfly_builder().install(&mut dev).unwrap();
     let (outcome, writes, failures, recovered) = drive(&mut dev, &mut rt, crashes);
     Run {
         observed: observe(&mut dev, outcome, |c| rt.channel(c).unwrap()),
@@ -313,20 +313,14 @@ macro_rules! three_runs {
 
 fn artemis_runs(cold: bool) -> Runs {
     let mut dev = free_reload_device();
-    let app = app();
-    let suite = artemis::ir::compile(SPEC, &app).unwrap();
-    let mut rb = ArtemisRuntimeBuilder::new(app);
-    declare!(rb);
-    let mut rt = rb.install(&mut dev, suite).unwrap();
+    let suite = artemis::ir::compile(SPEC, &app()).unwrap();
+    let mut rt = builder().install(&mut dev, suite).unwrap();
     three_runs!(dev, rt, cold)
 }
 
 fn mayfly_runs(cold: bool) -> Runs {
     let mut dev = free_reload_device();
-    let mut rb = MayflyRuntimeBuilder::new(app());
-    declare!(rb);
-    rb.collect("sum", "f3", 1);
-    let mut rt = rb.install(&mut dev).unwrap();
+    let mut rt = mayfly_builder().install(&mut dev).unwrap();
     three_runs!(dev, rt, cold)
 }
 

@@ -29,24 +29,24 @@ const SPEC: &str = "avg { dpData: mean Range: [0, 100] onFail: skipPath; }\n\
                     send { collect: 1 dpTask: sense onFail: restartPath Path: 1; }\n\
                     accel { maxTries: 3 onFail: skipPath; }";
 
-/// Declares the channel and the task bodies on either runtime's
-/// builder (their task contexts share the channel API).
-macro_rules! declare {
-    ($rb:ident) => {
-        $rb.channel("samples");
-        $rb.body("sense", |ctx| {
-            ctx.compute(500)?;
-            ctx.push("samples", 36.6)
-        });
-        $rb.body("accel", |ctx| {
-            ctx.compute(500)?;
-            ctx.push("samples", 1.0)
-        });
-        $rb.body("send", |ctx| {
-            ctx.compute(500)?;
-            ctx.consume("samples")
-        });
-    };
+/// The app's builder with its channel and every task body but `avg`'s,
+/// which each runtime's case declares.
+fn builder() -> ArtemisRuntimeBuilder {
+    let mut rb = ArtemisRuntimeBuilder::new(app());
+    rb.channel("samples");
+    rb.body("sense", |ctx| {
+        ctx.compute(500)?;
+        ctx.push("samples", 36.6)
+    });
+    rb.body("accel", |ctx| {
+        ctx.compute(500)?;
+        ctx.push("samples", 1.0)
+    });
+    rb.body("send", |ctx| {
+        ctx.compute(500)?;
+        ctx.consume("samples")
+    });
+    rb
 }
 
 /// The FRAM span of every allocation whose label starts with `prefix`:
@@ -93,10 +93,8 @@ proptest! {
         flips in proptest::collection::vec((any::<u16>(), 1u8..=255), 1..6),
     ) {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let app = app();
-        let suite = artemis::ir::compile(SPEC, &app).unwrap();
-        let mut rb = ArtemisRuntimeBuilder::new(app.clone());
-        declare!(rb);
+        let suite = artemis::ir::compile(SPEC, &app()).unwrap();
+        let mut rb = builder();
         rb.body("avg", |ctx| {
             ctx.compute(500)?;
             ctx.set_monitored(40.0);
@@ -118,9 +116,9 @@ proptest! {
         flips in proptest::collection::vec((any::<u16>(), 1u8..=255), 1..6),
     ) {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
-        declare!(rb);
+        let mut rb = builder();
         rb.body("avg", |ctx| ctx.compute(500));
+        let mut rb = MayflyRuntimeBuilder::new(rb);
         rb.collect("send", "sense", 1);
         rb.expiration("send", "avg", SimDuration::from_secs(60));
         let mut rt = rb.install(&mut dev).unwrap();
@@ -152,10 +150,8 @@ fn corrupt_state<O>(out: &SimOutcome<O>) -> bool {
 fn corrupt_artemis_cursor_faults() {
     for (field, offset, value) in CORRUPT_CURSORS {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let app = app();
-        let suite = artemis::ir::compile(SPEC, &app).unwrap();
-        let mut rb = ArtemisRuntimeBuilder::new(app.clone());
-        declare!(rb);
+        let suite = artemis::ir::compile(SPEC, &app()).unwrap();
+        let mut rb = builder();
         rb.body("avg", |ctx| ctx.compute(500));
         let mut rt = rb.install(&mut dev, suite).unwrap();
         let (addr, _) = state_span(&dev, "rt.");
@@ -171,10 +167,9 @@ fn corrupt_artemis_cursor_faults() {
 fn corrupt_mayfly_cursor_faults() {
     for (field, offset, value) in CORRUPT_CURSORS {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let mut rb = MayflyRuntimeBuilder::new(app());
-        declare!(rb);
+        let mut rb = builder();
         rb.body("avg", |ctx| ctx.compute(500));
-        let mut rt = rb.install(&mut dev).unwrap();
+        let mut rt = MayflyRuntimeBuilder::new(rb).install(&mut dev).unwrap();
         let (addr, _) = state_span(&dev, "mayfly.");
         dev.nv_write_raw(addr + offset, &[value]).unwrap();
         dev.power_cycle();
