@@ -707,6 +707,8 @@ struct Traffic {
     time: SimDuration,
     energy: intermittent_sim::Energy,
     cache: artemis_monitor::CacheStats,
+    /// FRAM bytes the arming runs wrote ([`artemis_monitor::ExecStats`]).
+    arming_write_bytes: u64,
 }
 
 impl Traffic {
@@ -760,6 +762,7 @@ fn measure(
         time: dev.stats().time(CostCategory::Monitor) - time0,
         energy: dev.stats().energy(CostCategory::Monitor) - energy0,
         cache: engine.cache_stats(),
+        arming_write_bytes: engine.exec_stats().arming_write_bytes,
     }
 }
 
@@ -825,6 +828,8 @@ pub fn traffic() -> Report {
             "writes ceiling/event",
             "write B ceiling/event",
             "cold reads/delivery",
+            "arming write B/event",
+            "member-run write B/event",
         ],
     );
     let mut ops = Vec::new();
@@ -861,8 +866,12 @@ pub fn traffic() -> Report {
             let c = t.cache;
             row.extend([c.hits, c.misses, c.invalidations].map(|n| n.to_string()));
             row.extend(static_ceilings(w).map(|n| n.to_string()));
+            // Each record also writes its count word and sets and
+            // clears the journal flag: 4 bytes.
+            let members = t.write_bytes - t.arming_write_bytes - 4 * t.records;
+            row.extend([t.arming_write_bytes, members].map(per_event));
         } else {
-            row.extend(std::iter::repeat_n("-".to_string(), 7));
+            row.extend(std::iter::repeat_n("-".to_string(), 9));
         }
         r.row(row);
         ops.push((t.reads + t.writes) as f64);
@@ -898,6 +907,13 @@ pub fn traffic() -> Report {
          one per commit group; the testbed's 1.6 mJ capacitor fits each compiled \
          worklist in one group, whose record also arms the delivery with one header run, and the \
          interpreter commits one machine per group",
+    );
+    r.note(
+        "arming write B/event: FRAM bytes of group 0's arming run (its journal entry and \
+         applied data, ExecStats::arming_write_bytes), which spans only the bytes of the \
+         header's event ... done prefix that changed, through the logged verdict cells; \
+         member-run write B/event: the members' runs, what is left of write B/event after \
+         the arming run and each record's count word and flag writes (4 B)",
     );
     r.note(
         "cost model: FRAM access = 25 us + 1 us/B (5 nJ read / 7 nJ write base + \
@@ -1814,16 +1830,22 @@ mod tests {
     /// Grouped commits on the traffic device: the sparse per-event
     /// worklist fits one commit group, so each event commits one
     /// record — the armed-delivery header as one run and eight
-    /// one-byte runs — for 12 writes and 166 write B, where four arming
-    /// sub-writes cost 15 writes and 184 B, and one arming record plus
-    /// a record per machine 47 writes and 280 B. An always-cold delivery
-    /// reads exactly the static refill bytes, whole blocks included.
+    /// one-byte runs — for 12 writes and 102.2 write B. The header run
+    /// spans only the bytes that changed since the last delivery (the
+    /// timestamp's low bytes through `seq`'s low byte): 34.2 B of
+    /// arming writes per event where the whole 46-byte `event … done`
+    /// run cost 98 B (166 write B/event), and the members' runs 64 B.
+    /// An always-cold delivery refills the header image with its one
+    /// header read, so it writes exactly the same spans, and reads
+    /// exactly the static refill bytes, whole blocks included.
     #[test]
     fn sparse_events_commit_one_record_each() {
         let warm = traffic_row("sparse compiled per-event warm");
         assert_eq!(cell(warm, "FRAM writes"), 12.0 * STREAM_EVENTS as f64);
-        assert_eq!(cell(warm, "write B/event"), 166.0);
+        assert_eq!(cell(warm, "write B/event"), 102.2);
         assert_eq!(cell(warm, "records/event"), 1.0);
+        assert_eq!(cell(warm, "arming write B/event"), 34.2);
+        assert_eq!(cell(warm, "member-run write B/event"), 64.0);
 
         let compiled = compiled_workload("sparse");
         let bounds = artemis_ir::suite_bounds(&compiled, &traffic_device().energy_profile());
@@ -1832,6 +1854,9 @@ mod tests {
         let cold = traffic_row("sparse compiled per-event always-cold");
         assert_eq!(cell(cold, "read B/event"), key.cold_read_bytes as f64);
         assert_eq!(key.cold_read_bytes, 207);
+        for column in ["arming write B/event", "member-run write B/event"] {
+            assert_eq!(cell(cold, column), cell(warm, column), "{column}");
+        }
     }
 
     /// Acceptance criteria on FRAM bytes: packed + diff cuts FRAM

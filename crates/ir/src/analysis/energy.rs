@@ -77,8 +77,8 @@ use crate::compile::CompiledSuite;
 /// bookkeeping outside the monitor engine: the attempt-counter write,
 /// the finish commit, the scheduler advance commit, the next dispatch
 /// and sequence write. Sized generously above the measured protocol
-/// cost on the default cost model (≈0.35 µJ: at most 346 nJ per
-/// attempt on the continuous Fig. 14 run and 320 nJ on generated apps,
+/// cost on the default cost model (≈0.34 µJ: at most 336 nJ per
+/// attempt on the continuous Fig. 14 run and 310 nJ on generated apps,
 /// pinned at or under this constant by `tests/runtime_allowance.rs`)
 /// so the ceiling stays an over-approximation; the margin semantics
 /// absorb the slack.

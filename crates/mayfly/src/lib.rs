@@ -361,7 +361,6 @@ impl MayflyRuntime {
     }
 
     fn main_loop(&mut self, dev: &mut Device) -> Result<MayflyOutcome, Interrupt> {
-        dev.set_category(CostCategory::Runtime);
         loop {
             dev.compute(DISPATCH_CYCLES)?;
             let h = self.header.read(dev, &self.app)?;
@@ -411,7 +410,7 @@ impl IntermittentSystem for MayflyRuntime {
     type Output = MayflyOutcome;
 
     fn on_boot(&mut self, dev: &mut Device) -> Result<MayflyOutcome, Interrupt> {
-        self.main_loop(dev)
+        dev.billed(CostCategory::Runtime, |dev| self.main_loop(dev))
     }
 }
 

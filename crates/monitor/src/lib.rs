@@ -39,10 +39,14 @@
 //!
 //! ```text
 //! [event][seq u64][event count u16][verdict count u32][done bitmap][verdict cells × machines]
+//!
+//! event = [path u8][has_dep u8][dep_bits u64][energy_nj u64][timestamp_us u64][task u32][kind u8]
 //! ```
 //!
-//! — the encoded event, its sequence number, the event count (1 once
-//! an event is armed, 0 after a reset), the verdict log and a
+//! — the encoded event (the fields that seldom change between
+//! deliveries first, the volatile ones against `seq`), its sequence
+//! number, the event count (1 once an event is armed, 0 after a
+//! reset), the verdict log and a
 //! completion bitmap with one bit per commit group, `ceil(machines / 8)`
 //! bytes. The **worklist** (the machines the routing index names for
 //! the armed event's key) and its cut into **commit groups**
@@ -52,10 +56,11 @@
 //! armed event, derived at arming and re-derived once on a cold load
 //! after a reboot. Each group commits its members' effects together
 //! with its bit in **one journal record**. Group 0's record also arms
-//! the delivery with **one** sub-write — the run from the event through
-//! `seq`, the counts and the bitmap to its last logged verdict cell — so
-//! a delivery whose worklist fits one group costs one record of its
-//! members' runs plus that one. A later group adds
+//! the delivery with **one** sub-write — the span of the run from the
+//! event through `seq`, the counts and the bitmap to its last logged
+//! verdict cell that starts at the first byte that changed (see
+//! "Dirty-diff commits") — so a delivery whose worklist fits one group
+//! costs one record of its members' runs plus that one. A later group adds
 //! `[verdict count | done]` and a run of its cells. A cold load reads
 //! the header from the event to the bitmap in **one** op. A reboot
 //! resumes exactly the pending groups and a redelivered sequence number
@@ -156,6 +161,20 @@
 //! state word and of each written slot changes and the fields lie more
 //! than a header apart.
 //!
+//! Group 0's arming run is diffed into **one span**: the shadow keeps a
+//! byte image of the header's `event … done` prefix as FRAM holds it,
+//! and the run starts at the first byte that differs from the image
+//! and ends at the last one, or at the last logged verdict cell. The
+//! image is seeded at install (a fresh region is all zeros), refilled
+//! by every cold header load, replaced after every durable group
+//! commit, zeroed past `seq` by a reset, and dies with the shadow's
+//! generation; a dead image arms with the whole run, so a warm engine
+//! and an always-cold one write the same bytes. One span, not runs,
+//! keeps arming at exactly one sub-write, so ops, records and crash
+//! windows stay those the model prices, and its bytes stay under the
+//! whole run the model prices — equal when the span covers byte 0
+//! through the last logged cell.
+//!
 //! [`AccessSet`]: artemis_ir::compile::AccessSet
 //! [`Sram`]: intermittent_sim::fram::Sram
 
@@ -178,7 +197,7 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{Journal, TxWriter, ENTRY_HEADER};
+use intermittent_sim::journal::{changed_span, Journal, TxWriter, ENTRY_HEADER};
 use intermittent_sim::EnergyProfile;
 
 use state::{EncodedEvent, NvValue};
@@ -297,12 +316,13 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-/// Dynamic bytecode execution counters
-/// ([`MonitorEngine::exec_stats`]): what the compiled core *actually*
-/// ran, as opposed to the static per-key ceilings the engine bills
-/// through [`artemis_ir::CompiledMachine::step_cost`]. Volatile (a
-/// reboot replays the in-flight event and re-counts its instructions —
-/// the honest dynamic figure on an intermittent device).
+/// Dynamic execution counters of the compiled core
+/// ([`MonitorEngine::exec_stats`]): what it *actually* ran and wrote,
+/// as opposed to the static per-key ceilings the engine bills through
+/// [`artemis_ir::CompiledMachine::step_cost`] and the bounds pass
+/// prices. Volatile (a reboot replays the in-flight event and
+/// re-counts its instructions — the honest dynamic figure on an
+/// intermittent device).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExecStats {
     /// Bytecode instructions dispatched across all machine steps.
@@ -310,6 +330,10 @@ pub struct ExecStats {
     /// `CompiledMachine::step` invocations (one per machine per
     /// delivered event that dispatches to it).
     pub machine_steps: u64,
+    /// FRAM bytes written by committed arming runs (group 0's header
+    /// sub-write): each run's journal entry, header and data, plus its
+    /// applied data.
+    pub arming_write_bytes: u64,
 }
 
 /// Everything [`MonitorEngine::install_with`] can be told.
@@ -414,7 +438,9 @@ enum MachineStore {
 /// [verdict cells × slots]`
 ///
 /// The order is what makes a delivery cheap: group 0's record stages
-/// everything from the event to its last logged cell as **one** run. A
+/// everything from the event to its last logged cell as **one** run
+/// (its span from the first byte that changed, see
+/// [`MonitorEngine::commit_group`]). A
 /// later group stages `[verdict count | done]` and its cells as two
 /// runs; a cold load reads `event … done` in one op; a reset zeroes
 /// `seq … done` in one run. The done bitmap keeps bit `g % 8` of byte
@@ -452,26 +478,19 @@ impl Header {
     }
 }
 
-/// Fills `dst` with group 0's header run: the armed event, `seq`, the
-/// event count, then the log tail of [`put_log`].
-fn put_arming(dst: &mut [u8], event: &EncodedEvent, armed: &Armed, emits: &[Emit]) {
+/// Fills `dst` with the header's `event … done` prefix of the delivery
+/// `armed` holds: `event`, `seq`, an event count of one, the verdict
+/// count and the done bitmap.
+fn put_head(dst: &mut [u8], event: &EncodedEvent, armed: &Armed) {
     let (encoded, rest) = dst.split_at_mut(EncodedEvent::SIZE);
     event.store(encoded);
     let (seq, rest) = rest.split_at_mut(u64::SIZE);
     armed.seq.store(seq);
-    let (n, log) = rest.split_at_mut(u16::SIZE);
+    let (n, rest) = rest.split_at_mut(u16::SIZE);
     1u16.store(n);
-    put_log(log, armed.verdicts, &armed.done, emits);
-}
-
-/// Fills `dst` with `[verdict count | done bitmap]` followed by the
-/// cells of `emits`.
-fn put_log(dst: &mut [u8], count: u32, done: &[u8], emits: &[Emit]) {
-    let (count_b, rest) = dst.split_at_mut(u32::SIZE);
-    count.store(count_b);
-    let (done_b, cells) = rest.split_at_mut(done.len());
-    done_b.copy_from_slice(done);
-    put_cells(cells, emits);
+    let (count, done) = rest.split_at_mut(u32::SIZE);
+    armed.verdicts.store(count);
+    done.copy_from_slice(&armed.done);
 }
 
 /// Fills `dst` with one verdict cell per emit.
@@ -553,6 +572,10 @@ struct Scratch {
     /// Verdicts of one commit group, in logging order: machine index,
     /// event position, action, governing path.
     emits: Vec<Emit>,
+    /// The header's `event … done` prefix as the current commit group
+    /// leaves it; swapped with the shadow's header image once the
+    /// group is durable.
+    head: Vec<u8>,
     /// The journal record of the current commit, cleared and re-staged
     /// in place by every commit group and every reset.
     tx: TxWriter,
@@ -636,13 +659,20 @@ struct ShadowCache {
     /// `true` while the engine's [`Armed`] buffers mirror the header in
     /// FRAM (the worklist already derived).
     armed: bool,
+    /// The header's `event … done` prefix byte for byte as FRAM holds
+    /// it — stale event bytes behind a zero event count included —
+    /// live iff `head_gen` equals `gen`. Group 0 diffs its arming run
+    /// against it.
+    head: Vec<u8>,
+    head_gen: u64,
     stats: CacheStats,
 }
 
 impl ShadowCache {
     /// A cold cache for `machines` machines and `verdict_slots`
-    /// verdict cells.
-    fn new(epoch: u64, machines: usize, verdict_slots: usize) -> Self {
+    /// verdict cells, whose header image is a freshly allocated —
+    /// all-zero — `head_len`-byte `event … done` prefix.
+    fn new(epoch: u64, machines: usize, verdict_slots: usize, head_len: usize) -> Self {
         ShadowCache {
             epoch,
             gen: 1,
@@ -657,12 +687,37 @@ impl ShadowCache {
                 machines
             ],
             armed: false,
+            head: vec![0; head_len],
+            head_gen: 1,
             stats: CacheStats::default(),
         }
     }
 
+    /// Makes `head` the live header image: FRAM holds it.
+    fn set_head(&mut self, head: &[u8]) {
+        self.head.copy_from_slice(head);
+        self.head_gen = self.gen;
+    }
+
+    /// [`ShadowCache::set_head`] by swapping buffers: `head` gets the
+    /// old image's buffer, for the caller to overwrite.
+    fn swap_head(&mut self, head: &mut Vec<u8>) {
+        core::mem::swap(&mut self.head, head);
+        self.head_gen = self.gen;
+    }
+
+    /// The span of `head` that differs from the live header image;
+    /// `None` if the image is dead or equal to `head`.
+    fn head_changes(&self, head: &[u8]) -> Option<core::ops::Range<usize>> {
+        if self.head_gen != self.gen {
+            return None;
+        }
+        changed_span(&self.head, head)
+    }
+
     /// Drops every entry in O(1): the header mirror goes stale, tagged
-    /// entries (machines, verdict cells) die by generation bump. Does
+    /// entries (machines, verdict cells, the header image) die by
+    /// generation bump. Does
     /// not bump the invalidation counter — callers account the wipe
     /// (epoch syncs do; the defensive wipe after an interrupted entry
     /// point stays silent because the next epoch sync counts that
@@ -953,6 +1008,7 @@ impl MonitorEngine {
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
                 emits: Vec::with_capacity(slots),
+                head: vec![0; header.cell(0)],
                 // Every record fits the journal, so staging never grows it.
                 tx: TxWriter::with_capacity(capacity),
             });
@@ -970,7 +1026,9 @@ impl MonitorEngine {
             // *current* reboot generation so a freshly installed
             // engine doesn't count a spurious invalidation.
             // Its volatile footprint, for Table 2: one image per
-            // machine block and the whole armed header.
+            // machine block and the whole armed header (the decoded
+            // delivery, its verdict cells and the byte image of the
+            // `event … done` prefix group 0 diffs against).
             if compiled_mode {
                 let blocks = machines.iter().map(|lm| lm.initial_image.len()).sum();
                 let sram = dev.sram_mut();
@@ -982,6 +1040,7 @@ impl MonitorEngine {
                     dev.sram().generation(),
                     machines.len(),
                     slots,
+                    header.cell(0),
                 ))
             });
             Ok(MonitorEngine {
@@ -1012,8 +1071,8 @@ impl MonitorEngine {
             .map_or_else(CacheStats::default, |c| c.borrow().stats)
     }
 
-    /// Dynamic bytecode execution counters (all-zero in interpreter
-    /// mode, which runs no bytecode). The measured side of the static
+    /// Dynamic execution counters (all-zero in interpreter mode, which
+    /// runs no bytecode). The measured side of the static
     /// [`artemis_ir::CompiledMachine::step_cost`] ceilings: for every
     /// delivered event, `instructions` grows by at most the key's
     /// `step_cost(kind, task).instructions`.
@@ -1088,6 +1147,7 @@ impl MonitorEngine {
         }
         let h = &self.header;
         let bytes = dev.nv_read_raw(h.addr, h.cell(0))?;
+        self.cache_put(|c| c.set_head(bytes));
         let field = |at: usize, len: usize| &bytes[at..at + len];
         let n = u16::load(field(h.event_count(), u16::SIZE)) as usize;
         let verdicts = u32::load(field(h.verdict_count(), u32::SIZE));
@@ -1322,8 +1382,9 @@ impl MonitorEngine {
             tx.write_zeroed(h.addr + h.seq(), h.cell(0) - h.seq());
             dev.commit(&self.journal, tx)?;
             // The reset commit just (re)wrote every location the cache
-            // mirrors — fill all the shadows, so even the first event
-            // after a reset runs write-only.
+            // mirrors but the stale event bytes — fill all the shadows,
+            // so even the first event after a reset runs write-only
+            // whenever the header image is live (always after install).
             let armed = &mut *self.armed.borrow_mut();
             armed.seq = 0;
             armed.event = None;
@@ -1334,7 +1395,13 @@ impl MonitorEngine {
             armed.done.clear();
             armed.done.resize(self.header.done_len, 0);
             armed.done[0] = 1; // an empty delivery is complete (`load_armed`)
-            self.cache_put(|c| c.armed = true);
+            self.cache_put(|c| {
+                // The event bytes stay, so only a live header image
+                // knows the whole `event … done` prefix now; a dead one
+                // leaves the header to the next load, which refills it.
+                c.head[h.seq()..].fill(0);
+                c.armed = c.head_gen == c.gen;
+            });
             self.shadow_reset_machines(|_| true);
             Ok(())
         })
@@ -1486,15 +1553,20 @@ impl MonitorEngine {
     /// Steps every member of commit group `g` on `event` and commits the
     /// group as **one** journal record: each member's staged runs, then
     /// the [`Header`] fields the group changes. Group 0 arms the
-    /// delivery with one run from the event to its last logged cell —
-    /// the event, the sequence number and event count, the verdict count
-    /// it resets, the done bitmap and its own verdict cells. A later
-    /// group stages `[verdict count | done]` and its cells as one more
-    /// run, or only the bitmap when it logs nothing. The bitmap already
-    /// has `g`'s bit set. A later group that staged nothing but its bit
-    /// completes with one plain idempotent bitmap write (re-execution
-    /// after a power failure is harmless); group 0 always commits,
-    /// because its run fixes the whole delivery.
+    /// delivery with one run that ends at its last logged cell — the
+    /// event, the sequence number and event count, the verdict count it
+    /// resets, the done bitmap and its own verdict cells — and starts at
+    /// the first byte of `event … done` that differs from the shadow's
+    /// header image (byte 0 when the image is dead). The bytes it skips
+    /// already hold their new values, and the unchanged bytes it covers
+    /// re-write their old ones, so the run still arms the whole
+    /// delivery, as one sub-write. A later group stages
+    /// `[verdict count | done]` and its cells as one more run, or only
+    /// the bitmap when it logs nothing. The bitmap already has `g`'s bit
+    /// set. A later group that staged nothing but its bit completes with
+    /// one plain idempotent bitmap write (re-execution after a power
+    /// failure is harmless); group 0 always commits, because its run
+    /// fixes the whole delivery.
     fn commit_group(
         &self,
         dev: &mut Device,
@@ -1514,7 +1586,9 @@ impl MonitorEngine {
         }
 
         // Group 0 resets the verdict log, later groups append to it.
-        let Scratch { tx, emits, .. } = scratch;
+        let Scratch {
+            tx, emits, head, ..
+        } = scratch;
         let h = &self.header;
         let first = armed.verdicts as usize;
         let count = first + emits.len();
@@ -1523,26 +1597,50 @@ impl MonitorEngine {
         }
         // Set in RAM ahead of the commit, like the done bit.
         armed.verdicts = count as u32;
+        put_head(head, event, armed);
+        let (vc, done) = (h.verdict_count(), h.done());
+        // FRAM bytes of group 0's arming run: its entry in the record,
+        // then its applied data.
+        let mut arming = 0;
         if g == 0 {
-            put_arming(tx.write_slot(h.addr, h.cell(count)), event, armed, emits);
+            let (cells, end) = (h.cell(0), h.cell(count));
+            let span = self
+                .cache
+                .as_ref()
+                .and_then(|c| c.borrow().head_changes(head));
+            let (lo, hi) = match span {
+                Some(span) if count == 0 => (span.start, span.end),
+                Some(span) => (span.start, end),
+                None => (0, end),
+            };
+            let run = tx.write_slot(h.addr + lo, hi - lo);
+            let (prefix, log) = run.split_at_mut(hi.min(cells) - lo);
+            prefix.copy_from_slice(&head[lo..lo + prefix.len()]);
+            put_cells(log, emits);
+            arming = ENTRY_HEADER + 2 * (hi - lo);
         } else if emits.is_empty() {
-            tx.write_raw(h.addr + h.done(), &armed.done);
+            tx.write_raw(h.addr + done, &head[done..]);
             if tx.len() == 1 {
-                return dev.nv_write_raw(h.addr + h.done(), &armed.done);
+                dev.nv_write_raw(h.addr + done, &head[done..])?;
+                self.cache_put(|c| c.swap_head(head));
+                return Ok(());
             }
         } else {
-            let run = tx.write_slot(h.addr + h.verdict_count(), u32::SIZE + h.done_len);
-            put_log(run, count as u32, &armed.done, &[]);
+            tx.write_raw(h.addr + vc, &head[vc..]);
             let cells = tx.write_slot(h.addr + h.cell(first), h.cell(count) - h.cell(first));
             put_cells(cells, emits);
         }
         dev.commit(&self.journal, tx)?;
+        if self.mode == ExecMode::Compiled {
+            self.exec.borrow_mut().arming_write_bytes += arming as u64;
+        }
         self.cache_put(|c| {
             c.journal_clean = true;
             let gen = c.gen;
             for (k, emit) in emits.iter().enumerate() {
                 c.verdicts[first + k] = (gen, verdict_cell(emit));
             }
+            c.swap_head(head);
             // Group 0 fixed every activation input — the run reads
             // nothing more from FRAM.
             c.armed |= g == 0;
@@ -2217,9 +2315,15 @@ mod tests {
         }
     }
 
-    /// Installs `suite` on the default engine of a `tiny`-regime device,
-    /// resets it, and makes `deliveries` deliveries of consecutive
-    /// `start(t0)` events. With `cold`, SRAM is cleared before every
+    /// Installs `suite` on the default engine of a `tiny`-regime device
+    /// and makes `deliveries` deliveries of consecutive `start(t0)`
+    /// events, each right after a reset and alternating between path 1
+    /// and no path, and returns the traffic of the deliveries alone.
+    /// The reset zeroes `seq … done` and the path number is the event's
+    /// first byte, so byte 0 and the last byte of `event … done` both
+    /// change: group 0's span covers the whole arming run, and each
+    /// step starts from the initial images — the workload on which the
+    /// model is attained. With `cold`, SRAM is cleared before every
     /// delivery — the always-cold engine, where each delivery takes the
     /// post-reboot read path.
     fn measure(
@@ -2232,36 +2336,46 @@ mod tests {
         let t0 = app.task_by_name("t0").unwrap();
         let mut dev = regime_device(tiny);
         let engine = MonitorEngine::install(&mut dev, suite.clone(), app).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
 
-        let fram = |dev: &Device| {
+        let sample = |dev: &Device| {
             let f = dev.fram();
-            [f.read_ops(), f.read_bytes(), f.write_ops(), f.write_bytes()]
+            (
+                [f.read_ops(), f.read_bytes(), f.write_ops(), f.write_bytes()],
+                dev.journal_records(),
+                dev.stats().energy(CostCategory::Monitor),
+            )
         };
-        let fram0 = fram(&dev);
-        let records0 = dev.journal_records();
-        let energy0 = dev.stats().energy(CostCategory::Monitor);
+        let mut total = Traffic {
+            reads: 0,
+            read_bytes: 0,
+            writes: 0,
+            write_bytes: 0,
+            energy: Energy::ZERO,
+            records: 0,
+        };
         for seq in 1..=deliveries {
+            engine.reset_monitor(&mut dev).unwrap();
             if cold {
                 dev.sram_mut().clear();
             }
-            drop(
-                engine
-                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                    .unwrap(),
-            );
+            let (fram0, records0, energy0) = sample(&dev);
+            let event = MonitorEvent::start(t0, t(seq));
+            let event = match seq % 2 {
+                1 => event.on_path(PathId(0)),
+                _ => event,
+            };
+            drop(engine.call_monitor(&mut dev, seq, &event).unwrap());
+            let (fram, records, energy) = sample(&dev);
+            let [reads, read_bytes, writes, write_bytes] =
+                [0, 1, 2, 3].map(|i| (fram[i] - fram0[i]) as usize);
+            total.reads += reads;
+            total.read_bytes += read_bytes;
+            total.writes += writes;
+            total.write_bytes += write_bytes;
+            total.records += records - records0;
+            total.energy += energy - energy0;
         }
-        let now = fram(&dev);
-        let [reads, read_bytes, writes, write_bytes] =
-            [0, 1, 2, 3].map(|i| (now[i] - fram0[i]) as usize);
-        Traffic {
-            reads,
-            read_bytes,
-            writes,
-            write_bytes,
-            energy: dev.stats().energy(CostCategory::Monitor) - energy0,
-            records: dev.journal_records() - records0,
-        }
+        total
     }
 
     /// The static per-event cost of `start(t0)` in `suite` on a
@@ -2805,13 +2919,15 @@ mod tests {
                 assert_eq!(dev.largest_journal_record(), bounds.reset_commit_bytes);
                 // Start events of the first task step every machine (and
                 // trip maxTries on the third); end events of the last
-                // task arm and dismiss.
+                // task arm and dismiss. The starts run on path 1 and the
+                // ends on none, so each arming changes the event's first
+                // byte and its span covers the whole arming run.
                 let (first, last) = (TaskId(0), TaskId(app.task_count() as u32 - 1));
                 for seq in 1..=6u64 {
                     let event = if seq % 2 == 0 {
                         MonitorEvent::end(last, t(seq))
                     } else {
-                        MonitorEvent::start(first, t(seq))
+                        MonitorEvent::start(first, t(seq)).on_path(PathId(0))
                     };
                     engine.call_monitor(&mut dev, seq, &event).unwrap();
                 }

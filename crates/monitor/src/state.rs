@@ -39,41 +39,47 @@ impl NvData for NvValue {
 /// The persistent event variable (paper Figure 8's `MonitorEvent_t`):
 /// kind, task index, timestamp, optional monitored value, and the
 /// capacitor reading sampled at delivery.
+///
+/// The FRAM encoding puts the fields that rarely change between
+/// consecutive deliveries first (path number, `has_dep`, `dep_bits`)
+/// and the volatile ones last, abutting the header's `seq`: arming
+/// stages the span from the first to the last byte that changed, so
+/// the volatile fields and `seq` form one short span.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct EncodedEvent {
-    /// 0 = start, 1 = end.
-    pub kind: u8,
-    /// Task id (dense index into the application graph).
-    pub task: u32,
-    /// Timestamp in microseconds.
-    pub timestamp_us: u64,
+    /// One-based number of the executing path; 0 = no path context.
+    pub path_number: u8,
     /// 1 if `dep_bits` carries a value.
     pub has_dep: u8,
     /// `f64::to_bits` of the monitored value.
     pub dep_bits: u64,
     /// Capacitor level in nanojoules at delivery time.
     pub energy_nj: u64,
-    /// One-based number of the executing path; 0 = no path context.
-    pub path_number: u8,
+    /// Timestamp in microseconds.
+    pub timestamp_us: u64,
+    /// Task id (dense index into the application graph).
+    pub task: u32,
+    /// 0 = start, 1 = end.
+    pub kind: u8,
 }
 
 impl EncodedEvent {
     /// Encodes a core event plus the current energy reading.
     pub fn from_event(e: &MonitorEvent, energy_nj: u64) -> Self {
         EncodedEvent {
-            kind: match e.kind {
-                EventKind::StartTask => 0,
-                EventKind::EndTask => 1,
-            },
-            task: e.task.0,
-            timestamp_us: e.timestamp.as_micros(),
-            has_dep: u8::from(e.dep_data.is_some()),
-            dep_bits: e.dep_data.unwrap_or(0.0).to_bits(),
-            energy_nj,
             path_number: e
                 .path
                 .map(|p| u8::try_from(p.number()).unwrap_or(0))
                 .unwrap_or(0),
+            has_dep: u8::from(e.dep_data.is_some()),
+            dep_bits: e.dep_data.unwrap_or(0.0).to_bits(),
+            energy_nj,
+            timestamp_us: e.timestamp.as_micros(),
+            task: e.task.0,
+            kind: match e.kind {
+                EventKind::StartTask => 0,
+                EventKind::EndTask => 1,
+            },
         }
     }
 
@@ -93,16 +99,16 @@ impl EncodedEvent {
 }
 
 impl NvData for EncodedEvent {
-    const SIZE: usize = 1 + 4 + 8 + 1 + 8 + 8 + 1;
+    const SIZE: usize = 1 + 1 + 8 + 8 + 8 + 4 + 1;
 
     fn store(&self, dst: &mut [u8]) {
-        dst[0] = self.kind;
-        dst[1..5].copy_from_slice(&self.task.to_le_bytes());
-        dst[5..13].copy_from_slice(&self.timestamp_us.to_le_bytes());
-        dst[13] = self.has_dep;
-        dst[14..22].copy_from_slice(&self.dep_bits.to_le_bytes());
-        dst[22..30].copy_from_slice(&self.energy_nj.to_le_bytes());
-        dst[30] = self.path_number;
+        dst[0] = self.path_number;
+        dst[1] = self.has_dep;
+        dst[2..10].copy_from_slice(&self.dep_bits.to_le_bytes());
+        dst[10..18].copy_from_slice(&self.energy_nj.to_le_bytes());
+        dst[18..26].copy_from_slice(&self.timestamp_us.to_le_bytes());
+        dst[26..30].copy_from_slice(&self.task.to_le_bytes());
+        dst[30] = self.kind;
     }
 
     fn load(src: &[u8]) -> Self {
@@ -117,13 +123,13 @@ impl NvData for EncodedEvent {
             u64::from_le_bytes(b)
         };
         EncodedEvent {
-            kind: src[0],
-            task: u32_at(1),
-            timestamp_us: u64_at(5),
-            has_dep: src[13],
-            dep_bits: u64_at(14),
-            energy_nj: u64_at(22),
-            path_number: src[30],
+            path_number: src[0],
+            has_dep: src[1],
+            dep_bits: u64_at(2),
+            energy_nj: u64_at(10),
+            timestamp_us: u64_at(18),
+            task: u32_at(26),
+            kind: src[30],
         }
     }
 }

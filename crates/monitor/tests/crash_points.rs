@@ -13,6 +13,12 @@
 //! powered devices whose capacitor budgets size the commit groups: the
 //! default 1.6 mJ one, where every worklist is one group, and a 1 nJ
 //! one, where every machine is a group of its own.
+//!
+//! A seeded walk then pins the arming span — group 0's header run
+//! starts at the first byte that changed since the header image the
+//! shadow keeps — against the static model and against an engine that
+//! refills that image before every call: both must write the same FRAM
+//! bytes through power failures, redeliveries and resets.
 
 use std::sync::Arc;
 
@@ -20,11 +26,14 @@ use artemis_core::app::{AppGraph, AppGraphBuilder, PathId, TaskId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::time::SimInstant;
 use artemis_ir::expr::Value;
+use artemis_ir::opt::OptLevel;
 use artemis_ir::{CompiledSuite, MonitorSuite};
 use artemis_monitor::{ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
 use intermittent_sim::capacitor::Capacitor;
+use intermittent_sim::device::Interrupt;
 use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
+use intermittent_sim::journal::ENTRY_HEADER;
 use intermittent_sim::simulator::{RunLimit, Simulator};
 use intermittent_sim::MemOwner;
 
@@ -356,5 +365,219 @@ fn explored_devices_span_both_group_regimes() {
             records_per_event * w.events.len() as u64,
             "tiny {tiny}"
         );
+    }
+}
+
+/// A splitmix64 stream: the walk's only source of randomness, so a
+/// seed names one walk.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// A random event of `app` at `time`: any task, either kind, on one of
+/// the task's paths or on none, ends sometimes carrying a value.
+fn random_event(rng: &mut Rng, app: &AppGraph, time: u64) -> MonitorEvent {
+    let task = TaskId(rng.below(app.task_count() as u64) as u32);
+    let at = SimInstant::from_micros(time);
+    let event = match rng.below(3) {
+        0 => MonitorEvent::start(task, at),
+        1 => MonitorEvent::end(task, at),
+        _ => MonitorEvent::end_with_data(task, at, rng.below(50) as f64),
+    };
+    let paths = app.paths_containing(task);
+    match paths.get(rng.below(paths.len() as u64 + 1) as usize) {
+        Some(&path) => event.on_path(path),
+        None => event,
+    }
+}
+
+/// One engine of the walk on its own device. The always-cold one
+/// clears SRAM before every call, so each call reloads the armed
+/// header and refills the header image from FRAM.
+struct Walker {
+    dev: Device,
+    engine: MonitorEngine,
+    cold: bool,
+}
+
+impl Walker {
+    fn new(w: &Workload, opt: OptLevel, tiny: bool, cold: bool) -> Self {
+        let mut dev = device(tiny);
+        let opts = InstallOptions {
+            opt,
+            ..InstallOptions::default()
+        };
+        let engine = MonitorEngine::install_with(&mut dev, w.suite.clone(), &w.app, opts).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        Walker { dev, engine, cold }
+    }
+
+    /// Runs `f` with a power failure armed before write op `crash`, if
+    /// given; a failure power-cycles the device.
+    fn call<T>(
+        &mut self,
+        crash: Option<u64>,
+        f: impl FnOnce(&MonitorEngine, &mut Device) -> Result<T, Interrupt>,
+    ) -> Option<T> {
+        if self.cold {
+            self.dev.sram_mut().clear();
+        }
+        self.dev.fail_before_write(crash.unwrap_or(0));
+        let r = f(&self.engine, &mut self.dev);
+        self.dev.fail_before_write(0);
+        match r {
+            Ok(v) => Some(v),
+            Err(Interrupt::PowerFailure) => {
+                self.dev.power_cycle();
+                None
+            }
+            Err(e) => panic!("{e:?}"),
+        }
+    }
+
+    /// Write ops, write bytes, journal records and arming-run bytes so
+    /// far.
+    fn writes(&self) -> [u64; 4] {
+        let f = self.dev.fram();
+        [
+            f.write_ops(),
+            f.write_bytes(),
+            self.dev.journal_records(),
+            self.engine.exec_stats().arming_write_bytes,
+        ]
+    }
+}
+
+/// Walks `steps` random deliveries of `w` through a warm engine and an
+/// always-cold one in lockstep, on the `tiny` regime at `opt`. Some
+/// calls fail power before a random write op; a failed delivery is
+/// followed by `monitorFinalize` or a reset, then by its redelivery
+/// or a fresh event. After every call both engines must have written
+/// the same FRAM image with the same write ops and bytes and returned
+/// the same verdicts. A delivery that arms a fresh event without a
+/// failure writes one arming run — one sub-write of at least one byte
+/// — and at most the key's modelled write ops, records and bytes,
+/// with exactly one record when the model cuts the key into one group.
+fn walk(w: &Workload, seed: u64, opt: OptLevel, tiny: bool, steps: usize) {
+    let bounds = artemis_ir::suite_bounds(&w.compiled, &device(tiny).energy_profile());
+    let mut warm = Walker::new(w, opt, tiny, false);
+    let mut cold = Walker::new(w, opt, tiny, true);
+    let mut rng = Rng(seed);
+    let (mut seq, mut time) = (1u64, 1u64);
+    let mut event = random_event(&mut rng, &w.app, time);
+    let mut failed = 0;
+    for step in 0..steps {
+        let crash = rng.chance(20).then(|| 1 + rng.below(12));
+        let before = warm.writes();
+        let deliver = |e: &MonitorEngine, dev: &mut Device| e.call_monitor(dev, seq, &event);
+        let reads = warm.dev.fram().read_ops();
+        let (a, b) = (warm.call(crash, deliver), cold.call(crash, deliver));
+        let ctx = format!("seed {seed}, {opt:?}, tiny {tiny}, step {step}, seq {seq}");
+        assert_eq!(a, b, "verdicts, {ctx}");
+        if step == 0 && a.is_some() {
+            // Install seeds the header image and the reset fills every
+            // other shadow: the first delivery is write-only.
+            assert_eq!(warm.dev.fram().read_ops(), reads, "{ctx}");
+        }
+        let after = warm.writes();
+        assert_eq!(after, cold.writes(), "write traffic, {ctx}");
+        let used = warm.dev.fram().used();
+        assert_eq!(
+            warm.dev.peek_raw(0, used),
+            cold.dev.peek_raw(0, used),
+            "FRAM image, {ctx}"
+        );
+
+        let [ops, bytes, records, arming] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+        if a.is_some() && arming > 0 {
+            let key = bounds
+                .per_key
+                .iter()
+                .find(|k| k.kind == event.kind && k.task == Some(event.task.0))
+                .expect("every task has a key");
+            assert!(arming >= (ENTRY_HEADER + 2) as u64, "one arming run, {ctx}");
+            assert_eq!(
+                (arming - ENTRY_HEADER as u64) % 2,
+                0,
+                "one arming run, {ctx}"
+            );
+            assert!(
+                ops <= key.writes as u64,
+                "ops {ops} > {}, {ctx}",
+                key.writes
+            );
+            assert!(
+                records >= 1 && records <= key.groups as u64,
+                "records {records}, {ctx}"
+            );
+            if key.groups == 1 {
+                assert_eq!(records, 1, "{ctx}");
+            }
+            assert!(
+                bytes <= key.write_bytes as u64,
+                "bytes {bytes} > {}, {ctx}",
+                key.write_bytes
+            );
+        }
+
+        if a.is_none() {
+            failed += 1;
+            let reset = rng.chance(30);
+            let recover = |e: &MonitorEngine, dev: &mut Device| {
+                if reset {
+                    e.reset_monitor(dev)
+                } else {
+                    e.monitor_finalize(dev).map(drop)
+                }
+            };
+            assert_eq!(warm.call(None, recover), cold.call(None, recover), "{ctx}");
+            if rng.chance(50) {
+                continue;
+            }
+        } else if rng.chance(10) {
+            continue;
+        }
+        seq += 1;
+        time += 1 + rng.below(5_000);
+        event = random_event(&mut rng, &w.app, time);
+    }
+    assert!(failed > 0, "seed {seed}: the walk never failed power");
+}
+
+/// The arming span on the Fig. 5 suite and on generated suites, at both
+/// optimisation levels and in both commit-group regimes: warm and
+/// always-cold engines write identical FRAM traffic and images, and
+/// every delivery stays within its key's model.
+#[test]
+fn arming_spans_write_what_an_always_cold_engine_writes() {
+    let mut workloads = vec![figure5()];
+    for seed in 0..6 {
+        let g = artemis_bench::workload::generate(seed);
+        let suite = artemis_ir::compile(&g.spec, &g.app).unwrap();
+        workloads.push(workload(g.app, suite, Vec::new()));
+    }
+    for (i, w) in workloads.iter().enumerate() {
+        for opt in [OptLevel::Full, OptLevel::None] {
+            for tiny in [false, true] {
+                walk(w, 17 + i as u64, opt, tiny, 400);
+            }
+        }
     }
 }

@@ -21,7 +21,9 @@
 //!
 //! A steady-state runtime therefore reads its header from SRAM and
 //! touches FRAM only to write it. A journal commit stages only the
-//! header bytes that changed, as runs ([`TxWriter::write_diff`]).
+//! header bytes that changed, as runs ([`TxWriter::write_diff`]), and
+//! a plain write of one field ([`PersistentHeader::write`]) carries
+//! only that field's changed bytes, as one span.
 
 use core::cell::RefCell;
 use core::ops::Range;
@@ -30,7 +32,7 @@ use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::trace::TraceEvent;
 use intermittent_sim::device::{Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{Journal, TxWriter};
+use intermittent_sim::journal::{changed_span, Journal, TxWriter};
 
 /// Capacity of a runtime's journal, in bytes.
 const JOURNAL_BYTES: usize = 1024;
@@ -167,17 +169,29 @@ impl<T: TaskHeader> PersistentHeader<T> {
 
     /// Writes the `field` bytes of `new` in one plain FRAM write — for
     /// a field whose update needs no atomicity with anything else.
-    /// `new` must equal the mirrored value outside `field`.
+    /// `new` must equal the mirrored value outside `field`. With the
+    /// mirror current the write carries only the span from the first to
+    /// the last byte of the field that changed (its first byte if none
+    /// did, so it stays one write); otherwise the whole field.
     pub fn write(&self, dev: &mut Device, new: T, field: Range<usize>) -> Result<(), Interrupt> {
         let m = &mut *self.mirror.borrow_mut();
         new.store(&mut m.next);
+        let current = m.epoch == Some(dev.sram().generation());
         debug_assert!(
-            m.epoch.is_none()
+            !current
                 || (m.image[..field.start] == m.next[..field.start]
                     && m.image[field.end..] == m.next[field.end..]),
             "a plain header write changes only its own field"
         );
-        let result = dev.nv_write_raw(self.cell.addr() + field.start, &m.next[field.clone()]);
+        let span = if current {
+            changed_span(&m.image[field.clone()], &m.next[field.clone()])
+                .map_or(field.start..field.start + 1, |s| {
+                    field.start + s.start..field.start + s.end
+                })
+        } else {
+            field.clone()
+        };
+        let result = dev.nv_write_raw(self.cell.addr() + span.start, &m.next[span]);
         m.settle(dev, new, field, result)
     }
 

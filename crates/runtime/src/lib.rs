@@ -59,7 +59,7 @@
 //! actions) stages only the header bytes that changed, as runs merged
 //! across gaps of up to one sub-write header; the `seq`, `attempt` and
 //! `unmonitored` updates that need no atomicity stay one plain write
-//! each.
+//! each, of only the field's changed bytes (`PersistentHeader::write`).
 //!
 //! The pending `EndTask`'s sequence number is not stored apart: the
 //! task commit advances `seq` to it, and nothing moves `seq` again
@@ -719,10 +719,15 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 }
 
 impl<M: Monitoring> ArtemisRuntime<M> {
-    /// The main loop (paper Figure 8). Re-enterable after power
-    /// failures; resumes from the persistent cursor.
+    /// The main loop (paper Figure 8), billed to the runtime; the
+    /// caller's cost category is restored on return, also on an
+    /// interrupt. Re-enterable after power failures; resumes from the
+    /// persistent cursor.
     pub fn on_boot_impl(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
-        dev.set_category(CostCategory::Runtime);
+        dev.billed(CostCategory::Runtime, |dev| self.main_loop(dev))
+    }
+
+    fn main_loop(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
         // Reboot and monitor progress (Figure 8 lines 14-16); the
         // runtime's own journal recovery rides the first header use.
         self.engine.monitor_finalize(dev)?;

@@ -95,6 +95,40 @@ fn find_entry(record: &[u8], addr: usize, len: usize) -> Option<Range<usize>> {
         .map(|(_, data)| data)
 }
 
+/// The range from the first to the last byte at which `new` differs
+/// from `old`, an image of the same length, or `None` if the two are
+/// equal. Compares eight bytes at a time. A plain write or one
+/// sub-write of this span carries every change in one op, re-writing
+/// the unchanged bytes between with their old values.
+#[inline]
+pub fn changed_span(old: &[u8], new: &[u8]) -> Option<Range<usize>> {
+    debug_assert_eq!(old.len(), new.len());
+    let words = old.len() / 8 * 8;
+    let xor = |i: usize| {
+        let word = |b: &[u8]| u64::from_le_bytes(b[i..i + 8].try_into().expect("eight bytes"));
+        word(old) ^ word(new)
+    };
+    let differs = |j: &usize| old[*j] != new[*j];
+    let first = (0..words)
+        .step_by(8)
+        .find_map(|i| match xor(i) {
+            0 => None,
+            x => Some(i + x.trailing_zeros() as usize / 8),
+        })
+        .or_else(|| (words..old.len()).find(differs))?;
+    let last = (words..old.len())
+        .rev()
+        .find(differs)
+        .or_else(|| {
+            (0..words).step_by(8).rev().find_map(|i| match xor(i) {
+                0 => None,
+                x => Some(i + 7 - x.leading_zeros() as usize / 8),
+            })
+        })
+        .expect("the first changed byte is also a candidate for the last");
+    Some(first..last + 1)
+}
+
 /// A volatile write-set staged by a task before commit.
 ///
 /// The sub-writes are kept already serialised as the record image
@@ -709,6 +743,25 @@ mod tests {
             staged,
             [(101, new[1..9].to_vec()), (116, vec![3]), (131, vec![4]),]
         );
+    }
+
+    /// `changed_span` finds the first and last changed byte of images
+    /// of every length up to three words, at every pair of positions,
+    /// and `None` for equal images.
+    #[test]
+    fn changed_span_brackets_every_changed_byte() {
+        for len in 0..=24 {
+            let old: Vec<u8> = (0..len as u8).collect();
+            assert_eq!(changed_span(&old, &old), None);
+            for a in 0..len {
+                for b in a..len {
+                    let mut new = old.clone();
+                    new[a] ^= 0x80;
+                    new[b] ^= 0x01;
+                    assert_eq!(changed_span(&old, &new), Some(a..b + 1), "len {len}");
+                }
+            }
+        }
     }
 
     /// A record whose sub-writes each fit the journal but together do

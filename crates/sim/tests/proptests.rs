@@ -4,7 +4,7 @@
 
 use artemis_core::time::{SimDuration, SimInstant};
 use intermittent_sim::capacitor::Capacitor;
-use intermittent_sim::device::{DeviceBuilder, Interrupt};
+use intermittent_sim::device::{DeviceBuilder, Fault, Interrupt};
 use intermittent_sim::energy::Energy;
 use intermittent_sim::fram::{Fram, MemOwner, NvData, OutOfFram};
 use intermittent_sim::harvester::Harvester;
@@ -125,6 +125,99 @@ proptest! {
                 "torn state: {:?} (old {:?}, new {:?})",
                 now, old, values
             );
+        }
+    }
+
+    /// Journal images that commits tear or bits flip recover to a typed
+    /// result: a few random records of random sub-writes are committed,
+    /// then the last one is either torn before each of its write ops
+    /// in turn, or committed whole with 1–5 bytes of the journal region
+    /// (flag, count, sub-write headers, data) flipped. `recover` must
+    /// return `Ok` or `Fault::CorruptJournal` — never panic, never
+    /// write outside the allocated arena — and a torn record must leave
+    /// the region all-old or all-new.
+    #[test]
+    fn torn_or_flipped_journal_images_recover_to_typed_results(
+        records in proptest::collection::vec(
+            proptest::collection::vec(
+                (0usize..WINDOW, proptest::collection::vec(any::<u8>(), 1..24)),
+                1..6,
+            ),
+            1..4,
+        ),
+        flips in proptest::collection::vec((any::<u16>(), 1u8..=255), 1..6),
+        flip in any::<bool>(),
+    ) {
+        let capacity = 160;
+        let setup = || {
+            let mut fram = Fram::new(2048);
+            let journal = Journal::new(&mut fram, capacity, MemOwner::Runtime).unwrap();
+            let window = fram.alloc_raw(WINDOW, MemOwner::App, "window").unwrap();
+            (fram, journal, window)
+        };
+        let stage = |window: usize, record: &[(usize, Vec<u8>)]| {
+            let mut tx = TxWriter::new();
+            for (at, data) in record {
+                let len = data.len().min(WINDOW - at);
+                tx.write_raw(window + at, &data[..len]);
+            }
+            tx
+        };
+        let commit_all = |fram: &mut Fram, journal: &Journal, window: usize| {
+            for record in &records[..records.len() - 1] {
+                let tx = stage(window, record);
+                journal.commit(fram, &tx, &mut |_, _| Ok(())).unwrap();
+            }
+        };
+        let (_, _, window) = setup();
+        let last = stage(window, records.last().unwrap());
+        let typed = |r: &Result<bool, Interrupt>| {
+            matches!(r, Ok(_) | Err(Interrupt::Fault(Fault::CorruptJournal)))
+        };
+
+        if flip {
+            let (mut fram, journal, window) = setup();
+            commit_all(&mut fram, &journal, window);
+            // Commit the last record up to its flag write, so the flips
+            // land on a pending record.
+            let mut ops = 0;
+            let _ = journal.commit(&mut fram, &last, &mut |_, _| {
+                ops += 1;
+                if ops > 2 { Err(Interrupt::PowerFailure) } else { Ok(()) }
+            });
+            let used = fram.used();
+            for &(at, mask) in &flips {
+                let addr = at as usize % (1 + capacity);
+                let byte = fram.peek_raw(addr, 1)[0] ^ mask;
+                fram.write_raw(addr, &[byte]);
+            }
+            let r = journal.recover(&mut fram, &mut |_, _| Ok(()));
+            prop_assert!(typed(&r), "flips {:?}: {:?}", flips, r);
+            prop_assert_eq!(fram.used(), used);
+        } else {
+            // Ops of the last commit: record, flag, one per sub-write,
+            // flag.
+            let ops = last.len() + 3;
+            for k in 0..=ops {
+                let (mut fram, journal, window) = setup();
+                commit_all(&mut fram, &journal, window);
+                let old = fram.peek_raw(window, WINDOW).to_vec();
+                let mut spent = 0;
+                let result = journal.commit(&mut fram, &last, &mut |_, _| {
+                    spent += 1;
+                    if spent > k { Err(Interrupt::PowerFailure) } else { Ok(()) }
+                });
+                prop_assert_eq!(result.is_ok(), k == ops);
+                let used = fram.used();
+                let r = journal.recover(&mut fram, &mut |_, _| Ok(()));
+                prop_assert!(typed(&r), "torn at op {}: {:?}", k, r);
+                prop_assert_eq!(fram.used(), used);
+
+                let mut new = old.clone();
+                last.overlay(window, &mut new);
+                let now = fram.peek_raw(window, WINDOW);
+                prop_assert!(now == old.as_slice() || now == new.as_slice(), "torn at op {}", k);
+            }
         }
     }
 

@@ -402,3 +402,67 @@ fn installs_leave_the_cost_category_as_they_found_it() {
         }
     }
 }
+
+/// Every run leaves the device's cost category as it found it, under
+/// both runtimes and for every starting category: a run that completes
+/// on continuous power, one that completes through power failures, and
+/// one that hits its deadline (`DeadlineExceeded`).
+#[test]
+fn runs_leave_the_cost_category_as_they_found_it() {
+    use artemis::sim::CostCategory;
+
+    let app = two_task_app();
+    let builder = || {
+        let mut rb = ArtemisRuntimeBuilder::new(app.clone());
+        rb.channel("samples");
+        rb.body("sense", |ctx| {
+            ctx.compute(20_000)?;
+            ctx.push("samples", 1.0)
+        });
+        rb.body("send", |ctx| {
+            ctx.compute(20_000)?;
+            ctx.consume("samples")
+        });
+        rb
+    };
+    let spec = "sense { maxTries: 3 onFail: skipPath; }";
+    let continuous = || DeviceBuilder::msp430fr5994().build();
+    let intermittent = || device(15, 1);
+    let runs: [(&str, &dyn Fn() -> Device, RunLimit, bool); 3] = [
+        ("continuous", &continuous, RunLimit::unbounded(), true),
+        (
+            "intermittent",
+            &intermittent,
+            RunLimit::reboots(1_000),
+            true,
+        ),
+        (
+            "deadline",
+            &continuous,
+            RunLimit::sim_time(SimDuration::from_micros(1)),
+            false,
+        ),
+    ];
+    for (name, device, limit, completes) in runs {
+        for category in CostCategory::ALL {
+            let mut dev = device();
+            let suite = artemis::ir::compile(spec, &app).unwrap();
+            let mut rt = builder().install(&mut dev, suite).unwrap();
+            dev.set_category(category);
+            let out = rt.run_once(&mut dev, limit);
+            assert_eq!(out.is_completed(), completes, "ARTEMIS {name}");
+            assert_eq!(dev.category(), category, "ARTEMIS {name}");
+            assert_eq!(dev.reboots() > 0, name == "intermittent", "ARTEMIS {name}");
+
+            let mut dev = device();
+            let mut rt = MayflyRuntimeBuilder::new(builder())
+                .install(&mut dev)
+                .unwrap();
+            dev.set_category(category);
+            let out = rt.run_once(&mut dev, limit);
+            assert_eq!(out.is_completed(), completes, "Mayfly {name}");
+            assert_eq!(dev.category(), category, "Mayfly {name}");
+            assert_eq!(dev.reboots() > 0, name == "intermittent", "Mayfly {name}");
+        }
+    }
+}
