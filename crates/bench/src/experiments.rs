@@ -225,6 +225,9 @@ struct OverheadSample {
     fram: FramTraffic,
     /// Journal records the run committed.
     records: u64,
+    /// Monitor deliveries that persisted nothing, of all the run's
+    /// deliveries (ARTEMIS only).
+    silent_deliveries: (u64, u64),
 }
 
 /// Measures `run` on `dev` — the run only, installation excluded.
@@ -240,17 +243,22 @@ fn overhead_sample(dev: &mut Device, run: impl FnOnce(&mut Device)) -> OverheadS
         runtime_fram: stats.fram(CostCategory::Runtime) - before.fram(CostCategory::Runtime),
         fram: stats.fram_total() - before.fram_total(),
         records: dev.journal_records() - records,
+        silent_deliveries: (0, 0),
     }
 }
 
 fn overheads() -> (OverheadSample, OverheadSample) {
     let mut dev = benchmark_device(Harvester::Continuous);
     let mut rt = install_artemis(&mut dev, HEALTH_SPEC);
-    let artemis = overhead_sample(&mut dev, |dev| {
+    let mut artemis = overhead_sample(&mut dev, |dev| {
         rt.run_once(dev, dnf_limit())
             .completed()
             .expect("continuous ARTEMIS run completes");
     });
+    artemis.silent_deliveries = (
+        rt.engine().exec_stats().silent_deliveries,
+        rt.events_delivered(&dev),
+    );
 
     let mut dev = benchmark_device(Harvester::Continuous);
     let mut rt = install_mayfly(&mut dev);
@@ -330,6 +338,11 @@ pub fn fig15() -> Report {
         "runtime-billed FRAM traffic: ARTEMIS {}, Mayfly {}",
         fram(&artemis),
         fram(&mayfly)
+    ));
+    let (silent, deliveries) = artemis.silent_deliveries;
+    r.note(format!(
+        "monitor deliveries that persisted nothing: {silent} of {deliveries} (ARTEMIS: \
+         one-group deliveries in which no machine changed and no verdict was logged)"
     ));
     r
 }
@@ -793,6 +806,7 @@ pub fn traffic() -> Report {
     let sparse = stress_suite(1, false);
     let dense = stress_suite(DISPATCH_VARS, false);
     let scaling = properties_workload(32);
+    let silent = stress_suite(0, false);
     let configs = [
         ("sparse", &sparse, Interpreter, false),
         ("sparse", &sparse, Compiled, false),
@@ -800,6 +814,7 @@ pub fn traffic() -> Report {
         ("dense", &dense, Interpreter, false),
         ("dense", &dense, Compiled, false),
         ("scaling-32", &scaling, Compiled, false),
+        ("silent", &silent, Compiled, false),
     ];
 
     let mut r = Report::new(
@@ -890,7 +905,9 @@ pub fn traffic() -> Report {
          8 B, the eleven untouched slots to 1 B each, the state word to 1 B and the done \
          flags to one bitmap byte), dense increments all {DISPATCH_VARS} (>= 3/4 of the \
          block, so its commits degrade to whole-block images); scaling-32 is 32 \
-         single-variable maxTries properties, one of them matching"
+         single-variable maxTries properties, one of them matching; silent is the same \
+         {DISPATCH_MACHINES} machines stepping on every event and changing nothing, so \
+         no delivery persists anything"
     ));
     r.note(format!(
         "{STREAM_EVENTS} start events per row, delivered one at a time (per-event); \
@@ -905,8 +922,9 @@ pub fn traffic() -> Report {
     r.note(
         "records/event: journal records committed per event (Device::journal_records), \
          one per commit group; the testbed's 1.6 mJ capacitor fits each compiled \
-         worklist in one group, whose record also arms the delivery with one header run, and the \
-         interpreter commits one machine per group",
+         worklist in one group, whose record also arms the delivery with one header run \
+         unless no machine changed and no verdict was logged (then it commits nothing), \
+         and the interpreter commits one machine per group",
     );
     r.note(
         "arming write B/event: FRAM bytes of group 0's arming run (its journal entry and \
@@ -1614,7 +1632,7 @@ mod tests {
     #[test]
     fn fig14_runs_keep_their_write_ops_and_records() {
         let (artemis, mayfly) = overheads();
-        assert_eq!((artemis.fram.write_ops, artemis.records), (559, 103));
+        assert_eq!((artemis.fram.write_ops, artemis.records), (491, 86));
         assert_eq!((mayfly.fram.write_ops, mayfly.records), (282, 47));
     }
 
@@ -1750,6 +1768,7 @@ mod tests {
             "sparse" => stress_suite(1, false),
             "dense" => stress_suite(DISPATCH_VARS, false),
             "scaling-32" => properties_workload(32),
+            "silent" => stress_suite(0, false),
             _ => panic!("unknown workload {workload}"),
         };
         artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles")
@@ -1857,6 +1876,24 @@ mod tests {
         for column in ["arming write B/event", "member-run write B/event"] {
             assert_eq!(cell(cold, column), cell(warm, column), "{column}");
         }
+    }
+
+    /// A delivery in which no machine changes and nothing is logged
+    /// persists nothing: the silent row's eight machines step on every
+    /// event (the dispatch is billed) yet the stream writes no FRAM and
+    /// commits no record, and reads none either.
+    #[test]
+    fn silent_events_write_nothing() {
+        let row = traffic_row("silent compiled per-event warm");
+        for column in [
+            "FRAM writes",
+            "records/event",
+            "write B/event",
+            "FRAM reads",
+        ] {
+            assert_eq!(cell(row, column), 0.0, "{column}");
+        }
+        assert!(cell(row, "nJ/event") > 0.0, "the steps are still billed");
     }
 
     /// Acceptance criteria on FRAM bytes: packed + diff cuts FRAM

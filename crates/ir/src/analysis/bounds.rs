@@ -65,8 +65,10 @@
 //! - **group 0**: one record of its members' sub-writes plus **one**
 //!   header run from the event to its last logged cell —
 //!   `51 + ⌈N/8⌉ + 9·c` record bytes; verdict cells add bytes,
-//!   never sub-writes. With no members it is the 4-write arming record
-//!   every delivery pays;
+//!   never sub-writes. With no members it is the 4-write arming record;
+//!   the engine persists nothing at all for a one-group delivery in
+//!   which no member has an effect and nothing is logged, which the
+//!   model, an upper bound, still prices at that record;
 //! - **group g ≥ 1**: one record of its members' sub-writes and the
 //!   done bitmap (3 + 1 + members' sub-writes writes); a group with an
 //!   emitting member stages `[verdict count | done]` and one run of its
@@ -212,6 +214,14 @@ const fn fixed_bytes(done_b: usize) -> usize {
 /// bytes, never sub-writes.
 fn arming(done_b: usize, verdicts: usize) -> RecordCost {
     RecordCost::default().with(ENCODED_EVENT_BYTES + fixed_bytes(done_b) + VERDICT_BYTES * verdicts)
+}
+
+/// FRAM write ops and bytes of the smallest arming record a committed
+/// group 0 can write: no member effects, no verdict, and a span of one
+/// changed byte.
+pub(crate) fn least_arming() -> (usize, usize) {
+    let record = RecordCost::default().with(1);
+    (record.writes(), record.write_bytes())
 }
 
 /// FRAM read ops and bytes of loading the armed delivery with nothing
@@ -472,12 +482,16 @@ pub struct EventCost {
     /// cold one also re-derives the loaded delivery's worklist: one
     /// more [`ROUTING_LOOKUP_CYCLES`].
     pub cycles: u64,
-    /// FRAM write ops of the arming run alone, as one record —
-    /// a floor *every* delivered event pays before any machine steps,
-    /// warm or cold (the cache is write-through and never absorbs
-    /// writes): group 0 with no member effects.
+    /// FRAM write ops of group 0's record when it holds only the whole
+    /// arming run: no member effect, no verdict. This is not a floor:
+    /// a delivery may arm with a shorter span, and a one-group delivery
+    /// with no effect persists nothing. The energy gate's floor prices
+    /// [`delivery_floor`] instead.
+    ///
+    /// [`delivery_floor`]: crate::analysis::delivery_floor
     pub arming_writes: usize,
-    /// FRAM bytes the arming record alone writes.
+    /// FRAM bytes the arming record alone writes, its run covering the
+    /// whole `event … done` prefix.
     pub arming_write_bytes: usize,
 }
 

@@ -35,10 +35,12 @@
 //! direction rests on a bound with the right sign:
 //!
 //! - the **floor** under-approximates any successful attempt: the
-//!   declared body cost plus only the *arming records* of the two
-//!   events — the header run every delivery commits in its group 0
-//!   record even when no machine has an effect, FRAM writes the
-//!   write-through shadow cache can never absorb. If even
+//!   declared body cost plus only what every delivery of the two
+//!   events is certain to draw ([`delivery_floor`]) — the routing
+//!   lookup, and for a key whose worklist takes more than one commit
+//!   group a group 0 record arming with one changed byte. A one-group
+//!   delivery in which no machine has an effect persists nothing, so
+//!   it is priced at no FRAM write at all. If even
 //!   the floor exceeds the budget, no attempt can complete on a
 //!   harvester that only recharges between outages (e.g.
 //!   `Harvester::FixedDelay`): **Infeasible** is an error and the
@@ -70,7 +72,7 @@ use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{CostModel, Energy, EnergyProfile};
 
-use crate::analysis::bounds::{EventCost, SuiteBounds, ROUTING_LOOKUP_CYCLES};
+use crate::analysis::bounds::{least_arming, EventCost, SuiteBounds, ROUTING_LOOKUP_CYCLES};
 use crate::compile::CompiledSuite;
 
 /// Constant allowance for the task runtime's own per-attempt FRAM
@@ -107,10 +109,21 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.writes, cost.write_bytes, cost.cycles)
 }
 
-/// Energy of the arming record alone — the write-only monitor floor
-/// every delivered event pays, warm or cold.
-pub(crate) fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
-    model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
+/// The least monitor energy any fresh delivery of `cost`'s key draws,
+/// warm or cold: the routing lookup that derives its worklist, plus —
+/// when the key's worklist takes more than one commit group — group
+/// 0's arming record with a one-byte span. A key that fits one group
+/// writes nothing certain: a delivery whose members change nothing
+/// and log nothing persists nothing. No step is certain either: the
+/// `Path:` filter can dismiss every member before its dispatch is
+/// billed. This is each event's term in the per-task floor.
+pub fn delivery_floor(cost: &EventCost, model: &CostModel) -> Energy {
+    let (writes, bytes) = if cost.groups > 1 {
+        least_arming()
+    } else {
+        (0, 0)
+    };
+    model.traffic_energy(0, 0, writes, bytes, ROUTING_LOOKUP_CYCLES)
 }
 
 /// Energy of one declared task body execution priced through `model`:
@@ -144,7 +157,7 @@ pub struct TaskFeasibility {
     /// Source-level task name.
     pub name: String,
     /// Under-approximation of any successful attempt: declared body
-    /// cost + the two events' arming records only.
+    /// cost + the two events' [`delivery_floor`]s.
     pub floor: Energy,
     /// Over-approximation of the worst-case attempt: declared body
     /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + full post-reboot
@@ -184,7 +197,7 @@ pub fn task_feasibility(
             let mut ceiling = body.saturating_add(RUNTIME_ATTEMPT_OVERHEAD);
             for kind in [EventKind::StartTask, EventKind::EndTask] {
                 if let Some(cost) = key(kind, t) {
-                    floor = floor.saturating_add(arming_energy(cost, &profile.model));
+                    floor = floor.saturating_add(delivery_floor(cost, &profile.model));
                     ceiling = ceiling.saturating_add(event_energy(cost, &profile.model));
                 }
             }
@@ -290,7 +303,7 @@ mod tests {
         assert_eq!(fa.name, "a");
         assert!(fa.floor < fa.ceiling, "{fa:?}");
         // The floor includes the declared body (10k cycles ≈ 3.6 µJ +
-        // 1 ms idle ≈ 3 nJ) plus two write-only arming records.
+        // 1 ms idle ≈ 3 nJ) plus two routing lookups.
         assert!(fa.floor > Energy::from_micro_joules(3));
         assert_eq!(fa.verdict, Verdict::Feasible);
         // The undeclared task still pays monitor + runtime overhead.
@@ -361,7 +374,7 @@ mod tests {
         let model = CostModel::msp430fr5994();
         for cost in &b.per_key {
             assert!(event_energy_cached(cost, &model) <= event_energy(cost, &model));
-            assert!(arming_energy(cost, &model) <= event_energy_cached(cost, &model));
+            assert!(delivery_floor(cost, &model) <= event_energy_cached(cost, &model));
         }
     }
 

@@ -49,7 +49,7 @@ pub use bounds::{
 };
 pub use conflicts::check_conflicts;
 pub use energy::{
-    body_energy, check_energy, event_energy, event_energy_cached, task_feasibility,
+    body_energy, check_energy, delivery_floor, event_energy, event_energy_cached, task_feasibility,
     TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
 };
 pub use reachability::check_reachability;

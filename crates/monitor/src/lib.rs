@@ -22,7 +22,12 @@
 //! verdict reset + done bitmap, one run of the delivery's first commit
 //! record); re-delivering the *same*
 //! sequence number resumes or returns the already-computed verdicts
-//! instead of double-stepping the machines. The ARTEMIS runtime
+//! instead of double-stepping the machines. A **silent** delivery — one
+//! commit group, no machine changed, no verdict — persists nothing: it
+//! is indistinguishable from one never made, so within the power cycle
+//! its redelivery returns its (empty) verdicts from RAM, and after a
+//! power failure a redelivery arms and steps it afresh, as for any
+//! delivery whose group 0 never landed. The ARTEMIS runtime
 //! exploits both directions: `StartTask` re-attempts get fresh numbers
 //! (attempt counting is the point of `maxTries`), while `EndTask`
 //! events reuse the number fixed in the task-commit transaction so a
@@ -60,7 +65,8 @@
 //! event through `seq`, the counts and the bitmap to its last logged
 //! verdict cell that starts at the first byte that changed (see
 //! "Dirty-diff commits") — so a delivery whose worklist fits one group
-//! costs one record of its members' runs plus that one. A later group adds
+//! costs one record of its members' runs plus that one, or nothing at
+//! all when it is silent. A later group adds
 //! `[verdict count | done]` and a run of its cells. A cold load reads
 //! the header from the event to the bitmap in **one** op. A reboot
 //! resumes exactly the pending groups and a redelivered sequence number
@@ -68,7 +74,13 @@
 //!
 //! Crash correctness: until group 0's flag write lands nothing of the
 //! delivery is persisted, so a crash before it looks exactly like a
-//! crash before arming — the event is redelivered and re-armed. Group
+//! crash before arming — the event is redelivered and re-armed. A
+//! silent delivery never writes group 0 at all: it leaves FRAM exactly
+//! as the previous delivery left it — the machine blocks as the silent
+//! delivery would have left them too — so any crash after it is a
+//! crash before its arming. Only one-group deliveries qualify:
+//! with more groups, a later group's record needs group 0's to have
+//! fixed the event first. Group
 //! 0's record fixes the event, so the worklist and the groups derived
 //! from it are fixed too; a group's bit flips only in the transaction
 //! that persists its members' effects, so a reboot anywhere resumes
@@ -256,7 +268,11 @@ pub trait Monitoring {
         false
     }
 
-    /// Verdicts of the most recently processed event.
+    /// Verdicts of the most recently processed event. Within a power
+    /// cycle that is the last delivery made, a silent one included (no
+    /// verdicts); after a power failure, [`MonitorEngine`] answers for
+    /// the last delivery it *persisted*: a silent delivery persists
+    /// nothing, so it is forgotten with the SRAM that held it.
     fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt>;
 
     /// Re-initialisation of monitors bound to a restarted path.
@@ -334,6 +350,10 @@ pub struct ExecStats {
     /// sub-write): each run's journal entry, header and data, plus its
     /// applied data.
     pub arming_write_bytes: u64,
+    /// Silent deliveries: freshly armed one-group deliveries in which
+    /// no member staged a run and no verdict was logged, so the engine
+    /// persisted nothing for them (no record, no flag, no apply).
+    pub silent_deliveries: u64,
 }
 
 /// Everything [`MonitorEngine::install_with`] can be told.
@@ -588,7 +608,8 @@ struct Scratch {
 /// into commit groups (each group's exclusive end index; group 0 always
 /// exists). Sized at install to the whole suite. In compiled engines it
 /// doubles as the shadow of the header while [`ShadowCache::armed`] is
-/// set.
+/// set — except that after a silent delivery it holds that delivery,
+/// which FRAM never sees (see [`MonitorEngine::commit_group`]).
 struct Armed {
     seq: u64,
     event: Option<EncodedEvent>,
@@ -637,7 +658,8 @@ struct MachineShadow {
 /// committed — a machine's new image, its group's done bit, a freshly
 /// armed delivery — and every entry point that fails wipes the whole
 /// cache, so shadow contents equal the corresponding FRAM bytes within
-/// one reboot epoch whenever an entry point returns. The packed
+/// one reboot epoch whenever an entry point returns — but for the
+/// armed delivery after a silent one, which RAM alone keeps. The packed
 /// encoding is canonical (`encode(decode(x)) == x` for every
 /// engine-written image), which is what lets the machine shadows store
 /// *decoded* `(state, vars)` and regenerate byte-identical block
@@ -657,7 +679,9 @@ struct ShadowCache {
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
     /// `true` while the engine's [`Armed`] buffers mirror the header in
-    /// FRAM (the worklist already derived).
+    /// FRAM (the worklist already derived), or hold a silent delivery
+    /// made since, which then answers for the header until the epoch
+    /// ends.
     armed: bool,
     /// The header's `event … done` prefix byte for byte as FRAM holds
     /// it — stale event bytes behind a zero event count included —
@@ -1458,7 +1482,8 @@ impl MonitorEngine {
     /// Arms `event` under `seq` in RAM: encodes it, derives its worklist
     /// and commit groups into `armed`, and empties the verdict log and
     /// the done bitmap. Nothing is written: the arming fields ride in
-    /// group 0's header run ([`MonitorEngine::commit_group`]), so a
+    /// group 0's header run ([`MonitorEngine::commit_group`]), or
+    /// nowhere for a silent delivery, so a
     /// failure before that record's flag write leaves the previous
     /// delivery armed and the caller re-arms cleanly; a failure after it
     /// resumes exactly the armed worklist.
@@ -1565,8 +1590,16 @@ impl MonitorEngine {
     /// the bitmap when it logs nothing. The bitmap already has `g`'s bit
     /// set. A later group that staged nothing but its bit completes with
     /// one plain idempotent bitmap write (re-execution after a power
-    /// failure is harmless); group 0 always commits, because its run
-    /// fixes the whole delivery.
+    /// failure is harmless). Group 0 commits whenever anything needs
+    /// persisting, because its run fixes the whole delivery for the
+    /// groups after it. When it is the only group and no member staged a
+    /// run or logged a verdict, the record would hold only the arming
+    /// run: the delivery is **silent** and writes nothing — no record, no
+    /// flag, no apply, and the shadow's header image stays the one FRAM
+    /// holds, so the next arming diffs against FRAM. `armed` keeps the
+    /// silent delivery (its `seq`, no verdicts, done) for the rest of
+    /// the power cycle. The interpreter, the reference, arms every
+    /// delivery.
     fn commit_group(
         &self,
         dev: &mut Device,
@@ -1594,6 +1627,13 @@ impl MonitorEngine {
         let count = first + emits.len();
         if count > h.slots {
             return Err(Interrupt::Fault(Fault::CorruptState));
+        }
+        let silent = g == 0 && armed.ends.len() == 1 && tx.is_empty() && count == 0;
+        if silent && self.mode == ExecMode::Compiled {
+            // The record would hold only the arming run: persist
+            // nothing and keep the header image FRAM's.
+            self.exec.borrow_mut().silent_deliveries += 1;
+            return Ok(());
         }
         // Set in RAM ahead of the commit, like the done bit.
         armed.verdicts = count as u32;
@@ -1757,7 +1797,8 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Reads back the verdicts of the most recently processed event.
+    /// Reads back the verdicts of the most recently processed event: the
+    /// contract of [`Monitoring::last_verdicts`].
     pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
         self.entry(dev, |dev| {
             self.recover_cached(dev)?;
@@ -2698,10 +2739,26 @@ mod tests {
     fn install_gates_on_energy_feasibility() {
         use intermittent_sim::{Energy, EnergyProfile};
 
-        let (suite, app) = dispatch_suite(2, 1);
+        let (suite, _) = dispatch_suite(2, 1);
+        // `t0` declares a 1,000-cycle body: about 360 nJ of compute.
+        let app = {
+            let mut b = AppGraphBuilder::new();
+            let t0 = b.task("t0");
+            let t1 = b.task("t1");
+            b.task_cost(
+                t0,
+                artemis_core::app::TaskCostDecl {
+                    compute_cycles: 1_000,
+                    ..Default::default()
+                },
+            );
+            b.path(&[t0, t1]);
+            b.build().unwrap()
+        };
         let mut dev = DeviceBuilder::msp430fr5994().build();
 
-        // A 100 nJ capacitor cannot even buffer the two arming records.
+        // A 100 nJ capacitor cannot buffer `t0`'s declared body, so no
+        // attempt of it can ever complete.
         let starved = EnergyProfile::with_budget(Energy::from_nano_joules(100));
         let before = dev.fram().used_by(MemOwner::Monitor);
         let err = MonitorEngine::install_with(
@@ -2720,6 +2777,7 @@ mod tests {
                 assert!(d.is_error());
                 assert_eq!(d.pass, "energy");
                 assert!(d.message.contains("atomic attempt"), "{}", d.message);
+                assert_eq!(d.subject, "task t0");
             }
             other => panic!("expected an energy rejection, got {other}"),
         }
@@ -2917,17 +2975,16 @@ mod tests {
 
                 engine.reset_monitor(&mut dev).unwrap();
                 assert_eq!(dev.largest_journal_record(), bounds.reset_commit_bytes);
-                // Start events of the first task step every machine (and
-                // trip maxTries on the third); end events of the last
-                // task arm and dismiss. The starts run on path 1 and the
-                // ends on none, so each arming changes the event's first
-                // byte and its span covers the whole arming run.
-                let (first, last) = (TaskId(0), TaskId(app.task_count() as u32 - 1));
+                // Start events of the first task step every machine, so
+                // every delivery commits (and maxTries trips from the
+                // third on). They alternate between path 1 and no path,
+                // so each arming changes the event's first byte and its
+                // span covers the whole arming run.
                 for seq in 1..=6u64 {
-                    let event = if seq % 2 == 0 {
-                        MonitorEvent::end(last, t(seq))
-                    } else {
-                        MonitorEvent::start(first, t(seq)).on_path(PathId(0))
+                    let event = MonitorEvent::start(TaskId(0), t(seq));
+                    let event = match seq % 2 {
+                        1 => event.on_path(PathId(0)),
+                        _ => event,
                     };
                     engine.call_monitor(&mut dev, seq, &event).unwrap();
                 }
@@ -3210,6 +3267,98 @@ mod tests {
             .call_monitor(&mut dev, 1, &MonitorEvent::start(send, t(0)))
             .unwrap()
             .is_empty());
+    }
+
+    /// One machine that emits `skipTask` on every `start(accel)`, and
+    /// one whose `end(accel)` transition fires only above 400 µJ on a
+    /// 500 µJ capacitor, so a delivery on a drained device changes
+    /// nothing and logs nothing, and the same delivery on a full one
+    /// emits. The device's history: `start(accel)` under `seq` 1
+    /// (persisted, one verdict), then the capacitor drained below the
+    /// guard.
+    fn silent_device() -> (Device, MonitorEngine, AppGraph) {
+        let app = app();
+        let mut dev = DeviceBuilder::msp430fr5994()
+            .capacitor(Capacitor::with_budget(Energy::from_micro_joules(500)))
+            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+            .build();
+        let suite = artemis_ir::parse::parse_suite(
+            "machine e task accel persistent { state S initial; \
+             on startTask(accel) from S to S { } fail skipTask; }\n\
+             machine g task accel persistent { state S initial; \
+             on endTask(accel) from S to S if energy > 400000 { } fail skipTask; }",
+        )
+        .unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        let accel = app.task_by_name("accel").unwrap();
+        let first = engine
+            .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
+            .unwrap();
+        assert_eq!(first.len(), 1);
+        while dev.energy_level() > Energy::from_micro_joules(300) {
+            dev.compute(1_000).unwrap();
+        }
+        (dev, engine, app)
+    }
+
+    /// A silent `EndTask` delivery persists nothing, so a crash before
+    /// the runtime's advance leaves FRAM as if it was never made: the
+    /// redelivery of its `seq` after the reboot arms and steps afresh,
+    /// returning what a fresh delivery at that moment returns — here a
+    /// verdict, because the energy guard that held before the crash
+    /// flips at the recharged level.
+    #[test]
+    fn a_silent_delivery_redelivered_after_a_crash_steps_afresh() {
+        let (mut dev, engine, app) = silent_device();
+        let end = MonitorEvent::end(app.task_by_name("accel").unwrap(), t(10));
+        let records = dev.journal_records();
+        let writes = dev.fram().write_ops();
+        assert!(engine.call_monitor(&mut dev, 2, &end).unwrap().is_empty());
+        assert_eq!(dev.journal_records(), records, "nothing persisted");
+        assert_eq!(dev.fram().write_ops(), writes, "nothing written");
+        assert_eq!(engine.exec_stats().silent_deliveries, 1);
+
+        // The crash lands before the caller's advance: the reboot
+        // finishes nothing and the caller redelivers `seq` 2.
+        dev.power_cycle();
+        assert!(!engine.monitor_finalize(&mut dev).unwrap());
+        let redelivered = engine.call_monitor(&mut dev, 2, &end).unwrap();
+
+        // A twin that never made the silent delivery reboots and makes
+        // it fresh.
+        let (mut twin_dev, twin, _) = silent_device();
+        twin_dev.power_cycle();
+        assert!(!twin.monitor_finalize(&mut twin_dev).unwrap());
+        let fresh = twin.call_monitor(&mut twin_dev, 2, &end).unwrap();
+
+        assert_eq!(redelivered.len(), 1, "the guard flips after the recharge");
+        assert_eq!(redelivered, fresh);
+        assert_eq!(
+            dev.fram().peek_raw(0, dev.fram().used()),
+            twin_dev.fram().peek_raw(0, twin_dev.fram().used())
+        );
+    }
+
+    /// Within the power cycle `last_verdicts` answers for the silent
+    /// delivery (no verdicts); after a power cycle it answers for the
+    /// last persisted delivery, `seq` 1 with its verdict.
+    #[test]
+    fn last_verdicts_after_a_silent_delivery() {
+        let (mut dev, engine, app) = silent_device();
+        let persisted = engine.last_verdicts(&mut dev).unwrap();
+        assert_eq!(persisted.len(), 1);
+        let end = MonitorEvent::end(app.task_by_name("accel").unwrap(), t(10));
+        assert!(engine.call_monitor(&mut dev, 2, &end).unwrap().is_empty());
+        assert_eq!(engine.exec_stats().silent_deliveries, 1);
+        assert!(engine.last_verdicts(&mut dev).unwrap().is_empty());
+        // A same-cycle redelivery returns the silent delivery's (no)
+        // verdicts without stepping again.
+        assert!(engine.call_monitor(&mut dev, 2, &end).unwrap().is_empty());
+        assert_eq!(engine.exec_stats().silent_deliveries, 1);
+
+        dev.power_cycle();
+        assert_eq!(engine.last_verdicts(&mut dev).unwrap(), persisted);
     }
 
     #[test]

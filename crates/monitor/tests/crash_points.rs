@@ -18,13 +18,17 @@
 //! starts at the first byte that changed since the header image the
 //! shadow keeps — against the static model and against an engine that
 //! refills that image before every call: both must write the same FRAM
-//! bytes through power failures, redeliveries and resets.
+//! bytes through power failures, redeliveries and resets, and a silent
+//! delivery (one group, no machine changed, no verdict) none at all. A
+//! second walk keeps every fresh delivery's monitor energy at or above
+//! its key's term in the energy gate's floor.
 
 use std::sync::Arc;
 
 use artemis_core::app::{AppGraph, AppGraphBuilder, PathId, TaskId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::time::SimInstant;
+use artemis_ir::analysis::delivery_floor;
 use artemis_ir::expr::Value;
 use artemis_ir::opt::OptLevel;
 use artemis_ir::{CompiledSuite, MonitorSuite};
@@ -35,7 +39,7 @@ use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
 use intermittent_sim::journal::ENTRY_HEADER;
 use intermittent_sim::simulator::{RunLimit, Simulator};
-use intermittent_sim::MemOwner;
+use intermittent_sim::{CostCategory, MemOwner};
 
 /// Per-event verdicts plus the final FRAM-visible machine state.
 type Outcome = (Vec<Vec<MonitorVerdict>>, Vec<(u32, Vec<Value>)>);
@@ -475,7 +479,10 @@ impl Walker {
 /// failure writes one arming run — one sub-write of at least one byte
 /// — and at most the key's modelled write ops, records and bytes,
 /// with exactly one record when the model cuts the key into one group.
-fn walk(w: &Workload, seed: u64, opt: OptLevel, tiny: bool, steps: usize) {
+/// A delivery of a one-group key that changes no machine and returns
+/// no verdict writes nothing at all: no op, no byte, no record, warm
+/// and always cold. Returns the number of such deliveries.
+fn walk(w: &Workload, seed: u64, opt: OptLevel, tiny: bool, steps: usize) -> usize {
     let bounds = artemis_ir::suite_bounds(&w.compiled, &device(tiny).energy_profile());
     let mut warm = Walker::new(w, opt, tiny, false);
     let mut cold = Walker::new(w, opt, tiny, true);
@@ -483,9 +490,11 @@ fn walk(w: &Workload, seed: u64, opt: OptLevel, tiny: bool, steps: usize) {
     let (mut seq, mut time) = (1u64, 1u64);
     let mut event = random_event(&mut rng, &w.app, time);
     let mut failed = 0;
+    let mut silent = 0;
     for step in 0..steps {
         let crash = rng.chance(20).then(|| 1 + rng.below(12));
         let before = warm.writes();
+        let machines = warm.engine.snapshot(&warm.dev);
         let deliver = |e: &MonitorEngine, dev: &mut Device| e.call_monitor(dev, seq, &event);
         let reads = warm.dev.fram().read_ops();
         let (a, b) = (warm.call(crash, deliver), cold.call(crash, deliver));
@@ -506,12 +515,19 @@ fn walk(w: &Workload, seed: u64, opt: OptLevel, tiny: bool, steps: usize) {
         );
 
         let [ops, bytes, records, arming] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+        let key = bounds
+            .per_key
+            .iter()
+            .find(|k| k.kind == event.kind && k.task == Some(event.task.0))
+            .expect("every task has a key");
+        let quiet =
+            a.as_ref().is_some_and(Vec::is_empty) && warm.engine.snapshot(&warm.dev) == machines;
+        if quiet && key.groups == 1 {
+            // The always-cold engine wrote the same (checked above).
+            assert_eq!([ops, bytes, records], [0; 3], "silent delivery, {ctx}");
+            silent += 1;
+        }
         if a.is_some() && arming > 0 {
-            let key = bounds
-                .per_key
-                .iter()
-                .find(|k| k.kind == event.kind && k.task == Some(event.task.0))
-                .expect("every task has a key");
             assert!(arming >= (ENTRY_HEADER + 2) as u64, "one arming run, {ctx}");
             assert_eq!(
                 (arming - ENTRY_HEADER as u64) % 2,
@@ -559,6 +575,7 @@ fn walk(w: &Workload, seed: u64, opt: OptLevel, tiny: bool, steps: usize) {
         event = random_event(&mut rng, &w.app, time);
     }
     assert!(failed > 0, "seed {seed}: the walk never failed power");
+    silent
 }
 
 /// The arming span on the Fig. 5 suite and on generated suites, at both
@@ -573,10 +590,64 @@ fn arming_spans_write_what_an_always_cold_engine_writes() {
         let suite = artemis_ir::compile(&g.spec, &g.app).unwrap();
         workloads.push(workload(g.app, suite, Vec::new()));
     }
+    let mut silent = 0;
     for (i, w) in workloads.iter().enumerate() {
         for opt in [OptLevel::Full, OptLevel::None] {
             for tiny in [false, true] {
-                walk(w, 17 + i as u64, opt, tiny, 400);
+                silent += walk(w, 17 + i as u64, opt, tiny, 400);
+            }
+        }
+    }
+    assert!(silent > 0, "the walks made no silent delivery");
+}
+
+/// Delivers `steps` random events of `w`, each under a fresh sequence
+/// number, on a `tiny`-regime device through a warm or (`cold`) an
+/// always-cold engine: the monitor energy each delivery draws must be
+/// at least its key's term in the energy gate's per-task floor.
+fn floor_walk(w: &Workload, seed: u64, tiny: bool, cold: bool, steps: u64) {
+    let profile = device(tiny).energy_profile();
+    let bounds = artemis_ir::suite_bounds(&w.compiled, &profile);
+    let mut walker = Walker::new(w, OptLevel::Full, tiny, cold);
+    let mut rng = Rng(seed);
+    for seq in 1..=steps {
+        let event = random_event(&mut rng, &w.app, seq * 1_000);
+        let key = bounds
+            .per_key
+            .iter()
+            .find(|k| k.kind == event.kind && k.task == Some(event.task.0))
+            .expect("every task has a key");
+        let drawn0 = walker.dev.stats().energy(CostCategory::Monitor);
+        walker
+            .call(None, |e, dev| e.call_monitor(dev, seq, &event))
+            .expect("continuous power");
+        let drawn = walker.dev.stats().energy(CostCategory::Monitor) - drawn0;
+        let floor = delivery_floor(key, &profile.model);
+        assert!(
+            drawn >= floor,
+            "seed {seed}, tiny {tiny}, cold {cold}, seq {seq}: drew {drawn} under the floor {floor} ({key:?})"
+        );
+    }
+}
+
+/// The energy gate's floor is a lower bound on every delivery: on the
+/// Fig. 5 suite and on generated suites, in both commit-group regimes,
+/// warm and always cold, no fresh delivery draws less monitor energy
+/// than its key's floor term — a key whose worklist fits one group may
+/// persist nothing, and a multi-group key may arm with one changed
+/// byte.
+#[test]
+fn energy_floor_stays_under_every_delivery() {
+    let mut workloads = vec![figure5()];
+    for seed in 0..6 {
+        let g = artemis_bench::workload::generate(seed);
+        let suite = artemis_ir::compile(&g.spec, &g.app).unwrap();
+        workloads.push(workload(g.app, suite, Vec::new()));
+    }
+    for (i, w) in workloads.iter().enumerate() {
+        for tiny in [false, true] {
+            for cold in [false, true] {
+                floor_walk(w, 29 + i as u64, tiny, cold, 300);
             }
         }
     }
