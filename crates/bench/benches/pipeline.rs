@@ -35,10 +35,6 @@ fn bench_pipeline(c: &mut Criterion) {
     c.bench_function("pipeline_emit_c", |b| {
         b.iter(|| black_box(artemis_ir::codegen::emit_c(black_box(&suite))))
     });
-
-    c.bench_function("pipeline_emit_rust", |b| {
-        b.iter(|| black_box(artemis_ir::codegen::emit_rust(black_box(&suite))))
-    });
 }
 
 criterion_group! {

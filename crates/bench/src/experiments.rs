@@ -642,8 +642,8 @@ const DISPATCH_VARS: usize = 12;
 /// [`DISPATCH_MACHINES`] machines of [`DISPATCH_VARS`] int variables,
 /// each stepping on every `start(t0)` and incrementing its first
 /// `written` variables. `written = DISPATCH_VARS` is the dense worst
-/// case for the interpreter's one-cell-per-variable layout; `written =
-/// 1` is the sparse case span loads and dirty-diff commits exist for.
+/// case, whose commits degrade to whole-block images; `written = 1` is
+/// the sparse case span loads and dirty-diff commits exist for.
 /// Hand-built because spec properties top out at a couple of variables.
 ///
 /// With `guarded`, every transition carries the guard `v0 < 1000000 &&
@@ -792,29 +792,22 @@ fn static_ceilings((suite, app, _): &Workload) -> [usize; 4] {
 
 /// **FRAM-traffic benchmark (beyond the paper's figures)** — what the
 /// monitor costs the device per event, in FRAM ops and bytes, time and
-/// energy, for each distinct engine configuration: the interpreter's
-/// one-cell-per-variable layout against the compiled engine's packed
-/// blocks, span loads and dirty-diff commits; and warm delivery (the shadow
-/// cache serves every read, so delivery is write-only) against
-/// always-cold delivery, which clears SRAM first and pays the
-/// post-reboot refill. Compiled rows carry the static ceilings the
-/// install-time bounds pass prices for them.
+/// energy, for each workload: the engine's packed blocks, span loads
+/// and dirty-diff commits, warm (the shadow cache serves every read, so
+/// delivery is write-only) and always cold (SRAM cleared first, paying
+/// the post-reboot refill). Every row carries the static ceilings the
+/// install-time bounds pass prices for it.
 pub fn traffic() -> Report {
-    use artemis_monitor::{ExecMode, InstallOptions};
-    use ExecMode::{Compiled, Interpreter};
-
     let sparse = stress_suite(1, false);
     let dense = stress_suite(DISPATCH_VARS, false);
     let scaling = properties_workload(32);
     let silent = stress_suite(0, false);
     let configs = [
-        ("sparse", &sparse, Interpreter, false),
-        ("sparse", &sparse, Compiled, false),
-        ("sparse", &sparse, Compiled, true),
-        ("dense", &dense, Interpreter, false),
-        ("dense", &dense, Compiled, false),
-        ("scaling-32", &scaling, Compiled, false),
-        ("silent", &silent, Compiled, false),
+        ("sparse", &sparse, false),
+        ("sparse", &sparse, true),
+        ("dense", &dense, false),
+        ("scaling-32", &scaling, false),
+        ("silent", &silent, false),
     ];
 
     let mut r = Report::new(
@@ -847,21 +840,12 @@ pub fn traffic() -> Report {
             "member-run write B/event",
         ],
     );
-    let mut ops = Vec::new();
-    for (workload, w, mode, always_cold) in configs {
-        let opts = InstallOptions {
-            mode,
-            ..InstallOptions::default()
-        };
-        let t = measure(w, opts, always_cold);
+    for (workload, w, always_cold) in configs {
+        let t = measure(w, artemis_monitor::InstallOptions::default(), always_cold);
         let per_event = |n: u64| format!("{:.1}", n as f64 / STREAM_EVENTS as f64);
-        let engine = match mode {
-            Compiled => "compiled",
-            Interpreter => "interpreter",
-        };
         let mut row = vec![
             workload.to_string(),
-            engine.to_string(),
+            "compiled".to_string(),
             "per-event".to_string(),
             if always_cold { "always-cold" } else { "warm" }.to_string(),
             STREAM_EVENTS.to_string(),
@@ -876,29 +860,16 @@ pub fn traffic() -> Report {
             format!("{:.2}", t.time_us()),
             format!("{:.1}", t.nj_per_event()),
         ];
-        // The interpreter has no shadow cache and no static model.
-        if mode == Compiled {
-            let c = t.cache;
-            row.extend([c.hits, c.misses, c.invalidations].map(|n| n.to_string()));
-            row.extend(static_ceilings(w).map(|n| n.to_string()));
-            // Each record also writes its count word and sets and
-            // clears the journal flag: 4 bytes.
-            let members = t.write_bytes - t.arming_write_bytes - 4 * t.records;
-            row.extend([t.arming_write_bytes, members].map(per_event));
-        } else {
-            row.extend(std::iter::repeat_n("-".to_string(), 9));
-        }
+        let c = t.cache;
+        row.extend([c.hits, c.misses, c.invalidations].map(|n| n.to_string()));
+        row.extend(static_ceilings(w).map(|n| n.to_string()));
+        // Each record also writes its count word and sets and clears
+        // the journal flag: 4 bytes.
+        let members = t.write_bytes - t.arming_write_bytes - 4 * t.records;
+        row.extend([t.arming_write_bytes, members].map(per_event));
         r.row(row);
-        ops.push((t.reads + t.writes) as f64);
     }
 
-    // Row positions in `configs`.
-    let [dense_interpreter, dense_compiled] = [3, 4].map(|i| ops[i]);
-    r.note(format!(
-        "FRAM op reduction: compiled vs interpreter on dense {:.2}x (acceptance target: \
-         >= 3x)",
-        dense_interpreter / dense_compiled
-    ));
     r.note(format!(
         "workloads: sparse and dense are {DISPATCH_MACHINES} machines x {DISPATCH_VARS} int \
          vars stepping on every event; sparse increments one counter (packing narrows it to \
@@ -923,8 +894,7 @@ pub fn traffic() -> Report {
         "records/event: journal records committed per event (Device::journal_records), \
          one per commit group; the testbed's 1.6 mJ capacitor fits each compiled \
          worklist in one group, whose record also arms the delivery with one header run \
-         unless no machine changed and no verdict was logged (then it commits nothing), \
-         and the interpreter commits one machine per group",
+         unless no machine changed and no verdict was logged (then it commits nothing)",
     );
     r.note(
         "arming write B/event: FRAM bytes of group 0's arming run (its journal entry and \
@@ -1775,18 +1745,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_compiled_cuts_fram_ops_3x() {
-        let ops = |key| cell(traffic_row(key), "ops/event");
-        let interp = ops("dense interpreter per-event warm");
-        let compiled = ops("dense compiled per-event warm");
-        let ratio = interp / compiled;
-        assert!(
-            ratio >= 3.0,
-            "compiled path must cut FRAM ops >= 3x: interpreter {interp} vs compiled {compiled} ({ratio:.2}x)"
-        );
-    }
-
-    #[test]
     fn delta_cuts_dispatch_fram_ops_2x() {
         let ops = |key| cell(traffic_row(key), "ops/event");
         // The removed whole-block commit mode measured 156 ops/event on
@@ -1796,7 +1754,6 @@ mod tests {
             compiled <= 78.0,
             "sparse cost must be <= 78 ops/event (2x vs the 156 baseline), got {compiled}"
         );
-        assert!(compiled < ops("sparse interpreter per-event warm"));
         // Degraded whole-block images stay under the removed mode's
         // entry-list commits (dense: 135 ops/event at that commit).
         let dense = ops("dense compiled per-event warm");

@@ -285,11 +285,6 @@ impl PropertySet {
         }
     }
 
-    /// Appends an already-validated entry; used by deserialization paths.
-    pub fn push_unchecked(&mut self, entry: TaskProperty) {
-        self.entries.push(entry);
-    }
-
     /// All entries in declaration order.
     pub fn entries(&self) -> &[TaskProperty] {
         &self.entries

@@ -67,11 +67,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration in whole milliseconds, truncating.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the duration in seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

@@ -142,8 +142,6 @@ const FLAG_BYTES: usize = 1;
 pub const ROUTING_LOOKUP_CYCLES: u64 = 12;
 /// Cycles per armed machine entered on the compiled dispatch path.
 pub const COMPILED_DISPATCH_CYCLES: u64 = 10;
-/// Cycles per dispatched transition evaluated.
-pub const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 
 /// Journal bytes of one sub-write carrying `data` bytes; a record adds
 /// its leading `count: u16` once.
@@ -482,17 +480,6 @@ pub struct EventCost {
     /// cold one also re-derives the loaded delivery's worklist: one
     /// more [`ROUTING_LOOKUP_CYCLES`].
     pub cycles: u64,
-    /// FRAM write ops of group 0's record when it holds only the whole
-    /// arming run: no member effect, no verdict. This is not a floor:
-    /// a delivery may arm with a shorter span, and a one-group delivery
-    /// with no effect persists nothing. The energy gate's floor prices
-    /// [`delivery_floor`] instead.
-    ///
-    /// [`delivery_floor`]: crate::analysis::delivery_floor
-    pub arming_writes: usize,
-    /// FRAM bytes the arming record alone writes, its run covering the
-    /// whole `event … done` prefix.
-    pub arming_write_bytes: usize,
 }
 
 impl EventCost {
@@ -532,7 +519,6 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
     let machines = compiled.machines();
     let task_count = compiled.task_count();
     let done_b = done_bytes(machines.len());
-    let arming = arming(done_b, 0);
 
     let mut per_key = Vec::with_capacity(2 * (task_count + 1));
     let mut members = Vec::with_capacity(machines.len());
@@ -580,8 +566,6 @@ pub fn suite_bounds(compiled: &CompiledSuite, profile: &EnergyProfile) -> SuiteB
                 read_bytes: p.read_bytes + VERDICT_BYTES * emitters,
                 write_bytes: p.write_bytes,
                 cycles: p.cycles,
-                arming_writes: arming.writes(),
-                arming_write_bytes: arming.write_bytes(),
             });
         }
     }
@@ -732,9 +716,6 @@ mod tests {
         let data = header_run(1) + block;
         assert_eq!(start_a.write_bytes, record + data + 2);
         assert_eq!(start_a.commit_bytes, record);
-        assert_eq!(start_a.arming_writes, 4);
-        let arm_record = 2 + entry_bytes(header_run(0));
-        assert_eq!(start_a.arming_write_bytes, arm_record + header_run(0) + 2);
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
         // start key; optimized (fused guards), the cycle-priced worst
@@ -742,16 +723,19 @@ mod tests {
         // 12-cycles-per-transition flat rate.
         let sc = cs.machines()[0].step_cost(EventKind::StartTask, 0);
         assert_eq!(sc.cycles, 20);
-        assert!(sc.cycles < 3 * STEP_PER_TRANSITION_CYCLES);
+        assert!(sc.cycles < 3 * 12);
         assert_eq!(
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + sc.cycles
         );
-        // An un-armed key still pays the routing lookup and arming
-        // record, nothing else.
+        // An un-armed key still pays the routing lookup and the
+        // arming record, nothing else: 4 writes (the record's 3 fixed
+        // ones and the header run), whose run covers the whole
+        // `event … done` prefix.
         assert_eq!(wild.cycles, ROUTING_LOOKUP_CYCLES);
-        assert_eq!(wild.writes, wild.arming_writes);
-        assert_eq!(wild.write_bytes, wild.arming_write_bytes);
+        assert_eq!(wild.writes, 4);
+        let arm_record = 2 + entry_bytes(header_run(0));
+        assert_eq!(wild.write_bytes, arm_record + header_run(0) + 2);
         assert!(b.worst_commit_bytes >= b.reset_commit_bytes);
         assert!(b.worst_event().unwrap().ops() >= start_a.ops());
     }
@@ -813,7 +797,7 @@ mod tests {
         assert_eq!(start_a.write_bytes, record + header_run(0) + 1 + 8 + 2);
         assert_eq!(
             start_a.cycles,
-            ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
+            ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + 12
         );
         // The largest commit is the one group's record.
         assert_eq!(start_a.commit_bytes, record);
@@ -833,13 +817,14 @@ mod tests {
         )
         .unwrap();
         let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let key = |p: &EnergyProfile| {
+        let key_of = |p: &EnergyProfile, task| {
             suite_bounds(&cs, p)
                 .per_key
                 .into_iter()
-                .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
+                .find(|c| c.kind == EventKind::StartTask && c.task == task)
                 .unwrap()
         };
+        let key = |p: &EnergyProfile| key_of(p, Some(0));
         let (one, each) = (key(&roomy()), key(&tiny()));
         assert_eq!(one.machines, 3);
         assert_eq!((one.groups, each.groups), (1, 3));
@@ -859,7 +844,13 @@ mod tests {
         assert_eq!(each.cycles, one.cycles);
         assert_eq!(each.cold_extra_reads, one.cold_extra_reads);
         assert_eq!(each.cold_read_bytes, one.cold_read_bytes);
-        assert_eq!(each.arming_writes, one.arming_writes);
+        // The arming record alone, the wildcard key's whole cost, is
+        // the same on either budget.
+        let wild = |p: &EnergyProfile| {
+            let k = key_of(p, None);
+            (k.writes, k.write_bytes)
+        };
+        assert_eq!(wild(&tiny()), wild(&roomy()));
     }
 
     /// The cut is next-fit over member costs: every group but the last

@@ -3,23 +3,18 @@
 //! The paper's pipeline ends with a model-to-text transformation that
 //! emits C monitors built on the ImmortalThreads macros (§4.2,
 //! Figure 10). This module reproduces that step textually:
-//!
-//! - [`c::emit_c`] renders the suite as a single C translation unit in
-//!   the paper's style — `__nv`-attributed state structs in FRAM, a
-//!   `callMonitor` entry point, `_begin`/`_end` ImmortalThreads
-//!   bracketing;
-//! - [`rust::emit_rust`] renders an equivalent safe-Rust module, for
-//!   projects embedding monitors in Rust firmware.
+//! [`c::emit_c`] renders the suite as a single C translation unit in
+//! the paper's style — `__nv`-attributed state structs in FRAM, a
+//! `callMonitor` entry point, `_begin`/`_end` ImmortalThreads
+//! bracketing.
 //!
 //! The emitted text is golden-tested; it is documentation-grade output
 //! (this reproduction *interprets* machines via `artemis-monitor`
 //! rather than compiling the generated code — see DESIGN.md §4).
 
 pub mod c;
-pub mod rust;
 
 pub use c::emit_c;
-pub use rust::emit_rust;
 
 /// Byte size of the generated C for a suite — the `.text` proxy used by
 /// the Table 2 reproduction (see DESIGN.md §4).

@@ -636,7 +636,7 @@ impl CompiledMachine {
     /// Compiles one machine at an explicit optimization level.
     /// [`OptLevel::None`](crate::opt::OptLevel::None) ships the
     /// straight-from-lowering bytecode and serves as the differential
-    /// oracle for the optimizer, exactly as `ExecMode::Interpreter`
+    /// oracle for the optimizer, exactly as `artemis_monitor::Reference`
     /// does for the compiler.
     ///
     /// Codegen yields raw parts, the optimizer rewrites them in place,

@@ -58,16 +58,6 @@ impl Value {
         }
     }
 
-    /// The zero/false default of a type.
-    pub fn default_of(ty: VarType) -> Value {
-        match ty {
-            VarType::Int => Value::Int(0),
-            VarType::Bool => Value::Bool(false),
-            VarType::Time => Value::Time(0),
-            VarType::Float => Value::Float(0.0),
-        }
-    }
-
     pub(crate) fn as_bool(self) -> Result<bool, EvalError> {
         match self {
             Value::Bool(b) => Ok(b),

@@ -55,7 +55,7 @@ use crate::expr::{apply, BinOp, Value, VarType};
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OptLevel {
     /// Straight-from-lowering bytecode. Kept as the differential
-    /// oracle for the optimizer, exactly as `ExecMode::Interpreter` is
+    /// oracle for the optimizer, exactly as `artemis_monitor::Reference` is
     /// for the compiler.
     None,
     /// The full pipeline documented in [`crate::opt`].

@@ -115,26 +115,24 @@
 //! outside the write set cannot change; unchanged bytes a merged run
 //! re-writes carry their loaded value, which is idempotent.
 //!
-//! [`ExecMode::Interpreter`] is the reference semantics: the
-//! tree-walking interpreter of `artemis_ir::exec` over one FRAM cell
-//! per variable. It arms *every* machine, one machine per commit group
-//! — neither the routing index nor the energy cut is consulted, so the
-//! oracle stays independent of both — and stages one sub-write per
-//! changed cell. Differential tests pin the two on verdicts and
-//! FRAM-visible state, including under random power failures.
+//! The reference semantics is [`Reference`]: the tree-walking
+//! interpreter of `artemis_ir::exec` over host memory, which consults
+//! neither the routing index, the energy cut nor FRAM, so the oracle
+//! stays independent of all three. Differential tests pin the engine
+//! to it on verdicts and FRAM-visible state, including under every
+//! crash point of a run. [`ExecMode::Interpreter`] installs a thin
+//! adapter over a host-held [`Reference`] instead of the FRAM engine.
 //!
 //! # Volatile shadow cache (write-only steady state)
 //!
-//! Compiled engines keep a volatile **shadow** of every FRAM location
+//! The engine keeps a volatile **shadow** of every FRAM location
 //! the hot path reads: after any load or commit the decoded machine
 //! images, the armed delivery (event, derived worklist, groups and
 //! done bitmap), and the verdict log stay authoritative in RAM, so a
 //! steady-state delivery performs **zero** FRAM reads — nonvolatile
 //! memory is touched only by the crash-atomic commits. The cache is
 //! write-through and never defers or reorders a write; it is the
-//! compiled engine's one read path. The
-//! interpreter stays uncached: it is the independent reference
-//! semantics.
+//! engine's one read path.
 //!
 //! Coherence contract: the cache records the [`Sram`] reboot epoch it
 //! was filled under; every entry point re-syncs against
@@ -202,19 +200,18 @@ use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
 use artemis_ir::analysis::{commit_groups, MemberCost};
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
-use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
 use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
-use intermittent_sim::fram::{NvCell, NvData};
+use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::{changed_span, Journal, TxWriter, ENTRY_HEADER};
 use intermittent_sim::EnergyProfile;
 
-use state::{EncodedEvent, NvValue};
+use state::EncodedEvent;
 
-pub use remote::{NoMonitoring, RemoteMonitorEngine};
+pub use remote::{NoMonitoring, Reference, RemoteMonitorEngine};
 /// The interface between the intermittent runtime and *some* monitoring
 /// deployment — the paper's "generic interfaces" between runtime and
 /// monitor module (Table 3, last row). Implementations: the local
@@ -289,11 +286,6 @@ pub trait Monitoring {
     }
 }
 
-/// Modelled CPU cost of scanning one machine's transitions for one
-/// event, in cycles (the interpreter stand-in for generated C code).
-const STEP_BASE_CYCLES: u64 = 40;
-/// Additional cycles per transition considered.
-const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 /// Modelled cost of the compiled path's dispatch-table lookup — a
 /// kind/task index instead of a name-comparing scan.
 const COMPILED_DISPATCH_CYCLES: u64 = 10;
@@ -310,10 +302,10 @@ pub enum ExecMode {
     /// generated C monitors.
     #[default]
     Compiled,
-    /// The tree-walking reference interpreter over one FRAM cell per
-    /// variable. Kept as the executable semantics for differential
-    /// testing and as the baseline the dispatch benchmark compares
-    /// against.
+    /// A thin adapter over a host-held [`Reference`]: no FRAM, no
+    /// billing, and host state that survives power failures, as the
+    /// remote monitor's does. Kept only because the benchmark
+    /// package's verdict check names it as its oracle.
     Interpreter,
 }
 
@@ -439,19 +431,6 @@ pub struct MonitorVerdict {
     pub action: Action,
 }
 
-/// Where one machine's persistent `(state, vars)` live in FRAM.
-enum MachineStore {
-    /// One cell per variable plus a state cell (interpreter layout).
-    Cells {
-        state_cell: NvCell<u32>,
-        var_cells: Vec<NvCell<NvValue>>,
-    },
-    /// One contiguous block: the state field followed by the variable
-    /// slots, in the compiled machine's packed layout — a single FRAM
-    /// op to load and a single sub-write to commit whole.
-    Block { addr: usize, len: usize },
-}
-
 /// The armed delivery's persistent header: one contiguous FRAM region
 ///
 /// `[event][seq u64][event count u16][verdict count u32][done bitmap]
@@ -460,7 +439,7 @@ enum MachineStore {
 /// The order is what makes a delivery cheap: group 0's record stages
 /// everything from the event to its last logged cell as **one** run
 /// (its span from the first byte that changed, see
-/// [`MonitorEngine::commit_group`]). A
+/// [`Engine::commit_group`]). A
 /// later group stages `[verdict count | done]` and its cells as two
 /// runs; a cold load reads `event … done` in one op; a reset zeroes
 /// `seq … done` in one run. The done bitmap keeps bit `g % 8` of byte
@@ -525,53 +504,19 @@ fn done_bit(map: &[u8], g: usize) -> bool {
     map[g / 8] & (1 << (g % 8)) != 0
 }
 
-/// Stages a machine's re-initialisation into `tx`, honouring its
-/// storage layout; `m` is its source machine.
-fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine, m: &StateMachine) {
-    match &lm.store {
-        MachineStore::Cells {
-            state_cell,
-            var_cells,
-        } => {
-            tx.write(state_cell, m.initial);
-            for (cell, decl) in var_cells.iter().zip(&m.vars) {
-                tx.write(cell, NvValue(decl.init));
-            }
-        }
-        MachineStore::Block { addr, .. } => tx.write_raw(*addr, &lm.initial_image),
-    }
-}
-
-/// Largest single journal record of the interpreter's per-cell layout,
-/// count word included: the whole-suite reset (state cell + every
-/// variable cell, and the zeroed `seq … done` run), or a one-machine
-/// commit group — group 0 adding the one-event header run, its one
-/// verdict cell included, to its machine's cells.
-fn interpreter_commit_bytes(suite: &MonitorSuite, done_len: usize) -> usize {
-    let entry = |bytes: usize| ENTRY_HEADER + bytes;
-    let cells = |m: &StateMachine| entry(u32::SIZE) + m.vars.len() * entry(NvValue::SIZE);
-    let h = Header {
-        addr: 0,
-        done_len,
-        slots: suite.len(),
-    };
-    let reset = suite.machines().iter().map(cells).sum::<usize>() + entry(h.cell(0) - h.seq());
-    let group0 = entry(h.cell(1)) + suite.machines().iter().map(cells).max().unwrap_or(0);
-    2 + reset.max(group0)
-}
-
+/// Where one machine's persistent `(state, vars)` live in FRAM: one
+/// contiguous block, the state field followed by the variable slots in
+/// the compiled machine's packed layout — a single FRAM op to load and
+/// a single sub-write to commit whole.
 struct LoadedMachine {
     /// The machine's `Path:` qualifier, copied from the source machine
-    /// so the compiled hot path never reads the suite.
+    /// so the hot path never reads the suite.
     path: Option<u32>,
-    store: MachineStore,
-    /// Block image of the initial state, staged whole on resets (empty
-    /// in cell mode).
+    /// FRAM address of the block.
+    addr: usize,
+    /// Block image of the initial state, staged whole on resets; its
+    /// length is the block's.
     initial_image: Vec<u8>,
-    /// Interpreter mode: dense task ids this machine observes; `None`
-    /// when it has a wildcard trigger and must see everything. The
-    /// compiled path answers this from its dispatch tables instead.
-    observed: Option<Vec<u32>>,
 }
 
 /// Reused per-event buffers. Sized at install and refilled in place,
@@ -579,15 +524,13 @@ struct LoadedMachine {
 /// heap allocations (pinned by `tests/alloc_free.rs`); an event with
 /// `k` verdicts allocates only its returned list and the `k` names.
 struct Scratch {
-    /// Bytecode register file (compiled mode).
+    /// Bytecode register file.
     regs: Vec<Value>,
     /// Decoded variable snapshot.
     vars: Vec<Value>,
-    /// Pre-step variable snapshot for change detection (interpreter).
-    before_vars: Vec<Value>,
-    /// Block image as loaded (compiled).
+    /// Block image as loaded.
     block: Vec<u8>,
-    /// Block image after the step (compiled).
+    /// Block image after the step.
     block_new: Vec<u8>,
     /// Verdicts of one commit group, in logging order: machine index,
     /// event position, action, governing path.
@@ -606,10 +549,10 @@ struct Scratch {
 /// bitmap as persisted in the [`Header`], plus the worklist derived
 /// from the event — ascending machine indices — and the worklist's cut
 /// into commit groups (each group's exclusive end index; group 0 always
-/// exists). Sized at install to the whole suite. In compiled engines it
-/// doubles as the shadow of the header while [`ShadowCache::armed`] is
-/// set — except that after a silent delivery it holds that delivery,
-/// which FRAM never sees (see [`MonitorEngine::commit_group`]).
+/// exists). Sized at install to the whole suite. It doubles as the
+/// shadow of the header while [`ShadowCache::armed`] is set — except
+/// that after a silent delivery it holds that delivery, which FRAM
+/// never sees (see [`Engine::commit_group`]).
 struct Armed {
     seq: u64,
     event: Option<EncodedEvent>,
@@ -755,14 +698,25 @@ impl ShadowCache {
 
 /// The engine. Create with [`MonitorEngine::install`] or
 /// [`MonitorEngine::install_with`].
-pub struct MonitorEngine {
-    mode: ExecMode,
+pub struct MonitorEngine(Core);
+
+/// What an installed [`MonitorEngine`] runs.
+enum Core {
+    /// The FRAM engine.
+    Fram(Box<Engine>),
+    /// [`ExecMode::Interpreter`]: a host-held [`Reference`], which
+    /// touches neither FRAM nor the device's bills.
+    Host(RefCell<Reference>),
+}
+
+/// The FRAM engine behind every [`MonitorEngine`] but the
+/// [`ExecMode::Interpreter`] adapter.
+struct Engine {
     /// Bytecode, dispatch tables, the routing index, and the task-name
-    /// table interned once at install (both modes resolve event task
-    /// ids through it).
+    /// table interned once at install.
     compiled: Arc<CompiledSuite>,
-    /// The source machines (names, paths, interpreter semantics), shared
-    /// with every engine installed from the same suite handle.
+    /// The source machines (names, paths), shared with every engine
+    /// installed from the same suite handle.
     suite: MonitorSuite,
     machines: Vec<LoadedMachine>,
     journal: Journal,
@@ -770,9 +724,8 @@ pub struct MonitorEngine {
     /// sequence number, its event, the verdict log and the done bitmap
     /// (one bit per commit group), in one region.
     header: Header,
-    /// The volatile shadow of the hot path's FRAM reads: `Some` iff
-    /// the engine is compiled (the interpreter reads FRAM directly).
-    cache: Option<RefCell<ShadowCache>>,
+    /// The volatile shadow of the hot path's FRAM reads.
+    cache: RefCell<ShadowCache>,
     /// The device's cost model and energy budget, which size the commit
     /// groups ([`artemis_ir::analysis::commit_groups`]).
     profile: EnergyProfile,
@@ -887,27 +840,18 @@ impl MonitorEngine {
             // Compilation already happened in the caller's hands.
             opt: _,
         } = opts;
-        let compiled_mode = mode == ExecMode::Compiled;
-        // One done bit per commit group; a worklist never holds more
-        // groups than the suite has machines.
-        let done_len = artemis_ir::analysis::done_bytes(suite.len());
 
         // Journal capacity = the static worst-case record: the larger
         // of the whole-suite reset commit and any event key's largest
-        // commit group, cut against this device's energy budget. The
-        // interpreter's per-cell layout stages one sub-write per
-        // variable, so its records are costed separately.
+        // commit group, cut against this device's energy budget.
         //
         // A delivery's worklist is its key's interest list, so when the
         // bounds pass cuts every key into one group, so does the engine.
         let profile = dev.energy_profile();
         let facts = compiled.install_facts(&suite, &profile);
         let bounds = &facts.bounds;
-        let mut capacity = bounds.worst_commit_bytes;
+        let capacity = bounds.worst_commit_bytes;
         let one_group = bounds.per_key.iter().all(|k| k.groups == 1);
-        if mode == ExecMode::Interpreter {
-            capacity = capacity.max(interpreter_commit_bytes(&suite, done_len));
-        }
 
         // Static analysis gate — before anything touches FRAM. The
         // first (most severe) error rejects the install; warnings
@@ -933,6 +877,148 @@ impl MonitorEngine {
         drop(diags);
         drop(facts);
 
+        let core = match mode {
+            ExecMode::Compiled => Core::Fram(Box::new(Engine::install(
+                dev, suite, compiled, profile, capacity, one_group,
+            )?)),
+            ExecMode::Interpreter => Core::Host(RefCell::new(Reference::new(suite, app)?)),
+        };
+        Ok(MonitorEngine(core))
+    }
+
+    /// Shadow-cache effectiveness counters; all-zero for the
+    /// [`ExecMode::Interpreter`] adapter. The engine-level mirror of
+    /// `ArtemisRuntime::events_delivered`.
+    pub fn cache_stats(&self) -> CacheStats {
+        match &self.0 {
+            Core::Fram(e) => e.cache.borrow().stats,
+            Core::Host(_) => CacheStats::default(),
+        }
+    }
+
+    /// Dynamic execution counters (all-zero for the
+    /// [`ExecMode::Interpreter`] adapter, which runs no bytecode). The
+    /// measured side of the static
+    /// [`artemis_ir::CompiledMachine::step_cost`] ceilings: for every
+    /// delivered event, `instructions` grows by at most the key's
+    /// `step_cost(kind, task).instructions`.
+    pub fn exec_stats(&self) -> ExecStats {
+        match &self.0 {
+            Core::Fram(e) => *e.exec.borrow(),
+            Core::Host(_) => ExecStats::default(),
+        }
+    }
+
+    /// Costless read of every machine's persistent `(state, vars)` —
+    /// the FRAM-visible monitor state, decoded from each machine's
+    /// block (the adapter's host-held state). For differential tests
+    /// and debugging; does not bill the device.
+    pub fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
+        match &self.0 {
+            Core::Fram(e) => e.snapshot(dev),
+            Core::Host(r) => r.borrow().snapshot(),
+        }
+    }
+
+    /// Number of installed machines.
+    pub fn machine_count(&self) -> usize {
+        match &self.0 {
+            Core::Fram(e) => e.machines.len(),
+            Core::Host(r) => r.borrow().suite().len(),
+        }
+    }
+
+    /// Machine names, in suite order.
+    pub fn machine_names(&self) -> Vec<String> {
+        let names =
+            |suite: &MonitorSuite| suite.machines().iter().map(|m| m.name.clone()).collect();
+        match &self.0 {
+            Core::Fram(e) => names(&e.suite),
+            Core::Host(r) => names(r.borrow().suite()),
+        }
+    }
+
+    /// Hard reset: re-initialises every machine and clears the armed
+    /// delivery (Figure 8 `resetMonitor`; run once at first boot).
+    pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+        match &self.0 {
+            Core::Fram(e) => e.reset_monitor(dev),
+            Core::Host(r) => {
+                r.borrow_mut().reset();
+                Ok(())
+            }
+        }
+    }
+
+    /// Completes a delivery interrupted by a power failure, if any
+    /// (Figure 8 `monitorFinalize`; run on every reboot before task
+    /// processing). Returns `true` if there was work to finish: a torn
+    /// commit group to replay, or pending groups to run.
+    pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
+        match &self.0 {
+            Core::Fram(e) => e.monitor_finalize(dev),
+            Core::Host(_) => Ok(false),
+        }
+    }
+
+    /// Delivers one event under a sequence number and returns the
+    /// verdicts of every machine that reported a violation.
+    ///
+    /// Re-delivering a sequence number the engine has already processed
+    /// (fully or partially) does not re-step machines; it finishes any
+    /// pending work and returns the recorded verdicts.
+    pub fn call_monitor(
+        &self,
+        dev: &mut Device,
+        seq: u64,
+        event: &MonitorEvent,
+    ) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        match &self.0 {
+            Core::Fram(e) => e.call_monitor(dev, seq, event),
+            Core::Host(r) => {
+                let energy_nj = dev.energy_level().as_nano_joules();
+                Ok(r.borrow_mut().deliver(seq, event, energy_nj).to_vec())
+            }
+        }
+    }
+
+    /// Reads back the verdicts of the most recently processed event: the
+    /// contract of [`Monitoring::last_verdicts`].
+    pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        match &self.0 {
+            Core::Fram(e) => e.last_verdicts(dev),
+            Core::Host(r) => Ok(r.borrow().last_verdicts().to_vec()),
+        }
+    }
+
+    /// Re-initialises the machines affected by a restart of `path`
+    /// (paper §3.3: monitors linked to tasks of a restarted path).
+    pub fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
+        match &self.0 {
+            Core::Fram(e) => e.on_path_restart(dev, path),
+            Core::Host(r) => {
+                r.borrow_mut().restart_path(path);
+                Ok(())
+            }
+        }
+    }
+}
+
+impl Engine {
+    /// Allocates the engine's FRAM — journal, header, one block per
+    /// machine — billed to the monitor component, for a suite that
+    /// passed the install gate.
+    fn install(
+        dev: &mut Device,
+        suite: MonitorSuite,
+        compiled: Arc<CompiledSuite>,
+        profile: EnergyProfile,
+        capacity: usize,
+        one_group: bool,
+    ) -> Result<Self, InstallError> {
+        // One done bit per commit group; a worklist never holds more
+        // groups than the suite has machines.
+        let done_len = artemis_ir::analysis::done_bytes(suite.len());
         let dev_err = InstallError::Device;
         let owner = MemOwner::Monitor;
         let prev = dev.category();
@@ -952,65 +1038,25 @@ impl MonitorEngine {
                 .nv_alloc_raw(header.cell(slots), owner, "monitor.header")
                 .map_err(dev_err)?;
 
+            // One contiguous block per machine, pre-imaged with the
+            // initial snapshot. Geometry and snapshot come from the
+            // compiled machine: install_precompiled callers may
+            // hand-assemble machines, and the block must agree with the
+            // bytecode that steps it.
             let mut machines = Vec::with_capacity(suite.len());
-            for (mi, m) in suite.machines().iter().enumerate() {
-                let (store, initial_image, observed) = if compiled_mode {
-                    // One contiguous block per machine, pre-imaged with
-                    // the initial snapshot. Geometry and snapshot come
-                    // from the compiled machine: install_precompiled
-                    // callers may hand-assemble machines, and the block
-                    // must agree with the bytecode that steps it.
-                    let cmach = &compiled.machines()[mi];
-                    let mut image = Vec::with_capacity(cmach.layout().block_len);
-                    cmach
-                        .layout()
-                        .encode(cmach.initial_state(), cmach.var_inits(), &mut image);
-                    let addr = dev
-                        .nv_alloc_raw(image.len(), owner, &format!("{}.block", m.name))
-                        .map_err(dev_err)?;
-                    dev.nv_write_raw(addr, &image).map_err(dev_err)?;
-                    let len = image.len();
-                    (MachineStore::Block { addr, len }, image, None)
-                } else {
-                    let state_cell = dev
-                        .nv_alloc(m.initial, owner, &format!("{}.state", m.name))
-                        .map_err(dev_err)?;
-                    let mut var_cells = Vec::with_capacity(m.vars.len());
-                    for v in &m.vars {
-                        var_cells.push(
-                            dev.nv_alloc(NvValue(v.init), owner, &format!("{}.{}", m.name, v.name))
-                                .map_err(dev_err)?,
-                        );
-                    }
-                    // Pre-resolve the observed task set so events for
-                    // other tasks skip the machine without touching its
-                    // state (the generated C's trigger test, one compare
-                    // per machine).
-                    let has_wildcard = m.transitions.iter().any(|t| {
-                        matches!(
-                            t.trigger,
-                            artemis_ir::fsm::Trigger::Any
-                                | artemis_ir::fsm::Trigger::Start(artemis_ir::fsm::TaskPat::Any)
-                                | artemis_ir::fsm::Trigger::End(artemis_ir::fsm::TaskPat::Any)
-                        )
-                    });
-                    let observed = (!has_wildcard).then(|| {
-                        m.observed_tasks()
-                            .iter()
-                            .filter_map(|n| app.task_by_name(n).map(|t| t.0))
-                            .collect::<Vec<u32>>()
-                    });
-                    let store = MachineStore::Cells {
-                        state_cell,
-                        var_cells,
-                    };
-                    (store, Vec::new(), observed)
-                };
+            for (m, cmach) in suite.machines().iter().zip(compiled.machines()) {
+                let mut image = Vec::with_capacity(cmach.layout().block_len);
+                cmach
+                    .layout()
+                    .encode(cmach.initial_state(), cmach.var_inits(), &mut image);
+                let addr = dev
+                    .nv_alloc_raw(image.len(), owner, &format!("{}.block", m.name))
+                    .map_err(dev_err)?;
+                dev.nv_write_raw(addr, &image).map_err(dev_err)?;
                 machines.push(LoadedMachine {
                     path: m.path,
-                    store,
-                    initial_image,
-                    observed,
+                    addr,
+                    initial_image: image,
                 });
             }
 
@@ -1028,7 +1074,6 @@ impl MonitorEngine {
             let scratch = RefCell::new(Scratch {
                 regs: vec![Value::Int(0); compiled.max_regs()],
                 vars: Vec::with_capacity(max_vars),
-                before_vars: Vec::with_capacity(max_vars),
                 block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
                 emits: Vec::with_capacity(slots),
@@ -1045,30 +1090,24 @@ impl MonitorEngine {
                 done: Vec::with_capacity(done_len),
             });
 
-            // The shadow cache mirrors block images, so it exists in
-            // compiled mode only. The epoch starts at the device's
-            // *current* reboot generation so a freshly installed
-            // engine doesn't count a spurious invalidation.
-            // Its volatile footprint, for Table 2: one image per
-            // machine block and the whole armed header (the decoded
-            // delivery, its verdict cells and the byte image of the
-            // `event … done` prefix group 0 diffs against).
-            if compiled_mode {
-                let blocks = machines.iter().map(|lm| lm.initial_image.len()).sum();
-                let sram = dev.sram_mut();
-                sram.register(owner, "shadow: machine images", blocks);
-                sram.register(owner, "shadow: armed header", header.cell(slots));
-            }
-            let cache = compiled_mode.then(|| {
-                RefCell::new(ShadowCache::new(
-                    dev.sram().generation(),
-                    machines.len(),
-                    slots,
-                    header.cell(0),
-                ))
-            });
-            Ok(MonitorEngine {
-                mode,
+            // The shadow cache's epoch starts at the device's *current*
+            // reboot generation so a freshly installed engine doesn't
+            // count a spurious invalidation. Its volatile footprint,
+            // for Table 2: one image per machine block and the whole
+            // armed header (the decoded delivery, its verdict cells and
+            // the byte image of the `event … done` prefix group 0 diffs
+            // against).
+            let blocks = machines.iter().map(|lm| lm.initial_image.len()).sum();
+            let sram = dev.sram_mut();
+            sram.register(owner, "shadow: machine images", blocks);
+            sram.register(owner, "shadow: armed header", header.cell(slots));
+            let cache = RefCell::new(ShadowCache::new(
+                dev.sram().generation(),
+                machines.len(),
+                slots,
+                header.cell(0),
+            ));
+            Ok(Engine {
                 compiled,
                 suite,
                 machines,
@@ -1086,24 +1125,6 @@ impl MonitorEngine {
         result
     }
 
-    /// Shadow-cache effectiveness counters; all-zero for the
-    /// (uncached) interpreter. The engine-level mirror of
-    /// `ArtemisRuntime::events_delivered`.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map_or_else(CacheStats::default, |c| c.borrow().stats)
-    }
-
-    /// Dynamic execution counters (all-zero in interpreter mode, which
-    /// runs no bytecode). The measured side of the static
-    /// [`artemis_ir::CompiledMachine::step_cost`] ceilings: for every
-    /// delivered event, `instructions` grows by at most the key's
-    /// `step_cost(kind, task).instructions`.
-    pub fn exec_stats(&self) -> ExecStats {
-        *self.exec.borrow()
-    }
-
     /// Re-syncs the shadow cache with the device's reboot epoch —
     /// called on entry to every public path that touches FRAM. An
     /// epoch mismatch means at least one power failure happened since
@@ -1112,23 +1133,12 @@ impl MonitorEngine {
     /// recovery/read refills it (after journal replay — see the module
     /// docs for why replay-then-invalidate is safe).
     fn cache_sync(&self, dev: &Device) {
-        if let Some(cache) = &self.cache {
-            let mut c = cache.borrow_mut();
-            let epoch = dev.sram().generation();
-            if c.epoch != epoch {
-                c.epoch = epoch;
-                c.wipe();
-                c.stats.invalidations += 1;
-            }
-        }
-    }
-
-    /// Mutates the shadow cache; no-op when caching is disabled. Used
-    /// by the write-through points (after successful commits/writes) —
-    /// never from a failure path.
-    fn cache_put(&self, f: impl FnOnce(&mut ShadowCache)) {
-        if let Some(cache) = &self.cache {
-            f(&mut cache.borrow_mut());
+        let mut c = self.cache.borrow_mut();
+        let epoch = dev.sram().generation();
+        if c.epoch != epoch {
+            c.epoch = epoch;
+            c.wipe();
+            c.stats.invalidations += 1;
         }
     }
 
@@ -1137,15 +1147,12 @@ impl MonitorEngine {
     /// epoch, the flag re-read is skipped entirely. Returns `true` when
     /// a torn commit was replayed.
     fn recover_cached(&self, dev: &mut Device) -> Result<bool, Interrupt> {
-        let Some(cache) = &self.cache else {
-            return dev.recover(&self.journal);
-        };
-        if cache.borrow().journal_clean {
-            cache.borrow_mut().stats.hits += 1;
+        if self.cache.borrow().journal_clean {
+            self.cache.borrow_mut().stats.hits += 1;
             return Ok(false);
         }
         let replayed = dev.recover(&self.journal)?;
-        let mut c = cache.borrow_mut();
+        let mut c = self.cache.borrow_mut();
         c.journal_clean = true;
         c.stats.misses += 1;
         Ok(replayed)
@@ -1162,8 +1169,8 @@ impl MonitorEngine {
     /// arming together with that bit — faults with
     /// [`Fault::CorruptState`].
     fn load_armed(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
-        if let Some(cache) = &self.cache {
-            let mut c = cache.borrow_mut();
+        {
+            let mut c = self.cache.borrow_mut();
             if c.armed {
                 c.stats.hits += 1;
                 return Ok(());
@@ -1171,7 +1178,7 @@ impl MonitorEngine {
         }
         let h = &self.header;
         let bytes = dev.nv_read_raw(h.addr, h.cell(0))?;
-        self.cache_put(|c| c.set_head(bytes));
+        self.cache.borrow_mut().set_head(bytes);
         let field = |at: usize, len: usize| &bytes[at..at + len];
         let n = u16::load(field(h.event_count(), u16::SIZE)) as usize;
         let verdicts = u32::load(field(h.verdict_count(), u32::SIZE));
@@ -1189,10 +1196,9 @@ impl MonitorEngine {
             return Err(Interrupt::Fault(Fault::CorruptState));
         }
         self.derive_worklist(dev, armed)?;
-        self.cache_put(|c| {
-            c.armed = true;
-            c.stats.misses += 1;
-        });
+        let mut c = self.cache.borrow_mut();
+        c.armed = true;
+        c.stats.misses += 1;
         Ok(())
     }
 
@@ -1205,16 +1211,12 @@ impl MonitorEngine {
         &self,
         dev: &mut Device,
         i: usize,
-        addr: usize,
-        len: usize,
         span: usize,
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
+        let lm = &self.machines[i];
         let layout = self.compiled.machines()[i].layout();
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("compiled engines keep a shadow cache");
+        let cache = &self.cache;
         let hit = {
             let c = cache.borrow();
             let ms = &c.machines[i];
@@ -1229,7 +1231,7 @@ impl MonitorEngine {
             cache.borrow_mut().stats.hits += 1;
         } else {
             {
-                let bytes = dev.nv_read_raw(addr, len)?;
+                let bytes = dev.nv_read_raw(lm.addr, lm.initial_image.len())?;
                 scratch.block.clear();
                 scratch.block.extend_from_slice(bytes);
             }
@@ -1254,14 +1256,12 @@ impl MonitorEngine {
     /// before staging, so its shadow is live; a dead one stays dead
     /// (partial knowledge is never stored).
     fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value]) {
-        self.cache_put(|c| {
-            let gen = c.gen;
-            let ms = &mut c.machines[i];
-            if ms.gen == gen {
-                ms.state = state;
-                ms.vars[..vars.len()].copy_from_slice(vars);
-            }
-        });
+        let c = &mut *self.cache.borrow_mut();
+        let ms = &mut c.machines[i];
+        if ms.gen == c.gen {
+            ms.state = state;
+            ms.vars[..vars.len()].copy_from_slice(vars);
+        }
     }
 
     /// Shadow-aware read of verdict cell `slot` — from the shadow when
@@ -1275,23 +1275,22 @@ impl MonitorEngine {
         dev: &mut Device,
         slot: usize,
     ) -> Result<Option<MonitorVerdict>, Interrupt> {
-        let hit = self.cache.as_ref().and_then(|cache| {
-            let mut c = cache.borrow_mut();
+        let hit = {
+            let mut c = self.cache.borrow_mut();
             let (gen, cell) = c.verdicts[slot];
             (gen == c.gen).then(|| {
                 c.stats.hits += 1;
                 cell
             })
-        });
+        };
         let (packed, encoded) = match hit {
             Some(cell) => cell,
             None => {
                 let at = self.header.addr + self.header.cell(slot);
                 let cell = VerdictCell::load(dev.nv_read_raw(at, VerdictCell::SIZE)?);
-                self.cache_put(|c| {
-                    c.verdicts[slot] = (c.gen, cell);
-                    c.stats.misses += 1;
-                });
+                let mut c = self.cache.borrow_mut();
+                c.verdicts[slot] = (c.gen, cell);
+                c.stats.misses += 1;
                 cell
             }
         };
@@ -1309,65 +1308,39 @@ impl MonitorEngine {
         Ok(verdict)
     }
 
-    /// Costless read of every machine's persistent `(state, vars)` —
-    /// the FRAM-visible monitor state, independent of storage layout.
-    /// For differential tests and debugging; does not bill the device.
-    pub fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
+    /// [`MonitorEngine::snapshot`]: every machine's block, decoded.
+    fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
         self.machines
             .iter()
             .zip(self.compiled.machines())
-            .map(|(lm, cm)| match &lm.store {
-                MachineStore::Cells {
-                    state_cell,
-                    var_cells,
-                } => (
-                    dev.peek(state_cell),
-                    var_cells.iter().map(|c| dev.peek(c).0).collect(),
-                ),
-                MachineStore::Block { addr, len } => {
-                    let mut vars = Vec::new();
-                    let mut state = 0u32;
-                    cm.layout()
-                        .decode(dev.peek_raw(*addr, *len), &mut state, &mut vars);
-                    (state, vars)
-                }
+            .map(|(lm, cm)| {
+                let mut vars = Vec::new();
+                let mut state = 0u32;
+                let block = dev.peek_raw(lm.addr, lm.initial_image.len());
+                cm.layout().decode(block, &mut state, &mut vars);
+                (state, vars)
             })
-            .collect()
-    }
-
-    /// Number of installed machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Machine names, in suite order.
-    pub fn machine_names(&self) -> Vec<String> {
-        self.suite
-            .machines()
-            .iter()
-            .map(|m| m.name.clone())
             .collect()
     }
 
     /// Refills the shadows of the machines `reset` selects with their
     /// initial images (after a commit that re-imaged them).
     fn shadow_reset_machines(&self, reset: impl Fn(&StateMachine) -> bool) {
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            let ShadowCache { gen, machines, .. } = &mut *c;
-            for (((ms, lm), cm), m) in machines
-                .iter_mut()
-                .zip(&self.machines)
-                .zip(self.compiled.machines())
-                .zip(self.suite.machines())
-            {
-                if reset(m) {
-                    cm.layout()
-                        .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
-                    ms.gen = *gen;
-                }
+        let c = &mut *self.cache.borrow_mut();
+        c.journal_clean = true;
+        for (((ms, lm), cm), m) in c
+            .machines
+            .iter_mut()
+            .zip(&self.machines)
+            .zip(self.compiled.machines())
+            .zip(self.suite.machines())
+        {
+            if reset(m) {
+                cm.layout()
+                    .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
+                ms.gen = c.gen;
             }
-        });
+        }
     }
 
     /// Runs an entry point billed to the monitor and synced to the
@@ -1385,21 +1358,18 @@ impl MonitorEngine {
             f(dev)
         });
         if r.is_err() {
-            if let Some(cache) = &self.cache {
-                cache.borrow_mut().wipe();
-            }
+            self.cache.borrow_mut().wipe();
         }
         r
     }
 
-    /// Hard reset: re-initialises every machine and clears the armed
-    /// delivery (Figure 8 `resetMonitor`; run once at first boot).
-    pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+    /// [`MonitorEngine::reset_monitor`].
+    fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
         self.entry(dev, |dev| {
             let tx = &mut self.scratch.borrow_mut().tx;
             tx.clear();
-            for (lm, m) in self.machines.iter().zip(self.suite.machines()) {
-                stage_machine_reset(tx, lm, m);
+            for lm in &self.machines {
+                tx.write_raw(lm.addr, &lm.initial_image);
             }
             // `seq … done` zeroed as one run: no events, an empty log.
             let h = &self.header;
@@ -1419,23 +1389,21 @@ impl MonitorEngine {
             armed.done.clear();
             armed.done.resize(self.header.done_len, 0);
             armed.done[0] = 1; // an empty delivery is complete (`load_armed`)
-            self.cache_put(|c| {
+            {
                 // The event bytes stay, so only a live header image
                 // knows the whole `event … done` prefix now; a dead one
                 // leaves the header to the next load, which refills it.
+                let mut c = self.cache.borrow_mut();
                 c.head[h.seq()..].fill(0);
                 c.armed = c.head_gen == c.gen;
-            });
+            }
             self.shadow_reset_machines(|_| true);
             Ok(())
         })
     }
 
-    /// Completes a delivery interrupted by a power failure, if any
-    /// (Figure 8 `monitorFinalize`; run on every reboot before task
-    /// processing). Returns `true` if there was work to finish: a torn
-    /// commit group to replay, or pending groups to run.
-    pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
+    /// [`MonitorEngine::monitor_finalize`].
+    fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         self.entry(dev, |dev| {
             // Repair a torn journal commit first.
             let replayed = self.recover_cached(dev)?;
@@ -1445,13 +1413,8 @@ impl MonitorEngine {
         })
     }
 
-    /// Delivers one event under a sequence number and returns the
-    /// verdicts of every machine that reported a violation.
-    ///
-    /// Re-delivering a sequence number the engine has already processed
-    /// (fully or partially) does not re-step machines; it finishes any
-    /// pending work and returns the recorded verdicts.
-    pub fn call_monitor(
+    /// [`MonitorEngine::call_monitor`].
+    fn call_monitor(
         &self,
         dev: &mut Device,
         seq: u64,
@@ -1482,7 +1445,7 @@ impl MonitorEngine {
     /// Arms `event` under `seq` in RAM: encodes it, derives its worklist
     /// and commit groups into `armed`, and empties the verdict log and
     /// the done bitmap. Nothing is written: the arming fields ride in
-    /// group 0's header run ([`MonitorEngine::commit_group`]), or
+    /// group 0's header run ([`Engine::commit_group`]), or
     /// nowhere for a silent delivery, so a
     /// failure before that record's flag write leaves the previous
     /// delivery armed and the caller re-arms cleanly; a failure after it
@@ -1508,15 +1471,13 @@ impl MonitorEngine {
 
     /// Derives the worklist of `armed.event` — ascending machine
     /// indices — and its commit groups, charging one routing lookup per
-    /// armed event. In
-    /// compiled mode the worklist is the routing index's interest list
+    /// armed event. The worklist is the routing index's interest list
     /// for the event's key, cut into groups by
     /// [`artemis_ir::analysis::commit_groups`] on the members' static
     /// ceilings and the device's energy budget, exactly the groups the
     /// bounds pass prices; the dynamic `Path:` filter dismisses members
     /// inside their groups when they step. All of it is a deterministic
-    /// function of the event. The interpreter arms every machine, one
-    /// per group, and dismisses in its step.
+    /// function of the event.
     fn derive_worklist(&self, dev: &mut Device, armed: &mut Armed) -> Result<(), Interrupt> {
         let Armed {
             event, items, ends, ..
@@ -1529,14 +1490,6 @@ impl MonitorEngine {
             return Ok(());
         };
         let (kind, task) = (event.event_kind(), event.task);
-        if self.mode == ExecMode::Interpreter {
-            items.extend(0..self.machines.len() as u16);
-            ends.extend(1..=items.len() as u16);
-            if ends.is_empty() {
-                ends.push(0);
-            }
-            return Ok(());
-        }
         items.extend_from_slice(self.compiled.routing().interested(kind, task));
         if self.one_group {
             ends.push(items.len() as u16);
@@ -1598,8 +1551,7 @@ impl MonitorEngine {
     /// flag, no apply, and the shadow's header image stays the one FRAM
     /// holds, so the next arming diffs against FRAM. `armed` keeps the
     /// silent delivery (its `seq`, no verdicts, done) for the rest of
-    /// the power cycle. The interpreter, the reference, arms every
-    /// delivery.
+    /// the power cycle.
     fn commit_group(
         &self,
         dev: &mut Device,
@@ -1611,11 +1563,7 @@ impl MonitorEngine {
         scratch.tx.clear();
         scratch.emits.clear();
         for j in armed.group(g) {
-            let i = armed.items[j] as usize;
-            match self.mode {
-                ExecMode::Compiled => self.step_block(dev, i, event, scratch)?,
-                ExecMode::Interpreter => self.step_interpreted(dev, i, event, scratch)?,
-            }
+            self.step_block(dev, armed.items[j] as usize, event, scratch)?;
         }
 
         // Group 0 resets the verdict log, later groups append to it.
@@ -1629,7 +1577,7 @@ impl MonitorEngine {
             return Err(Interrupt::Fault(Fault::CorruptState));
         }
         let silent = g == 0 && armed.ends.len() == 1 && tx.is_empty() && count == 0;
-        if silent && self.mode == ExecMode::Compiled {
+        if silent {
             // The record would hold only the arming run: persist
             // nothing and keep the header image FRAM's.
             self.exec.borrow_mut().silent_deliveries += 1;
@@ -1644,10 +1592,7 @@ impl MonitorEngine {
         let mut arming = 0;
         if g == 0 {
             let (cells, end) = (h.cell(0), h.cell(count));
-            let span = self
-                .cache
-                .as_ref()
-                .and_then(|c| c.borrow().head_changes(head));
+            let span = self.cache.borrow().head_changes(head);
             let (lo, hi) = match span {
                 Some(span) if count == 0 => (span.start, span.end),
                 Some(span) => (span.start, end),
@@ -1662,7 +1607,7 @@ impl MonitorEngine {
             tx.write_raw(h.addr + done, &head[done..]);
             if tx.len() == 1 {
                 dev.nv_write_raw(h.addr + done, &head[done..])?;
-                self.cache_put(|c| c.swap_head(head));
+                self.cache.borrow_mut().swap_head(head);
                 return Ok(());
             }
         } else {
@@ -1671,24 +1616,20 @@ impl MonitorEngine {
             put_cells(cells, emits);
         }
         dev.commit(&self.journal, tx)?;
-        if self.mode == ExecMode::Compiled {
-            self.exec.borrow_mut().arming_write_bytes += arming as u64;
+        self.exec.borrow_mut().arming_write_bytes += arming as u64;
+        let c = &mut *self.cache.borrow_mut();
+        c.journal_clean = true;
+        for (k, emit) in emits.iter().enumerate() {
+            c.verdicts[first + k] = (c.gen, verdict_cell(emit));
         }
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            let gen = c.gen;
-            for (k, emit) in emits.iter().enumerate() {
-                c.verdicts[first + k] = (gen, verdict_cell(emit));
-            }
-            c.swap_head(head);
-            // Group 0 fixed every activation input — the run reads
-            // nothing more from FRAM.
-            c.armed |= g == 0;
-        });
+        c.swap_head(head);
+        // Group 0 fixed every activation input — the run reads nothing
+        // more from FRAM.
+        c.armed |= g == 0;
         Ok(())
     }
 
-    /// Steps compiled machine `i` on `event` and stages its effect into
+    /// Steps machine `i` on `event` and stages its effect into
     /// its group's record: the changed byte runs of the covered block
     /// prefix (the whole block image for degraded keys), and a verdict
     /// in `scratch.emits` if the step emits. A member the `Path:` filter
@@ -1704,9 +1645,7 @@ impl MonitorEngine {
         if path_dismissed(lm, event) {
             return Ok(());
         }
-        let MachineStore::Block { addr, len } = lm.store else {
-            unreachable!("compiled mode allocates block storage");
-        };
+        let (addr, len) = (lm.addr, lm.initial_image.len());
         let cm = &self.compiled.machines()[i];
         let layout = cm.layout();
 
@@ -1736,7 +1675,7 @@ impl MonitorEngine {
             )
         };
 
-        self.load_block(dev, i, addr, len, span, scratch)?;
+        self.load_block(dev, i, span, scratch)?;
         let mut state = 0u32;
         layout.decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
         scratch.vars.resize(cm.var_count(), Value::Int(0));
@@ -1797,9 +1736,8 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Reads back the verdicts of the most recently processed event: the
-    /// contract of [`Monitoring::last_verdicts`].
-    pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
+    /// [`MonitorEngine::last_verdicts`].
+    fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
         self.entry(dev, |dev| {
             self.recover_cached(dev)?;
             self.load_armed(dev, &mut self.armed.borrow_mut())?;
@@ -1807,16 +1745,15 @@ impl MonitorEngine {
         })
     }
 
-    /// Re-initialises the machines affected by a restart of `path`
-    /// (paper §3.3: monitors linked to tasks of a restarted path).
-    pub fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
+    /// [`MonitorEngine::on_path_restart`].
+    fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
         let affected = |m: &StateMachine| m.reset_on_path_restart && m.path == Some(path.number());
         self.entry(dev, |dev| {
             let tx = &mut self.scratch.borrow_mut().tx;
             tx.clear();
             for (lm, m) in self.machines.iter().zip(self.suite.machines()) {
                 if affected(m) {
-                    stage_machine_reset(tx, lm, m);
+                    tx.write_raw(lm.addr, &lm.initial_image);
                 }
             }
             dev.commit(&self.journal, tx)?;
@@ -1827,93 +1764,8 @@ impl MonitorEngine {
         })
     }
 
-    /// Interpreter step: the reference path over per-variable cells,
-    /// staging the changed cells and any verdict into its group's
-    /// record.
-    fn step_interpreted(
-        &self,
-        dev: &mut Device,
-        i: usize,
-        encoded: &EncodedEvent,
-        scratch: &mut Scratch,
-    ) -> Result<(), Interrupt> {
-        let lm = &self.machines[i];
-        let m = &self.suite.machines()[i];
-        let MachineStore::Cells {
-            state_cell,
-            var_cells,
-        } = &lm.store
-        else {
-            unreachable!("interpreter mode allocates cell storage");
-        };
-
-        // Cheap dismissals first — the generated C's trigger test. A
-        // dismissed machine cannot change state, so it stages nothing.
-        let dismissed = path_dismissed(lm, encoded)
-            || matches!(&lm.observed, Some(tasks) if !tasks.contains(&encoded.task));
-        if dismissed {
-            return dev.compute(STEP_BASE_CYCLES);
-        }
-
-        // Model the compute cost of the generated step function.
-        dev.compute(STEP_BASE_CYCLES + STEP_PER_TRANSITION_CYCLES * m.transitions.len() as u64)?;
-
-        let task_name = self.compiled.task_name(encoded.task);
-
-        let before_state = dev.nv_read(state_cell)?;
-        if before_state as usize >= m.states.len() {
-            return Err(Interrupt::Fault(Fault::CorruptState));
-        }
-        scratch.vars.clear();
-        for c in var_cells {
-            scratch.vars.push(dev.nv_read(c)?.0);
-        }
-        scratch.before_vars.clear();
-        scratch.before_vars.extend_from_slice(&scratch.vars);
-
-        let mut mstate = MachineState {
-            state: before_state,
-            vars: core::mem::take(&mut scratch.vars),
-        };
-
-        let ir_event = IrEvent {
-            kind: encoded.event_kind(),
-            task: task_name,
-            ctx: EventCtx {
-                time_us: encoded.timestamp_us,
-                dep_data: encoded.dep_data(),
-                energy_nj: encoded.energy_nj,
-            },
-        };
-
-        // Evaluation errors cannot occur on validated machines; treat
-        // them as accept-silently to keep the monitor total (the C
-        // monitor has no error channel either).
-        let emit = step(m, &mut mstate, &ir_event).unwrap_or(None);
-        scratch.vars = mstate.vars;
-
-        // Only changed cells are staged (matches the generated C, which
-        // only touches FRAM on actual assignments).
-        if mstate.state != before_state {
-            scratch.tx.write(state_cell, mstate.state);
-        }
-        for ((cell, v), old) in var_cells
-            .iter()
-            .zip(&scratch.vars)
-            .zip(&scratch.before_vars)
-        {
-            if v != old {
-                scratch.tx.write(cell, NvValue(*v));
-            }
-        }
-        if let Some(fail) = emit {
-            scratch.emits.push((i, fail.action, fail.path.or(lm.path)));
-        }
-        Ok(())
-    }
-
     /// The verdicts of the loaded delivery (read after
-    /// [`MonitorEngine::load_armed`]).
+    /// [`Engine::load_armed`]).
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
         let count = self.armed.borrow().verdicts;
         // No verdicts, no allocation: an empty `Vec` owns no heap.
@@ -1995,6 +1847,17 @@ pub(crate) fn decode_action(encoded: (u8, u32)) -> Option<Action> {
         4 => Action::CompletePath(path()),
         _ => return None,
     })
+}
+
+/// The FRAM engine inside, for tests that inspect its layout.
+#[cfg(test)]
+impl MonitorEngine {
+    fn fram(&self) -> &Engine {
+        match &self.0 {
+            Core::Fram(e) => e,
+            Core::Host(_) => panic!("the interpreter adapter has no FRAM engine"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -2298,7 +2161,7 @@ mod tests {
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let suite = artemis_ir::compile(spec, &app).unwrap();
         let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        assert_eq!(engine.journal.capacity(), worst);
+        assert_eq!(engine.fram().journal.capacity(), worst);
     }
 
     #[test]
@@ -2661,7 +2524,7 @@ mod tests {
         assert!(per_event > 0, "dispatching key must have a nonzero ceiling");
 
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
         assert_eq!(engine.exec_stats(), ExecStats::default());
         for seq in 1..=EVENTS {
@@ -2673,24 +2536,6 @@ mod tests {
         assert_eq!(stats.machine_steps, EVENTS * MACHINES as u64);
         // Single unguarded transition per machine: executed == ceiling.
         assert_eq!(stats.instructions, EVENTS * per_event);
-
-        // Interpreter mode runs no bytecode: counters stay zero.
-        let mut dev_i = DeviceBuilder::msp430fr5994().build();
-        let engine_i = MonitorEngine::install_with(
-            &mut dev_i,
-            suite,
-            &app,
-            InstallOptions {
-                mode: ExecMode::Interpreter,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
-        engine_i.reset_monitor(&mut dev_i).unwrap();
-        engine_i
-            .call_monitor(&mut dev_i, 1, &MonitorEvent::start(t0, t(1)))
-            .unwrap();
-        assert_eq!(engine_i.exec_stats(), ExecStats::default());
     }
 
     /// The energy twin of [`bounds_model_matches_engine`]: warm
@@ -2829,31 +2674,56 @@ mod tests {
         );
     }
 
-    /// Only compiled engines keep a shadow: the interpreter, the
-    /// independent reference semantics, reads FRAM directly.
+    /// The engine keeps a shadow: its first delivery counts in it.
     #[test]
     fn cache_runs_on_compiled_engines_only() {
-        let app = app();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let (engine, app) = engine(&mut dev, "accel { maxTries: 3 onFail: skipPath; }");
         let accel = app.task_by_name("accel").unwrap();
-        for (mode, shadowed) in [(ExecMode::Compiled, true), (ExecMode::Interpreter, false)] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let suite =
-                artemis_ir::compile("accel { maxTries: 3 onFail: skipPath; }", &app).unwrap();
-            let opts = InstallOptions {
-                mode,
-                ..InstallOptions::default()
-            };
-            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-            engine
-                .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
-                .unwrap();
-            assert_eq!(
-                engine.cache_stats() != CacheStats::default(),
-                shadowed,
-                "{mode:?}"
-            );
+        engine
+            .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
+            .unwrap();
+        assert_ne!(engine.cache_stats(), CacheStats::default());
+    }
+
+    /// The [`ExecMode::Interpreter`] adapter is a host-held
+    /// [`Reference`]: installing and running it allocates no FRAM and
+    /// bills the device nothing, and its verdicts and state are the
+    /// reference's, event for event.
+    #[test]
+    fn interpreter_adapter_is_a_host_reference() {
+        let app = app();
+        let spec = "accel { maxTries: 2 onFail: skipPath; }\n\
+                    send { collect: 2 dpTask: accel onFail: restartPath; }";
+        let suite = artemis_ir::compile(spec, &app).unwrap();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let (used, consumed) = (dev.fram().used(), dev.stats().consumed);
+        let opts = InstallOptions {
+            mode: ExecMode::Interpreter,
+            ..InstallOptions::default()
+        };
+        let adapter = MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).unwrap();
+        adapter.reset_monitor(&mut dev).unwrap();
+        let mut reference = Reference::new(suite, &app).unwrap();
+        let (accel, send) = (TaskId(0), TaskId(1));
+        let events = [
+            MonitorEvent::start(accel, t(1)),
+            MonitorEvent::start(accel, t(2)),
+            MonitorEvent::start(accel, t(3)),
+            MonitorEvent::end(accel, t(4)),
+            MonitorEvent::start(send, t(5)),
+        ];
+        let mut fired = 0;
+        for (i, e) in events.iter().enumerate() {
+            let seq = i as u64 + 1;
+            let energy_nj = dev.energy_level().as_nano_joules();
+            let got = adapter.call_monitor(&mut dev, seq, e).unwrap();
+            assert_eq!(got, reference.deliver(seq, e, energy_nj), "seq {seq}");
+            fired += got.len();
         }
+        assert!(fired >= 2, "premise: both machines fire");
+        assert_eq!(adapter.snapshot(&dev), reference.snapshot());
+        assert_eq!((dev.fram().used(), dev.stats().consumed), (used, consumed));
     }
 
     /// Steady-state deliveries are all hits, a power cycle invalidates
@@ -2989,7 +2859,7 @@ mod tests {
                     engine.call_monitor(&mut dev, seq, &event).unwrap();
                 }
                 let largest = dev.largest_journal_record();
-                assert_eq!(largest, engine.journal.capacity(), "tiny {tiny}");
+                assert_eq!(largest, engine.fram().journal.capacity(), "tiny {tiny}");
                 assert_eq!(largest, bounds.worst_commit_bytes, "tiny {tiny}");
             }
         }
@@ -3068,7 +2938,7 @@ mod tests {
                 .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
                 .unwrap(),
         );
-        let at = engine.header.addr + engine.header.event_count();
+        let at = engine.fram().header.addr + engine.fram().header.event_count();
         dev.nv_write_raw(at, &2u16.to_le_bytes()).unwrap();
         dev.power_cycle();
         assert_eq!(
@@ -3104,8 +2974,11 @@ mod tests {
         };
         let corrupt: Result<(), Interrupt> = Err(Interrupt::Fault(Fault::CorruptState));
 
-        let count_at = |engine: &MonitorEngine| engine.header.addr + engine.header.verdict_count();
-        let done_at = |engine: &MonitorEngine| engine.header.addr + engine.header.done();
+        let count_at = |engine: &MonitorEngine| {
+            engine.fram().header.addr + engine.fram().header.verdict_count()
+        };
+        let done_at =
+            |engine: &MonitorEngine| engine.fram().header.addr + engine.fram().header.done();
         let (mut dev, engine) = fresh();
         dev.nv_write_raw(count_at(&engine), &1_000u32.to_le_bytes())
             .unwrap();
@@ -3132,8 +3005,12 @@ mod tests {
         let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
         assert_eq!(engine.call_monitor(&mut dev, 1, &ev).unwrap().len(), 2);
-        assert_eq!(engine.armed.borrow().ends, [1, 2], "one machine per group");
-        let full = engine.header.slots as u32;
+        assert_eq!(
+            engine.fram().armed.borrow().ends,
+            [1, 2],
+            "one machine per group"
+        );
+        let full = engine.fram().header.slots as u32;
         dev.nv_write_raw(count_at(&engine), &full.to_le_bytes())
             .unwrap();
         dev.nv_write_raw(done_at(&engine), &[0b01]).unwrap();
@@ -3147,7 +3024,7 @@ mod tests {
         // Group 0 persists the arming: a loaded delivery without its
         // bit is no state any commit leaves behind.
         let (mut dev, engine) = fresh();
-        dev.nv_write_raw(done_at(&engine), &vec![0; engine.header.done_len])
+        dev.nv_write_raw(done_at(&engine), &vec![0; engine.fram().header.done_len])
             .unwrap();
         dev.power_cycle();
         assert_eq!(
@@ -3160,7 +3037,7 @@ mod tests {
         let mut cell = [0; VerdictCell::SIZE];
         let bogus: VerdictCell = (999, (0, 0));
         bogus.store(&mut cell);
-        let at = engine.header.addr + engine.header.cell(0);
+        let at = engine.fram().header.addr + engine.fram().header.cell(0);
         dev.nv_write_raw(at, &cell).unwrap();
         dev.power_cycle();
         assert_eq!(
@@ -3183,39 +3060,24 @@ mod tests {
         );
     }
 
-    /// A machine block (or interpreter state cell) whose state word is
-    /// past the machine's state count faults with a typed error on the
-    /// cold load instead of stepping from a state no commit wrote.
+    /// A machine block whose state word is past the machine's state
+    /// count faults with a typed error on the cold load instead of
+    /// stepping from a state no commit wrote.
     #[test]
     fn corrupt_state_word_faults_instead_of_stepping() {
-        let app = app();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let (engine, app) = engine(&mut dev, "accel { maxTries: 5 onFail: skipPath; }");
         let accel = app.task_by_name("accel").unwrap();
-        for mode in [ExecMode::Compiled, ExecMode::Interpreter] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let suite =
-                artemis_ir::compile("accel { maxTries: 5 onFail: skipPath; }", &app).unwrap();
-            let states = suite.machines()[0].states.len() as u32;
-            let opts = InstallOptions {
-                mode,
-                ..InstallOptions::default()
-            };
-            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-            let ev = |us| MonitorEvent::start(accel, t(us));
-            engine.call_monitor(&mut dev, 1, &ev(0)).unwrap();
-            match &engine.machines[0].store {
-                MachineStore::Block { addr, .. } => {
-                    dev.nv_write_raw(*addr, &[states as u8]).unwrap()
-                }
-                MachineStore::Cells { state_cell, .. } => dev.nv_write(state_cell, states).unwrap(),
-            }
-            dev.sram_mut().clear();
-            assert_eq!(
-                engine.call_monitor(&mut dev, 2, &ev(1)),
-                Err(Interrupt::Fault(Fault::CorruptState)),
-                "{mode:?}"
-            );
-        }
+        let states = engine.fram().suite.machines()[0].states.len() as u8;
+        let ev = |us| MonitorEvent::start(accel, t(us));
+        engine.call_monitor(&mut dev, 1, &ev(0)).unwrap();
+        dev.nv_write_raw(engine.fram().machines[0].addr, &[states])
+            .unwrap();
+        dev.sram_mut().clear();
+        assert_eq!(
+            engine.call_monitor(&mut dev, 2, &ev(1)),
+            Err(Interrupt::Fault(Fault::CorruptState))
+        );
     }
 
     /// The armed delivery is one FRAM allocation whose fields tile it
@@ -3227,7 +3089,7 @@ mod tests {
                     send { collect: 2 dpTask: accel onFail: restartPath; }";
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let (engine, _) = engine(&mut dev, spec);
-        let h = &engine.header;
+        let h = &engine.fram().header;
         assert_eq!((h.done_len, h.slots), (1, 2));
         let fields = [
             (0, EncodedEvent::SIZE),
@@ -3461,13 +3323,11 @@ mod finalize_tests {
         let first = MonitorEvent::start(a, SimInstant::from_micros(1));
         let second = MonitorEvent::start(a, SimInstant::from_micros(2));
 
-        let mut steady = DeviceBuilder::msp430fr5994().build();
         let suite = artemis_ir::compile(spec, &app).unwrap();
-        let reference = MonitorEngine::install(&mut steady, suite, &app).unwrap();
-        reference.reset_monitor(&mut steady).unwrap();
-        reference.call_monitor(&mut steady, 1, &first).unwrap();
-        reference.call_monitor(&mut steady, 2, &second).unwrap();
-        let expected = reference.snapshot(&steady);
+        let mut reference = Reference::new(suite, &app).unwrap();
+        reference.deliver(1, &first, 0);
+        reference.deliver(2, &second, 0);
+        let expected = reference.snapshot();
 
         let fresh = || {
             let mut dev = DeviceBuilder::msp430fr5994()
@@ -3483,7 +3343,7 @@ mod finalize_tests {
             let w0 = dev.fram().write_ops();
             engine.call_monitor(&mut dev, 1, &first).unwrap();
             assert_eq!(
-                engine.armed.borrow().ends,
+                engine.fram().armed.borrow().ends,
                 [1, 2, 3],
                 "one machine per group"
             );
@@ -3499,7 +3359,7 @@ mod finalize_tests {
                 Err(Interrupt::PowerFailure)
             );
             dev.power_cycle();
-            let h = &engine.header;
+            let h = &engine.fram().header;
             if dev.peek_raw(h.addr + h.seq(), 8) != 1u64.to_le_bytes() {
                 // Group 0 never landed: the first event is not armed,
                 // and redelivering it is the caller's job.

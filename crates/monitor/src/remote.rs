@@ -1,30 +1,36 @@
-//! The external-monitor deployment alternative (paper §7,
-//! "Implementation Alternatives"): monitors run on a *separate,
-//! continuously-powered* device; the intermittent node ships every
-//! observable event over its radio and receives the verdict back.
+//! The host-side reference semantics, and the external-monitor
+//! deployment alternative built on it (paper §7, "Implementation
+//! Alternatives").
+//!
+//! [`Reference`] runs a suite's state machines through the
+//! tree-walking interpreter of `artemis_ir::exec` over host memory: no
+//! FRAM, no journal, no billing. It is the one oracle every
+//! differential test of the engine compares against, and the monitor
+//! of [`RemoteMonitorEngine`]: monitors on a *separate,
+//! continuously-powered* device, to which the intermittent node ships
+//! every observable event over its radio and which sends the verdict
+//! back.
 //!
 //! The paper predicts the trade-off: "Wireless communication is way
 //! more energy-hungry compared to computation, which can result in
 //! significant overheads" — in exchange for deploying and updating
-//! monitors without touching the node. This module makes that trade-off
-//! measurable: the node pays radio time/energy per event (and keeps
-//! *no* monitor state in its FRAM), while the remote side — modelled
-//! host-side, since it is continuously powered — executes the same
-//! state machines through the reference interpreter.
+//! monitors without touching the node. The remote engine makes that
+//! trade-off measurable: the node pays radio time/energy per event (and
+//! keeps *no* monitor state in its FRAM), while the remote side — a
+//! [`Reference`], since it is continuously powered — executes the same
+//! state machines.
 //!
 //! Reliability model: event delivery is at-least-once (the node
-//! retransmits after a power failure); the remote deduplicates by the
-//! caller's sequence number, exactly like the local engine, so monitor
-//! semantics are identical and only the cost profile changes.
+//! retransmits after a power failure); the reference deduplicates by
+//! the caller's sequence number, exactly like the local engine, so
+//! monitor semantics are identical and only the cost profile changes.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId};
 use artemis_core::event::MonitorEvent;
-use artemis_ir::exec::{step, IrEvent, MachineState};
-use artemis_ir::expr::EventCtx;
+use artemis_ir::exec::{ir_event, step, MachineState};
+use artemis_ir::expr::Value;
 use artemis_ir::fsm::MonitorSuite;
 use artemis_ir::validate::validate_strict;
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
@@ -40,20 +46,127 @@ const VERDICT_MSG_BYTES: usize = 16;
 /// Bytes for a control message (reset / path restart).
 const CONTROL_MSG_BYTES: usize = 8;
 
-struct RemoteState {
-    /// One state per machine of the engine's suite, in suite order.
+/// The reference semantics of a monitor suite, held in host memory.
+///
+/// Events go in with their sequence number and the energy reading
+/// their guards see; verdicts and every machine's `(state, vars)` come
+/// out. A delivery under the last delivered sequence number returns
+/// that delivery's verdicts without stepping any machine — the
+/// exactly-once contract of [`Monitoring::call_monitor`]. Host memory
+/// survives simulated power failures, so nothing here ever needs
+/// finalizing.
+pub struct Reference {
+    suite: MonitorSuite,
+    /// Task names by dense task id, which the interpreter matches
+    /// triggers against.
+    task_names: Vec<String>,
+    /// One state per machine, in suite order.
     machines: Vec<MachineState>,
-    /// Last processed sequence number and its verdicts (dedup).
+    /// The last delivered sequence number and its verdicts.
     last: Option<(u64, Vec<MonitorVerdict>)>,
 }
 
-/// Monitors deployed on an external, continuously-powered device.
+impl Reference {
+    /// Validates `suite` against `app` and starts every machine in its
+    /// initial `(state, vars)`.
+    pub fn new(suite: MonitorSuite, app: &AppGraph) -> Result<Self, InstallError> {
+        for m in suite.machines() {
+            validate_strict(m).map_err(InstallError::Invalid)?;
+            for task in m.observed_tasks() {
+                if app.task_by_name(task).is_none() {
+                    return Err(InstallError::UnknownTask {
+                        machine: m.name.clone(),
+                        task: task.to_string(),
+                    });
+                }
+            }
+        }
+        Ok(Reference {
+            machines: suite.machines().iter().map(MachineState::initial).collect(),
+            task_names: app.tasks().iter().map(|t| t.name.clone()).collect(),
+            suite,
+            last: None,
+        })
+    }
+
+    /// Delivers `event` under `seq`, its energy guards reading
+    /// `energy_nj`, and returns the verdicts of every machine that
+    /// reported a violation. A machine whose `Path:` qualifier names
+    /// another path than the event's is not stepped. Redelivering the
+    /// last sequence number returns its verdicts again and steps
+    /// nothing.
+    pub fn deliver(&mut self, seq: u64, event: &MonitorEvent, energy_nj: u64) -> &[MonitorVerdict] {
+        if !matches!(self.last, Some((last, _)) if last == seq) {
+            let task = self.task_names.get(event.task.index());
+            let ir = ir_event(event, task.map_or("", String::as_str), energy_nj);
+            let mut verdicts = Vec::new();
+            let machines = self.suite.machines().iter().zip(&mut self.machines);
+            for (machine_index, (machine, state)) in machines.enumerate() {
+                if let (Some(mp), Some(ep)) = (machine.path, event.path) {
+                    if mp != ep.number() {
+                        continue;
+                    }
+                }
+                // Evaluation errors cannot occur on validated machines;
+                // like the engine, treat them as accept-silently.
+                if let Ok(Some(fail)) = step(machine, state, &ir) {
+                    let encoded = encode_action(fail.action, fail.path.or(machine.path));
+                    verdicts.extend(decode_action(encoded).map(|action| MonitorVerdict {
+                        machine_index,
+                        machine: machine.name.clone(),
+                        action,
+                    }));
+                }
+            }
+            self.last = Some((seq, verdicts));
+        }
+        self.last_verdicts()
+    }
+
+    /// The verdicts of the last delivery; none before the first one or
+    /// after a [`Reference::reset`].
+    pub(crate) fn last_verdicts(&self) -> &[MonitorVerdict] {
+        self.last.as_ref().map_or(&[], |(_, v)| v)
+    }
+
+    /// Re-initialises every machine and forgets the last delivery
+    /// (Figure 8, `resetMonitor`).
+    pub fn reset(&mut self) {
+        for (machine, state) in self.suite.machines().iter().zip(&mut self.machines) {
+            state.reset(machine);
+        }
+        self.last = None;
+    }
+
+    /// Re-initialises the machines a restart of `path` affects: those
+    /// flagged `reset_on_path_restart` whose `Path:` is `path`.
+    pub fn restart_path(&mut self, path: PathId) {
+        for (machine, state) in self.suite.machines().iter().zip(&mut self.machines) {
+            if machine.reset_on_path_restart && machine.path == Some(path.number()) {
+                state.reset(machine);
+            }
+        }
+    }
+
+    /// Every machine's `(state, vars)`, in suite order — the shape of
+    /// [`crate::MonitorEngine::snapshot`].
+    pub fn snapshot(&self) -> Vec<(u32, Vec<Value>)> {
+        self.machines
+            .iter()
+            .map(|m| (m.state, m.vars.clone()))
+            .collect()
+    }
+
+    /// The suite this reference runs.
+    pub(crate) fn suite(&self) -> &MonitorSuite {
+        &self.suite
+    }
+}
+
+/// Monitors deployed on an external, continuously-powered device: a
+/// [`Reference`] the node reaches over its radio.
 pub struct RemoteMonitorEngine {
-    suite: MonitorSuite,
-    task_names: Vec<String>,
-    state: RefCell<RemoteState>,
-    /// Verdict cache by sequence number for re-queries.
-    replies: RefCell<HashMap<u64, Vec<MonitorVerdict>>>,
+    reference: RefCell<Reference>,
 }
 
 impl RemoteMonitorEngine {
@@ -66,75 +179,9 @@ impl RemoteMonitorEngine {
         suite: MonitorSuite,
         app: &AppGraph,
     ) -> Result<Self, InstallError> {
-        for m in suite.machines() {
-            validate_strict(m).map_err(InstallError::Invalid)?;
-            for task in m.observed_tasks() {
-                if app.task_by_name(task).is_none() {
-                    return Err(InstallError::UnknownTask {
-                        machine: m.name.clone(),
-                        task: task.to_string(),
-                    });
-                }
-            }
-        }
-        let machines = suite.machines().iter().map(MachineState::initial).collect();
         Ok(RemoteMonitorEngine {
-            suite,
-            task_names: app.tasks().iter().map(|t| t.name.clone()).collect(),
-            state: RefCell::new(RemoteState {
-                machines,
-                last: None,
-            }),
-            replies: RefCell::new(HashMap::new()),
+            reference: RefCell::new(Reference::new(suite, app)?),
         })
-    }
-
-    /// Steps the remote machines (free for the node: the remote device
-    /// is mains-powered).
-    fn remote_step(&self, seq: u64, event: &MonitorEvent, energy_nj: u64) -> Vec<MonitorVerdict> {
-        let mut state = self.state.borrow_mut();
-        if let Some((last_seq, verdicts)) = &state.last {
-            if *last_seq == seq {
-                return verdicts.clone();
-            }
-        }
-        let task_name = self
-            .task_names
-            .get(event.task.index())
-            .cloned()
-            .unwrap_or_default();
-        let mut verdicts = Vec::new();
-        let machines = self.suite.machines().iter().zip(&mut state.machines);
-        for (idx, (machine, mstate)) in machines.enumerate() {
-            // The `Path:` qualifier filter, as in the local engine.
-            if let (Some(mp), Some(ep)) = (machine.path, event.path) {
-                if mp != ep.number() {
-                    continue;
-                }
-            }
-            let ir_event = IrEvent {
-                kind: event.kind,
-                task: &task_name,
-                ctx: EventCtx {
-                    time_us: event.timestamp.as_micros(),
-                    dep_data: event.dep_data,
-                    energy_nj,
-                },
-            };
-            if let Ok(Some(fail)) = step(machine, mstate, &ir_event) {
-                let encoded = encode_action(fail.action, fail.path.or(machine.path));
-                if let Some(action) = decode_action(encoded) {
-                    verdicts.push(MonitorVerdict {
-                        machine_index: idx,
-                        machine: machine.name.clone(),
-                        action,
-                    });
-                }
-            }
-        }
-        state.last = Some((seq, verdicts.clone()));
-        self.replies.borrow_mut().insert(seq, verdicts.clone());
-        verdicts
     }
 }
 
@@ -142,12 +189,7 @@ impl Monitoring for RemoteMonitorEngine {
     fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
         // A control message over the radio.
         dev.billed(CostCategory::Monitor, |dev| dev.transmit(CONTROL_MSG_BYTES))?;
-        let mut state = self.state.borrow_mut();
-        for (machine, mstate) in self.suite.machines().iter().zip(&mut state.machines) {
-            mstate.reset(machine);
-        }
-        state.last = None;
-        self.replies.borrow_mut().clear();
+        self.reference.borrow_mut().reset();
         Ok(())
     }
 
@@ -166,41 +208,34 @@ impl Monitoring for RemoteMonitorEngine {
         // Pay for the radio round-trip FIRST: if the transmit browns
         // out, the event was not delivered and the re-attempt
         // retransmits under the same sequence number (dedup makes this
-        // exactly-once in effect).
+        // exactly-once in effect). The remote device steps for free: it
+        // is mains-powered.
         dev.billed(CostCategory::Monitor, |dev| {
             dev.transmit(EVENT_MSG_BYTES)?;
             dev.receive(VERDICT_MSG_BYTES)
         })?;
-        Ok(self.remote_step(seq, event, energy_nj))
+        let mut reference = self.reference.borrow_mut();
+        Ok(reference.deliver(seq, event, energy_nj).to_vec())
     }
 
     fn last_verdicts(&self, _dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        Ok(self
-            .state
-            .borrow()
-            .last
-            .as_ref()
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default())
+        Ok(self.reference.borrow().last_verdicts().to_vec())
     }
 
     fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
         dev.billed(CostCategory::Monitor, |dev| dev.transmit(CONTROL_MSG_BYTES))?;
-        let mut state = self.state.borrow_mut();
-        for (machine, mstate) in self.suite.machines().iter().zip(&mut state.machines) {
-            if machine.reset_on_path_restart && machine.path == Some(path.number()) {
-                mstate.reset(machine);
-            }
-        }
+        self.reference.borrow_mut().restart_path(path);
         Ok(())
     }
 
     fn machine_count(&self) -> usize {
-        self.suite.len()
+        self.reference.borrow().suite().len()
     }
 
     fn machine_names(&self) -> Vec<String> {
-        self.suite
+        let reference = self.reference.borrow();
+        reference
+            .suite()
             .machines()
             .iter()
             .map(|m| m.name.clone())
@@ -243,13 +278,11 @@ impl Monitoring for NoMonitoring {
     }
 }
 
-// Keep `Action` referenced for rustdoc links.
-const _: Option<Action> = None;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artemis_core::app::AppGraphBuilder;
+    use artemis_core::action::Action;
+    use artemis_core::app::{AppGraphBuilder, TaskId};
     use artemis_core::time::SimInstant;
     use intermittent_sim::device::DeviceBuilder;
 
@@ -343,6 +376,133 @@ mod tests {
             spent.as_micro_joules() > 100,
             "expected radio-scale energy, got {spent}"
         );
+    }
+
+    /// Counting machines: three on `accel` — on path 1 persistent and
+    /// resettable, on path 2 resettable — and one on `send`.
+    fn counting_reference() -> Reference {
+        let app = app();
+        let counter = |name: &str, task: &str, header: &str| {
+            format!(
+                "machine {name} task {task} {header} {{ var n: int = 0; state S initial; \
+                 on startTask({task}) from S to S {{ n := (n + 1); }}; }}\n"
+            )
+        };
+        let src = counter("kept", "accel", "path 1 persistent")
+            + &counter("bound", "accel", "path 1 resettable")
+            + &counter("other", "accel", "path 2 resettable")
+            + &counter("sent", "send", "persistent");
+        let suite = artemis_ir::parse::parse_suite(&src).unwrap();
+        Reference::new(suite, &app).unwrap()
+    }
+
+    /// Steps every machine of [`counting_reference`] once.
+    fn step_counters(reference: &mut Reference) {
+        reference.deliver(1, &MonitorEvent::start(TaskId(0), t(0)), 0);
+        reference.deliver(2, &MonitorEvent::start(TaskId(1), t(1)), 0);
+        let counts = reference.snapshot().into_iter().map(|(_, vars)| vars[0]);
+        assert!(counts.into_iter().all(|n| n == Value::Int(1)));
+    }
+
+    #[test]
+    fn reference_redelivery_returns_stored_verdicts_without_stepping() {
+        let app = app();
+        let suite = artemis_ir::compile("accel { maxTries: 1 onFail: skipPath; }", &app).unwrap();
+        let mut reference = Reference::new(suite, &app).unwrap();
+        let start = |us| MonitorEvent::start(TaskId(0), t(us));
+        assert!(reference.deliver(1, &start(0), 0).is_empty());
+        let fired = reference.deliver(2, &start(1), 0).to_vec();
+        assert_eq!(fired.len(), 1);
+        let state = reference.snapshot();
+        for _ in 0..3 {
+            assert_eq!(reference.deliver(2, &start(1), 0), fired.as_slice());
+            assert_eq!(reference.snapshot(), state, "a redelivery stepped");
+        }
+        assert_eq!(reference.last_verdicts(), fired.as_slice());
+    }
+
+    #[test]
+    fn reference_reset_restores_every_initial_state() {
+        let mut reference = counting_reference();
+        let initial = reference.snapshot();
+        step_counters(&mut reference);
+        reference.reset();
+        assert_eq!(reference.snapshot(), initial);
+        assert!(reference.last_verdicts().is_empty());
+    }
+
+    #[test]
+    fn reference_path_restart_resets_only_flagged_machines_of_that_path() {
+        let mut reference = counting_reference();
+        step_counters(&mut reference);
+        let n = |r: &Reference| -> Vec<Value> {
+            r.snapshot().into_iter().map(|(_, vars)| vars[0]).collect()
+        };
+        let (zero, one) = (Value::Int(0), Value::Int(1));
+        // One-based path 1 is `PathId(0)`.
+        reference.restart_path(PathId(0));
+        assert_eq!(n(&reference), [one, zero, one, one]);
+        reference.restart_path(PathId(1));
+        assert_eq!(n(&reference), [one, zero, zero, one]);
+    }
+
+    /// A seeded walk over the Fig. 5 app's paths: per task, 1–4 starts
+    /// and an end carrying a value when the task declares one, with
+    /// gaps from 1 ms to 10 min so time-guarded properties take both
+    /// branches.
+    fn figure5_walk(app: &AppGraph, mut seed: u64, n: usize) -> Vec<MonitorEvent> {
+        let mut next = move |below: u64| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let mut time = 0u64;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let p = next(app.paths().len() as u64) as usize;
+            for &task in &app.paths()[p].tasks {
+                for _ in 0..=next(4) {
+                    time += 1_000 + next(600_000_000);
+                    out.push(MonitorEvent::start(task, t(time)).on_path(PathId(p as u32)));
+                }
+                time += 1_000 + next(600_000_000);
+                let end = match app.tasks()[task.index()].monitored_var {
+                    Some(_) => MonitorEvent::end_with_data(task, t(time), 30.0 + next(16) as f64),
+                    None => MonitorEvent::end(task, t(time)),
+                };
+                out.push(end.on_path(PathId(p as u32)));
+            }
+        }
+        out.truncate(n);
+        out
+    }
+
+    #[test]
+    fn reference_remote_and_compiled_engines_agree_on_a_figure5_walk() {
+        let app = artemis_bench::health::health_app();
+        let suite = artemis_ir::compile(artemis_bench::health::HEALTH_SPEC, &app).unwrap();
+        let mut reference = Reference::new(suite.clone(), &app).unwrap();
+        let mut remote_dev = DeviceBuilder::msp430fr5994().build();
+        let remote = RemoteMonitorEngine::install(&mut remote_dev, suite.clone(), &app).unwrap();
+        remote.reset_monitor(&mut remote_dev).unwrap();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let engine = crate::MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+
+        let mut fired = 0;
+        for (i, e) in figure5_walk(&app, 5, 2_000).iter().enumerate() {
+            let seq = i as u64 + 1;
+            let expected = reference.deliver(seq, e, dev.energy_level().as_nano_joules());
+            let compiled = engine.call_monitor(&mut dev, seq, e).unwrap();
+            assert_eq!(compiled, expected, "compiled engine, seq {seq}");
+            let remote_verdicts = remote.call_monitor(&mut remote_dev, seq, e).unwrap();
+            assert_eq!(remote_verdicts, expected, "remote engine, seq {seq}");
+            fired += expected.len();
+        }
+        assert!(fired > 10, "the walk fired only {fired} verdicts");
+        assert_eq!(engine.snapshot(&dev), reference.snapshot());
     }
 
     #[test]

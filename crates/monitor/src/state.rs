@@ -1,40 +1,7 @@
-//! Nonvolatile encodings of monitor values and events.
+//! The nonvolatile encoding of the armed event.
 
 use artemis_core::event::{EventKind, MonitorEvent};
-use artemis_ir::expr::Value;
 use intermittent_sim::fram::NvData;
-
-/// A [`Value`] with a fixed 9-byte FRAM encoding: 1 tag byte + 8
-/// payload bytes, little-endian.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct NvValue(pub Value);
-
-impl NvData for NvValue {
-    const SIZE: usize = 9;
-
-    fn store(&self, dst: &mut [u8]) {
-        let (tag, payload): (u8, u64) = match self.0 {
-            Value::Int(v) => (0, v as u64),
-            Value::Bool(v) => (1, u64::from(v)),
-            Value::Time(v) => (2, v),
-            Value::Float(v) => (3, v.to_bits()),
-        };
-        dst[0] = tag;
-        dst[1..9].copy_from_slice(&payload.to_le_bytes());
-    }
-
-    fn load(src: &[u8]) -> Self {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&src[1..9]);
-        let payload = u64::from_le_bytes(buf);
-        NvValue(match src[0] {
-            0 => Value::Int(payload as i64),
-            1 => Value::Bool(payload != 0),
-            2 => Value::Time(payload),
-            _ => Value::Float(f64::from_bits(payload)),
-        })
-    }
-}
 
 /// The persistent event variable (paper Figure 8's `MonitorEvent_t`):
 /// kind, task index, timestamp, optional monitored value, and the
@@ -144,17 +111,6 @@ mod tests {
         let mut buf = vec![0u8; T::SIZE];
         v.store(&mut buf);
         assert_eq!(T::load(&buf), v);
-    }
-
-    #[test]
-    fn nv_value_round_trips_all_variants() {
-        round_trip(NvValue(Value::Int(-42)));
-        round_trip(NvValue(Value::Int(i64::MAX)));
-        round_trip(NvValue(Value::Bool(true)));
-        round_trip(NvValue(Value::Bool(false)));
-        round_trip(NvValue(Value::Time(u64::MAX)));
-        round_trip(NvValue(Value::Float(36.6)));
-        round_trip(NvValue(Value::Float(-0.0)));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! power failure (`Device::fail_before_write`), and every write op of
 //! the recovery that follows is replaced by a second one. After each
 //! schedule the run must end with exactly the verdicts and the
-//! FRAM-visible machine state (`snapshot`) of the continuous-power
-//! interpreter run — the formal criterion that an execution interrupted
-//! at any FRAM write is indistinguishable from a continuous one.
+//! FRAM-visible machine state (`snapshot`) of [`Reference`], the
+//! interpreter over host memory — the formal criterion that an
+//! execution interrupted at any FRAM write is indistinguishable from a
+//! continuous one.
 //!
 //! The explorer covers the Fig. 5 suite and the every-byte-flips suite;
 //! a suite whose group 0 logs several verdicts in one delivery, so the
@@ -32,7 +33,7 @@ use artemis_ir::analysis::delivery_floor;
 use artemis_ir::expr::Value;
 use artemis_ir::opt::OptLevel;
 use artemis_ir::{CompiledSuite, MonitorSuite};
-use artemis_monitor::{ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
+use artemis_monitor::{InstallOptions, MonitorEngine, MonitorVerdict, Reference};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::Interrupt;
 use intermittent_sim::device::{Device, DeviceBuilder};
@@ -206,22 +207,17 @@ fn device(tiny: bool) -> Device {
     }
 }
 
-/// The reference: the interpreter, event by event, on continuous power.
+/// The expected outcome: [`Reference`]'s, event by event. No explored
+/// suite guards on the energy level, so every delivery reads zero.
 fn reference(w: &Workload) -> Outcome {
-    let mut dev = device(false);
-    let opts = InstallOptions {
-        mode: ExecMode::Interpreter,
-        ..InstallOptions::default()
-    };
-    let engine = MonitorEngine::install_with(&mut dev, w.suite.clone(), &w.app, opts).unwrap();
-    engine.reset_monitor(&mut dev).unwrap();
+    let mut reference = Reference::new(w.suite.clone(), &w.app).unwrap();
     let verdicts = w
         .events
         .iter()
         .enumerate()
-        .map(|(i, e)| engine.call_monitor(&mut dev, i as u64 + 1, e).unwrap())
+        .map(|(i, e)| reference.deliver(i as u64 + 1, e, 0).to_vec())
         .collect();
-    (verdicts, engine.snapshot(&dev))
+    (verdicts, reference.snapshot())
 }
 
 /// What one explored run observed besides its outcome.
@@ -320,26 +316,24 @@ fn explore(w: &Workload) -> usize {
 
 #[test]
 fn figure5_per_event_crash_points_match_the_interpreter() {
-    assert!(explore(&figure5()) > 1_000);
+    assert_eq!(explore(&figure5()), 1_374);
 }
 
 #[test]
 fn flip_per_event_crash_points_match_the_interpreter() {
-    assert!(explore(&flip()) > 500);
+    assert_eq!(explore(&flip()), 2_016);
 }
 
 /// Group 0 logs two verdicts per event in its header run (one group);
 /// on the tiny device group 1 appends its cell after group 0's.
 #[test]
 fn multi_verdict_crash_points_match_the_interpreter() {
-    let per_event = explore(&emitters());
-    assert!(per_event > 200, "{per_event}");
+    assert_eq!(explore(&emitters()), 715);
 }
 
 #[test]
 fn minimal_spec_crash_points_match_the_interpreter() {
-    let per_event = explore(&minimal());
-    assert!(per_event > 200, "{per_event}");
+    assert_eq!(explore(&minimal()), 752);
 }
 
 /// The two devices really are the two commit-group regimes: on the

@@ -1,22 +1,22 @@
 //! The persistent engine must implement exactly the reference
-//! semantics: for any event stream, the verdicts of
+//! semantics: for any event stream, the verdicts and machine state of
 //! [`MonitorEngine`] (FRAM-backed, journaled, resumable) equal those of
-//! the pure in-memory interpreter in `artemis_ir::exec` — with and
-//! without power failures injected between deliveries.
+//! [`Reference`], the in-memory interpreter of `artemis_ir::exec` — with
+//! and without power failures injected between deliveries.
 //!
 //! Every differential property runs across the whole configuration
 //! matrix ([`matrix`]: warm and always-cold reads × both bytecode
 //! optimization levels), so one `cargo test` covers every engine the
 //! install options can build, on both of its read paths.
 
+use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
 use artemis_core::time::{SimDuration, SimInstant};
-use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::{MonitorSuite, OptLevel};
-use artemis_monitor::{ExecMode, InstallOptions, MonitorEngine, MonitorVerdict};
+use artemis_monitor::{InstallOptions, MonitorEngine, MonitorVerdict, Reference};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
@@ -69,7 +69,7 @@ impl Config {
 /// Every compiled-engine configuration the differential properties
 /// run: warm and always-cold reads × both bytecode optimization levels
 /// (the cache and the optimizer are each observationally invisible,
-/// so every cell must match the interpreter).
+/// so every cell must match the reference).
 fn matrix() -> impl Iterator<Item = Config> {
     [false, true].into_iter().flat_map(|always_cold| {
         [OptLevel::Full, OptLevel::None]
@@ -92,14 +92,9 @@ fn always_cold() -> Config {
     }
 }
 
-/// The interpreter's options: the reference semantics every matrix
-/// cell is compared against.
-fn interpreter() -> InstallOptions {
-    InstallOptions {
-        mode: ExecMode::Interpreter,
-        ..InstallOptions::default()
-    }
-}
+/// The energy reading every reference delivery passes: no suite here
+/// guards on the energy level.
+const ENERGY_NJ: u64 = u64::MAX;
 
 /// An intermittent device that browns out every `budget_nj`.
 fn flaky_device(budget_nj: u64) -> Device {
@@ -133,30 +128,38 @@ fn ev_strategy() -> impl Strategy<Value = Vec<Ev>> {
     )
 }
 
-/// Reference verdicts from the pure interpreter.
+/// A verdict as `(machine index, property action)`.
+fn verdict_code(v: &MonitorVerdict) -> (usize, OnFail) {
+    let action = match v.action {
+        Action::RestartTask => OnFail::RestartTask,
+        Action::SkipTask => OnFail::SkipTask,
+        Action::RestartPath(_) => OnFail::RestartPath,
+        Action::SkipPath(_) => OnFail::SkipPath,
+        Action::CompletePath(_) => OnFail::CompletePath,
+    };
+    (v.machine_index, action)
+}
+
+/// The event `e` names at time `t`.
+fn plain_event(e: &Ev, t: u64) -> MonitorEvent {
+    let task = if e.task_a { TaskId(0) } else { TaskId(1) };
+    if e.start {
+        MonitorEvent::start(task, SimInstant::from_micros(t))
+    } else {
+        MonitorEvent::end(task, SimInstant::from_micros(t))
+    }
+}
+
+/// Reference verdicts of [`SPEC`] on `events`.
 fn oracle(app: &AppGraph, events: &[Ev]) -> Vec<Vec<(usize, OnFail)>> {
     let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let mut states: Vec<MachineState> =
-        suite.machines().iter().map(MachineState::initial).collect();
+    let mut reference = Reference::new(suite, app).unwrap();
     let mut t = 0u64;
     let mut out = Vec::new();
-    for e in events {
+    for (idx, e) in events.iter().enumerate() {
         t += e.gap_ms * 1_000;
-        let task = if e.task_a { TaskId(0) } else { TaskId(1) };
-        let event = if e.start {
-            MonitorEvent::start(task, SimInstant::from_micros(t))
-        } else {
-            MonitorEvent::end(task, SimInstant::from_micros(t))
-        };
-        let name = app.task_name(task);
-        let mut verdicts = Vec::new();
-        for (i, (machine, state)) in suite.machines().iter().zip(states.iter_mut()).enumerate() {
-            let ir = ir_event(&event, name, u64::MAX);
-            if let Some(fail) = step(machine, state, &ir).unwrap() {
-                verdicts.push((i, fail.action));
-            }
-        }
-        out.push(verdicts);
+        let verdicts = reference.deliver(idx as u64 + 1, &plain_event(e, t), ENERGY_NJ);
+        out.push(verdicts.iter().map(verdict_code).collect());
     }
     out
 }
@@ -184,34 +187,16 @@ fn engine_run(
             if idx >= events.len() {
                 return Ok(());
             }
-            let e = events[idx];
             // Times derive from the index, not the device clock, so
             // both runs see identical timestamps.
             let t: u64 = events[..=idx].iter().map(|e| e.gap_ms * 1_000).sum();
-            let task = if e.task_a { TaskId(0) } else { TaskId(1) };
-            let event = if e.start {
-                MonitorEvent::start(task, SimInstant::from_micros(t))
-            } else {
-                MonitorEvent::end(task, SimInstant::from_micros(t))
-            };
+            let event = plain_event(&events[idx], t);
             let seq = idx as u64 + 1;
             cfg.before_delivery(dev);
             let verdicts = engine.call_monitor(dev, seq, &event)?;
             // Record (volatile is fine: re-recording after a failure
             // overwrites the same index deterministically).
-            let entry: Vec<(usize, OnFail)> = verdicts
-                .iter()
-                .map(|v| {
-                    let action = match v.action {
-                        artemis_core::Action::RestartTask => OnFail::RestartTask,
-                        artemis_core::Action::SkipTask => OnFail::SkipTask,
-                        artemis_core::Action::RestartPath(_) => OnFail::RestartPath,
-                        artemis_core::Action::SkipPath(_) => OnFail::SkipPath,
-                        artemis_core::Action::CompletePath(_) => OnFail::CompletePath,
-                    };
-                    (v.machine_index, action)
-                })
-                .collect();
+            let entry: Vec<(usize, OnFail)> = verdicts.iter().map(verdict_code).collect();
             if results.len() <= idx {
                 results.resize(idx + 1, Vec::new());
             }
@@ -224,13 +209,14 @@ fn engine_run(
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: compiled bytecode vs tree-walking interpreter.
+// Differential tests: the engine vs the reference.
 //
-// The two execution modes of the engine differ in everything but
-// semantics — storage layout (block vs cells), trigger test (dispatch
-// table vs observed set), evaluation (bytecode vs tree walk) — so for
-// any spec, any event stream and any power-failure schedule they must
-// produce identical verdicts AND identical FRAM-visible machine state.
+// The engine and `Reference` differ in everything but semantics —
+// storage (packed FRAM blocks vs host memory), trigger test (routing
+// index and dispatch tables vs a scan of every machine), evaluation
+// (bytecode vs tree walk) — so for any spec, any event stream and any
+// power-failure schedule the engine must produce the reference's
+// verdicts AND its machine state, FRAM-visible in the engine.
 // ---------------------------------------------------------------------------
 
 /// App with a producer task `a` (declaring the variable `temp` so
@@ -341,6 +327,30 @@ fn engine_run_opts(
     engine_run_suite(app, suite, events, dev, cfg)
 }
 
+/// The reference's per-event verdicts and final machine state on one
+/// stream of the rich app.
+fn reference_run(app: &AppGraph, suite: MonitorSuite, events: &[(Ev, Option<u32>)]) -> RunOutcome {
+    let mut reference = Reference::new(suite, app).unwrap();
+    let mut t = 0u64;
+    let verdicts = events
+        .iter()
+        .enumerate()
+        .map(|(idx, (e, dep))| {
+            t += e.gap_ms * 1_000;
+            let event = rich_event(e, *dep, t);
+            reference
+                .deliver(idx as u64 + 1, &event, ENERGY_NJ)
+                .to_vec()
+        })
+        .collect();
+    (verdicts, reference.snapshot())
+}
+
+/// [`reference_run`] of a spec.
+fn reference_run_spec(app: &AppGraph, spec: &str, events: &[(Ev, Option<u32>)]) -> RunOutcome {
+    reference_run(app, artemis_ir::compile(spec, app).unwrap(), events)
+}
+
 /// [`engine_run_opts`] over an already-lowered suite.
 fn engine_run_suite(
     app: &AppGraph,
@@ -403,7 +413,7 @@ fn hundred_machine_suite() -> MonitorSuite {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Continuous power: engine ≡ interpreter, verdict for verdict, in
+    /// Continuous power: engine ≡ reference, verdict for verdict, in
     /// every configuration.
     #[test]
     fn engine_equals_interpreter_on_continuous_power(events in ev_strategy()) {
@@ -430,9 +440,9 @@ proptest! {
         }
     }
 
-    /// Random specs, continuous power: the compiled engine agrees with
-    /// the interpreter engine on every verdict (machine, action, path
-    /// target) and on the final persistent machine state — routed
+    /// Random specs, continuous power: the engine agrees with the
+    /// reference on every verdict (machine, action, path target) and on
+    /// the final persistent machine state — routed
     /// worklists, span loads, sparse and whole-block commits, the
     /// shadow cache and the optimizer included.
     #[test]
@@ -441,7 +451,7 @@ proptest! {
         events in rich_ev_strategy(),
     ) {
         let app = rich_app();
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        let (vi, si) = reference_run_spec(&app, &spec, &events);
         for cfg in matrix() {
             let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut steady_device(), cfg);
             prop_assert_eq!(&vc, &vi, "verdict divergence, {:?}, spec: {}", cfg, spec);
@@ -449,9 +459,9 @@ proptest! {
         }
     }
 
-    /// Random specs under random power-failure schedules: the compiled
-    /// engine on an intermittent device must match the interpreter on
-    /// continuous power — resumability and semantics at once.
+    /// Random specs under random power-failure schedules: the engine on
+    /// an intermittent device must match the reference — resumability
+    /// and semantics at once.
     #[test]
     fn compiled_equals_interpreter_under_random_power_failures(
         spec in spec_strategy(),
@@ -459,7 +469,7 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut steady_device(), interpreter());
+        let (vi, si) = reference_run_spec(&app, &spec, &events);
         for cfg in matrix() {
             let (vc, sc) =
                 engine_run_opts(&app, &spec, &events, &mut flaky_device(budget_nj), cfg);
@@ -500,7 +510,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// A 100-machine suite routes, installs with the shadow cache, and
-    /// matches the interpreter on verdicts and FRAM-visible state under
+    /// matches the reference on verdicts and FRAM-visible state under
     /// random power failures — no machine-count cliff.
     #[test]
     fn hundred_machine_suite_matches_interpreter_under_power_failures(
@@ -512,8 +522,7 @@ proptest! {
         let engine = MonitorEngine::install(&mut dev, hundred_machine_suite(), &app).unwrap();
         prop_assert_eq!(engine.machine_count(), 100);
 
-        let (vi, si) = engine_run_suite(
-            &app, hundred_machine_suite(), &events, &mut steady_device(), interpreter());
+        let (vi, si) = reference_run(&app, hundred_machine_suite(), &events);
         for cfg in matrix() {
             let (vc, sc) = engine_run_suite(
                 &app, hundred_machine_suite(), &events, &mut flaky_device(budget_nj), cfg);
@@ -577,13 +586,7 @@ fn crash_events() -> Vec<(Ev, Option<u32>)> {
 fn arming_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let (vf, sf) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut steady_device(),
-        interpreter(),
-    );
+    let (vf, sf) = reference_run_spec(&app, CRASH_SPEC, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
@@ -675,10 +678,22 @@ const TWIN_IR: &str = "\
         state S initial; \
         on startTask(a) from S to S { a := (a + 1); b := (b + 1); }; }";
 
+/// The reference's machine state after `events` starts of `a`, one
+/// millisecond apart, through [`TWIN_IR`].
+fn twin_reference(app: &AppGraph, events: u64) -> Vec<(u32, Vec<Value>)> {
+    let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
+    let mut reference = Reference::new(suite, app).unwrap();
+    for seq in 1..=events {
+        let event = MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000));
+        reference.deliver(seq, &event, ENERGY_NJ);
+    }
+    reference.snapshot()
+}
+
 /// Budget sweep landing brown-outs in every window of the sparse
 /// commit: after every recovery point the two correlated counters must
 /// be equal (old image or new image, never a mix), and the final state
-/// must match a continuous-power interpreter run.
+/// must match the reference's.
 #[test]
 fn sparse_delta_commit_crash_windows_never_tear() {
     const EVENTS: u64 = 30;
@@ -700,23 +715,7 @@ fn sparse_delta_commit_crash_windows_never_tear() {
     );
     assert_eq!(key.degraded_machines, 0);
 
-    // Continuous-power interpreter reference image.
-    let reference = {
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install_with(&mut dev, suite, &app, interpreter()).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-        for seq in 1..=EVENTS {
-            engine
-                .call_monitor(
-                    &mut dev,
-                    seq,
-                    &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                )
-                .unwrap();
-        }
-        engine.snapshot(&dev)
-    };
+    let reference = twin_reference(&app, EVENTS);
 
     let twins = |snap: &[(u32, Vec<Value>)]| (snap[0].1[0], snap[0].1[1]);
 
@@ -789,24 +788,14 @@ fn sparse_delta_commit_crash_windows_never_tear() {
 /// Budget sweep landing brown-outs in every window of the diff-commit
 /// transaction (>100 reboots) on the always-cold engine: the correlated
 /// counters must be equal at every recovery point, and the final image
-/// must match a continuous-power interpreter run.
+/// must match the reference's.
 #[test]
 fn diff_commit_crash_windows_never_tear() {
     const EVENTS: u64 = 30;
     let app = rich_app();
     let event = |seq: u64| MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000));
 
-    // Continuous-power interpreter reference image.
-    let reference = {
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install_with(&mut dev, suite, &app, interpreter()).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-        for seq in 1..=EVENTS {
-            engine.call_monitor(&mut dev, seq, &event(seq)).unwrap();
-        }
-        engine.snapshot(&dev)
-    };
+    let reference = twin_reference(&app, EVENTS);
 
     let twins = |snap: &[(u32, Vec<Value>)]| (snap[0].1[0], snap[0].1[1]);
 
@@ -861,25 +850,19 @@ fn diff_commit_crash_windows_never_tear() {
 // finalize), and a cold fill reading a half-updated
 // region. The warm sweeps above cover the first two; these clear SRAM
 // before every delivery, so every delivery cold-fills its shadows and
-// the brown-outs land inside those fills too. The runs must match a
-// continuous-power interpreter reference.
+// the brown-outs land inside those fills too. The runs must match the
+// reference.
 // ---------------------------------------------------------------------------
 
 /// Per-event always-cold delivery under the arming/commit crash sweep:
 /// every budget reboots mid-delivery, at every possible FRAM-write
-/// boundary, and must still match the interpreter's verdicts and
-/// FRAM-visible state.
+/// boundary, and must still match the reference's verdicts and machine
+/// state.
 #[test]
 fn cached_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let (vf, sf) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut steady_device(),
-        interpreter(),
-    );
+    let (vf, sf) = reference_run_spec(&app, CRASH_SPEC, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {

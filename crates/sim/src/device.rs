@@ -166,11 +166,6 @@ impl DeviceStats {
         self.energies[c.idx()]
     }
 
-    /// Total billed execution time across categories.
-    pub fn total_time(&self) -> SimDuration {
-        self.times.iter().fold(SimDuration::ZERO, |a, b| a + *b)
-    }
-
     /// FRAM traffic counted while `c` was the current category: every
     /// access the [`Fram`] counters saw, counted where the device made
     /// it (plain, raw, write-set, commit, recovery and sensor-cursor
@@ -677,11 +672,6 @@ impl Device {
     pub fn trace_push(&mut self, event: TraceEvent) {
         let now = self.now();
         self.trace.push(now, event);
-    }
-
-    /// Takes the trace out of the device.
-    pub fn take_trace(&mut self) -> Trace {
-        core::mem::replace(&mut self.trace, Trace::new())
     }
 
     /// The cost model in effect.

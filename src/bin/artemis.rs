@@ -2,7 +2,7 @@
 //! specifications without writing a host program.
 //!
 //! ```text
-//! artemis compile <spec-file> --paths sense>send [--emit ir|c|rust|dot]
+//! artemis compile <spec-file> --paths sense>send [--emit ir|c|dot]
 //! artemis check   <spec-file> --tasks sense,send --paths sense>send
 //! artemis demo    [charging-minutes]
 //! ```
@@ -18,7 +18,7 @@ use artemis::{ir, spec};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  artemis compile <spec-file> --paths a>b,c>b [--emit ir|c|rust|dot]\n  \
+        "usage:\n  artemis compile <spec-file> --paths a>b,c>b [--emit ir|c|dot]\n  \
          artemis check   <spec-file> --paths a>b,c>b\n  \
          artemis demo    [charging-minutes]\n\n\
          path syntax: tasks separated by `>`, paths by `,`; a task with a\n\
@@ -179,10 +179,9 @@ fn run_compile(source: &str, app: &AppGraph, check_only: bool, emit: &str) -> Ex
     match emit {
         "ir" => println!("{}", ir::print::print_suite(&suite)),
         "c" => println!("{}", ir::codegen::emit_c(&suite)),
-        "rust" => println!("{}", ir::codegen::emit_rust(&suite)),
         "dot" => println!("{}", ir::dot::suite_to_dot(&suite)),
         other => {
-            eprintln!("unknown --emit `{other}` (expected ir, c, rust or dot)");
+            eprintln!("unknown --emit `{other}` (expected ir, c or dot)");
             return ExitCode::FAILURE;
         }
     }

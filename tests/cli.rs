@@ -79,16 +79,13 @@ fn check_reports_parse_errors_with_carets() {
     assert!(stderr.contains('^'), "{stderr}");
 }
 
+/// `ir`, `c` and `dot` are the emit targets; `rust`, a removed
+/// backend, gets the unknown-target error.
 #[test]
 fn compile_emits_ir_c_and_rust() {
     let spec = write_spec("sense: { maxTries: 3 onFail: skipPath; }");
-    for (emit, needle) in [
-        ("ir", "machine sense_maxTries_0 task sense"),
-        ("c", "monitor_result_t callMonitor(MonitorEvent_t e)"),
-        ("rust", "pub struct SenseMaxTries0"),
-        ("dot", "digraph monitors"),
-    ] {
-        let out = artemis()
+    let compile = |emit: &str| {
+        artemis()
             .args([
                 "compile",
                 spec.0.to_str().unwrap(),
@@ -98,11 +95,22 @@ fn compile_emits_ir_c_and_rust() {
                 emit,
             ])
             .output()
-            .unwrap();
+            .unwrap()
+    };
+    for (emit, needle) in [
+        ("ir", "machine sense_maxTries_0 task sense"),
+        ("c", "monitor_result_t callMonitor(MonitorEvent_t e)"),
+        ("dot", "digraph monitors"),
+    ] {
+        let out = compile(emit);
         assert!(out.status.success(), "--emit {emit}: {out:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains(needle), "--emit {emit}:\n{stdout}");
     }
+    let out = compile("rust");
+    assert!(!out.status.success(), "--emit rust: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown --emit `rust`"), "{stderr}");
 }
 
 #[test]
