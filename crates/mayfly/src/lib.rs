@@ -40,8 +40,10 @@
 //! once (a cursor past its path or app, or an unknown status, faults
 //! with [`Fault::CorruptState`](intermittent_sim::device::Fault)); the
 //! loop and the inline checks then read the mirror only. Each commit
-//! stages only the bytes that changed — the advance past a task is one
-//! `cur_idx | status` run.
+//! stages only the bytes that changed, and a task commits with the
+//! advance past it ([`artemis_runtime::next_cursor`]) as one record —
+//! the coalescing the ARTEMIS runtime gets by committing a task with
+//! its `EndTask` delivery and outcome.
 
 use std::ops::Range;
 
@@ -49,8 +51,8 @@ use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_core::trace::TraceEvent;
 use artemis_runtime::channel::Channel;
-use artemis_runtime::header::{STATUS_FINISHED, STATUS_READY};
-use artemis_runtime::{ArtemisRuntimeBuilder, PersistentHeader, TaskHeader, Tasks};
+use artemis_runtime::header::STATUS_READY;
+use artemis_runtime::{next_cursor, ArtemisRuntimeBuilder, PersistentHeader, TaskHeader, Tasks};
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
 use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::TxWriter;
@@ -354,9 +356,33 @@ impl MayflyRuntime {
                 next.rule_counts[ri] = 0;
             }
         }
-        next.status = STATUS_FINISHED;
-        self.header.commit(dev, &mut tx, next)?;
-        dev.trace_push(TraceEvent::TaskEnd { task });
+        // ... and the advance past it, in the same record.
+        let landed = Some(TraceEvent::TaskEnd { task });
+        self.advance(dev, &mut tx, next, landed)
+    }
+
+    /// Commits `tx` with `h`'s cursor moved past its task, ready,
+    /// tracing `landed` once the record lands, then the path's
+    /// completion if the task ended it.
+    fn advance(
+        &self,
+        dev: &mut Device,
+        tx: &mut TxWriter,
+        h: Header,
+        landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        let path = PathId(h.cur_path);
+        let (cur_path, cur_idx, path_done) = next_cursor(&self.app, h.cur_path, h.cur_idx);
+        let next = Header {
+            cur_path,
+            cur_idx,
+            status: STATUS_READY,
+            ..h
+        };
+        self.header.commit_traced(dev, tx, next, landed)?;
+        if path_done {
+            dev.trace_push(TraceEvent::PathComplete { path });
+        }
         Ok(())
     }
 
@@ -387,20 +413,9 @@ impl MayflyRuntime {
                     dev.trace_push(TraceEvent::PathStart { path: cur_path });
                 }
             } else {
-                // Advance past the finished task.
-                let path_len = self.app.path(cur_path).tasks.len() as u32;
-                let mut next = Header {
-                    status: STATUS_READY,
-                    ..h
-                };
-                if h.cur_idx + 1 < path_len {
-                    next.cur_idx += 1;
-                } else {
-                    dev.trace_push(TraceEvent::PathComplete { path: cur_path });
-                    next.cur_path += 1;
-                    next.cur_idx = 0;
-                }
-                self.header.commit(dev, &mut TxWriter::new(), next)?;
+                // A finished task no commit of this runtime leaves
+                // behind (its task commit advances): advance past it.
+                self.advance(dev, &mut TxWriter::new(), h, None)?;
             }
         }
     }

@@ -30,9 +30,26 @@
 //! delivery whose group 0 never landed. The ARTEMIS runtime
 //! exploits both directions: `StartTask` re-attempts get fresh numbers
 //! (attempt counting is the point of `maxTries`), while `EndTask`
-//! events reuse the number fixed in the task-commit transaction so a
-//! power failure can never double-count a sample (cf. the paper's
+//! events reuse the number fixed in the task's write-set so a power
+//! failure can never double-count a sample (cf. the paper's
 //! timestamp-consistency discussion, §4.1.3).
+//!
+//! A one-group delivery may **ride** the runtime's open record: its
+//! group 0 record's sub-writes are appended to the record the runtime
+//! has open for it (`Device::append_record`) instead of committing a
+//! record of their own, and land with the task's effects and the
+//! arbitration outcome, or not at all — a delivery whose record never
+//! landed, like a silent one, is indistinguishable from one never
+//! made, so its redelivery arms and steps afresh. The shadow takes the
+//! group as staged, as it does before a commit: the record lands
+//! within the power cycle or is discarded, and a discard moves the
+//! SRAM generation on, which drops the shadow. Which keys may ride is
+//! fixed at install and handed, through the device, to the runtime
+//! installed next (`Device::set_riders`): keys whose worklist is one
+//! commit group, and for `EndTask` a task whose declared cost proves
+//! its attempt feasible, since a power failure inside a riding
+//! delivery re-executes the task body. A reset
+//! [`MonitorEngine::on_path_restart`] stages rides the same record.
 //!
 //! # Event routing and the armed delivery
 //!
@@ -195,10 +212,10 @@ use core::cell::RefCell;
 use std::sync::Arc;
 
 use artemis_core::action::Action;
-use artemis_core::app::{AppGraph, PathId, TaskId};
-use artemis_core::event::MonitorEvent;
+use artemis_core::app::{AppGraph, PathId, TaskCostDecl, TaskId};
+use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
-use artemis_ir::analysis::{commit_groups, MemberCost};
+use artemis_ir::analysis::{commit_groups, task_feasibility, MemberCost, SuiteBounds, Verdict};
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
@@ -392,6 +409,15 @@ pub enum InstallError {
     },
     /// The suite failed ahead-of-time compilation to bytecode.
     Compile(CompileIssue),
+    /// The app has more paths than the armed event's one-byte path
+    /// number can name, so the `Path:` filter could not tell them
+    /// apart.
+    TooManyPaths {
+        /// Paths the app declares.
+        paths: usize,
+        /// The most the engine can name.
+        max: usize,
+    },
     /// Install-time static analysis found an error: the bytecode
     /// verifier, the cross-monitor conflict pass, or the energy
     /// feasibility pass rejected the suite. No FRAM was touched.
@@ -412,6 +438,12 @@ impl core::fmt::Display for InstallError {
                 "machine `{machine}` emits a path-directed action but has no governing path"
             ),
             InstallError::Compile(i) => write!(f, "monitor compilation failed: {i}"),
+            InstallError::TooManyPaths { paths, max } => {
+                write!(
+                    f,
+                    "the app declares {paths} paths; the engine names at most {max}"
+                )
+            }
             InstallError::Analysis(d) => write!(f, "static analysis rejected the suite: {d}"),
             InstallError::Device(i) => write!(f, "{i}"),
         }
@@ -840,6 +872,13 @@ impl MonitorEngine {
             // Compilation already happened in the caller's hands.
             opt: _,
         } = opts;
+        let paths = app.paths().len();
+        if paths > EncodedEvent::MAX_PATHS {
+            return Err(InstallError::TooManyPaths {
+                paths,
+                max: EncodedEvent::MAX_PATHS,
+            });
+        }
 
         // Journal capacity = the static worst-case record: the larger
         // of the whole-suite reset commit and any event key's largest
@@ -868,6 +907,7 @@ impl MonitorEngine {
         if let Some(d) = diags.first().filter(|d| d.is_error()) {
             return Err(InstallError::Analysis(d.clone()));
         }
+        let riders = riders(&compiled, bounds, app, &profile);
         for d in diags.iter() {
             dev.trace_push(artemis_core::trace::TraceEvent::InstallWarning {
                 message: d.to_string(),
@@ -883,6 +923,7 @@ impl MonitorEngine {
             )?)),
             ExecMode::Interpreter => Core::Host(RefCell::new(Reference::new(suite, app)?)),
         };
+        dev.set_riders(riders);
         Ok(MonitorEngine(core))
     }
 
@@ -917,6 +958,23 @@ impl MonitorEngine {
         match &self.0 {
             Core::Fram(e) => e.snapshot(dev),
             Core::Host(r) => r.borrow().snapshot(),
+        }
+    }
+
+    /// Costless read of the sequence number of the delivery FRAM holds
+    /// armed — `None` after a reset, and before any delivery persisted
+    /// (the adapter's last delivered one). For differential tests that
+    /// must tell a delivery that landed from one a power failure
+    /// discarded; does not bill the device.
+    pub fn armed_seq(&self, dev: &Device) -> Option<u64> {
+        match &self.0 {
+            Core::Fram(e) => {
+                let h = &e.header;
+                let bytes = dev.peek_raw(h.addr, h.cell(0));
+                let armed = u16::load(&bytes[h.event_count()..h.verdict_count()]) == 1;
+                armed.then(|| u64::load(&bytes[h.seq()..h.event_count()]))
+            }
+            Core::Host(r) => r.borrow().last_seq(),
         }
     }
 
@@ -1324,10 +1382,10 @@ impl Engine {
     }
 
     /// Refills the shadows of the machines `reset` selects with their
-    /// initial images (after a commit that re-imaged them).
+    /// initial images (after a commit that re-imaged them, or staged in
+    /// the runtime's open record).
     fn shadow_reset_machines(&self, reset: impl Fn(&StateMachine) -> bool) {
         let c = &mut *self.cache.borrow_mut();
-        c.journal_clean = true;
         for (((ms, lm), cm), m) in c
             .machines
             .iter_mut()
@@ -1375,6 +1433,7 @@ impl Engine {
             let h = &self.header;
             tx.write_zeroed(h.addr + h.seq(), h.cell(0) - h.seq());
             dev.commit(&self.journal, tx)?;
+            self.cache.borrow_mut().journal_clean = true;
             // The reset commit just (re)wrote every location the cache
             // mirrors but the stale event bytes — fill all the shadows,
             // so even the first event after a reset runs write-only
@@ -1615,10 +1674,15 @@ impl Engine {
             let cells = tx.write_slot(h.addr + h.cell(first), h.cell(count) - h.cell(first));
             put_cells(cells, emits);
         }
-        dev.commit(&self.journal, tx)?;
+        // A one-group delivery rides the runtime's open record, if one
+        // is open for it, instead of committing a record of its own.
+        let rides = g == 0 && armed.ends.len() == 1 && dev.append_record(tx);
+        if !rides {
+            dev.commit(&self.journal, tx)?;
+        }
         self.exec.borrow_mut().arming_write_bytes += arming as u64;
         let c = &mut *self.cache.borrow_mut();
-        c.journal_clean = true;
+        c.journal_clean |= !rides;
         for (k, emit) in emits.iter().enumerate() {
             c.verdicts[first + k] = (c.gen, verdict_cell(emit));
         }
@@ -1756,7 +1820,12 @@ impl Engine {
                     tx.write_raw(lm.addr, &lm.initial_image);
                 }
             }
-            dev.commit(&self.journal, tx)?;
+            // The reset rides the open record of the delivery that
+            // decided it, if one is open.
+            if !dev.append_record(tx) {
+                dev.commit(&self.journal, tx)?;
+                self.cache.borrow_mut().journal_clean = true;
+            }
             // The commit rewrote the affected machines' images to
             // their initial snapshots — mirror that in their shadows.
             self.shadow_reset_machines(affected);
@@ -1775,6 +1844,39 @@ impl Engine {
         }
         Ok(out)
     }
+}
+
+/// Which deliveries may ride the runtime's open record
+/// (`Device::set_riders`), per task as `[StartTask, EndTask]`: a key
+/// whose worklist is one commit group — with more, a later group's
+/// record needs group 0's to have landed first — and, for `EndTask`,
+/// a task whose declared cost makes its attempt
+/// [`Verdict::Feasible`]: a power failure inside a riding delivery
+/// discards the task's own commit and re-executes its body, so the
+/// whole attempt must provably fit the budget with margin. An
+/// undeclared, all-zero cost proves nothing.
+fn riders(
+    compiled: &CompiledSuite,
+    bounds: &SuiteBounds,
+    app: &AppGraph,
+    profile: &EnergyProfile,
+) -> Vec<[bool; 2]> {
+    let one_group = |kind: EventKind, task: u32| {
+        (bounds.per_key.iter())
+            .find(|k| k.kind == kind && k.task == Some(task))
+            .is_none_or(|k| k.groups == 1)
+    };
+    task_feasibility(compiled, bounds, app, profile)
+        .iter()
+        .map(|f| {
+            let declared = app.task_cost(TaskId(f.task)) != TaskCostDecl::default();
+            let feasible = declared && f.verdict == Verdict::Feasible;
+            [
+                one_group(EventKind::StartTask, f.task),
+                feasible && one_group(EventKind::EndTask, f.task),
+            ]
+        })
+        .collect()
 }
 
 /// The `Path:` qualifier (paper §3.2): a property on a merged task is
@@ -2080,6 +2182,52 @@ mod tests {
             MonitorEngine::install(&mut dev, suite, &app),
             Err(InstallError::Invalid(_))
         ));
+    }
+
+    /// `paths` single-task paths over one task `a`, whose maxTries
+    /// machine is qualified `Path: 1`.
+    fn many_paths(paths: usize) -> (AppGraph, MonitorSuite) {
+        let mut b = AppGraphBuilder::new();
+        let a = b.task("a");
+        for _ in 0..paths {
+            b.path(&[a]);
+        }
+        let app = b.build().unwrap();
+        let suite =
+            artemis_ir::compile("a { maxTries: 1 onFail: skipPath Path: 1; }", &app).unwrap();
+        (app, suite)
+    }
+
+    /// The armed event's path number is one byte, so a path past the
+    /// 255th could not reach the `Path:` filter: an event on it would
+    /// step a machine its path qualifier dismisses. Such apps are
+    /// rejected at install; at the limit the engine dismisses what the
+    /// reference dismisses.
+    #[test]
+    fn path_numbers_past_a_byte_are_rejected_at_install() {
+        let (app, suite) = many_paths(301);
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        assert!(matches!(
+            MonitorEngine::install(&mut dev, suite, &app),
+            Err(InstallError::TooManyPaths {
+                paths: 301,
+                max: 255
+            })
+        ));
+        assert_eq!(dev.fram().used(), 0, "nothing allocated");
+
+        let (app, suite) = many_paths(255);
+        let mut reference = Reference::new(suite.clone(), &app).unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        let a = app.task_by_name("a").unwrap();
+        for (seq, path) in [(1, 254), (2, 0), (3, 254), (4, 0)] {
+            let event = MonitorEvent::start(a, t(seq)).on_path(PathId(path));
+            let energy = dev.energy_level().as_nano_joules();
+            let got = engine.call_monitor(&mut dev, seq, &event).unwrap();
+            assert_eq!(got, reference.deliver(seq, &event, energy), "seq {seq}");
+            assert_eq!(engine.snapshot(&dev), reference.snapshot(), "seq {seq}");
+        }
     }
 
     #[test]

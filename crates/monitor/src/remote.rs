@@ -129,6 +129,11 @@ impl Reference {
         self.last.as_ref().map_or(&[], |(_, v)| v)
     }
 
+    /// The sequence number of the last delivery, if any.
+    pub(crate) fn last_seq(&self) -> Option<u64> {
+        self.last.as_ref().map(|(seq, _)| *seq)
+    }
+
     /// Re-initialises every machine and forgets the last delivery
     /// (Figure 8, `resetMonitor`).
     pub fn reset(&mut self) {
@@ -173,12 +178,15 @@ impl RemoteMonitorEngine {
     /// Validates the suite and "deploys" it to the external device.
     ///
     /// Nothing is allocated in the node's FRAM — that is the point of
-    /// this deployment (and visible in Table-2-style reports).
+    /// this deployment (and visible in Table-2-style reports) — and no
+    /// delivery rides the runtime's record (`Device::set_riders`): a
+    /// transmit lands it first.
     pub fn install(
-        _dev: &mut Device,
+        dev: &mut Device,
         suite: MonitorSuite,
         app: &AppGraph,
     ) -> Result<Self, InstallError> {
+        dev.set_riders(Vec::new());
         Ok(RemoteMonitorEngine {
             reference: RefCell::new(Reference::new(suite, app)?),
         })

@@ -31,13 +31,16 @@ pub struct EncodedEvent {
 }
 
 impl EncodedEvent {
+    /// The most paths `path_number` names; the engine rejects apps
+    /// with more at install.
+    pub const MAX_PATHS: usize = u8::MAX as usize;
+
     /// Encodes a core event plus the current energy reading.
     pub fn from_event(e: &MonitorEvent, energy_nj: u64) -> Self {
         EncodedEvent {
-            path_number: e
-                .path
-                .map(|p| u8::try_from(p.number()).unwrap_or(0))
-                .unwrap_or(0),
+            // Install admits at most `MAX_PATHS` paths, so only a path
+            // the app does not declare falls back to "no path context".
+            path_number: e.path.map_or(0, |p| u8::try_from(p.number()).unwrap_or(0)),
             has_dep: u8::from(e.dep_data.is_some()),
             dep_bits: e.dep_data.unwrap_or(0.0).to_bits(),
             energy_nj,

@@ -17,13 +17,23 @@
 //!   validates it once;
 //! - it is write-through: a commit or plain write updates it only once
 //!   the FRAM write has returned `Ok`, and any `Err` drops it, so while
-//!   it is current it equals the region byte for byte.
+//!   it is current it equals the region byte for byte;
+//! - a header change staged in the device's open record
+//!   ([`PersistentHeader::open`]) counts as written: the record lands
+//!   before any other FRAM write or commit, and one that never lands —
+//!   a power failure, a fault, a discard — moves the SRAM generation
+//!   on, which drops the mirror.
 //!
 //! A steady-state runtime therefore reads its header from SRAM and
 //! touches FRAM only to write it. A journal commit stages only the
 //! header bytes that changed, as runs ([`TxWriter::write_diff`]), and
 //! a plain write of one field ([`PersistentHeader::write`]) carries
 //! only that field's changed bytes, as one span.
+//!
+//! Every task completion is traced as the record that commits it lands
+//! (`TraceEvent::TaskEnd`, pushed by the device at the record's flag
+//! write), so a commit that recovery completes after a power failure
+//! is traced once, before the failure.
 
 use core::cell::RefCell;
 use core::ops::Range;
@@ -121,7 +131,7 @@ impl<T: TaskHeader> PersistentHeader<T> {
             return Ok(m.value.clone());
         }
         m.epoch = None;
-        let recovered = dev.recover(&self.journal)?;
+        dev.recover(&self.journal)?;
         m.image
             .copy_from_slice(dev.nv_read_raw(self.cell.addr(), T::SIZE)?);
         let value = T::load(&m.image);
@@ -137,33 +147,73 @@ impl<T: TaskHeader> PersistentHeader<T> {
         if !(cursor_valid && value.valid()) {
             return Err(Interrupt::Fault(Fault::CorruptState));
         }
-        // A replayed record that leaves the task finished is its task
-        // commit (every commit from a finished task moves `status`, so
-        // its record carries it): the task completed, but the power
-        // failure came before its `TaskEnd` was traced.
-        if recovered && status == STATUS_FINISHED {
-            let task = value.task(app);
-            dev.trace_push(TraceEvent::TaskEnd { task });
-        }
         m.value = value.clone();
         m.epoch = Some(dev.sram().generation());
         Ok(value)
     }
 
+    /// Opens `tx` with the header changed to `new` as the device's
+    /// open record ([`Device::open_record`]), for a delivery that
+    /// `rides` to ride: the delivery's commit and the next
+    /// [`PersistentHeader::commit`] append to it, and it lands as one
+    /// record. `landed` is traced once it lands. If the delivery may
+    /// not ride, commits `tx` with the header now instead.
+    pub fn open(
+        &self,
+        dev: &mut Device,
+        tx: &mut TxWriter,
+        new: T,
+        rides: bool,
+        landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        if !rides {
+            return self.commit_traced(dev, tx, new, landed);
+        }
+        let m = &mut *self.mirror.borrow_mut();
+        m.stage(dev, tx, &new, self.cell.addr());
+        let result = dev.open_record(&self.journal, tx, landed);
+        m.settle(dev, new, 0..T::SIZE, result)
+    }
+
+    /// Opens an empty record for a delivery that `rides` to ride, if no
+    /// record is open yet.
+    pub fn open_empty(&self, dev: &mut Device, rides: bool) -> Result<(), Interrupt> {
+        if !rides || dev.record_open() {
+            return Ok(());
+        }
+        dev.open_record(&self.journal, &TxWriter::new(), None)
+    }
+
     /// Commits `tx` with the header changed to `new`, as one journal
     /// record: the bytes that differ from the mirror are staged as runs
     /// after whatever `tx` already holds (the whole image if the mirror
-    /// is not current).
+    /// is not current). While the device's record is open they are
+    /// appended to it, and it lands; if its journal cannot hold them
+    /// too, it lands first and they commit on their own.
     pub fn commit(&self, dev: &mut Device, tx: &mut TxWriter, new: T) -> Result<(), Interrupt> {
         let m = &mut *self.mirror.borrow_mut();
-        new.store(&mut m.next);
-        let addr = self.cell.addr();
-        if m.epoch == Some(dev.sram().generation()) {
-            tx.write_diff(addr, &m.image, &m.next);
+        m.stage(dev, tx, &new, self.cell.addr());
+        let result = if dev.append_record(tx) {
+            dev.flush_record()
         } else {
-            tx.write_raw(addr, &m.next);
-        }
-        let result = dev.commit(&self.journal, tx);
+            dev.commit(&self.journal, tx)
+        };
+        m.settle(dev, new, 0..T::SIZE, result)
+    }
+
+    /// Commits `tx` with the header changed to `new` as
+    /// [`PersistentHeader::commit`] does with no record open, tracing
+    /// `landed` once the record lands.
+    pub fn commit_traced(
+        &self,
+        dev: &mut Device,
+        tx: &mut TxWriter,
+        new: T,
+        landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        let m = &mut *self.mirror.borrow_mut();
+        m.stage(dev, tx, &new, self.cell.addr());
+        let result = dev.commit_traced(&self.journal, tx, landed);
         m.settle(dev, new, 0..T::SIZE, result)
     }
 
@@ -201,7 +251,19 @@ impl<T: TaskHeader> PersistentHeader<T> {
     }
 }
 
-impl<T> Mirror<T> {
+impl<T: NvData> Mirror<T> {
+    /// Stages into `tx` the header changed to `new` over the region at
+    /// `addr`: the bytes that differ from the mirror's image, as runs,
+    /// if the mirror is current, else the whole image.
+    fn stage(&mut self, dev: &Device, tx: &mut TxWriter, new: &T, addr: usize) {
+        new.store(&mut self.next);
+        if self.epoch == Some(dev.sram().generation()) {
+            tx.write_diff(addr, &self.image, &self.next);
+        } else {
+            tx.write_raw(addr, &self.next);
+        }
+    }
+
     /// Keeps the mirror in step with a write of the `field` bytes of
     /// `next` (the encoding of `new`) that returned `result`: on `Ok` a
     /// current mirror takes `new`, and so does a stale one if the write

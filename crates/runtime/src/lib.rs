@@ -29,14 +29,46 @@
 //!   attempts), while the monitors' FSMs retain the first attempt's
 //!   timestamp where required (`maxDuration`);
 //! - the `EndTask` timestamp and its event sequence number are fixed
-//!   inside the task-commit transaction and never re-stamped, so a
-//!   power failure between commit and monitor delivery can neither
-//!   alter the finish time nor double-count the completion.
+//!   at `taskFinish`, in the task's own write-set, and never
+//!   re-stamped, so a power failure between the commit and the monitor
+//!   delivery can neither alter the finish time nor double-count the
+//!   completion.
 //!
 //! Every monitor event goes out as its own delivery
 //! ([`Monitoring::call_monitor`]) when the loop reaches it, so a
 //! `StartTask` is always judged after any outage that precedes the
 //! attempt it opens.
+//!
+//! ## One record per task boundary
+//!
+//! A task's commit is not written at `taskFinish`: its write-set and
+//! the finished header open the device's **open record**
+//! ([`Device::open_record`](intermittent_sim::device::Device::open_record)),
+//! the `EndTask` delivery's group 0 rides it
+//! ([`Device::append_record`](intermittent_sim::device::Device::append_record)),
+//! and the arbitration outcome — the advance, `restartTask`, or a path
+//! action with `on_path_restart`'s reset — is appended after it and
+//! lands it, so the task's effects, the delivery and the outcome commit
+//! as **one** journal record (two, if the journal cannot hold the
+//! outcome too: the record lands first). A `StartTask` delivery opens an empty record the same way:
+//! a `restartPath`/`skipPath` verdict's reset and header commit ride
+//! it, and any other outcome's `attempt` write lands it before the
+//! body runs. The record lands whole or not at all: a power failure
+//! before its flag write re-executes the task, exactly as one before
+//! a task commit does, and the delivery is made afresh under the same
+//! sequence number and finish time.
+//!
+//! Whether a delivery may ride is the monitor engine's call, made once
+//! at install and handed to this runtime's install through the device
+//! ([`Device::set_riders`](intermittent_sim::device::Device::set_riders));
+//! a deployment that hands over none — no monitoring, the remote
+//! engine — lets nothing ride. The worklist must be one commit group, and for `EndTask` the task's
+//! declared cost must prove the whole attempt fits the capacitor. A
+//! delivery that may not ride finds the task's record already
+//! committed — it lands at `taskFinish`, as the outcome's own record
+//! does after the delivery. Any FRAM write, journal commit or radio op
+//! made while the record is open lands it first, so no deployment acts
+//! on a task that has not committed.
 //!
 //! # The runtime header
 //!
@@ -57,14 +89,17 @@
 //! mirror, so a steady-state iteration makes no FRAM reads. Every
 //! journal commit (task commit, advance, rearm, `restartTask`, path
 //! actions) stages only the header bytes that changed, as runs merged
-//! across gaps of up to one sub-write header; the `seq`, `attempt` and
-//! `unmonitored` updates that need no atomicity stay one plain write
-//! each, of only the field's changed bytes (`PersistentHeader::write`).
+//! across gaps of up to one sub-write header — a task record the
+//! finished header's, then the outcome's; the `seq`,
+//! `attempt` and `unmonitored` updates that need no atomicity stay one
+//! plain write each, of only the field's changed bytes
+//! (`PersistentHeader::write`).
 //!
 //! The pending `EndTask`'s sequence number is not stored apart: the
-//! task commit advances `seq` to it, and nothing moves `seq` again
-//! until the advance past the finished task has committed, so while
-//! `status` is finished it *is* `seq`.
+//! task's write-set advances `seq` to it, and nothing moves `seq` again
+//! until the outcome past the finished task has committed, so while
+//! `status` is finished it *is* `seq`. A task record whose delivery
+//! rode it never leaves `status` finished in FRAM.
 
 pub mod channel;
 pub mod header;
@@ -74,7 +109,7 @@ use std::ops::Range;
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
-use artemis_core::event::MonitorEvent;
+use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::time::SimInstant;
 use artemis_core::trace::TraceEvent;
 use artemis_monitor::{InstallError, MonitorEngine, MonitorVerdict, Monitoring};
@@ -252,6 +287,18 @@ impl RunOutcome {
     }
 }
 
+/// The cursor past the finished task at `cur_idx` of `cur_path`, the
+/// advance both runtimes commit with the task: `(cur_path, cur_idx)`
+/// of the path's next task, or of the first task of the next path with
+/// `true` — the finished task ended its path.
+pub fn next_cursor(app: &AppGraph, cur_path: u32, cur_idx: u32) -> (u32, u32, bool) {
+    if cur_idx as usize + 1 < app.path(PathId(cur_path)).tasks.len() {
+        (cur_path, cur_idx + 1, false)
+    } else {
+        (cur_path + 1, 0, true)
+    }
+}
+
 /// Builder for [`ArtemisRuntime`]: the app, its task bodies and its
 /// channels — also what the Mayfly baseline's builder starts from.
 pub struct ArtemisRuntimeBuilder {
@@ -345,6 +392,7 @@ impl ArtemisRuntimeBuilder {
             "at most {MAX_PATHS} paths are supported"
         );
         let dev_err = InstallError::Device;
+        let riders = dev.take_riders();
         let (app, tasks, header) = self
             .install_tasks(dev, Header::INITIAL, "rt.header")
             .map_err(dev_err)?;
@@ -358,6 +406,7 @@ impl ArtemisRuntimeBuilder {
             tasks,
             engine,
             header,
+            riders,
             current_task_cached: TaskId(0),
         })
     }
@@ -518,6 +567,11 @@ pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     tasks: Tasks,
     engine: M,
     header: PersistentHeader<Header>,
+    /// Which deliveries may ride the runtime's open record, per task as
+    /// `[StartTask, EndTask]`: what the engine installed with this
+    /// runtime handed over (`Device::set_riders`); none for a
+    /// deployment that hands over nothing.
+    riders: Vec<[bool; 2]>,
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
     current_task_cached: TaskId,
@@ -601,7 +655,8 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
         // taskFinish (Figure 9): fix the finish time, the EndTask
         // sequence number and the monitored value atomically with the
-        // task's own effects and the status flip.
+        // task's own effects and the status flip — in the open record
+        // the EndTask delivery and its outcome ride, if they may.
         dev.compute(TASK_FINISH_CYCLES)?;
         let next = Header {
             status: STATUS_FINISHED,
@@ -611,31 +666,36 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             end_dep: monitored.map_or((0, 0), |v| (1, v.to_bits())),
             ..h
         };
-        self.header.commit(dev, &mut tx, next)?;
-        dev.trace_push(TraceEvent::TaskEnd { task });
-        Ok(())
+        let landed = Some(TraceEvent::TaskEnd { task });
+        let rides = self.rides(task, EventKind::EndTask);
+        self.header.open(dev, &mut tx, next, rides, landed)
     }
 
-    /// Moves to the next task, handling path boundaries. Returns `true`
-    /// when the whole run finished.
-    fn advance(&self, dev: &mut Device) -> Result<bool, Interrupt> {
+    /// `true` if the delivery of `kind` for `task` may ride the
+    /// runtime's open record.
+    fn rides(&self, task: TaskId, kind: EventKind) -> bool {
+        let end = usize::from(kind == EventKind::EndTask);
+        self.riders.get(task.index()).is_some_and(|k| k[end])
+    }
+
+    /// Moves to the next task, handling path boundaries — with
+    /// monitoring suspended first if `suspend` (`completePath`, in the
+    /// same commit). Returns `true` when the whole run finished.
+    fn advance(&self, dev: &mut Device, suspend: bool) -> Result<bool, Interrupt> {
         dev.compute(ADVANCE_CYCLES)?;
-        let h = self.header.read(dev, &self.app)?;
+        let mut h = self.header.read(dev, &self.app)?;
+        h.unmonitored |= u8::from(suspend);
         let paths = self.app.paths().len();
-        let path_len = self.app.path(PathId(h.cur_path)).tasks.len() as u32;
+        let (cur_path, cur_idx, path_done) = next_cursor(&self.app, h.cur_path, h.cur_idx);
         let mut next = Header {
             status: STATUS_READY,
             attempt: 0,
+            cur_idx,
             ..h
         };
-        if h.cur_idx + 1 < path_len {
-            next.cur_idx += 1;
-        } else {
+        if path_done {
             // Path completed.
             next.path_results[h.cur_path as usize] = PATH_COMPLETED;
-            dev.trace_push(TraceEvent::PathComplete {
-                path: PathId(h.cur_path),
-            });
             if h.unmonitored != 0 {
                 // completePath semantics: the current path ran to
                 // completion unmonitored; no further paths execute
@@ -652,11 +712,15 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 next.emergency = 1;
                 next.cur_path = paths as u32;
             } else {
-                next.cur_path += 1;
+                next.cur_path = cur_path;
             }
-            next.cur_idx = 0;
         }
         self.header.commit(dev, &mut TxWriter::new(), next)?;
+        if path_done {
+            dev.trace_push(TraceEvent::PathComplete {
+                path: PathId(h.cur_path),
+            });
+        }
         Ok(next.cur_path as usize >= paths)
     }
 
@@ -724,12 +788,20 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// interrupt. Re-enterable after power failures; resumes from the
     /// persistent cursor.
     pub fn on_boot_impl(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
-        dev.billed(CostCategory::Runtime, |dev| self.main_loop(dev))
+        let out = dev.billed(CostCategory::Runtime, |dev| self.main_loop(dev));
+        if let Err(Interrupt::Fault(_)) = out {
+            // A fault stops the run with the open record unlanded.
+            dev.discard_record();
+        }
+        out
     }
 
     fn main_loop(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
-        // Reboot and monitor progress (Figure 8 lines 14-16); the
-        // runtime's own journal recovery rides the first header use.
+        // Reboot and monitor progress (Figure 8 lines 14-16). The
+        // runtime's journal replays first — with the header load —
+        // because a delivery that rode the runtime's record lands with
+        // it; only then may the engine read its state.
+        self.header.read(dev, &self.app)?;
         self.engine.monitor_finalize(dev)?;
 
         loop {
@@ -746,6 +818,11 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             if h.status == STATUS_READY {
                 let action = if monitored {
                     let seq = self.fresh_seq(dev)?;
+                    // A path action rides the delivery's record; any
+                    // other outcome writes `attempt`, which lands it
+                    // before the body runs.
+                    self.header
+                        .open_empty(dev, self.rides(task, EventKind::StartTask))?;
                     let event = MonitorEvent::start(task, dev.now()).on_path(path);
                     let verdicts = self.engine.call_monitor(dev, seq, &event)?;
                     self.arbitrate(dev, &verdicts)
@@ -758,7 +835,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         dev.trace_push(TraceEvent::ActionTaken {
                             action: Action::SkipTask,
                         });
-                        if self.advance(dev)? {
+                        if self.advance(dev, false)? {
                             return self.finish(dev);
                         }
                     }
@@ -772,7 +849,11 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 }
             } else {
                 // STATUS_FINISHED: deliver the EndTask event under its
-                // reserved sequence number, `seq` (exactly-once).
+                // reserved sequence number, `seq` (exactly-once), into
+                // the task's record if it is still open, and commit the
+                // outcome with it.
+                self.header
+                    .open_empty(dev, self.rides(task, EventKind::EndTask))?;
                 let action = if monitored {
                     let (has_dep, dep_bits) = h.end_dep;
                     let event = if has_dep != 0 {
@@ -788,7 +869,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 };
                 match action {
                     None | Some(Action::SkipTask) => {
-                        if self.advance(dev)? {
+                        if self.advance(dev, false)? {
                             return self.finish(dev);
                         }
                     }
@@ -803,9 +884,9 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         self.header.commit(dev, &mut TxWriter::new(), next)?;
                     }
                     Some(a @ Action::CompletePath(_)) => {
+                        // Suspend monitoring and advance, as one commit.
                         dev.trace_push(TraceEvent::ActionTaken { action: a });
-                        self.apply_path_action(dev, a)?;
-                        if self.advance(dev)? {
+                        if self.advance(dev, true)? {
                             return self.finish(dev);
                         }
                     }

@@ -35,6 +35,11 @@ fn sense_send_app() -> AppGraph {
 
 fn install(dev: &mut Device, app: &AppGraph, spec: &str) -> ArtemisRuntime {
     let suite = artemis_ir::compile(spec, app).unwrap();
+    builder(app).install(dev, suite).unwrap()
+}
+
+/// [`sense_send_app`]'s runtime builder: its channels and task bodies.
+fn builder(app: &AppGraph) -> ArtemisRuntimeBuilder {
     let mut rb = ArtemisRuntimeBuilder::new(app.clone());
     rb.channel("samples");
     rb.channel("sent");
@@ -52,7 +57,7 @@ fn install(dev: &mut Device, app: &AppGraph, spec: &str) -> ArtemisRuntime {
         // Committed exactly once per completed send execution.
         ctx.push("sent", n)
     });
-    rb.install(dev, suite).unwrap()
+    rb
 }
 
 /// Committed number of `send` executions, read from FRAM (robust even
@@ -728,9 +733,11 @@ fn deliveries_progress_at_every_group_zero_boundary() {
     );
 
     for (pj, ends) in edges {
+        // Installed on tethered power, so the run starts from a full
+        // capacitor however the install's own draw compares with it.
         let mut dev = DeviceBuilder::msp430fr5994()
             .capacitor(Capacitor::with_budget(Energy::from_pico_joules(pj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+            .harvester(Harvester::Continuous)
             .build();
         let mut rb = ArtemisRuntimeBuilder::new(app.clone());
         rb.body("src", |ctx| {
@@ -739,6 +746,8 @@ fn deliveries_progress_at_every_group_zero_boundary() {
         });
         rb.body("dst", |ctx| ctx.compute(10));
         let mut rt = rb.install(&mut dev, suite.clone()).unwrap();
+        assert_eq!(dev.energy_level(), dev.energy_budget());
+        dev.set_harvester(Harvester::FixedDelay(SimDuration::from_secs(1)));
         let out = rt
             .run_once(&mut dev, RunLimit::reboots(1_000))
             .completed()
@@ -746,4 +755,150 @@ fn deliveries_progress_at_every_group_zero_boundary() {
         assert!(out.all_completed(), "{pj} pJ (groups {ends:?})");
         assert!(dev.reboots() > 0, "premise: outages at {pj} pJ");
     }
+}
+
+/// Journal records of one continuous run of [`sense_send_app`] — its
+/// `sense` task's cost declared if `declared` — under the deployment
+/// `deploy` installs on a device that first ran the app under the
+/// local engine if `after_local`.
+fn records_without_a_local_engine<M: crate::Monitoring>(
+    declared: bool,
+    after_local: bool,
+    deploy: impl Fn(&mut Device, ArtemisRuntimeBuilder) -> ArtemisRuntime<M>,
+) -> u64 {
+    let mut app = sense_send_app();
+    if declared {
+        let mut b = AppGraphBuilder::new();
+        let sense = b.task("sense");
+        let send = b.task("send");
+        b.task_cost(
+            sense,
+            artemis_core::app::TaskCostDecl {
+                compute_cycles: 1_000,
+                ..Default::default()
+            },
+        );
+        b.path(&[sense, send]);
+        app = b.build().unwrap();
+    }
+    let mut dev = continuous_device();
+    if after_local {
+        let mut rt = install(&mut dev, &app, "sense { maxTries: 3 onFail: skipTask; }");
+        assert!(rt.run_once(&mut dev, RunLimit::unbounded()).is_completed());
+        assert_eq!(dev.riding_records() > 0, declared, "premise: rides");
+    }
+    let mut rt = deploy(&mut dev, builder(&app));
+    let before = dev.journal_records();
+    let out = rt.run_once(&mut dev, RunLimit::unbounded());
+    assert!(out.completed().is_some_and(|o| o.all_completed()));
+    dev.journal_records() - before
+}
+
+/// Only the local engine lets a delivery ride the runtime's record.
+/// Without it — no monitoring, or the remote monitor — every task
+/// commits at `taskFinish` and its outcome apart, as before deliveries
+/// could ride, so a power failure before the outcome never re-executes
+/// a task: four records for the two tasks, also for a task with a
+/// declared cost, and also on a device a local engine ran on first.
+#[test]
+fn deployments_without_a_local_engine_keep_separate_commits() {
+    for declared in [false, true] {
+        for after_local in [false, true] {
+            let none = records_without_a_local_engine(declared, after_local, |dev, rb| {
+                rb.install_with(dev, artemis_monitor::NoMonitoring).unwrap()
+            });
+            let remote = records_without_a_local_engine(declared, after_local, |dev, rb| {
+                let suite =
+                    artemis_ir::compile("sense { maxTries: 3 onFail: skipTask; }", rb.app())
+                        .unwrap();
+                let engine =
+                    artemis_monitor::RemoteMonitorEngine::install(dev, suite, rb.app()).unwrap();
+                rb.install_with(dev, engine).unwrap()
+            });
+            assert_eq!(
+                (none, remote),
+                (4, 4),
+                "declared {declared}, after {after_local}"
+            );
+        }
+    }
+}
+
+/// A task record the runtime's journal cannot hold together with the
+/// outcome's header runs lands as opened — the task's effects and the
+/// finished header — and the outcome then commits as a record of its
+/// own. A crash before any write of either leaves FRAM at a boundary:
+/// nothing, the task's record, or both.
+#[test]
+fn an_outcome_the_open_record_cannot_hold_commits_after_it() {
+    use intermittent_sim::device::{Interrupt, MemOwner};
+    use intermittent_sim::journal::TxWriter;
+
+    use crate::header::{PersistentHeader, STATUS_FINISHED, STATUS_READY};
+    use crate::Header;
+
+    // The runtime's journal holds 1,024 B; the task record takes them
+    // all: the count word, the effects' entry and the finished
+    // header's one run (`status` to `seq`, 6 + 6 B).
+    const EFFECTS: usize = 1_024 - 2 - 6 - 12;
+    let app = sense_send_app();
+    let finished = Header {
+        status: STATUS_FINISHED,
+        seq: 1,
+        ..Header::INITIAL
+    };
+    let outcome = Header {
+        status: STATUS_READY,
+        cur_idx: 1,
+        ..finished
+    };
+    let run = |crash: Option<u64>| {
+        let mut dev = continuous_device();
+        let header =
+            PersistentHeader::alloc(&mut dev, Header::INITIAL, MemOwner::Runtime, "rt.header")
+                .unwrap();
+        let effects = dev.nv_alloc_raw(EFFECTS, MemOwner::App, "effects").unwrap();
+        header.read(&mut dev, &app).unwrap();
+        let records = dev.journal_records();
+        if let Some(k) = crash {
+            dev.fail_before_write(k);
+        }
+        let mut tx = TxWriter::new();
+        tx.write_raw(effects, &[7; EFFECTS]);
+        let result = header
+            .open(&mut dev, &mut tx, finished, true, None)
+            .and_then(|()| {
+                assert!(dev.record_open());
+                header.commit(&mut dev, &mut TxWriter::new(), outcome)
+            });
+        let crashed = match result {
+            Ok(()) => false,
+            Err(Interrupt::PowerFailure) => {
+                dev.power_cycle();
+                true
+            }
+            Err(e) => panic!("{e}"),
+        };
+        let h = header.read(&mut dev, &app).unwrap();
+        let landed = dev.peek_raw(effects, EFFECTS).iter().all(|&b| b == 7);
+        assert!(
+            (h == Header::INITIAL && dev.peek_raw(effects, 1) == [0])
+                || ((h == finished || h == outcome) && landed),
+            "crash {crash:?}: {h:?}"
+        );
+        (crashed, h, dev.journal_records() - records)
+    };
+    let (_, h, records) = run(None);
+    assert_eq!((h, records), (outcome, 2), "two records");
+    let mut seen = Vec::new();
+    for k in 1.. {
+        let (crashed, h, _) = run(Some(k));
+        if !crashed {
+            break;
+        }
+        if !seen.contains(&h) {
+            seen.push(h);
+        }
+    }
+    assert_eq!(seen, [Header::INITIAL, finished, outcome], "every boundary");
 }

@@ -8,6 +8,14 @@
 //! reboot loop. Costs are attributed to a [`CostCategory`] so the
 //! experiment harness can split execution time into application, runtime
 //! and monitor shares (paper Figures 14–15).
+//!
+//! The device also holds the runtime's **open record**
+//! ([`Device::open_record`]): a journal record staged in RAM that a
+//! monitor delivery may append its own commit to, so a task's effects,
+//! the delivery and its outcome land as one record. Its invariant is
+//! the flush rule: any other FRAM write, journal commit or radio op
+//! lands the open record first, and a power failure discards it. Each
+//! sub-write stays billed to whoever staged it.
 
 use core::fmt;
 
@@ -223,6 +231,40 @@ impl PowerState {
         Ok(())
     }
 
+    /// [`PowerState::journal_access`] billed to `c`.
+    fn journal_access_as(
+        &mut self,
+        costs: &CostModel,
+        bytes: usize,
+        op: JournalOp,
+        c: CostCategory,
+    ) -> Result<(), Interrupt> {
+        let prev = core::mem::replace(&mut self.category, c);
+        let out = self.journal_access(costs, bytes, op);
+        self.category = prev;
+        out
+    }
+
+    /// Moves the streaming share of `bytes` written — their per-byte
+    /// time and energy and their byte count, not the access — from
+    /// `from`'s bill to `to`'s.
+    fn rebill_write_bytes(
+        &mut self,
+        costs: &CostModel,
+        from: CostCategory,
+        to: CostCategory,
+        bytes: usize,
+    ) {
+        let cost = costs.fram_write_per_byte.times(bytes as u64);
+        let s = &mut self.stats;
+        s.times[from.idx()] -= cost.time;
+        s.times[to.idx()] += cost.time;
+        s.energies[from.idx()] -= cost.energy;
+        s.energies[to.idx()] += cost.energy;
+        s.fram[from.idx()].write_bytes -= bytes as u64;
+        s.fram[to.idx()].write_bytes += bytes as u64;
+    }
+
     /// [`PowerState::spend`] for one FRAM write op, honouring the
     /// scheduled failure: the write that reaches it browns out instead
     /// of happening, and the schedule clears.
@@ -318,6 +360,56 @@ pub struct Device {
     /// largest of them in bytes.
     journal_records: u64,
     largest_journal_record: usize,
+    /// The runtime's open record and its reused buffers.
+    record: OpenRecord,
+    /// Open records that landed holding a delivery's sub-writes
+    /// together with the opener's.
+    riding_records: u64,
+    /// Which deliveries may ride an open record, per task as
+    /// `[StartTask, EndTask]`, from the last monitor-engine install
+    /// until a runtime install takes them ([`Device::set_riders`]).
+    riders: Vec<[bool; 2]>,
+}
+
+/// The runtime's open record: a journal record staged in RAM that
+/// riding monitor deliveries append to and that commits once (see
+/// [`Device::open_record`]). Its buffers outlive it, so opening one
+/// allocates nothing once warm.
+#[derive(Default)]
+struct OpenRecord {
+    /// The journal it commits to; `None` while no record is open.
+    journal: Option<Journal>,
+    /// The opener's sub-writes, then every appended one.
+    tx: TxWriter,
+    /// Who staged which sub-writes of `tx`: runs of `(sub-writes so
+    /// far, category)`, the opener's first.
+    owners: Vec<(usize, CostCategory)>,
+    /// Traced once the record lands.
+    landed: Option<TraceEvent>,
+}
+
+impl OpenRecord {
+    /// The category the record's fixed costs — the stage op, the count
+    /// word and both flag writes — are billed to: the opener's if it
+    /// staged anything, else the first appender's; and whether the
+    /// record holds sub-writes of both (a delivery rode it).
+    fn fixed(&self) -> (CostCategory, bool) {
+        let opener = self.owners[0].1;
+        let (mut own, mut other, mut start) = (false, None, 0);
+        for &(end, c) in &self.owners {
+            if end > start {
+                own |= c == opener;
+                if c != opener {
+                    other.get_or_insert(c);
+                }
+            }
+            start = end;
+        }
+        match other {
+            Some(c) if !own => (c, false),
+            _ => (opener, own && other.is_some()),
+        }
+    }
 }
 
 impl Device {
@@ -376,6 +468,7 @@ impl Device {
         owner: MemOwner,
         label: &str,
     ) -> Result<NvCell<T>, Interrupt> {
+        self.flush_record()?;
         let cost = self.costs.fram_write(T::SIZE);
         self.power.spend_write(cost)?;
         let cell = self.fram.alloc(init, owner, label).map_err(|e| {
@@ -399,6 +492,7 @@ impl Device {
     /// Writes a nonvolatile cell directly (not transactional; use a
     /// journal for multi-cell atomicity).
     pub fn nv_write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) -> Result<(), Interrupt> {
+        self.flush_record()?;
         let cost = self.costs.fram_write(T::SIZE);
         self.power.spend_write(cost)?;
         self.power.count(JournalOp::Write, T::SIZE);
@@ -415,6 +509,7 @@ impl Device {
         owner: MemOwner,
         label: &str,
     ) -> Result<usize, Interrupt> {
+        self.flush_record()?;
         let cost = self.costs.fram_write(size);
         self.power.spend(cost)?;
         self.fram.alloc_raw(size, owner, label).map_err(|e| {
@@ -436,6 +531,7 @@ impl Device {
     /// Writes raw bytes at `addr` in one FRAM operation (not
     /// transactional; stage into a journal for atomicity).
     pub fn nv_write_raw(&mut self, addr: usize, data: &[u8]) -> Result<(), Interrupt> {
+        self.flush_record()?;
         let cost = self.costs.fram_write(data.len());
         self.power.spend_write(cost)?;
         self.power.count(JournalOp::Write, data.len());
@@ -469,16 +565,21 @@ impl Device {
     /// non-empty write-set that commits in full counts one record
     /// ([`Device::journal_records`]).
     pub fn commit(&mut self, journal: &Journal, tx: &TxWriter) -> Result<(), Interrupt> {
-        let power = &mut self.power;
-        let costs = &self.costs;
-        journal.commit(&mut self.fram, tx, &mut |bytes, op| {
-            power.journal_access(costs, bytes, op)
-        })?;
-        if !tx.is_empty() {
-            self.journal_records += 1;
-            self.largest_journal_record = self.largest_journal_record.max(tx.record_bytes());
-        }
-        Ok(())
+        self.commit_traced(journal, tx, None)
+    }
+
+    /// [`Device::commit`], tracing `landed` once the record's flag
+    /// write landed (also if the commit fails after it: recovery then
+    /// completes the record). The open record, if any, commits first.
+    pub fn commit_traced(
+        &mut self,
+        journal: &Journal,
+        tx: &TxWriter,
+        landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        self.flush_record()?;
+        let c = self.category();
+        self.land(journal, tx, &[(tx.len(), c)], c, landed)
     }
 
     /// Journal records committed in full so far: one per non-empty
@@ -493,6 +594,184 @@ impl Device {
     /// must cover.
     pub fn largest_journal_record(&self) -> usize {
         self.largest_journal_record
+    }
+
+    /// Hands the runtime installed next the monitor deliveries that
+    /// may ride its open record: `riders[task]` holds `[StartTask,
+    /// EndTask]`. The monitor engine derives them at install; a
+    /// deployment that sets none — no monitoring, or a remote monitor —
+    /// lets no delivery ride.
+    pub fn set_riders(&mut self, riders: Vec<[bool; 2]>) {
+        self.riders = riders;
+    }
+
+    /// Takes the riders the last monitor-engine install set
+    /// ([`Device::set_riders`]), leaving none behind for a later
+    /// deployment.
+    pub fn take_riders(&mut self) -> Vec<[bool; 2]> {
+        core::mem::take(&mut self.riders)
+    }
+
+    /// Opens a copy of `tx`, billed to the current category, as the
+    /// runtime's **open record** on `journal`, ahead of a delivery that
+    /// may ride it ([`Device::set_riders`]): the delivery appends its
+    /// commit to it ([`Device::append_record`]) instead of committing
+    /// one of its own, and the runtime appends the delivery's outcome,
+    /// so the three commit as one journal record. Any FRAM write,
+    /// journal commit or radio op made while the record is open first
+    /// commits it ([`Device::flush_record`]), so nothing acts on
+    /// effects that are not durable. A power failure discards it like
+    /// any uncommitted write-set. `landed` is traced once the record
+    /// lands.
+    pub fn open_record(
+        &mut self,
+        journal: &Journal,
+        tx: &TxWriter,
+        landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        self.flush_record()?;
+        let r = &mut self.record;
+        r.tx.append(tx);
+        r.owners.push((r.tx.len(), self.power.category));
+        r.landed = landed;
+        r.journal = Some(*journal);
+        Ok(())
+    }
+
+    /// Open records that landed holding a monitor delivery's sub-writes
+    /// together with the runtime's own — deliveries that rode the
+    /// runtime's record ([`Device::append_record`]). Lossless, never
+    /// sampled.
+    pub fn riding_records(&self) -> u64 {
+        self.riding_records
+    }
+
+    /// `true` while the runtime's record is open.
+    pub fn record_open(&self) -> bool {
+        self.record.journal.is_some()
+    }
+
+    /// Appends the sub-writes of `tx`, billed to the current category,
+    /// to the open record — if one is open and its journal holds the
+    /// result — and returns whether it did. A caller it turns away
+    /// commits `tx` itself, which lands the open record first.
+    pub fn append_record(&mut self, tx: &TxWriter) -> bool {
+        let r = &mut self.record;
+        let Some(journal) = r.journal else {
+            return false;
+        };
+        if r.tx.record_bytes() + tx.record_bytes() - 2 > journal.capacity() {
+            return false;
+        }
+        r.tx.append(tx);
+        let category = self.power.category;
+        match r.owners.last_mut() {
+            Some((end, c)) if *c == category => *end = r.tx.len(),
+            _ => r.owners.push((r.tx.len(), category)),
+        }
+        true
+    }
+
+    /// Commits the open record, if any, as one journal record: every
+    /// sub-write billed to whoever staged it. A fault on the way moves
+    /// the SRAM generation on, as [`Device::discard_record`] does (a
+    /// power failure's own cycle does that).
+    pub fn flush_record(&mut self) -> Result<(), Interrupt> {
+        let r = &mut self.record;
+        let Some(journal) = r.journal else {
+            return Ok(());
+        };
+        let ((fixed, riding), landed) = (r.fixed(), r.landed.take());
+        let (tx, owners) = (core::mem::take(&mut r.tx), core::mem::take(&mut r.owners));
+        let result = self.land(&journal, &tx, &owners, fixed, landed);
+        self.riding_records += u64::from(riding && result.is_ok());
+        (self.record.tx, self.record.owners) = (tx, owners);
+        self.clear_record();
+        if matches!(result, Err(Interrupt::Fault(_))) {
+            self.sram.clear();
+        }
+        result
+    }
+
+    /// Drops the open record uncommitted, as a failure before its flag
+    /// write would. What its stagers keep in SRAM ran ahead of FRAM, so
+    /// the SRAM generation moves on, as after a power failure.
+    pub fn discard_record(&mut self) {
+        if self.record_open() {
+            self.clear_record();
+            self.sram.clear();
+        }
+    }
+
+    /// Closes the open record, keeping its buffers for the next one.
+    fn clear_record(&mut self) {
+        let r = &mut self.record;
+        r.journal = None;
+        r.tx.clear();
+        r.owners.clear();
+        r.landed = None;
+    }
+
+    /// Commits `tx` to `journal` as one record: each sub-write — its
+    /// share of the stage write and its apply — billed to its owner
+    /// (`owners` as in [`OpenRecord`]), the fixed costs to `fixed`.
+    /// Traces `landed` once the flag write landed, also if the commit
+    /// fails after it: recovery then completes the record.
+    fn land(
+        &mut self,
+        journal: &Journal,
+        tx: &TxWriter,
+        owners: &[(usize, CostCategory)],
+        fixed: CostCategory,
+        landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        let power = &mut self.power;
+        let costs = &self.costs;
+        let owner = |i: usize| {
+            owners
+                .iter()
+                .find(|(end, _)| i < *end)
+                .map_or(fixed, |o| o.1)
+        };
+        // Stage-write bytes of the sub-writes not staged by `fixed`.
+        let (mut moved, mut start) = ([0usize; 3], 0);
+        for &(end, c) in owners {
+            if c != fixed {
+                moved[c.idx()] += tx
+                    .entry_bytes()
+                    .skip(start)
+                    .take(end - start)
+                    .sum::<usize>();
+            }
+            start = end;
+        }
+        let applies = 2..2 + tx.len();
+        let mut access = 0;
+        let result = journal.commit(&mut self.fram, tx, &mut |bytes, op| {
+            let c = if applies.contains(&access) {
+                owner(access - 2)
+            } else {
+                fixed
+            };
+            power.journal_access_as(costs, bytes, op, c)?;
+            if access == 0 {
+                for to in CostCategory::ALL {
+                    power.rebill_write_bytes(costs, fixed, to, moved[to.idx()]);
+                }
+            }
+            access += 1;
+            Ok(())
+        });
+        if !tx.is_empty() && result.is_ok() {
+            self.journal_records += 1;
+            self.largest_journal_record = self.largest_journal_record.max(tx.record_bytes());
+        }
+        if result.is_ok() || journal.is_pending(&self.fram) {
+            if let Some(event) = landed {
+                self.trace_push(event);
+            }
+        }
+        result
     }
 
     /// Schedules a deterministic power failure in place of the `k`-th
@@ -553,6 +832,7 @@ impl Device {
     /// Samples a sensor, paying its cost; the reading cursor persists
     /// across power failures.
     pub fn sample(&mut self, p: Peripheral) -> Result<f64, Interrupt> {
+        self.flush_record()?;
         let cost = self.peripherals.sample_cost(p);
         self.power.spend(cost)?;
         let cursor_cell = self.ensure_cursors()?;
@@ -574,12 +854,14 @@ impl Device {
 
     /// Transmits `payload_bytes` over the radio.
     pub fn transmit(&mut self, payload_bytes: usize) -> Result<(), Interrupt> {
+        self.flush_record()?;
         let cost = self.peripherals.tx_cost(payload_bytes);
         self.power.spend(cost)
     }
 
     /// Receives `payload_bytes` over the radio.
     pub fn receive(&mut self, payload_bytes: usize) -> Result<(), Interrupt> {
+        self.flush_record()?;
         let cost = self.peripherals.rx_cost(payload_bytes);
         self.power.spend(cost)
     }
@@ -602,6 +884,14 @@ impl Device {
         Ok(cell)
     }
 
+    /// Swaps the harvester, e.g. to install on tethered power
+    /// ([`Harvester::Continuous`], which draws nothing from the
+    /// capacitor) and then run on the harvester under test, starting
+    /// from a full capacitor.
+    pub fn set_harvester(&mut self, h: Harvester) {
+        self.power.harvester = h;
+    }
+
     /// Energy currently stored in the capacitor (for the `energy`
     /// extension property).
     pub fn energy_level(&self) -> Energy {
@@ -620,6 +910,7 @@ impl Device {
         let delay = self.power.harvester.charging_delay(&self.power.cap);
         self.power.clock.advance_outage(delay);
         self.power.cap.recharge_full();
+        self.clear_record();
         self.sram.clear();
         self.reboots += 1;
         let now = self.now();
@@ -789,6 +1080,9 @@ impl DeviceBuilder {
             reboots: 0,
             journal_records: 0,
             largest_journal_record: 0,
+            record: OpenRecord::default(),
+            riding_records: 0,
+            riders: Vec::new(),
         }
     }
 }
@@ -1009,6 +1303,144 @@ mod tests {
         // flag, count, header and data reads; apply and clear writes.
         assert_eq!((monitor.write_ops, monitor.read_ops), (1 + 2 + 2, 1 + 4));
         assert_eq!(stats.fram(CostCategory::Runtime), runtime);
+    }
+
+    /// A runtime record with a riding delivery lands as one record:
+    /// each sub-write's stage bytes and apply billed to whoever staged
+    /// it, the stage op, count word and flags to the opener; what the
+    /// opener appends after the delivery lands after it.
+    #[test]
+    fn open_record_lands_once_billed_to_its_stagers() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let journal = dev.make_journal(256, MemOwner::Runtime).unwrap();
+        let addr = dev.nv_alloc_raw(32, MemOwner::Runtime, "cells").unwrap();
+        let (mut body, mut appended) = (TxWriter::new(), TxWriter::new());
+        body.write_raw(addr, &[1; 4]);
+        body.write_raw(addr + 8, &[2; 2]);
+        appended.write_raw(addr + 16, &[3; 8]);
+        dev.set_category(CostCategory::Runtime);
+        let landed = Some(TraceEvent::TaskEnd {
+            task: artemis_core::app::TaskId(0),
+        });
+        dev.open_record(&journal, &body, landed).unwrap();
+        assert!(dev.record_open());
+        let before = *dev.stats();
+        dev.billed(CostCategory::Monitor, |dev| {
+            assert!(dev.append_record(&appended));
+            Ok(())
+        })
+        .unwrap();
+        let mut closing = TxWriter::new();
+        closing.write_raw(addr + 24, &[4; 1]);
+        assert!(dev.append_record(&closing));
+        dev.flush_record().unwrap();
+        assert!(!dev.record_open());
+        assert_eq!((dev.journal_records(), dev.riding_records()), (1, 1));
+        assert_eq!(dev.peek_raw(addr, 25)[..], {
+            let mut image = [0u8; 25];
+            image[..4].fill(1);
+            image[8..10].fill(2);
+            image[16..24].fill(3);
+            image[24] = 4;
+            image
+        });
+        assert_eq!(
+            dev.trace()
+                .count(|e| matches!(e, TraceEvent::TaskEnd { .. })),
+            1
+        );
+        let stats = *dev.stats();
+        let monitor = stats.fram(CostCategory::Monitor);
+        let runtime = stats.fram(CostCategory::Runtime) - before.fram(CostCategory::Runtime);
+        // The monitor: its entry's share of the stage write (6 + 8
+        // bytes, no op) and its apply.
+        assert_eq!((monitor.write_ops, monitor.write_bytes), (1, 14 + 8));
+        // The runtime: the stage op with the count word and its three
+        // entries, both flags and its three applies.
+        assert_eq!(runtime.write_ops, 1 + 2 + 3);
+        assert_eq!(runtime.write_bytes, (2 + 10 + 8 + 7) + 2 + 7);
+        let costs = dev.cost_model();
+        let monitor_energy =
+            costs.fram_write(8).energy + costs.fram_write_per_byte.times(14).energy;
+        assert_eq!(stats.energy(CostCategory::Monitor), monitor_energy);
+        assert_eq!(stats.fram_total(), dev.fram().traffic());
+    }
+
+    /// A record holding only a delivery's sub-writes bills it all to
+    /// the delivery, as its own commit would, and counts no ride.
+    #[test]
+    fn an_empty_open_record_bills_its_only_stager() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let journal = dev.make_journal(64, MemOwner::Runtime).unwrap();
+        let addr = dev.nv_alloc_raw(8, MemOwner::Runtime, "cells").unwrap();
+        let mut appended = TxWriter::new();
+        appended.write_raw(addr, &[5; 3]);
+        dev.set_category(CostCategory::Runtime);
+        dev.open_record(&journal, &TxWriter::new(), None).unwrap();
+        let before = *dev.stats();
+        dev.billed(CostCategory::Monitor, |dev| {
+            assert!(dev.append_record(&appended));
+            dev.flush_record()
+        })
+        .unwrap();
+        let stats = *dev.stats();
+        let runtime = stats.fram(CostCategory::Runtime) - before.fram(CostCategory::Runtime);
+        let monitor = stats.fram(CostCategory::Monitor);
+        assert_eq!((runtime.write_ops, runtime.write_bytes), (0, 0));
+        assert_eq!(
+            (monitor.write_ops, monitor.write_bytes),
+            (4, (2 + 9) + 2 + 3)
+        );
+        assert_eq!((dev.journal_records(), dev.riding_records()), (1, 0));
+    }
+
+    /// Any other FRAM write, commit or radio op first lands the open
+    /// record; an append the journal cannot hold is turned away; a
+    /// power failure discards the record; a discard in the same power
+    /// cycle moves the SRAM generation on. No delivery may ride until
+    /// an engine sets riders, and a runtime install takes them.
+    #[test]
+    fn open_record_flushes_before_other_writes_and_dies_with_sram() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let journal = dev.make_journal(64, MemOwner::Runtime).unwrap();
+        let addr = dev.nv_alloc_raw(8, MemOwner::Runtime, "cells").unwrap();
+        let mut body = TxWriter::new();
+        body.write_raw(addr, &[1]);
+        body.write_raw(addr + 1, &[2]);
+        dev.open_record(&journal, &body, None).unwrap();
+        dev.nv_write_raw(addr + 2, &[3]).unwrap();
+        assert!(!dev.record_open());
+        assert_eq!(dev.peek_raw(addr, 3), &[1, 2, 3]);
+
+        let mut big = TxWriter::new();
+        big.write_raw(addr + 4, &[9; 60]);
+        dev.open_record(&journal, &body, None).unwrap();
+        assert!(!dev.append_record(&big), "the journal cannot hold it");
+        let generation = dev.sram().generation();
+        dev.discard_record();
+        assert_eq!(dev.sram().generation(), generation + 1);
+        dev.open_record(&journal, &body, None).unwrap();
+        dev.power_cycle();
+        assert!(!dev.record_open());
+        assert!(!dev.append_record(&body), "nothing open");
+
+        assert!(dev.take_riders().is_empty());
+        dev.set_riders(vec![[false, true]]);
+        assert_eq!(dev.take_riders(), vec![[false, true]]);
+        assert!(dev.take_riders().is_empty(), "taken once");
+    }
+
+    /// An install on tethered power draws nothing from the capacitor;
+    /// the harvester swapped in afterwards runs from a full charge.
+    #[test]
+    fn harvester_swaps_after_a_tethered_install() {
+        let mut dev = tiny_device(10);
+        dev.set_harvester(Harvester::Continuous);
+        dev.compute(1_000_000).unwrap();
+        assert_eq!(dev.energy_level(), dev.energy_budget());
+        dev.set_harvester(Harvester::fixed_delay_mins(1));
+        dev.compute(1_000).unwrap();
+        assert!(dev.energy_level() < dev.energy_budget());
     }
 
     #[test]

@@ -39,8 +39,11 @@
 //! verdict count, done bitmap and the first group's verdict cells — is
 //! a single sub-write. A delivery whose worklist fits one group
 //! therefore costs `k + 4` writes for its members' `k` sub-writes in
-//! all. [`crate::device::Device::commit`] counts the records it
-//! commits.
+//! all — or `k + 1` when it rides the runtime's open record
+//! ([`crate::device::Device::open_record`]), whose count word and flags
+//! it then shares with the task's effects and the runtime's header.
+//! [`crate::device::Device::journal_records`] counts the records
+//! committed.
 
 use core::ops::Range;
 
@@ -135,21 +138,18 @@ pub fn changed_span(old: &[u8], new: &[u8]) -> Option<Range<usize>> {
 /// [`Journal::commit`] writes to FRAM in one operation: `count: u16`,
 /// then `addr: u32`, `len: u16`, `data` per sub-write. Staging writes
 /// into that one buffer in place, so a write-set reused across commits
-/// (see [`TxWriter::clear`]) allocates nothing once warm. Writes to the
-/// same address and width merge in place, so re-assigning an output
-/// inside one task costs a single sub-write; the same address at a
-/// different width is a separate sub-write. Reads observe staged
-/// values (read-your-writes): [`TxWriter::read`] per cell, and
-/// [`TxWriter::overlay`] byte-granular over any raw range.
-#[derive(Debug)]
+/// (see [`TxWriter::clear`]) allocates nothing once warm, and an empty
+/// one holds no buffer at all. Writes to the same address and width
+/// merge in place, so re-assigning an output inside one task costs a
+/// single sub-write; the same address at a different width is a
+/// separate sub-write. Reads observe staged values (read-your-writes):
+/// [`TxWriter::read`] per cell, and [`TxWriter::overlay`]
+/// byte-granular over any raw range.
+#[derive(Debug, Default)]
 pub struct TxWriter {
+    /// The record image; empty (not even the count word) while nothing
+    /// is staged.
     record: Vec<u8>,
-}
-
-impl Default for TxWriter {
-    fn default() -> Self {
-        TxWriter { record: vec![0; 2] }
-    }
 }
 
 impl TxWriter {
@@ -162,9 +162,19 @@ impl TxWriter {
     /// `record_bytes` without growing — size it to the journal capacity
     /// and staging never allocates.
     pub fn with_capacity(record_bytes: usize) -> Self {
-        let mut record = Vec::with_capacity(record_bytes.max(2));
-        record.extend_from_slice(&[0, 0]);
-        TxWriter { record }
+        TxWriter {
+            record: Vec::with_capacity(record_bytes.max(2)),
+        }
+    }
+
+    /// Sets the count word to `count`, laying it down first if the
+    /// record has none yet.
+    fn set_count(&mut self, count: usize) {
+        assert!(count <= u16::MAX as usize, "journal record count overflows");
+        if self.record.is_empty() {
+            self.record.extend_from_slice(&[0, 0]);
+        }
+        self.record[..2].copy_from_slice(&(count as u16).to_le_bytes());
     }
 
     /// Stages a `len`-byte write at `addr` and returns its data bytes
@@ -174,14 +184,11 @@ impl TxWriter {
         let data = match find_entry(&self.record, addr, len) {
             Some(data) => data,
             None => {
-                let count = self.len() + 1;
                 assert!(
-                    count <= u16::MAX as usize
-                        && addr <= u32::MAX as usize
-                        && len <= u16::MAX as usize,
+                    addr <= u32::MAX as usize && len <= u16::MAX as usize,
                     "journal sub-write ({addr:#x}, {len} B) exceeds the record's fields"
                 );
-                self.record[..2].copy_from_slice(&(count as u16).to_le_bytes());
+                self.set_count(self.len() + 1);
                 self.record.extend_from_slice(&(addr as u32).to_le_bytes());
                 self.record.extend_from_slice(&(len as u16).to_le_bytes());
                 let start = self.record.len();
@@ -234,6 +241,21 @@ impl TxWriter {
         staged
     }
 
+    /// Stages every sub-write of `other` after this write-set's, in
+    /// order — the order [`Journal::commit`] applies them.
+    pub fn append(&mut self, other: &TxWriter) {
+        if !other.is_empty() {
+            self.set_count(self.len() + other.len());
+            self.record.extend_from_slice(&other.record[2..]);
+        }
+    }
+
+    /// Journal bytes of each staged sub-write, header included, in
+    /// record order.
+    pub fn entry_bytes(&self) -> impl Iterator<Item = usize> + '_ {
+        entries(&self.record).map(|(_, data)| ENTRY_HEADER + data.len())
+    }
+
     /// Stages `len` zero bytes at `addr`.
     pub fn write_zeroed(&mut self, addr: usize, len: usize) {
         self.write_slot(addr, len).fill(0);
@@ -267,7 +289,10 @@ impl TxWriter {
 
     /// Number of staged sub-writes.
     pub fn len(&self) -> usize {
-        u16::from_le_bytes([self.record[0], self.record[1]]) as usize
+        match self.record[..] {
+            [lo, hi, ..] => u16::from_le_bytes([lo, hi]) as usize,
+            _ => 0,
+        }
     }
 
     /// Returns `true` if nothing is staged.
@@ -278,18 +303,20 @@ impl TxWriter {
     /// Journal bytes the serialised record occupies: the count word
     /// plus a header and payload per sub-write.
     pub fn record_bytes(&self) -> usize {
-        self.record.len()
+        self.record.len().max(2)
     }
 
     /// The record image staged into the journal region.
     pub fn record(&self) -> &[u8] {
-        &self.record
+        match self.record.len() {
+            0 => &[0, 0],
+            _ => &self.record,
+        }
     }
 
     /// Discards all staged writes, keeping the buffer's capacity.
     pub fn clear(&mut self) {
         self.record.clear();
-        self.record.extend_from_slice(&[0, 0]);
     }
 }
 
@@ -423,9 +450,9 @@ impl Journal {
     }
 
     /// Returns `true` if a committed-but-unapplied transaction is
-    /// pending.
-    #[cfg(test)]
-    fn is_pending(&self, fram: &Fram) -> bool {
+    /// pending: its flag write landed, so recovery replays it. Read
+    /// without cost.
+    pub fn is_pending(&self, fram: &Fram) -> bool {
         fram.peek_raw(self.base + FLAG_OFF, 1)[0] != FLAG_IDLE
     }
 

@@ -13,6 +13,14 @@
 //! attempt-counting property, so a crash — which re-executes the task
 //! it hits — leaves nothing observable behind.
 
+use std::cell::RefCell;
+
+use artemis::bench::health::{
+    artemis_builder, benchmark_device, health_app, install_mayfly, HEALTH_SPEC,
+};
+use artemis::ir::expr::Value;
+use artemis::ir::MonitorSuite;
+use artemis::monitor::{MonitorVerdict, Monitoring, Reference};
 use artemis::prelude::*;
 use artemis::runtime::Channel;
 use artemis::sim::journal::TxWriter;
@@ -140,10 +148,14 @@ where
         let start = dev.trace().len();
         let result = sys.on_boot(dev);
         if boot == 2 {
-            let mut started = false;
+            // A task's end is traced once its commit's flag write
+            // landed; the commit has returned once anything is traced
+            // after it.
+            let (mut started, mut ended) = (false, false);
             for r in dev.trace().records().skip(start) {
+                recovered |= ended;
                 started |= matches!(r.event, TraceEvent::TaskStart { .. });
-                recovered |= started && matches!(r.event, TraceEvent::TaskEnd { .. });
+                ended |= started && matches!(r.event, TraceEvent::TaskEnd { .. });
             }
         }
         result
@@ -248,9 +260,10 @@ fn explore_nested(run: fn(&[u64]) -> Run) -> u64 {
     explored
 }
 
-/// ARTEMIS' crash points are pinned exactly: a delivery in which no
+/// The crash points are pinned exactly: a delivery in which no
 /// machine changes and nothing is logged persists nothing, so it adds
-/// no write op, and a change to what the run writes moves this count.
+/// no write op, Mayfly commits each task with the advance past it, and
+/// a change to what a run writes moves these counts.
 #[test]
 fn artemis_channel_commits_survive_every_crash_point() {
     assert_eq!(explore(artemis_run), 171);
@@ -258,17 +271,17 @@ fn artemis_channel_commits_survive_every_crash_point() {
 
 #[test]
 fn mayfly_channel_commits_survive_every_crash_point() {
-    assert!(explore(mayfly_run) > 100);
+    assert_eq!(explore(mayfly_run), 104);
 }
 
 #[test]
 fn artemis_recoveries_survive_a_second_crash() {
-    assert_eq!(explore_nested(artemis_run), 4_091);
+    assert_eq!(explore_nested(artemis_run), 5_586);
 }
 
 #[test]
 fn mayfly_recoveries_survive_a_second_crash() {
-    assert!(explore_nested(mayfly_run) > 3_000);
+    assert_eq!(explore_nested(mayfly_run), 2_416);
 }
 
 /// A device whose FRAM reads and CPU cycles take no time and no
@@ -338,4 +351,348 @@ fn cold_mirrors_write_what_warm_mirrors_write() {
         assert_eq!(cold.1, warm.1);
         assert!(cold.0 == warm.0, "FRAM images differ");
     }
+}
+
+/// The Fig. 5 engine behind a probe that logs what the runtime asked
+/// of it, for the wearable explorer's monitor oracle: every delivery
+/// and path restart, in order, each checked for having landed in FRAM
+/// at the probe's next entry (or at the end of the run) and, if it
+/// did, replayed once through a [`Reference`].
+struct Probe {
+    engine: MonitorEngine,
+    oracle: RefCell<Oracle>,
+}
+
+/// The monitor oracle's replay state.
+struct Oracle {
+    reference: Reference,
+    /// Every machine's initial `(state, vars)`.
+    initial: Vec<(u32, Vec<Value>)>,
+    /// Per machine: `(reset_on_path_restart, Path:)`.
+    resets: Vec<(bool, Option<u32>)>,
+    /// The last request, not yet known to have landed.
+    pending: Option<Request>,
+    /// Deliveries replayed, and those that persisted nothing (silent,
+    /// or discarded by a crash).
+    landed: usize,
+    discarded: usize,
+    /// `EndTask` deliveries that returned their verdicts.
+    ends_returned: usize,
+}
+
+enum Request {
+    /// A delivery, with the energy reading it armed under and the
+    /// verdicts the engine returned (`None` if the call failed).
+    Delivery {
+        seq: u64,
+        event: MonitorEvent,
+        energy_nj: u64,
+        verdicts: Option<Vec<MonitorVerdict>>,
+    },
+    Restart(PathId),
+}
+
+impl Probe {
+    fn new(engine: MonitorEngine, suite: &MonitorSuite, app: &AppGraph) -> Probe {
+        let reference = Reference::new(suite.clone(), app).unwrap();
+        let initial = reference.snapshot();
+        let resets = (suite.machines().iter())
+            .map(|m| (m.reset_on_path_restart, m.path))
+            .collect();
+        Probe {
+            engine,
+            oracle: RefCell::new(Oracle {
+                reference,
+                initial,
+                resets,
+                pending: None,
+                landed: 0,
+                discarded: 0,
+                ends_returned: 0,
+            }),
+        }
+    }
+
+    /// Replays the pending request if FRAM shows it landed: a delivery
+    /// whose sequence number the engine's header holds armed, or a
+    /// path restart whose machines FRAM holds reset. A delivery that
+    /// persisted nothing (silent, or discarded by a crash) is skipped;
+    /// its redelivery, if any, comes under its own entry.
+    fn settle(&self, dev: &Device) {
+        let o = &mut *self.oracle.borrow_mut();
+        match o.pending.take() {
+            None => {}
+            Some(Request::Delivery {
+                seq,
+                event,
+                energy_nj,
+                verdicts,
+            }) => {
+                if self.engine.armed_seq(dev) != Some(seq) {
+                    o.discarded += 1;
+                    return;
+                }
+                o.landed += 1;
+                let expected = o.reference.deliver(seq, &event, energy_nj);
+                if let Some(verdicts) = verdicts {
+                    assert_eq!(verdicts, expected, "verdicts of seq {seq}");
+                }
+            }
+            Some(Request::Restart(path)) => {
+                let mut reset = o.reference.snapshot();
+                for (i, &(flagged, p)) in o.resets.iter().enumerate() {
+                    if flagged && p == Some(path.number()) {
+                        reset[i] = o.initial[i].clone();
+                    }
+                }
+                if self.engine.snapshot(dev) == reset {
+                    o.reference.restart_path(path);
+                }
+            }
+        }
+    }
+
+    /// Settles the last request and requires the engine's FRAM state
+    /// to equal the reference's.
+    fn check(&self, dev: &Device) -> (usize, usize) {
+        self.settle(dev);
+        let o = self.oracle.borrow();
+        assert_eq!(self.engine.snapshot(dev), o.reference.snapshot());
+        (o.landed, o.discarded)
+    }
+}
+
+impl Monitoring for Probe {
+    fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+        self.engine.reset_monitor(dev)
+    }
+
+    fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
+        // The reboot's recovery runs first: a request that landed only
+        // through its replay shows afterwards.
+        let done = self.engine.monitor_finalize(dev);
+        if done.is_ok() {
+            self.settle(dev);
+        }
+        done
+    }
+
+    fn call_monitor(
+        &self,
+        dev: &mut Device,
+        seq: u64,
+        event: &MonitorEvent,
+    ) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        self.settle(dev);
+        let energy_nj = dev.energy_level().as_nano_joules();
+        let out = self.engine.call_monitor(dev, seq, event);
+        let mut o = self.oracle.borrow_mut();
+        o.ends_returned += usize::from(out.is_ok() && event.kind == EventKind::EndTask);
+        o.pending = Some(Request::Delivery {
+            seq,
+            event: *event,
+            energy_nj,
+            verdicts: out.as_ref().ok().cloned(),
+        });
+        drop(o);
+        out
+    }
+
+    fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        self.engine.last_verdicts(dev)
+    }
+
+    fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
+        self.settle(dev);
+        let out = self.engine.on_path_restart(dev, path);
+        self.oracle.borrow_mut().pending = Some(Request::Restart(path));
+        out
+    }
+
+    fn machine_count(&self) -> usize {
+        self.engine.machine_count()
+    }
+
+    fn machine_names(&self) -> Vec<String> {
+        self.engine.machine_names()
+    }
+}
+
+const WEARABLE_CHANNELS: [&str; 4] = ["temps", "avg", "breath", "cough"];
+
+/// What a wearable run leaves behind (see [`Observed`]).
+fn observe_wearable(
+    dev: &mut Device,
+    outcome: String,
+    channel: impl Fn(&str) -> Channel,
+) -> Observed {
+    let app = health_app();
+    Observed {
+        outcome,
+        channels: WEARABLE_CHANNELS
+            .iter()
+            .map(|c| channel(c).read_all(dev, &TxWriter::new()).unwrap())
+            .collect(),
+        completions: (0..app.task_count() as u32)
+            .map(|t| dev.trace().completions_of(TaskId(t)))
+            .collect(),
+    }
+}
+
+/// The Fig. 14 wearable run under ARTEMIS — `health_app`, whose tasks
+/// declare their costs, with the Fig. 5 spec on the benchmark's
+/// continuous-power device — under the crash schedule `crashes`, its
+/// engine behind a [`Probe`] whose oracle must hold.
+fn wearable_artemis_run(crashes: &[u64]) -> Run {
+    let app = health_app();
+    let mut dev = benchmark_device(Harvester::Continuous);
+    let suite = artemis::ir::compile(HEALTH_SPEC, &app).unwrap();
+    let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
+    let probe = Probe::new(engine, &suite, &app);
+    let mut rt = artemis_builder(app.clone())
+        .install_with(&mut dev, probe)
+        .unwrap();
+    let (outcome, writes, failures, recovered) = drive(&mut dev, &mut rt, crashes);
+    let (landed, _) = rt.engine().check(&dev);
+    assert!(landed > 0, "premise: deliveries persist");
+    Run {
+        observed: observe_wearable(&mut dev, outcome, |c| rt.channel(c).unwrap()),
+        writes,
+        failures,
+        recovered,
+    }
+}
+
+/// [`wearable_artemis_run`] under Mayfly (`health::install_mayfly`).
+fn wearable_mayfly_run(crashes: &[u64]) -> Run {
+    let mut dev = benchmark_device(Harvester::Continuous);
+    let mut rt = install_mayfly(&mut dev);
+    let (outcome, writes, failures, recovered) = drive(&mut dev, &mut rt, crashes);
+    Run {
+        observed: observe_wearable(&mut dev, outcome, |c| rt.channel(c).unwrap()),
+        writes,
+        failures,
+        recovered,
+    }
+}
+
+/// [`explore`] without the small app's channel premise: a crash before
+/// every write op of the continuous run that a power failure can
+/// replace — all but the sensor-cursor updates, which model registers —
+/// until one never fires; returns the number of crash points.
+fn explore_wearable(run: fn(&[u64]) -> Run) -> u64 {
+    let steady = run(&[]);
+    assert_eq!(steady.failures, 0);
+    for k in 1.. {
+        let once = run(&[k]);
+        assert_eq!(
+            once.observed, steady.observed,
+            "crash before write {k} of {}",
+            steady.writes
+        );
+        if once.failures == 0 {
+            return k - 1;
+        }
+    }
+    unreachable!()
+}
+
+/// The Fig. 14 wearable run survives a crash before every one of its
+/// FRAM write ops under ARTEMIS: the outcome, the channels and every
+/// task's completion count equal the continuous run's, and the
+/// deliveries that landed, replayed once each through the reference,
+/// give the engine's verdicts and FRAM state. The count is the Fig. 14
+/// run's write ops (`fig14_runs_keep_their_write_ops_and_records`)
+/// less its 15 sensor-cursor updates; its tasks declare their costs,
+/// so their `EndTask` deliveries and outcomes ride the task's record.
+#[test]
+fn artemis_wearable_run_survives_every_crash_point() {
+    assert_eq!(explore_wearable(wearable_artemis_run), 317);
+}
+
+/// [`artemis_wearable_run_survives_every_crash_point`] under Mayfly.
+#[test]
+fn mayfly_wearable_run_survives_every_crash_point() {
+    assert_eq!(explore_wearable(wearable_mayfly_run), 191);
+}
+
+/// A two-task app whose first task declares its cost, so its `EndTask`
+/// delivery — a `collect` count the second task never consumes —
+/// rides its record.
+fn counted_app() -> (ArtemisRuntimeBuilder, MonitorSuite) {
+    let mut b = AppGraphBuilder::new();
+    let a = b.task("a");
+    let c = b.task("c");
+    b.task_cost(
+        a,
+        artemis::core::app::TaskCostDecl {
+            compute_cycles: 1_000,
+            ..Default::default()
+        },
+    );
+    b.path(&[a, c]);
+    let app = b.build().unwrap();
+    let suite = artemis::ir::compile("c { collect: 5 dpTask: a onFail: skipTask; }", &app).unwrap();
+    let mut rb = ArtemisRuntimeBuilder::new(app);
+    rb.channel("out");
+    rb.body("a", |ctx| {
+        ctx.compute(1_000)?;
+        ctx.push("out", 1.0)
+    });
+    rb.body("c", |ctx| ctx.compute(1_000));
+    (rb, suite)
+}
+
+/// A fault inside a merged commit — the simulation deadline passing
+/// after a task's `EndTask` delivery appended its group 0 to the task's
+/// open record, before the record landed — discards the record. The
+/// engine's shadow and the runtime's header mirror ran ahead of FRAM
+/// there, so the SRAM generation moves on: a rearm and a second run in
+/// the same power cycle, with no reboot in between, must complete and
+/// give the reference's verdicts and FRAM state — the count the lost
+/// delivery made must not reach FRAM through the shadow.
+#[test]
+fn a_fault_inside_a_merged_commit_leaves_no_shadow_behind() {
+    let install = || {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let (rb, suite) = counted_app();
+        let engine = MonitorEngine::install(&mut dev, suite.clone(), rb.app()).unwrap();
+        let probe = Probe::new(engine, &suite, rb.app());
+        let rt = rb.install_with(&mut dev, probe).unwrap();
+        (dev, rt)
+    };
+    // The first task's record lands at its `TaskEnd`.
+    let (mut dev, mut rt) = install();
+    let start = dev.now();
+    assert!(rt.run_once(&mut dev, RunLimit::unbounded()).is_completed());
+    assert!(dev.riding_records() > 0, "premise: deliveries ride");
+    let landed = dev
+        .trace()
+        .records()
+        .find(|r| matches!(r.event, TraceEvent::TaskEnd { .. }))
+        .unwrap()
+        .at
+        - start;
+    let mut inside = 0;
+    for back in (0..=1_000).step_by(2) {
+        let (mut dev, mut rt) = install();
+        let initial = rt.engine().engine.snapshot(&dev);
+        let limit = RunLimit::sim_time(landed - SimDuration::from_micros(back));
+        assert!(!rt.run_once(&mut dev, limit).is_completed());
+        assert_eq!(dev.reboots(), 0);
+        // The delivery returned, and nothing of the record landed.
+        let returned = rt.engine().oracle.borrow().ends_returned > 0;
+        inside += usize::from(returned && rt.engine().engine.snapshot(&dev) == initial);
+        rt.rearm(&mut dev).unwrap();
+        let out = rt.run_once(&mut dev, RunLimit::unbounded());
+        assert!(
+            out.completed().is_some_and(|o| o.all_completed()),
+            "{back} µs before the landing"
+        );
+        rt.engine().check(&dev);
+    }
+    assert!(
+        inside > 5,
+        "premise: faults inside the merged window ({inside})"
+    );
 }
