@@ -18,19 +18,14 @@ enum Run {
 }
 
 /// Every subcommand: each driver `all` runs, under the id of the report
-/// it writes, then the two long sweeps `all` leaves out, the lint, and
-/// `all` itself. Parsing, usage and dispatch all read this one table.
+/// it writes, then the lint and `all` itself. Parsing, usage and
+/// dispatch all read this one table.
 fn subcommands() -> Vec<(&'static str, Run)> {
     let mut table: Vec<_> = experiments::ALL
         .iter()
         .map(|&(id, run)| (id, Run::One(run)))
         .collect();
-    table.extend([
-        ("opt", Run::One(experiments::opt)),
-        ("fleet", Run::One(experiments::fleet)),
-        ("analyze", Run::Analyze),
-        ("all", Run::All),
-    ]);
+    table.extend([("analyze", Run::Analyze), ("all", Run::All)]);
     table
 }
 
@@ -43,14 +38,11 @@ fn usage() -> ExitCode {
          \x20        and reads (warm, always-cold)\n\
          energy   install-time energy feasibility verdicts vs measured\n\
          \x20        forward progress across a capacitor sweep\n\
-         opt      bytecode optimizer sweep: executed instructions/event and\n\
-         \x20        fleet events/sec across OptLevel none/full\n\
-         fleet    full fleet-scale sharded simulation sweep (`all` includes the\n\
-         \x20        small fleet_smoke run; FLEET_DEVICES / FLEET_WORKERS\n\
-         \x20        override the full sweep)\n\
+         opt      bytecode optimizer sweep: executed instructions/event\n\
+         \x20        across OptLevel none/full\n\
          analyze  lint shipped specs/examples with the static analyser\n\
          \x20        (exits non-zero on any error-severity finding)\n\
-         all      every report above except opt, fleet and analyze\n\
+         all      every report except the lint (analyze)\n\
          --json   print a JSON array to stdout\n\
          --emit   also write each report to BENCH_<id>.json",
         ids.join("|")

@@ -575,47 +575,17 @@ pub fn ablation_deployment() -> Report {
     r
 }
 
-/// **Ablation (beyond the paper's figures)** — scalability of property
-/// checking (the paper's P3): per-event monitor cost as the number of
-/// installed properties grows. The engine's trigger pre-filter keeps
-/// the marginal cost of an *irrelevant* property to a counter write, so
-/// cost grows far slower than linearly in total properties.
-pub fn ablation_scalability() -> Report {
-    let (mut r, _) = property_sweep(
-        "ablation_scalability",
-        "per-event monitor cost vs number of installed properties",
-        &["properties", "time per event (us)", "energy per event (nJ)"],
-    );
-    r.note(
-        "events all target one task; the other properties are dismissed by the trigger pre-filter",
-    );
-    r
-}
-
 /// **Scaling benchmark (beyond the paper's figures)** — per-event
 /// monitor cost as installed properties grow at a fixed matching
 /// fraction (events always target task 0, so exactly one property can
 /// react). Only the interested worklist steps, so the per-event cost
 /// stays flat in the number of installed machines.
 pub fn scaling() -> Report {
-    let (mut r, nj) = property_sweep(
+    let mut r = Report::new(
         "scaling",
         "per-event monitor cost vs installed properties (1 matching)",
         &["properties", "time/event (us)", "energy/event (nJ)"],
     );
-    r.note(format!(
-        "32-prop / 1-prop energy ratio: {:.2}x (acceptance target: <= 2x; the removed \
-         full-scan dispatch measured 4.42x at 581e74b)",
-        nj[nj.len() - 1] / nj[0]
-    ));
-    r
-}
-
-/// The property sweep [`scaling`] and [`ablation_scalability`] share:
-/// one row per installed-property count (properties, monitor
-/// time/event, monitor energy/event), plus the energy figures.
-fn property_sweep(id: &str, title: &str, columns: &[&str]) -> (Report, Vec<f64>) {
-    let mut r = Report::new(id, title, columns);
     let mut nj = Vec::new();
     for n_props in [1usize, 2, 4, 8, 16, 32] {
         let t = measure(
@@ -631,7 +601,12 @@ fn property_sweep(id: &str, title: &str, columns: &[&str]) -> (Report, Vec<f64>)
         ]);
         nj.push(energy);
     }
-    (r, nj)
+    r.note(format!(
+        "32-prop / 1-prop energy ratio: {:.2}x (acceptance target: <= 2x; the removed \
+         full-scan dispatch measured 4.42x at 581e74b)",
+        nj[nj.len() - 1] / nj[0]
+    ));
+    r
 }
 
 /// A monitor suite, its application graph, and the task whose starts
@@ -1082,159 +1057,20 @@ pub fn energy() -> Report {
     r
 }
 
-/// Master seed of every fleet run: each device's workload is derived
-/// from it and the device index.
-const FLEET_MASTER_SEED: u64 = 0xA27E_F1EE;
-
-/// `key` parsed as an integer, or `default` when unset/invalid.
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// `FLEET_WORKERS` parsed as a comma-separated worker-count sweep
-/// (e.g. `1,2` for the CI smoke), or the full `1,2,4,8` sweep.
-fn fleet_worker_sweep() -> Vec<usize> {
-    std::env::var("FLEET_WORKERS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|w| w.trim().parse().ok())
-                .filter(|&w| w >= 1)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8])
-}
-
-/// **Fleet benchmark (beyond the paper's figures)** — fleet-scale
-/// sharded simulation: the wearable benchmark replicated across very
-/// many independent devices, driven in parallel by a work-stealing
-/// worker pool ([`artemis_fleet`]). Sweeps the worker count over the
-/// same fleet and asserts the merged [`artemis_fleet::FleetStats`] is
-/// bit-identical for every sweep point — the determinism contract that
-/// makes fleet-scale results reproducible from a single seed.
-///
-/// Env overrides (for CI smoke runs): `FLEET_DEVICES`, `FLEET_WORKERS`
-/// (comma-separated sweep).
-pub fn fleet() -> Report {
-    use artemis_fleet::{run_fleet, FleetConfig, FleetStats};
-    use std::time::Instant;
-
-    let devices = env_u64("FLEET_DEVICES", 100_000);
-    let sweep = fleet_worker_sweep();
-    let factory = crate::health::fleet_factory();
-
-    let mut r = Report::new(
-        "fleet",
-        "fleet-scale sharded simulation: wearable devices vs worker threads",
-        &[
-            "workers",
-            "devices",
-            "wall (s)",
-            "events/sec",
-            "speedup",
-            "completed",
-            "dnf",
-            "reboots",
-            "violations",
-        ],
-    );
-
-    let mut baseline: Option<(f64, FleetStats)> = None;
-    for &workers in &sweep {
-        let cfg = FleetConfig::new(devices, workers, FLEET_MASTER_SEED);
-        let t0 = Instant::now();
-        let stats = run_fleet(&cfg, &factory);
-        let wall = t0.elapsed().as_secs_f64();
-        let eps = stats.events as f64 / wall;
-        let speedup = match &baseline {
-            Some((base_eps, base_stats)) => {
-                assert_eq!(
-                    &stats, base_stats,
-                    "fleet aggregate must not depend on worker count"
-                );
-                eps / base_eps
-            }
-            None => 1.0,
-        };
-        r.row(vec![
-            workers.to_string(),
-            stats.devices.to_string(),
-            format!("{wall:.2}"),
-            format!("{eps:.0}"),
-            format!("{speedup:.2}x"),
-            stats.completed.to_string(),
-            stats.dnf.to_string(),
-            stats.reboots.to_string(),
-            stats.violations_total.to_string(),
-        ]);
-        if baseline.is_none() {
-            baseline = Some((eps, stats));
-        }
-    }
-
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    r.note(format!(
-        "host: {host_cores} core(s); speedup is events/sec relative to 1 worker on this \
-         host (thread parallelism cannot exceed the physical core count)"
-    ));
-    r.note(format!(
-        "determinism: merged FleetStats bit-identical across the {{{}}}-worker sweep \
-         (asserted, run would abort otherwise); fleet seed {FLEET_MASTER_SEED:#x}",
-        sweep
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    ));
-    if let Some((_, stats)) = &baseline {
-        r.note(format!(
-            "per-device consumed energy quantile ceilings: p50 < {} uJ, p90 < {} uJ, \
-             p99 < {} uJ",
-            stats
-                .energy_quantile_ceiling_uj(0.5)
-                .expect("non-empty fleet"),
-            stats
-                .energy_quantile_ceiling_uj(0.9)
-                .expect("non-empty fleet"),
-            stats
-                .energy_quantile_ceiling_uj(0.99)
-                .expect("non-empty fleet"),
-        ));
-        r.note(format!(
-            "reboot histogram (devices per reboot-count bucket): {}",
-            stats
-                .reboot_histogram()
-                .iter()
-                .map(|(label, n)| format!("{label}: {n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        r.note(format!(
-            "workload mix per derived seed stream: 40% continuous, 40% RF fixed-delay \
-             1-3 nominal min, 20% stochastic outages; {:.1} simulated device-hours total",
-            stats.sim_micros as f64 / 3.6e9
-        ));
-    }
-    r
-}
-
 /// Small fleet run included in the default `all` sweep: a few hundred
 /// wearable devices across a 1-vs-2 worker sweep, each installing the
 /// default (shadow-cache-enabled) engine — so the standard experiment
 /// run exercises the sharded fleet path too. Every column is simulated,
-/// so the report is deterministic. The full 100k-device sweep, with
-/// its host-timed throughput, stays behind the standalone `fleet`
-/// subcommand.
+/// so the report is deterministic. Host throughput of a fleet is
+/// timed by the benchmark package's `wearable_fleet` workload
+/// (`perf/README.md`).
 pub fn fleet_smoke() -> Report {
     use artemis_fleet::{run_fleet, FleetConfig, FleetStats};
 
     const DEVICES: u64 = 500;
+    /// Master seed: each device's workload is derived from it and the
+    /// device index.
+    const SEED: u64 = 0xA27E_F1EE;
 
     let factory = crate::health::fleet_factory();
     let mut r = Report::new(
@@ -1252,10 +1088,7 @@ pub fn fleet_smoke() -> Report {
 
     let mut baseline: Option<FleetStats> = None;
     for workers in [1usize, 2] {
-        let stats = run_fleet(
-            &FleetConfig::new(DEVICES, workers, FLEET_MASTER_SEED),
-            &factory,
-        );
+        let stats = run_fleet(&FleetConfig::new(DEVICES, workers, SEED), &factory);
         if let Some(base) = &baseline {
             assert_eq!(
                 &stats, base,
@@ -1273,13 +1106,13 @@ pub fn fleet_smoke() -> Report {
         baseline.get_or_insert(stats);
     }
     r.note(format!(
-        "{DEVICES} devices, seed {FLEET_MASTER_SEED:#x}; every device installs the default engine \
+        "{DEVICES} devices, seed {SEED:#x}; every device installs the default engine \
          (shadow cache enabled); merged FleetStats asserted bit-identical across the \
          1-vs-2 worker sweep"
     ));
     r.note(
-        "full 100k-device sweep: `experiments -- fleet` (FLEET_DEVICES/FLEET_WORKERS override)"
-            .to_string(),
+        "host throughput of a 10k-device fleet: the benchmark package's `wearable_fleet` \
+         workload (perf/README.md)",
     );
     r
 }
@@ -1290,20 +1123,20 @@ pub fn fleet_smoke() -> Report {
 /// executed-instruction counters read back next to the static
 /// [`artemis_ir::StepCost`] ceiling priced from the same compiled
 /// suite.
-pub(crate) struct OptMicro {
+struct OptMicro {
     /// Total bytecode length of the compiled suite (all machines).
-    pub bytecode_ops: usize,
+    bytecode_ops: usize,
     /// Events delivered.
-    pub events: u64,
+    events: u64,
     /// Measured executed instructions per event (engine counters).
-    pub instructions_per_event: f64,
+    instructions_per_event: f64,
     /// Static per-event instruction ceiling: sum of
     /// `step_cost(StartTask, t0)` over every machine.
-    pub ceiling_per_event: u64,
+    ceiling_per_event: u64,
     /// Static per-event compute-cycle ceiling (same sum, cycles).
-    pub ceiling_cycles_per_event: u64,
+    ceiling_cycles_per_event: u64,
     /// Monitor-category device time per event, microseconds.
-    pub time_per_event_us: f64,
+    time_per_event_us: f64,
 }
 
 /// Runs the optimizer micro benchmark at `level`. The guard in
@@ -1312,7 +1145,7 @@ pub(crate) struct OptMicro {
 /// prices — measured instructions/event must equal the ceiling
 /// exactly, at both levels (asserted here; the bench doubles as an
 /// end-to-end pin of the cost model).
-pub(crate) fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
+fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
     use artemis_core::event::MonitorEvent;
     use artemis_core::EventKind;
     use artemis_monitor::{InstallOptions, MonitorEngine};
@@ -1376,24 +1209,17 @@ pub(crate) fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
 
 /// **Optimizer benchmark (beyond the paper's figures)** — what the
 /// bytecode optimizer pipeline (constant folding, jump threading,
-/// fused superinstructions; `crates/ir/src/opt.rs`) buys at runtime.
-/// Two parts: a micro sweep on the guarded sparse dispatch suite
-/// comparing executed instructions/event and monitor time/event across
+/// fused superinstructions; `crates/ir/src/opt.rs`) buys at runtime:
+/// a micro sweep on the guarded sparse dispatch suite comparing
+/// executed instructions/event and monitor time/event across
 /// `OptLevel::{None, Full}` (the static `StepCost` ceiling is asserted
-/// exactly tight on every row), and a fleet sweep running the wearable
-/// benchmark across many devices at both levels, sharing one compiled
-/// suite per level via `fleet_factory_opt`.
-///
-/// Env overrides (for CI smoke runs): `FLEET_DEVICES`, `FLEET_WORKERS`
-/// (the largest sweep entry is used).
+/// exactly tight on every row).
 pub fn opt() -> Report {
-    use artemis_fleet::{run_fleet, FleetConfig};
     use artemis_ir::OptLevel;
-    use std::time::Instant;
 
     let mut r = Report::new(
         "opt",
-        "bytecode optimizer: executed instructions and fleet throughput vs OptLevel",
+        "bytecode optimizer: executed instructions vs OptLevel",
         &[
             "workload",
             "opt",
@@ -1403,7 +1229,6 @@ pub fn opt() -> Report {
             "tightness",
             "cycles/event",
             "time/event (us)",
-            "events/sec",
         ],
     );
 
@@ -1419,49 +1244,22 @@ pub fn opt() -> Report {
             "exact".to_string(),
             m.ceiling_cycles_per_event.to_string(),
             format!("{:.2}", m.time_per_event_us),
-            "-".to_string(),
         ]);
         micro.push(m);
-    }
-
-    let devices = env_u64("FLEET_DEVICES", 100_000);
-    let workers = fleet_worker_sweep().into_iter().max().unwrap_or(8);
-    for (name, level) in [("none", OptLevel::None), ("full", OptLevel::Full)] {
-        let factory = crate::health::fleet_factory_opt(level);
-        let cfg = FleetConfig::new(devices, workers, FLEET_MASTER_SEED);
-        let t0 = Instant::now();
-        let stats = run_fleet(&cfg, &factory);
-        let wall = t0.elapsed().as_secs_f64();
-        r.row(vec![
-            format!("fleet x{workers}w"),
-            name.to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            format!("{:.0}", stats.events as f64 / wall),
-        ]);
     }
 
     let reduction = micro[0].instructions_per_event / micro[1].instructions_per_event;
     r.note(format!(
         "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} vars, guard `v0 < 1000000 && v0 >= 0` \
-         ahead of a single increment, {} events per micro row; executed-instruction \
+         ahead of a single increment, {} events per row; executed-instruction \
          reduction: {reduction:.2}x (acceptance target: >= 1.4x)",
         micro[0].events
     ));
     r.note(
         "tightness: measured instructions/event equals the static per-event \
-         `step_cost` ceiling on every micro row (asserted, run would abort otherwise) \
+         `step_cost` ceiling on every row (asserted, run would abort otherwise) \
          — the always-true guard keeps every event on the one priced path",
     );
-    r.note(format!(
-        "fleet rows: wearable benchmark, {devices} devices, seed {FLEET_MASTER_SEED:#x}, {workers} \
-         worker(s); each level compiles its suite once and shares it across the fleet \
-         (`fleet_factory_opt`)"
-    ));
     r
 }
 
@@ -1480,10 +1278,10 @@ pub const ALL: [(&str, Driver); 12] = [
     ("fig16", fig16),
     ("table2", table2),
     ("ablation_deployment", ablation_deployment),
-    ("ablation_scalability", ablation_scalability),
     ("scaling", scaling),
     ("traffic", traffic),
     ("energy", energy),
+    ("opt", opt),
     ("fleet_smoke", fleet_smoke),
 ];
 
@@ -1497,15 +1295,25 @@ mod tests {
     use super::*;
 
     /// Asserts that a driver of [`ALL`] — every column simulated, so
-    /// its report is deterministic — produced exactly its committed
-    /// artifact (regenerate with `experiments -- <id> --emit` from the
-    /// repository root). Shape tests call this on the report they
-    /// already built, so no driver runs twice.
+    /// its report is deterministic — produced a complete report (a
+    /// title, columns, rows and a note to read them against) and
+    /// exactly its committed artifact (regenerate with
+    /// `experiments -- <id> --emit` from the repository root). Shape
+    /// tests call this on the report they already built, so no driver
+    /// runs twice.
     fn assert_committed(report: &Report) {
         assert!(
             ALL.iter().any(|(id, _)| *id == report.id),
             "`{}` is not an id in ALL, so `experiments -- {} --emit` cannot regenerate it",
             report.id,
+            report.id
+        );
+        assert!(!report.title.is_empty(), "`{}` has no title", report.id);
+        assert!(!report.columns.is_empty(), "`{}` has no columns", report.id);
+        assert!(!report.rows.is_empty(), "`{}` has no rows", report.id);
+        assert!(
+            report.notes.iter().any(|n| !n.trim().is_empty()),
+            "`{}` has no note",
             report.id
         );
         let path = format!(
@@ -1700,20 +1508,6 @@ mod tests {
             "wireless must be far costlier: local {local} vs remote {remote}"
         );
         assert_eq!(none, 0.0);
-    }
-
-    #[test]
-    fn ablation_scalability_is_sublinear() {
-        let r = ablation_scalability();
-        assert_committed(&r);
-        let cost = |i: usize| -> f64 { r.rows[i][2].parse().unwrap() };
-        let one = cost(0);
-        let thirty_two = cost(r.rows.len() - 1);
-        // 32x the properties must cost well under 32x per event.
-        assert!(
-            thirty_two < one * 16.0,
-            "per-event cost must scale sublinearly: 1 prop {one} nJ, 32 props {thirty_two} nJ"
-        );
     }
 
     #[test]
@@ -1925,8 +1719,8 @@ mod tests {
     }
 
     /// The drivers without a shape test of their own produce exactly
-    /// their committed artifacts (the figure, table, scaling, energy
-    /// and ablation drivers are diffed inside their shape tests).
+    /// their committed artifacts (the figure, table, scaling, energy,
+    /// opt and ablation drivers are diffed inside their shape tests).
     #[test]
     fn committed_simulated_artifacts_are_current() {
         assert_committed(traffic_report());
@@ -1972,31 +1766,63 @@ mod tests {
         assert!(monitor_fram > 0, "monitors must cost FRAM");
     }
 
+    /// The committed `BENCH_*.json` files are exactly the reports of
+    /// [`ALL`]: no artifact lingers after its driver is gone.
+    #[test]
+    fn committed_artifacts_are_exactly_the_all_reports() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut committed: Vec<String> = std::fs::read_dir(root)
+            .expect("repository root")
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                Some(
+                    name.strip_prefix("BENCH_")?
+                        .strip_suffix(".json")?
+                        .to_string(),
+                )
+            })
+            .collect();
+        committed.sort();
+        let mut ids: Vec<&str> = ALL.iter().map(|(id, _)| *id).collect();
+        ids.sort();
+        assert_eq!(committed, ids);
+    }
+
+    /// The optimizer report ships its headline executed-instructions
+    /// column, the static ceiling it is pinned against, and the
+    /// reduction the acceptance target reads. `opt_micro` itself
+    /// asserts measured executed instructions == events x static
+    /// ceiling, so the report's rows already prove ceiling exactness
+    /// at both levels.
     #[test]
     fn optimizer_micro_meets_reduction_target_with_exact_ceilings() {
-        // `opt_micro` itself asserts measured executed instructions ==
-        // EVENTS * static ceiling, so getting two results back already
-        // proves ceiling exactness at both levels.
-        let none = opt_micro(artemis_ir::OptLevel::None);
-        let full = opt_micro(artemis_ir::OptLevel::Full);
-        assert_eq!(none.instructions_per_event, none.ceiling_per_event as f64);
-        assert_eq!(full.instructions_per_event, full.ceiling_per_event as f64);
-        let reduction = none.instructions_per_event / full.instructions_per_event;
+        let r = opt();
+        assert_committed(&r);
+        let col = |name: &str| {
+            r.columns
+                .iter()
+                .position(|c| c == name)
+                .unwrap_or_else(|| panic!("BENCH_opt.json lost its {name} column"))
+        };
+        let cell = |row: &[String], name: &str| -> f64 { row[col(name)].parse().unwrap() };
+        let [none, full] = [0, 1].map(|i| r.rows[i].as_slice());
+        assert_eq!((&*none[col("opt")], &*full[col("opt")]), ("none", "full"));
+        for row in [none, full] {
+            assert_eq!(row[col("tightness")], "exact");
+            assert_eq!(cell(row, "instructions/event"), cell(row, "static ceiling"));
+        }
+        let reduction = cell(none, "instructions/event") / cell(full, "instructions/event");
         assert!(
             reduction >= 1.4,
-            "executed-instruction reduction {reduction:.2}x must meet the 1.4x target \
-             ({} -> {} instructions/event)",
-            none.ceiling_per_event,
-            full.ceiling_per_event
+            "executed-instruction reduction {reduction:.2}x must meet the 1.4x target"
+        );
+        assert!(r.notes.iter().any(|n| n.contains("reduction")));
+        assert!(
+            cell(full, "bytecode ops") < cell(none, "bytecode ops"),
+            "optimization must shrink the suite's bytecode"
         );
         assert!(
-            full.bytecode_ops < none.bytecode_ops,
-            "optimization must shrink the suite's bytecode ({} vs {})",
-            full.bytecode_ops,
-            none.bytecode_ops
-        );
-        assert!(
-            full.ceiling_cycles_per_event < none.ceiling_cycles_per_event,
+            cell(full, "cycles/event") < cell(none, "cycles/event"),
             "the static cycle ceiling must tighten with optimization"
         );
     }

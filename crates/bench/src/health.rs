@@ -280,15 +280,14 @@ pub fn fleet_factory() -> impl Fn(u64, u64) -> FleetDevice + Sync {
     fleet_factory_opt(artemis_ir::OptLevel::Full)
 }
 
-/// [`fleet_factory`] at an explicit bytecode optimization level (the
-/// `opt` bench sweeps both). The suite is compiled to bytecode **once**
-/// and shared across all devices through an [`std::sync::Arc`] — a
-/// 100k-device fleet holds one copy of the immutable
-/// [`artemis_ir::CompiledSuite`], not 100k. Every device passes the same
-/// suite handle on the same benchmark capacitor, so the install gate's
-/// suite-level passes run for the first device only
-/// ([`artemis_ir::CompiledSuite::install_facts`]); only the per-device
-/// FRAM image, journal, and caches are private.
+/// [`fleet_factory`] at an explicit bytecode optimization level. The
+/// suite is compiled to bytecode **once** and shared across all devices
+/// through an [`std::sync::Arc`] — a 100k-device fleet holds one copy
+/// of the immutable [`artemis_ir::CompiledSuite`], not 100k. Every
+/// device passes the same suite handle on the same benchmark
+/// capacitor, so the install gate's suite-level passes run for the
+/// first device only ([`artemis_ir::CompiledSuite::install_facts`]);
+/// only the per-device FRAM image, journal, and caches are private.
 pub fn fleet_factory_opt(opt: artemis_ir::OptLevel) -> impl Fn(u64, u64) -> FleetDevice + Sync {
     let app = health_app();
     let suite = artemis_ir::compile(HEALTH_SPEC, &app).expect("benchmark spec compiles");

@@ -36,10 +36,11 @@
 //!
 //! # Cost model
 //!
-//! The constants below mirror `artemis-monitor`'s engine and
-//! `intermittent-sim`'s journal byte-for-byte; they are pinned by tests
-//! in those crates (`bounds_model_matches_engine` in the monitor crate,
-//! the dominance assertion in the dispatch benchmark). The sim bills
+//! The engine charges the cycle constants below, and a sub-write's
+//! header is the journal's own [`ENTRY_HEADER`]. The FRAM cell sizes
+//! restate the monitor's header layout; tests pin them against the
+//! engine (`bounds_model_matches_engine` in the monitor crate, the
+//! dominance assertion in the dispatch benchmark). The sim bills
 //! one FRAM op per `read_raw`/`write_raw` call. Every commit — event
 //! group, reset or path restart — is one journal record: `k` sub-writes
 //! cost `0` reads and `k+3` writes (stage the whole record in one
@@ -119,12 +120,11 @@
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
+use intermittent_sim::journal::ENTRY_HEADER;
 use intermittent_sim::{Energy, EnergyProfile};
 
 use crate::compile::{CompiledMachine, CompiledSuite};
 
-/// Journal entry header bytes (`addr: u32` + `len: u16`).
-const ENTRY_HEADER: usize = 6;
 /// Encoded size of the pending-event cell (`EncodedEvent`).
 const ENCODED_EVENT_BYTES: usize = 31;
 /// Sequence cell (`u64`).
@@ -136,11 +136,11 @@ const VERDICT_BYTES: usize = 9;
 /// Recovery flag (`bool`).
 const FLAG_BYTES: usize = 1;
 
-/// Engine cycle charges, mirroring `artemis-monitor`'s constants of the
-/// same names (pinned against the engine by the monitor crate's
-/// `bounds_model_matches_engine` energy tests).
+/// Cycles of the per-event routing-index lookup that derives a
+/// delivery's worklist, charged at arming and again on a cold load.
 pub const ROUTING_LOOKUP_CYCLES: u64 = 12;
-/// Cycles per armed machine entered on the compiled dispatch path.
+/// Cycles per armed machine entered on the compiled dispatch path (a
+/// kind/task table lookup).
 pub const COMPILED_DISPATCH_CYCLES: u64 = 10;
 
 /// Journal bytes of one sub-write carrying `data` bytes; a record adds

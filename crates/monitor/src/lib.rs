@@ -215,6 +215,7 @@ use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskCostDecl, TaskId};
 use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
+use artemis_ir::analysis::bounds::{COMPILED_DISPATCH_CYCLES, ROUTING_LOOKUP_CYCLES};
 use artemis_ir::analysis::{commit_groups, task_feasibility, MemberCost, SuiteBounds, Verdict};
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
@@ -302,13 +303,6 @@ pub trait Monitoring {
         Vec::new()
     }
 }
-
-/// Modelled cost of the compiled path's dispatch-table lookup — a
-/// kind/task index instead of a name-comparing scan.
-const COMPILED_DISPATCH_CYCLES: u64 = 10;
-/// Modelled cost of the per-event routing-index lookup that derives the
-/// worklist, charged at arming and again on a cold load.
-const ROUTING_LOOKUP_CYCLES: u64 = 12;
 
 /// Which execution core the engine runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -410,8 +404,8 @@ pub enum InstallError {
     /// The suite failed ahead-of-time compilation to bytecode.
     Compile(CompileIssue),
     /// The app has more paths than the armed event's one-byte path
-    /// number can name, so the `Path:` filter could not tell them
-    /// apart.
+    /// number can name (254; its top value stands for every later
+    /// path), so the `Path:` filter could not tell them apart.
     TooManyPaths {
         /// Paths the app declares.
         paths: usize,
@@ -2198,11 +2192,10 @@ mod tests {
         (app, suite)
     }
 
-    /// The armed event's path number is one byte, so a path past the
-    /// 255th could not reach the `Path:` filter: an event on it would
-    /// step a machine its path qualifier dismisses. Such apps are
-    /// rejected at install; at the limit the engine dismisses what the
-    /// reference dismisses.
+    /// The armed event's path number is one byte, and its top value
+    /// stands for every path past the 254th: such apps are rejected at
+    /// install. At the limit, and on paths the app does not declare,
+    /// the engine dismisses what the reference dismisses.
     #[test]
     fn path_numbers_past_a_byte_are_rejected_at_install() {
         let (app, suite) = many_paths(301);
@@ -2211,17 +2204,17 @@ mod tests {
             MonitorEngine::install(&mut dev, suite, &app),
             Err(InstallError::TooManyPaths {
                 paths: 301,
-                max: 255
+                max: 254
             })
         ));
         assert_eq!(dev.fram().used(), 0, "nothing allocated");
 
-        let (app, suite) = many_paths(255);
+        let (app, suite) = many_paths(254);
         let mut reference = Reference::new(suite.clone(), &app).unwrap();
         let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         engine.reset_monitor(&mut dev).unwrap();
         let a = app.task_by_name("a").unwrap();
-        for (seq, path) in [(1, 254), (2, 0), (3, 254), (4, 0)] {
+        for (seq, path) in [(1, 253), (2, 0), (3, 253), (4, 0), (5, 300), (6, 254)] {
             let event = MonitorEvent::start(a, t(seq)).on_path(PathId(path));
             let energy = dev.energy_level().as_nano_joules();
             let got = engine.call_monitor(&mut dev, seq, &event).unwrap();

@@ -14,7 +14,9 @@ use intermittent_sim::fram::NvData;
 /// the volatile fields and `seq` form one short span.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct EncodedEvent {
-    /// One-based number of the executing path; 0 = no path context.
+    /// One-based number of the executing path; 0 = no path context,
+    /// [`Self::UNGOVERNED_PATH`] = a path past [`Self::MAX_PATHS`],
+    /// which no machine governs.
     pub path_number: u8,
     /// 1 if `dep_bits` carries a value.
     pub has_dep: u8,
@@ -33,14 +35,19 @@ pub struct EncodedEvent {
 impl EncodedEvent {
     /// The most paths `path_number` names; the engine rejects apps
     /// with more at install.
-    pub const MAX_PATHS: usize = u8::MAX as usize;
+    pub const MAX_PATHS: usize = Self::UNGOVERNED_PATH as usize - 1;
+
+    /// The `path_number` of every path past [`Self::MAX_PATHS`] (also
+    /// one the app does not declare): a `Path:`-qualified machine
+    /// dismisses it, as it dismisses any path other than its own.
+    pub const UNGOVERNED_PATH: u8 = u8::MAX;
 
     /// Encodes a core event plus the current energy reading.
     pub fn from_event(e: &MonitorEvent, energy_nj: u64) -> Self {
         EncodedEvent {
-            // Install admits at most `MAX_PATHS` paths, so only a path
-            // the app does not declare falls back to "no path context".
-            path_number: e.path.map_or(0, |p| u8::try_from(p.number()).unwrap_or(0)),
+            path_number: e.path.map_or(0, |p| {
+                u8::try_from(p.number()).unwrap_or(Self::UNGOVERNED_PATH)
+            }),
             has_dep: u8::from(e.dep_data.is_some()),
             dep_bits: e.dep_data.unwrap_or(0.0).to_bits(),
             energy_nj,

@@ -841,7 +841,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                     }
                     Some(a @ Action::CompletePath(_)) => {
                         // Suspend monitoring and run the task.
-                        dev.trace_push(TraceEvent::ActionTaken { action: a });
                         self.apply_path_action(dev, a)?;
                         self.run_task(dev, task)?;
                     }

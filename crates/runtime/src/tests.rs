@@ -547,6 +547,49 @@ fn start_triggered_complete_path_runs_task_unmonitored() {
     );
 }
 
+/// Each `completePath` verdict is obeyed, and traced as obeyed, once:
+/// at a `StartTask` (an `energy` bound) and at an `EndTask` (a `dpData`
+/// range), the trace holds exactly one `ActionTaken` per `Violation`.
+#[test]
+fn complete_path_is_traced_once_per_verdict() {
+    let mut b = AppGraphBuilder::new();
+    let first = b.task_with_var("first", "avg");
+    let tail = b.task("tail");
+    b.path(&[first, tail]);
+    let app = b.build().unwrap();
+
+    for spec in [
+        "first { energy: 200uJ onFail: completePath; }",
+        "first { dpData: avg Range: [36, 38] onFail: completePath; }",
+    ] {
+        let mut dev = intermittent_device(100, SimDuration::from_secs(1));
+        let suite = artemis_ir::compile(spec, &app).unwrap();
+        let mut rb = ArtemisRuntimeBuilder::new(app.clone());
+        rb.body("first", |ctx| {
+            ctx.compute(1_000)?;
+            ctx.set_monitored(39.5);
+            Ok(())
+        });
+        rb.body("tail", |ctx| ctx.compute(1_000));
+        let mut rt = rb.install(&mut dev, suite).unwrap();
+        let out = rt
+            .run_once(&mut dev, RunLimit::reboots(100))
+            .completed()
+            .unwrap();
+        assert!(out.emergency, "{spec}: {out:?}");
+
+        let complete_path = |a: &Action| matches!(a, Action::CompletePath(_));
+        let verdicts = dev
+            .trace()
+            .count(|e| matches!(e, TraceEvent::Violation { action, .. } if complete_path(action)));
+        let taken = dev
+            .trace()
+            .count(|e| matches!(e, TraceEvent::ActionTaken { action } if complete_path(action)));
+        assert_eq!(verdicts, 1, "{spec}");
+        assert_eq!(taken, verdicts, "{spec}: one ActionTaken per verdict");
+    }
+}
+
 /// `send`'s `StartTask` is judged after any outage that precedes the
 /// attempt it opens: an MITD bound on `sense` shorter than the recharge
 /// delay must fire whenever a power failure lands between `sense`'s task

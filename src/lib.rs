@@ -11,7 +11,7 @@
 //!   (FRAM/SRAM, capacitor, harvesters, persistent clock, peripherals);
 //! - [`spec`] — the property specification language front end;
 //! - [`ir`] — the intermediate state-machine language, the spec → FSM
-//!   lowering, and C/Rust monitor code generation;
+//!   lowering, and C monitor code generation;
 //! - [`monitor`] — the power-failure-resilient monitor engine;
 //! - [`runtime`] — the ARTEMIS task-based intermittent runtime;
 //! - [`fleet`] — fleet-scale sharded simulation of many devices across
