@@ -69,6 +69,7 @@
 
 use artemis_core::app::{AppGraph, TaskCostDecl, TaskId};
 use artemis_core::event::EventKind;
+use artemis_core::property::OnFail;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{CostModel, Energy, EnergyProfile};
 
@@ -124,6 +125,52 @@ pub fn delivery_floor(cost: &EventCost, model: &CostModel) -> Energy {
         (0, 0)
     };
     model.traffic_energy(0, 0, writes, bytes, ROUTING_LOOKUP_CYCLES)
+}
+
+/// The most a riding `EndTask` delivery of `task` draws together with
+/// everything the runtime does before the record it rides has landed
+/// — the **admission ceiling** the runtime checks the capacitor's
+/// charge against, on top of the record's own price, before it lets
+/// the delivery ride: the key's post-reboot worst case
+/// ([`event_energy`]); the worst outcome appended after it — the
+/// advance or `restartTask` header runs, covered with the runtime's
+/// cycles in between by [`RUNTIME_ATTEMPT_OVERHEAD`], and, if a machine
+/// routed the key may emit `restartPath`, the path reset, priced as a
+/// commit of the whole-suite reset record. Every term is a ceiling, so
+/// a ride admitted against it cannot brown out before its record has
+/// landed, and the task is never re-executed because it rode.
+pub fn ride_ceiling(
+    compiled: &CompiledSuite,
+    bounds: &SuiteBounds,
+    task: u32,
+    model: &CostModel,
+) -> Energy {
+    let event = (bounds.per_key.iter())
+        .find(|c| c.kind == EventKind::EndTask && c.task == Some(task))
+        .map_or(Energy::ZERO, |c| event_energy(c, model));
+    let machines = compiled.machines();
+    let restarts = (compiled
+        .routing()
+        .interested(EventKind::EndTask, task)
+        .iter())
+    .any(|&mi| {
+        let m = &machines[mi as usize];
+        (m.transition_list(EventKind::EndTask, task).iter()).any(|&ti| {
+            let emit = m.transitions[ti as usize].emit.as_ref();
+            emit.is_some_and(|e| e.action == OnFail::RestartPath)
+        })
+    });
+    let reset = if restarts {
+        // One apply per machine and one for the fixed header fields,
+        // the stage write and both flags; every byte staged and applied.
+        let writes = machines.len() + 4;
+        model.traffic_energy(0, 0, writes, 2 * bounds.reset_commit_bytes, 0)
+    } else {
+        Energy::ZERO
+    };
+    event
+        .saturating_add(RUNTIME_ATTEMPT_OVERHEAD)
+        .saturating_add(reset)
 }
 
 /// Energy of one declared task body execution priced through `model`:
@@ -289,6 +336,36 @@ mod tests {
     fn compiled(app: &AppGraph) -> CompiledSuite {
         let suite = crate::compile("a { maxTries: 2 onFail: skipPath; }", app).unwrap();
         CompiledSuite::compile(&suite, app).unwrap()
+    }
+
+    /// A ride's ceiling is the `EndTask` key's worst case plus the
+    /// runtime allowance, and the whole-suite reset on top only for a
+    /// key that may emit `restartPath`.
+    #[test]
+    fn ride_ceiling_adds_the_reset_only_where_restart_path_is_emitted() {
+        let app = app_with_costs(0);
+        let model = roomy().model;
+        // Per task: the ceiling less its key's worst case and the
+        // allowance; and the reset's price.
+        let extras = |action: &str| {
+            let spec = format!("a {{ maxDuration: 10s onFail: {action}; }}");
+            let suite = crate::compile(&spec, &app).unwrap();
+            let cs = CompiledSuite::compile(&suite, &app).unwrap();
+            let b = crate::analysis::suite_bounds(&cs, &roomy());
+            let extra = |t: u32| {
+                let end = (b.per_key.iter())
+                    .find(|c| c.kind == EventKind::EndTask && c.task == Some(t))
+                    .unwrap();
+                let base = event_energy(end, &model) + RUNTIME_ATTEMPT_OVERHEAD;
+                ride_ceiling(&cs, &b, t, &model) - base
+            };
+            let reset = model.traffic_energy(0, 0, 1 + 4, 2 * b.reset_commit_bytes, 0);
+            ([extra(0), extra(1)], reset)
+        };
+        assert_eq!(extras("skipTask").0, [Energy::ZERO; 2]);
+        let (restart, reset) = extras("restartPath");
+        assert!(reset > Energy::ZERO);
+        assert_eq!(restart[0], reset);
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use bounds::{
 };
 pub use conflicts::check_conflicts;
 pub use energy::{
-    body_energy, check_energy, delivery_floor, event_energy, event_energy_cached, task_feasibility,
-    TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
+    body_energy, check_energy, delivery_floor, event_energy, event_energy_cached, ride_ceiling,
+    task_feasibility, TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
 };
 pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};

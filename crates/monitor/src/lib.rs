@@ -45,10 +45,14 @@
 //! within the power cycle or is discarded, and a discard moves the
 //! SRAM generation on, which drops the shadow. Which keys may ride is
 //! fixed at install and handed, through the device, to the runtime
-//! installed next (`Device::set_riders`): keys whose worklist is one
-//! commit group, and for `EndTask` a task whose declared cost proves
-//! its attempt feasible, since a power failure inside a riding
-//! delivery re-executes the task body. A reset
+//! installed next (`Device::set_riders`) as an admission ceiling per
+//! key: keys whose worklist is one commit group may ride, a
+//! `StartTask` one always; an `EndTask` one rides the task's own
+//! commit, and a power failure inside it re-executes the task body, so
+//! it always may only for a task whose declared cost proves its
+//! attempt feasible, and otherwise only when the capacitor holds the
+//! delivery's and the outcome's worst case on top of the record's
+//! price. A reset
 //! [`MonitorEngine::on_path_restart`] stages rides the same record.
 //!
 //! # Event routing and the armed delivery
@@ -216,7 +220,9 @@ use artemis_core::app::{AppGraph, PathId, TaskCostDecl, TaskId};
 use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
 use artemis_ir::analysis::bounds::{COMPILED_DISPATCH_CYCLES, ROUTING_LOOKUP_CYCLES};
-use artemis_ir::analysis::{commit_groups, task_feasibility, MemberCost, SuiteBounds, Verdict};
+use artemis_ir::analysis::{
+    commit_groups, ride_ceiling, task_feasibility, MemberCost, SuiteBounds, Verdict,
+};
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
@@ -225,7 +231,7 @@ use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::{changed_span, Journal, TxWriter, ENTRY_HEADER};
-use intermittent_sim::EnergyProfile;
+use intermittent_sim::{Energy, EnergyProfile};
 
 use state::EncodedEvent;
 
@@ -1840,21 +1846,26 @@ impl Engine {
     }
 }
 
-/// Which deliveries may ride the runtime's open record
-/// (`Device::set_riders`), per task as `[StartTask, EndTask]`: a key
-/// whose worklist is one commit group — with more, a later group's
-/// record needs group 0's to have landed first — and, for `EndTask`,
-/// a task whose declared cost makes its attempt
-/// [`Verdict::Feasible`]: a power failure inside a riding delivery
-/// discards the task's own commit and re-executes its body, so the
-/// whole attempt must provably fit the budget with margin. An
-/// undeclared, all-zero cost proves nothing.
+/// Each delivery's admission ceiling for riding the runtime's open
+/// record (`Device::set_riders`), per task as `[StartTask, EndTask]`.
+/// A key whose worklist takes more than one commit group never rides
+/// (`None`): a later group's record needs group 0's to have landed
+/// first. A one-group `StartTask` key always may (`Some(ZERO)`): its
+/// record opens empty, so a power failure inside it only loses the
+/// delivery. An `EndTask` delivery rides the task's own commit, and a
+/// power failure inside it re-executes the task body: it always may
+/// only when the task's declared cost makes its whole attempt
+/// [`Verdict::Feasible`] (an undeclared, all-zero cost proves
+/// nothing); otherwise its ceiling is
+/// [`ride_ceiling`], and the
+/// runtime lets it ride only when the capacitor holds that and the
+/// record's own price.
 fn riders(
     compiled: &CompiledSuite,
     bounds: &SuiteBounds,
     app: &AppGraph,
     profile: &EnergyProfile,
-) -> Vec<[bool; 2]> {
+) -> Vec<[Option<Energy>; 2]> {
     let one_group = |kind: EventKind, task: u32| {
         (bounds.per_key.iter())
             .find(|k| k.kind == kind && k.task == Some(task))
@@ -1864,11 +1875,15 @@ fn riders(
         .iter()
         .map(|f| {
             let declared = app.task_cost(TaskId(f.task)) != TaskCostDecl::default();
-            let feasible = declared && f.verdict == Verdict::Feasible;
-            [
-                one_group(EventKind::StartTask, f.task),
-                feasible && one_group(EventKind::EndTask, f.task),
-            ]
+            let end = if !one_group(EventKind::EndTask, f.task) {
+                None
+            } else if declared && f.verdict == Verdict::Feasible {
+                Some(Energy::ZERO)
+            } else {
+                Some(ride_ceiling(compiled, bounds, f.task, &profile.model))
+            };
+            let start = one_group(EventKind::StartTask, f.task).then_some(Energy::ZERO);
+            [start, end]
         })
         .collect()
 }

@@ -41,6 +41,7 @@ use core::ops::Range;
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::trace::TraceEvent;
 use intermittent_sim::device::{Device, Fault, Interrupt, MemOwner};
+use intermittent_sim::energy::Energy;
 use intermittent_sim::fram::{NvCell, NvData};
 use intermittent_sim::journal::{changed_span, Journal, TxWriter};
 
@@ -52,6 +53,80 @@ pub const STATUS_READY: u8 = 0;
 /// Cursor status: the named task committed; the advance past it has
 /// not.
 pub const STATUS_FINISHED: u8 = 1;
+
+/// Whether a monitor delivery rides the record its runtime opens for
+/// it, and why ([`Ride::admit`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Ride {
+    /// A static proof lets it ride: its admission ceiling is zero.
+    Proof,
+    /// The capacitor held its ceiling and the record's price — the
+    /// allowance it rides under.
+    Energy(Energy),
+    /// The capacitor held less: the record is not opened.
+    Refused,
+    /// It never rides: it has no admission ceiling.
+    Never,
+}
+
+impl Ride {
+    /// Decides whether a delivery of admission ceiling `ceiling`
+    /// ([`Device::set_riders`]) rides a record opened with `tx`: always
+    /// for a zero ceiling, never for none, and otherwise iff
+    /// [`Device::energy_level`] holds the ceiling plus the record's
+    /// price ([`Device::record_price`]). The simulator draws exactly
+    /// what it bills, so no natural power failure lands inside a ride
+    /// admitted for energy.
+    pub fn admit(dev: &Device, ceiling: Option<Energy>, tx: &TxWriter) -> Ride {
+        match ceiling {
+            None => Ride::Never,
+            Some(c) if c.is_zero() => Ride::Proof,
+            Some(c) => {
+                let allowance = c.saturating_add(dev.record_price(tx));
+                if dev.energy_level() >= allowance {
+                    Ride::Energy(allowance)
+                } else {
+                    Ride::Refused
+                }
+            }
+        }
+    }
+
+    /// `Some` with the energy allowance to open the record under
+    /// ([`Device::open_record`]) if the delivery rides, else `None`.
+    fn allowance(self) -> Option<Option<Energy>> {
+        match self {
+            Ride::Proof => Some(None),
+            Ride::Energy(allowance) => Some(Some(allowance)),
+            Ride::Refused | Ride::Never => None,
+        }
+    }
+}
+
+/// Lossless counters of a runtime's ride decisions at its task
+/// boundaries ([`PersistentHeader::open`]), one per [`Ride`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct RideStats {
+    /// Admitted by a static proof.
+    pub proof: u64,
+    /// Admitted for the capacitor's charge.
+    pub energy: u64,
+    /// Refused for the capacitor's charge.
+    pub refused: u64,
+    /// Never admitted.
+    pub never: u64,
+}
+
+impl RideStats {
+    fn count(&mut self, ride: Ride) {
+        *match ride {
+            Ride::Proof => &mut self.proof,
+            Ride::Energy(_) => &mut self.energy,
+            Ride::Refused => &mut self.refused,
+            Ride::Never => &mut self.never,
+        } += 1;
+    }
+}
 
 /// A task runtime's header value. Every header begins with the cursor
 /// `(cur_path, cur_idx, status)`: the task the runtime is at, and
@@ -153,35 +228,43 @@ impl<T: TaskHeader> PersistentHeader<T> {
     }
 
     /// Opens `tx` with the header changed to `new` as the device's
-    /// open record ([`Device::open_record`]), for a delivery that
-    /// `rides` to ride: the delivery's commit and the next
-    /// [`PersistentHeader::commit`] append to it, and it lands as one
-    /// record. `landed` is traced once it lands. If the delivery may
-    /// not ride, commits `tx` with the header now instead.
+    /// open record ([`Device::open_record`]) if a delivery of admission
+    /// ceiling `ceiling` may ride it ([`Ride::admit`]): the delivery's
+    /// commit and the next [`PersistentHeader::commit`] append to it,
+    /// and it lands as one record. `landed` is traced once it lands. If
+    /// the delivery may not ride, commits `tx` with the header now
+    /// instead. `rides` counts the decision.
     pub fn open(
         &self,
         dev: &mut Device,
         tx: &mut TxWriter,
         new: T,
-        rides: bool,
+        ceiling: Option<Energy>,
         landed: Option<TraceEvent>,
+        rides: &mut RideStats,
     ) -> Result<(), Interrupt> {
-        if !rides {
-            return self.commit_traced(dev, tx, new, landed);
-        }
         let m = &mut *self.mirror.borrow_mut();
         m.stage(dev, tx, &new, self.cell.addr());
-        let result = dev.open_record(&self.journal, tx, landed);
+        let ride = Ride::admit(dev, ceiling, tx);
+        rides.count(ride);
+        let result = match ride.allowance() {
+            Some(allowance) => dev.open_record(&self.journal, tx, landed, allowance),
+            None => dev.commit_traced(&self.journal, tx, landed),
+        };
         m.settle(dev, new, 0..T::SIZE, result)
     }
 
-    /// Opens an empty record for a delivery that `rides` to ride, if no
-    /// record is open yet.
-    pub fn open_empty(&self, dev: &mut Device, rides: bool) -> Result<(), Interrupt> {
-        if !rides || dev.record_open() {
+    /// Opens an empty record if no record is open yet and a delivery of
+    /// admission ceiling `ceiling` may ride it ([`Ride::admit`]).
+    pub fn open_empty(&self, dev: &mut Device, ceiling: Option<Energy>) -> Result<(), Interrupt> {
+        if dev.record_open() {
             return Ok(());
         }
-        dev.open_record(&self.journal, &TxWriter::new(), None)
+        let empty = TxWriter::new();
+        match Ride::admit(dev, ceiling, &empty).allowance() {
+            Some(allowance) => dev.open_record(&self.journal, &empty, None, allowance),
+            None => Ok(()),
+        }
     }
 
     /// Commits `tx` with the header changed to `new`, as one journal

@@ -58,13 +58,29 @@
 //! a task commit does, and the delivery is made afresh under the same
 //! sequence number and finish time.
 //!
-//! Whether a delivery may ride is the monitor engine's call, made once
-//! at install and handed to this runtime's install through the device
+//! Whether a delivery rides is decided by one rule ([`Ride::admit`])
+//! over an **admission ceiling** the monitor engine derives at install
+//! and hands to this runtime's install through the device
 //! ([`Device::set_riders`](intermittent_sim::device::Device::set_riders));
 //! a deployment that hands over none — no monitoring, the remote
-//! engine — lets nothing ride. The worklist must be one commit group, and for `EndTask` the task's
-//! declared cost must prove the whole attempt fits the capacitor. A
-//! delivery that may not ride finds the task's record already
+//! engine — lets nothing ride.
+//!
+//! - A delivery whose worklist is more than one commit group never
+//!   rides.
+//! - A static proof lets the others ride always: a `StartTask`
+//!   delivery's record opens empty, so a power failure inside it loses
+//!   only the delivery, and a task whose declared cost proves its whole
+//!   attempt fits the capacitor survives its `EndTask` ride.
+//! - Any other `EndTask` delivery rides only if, when the record would
+//!   open, the capacitor holds its ceiling — the delivery's and the
+//!   worst outcome's post-reboot cost, with the runtime's cycles in
+//!   between — plus the price of landing the record as staged. The
+//!   simulator draws exactly what it bills, so no power failure lands
+//!   inside such a ride, and no task is re-executed because its
+//!   delivery rode ([`ArtemisRuntime::ride_stats`] counts the
+//!   decisions).
+//!
+//! A delivery that does not ride finds the task's record already
 //! committed — it lands at `taskFinish`, as the outcome's own record
 //! does after the delivery. Any FRAM write, journal commit or radio op
 //! made while the record is open lands it first, so no deployment acts
@@ -114,13 +130,14 @@ use artemis_core::time::SimInstant;
 use artemis_core::trace::TraceEvent;
 use artemis_monitor::{InstallError, MonitorEngine, MonitorVerdict, Monitoring};
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
+use intermittent_sim::energy::Energy;
 use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::TxWriter;
 use intermittent_sim::peripherals::Peripheral;
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
 pub use channel::{Channel, CHANNEL_CAPACITY};
-pub use header::{PersistentHeader, TaskHeader};
+pub use header::{PersistentHeader, Ride, RideStats, TaskHeader};
 use header::{STATUS_FINISHED, STATUS_READY};
 
 /// Maximum number of paths a runtime instance supports.
@@ -407,6 +424,7 @@ impl ArtemisRuntimeBuilder {
             engine,
             header,
             riders,
+            rides: RideStats::default(),
             current_task_cached: TaskId(0),
         })
     }
@@ -567,11 +585,13 @@ pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     tasks: Tasks,
     engine: M,
     header: PersistentHeader<Header>,
-    /// Which deliveries may ride the runtime's open record, per task as
-    /// `[StartTask, EndTask]`: what the engine installed with this
-    /// runtime handed over (`Device::set_riders`); none for a
-    /// deployment that hands over nothing.
-    riders: Vec<[bool; 2]>,
+    /// Each delivery's admission ceiling for riding the runtime's open
+    /// record, per task as `[StartTask, EndTask]`: what the engine
+    /// installed with this runtime handed over (`Device::set_riders`);
+    /// none for a deployment that hands over nothing.
+    riders: Vec<[Option<Energy>; 2]>,
+    /// The `EndTask` ride decisions made at `taskFinish`.
+    rides: RideStats,
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
     current_task_cached: TaskId,
@@ -598,6 +618,14 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// as the per-device throughput figure after a run.
     pub fn events_delivered(&self, dev: &Device) -> u64 {
         self.header.peek(dev).seq
+    }
+
+    /// How the `EndTask` deliveries fared at the task boundaries so
+    /// far: one decision per `taskFinish`, whether the delivery rode
+    /// the task's record by a static proof or for the capacitor's
+    /// charge, was refused for it, or never rides ([`Ride`]).
+    pub fn ride_stats(&self) -> RideStats {
+        self.rides
     }
 
     /// Runs the application once on `dev` under `limit`.
@@ -667,15 +695,16 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             ..h
         };
         let landed = Some(TraceEvent::TaskEnd { task });
-        let rides = self.rides(task, EventKind::EndTask);
-        self.header.open(dev, &mut tx, next, rides, landed)
+        let ceiling = self.ceiling(task, EventKind::EndTask);
+        self.header
+            .open(dev, &mut tx, next, ceiling, landed, &mut self.rides)
     }
 
-    /// `true` if the delivery of `kind` for `task` may ride the
-    /// runtime's open record.
-    fn rides(&self, task: TaskId, kind: EventKind) -> bool {
+    /// The admission ceiling of the delivery of `kind` for `task`
+    /// ([`Ride::admit`]).
+    fn ceiling(&self, task: TaskId, kind: EventKind) -> Option<Energy> {
         let end = usize::from(kind == EventKind::EndTask);
-        self.riders.get(task.index()).is_some_and(|k| k[end])
+        self.riders.get(task.index()).and_then(|k| k[end])
     }
 
     /// Moves to the next task, handling path boundaries — with
@@ -822,7 +851,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                     // other outcome writes `attempt`, which lands it
                     // before the body runs.
                     self.header
-                        .open_empty(dev, self.rides(task, EventKind::StartTask))?;
+                        .open_empty(dev, self.ceiling(task, EventKind::StartTask))?;
                     let event = MonitorEvent::start(task, dev.now()).on_path(path);
                     let verdicts = self.engine.call_monitor(dev, seq, &event)?;
                     self.arbitrate(dev, &verdicts)
@@ -852,7 +881,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 // the task's record if it is still open, and commit the
                 // outcome with it.
                 self.header
-                    .open_empty(dev, self.rides(task, EventKind::EndTask))?;
+                    .open_empty(dev, self.ceiling(task, EventKind::EndTask))?;
                 let action = if monitored {
                     let (has_dep, dep_bits) = h.end_dep;
                     let event = if has_dep != 0 {

@@ -803,7 +803,10 @@ fn deliveries_progress_at_every_group_zero_boundary() {
 /// Journal records of one continuous run of [`sense_send_app`] — its
 /// `sense` task's cost declared if `declared` — under the deployment
 /// `deploy` installs on a device that first ran the app under the
-/// local engine if `after_local`.
+/// local engine if `after_local`. Under the local engine `sense`'s
+/// `EndTask` delivery rides its record either way: by its declared
+/// cost's proof, or, undeclared, because the full capacitor holds its
+/// admission ceiling.
 fn records_without_a_local_engine<M: crate::Monitoring>(
     declared: bool,
     after_local: bool,
@@ -828,7 +831,7 @@ fn records_without_a_local_engine<M: crate::Monitoring>(
     if after_local {
         let mut rt = install(&mut dev, &app, "sense { maxTries: 3 onFail: skipTask; }");
         assert!(rt.run_once(&mut dev, RunLimit::unbounded()).is_completed());
-        assert_eq!(dev.riding_records() > 0, declared, "premise: rides");
+        assert!(dev.riding_records() > 0, "premise: rides");
     }
     let mut rt = deploy(&mut dev, builder(&app));
     let before = dev.journal_records();
@@ -909,7 +912,14 @@ fn an_outcome_the_open_record_cannot_hold_commits_after_it() {
         let mut tx = TxWriter::new();
         tx.write_raw(effects, &[7; EFFECTS]);
         let result = header
-            .open(&mut dev, &mut tx, finished, true, None)
+            .open(
+                &mut dev,
+                &mut tx,
+                finished,
+                Some(Energy::ZERO),
+                None,
+                &mut Default::default(),
+            )
             .and_then(|()| {
                 assert!(dev.record_open());
                 header.commit(&mut dev, &mut TxWriter::new(), outcome)
@@ -944,4 +954,31 @@ fn an_outcome_the_open_record_cannot_hold_commits_after_it() {
         }
     }
     assert_eq!(seen, [Header::INITIAL, finished, outcome], "every boundary");
+}
+
+/// A delivery rides by its admission ceiling: always for a zero one,
+/// never for none, and otherwise iff the capacitor holds the ceiling
+/// plus the price of the record it would ride — to the picojoule.
+#[test]
+fn a_ride_is_admitted_iff_the_capacitor_holds_its_ceiling_and_the_records_price() {
+    use intermittent_sim::journal::TxWriter;
+
+    use crate::Ride;
+
+    let mut tx = TxWriter::new();
+    tx.write_raw(64, &[1; 4]);
+    tx.write_raw(128, &[2; 9]);
+    let ceiling = Energy::from_nano_joules(2_500);
+    let price = DeviceBuilder::msp430fr5994().build().record_price(&tx);
+    let dev = DeviceBuilder::msp430fr5994()
+        .capacitor(Capacitor::with_budget(ceiling + price))
+        .build();
+    assert_eq!(
+        Ride::admit(&dev, Some(ceiling), &tx),
+        Ride::Energy(ceiling + price)
+    );
+    let above = ceiling + Energy::from_pico_joules(1);
+    assert_eq!(Ride::admit(&dev, Some(above), &tx), Ride::Refused);
+    assert_eq!(Ride::admit(&dev, Some(Energy::ZERO), &tx), Ride::Proof);
+    assert_eq!(Ride::admit(&dev, None, &tx), Ride::Never);
 }

@@ -365,10 +365,29 @@ pub struct Device {
     /// Open records that landed holding a delivery's sub-writes
     /// together with the opener's.
     riding_records: u64,
-    /// Which deliveries may ride an open record, per task as
-    /// `[StartTask, EndTask]`, from the last monitor-engine install
-    /// until a runtime install takes them ([`Device::set_riders`]).
-    riders: Vec<[bool; 2]>,
+    /// Open records a power failure struck before their flag write.
+    discarded_records: u64,
+    /// Open records opened under an energy allowance, and how they
+    /// ended.
+    allowances: AllowanceStats,
+    /// Each delivery's admission ceiling, per task as `[StartTask,
+    /// EndTask]`, from the last monitor-engine install until a runtime
+    /// install takes them ([`Device::set_riders`]).
+    riders: Vec<[Option<Energy>; 2]>,
+}
+
+/// Lossless counters of the open records opened under an energy
+/// allowance ([`Device::open_record`]): the charge the opener found in
+/// the capacitor for everything it draws until the record has landed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AllowanceStats {
+    /// Records that landed in full.
+    pub landed: u64,
+    /// Of those, records that drew more than their allowance from
+    /// their opening to the end of their landing.
+    pub overdrawn: u64,
+    /// Records a power failure struck before they had landed in full.
+    pub struck: u64,
 }
 
 /// The runtime's open record: a journal record staged in RAM that
@@ -386,6 +405,9 @@ struct OpenRecord {
     owners: Vec<(usize, CostCategory)>,
     /// Traced once the record lands.
     landed: Option<TraceEvent>,
+    /// The energy allowance it was opened under, and the device's
+    /// consumption when it opened.
+    allowance: Option<(Energy, Energy)>,
 }
 
 impl OpenRecord {
@@ -596,20 +618,33 @@ impl Device {
         self.largest_journal_record
     }
 
-    /// Hands the runtime installed next the monitor deliveries that
-    /// may ride its open record: `riders[task]` holds `[StartTask,
-    /// EndTask]`. The monitor engine derives them at install; a
-    /// deployment that sets none — no monitoring, or a remote monitor —
-    /// lets no delivery ride.
-    pub fn set_riders(&mut self, riders: Vec<[bool; 2]>) {
+    /// Hands the runtime installed next each monitor delivery's
+    /// **admission ceiling**: `riders[task]` holds `[StartTask,
+    /// EndTask]`. `None` means the delivery never rides an open
+    /// record; `Some(Energy::ZERO)` means it always may (a static proof
+    /// holds); any other value is the most the delivery and everything
+    /// up to the record's landing can draw, so it may ride when the
+    /// capacitor holds that plus the record's own price
+    /// ([`Device::record_price`]). The monitor engine derives them at
+    /// install; a deployment that sets none — no monitoring, or a
+    /// remote monitor — lets no delivery ride.
+    pub fn set_riders(&mut self, riders: Vec<[Option<Energy>; 2]>) {
         self.riders = riders;
     }
 
-    /// Takes the riders the last monitor-engine install set
+    /// Takes the ceilings the last monitor-engine install set
     /// ([`Device::set_riders`]), leaving none behind for a later
     /// deployment.
-    pub fn take_riders(&mut self) -> Vec<[bool; 2]> {
+    pub fn take_riders(&mut self) -> Vec<[Option<Energy>; 2]> {
         core::mem::take(&mut self.riders)
+    }
+
+    /// The energy committing `tx` alone as one journal record draws on
+    /// this device ([`TxWriter::commit_writes`]) — for an empty `tx`,
+    /// the fixed costs of a record that others append to.
+    pub fn record_price(&self, tx: &TxWriter) -> Energy {
+        let (writes, bytes) = tx.commit_writes();
+        self.costs.traffic_energy(0, 0, writes, bytes, 0)
     }
 
     /// Opens a copy of `tx`, billed to the current category, as the
@@ -621,21 +656,40 @@ impl Device {
     /// journal commit or radio op made while the record is open first
     /// commits it ([`Device::flush_record`]), so nothing acts on
     /// effects that are not durable. A power failure discards it like
-    /// any uncommitted write-set. `landed` is traced once the record
-    /// lands.
+    /// any uncommitted write-set ([`Device::discarded_records`]).
+    /// `landed` is traced once the record lands. An opener that
+    /// admitted the record for the charge in the capacitor passes that
+    /// charge as `allowance`, and [`Device::allowance_stats`] counts
+    /// how the record ended.
     pub fn open_record(
         &mut self,
         journal: &Journal,
         tx: &TxWriter,
         landed: Option<TraceEvent>,
+        allowance: Option<Energy>,
     ) -> Result<(), Interrupt> {
         self.flush_record()?;
+        let consumed = self.power.stats.consumed;
         let r = &mut self.record;
         r.tx.append(tx);
         r.owners.push((r.tx.len(), self.power.category));
         r.landed = landed;
+        r.allowance = allowance.map(|a| (a, consumed));
         r.journal = Some(*journal);
         Ok(())
+    }
+
+    /// Open records a power failure struck before their flag write —
+    /// while open, or inside their own landing — so that they never
+    /// landed. Lossless, never sampled.
+    pub fn discarded_records(&self) -> u64 {
+        self.discarded_records
+    }
+
+    /// How the open records opened under an energy allowance ended
+    /// ([`Device::open_record`]). Lossless, never sampled.
+    pub fn allowance_stats(&self) -> AllowanceStats {
+        self.allowances
     }
 
     /// Open records that landed holding a monitor delivery's sub-writes
@@ -681,10 +735,19 @@ impl Device {
         let Some(journal) = r.journal else {
             return Ok(());
         };
-        let ((fixed, riding), landed) = (r.fixed(), r.landed.take());
+        let ((fixed, riding), landed, allowance) = (r.fixed(), r.landed.take(), r.allowance.take());
         let (tx, owners) = (core::mem::take(&mut r.tx), core::mem::take(&mut r.owners));
         let result = self.land(&journal, &tx, &owners, fixed, landed);
         self.riding_records += u64::from(riding && result.is_ok());
+        let struck = matches!(result, Err(Interrupt::PowerFailure));
+        self.discarded_records += u64::from(struck && !journal.is_pending(&self.fram));
+        if let Some((allowance, consumed)) = allowance {
+            let a = &mut self.allowances;
+            let drawn = self.power.stats.consumed - consumed;
+            a.landed += u64::from(result.is_ok());
+            a.overdrawn += u64::from(result.is_ok() && drawn > allowance);
+            a.struck += u64::from(struck);
+        }
         (self.record.tx, self.record.owners) = (tx, owners);
         self.clear_record();
         if matches!(result, Err(Interrupt::Fault(_))) {
@@ -710,6 +773,7 @@ impl Device {
         r.tx.clear();
         r.owners.clear();
         r.landed = None;
+        r.allowance = None;
     }
 
     /// Commits `tx` to `journal` as one record: each sub-write — its
@@ -910,6 +974,10 @@ impl Device {
         let delay = self.power.harvester.charging_delay(&self.power.cap);
         self.power.clock.advance_outage(delay);
         self.power.cap.recharge_full();
+        if self.record_open() {
+            self.discarded_records += 1;
+            self.allowances.struck += u64::from(self.record.allowance.is_some());
+        }
         self.clear_record();
         self.sram.clear();
         self.reboots += 1;
@@ -1082,6 +1150,8 @@ impl DeviceBuilder {
             largest_journal_record: 0,
             record: OpenRecord::default(),
             riding_records: 0,
+            discarded_records: 0,
+            allowances: AllowanceStats::default(),
             riders: Vec::new(),
         }
     }
@@ -1322,7 +1392,7 @@ mod tests {
         let landed = Some(TraceEvent::TaskEnd {
             task: artemis_core::app::TaskId(0),
         });
-        dev.open_record(&journal, &body, landed).unwrap();
+        dev.open_record(&journal, &body, landed, None).unwrap();
         assert!(dev.record_open());
         let before = *dev.stats();
         dev.billed(CostCategory::Monitor, |dev| {
@@ -1376,7 +1446,8 @@ mod tests {
         let mut appended = TxWriter::new();
         appended.write_raw(addr, &[5; 3]);
         dev.set_category(CostCategory::Runtime);
-        dev.open_record(&journal, &TxWriter::new(), None).unwrap();
+        dev.open_record(&journal, &TxWriter::new(), None, None)
+            .unwrap();
         let before = *dev.stats();
         dev.billed(CostCategory::Monitor, |dev| {
             assert!(dev.append_record(&appended));
@@ -1396,9 +1467,10 @@ mod tests {
 
     /// Any other FRAM write, commit or radio op first lands the open
     /// record; an append the journal cannot hold is turned away; a
-    /// power failure discards the record; a discard in the same power
-    /// cycle moves the SRAM generation on. No delivery may ride until
-    /// an engine sets riders, and a runtime install takes them.
+    /// power failure discards the record (and counts it); a discard in
+    /// the same power cycle moves the SRAM generation on. No delivery
+    /// may ride until an engine sets riders, and a runtime install
+    /// takes them.
     #[test]
     fn open_record_flushes_before_other_writes_and_dies_with_sram() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
@@ -1407,27 +1479,76 @@ mod tests {
         let mut body = TxWriter::new();
         body.write_raw(addr, &[1]);
         body.write_raw(addr + 1, &[2]);
-        dev.open_record(&journal, &body, None).unwrap();
+        dev.open_record(&journal, &body, None, None).unwrap();
         dev.nv_write_raw(addr + 2, &[3]).unwrap();
         assert!(!dev.record_open());
         assert_eq!(dev.peek_raw(addr, 3), &[1, 2, 3]);
 
         let mut big = TxWriter::new();
         big.write_raw(addr + 4, &[9; 60]);
-        dev.open_record(&journal, &body, None).unwrap();
+        dev.open_record(&journal, &body, None, None).unwrap();
         assert!(!dev.append_record(&big), "the journal cannot hold it");
         let generation = dev.sram().generation();
         dev.discard_record();
         assert_eq!(dev.sram().generation(), generation + 1);
-        dev.open_record(&journal, &body, None).unwrap();
+        assert_eq!(dev.discarded_records(), 0, "a discard is no power failure");
+        dev.open_record(&journal, &body, None, None).unwrap();
         dev.power_cycle();
         assert!(!dev.record_open());
         assert!(!dev.append_record(&body), "nothing open");
+        assert_eq!(dev.discarded_records(), 1);
 
         assert!(dev.take_riders().is_empty());
-        dev.set_riders(vec![[false, true]]);
-        assert_eq!(dev.take_riders(), vec![[false, true]]);
+        let riders = vec![[None, Some(Energy::from_nano_joules(5))]];
+        dev.set_riders(riders.clone());
+        assert_eq!(dev.take_riders(), riders);
         assert!(dev.take_riders().is_empty(), "taken once");
+    }
+
+    /// A record's price is exactly what its commit draws, and a record
+    /// opened under an allowance is counted by how it ended: landed
+    /// within it, overdrawn, or struck by a power failure — also one
+    /// that strikes inside its landing, before the flag write.
+    #[test]
+    fn records_opened_under_an_allowance_are_counted_as_they_end() {
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let journal = dev.make_journal(64, MemOwner::Runtime).unwrap();
+        let addr = dev.nv_alloc_raw(8, MemOwner::Runtime, "cells").unwrap();
+        let mut body = TxWriter::new();
+        body.write_raw(addr, &[1; 3]);
+        body.write_raw(addr + 5, &[2; 2]);
+        let price = dev.record_price(&body);
+        let (consumed, traffic) = (dev.stats().consumed, dev.fram().traffic());
+        dev.commit(&journal, &body).unwrap();
+        assert_eq!(dev.stats().consumed - consumed, price);
+        let written = dev.fram().traffic() - traffic;
+        assert_eq!(
+            (written.write_ops as usize, written.write_bytes as usize),
+            body.commit_writes()
+        );
+
+        dev.open_record(&journal, &body, None, Some(price)).unwrap();
+        dev.flush_record().unwrap();
+        dev.open_record(
+            &journal,
+            &body,
+            None,
+            Some(price - Energy::from_pico_joules(1)),
+        )
+        .unwrap();
+        dev.flush_record().unwrap();
+        let stats = dev.allowance_stats();
+        assert_eq!((stats.landed, stats.overdrawn, stats.struck), (2, 1, 0));
+
+        dev.open_record(&journal, &body, None, Some(price)).unwrap();
+        dev.fail_before_write(1);
+        assert_eq!(dev.flush_record(), Err(Interrupt::PowerFailure));
+        dev.power_cycle();
+        dev.open_record(&journal, &body, None, Some(price)).unwrap();
+        dev.power_cycle();
+        let stats = dev.allowance_stats();
+        assert_eq!((stats.landed, stats.overdrawn, stats.struck), (2, 1, 2));
+        assert_eq!(dev.discarded_records(), 2);
     }
 
     /// An install on tethered power draws nothing from the capacitor;

@@ -306,6 +306,16 @@ impl TxWriter {
         self.record.len().max(2)
     }
 
+    /// FRAM write ops and bytes that committing this write-set as one
+    /// record draws ([`Journal::commit`]): the stage write of the whole
+    /// record, the flag write, one apply per sub-write and the flag
+    /// clear. An empty write-set is priced as a record of no sub-writes.
+    pub fn commit_writes(&self) -> (usize, usize) {
+        let (subs, record) = (self.len(), self.record_bytes());
+        let payload = record - 2 - ENTRY_HEADER * subs;
+        (3 + subs, record + 1 + payload + 1)
+    }
+
     /// The record image staged into the journal region.
     pub fn record(&self) -> &[u8] {
         match self.record.len() {

@@ -45,7 +45,9 @@ pub mod simulator;
 
 pub use capacitor::Capacitor;
 pub use clock::PersistentClock;
-pub use device::{CostCategory, Device, DeviceBuilder, DeviceStats, Fault, Interrupt, MemOwner};
+pub use device::{
+    AllowanceStats, CostCategory, Device, DeviceBuilder, DeviceStats, Fault, Interrupt, MemOwner,
+};
 pub use energy::Energy;
 pub use fram::{Fram, NvCell, NvData, Sram};
 pub use harvester::Harvester;

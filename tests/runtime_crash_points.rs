@@ -11,7 +11,11 @@
 //! task, so one write-set stages many slots), drains it through
 //! `consume`, refills it and drains it again. The specification has no
 //! attempt-counting property, so a crash — which re-executes the task
-//! it hits — leaves nothing observable behind.
+//! it hits — leaves nothing observable behind. Its tasks declare no
+//! costs, so an `EndTask` delivery rides its task's record only when
+//! the capacitor holds the delivery's admission ceiling: ARTEMIS is
+//! explored both on a capacitor that always does and on one that never
+//! does, so the crash windows of both branches are enumerated.
 
 use std::cell::RefCell;
 
@@ -22,7 +26,7 @@ use artemis::ir::expr::Value;
 use artemis::ir::MonitorSuite;
 use artemis::monitor::{MonitorVerdict, Monitoring, Reference};
 use artemis::prelude::*;
-use artemis::runtime::Channel;
+use artemis::runtime::{Channel, RideStats};
 use artemis::sim::journal::TxWriter;
 use artemis::sim::mcu::Cost;
 use artemis::sim::{CostModel, IntermittentSystem};
@@ -108,6 +112,8 @@ struct Run {
     /// Whether the second boot completed a task it started: past that
     /// commit, a crash is no longer inside the first recovery.
     recovered: bool,
+    /// The runtime's `EndTask` ride decisions (none under Mayfly).
+    rides: RideStats,
 }
 
 fn observe(dev: &mut Device, outcome: String, channel: impl Fn(&str) -> Channel) -> Observed {
@@ -169,10 +175,9 @@ where
     )
 }
 
-/// Runs the app under ARTEMIS on continuous power under the crash
-/// schedule `crashes` (see [`drive`]).
-fn artemis_run(crashes: &[u64]) -> Run {
-    let mut dev = DeviceBuilder::msp430fr5994().build();
+/// Runs the app under ARTEMIS on continuous power from `dev` under
+/// the crash schedule `crashes` (see [`drive`]).
+fn artemis_run_on(mut dev: Device, crashes: &[u64]) -> Run {
     let suite = artemis::ir::compile(SPEC, &app()).unwrap();
     let mut rt = builder().install(&mut dev, suite).unwrap();
     let (outcome, writes, failures, recovered) = drive(&mut dev, &mut rt, crashes);
@@ -181,7 +186,28 @@ fn artemis_run(crashes: &[u64]) -> Run {
         writes,
         failures,
         recovered,
+        rides: rt.ride_stats(),
     }
+}
+
+/// [`artemis_run_on`] the default capacitor, whose charge holds every
+/// `EndTask` delivery's admission ceiling: each rides its task's
+/// record.
+fn artemis_run(crashes: &[u64]) -> Run {
+    artemis_run_on(DeviceBuilder::msp430fr5994().build(), crashes)
+}
+
+/// [`artemis_run_on`] a capacitor whose charge is under every `EndTask`
+/// delivery's admission ceiling — the runtime allowance alone is
+/// larger — yet holds each delivery's commit group: every ride is
+/// refused, so each task commits at `taskFinish` and its delivery and
+/// outcome after it.
+fn artemis_refused_run(crashes: &[u64]) -> Run {
+    let cap = Capacitor::with_budget(Energy::from_micro_joules(2));
+    artemis_run_on(
+        DeviceBuilder::msp430fr5994().capacitor(cap).build(),
+        crashes,
+    )
 }
 
 /// [`artemis_run`] under Mayfly ([`mayfly_builder`]).
@@ -194,6 +220,7 @@ fn mayfly_run(crashes: &[u64]) -> Run {
         writes,
         failures,
         recovered,
+        rides: RideStats::default(),
     }
 }
 
@@ -260,13 +287,39 @@ fn explore_nested(run: fn(&[u64]) -> Run) -> u64 {
     explored
 }
 
+/// The continuous runs take the branch their capacitor sets: on the
+/// default one every `EndTask` delivery rides for energy, on the small
+/// one every ride is refused — and they observe the same.
+#[test]
+fn artemis_runs_take_the_ride_branch_their_capacitor_sets() {
+    let (admitted, refused) = (continuous(artemis_run), continuous(artemis_refused_run));
+    let boundaries = admitted.rides.energy;
+    assert!(boundaries > 0);
+    let only = |energy, refused| RideStats {
+        energy,
+        refused,
+        ..RideStats::default()
+    };
+    assert_eq!(admitted.rides, only(boundaries, 0));
+    assert_eq!(refused.rides, only(0, boundaries));
+    assert_eq!(admitted.observed, refused.observed);
+    assert!(admitted.writes < refused.writes, "riding saves writes");
+}
+
 /// The crash points are pinned exactly: a delivery in which no
 /// machine changes and nothing is logged persists nothing, so it adds
 /// no write op, Mayfly commits each task with the advance past it, and
 /// a change to what a run writes moves these counts.
 #[test]
 fn artemis_channel_commits_survive_every_crash_point() {
-    assert_eq!(explore(artemis_run), 171);
+    assert_eq!(explore(artemis_run), 138);
+}
+
+/// [`artemis_channel_commits_survive_every_crash_point`] with every
+/// `EndTask` ride refused for energy.
+#[test]
+fn artemis_refused_rides_survive_every_crash_point() {
+    assert_eq!(explore(artemis_refused_run), 171);
 }
 
 #[test]
@@ -276,7 +329,12 @@ fn mayfly_channel_commits_survive_every_crash_point() {
 
 #[test]
 fn artemis_recoveries_survive_a_second_crash() {
-    assert_eq!(explore_nested(artemis_run), 5_586);
+    assert_eq!(explore_nested(artemis_run), 3_930);
+}
+
+#[test]
+fn artemis_refused_rides_survive_a_second_crash() {
+    assert_eq!(explore_nested(artemis_refused_run), 5_586);
 }
 
 #[test]
@@ -560,6 +618,7 @@ fn wearable_artemis_run(crashes: &[u64]) -> Run {
         writes,
         failures,
         recovered,
+        rides: rt.ride_stats(),
     }
 }
 
@@ -573,6 +632,7 @@ fn wearable_mayfly_run(crashes: &[u64]) -> Run {
         writes,
         failures,
         recovered,
+        rides: RideStats::default(),
     }
 }
 
