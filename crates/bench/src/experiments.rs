@@ -647,7 +647,7 @@ const DISPATCH_VARS: usize = 12;
 /// With `guarded`, every transition carries the guard `v0 < 1000000 &&
 /// v0 >= 0`. Unoptimized, the short-circuit `&&` lowers to two full
 /// compare/branch ladders plus an `AssertBool`; the optimizer fuses
-/// each comparison into one superinstruction and threads the jumps. The
+/// each comparison into one superinstruction and drops the check. The
 /// guard stays true for the benchmark's event counts, which keeps every
 /// event on the same straight-line path — executed instructions equal
 /// the static [`artemis_ir::StepCost`] ceiling exactly, at both
@@ -1173,11 +1173,14 @@ fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
         });
 
     let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let opts = InstallOptions {
-        opt: level,
-        ..InstallOptions::default()
-    };
-    let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).expect("installs");
+    let engine = MonitorEngine::install_precompiled(
+        &mut dev,
+        suite,
+        compiled,
+        &app,
+        InstallOptions::default(),
+    )
+    .expect("installs");
     engine.reset_monitor(&mut dev).expect("reset");
 
     let time0 = dev.stats().time(CostCategory::Monitor);
@@ -1208,8 +1211,8 @@ fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
 }
 
 /// **Optimizer benchmark (beyond the paper's figures)** — what the
-/// bytecode optimizer pipeline (constant folding, jump threading,
-/// fused superinstructions; `crates/ir/src/opt.rs`) buys at runtime:
+/// bytecode optimizer sweep (redundant `AssertBool` elision and fused
+/// superinstructions; `crates/ir/src/opt.rs`) buys at runtime:
 /// a micro sweep on the guarded sparse dispatch suite comparing
 /// executed instructions/event and monitor time/event across
 /// `OptLevel::{None, Full}` (the static `StepCost` ceiling is asserted

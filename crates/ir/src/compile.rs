@@ -291,17 +291,6 @@ impl AccessSet {
     pub fn max_touched_slot(&self) -> Option<u16> {
         self.reads.iter().chain(&self.writes).copied().max()
     }
-
-    /// Number of distinct slots touched (reads ∪ writes).
-    pub fn touched_count(&self) -> usize {
-        let mut n = self.reads.len();
-        for w in &self.writes {
-            if !self.reads.contains(w) {
-                n += 1;
-            }
-        }
-        n
-    }
 }
 
 /// The statically-derived worst-case compute cost of delivering one
@@ -662,11 +651,6 @@ impl CompiledMachine {
     /// Number of bytecode instructions.
     pub fn op_count(&self) -> usize {
         self.code.len()
-    }
-
-    /// Number of compiled transitions.
-    pub fn transition_count(&self) -> usize {
-        self.transitions.len()
     }
 
     /// The machine's initial state index.
@@ -1615,7 +1599,8 @@ mod tests {
         let a = c.access(EventKind::StartTask, 0);
         assert_eq!(a.reads, vec![0, 1]);
         assert_eq!(a.writes, vec![1]);
-        assert_eq!(a.touched_count(), 2);
+        let touched: std::collections::BTreeSet<_> = a.reads.iter().chain(&a.writes).collect();
+        assert_eq!(touched.len(), 2);
         assert_eq!(a.max_touched_slot(), Some(1));
         assert!(!a.whole_block);
 
@@ -1861,6 +1846,6 @@ mod tests {
         assert_eq!(cs.task_name(99), "");
         assert!(cs.max_regs() >= 1);
         assert!(cs.machines()[0].op_count() > 0);
-        assert!(cs.machines()[0].transition_count() > 0);
+        assert!(!cs.machines()[0].to_raw().transitions.is_empty());
     }
 }

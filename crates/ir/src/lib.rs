@@ -11,10 +11,9 @@
 //!   slot-indexed bytecode with per-event dispatch tables — the
 //!   allocation-free fast path the engine runs by default;
 //! - a bytecode optimizer ([`mod@opt`]) running between codegen and
-//!   the verifier: constant folding, dead-code/dead-store
-//!   elimination, jump threading, fused superinstructions, and
-//!   register compaction, with `OptLevel::None` kept as the
-//!   differential oracle;
+//!   the verifier: one sweep per guard/body range that drops redundant
+//!   `AssertBool`s and fuses superinstructions, with `OptLevel::None`
+//!   kept as the differential oracle;
 //! - the model-to-model transformation ([`mod@lower`]) from resolved
 //!   property sets to machines;
 //! - a textual IR syntax with printer ([`mod@print`]) and parser
@@ -24,8 +23,8 @@
 //! - install-time static analysis ([`analysis`]): a bytecode verifier,
 //!   worst-case FRAM resource bounds, reachability, and cross-monitor
 //!   conflict detection over compiled suites;
-//! - model-to-text code generation ([`codegen`]) emitting C (in the
-//!   paper's ImmortalThreads style, Figure 10) and Rust monitor source.
+//! - model-to-text code generation ([`codegen`]) emitting C monitor
+//!   source in the paper's ImmortalThreads style (Figure 10).
 
 pub mod analysis;
 pub mod codegen;

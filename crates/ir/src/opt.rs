@@ -1,55 +1,50 @@
-//! Bytecode optimizer pipeline.
+//! Bytecode optimizer: one sweep per guard/body range.
 //!
 //! Runs between codegen ([`crate::compile()`]) and the install-time
 //! verifier ([`crate::analysis::verify_machine`]) — deliberately in
 //! that order: the verifier checks exactly the instruction stream the
 //! engine will execute, so no optimizer bug can smuggle an unverified
-//! program past the gate. Every pass is *verifier-monotone*: it only
-//! rewrites code into shapes the verifier types at least as precisely
-//! (a folded `Const` where a `Bin` stood, a fused branch whose result
-//! register is provably `Bool` on every surviving path), which is what
-//! the "optimizer output always verifies" fuzzer population pins.
+//! program past the gate. Every rewrite is *verifier-monotone*: it only
+//! produces shapes the verifier types at least as precisely (a fused
+//! branch whose result register is provably `Bool` on every surviving
+//! path), which is what the "optimizer output always verifies" fuzzer
+//! population pins.
 //!
-//! Passes, applied per guard/body range to fixpoint:
+//! Each range gets one round of two linear steps, both in place:
 //!
-//! 1. **Jump threading** — branches that land on an unconditional
-//!    `Jump` retarget to its destination (forward-only, so the
-//!    verifier's strictly-forward jump rule is preserved).
-//! 2. **Constant folding** — `Const`-fed `Bin`/`Not` results become
-//!    pool literals; folding is skipped when `apply` would error, so
-//!    the error surface is unchanged. The ISA has no register-move, so
-//!    classic copy propagation degenerates to this literal propagation.
-//! 3. **Dead code elimination** — unreachable instructions,
-//!    never-erroring pure loads whose destination is dead, provably
-//!    redundant `AssertBool`s (source written by a bool-producing
-//!    instruction on the same straight line), self-fall-through
-//!    `Jump { target: pc + 1 }`, and straight-line dead stores whose
-//!    coercion provably cannot error.
-//! 4. **Fusion** — the superinstructions [`Op::CmpBranch`]
-//!    (compare + conditional jump), [`Op::LoadCmpBranch`] (slot load +
-//!    literal compare + jump — the dominant `var cmp lit` guard shape;
-//!    unconditional guard tails fuse with a fall-through target), and
-//!    [`Op::ConstStore`] (literal store). Only comparison operators
-//!    are fused, and a branch-polarity flag replaces operator negation
-//!    so float comparisons stay NaN-exact.
-//! 5. **Register compaction** — surviving registers renumber densely.
-//!    Register 0 (the guard-result contract with the engine) is the
-//!    smallest index, so it always maps to itself.
+//! 1. **Redundant `AssertBool` elision** — an `AssertBool` whose source
+//!    was written by a bool-producing instruction on the same straight
+//!    line goes. Codegen emits one after the right operand of every
+//!    `&&`/`||`; when that operand is a comparison, the check is dead.
+//! 2. **Fusion** — the superinstructions [`Op::LoadCmpBranch`] (slot
+//!    load + literal compare + jump — the dominant `var cmp lit` guard
+//!    shape; unconditional guard tails fuse with a fall-through
+//!    target), [`Op::CmpBranch`] (compare + conditional jump), and
+//!    [`Op::ConstStore`] (literal store). Only comparison operators are
+//!    fused, and a branch-polarity flag replaces operator negation so
+//!    float comparisons stay NaN-exact.
+//!
+//! Each step writes the kept instructions back at a write index that
+//! never passes the read index, then remaps branch targets through one
+//! old → new index map. Neither step creates work for the other or for
+//! itself, so the round is its own fixpoint: optimizing optimized code
+//! changes nothing. These are the only rewrites kept: each one,
+//! disabled alone, moves the Fig. 15 monitor column (EXPERIMENTS.md,
+//! "Removed modes").
 //!
 //! The optimizer rewrites raw parts: [`CompiledMachine::compile_with`]
 //! hands it codegen's [`RawMachine`], and [`CompiledMachine::from_raw`]
 //! then derives the access sets, packed layout and static step costs
 //! once, from the optimized code — derived data is computed once per
-//! compile and can never go stale. The passes share one scratch arena
-//! across passes, fixpoint rounds and ranges: liveness is a bitset
-//! table, type provenance a running register file, and compaction and
-//! fusion rewrite the range in place, so once the arena has grown the
-//! passes allocate nothing.
+//! compile and can never go stale. One scratch arena serves every
+//! range: liveness is a bitset table and type provenance a running
+//! register file, so once the arena has grown the sweep allocates
+//! nothing.
 
 use core::ops::Range;
 
 use crate::compile::{CompiledMachine, Op, RawMachine};
-use crate::expr::{apply, BinOp, Value, VarType};
+use crate::expr::{BinOp, Value, VarType};
 
 /// How hard [`CompiledMachine::compile`] works on the bytecode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -58,7 +53,7 @@ pub enum OptLevel {
     /// oracle for the optimizer, exactly as `artemis_monitor::Reference` is
     /// for the compiler.
     None,
-    /// The full pipeline documented in [`crate::opt`].
+    /// The sweep documented in [`crate::opt`].
     #[default]
     Full,
 }
@@ -72,11 +67,11 @@ pub fn optimize_machine(m: &CompiledMachine) -> CompiledMachine {
     CompiledMachine::from_raw(optimize_raw(m.to_raw()))
 }
 
-/// The pass pipeline over raw parts: what
-/// [`CompiledMachine::compile_with`] runs between codegen and the one
-/// derivation in [`CompiledMachine::from_raw`]. Parts with a backward
-/// or out-of-range jump target — shapes the verifier rejects, whose
-/// absolute targets cannot be relocated — come back unchanged.
+/// The sweep over raw parts: what [`CompiledMachine::compile_with`]
+/// runs between codegen and the one derivation in
+/// [`CompiledMachine::from_raw`]. Parts with a backward or out-of-range
+/// jump target — shapes the verifier rejects, whose absolute targets
+/// cannot be relocated — come back unchanged.
 pub(crate) fn optimize_raw(mut raw: RawMachine) -> RawMachine {
     let relocatable = raw.transitions.iter().all(|t| {
         t.guard
@@ -87,18 +82,17 @@ pub(crate) fn optimize_raw(mut raw: RawMachine) -> RawMachine {
     if !relocatable {
         return raw;
     }
-    let var_tys: Vec<VarType> = raw.var_inits.iter().map(|v| v.ty()).collect();
     let mut scratch = Scratch::default();
     let mut ops = Vec::new();
     let mut code = Vec::with_capacity(raw.code.len());
     for t in &mut raw.transitions {
         if let Some(g) = &t.guard {
             load_range(&raw.code, g, &mut ops);
-            scratch.optimize(&mut ops, &mut raw.lits, &var_tys, true);
+            scratch.optimize(&mut ops, &raw.lits, true);
             t.guard = Some(append_range(&mut code, &ops));
         }
         load_range(&raw.code, &t.body, &mut ops);
-        scratch.optimize(&mut ops, &mut raw.lits, &var_tys, false);
+        scratch.optimize(&mut ops, &raw.lits, false);
         t.body = append_range(&mut code, &ops);
     }
     raw.max_regs = code.iter().map(Op::reg_span).max().unwrap_or(0);
@@ -144,309 +138,117 @@ fn append_range(code: &mut Vec<Op>, ops: &[Op]) -> Range<u32> {
     start..code.len() as u32
 }
 
-/// Reusable buffers of the pass pipeline, sized on first use and
-/// recycled across passes, fixpoint rounds and ranges.
+/// Reusable buffers of the sweep, sized on first use and recycled
+/// across steps and ranges.
 #[derive(Default)]
 struct Scratch {
     /// Branch-target flags, one per instruction.
     labels: Vec<bool>,
-    /// Reachability flags, one per instruction.
-    reach: Vec<bool>,
-    /// Reachability worklist.
-    stack: Vec<usize>,
-    /// Register liveness.
+    /// Register liveness (fusion).
     live: Liveness,
-    /// Known literal per register (constant folding).
-    known: Vec<Option<Value>>,
-    /// Register types from instruction provenance alone (DCE).
-    op_tys: Vec<Option<VarType>>,
-    /// Register types with declared slot types trusted (DCE).
-    slot_tys: Vec<Option<VarType>>,
-    /// Instructions DCE keeps.
-    keep: Vec<bool>,
-    /// Old → new instruction index (DCE compaction, fusion).
+    /// Register types from instruction provenance (elision).
+    tys: Vec<Option<VarType>>,
+    /// Old → new instruction index.
     map: Vec<u32>,
-    /// Old → new register index (register compaction).
-    rank: Vec<Option<u16>>,
 }
 
 impl Scratch {
-    /// Runs the pass pipeline on one range (local targets, exit = `len`).
-    fn optimize(
-        &mut self,
-        ops: &mut Vec<Op>,
-        lits: &mut Vec<Value>,
-        var_tys: &[VarType],
-        is_guard: bool,
-    ) {
-        for _ in 0..8 {
-            let mut changed = thread_jumps(ops);
-            changed |= self.fold_constants(ops, lits);
-            changed |= self.dce(ops, lits, var_tys, is_guard);
-            changed |= self.fuse(ops, is_guard);
-            if !changed {
-                break;
-            }
-        }
-        self.compact_registers(ops);
+    /// Runs the sweep on one range (local targets, exit = `len`).
+    fn optimize(&mut self, ops: &mut Vec<Op>, lits: &[Value], is_guard: bool) {
+        self.elide_asserts(ops, lits);
+        self.fuse(ops, is_guard);
     }
 
-    /// Pass 2: straight-line constant folding. Registers holding known
-    /// pool literals fold `Bin`/`Not` into `Const` — but only when
-    /// `apply` succeeds, so an erroring operation is never optimized
-    /// away. Knowledge resets at labels (join points).
-    fn fold_constants(&mut self, ops: &mut [Op], lits: &mut Vec<Value>) -> bool {
+    /// Step 1: drops every `AssertBool` whose source register is
+    /// provably `Bool` — by instruction provenance alone, exactly what
+    /// the verifier itself derives, so the rewrite stays
+    /// verifier-monotone. Knowledge resets at labels (join points), so
+    /// a branch target is never dropped.
+    fn elide_asserts(&mut self, ops: &mut Vec<Op>, lits: &[Value]) {
         label_set(ops, &mut self.labels);
-        let known = &mut self.known;
-        known.clear();
-        let set = |known: &mut Vec<Option<Value>>, r: u16, v: Option<Value>| {
-            let r = r as usize;
-            if known.len() <= r {
-                known.resize(r + 1, None);
-            }
-            known[r] = v;
-        };
-        let get = |known: &[Option<Value>], r: u16| known.get(r as usize).copied().flatten();
-        let mut changed = false;
-        for (i, &label) in self.labels.iter().enumerate() {
-            if label {
-                known.clear();
-            }
-            match ops[i] {
-                Op::Const { dst, lit } => set(known, dst, lits.get(lit as usize).copied()),
-                Op::Bin { op, dst, a, b } => {
-                    let folded = match (get(known, a), get(known, b)) {
-                        (Some(va), Some(vb)) => apply(op, va, vb).ok(),
-                        _ => None,
-                    };
-                    match folded.and_then(|v| intern(lits, v).map(|l| (v, l))) {
-                        Some((v, lit)) => {
-                            ops[i] = Op::Const { dst, lit };
-                            set(known, dst, Some(v));
-                            changed = true;
-                        }
-                        None => set(known, dst, None),
-                    }
-                }
-                Op::Not { dst, src } => match get(known, src) {
-                    Some(Value::Bool(b)) => {
-                        if let Some(lit) = intern(lits, Value::Bool(!b)) {
-                            ops[i] = Op::Const { dst, lit };
-                            set(known, dst, Some(Value::Bool(!b)));
-                            changed = true;
-                        } else {
-                            set(known, dst, None);
-                        }
-                    }
-                    _ => set(known, dst, None),
-                },
-                Op::LoadVar { dst, .. }
-                | Op::LoadEventTime { dst }
-                | Op::LoadDepData { dst }
-                | Op::LoadEnergy { dst }
-                | Op::CmpBranch { dst, .. }
-                | Op::LoadCmpBranch { dst, .. } => set(known, dst, None),
-                Op::AssertBool { .. }
-                | Op::JumpIfFalse { .. }
-                | Op::JumpIfTrue { .. }
-                | Op::Jump { .. }
-                | Op::StoreVar { .. }
-                | Op::ConstStore { .. } => {}
-            }
-        }
-        changed
-    }
-
-    /// Pass 3: dead code elimination. See the module docs for the exact
-    /// removal classes; every one preserves both runtime semantics (for
-    /// verified machines) and verifier acceptance.
-    fn dce(
-        &mut self,
-        ops: &mut Vec<Op>,
-        lits: &[Value],
-        var_tys: &[VarType],
-        is_guard: bool,
-    ) -> bool {
-        reachable(ops, &mut self.reach, &mut self.stack);
-        self.live.compute(ops, is_guard);
-        label_set(ops, &mut self.labels);
-        let nregs = max_reg_count(ops);
         let Scratch {
-            labels,
-            reach,
-            live,
-            op_tys,
-            slot_tys,
-            keep,
-            map,
-            ..
+            labels, tys, map, ..
         } = self;
-        for tys in [&mut *op_tys, &mut *slot_tys] {
-            tys.clear();
-            tys.resize(nregs, None);
-        }
-        keep.clear();
-        keep.resize(ops.len(), true);
-        let mut changed = false;
+        tys.clear();
+        tys.resize(max_reg_count(ops), None);
+        map.clear();
+        let mut w = 0;
         for i in 0..ops.len() {
-            // Type provenance runs forward with the sweep; knowledge
-            // resets at labels.
             if labels[i] {
-                op_tys.fill(None);
-                slot_tys.fill(None);
+                tys.fill(None);
             }
             let op = ops[i];
-            let dead = |r: u16| !live.live_after(i, r);
-            let remove = !reach[i]
-                || match op {
-                    Op::Const { dst, .. }
-                    | Op::LoadVar { dst, .. }
-                    | Op::LoadEventTime { dst }
-                    | Op::LoadEnergy { dst } => dead(dst),
-                    Op::AssertBool { src } => {
-                        op_tys.get(src as usize).copied().flatten() == Some(VarType::Bool)
-                    }
-                    Op::Jump { target } => target as usize == i + 1,
-                    Op::StoreVar { slot, src } => store_is_dead(
-                        ops,
-                        labels,
-                        var_tys,
-                        i,
-                        slot,
-                        slot_tys.get(src as usize).copied().flatten(),
-                    ),
-                    Op::ConstStore { slot, lit } => store_is_dead(
-                        ops,
-                        labels,
-                        var_tys,
-                        i,
-                        slot,
-                        lits.get(lit as usize).map(|v| v.ty()),
-                    ),
-                    _ => false,
-                };
-            if remove {
-                keep[i] = false;
-                changed = true;
+            map.push(w as u32);
+            if let Op::AssertBool { src } = op {
+                if tys[src as usize] == Some(VarType::Bool) {
+                    continue;
+                }
             }
-            type_step(op_tys, &op, lits, var_tys, false);
-            type_step(slot_tys, &op, lits, var_tys, true);
+            type_step(tys, &op, lits);
+            ops[w] = op;
+            w += 1;
         }
-        if changed {
-            compact_ops(ops, keep, map);
-        }
-        changed
+        retarget(ops, map, w);
     }
 
-    /// Pass 4: superinstruction fusion. Windows never span labels, and a
-    /// window's temporary registers must be dead after it (true for all
-    /// compiler-emitted shapes, checked explicitly for safety). Fused
-    /// ops are written back in place: the write index never passes the
-    /// read index.
-    fn fuse(&mut self, ops: &mut Vec<Op>, is_guard: bool) -> bool {
+    /// Step 2: superinstruction fusion. Windows never span labels, and
+    /// a window's temporary registers must be dead after it (true for
+    /// all compiler-emitted shapes, checked explicitly for safety).
+    fn fuse(&mut self, ops: &mut Vec<Op>, is_guard: bool) {
         label_set(ops, &mut self.labels);
         self.live.compute(ops, is_guard);
         let Scratch {
             labels, live, map, ..
         } = self;
-        let len = ops.len();
         let no_label = |mut r: Range<usize>| r.all(|j| !labels[j]);
         // Temp register `r` may vanish if the fused op overwrites it
         // (r == dst) or nothing reads it after the window's last op.
         let temp_ok = |last: usize, r: u16, dst: u16| r == dst || !live.live_after(last, r);
 
         map.clear();
-        map.resize(len + 1, 0);
-        let mut changed = false;
         let (mut i, mut w) = (0, 0);
-        while i < len {
-            let fused: Option<(Op, usize)> = match ops[i..] {
+        while i < ops.len() {
+            let fused = match ops[i..] {
                 // LoadVar ; Const ; Bin cmp [; JumpIf*] → LoadCmpBranch.
                 [Op::LoadVar { dst: r1, slot }, Op::Const { dst: r2, lit }, Op::Bin { op, dst, a, b }, ..]
                     if is_cmp(op) && a == r1 && b == r2 && r1 != r2 && no_label(i + 1..i + 3) =>
                 {
-                    match ops.get(i + 3) {
-                        Some(&Op::JumpIfFalse { src, target })
-                            if src == dst
-                                && !labels[i + 3]
-                                && temp_ok(i + 3, r1, dst)
-                                && temp_ok(i + 3, r2, dst) =>
+                    let temps_die = |last| temp_ok(last, r1, dst) && temp_ok(last, r2, dst);
+                    let lcb = |target, when| Op::LoadCmpBranch {
+                        op,
+                        dst,
+                        slot,
+                        lit,
+                        target,
+                        when,
+                    };
+                    match cond_branch(ops.get(i + 3)) {
+                        Some((src, target, when))
+                            if src == dst && !labels[i + 3] && temps_die(i + 3) =>
                         {
-                            Some((
-                                Op::LoadCmpBranch {
-                                    op,
-                                    dst,
-                                    slot,
-                                    lit,
-                                    target,
-                                    when: false,
-                                },
-                                4,
-                            ))
+                            Some((lcb(target, when), 4))
                         }
-                        Some(&Op::JumpIfTrue { src, target })
-                            if src == dst
-                                && !labels[i + 3]
-                                && temp_ok(i + 3, r1, dst)
-                                && temp_ok(i + 3, r2, dst) =>
-                        {
-                            Some((
-                                Op::LoadCmpBranch {
-                                    op,
-                                    dst,
-                                    slot,
-                                    lit,
-                                    target,
-                                    when: true,
-                                },
-                                4,
-                            ))
-                        }
-                        _ if temp_ok(i + 2, r1, dst) && temp_ok(i + 2, r2, dst) => Some((
-                            // No consumer branch: fall through either way.
-                            Op::LoadCmpBranch {
-                                op,
-                                dst,
-                                slot,
-                                lit,
-                                target: (i + 3) as u32,
-                                when: false,
-                            },
-                            3,
-                        )),
+                        // No consumer branch: fall through either way.
+                        _ if temps_die(i + 2) => Some((lcb((i + 3) as u32, false), 3)),
                         _ => None,
                     }
                 }
                 // Bin cmp ; JumpIf* → CmpBranch.
-                [Op::Bin { op, dst, a, b }, Op::JumpIfFalse { src, target }, ..]
-                    if is_cmp(op) && src == dst && !labels[i + 1] =>
-                {
-                    Some((
-                        Op::CmpBranch {
-                            op,
-                            dst,
-                            a,
-                            b,
-                            target,
-                            when: false,
-                        },
-                        2,
-                    ))
-                }
-                [Op::Bin { op, dst, a, b }, Op::JumpIfTrue { src, target }, ..]
-                    if is_cmp(op) && src == dst && !labels[i + 1] =>
-                {
-                    Some((
-                        Op::CmpBranch {
-                            op,
-                            dst,
-                            a,
-                            b,
-                            target,
-                            when: true,
-                        },
-                        2,
-                    ))
+                [Op::Bin { op, dst, a, b }, ..] if is_cmp(op) => {
+                    match cond_branch(ops.get(i + 1)) {
+                        Some((src, target, when)) if src == dst && !labels[i + 1] => Some((
+                            Op::CmpBranch {
+                                op,
+                                dst,
+                                a,
+                                b,
+                                target,
+                                when,
+                            },
+                            2,
+                        )),
+                        _ => None,
+                    }
                 }
                 // Const ; StoreVar → ConstStore (temp register dies).
                 [Op::Const { dst, lit }, Op::StoreVar { slot, src }, ..]
@@ -456,80 +258,39 @@ impl Scratch {
                 }
                 _ => None,
             };
-            let (op, width) = match fused {
-                Some(f) => {
-                    changed = true;
-                    f
-                }
-                None => (ops[i], 1),
-            };
-            map[i..i + width].fill(w as u32);
+            let (op, width) = fused.unwrap_or((ops[i], 1));
+            map.resize(map.len() + width, w as u32);
             ops[w] = op;
             w += 1;
             i += width;
         }
-        if changed {
-            map[len] = w as u32;
-            ops.truncate(w);
-            for op in ops.iter_mut() {
-                if let Some(t) = op.target_mut() {
-                    *t = map[*t as usize];
-                }
-            }
-        }
-        changed
+        retarget(ops, map, w);
     }
+}
 
-    /// Pass 5: renumber surviving registers densely. Rank order preserves
-    /// relative indices, so register 0 — when used at all, as every guard
-    /// does for its result — stays register 0.
-    fn compact_registers(&mut self, ops: &mut [Op]) {
-        let rank = &mut self.rank;
-        rank.clear();
-        rank.resize(max_reg_count(ops), None);
-        for op in ops.iter() {
-            let (reads, write) = op.regs();
-            for r in reads.into_iter().chain([write]).flatten() {
-                rank[r as usize] = Some(0);
-            }
+/// Finishes a step that wrote `kept` instructions back in place:
+/// truncates `ops` and remaps every target through `map` (one entry per
+/// old instruction; the exit maps to `kept`).
+fn retarget(ops: &mut Vec<Op>, map: &mut Vec<u32>, kept: usize) {
+    if kept == ops.len() {
+        return;
+    }
+    map.push(kept as u32);
+    ops.truncate(kept);
+    for op in ops.iter_mut() {
+        if let Some(t) = op.target_mut() {
+            *t = map[*t as usize];
         }
-        let mut next = 0u32;
-        let mut identity = true;
-        for (r, slot) in rank.iter_mut().enumerate() {
-            if slot.is_some() {
-                identity &= next as usize == r;
-                *slot = Some(next as u16);
-                next += 1;
-            }
-        }
-        if identity {
-            return;
-        }
-        let rank = |r: u16| rank[r as usize].expect("every used register is ranked");
-        for op in ops.iter_mut() {
-            match op {
-                Op::Const { dst, .. }
-                | Op::LoadVar { dst, .. }
-                | Op::LoadEventTime { dst }
-                | Op::LoadDepData { dst }
-                | Op::LoadEnergy { dst }
-                | Op::LoadCmpBranch { dst, .. } => *dst = rank(*dst),
-                Op::Bin { dst, a, b, .. } | Op::CmpBranch { dst, a, b, .. } => {
-                    *dst = rank(*dst);
-                    *a = rank(*a);
-                    *b = rank(*b);
-                }
-                Op::Not { dst, src } => {
-                    *dst = rank(*dst);
-                    *src = rank(*src);
-                }
-                Op::AssertBool { src }
-                | Op::JumpIfFalse { src, .. }
-                | Op::JumpIfTrue { src, .. }
-                | Op::StoreVar { src, .. } => *src = rank(*src),
-                Op::Jump { .. } | Op::ConstStore { .. } => {}
-            }
-        }
+    }
+}
+
+/// `(src, target, when)` of a conditional jump taken when `src`
+/// equals `when`.
+fn cond_branch(op: Option<&Op>) -> Option<(u16, u32, bool)> {
+    match *op? {
+        Op::JumpIfFalse { src, target } => Some((src, target, false)),
+        Op::JumpIfTrue { src, target } => Some((src, target, true)),
+        _ => None,
     }
 }
 
@@ -555,25 +316,6 @@ fn label_set(ops: &[Op], labels: &mut Vec<bool>) {
     for op in ops {
         if let Some(l) = op.target().and_then(|t| labels.get_mut(t as usize)) {
             *l = true;
-        }
-    }
-}
-
-/// Marks the instructions reachable from the range entry in `reach`.
-fn reachable(ops: &[Op], reach: &mut Vec<bool>, stack: &mut Vec<usize>) {
-    reach.clear();
-    reach.resize(ops.len(), false);
-    stack.clear();
-    stack.push(0);
-    while let Some(i) = stack.pop() {
-        if i >= ops.len() || reach[i] {
-            continue;
-        }
-        reach[i] = true;
-        let (s0, s1) = successors(ops, i);
-        stack.push(s0);
-        if let Some(s1) = s1 {
-            stack.push(s1);
         }
     }
 }
@@ -631,168 +373,33 @@ impl Liveness {
 }
 
 /// Forward type provenance across one instruction: `tys` moves from the
-/// instruction's entry state to its exit state. With
-/// `trust_var_types`, `LoadVar` yields the slot's declared type (sound
-/// at runtime, used for dead-store coercion proofs); without it, only
-/// instruction provenance counts (matching what the verifier itself
-/// derives, used for `AssertBool` removal so the rewrite stays
-/// verifier-monotone).
-fn type_step(
-    tys: &mut [Option<VarType>],
-    op: &Op,
-    lits: &[Value],
-    var_tys: &[VarType],
-    trust_var_types: bool,
-) {
-    let mut set = |r: u16, t: Option<VarType>| {
-        if let Some(slot) = tys.get_mut(r as usize) {
-            *slot = t;
-        }
-    };
-    match op {
-        Op::Const { dst, lit } => set(*dst, lits.get(*lit as usize).map(|v| v.ty())),
-        Op::LoadVar { dst, slot } => set(
-            *dst,
-            var_tys
-                .get(*slot as usize)
-                .copied()
-                .filter(|_| trust_var_types),
+/// instruction's entry state to its exit state. Only instruction
+/// provenance counts — a `LoadVar` yields no type, matching what the
+/// verifier itself derives.
+fn type_step(tys: &mut [Option<VarType>], op: &Op, lits: &[Value]) {
+    let (r, t) = match *op {
+        Op::Const { dst, lit } => (dst, lits.get(lit as usize).map(|v| v.ty())),
+        Op::LoadVar { dst, .. } => (dst, None),
+        Op::LoadEventTime { dst } => (dst, Some(VarType::Time)),
+        Op::LoadDepData { dst } => (dst, Some(VarType::Float)),
+        Op::LoadEnergy { dst } => (dst, Some(VarType::Int)),
+        // On the surviving path a comparison (or short-circuit
+        // operator) produced a bool; arithmetic is typed only by the
+        // verifier's own rule, so stay conservative.
+        Op::Bin { op, dst, .. } => (
+            dst,
+            (!matches!(op, BinOp::Add | BinOp::Sub)).then_some(VarType::Bool),
         ),
-        Op::LoadEventTime { dst } => set(*dst, Some(VarType::Time)),
-        Op::LoadDepData { dst } => set(*dst, Some(VarType::Float)),
-        Op::LoadEnergy { dst } => set(*dst, Some(VarType::Int)),
-        Op::Bin { op, dst, .. } => {
-            // On the surviving path a comparison (or short-circuit
-            // operator) produced a bool; arithmetic is typed only
-            // by the verifier's own rule, so stay conservative.
-            let t = match op {
-                BinOp::Add | BinOp::Sub => None,
-                _ => Some(VarType::Bool),
-            };
-            set(*dst, t);
-        }
-        Op::Not { dst, .. } => set(*dst, Some(VarType::Bool)),
+        Op::Not { dst, .. } => (dst, Some(VarType::Bool)),
         // Past these, the source/result register survived an
         // `as_bool`, so it is `Bool` on every continuing path.
-        Op::AssertBool { src } => set(*src, Some(VarType::Bool)),
-        Op::JumpIfFalse { src, .. } | Op::JumpIfTrue { src, .. } => set(*src, Some(VarType::Bool)),
-        Op::CmpBranch { dst, .. } | Op::LoadCmpBranch { dst, .. } => set(*dst, Some(VarType::Bool)),
-        Op::Jump { .. } | Op::StoreVar { .. } | Op::ConstStore { .. } => {}
-    }
-}
-
-/// Pass 1: retarget branches that land on an unconditional `Jump` to
-/// its final destination. Targets only ever move forward.
-fn thread_jumps(ops: &mut [Op]) -> bool {
-    let mut changed = false;
-    for i in 0..ops.len() {
-        let Some(t0) = ops[i].target() else {
-            continue;
-        };
-        let mut t = t0;
-        while let Some(Op::Jump { target }) = ops.get(t as usize) {
-            t = *target;
+        Op::AssertBool { src } | Op::JumpIfFalse { src, .. } | Op::JumpIfTrue { src, .. } => {
+            (src, Some(VarType::Bool))
         }
-        if t != t0 {
-            *ops[i].target_mut().expect("has target") = t;
-            changed = true;
-        }
-    }
-    changed
-}
-
-/// Interns a value into the literal pool (deduplicating by equality).
-/// Returns `None` if the pool is full.
-fn intern(lits: &mut Vec<Value>, v: Value) -> Option<u16> {
-    let idx = match lits.iter().position(|l| *l == v) {
-        Some(i) => i,
-        None => {
-            if lits.len() >= u16::MAX as usize {
-                return None;
-            }
-            lits.push(v);
-            lits.len() - 1
-        }
+        Op::CmpBranch { dst, .. } | Op::LoadCmpBranch { dst, .. } => (dst, Some(VarType::Bool)),
+        Op::Jump { .. } | Op::StoreVar { .. } | Op::ConstStore { .. } => return,
     };
-    Some(idx as u16)
-}
-
-/// `true` when coercing a value of type `from` into a slot of type
-/// `to` can never raise `TypeMismatch` (see `crate::exec::coerce`).
-fn coerce_never_errors(from: VarType, to: VarType) -> bool {
-    from == to
-        || matches!(
-            (from, to),
-            (VarType::Int, VarType::Time)
-                | (VarType::Time, VarType::Int)
-                | (VarType::Int, VarType::Float)
-        )
-}
-
-/// A store at `i` is dead when a same-slot store strictly later on the
-/// same straight line overwrites it before any read of the slot, and
-/// its own coercion provably cannot error (so removing it removes no
-/// error surface).
-fn store_is_dead(
-    ops: &[Op],
-    labels: &[bool],
-    var_tys: &[VarType],
-    i: usize,
-    slot: u16,
-    ty: Option<VarType>,
-) -> bool {
-    let Some(ty) = ty else {
-        return false;
-    };
-    let Some(slot_ty) = var_tys.get(slot as usize) else {
-        return false;
-    };
-    if !coerce_never_errors(ty, *slot_ty) {
-        return false;
-    }
-    for (j, op) in ops.iter().enumerate().skip(i + 1) {
-        if labels[j] || op.target().is_some() {
-            return false;
-        }
-        match op {
-            Op::LoadVar { slot: s, .. } | Op::LoadCmpBranch { slot: s, .. } if *s == slot => {
-                return false;
-            }
-            Op::StoreVar { slot: s, .. } | Op::ConstStore { slot: s, .. } if *s == slot => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Removes un-kept instructions in place, remapping every target to
-/// the first kept instruction at or after it (removed instructions are
-/// provably effect-free, so falling through them is equivalent).
-fn compact_ops(ops: &mut Vec<Op>, keep: &[bool], map: &mut Vec<u32>) {
-    map.clear();
-    let mut n = 0u32;
-    for &k in keep {
-        map.push(n);
-        if k {
-            n += 1;
-        }
-    }
-    map.push(n);
-    let mut w = 0;
-    for i in 0..ops.len() {
-        if !keep[i] {
-            continue;
-        }
-        let mut op = ops[i];
-        if let Some(t) = op.target_mut() {
-            *t = map[*t as usize];
-        }
-        ops[w] = op;
-        w += 1;
-    }
-    ops.truncate(w);
+    tys[r as usize] = t;
 }
 
 /// `true` for the operators fusion may embed in a branch.
@@ -970,6 +577,36 @@ mod tests {
             }
         }
         assert!(strictly_tighter, "no key tightened at all");
+    }
+
+    /// Elision runs before fusion: an `AssertBool` between a comparison
+    /// and its branch goes first, so the pair fuses in the same sweep
+    /// and a second sweep finds nothing. Codegen never emits this shape
+    /// (a label always follows its `AssertBool`), so only a hand-built
+    /// range pins the order.
+    #[test]
+    fn elision_runs_before_fusion() {
+        let lits = [Value::Float(1.0), Value::Int(0)];
+        let mut ops = vec![
+            Op::LoadDepData { dst: 0 },
+            Op::Const { dst: 1, lit: 0 },
+            Op::Bin {
+                op: BinOp::Lt,
+                dst: 0,
+                a: 0,
+                b: 1,
+            },
+            Op::AssertBool { src: 0 },
+            Op::JumpIfFalse { src: 0, target: 7 },
+            Op::Const { dst: 0, lit: 1 },
+            Op::StoreVar { slot: 0, src: 0 },
+        ];
+        let mut scratch = Scratch::default();
+        scratch.optimize(&mut ops, &lits, false);
+        assert!(matches!(ops[2], Op::CmpBranch { target: 4, .. }), "{ops:?}");
+        let once = ops.clone();
+        scratch.optimize(&mut ops, &lits, false);
+        assert_eq!(ops, once);
     }
 
     /// A guard nested deeper than 64 registers spans several liveness

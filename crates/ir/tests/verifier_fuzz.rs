@@ -16,7 +16,7 @@ use artemis_ir::analysis::{verify_machine, MachineEnv};
 use artemis_ir::compile::{CompiledEvent, CompiledSuite, Op};
 use artemis_ir::expr::{EventCtx, Value, VarType};
 use artemis_ir::fsm::StateMachine;
-use artemis_ir::{CompiledMachine, RawMachine};
+use artemis_ir::{CompiledMachine, OptLevel, RawMachine};
 use proptest::prelude::*;
 
 /// Spec exercising every property compiler: counters, guards with
@@ -47,6 +47,28 @@ fn corpus() -> Vec<(StateMachine, CompiledMachine)> {
         .cloned()
         .zip(compiled.machines().iter().cloned())
         .collect()
+}
+
+/// The first raw part in which optimizing `m` once and optimizing it
+/// twice differ, or `None` when the optimizer's one sweep reached its
+/// fixpoint: `optimize_machine(&optimize_machine(m)) ==
+/// optimize_machine(m)`, compared part by part through `to_raw()`.
+fn fixpoint_miss(m: &CompiledMachine) -> Option<&'static str> {
+    let once = artemis_ir::optimize_machine(m).to_raw();
+    let twice = artemis_ir::optimize_machine(&CompiledMachine::from_raw(once.clone())).to_raw();
+    [
+        ("code", once.code == twice.code),
+        ("lits", once.lits == twice.lits),
+        ("transitions", once.transitions == twice.transitions),
+        ("dispatch", once.dispatch == twice.dispatch),
+        ("wildcard", once.wildcard == twice.wildcard),
+        ("max_regs", once.max_regs == twice.max_regs),
+        ("initial_state", once.initial_state == twice.initial_state),
+        ("var_count", once.var_count == twice.var_count),
+        ("var_inits", once.var_inits == twice.var_inits),
+    ]
+    .into_iter()
+    .find_map(|(part, same)| (!same).then_some(part))
 }
 
 fn env_of(m: &StateMachine) -> (String, usize, Vec<VarType>) {
@@ -326,6 +348,8 @@ proptest! {
                 "optimizer broke a verified mutant: {diags:?}"
             );
             exercise(&opt, &src.initial_vars());
+            let miss = fixpoint_miss(&mutant);
+            prop_assert!(miss.is_none(), "a second sweep changed the {:?}", miss);
         }
     }
 }
@@ -377,7 +401,8 @@ fn mutation_population_is_split() {
 
 /// Deterministic twin of `optimizer_output_always_verifies`: a fixed
 /// 2 000-mutant population where every accepted mutant is optimized,
-/// re-verified, and exercised. Also asserts the leg is non-vacuous.
+/// re-verified, exercised, and optimized again to no change. Also
+/// asserts the leg is non-vacuous.
 #[test]
 fn optimized_mutant_population_verifies() {
     use rand::rngs::StdRng;
@@ -410,6 +435,9 @@ fn optimized_mutant_population_verifies() {
                 "optimizer broke a verified mutant: {diags:?}"
             );
             exercise(&opt, &src.initial_vars());
+            if let Some(part) = fixpoint_miss(&mutant) {
+                panic!("a second sweep changed the {part} of a verified mutant");
+            }
             optimized += 1;
         }
     }
@@ -433,5 +461,58 @@ fn compiler_output_is_always_accepted() {
         };
         let diags = verify_machine(&cm, &env);
         assert!(diags.is_empty(), "{name}: {diags:?}");
+    }
+}
+
+/// The Figure 4/6 task graph the Fig. 5 specification monitors.
+fn health_app() -> AppGraph {
+    let mut b = AppGraphBuilder::new();
+    let body = b.task("bodyTemp");
+    let avg = b.task_with_var("calcAvg", "avgTemp");
+    let heart = b.task("heartRate");
+    let accel = b.task("accel");
+    let classify = b.task("classify");
+    let mic = b.task("micSense");
+    let filter = b.task("filter");
+    let send = b.task("send");
+    b.path(&[body, avg, heart, send]);
+    b.path(&[accel, classify, send]);
+    b.path(&[mic, filter, send]);
+    b.build().unwrap()
+}
+
+/// A hand-written machine whose ranges each hold several rewrite
+/// sites: chained `&&`/`||` guards and bodies of literal stores and
+/// nested `if`s. Spec-compiled machines fuse at most once per range.
+const DENSE_IR: &str = "\
+    machine dense task a persistent { \
+        var x: int = 0; var y: int = 0; var f: bool = false; \
+        state S initial; \
+        on startTask(a) from S to S if (((x < 3) && (y >= 2)) && ((x < 1) || f)) { \
+            x := 0; y := 1; f := (y > x); \
+            if (x > 2) { y := 0; } else { f := true; } \
+            if ((y < 4) && (x != 1)) { x := 5; y := 6; } \
+        }; }";
+
+/// The optimizer is one sweep with no fixpoint loop, so the sweep
+/// itself must leave nothing for a second one: on every Fig. 5
+/// machine and on [`DENSE_IR`], straight from codegen and as shipped,
+/// and on the verifier-fuzz corpus, optimizing twice equals
+/// optimizing once.
+#[test]
+fn one_sweep_reaches_the_fixpoint() {
+    let fig5_app = health_app();
+    let fig5 = artemis_ir::compile(artemis_spec::samples::FIGURE5, &fig5_app).unwrap();
+    let dense = artemis_ir::parse::parse_suite(DENSE_IR).unwrap();
+    for (suite, app) in [(&fig5, &fig5_app), (&dense, &app())] {
+        for level in [OptLevel::None, OptLevel::Full] {
+            let compiled = CompiledSuite::compile_with(suite, app, level).unwrap();
+            for (src, m) in suite.machines().iter().zip(compiled.machines()) {
+                assert_eq!(fixpoint_miss(m), None, "{} at {level:?}", src.name);
+            }
+        }
+    }
+    for (src, m) in corpus() {
+        assert_eq!(fixpoint_miss(&m), None, "{}", src.name);
     }
 }

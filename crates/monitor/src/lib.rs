@@ -226,7 +226,6 @@ use artemis_ir::analysis::{
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
-use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::NvData;
@@ -370,13 +369,6 @@ pub struct ExecStats {
 pub struct InstallOptions {
     /// Execution core (compiled bytecode by default).
     pub mode: ExecMode,
-    /// Bytecode optimization level for ahead-of-time compilation
-    /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
-    /// straight-from-lowering bytecode and serves as the differential
-    /// oracle for the optimizer. Ignored by
-    /// [`MonitorEngine::install_precompiled`], whose caller already
-    /// holds compiled bytecode.
-    pub opt: OptLevel,
     /// Device energy profile for the install-time feasibility gate.
     /// `Some(profile)` runs `artemis_ir::analysis::energy` over every
     /// task: a task whose statically under-approximated attempt energy
@@ -786,8 +778,10 @@ impl MonitorEngine {
     }
 
     /// [`MonitorEngine::install`] with full [`InstallOptions`]: source
-    /// validation, ahead-of-time compilation, the static analysis gate,
-    /// then FRAM allocation.
+    /// validation, ahead-of-time compilation at the default
+    /// [`artemis_ir::OptLevel`], the static analysis gate, then FRAM
+    /// allocation. A caller that needs other bytecode compiles it
+    /// itself and calls [`MonitorEngine::install_precompiled`].
     pub fn install_with(
         dev: &mut Device,
         suite: MonitorSuite,
@@ -825,8 +819,7 @@ impl MonitorEngine {
         // bytecode — and the interned task-name table both modes use.
         // Suites that pass the checks above always compile; the error
         // arm guards hand-written machines.
-        let compiled =
-            CompiledSuite::compile_with(&suite, app, opts.opt).map_err(InstallError::Compile)?;
+        let compiled = CompiledSuite::compile(&suite, app).map_err(InstallError::Compile)?;
         Self::install_precompiled(dev, suite, compiled, app, opts)
     }
 
@@ -866,12 +859,7 @@ impl MonitorEngine {
         app: &AppGraph,
         opts: InstallOptions,
     ) -> Result<Self, InstallError> {
-        let InstallOptions {
-            mode,
-            energy,
-            // Compilation already happened in the caller's hands.
-            opt: _,
-        } = opts;
+        let InstallOptions { mode, energy } = opts;
         let paths = app.paths().len();
         if paths > EncodedEvent::MAX_PATHS {
             return Err(InstallError::TooManyPaths {

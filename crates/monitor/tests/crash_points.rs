@@ -418,11 +418,15 @@ struct Walker {
 impl Walker {
     fn new(w: &Workload, opt: OptLevel, tiny: bool, cold: bool) -> Self {
         let mut dev = device(tiny);
-        let opts = InstallOptions {
-            opt,
-            ..InstallOptions::default()
-        };
-        let engine = MonitorEngine::install_with(&mut dev, w.suite.clone(), &w.app, opts).unwrap();
+        let compiled = CompiledSuite::compile_with(&w.suite, &w.app, opt).unwrap();
+        let engine = MonitorEngine::install_precompiled(
+            &mut dev,
+            w.suite.clone(),
+            compiled,
+            &w.app,
+            InstallOptions::default(),
+        )
+        .unwrap();
         engine.reset_monitor(&mut dev).unwrap();
         Walker { dev, engine, cold }
     }

@@ -6,8 +6,9 @@
 //!
 //! Every differential property runs across the whole configuration
 //! matrix ([`matrix`]: warm and always-cold reads × both bytecode
-//! optimization levels), so one `cargo test` covers every engine the
-//! install options can build, on both of its read paths.
+//! optimization levels, each compiled by `CompiledSuite::compile_with`
+//! and installed precompiled), so one `cargo test` covers every
+//! bytecode the compiler can ship, on both of the engine's read paths.
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
@@ -15,7 +16,7 @@ use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_ir::expr::Value;
-use artemis_ir::{MonitorSuite, OptLevel};
+use artemis_ir::{CompiledSuite, MonitorSuite, OptLevel};
 use artemis_monitor::{InstallOptions, MonitorEngine, MonitorVerdict, Reference};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
@@ -38,13 +39,15 @@ fn app() -> AppGraph {
     builder.build().unwrap()
 }
 
-/// One engine configuration: install options, plus whether SRAM is
-/// cleared before every delivery. An always-cold engine serves no read
-/// from its shadow cache: every delivery takes the post-reboot path
-/// and refills from FRAM.
+/// One engine configuration: install options, the bytecode
+/// optimization level, and whether SRAM is cleared before every
+/// delivery. An always-cold engine serves no read from its shadow
+/// cache: every delivery takes the post-reboot path and refills from
+/// FRAM.
 #[derive(Clone, Copy, Debug, Default)]
 struct Config {
     opts: InstallOptions,
+    opt: OptLevel,
     always_cold: bool,
 }
 
@@ -52,12 +55,28 @@ impl From<InstallOptions> for Config {
     fn from(opts: InstallOptions) -> Self {
         Config {
             opts,
-            always_cold: false,
+            ..Config::default()
+        }
+    }
+}
+
+impl From<OptLevel> for Config {
+    fn from(opt: OptLevel) -> Self {
+        Config {
+            opt,
+            ..Config::default()
         }
     }
 }
 
 impl Config {
+    /// Compiles `suite` at this configuration's level and installs the
+    /// bytecode.
+    fn install(&self, dev: &mut Device, suite: MonitorSuite, app: &AppGraph) -> MonitorEngine {
+        let compiled = CompiledSuite::compile_with(&suite, app, self.opt).unwrap();
+        MonitorEngine::install_precompiled(dev, suite, compiled, app, self.opts).unwrap()
+    }
+
     /// Wipes SRAM ahead of a delivery when the engine runs always cold.
     fn before_delivery(&self, dev: &mut Device) {
         if self.always_cold {
@@ -75,11 +94,9 @@ fn matrix() -> impl Iterator<Item = Config> {
         [OptLevel::Full, OptLevel::None]
             .into_iter()
             .map(move |opt| Config {
-                opts: InstallOptions {
-                    opt,
-                    ..InstallOptions::default()
-                },
+                opt,
                 always_cold,
+                ..Config::default()
             })
     })
 }
@@ -87,8 +104,8 @@ fn matrix() -> impl Iterator<Item = Config> {
 /// The default engine, always cold.
 fn always_cold() -> Config {
     Config {
-        opts: InstallOptions::default(),
         always_cold: true,
+        ..Config::default()
     }
 }
 
@@ -172,7 +189,7 @@ fn engine_run(
     cfg: Config,
 ) -> Vec<Vec<(usize, OnFail)>> {
     let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let engine = MonitorEngine::install_with(dev, suite, app, cfg.opts).unwrap();
+    let engine = cfg.install(dev, suite, app);
     // Drive through the simulator so power failures reboot and resume.
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -360,7 +377,7 @@ fn engine_run_suite(
     cfg: impl Into<Config>,
 ) -> RunOutcome {
     let cfg = cfg.into();
-    let engine = MonitorEngine::install_with(dev, suite, app, cfg.opts).unwrap();
+    let engine = cfg.install(dev, suite, app);
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
         .unwrap();
@@ -618,16 +635,7 @@ fn optimizer_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
     let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vu, su) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_u,
-        InstallOptions {
-            opt: OptLevel::None,
-            ..InstallOptions::default()
-        },
-    );
+    let (vu, su) = engine_run_opts(&app, CRASH_SPEC, &events, &mut dev_u, OptLevel::None);
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
@@ -636,16 +644,7 @@ fn optimizer_crash_windows_preserve_verdicts_and_state() {
             .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
             .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
             .build();
-        let (vo, so) = engine_run_opts(
-            &app,
-            CRASH_SPEC,
-            &events,
-            &mut dev_o,
-            InstallOptions {
-                opt: OptLevel::Full,
-                ..InstallOptions::default()
-            },
-        );
+        let (vo, so) = engine_run_opts(&app, CRASH_SPEC, &events, &mut dev_o, OptLevel::Full);
         assert_eq!(vo, vu, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(so, su, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_o.reboots();
