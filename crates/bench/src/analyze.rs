@@ -1,13 +1,16 @@
 //! Static-analysis lint driver: `experiments -- analyze`.
 //!
-//! Runs the full diagnostic pipeline — specification consistency
+//! Runs the full diagnostic pipeline — the specification parser and
+//! `resolve`, specification consistency
 //! ([`artemis_spec::consistency`]), IR validation
 //! ([`artemis_ir::validate`]), and the install-time analysis passes
 //! ([`artemis_ir::analysis`]: bytecode verifier, resource bounds,
 //! reachability, cross-monitor conflicts, energy feasibility) — over
-//! every specification and hand-written monitor the repository ships,
-//! and reports all findings through the unified
-//! [`artemis_spec::Diagnostic`] type. The energy pass runs against the
+//! every specification and hand-written monitor the repository ships.
+//! Every checker reports its findings as [`artemis_spec::Diagnostic`]s,
+//! which this driver pairs with their target and lists as they are;
+//! only a lowering or compilation failure, which is not a finding, is
+//! wrapped in one here. The energy pass runs against the
 //! default wearable capacitor (800 µJ usable, 10 % margin) and prints
 //! one verdict row per task on top of any diagnostics it raises.
 //!
@@ -61,10 +64,10 @@ fn first_raw_string(src: &str) -> Option<&str> {
     Some(&src[start..end])
 }
 
-/// Lints one spec-language target: parse → consistency → lower →
-/// validate → compile → whole-suite analysis. Every stage's findings
-/// are tagged with `target` in the subject; a stage failure becomes an
-/// error diagnostic instead of aborting the sweep.
+/// Lints one spec-language target: parse → resolve → consistency →
+/// lower → validate → compile → whole-suite analysis. Every finding is
+/// paired with `target`; a stage that fails ends the target's sweep
+/// with its error diagnostic.
 fn lint_spec(
     target: &str,
     source: &str,
@@ -76,28 +79,12 @@ fn lint_spec(
         out.push((target.to_string(), d));
     };
 
-    let ast = match artemis_spec::parse(source) {
-        Ok(ast) => ast,
-        Err(e) => {
-            push(
-                out,
-                Diagnostic::error("parse", target.to_string(), e.to_string()),
-            );
-            return;
-        }
-    };
-    let set = match artemis_spec::resolve(&ast, app) {
+    let set = match artemis_spec::parse(source).and_then(|ast| artemis_spec::resolve(&ast, app)) {
         Ok(set) => set,
-        Err(e) => {
-            push(
-                out,
-                Diagnostic::error("resolve", target.to_string(), e.to_string()),
-            );
-            return;
-        }
+        Err(d) => return push(out, d),
     };
-    for issue in artemis_spec::consistency::check(&set, app) {
-        push(out, issue.into());
+    for d in artemis_spec::consistency::check(&set, app) {
+        push(out, d);
     }
     let suite = match artemis_ir::lower_set(&set, app) {
         Ok(suite) => suite,
@@ -122,8 +109,8 @@ fn lint_suite(
     verdicts: &mut Vec<(String, artemis_ir::analysis::TaskFeasibility)>,
 ) {
     for m in suite.machines() {
-        for issue in artemis_ir::validate::validate(m) {
-            out.push((target.to_string(), issue.into()));
+        for d in artemis_ir::validate::validate(m) {
+            out.push((target.to_string(), d));
         }
     }
     let compiled = match CompiledSuite::compile(suite, app) {
@@ -182,10 +169,7 @@ pub fn analyze_all() -> (Report, usize) {
                 &mut findings,
                 &mut verdicts,
             ),
-            Err(e) => findings.push((
-                target.to_string(),
-                Diagnostic::error("parse", target.to_string(), e.to_string()),
-            )),
+            Err(d) => findings.push((target.to_string(), d)),
         },
         None => findings.push((
             target.to_string(),

@@ -139,18 +139,6 @@ impl FleetStats {
         }
         unreachable!("cumulative histogram covers every rank");
     }
-
-    /// Human-readable reboot-histogram labels paired with counts, for
-    /// report tables.
-    pub fn reboot_histogram(&self) -> [(&'static str, u64); REBOOT_BUCKETS] {
-        const LABELS: [&str; REBOOT_BUCKETS] =
-            ["0", "1", "2", "3", "4-7", "8-15", "16-31", "32-63", ">=64"];
-        let mut out = [("", 0u64); REBOOT_BUCKETS];
-        for i in 0..REBOOT_BUCKETS {
-            out[i] = (LABELS[i], self.reboot_hist[i]);
-        }
-        out
-    }
 }
 
 /// Exclusive upper bound of energy-histogram bucket `i`, in µJ.

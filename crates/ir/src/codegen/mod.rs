@@ -15,36 +15,3 @@
 pub mod c;
 
 pub use c::emit_c;
-
-/// Byte size of the generated C for a suite — the `.text` proxy used by
-/// the Table 2 reproduction (see DESIGN.md §4).
-pub fn c_text_size(suite: &crate::fsm::MonitorSuite) -> usize {
-    emit_c(suite).len()
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::lower::lower_set;
-
-    fn suite() -> crate::fsm::MonitorSuite {
-        let mut b = artemis_core::app::AppGraphBuilder::new();
-        let a = b.task("accel");
-        let s = b.task("send");
-        b.path(&[a, s]);
-        let app = b.build().unwrap();
-        let set = artemis_spec::compile(
-            "accel { maxTries: 10 onFail: skipPath; }\n\
-             send { MITD: 5min dpTask: accel onFail: restartPath maxAttempt: 3 onFail: skipPath; }",
-            &app,
-        )
-        .unwrap();
-        lower_set(&set, &app).unwrap()
-    }
-
-    #[test]
-    fn c_text_size_is_plausible() {
-        let size = super::c_text_size(&suite());
-        assert!(size > 1_000, "C output suspiciously small: {size}");
-        assert!(size < 100_000, "C output suspiciously large: {size}");
-    }
-}

@@ -25,6 +25,10 @@
 //!   conflict detection over compiled suites;
 //! - model-to-text code generation ([`codegen`]) emitting C monitor
 //!   source in the paper's ImmortalThreads style (Figure 10).
+//!
+//! The IR parser, validation and the analysis passes report their
+//! findings as the front end's one finding type,
+//! [`artemis_spec::Diagnostic`].
 
 pub mod analysis;
 pub mod codegen;
@@ -57,7 +61,7 @@ pub use opt::{optimize_machine, OptLevel};
 #[derive(Clone, Debug, PartialEq)]
 pub enum CompileError {
     /// Name resolution / validation failed.
-    Sema(artemis_spec::Diag),
+    Sema(artemis_spec::Diagnostic),
     /// Lowering failed (internal inconsistency).
     Lower(lower::LowerError),
 }

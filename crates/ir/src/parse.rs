@@ -5,29 +5,16 @@
 //! language is not expressive enough (paper §3.3). See the grammar in
 //! the printer's module docs.
 
-use core::fmt;
-
 use artemis_core::property::OnFail;
+use artemis_spec::{Diagnostic, Span};
 
 use crate::expr::{BinOp, Expr, Value, VarType};
 use crate::fsm::{EmitFail, MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
 
-/// A parse error with a byte offset into the IR text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IrParseError {
-    /// Byte offset of the offending token.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
+/// A parse error at byte offset `at` of the IR text.
+fn parse_error(at: usize, message: impl Into<String>) -> Diagnostic {
+    Diagnostic::error("parse", "IR", message).with_span(Span::point(at))
 }
-
-impl fmt::Display for IrParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "IR parse error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for IrParseError {}
 
 /// Parses a suite of machines from IR text.
 ///
@@ -44,7 +31,7 @@ impl std::error::Error for IrParseError {}
 /// "#).unwrap();
 /// assert_eq!(suite.machines()[0].transitions.len(), 2);
 /// ```
-pub fn parse_suite(text: &str) -> Result<MonitorSuite, IrParseError> {
+pub fn parse_suite(text: &str) -> Result<MonitorSuite, Diagnostic> {
     let mut p = IrParser::new(text)?;
     let mut suite = MonitorSuite::new();
     while !p.at_eof() {
@@ -54,7 +41,7 @@ pub fn parse_suite(text: &str) -> Result<MonitorSuite, IrParseError> {
 }
 
 /// Parses a single machine.
-pub fn parse_machine(text: &str) -> Result<StateMachine, IrParseError> {
+pub fn parse_machine(text: &str) -> Result<StateMachine, Diagnostic> {
     let mut p = IrParser::new(text)?;
     let m = p.machine()?;
     if !p.at_eof() {
@@ -78,7 +65,7 @@ struct IrParser {
     pos: usize,
 }
 
-fn lex(text: &str) -> Result<Vec<(Tok, usize)>, IrParseError> {
+fn lex(text: &str) -> Result<Vec<(Tok, usize)>, Diagnostic> {
     let b = text.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
@@ -174,23 +161,20 @@ fn lex(text: &str) -> Result<Vec<(Tok, usize)>, IrParseError> {
                     while i < b.len() && b[i].is_ascii_digit() {
                         i += 1;
                     }
-                    let v: f64 = text[start..i].parse().map_err(|_| IrParseError {
-                        at: start,
-                        message: "bad float".into(),
-                    })?;
+                    let v: f64 = text[start..i]
+                        .parse()
+                        .map_err(|_| parse_error(start, "bad float"))?;
                     toks.push((Tok::Float(v), start));
                 } else if i < b.len() && b[i] == b't' {
-                    let v: u64 = text[start..i].parse().map_err(|_| IrParseError {
-                        at: start,
-                        message: "time literal out of range".into(),
-                    })?;
+                    let v: u64 = text[start..i]
+                        .parse()
+                        .map_err(|_| parse_error(start, "time literal out of range"))?;
                     i += 1;
                     toks.push((Tok::Time(v), start));
                 } else {
-                    let v: i64 = text[start..i].parse().map_err(|_| IrParseError {
-                        at: start,
-                        message: "integer out of range".into(),
-                    })?;
+                    let v: i64 = text[start..i]
+                        .parse()
+                        .map_err(|_| parse_error(start, "integer out of range"))?;
                     toks.push((Tok::Int(v), start));
                 }
             }
@@ -201,12 +185,7 @@ fn lex(text: &str) -> Result<Vec<(Tok, usize)>, IrParseError> {
                 }
                 toks.push((Tok::Ident(text[start..i].to_string()), start));
             }
-            other => {
-                return Err(IrParseError {
-                    at: i,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
+            other => return Err(parse_error(i, format!("unexpected character `{other}`"))),
         }
     }
     toks.push((Tok::Eof, text.len()));
@@ -214,7 +193,7 @@ fn lex(text: &str) -> Result<Vec<(Tok, usize)>, IrParseError> {
 }
 
 impl IrParser {
-    fn new(text: &str) -> Result<Self, IrParseError> {
+    fn new(text: &str) -> Result<Self, Diagnostic> {
         Ok(IrParser {
             toks: lex(text)?,
             pos: 0,
@@ -241,14 +220,17 @@ impl IrParser {
         *self.peek() == Tok::Eof
     }
 
-    fn err(&self, msg: impl Into<String>) -> IrParseError {
-        IrParseError {
-            at: self.at(),
-            message: msg.into(),
-        }
+    fn err(&self, msg: impl Into<String>) -> Diagnostic {
+        parse_error(self.at(), msg)
     }
 
-    fn sym(&mut self, s: &'static str) -> Result<(), IrParseError> {
+    /// An error at the token just read, for a name or number that
+    /// lexed but means nothing here.
+    fn err_prev(&self, msg: impl Into<String>) -> Diagnostic {
+        parse_error(self.toks[self.pos - 1].1, msg)
+    }
+
+    fn sym(&mut self, s: &'static str) -> Result<(), Diagnostic> {
         if *self.peek() == Tok::Sym(s) {
             self.bump();
             Ok(())
@@ -266,7 +248,7 @@ impl IrParser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, IrParseError> {
+    fn ident(&mut self) -> Result<String, Diagnostic> {
         match self.peek().clone() {
             Tok::Ident(s) => {
                 self.bump();
@@ -276,7 +258,7 @@ impl IrParser {
         }
     }
 
-    fn keyword(&mut self, kw: &str) -> Result<(), IrParseError> {
+    fn keyword(&mut self, kw: &str) -> Result<(), Diagnostic> {
         match self.peek() {
             Tok::Ident(s) if s == kw => {
                 self.bump();
@@ -296,7 +278,7 @@ impl IrParser {
         }
     }
 
-    fn int(&mut self) -> Result<i64, IrParseError> {
+    fn int(&mut self) -> Result<i64, Diagnostic> {
         match self.peek().clone() {
             Tok::Int(v) => {
                 self.bump();
@@ -306,14 +288,15 @@ impl IrParser {
         }
     }
 
-    fn machine(&mut self) -> Result<StateMachine, IrParseError> {
+    fn machine(&mut self) -> Result<StateMachine, Diagnostic> {
         self.keyword("machine")?;
         let name = self.ident()?;
         self.keyword("task")?;
         let task = self.ident()?;
         let mut m = StateMachine::new(&name, &task);
         if self.eat_keyword("path") {
-            m.path = Some(u32::try_from(self.int()?).map_err(|_| self.err("bad path number"))?);
+            m.path =
+                Some(u32::try_from(self.int()?).map_err(|_| self.err_prev("bad path number"))?);
         }
         if self.eat_keyword("resettable") {
             m.reset_on_path_restart = true;
@@ -342,7 +325,7 @@ impl IrParser {
                 let idx = m.add_state(&sname);
                 if self.eat_keyword("initial") {
                     if saw_initial {
-                        return Err(self.err("multiple `initial` states"));
+                        return Err(self.err_prev("multiple `initial` states"));
                     }
                     m.initial = idx;
                     saw_initial = true;
@@ -364,18 +347,18 @@ impl IrParser {
         Ok(m)
     }
 
-    fn var_type(&mut self) -> Result<VarType, IrParseError> {
+    fn var_type(&mut self) -> Result<VarType, Diagnostic> {
         let name = self.ident()?;
         match name.as_str() {
             "int" => Ok(VarType::Int),
             "bool" => Ok(VarType::Bool),
             "time" => Ok(VarType::Time),
             "float" => Ok(VarType::Float),
-            other => Err(self.err(format!("unknown type `{other}`"))),
+            other => Err(self.err_prev(format!("unknown type `{other}`"))),
         }
     }
 
-    fn value(&mut self, ty: VarType) -> Result<Value, IrParseError> {
+    fn value(&mut self, ty: VarType) -> Result<Value, Diagnostic> {
         let neg = self.eat_sym("-");
         match (self.peek().clone(), ty) {
             (Tok::Int(v), VarType::Int) => {
@@ -407,18 +390,18 @@ impl IrParser {
         }
     }
 
-    fn transition(&mut self, m: &StateMachine) -> Result<Transition, IrParseError> {
+    fn transition(&mut self, m: &StateMachine) -> Result<Transition, Diagnostic> {
         let trigger = self.trigger()?;
         self.keyword("from")?;
         let from_name = self.ident()?;
         let from = m
             .state_index(&from_name)
-            .ok_or_else(|| self.err(format!("unknown state `{from_name}`")))?;
+            .ok_or_else(|| self.err_prev(format!("unknown state `{from_name}`")))?;
         self.keyword("to")?;
         let to_name = self.ident()?;
         let to = m
             .state_index(&to_name)
-            .ok_or_else(|| self.err(format!("unknown state `{to_name}`")))?;
+            .ok_or_else(|| self.err_prev(format!("unknown state `{to_name}`")))?;
         let guard = if self.eat_keyword("if") {
             Some(self.expr()?)
         } else {
@@ -432,7 +415,7 @@ impl IrParser {
         let emit = if self.eat_keyword("fail") {
             let action = self.action()?;
             let path = if self.eat_keyword("path") {
-                Some(u32::try_from(self.int()?).map_err(|_| self.err("bad path number"))?)
+                Some(u32::try_from(self.int()?).map_err(|_| self.err_prev("bad path number"))?)
             } else {
                 None
             };
@@ -451,7 +434,7 @@ impl IrParser {
         })
     }
 
-    fn trigger(&mut self) -> Result<Trigger, IrParseError> {
+    fn trigger(&mut self) -> Result<Trigger, Diagnostic> {
         let name = self.ident()?;
         match name.as_str() {
             "anyEvent" => Ok(Trigger::Any),
@@ -469,11 +452,11 @@ impl IrParser {
                     Trigger::End(pat)
                 })
             }
-            other => Err(self.err(format!("unknown trigger `{other}`"))),
+            other => Err(self.err_prev(format!("unknown trigger `{other}`"))),
         }
     }
 
-    fn action(&mut self) -> Result<OnFail, IrParseError> {
+    fn action(&mut self) -> Result<OnFail, Diagnostic> {
         let name = self.ident()?;
         match name.as_str() {
             "restartPath" => Ok(OnFail::RestartPath),
@@ -481,11 +464,11 @@ impl IrParser {
             "restartTask" => Ok(OnFail::RestartTask),
             "skipTask" => Ok(OnFail::SkipTask),
             "completePath" => Ok(OnFail::CompletePath),
-            other => Err(self.err(format!("unknown action `{other}`"))),
+            other => Err(self.err_prev(format!("unknown action `{other}`"))),
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, IrParseError> {
+    fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         if self.eat_keyword("if") {
             let cond = self.expr()?;
             self.sym("{")?;
@@ -511,11 +494,11 @@ impl IrParser {
 
     /// Precedence-climbing expression parser:
     /// `||` < `&&` < comparisons < `+`/`-` < unary `!` < primary.
-    fn expr(&mut self) -> Result<Expr, IrParseError> {
+    fn expr(&mut self) -> Result<Expr, Diagnostic> {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr, IrParseError> {
+    fn or_expr(&mut self) -> Result<Expr, Diagnostic> {
         let mut lhs = self.and_expr()?;
         while self.eat_sym("||") {
             let rhs = self.and_expr()?;
@@ -524,7 +507,7 @@ impl IrParser {
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, IrParseError> {
+    fn and_expr(&mut self) -> Result<Expr, Diagnostic> {
         let mut lhs = self.cmp_expr()?;
         while self.eat_sym("&&") {
             let rhs = self.cmp_expr()?;
@@ -533,7 +516,7 @@ impl IrParser {
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, IrParseError> {
+    fn cmp_expr(&mut self) -> Result<Expr, Diagnostic> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Tok::Sym("<") => BinOp::Lt,
@@ -549,7 +532,7 @@ impl IrParser {
         Ok(Expr::bin(op, lhs, rhs))
     }
 
-    fn add_expr(&mut self) -> Result<Expr, IrParseError> {
+    fn add_expr(&mut self) -> Result<Expr, Diagnostic> {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -563,7 +546,7 @@ impl IrParser {
         }
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, IrParseError> {
+    fn unary_expr(&mut self) -> Result<Expr, Diagnostic> {
         if self.eat_sym("!") {
             // `!(e)` — the printer always parenthesises the operand.
             let inner = self.unary_expr()?;
@@ -572,7 +555,7 @@ impl IrParser {
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, IrParseError> {
+    fn primary(&mut self) -> Result<Expr, Diagnostic> {
         if self.eat_sym("(") {
             let e = self.expr()?;
             self.sym(")")?;
@@ -723,6 +706,7 @@ mod tests {
     fn errors_carry_positions() {
         let err = parse_machine("machine x task").unwrap_err();
         assert!(err.message.contains("identifier"));
+        assert_eq!(err.span, Some(Span::point(14)), "at the end of the text");
         let err = parse_machine("machine x task a wat {}").unwrap_err();
         assert!(err.message.contains("resettable"));
         let err = parse_machine(

@@ -6,76 +6,31 @@
 //! boolean, `depData` may only be read under `endTask` triggers, and
 //! unreachable transitions (shadowed by an earlier unguarded or
 //! identically-guarded one) and write-only variables are flagged.
+//! Each finding is a [`Diagnostic`] of pass `validate` whose subject
+//! names the machine.
 
-use core::fmt;
 use std::collections::HashSet;
+
+use artemis_spec::{sort_diagnostics, Diagnostic};
 
 use crate::expr::{Expr, VarType};
 use crate::fsm::{StateMachine, Stmt, Trigger};
 
-/// How bad an issue is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Severity {
-    /// The machine would fail at runtime.
-    Error,
-    /// Suspicious but executable.
-    Warning,
+/// A validation error in `m`: the machine would fail at runtime.
+fn error(m: &StateMachine, message: String) -> Diagnostic {
+    Diagnostic::error("validate", format!("machine `{}`", m.name), message)
 }
 
-/// One validation finding.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Issue {
-    /// Error or warning.
-    pub severity: Severity,
-    /// The machine the issue is in.
-    pub machine: String,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for Issue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tag = match self.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
-        write!(f, "{tag} in machine `{}`: {}", self.machine, self.message)
-    }
-}
-
-impl From<Issue> for artemis_spec::Diagnostic {
-    fn from(issue: Issue) -> artemis_spec::Diagnostic {
-        let severity = match issue.severity {
-            Severity::Error => artemis_spec::Severity::Error,
-            Severity::Warning => artemis_spec::Severity::Warning,
-        };
-        artemis_spec::Diagnostic {
-            severity,
-            pass: "validate",
-            subject: format!("machine `{}`", issue.machine),
-            message: issue.message,
-            span: None,
-        }
-    }
+/// A validation warning in `m`: suspicious but executable.
+fn warning(m: &StateMachine, message: String) -> Diagnostic {
+    Diagnostic::warning("validate", format!("machine `{}`", m.name), message)
 }
 
 /// Validates a machine; returns all findings (errors first).
-pub fn validate(m: &StateMachine) -> Vec<Issue> {
+pub fn validate(m: &StateMachine) -> Vec<Diagnostic> {
     let mut issues = Vec::new();
-    let err = |issues: &mut Vec<Issue>, msg: String| {
-        issues.push(Issue {
-            severity: Severity::Error,
-            machine: m.name.clone(),
-            message: msg,
-        })
-    };
-    let warn = |issues: &mut Vec<Issue>, msg: String| {
-        issues.push(Issue {
-            severity: Severity::Warning,
-            machine: m.name.clone(),
-            message: msg,
-        })
-    };
+    let err = |issues: &mut Vec<Diagnostic>, msg: String| issues.push(error(m, msg));
+    let warn = |issues: &mut Vec<Diagnostic>, msg: String| issues.push(warning(m, msg));
 
     if m.states.is_empty() {
         err(&mut issues, "machine has no states".into());
@@ -184,39 +139,33 @@ pub fn validate(m: &StateMachine) -> Vec<Issue> {
         }
     }
 
-    issues.sort_by_key(|i| match i.severity {
-        Severity::Error => 0,
-        Severity::Warning => 1,
-    });
+    sort_diagnostics(&mut issues);
     issues
 }
 
-/// Validates a machine and fails on the first error.
-pub fn validate_strict(m: &StateMachine) -> Result<Vec<Issue>, Issue> {
-    let issues = validate(m);
-    if let Some(e) = issues.iter().find(|i| i.severity == Severity::Error) {
-        return Err(e.clone());
+/// Validates a machine and fails on its first error.
+pub fn validate_strict(m: &StateMachine) -> Result<(), Diagnostic> {
+    match validate(m).into_iter().next().filter(Diagnostic::is_error) {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
-    Ok(issues)
 }
 
-fn check_stmt(s: &Stmt, m: &StateMachine, loc: &str, dep_ok: bool, issues: &mut Vec<Issue>) {
+fn check_stmt(s: &Stmt, m: &StateMachine, loc: &str, dep_ok: bool, issues: &mut Vec<Diagnostic>) {
     match s {
         Stmt::Assign(name, e) => {
             let Some(idx) = m.var_index(name) else {
-                issues.push(Issue {
-                    severity: Severity::Error,
-                    machine: m.name.clone(),
-                    message: format!("{loc}: assignment to unknown variable `{name}`"),
-                });
+                issues.push(error(
+                    m,
+                    format!("{loc}: assignment to unknown variable `{name}`"),
+                ));
                 return;
             };
             if !dep_ok && mentions_dep_data(e) {
-                issues.push(Issue {
-                    severity: Severity::Error,
-                    machine: m.name.clone(),
-                    message: format!("{loc}: `depData` read under a startTask trigger"),
-                });
+                issues.push(error(
+                    m,
+                    format!("{loc}: `depData` read under a startTask trigger"),
+                ));
             }
             match infer(e, m) {
                 Ok(ty) => {
@@ -229,40 +178,30 @@ fn check_stmt(s: &Stmt, m: &StateMachine, loc: &str, dep_ok: bool, issues: &mut 
                                 | (VarType::Int, VarType::Float)
                         );
                     if !compatible {
-                        issues.push(Issue {
-                            severity: Severity::Error,
-                            machine: m.name.clone(),
-                            message: format!(
+                        issues.push(error(
+                            m,
+                            format!(
                                 "{loc}: assigning {} to `{name}: {}`",
                                 ty.keyword(),
                                 declared.keyword()
                             ),
-                        });
+                        ));
                     }
                 }
-                Err(e) => issues.push(Issue {
-                    severity: Severity::Error,
-                    machine: m.name.clone(),
-                    message: format!("{loc}: {e}"),
-                }),
+                Err(e) => issues.push(error(m, format!("{loc}: {e}"))),
             }
         }
         Stmt::If(cond, then_b, else_b) => {
             match infer(cond, m) {
                 Ok(VarType::Bool) => {}
-                Ok(other) => issues.push(Issue {
-                    severity: Severity::Error,
-                    machine: m.name.clone(),
-                    message: format!(
+                Ok(other) => issues.push(error(
+                    m,
+                    format!(
                         "{loc}: if-condition has type {}, expected bool",
                         other.keyword()
                     ),
-                }),
-                Err(e) => issues.push(Issue {
-                    severity: Severity::Error,
-                    machine: m.name.clone(),
-                    message: format!("{loc}: {e}"),
-                }),
+                )),
+                Err(e) => issues.push(error(m, format!("{loc}: {e}"))),
             }
             for s in then_b.iter().chain(else_b) {
                 check_stmt(s, m, loc, dep_ok, issues);
@@ -403,6 +342,7 @@ fn infer(e: &Expr, m: &StateMachine) -> Result<VarType, String> {
 mod tests {
     use super::*;
     use crate::parse::parse_machine;
+    use artemis_spec::Severity;
 
     fn machine(src: &str) -> StateMachine {
         parse_machine(src).unwrap()
@@ -537,17 +477,17 @@ mod tests {
             .any(|i| i.message.contains("never read")),);
     }
 
+    /// A finding names the validate pass and the machine it is in.
     #[test]
     fn issue_converts_to_diagnostic() {
-        let issue = Issue {
-            severity: Severity::Error,
-            machine: "m".into(),
-            message: "boom".into(),
-        };
-        let d: artemis_spec::Diagnostic = issue.into();
-        assert_eq!(d.severity, artemis_spec::Severity::Error);
+        let m = machine(
+            "machine m task a persistent { state S initial; \
+             on anyEvent from S to S if ghost > 0 { }; }",
+        );
+        let d = validate_strict(&m).unwrap_err();
+        assert_eq!(d.severity, Severity::Error);
         assert_eq!(d.pass, "validate");
-        assert!(d.subject.contains('m'));
+        assert_eq!(d.subject, "machine `m`");
     }
 
     #[test]
@@ -585,11 +525,19 @@ mod tests {
 
     #[test]
     fn issue_display() {
-        let i = Issue {
-            severity: Severity::Warning,
-            machine: "m".into(),
-            message: "something".into(),
-        };
-        assert_eq!(i.to_string(), "warning in machine `m`: something");
+        let m = machine(
+            "machine m task a persistent { state S initial; \
+             on anyEvent from S to S { }; on anyEvent from S to S { }; }",
+        );
+        let issues = validate(&m);
+        assert_eq!(
+            issues[0].to_string(),
+            "warning [validate] machine `m`: transition #1: unreachable, shadowed by \
+             unguarded transition #0"
+        );
+        assert!(
+            validate_strict(&m).is_ok(),
+            "warnings pass the strict check"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! IR-parser totality: the printed IR of the Fig. 5 suite, byte-mutated
 //! — truncated, bit-flipped, spliced — goes through `parse_suite`,
-//! which returns `Ok` or a typed `IrParseError`, never a panic.
+//! which returns `Ok` or a typed `Diagnostic`, never a panic.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder};
 use artemis_ir::parse::parse_suite;
@@ -53,7 +53,7 @@ fn mutate(bytes: &mut Vec<u8>, (op, a, b): (u8, u64, u64)) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4_000, ..ProptestConfig::default() })]
 
-    /// Mutated printed IR parses to `Ok` or an `IrParseError`.
+    /// Mutated printed IR parses to `Ok` or a `Diagnostic`.
     #[test]
     fn mutated_ir_parses_without_panicking(
         mutations in proptest::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 1..5),

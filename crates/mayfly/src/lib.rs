@@ -198,6 +198,12 @@ impl TaskHeader for Header {
     fn cursor(&self) -> (u32, u32, u8) {
         (self.cur_path, self.cur_idx, self.status)
     }
+
+    /// The task commit carries the advance, so no commit of this
+    /// runtime leaves a finished task behind.
+    fn valid(&self) -> bool {
+        self.status == STATUS_READY
+    }
 }
 
 impl NvData for Header {
@@ -399,23 +405,17 @@ impl MayflyRuntime {
             let task = h.task(&self.app);
             let cur_path = PathId(h.cur_path);
 
-            if h.status == STATUS_READY {
-                if self.props_satisfied(dev, task, cur_path)? {
-                    self.run_task(dev, task, cur_path)?;
-                } else {
-                    // The only reaction Mayfly has: restart the graph
-                    // (the whole current path), unconditionally.
-                    dev.trace_push(TraceEvent::ActionTaken {
-                        action: artemis_core::action::Action::RestartPath(cur_path),
-                    });
-                    self.header
-                        .commit(dev, &mut TxWriter::new(), Header { cur_idx: 0, ..h })?;
-                    dev.trace_push(TraceEvent::PathStart { path: cur_path });
-                }
+            if self.props_satisfied(dev, task, cur_path)? {
+                self.run_task(dev, task, cur_path)?;
             } else {
-                // A finished task no commit of this runtime leaves
-                // behind (its task commit advances): advance past it.
-                self.advance(dev, &mut TxWriter::new(), h, None)?;
+                // The only reaction Mayfly has: restart the graph (the
+                // whole current path), unconditionally.
+                dev.trace_push(TraceEvent::ActionTaken {
+                    action: artemis_core::action::Action::RestartPath(cur_path),
+                });
+                self.header
+                    .commit(dev, &mut TxWriter::new(), Header { cur_idx: 0, ..h })?;
+                dev.trace_push(TraceEvent::PathStart { path: cur_path });
             }
         }
     }

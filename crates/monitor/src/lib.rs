@@ -226,7 +226,7 @@ use artemis_ir::analysis::{
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
-use artemis_ir::validate::{validate_strict, Issue};
+use artemis_ir::validate::validate_strict;
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::{changed_span, Journal, TxWriter, ENTRY_HEADER};
@@ -386,7 +386,7 @@ pub struct InstallOptions {
 #[derive(Debug)]
 pub enum InstallError {
     /// A machine failed static validation.
-    Invalid(Issue),
+    Invalid(artemis_spec::Diagnostic),
     /// A machine observes a task that is not in the application graph.
     UnknownTask {
         /// Machine name.
@@ -765,6 +765,38 @@ struct Engine {
     armed: RefCell<Armed>,
 }
 
+/// The source-level checks every install of a source suite makes, the
+/// engine's and [`Reference::new`]: each machine validates, observes
+/// only tasks of `app`, and has a governing path for every
+/// path-directed action it emits.
+pub(crate) fn check_source(suite: &MonitorSuite, app: &AppGraph) -> Result<(), InstallError> {
+    for m in suite.machines() {
+        validate_strict(m).map_err(InstallError::Invalid)?;
+        for task in m.observed_tasks() {
+            if app.task_by_name(task).is_none() {
+                return Err(InstallError::UnknownTask {
+                    machine: m.name.clone(),
+                    task: task.to_string(),
+                });
+            }
+        }
+        for e in m.transitions.iter().filter_map(|t| t.emit.as_ref()) {
+            if e.path.is_none()
+                && m.path.is_none()
+                && matches!(
+                    e.action,
+                    OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
+                )
+            {
+                return Err(InstallError::MissingPath {
+                    machine: m.name.clone(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 impl MonitorEngine {
     /// Validates the suite against `app`, compiles it to bytecode, and
     /// allocates all persistent monitor state in FRAM (billed to the
@@ -788,32 +820,7 @@ impl MonitorEngine {
         app: &AppGraph,
         opts: InstallOptions,
     ) -> Result<Self, InstallError> {
-        for m in suite.machines() {
-            validate_strict(m).map_err(InstallError::Invalid)?;
-            for task in m.observed_tasks() {
-                if app.task_by_name(task).is_none() {
-                    return Err(InstallError::UnknownTask {
-                        machine: m.name.clone(),
-                        task: task.to_string(),
-                    });
-                }
-            }
-            for t in &m.transitions {
-                if let Some(e) = &t.emit {
-                    if e.path.is_none()
-                        && m.path.is_none()
-                        && matches!(
-                            e.action,
-                            OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
-                        )
-                    {
-                        return Err(InstallError::MissingPath {
-                            machine: m.name.clone(),
-                        });
-                    }
-                }
-            }
-        }
+        check_source(&suite, app)?;
 
         // AOT compilation: slot indices, task-id dispatch tables,
         // bytecode — and the interned task-name table both modes use.
@@ -2144,41 +2151,48 @@ mod tests {
 
     #[test]
     fn install_rejects_unknown_tasks_and_missing_paths() {
-        let mut dev = DeviceBuilder::msp430fr5994().build();
         let app = app();
+        // Every install of a source suite: the engine, the remote
+        // monitor and the reference it runs on.
+        let installs = |text: &str| -> [Result<(), InstallError>; 3] {
+            let suite = artemis_ir::parse::parse_suite(text).unwrap();
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            [
+                MonitorEngine::install(&mut dev, suite.clone(), &app).map(drop),
+                RemoteMonitorEngine::install(&mut dev, suite.clone(), &app).map(drop),
+                Reference::new(suite, &app).map(drop),
+            ]
+        };
 
         // A hand-written machine observing a ghost task.
-        let suite = artemis_ir::parse::parse_suite(
+        for got in installs(
             "machine g task ghost persistent { state S initial; \
              on startTask(ghost) from S to S { }; }",
-        )
-        .unwrap();
-        assert!(matches!(
-            MonitorEngine::install(&mut dev, suite, &app),
-            Err(InstallError::UnknownTask { .. })
-        ));
+        ) {
+            assert!(
+                matches!(got, Err(InstallError::UnknownTask { .. })),
+                "{got:?}"
+            );
+        }
 
         // A path-directed action with no path anywhere.
-        let suite = artemis_ir::parse::parse_suite(
+        for got in installs(
             "machine p task accel persistent { state S initial; \
              on startTask(accel) from S to S { } fail skipPath; }",
-        )
-        .unwrap();
-        assert!(matches!(
-            MonitorEngine::install(&mut dev, suite, &app),
-            Err(InstallError::MissingPath { .. })
-        ));
+        ) {
+            assert!(
+                matches!(got, Err(InstallError::MissingPath { .. })),
+                "{got:?}"
+            );
+        }
 
         // An invalid machine (unknown guard variable).
-        let suite = artemis_ir::parse::parse_suite(
+        for got in installs(
             "machine v task accel persistent { state S initial; \
              on anyEvent from S to S if ghost > 0 { }; }",
-        )
-        .unwrap();
-        assert!(matches!(
-            MonitorEngine::install(&mut dev, suite, &app),
-            Err(InstallError::Invalid(_))
-        ));
+        ) {
+            assert!(matches!(got, Err(InstallError::Invalid(_))), "{got:?}");
+        }
     }
 
     /// `paths` single-task paths over one task `a`, whose maxTries

@@ -32,7 +32,6 @@ use artemis_core::event::MonitorEvent;
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::fsm::MonitorSuite;
-use artemis_ir::validate::validate_strict;
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
 
 use crate::{decode_action, encode_action};
@@ -67,20 +66,10 @@ pub struct Reference {
 }
 
 impl Reference {
-    /// Validates `suite` against `app` and starts every machine in its
-    /// initial `(state, vars)`.
+    /// Checks `suite` against `app` as the engine's install does, and
+    /// starts every machine in its initial `(state, vars)`.
     pub fn new(suite: MonitorSuite, app: &AppGraph) -> Result<Self, InstallError> {
-        for m in suite.machines() {
-            validate_strict(m).map_err(InstallError::Invalid)?;
-            for task in m.observed_tasks() {
-                if app.task_by_name(task).is_none() {
-                    return Err(InstallError::UnknownTask {
-                        machine: m.name.clone(),
-                        task: task.to_string(),
-                    });
-                }
-            }
-        }
+        crate::check_source(&suite, app)?;
         Ok(Reference {
             machines: suite.machines().iter().map(MachineState::initial).collect(),
             task_names: app.tasks().iter().map(|t| t.name.clone()).collect(),

@@ -380,21 +380,6 @@ impl ArtemisRuntimeBuilder {
         self.install_with(dev, engine)
     }
 
-    /// [`ArtemisRuntimeBuilder::install`] with explicit monitor-engine
-    /// [`artemis_monitor::InstallOptions`] — e.g. a device energy
-    /// profile, which makes the install reject (before any FRAM is
-    /// allocated) if a task's statically bounded attempt energy cannot
-    /// fit the capacitor.
-    pub fn install_opts(
-        self,
-        dev: &mut Device,
-        suite: artemis_ir::MonitorSuite,
-        opts: artemis_monitor::InstallOptions,
-    ) -> Result<ArtemisRuntime, InstallError> {
-        let engine = MonitorEngine::install_with(dev, suite, &self.app, opts)?;
-        self.install_with(dev, engine)
-    }
-
     /// Installs the runtime with an arbitrary monitoring deployment —
     /// the modularity the paper's architecture promises (P2): the same
     /// runtime runs against the local engine, the external wireless

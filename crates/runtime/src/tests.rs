@@ -473,15 +473,13 @@ fn fram_traffic_categories_sum_to_the_arena_counters() {
 /// contradiction.
 #[test]
 fn collect_bound_tracks_the_channel_capacity() {
-    use artemis_spec::consistency::{check, ConsistencySeverity};
+    use artemis_spec::consistency::check;
 
     let app = sense_send_app();
     for (count, fits) in [(CHANNEL_CAPACITY, true), (CHANNEL_CAPACITY + 1, false)] {
         let spec = format!("send {{ collect: {count} dpTask: sense onFail: restartPath; }}");
         let set = artemis_spec::compile(&spec, &app).unwrap();
-        let contradiction = check(&set, &app)
-            .iter()
-            .any(|i| i.severity == ConsistencySeverity::Contradiction);
+        let contradiction = check(&set, &app).iter().any(|d| d.is_error());
         assert_eq!(contradiction, !fits, "collect: {count}");
     }
 }

@@ -19,7 +19,7 @@
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskCostDecl};
 use artemis_core::time::SimDuration;
 use artemis_ir::analysis::Verdict;
-use artemis_monitor::{InstallError, InstallOptions};
+use artemis_monitor::{InstallError, InstallOptions, MonitorEngine};
 use artemis_runtime::ArtemisRuntimeBuilder;
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
@@ -103,7 +103,8 @@ proptest! {
         let monitor_fram_before = dev
             .fram()
             .used_by(intermittent_sim::fram::MemOwner::Monitor);
-        let gated = builder(app.clone(), cycles, idle).install_opts(&mut dev, suite, opts);
+        let gated = MonitorEngine::install_with(&mut dev, suite, &app, opts)
+            .and_then(|engine| builder(app.clone(), cycles, idle).install_with(&mut dev, engine));
         match verdict {
             Verdict::Infeasible => {
                 let err = gated.err().expect("infeasible task must be rejected");

@@ -410,16 +410,6 @@ impl Fram {
         self.bytes[addr..addr + data.len()].copy_from_slice(data);
     }
 
-    /// Total bytes written since construction.
-    pub fn bytes_written(&self) -> u64 {
-        self.traffic.write_bytes
-    }
-
-    /// Total bytes read since construction.
-    pub fn bytes_read(&self) -> u64 {
-        self.traffic.read_bytes
-    }
-
     /// Number of write operations since construction (`peek` excluded).
     pub fn write_ops(&self) -> u64 {
         self.traffic.write_ops
@@ -430,14 +420,12 @@ impl Fram {
         self.traffic.read_ops
     }
 
-    /// Total bytes written since construction — [`Fram::bytes_written`]
-    /// under the name the benchmarks pair with [`Fram::write_ops`].
+    /// Total bytes written since construction.
     pub fn write_bytes(&self) -> u64 {
         self.traffic.write_bytes
     }
 
-    /// Total bytes read since construction — [`Fram::bytes_read`]
-    /// under the name the benchmarks pair with [`Fram::read_ops`].
+    /// Total bytes read since construction.
     pub fn read_bytes(&self) -> u64 {
         self.traffic.read_bytes
     }
@@ -593,13 +581,13 @@ mod tests {
         let a = fram.alloc::<u32>(0, MemOwner::App, "a").unwrap(); // init write: 4
         fram.write(&a, 5); // +4
         let _ = fram.read(&a); // read 4
-        assert_eq!(fram.bytes_written(), 8);
-        assert_eq!(fram.bytes_read(), 4);
+        assert_eq!(fram.write_bytes(), 8);
+        assert_eq!(fram.read_bytes(), 4);
         assert_eq!(fram.write_ops(), 2);
         assert_eq!(fram.read_ops(), 1);
         // `peek` must not count.
         let _ = fram.peek(&a);
-        assert_eq!(fram.bytes_read(), 4);
+        assert_eq!(fram.read_bytes(), 4);
         assert_eq!(fram.read_ops(), 1);
     }
 
@@ -611,8 +599,8 @@ mod tests {
         let _ = fram.read_raw(addr, 32); // one op, 32 bytes
         assert_eq!(fram.write_ops(), 1);
         assert_eq!(fram.read_ops(), 1);
-        assert_eq!(fram.bytes_written(), 32);
-        assert_eq!(fram.bytes_read(), 32);
+        assert_eq!(fram.write_bytes(), 32);
+        assert_eq!(fram.read_bytes(), 32);
         let _ = fram.peek_raw(addr, 32);
         assert_eq!(fram.read_ops(), 1);
     }

@@ -537,11 +537,11 @@ mod tests {
     #[test]
     fn empty_commit_is_a_no_op() {
         let (mut fram, journal, _, _) = setup();
-        let written = fram.bytes_written();
+        let written = fram.write_bytes();
         journal
             .commit(&mut fram, &TxWriter::new(), &mut no_fail)
             .unwrap();
-        assert_eq!(fram.bytes_written(), written);
+        assert_eq!(fram.write_bytes(), written);
     }
 
     #[test]
@@ -595,7 +595,7 @@ mod tests {
             let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
             let mut tx = TxWriter::new();
             tx.write(&a, 7);
-            let written = fram.bytes_written();
+            let written = fram.write_bytes();
             let r = journal.commit(&mut fram, &tx, &mut no_fail);
             if fits {
                 assert_eq!(r, Ok(()));
@@ -606,7 +606,7 @@ mod tests {
                     Err(Interrupt::Fault(Fault::JournalOverflow { needed, capacity: c }))
                         if needed == record && c == capacity
                 ));
-                assert_eq!(fram.bytes_written(), written, "nothing written");
+                assert_eq!(fram.write_bytes(), written, "nothing written");
                 assert_eq!(fram.peek(&a), 0, "target untouched");
             }
         }
@@ -717,13 +717,13 @@ mod tests {
         for (addr, data) in targets {
             tx.write_raw(addr, data);
         }
-        let (reads, writes, written) = (fram.read_ops(), fram.write_ops(), fram.bytes_written());
+        let (reads, writes, written) = (fram.read_ops(), fram.write_ops(), fram.write_bytes());
         journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
         assert_eq!(fram.read_ops(), reads, "applied from RAM");
         assert_eq!(fram.write_ops(), writes + targets.len() as u64 + 3);
         let data: usize = targets.iter().map(|(_, d)| d.len()).sum();
         assert_eq!(
-            fram.bytes_written(),
+            fram.write_bytes(),
             written + (tx.record_bytes() + 1 + data + 1) as u64
         );
         for (addr, data) in targets {
@@ -749,12 +749,12 @@ mod tests {
         assert_eq!(tx.record_bytes(), 2 + 2 * ENTRY_HEADER + 8 + 4);
         let first = &tx.record()[2..2 + 4];
         assert_eq!(first, &(a.addr() as u32).to_le_bytes(), "a stays first");
-        let written = fram.bytes_written();
+        let written = fram.write_bytes();
         journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
         assert_eq!(fram.peek(&a), 7);
         assert_eq!(fram.peek(&b), 8);
         let applied = (tx.record_bytes() + 1 + 8 + 4 + 1) as u64;
-        assert_eq!(fram.bytes_written(), written + applied);
+        assert_eq!(fram.write_bytes(), written + applied);
     }
 
     /// A diff stages only changed bytes: runs a header or less apart
@@ -814,7 +814,7 @@ mod tests {
         let mut tx = TxWriter::new();
         tx.write(&a, 7);
         tx.write(&b, 5);
-        let written = fram.bytes_written();
+        let written = fram.write_bytes();
         assert_eq!(
             journal.commit(&mut fram, &tx, &mut no_fail),
             Err(Interrupt::Fault(Fault::JournalOverflow {
@@ -822,7 +822,7 @@ mod tests {
                 capacity,
             }))
         );
-        assert_eq!(fram.bytes_written(), written, "nothing written");
+        assert_eq!(fram.write_bytes(), written, "nothing written");
         assert_eq!((fram.peek(&a), fram.peek(&b)), (0, 0), "targets untouched");
         assert!(!journal.is_pending(&fram));
         assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());

@@ -26,53 +26,7 @@
 use artemis_core::app::{AppGraph, CHANNEL_CAPACITY};
 use artemis_core::property::{OnFail, PropertyKind, PropertySet};
 
-use crate::diag::{Diagnostic, Severity};
-
-/// Severity of a consistency finding.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ConsistencySeverity {
-    /// The specification can never be satisfied / always loops.
-    Contradiction,
-    /// Suspicious; likely not what the developer meant.
-    Suspicious,
-}
-
-/// One consistency finding.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ConsistencyIssue {
-    /// How bad it is.
-    pub severity: ConsistencySeverity,
-    /// Task the finding concerns.
-    pub task: String,
-    /// Description.
-    pub message: String,
-}
-
-impl core::fmt::Display for ConsistencyIssue {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let tag = match self.severity {
-            ConsistencySeverity::Contradiction => "contradiction",
-            ConsistencySeverity::Suspicious => "suspicious",
-        };
-        write!(f, "{tag} on task `{}`: {}", self.task, self.message)
-    }
-}
-
-impl From<ConsistencyIssue> for Diagnostic {
-    fn from(issue: ConsistencyIssue) -> Diagnostic {
-        let severity = match issue.severity {
-            ConsistencySeverity::Contradiction => Severity::Error,
-            ConsistencySeverity::Suspicious => Severity::Warning,
-        };
-        Diagnostic {
-            severity,
-            pass: "consistency",
-            subject: format!("task `{}`", issue.task),
-            message: issue.message,
-            span: None,
-        }
-    }
-}
+use crate::diag::{sort_diagnostics, Diagnostic};
 
 /// Checks a resolved property set for internal contradictions.
 ///
@@ -94,11 +48,11 @@ impl From<ConsistencyIssue> for Diagnostic {
 /// let issues = check(&set, &app);
 /// assert_eq!(issues.len(), 1, "restartTask after maxTries is a loop");
 /// ```
-pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
+pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<Diagnostic> {
     let mut issues = Vec::new();
 
     for (i, entry) in set.entries().iter().enumerate() {
-        let task_name = app.task_name(entry.task).to_string();
+        let task_name = app.task_name(entry.task);
         let prop = &entry.property;
 
         // Duplicates of the same kind on the same task.
@@ -111,47 +65,41 @@ pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
                     PropertyKind::Collect { .. } | PropertyKind::Mitd { .. }
                 )
             {
-                issues.push(ConsistencyIssue {
-                    severity: ConsistencySeverity::Suspicious,
-                    task: task_name.clone(),
-                    message: format!(
+                issues.push(suspicious(
+                    task_name,
+                    format!(
                         "`{}` declared more than once; the earlier declaration is shadowed in intent",
                         prop.kind.keyword()
                     ),
-                });
+                ));
             }
         }
 
         match &prop.kind {
             PropertyKind::MaxDuration { .. } if prop.on_fail == OnFail::RestartTask => {
-                issues.push(ConsistencyIssue {
-                    severity: ConsistencySeverity::Suspicious,
-                    task: task_name.clone(),
-                    message: "`maxDuration … onFail: restartTask` re-runs the task \
+                issues.push(suspicious(
+                    task_name,
+                    "`maxDuration … onFail: restartTask` re-runs the task \
                                   that just overran; unless the overrun was transient \
-                                  this loops"
-                        .to_string(),
-                });
+                                  this loops",
+                ));
             }
             PropertyKind::MaxTries { .. } if prop.on_fail == OnFail::RestartTask => {
-                issues.push(ConsistencyIssue {
-                    severity: ConsistencySeverity::Contradiction,
-                    task: task_name.clone(),
-                    message: "`maxTries … onFail: restartTask` restarts the task that just \
-                                  exhausted its attempts — a guaranteed loop"
-                        .to_string(),
-                });
+                issues.push(contradiction(
+                    task_name,
+                    "`maxTries … onFail: restartTask` restarts the task that just \
+                                  exhausted its attempts — a guaranteed loop",
+                ));
             }
             PropertyKind::Collect { count, dp_task } => {
                 if *count as usize > CHANNEL_CAPACITY {
-                    issues.push(ConsistencyIssue {
-                        severity: ConsistencySeverity::Contradiction,
-                        task: task_name.clone(),
-                        message: format!(
+                    issues.push(contradiction(
+                        task_name,
+                        format!(
                             "`collect: {count}` exceeds the runtime channel capacity \
                              ({CHANNEL_CAPACITY}); the data cannot be buffered"
                         ),
-                    });
+                    ));
                 }
                 check_shared_path(app, set, i, *dp_task, "collect", &mut issues);
             }
@@ -162,15 +110,14 @@ pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
             } => {
                 if let Some(ma) = max_attempt {
                     if ma.on_fail == prop.on_fail {
-                        issues.push(ConsistencyIssue {
-                            severity: ConsistencySeverity::Contradiction,
-                            task: task_name.clone(),
-                            message: format!(
+                        issues.push(contradiction(
+                            task_name,
+                            format!(
                                 "`MITD` escalates to `{}` — the same action as the primary \
                                  reaction, so `maxAttempt` can never break the loop",
                                 ma.on_fail.keyword()
                             ),
-                        });
+                        ));
                     }
                 }
                 check_shared_path(app, set, i, *dp_task, "MITD", &mut issues);
@@ -182,15 +129,14 @@ pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
             } => {
                 if let Some(ma) = max_attempt {
                     if ma.on_fail == prop.on_fail {
-                        issues.push(ConsistencyIssue {
-                            severity: ConsistencySeverity::Contradiction,
-                            task: task_name.clone(),
-                            message: format!(
+                        issues.push(contradiction(
+                            task_name,
+                            format!(
                                 "`period` escalates to `{}` — identical to the primary \
                                  reaction; the escalation is inert",
                                 ma.on_fail.keyword()
                             ),
-                        });
+                        ));
                     }
                 }
                 // period vs maxDuration on the same task: an execution
@@ -199,15 +145,14 @@ pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
                 for other in set.for_task(entry.task) {
                     if let PropertyKind::MaxDuration { limit } = &other.kind {
                         if limit.as_micros() > interval.as_micros() + jitter.as_micros() {
-                            issues.push(ConsistencyIssue {
-                                severity: ConsistencySeverity::Suspicious,
-                                task: task_name.clone(),
-                                message: format!(
+                            issues.push(suspicious(
+                                task_name,
+                                format!(
                                     "`maxDuration: {limit}` permits executions longer than \
                                      `period: {interval}` (+jitter {jitter}); an in-budget \
                                      execution can still violate the period"
                                 ),
-                            });
+                            ));
                         }
                     }
                 }
@@ -215,13 +160,20 @@ pub fn check(set: &PropertySet, app: &AppGraph) -> Vec<ConsistencyIssue> {
             _ => {}
         }
     }
-    // Errors-first contract (mirrors `ir::validate`): contradictions
-    // sort before suspicions, discovery order preserved within each.
-    issues.sort_by_key(|i| match i.severity {
-        ConsistencySeverity::Contradiction => 0u8,
-        ConsistencySeverity::Suspicious => 1,
-    });
+    sort_diagnostics(&mut issues);
     issues
+}
+
+/// A finding that the specification can never be satisfied, or always
+/// loops: an error.
+fn contradiction(task: &str, message: impl Into<String>) -> Diagnostic {
+    Diagnostic::error("consistency", format!("task `{task}`"), message)
+}
+
+/// A finding that is suspicious, likely not what the developer meant:
+/// a warning.
+fn suspicious(task: &str, message: impl Into<String>) -> Diagnostic {
+    Diagnostic::warning("consistency", format!("task `{task}`"), message)
 }
 
 /// Flags an inter-task property whose producer and consumer never share
@@ -232,7 +184,7 @@ fn check_shared_path(
     entry_index: usize,
     dp_task: artemis_core::app::TaskId,
     keyword: &str,
-    issues: &mut Vec<ConsistencyIssue>,
+    issues: &mut Vec<Diagnostic>,
 ) {
     let entry = &set.entries()[entry_index];
     // With an explicit governing path, require the producer on it; with
@@ -244,21 +196,21 @@ fn check_shared_path(
         None => consumer_paths.iter().any(|p| producer_paths.contains(p)),
     };
     if !shares {
-        issues.push(ConsistencyIssue {
-            severity: ConsistencySeverity::Contradiction,
-            task: app.task_name(entry.task).to_string(),
-            message: format!(
+        issues.push(contradiction(
+            app.task_name(entry.task),
+            format!(
                 "`{keyword}` depends on `{}`, but the two tasks never share the governing \
                  path; the dependency can never be observed",
                 app.task_name(dp_task)
             ),
-        });
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
     use artemis_core::app::AppGraphBuilder;
 
     fn app() -> AppGraph {
@@ -271,7 +223,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn issues_for(spec: &str) -> Vec<ConsistencyIssue> {
+    fn issues_for(spec: &str) -> Vec<Diagnostic> {
         let app = app();
         let set = crate::compile(spec, &app).unwrap();
         check(&set, &app)
@@ -291,7 +243,7 @@ mod tests {
     fn max_tries_restart_task_is_a_loop() {
         let issues = issues_for("sense { maxTries: 3 onFail: restartTask; }");
         assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, ConsistencySeverity::Contradiction);
+        assert_eq!(issues[0].severity, Severity::Error);
         assert!(issues[0].message.contains("guaranteed loop"));
     }
 
@@ -329,7 +281,7 @@ mod tests {
         let issues =
             issues_for("sense { maxTries: 3 onFail: skipPath; maxTries: 5 onFail: skipPath; }");
         assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, ConsistencySeverity::Suspicious);
+        assert_eq!(issues[0].severity, Severity::Warning);
     }
 
     #[test]
@@ -340,7 +292,7 @@ mod tests {
         );
         assert_eq!(issues.len(), 1);
         assert!(issues[0].message.contains("period"));
-        assert_eq!(issues[0].severity, ConsistencySeverity::Suspicious);
+        assert_eq!(issues[0].severity, Severity::Warning);
 
         // A compatible pair is clean.
         let issues = issues_for(
@@ -359,42 +311,38 @@ mod tests {
              maxTries: 3 onFail: restartTask; }",
         );
         assert_eq!(issues.len(), 2, "{issues:?}");
-        assert_eq!(issues[0].severity, ConsistencySeverity::Contradiction);
+        assert_eq!(issues[0].severity, Severity::Error);
         assert!(issues[0].message.contains("guaranteed loop"));
-        assert_eq!(issues[1].severity, ConsistencySeverity::Suspicious);
+        assert_eq!(issues[1].severity, Severity::Warning);
     }
 
+    /// Contradictions are errors, suspicions warnings, each about the
+    /// task they concern.
     #[test]
     fn issue_converts_to_diagnostic() {
-        use crate::diag::Severity;
         let issues = issues_for("sense { maxTries: 3 onFail: restartTask; }");
-        let d: Diagnostic = issues[0].clone().into();
-        assert_eq!(d.severity, Severity::Error);
-        assert_eq!(d.pass, "consistency");
-        assert!(d.subject.contains("sense"));
-        let d: Diagnostic = ConsistencyIssue {
-            severity: ConsistencySeverity::Suspicious,
-            task: "send".into(),
-            message: "m".into(),
-        }
-        .into();
-        assert_eq!(d.severity, Severity::Warning);
+        assert_eq!(issues[0].severity, Severity::Error);
+        assert_eq!(issues[0].pass, "consistency");
+        assert_eq!(issues[0].subject, "task `sense`");
+        let issues = issues_for("sense { maxDuration: 10ms onFail: restartTask; }");
+        assert_eq!(issues[0].severity, Severity::Warning);
     }
 
     #[test]
     fn display_format() {
-        let issue = ConsistencyIssue {
-            severity: ConsistencySeverity::Contradiction,
-            task: "send".into(),
-            message: "boom".into(),
-        };
-        assert_eq!(issue.to_string(), "contradiction on task `send`: boom");
+        let issues = issues_for("lone { collect: 2 dpTask: sense onFail: restartPath; }");
+        assert_eq!(
+            issues[0].to_string(),
+            "error [consistency] task `lone`: `collect` depends on `sense`, but the two \
+             tasks never share the governing path; the dependency can never be observed"
+        );
     }
 }
 
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use crate::diag::Severity;
     use artemis_core::app::AppGraphBuilder;
 
     #[test]
@@ -406,7 +354,7 @@ mod more_tests {
         let set = crate::compile("slow { maxDuration: 10ms onFail: restartTask; }", &app).unwrap();
         let issues = check(&set, &app);
         assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].severity, ConsistencySeverity::Suspicious);
+        assert_eq!(issues[0].severity, Severity::Warning);
         assert!(issues[0].message.contains("overran"));
     }
 }

@@ -1,4 +1,11 @@
-//! Source spans and diagnostics for the specification language.
+//! Source spans and the one finding type of the front end.
+//!
+//! Every checker between specification text and an installed monitor
+//! reports a [`Diagnostic`] on the one [`Severity`] scale: the spec
+//! lexer and parser (pass `"parse"`), [`crate::sema::resolve`]
+//! (`"resolve"`), the consistency checker (`"consistency"`), and in
+//! `artemis-ir` the IR text parser, IR validation and the install-time
+//! analysis passes.
 
 use core::fmt;
 
@@ -50,55 +57,6 @@ impl<T> Spanned<T> {
     }
 }
 
-/// One diagnostic message anchored to a span.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Diag {
-    /// Where in the source.
-    pub span: Span,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl Diag {
-    /// Creates a diagnostic.
-    pub fn new(span: Span, message: impl Into<String>) -> Self {
-        Diag {
-            span,
-            message: message.into(),
-        }
-    }
-
-    /// Renders the diagnostic with a line/column header and a caret
-    /// line pointing at the offending text.
-    pub fn render(&self, source: &str) -> String {
-        let (line_no, col, line) = locate(source, self.span.start);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "error at line {}, column {}: {}\n",
-            line_no + 1,
-            col + 1,
-            self.message
-        ));
-        out.push_str(&format!("  | {line}\n"));
-        let width = (self.span.end.saturating_sub(self.span.start)).max(1);
-        let width = width.min(line.len().saturating_sub(col).max(1));
-        out.push_str(&format!("  | {}{}\n", " ".repeat(col), "^".repeat(width)));
-        out
-    }
-}
-
-impl fmt::Display for Diag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "error at bytes {}..{}: {}",
-            self.span.start, self.span.end, self.message
-        )
-    }
-}
-
-impl std::error::Error for Diag {}
-
 /// Severity of a [`Diagnostic`]. Errors reject an install / fail a
 /// lint run; warnings are surfaced but not fatal. The declaration
 /// order gives the errors-first sort via `Ord`.
@@ -126,26 +84,26 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A unified static-analysis finding.
+/// A finding of any front-end checker.
 ///
-/// Every checking layer reports findings in its own shape —
-/// `ir::validate::Issue`, `spec::consistency::ConsistencyIssue`, the
-/// `ir::analysis` passes. Converting them all into `Diagnostic` gives
-/// install-time gating and the `analyze` lint driver a single severity
-/// scale, subject naming scheme and rendering path.
+/// Install-time gating, the `analyze` lint driver and the command-line
+/// tools all read this one shape: a severity, the pass that found it,
+/// what it is about, and, for findings read from text, where.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
     /// How bad it is.
     pub severity: Severity,
-    /// Which checker produced the finding (e.g. `"verifier"`,
-    /// `"bounds"`, `"reachability"`, `"conflicts"`, `"validate"`,
-    /// `"consistency"`).
+    /// Which checker produced the finding (e.g. `"parse"`,
+    /// `"resolve"`, `"consistency"`, `"validate"`, `"verifier"`,
+    /// `"bounds"`, `"reachability"`, `"conflicts"`).
     pub pass: &'static str,
-    /// What the finding is about — a machine, task or state name.
+    /// What the finding is about — a machine, task or state name, or
+    /// the text (`spec`, `IR`) a parse or resolve error was read from.
     pub subject: String,
     /// Human-readable description.
     pub message: String,
-    /// Source location, when the finding maps back to spec text.
+    /// Source location, when the finding was read from spec or IR
+    /// text.
     pub span: Option<Span>,
 }
 
@@ -191,17 +149,37 @@ impl Diagnostic {
         self.severity == Severity::Error
     }
 
-    /// Renders with a caret line when the diagnostic carries a span,
-    /// falling back to the one-line `Display` form.
+    /// A parse error at `span` of the specification text.
+    pub(crate) fn parse(span: Span, message: impl Into<String>) -> Self {
+        Diagnostic::error("parse", "spec", message).with_span(span)
+    }
+
+    /// A resolve error at `span` of the specification text.
+    pub(crate) fn resolve(span: Span, message: impl Into<String>) -> Self {
+        Diagnostic::error("resolve", "spec", message).with_span(span)
+    }
+
+    /// Renders with a line/column header and a caret line pointing at
+    /// the offending text of `source` when the diagnostic carries a
+    /// span, falling back to the one-line `Display` form.
     pub fn render(&self, source: &str) -> String {
-        match self.span {
-            Some(span) => Diag::new(
-                span,
-                format!("[{}] {}: {}", self.pass, self.subject, self.message),
-            )
-            .render(source),
-            None => format!("{self}\n"),
-        }
+        let Some(span) = self.span else {
+            return format!("{self}\n");
+        };
+        let (line_no, col, line) = locate(source, span.start);
+        let width = span.end.saturating_sub(span.start).max(1);
+        let width = width.min(line.len().saturating_sub(col).max(1));
+        format!(
+            "{} at line {}, column {}: [{}] {}: {}\n  | {line}\n  | {}{}\n",
+            self.severity,
+            line_no + 1,
+            col + 1,
+            self.pass,
+            self.subject,
+            self.message,
+            " ".repeat(col),
+            "^".repeat(width)
+        )
     }
 }
 
@@ -262,7 +240,7 @@ mod tests {
     fn render_points_at_the_right_line() {
         let src = "first line\nsecond line\nthird";
         let pos = src.find("second").unwrap();
-        let d = Diag::new(Span::new(pos, pos + 6), "bad keyword");
+        let d = Diagnostic::parse(Span::new(pos, pos + 6), "bad keyword");
         let rendered = d.render(src);
         assert!(rendered.contains("line 2, column 1"));
         assert!(rendered.contains("second line"));
@@ -272,15 +250,16 @@ mod tests {
     #[test]
     fn render_handles_end_of_input() {
         let src = "abc";
-        let d = Diag::new(Span::point(3), "unexpected end");
+        let d = Diagnostic::parse(Span::point(3), "unexpected end");
         let rendered = d.render(src);
         assert!(rendered.contains("line 1"));
     }
 
+    /// `Display` is one line, span or not: spans show only in `render`.
     #[test]
     fn display_is_compact() {
-        let d = Diag::new(Span::new(1, 4), "oops");
-        assert_eq!(d.to_string(), "error at bytes 1..4: oops");
+        let d = Diagnostic::parse(Span::new(1, 4), "oops");
+        assert_eq!(d.to_string(), "error [parse] spec: oops");
     }
 
     #[test]

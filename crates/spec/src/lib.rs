@@ -13,7 +13,7 @@
 //! independently of the application code. The pipeline is:
 //!
 //! 1. [`parse`] — text → [`ast::SpecAst`] (lexer + recursive descent,
-//!    source-span diagnostics);
+//!    stopping at the first error);
 //! 2. [`sema::resolve`] — AST + application graph →
 //!    [`artemis_core::property::PropertySet`], validating
 //!    task references, required/forbidden modifiers and `Path:`
@@ -21,7 +21,10 @@
 //! 3. (in `artemis-ir`) lowering of each property to a finite-state
 //!    machine monitor.
 //!
-//! [`compile`] runs steps 1–2 together. [`printer::print`] renders an
+//! Both steps, and the [`consistency`] checker after them, report a
+//! [`Diagnostic`]: parse and resolve errors carry their source span,
+//! which [`Diagnostic::render`] turns into a line/column header and a
+//! caret. [`compile`] runs steps 1–2 together. [`printer::print`] renders an
 //! AST back to canonical source; `parse ∘ print` is the identity, which
 //! a property-based test checks for randomly generated specifications.
 
@@ -39,7 +42,7 @@ use artemis_core::app::AppGraph;
 use artemis_core::property::PropertySet;
 
 pub use ast::SpecAst;
-pub use diag::{sort_diagnostics, Diag, Diagnostic, Severity, Span, Spanned};
+pub use diag::{sort_diagnostics, Diagnostic, Severity, Span, Spanned};
 pub use parser::parse;
 pub use printer::print;
 pub use sema::resolve;
@@ -62,7 +65,7 @@ pub use sema::resolve;
 /// ).unwrap();
 /// assert_eq!(set.len(), 1);
 /// ```
-pub fn compile(source: &str, app: &AppGraph) -> Result<PropertySet, Diag> {
+pub fn compile(source: &str, app: &AppGraph) -> Result<PropertySet, Diagnostic> {
     let ast = parse(source)?;
     resolve(&ast, app)
 }

@@ -25,7 +25,7 @@
 use artemis_core::time::SimDuration;
 
 use crate::ast::{AstAction, MaxAttemptClause, PropDecl, PropKind, SpecAst, TaskBlock};
-use crate::diag::{Diag, Spanned};
+use crate::diag::{Diagnostic, Spanned};
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 
@@ -40,50 +40,9 @@ use crate::token::{Token, TokenKind};
 /// assert_eq!(ast.blocks.len(), 1);
 /// assert_eq!(ast.blocks[0].task.value, "accel");
 /// ```
-pub fn parse(source: &str) -> Result<SpecAst, Diag> {
+pub fn parse(source: &str) -> Result<SpecAst, Diagnostic> {
     let tokens = lex(source)?;
     Parser { tokens, pos: 0 }.spec()
-}
-
-/// Parses with error recovery: on a bad property the parser resyncs at
-/// the next `;` (or the block's `}`) and keeps going, so one pass
-/// reports *all* diagnostics instead of only the first — the editor
-/// experience the paper gets from Xtext.
-///
-/// Returns the recovered AST (bad properties dropped) plus every
-/// diagnostic. An empty diagnostic list means a clean parse.
-///
-/// # Examples
-///
-/// ```
-/// let (ast, diags) = artemis_spec::parser::parse_recovering(
-///     "a { maxTries: bogus; maxDuration: 5s onFail: skipTask; }
-///      b { collect: 1 dpTask: a onFail: explode; }",
-/// );
-/// assert_eq!(diags.len(), 2, "both errors reported in one pass");
-/// assert_eq!(ast.property_count(), 1, "the good property survives");
-/// ```
-pub fn parse_recovering(source: &str) -> (SpecAst, Vec<Diag>) {
-    let tokens = match lex(source) {
-        Ok(t) => t,
-        Err(d) => return (SpecAst::default(), vec![d]),
-    };
-    let mut p = Parser { tokens, pos: 0 };
-    let mut blocks = Vec::new();
-    let mut diags = Vec::new();
-    while p.peek().kind != TokenKind::Eof {
-        match p.block_recovering(&mut diags) {
-            Some(block) => blocks.push(block),
-            None => {
-                // Could not even read a block header: skip one token to
-                // guarantee progress.
-                if p.peek().kind != TokenKind::Eof {
-                    p.bump();
-                }
-            }
-        }
-    }
-    (SpecAst { blocks }, diags)
 }
 
 struct Parser {
@@ -104,94 +63,44 @@ impl Parser {
         t
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, Diag> {
+    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, Diagnostic> {
         if &self.peek().kind == kind {
             Ok(self.bump())
         } else {
-            Err(Diag::new(
+            Err(Diagnostic::parse(
                 self.peek().span,
                 format!("expected {what}, found {}", self.peek().kind),
             ))
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<Spanned<String>, Diag> {
+    fn ident(&mut self, what: &str) -> Result<Spanned<String>, Diagnostic> {
         match self.peek().kind.clone() {
             TokenKind::Ident(name) => {
                 let span = self.bump().span;
                 Ok(Spanned::new(name, span))
             }
-            other => Err(Diag::new(
+            other => Err(Diagnostic::parse(
                 self.peek().span,
                 format!("expected {what}, found {other}"),
             )),
         }
     }
 
-    fn int(&mut self, what: &str) -> Result<Spanned<u64>, Diag> {
+    fn int(&mut self, what: &str) -> Result<Spanned<u64>, Diagnostic> {
         match self.peek().kind.clone() {
             TokenKind::Int(v) => {
                 let span = self.bump().span;
                 Ok(Spanned::new(v, span))
             }
-            other => Err(Diag::new(
+            other => Err(Diagnostic::parse(
                 self.peek().span,
                 format!("expected {what}, found {other}"),
             )),
         }
     }
 
-    /// Reads one block, resynchronising inside it on bad properties.
-    fn block_recovering(&mut self, diags: &mut Vec<Diag>) -> Option<TaskBlock> {
-        let task = match self.ident("a task name") {
-            Ok(t) => t,
-            Err(d) => {
-                diags.push(d);
-                return None;
-            }
-        };
-        if self.peek().kind == TokenKind::Colon {
-            self.bump();
-        }
-        if let Err(d) = self.expect(&TokenKind::LBrace, "`{`") {
-            diags.push(d);
-            return None;
-        }
-        let mut props = Vec::new();
-        while self.peek().kind != TokenKind::RBrace {
-            if self.peek().kind == TokenKind::Eof {
-                diags.push(Diag::new(
-                    self.peek().span,
-                    format!("unclosed block for task `{}`", task.value),
-                ));
-                return Some(TaskBlock { task, props });
-            }
-            match self.prop() {
-                Ok(p) => props.push(p),
-                Err(d) => {
-                    diags.push(d);
-                    // Resync: skip to just past the next `;`, or stop
-                    // at the block's closing `}`.
-                    loop {
-                        match &self.peek().kind {
-                            TokenKind::Semi => {
-                                self.bump();
-                                break;
-                            }
-                            TokenKind::RBrace | TokenKind::Eof => break,
-                            _ => {
-                                self.bump();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.bump(); // the `}`
-        Some(TaskBlock { task, props })
-    }
-
-    fn spec(&mut self) -> Result<SpecAst, Diag> {
+    fn spec(&mut self) -> Result<SpecAst, Diagnostic> {
         let mut blocks = Vec::new();
         while self.peek().kind != TokenKind::Eof {
             blocks.push(self.block()?);
@@ -199,7 +108,7 @@ impl Parser {
         Ok(SpecAst { blocks })
     }
 
-    fn block(&mut self) -> Result<TaskBlock, Diag> {
+    fn block(&mut self) -> Result<TaskBlock, Diagnostic> {
         let task = self.ident("a task name")?;
         // The paper writes both `micSense: { … }` and `calcAvg { … }`.
         if self.peek().kind == TokenKind::Colon {
@@ -209,7 +118,7 @@ impl Parser {
         let mut props = Vec::new();
         while self.peek().kind != TokenKind::RBrace {
             if self.peek().kind == TokenKind::Eof {
-                return Err(Diag::new(
+                return Err(Diagnostic::parse(
                     self.peek().span,
                     format!("unclosed block for task `{}`", task.value),
                 ));
@@ -220,7 +129,7 @@ impl Parser {
         Ok(TaskBlock { task, props })
     }
 
-    fn prop(&mut self) -> Result<PropDecl, Diag> {
+    fn prop(&mut self) -> Result<PropDecl, Diagnostic> {
         let kw = self.ident("a property keyword")?;
         self.expect(&TokenKind::Colon, "`:` after the property keyword")?;
         let kind = match kw.value.as_str() {
@@ -232,7 +141,7 @@ impl Parser {
             "dpData" => PropKind::DpData(self.ident("a monitored variable name")?.value),
             "energy" => PropKind::Energy(self.energy()?),
             other => {
-                return Err(Diag::new(
+                return Err(Diagnostic::parse(
                     kw.span,
                     format!(
                         "unknown property `{other}`; expected one of period, maxTries, \
@@ -250,7 +159,7 @@ impl Parser {
         Ok(decl)
     }
 
-    fn modifiers(&mut self, decl: &mut PropDecl) -> Result<(), Diag> {
+    fn modifiers(&mut self, decl: &mut PropDecl) -> Result<(), Diagnostic> {
         loop {
             let (name, span) = match &self.peek().kind {
                 TokenKind::Ident(name) => (name.clone(), self.peek().span),
@@ -262,7 +171,7 @@ impl Parser {
                     self.expect(&TokenKind::Colon, "`:` after `dpTask`")?;
                     let task = self.ident("a task name")?;
                     if decl.dp_task.replace(task).is_some() {
-                        return Err(Diag::new(span, "duplicate `dpTask:` modifier"));
+                        return Err(Diagnostic::parse(span, "duplicate `dpTask:` modifier"));
                     }
                 }
                 "onFail" => {
@@ -273,7 +182,7 @@ impl Parser {
                         // After `maxAttempt:` the action escalates.
                         Some(clause) => {
                             if clause.on_fail.replace(action).is_some() {
-                                return Err(Diag::new(
+                                return Err(Diagnostic::parse(
                                     span,
                                     "duplicate `onFail:` after `maxAttempt:`",
                                 ));
@@ -281,7 +190,10 @@ impl Parser {
                         }
                         None => {
                             if decl.on_fail.replace(action).is_some() {
-                                return Err(Diag::new(span, "duplicate `onFail:` modifier"));
+                                return Err(Diagnostic::parse(
+                                    span,
+                                    "duplicate `onFail:` modifier",
+                                ));
                             }
                         }
                     }
@@ -295,7 +207,7 @@ impl Parser {
                         .replace(MaxAttemptClause { max, on_fail: None })
                         .is_some()
                     {
-                        return Err(Diag::new(span, "duplicate `maxAttempt:` modifier"));
+                        return Err(Diagnostic::parse(span, "duplicate `maxAttempt:` modifier"));
                     }
                 }
                 "Path" => {
@@ -303,7 +215,7 @@ impl Parser {
                     self.expect(&TokenKind::Colon, "`:` after `Path`")?;
                     let n = self.int("a path number")?;
                     if decl.path.replace(n).is_some() {
-                        return Err(Diag::new(span, "duplicate `Path:` modifier"));
+                        return Err(Diagnostic::parse(span, "duplicate `Path:` modifier"));
                     }
                 }
                 "Range" => {
@@ -316,7 +228,7 @@ impl Parser {
                     let close = self.expect(&TokenKind::RBracket, "`]`")?;
                     let rspan = open.span.merge(close.span);
                     if decl.range.replace(Spanned::new((lo, hi), rspan)).is_some() {
-                        return Err(Diag::new(span, "duplicate `Range:` modifier"));
+                        return Err(Diagnostic::parse(span, "duplicate `Range:` modifier"));
                     }
                 }
                 "jitter" => {
@@ -324,7 +236,7 @@ impl Parser {
                     self.expect(&TokenKind::Colon, "`:` after `jitter`")?;
                     let t = self.time()?;
                     if decl.jitter.replace(Spanned::new(t, span)).is_some() {
-                        return Err(Diag::new(span, "duplicate `jitter:` modifier"));
+                        return Err(Diagnostic::parse(span, "duplicate `jitter:` modifier"));
                     }
                 }
                 _ => return Ok(()),
@@ -332,12 +244,12 @@ impl Parser {
         }
     }
 
-    fn action(&mut self) -> Result<Spanned<AstAction>, Diag> {
+    fn action(&mut self) -> Result<Spanned<AstAction>, Diagnostic> {
         let kw = self.ident("an action keyword")?;
         AstAction::from_keyword(&kw.value)
             .map(|a| Spanned::new(a, kw.span))
             .ok_or_else(|| {
-                Diag::new(
+                Diagnostic::parse(
                     kw.span,
                     format!(
                         "unknown action `{}`; expected restartPath, skipPath, restartTask, \
@@ -350,7 +262,7 @@ impl Parser {
 
     /// A duration literal: `5min`, `100ms`, `3s`, `2h`, `500us`; a bare
     /// integer means milliseconds (matching the paper's default axis).
-    fn time(&mut self) -> Result<SimDuration, Diag> {
+    fn time(&mut self) -> Result<SimDuration, Diagnostic> {
         match self.peek().kind.clone() {
             TokenKind::Suffixed { value, suffix } => {
                 let span = self.bump().span;
@@ -360,7 +272,7 @@ impl Parser {
                     "s" | "sec" => Ok(SimDuration::from_secs(value)),
                     "min" => Ok(SimDuration::from_mins(value)),
                     "h" => Ok(SimDuration::from_hours(value)),
-                    other => Err(Diag::new(
+                    other => Err(Diagnostic::parse(
                         span,
                         format!("unknown time unit `{other}`; expected us, ms, s, min or h"),
                     )),
@@ -370,7 +282,7 @@ impl Parser {
                 self.bump();
                 Ok(SimDuration::from_millis(value))
             }
-            other => Err(Diag::new(
+            other => Err(Diagnostic::parse(
                 self.peek().span,
                 format!("expected a duration, found {other}"),
             )),
@@ -379,7 +291,7 @@ impl Parser {
 
     /// An energy literal for the extension property: `10uJ`, `1mJ`,
     /// `500nJ`; result in nanojoules.
-    fn energy(&mut self) -> Result<u64, Diag> {
+    fn energy(&mut self) -> Result<u64, Diagnostic> {
         match self.peek().kind.clone() {
             TokenKind::Suffixed { value, suffix } => {
                 let span = self.bump().span;
@@ -387,13 +299,13 @@ impl Parser {
                     "nJ" => Ok(value),
                     "uJ" => Ok(value.saturating_mul(1_000)),
                     "mJ" => Ok(value.saturating_mul(1_000_000)),
-                    other => Err(Diag::new(
+                    other => Err(Diagnostic::parse(
                         span,
                         format!("unknown energy unit `{other}`; expected nJ, uJ or mJ"),
                     )),
                 }
             }
-            other => Err(Diag::new(
+            other => Err(Diagnostic::parse(
                 self.peek().span,
                 format!("expected an energy amount, found {other}"),
             )),
@@ -401,7 +313,7 @@ impl Parser {
     }
 
     /// A possibly-negative numeric literal (range bounds).
-    fn number(&mut self) -> Result<f64, Diag> {
+    fn number(&mut self) -> Result<f64, Diagnostic> {
         let neg = if self.peek().kind == TokenKind::Minus {
             self.bump();
             true
@@ -418,7 +330,7 @@ impl Parser {
                 v
             }
             other => {
-                return Err(Diag::new(
+                return Err(Diagnostic::parse(
                     self.peek().span,
                     format!("expected a number, found {other}"),
                 ))
@@ -561,61 +473,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("after `maxAttempt:`"));
-    }
-}
-
-#[cfg(test)]
-mod recovery_tests {
-    use super::*;
-
-    #[test]
-    fn recovering_parser_reports_all_errors() {
-        let src = "a { maxTries: bogus; maxDuration: 5s onFail: skipTask; }\n\
-                   b { collect: 1 dpTask: a onFail: explode; period: 1s onFail: restartTask; }\n\
-                   c { wat: 3; }";
-        let (ast, diags) = parse_recovering(src);
-        assert_eq!(diags.len(), 3, "{diags:?}");
-        // The well-formed properties survive.
-        assert_eq!(ast.property_count(), 2);
-        assert_eq!(ast.blocks.len(), 3);
-        assert!(diags[0].message.contains("attempt count"));
-        assert!(diags[1].message.contains("unknown action"));
-        assert!(diags[2].message.contains("unknown property"));
-    }
-
-    #[test]
-    fn recovering_parser_is_clean_on_valid_input() {
-        let (ast, diags) = parse_recovering(crate::samples::FIGURE5);
-        assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(ast.property_count(), 8);
-        // And agrees with the strict parser.
-        assert_eq!(ast, parse(crate::samples::FIGURE5).unwrap());
-    }
-
-    #[test]
-    fn recovering_parser_handles_unclosed_blocks() {
-        let (ast, diags) = parse_recovering("a { maxTries: 3 onFail: skipPath;");
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("unclosed block"));
-        assert_eq!(ast.property_count(), 1, "parsed content is kept");
-    }
-
-    #[test]
-    fn recovering_parser_survives_garbage() {
-        let (_, diags) = parse_recovering("$$$ not a spec at all ;;; }}}{{{");
-        assert!(!diags.is_empty());
-        // Progress guarantee: it terminated (we are here) and reported
-        // something actionable.
-    }
-
-    #[test]
-    fn recovering_parser_resyncs_on_missing_semicolon() {
-        // The first property lacks `;`: its diagnostic points at the
-        // following keyword, and the resync eats up to the real `;`.
-        let (ast, diags) = parse_recovering(
-            "a { maxTries: 3 onFail: skipPath maxDuration: 5s onFail: skipTask; }",
-        );
-        assert_eq!(diags.len(), 1);
-        assert_eq!(ast.blocks.len(), 1);
     }
 }

@@ -12,7 +12,7 @@ use artemis_core::property::{MaxAttempt, OnFail, PropertyKind, PropertySet};
 use artemis_core::time::SimDuration;
 
 use crate::ast::{AstAction, PropDecl, PropKind, SpecAst};
-use crate::diag::{Diag, Span, Spanned};
+use crate::diag::{Diagnostic, Span, Spanned};
 
 /// Resolves `ast` against `app`, producing the validated property set.
 ///
@@ -32,11 +32,11 @@ use crate::diag::{Diag, Span, Spanned};
 /// let set = artemis_spec::sema::resolve(&ast, &app).unwrap();
 /// assert_eq!(set.len(), 1);
 /// ```
-pub fn resolve(ast: &SpecAst, app: &AppGraph) -> Result<PropertySet, Diag> {
+pub fn resolve(ast: &SpecAst, app: &AppGraph) -> Result<PropertySet, Diagnostic> {
     let mut set = PropertySet::new();
     for block in &ast.blocks {
         let task = app.task_by_name(&block.task.value).ok_or_else(|| {
-            Diag::new(
+            Diagnostic::resolve(
                 block.task.span,
                 format!(
                     "unknown task `{}`; declared tasks: {}",
@@ -50,7 +50,7 @@ pub fn resolve(ast: &SpecAst, app: &AppGraph) -> Result<PropertySet, Diag> {
             let path_number = prop.path.map(|p| clamp_u32(p, "Path"));
             let path_number = path_number.transpose()?;
             set.add(app, task, kind, on_fail, path_number)
-                .map_err(|e| Diag::new(prop.span, e.to_string()))?;
+                .map_err(|e| Diagnostic::resolve(prop.span, e.to_string()))?;
         }
     }
     Ok(set)
@@ -64,7 +64,7 @@ fn task_names(app: &AppGraph) -> String {
         .join(", ")
 }
 
-fn lower_prop(prop: &PropDecl, app: &AppGraph) -> Result<(PropertyKind, OnFail), Diag> {
+fn lower_prop(prop: &PropDecl, app: &AppGraph) -> Result<(PropertyKind, OnFail), Diagnostic> {
     let on_fail = require_on_fail(prop)?;
     let kind = match &prop.kind {
         PropKind::Period(interval) => {
@@ -127,7 +127,7 @@ fn lower_prop(prop: &PropDecl, app: &AppGraph) -> Result<(PropertyKind, OnFail),
                 "dpData",
             )?;
             let range = prop.range.ok_or_else(|| {
-                Diag::new(prop.span, "`dpData` requires a `Range: [lo, hi]` modifier")
+                Diagnostic::resolve(prop.span, "`dpData` requires a `Range: [lo, hi]` modifier")
             })?;
             PropertyKind::DpData {
                 var: var.clone(),
@@ -149,9 +149,9 @@ fn lower_prop(prop: &PropDecl, app: &AppGraph) -> Result<(PropertyKind, OnFail),
     Ok((kind, on_fail))
 }
 
-fn require_on_fail(prop: &PropDecl) -> Result<OnFail, Diag> {
+fn require_on_fail(prop: &PropDecl) -> Result<OnFail, Diagnostic> {
     prop.on_fail.map(|a| ast_action(a.value)).ok_or_else(|| {
-        Diag::new(
+        Diagnostic::resolve(
             prop.span,
             format!("`{}` requires an `onFail:` action", prop.kind.keyword()),
         )
@@ -162,23 +162,24 @@ fn require_dp_task(
     prop: &PropDecl,
     app: &AppGraph,
     keyword: &str,
-) -> Result<artemis_core::app::TaskId, Diag> {
+) -> Result<artemis_core::app::TaskId, Diagnostic> {
     let dp = prop.dp_task.as_ref().ok_or_else(|| {
-        Diag::new(
+        Diagnostic::resolve(
             prop.span,
             format!("`{keyword}` requires a `dpTask:` dependency"),
         )
     })?;
-    app.task_by_name(&dp.value)
-        .ok_or_else(|| Diag::new(dp.span, format!("unknown dependency task `{}`", dp.value)))
+    app.task_by_name(&dp.value).ok_or_else(|| {
+        Diagnostic::resolve(dp.span, format!("unknown dependency task `{}`", dp.value))
+    })
 }
 
-fn max_attempt(prop: &PropDecl) -> Result<Option<MaxAttempt>, Diag> {
+fn max_attempt(prop: &PropDecl) -> Result<Option<MaxAttempt>, Diagnostic> {
     match &prop.max_attempt {
         None => Ok(None),
         Some(clause) => {
             let action = clause.on_fail.ok_or_else(|| {
-                Diag::new(
+                Diagnostic::resolve(
                     clause.max.span,
                     "`maxAttempt:` requires a following `onFail:` escalation action",
                 )
@@ -201,12 +202,13 @@ fn ast_action(a: AstAction) -> OnFail {
     }
 }
 
-fn clamp_u32(v: Spanned<u64>, what: &str) -> Result<u32, Diag> {
+fn clamp_u32(v: Spanned<u64>, what: &str) -> Result<u32, Diagnostic> {
     clamp_u32_raw(v.value, v.span, what)
 }
 
-fn clamp_u32_raw(v: u64, span: Span, what: &str) -> Result<u32, Diag> {
-    u32::try_from(v).map_err(|_| Diag::new(span, format!("`{what}` value {v} is out of range")))
+fn clamp_u32_raw(v: u64, span: Span, what: &str) -> Result<u32, Diagnostic> {
+    u32::try_from(v)
+        .map_err(|_| Diagnostic::resolve(span, format!("`{what}` value {v} is out of range")))
 }
 
 /// Modifier-applicability flags used by [`forbid`].
@@ -228,10 +230,10 @@ impl core::ops::BitOr for Need {
 }
 
 /// Rejects modifiers that a property kind does not accept.
-fn forbid(prop: &PropDecl, forbidden: Need, keyword: &str) -> Result<(), Diag> {
+fn forbid(prop: &PropDecl, forbidden: Need, keyword: &str) -> Result<(), Diagnostic> {
     if forbidden.0 & Need::DP_TASK.0 != 0 {
         if let Some(dp) = &prop.dp_task {
-            return Err(Diag::new(
+            return Err(Diagnostic::resolve(
                 dp.span,
                 format!("`{keyword}` does not take a `dpTask:` modifier"),
             ));
@@ -239,7 +241,7 @@ fn forbid(prop: &PropDecl, forbidden: Need, keyword: &str) -> Result<(), Diag> {
     }
     if forbidden.0 & Need::RANGE.0 != 0 {
         if let Some(r) = &prop.range {
-            return Err(Diag::new(
+            return Err(Diagnostic::resolve(
                 r.span,
                 format!("`{keyword}` does not take a `Range:` modifier"),
             ));
@@ -247,7 +249,7 @@ fn forbid(prop: &PropDecl, forbidden: Need, keyword: &str) -> Result<(), Diag> {
     }
     if forbidden.0 & Need::MAX_ATTEMPT.0 != 0 {
         if let Some(ma) = &prop.max_attempt {
-            return Err(Diag::new(
+            return Err(Diagnostic::resolve(
                 ma.max.span,
                 format!("`{keyword}` does not take a `maxAttempt:` modifier"),
             ));
@@ -255,7 +257,7 @@ fn forbid(prop: &PropDecl, forbidden: Need, keyword: &str) -> Result<(), Diag> {
     }
     if forbidden.0 & Need::JITTER.0 != 0 {
         if let Some(j) = &prop.jitter {
-            return Err(Diag::new(
+            return Err(Diagnostic::resolve(
                 j.span,
                 format!("`{keyword}` does not take a `jitter:` modifier"),
             ));

@@ -1,7 +1,7 @@
 //! Front-end totality: byte-mutated sample specifications — truncated,
 //! bit-flipped, spliced — go through `parse` and then `resolve` against
 //! the Fig. 4/6 task graph, and each stage returns `Ok` or a typed
-//! `Diag`, never a panic.
+//! `Diagnostic`, never a panic.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder};
 use artemis_spec::samples::{FIGURE5, MINIMAL};
@@ -66,7 +66,7 @@ fn mutations() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4_000, ..ProptestConfig::default() })]
 
-    /// Mutated sample specs parse and resolve to `Ok` or a `Diag`.
+    /// Mutated sample specs parse and resolve to `Ok` or a `Diagnostic`.
     #[test]
     fn mutated_specs_parse_and_resolve_without_panicking(
         minimal in any::<bool>(),

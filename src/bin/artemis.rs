@@ -143,11 +143,10 @@ fn run_compile(source: &str, app: &AppGraph, check_only: bool, emit: &str) -> Ex
 
     // Consistency findings always print; contradictions fail `check`.
     let findings = spec::consistency::check(&set, app);
-    let mut contradiction = false;
     for f in &findings {
-        eprintln!("{f}");
-        contradiction |= f.severity == spec::consistency::ConsistencySeverity::Contradiction;
+        eprint!("{}", f.render(source));
     }
+    let contradiction = findings.iter().any(|f| f.is_error());
 
     let suite = match ir::lower_set(&set, app) {
         Ok(s) => s,
@@ -158,7 +157,7 @@ fn run_compile(source: &str, app: &AppGraph, check_only: bool, emit: &str) -> Ex
     };
     for m in suite.machines() {
         for issue in ir::validate::validate(m) {
-            eprintln!("{issue}");
+            eprint!("{}", issue.render(source));
         }
     }
 

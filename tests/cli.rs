@@ -152,3 +152,40 @@ fn usage_on_bad_invocations() {
         assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
+
+/// Every error read from text, a spec lex error, a `resolve` error and
+/// an IR parse error, renders through `Diagnostic::render`: a
+/// line/column header and a caret under the offending text.
+#[test]
+fn text_errors_render_with_line_column_and_caret() {
+    let mut b = artemis::core::app::AppGraphBuilder::new();
+    let sense = b.task("sense");
+    b.path(&[sense]);
+    let app = b.build().unwrap();
+
+    let lex = "sense: {\n  maxTries: 3 $ onFail: skipPath; }";
+    let resolve =
+        "sense: { maxTries: 3 onFail: skipPath; }\nghost { maxTries: 1 onFail: skipTask; }";
+    let ir = "machine m task sense persistent {\n  state S initial;\n  on startTask(sense) from S to T { };\n}";
+    let rendered = [
+        artemis::spec::compile(lex, &app).unwrap_err().render(lex),
+        artemis::spec::compile(resolve, &app)
+            .unwrap_err()
+            .render(resolve),
+        artemis::ir::parse::parse_suite(ir).unwrap_err().render(ir),
+    ];
+    assert_eq!(
+        rendered,
+        [
+            "error at line 2, column 15: [parse] spec: unexpected character `$`\n\
+             \x20 |   maxTries: 3 $ onFail: skipPath; }\n\
+             \x20 |               ^\n",
+            "error at line 2, column 1: [resolve] spec: unknown task `ghost`; declared tasks: sense\n\
+             \x20 | ghost { maxTries: 1 onFail: skipTask; }\n\
+             \x20 | ^^^^^\n",
+            "error at line 3, column 33: [parse] IR: unknown state `T`\n\
+             \x20 |   on startTask(sense) from S to T { };\n\
+             \x20 |                                 ^\n",
+        ]
+    );
+}
