@@ -1,25 +1,22 @@
 //! Static-analysis lint driver: `experiments -- analyze`.
 //!
-//! Runs the full diagnostic pipeline — the specification parser and
-//! `resolve`, specification consistency
-//! ([`artemis_spec::consistency`]), IR validation
-//! ([`artemis_ir::validate`]), and the install-time analysis passes
-//! ([`artemis_ir::analysis`]: bytecode verifier, resource bounds,
-//! reachability, cross-monitor conflicts, energy feasibility) — over
-//! every specification and hand-written monitor the repository ships.
-//! Every checker reports its findings as [`artemis_spec::Diagnostic`]s,
-//! which this driver pairs with their target and lists as they are;
-//! only a lowering or compilation failure, which is not a finding, is
-//! wrapped in one here. The energy pass runs against the
-//! default wearable capacitor (800 µJ usable, 10 % margin) and prints
-//! one verdict row per task on top of any diagnostics it raises.
+//! Runs [`artemis_ir::lint`], the front end's one stage sequence
+//! (parse, `resolve`, consistency, lowering, validation, compilation
+//! with the install path's source checks, and the install-time
+//! analysis passes of [`artemis_ir::analysis`]), over every
+//! specification and hand-written monitor the repository ships, and
+//! lists each [`artemis_spec::Diagnostic`] with its target. The energy
+//! pass runs against the default wearable capacitor (800 µJ usable,
+//! 10 % margin) and prints one verdict row per task on top of any
+//! diagnostics it raises.
 //!
-//! CI runs this as a build gate: the shipped samples and examples must
-//! produce **zero errors** (warnings are listed but tolerated). The
-//! binary exits non-zero otherwise.
+//! The shipped samples and examples must produce **zero errors**
+//! (warnings are listed but tolerated): `shipped_targets_have_zero_errors`
+//! asserts it under `cargo test`, and the binary exits non-zero
+//! otherwise.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder};
-use artemis_ir::compile::CompiledSuite;
+use artemis_ir::Source;
 use artemis_spec::{sort_diagnostics, Diagnostic};
 
 use crate::health::{benchmark_capacitor, health_app};
@@ -64,76 +61,23 @@ fn first_raw_string(src: &str) -> Option<&str> {
     Some(&src[start..end])
 }
 
-/// Lints one spec-language target: parse → resolve → consistency →
-/// lower → validate → compile → whole-suite analysis. Every finding is
-/// paired with `target`; a stage that fails ends the target's sweep
-/// with its error diagnostic.
-fn lint_spec(
+/// Lints one target through [`artemis_ir::lint`] against the default
+/// wearable profile, pairing every finding and energy verdict with
+/// `target`.
+fn lint_target(
     target: &str,
-    source: &str,
+    source: Source<'_>,
     app: &AppGraph,
     out: &mut Vec<(String, Diagnostic)>,
     verdicts: &mut Vec<(String, artemis_ir::analysis::TaskFeasibility)>,
 ) {
-    let push = |out: &mut Vec<(String, Diagnostic)>, d: Diagnostic| {
-        out.push((target.to_string(), d));
-    };
-
-    let set = match artemis_spec::parse(source).and_then(|ast| artemis_spec::resolve(&ast, app)) {
-        Ok(set) => set,
-        Err(d) => return push(out, d),
-    };
-    for d in artemis_spec::consistency::check(&set, app) {
-        push(out, d);
-    }
-    let suite = match artemis_ir::lower_set(&set, app) {
-        Ok(suite) => suite,
-        Err(e) => {
-            push(
-                out,
-                Diagnostic::error("lower", target.to_string(), e.to_string()),
-            );
-            return;
-        }
-    };
-    lint_suite(target, &suite, app, out, verdicts);
-}
-
-/// Lints a lowered (or hand-written) machine suite: per-machine
-/// validation, compilation, then the install-time analysis passes.
-fn lint_suite(
-    target: &str,
-    suite: &artemis_ir::MonitorSuite,
-    app: &AppGraph,
-    out: &mut Vec<(String, Diagnostic)>,
-    verdicts: &mut Vec<(String, artemis_ir::analysis::TaskFeasibility)>,
-) {
-    for m in suite.machines() {
-        for d in artemis_ir::validate::validate(m) {
-            out.push((target.to_string(), d));
-        }
-    }
-    let compiled = match CompiledSuite::compile(suite, app) {
-        Ok(c) => c,
-        Err(e) => {
-            out.push((
-                target.to_string(),
-                Diagnostic::error("compile", target.to_string(), e.to_string()),
-            ));
-            return;
-        }
-    };
-    for d in artemis_ir::analysis::analyze_suite(suite, &compiled, None) {
-        out.push((target.to_string(), d));
-    }
-    let profile = wearable_profile();
-    let bounds = artemis_ir::suite_bounds(&compiled, &profile);
-    for d in artemis_ir::analysis::check_energy(&compiled, &bounds, app, &profile) {
-        out.push((target.to_string(), d));
-    }
-    for f in artemis_ir::analysis::task_feasibility(&compiled, &bounds, app, &profile) {
-        verdicts.push((target.to_string(), f));
-    }
+    let lint = artemis_ir::lint(source, app, Some(&wearable_profile()));
+    out.extend(lint.diags.into_iter().map(|d| (target.to_string(), d)));
+    verdicts.extend(
+        lint.feasibility
+            .into_iter()
+            .map(|f| (target.to_string(), f)),
+    );
 }
 
 /// Runs the lint over every shipped specification and example monitor.
@@ -143,16 +87,16 @@ pub fn analyze_all() -> (Report, usize) {
     let mut findings: Vec<(String, Diagnostic)> = Vec::new();
     let mut verdicts: Vec<(String, artemis_ir::analysis::TaskFeasibility)> = Vec::new();
 
-    lint_spec(
+    lint_target(
         "samples::FIGURE5",
-        artemis_spec::samples::FIGURE5,
+        Source::Spec(artemis_spec::samples::FIGURE5),
         &health_app(),
         &mut findings,
         &mut verdicts,
     );
-    lint_spec(
+    lint_target(
         "samples::MINIMAL",
-        artemis_spec::samples::MINIMAL,
+        Source::Spec(artemis_spec::samples::MINIMAL),
         &minimal_app(),
         &mut findings,
         &mut verdicts,
@@ -161,16 +105,13 @@ pub fn analyze_all() -> (Report, usize) {
     // The hand-written IR example, straight from its source file.
     let target = "examples/custom_monitor.rs";
     match first_raw_string(CUSTOM_MONITOR_SRC) {
-        Some(ir) => match artemis_ir::parse::parse_suite(ir) {
-            Ok(suite) => lint_suite(
-                target,
-                &suite,
-                &custom_monitor_app(),
-                &mut findings,
-                &mut verdicts,
-            ),
-            Err(d) => findings.push((target.to_string(), d)),
-        },
+        Some(ir) => lint_target(
+            target,
+            Source::Ir(ir),
+            &custom_monitor_app(),
+            &mut findings,
+            &mut verdicts,
+        ),
         None => findings.push((
             target.to_string(),
             Diagnostic::error(
@@ -258,9 +199,9 @@ mod tests {
     fn lint_reports_broken_specs() {
         let mut out = Vec::new();
         let mut verdicts = Vec::new();
-        lint_spec(
+        lint_target(
             "broken",
-            "ghost { maxTries: 1 onFail: skipPath; }",
+            Source::Spec("ghost { maxTries: 1 onFail: skipPath; }"),
             &minimal_app(),
             &mut out,
             &mut verdicts,

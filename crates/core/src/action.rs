@@ -96,33 +96,6 @@ impl fmt::Display for Action {
     }
 }
 
-/// The outcome a single monitor reports for one event.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Verdict {
-    /// All properties this monitor tracks held for this event.
-    Ok,
-    /// A property was violated; the runtime should consider `action`.
-    Fail {
-        /// Recommended corrective action.
-        action: Action,
-    },
-}
-
-impl Verdict {
-    /// Returns the recommended action if this verdict is a failure.
-    pub fn action(self) -> Option<Action> {
-        match self {
-            Verdict::Ok => None,
-            Verdict::Fail { action } => Some(action),
-        }
-    }
-
-    /// Returns `true` if the verdict reports a violation.
-    pub fn is_fail(self) -> bool {
-        matches!(self, Verdict::Fail { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,17 +144,6 @@ mod tests {
         let b = Action::SkipPath(PathId(1));
         // Equal severity: the earliest proposal must win.
         assert_eq!(Action::arbitrate(&[a, b]), Some(a));
-    }
-
-    #[test]
-    fn verdict_accessors() {
-        assert_eq!(Verdict::Ok.action(), None);
-        assert!(!Verdict::Ok.is_fail());
-        let v = Verdict::Fail {
-            action: Action::SkipTask,
-        };
-        assert_eq!(v.action(), Some(Action::SkipTask));
-        assert!(v.is_fail());
     }
 
     #[test]

@@ -240,16 +240,6 @@ impl AppGraph {
             }
         }
     }
-
-    /// Rebuilds the name index; needed after deserialization.
-    pub fn reindex(&mut self) {
-        self.by_name = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.clone(), TaskId(i as u32)))
-            .collect();
-    }
 }
 
 /// Incremental builder for [`AppGraph`].
@@ -326,22 +316,6 @@ impl AppGraphBuilder {
             tasks: tasks.to_vec(),
         });
         id
-    }
-
-    /// Declares a path by task names, resolving each against the builder.
-    pub fn path_by_names(&mut self, names: &[&str]) -> Result<PathId, BuildError> {
-        let mut ids = Vec::with_capacity(names.len());
-        for name in names {
-            let id = self
-                .by_name
-                .get(*name)
-                .copied()
-                .ok_or_else(|| BuildError::UnknownTask {
-                    name: (*name).to_string(),
-                })?;
-            ids.push(id);
-        }
-        Ok(self.path(&ids))
     }
 
     /// Finishes the graph, reporting the first accumulated error if any.
@@ -480,28 +454,5 @@ mod tests {
             app.resolve_path(body, Some(2)),
             Err(BuildError::TaskNotOnPath { .. })
         ));
-    }
-
-    #[test]
-    fn path_by_names_resolves_or_errors() {
-        let mut b = AppGraphBuilder::new();
-        b.task("a");
-        b.task("b");
-        assert!(b.path_by_names(&["a", "b"]).is_ok());
-        assert!(matches!(
-            b.path_by_names(&["a", "zzz"]),
-            Err(BuildError::UnknownTask { .. })
-        ));
-    }
-
-    #[test]
-    fn reindex_restores_lookup() {
-        // Deserialization skips the name index; `reindex` must rebuild it.
-        let app = three_path_app();
-        let mut copy = app.clone();
-        copy.by_name.clear();
-        assert_eq!(copy.task_by_name("send"), None);
-        copy.reindex();
-        assert_eq!(copy.task_by_name("send"), app.task_by_name("send"));
     }
 }

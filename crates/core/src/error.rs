@@ -20,11 +20,6 @@ pub enum BuildError {
         /// The raw id.
         id: u32,
     },
-    /// A name did not resolve to any declared task.
-    UnknownTask {
-        /// The unresolved name.
-        name: String,
-    },
     /// A `Path:` qualifier referenced a path number that does not exist.
     UnknownPath {
         /// The one-based number given in the specification.
@@ -64,9 +59,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::UnknownTaskId { id } => {
                 write!(f, "path references undeclared task id {id}")
-            }
-            BuildError::UnknownTask { name } => {
-                write!(f, "unknown task `{name}`")
             }
             BuildError::UnknownPath { number } => {
                 write!(f, "path #{number} does not exist")

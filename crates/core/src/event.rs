@@ -89,16 +89,6 @@ impl MonitorEvent {
         }
     }
 
-    /// Returns `true` if this is a start event for `task`.
-    pub fn is_start_of(&self, task: TaskId) -> bool {
-        self.kind == EventKind::StartTask && self.task == task
-    }
-
-    /// Returns `true` if this is an end event for `task`.
-    pub fn is_end_of(&self, task: TaskId) -> bool {
-        self.kind == EventKind::EndTask && self.task == task
-    }
-
     /// Attaches the executing path (used by the runtime for the
     /// `Path:`-qualifier filtering of merged-path properties).
     pub fn on_path(mut self, path: PathId) -> Self {
@@ -115,12 +105,13 @@ mod tests {
     fn constructors_set_fields() {
         let t = SimInstant::from_micros(7);
         let s = MonitorEvent::start(TaskId(1), t);
-        assert!(s.is_start_of(TaskId(1)));
-        assert!(!s.is_end_of(TaskId(1)));
-        assert!(!s.is_start_of(TaskId(2)));
+        assert_eq!(
+            (s.kind, s.task, s.timestamp),
+            (EventKind::StartTask, TaskId(1), t)
+        );
 
         let e = MonitorEvent::end_with_data(TaskId(1), t, 36.6);
-        assert!(e.is_end_of(TaskId(1)));
+        assert_eq!((e.kind, e.task), (EventKind::EndTask, TaskId(1)));
         assert_eq!(e.dep_data, Some(36.6));
 
         let plain = MonitorEvent::end(TaskId(1), t);

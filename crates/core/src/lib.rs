@@ -19,7 +19,7 @@ pub mod property;
 pub mod time;
 pub mod trace;
 
-pub use action::{Action, Verdict};
+pub use action::Action;
 pub use app::{AppGraph, AppGraphBuilder, PathDecl, PathId, TaskDecl, TaskId};
 pub use error::{BuildError, CoreError};
 pub use event::{EventKind, MonitorEvent};

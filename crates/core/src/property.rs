@@ -53,6 +53,19 @@ impl OnFail {
             OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
         )
     }
+
+    /// The [`Action`](crate::action::Action) this keyword names,
+    /// directed at `path` when it [needs one](OnFail::needs_path).
+    pub fn action(self, path: PathId) -> crate::action::Action {
+        use crate::action::Action;
+        match self {
+            OnFail::RestartTask => Action::RestartTask,
+            OnFail::SkipTask => Action::SkipTask,
+            OnFail::RestartPath => Action::RestartPath(path),
+            OnFail::SkipPath => Action::SkipPath(path),
+            OnFail::CompletePath => Action::CompletePath(path),
+        }
+    }
 }
 
 impl fmt::Display for OnFail {

@@ -91,15 +91,6 @@ impl SimDuration {
     pub const fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Integer division by a positive count, used for averages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub const fn div(self, k: u64) -> SimDuration {
-        SimDuration(self.0 / k)
-    }
 }
 
 impl Add for SimDuration {
@@ -304,11 +295,5 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(b.max(a), b);
-    }
-
-    #[test]
-    fn div_computes_average() {
-        let d = SimDuration::from_micros(10);
-        assert_eq!(d.div(4).as_micros(), 2);
     }
 }

@@ -120,30 +120,6 @@ impl FleetStats {
         }
         self.sim_micros = self.sim_micros.saturating_add(other.sim_micros);
     }
-
-    /// The `p`-quantile (`0 < p ≤ 1`) of per-device consumed energy, as
-    /// the exclusive microjoule ceiling of the histogram bucket the
-    /// quantile falls in. Returns `None` for an empty fleet.
-    pub fn energy_quantile_ceiling_uj(&self, p: f64) -> Option<u64> {
-        let total: u64 = self.energy_hist.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((p * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, n) in self.energy_hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(energy_bucket_ceiling_uj(i));
-            }
-        }
-        unreachable!("cumulative histogram covers every rank");
-    }
-}
-
-/// Exclusive upper bound of energy-histogram bucket `i`, in µJ.
-fn energy_bucket_ceiling_uj(i: usize) -> u64 {
-    1u64 << i
 }
 
 #[cfg(test)]
@@ -201,19 +177,6 @@ mod tests {
         assert_eq!(energy_bucket(2), 2);
         assert_eq!(energy_bucket(1023), 10);
         assert_eq!(energy_bucket(u64::MAX), ENERGY_BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_walk_the_histogram() {
-        let mut s = FleetStats::default();
-        for uj in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 800] {
-            s.record(&sample(true, 1, 0, uj, vec![]));
-        }
-        // 9 of 10 devices in bucket 1 (<2 µJ), one at 800 µJ.
-        assert_eq!(s.energy_quantile_ceiling_uj(0.5), Some(2));
-        assert_eq!(s.energy_quantile_ceiling_uj(0.9), Some(2));
-        assert_eq!(s.energy_quantile_ceiling_uj(0.99), Some(1024));
-        assert_eq!(FleetStats::default().energy_quantile_ceiling_uj(0.5), None);
     }
 
     #[test]

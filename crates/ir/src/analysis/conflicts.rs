@@ -23,6 +23,8 @@
 
 use std::collections::HashSet;
 
+use artemis_core::action::Action;
+use artemis_core::app::PathId;
 use artemis_core::event::EventKind;
 use artemis_core::property::OnFail;
 use artemis_spec::Diagnostic;
@@ -40,29 +42,6 @@ struct Candidate {
     /// `true` when the transition is unguarded and departs the initial
     /// state: the first matching event provably fires it.
     fires_initially: bool,
-}
-
-/// Arbitration rank, mirroring `Action::arbitrate` in `artemis-core`
-/// (higher wins; ties keep the earlier machine).
-fn rank(a: OnFail) -> u8 {
-    match a {
-        OnFail::CompletePath => 4,
-        OnFail::SkipPath => 3,
-        OnFail::RestartPath => 2,
-        OnFail::SkipTask => 1,
-        OnFail::RestartTask => 0,
-    }
-}
-
-fn is_path_scoped(a: OnFail) -> bool {
-    matches!(
-        a,
-        OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
-    )
-}
-
-fn is_task_scoped(a: OnFail) -> bool {
-    matches!(a, OnFail::RestartTask | OnFail::SkipTask)
 }
 
 /// Detects event keys on which two machines can simultaneously signal
@@ -114,10 +93,14 @@ pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Di
                     if a.machine == b.machine || a.action == b.action {
                         continue;
                     }
-                    let conflicting = (is_task_scoped(a.action) && is_task_scoped(b.action))
-                        || (is_path_scoped(a.action)
-                            && is_path_scoped(b.action)
-                            && (a.path.is_none() || b.path.is_none() || a.path == b.path));
+                    // Task-scoped and path-scoped actions act at different
+                    // granularity; two path actions clash on one path.
+                    let path_scoped = a.action.needs_path();
+                    let conflicting = path_scoped == b.action.needs_path()
+                        && (!path_scoped
+                            || a.path.is_none()
+                            || b.path.is_none()
+                            || a.path == b.path);
                     if !conflicting {
                         continue;
                     }
@@ -140,13 +123,15 @@ pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Di
                             .to_string()
                     };
                     let (na, nb) = (name(a.machine), name(b.machine));
-                    let winner = if rank(a.action) > rank(b.action)
-                        || (rank(a.action) == rank(b.action) && a.machine < b.machine)
-                    {
-                        (na.clone(), a.action)
-                    } else {
-                        (nb.clone(), b.action)
-                    };
+                    // The runtime's own arbitration; `a` comes first in
+                    // suite order, and distinct actions never tie.
+                    let proposal = |c: &Candidate| c.action.action(PathId(0));
+                    let winner =
+                        if Action::arbitrate(&[proposal(a), proposal(b)]) == Some(proposal(a)) {
+                            (na.clone(), a.action)
+                        } else {
+                            (nb.clone(), b.action)
+                        };
                     let kind_kw = match kind {
                         EventKind::StartTask => "startTask",
                         EventKind::EndTask => "endTask",
@@ -191,6 +176,8 @@ mod tests {
         use crate::expr::{Expr, Value, VarType};
         use crate::fsm::{EmitFail, StateMachine, TaskPat, Transition, Trigger};
         let mut m = StateMachine::new(name, "a");
+        // A path action compiles only with a governing path.
+        m.path = Some(1);
         m.add_var("i", VarType::Int, Value::Int(0));
         m.add_state("S");
         m.transitions.push(Transition {

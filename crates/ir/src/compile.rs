@@ -30,6 +30,7 @@ use std::sync::OnceLock;
 
 use artemis_core::app::AppGraph;
 use artemis_core::event::EventKind;
+use artemis_spec::Diagnostic;
 use intermittent_sim::{EnergyProfile, OpCycles};
 
 use crate::analysis::InstallFacts;
@@ -179,38 +180,6 @@ impl Op {
             .unwrap_or(0)
     }
 }
-
-/// Why a machine could not be compiled. Machines that pass
-/// [`crate::validate::validate_strict`] and observe only tasks present
-/// in the application graph always compile.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CompileIssue {
-    /// An expression or assignment references an undeclared variable.
-    UnknownVar {
-        /// The unresolvable name.
-        name: String,
-    },
-    /// A trigger names a task missing from the application graph.
-    UnknownTask {
-        /// The unresolvable task name.
-        task: String,
-    },
-    /// The machine exceeds a bytecode index limit (u16 slots/registers,
-    /// u32 instructions) — unreachable for generated monitors.
-    TooLarge,
-}
-
-impl core::fmt::Display for CompileIssue {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CompileIssue::UnknownVar { name } => write!(f, "unknown variable `{name}`"),
-            CompileIssue::UnknownTask { task } => write!(f, "unknown task `{task}`"),
-            CompileIssue::TooLarge => write!(f, "machine exceeds bytecode limits"),
-        }
-    }
-}
-
-impl std::error::Error for CompileIssue {}
 
 /// A transition after compilation: resolved state indices, bytecode
 /// ranges for guard and body, and the original failure signal.
@@ -618,7 +587,7 @@ pub struct RawMachine {
 impl CompiledMachine {
     /// Compiles one machine against the application graph at the
     /// default optimization level ([`OptLevel::Full`](crate::opt::OptLevel::Full)).
-    pub fn compile(machine: &StateMachine, app: &AppGraph) -> Result<Self, CompileIssue> {
+    pub fn compile(machine: &StateMachine, app: &AppGraph) -> Result<Self, Diagnostic> {
         Self::compile_with(machine, app, crate::opt::OptLevel::default())
     }
 
@@ -635,7 +604,7 @@ impl CompiledMachine {
         machine: &StateMachine,
         app: &AppGraph,
         opt: crate::opt::OptLevel,
-    ) -> Result<Self, CompileIssue> {
+    ) -> Result<Self, Diagnostic> {
         let raw = Compiler::new(machine, app).run()?;
         Ok(CompiledMachine::from_raw(match opt {
             crate::opt::OptLevel::None => raw,
@@ -975,11 +944,27 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn run(mut self) -> Result<RawMachine, CompileIssue> {
+    /// A compilation error in this machine.
+    fn error(&self, message: String) -> Diagnostic {
+        Diagnostic::error(
+            "compile",
+            format!("machine `{}`", self.machine.name),
+            message,
+        )
+    }
+
+    /// A machine past a bytecode index limit (u16 slots, registers and
+    /// transitions, u32 instructions): unreachable for generated
+    /// monitors.
+    fn too_large(&self) -> Diagnostic {
+        self.error("machine exceeds bytecode limits".to_string())
+    }
+
+    fn run(mut self) -> Result<RawMachine, Diagnostic> {
         if self.machine.vars.len() > u16::MAX as usize
             || self.machine.transitions.len() > u16::MAX as usize
         {
-            return Err(CompileIssue::TooLarge);
+            return Err(self.too_large());
         }
 
         let mut transitions = Vec::with_capacity(self.machine.transitions.len());
@@ -1016,7 +1001,7 @@ impl<'a> Compiler<'a> {
                     let id = self
                         .app
                         .task_by_name(name)
-                        .ok_or(CompileIssue::UnknownTask { task: name.clone() })?;
+                        .ok_or_else(|| self.error(format!("unknown task `{name}`")))?;
                     for &k in kinds {
                         dispatch[k][id.0 as usize].push(ti);
                     }
@@ -1037,7 +1022,7 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn compile_transition(&mut self, t: &Transition) -> Result<CompiledTransition, CompileIssue> {
+    fn compile_transition(&mut self, t: &Transition) -> Result<CompiledTransition, Diagnostic> {
         let guard = match &t.guard {
             None => None,
             Some(g) => {
@@ -1057,7 +1042,7 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn compile_body(&mut self, body: &[Stmt]) -> Result<(), CompileIssue> {
+    fn compile_body(&mut self, body: &[Stmt]) -> Result<(), Diagnostic> {
         for stmt in body {
             match stmt {
                 Stmt::Assign(name, expr) => {
@@ -1095,7 +1080,7 @@ impl<'a> Compiler<'a> {
 
     /// Lowers `expr` so its value lands in register `base`, using
     /// registers `base..` as an expression stack.
-    fn compile_expr(&mut self, expr: &Expr, base: u16) -> Result<(), CompileIssue> {
+    fn compile_expr(&mut self, expr: &Expr, base: u16) -> Result<(), Diagnostic> {
         self.max_regs = self.max_regs.max(base as usize + 1);
         match expr {
             Expr::Lit(v) => {
@@ -1138,7 +1123,7 @@ impl<'a> Compiler<'a> {
             }
             Expr::Bin(op, lhs, rhs) => {
                 self.compile_expr(lhs, base)?;
-                let rhs_reg = base.checked_add(1).ok_or(CompileIssue::TooLarge)?;
+                let rhs_reg = base.checked_add(1).ok_or_else(|| self.too_large())?;
                 self.compile_expr(rhs, rhs_reg)?;
                 self.code.push(Op::Bin {
                     op: *op,
@@ -1151,16 +1136,14 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn slot(&self, name: &str) -> Result<u16, CompileIssue> {
+    fn slot(&self, name: &str) -> Result<u16, Diagnostic> {
         self.machine
             .var_index(name)
             .map(|i| i as u16)
-            .ok_or_else(|| CompileIssue::UnknownVar {
-                name: name.to_string(),
-            })
+            .ok_or_else(|| self.error(format!("unknown variable `{name}`")))
     }
 
-    fn lit(&mut self, v: Value) -> Result<u16, CompileIssue> {
+    fn lit(&mut self, v: Value) -> Result<u16, Diagnostic> {
         // Values are PartialEq (not Eq: floats), so a linear scan dedups
         // the tiny pools generated monitors produce.
         let idx = match self.lits.iter().position(|l| *l == v) {
@@ -1170,11 +1153,11 @@ impl<'a> Compiler<'a> {
                 self.lits.len() - 1
             }
         };
-        u16::try_from(idx).map_err(|_| CompileIssue::TooLarge)
+        u16::try_from(idx).map_err(|_| self.too_large())
     }
 
-    fn here(&self) -> Result<u32, CompileIssue> {
-        u32::try_from(self.code.len()).map_err(|_| CompileIssue::TooLarge)
+    fn here(&self) -> Result<u32, Diagnostic> {
+        u32::try_from(self.code.len()).map_err(|_| self.too_large())
     }
 
     /// Reserves one instruction to be patched with a jump later.
@@ -1260,22 +1243,33 @@ pub struct CompiledSuite {
 }
 
 impl CompiledSuite {
-    /// Compiles every machine of `suite` against `app` at the default
-    /// optimization level ([`OptLevel::Full`](crate::opt::OptLevel::Full)) and builds the global
-    /// routing index.
-    pub fn compile(suite: &MonitorSuite, app: &AppGraph) -> Result<Self, CompileIssue> {
+    /// Checks `suite` against `app`, compiles every machine at the
+    /// default optimization level
+    /// ([`OptLevel::Full`](crate::opt::OptLevel::Full)) and builds the
+    /// global routing index.
+    pub fn compile(suite: &MonitorSuite, app: &AppGraph) -> Result<Self, Diagnostic> {
         Self::compile_with(suite, app, crate::opt::OptLevel::default())
     }
 
-    /// Compiles every machine at an explicit optimization level — see
-    /// [`CompiledMachine::compile_with`].
+    /// [`CompiledSuite::compile`] at an explicit optimization level —
+    /// see [`CompiledMachine::compile_with`]. This is the install
+    /// path's source gate: the suite must pass
+    /// [`check_source`](crate::validate::check_source) first, so a
+    /// `CompiledSuite` exists only for a source suite that did (or
+    /// for bytecode a caller reassembled through
+    /// [`CompiledSuite::set_machine`]).
     pub fn compile_with(
         suite: &MonitorSuite,
         app: &AppGraph,
         opt: crate::opt::OptLevel,
-    ) -> Result<Self, CompileIssue> {
+    ) -> Result<Self, Diagnostic> {
+        crate::validate::check_source(suite, app)?;
         if suite.machines().len() > u16::MAX as usize {
-            return Err(CompileIssue::TooLarge);
+            return Err(Diagnostic::error(
+                "compile",
+                "suite",
+                "suite exceeds 65535 machines",
+            ));
         }
         let machines = suite
             .machines()
@@ -1742,9 +1736,7 @@ mod tests {
         });
         assert_eq!(
             CompiledMachine::compile(&m, &app()).unwrap_err(),
-            CompileIssue::UnknownTask {
-                task: "ghost".into()
-            }
+            Diagnostic::error("compile", "machine `m`", "unknown task `ghost`")
         );
 
         let mut m = StateMachine::new("m", "a");

@@ -177,7 +177,7 @@ impl MachineLayout {
     }
 
     /// Decodes only the state field from a (possibly truncated) image.
-    pub fn decode_state(&self, bytes: &[u8]) -> u32 {
+    fn decode_state(&self, bytes: &[u8]) -> u32 {
         let mut w = [0u8; 4];
         w[..self.state_bytes].copy_from_slice(&bytes[..self.state_bytes]);
         u32::from_le_bytes(w)

@@ -26,9 +26,12 @@
 //! - model-to-text code generation ([`codegen`]) emitting C monitor
 //!   source in the paper's ImmortalThreads style (Figure 10).
 //!
-//! The IR parser, validation and the analysis passes report their
-//! findings as the front end's one finding type,
-//! [`artemis_spec::Diagnostic`].
+//! Every stage between text and an installable suite (the IR parser,
+//! lowering, validation, the source checks
+//! ([`validate::check_source`]) that [`CompiledSuite::compile`] runs
+//! before codegen, and the analysis passes) reports the front end's
+//! one finding type, [`artemis_spec::Diagnostic`]; [`lint`] runs them
+//! all in install order.
 
 pub mod analysis;
 pub mod codegen;
@@ -45,37 +48,16 @@ pub mod print;
 pub mod validate;
 
 use artemis_core::app::AppGraph;
-use artemis_spec::SpecAst;
+use artemis_spec::{Diagnostic, SpecAst};
+use intermittent_sim::EnergyProfile;
 
 pub use analysis::{analyze_suite, suite_bounds, InstallFacts, SuiteBounds};
-pub use compile::{
-    AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite, RawMachine, StepCost,
-};
+pub use compile::{AccessSet, CompiledEvent, CompiledMachine, CompiledSuite, RawMachine, StepCost};
 pub use exec::{IrEvent, MachineState};
 pub use fsm::{MonitorSuite, StateMachine};
 pub use layout::{MachineLayout, SlotEnc, SlotLayout};
 pub use lower::lower_set;
 pub use opt::{optimize_machine, OptLevel};
-
-/// Everything that can go wrong when compiling a specification.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CompileError {
-    /// Name resolution / validation failed.
-    Sema(artemis_spec::Diagnostic),
-    /// Lowering failed (internal inconsistency).
-    Lower(lower::LowerError),
-}
-
-impl core::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CompileError::Sema(d) => write!(f, "{d}"),
-            CompileError::Lower(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// Compiles a parsed specification into a monitor suite: semantic
 /// resolution followed by lowering (the paper's model-to-model
@@ -96,15 +78,88 @@ impl std::error::Error for CompileError {}
 /// assert_eq!(suite.machines().len(), 1);
 /// assert_eq!(suite.machines()[0].task, "sense");
 /// ```
-pub fn lower(ast: &SpecAst, app: &AppGraph) -> Result<MonitorSuite, CompileError> {
-    let set = artemis_spec::resolve(ast, app).map_err(CompileError::Sema)?;
-    lower_set(&set, app).map_err(CompileError::Lower)
+pub fn lower(ast: &SpecAst, app: &AppGraph) -> Result<MonitorSuite, Diagnostic> {
+    lower_set(&artemis_spec::resolve(ast, app)?, app)
 }
 
 /// Compiles specification text straight to a monitor suite.
-pub fn compile(source: &str, app: &AppGraph) -> Result<MonitorSuite, CompileError> {
-    let ast = artemis_spec::parse(source).map_err(CompileError::Sema)?;
-    lower(&ast, app)
+pub fn compile(source: &str, app: &AppGraph) -> Result<MonitorSuite, Diagnostic> {
+    lower(&artemis_spec::parse(source)?, app)
+}
+
+/// The text a [`lint`] reads.
+#[derive(Clone, Copy, Debug)]
+pub enum Source<'a> {
+    /// Property-specification text.
+    Spec(&'a str),
+    /// Hand-written IR text (the escape hatch of §3.3).
+    Ir(&'a str),
+}
+
+/// What [`lint`] found in one target.
+#[derive(Debug, Default)]
+pub struct Lint {
+    /// Every finding, in stage order.
+    pub diags: Vec<Diagnostic>,
+    /// The machine suite, once lowering or the IR parse produced one.
+    pub suite: Option<MonitorSuite>,
+    /// One energy verdict per task, when the sweep was given a device
+    /// profile and the suite compiled.
+    pub feasibility: Vec<analysis::TaskFeasibility>,
+}
+
+/// Runs every front-end stage over `source` against `app`: the parse;
+/// for a spec `resolve`, consistency and lowering; then per-machine
+/// validation, compilation through the install path's source gate
+/// ([`CompiledSuite::compile`]), the analysis passes
+/// ([`analyze_suite`]) and, given a device profile, the energy pass.
+/// A stage that fails ends the sweep with its error, so a target with
+/// no error finding passes the install gate's source checks and
+/// analysis passes (and its energy pass, for the profile given). The
+/// `artemis` command-line tool and the benchmark's `analyze` report
+/// both lint through here.
+pub fn lint(source: Source<'_>, app: &AppGraph, energy: Option<&EnergyProfile>) -> Lint {
+    let mut lint = Lint::default();
+    let suite = match source {
+        Source::Spec(text) => artemis_spec::parse(text)
+            .and_then(|ast| artemis_spec::resolve(&ast, app))
+            .and_then(|set| {
+                lint.diags
+                    .extend(artemis_spec::consistency::check(&set, app));
+                lower_set(&set, app)
+            }),
+        Source::Ir(text) => parse::parse_suite(text),
+    };
+    let suite = match suite {
+        Ok(suite) => lint.suite.insert(suite),
+        Err(d) => {
+            lint.diags.push(d);
+            return lint;
+        }
+    };
+    let found = lint.diags.len();
+    for m in suite.machines() {
+        lint.diags.extend(validate::validate(m));
+    }
+    // Compilation would report the first of these again.
+    if lint.diags[found..].iter().any(Diagnostic::is_error) {
+        return lint;
+    }
+    let compiled = match CompiledSuite::compile(suite, app) {
+        Ok(compiled) => compiled,
+        Err(d) => {
+            lint.diags.push(d);
+            return lint;
+        }
+    };
+    lint.diags.extend(analyze_suite(suite, &compiled, None));
+    if let Some(profile) = energy {
+        let bounds = suite_bounds(&compiled, profile);
+        lint.diags
+            .extend(analysis::check_energy(&compiled, &bounds, app, profile));
+        lint.feasibility = analysis::task_feasibility(&compiled, &bounds, app, profile);
+    }
+    lint
 }
 
 #[cfg(test)]
@@ -121,9 +176,9 @@ mod tests {
         let app = b.build().unwrap();
         let suite = compile("a { maxTries: 5 onFail: skipPath; }", &app).unwrap();
         assert_eq!(suite.len(), 1);
-        // Sema errors surface through CompileError.
+        // Resolve errors surface as the resolver's diagnostic.
         let err = compile("ghost { maxTries: 5 onFail: skipPath; }", &app).unwrap_err();
-        assert!(matches!(err, CompileError::Sema(_)));
+        assert_eq!(err.pass, "resolve");
         assert!(err.to_string().contains("ghost"));
     }
 }

@@ -32,30 +32,15 @@
 
 use artemis_core::app::AppGraph;
 use artemis_core::property::{MaxAttempt, OnFail, PropertyKind, PropertySet, TaskProperty};
+use artemis_spec::Diagnostic;
 
 use crate::expr::{BinOp, Expr, Value, VarType};
 use crate::fsm::{EmitFail, MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
 
-/// Errors from lowering.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LowerError {
-    /// A property referenced a task id not present in the graph
-    /// (internal inconsistency between set and graph).
-    DanglingTask,
-}
-
-impl core::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            LowerError::DanglingTask => write!(f, "property references a task not in the graph"),
-        }
-    }
-}
-
-impl std::error::Error for LowerError {}
-
-/// Lowers every property of `set` to a state machine.
-pub fn lower_set(set: &PropertySet, app: &AppGraph) -> Result<MonitorSuite, LowerError> {
+/// Lowers every property of `set` to a state machine. The one error is
+/// a property whose task id `app` does not hold (a set resolved
+/// against another graph).
+pub fn lower_set(set: &PropertySet, app: &AppGraph) -> Result<MonitorSuite, Diagnostic> {
     let mut suite = MonitorSuite::new();
     for (index, entry) in set.entries().iter().enumerate() {
         suite.push(lower_property(entry, index, app)?);
@@ -63,18 +48,24 @@ pub fn lower_set(set: &PropertySet, app: &AppGraph) -> Result<MonitorSuite, Lowe
     Ok(suite)
 }
 
-fn task_name(app: &AppGraph, id: artemis_core::app::TaskId) -> Result<String, LowerError> {
+fn task_name(app: &AppGraph, id: artemis_core::app::TaskId) -> Result<String, Diagnostic> {
     app.tasks()
         .get(id.index())
         .map(|t| t.name.clone())
-        .ok_or(LowerError::DanglingTask)
+        .ok_or_else(|| {
+            Diagnostic::error(
+                "lower",
+                format!("task id {}", id.0),
+                "property references a task not in the graph",
+            )
+        })
 }
 
 fn lower_property(
     entry: &TaskProperty,
     index: usize,
     app: &AppGraph,
-) -> Result<StateMachine, LowerError> {
+) -> Result<StateMachine, Diagnostic> {
     let task = task_name(app, entry.task)?;
     let prop = &entry.property;
     let path = prop.path.map(|p| p.number());

@@ -14,7 +14,9 @@ use std::collections::HashSet;
 use artemis_spec::{sort_diagnostics, Diagnostic};
 
 use crate::expr::{Expr, VarType};
-use crate::fsm::{StateMachine, Stmt, Trigger};
+use artemis_core::app::AppGraph;
+
+use crate::fsm::{MonitorSuite, StateMachine, Stmt, Trigger};
 
 /// A validation error in `m`: the machine would fail at runtime.
 fn error(m: &StateMachine, message: String) -> Diagnostic {
@@ -149,6 +151,33 @@ pub fn validate_strict(m: &StateMachine) -> Result<(), Diagnostic> {
         Some(e) => Err(e),
         None => Ok(()),
     }
+}
+
+/// The source-level checks of the install path, run by
+/// [`CompiledSuite::compile_with`](crate::compile::CompiledSuite::compile_with)
+/// (so by every engine install) and by the monitor crate's host-side
+/// `Reference`: each machine passes [`validate_strict`], observes only
+/// tasks of `app`, and has a governing path for every path-directed
+/// action it emits. Fails on the first error.
+pub fn check_source(suite: &MonitorSuite, app: &AppGraph) -> Result<(), Diagnostic> {
+    for m in suite.machines() {
+        validate_strict(m)?;
+        if let Some(task) = m
+            .observed_tasks()
+            .into_iter()
+            .find(|t| app.task_by_name(t).is_none())
+        {
+            return Err(error(m, format!("observes unknown task `{task}`")));
+        }
+        let mut emits = m.transitions.iter().filter_map(|t| t.emit.as_ref());
+        if m.path.is_none() && emits.any(|e| e.path.is_none() && e.action.needs_path()) {
+            return Err(error(
+                m,
+                "emits a path-directed action but has no governing path".into(),
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn check_stmt(s: &Stmt, m: &StateMachine, loc: &str, dep_ok: bool, issues: &mut Vec<Diagnostic>) {

@@ -223,10 +223,10 @@ use artemis_ir::analysis::bounds::{COMPILED_DISPATCH_CYCLES, ROUTING_LOOKUP_CYCL
 use artemis_ir::analysis::{
     commit_groups, ride_ceiling, task_feasibility, MemberCost, SuiteBounds, Verdict,
 };
-use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledSuite};
+use artemis_ir::compile::{CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
 use artemis_ir::fsm::{MonitorSuite, StateMachine};
-use artemis_ir::validate::validate_strict;
+use artemis_spec::Diagnostic;
 use intermittent_sim::device::{CostCategory, Device, Fault, Interrupt, MemOwner};
 use intermittent_sim::fram::NvData;
 use intermittent_sim::journal::{changed_span, Journal, TxWriter, ENTRY_HEADER};
@@ -373,7 +373,7 @@ pub struct InstallOptions {
     /// `Some(profile)` runs `artemis_ir::analysis::energy` over every
     /// task: a task whose statically under-approximated attempt energy
     /// exceeds the profile's budget rejects the install with
-    /// [`InstallError::Analysis`] *before* any FRAM is allocated (the
+    /// [`InstallError::Rejected`] *before* any FRAM is allocated (the
     /// device would otherwise brown-out/replay that task forever);
     /// attempts within the profile's margin surface as
     /// `InstallWarning` trace events. `None` (the default) skips the
@@ -385,58 +385,27 @@ pub struct InstallOptions {
 /// Why the engine could not be installed.
 #[derive(Debug)]
 pub enum InstallError {
-    /// A machine failed static validation.
-    Invalid(artemis_spec::Diagnostic),
-    /// A machine observes a task that is not in the application graph.
-    UnknownTask {
-        /// Machine name.
-        machine: String,
-        /// The unresolvable task name.
-        task: String,
-    },
-    /// A path-directed failure action has no governing path.
-    MissingPath {
-        /// Machine name.
-        machine: String,
-    },
-    /// The suite failed ahead-of-time compilation to bytecode.
-    Compile(CompileIssue),
-    /// The app has more paths than the armed event's one-byte path
-    /// number can name (254; its top value stands for every later
-    /// path), so the `Path:` filter could not tell them apart.
-    TooManyPaths {
-        /// Paths the app declares.
-        paths: usize,
-        /// The most the engine can name.
-        max: usize,
-    },
-    /// Install-time static analysis found an error: the bytecode
-    /// verifier, the cross-monitor conflict pass, or the energy
-    /// feasibility pass rejected the suite. No FRAM was touched.
-    Analysis(artemis_spec::Diagnostic),
+    /// The suite was rejected before any FRAM was touched: by the
+    /// source checks and codegen of [`CompiledSuite::compile`], by an
+    /// app with more paths than the armed event's one-byte path number
+    /// names, or by the static analysis gate (the bytecode verifier,
+    /// the cross-monitor conflict pass, or the energy feasibility
+    /// pass).
+    Rejected(Diagnostic),
     /// Device-level failure (FRAM exhaustion) during installation.
     Device(Interrupt),
+}
+
+impl From<Diagnostic> for InstallError {
+    fn from(d: Diagnostic) -> Self {
+        InstallError::Rejected(d)
+    }
 }
 
 impl core::fmt::Display for InstallError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            InstallError::Invalid(i) => write!(f, "{i}"),
-            InstallError::UnknownTask { machine, task } => {
-                write!(f, "machine `{machine}` observes unknown task `{task}`")
-            }
-            InstallError::MissingPath { machine } => write!(
-                f,
-                "machine `{machine}` emits a path-directed action but has no governing path"
-            ),
-            InstallError::Compile(i) => write!(f, "monitor compilation failed: {i}"),
-            InstallError::TooManyPaths { paths, max } => {
-                write!(
-                    f,
-                    "the app declares {paths} paths; the engine names at most {max}"
-                )
-            }
-            InstallError::Analysis(d) => write!(f, "static analysis rejected the suite: {d}"),
+            InstallError::Rejected(d) => write!(f, "{d}"),
             InstallError::Device(i) => write!(f, "{i}"),
         }
     }
@@ -765,38 +734,6 @@ struct Engine {
     armed: RefCell<Armed>,
 }
 
-/// The source-level checks every install of a source suite makes, the
-/// engine's and [`Reference::new`]: each machine validates, observes
-/// only tasks of `app`, and has a governing path for every
-/// path-directed action it emits.
-pub(crate) fn check_source(suite: &MonitorSuite, app: &AppGraph) -> Result<(), InstallError> {
-    for m in suite.machines() {
-        validate_strict(m).map_err(InstallError::Invalid)?;
-        for task in m.observed_tasks() {
-            if app.task_by_name(task).is_none() {
-                return Err(InstallError::UnknownTask {
-                    machine: m.name.clone(),
-                    task: task.to_string(),
-                });
-            }
-        }
-        for e in m.transitions.iter().filter_map(|t| t.emit.as_ref()) {
-            if e.path.is_none()
-                && m.path.is_none()
-                && matches!(
-                    e.action,
-                    OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
-                )
-            {
-                return Err(InstallError::MissingPath {
-                    machine: m.name.clone(),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 impl MonitorEngine {
     /// Validates the suite against `app`, compiles it to bytecode, and
     /// allocates all persistent monitor state in FRAM (billed to the
@@ -809,36 +746,33 @@ impl MonitorEngine {
         Self::install_with(dev, suite, app, InstallOptions::default())
     }
 
-    /// [`MonitorEngine::install`] with full [`InstallOptions`]: source
-    /// validation, ahead-of-time compilation at the default
-    /// [`artemis_ir::OptLevel`], the static analysis gate, then FRAM
-    /// allocation. A caller that needs other bytecode compiles it
-    /// itself and calls [`MonitorEngine::install_precompiled`].
+    /// [`MonitorEngine::install`] with full [`InstallOptions`]:
+    /// ahead-of-time compilation at the default
+    /// [`artemis_ir::OptLevel`] (which runs the source checks first),
+    /// the static analysis gate, then FRAM allocation. A caller that
+    /// needs other bytecode compiles it itself and calls
+    /// [`MonitorEngine::install_precompiled`].
     pub fn install_with(
         dev: &mut Device,
         suite: MonitorSuite,
         app: &AppGraph,
         opts: InstallOptions,
     ) -> Result<Self, InstallError> {
-        check_source(&suite, app)?;
-
-        // AOT compilation: slot indices, task-id dispatch tables,
-        // bytecode — and the interned task-name table both modes use.
-        // Suites that pass the checks above always compile; the error
-        // arm guards hand-written machines.
-        let compiled = CompiledSuite::compile(&suite, app).map_err(InstallError::Compile)?;
+        let compiled = CompiledSuite::compile(&suite, app)?;
         Self::install_precompiled(dev, suite, compiled, app, opts)
     }
 
-    /// Installs an already-compiled suite, skipping the source-level
-    /// checks of [`MonitorEngine::install_with`] — the entry point for
-    /// hand-assembled or mutated bytecode built through
-    /// [`artemis_ir::RawMachine`]. The static analysis gate is *not*
-    /// skippable: "verifier accepts ⇒ engine safe" holds precisely
-    /// because every program the engine executes has passed it. `suite`
-    /// must be the source the machines were compiled from (it supplies
-    /// names, types and FRAM layout); a machine-count mismatch is
-    /// itself an analysis error.
+    /// Installs an already-compiled suite. The source checks ran when
+    /// [`CompiledSuite::compile`] built it, once per suite however many
+    /// devices install it; bytecode reassembled through
+    /// [`CompiledSuite::set_machine`] (hand-assembled or mutated
+    /// [`artemis_ir::RawMachine`]s) reaches the engine only through the
+    /// static analysis gate, which is *not* skippable: "verifier
+    /// accepts ⇒ engine safe" holds precisely because every program
+    /// the engine executes has passed it. `suite` must be the source
+    /// the machines were compiled from (it supplies names, types and
+    /// FRAM layout); a machine-count mismatch is itself an analysis
+    /// error.
     pub fn install_precompiled(
         dev: &mut Device,
         suite: MonitorSuite,
@@ -869,10 +803,14 @@ impl MonitorEngine {
         let InstallOptions { mode, energy } = opts;
         let paths = app.paths().len();
         if paths > EncodedEvent::MAX_PATHS {
-            return Err(InstallError::TooManyPaths {
-                paths,
-                max: EncodedEvent::MAX_PATHS,
-            });
+            return Err(InstallError::Rejected(Diagnostic::error(
+                "install",
+                "app",
+                format!(
+                    "the app declares {paths} paths; the engine names at most {}",
+                    EncodedEvent::MAX_PATHS
+                ),
+            )));
         }
 
         // Journal capacity = the static worst-case record: the larger
@@ -900,7 +838,7 @@ impl MonitorEngine {
             artemis_spec::sort_diagnostics(diags);
         }
         if let Some(d) = diags.first().filter(|d| d.is_error()) {
-            return Err(InstallError::Analysis(d.clone()));
+            return Err(InstallError::Rejected(d.clone()));
         }
         let riders = riders(&compiled, bounds, app, &profile);
         for d in diags.iter() {
@@ -2152,46 +2090,84 @@ mod tests {
     #[test]
     fn install_rejects_unknown_tasks_and_missing_paths() {
         let app = app();
-        // Every install of a source suite: the engine, the remote
-        // monitor and the reference it runs on.
-        let installs = |text: &str| -> [Result<(), InstallError>; 3] {
+        // Every entry point that installs a source suite: the engine's
+        // four (the precompiled two behind `CompiledSuite::compile`, as
+        // the fleet factory calls them), the remote monitor and the
+        // reference it runs on. Each must reject with the same finding.
+        let installs = |text: &str| -> Vec<Result<(), Diagnostic>> {
             let suite = artemis_ir::parse::parse_suite(text).unwrap();
             let mut dev = DeviceBuilder::msp430fr5994().build();
-            [
+            let opts = InstallOptions::default();
+            let compiled = || CompiledSuite::compile(&suite, &app);
+            let results = [
                 MonitorEngine::install(&mut dev, suite.clone(), &app).map(drop),
+                MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).map(drop),
+                compiled().map_err(InstallError::from).and_then(|c| {
+                    MonitorEngine::install_precompiled(&mut dev, suite.clone(), c, &app, opts)
+                        .map(drop)
+                }),
+                compiled().map_err(InstallError::from).and_then(|c| {
+                    let c = Arc::new(c);
+                    MonitorEngine::install_precompiled_shared(
+                        &mut dev,
+                        suite.clone(),
+                        c,
+                        &app,
+                        opts,
+                    )
+                    .map(drop)
+                }),
                 RemoteMonitorEngine::install(&mut dev, suite.clone(), &app).map(drop),
-                Reference::new(suite, &app).map(drop),
-            ]
+            ];
+            let mut out: Vec<_> = results
+                .into_iter()
+                .map(|r| match r {
+                    Err(InstallError::Device(i)) => panic!("device fault {i}"),
+                    Err(InstallError::Rejected(d)) => Err(d),
+                    Ok(()) => Ok(()),
+                })
+                .collect();
+            out.push(Reference::new(suite, &app).map(drop));
+            out
+        };
+        let machine = |name: &str, message: &str| {
+            Diagnostic::error("validate", format!("machine `{name}`"), message)
         };
 
         // A hand-written machine observing a ghost task.
+        let ghost = machine("g", "observes unknown task `ghost`");
         for got in installs(
             "machine g task ghost persistent { state S initial; \
              on startTask(ghost) from S to S { }; }",
         ) {
-            assert!(
-                matches!(got, Err(InstallError::UnknownTask { .. })),
-                "{got:?}"
-            );
+            assert_eq!(got, Err(ghost.clone()));
         }
 
         // A path-directed action with no path anywhere.
+        let pathless = machine(
+            "p",
+            "emits a path-directed action but has no governing path",
+        );
         for got in installs(
             "machine p task accel persistent { state S initial; \
              on startTask(accel) from S to S { } fail skipPath; }",
         ) {
-            assert!(
-                matches!(got, Err(InstallError::MissingPath { .. })),
-                "{got:?}"
-            );
+            assert_eq!(got, Err(pathless.clone()));
         }
 
-        // An invalid machine (unknown guard variable).
-        for got in installs(
-            "machine v task accel persistent { state S initial; \
-             on anyEvent from S to S if ghost > 0 { }; }",
-        ) {
-            assert!(matches!(got, Err(InstallError::Invalid(_))), "{got:?}");
+        // An invalid machine (unknown guard variable): the first
+        // validation error.
+        let text = "machine v task accel persistent { state S initial; \
+                    on anyEvent from S to S if ghost > 0 { }; }";
+        let invalid = artemis_ir::validate::validate(
+            &artemis_ir::parse::parse_suite(text).unwrap().machines()[0],
+        )
+        .into_iter()
+        .next()
+        .filter(Diagnostic::is_error)
+        .expect("the guard names an unknown variable");
+        for got in installs(text) {
+            assert_eq!(got, Err(invalid.clone()));
         }
     }
 
@@ -2217,13 +2193,13 @@ mod tests {
     fn path_numbers_past_a_byte_are_rejected_at_install() {
         let (app, suite) = many_paths(301);
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        assert!(matches!(
-            MonitorEngine::install(&mut dev, suite, &app),
-            Err(InstallError::TooManyPaths {
-                paths: 301,
-                max: 254
-            })
-        ));
+        match MonitorEngine::install(&mut dev, suite, &app) {
+            Err(InstallError::Rejected(d)) => assert_eq!(
+                d.message,
+                "the app declares 301 paths; the engine names at most 254"
+            ),
+            other => panic!("expected a rejection, got {:?}", other.err()),
+        }
         assert_eq!(dev.fram().used(), 0, "nothing allocated");
 
         let (app, suite) = many_paths(254);
@@ -2271,7 +2247,7 @@ mod tests {
         .err()
         .expect("install must be rejected");
         match err {
-            InstallError::Analysis(d) => {
+            InstallError::Rejected(d) => {
                 assert!(d.is_error());
                 assert_eq!(d.pass, "verifier");
             }
@@ -2340,7 +2316,7 @@ mod tests {
             .err()
             .expect("install must be rejected");
         match err {
-            InstallError::Analysis(d) => {
+            InstallError::Rejected(d) => {
                 assert!(d.is_error());
                 assert_eq!(d.pass, "conflicts");
                 assert!(d.message.contains("arbitration"), "{}", d.message);
@@ -2776,7 +2752,7 @@ mod tests {
         .err()
         .expect("install must be rejected");
         match err {
-            InstallError::Analysis(d) => {
+            InstallError::Rejected(d) => {
                 assert!(d.is_error());
                 assert_eq!(d.pass, "energy");
                 assert!(d.message.contains("atomic attempt"), "{}", d.message);

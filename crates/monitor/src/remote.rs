@@ -32,9 +32,10 @@ use artemis_core::event::MonitorEvent;
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::fsm::MonitorSuite;
+use artemis_ir::validate::check_source;
+use artemis_spec::Diagnostic;
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
 
-use crate::{decode_action, encode_action};
 use crate::{InstallError, MonitorVerdict, Monitoring};
 
 /// Bytes on the wire for one event message (kind, task, timestamp,
@@ -66,10 +67,11 @@ pub struct Reference {
 }
 
 impl Reference {
-    /// Checks `suite` against `app` as the engine's install does, and
-    /// starts every machine in its initial `(state, vars)`.
-    pub fn new(suite: MonitorSuite, app: &AppGraph) -> Result<Self, InstallError> {
-        crate::check_source(&suite, app)?;
+    /// Checks `suite` against `app` as the engine's install does
+    /// ([`artemis_ir::validate::check_source`]), and starts every
+    /// machine in its initial `(state, vars)`.
+    pub fn new(suite: MonitorSuite, app: &AppGraph) -> Result<Self, Diagnostic> {
+        check_source(&suite, app)?;
         Ok(Reference {
             machines: suite.machines().iter().map(MachineState::initial).collect(),
             task_names: app.tasks().iter().map(|t| t.name.clone()).collect(),
@@ -99,12 +101,12 @@ impl Reference {
                 // Evaluation errors cannot occur on validated machines;
                 // like the engine, treat them as accept-silently.
                 if let Ok(Some(fail)) = step(machine, state, &ir) {
-                    let encoded = encode_action(fail.action, fail.path.or(machine.path));
-                    verdicts.extend(decode_action(encoded).map(|action| MonitorVerdict {
+                    let path = fail.path.or(machine.path).unwrap_or(0);
+                    verdicts.push(MonitorVerdict {
                         machine_index,
                         machine: machine.name.clone(),
-                        action,
-                    }));
+                        action: fail.action.action(PathId(path.saturating_sub(1))),
+                    });
                 }
             }
             self.last = Some((seq, verdicts));

@@ -89,7 +89,7 @@ fn another_suite_is_analysed_afresh() {
     assert!(expected[0].is_error(), "{expected:?}");
     let mut dev_b = device(1_600_000);
     match install(&mut dev_b, &b, &compiled, &app) {
-        Err(InstallError::Analysis(d)) => assert_eq!(d, expected[0]),
+        Err(InstallError::Rejected(d)) => assert_eq!(d, expected[0]),
         Err(e) => panic!("suite B rejected for the wrong reason: {e}"),
         Ok(_) => panic!("suite B passed the gate on suite A's memo"),
     }
@@ -224,7 +224,7 @@ fn set_machine_clears_the_memo() {
 
     let mut dev = device(1_600_000);
     match install(&mut dev, &suite, &Arc::new(compiled), &app) {
-        Err(InstallError::Analysis(d)) => assert_eq!(d, expected[0]),
+        Err(InstallError::Rejected(d)) => assert_eq!(d, expected[0]),
         Err(e) => panic!("rejected for the wrong reason: {e}"),
         Ok(_) => panic!("the swapped machine passed on a stale memo"),
     }

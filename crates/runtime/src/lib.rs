@@ -801,7 +801,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// caller's cost category is restored on return, also on an
     /// interrupt. Re-enterable after power failures; resumes from the
     /// persistent cursor.
-    pub fn on_boot_impl(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
+    fn on_boot_impl(&mut self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
         let out = dev.billed(CostCategory::Runtime, |dev| self.main_loop(dev));
         if let Err(Interrupt::Fault(_)) = out {
             // A fault stops the run with the open record unlanded.

@@ -9,7 +9,7 @@
 //!   DNF under `Harvester::FixedDelay` — every attempt browns out and
 //!   replays, so the task never completes within the run limit. The
 //!   gated install (`InstallOptions.energy = Some(..)`) rejects the
-//!   same configurations with a typed `InstallError::Analysis` before
+//!   same configurations with a typed `InstallError::Rejected` before
 //!   allocating any FRAM.
 //! - **No false rejections:** a task the analysis calls `Feasible`
 //!   (outside the stated margin) installs cleanly and actually
@@ -109,7 +109,7 @@ proptest! {
             Verdict::Infeasible => {
                 let err = gated.err().expect("infeasible task must be rejected");
                 match err {
-                    InstallError::Analysis(d) => {
+                    InstallError::Rejected(d) => {
                         prop_assert_eq!(d.pass, "energy");
                         prop_assert!(d.is_error());
                     }

@@ -27,7 +27,7 @@ pub fn print(ast: &SpecAst) -> String {
 }
 
 /// Renders one property declaration (without trailing newline).
-pub fn print_prop(p: &PropDecl) -> String {
+fn print_prop(p: &PropDecl) -> String {
     let mut s = String::new();
     match &p.kind {
         PropKind::Period(t) => {

@@ -3,9 +3,15 @@
 //!
 //! ```text
 //! artemis compile <spec-file> --paths sense>send [--emit ir|c|dot]
-//! artemis check   <spec-file> --tasks sense,send --paths sense>send
+//! artemis check   <spec-file> --paths sense>send
 //! artemis demo    [charging-minutes]
 //! ```
+//!
+//! `check` and `compile` run the front end's stages in install order
+//! (`artemis_ir::lint`: parse, resolve, consistency, lowering,
+//! validation, compilation and the analysis passes) and print every
+//! finding; any error fails them, so a spec that checks clean is one
+//! the engine installs.
 //!
 //! `--paths` lists paths separated by commas; tasks within a path are
 //! separated by `>`. A task that carries a monitored variable (for
@@ -14,7 +20,7 @@
 use std::process::ExitCode;
 
 use artemis::core::app::{AppGraph, AppGraphBuilder};
-use artemis::{ir, spec};
+use artemis::ir;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -125,52 +131,32 @@ fn parse_app(paths_arg: &str) -> Result<AppGraph, String> {
     b.build().map_err(|e| e.to_string())
 }
 
+/// Lints `source` through the install path's stages
+/// ([`ir::lint`]): every finding prints, and any error fails. `check`
+/// then reports the counts; `compile` emits the suite.
 fn run_compile(source: &str, app: &AppGraph, check_only: bool, emit: &str) -> ExitCode {
-    let ast = match spec::parse(source) {
-        Ok(ast) => ast,
-        Err(d) => {
-            eprintln!("{}", d.render(source));
-            return ExitCode::FAILURE;
-        }
-    };
-    let set = match spec::resolve(&ast, app) {
-        Ok(set) => set,
-        Err(d) => {
-            eprintln!("{}", d.render(source));
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Consistency findings always print; contradictions fail `check`.
-    let findings = spec::consistency::check(&set, app);
-    for f in &findings {
-        eprint!("{}", f.render(source));
+    let lint = ir::lint(ir::Source::Spec(source), app, None);
+    for d in &lint.diags {
+        eprint!("{}", d.render(source));
     }
-    let contradiction = findings.iter().any(|f| f.is_error());
-
-    let suite = match ir::lower_set(&set, app) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lowering failed: {e}");
+    let errors = lint.diags.iter().filter(|d| d.is_error()).count();
+    let suite = match lint.suite {
+        Some(suite) if errors == 0 => suite,
+        _ => {
+            eprintln!(
+                "{} failed: {errors} error(s)",
+                if check_only { "check" } else { "compile" }
+            );
             return ExitCode::FAILURE;
         }
     };
-    for m in suite.machines() {
-        for issue in ir::validate::validate(m) {
-            eprint!("{}", issue.render(source));
-        }
-    }
 
     if check_only {
-        if contradiction {
-            eprintln!("check failed: contradictions found");
-            return ExitCode::FAILURE;
-        }
+        // Lowering makes one machine of each property.
         println!(
-            "ok: {} propert(ies), {} machine(s), {} consistency finding(s)",
-            set.len(),
-            suite.len(),
-            findings.len()
+            "ok: {n} propert(ies), {n} machine(s), {} finding(s)",
+            lint.diags.len(),
+            n = suite.len()
         );
         return ExitCode::SUCCESS;
     }

@@ -57,7 +57,7 @@ pub use mayfly;
 pub mod prelude {
     pub use artemis_core::{
         Action, AppGraph, AppGraphBuilder, EventKind, MonitorEvent, OnFail, PathId, Property,
-        PropertyKind, PropertySet, SimDuration, SimInstant, TaskId, Trace, TraceEvent, Verdict,
+        PropertyKind, PropertySet, SimDuration, SimInstant, TaskId, Trace, TraceEvent,
     };
     pub use artemis_monitor::MonitorEngine;
     pub use artemis_runtime::{ArtemisRuntime, ArtemisRuntimeBuilder, RunOutcome, TaskCtx};

@@ -143,6 +143,39 @@ fn monitored_variable_syntax_in_paths() {
     assert!(out.status.success(), "{out:?}");
 }
 
+/// `check` runs the install path's analysis passes: on the Fig. 5
+/// spec it prints every finding `experiments -- analyze` lists for
+/// `samples::FIGURE5` (the cross-monitor conflict warning on
+/// `start(send)`), the energy pass aside, which needs a device.
+#[test]
+fn check_prints_the_analysis_findings_of_figure5() {
+    let spec = write_spec(artemis::spec::samples::FIGURE5);
+    let out = artemis()
+        .args([
+            "check",
+            spec.0.to_str().unwrap(),
+            "--paths",
+            "bodyTemp>calcAvg:avgTemp>heartRate>send,accel>classify>send,micSense>filter>send",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+
+    let (report, _) = artemis::bench::analyze::analyze_all();
+    let listed: Vec<String> = report
+        .rows
+        .iter()
+        .filter(|row| row[0] == "samples::FIGURE5" && row[1] != "energy")
+        .map(|row| format!("{} [{}] {}: {}\n", row[2], row[1], row[3], row[4]))
+        .collect();
+    assert!(
+        listed.iter().any(|l| l.contains("[conflicts]")),
+        "{listed:?}"
+    );
+    assert_eq!(stderr, listed.concat());
+}
+
 #[test]
 fn usage_on_bad_invocations() {
     for args in [vec![], vec!["frobnicate"], vec!["compile"]] {
