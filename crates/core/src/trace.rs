@@ -172,6 +172,12 @@ impl Trace {
         self.dropped
     }
 
+    /// `true` when the trace records events: a trace is created
+    /// enabled or disabled and stays so.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Registers the installed monitor suite's names so
     /// [`Violation`](TraceEvent::Violation) indices resolve at render
     /// time.

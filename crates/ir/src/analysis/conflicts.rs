@@ -21,8 +21,6 @@
 //! with different path actions behind guards — lint-clean at error
 //! level.
 
-use std::collections::HashSet;
-
 use artemis_core::action::Action;
 use artemis_core::app::PathId;
 use artemis_core::event::EventKind;
@@ -50,19 +48,19 @@ struct Candidate {
 /// dispatch.
 pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut reported: HashSet<(usize, usize, &'static str, &'static str)> = HashSet::new();
+    // Pairs already reported; a linear scan, as conflicts are rare.
+    let mut reported: Vec<(usize, usize, &'static str, &'static str)> = Vec::new();
+    // Each key's candidates, in one buffer the keys share.
+    let mut candidates: Vec<Candidate> = Vec::new();
     let machines = compiled.machines();
     let task_count = compiled.task_count();
 
     for kind in [EventKind::StartTask, EventKind::EndTask] {
         for key_task in 0..=task_count {
             let (probe, task_label) = if key_task == task_count {
-                (u32::MAX, "<any>".to_string())
+                (u32::MAX, "<any>")
             } else {
-                (
-                    key_task as u32,
-                    compiled.task_name(key_task as u32).to_string(),
-                )
+                (key_task as u32, compiled.task_name(key_task as u32))
             };
             let armed = compiled.routing().interested(kind, probe);
             if armed.len() < 2 {
@@ -71,13 +69,16 @@ pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Di
 
             // Collect each armed machine's possible signals under this
             // key.
-            let mut candidates: Vec<Candidate> = Vec::new();
+            candidates.clear();
             for &mi in armed {
                 let mi = mi as usize;
                 let cm = &machines[mi];
                 let src = suite.machines().get(mi);
                 for &ti in cm.transition_list(kind, probe) {
-                    let t = &cm.transitions[ti as usize];
+                    // An entry past the table is the verifier's finding.
+                    let Some(t) = cm.transitions.get(ti as usize) else {
+                        continue;
+                    };
                     let Some(emit) = &t.emit else { continue };
                     candidates.push(Candidate {
                         machine: mi,
@@ -110,9 +111,10 @@ pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Di
                         a.action.keyword(),
                         b.action.keyword(),
                     );
-                    if !reported.insert(key) {
+                    if reported.contains(&key) {
                         continue;
                     }
+                    reported.push(key);
 
                     let name = |mi: usize| {
                         suite
@@ -120,7 +122,6 @@ pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Di
                             .get(mi)
                             .map(|m| m.name.as_str())
                             .unwrap_or("?")
-                            .to_string()
                     };
                     let (na, nb) = (name(a.machine), name(b.machine));
                     // The runtime's own arbitration; `a` comes first in
@@ -128,9 +129,9 @@ pub fn check_conflicts(suite: &MonitorSuite, compiled: &CompiledSuite) -> Vec<Di
                     let proposal = |c: &Candidate| c.action.action(PathId(0));
                     let winner =
                         if Action::arbitrate(&[proposal(a), proposal(b)]) == Some(proposal(a)) {
-                            (na.clone(), a.action)
+                            (na, a.action)
                         } else {
-                            (nb.clone(), b.action)
+                            (nb, b.action)
                         };
                     let kind_kw = match kind {
                         EventKind::StartTask => "startTask",

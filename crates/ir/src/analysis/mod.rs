@@ -55,6 +55,7 @@ pub use energy::{
 pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};
 
+use artemis_core::app::AppGraph;
 use artemis_spec::{sort_diagnostics, Diagnostic};
 use intermittent_sim::EnergyProfile;
 
@@ -73,18 +74,24 @@ pub struct InstallFacts {
     /// [`analyze_suite`] without the journal cross-check (the engine
     /// sizes its journal from `bounds`), errors first.
     pub diags: Vec<Diagnostic>,
+    /// [`task_feasibility`] of the app's declared task costs on the
+    /// profile: what the engine decides its riding deliveries from.
+    pub feasibility: Vec<TaskFeasibility>,
 }
 
 impl InstallFacts {
-    /// Runs both passes.
+    /// Runs the passes.
     pub(crate) fn compute(
         suite: &MonitorSuite,
         compiled: &CompiledSuite,
+        app: &AppGraph,
         profile: &EnergyProfile,
     ) -> Self {
+        let bounds = suite_bounds(compiled, profile);
         InstallFacts {
-            bounds: suite_bounds(compiled, profile),
+            feasibility: task_feasibility(compiled, &bounds, app, profile),
             diags: analyze_suite(suite, compiled, None),
+            bounds,
         }
     }
 }
@@ -117,14 +124,17 @@ pub fn analyze_suite(
         return diags;
     }
 
+    let mut var_types: Vec<VarType> = Vec::new();
+    let mut incoming = verifier::Incoming::default();
     for (m, cm) in suite.machines().iter().zip(compiled.machines()) {
-        let var_types: Vec<VarType> = m.vars.iter().map(|v| v.ty).collect();
+        var_types.clear();
+        var_types.extend(m.vars.iter().map(|v| v.ty));
         let env = MachineEnv {
             name: &m.name,
             state_count: m.states.len(),
             var_types: &var_types,
         };
-        diags.extend(verify_machine(cm, &env));
+        diags.extend(verifier::verify_machine_in(cm, &env, &mut incoming));
         diags.extend(check_reachability(cm, &m.name, &m.states));
     }
 

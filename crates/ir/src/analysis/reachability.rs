@@ -8,8 +8,6 @@
 //! attention but cannot misbehave); the hand-written-IR author or the
 //! lowering pass is the intended audience.
 
-use std::collections::VecDeque;
-
 use artemis_spec::Diagnostic;
 
 use crate::compile::CompiledMachine;
@@ -23,16 +21,23 @@ pub fn check_reachability(
     state_names: &[String],
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let subject = format!("machine `{name}`");
     let state_count = state_names.len();
     if state_count == 0 || m.initial_state as usize >= state_count {
-        // The verifier reports these as errors; nothing to walk.
         return diags;
     }
+    let warn = |diags: &mut Vec<Diagnostic>, msg: String| {
+        diags.push(Diagnostic::warning(
+            "reachability",
+            format!("machine `{name}`"),
+            msg,
+        ));
+    };
 
-    // A transition can only fire if some dispatch list routes an event
-    // to it.
-    let mut dispatched = vec![false; m.transitions.len()];
+    // One table: a dispatched flag per transition, then a reachable
+    // flag per state.
+    let tcount = m.transitions.len();
+    let mut flags = vec![false; tcount + state_count];
+    let (dispatched, reachable) = flags.split_at_mut(tcount);
     for k in 0..2 {
         for list in m.dispatch[k].iter().chain([&m.wildcard[k]]) {
             for &ti in list {
@@ -43,51 +48,44 @@ pub fn check_reachability(
         }
     }
 
-    // BFS over dispatched transitions from the initial state.
-    let mut reachable = vec![false; state_count];
+    // Sweep the dispatched transitions until no state is added.
     reachable[m.initial_state as usize] = true;
-    let mut queue = VecDeque::from([m.initial_state]);
-    while let Some(s) = queue.pop_front() {
+    let mut grew = true;
+    while grew {
+        grew = false;
         for (ti, t) in m.transitions.iter().enumerate() {
-            if !dispatched[ti] || t.from != s {
-                continue;
-            }
-            let to = t.to as usize;
-            if to < state_count && !reachable[to] {
-                reachable[to] = true;
-                queue.push_back(t.to);
+            let (from, to) = (t.from as usize, t.to as usize);
+            if dispatched[ti] && from < state_count && reachable[from] && to < state_count {
+                grew |= !std::mem::replace(&mut reachable[to], true);
             }
         }
     }
 
     for (si, r) in reachable.iter().enumerate() {
         if !r {
-            diags.push(Diagnostic::warning(
-                "reachability",
-                subject.clone(),
+            warn(
+                &mut diags,
                 format!(
                     "state `{}` is unreachable from the initial state",
                     state_names[si]
                 ),
-            ));
+            );
         }
     }
     for (ti, t) in m.transitions.iter().enumerate() {
         if !dispatched[ti] {
-            diags.push(Diagnostic::warning(
-                "reachability",
-                subject.clone(),
+            warn(
+                &mut diags,
                 format!("transition #{ti} is routed by no event key and can never fire"),
-            ));
+            );
         } else if (t.from as usize) < state_count && !reachable[t.from as usize] {
-            diags.push(Diagnostic::warning(
-                "reachability",
-                subject.clone(),
+            warn(
+                &mut diags,
                 format!(
                     "transition #{ti} departs unreachable state `{}`",
                     state_names[t.from as usize]
                 ),
-            ));
+            );
         }
     }
     diags

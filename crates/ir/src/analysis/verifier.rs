@@ -81,10 +81,23 @@ fn join_states(a: &mut [AbsTy], b: &[AbsTy]) {
 /// terminate on any event, for any `(state, vars, regs)` of the
 /// declared shapes.
 pub fn verify_machine(m: &CompiledMachine, env: &MachineEnv) -> Vec<Diagnostic> {
+    verify_machine_in(m, env, &mut Incoming::default())
+}
+
+/// [`verify_machine`] with its range states in `incoming`, which
+/// [`crate::analyze_suite`] reuses across the machines of a suite.
+pub(crate) fn verify_machine_in(
+    m: &CompiledMachine,
+    env: &MachineEnv,
+    incoming: &mut Incoming,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let subject = format!("machine `{}`", env.name);
     let err = |diags: &mut Vec<Diagnostic>, msg: String| {
-        diags.push(Diagnostic::error("verifier", subject.clone(), msg));
+        diags.push(Diagnostic::error(
+            "verifier",
+            format!("machine `{}`", env.name),
+            msg,
+        ));
     };
 
     if m.var_count != env.var_types.len() {
@@ -169,7 +182,7 @@ pub fn verify_machine(m: &CompiledMachine, env: &MachineEnv) -> Vec<Diagnostic> 
             match check_range(g, m.code.len()) {
                 Err(msg) => err(&mut diags, format!("transition #{ti} guard: {msg}")),
                 Ok(()) => {
-                    if let Err(msg) = verify_range(m, env, g, true) {
+                    if let Err(msg) = verify_range(m, env, g, true, incoming) {
                         err(&mut diags, format!("transition #{ti} guard: {msg}"));
                     }
                 }
@@ -178,7 +191,7 @@ pub fn verify_machine(m: &CompiledMachine, env: &MachineEnv) -> Vec<Diagnostic> 
         match check_range(&t.body, m.code.len()) {
             Err(msg) => err(&mut diags, format!("transition #{ti} body: {msg}")),
             Ok(()) => {
-                if let Err(msg) = verify_range(m, env, &t.body, false) {
+                if let Err(msg) = verify_range(m, env, &t.body, false, incoming) {
                     err(&mut diags, format!("transition #{ti} body: {msg}"));
                 }
             }
@@ -198,6 +211,65 @@ fn check_range(r: &Range<u32>, code_len: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The register states arriving at the instructions of one range, in
+/// buffers the ranges of one or more machines share: a row of
+/// `max_regs` states per instruction some path reached so far (the
+/// range exit included), and the state of the instruction being
+/// interpreted.
+#[derive(Default)]
+pub(crate) struct Incoming {
+    /// Row of each index in `states`; [`Incoming::NONE`] while no path
+    /// reached it.
+    row: Vec<u32>,
+    /// The rows, one after another.
+    states: Vec<AbsTy>,
+    /// The running state.
+    cur: Vec<AbsTy>,
+}
+
+impl Incoming {
+    const NONE: u32 = u32::MAX;
+
+    /// Starts a range of `len` instructions over `width` registers.
+    fn reset(&mut self, len: usize, width: usize) {
+        self.row.clear();
+        self.row.resize(len + 1, Self::NONE);
+        self.states.clear();
+        self.cur.clear();
+        self.cur.resize(width, AbsTy::Unset);
+    }
+
+    /// Joins `state` into the row of `idx`.
+    fn arrive(&mut self, idx: usize, state: &[AbsTy]) {
+        let w = state.len();
+        match self.row[idx] {
+            Self::NONE => {
+                self.row[idx] = (self.states.len() / w.max(1)) as u32;
+                self.states.extend_from_slice(state);
+            }
+            r => join_states(&mut self.states[r as usize * w..][..w], state),
+        }
+    }
+
+    /// Merges the row of `idx` into the running state, which is live
+    /// when `cur_live`; returns whether any path reaches `idx`.
+    fn take(&mut self, idx: usize, cur_live: bool) -> bool {
+        let w = self.cur.len();
+        match self.row[idx] {
+            Self::NONE => cur_live,
+            r => {
+                let row = &self.states[r as usize * w..][..w];
+                if cur_live {
+                    join_states(&mut self.cur, row);
+                } else {
+                    self.cur.copy_from_slice(row);
+                }
+                true
+            }
+        }
+    }
+}
+
 /// Abstract interpretation of one instruction range: checks operand
 /// bounds and forward-only jumps on every reachable instruction, merges
 /// register states at jump targets, and (for guards) requires register
@@ -207,6 +279,7 @@ fn verify_range(
     env: &MachineEnv,
     range: &Range<u32>,
     is_guard: bool,
+    incoming: &mut Incoming,
 ) -> Result<(), String> {
     let start = range.start as usize;
     let end = range.end as usize;
@@ -223,44 +296,35 @@ fn verify_range(
         }
     };
 
-    // `incoming[i]` is the merged register state for instruction
-    // `start + i`; index `len` is the range-exit pseudo-target.
-    let mut incoming: Vec<Option<Vec<AbsTy>>> = vec![None; len + 1];
-    incoming[0] = Some(vec![AbsTy::Unset; m.max_regs]);
-    let mut cur: Option<Vec<AbsTy>> = None;
+    // Row `i` is the merged register state for instruction
+    // `start + i`; index `len` is the range-exit pseudo-target. The
+    // entry state is every register unset.
+    incoming.reset(len, m.max_regs);
+    let mut live = true;
 
     for pc in start..end {
         let idx = pc - start;
-        cur = match (cur.take(), incoming[idx].take()) {
-            (None, s) | (s, None) => s,
-            (Some(mut a), Some(b)) => {
-                join_states(&mut a, &b);
-                Some(a)
-            }
-        };
         // No path reaches this instruction: dead code inside the range
         // never executes, so its operands are irrelevant to safety.
-        let Some(mut st) = cur.take() else {
+        live = incoming.take(idx, live);
+        if !live {
             continue;
-        };
+        }
+        let Incoming { cur: st, .. } = incoming;
+        let mut st = std::mem::take(st);
 
         // Records a branch state arriving at `target`.
-        let branch = |target: u32,
-                      state: &[AbsTy],
-                      incoming: &mut Vec<Option<Vec<AbsTy>>>|
-         -> Result<(), String> {
-            let t = target as usize;
-            if t <= pc || t > end {
-                return Err(format!(
-                    "op {pc}: jump target {t} not strictly forward within (..={end}]"
-                ));
-            }
-            match &mut incoming[t - start] {
-                Some(existing) => join_states(existing, state),
-                slot @ None => *slot = Some(state.to_vec()),
-            }
-            Ok(())
-        };
+        let branch =
+            |target: u32, state: &[AbsTy], incoming: &mut Incoming| -> Result<(), String> {
+                let t = target as usize;
+                if t <= pc || t > end {
+                    return Err(format!(
+                        "op {pc}: jump target {t} not strictly forward within (..={end}]"
+                    ));
+                }
+                incoming.arrive(t - start, state);
+                Ok(())
+            };
 
         let mut fallthrough = true;
         match m.code[pc] {
@@ -316,10 +380,10 @@ fn verify_range(
             Op::AssertBool { src } => st[reg(src)?] = AbsTy::Known(VarType::Bool),
             Op::JumpIfFalse { src, target } | Op::JumpIfTrue { src, target } => {
                 st[reg(src)?] = AbsTy::Known(VarType::Bool);
-                branch(target, &st, &mut incoming)?;
+                branch(target, &st, incoming)?;
             }
             Op::Jump { target } => {
-                branch(target, &st, &mut incoming)?;
+                branch(target, &st, incoming)?;
                 fallthrough = false;
             }
             Op::StoreVar { slot, src } => {
@@ -342,7 +406,7 @@ fn verify_range(
                 reg(a)?;
                 reg(b)?;
                 st[reg(dst)?] = AbsTy::Known(VarType::Bool);
-                branch(target, &st, &mut incoming)?;
+                branch(target, &st, incoming)?;
             }
             Op::LoadCmpBranch {
                 dst,
@@ -366,7 +430,7 @@ fn verify_range(
                     ));
                 }
                 st[reg(dst)?] = AbsTy::Known(VarType::Bool);
-                branch(target, &st, &mut incoming)?;
+                branch(target, &st, incoming)?;
             }
             Op::ConstStore { slot, lit } => {
                 let s = slot as usize;
@@ -385,17 +449,12 @@ fn verify_range(
                 }
             }
         }
-        cur = fallthrough.then_some(st);
+        incoming.cur = st;
+        live = fallthrough;
     }
 
     if is_guard {
-        let exit = match (cur, incoming[len].take()) {
-            (None, s) | (s, None) => s,
-            (Some(mut a), Some(b)) => {
-                join_states(&mut a, &b);
-                Some(a)
-            }
-        };
+        let exit = incoming.take(len, live).then_some(&incoming.cur);
         match exit {
             Some(st) if st[0] == AbsTy::Known(VarType::Bool) => {}
             Some(st) => {

@@ -28,7 +28,7 @@ use core::ops::Range;
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use artemis_core::app::AppGraph;
+use artemis_core::app::{AppGraph, TaskCostDecl};
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{EnergyProfile, OpCycles};
@@ -241,24 +241,24 @@ pub const DEGRADE_DEN: usize = 4;
 /// journal a sparse `(slot, value)` delta instead of the whole block;
 /// [`AccessSet::whole_block`] is the compile-time auto-degrade decision
 /// for keys that touch most of the block anyway.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct AccessSet {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AccessSet<'a> {
     /// Slots a guard or body may read, sorted ascending.
-    pub reads: Vec<u16>,
+    pub reads: &'a [u16],
     /// Slots a body may write, sorted ascending.
-    pub writes: Vec<u16>,
+    pub writes: &'a [u16],
     /// `true` when this key should use whole-block load/commit: it
     /// touches at least ¾ of the block (or the block is state-only).
     pub whole_block: bool,
 }
 
-impl AccessSet {
+impl AccessSet<'_> {
     /// Highest slot index the key can read **or** write — the engine
     /// loads the block prefix covering `0..=max` (the write-back of
     /// untouched write slots requires the read span to cover the write
     /// span, which holds by construction).
     pub fn max_touched_slot(&self) -> Option<u16> {
-        self.reads.iter().chain(&self.writes).copied().max()
+        self.reads.iter().chain(self.writes).copied().max()
     }
 }
 
@@ -368,7 +368,9 @@ fn sum_cost(ops: &[Op], prices: &OpCycles) -> StepCost {
 /// What every dispatch key's derived data is folded from: the slots
 /// each transition's guard or body may read or write (bitsets) and the
 /// worst-path cost of its guard and body. Computed once per transition,
-/// however many keys dispatch it.
+/// however many keys dispatch it, into buffers one derivation call
+/// reuses across machines.
+#[derive(Default)]
 struct TransitionFacts {
     /// `u64` words per slot bitset.
     words: usize,
@@ -378,6 +380,10 @@ struct TransitionFacts {
     writes: Vec<u64>,
     /// `(guard, body)` worst-path cost per transition.
     costs: Vec<(StepCost, StepCost)>,
+    /// [`range_cost`]'s table.
+    dp: Vec<StepCost>,
+    /// One key's read and write bitsets.
+    acc: Vec<u64>,
 }
 
 impl TransitionFacts {
@@ -386,16 +392,26 @@ impl TransitionFacts {
     /// are skipped): derived data is only trusted for machines the
     /// analyser accepts.
     fn derive(
+        &mut self,
         code: &[Op],
         transitions: &[CompiledTransition],
         var_count: usize,
         prices: &OpCycles,
-    ) -> Self {
+    ) {
         let words = var_count.div_ceil(64);
-        let mut reads = vec![0u64; transitions.len() * words];
-        let mut writes = vec![0u64; transitions.len() * words];
-        let mut costs = Vec::with_capacity(transitions.len());
-        let mut dp = Vec::new();
+        self.words = words;
+        let TransitionFacts {
+            reads,
+            writes,
+            costs,
+            dp,
+            ..
+        } = self;
+        for bits in [&mut *reads, &mut *writes] {
+            bits.clear();
+            bits.resize(transitions.len() * words, 0);
+        }
+        costs.clear();
         for (ti, t) in transitions.iter().enumerate() {
             for range in t.guard.iter().chain([&t.body]) {
                 let ops = code
@@ -404,10 +420,10 @@ impl TransitionFacts {
                 for op in ops {
                     let (bits, slot) = match *op {
                         Op::LoadVar { slot, .. } | Op::LoadCmpBranch { slot, .. } => {
-                            (&mut reads, slot as usize)
+                            (&mut *reads, slot as usize)
                         }
                         Op::StoreVar { slot, .. } | Op::ConstStore { slot, .. } => {
-                            (&mut writes, slot as usize)
+                            (&mut *writes, slot as usize)
                         }
                         _ => continue,
                     };
@@ -416,26 +432,22 @@ impl TransitionFacts {
                     }
                 }
             }
-            let guard = t.guard.as_ref().map_or(StepCost::default(), |g| {
-                range_cost(code, g, prices, &mut dp)
-            });
-            costs.push((guard, range_cost(code, &t.body, prices, &mut dp)));
-        }
-        TransitionFacts {
-            words,
-            reads,
-            writes,
-            costs,
+            let guard = t
+                .guard
+                .as_ref()
+                .map_or(StepCost::default(), |g| range_cost(code, g, prices, dp));
+            costs.push((guard, range_cost(code, &t.body, prices, dp)));
         }
     }
 
     /// The access set of one dispatch list: the union of its
-    /// transitions' bitsets, accumulated in the reusable buffer `acc`.
-    fn access(&self, list: &[u16], var_count: usize, acc: &mut Vec<u64>) -> AccessSet {
+    /// transitions' bitsets. Appends the read slots and then the write
+    /// slots to `pool`; returns their counts and the whole-block flag.
+    fn access(&mut self, list: &[u16], var_count: usize, pool: &mut Vec<u16>) -> (u32, u32, bool) {
         let w = self.words;
-        acc.clear();
-        acc.resize(2 * w, 0);
-        let (reads, writes) = acc.split_at_mut(w);
+        self.acc.clear();
+        self.acc.resize(2 * w, 0);
+        let (reads, writes) = self.acc.split_at_mut(w);
         for &ti in list {
             let ti = ti as usize;
             if ti < self.costs.len() {
@@ -453,11 +465,11 @@ impl TransitionFacts {
             .zip(writes.iter())
             .map(|(r, w)| (r | w).count_ones() as usize)
             .sum();
-        AccessSet {
-            reads: slots_of(reads),
-            writes: slots_of(writes),
-            whole_block: var_count == 0 || touched * DEGRADE_DEN >= var_count * DEGRADE_NUM,
-        }
+        (
+            push_slots(reads, pool),
+            push_slots(writes, pool),
+            var_count == 0 || touched * DEGRADE_DEN >= var_count * DEGRADE_NUM,
+        )
     }
 
     /// Worst-case cost of one `step` over `list`: the dispatch scan
@@ -498,17 +510,50 @@ impl TransitionFacts {
     }
 }
 
-/// The set bits of a slot bitset, ascending.
-fn slots_of(bits: &[u64]) -> Vec<u16> {
-    let mut slots = Vec::new();
+/// Appends the set bits of a slot bitset to `pool`, ascending; returns
+/// how many.
+fn push_slots(bits: &[u64], pool: &mut Vec<u16>) -> u32 {
+    let before = pool.len();
     for (k, &word) in bits.iter().enumerate() {
         let mut w = word;
         while w != 0 {
-            slots.push((k * 64 + w.trailing_zeros() as usize) as u16);
+            pool.push((k * 64 + w.trailing_zeros() as usize) as u16);
             w &= w - 1;
         }
     }
-    slots
+    (pool.len() - before) as u32
+}
+
+/// The derived data of one dispatch key: its access set, as two runs
+/// of the machine's slot pool, and its step cost.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct KeyFacts {
+    /// Where the key's read slots start in the pool; its write slots
+    /// follow them.
+    at: u32,
+    /// Number of read slots.
+    reads: u32,
+    /// Number of write slots.
+    writes: u32,
+    /// [`AccessSet::whole_block`].
+    whole_block: bool,
+    /// The key's static compute ceiling.
+    cost: StepCost,
+}
+
+/// Buffers one compile or derivation call reuses across the machines
+/// it handles: codegen's instruction and literal streams, the
+/// optimizer's, the per-transition facts, the slot pool and the
+/// interval analysis. They die with the call; only exact-size copies
+/// reach the compiled machines.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    code: Vec<Op>,
+    lits: Vec<Value>,
+    opt: crate::opt::Scratch,
+    facts: TransitionFacts,
+    slots: Vec<u16>,
+    bounds: crate::layout::BoundsScratch,
 }
 
 /// One monitor compiled to bytecode plus dispatch tables.
@@ -534,21 +579,16 @@ pub struct CompiledMachine {
     /// runtime type (assignment coercion never changes a slot's
     /// variant) — the packed layout's type source of truth.
     pub(crate) var_inits: Vec<Value>,
-    /// `access[kind][task id]` → the key's static FRAM access set,
-    /// mirroring `dispatch`. Derived from `code` (never serialised in
-    /// [`RawMachine`]), so mutation can't make it lie.
-    pub(crate) access: [Vec<AccessSet>; 2],
-    /// Access sets of the wildcard lists, mirroring `wildcard`.
-    pub(crate) wildcard_access: [AccessSet; 2],
     /// Packed FRAM block layout. Derived from `code` + `var_inits`
     /// (never serialised in [`RawMachine`]) like the access sets.
     pub(crate) layout: MachineLayout,
-    /// `step_cost[kind][task id]` → the key's static compute ceiling,
-    /// mirroring `dispatch`. Derived from `code` (never serialised in
-    /// [`RawMachine`]) like the access sets.
-    pub(crate) step_cost: [Vec<StepCost>; 2],
-    /// Step costs of the wildcard lists, mirroring `wildcard`.
-    pub(crate) wildcard_step_cost: [StepCost; 2],
+    /// Derived data of every dispatch key: `dispatch[0]`'s keys, then
+    /// `dispatch[1]`'s, then the two wildcard lists. Derived from
+    /// `code` (never serialised in [`RawMachine`]), so mutation can't
+    /// make it lie.
+    keys: Vec<KeyFacts>,
+    /// The keys' access-set slots.
+    slots: Vec<u16>,
 }
 
 /// The exploded parts of a [`CompiledMachine`].
@@ -605,11 +645,32 @@ impl CompiledMachine {
         app: &AppGraph,
         opt: crate::opt::OptLevel,
     ) -> Result<Self, Diagnostic> {
-        let raw = Compiler::new(machine, app).run()?;
-        Ok(CompiledMachine::from_raw(match opt {
-            crate::opt::OptLevel::None => raw,
-            crate::opt::OptLevel::Full => crate::opt::optimize_raw(raw),
-        }))
+        Self::compile_in(machine, app, opt, &mut Scratch::default())
+    }
+
+    /// [`CompiledMachine::compile_with`] in `s`, which a suite compile
+    /// reuses across its machines. Codegen emits into the scratch
+    /// streams; the machine gets the optimizer's output (or a copy, at
+    /// [`OptLevel::None`](crate::opt::OptLevel::None)).
+    fn compile_in(
+        machine: &StateMachine,
+        app: &AppGraph,
+        opt: crate::opt::OptLevel,
+        s: &mut Scratch,
+    ) -> Result<Self, Diagnostic> {
+        let mut raw = Compiler::new(machine, app, &mut s.code, &mut s.lits).run()?;
+        raw.code = match opt {
+            crate::opt::OptLevel::None => None,
+            crate::opt::OptLevel::Full => crate::opt::sweep(
+                &s.code,
+                &mut raw.transitions,
+                &raw.lits,
+                &mut raw.max_regs,
+                &mut s.opt,
+            ),
+        }
+        .unwrap_or_else(|| s.code.clone());
+        Ok(CompiledMachine::from_raw_in(raw, s))
     }
 
     /// Registers [`CompiledMachine::step`] requires in its scratch file.
@@ -661,11 +722,12 @@ impl CompiledMachine {
     /// `true` when some transition the `(kind, task)` key dispatches
     /// can emit a failure action — i.e. delivering such an event may
     /// produce a verdict from this machine. The bounds pass sizes a
-    /// member's verdict cells by it.
+    /// member's verdict cells by it. A list entry past the transition
+    /// table (which the verifier rejects) emits nothing.
     pub fn may_emit(&self, kind: EventKind, task: u32) -> bool {
         self.transition_list(kind, task)
             .iter()
-            .any(|&ti| self.transitions[ti as usize].emit.is_some())
+            .any(|&ti| (self.transitions.get(ti as usize)).is_some_and(|t| t.emit.is_some()))
     }
 
     /// Explodes the machine into its raw parts (cloned).
@@ -689,33 +751,44 @@ impl CompiledMachine {
     /// keeping derived data consistent; `var_inits` is padded with
     /// `Int(0)` / truncated to `var_count`.
     pub fn from_raw(raw: RawMachine) -> Self {
+        Self::from_raw_in(raw, &mut Scratch::default())
+    }
+
+    /// [`CompiledMachine::from_raw`] in `s`: one pass over the
+    /// transitions, then every key's slots appended to one pool and
+    /// its facts to one table, each copied out at its exact size.
+    fn from_raw_in(raw: RawMachine, s: &mut Scratch) -> Self {
         let prices = OpCycles::default();
-        let facts = TransitionFacts::derive(&raw.code, &raw.transitions, raw.var_count, &prices);
-        let mut acc = Vec::new();
-        let mut per_key = |list: &[u16]| {
-            (
-                facts.access(list, raw.var_count, &mut acc),
-                facts.step_cost(&raw.transitions, list, prices.transition_scan),
-            )
-        };
-        let mut access: [Vec<AccessSet>; 2] = Default::default();
-        let mut step_cost: [Vec<StepCost>; 2] = Default::default();
-        for ((lists, acc_k), cost_k) in raw.dispatch.iter().zip(&mut access).zip(&mut step_cost) {
-            for list in lists {
-                let (a, c) = per_key(list);
-                acc_k.push(a);
-                cost_k.push(c);
-            }
+        let Scratch {
+            facts,
+            slots,
+            bounds,
+            ..
+        } = s;
+        facts.derive(&raw.code, &raw.transitions, raw.var_count, &prices);
+        slots.clear();
+        let [d0, d1] = &raw.dispatch;
+        let mut keys = Vec::with_capacity(d0.len() + d1.len() + 2);
+        for list in d0.iter().chain(d1).chain(&raw.wildcard) {
+            let at = slots.len() as u32;
+            let (reads, writes, whole_block) = facts.access(list, raw.var_count, slots);
+            keys.push(KeyFacts {
+                at,
+                reads,
+                writes,
+                whole_block,
+                cost: facts.step_cost(&raw.transitions, list, prices.transition_scan),
+            });
         }
-        let [(wa0, wc0), (wa1, wc1)] = [0, 1].map(|k| per_key(&raw.wildcard[k]));
         let mut var_inits = raw.var_inits;
         var_inits.resize(raw.var_count, Value::Int(0));
-        let layout = MachineLayout::packed(
+        let layout = MachineLayout::packed_in(
             &var_inits,
             &raw.code,
             &raw.lits,
             &raw.transitions,
             raw.initial_state,
+            bounds,
         );
         CompiledMachine {
             code: raw.code,
@@ -727,11 +800,9 @@ impl CompiledMachine {
             initial_state: raw.initial_state,
             var_count: raw.var_count,
             var_inits,
-            access,
-            wildcard_access: [wa0, wa1],
             layout,
-            step_cost,
-            wildcard_step_cost: [wc0, wc1],
+            keys,
+            slots: slots.clone(),
         }
     }
 
@@ -743,13 +814,26 @@ impl CompiledMachine {
             .unwrap_or(&self.wildcard[k])
     }
 
+    /// The derived data of `(kind, task)` — same fallback rule as
+    /// `CompiledMachine::transition_list`.
+    fn key(&self, kind: EventKind, task: u32) -> &KeyFacts {
+        let k = kind_index(kind);
+        let [n0, n1] = [self.dispatch[0].len(), self.dispatch[1].len()];
+        let (base, len) = if k == 0 { (0, n0) } else { (n0, n1) };
+        let task = task as usize;
+        &self.keys[if task < len { base + task } else { n0 + n1 + k }]
+    }
+
     /// The static FRAM access set of `(kind, task)` — same fallback
     /// rule as `CompiledMachine::transition_list`.
-    pub fn access(&self, kind: EventKind, task: u32) -> &AccessSet {
-        let k = kind_index(kind);
-        self.access[k]
-            .get(task as usize)
-            .unwrap_or(&self.wildcard_access[k])
+    pub fn access(&self, kind: EventKind, task: u32) -> AccessSet<'_> {
+        let key = self.key(kind, task);
+        let (at, mid) = (key.at as usize, (key.at + key.reads) as usize);
+        AccessSet {
+            reads: &self.slots[at..mid],
+            writes: &self.slots[mid..mid + key.writes as usize],
+            whole_block: key.whole_block,
+        }
     }
 
     /// The static compute ceiling of one `step` for `(kind, task)` —
@@ -759,11 +843,7 @@ impl CompiledMachine {
     /// state), and the bounds/energy passes price through the same
     /// table.
     pub fn step_cost(&self, kind: EventKind, task: u32) -> StepCost {
-        let k = kind_index(kind);
-        self.step_cost[k]
-            .get(task as usize)
-            .copied()
-            .unwrap_or(self.wildcard_step_cost[k])
+        self.key(kind, task).cost
     }
 
     /// Feeds one event to the machine: the bytecode counterpart of
@@ -924,22 +1004,32 @@ impl CompiledMachine {
     }
 }
 
-/// Per-machine compilation state.
-struct Compiler<'a> {
+/// Per-machine compilation state. The instruction and literal streams
+/// are the caller's scratch: [`Compiler::run`] returns the other raw
+/// parts with an exact-size copy of the literals, and leaves the
+/// instructions for the optimizer to read.
+struct Compiler<'a, 's> {
     machine: &'a StateMachine,
     app: &'a AppGraph,
-    code: Vec<Op>,
-    lits: Vec<Value>,
+    code: &'s mut Vec<Op>,
+    lits: &'s mut Vec<Value>,
     max_regs: usize,
 }
 
-impl<'a> Compiler<'a> {
-    fn new(machine: &'a StateMachine, app: &'a AppGraph) -> Self {
+impl<'a, 's> Compiler<'a, 's> {
+    fn new(
+        machine: &'a StateMachine,
+        app: &'a AppGraph,
+        code: &'s mut Vec<Op>,
+        lits: &'s mut Vec<Value>,
+    ) -> Self {
+        code.clear();
+        lits.clear();
         Compiler {
             machine,
             app,
-            code: Vec::new(),
-            lits: Vec::new(),
+            code,
+            lits,
             max_regs: 0,
         }
     }
@@ -1010,8 +1100,8 @@ impl<'a> Compiler<'a> {
         }
 
         Ok(RawMachine {
-            code: self.code,
-            lits: self.lits,
+            code: Vec::new(),
+            lits: self.lits.clone(),
             transitions,
             dispatch,
             wildcard,
@@ -1176,55 +1266,62 @@ impl<'a> Compiler<'a> {
 /// O(installed machines) to O(interested machines).
 #[derive(Debug)]
 pub struct RoutingIndex {
-    /// `interested[kind][task id]` → machine indices (suite order) with
-    /// a transition that can match, including wildcard-triggered ones.
-    interested: [Vec<Vec<u16>>; 2],
-    /// Machines with a wildcard transition per kind — the worklist for
-    /// task ids beyond the application graph.
-    wildcard: [Vec<u16>; 2],
+    /// Machine indices (suite order) with a transition that can match,
+    /// including wildcard-triggered ones: one run per key, the
+    /// `startTask` keys by task id, then the `endTask` keys, then the
+    /// two per-kind wildcard keys — the worklists for task ids beyond
+    /// the application graph.
+    machines: Vec<u16>,
+    /// Key `i`'s run is `machines[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Tasks in the application graph.
+    tasks: usize,
 }
 
 impl RoutingIndex {
     pub(crate) fn build(machines: &[CompiledMachine], task_count: usize) -> Self {
-        let mut interested = [vec![Vec::new(); task_count], vec![Vec::new(); task_count]];
-        let mut wildcard = [Vec::new(), Vec::new()];
-        for (mi, m) in machines.iter().enumerate() {
-            let mi = mi as u16;
-            for (k, kind) in [EventKind::StartTask, EventKind::EndTask]
-                .into_iter()
-                .enumerate()
-            {
-                for (task, list) in interested[k].iter_mut().enumerate() {
-                    if !m.dismisses(kind, task as u32) {
-                        list.push(mi);
-                    }
-                }
-                // An out-of-graph id falls through to each machine's
-                // wildcard transition list.
-                if !m.dismisses(kind, u32::MAX) {
-                    wildcard[k].push(mi);
-                }
-            }
+        // A key's probe: a task id, or one past the graph for the
+        // wildcard keys (an out-of-graph id falls through to each
+        // machine's wildcard transition list).
+        let keys = (0..2).flat_map(|k| (0..task_count).map(move |t| (k, t as u32)));
+        let keys = keys.chain([(0, u32::MAX), (1, u32::MAX)]);
+        let kinds = [EventKind::StartTask, EventKind::EndTask];
+        let armed = |(k, task): (usize, u32)| {
+            (0..machines.len()).filter(move |&mi| !machines[mi].dismisses(kinds[k], task))
+        };
+        let total = keys.clone().map(|key| armed(key).count()).sum();
+        let mut index = RoutingIndex {
+            machines: Vec::with_capacity(total),
+            starts: Vec::with_capacity(2 * task_count + 3),
+            tasks: task_count,
+        };
+        index.starts.push(0);
+        for key in keys {
+            index.machines.extend(armed(key).map(|mi| mi as u16));
+            index.starts.push(index.machines.len() as u32);
         }
-        RoutingIndex {
-            interested,
-            wildcard,
-        }
+        index
+    }
+
+    /// The machines of key `i`.
+    fn run(&self, i: usize) -> &[u16] {
+        &self.machines[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
     /// The machines interested in `(kind, task)`, in suite order. Task
     /// ids beyond the application graph resolve to the wildcard set.
     pub fn interested(&self, kind: EventKind, task: u32) -> &[u16] {
-        let k = kind_index(kind);
-        self.interested[k]
-            .get(task as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&self.wildcard[k])
+        let (k, task) = (kind_index(kind), task as usize);
+        self.run(if task < self.tasks {
+            k * self.tasks + task
+        } else {
+            2 * self.tasks + k
+        })
     }
 
     /// The per-kind wildcard machine set.
     pub fn wildcard(&self, kind: EventKind) -> &[u16] {
-        &self.wildcard[kind_index(kind)]
+        self.run(2 * self.tasks + kind_index(kind))
     }
 }
 
@@ -1234,12 +1331,21 @@ impl RoutingIndex {
 /// [`RoutingIndex`] over all machines.
 pub struct CompiledSuite {
     machines: Vec<CompiledMachine>,
-    task_names: Box<[Box<str>]>,
+    task_names: TaskNames,
     max_regs: usize,
     routing: RoutingIndex,
-    /// The first [`CompiledSuite::install_facts`] answer, with the
-    /// suite handle and profile it was computed for.
-    memo: OnceLock<(MonitorSuite, EnergyProfile, InstallFacts)>,
+    /// The first [`CompiledSuite::install_facts`] answer, with what it
+    /// was computed for.
+    memo: OnceLock<Memo>,
+}
+
+/// A kept [`CompiledSuite::install_facts`] answer and its key.
+struct Memo {
+    suite: MonitorSuite,
+    profile: EnergyProfile,
+    /// The app's declared task costs, in task order.
+    costs: Vec<TaskCostDecl>,
+    facts: InstallFacts,
 }
 
 impl CompiledSuite {
@@ -1271,11 +1377,11 @@ impl CompiledSuite {
                 "suite exceeds 65535 machines",
             ));
         }
-        let machines = suite
-            .machines()
-            .iter()
-            .map(|m| CompiledMachine::compile_with(m, app, opt))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut scratch = Scratch::default();
+        let mut machines = Vec::with_capacity(suite.machines().len());
+        for m in suite.machines() {
+            machines.push(CompiledMachine::compile_in(m, app, opt, &mut scratch)?);
+        }
         let max_regs = machines
             .iter()
             .map(CompiledMachine::max_regs)
@@ -1284,13 +1390,9 @@ impl CompiledSuite {
         let routing = RoutingIndex::build(&machines, app.task_count());
         Ok(CompiledSuite {
             machines,
-            task_names: app
-                .tasks()
-                .iter()
-                .map(|t| t.name.clone().into_boxed_str())
-                .collect(),
             max_regs,
             routing,
+            task_names: TaskNames::new(app),
             memo: OnceLock::new(),
         })
     }
@@ -1313,7 +1415,7 @@ impl CompiledSuite {
     /// Number of tasks in the application graph the suite was compiled
     /// against.
     pub fn task_count(&self) -> usize {
-        self.task_names.len()
+        self.task_names.ends.len()
     }
 
     /// Replaces machine `idx` with one reassembled from raw parts,
@@ -1335,30 +1437,39 @@ impl CompiledSuite {
             .map(CompiledMachine::max_regs)
             .max()
             .unwrap_or(0);
-        self.routing = RoutingIndex::build(&self.machines, self.task_names.len());
+        self.routing = RoutingIndex::build(&self.machines, self.task_count());
     }
 
     /// The install gate's suite-level results for `suite` on a device
-    /// of energy profile `profile`: the static bounds and the analysis
-    /// findings ([`InstallFacts`]). They depend on nothing
+    /// of energy profile `profile` running `app`: the static bounds,
+    /// the analysis findings and the per-task energy verdicts of the
+    /// app's declared costs ([`InstallFacts`]). They depend on nothing
     /// else, so the first call's answer is kept and returned again
     /// whenever the same suite handle ([`MonitorSuite::same`]) comes
-    /// with an equal profile — every device a fleet installs from one
-    /// compiled suite. Any other pair is computed fresh and leaves the
-    /// kept answer as it is; [`CompiledSuite::set_machine`] drops it.
+    /// with an equal profile and equal task costs — every device a
+    /// fleet installs from one compiled suite. Any other call is
+    /// computed fresh and leaves the kept answer as it is;
+    /// [`CompiledSuite::set_machine`] drops it.
     pub fn install_facts(
         &self,
         suite: &MonitorSuite,
+        app: &AppGraph,
         profile: &EnergyProfile,
     ) -> Cow<'_, InstallFacts> {
-        let (memo_suite, memo_profile, facts) = self.memo.get_or_init(|| {
-            let facts = InstallFacts::compute(suite, self, profile);
-            (suite.clone(), *profile, facts)
+        let costs = app.tasks().iter().map(|t| t.cost);
+        let memo = self.memo.get_or_init(|| Memo {
+            suite: suite.clone(),
+            profile: *profile,
+            costs: costs.clone().collect(),
+            facts: InstallFacts::compute(suite, self, app, profile),
         });
-        if memo_suite.same(suite) && memo_profile == profile {
-            Cow::Borrowed(facts)
+        if memo.suite.same(suite)
+            && memo.profile == *profile
+            && costs.eq(memo.costs.iter().copied())
+        {
+            Cow::Borrowed(&memo.facts)
         } else {
-            Cow::Owned(InstallFacts::compute(suite, self, profile))
+            Cow::Owned(InstallFacts::compute(suite, self, app, profile))
         }
     }
 
@@ -1366,10 +1477,35 @@ impl CompiledSuite {
     /// range), without re-cloning: the table is interned at compile
     /// time and shared by all machines.
     pub fn task_name(&self, id: u32) -> &str {
-        self.task_names
-            .get(id as usize)
-            .map(AsRef::as_ref)
-            .unwrap_or("")
+        let TaskNames { text, ends } = &self.task_names;
+        let Some(&end) = ends.get(id as usize) else {
+            return "";
+        };
+        let start = match id {
+            0 => 0,
+            _ => ends[id as usize - 1],
+        };
+        &text[start as usize..end as usize]
+    }
+}
+
+/// The application's task names, interned once per suite: one string,
+/// with each name's end offset.
+struct TaskNames {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl TaskNames {
+    fn new(app: &AppGraph) -> Self {
+        let tasks = app.tasks();
+        let mut text = String::with_capacity(tasks.iter().map(|t| t.name.len()).sum());
+        let mut ends = Vec::with_capacity(tasks.len());
+        for t in tasks {
+            text.push_str(&t.name);
+            ends.push(text.len() as u32);
+        }
+        TaskNames { text, ends }
     }
 }
 
@@ -1593,7 +1729,7 @@ mod tests {
         let a = c.access(EventKind::StartTask, 0);
         assert_eq!(a.reads, vec![0, 1]);
         assert_eq!(a.writes, vec![1]);
-        let touched: std::collections::BTreeSet<_> = a.reads.iter().chain(&a.writes).collect();
+        let touched: std::collections::BTreeSet<_> = a.reads.iter().chain(a.writes).collect();
         assert_eq!(touched.len(), 2);
         assert_eq!(a.max_touched_slot(), Some(1));
         assert!(!a.whole_block);
@@ -1666,10 +1802,8 @@ mod tests {
                 assert_eq!(full.code, other.code, "{}", m.name);
                 assert_eq!(full.lits, other.lits, "{}", m.name);
                 assert_eq!(full.max_regs, other.max_regs, "{}", m.name);
-                assert_eq!(full.access, other.access, "{}", m.name);
-                assert_eq!(full.wildcard_access, other.wildcard_access, "{}", m.name);
-                assert_eq!(full.step_cost, other.step_cost, "{}", m.name);
-                assert_eq!(full.wildcard_step_cost, other.wildcard_step_cost);
+                assert_eq!(full.keys, other.keys, "{}", m.name);
+                assert_eq!(full.slots, other.slots, "{}", m.name);
                 assert_eq!(full.layout, other.layout, "{}", m.name);
             }
         }

@@ -186,23 +186,6 @@ impl StateMachine {
     pub fn transitions_from(&self, state: u32) -> impl Iterator<Item = &Transition> {
         self.transitions.iter().filter(move |t| t.from == state)
     }
-
-    /// All task names this machine observes (its own plus `dpTask`s).
-    pub fn observed_tasks(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = Vec::new();
-        for t in &self.transitions {
-            let pat = match &t.trigger {
-                Trigger::Start(p) | Trigger::End(p) => p,
-                Trigger::Any => continue,
-            };
-            if let TaskPat::Named(n) = pat {
-                if !names.contains(&n.as_str()) {
-                    names.push(n);
-                }
-            }
-        }
-        names
-    }
 }
 
 impl fmt::Display for StateMachine {
@@ -283,29 +266,6 @@ mod tests {
         assert_eq!(m.var_index("nope"), None);
         assert_eq!(m.state_index("S1"), Some(1));
         assert_eq!(m.initial_vars(), vec![Value::Int(0), Value::Time(0)]);
-    }
-
-    #[test]
-    fn observed_tasks_dedups() {
-        let mut m = StateMachine::new("m", "a");
-        m.add_state("S");
-        for trigger in [
-            Trigger::Start(TaskPat::named("a")),
-            Trigger::End(TaskPat::named("b")),
-            Trigger::Start(TaskPat::named("a")),
-            Trigger::Any,
-            Trigger::Start(TaskPat::Any),
-        ] {
-            m.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger,
-                guard: None,
-                body: vec![],
-                emit: None,
-            });
-        }
-        assert_eq!(m.observed_tasks(), vec!["a", "b"]);
     }
 
     #[test]

@@ -96,6 +96,26 @@ impl MachineLayout {
         transitions: &[CompiledTransition],
         initial_state: u32,
     ) -> Self {
+        Self::packed_in(
+            var_inits,
+            code,
+            lits,
+            transitions,
+            initial_state,
+            &mut BoundsScratch::default(),
+        )
+    }
+
+    /// [`MachineLayout::packed`] with the interval analysis run in
+    /// `scratch`, which one derivation call reuses across machines.
+    pub(crate) fn packed_in(
+        var_inits: &[Value],
+        code: &[Op],
+        lits: &[Value],
+        transitions: &[CompiledTransition],
+        initial_state: u32,
+        scratch: &mut BoundsScratch,
+    ) -> Self {
         let max_state = transitions
             .iter()
             .map(|t| t.to)
@@ -103,7 +123,7 @@ impl MachineLayout {
             .max()
             .unwrap_or(0);
         let state_bytes = uint_width(max_state as u64);
-        let bounds = int_bounds(var_inits, code, lits);
+        let bounds = intervals(var_inits, code, lits, scratch);
         let mut slots = Vec::with_capacity(var_inits.len());
         let mut off = state_bytes;
         for (i, init) in var_inits.iter().enumerate() {
@@ -112,7 +132,7 @@ impl MachineLayout {
                 VarType::Time => SlotEnc::Time,
                 VarType::Float => SlotEnc::Float,
                 VarType::Int => {
-                    let (lo, hi) = bounds[i];
+                    let (lo, hi) = bounds[i].int_bounds();
                     int_enc(lo, hi)
                 }
             };
@@ -353,6 +373,14 @@ enum AbsVal {
 }
 
 impl AbsVal {
+    /// The interval of an `Int`; the full range for anything else.
+    fn int_bounds(&self) -> (i64, i64) {
+        match *self {
+            AbsVal::Int(lo, hi) => (lo, hi),
+            _ => FULL,
+        }
+    }
+
     fn join(self, other: AbsVal) -> AbsVal {
         use AbsVal::*;
         match (self, other) {
@@ -409,8 +437,31 @@ const FULL: (i64, i64) = (i64::MIN, i64::MAX);
 /// retires at least one slot and the analysis ends within
 /// `(n + 1) · (n + 2)` passes.
 pub fn int_bounds(var_inits: &[Value], code: &[Op], lits: &[Value]) -> Vec<(i64, i64)> {
+    intervals(var_inits, code, lits, &mut BoundsScratch::default())
+        .iter()
+        .map(AbsVal::int_bounds)
+        .collect()
+}
+
+/// The buffers of [`int_bounds`]' passes, reused across machines.
+#[derive(Default)]
+pub(crate) struct BoundsScratch {
+    slots: Vec<AbsVal>,
+    regs: Vec<AbsVal>,
+    moved: Vec<bool>,
+}
+
+/// [`int_bounds`] in `s`: the per-slot abstract values, whose `Int`
+/// intervals are the bounds (any other value reads as the full range).
+fn intervals<'s>(
+    var_inits: &[Value],
+    code: &[Op],
+    lits: &[Value],
+    s: &'s mut BoundsScratch,
+) -> &'s [AbsVal] {
     let n = var_inits.len();
-    let mut slots: Vec<AbsVal> = var_inits.iter().map(AbsVal::of).collect();
+    let BoundsScratch { slots, regs, moved } = s;
+    slots.clear();
 
     // The in-order accumulate-join below is only sound for forward
     // control flow (the verifier's strictly-forward jump rule, which
@@ -421,17 +472,21 @@ pub fn int_bounds(var_inits: &[Value], code: &[Op], lits: &[Value]) -> Vec<(i64,
         .enumerate()
         .any(|(i, op)| op.target().is_some_and(|t| t as usize <= i));
     if backward {
-        return vec![FULL; n];
+        slots.resize(n, AbsVal::Top);
+        return slots;
     }
+    slots.extend(var_inits.iter().map(AbsVal::of));
 
     let regs_len = code.iter().map(Op::reg_span).max().unwrap_or(0).max(1);
-    let mut regs = vec![AbsVal::Bot; regs_len];
-    let mut moved = vec![false; n];
+    regs.clear();
+    regs.resize(regs_len, AbsVal::Bot);
+    moved.clear();
+    moved.resize(n, false);
     let mut streak = 0;
-    while interval_pass(code, lits, &mut slots, &mut regs, &mut moved) {
+    while interval_pass(code, lits, slots, regs, moved) {
         streak += 1;
         if streak >= n + 2 {
-            for (s, &m) in slots.iter_mut().zip(&moved) {
+            for (s, &m) in slots.iter_mut().zip(moved.iter()) {
                 if m {
                     // Only `Int` slots ever move (see `store`).
                     *s = AbsVal::Int(FULL.0, FULL.1);
@@ -440,14 +495,7 @@ pub fn int_bounds(var_inits: &[Value], code: &[Op], lits: &[Value]) -> Vec<(i64,
             streak = 0;
         }
     }
-
     slots
-        .iter()
-        .map(|s| match s {
-            AbsVal::Int(lo, hi) => (*lo, *hi),
-            _ => FULL,
-        })
-        .collect()
 }
 
 /// One in-order pass over `code`, joining every store into `slots`.

@@ -33,17 +33,18 @@
 //! "Removed modes").
 //!
 //! The optimizer rewrites raw parts: [`CompiledMachine::compile_with`]
-//! hands it codegen's [`RawMachine`], and [`CompiledMachine::from_raw`]
-//! then derives the access sets, packed layout and static step costs
-//! once, from the optimized code — derived data is computed once per
-//! compile and can never go stale. One scratch arena serves every
-//! range: liveness is a bitset table and type provenance a running
-//! register file, so once the arena has grown the sweep allocates
-//! nothing.
+//! hands it codegen's instruction stream and transitions, and
+//! [`CompiledMachine::from_raw`] then derives the access sets, packed
+//! layout and static step costs once, from the optimized code — derived
+//! data is computed once per compile and can never go stale. One
+//! scratch arena serves every range of every machine a suite compile
+//! handles: liveness is a bitset table and type provenance a running
+//! register file, so once the arena has grown the sweep allocates only
+//! the optimized stream.
 
 use core::ops::Range;
 
-use crate::compile::{CompiledMachine, Op, RawMachine};
+use crate::compile::{CompiledMachine, CompiledTransition, Op};
 use crate::expr::{BinOp, Value, VarType};
 
 /// How hard [`CompiledMachine::compile`] works on the bytecode.
@@ -64,40 +65,51 @@ pub enum OptLevel {
 /// machine the verifier accepts; a machine with backward or
 /// out-of-range jump targets is returned unchanged.
 pub fn optimize_machine(m: &CompiledMachine) -> CompiledMachine {
-    CompiledMachine::from_raw(optimize_raw(m.to_raw()))
+    let mut raw = m.to_raw();
+    if let Some(code) = sweep(
+        &raw.code,
+        &mut raw.transitions,
+        &raw.lits,
+        &mut raw.max_regs,
+        &mut Scratch::default(),
+    ) {
+        raw.code = code;
+    }
+    CompiledMachine::from_raw(raw)
 }
 
 /// The sweep over raw parts: what [`CompiledMachine::compile_with`]
 /// runs between codegen and the one derivation in
-/// [`CompiledMachine::from_raw`]. Parts with a backward or out-of-range
-/// jump target — shapes the verifier rejects, whose absolute targets
-/// cannot be relocated — come back unchanged.
-pub(crate) fn optimize_raw(mut raw: RawMachine) -> RawMachine {
-    let relocatable = raw.transitions.iter().all(|t| {
+/// [`CompiledMachine::from_raw`]. Reads the stream `code`, rebases
+/// `transitions`' ranges onto the optimized stream it returns and sets
+/// `max_regs` from it. Parts with a backward or out-of-range jump
+/// target — shapes the verifier rejects, whose absolute targets cannot
+/// be relocated — give `None` and are left as they are.
+pub(crate) fn sweep(
+    code: &[Op],
+    transitions: &mut [CompiledTransition],
+    lits: &[Value],
+    max_regs: &mut usize,
+    scratch: &mut Scratch,
+) -> Option<Vec<Op>> {
+    let relocatable = transitions.iter().all(|t| {
         t.guard
             .iter()
             .chain([&t.body])
-            .all(|r| forward_range(&raw.code, r))
+            .all(|r| forward_range(code, r))
     });
     if !relocatable {
-        return raw;
+        return None;
     }
-    let mut scratch = Scratch::default();
-    let mut ops = Vec::new();
-    let mut code = Vec::with_capacity(raw.code.len());
-    for t in &mut raw.transitions {
+    let mut out = Vec::with_capacity(code.len());
+    for t in transitions {
         if let Some(g) = &t.guard {
-            load_range(&raw.code, g, &mut ops);
-            scratch.optimize(&mut ops, &raw.lits, true);
-            t.guard = Some(append_range(&mut code, &ops));
+            t.guard = Some(scratch.range(code, g, lits, true, &mut out));
         }
-        load_range(&raw.code, &t.body, &mut ops);
-        scratch.optimize(&mut ops, &raw.lits, false);
-        t.body = append_range(&mut code, &ops);
+        t.body = scratch.range(code, &t.body, lits, false, &mut out);
     }
-    raw.max_regs = code.iter().map(Op::reg_span).max().unwrap_or(0);
-    raw.code = code;
-    raw
+    *max_regs = out.iter().map(Op::reg_span).max().unwrap_or(0);
+    Some(out)
 }
 
 /// `true` when every branch in `code[range]` lands strictly forward
@@ -139,9 +151,11 @@ fn append_range(code: &mut Vec<Op>, ops: &[Op]) -> Range<u32> {
 }
 
 /// Reusable buffers of the sweep, sized on first use and recycled
-/// across steps and ranges.
+/// across steps, ranges and the machines of one compile call.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
+    /// The range being rewritten, with local targets.
+    ops: Vec<Op>,
     /// Branch-target flags, one per instruction.
     labels: Vec<bool>,
     /// Register liveness (fusion).
@@ -153,6 +167,24 @@ struct Scratch {
 }
 
 impl Scratch {
+    /// Runs the sweep on `code[range]` and appends the result to `out`;
+    /// returns the range it occupies there.
+    fn range(
+        &mut self,
+        code: &[Op],
+        range: &Range<u32>,
+        lits: &[Value],
+        is_guard: bool,
+        out: &mut Vec<Op>,
+    ) -> Range<u32> {
+        let mut ops = std::mem::take(&mut self.ops);
+        load_range(code, range, &mut ops);
+        self.optimize(&mut ops, lits, is_guard);
+        let r = append_range(out, &ops);
+        self.ops = ops;
+        r
+    }
+
     /// Runs the sweep on one range (local targets, exit = `len`).
     fn optimize(&mut self, ops: &mut Vec<Op>, lits: &[Value], is_guard: bool) {
         self.elide_asserts(ops, lits);

@@ -185,7 +185,18 @@ fn lex(text: &str) -> Result<Vec<(Tok, usize)>, Diagnostic> {
                 }
                 toks.push((Tok::Ident(text[start..i].to_string()), start));
             }
-            other => return Err(parse_error(i, format!("unexpected character `{other}`"))),
+            _ => {
+                // Every other arm steps over ASCII bytes only, so `i`
+                // sits on a character boundary: report the whole
+                // character, not its first byte.
+                let ch = text[i..].chars().next().unwrap_or('\u{FFFD}');
+                return Err(Diagnostic::error(
+                    "parse",
+                    "IR",
+                    format!("unexpected character `{ch}`"),
+                )
+                .with_span(Span::new(i, i + ch.len_utf8())));
+            }
         }
     }
     toks.push((Tok::Eof, text.len()));
@@ -721,6 +732,23 @@ mod tests {
         assert!(err.message.contains("unknown state `Z`"));
         let err = parse_machine("machine x task a persistent { }").unwrap_err();
         assert!(err.message.contains("no states"));
+    }
+
+    /// A character outside ASCII is named whole, spanned over all its
+    /// bytes, and rendered as written.
+    #[test]
+    fn non_ascii_characters_are_reported_whole() {
+        for (text, ch) in [("machine é", 'é'), ("machine €", '€')] {
+            let err = parse_suite(text).unwrap_err();
+            assert!(err.message.contains(&format!("`{ch}`")), "{}", err.message);
+            let span = err.span.expect("a lex error carries its span");
+            assert_eq!(span, Span::new(8, 8 + ch.len_utf8()));
+            assert!(text.is_char_boundary(span.end));
+            let rendered = err.render(text);
+            assert!(rendered.contains(ch), "{rendered}");
+            assert!(rendered.contains("column 9"), "{rendered}");
+            assert!(rendered.ends_with("  |         ^\n"), "{rendered}");
+        }
     }
 
     #[test]

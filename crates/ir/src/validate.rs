@@ -10,13 +10,14 @@
 //! names the machine.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use artemis_spec::{sort_diagnostics, Diagnostic};
 
 use crate::expr::{Expr, VarType};
 use artemis_core::app::AppGraph;
 
-use crate::fsm::{MonitorSuite, StateMachine, Stmt, Trigger};
+use crate::fsm::{MonitorSuite, StateMachine, Stmt, TaskPat, Trigger};
 
 /// A validation error in `m`: the machine would fail at runtime.
 fn error(m: &StateMachine, message: String) -> Diagnostic {
@@ -28,95 +29,144 @@ fn warning(m: &StateMachine, message: String) -> Diagnostic {
     Diagnostic::warning("validate", format!("machine `{}`", m.name), message)
 }
 
+/// What one walk of the validation rules keeps: every finding
+/// ([`validate`]), or only the first error ([`validate_strict`]), in
+/// which case the walk stops there and no warning is ever formatted.
+struct Findings<'m> {
+    m: &'m StateMachine,
+    /// `false`: stop at the first error.
+    all: bool,
+    diags: Vec<Diagnostic>,
+}
+
+impl Findings<'_> {
+    /// Records an error; breaks the walk when only the first is kept.
+    fn error(&mut self, msg: impl FnOnce() -> String) -> ControlFlow<()> {
+        self.diags.push(error(self.m, msg()));
+        if self.all {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    }
+
+    /// Records a warning, when every finding is kept.
+    fn warn(&mut self, msg: impl FnOnce() -> String) {
+        if self.all {
+            self.diags.push(warning(self.m, msg()));
+        }
+    }
+}
+
 /// Validates a machine; returns all findings (errors first).
 pub fn validate(m: &StateMachine) -> Vec<Diagnostic> {
-    let mut issues = Vec::new();
-    let err = |issues: &mut Vec<Diagnostic>, msg: String| issues.push(error(m, msg));
-    let warn = |issues: &mut Vec<Diagnostic>, msg: String| issues.push(warning(m, msg));
+    let mut f = Findings {
+        m,
+        all: true,
+        diags: Vec::new(),
+    };
+    let _ = walk(&mut f);
+    sort_diagnostics(&mut f.diags);
+    f.diags
+}
 
+/// Validates a machine and fails on its first error: the first error
+/// [`validate`] lists, found by the same walk, which stops there.
+pub fn validate_strict(m: &StateMachine) -> Result<(), Diagnostic> {
+    let mut f = Findings {
+        m,
+        all: false,
+        diags: Vec::new(),
+    };
+    let _ = walk(&mut f);
+    f.diags.pop().map_or(Ok(()), Err)
+}
+
+/// The validation rules, in the order their findings are listed.
+fn walk(f: &mut Findings) -> ControlFlow<()> {
+    let m = f.m;
     if m.states.is_empty() {
-        err(&mut issues, "machine has no states".into());
-        return issues;
+        f.error(|| "machine has no states".into())?;
+        return ControlFlow::Continue(());
     }
     if m.initial as usize >= m.states.len() {
-        err(
-            &mut issues,
-            format!("initial state index {} out of range", m.initial),
-        );
+        f.error(|| format!("initial state index {} out of range", m.initial))?;
     }
 
     // Duplicate names.
     for (i, v) in m.vars.iter().enumerate() {
         if m.vars[..i].iter().any(|w| w.name == v.name) {
-            err(&mut issues, format!("duplicate variable `{}`", v.name));
+            f.error(|| format!("duplicate variable `{}`", v.name))?;
         }
         if v.init.ty() != v.ty {
-            err(
-                &mut issues,
+            f.error(|| {
                 format!(
                     "variable `{}` declared {} but initialised with {}",
                     v.name,
                     v.ty.keyword(),
                     v.init.ty().keyword()
-                ),
-            );
+                )
+            })?;
         }
     }
     for (i, s) in m.states.iter().enumerate() {
         if m.states[..i].iter().any(|r| r == s) {
-            err(&mut issues, format!("duplicate state `{s}`"));
+            f.error(|| format!("duplicate state `{s}`"))?;
         }
     }
 
     for (ti, t) in m.transitions.iter().enumerate() {
-        let loc = format!("transition #{ti}");
         if t.from as usize >= m.states.len() || t.to as usize >= m.states.len() {
-            err(&mut issues, format!("{loc}: state index out of range"));
+            f.error(|| format!("transition #{ti}: state index out of range"))?;
             continue;
         }
         let allows_dep_data = matches!(t.trigger, Trigger::End(_) | Trigger::Any);
         if let Some(g) = &t.guard {
             match infer(g, m) {
                 Ok(VarType::Bool) => {}
-                Ok(other) => err(
-                    &mut issues,
-                    format!("{loc}: guard has type {}, expected bool", other.keyword()),
-                ),
-                Err(e) => err(&mut issues, format!("{loc}: {e}")),
+                Ok(other) => f.error(|| {
+                    format!(
+                        "transition #{ti}: guard has type {}, expected bool",
+                        other.keyword()
+                    )
+                })?,
+                Err(e) => f.error(|| format!("transition #{ti}: {e}"))?,
             }
             if !allows_dep_data && mentions_dep_data(g) {
-                err(
-                    &mut issues,
-                    format!("{loc}: `depData` read under a startTask trigger"),
-                );
+                f.error(|| format!("transition #{ti}: `depData` read under a startTask trigger"))?;
             }
         }
         for s in &t.body {
-            check_stmt(s, m, &loc, allows_dep_data, &mut issues);
+            check_stmt(s, ti, allows_dep_data, f)?;
         }
 
         // Shadowing: an earlier transition with the same source and an
         // overlapping trigger makes this one dead when it is unguarded
         // (always wins) or carries the identical guard (wins whenever
         // this one would fire).
+        if !f.all {
+            continue;
+        }
         for (pi, p) in m.transitions[..ti].iter().enumerate() {
             if p.from != t.from || !triggers_overlap(&p.trigger, &t.trigger) {
                 continue;
             }
             if p.guard.is_none() {
-                warn(
-                    &mut issues,
-                    format!("{loc}: unreachable, shadowed by unguarded transition #{pi}"),
-                );
+                f.warn(|| {
+                    format!("transition #{ti}: unreachable, shadowed by unguarded transition #{pi}")
+                });
             } else if p.guard == t.guard {
-                warn(
-                    &mut issues,
+                f.warn(|| {
                     format!(
-                        "{loc}: unreachable, shadowed by transition #{pi} with an identical guard"
-                    ),
-                );
+                        "transition #{ti}: unreachable, shadowed by transition #{pi} with an \
+                         identical guard"
+                    )
+                });
             }
         }
+    }
+    if !f.all {
+        return ControlFlow::Continue(());
     }
 
     // Write-only variables: assigned somewhere but read nowhere (no
@@ -134,23 +184,10 @@ pub fn validate(m: &StateMachine) -> Vec<Diagnostic> {
     }
     for v in &m.vars {
         if writes.contains(v.name.as_str()) && !reads.contains(v.name.as_str()) {
-            warn(
-                &mut issues,
-                format!("variable `{}` is assigned but never read", v.name),
-            );
+            f.warn(|| format!("variable `{}` is assigned but never read", v.name));
         }
     }
-
-    sort_diagnostics(&mut issues);
-    issues
-}
-
-/// Validates a machine and fails on its first error.
-pub fn validate_strict(m: &StateMachine) -> Result<(), Diagnostic> {
-    match validate(m).into_iter().next().filter(Diagnostic::is_error) {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    ControlFlow::Continue(())
 }
 
 /// The source-level checks of the install path, run by
@@ -162,11 +199,15 @@ pub fn validate_strict(m: &StateMachine) -> Result<(), Diagnostic> {
 pub fn check_source(suite: &MonitorSuite, app: &AppGraph) -> Result<(), Diagnostic> {
     for m in suite.machines() {
         validate_strict(m)?;
-        if let Some(task) = m
-            .observed_tasks()
-            .into_iter()
-            .find(|t| app.task_by_name(t).is_none())
-        {
+        let unknown = m.transitions.iter().find_map(|t| match &t.trigger {
+            Trigger::Start(TaskPat::Named(n)) | Trigger::End(TaskPat::Named(n))
+                if app.task_by_name(n).is_none() =>
+            {
+                Some(n)
+            }
+            _ => None,
+        });
+        if let Some(task) = unknown {
             return Err(error(m, format!("observes unknown task `{task}`")));
         }
         let mut emits = m.transitions.iter().filter_map(|t| t.emit.as_ref());
@@ -180,21 +221,17 @@ pub fn check_source(suite: &MonitorSuite, app: &AppGraph) -> Result<(), Diagnost
     Ok(())
 }
 
-fn check_stmt(s: &Stmt, m: &StateMachine, loc: &str, dep_ok: bool, issues: &mut Vec<Diagnostic>) {
+fn check_stmt(s: &Stmt, ti: usize, dep_ok: bool, f: &mut Findings) -> ControlFlow<()> {
+    let m = f.m;
     match s {
         Stmt::Assign(name, e) => {
             let Some(idx) = m.var_index(name) else {
-                issues.push(error(
-                    m,
-                    format!("{loc}: assignment to unknown variable `{name}`"),
-                ));
-                return;
+                return f.error(|| {
+                    format!("transition #{ti}: assignment to unknown variable `{name}`")
+                });
             };
             if !dep_ok && mentions_dep_data(e) {
-                issues.push(error(
-                    m,
-                    format!("{loc}: `depData` read under a startTask trigger"),
-                ));
+                f.error(|| format!("transition #{ti}: `depData` read under a startTask trigger"))?;
             }
             match infer(e, m) {
                 Ok(ty) => {
@@ -207,36 +244,35 @@ fn check_stmt(s: &Stmt, m: &StateMachine, loc: &str, dep_ok: bool, issues: &mut 
                                 | (VarType::Int, VarType::Float)
                         );
                     if !compatible {
-                        issues.push(error(
-                            m,
+                        f.error(|| {
                             format!(
-                                "{loc}: assigning {} to `{name}: {}`",
+                                "transition #{ti}: assigning {} to `{name}: {}`",
                                 ty.keyword(),
                                 declared.keyword()
-                            ),
-                        ));
+                            )
+                        })?;
                     }
                 }
-                Err(e) => issues.push(error(m, format!("{loc}: {e}"))),
+                Err(e) => f.error(|| format!("transition #{ti}: {e}"))?,
             }
         }
         Stmt::If(cond, then_b, else_b) => {
             match infer(cond, m) {
                 Ok(VarType::Bool) => {}
-                Ok(other) => issues.push(error(
-                    m,
+                Ok(other) => f.error(|| {
                     format!(
-                        "{loc}: if-condition has type {}, expected bool",
+                        "transition #{ti}: if-condition has type {}, expected bool",
                         other.keyword()
-                    ),
-                )),
-                Err(e) => issues.push(error(m, format!("{loc}: {e}"))),
+                    )
+                })?,
+                Err(e) => f.error(|| format!("transition #{ti}: {e}"))?,
             }
             for s in then_b.iter().chain(else_b) {
-                check_stmt(s, m, loc, dep_ok, issues);
+                check_stmt(s, ti, dep_ok, f)?;
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// Collects variable names an expression reads.
@@ -271,7 +307,6 @@ fn stmt_reads_writes<'m>(s: &'m Stmt, reads: &mut HashSet<&'m str>, writes: &mut
 }
 
 fn triggers_overlap(a: &Trigger, b: &Trigger) -> bool {
-    use crate::fsm::TaskPat;
     match (a, b) {
         (Trigger::Any, _) | (_, Trigger::Any) => true,
         (Trigger::Start(pa), Trigger::Start(pb)) | (Trigger::End(pa), Trigger::End(pb)) => {

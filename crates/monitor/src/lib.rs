@@ -221,7 +221,7 @@ use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
 use artemis_ir::analysis::bounds::{COMPILED_DISPATCH_CYCLES, ROUTING_LOOKUP_CYCLES};
 use artemis_ir::analysis::{
-    commit_groups, ride_ceiling, task_feasibility, MemberCost, SuiteBounds, Verdict,
+    commit_groups, ride_ceiling, MemberCost, SuiteBounds, TaskFeasibility, Verdict,
 };
 use artemis_ir::compile::{CompiledEvent, CompiledSuite};
 use artemis_ir::expr::{EventCtx, Value};
@@ -820,7 +820,7 @@ impl MonitorEngine {
         // A delivery's worklist is its key's interest list, so when the
         // bounds pass cuts every key into one group, so does the engine.
         let profile = dev.energy_profile();
-        let facts = compiled.install_facts(&suite, &profile);
+        let facts = compiled.install_facts(&suite, app, &profile);
         let bounds = &facts.bounds;
         let capacity = bounds.worst_commit_bytes;
         let one_group = bounds.per_key.iter().all(|k| k.groups == 1);
@@ -840,7 +840,7 @@ impl MonitorEngine {
         if let Some(d) = diags.first().filter(|d| d.is_error()) {
             return Err(InstallError::Rejected(d.clone()));
         }
-        let riders = riders(&compiled, bounds, app, &profile);
+        let riders = riders(&compiled, bounds, &facts.feasibility, app, &profile);
         for d in diags.iter() {
             dev.trace_push(artemis_core::trace::TraceEvent::InstallWarning {
                 message: d.to_string(),
@@ -1041,7 +1041,7 @@ impl Engine {
                     .layout()
                     .encode(cmach.initial_state(), cmach.var_inits(), &mut image);
                 let addr = dev
-                    .nv_alloc_raw(image.len(), owner, &format!("{}.block", m.name))
+                    .nv_alloc_raw(image.len(), owner, format!("{}.block", m.name))
                     .map_err(dev_err)?;
                 dev.nv_write_raw(addr, &image).map_err(dev_err)?;
                 machines.push(LoadedMachine {
@@ -1780,7 +1780,9 @@ impl Engine {
 }
 
 /// Each delivery's admission ceiling for riding the runtime's open
-/// record (`Device::set_riders`), per task as `[StartTask, EndTask]`.
+/// record (`Device::set_riders`), per task as `[StartTask, EndTask]`,
+/// from the tasks' energy verdicts (`feasibility`, kept with the
+/// install gate's other suite-level results).
 /// A key whose worklist takes more than one commit group never rides
 /// (`None`): a later group's record needs group 0's to have landed
 /// first. A one-group `StartTask` key always may (`Some(ZERO)`): its
@@ -1796,6 +1798,7 @@ impl Engine {
 fn riders(
     compiled: &CompiledSuite,
     bounds: &SuiteBounds,
+    feasibility: &[TaskFeasibility],
     app: &AppGraph,
     profile: &EnergyProfile,
 ) -> Vec<[Option<Energy>; 2]> {
@@ -1804,7 +1807,7 @@ fn riders(
             .find(|k| k.kind == kind && k.task == Some(task))
             .is_none_or(|k| k.groups == 1)
     };
-    task_feasibility(compiled, bounds, app, profile)
+    feasibility
         .iter()
         .map(|f| {
             let declared = app.task_cost(TaskId(f.task)) != TaskCostDecl::default();
@@ -2818,6 +2821,65 @@ mod tests {
             .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
             .unwrap();
         assert_ne!(engine.cache_stats(), CacheStats::default());
+    }
+
+    /// The rider table comes from the install gate's memo, which is
+    /// keyed on the app's task costs too: one compiled suite installed
+    /// under apps whose costs differ gets, each time, the table a fresh
+    /// `riders` call computes for that app.
+    #[test]
+    fn rider_tables_follow_the_apps_task_costs() {
+        let spec = "accel { maxDuration: 5s onFail: skipTask; } \
+                    send { maxTries: 3 onFail: skipPath; }";
+        let with_cost = |cycles: u64| {
+            let mut b = AppGraphBuilder::new();
+            let a = b.task("accel");
+            let s = b.task("send");
+            b.path(&[a, s]);
+            for t in [a, s] {
+                b.task_cost(
+                    t,
+                    TaskCostDecl {
+                        compute_cycles: cycles,
+                        ..TaskCostDecl::default()
+                    },
+                );
+            }
+            b.build().unwrap()
+        };
+        let apps = [
+            app(),
+            with_cost(1_000),
+            with_cost(1 << 40),
+            with_cost(1_000),
+            app(),
+        ];
+        let suite = artemis_ir::compile(spec, &apps[0]).unwrap();
+        let compiled = Arc::new(CompiledSuite::compile(&suite, &apps[0]).unwrap());
+        let mut tables = Vec::new();
+        for app in &apps {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let profile = dev.energy_profile();
+            MonitorEngine::install_precompiled_shared(
+                &mut dev,
+                suite.clone(),
+                Arc::clone(&compiled),
+                app,
+                InstallOptions::default(),
+            )
+            .unwrap();
+            let bounds = artemis_ir::suite_bounds(&compiled, &profile);
+            let feasibility =
+                artemis_ir::analysis::task_feasibility(&compiled, &bounds, app, &profile);
+            let fresh = riders(&compiled, &bounds, &feasibility, app, &profile);
+            let table = dev.take_riders();
+            assert_eq!(table, fresh);
+            tables.push(table);
+        }
+        // The costs move the table: a declared, feasible cost lets
+        // `accel`'s end ride at any level; an infeasible one does not.
+        assert_ne!(tables[0], tables[1]);
+        assert_ne!(tables[1], tables[2]);
     }
 
     /// The [`ExecMode::Interpreter`] adapter is a host-held

@@ -1,6 +1,8 @@
 //! The install gate's memo ([`CompiledSuite::install_facts`]) is keyed
-//! by the suite handle and the device's energy profile, so a memoised
-//! install is indistinguishable from a fresh one:
+//! by the suite handle, the device's energy profile and the app's task
+//! costs, so a memoised install is indistinguishable from a fresh one
+//! (the monitor crate's `rider_tables_follow_the_apps_task_costs`
+//! covers the costs):
 //!
 //! - another suite on the same compiled suite is analysed afresh (its
 //!   verifier error is still rejected, before FRAM is touched);
@@ -101,15 +103,15 @@ fn another_suite_is_analysed_afresh() {
     assert_eq!(dev_b.fram().traffic(), Default::default());
 
     assert!(matches!(
-        compiled.install_facts(&a, &profile),
+        compiled.install_facts(&a, &app, &profile),
         Cow::Borrowed(_)
     ));
     assert!(matches!(
-        compiled.install_facts(&b, &profile),
+        compiled.install_facts(&b, &app, &profile),
         Cow::Owned(_)
     ));
     assert!(matches!(
-        compiled.install_facts(&a.clone(), &profile),
+        compiled.install_facts(&a.clone(), &app, &profile),
         Cow::Borrowed(_)
     ));
 }
@@ -172,7 +174,7 @@ fn another_profile_gets_its_own_bounds_and_journal() {
     let (big_profile, tiny_profile) = (big.energy_profile(), device(1).energy_profile());
     assert_ne!(big_profile, tiny_profile);
 
-    let tiny_bounds = compiled.install_facts(&suite, &tiny_profile);
+    let tiny_bounds = compiled.install_facts(&suite, &app, &tiny_profile);
     assert!(matches!(tiny_bounds, Cow::Owned(_)));
     assert_eq!(
         tiny_bounds.bounds,
@@ -181,7 +183,7 @@ fn another_profile_gets_its_own_bounds_and_journal() {
     );
     assert_ne!(
         tiny_bounds.bounds,
-        compiled.install_facts(&suite, &big_profile).bounds,
+        compiled.install_facts(&suite, &app, &big_profile).bounds,
         "the two budgets cut different commit groups"
     );
 
@@ -211,7 +213,7 @@ fn set_machine_clears_the_memo() {
     let mut compiled = CompiledSuite::compile(&suite, &app).unwrap();
     let profile = device(1_600_000).energy_profile();
     assert!(compiled
-        .install_facts(&suite, &profile)
+        .install_facts(&suite, &app, &profile)
         .diags
         .iter()
         .all(|d| !d.is_error()));
@@ -252,7 +254,7 @@ fn memoised_install_runs_like_a_fresh_one() {
     install(&mut warm, &suite, &compiled, &app).unwrap();
     let profile = warm.energy_profile();
     assert!(matches!(
-        compiled.install_facts(&suite, &profile),
+        compiled.install_facts(&suite, &app, &profile),
         Cow::Borrowed(_)
     ));
 
@@ -275,7 +277,7 @@ fn memoised_install_runs_like_a_fresh_one() {
         let distinct = fig5(&app);
         assert!(distinct == suite && !distinct.same(&suite));
         assert!(matches!(
-            compiled.install_facts(&distinct, &profile),
+            compiled.install_facts(&distinct, &app, &profile),
             Cow::Owned(_)
         ));
         let memoised = run(h.clone(), &suite);

@@ -50,8 +50,8 @@ impl Channel {
     /// Allocates an empty channel in FRAM.
     pub fn new(dev: &mut Device, owner: MemOwner, label: &str) -> Result<Channel, Interrupt> {
         Ok(Channel {
-            values: dev.nv_alloc([0.0; CHANNEL_CAPACITY], owner, &format!("{label}.values"))?,
-            cursor: dev.nv_alloc((0u16, 0u16), owner, &format!("{label}.cursor"))?,
+            values: dev.nv_alloc([0.0; CHANNEL_CAPACITY], owner, format!("{label}.values"))?,
+            cursor: dev.nv_alloc((0u16, 0u16), owner, format!("{label}.cursor"))?,
         })
     }
 

@@ -176,12 +176,12 @@ impl<T: TaskHeader> PersistentHeader<T> {
         dev: &mut Device,
         init: T,
         owner: MemOwner,
-        label: &str,
+        label: &'static str,
     ) -> Result<Self, Interrupt> {
         let journal = dev.make_journal(JOURNAL_BYTES, owner)?;
         let cell = dev.nv_alloc(init.clone(), owner, label)?;
         dev.sram_mut()
-            .register(owner, &format!("{label} mirror"), T::SIZE);
+            .register(owner, format!("{label} mirror"), T::SIZE);
         Ok(PersistentHeader {
             journal,
             cell,

@@ -400,8 +400,11 @@ impl ArtemisRuntimeBuilder {
             .map_err(dev_err)?;
         engine.reset_monitor(dev).map_err(dev_err)?;
         // Violation trace records carry monitor indices; register the
-        // suite's names so they resolve at render time.
-        dev.trace_mut().set_monitor_names(engine.machine_names());
+        // suite's names so they resolve at render time (a disabled
+        // trace records none).
+        if dev.trace().is_enabled() {
+            dev.trace_mut().set_monitor_names(engine.machine_names());
+        }
 
         Ok(ArtemisRuntime {
             app,
@@ -428,7 +431,7 @@ impl ArtemisRuntimeBuilder {
         self,
         dev: &mut Device,
         init: H,
-        label: &str,
+        label: &'static str,
     ) -> Result<(AppGraph, Tasks, PersistentHeader<H>), Interrupt> {
         let app = self.app;
         let bodies = (self.bodies.into_iter().enumerate())
@@ -443,8 +446,11 @@ impl ArtemisRuntimeBuilder {
             PersistentHeader::alloc(dev, init, owner, label)
         })?;
         let channels = dev.billed(CostCategory::App, |dev| {
-            (self.channels.iter())
-                .map(|name| Ok((name.clone(), Channel::new(dev, MemOwner::App, name)?)))
+            (self.channels.into_iter())
+                .map(|name| {
+                    let channel = Channel::new(dev, MemOwner::App, &name)?;
+                    Ok((name, channel))
+                })
                 .collect::<Result<_, Interrupt>>()
         })?;
         // Volatile footprint of the main loop, for Table 2 reports.

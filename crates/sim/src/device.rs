@@ -18,6 +18,7 @@
 //! sub-write stays billed to whoever staged it.
 
 use core::fmt;
+use std::borrow::Cow;
 
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_core::trace::{Trace, TraceEvent};
@@ -488,7 +489,7 @@ impl Device {
         &mut self,
         init: T,
         owner: MemOwner,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
     ) -> Result<NvCell<T>, Interrupt> {
         self.flush_record()?;
         let cost = self.costs.fram_write(T::SIZE);
@@ -529,7 +530,7 @@ impl Device {
         &mut self,
         size: usize,
         owner: MemOwner,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
     ) -> Result<usize, Interrupt> {
         self.flush_record()?;
         let cost = self.costs.fram_write(size);

@@ -14,6 +14,7 @@
 
 use core::fmt;
 use core::marker::PhantomData;
+use std::borrow::Cow;
 
 use artemis_core::time::{SimDuration, SimInstant};
 
@@ -192,8 +193,9 @@ impl<T: NvData> NvCell<T> {
 /// One recorded allocation, for memory reports.
 #[derive(Clone, Debug)]
 pub struct AllocRecord {
-    /// Descriptive label, e.g. `"monitor.vars"`.
-    pub label: String,
+    /// Descriptive label, e.g. `"monitor.vars"`: a fixed label is
+    /// kept without a copy.
+    pub label: Cow<'static, str>,
     /// Owning component.
     pub owner: MemOwner,
     /// Start address.
@@ -335,7 +337,7 @@ impl Fram {
         &mut self,
         init: T,
         owner: MemOwner,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
     ) -> Result<NvCell<T>, OutOfFram> {
         let addr = self.alloc_raw(T::SIZE, owner, label)?;
         let cell = NvCell {
@@ -351,7 +353,7 @@ impl Fram {
         &mut self,
         size: usize,
         owner: MemOwner,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
     ) -> Result<usize, OutOfFram> {
         let addr = self.bytes.len();
         let available = self.capacity - addr;
@@ -363,7 +365,7 @@ impl Fram {
         }
         self.bytes.resize(addr + size, 0);
         self.allocs.push(AllocRecord {
-            label: label.to_string(),
+            label: label.into(),
             owner,
             addr,
             size,
@@ -469,7 +471,7 @@ impl fmt::Debug for Fram {
 /// power failure so tests can assert that nothing volatile survived.
 #[derive(Clone, Debug, Default)]
 pub struct Sram {
-    registered: Vec<(MemOwner, String, usize)>,
+    registered: Vec<(MemOwner, Cow<'static, str>, usize)>,
     /// Bumps on every power failure; volatile handles embed the
     /// generation they were created in.
     generation: u64,
@@ -482,8 +484,8 @@ impl Sram {
     }
 
     /// Registers `size` bytes of volatile usage for reports.
-    pub fn register(&mut self, owner: MemOwner, label: &str, size: usize) {
-        self.registered.push((owner, label.to_string(), size));
+    pub fn register(&mut self, owner: MemOwner, label: impl Into<Cow<'static, str>>, size: usize) {
+        self.registered.push((owner, label.into(), size));
     }
 
     /// Bytes registered by one owner.

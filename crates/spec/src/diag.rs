@@ -167,8 +167,11 @@ impl Diagnostic {
             return format!("{self}\n");
         };
         let (line_no, col, line) = locate(source, span.start);
-        let width = span.end.saturating_sub(span.start).max(1);
-        let width = width.min(line.len().saturating_sub(col).max(1));
+        // Column and caret count characters, not bytes.
+        let end = (col + span.end.saturating_sub(span.start)).min(line.len());
+        let chars = |r: core::ops::Range<usize>| line.get(r).map(|s| s.chars().count());
+        let width = chars(col..end).unwrap_or(end - col).max(1);
+        let col = chars(0..col).unwrap_or(col);
         format!(
             "{} at line {}, column {}: [{}] {}: {}\n  | {line}\n  | {}{}\n",
             self.severity,

@@ -9,9 +9,10 @@ use crate::diag::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
 
 /// Lexes `source` into tokens (with a trailing `Eof`).
-pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, Diagnostic> {
     let bytes = source.as_bytes();
-    let mut tokens = Vec::new();
+    // Specifications run three to four bytes per token.
+    let mut tokens = Vec::with_capacity(source.len() / 3 + 2);
     let mut i = 0usize;
 
     while i < bytes.len() {
@@ -91,7 +92,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
                     tokens.push(tok(
                         TokenKind::Suffixed {
                             value,
-                            suffix: source[digits_end..i].to_string(),
+                            suffix: &source[digits_end..i],
                         },
                         start,
                         i,
@@ -107,16 +108,16 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
                 {
                     i += 1;
                 }
-                tokens.push(tok(
-                    TokenKind::Ident(source[start..i].to_string()),
-                    start,
-                    i,
-                ));
+                tokens.push(tok(TokenKind::Ident(&source[start..i]), start, i));
             }
-            other => {
+            _ => {
+                // Every other arm steps over ASCII bytes only, so `i`
+                // sits on a character boundary: report the whole
+                // character, not its first byte.
+                let ch = source[i..].chars().next().unwrap_or('\u{FFFD}');
                 return Err(Diagnostic::parse(
-                    Span::new(i, i + other.len_utf8()),
-                    format!("unexpected character `{other}`"),
+                    Span::new(i, i + ch.len_utf8()),
+                    format!("unexpected character `{ch}`"),
                 ));
             }
         }
@@ -125,7 +126,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
     Ok(tokens)
 }
 
-fn tok(kind: TokenKind, start: usize, end: usize) -> Token {
+fn tok(kind: TokenKind<'_>, start: usize, end: usize) -> Token<'_> {
     Token {
         kind,
         span: Span::new(start, end),
@@ -136,7 +137,7 @@ fn tok(kind: TokenKind, start: usize, end: usize) -> Token {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -145,7 +146,7 @@ mod tests {
         assert_eq!(
             kinds("send: { }"),
             vec![
-                TokenKind::Ident("send".into()),
+                TokenKind::Ident("send"),
                 TokenKind::Colon,
                 TokenKind::LBrace,
                 TokenKind::RBrace,
@@ -161,15 +162,15 @@ mod tests {
             vec![
                 TokenKind::Suffixed {
                     value: 5,
-                    suffix: "min".into()
+                    suffix: "min"
                 },
                 TokenKind::Suffixed {
                     value: 100,
-                    suffix: "ms".into()
+                    suffix: "ms"
                 },
                 TokenKind::Suffixed {
                     value: 3,
-                    suffix: "s".into()
+                    suffix: "s"
                 },
                 TokenKind::Int(10),
                 TokenKind::Eof,
@@ -197,11 +198,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             kinds("a // whole line\nb"),
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof,
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Ident("b"), TokenKind::Eof,]
         );
     }
 
@@ -211,12 +208,12 @@ mod tests {
             "MITD: 5min dpTask: accel onFail: restartPath maxAttempt: 3 onFail: skipPath Path: 2;",
         );
         assert_eq!(toks.len(), 20);
-        assert_eq!(toks[0], TokenKind::Ident("MITD".into()));
+        assert_eq!(toks[0], TokenKind::Ident("MITD"));
         assert_eq!(
             toks[2],
             TokenKind::Suffixed {
                 value: 5,
-                suffix: "min".into()
+                suffix: "min"
             }
         );
         assert_eq!(toks[18], TokenKind::Semi);
@@ -227,6 +224,23 @@ mod tests {
         let err = lex("a ? b").unwrap_err();
         assert!(err.message.contains('?'));
         assert_eq!(err.span.map(|s| s.start), Some(2));
+    }
+
+    /// A character outside ASCII is named whole, spanned over all its
+    /// bytes, and rendered as written.
+    #[test]
+    fn non_ascii_characters_are_reported_whole() {
+        for (src, ch) in [("a é", 'é'), ("a €", '€')] {
+            let err = lex(src).unwrap_err();
+            assert!(err.message.contains(&format!("`{ch}`")), "{}", err.message);
+            let span = err.span.expect("a lex error carries its span");
+            assert_eq!(span, Span::new(2, 2 + ch.len_utf8()));
+            assert!(src.is_char_boundary(span.end));
+            let rendered = err.render(src);
+            assert!(rendered.contains(ch), "{rendered}");
+            assert!(rendered.contains("column 3"), "{rendered}");
+            assert!(rendered.ends_with("  |   ^\n"), "{rendered}");
+        }
     }
 
     #[test]
@@ -240,7 +254,7 @@ mod tests {
     fn underscores_in_idents() {
         assert_eq!(
             kinds("body_temp2"),
-            vec![TokenKind::Ident("body_temp2".into()), TokenKind::Eof]
+            vec![TokenKind::Ident("body_temp2"), TokenKind::Eof]
         );
     }
 }

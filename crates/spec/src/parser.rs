@@ -45,25 +45,27 @@ pub fn parse(source: &str) -> Result<SpecAst, Diagnostic> {
     Parser { tokens, pos: 0 }.spec()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Tokens borrow the source text; only the names the AST keeps are
+/// copied out of it.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, Diagnostic> {
+    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token<'a>, Diagnostic> {
         if &self.peek().kind == kind {
             Ok(self.bump())
         } else {
@@ -74,8 +76,15 @@ impl Parser {
         }
     }
 
+    /// An identifier the AST keeps.
     fn ident(&mut self, what: &str) -> Result<Spanned<String>, Diagnostic> {
-        match self.peek().kind.clone() {
+        self.word(what)
+            .map(|w| Spanned::new(w.value.to_string(), w.span))
+    }
+
+    /// An identifier or keyword, borrowed from the source.
+    fn word(&mut self, what: &str) -> Result<Spanned<&'a str>, Diagnostic> {
+        match self.peek().kind {
             TokenKind::Ident(name) => {
                 let span = self.bump().span;
                 Ok(Spanned::new(name, span))
@@ -88,7 +97,7 @@ impl Parser {
     }
 
     fn int(&mut self, what: &str) -> Result<Spanned<u64>, Diagnostic> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 let span = self.bump().span;
                 Ok(Spanned::new(v, span))
@@ -130,9 +139,9 @@ impl Parser {
     }
 
     fn prop(&mut self) -> Result<PropDecl, Diagnostic> {
-        let kw = self.ident("a property keyword")?;
+        let kw = self.word("a property keyword")?;
         self.expect(&TokenKind::Colon, "`:` after the property keyword")?;
-        let kind = match kw.value.as_str() {
+        let kind = match kw.value {
             "period" => PropKind::Period(self.time()?),
             "maxTries" => PropKind::MaxTries(self.int("an attempt count")?.value),
             "maxDuration" => PropKind::MaxDuration(self.time()?),
@@ -161,11 +170,14 @@ impl Parser {
 
     fn modifiers(&mut self, decl: &mut PropDecl) -> Result<(), Diagnostic> {
         loop {
-            let (name, span) = match &self.peek().kind {
-                TokenKind::Ident(name) => (name.clone(), self.peek().span),
+            let (name, span) = match self.peek() {
+                Token {
+                    kind: TokenKind::Ident(name),
+                    span,
+                } => (name, span),
                 _ => return Ok(()),
             };
-            match name.as_str() {
+            match name {
                 "dpTask" => {
                     self.bump();
                     self.expect(&TokenKind::Colon, "`:` after `dpTask`")?;
@@ -245,8 +257,8 @@ impl Parser {
     }
 
     fn action(&mut self) -> Result<Spanned<AstAction>, Diagnostic> {
-        let kw = self.ident("an action keyword")?;
-        AstAction::from_keyword(&kw.value)
+        let kw = self.word("an action keyword")?;
+        AstAction::from_keyword(kw.value)
             .map(|a| Spanned::new(a, kw.span))
             .ok_or_else(|| {
                 Diagnostic::parse(
@@ -263,10 +275,10 @@ impl Parser {
     /// A duration literal: `5min`, `100ms`, `3s`, `2h`, `500us`; a bare
     /// integer means milliseconds (matching the paper's default axis).
     fn time(&mut self) -> Result<SimDuration, Diagnostic> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Suffixed { value, suffix } => {
                 let span = self.bump().span;
-                match suffix.as_str() {
+                match suffix {
                     "us" => Ok(SimDuration::from_micros(value)),
                     "ms" => Ok(SimDuration::from_millis(value)),
                     "s" | "sec" => Ok(SimDuration::from_secs(value)),
@@ -292,10 +304,10 @@ impl Parser {
     /// An energy literal for the extension property: `10uJ`, `1mJ`,
     /// `500nJ`; result in nanojoules.
     fn energy(&mut self) -> Result<u64, Diagnostic> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Suffixed { value, suffix } => {
                 let span = self.bump().span;
-                match suffix.as_str() {
+                match suffix {
                     "nJ" => Ok(value),
                     "uJ" => Ok(value.saturating_mul(1_000)),
                     "mJ" => Ok(value.saturating_mul(1_000_000)),
@@ -320,7 +332,7 @@ impl Parser {
         } else {
             false
         };
-        let v = match self.peek().kind.clone() {
+        let v = match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 v as f64

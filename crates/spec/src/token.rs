@@ -4,11 +4,12 @@ use core::fmt;
 
 use crate::diag::Span;
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
+/// A lexical token. Identifiers and unit suffixes borrow the source
+/// text, so lexing allocates only the token list.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum TokenKind<'a> {
     /// An identifier or keyword (`send`, `MITD`, `onFail`, …).
-    Ident(String),
+    Ident(&'a str),
     /// An unsuffixed integer (`10`).
     Int(u64),
     /// A floating-point number (`36.5`).
@@ -18,7 +19,7 @@ pub enum TokenKind {
         /// The numeric part.
         value: u64,
         /// The suffix letters, as written.
-        suffix: String,
+        suffix: &'a str,
     },
     /// `:`
     Colon,
@@ -40,7 +41,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -61,10 +62,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source location.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it was lexed.
     pub span: Span,
 }
