@@ -15,7 +15,7 @@
 //! asserts it under `cargo test`, and the binary exits non-zero
 //! otherwise.
 
-use artemis_core::app::{AppGraph, AppGraphBuilder};
+use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
 use artemis_ir::Source;
 use artemis_spec::{sort_diagnostics, Diagnostic};
 
@@ -62,30 +62,32 @@ fn first_raw_string(src: &str) -> Option<&str> {
 }
 
 /// Lints one target through [`artemis_ir::lint`] against the default
-/// wearable profile, pairing every finding and energy verdict with
-/// `target`.
+/// wearable profile, pairing every finding with `target` and every
+/// energy verdict with `target` and its task's name.
 fn lint_target(
     target: &str,
     source: Source<'_>,
     app: &AppGraph,
     out: &mut Vec<(String, Diagnostic)>,
-    verdicts: &mut Vec<(String, artemis_ir::analysis::TaskFeasibility)>,
+    verdicts: &mut Vec<EnergyRow>,
 ) {
     let lint = artemis_ir::lint(source, app, Some(&wearable_profile()));
     out.extend(lint.diags.into_iter().map(|d| (target.to_string(), d)));
-    verdicts.extend(
-        lint.feasibility
-            .into_iter()
-            .map(|f| (target.to_string(), f)),
-    );
+    verdicts.extend(lint.feasibility.into_iter().map(|f| {
+        let task = app.task_name(TaskId(f.task)).to_string();
+        (target.to_string(), task, f)
+    }));
 }
+
+/// One energy verdict of the report: target, task name, verdict.
+type EnergyRow = (String, String, artemis_ir::analysis::TaskFeasibility);
 
 /// Runs the lint over every shipped specification and example monitor.
 /// Returns the report plus the number of error-severity findings (the
 /// CI gate).
 pub fn analyze_all() -> (Report, usize) {
     let mut findings: Vec<(String, Diagnostic)> = Vec::new();
-    let mut verdicts: Vec<(String, artemis_ir::analysis::TaskFeasibility)> = Vec::new();
+    let mut verdicts: Vec<EnergyRow> = Vec::new();
 
     lint_target(
         "samples::FIGURE5",
@@ -145,7 +147,7 @@ pub fn analyze_all() -> (Report, usize) {
         ]);
     }
     let profile = wearable_profile();
-    for (target, f) in &verdicts {
+    for (target, task, f) in &verdicts {
         use artemis_ir::analysis::Verdict;
         r.row(vec![
             target.clone(),
@@ -156,7 +158,7 @@ pub fn analyze_all() -> (Report, usize) {
                 Verdict::Infeasible => "infeasible",
             }
             .to_string(),
-            format!("task {}", f.name),
+            format!("task {task}"),
             format!(
                 "attempt floor {} / ceiling {} vs {} budget",
                 f.floor, f.ceiling, profile.budget

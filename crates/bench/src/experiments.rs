@@ -991,20 +991,21 @@ pub fn energy() -> Report {
         let mut misses = Vec::new();
         for f in &feas {
             let t = f.task as usize;
+            let name = || compiled.task_name(f.task).to_string();
             if full_attempts[t] > 0 && completions[t] == 0 {
-                replay_dnf.push(f.name.clone());
+                replay_dnf.push(name());
             }
             match f.verdict {
                 Verdict::Infeasible => {
-                    infeasible.push(f.name.clone());
+                    infeasible.push(name());
                     if completions[t] > 0 {
-                        misses.push(format!("{} (false infeasible)", f.name));
+                        misses.push(format!("{} (false infeasible)", name()));
                     }
                 }
-                Verdict::Marginal => marginal.push(f.name.clone()),
+                Verdict::Marginal => marginal.push(name()),
                 Verdict::Feasible => {
                     if full_attempts[t] > 0 && completions[t] == 0 {
-                        misses.push(format!("{} (false feasible)", f.name));
+                        misses.push(format!("{} (false feasible)", name()));
                     }
                 }
             }

@@ -50,7 +50,7 @@ impl Action {
 
     /// Picks the action the runtime should obey among several proposals.
     ///
-    /// Returns `None` for an empty slice. Ties keep the earliest
+    /// Returns `None` for no proposals. Ties keep the earliest
     /// proposal, making arbitration deterministic in monitor order.
     ///
     /// # Examples
@@ -65,8 +65,9 @@ impl Action {
     /// ]);
     /// assert_eq!(winner, Some(Action::SkipPath(PathId(1))));
     /// ```
-    pub fn arbitrate(proposals: &[Action]) -> Option<Action> {
-        proposals.iter().copied().rev().max_by_key(|a| a.severity())
+    pub fn arbitrate<'a>(proposals: impl IntoIterator<Item = &'a Action>) -> Option<Action> {
+        // `min_by_key` keeps the first of equal keys.
+        (proposals.into_iter().copied()).min_by_key(|a| core::cmp::Reverse(a.severity()))
     }
 
     /// Returns the path this action is directed at, if any.

@@ -199,10 +199,8 @@ pub enum Verdict {
 /// Per-task result of the energy feasibility analysis.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TaskFeasibility {
-    /// Dense task id.
+    /// Dense task id; [`CompiledSuite::task_name`] names it.
     pub task: u32,
-    /// Source-level task name.
-    pub name: String,
     /// Under-approximation of any successful attempt: declared body
     /// cost + the two events' [`delivery_floor`]s.
     pub floor: Energy,
@@ -257,7 +255,6 @@ pub fn task_feasibility(
             };
             TaskFeasibility {
                 task: t,
-                name: compiled.task_name(t).to_string(),
                 floor,
                 ceiling,
                 verdict,
@@ -266,21 +263,22 @@ pub fn task_feasibility(
         .collect()
 }
 
-/// Cross-checks every task's attempt energy against the device energy
-/// profile. Infeasible tasks produce errors (the install must be
-/// rejected before FRAM allocation); Marginal tasks produce warnings.
+/// The findings of the tasks' energy verdicts `feasibility`
+/// ([`task_feasibility`] of `compiled` against `profile`): Infeasible
+/// tasks produce errors (the install must be rejected before FRAM
+/// allocation); Marginal tasks produce warnings.
 pub fn check_energy(
     compiled: &CompiledSuite,
-    bounds: &SuiteBounds,
-    app: &AppGraph,
+    feasibility: &[TaskFeasibility],
     profile: &EnergyProfile,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for f in task_feasibility(compiled, bounds, app, profile) {
+    for f in feasibility {
+        let subject = || format!("task {}", compiled.task_name(f.task));
         match f.verdict {
             Verdict::Infeasible => diags.push(Diagnostic::error(
                 "energy",
-                format!("task {}", f.name),
+                subject(),
                 format!(
                     "one atomic attempt needs at least {} but the capacitor buffers only {}: \
                      the task can never complete (every attempt browns out and replays)",
@@ -289,7 +287,7 @@ pub fn check_energy(
             )),
             Verdict::Marginal => diags.push(Diagnostic::warning(
                 "energy",
-                format!("task {}", f.name),
+                subject(),
                 format!(
                     "worst-case attempt energy {} is within {}% of the {} budget \
                      (margin threshold {})",
@@ -377,7 +375,7 @@ mod tests {
         let fs = task_feasibility(&cs, &b, &app, &profile);
         assert_eq!(fs.len(), 2);
         let fa = &fs[0];
-        assert_eq!(fa.name, "a");
+        assert_eq!(cs.task_name(fa.task), "a");
         assert!(fa.floor < fa.ceiling, "{fa:?}");
         // The floor includes the declared body (10k cycles ≈ 3.6 µJ +
         // 1 ms idle ≈ 3 nJ) plus two routing lookups.
@@ -420,11 +418,14 @@ mod tests {
         let app = app_with_costs(100_000);
         let cs = compiled(&app);
         let b = crate::analysis::suite_bounds(&cs, &roomy());
+        let check = |profile: &EnergyProfile| {
+            check_energy(&cs, &task_feasibility(&cs, &b, &app, profile), profile)
+        };
         let ok = EnergyProfile::with_budget(Energy::from_micro_joules(800));
-        assert!(check_energy(&cs, &b, &app, &ok).is_empty());
+        assert!(check(&ok).is_empty());
 
         let starved = EnergyProfile::with_budget(Energy::from_micro_joules(1));
-        let diags = check_energy(&cs, &b, &app, &starved);
+        let diags = check(&starved);
         assert!(
             diags
                 .iter()
@@ -436,7 +437,7 @@ mod tests {
         let marginal = EnergyProfile::with_budget(Energy::from_pico_joules(
             fs[0].ceiling.as_pico_joules() + 1,
         ));
-        let diags = check_energy(&cs, &b, &app, &marginal);
+        let diags = check(&marginal);
         assert!(
             diags.iter().any(|d| !d.is_error() && d.pass == "energy"),
             "{diags:?}"
@@ -499,13 +500,13 @@ mod tests {
             assert!(
                 f.ceiling <= n.ceiling,
                 "{}: {:?} vs {:?}",
-                f.name,
+                full.task_name(f.task),
                 f.ceiling,
                 n.ceiling
             );
         }
-        let fa = ff.iter().find(|f| f.name == "a").unwrap();
-        let na = fn_.iter().find(|f| f.name == "a").unwrap();
+        let fa = ff.iter().find(|f| full.task_name(f.task) == "a").unwrap();
+        let na = fn_.iter().find(|f| none.task_name(f.task) == "a").unwrap();
         assert!(
             fa.ceiling < na.ceiling,
             "task a's ceiling must strictly tighten"

@@ -155,9 +155,12 @@ pub fn lint(source: Source<'_>, app: &AppGraph, energy: Option<&EnergyProfile>) 
     lint.diags.extend(analyze_suite(suite, &compiled, None));
     if let Some(profile) = energy {
         let bounds = suite_bounds(&compiled, profile);
-        lint.diags
-            .extend(analysis::check_energy(&compiled, &bounds, app, profile));
         lint.feasibility = analysis::task_feasibility(&compiled, &bounds, app, profile);
+        lint.diags.extend(analysis::check_energy(
+            &compiled,
+            &lint.feasibility,
+            profile,
+        ));
     }
     lint
 }

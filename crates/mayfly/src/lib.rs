@@ -55,7 +55,6 @@ use artemis_runtime::header::STATUS_READY;
 use artemis_runtime::{next_cursor, ArtemisRuntimeBuilder, PersistentHeader, TaskHeader, Tasks};
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
 use intermittent_sim::fram::NvData;
-use intermittent_sim::journal::TxWriter;
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
 /// Maximum number of freshness/collect rules.
@@ -88,6 +87,28 @@ enum Rule {
         producer: TaskId,
         count: u32,
     },
+}
+
+impl Rule {
+    /// Returns `true` when this rule concerns `task` on path `cur_path`
+    /// of `app`.
+    ///
+    /// Mayfly ties properties to data flowing along task-graph edges,
+    /// so a rule is only active on paths that actually contain its
+    /// producer (the benchmark's `send` is merged across three paths
+    /// and must not check `accel` freshness while on the temperature
+    /// path).
+    fn active(&self, app: &AppGraph, task: TaskId, cur_path: PathId) -> bool {
+        let (consumer, producer) = match self {
+            Rule::Expiration {
+                consumer, producer, ..
+            }
+            | Rule::Collect {
+                consumer, producer, ..
+            } => (*consumer, *producer),
+        };
+        consumer == task && app.path(cur_path).tasks.contains(&producer)
+    }
 }
 
 /// Builder for [`MayflyRuntime`].
@@ -272,27 +293,8 @@ impl MayflyRuntime {
                 status: STATUS_READY,
                 ..self.header.read(dev, &self.app)?
             };
-            self.header.commit(dev, &mut TxWriter::new(), next)
+            self.header.commit(dev, next)
         })
-    }
-
-    /// Returns `true` when `rule` concerns `task` on the current path.
-    ///
-    /// Mayfly ties properties to data flowing along task-graph edges,
-    /// so a rule is only active on paths that actually contain its
-    /// producer (the benchmark's `send` is merged across three paths
-    /// and must not check `accel` freshness while on the temperature
-    /// path).
-    fn rule_active(&self, rule: &Rule, task: TaskId, cur_path: PathId) -> bool {
-        let (consumer, producer) = match rule {
-            Rule::Expiration {
-                consumer, producer, ..
-            }
-            | Rule::Collect {
-                consumer, producer, ..
-            } => (*consumer, *producer),
-        };
-        consumer == task && self.app.path(cur_path).tasks.contains(&producer)
     }
 
     /// `props_satisfied(t, p)` from the paper's Figure 2(b): the inline
@@ -307,7 +309,7 @@ impl MayflyRuntime {
         let h = self.header.read(dev, &self.app)?;
         for (ri, rule) in self.rules.iter().enumerate() {
             dev.compute(CHECK_CYCLES)?;
-            if !self.rule_active(rule, task, cur_path) {
+            if !rule.active(&self.app, task, cur_path) {
                 continue;
             }
             match rule {
@@ -333,6 +335,10 @@ impl MayflyRuntime {
         Ok(true)
     }
 
+    /// Runs `task`'s body and commits its effects with its freshness
+    /// rows and the advance past it as one record, tracing the task's
+    /// end once it lands, then the path's completion if the task ended
+    /// it.
     fn run_task(
         &mut self,
         dev: &mut Device,
@@ -340,56 +346,51 @@ impl MayflyRuntime {
         cur_path: PathId,
     ) -> Result<(), Interrupt> {
         dev.trace_push(TraceEvent::TaskStart { task, attempt: 1 });
-        let mut tx = TxWriter::new();
-        self.tasks.run_body(dev, task, &mut tx)?;
+        let MayflyRuntime {
+            app,
+            tasks,
+            rules,
+            header,
+        } = self;
+        header.with_write_set(|tx| {
+            tasks.run_body(dev, task, tx)?;
 
-        dev.compute(TASK_FINISH_CYCLES)?;
-        // Update the task's freshness rows atomically with its effects.
-        let mut next = self.header.read(dev, &self.app)?;
-        let t = task.index();
-        next.end_times[t] = dev.now().as_micros();
-        next.completions[t] = next.completions[t].saturating_add(1);
-        for (ri, rule) in self.rules.iter().enumerate() {
-            if let Rule::Collect { producer, .. } = rule {
-                if *producer == task {
-                    next.rule_counts[ri] = next.rule_counts[ri].saturating_add(1);
+            dev.compute(TASK_FINISH_CYCLES)?;
+            // Update the task's freshness rows atomically with its
+            // effects.
+            let mut h = header.read(dev, app)?;
+            let t = task.index();
+            h.end_times[t] = dev.now().as_micros();
+            h.completions[t] = h.completions[t].saturating_add(1);
+            for (ri, rule) in rules.iter().enumerate() {
+                if let Rule::Collect { producer, .. } = rule {
+                    if *producer == task {
+                        h.rule_counts[ri] = h.rule_counts[ri].saturating_add(1);
+                    }
+                }
+                // Collected data is consumed when the consumer
+                // *commits* (mirrors the channel semantics: a power
+                // failure before commit re-runs the task with its
+                // inputs intact).
+                if matches!(rule, Rule::Collect { .. }) && rule.active(app, task, cur_path) {
+                    h.rule_counts[ri] = 0;
                 }
             }
-            // Collected data is consumed when the consumer *commits*
-            // (mirrors the channel semantics: a power failure before
-            // commit re-runs the task with its inputs intact).
-            if matches!(rule, Rule::Collect { .. }) && self.rule_active(rule, task, cur_path) {
-                next.rule_counts[ri] = 0;
+            // ... and the advance past it, in the same record.
+            let path = PathId(h.cur_path);
+            let (next_path, next_idx, path_done) = next_cursor(app, h.cur_path, h.cur_idx);
+            let next = Header {
+                cur_path: next_path,
+                cur_idx: next_idx,
+                status: STATUS_READY,
+                ..h
+            };
+            header.commit_traced(dev, tx, next, Some(TraceEvent::TaskEnd { task }))?;
+            if path_done {
+                dev.trace_push(TraceEvent::PathComplete { path });
             }
-        }
-        // ... and the advance past it, in the same record.
-        let landed = Some(TraceEvent::TaskEnd { task });
-        self.advance(dev, &mut tx, next, landed)
-    }
-
-    /// Commits `tx` with `h`'s cursor moved past its task, ready,
-    /// tracing `landed` once the record lands, then the path's
-    /// completion if the task ended it.
-    fn advance(
-        &self,
-        dev: &mut Device,
-        tx: &mut TxWriter,
-        h: Header,
-        landed: Option<TraceEvent>,
-    ) -> Result<(), Interrupt> {
-        let path = PathId(h.cur_path);
-        let (cur_path, cur_idx, path_done) = next_cursor(&self.app, h.cur_path, h.cur_idx);
-        let next = Header {
-            cur_path,
-            cur_idx,
-            status: STATUS_READY,
-            ..h
-        };
-        self.header.commit_traced(dev, tx, next, landed)?;
-        if path_done {
-            dev.trace_push(TraceEvent::PathComplete { path });
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn main_loop(&mut self, dev: &mut Device) -> Result<MayflyOutcome, Interrupt> {
@@ -413,8 +414,7 @@ impl MayflyRuntime {
                 dev.trace_push(TraceEvent::ActionTaken {
                     action: artemis_core::action::Action::RestartPath(cur_path),
                 });
-                self.header
-                    .commit(dev, &mut TxWriter::new(), Header { cur_idx: 0, ..h })?;
+                self.header.commit(dev, Header { cur_idx: 0, ..h })?;
                 dev.trace_push(TraceEvent::PathStart { path: cur_path });
             }
         }

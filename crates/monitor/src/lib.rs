@@ -831,9 +831,19 @@ impl MonitorEngine {
         // bounds, so the gate skips the capacity cross-check.
         let mut diags = std::borrow::Cow::Borrowed(facts.diags.as_slice());
         if let Some(gate) = energy {
+            // The memo holds the verdicts on the device's own profile.
+            let priced;
+            let feasibility = if gate == profile {
+                &facts.feasibility
+            } else {
+                priced = artemis_ir::analysis::task_feasibility(&compiled, bounds, app, &gate);
+                &priced
+            };
             let diags = diags.to_mut();
             diags.extend(artemis_ir::analysis::check_energy(
-                &compiled, bounds, app, &gate,
+                &compiled,
+                feasibility,
+                &gate,
             ));
             artemis_spec::sort_diagnostics(diags);
         }
@@ -1090,8 +1100,8 @@ impl Engine {
             // against).
             let blocks = machines.iter().map(|lm| lm.initial_image.len()).sum();
             let sram = dev.sram_mut();
-            sram.register(owner, "shadow: machine images", blocks);
-            sram.register(owner, "shadow: armed header", header.cell(slots));
+            sram.register(owner, blocks);
+            sram.register(owner, header.cell(slots));
             let cache = RefCell::new(ShadowCache::new(
                 dev.sram().generation(),
                 machines.len(),

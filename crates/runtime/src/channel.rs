@@ -24,19 +24,47 @@
 //!   stages two sub-writes: the 8-byte target slot (`head + len`, or
 //!   `head` when the ring is full and the oldest sample is dropped) and
 //!   the updated cursor. The slot array is never read.
-//! - [`Channel::read_all`] reads the cursor, then only the occupied
+//! - [`Channel::samples`] reads the cursor, then only the occupied
 //!   slots: one FRAM read, or two when the ring wraps —
 //!   `8·len + 4` bytes in all. Staged slot writes are laid over them
-//!   ([`Device::tx_read_raw`]), so a task sees its own pushes.
+//!   ([`Device::tx_read_raw`]), so a task sees its own pushes. The
+//!   samples come back inline ([`Samples`]), so a task body that reads
+//!   a channel allocates nothing; [`Channel::read_all`] copies them
+//!   into a `Vec` for inspection.
 //! - [`Channel::clear`] stages one cursor word.
 
 pub use artemis_core::app::CHANNEL_CAPACITY;
+use core::fmt;
+use core::ops::Deref;
+
 use intermittent_sim::device::{Device, Interrupt, MemOwner};
 use intermittent_sim::fram::NvCell;
 use intermittent_sim::journal::TxWriter;
 
 /// Bytes per sample slot.
 const SLOT: usize = 8;
+
+/// A channel's samples, oldest first, held inline — at most
+/// [`CHANNEL_CAPACITY`] of them; dereferences to a slice.
+#[derive(Clone, Copy)]
+pub struct Samples {
+    values: [f64; CHANNEL_CAPACITY],
+    len: usize,
+}
+
+impl Deref for Samples {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+}
+
+impl fmt::Debug for Samples {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A nonvolatile sample channel.
 #[derive(Clone, Copy, Debug)]
@@ -84,7 +112,7 @@ impl Channel {
     }
 
     /// Reads all committed-or-staged samples, oldest first.
-    pub fn read_all(&self, dev: &mut Device, tx: &TxWriter) -> Result<Vec<f64>, Interrupt> {
+    pub fn samples(&self, dev: &mut Device, tx: &TxWriter) -> Result<Samples, Interrupt> {
         let (len, head) = self.cursor(dev, tx)?;
         let mut bytes = [0u8; CHANNEL_CAPACITY * SLOT];
         let first = len.min(CHANNEL_CAPACITY - head);
@@ -94,10 +122,19 @@ impl Channel {
         if first < len {
             dev.tx_read_raw(tx, self.slot_addr(0), &mut bytes[first * SLOT..len * SLOT])?;
         }
-        Ok(bytes[..len * SLOT]
-            .chunks_exact(SLOT)
-            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-            .collect())
+        let mut values = [0.0; CHANNEL_CAPACITY];
+        for (v, b) in values
+            .iter_mut()
+            .zip(bytes[..len * SLOT].chunks_exact(SLOT))
+        {
+            *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        }
+        Ok(Samples { values, len })
+    }
+
+    /// [`Channel::samples`], copied into a `Vec`.
+    pub fn read_all(&self, dev: &mut Device, tx: &TxWriter) -> Result<Vec<f64>, Interrupt> {
+        Ok(self.samples(dev, tx)?.to_vec())
     }
 
     /// Number of samples (committed or staged).

@@ -30,12 +30,18 @@
 //! a plain write of one field ([`PersistentHeader::write`]) carries
 //! only that field's changed bytes, as one span.
 //!
+//! Every commit stages into the header's **one write-set**, sized to
+//! its journal at install and emptied before each use
+//! ([`PersistentHeader::with_write_set`]): a task's effects, the
+//! header runs after them, and the commits that carry only header runs.
+//! A warm task boundary therefore allocates nothing.
+//!
 //! Every task completion is traced as the record that commits it lands
 //! (`TraceEvent::TaskEnd`, pushed by the device at the record's flag
 //! write), so a commit that recovery completes after a power failure
 //! is traced once, before the failure.
 
-use core::cell::RefCell;
+use core::cell::{Cell, RefCell};
 use core::ops::Range;
 
 use artemis_core::app::{AppGraph, PathId, TaskId};
@@ -155,6 +161,9 @@ pub struct PersistentHeader<T: NvData> {
     journal: Journal,
     cell: NvCell<T>,
     mirror: RefCell<Mirror<T>>,
+    /// The write-set every commit stages into, sized to the journal;
+    /// taken out while in use ([`PersistentHeader::with_write_set`]).
+    write_set: Cell<TxWriter>,
 }
 
 struct Mirror<T> {
@@ -171,7 +180,7 @@ impl<T: TaskHeader> PersistentHeader<T> {
     /// Allocates the journal, then the region holding `init`, and
     /// registers the mirror's bytes as volatile state of `owner`. The
     /// mirror starts empty: the first [`PersistentHeader::read`] fills
-    /// it.
+    /// it. The write-set holds a whole journal record without growing.
     pub fn alloc(
         dev: &mut Device,
         init: T,
@@ -180,8 +189,7 @@ impl<T: TaskHeader> PersistentHeader<T> {
     ) -> Result<Self, Interrupt> {
         let journal = dev.make_journal(JOURNAL_BYTES, owner)?;
         let cell = dev.nv_alloc(init.clone(), owner, label)?;
-        dev.sram_mut()
-            .register(owner, format!("{label} mirror"), T::SIZE);
+        dev.sram_mut().register(owner, T::SIZE);
         Ok(PersistentHeader {
             journal,
             cell,
@@ -191,7 +199,22 @@ impl<T: TaskHeader> PersistentHeader<T> {
                 image: vec![0; T::SIZE],
                 next: vec![0; T::SIZE],
             }),
+            write_set: Cell::new(TxWriter::with_capacity(JOURNAL_BYTES)),
         })
+    }
+
+    /// Runs `f` with the header's write-set, emptied: a task body
+    /// stages its effects into it, and [`PersistentHeader::open`] or
+    /// [`PersistentHeader::commit_traced`] commits them with the
+    /// header. The write-set is taken out for the call, so no borrow is
+    /// held while `f` runs; a commit `f` makes of its own
+    /// ([`PersistentHeader::commit`]) stages into a fresh one.
+    pub fn with_write_set<R>(&self, f: impl FnOnce(&mut TxWriter) -> R) -> R {
+        let mut tx = self.write_set.take();
+        tx.clear();
+        let out = f(&mut tx);
+        self.write_set.set(tx);
+        out
     }
 
     /// The header: the mirror when it is current, else — first thing
@@ -267,26 +290,29 @@ impl<T: TaskHeader> PersistentHeader<T> {
         }
     }
 
-    /// Commits `tx` with the header changed to `new`, as one journal
-    /// record: the bytes that differ from the mirror are staged as runs
-    /// after whatever `tx` already holds (the whole image if the mirror
-    /// is not current). While the device's record is open they are
-    /// appended to it, and it lands; if its journal cannot hold them
-    /// too, it lands first and they commit on their own.
-    pub fn commit(&self, dev: &mut Device, tx: &mut TxWriter, new: T) -> Result<(), Interrupt> {
-        let m = &mut *self.mirror.borrow_mut();
-        m.stage(dev, tx, &new, self.cell.addr());
-        let result = if dev.append_record(tx) {
-            dev.flush_record()
-        } else {
-            dev.commit(&self.journal, tx)
-        };
-        m.settle(dev, new, 0..T::SIZE, result)
+    /// Commits the header changed to `new` as one journal record: the
+    /// bytes that differ from the mirror, staged as runs into the
+    /// header's write-set (the whole image if the mirror is not
+    /// current). While the device's record is open they are appended to
+    /// it, and it lands; if its journal cannot hold them too, it lands
+    /// first and they commit on their own.
+    pub fn commit(&self, dev: &mut Device, new: T) -> Result<(), Interrupt> {
+        self.with_write_set(|tx| {
+            let m = &mut *self.mirror.borrow_mut();
+            m.stage(dev, tx, &new, self.cell.addr());
+            let result = if dev.append_record(tx) {
+                dev.flush_record()
+            } else {
+                dev.commit(&self.journal, tx)
+            };
+            m.settle(dev, new, 0..T::SIZE, result)
+        })
     }
 
-    /// Commits `tx` with the header changed to `new` as
-    /// [`PersistentHeader::commit`] does with no record open, tracing
-    /// `landed` once the record lands.
+    /// Commits `tx` with the header changed to `new` as one journal
+    /// record, as [`PersistentHeader::commit`] does with no record
+    /// open: the header's changed bytes are staged after whatever `tx`
+    /// already holds. Traces `landed` once the record lands.
     pub fn commit_traced(
         &self,
         dev: &mut Device,

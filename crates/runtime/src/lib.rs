@@ -136,7 +136,7 @@ use intermittent_sim::journal::TxWriter;
 use intermittent_sim::peripherals::Peripheral;
 use intermittent_sim::simulator::{IntermittentSystem, RunLimit, SimOutcome, Simulator};
 
-pub use channel::{Channel, CHANNEL_CAPACITY};
+pub use channel::{Channel, Samples, CHANNEL_CAPACITY};
 pub use header::{PersistentHeader, Ride, RideStats, TaskHeader};
 use header::{STATUS_FINISHED, STATUS_READY};
 
@@ -222,10 +222,11 @@ impl TaskCtx<'_> {
         ch.push(self.dev, self.tx, value)
     }
 
-    /// Reads all samples of a channel (sees this task's staged pushes).
-    pub fn read_all(&mut self, name: &str) -> Result<Vec<f64>, Interrupt> {
+    /// Reads all samples of a channel (sees this task's staged pushes),
+    /// inline: reading allocates nothing.
+    pub fn read_all(&mut self, name: &str) -> Result<Samples, Interrupt> {
         let ch = self.channel(name);
-        ch.read_all(self.dev, self.tx)
+        ch.samples(self.dev, self.tx)
     }
 
     /// Number of samples in a channel.
@@ -454,7 +455,7 @@ impl ArtemisRuntimeBuilder {
                 .collect::<Result<_, Interrupt>>()
         })?;
         // Volatile footprint of the main loop, for Table 2 reports.
-        dev.sram_mut().register(owner, "main loop state", 2);
+        dev.sram_mut().register(owner, 2);
         Ok((app, Tasks { bodies, channels }, header))
     }
 }
@@ -547,7 +548,7 @@ impl NvData for Header {
         self.end_dep.store(&mut dst[END_DEP]);
         self.unmonitored.store(&mut dst[UNMONITORED]);
         self.emergency.store(&mut dst[EMERGENCY]);
-        self.path_results.store(&mut dst[PATH_RESULTS]);
+        dst[PATH_RESULTS].copy_from_slice(&self.path_results);
     }
 
     fn load(src: &[u8]) -> Self {
@@ -561,7 +562,7 @@ impl NvData for Header {
             end_dep: NvData::load(&src[END_DEP]),
             unmonitored: NvData::load(&src[UNMONITORED]),
             emergency: NvData::load(&src[EMERGENCY]),
-            path_results: NvData::load(&src[PATH_RESULTS]),
+            path_results: src[PATH_RESULTS].try_into().expect("one code per path"),
         }
     }
 }
@@ -636,7 +637,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 end_dep: h.end_dep,
                 ..Header::INITIAL
             };
-            self.header.commit(dev, &mut TxWriter::new(), next)
+            self.header.commit(dev, next)
         })
     }
 
@@ -655,8 +656,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 action: v.action,
             });
         }
-        let actions: Vec<Action> = verdicts.iter().map(|v| v.action).collect();
-        Action::arbitrate(&actions)
+        Action::arbitrate(verdicts.iter().map(|v| &v.action))
     }
 
     /// Executes the current task body and commits its effects.
@@ -669,26 +669,26 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             attempt: h.attempt,
         });
 
-        let mut tx = TxWriter::new();
-        let monitored = self.tasks.run_body(dev, task, &mut tx)?;
-
         // taskFinish (Figure 9): fix the finish time, the EndTask
         // sequence number and the monitored value atomically with the
         // task's own effects and the status flip — in the open record
         // the EndTask delivery and its outcome ride, if they may.
-        dev.compute(TASK_FINISH_CYCLES)?;
-        let next = Header {
+        let mut next = Header {
             status: STATUS_FINISHED,
             attempt: 0,
             seq: h.seq.wrapping_add(1),
-            end_time: dev.now(),
-            end_dep: monitored.map_or((0, 0), |v| (1, v.to_bits())),
             ..h
         };
-        let landed = Some(TraceEvent::TaskEnd { task });
         let ceiling = self.ceiling(task, EventKind::EndTask);
-        self.header
-            .open(dev, &mut tx, next, ceiling, landed, &mut self.rides)
+        let (tasks, header, rides) = (&mut self.tasks, &self.header, &mut self.rides);
+        header.with_write_set(|tx| {
+            let monitored = tasks.run_body(dev, task, tx)?;
+            dev.compute(TASK_FINISH_CYCLES)?;
+            next.end_time = dev.now();
+            next.end_dep = monitored.map_or((0, 0), |v| (1, v.to_bits()));
+            let landed = Some(TraceEvent::TaskEnd { task });
+            header.open(dev, tx, next, ceiling, landed, rides)
+        })
     }
 
     /// The admission ceiling of the delivery of `kind` for `task`
@@ -735,7 +735,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 next.cur_path = cur_path;
             }
         }
-        self.header.commit(dev, &mut TxWriter::new(), next)?;
+        self.header.commit(dev, next)?;
         if path_done {
             dev.trace_push(TraceEvent::PathComplete {
                 path: PathId(h.cur_path),
@@ -751,8 +751,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         match action {
             Action::RestartPath(p) => {
                 self.engine.on_path_restart(dev, p)?;
-                self.header
-                    .commit(dev, &mut TxWriter::new(), h.at_path_start(p.0))?;
+                self.header.commit(dev, h.at_path_start(p.0))?;
                 dev.trace_push(TraceEvent::PathStart { path: p });
             }
             Action::SkipPath(p) => {
@@ -761,7 +760,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                     next.path_results[p.index()] = PATH_SKIPPED;
                 }
                 dev.trace_push(TraceEvent::PathSkipped { path: p });
-                self.header.commit(dev, &mut TxWriter::new(), next)?;
+                self.header.commit(dev, next)?;
             }
             Action::CompletePath(_) => {
                 // Suspend monitoring; the caller decides how the
@@ -900,7 +899,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                             status: STATUS_READY,
                             ..self.header.read(dev, &self.app)?
                         };
-                        self.header.commit(dev, &mut TxWriter::new(), next)?;
+                        self.header.commit(dev, next)?;
                     }
                     Some(a @ Action::CompletePath(_)) => {
                         // Suspend monitoring and advance, as one commit.

@@ -920,7 +920,7 @@ fn an_outcome_the_open_record_cannot_hold_commits_after_it() {
             )
             .and_then(|()| {
                 assert!(dev.record_open());
-                header.commit(&mut dev, &mut TxWriter::new(), outcome)
+                header.commit(&mut dev, outcome)
             });
         let crashed = match result {
             Ok(()) => false,

@@ -66,7 +66,7 @@ fn static_verdict(app: &AppGraph, budget: Energy) -> Verdict {
     let bounds = artemis_ir::suite_bounds(&compiled, &profile);
     artemis_ir::analysis::task_feasibility(&compiled, &bounds, app, &profile)
         .into_iter()
-        .find(|f| f.name == "work")
+        .find(|f| compiled.task_name(f.task) == "work")
         .expect("task is analysed")
         .verdict
 }

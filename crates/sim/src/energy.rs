@@ -105,10 +105,19 @@ impl Energy {
     ///
     /// `power` is in nanowatts (1 nW · 1 µs = 1 fJ = 10⁻³ pJ), so the
     /// product is computed in femtojoules and rounded down to
-    /// picojoules.
+    /// picojoules. The product is exact in a `u64` whenever it fits —
+    /// every op the simulator bills — and only an overflowing one takes
+    /// the 128-bit path, saturating at the largest energy.
+    #[inline]
     pub fn from_power(nanowatts: u64, duration: SimDuration) -> Energy {
-        let femto = (nanowatts as u128) * (duration.as_micros() as u128);
-        Energy(u64::try_from(femto / 1_000).unwrap_or(u64::MAX))
+        let micros = duration.as_micros();
+        match nanowatts.checked_mul(micros) {
+            Some(femto) => Energy(femto / 1_000),
+            None => {
+                let femto = u128::from(nanowatts) * u128::from(micros);
+                Energy(u64::try_from(femto / 1_000).unwrap_or(u64::MAX))
+            }
+        }
     }
 
     /// How long `power` (nanowatts) takes to deliver this energy,
@@ -208,6 +217,59 @@ mod tests {
         assert_eq!(e, Energy::from_milli_joules(1));
         // And harvesting 1 mJ at 1 mW takes 1 s.
         assert_eq!(e.time_to_harvest(p_nw), SimDuration::from_secs(1));
+    }
+
+    /// The 128-bit formula `from_power` computed before its `u64`
+    /// path.
+    fn from_power_u128(nanowatts: u64, micros: u64) -> Energy {
+        let femto = u128::from(nanowatts) * u128::from(micros);
+        Energy(u64::try_from(femto / 1_000).unwrap_or(u64::MAX))
+    }
+
+    #[test]
+    fn from_power_equals_the_u128_formula() {
+        let check = |nw: u64, us: u64| {
+            assert_eq!(
+                Energy::from_power(nw, SimDuration::from_micros(us)),
+                from_power_u128(nw, us),
+                "{nw} nW over {us} us"
+            );
+        };
+        // Zero power, zero time, and products just under, at and over
+        // `u64::MAX` (2^64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417).
+        let max = u64::MAX;
+        for (nw, us) in [
+            (0, 0),
+            (0, max),
+            (max, 0),
+            (1, max),
+            (max, 1),
+            (2, max / 2),
+            (2, max / 2 + 1),
+            (3, max / 3),
+            (3, max / 3 + 1),
+            (641 * 6_700_417, max / (641 * 6_700_417)),
+            (641 * 6_700_417, max / (641 * 6_700_417) + 1),
+            (1 << 32, (1 << 32) - 1),
+            (1 << 32, 1 << 32),
+            (max, max),
+        ] {
+            check(nw, us);
+            check(us, nw);
+        }
+        // Seeded: magnitudes from a nanowatt for a microsecond up to
+        // products far past `u64::MAX`.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (next(), next());
+            check(a >> (a % 64), b >> (b % 64));
+        }
     }
 
     #[test]

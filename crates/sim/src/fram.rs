@@ -70,10 +70,12 @@ macro_rules! nv_int {
         impl NvData for $t {
             const SIZE: usize = core::mem::size_of::<$t>();
 
+            #[inline]
             fn store(&self, dst: &mut [u8]) {
                 dst.copy_from_slice(&self.to_le_bytes());
             }
 
+            #[inline]
             fn load(src: &[u8]) -> Self {
                 let mut buf = [0u8; core::mem::size_of::<$t>()];
                 buf.copy_from_slice(src);
@@ -100,10 +102,12 @@ impl NvData for bool {
 impl NvData for SimInstant {
     const SIZE: usize = 8;
 
+    #[inline]
     fn store(&self, dst: &mut [u8]) {
         self.as_micros().store(dst);
     }
 
+    #[inline]
     fn load(src: &[u8]) -> Self {
         SimInstant::from_micros(u64::load(src))
     }
@@ -112,10 +116,12 @@ impl NvData for SimInstant {
 impl NvData for SimDuration {
     const SIZE: usize = 8;
 
+    #[inline]
     fn store(&self, dst: &mut [u8]) {
         self.as_micros().store(dst);
     }
 
+    #[inline]
     fn load(src: &[u8]) -> Self {
         SimDuration::from_micros(u64::load(src))
     }
@@ -471,7 +477,8 @@ impl fmt::Debug for Fram {
 /// power failure so tests can assert that nothing volatile survived.
 #[derive(Clone, Debug, Default)]
 pub struct Sram {
-    registered: Vec<(MemOwner, Cow<'static, str>, usize)>,
+    /// `(owner, bytes)` per registration.
+    registered: Vec<(MemOwner, usize)>,
     /// Bumps on every power failure; volatile handles embed the
     /// generation they were created in.
     generation: u64,
@@ -483,23 +490,23 @@ impl Sram {
         Self::default()
     }
 
-    /// Registers `size` bytes of volatile usage for reports.
-    pub fn register(&mut self, owner: MemOwner, label: impl Into<Cow<'static, str>>, size: usize) {
-        self.registered.push((owner, label.into(), size));
+    /// Registers `size` bytes of volatile usage by `owner` for reports.
+    pub fn register(&mut self, owner: MemOwner, size: usize) {
+        self.registered.push((owner, size));
     }
 
     /// Bytes registered by one owner.
     pub fn used_by(&self, owner: MemOwner) -> usize {
         self.registered
             .iter()
-            .filter(|(o, _, _)| *o == owner)
-            .map(|(_, _, s)| *s)
+            .filter(|(o, _)| *o == owner)
+            .map(|(_, s)| *s)
             .sum()
     }
 
     /// Total registered bytes.
     pub fn used(&self) -> usize {
-        self.registered.iter().map(|(_, _, s)| *s).sum()
+        self.registered.iter().map(|(_, s)| *s).sum()
     }
 
     /// Current power-cycle generation.
@@ -610,7 +617,7 @@ mod tests {
     #[test]
     fn sram_generation_bumps_on_clear() {
         let mut sram = Sram::new();
-        sram.register(MemOwner::Runtime, "loop state", 2);
+        sram.register(MemOwner::Runtime, 2);
         assert_eq!(sram.used_by(MemOwner::Runtime), 2);
         let g = sram.generation();
         sram.clear();

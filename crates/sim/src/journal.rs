@@ -215,28 +215,40 @@ impl TxWriter {
     /// header ([`ENTRY_HEADER`]) merge: re-writing the gap's old bytes
     /// costs no more than the header a separate run would, and is
     /// idempotent, so replaying the record after a power failure stays
-    /// safe. Returns `true` if anything was staged.
+    /// safe. Returns `true` if anything was staged. Compares eight
+    /// bytes at a time, as [`changed_span`] does, so equal words cost
+    /// one compare.
     #[inline]
     pub fn write_diff(&mut self, addr: usize, old: &[u8], new: &[u8]) -> bool {
         debug_assert_eq!(old.len(), new.len());
-        let mut run: Option<(usize, usize)> = None;
+        let mut run: Option<Range<usize>> = None;
         let mut staged = false;
-        for (i, (o, n)) in old.iter().zip(new).enumerate() {
-            if o == n {
-                continue;
-            }
-            match &mut run {
-                Some((_, end)) if i - *end <= ENTRY_HEADER => *end = i + 1,
-                _ => {
-                    if let Some((s, e)) = run.replace((i, i + 1)) {
-                        self.write_raw(addr + s, &new[s..e]);
-                    }
-                    staged = true;
+        let mut changed = |i: usize| match &mut run {
+            Some(r) if i - r.end <= ENTRY_HEADER => r.end = i + 1,
+            _ => {
+                if let Some(r) = run.replace(i..i + 1) {
+                    self.write_raw(addr + r.start, &new[r]);
                 }
+                staged = true;
+            }
+        };
+        let words = old.len() / 8 * 8;
+        for i in (0..words).step_by(8) {
+            let word = |b: &[u8]| u64::from_le_bytes(b[i..i + 8].try_into().expect("eight bytes"));
+            let mut x = word(old) ^ word(new);
+            while x != 0 {
+                let byte = x.trailing_zeros() as usize / 8;
+                changed(i + byte);
+                x &= !(0xFF << (8 * byte));
             }
         }
-        if let Some((s, e)) = run {
-            self.write_raw(addr + s, &new[s..e]);
+        for i in words..old.len() {
+            if old[i] != new[i] {
+                changed(i);
+            }
+        }
+        if let Some(r) = run {
+            self.write_raw(addr + r.start, &new[r]);
         }
         staged
     }
@@ -780,6 +792,62 @@ mod tests {
             staged,
             [(101, new[1..9].to_vec()), (116, vec![3]), (131, vec![4]),]
         );
+    }
+
+    /// The byte-at-a-time diff `write_diff` stages: the same runs, the
+    /// same merge rule.
+    fn write_diff_bytewise(tx: &mut TxWriter, addr: usize, old: &[u8], new: &[u8]) -> bool {
+        let mut run: Option<(usize, usize)> = None;
+        let mut staged = false;
+        for i in (0..old.len()).filter(|&i| old[i] != new[i]) {
+            match &mut run {
+                Some((_, end)) if i - *end <= ENTRY_HEADER => *end = i + 1,
+                _ => {
+                    if let Some((s, e)) = run.replace((i, i + 1)) {
+                        tx.write_raw(addr + s, &new[s..e]);
+                    }
+                    staged = true;
+                }
+            }
+        }
+        if let Some((s, e)) = run {
+            tx.write_raw(addr + s, &new[s..e]);
+        }
+        staged
+    }
+
+    /// On seeded image pairs of every length from 0 to 64 bytes, with
+    /// changes from none to every byte, `write_diff` stages the
+    /// byte-identical record the byte-wise diff does.
+    #[test]
+    fn write_diff_equals_the_bytewise_diff() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..6_000 {
+            let len = round % 65;
+            let old: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            // One byte in `density` changes, on average.
+            let density = 1 + next() % 16;
+            let new: Vec<u8> = (old.iter())
+                .map(|&b| match next() % density {
+                    0 => b ^ (1 + next() % 255) as u8,
+                    _ => b,
+                })
+                .collect();
+            let addr = (next() % 4096) as usize;
+            let (mut fast, mut slow) = (TxWriter::new(), TxWriter::new());
+            assert_eq!(
+                fast.write_diff(addr, &old, &new),
+                write_diff_bytewise(&mut slow, addr, &old, &new),
+                "{old:?} -> {new:?}"
+            );
+            assert_eq!(fast.record(), slow.record(), "{old:?} -> {new:?}");
+        }
     }
 
     /// `changed_span` finds the first and last changed byte of images

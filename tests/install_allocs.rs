@@ -23,11 +23,13 @@ use artemis_runtime::ArtemisRuntimeBuilder;
 use intermittent_sim::device::DeviceBuilder;
 
 /// Allocations + reallocations of one Fig. 5 install (1,168 before
-/// the install passes kept their temporaries in one scratch per call).
-const FIGURE5_CEILING: u64 = 560;
-/// The same, averaged over generated suites of seeds 0..64 (651
-/// before).
-const GENERATED_CEILING: u64 = 345;
+/// the install passes kept their temporaries in one scratch per call,
+/// 549 before the energy verdicts stopped copying task names and the
+/// SRAM registry its labels).
+const FIGURE5_CEILING: u64 = 550;
+/// The same, averaged over generated suites of seeds 0..64 (651, then
+/// 334 before).
+const GENERATED_CEILING: u64 = 337;
 
 struct Counting;
 
