@@ -6,6 +6,7 @@
 //! integration tests assert against.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::action::Action;
 use crate::app::{PathId, TaskId};
@@ -74,8 +75,9 @@ pub enum TraceEvent {
     /// Install-time static analysis flagged a non-fatal finding (the
     /// rendered diagnostic). Errors reject the install instead.
     InstallWarning {
-        /// The rendered diagnostic text.
-        message: String,
+        /// The rendered diagnostic text, shared by every install that
+        /// traces the same finding.
+        message: Arc<str>,
     },
 }
 

@@ -55,6 +55,8 @@ pub use energy::{
 pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};
 
+use std::sync::{Arc, OnceLock};
+
 use artemis_core::app::AppGraph;
 use artemis_spec::{sort_diagnostics, Diagnostic};
 use intermittent_sim::EnergyProfile;
@@ -74,6 +76,8 @@ pub struct InstallFacts {
     /// [`analyze_suite`] without the journal cross-check (the engine
     /// sizes its journal from `bounds`), errors first.
     pub diags: Vec<Diagnostic>,
+    /// `diags` rendered, once, by the first [`InstallFacts::messages`].
+    messages: OnceLock<Vec<Arc<str>>>,
     /// [`task_feasibility`] of the app's declared task costs on the
     /// profile: what the engine decides its riding deliveries from.
     pub feasibility: Vec<TaskFeasibility>,
@@ -91,8 +95,17 @@ impl InstallFacts {
         InstallFacts {
             feasibility: task_feasibility(compiled, &bounds, app, profile),
             diags: analyze_suite(suite, compiled, None),
+            messages: OnceLock::new(),
             bounds,
         }
+    }
+
+    /// Each finding of `diags` rendered: the text an install traces for
+    /// a warning, rendered on the first call and shared by every later
+    /// one.
+    pub fn messages(&self) -> &[Arc<str>] {
+        self.messages
+            .get_or_init(|| self.diags.iter().map(|d| d.to_string().into()).collect())
     }
 }
 

@@ -258,8 +258,21 @@ impl AccessSet<'_> {
     /// untouched write slots requires the read span to cover the write
     /// span, which holds by construction).
     pub fn max_touched_slot(&self) -> Option<u16> {
-        self.reads.iter().chain(self.writes).copied().max()
+        self.reads.last().max(self.writes.last()).copied()
     }
+}
+
+/// What one engine step of an `(event kind, task)` dispatch key reads
+/// of the machine, fetched in one lookup
+/// ([`CompiledMachine::step_key`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct StepKey<'a> {
+    /// [`CompiledMachine::dispatch_len`].
+    pub dispatch_len: usize,
+    /// [`CompiledMachine::step_cost`].
+    pub cost: StepCost,
+    /// [`CompiledMachine::access`].
+    pub access: AccessSet<'a>,
 }
 
 /// The statically-derived worst-case compute cost of delivering one
@@ -827,12 +840,28 @@ impl CompiledMachine {
     /// The static FRAM access set of `(kind, task)` — same fallback
     /// rule as `CompiledMachine::transition_list`.
     pub fn access(&self, kind: EventKind, task: u32) -> AccessSet<'_> {
-        let key = self.key(kind, task);
+        self.key_access(self.key(kind, task))
+    }
+
+    /// The access set `key` describes.
+    fn key_access(&self, key: &KeyFacts) -> AccessSet<'_> {
         let (at, mid) = (key.at as usize, (key.at + key.reads) as usize);
         AccessSet {
             reads: &self.slots[at..mid],
             writes: &self.slots[mid..mid + key.writes as usize],
             whole_block: key.whole_block,
+        }
+    }
+
+    /// [`CompiledMachine::dispatch_len`], [`CompiledMachine::step_cost`]
+    /// and [`CompiledMachine::access`] of `(kind, task)` in one lookup
+    /// — what the engine reads once per step.
+    pub fn step_key(&self, kind: EventKind, task: u32) -> StepKey<'_> {
+        let key = self.key(kind, task);
+        StepKey {
+            dispatch_len: self.dispatch_len(kind, task),
+            cost: key.cost,
+            access: self.key_access(key),
         }
     }
 

@@ -203,25 +203,6 @@ impl MachineLayout {
         u32::from_le_bytes(w)
     }
 
-    /// Decodes the block prefix covering slots `0..covered`, pushing
-    /// one value per covered slot (the delta path's partial load).
-    pub fn decode_prefix(
-        &self,
-        bytes: &[u8],
-        covered: usize,
-        state: &mut u32,
-        vars: &mut Vec<Value>,
-    ) {
-        *state = self.decode_state(bytes);
-        vars.clear();
-        for slot in self.slots.iter().take(covered) {
-            vars.push(decode_slot(
-                slot.enc,
-                &bytes[slot.offset..slot.offset + slot.enc.width()],
-            ));
-        }
-    }
-
     /// Encodes the block prefix covering the state word and slots
     /// `0..covered` into `out` (resized to the covering span). Values
     /// at `covered..` in `vars` are ignored — the delta path's partial

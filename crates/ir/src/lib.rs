@@ -52,7 +52,9 @@ use artemis_spec::{Diagnostic, SpecAst};
 use intermittent_sim::EnergyProfile;
 
 pub use analysis::{analyze_suite, suite_bounds, InstallFacts, SuiteBounds};
-pub use compile::{AccessSet, CompiledEvent, CompiledMachine, CompiledSuite, RawMachine, StepCost};
+pub use compile::{
+    AccessSet, CompiledEvent, CompiledMachine, CompiledSuite, RawMachine, StepCost, StepKey,
+};
 pub use exec::{IrEvent, MachineState};
 pub use fsm::{MonitorSuite, StateMachine};
 pub use layout::{MachineLayout, SlotEnc, SlotLayout};

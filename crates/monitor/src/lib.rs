@@ -147,13 +147,13 @@
 //! # Volatile shadow cache (write-only steady state)
 //!
 //! The engine keeps a volatile **shadow** of every FRAM location
-//! the hot path reads: after any load or commit the decoded machine
-//! images, the armed delivery (event, derived worklist, groups and
-//! done bitmap), and the verdict log stay authoritative in RAM, so a
-//! steady-state delivery performs **zero** FRAM reads — nonvolatile
-//! memory is touched only by the crash-atomic commits. The cache is
-//! write-through and never defers or reorders a write; it is the
-//! engine's one read path.
+//! the hot path reads: after any load or commit the machine blocks
+//! (decoded and as FRAM's bytes), the armed delivery (event, derived
+//! worklist, groups and done bitmap), and the verdict log stay
+//! authoritative in RAM, so a steady-state delivery performs **zero**
+//! FRAM reads — nonvolatile memory is touched only by the crash-atomic
+//! commits. The cache is write-through and never defers or reorders a
+//! write; it is the engine's one read path.
 //!
 //! Coherence contract: the cache records the [`Sram`] reboot epoch it
 //! was filled under; every entry point re-syncs against
@@ -413,13 +413,12 @@ impl core::fmt::Display for InstallError {
 
 impl std::error::Error for InstallError {}
 
-/// One monitor's verdict for a delivered event.
+/// One monitor's verdict for a delivered event. The machine's name is
+/// [`MonitorEngine::machine_names`]`[machine_index]`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MonitorVerdict {
     /// Index of the machine in the suite.
     pub machine_index: usize,
-    /// Name of the machine.
-    pub machine: String,
     /// The resolved corrective action.
     pub action: Action,
 }
@@ -515,14 +514,12 @@ struct LoadedMachine {
 /// Reused per-event buffers. Sized at install and refilled in place,
 /// they make a warm, verdict-free compiled delivery perform **zero**
 /// heap allocations (pinned by `tests/alloc_free.rs`); an event with
-/// `k` verdicts allocates only its returned list and the `k` names.
+/// verdicts allocates only its returned list.
 struct Scratch {
     /// Bytecode register file.
     regs: Vec<Value>,
-    /// Decoded variable snapshot.
+    /// The stepped machine's variables.
     vars: Vec<Value>,
-    /// Block image as loaded.
-    block: Vec<u8>,
     /// Block image after the step.
     block_new: Vec<u8>,
     /// Verdicts of one commit group, in logging order: machine index,
@@ -577,14 +574,16 @@ fn verdict_cell(&(i, action, path): &Emit) -> VerdictCell {
     (i as u32, encode_action(action, path))
 }
 
-/// One machine's decoded shadow image. Live iff `gen` equals the
-/// cache's current generation; `gen == 0` never matches (generations
-/// start at 1), so a fresh entry is invalid without an extra flag.
-#[derive(Clone)]
+/// One machine's shadow: its decoded `(state, vars)` and where its
+/// block image lies in [`ShadowCache::images`]. Live iff `gen` equals
+/// the cache's current generation; `gen == 0` never matches
+/// (generations start at 1), so a fresh entry is invalid without an
+/// extra flag.
 struct MachineShadow {
     gen: u64,
     state: u32,
     vars: Vec<Value>,
+    image: core::ops::Range<usize>,
 }
 
 /// The volatile shadow of every FRAM location the hot path reads (see
@@ -595,11 +594,11 @@ struct MachineShadow {
 /// armed delivery — and every entry point that fails wipes the whole
 /// cache, so shadow contents equal the corresponding FRAM bytes within
 /// one reboot epoch whenever an entry point returns — but for the
-/// armed delivery after a silent one, which RAM alone keeps. The packed
-/// encoding is canonical (`encode(decode(x)) == x` for every
-/// engine-written image), which is what lets the machine shadows store
-/// *decoded* `(state, vars)` and regenerate byte-identical block
-/// images for change detection.
+/// armed delivery after a silent one, which RAM alone keeps. A machine
+/// shadow keeps both forms of its block: the decoded `(state, vars)` a
+/// step starts from, and the byte image as FRAM holds it, which the
+/// step's new image is diffed against — so a warm step decodes and
+/// re-encodes nothing it did not change.
 struct ShadowCache {
     /// `Sram` reboot generation the cache was last synced to.
     epoch: u64,
@@ -614,6 +613,9 @@ struct ShadowCache {
     /// Generation-tagged verdict cells, indexed like the header's.
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
+    /// Every machine's block image, back to back in suite order, live
+    /// with its machine's shadow.
+    images: Vec<u8>,
     /// `true` while the engine's [`Armed`] buffers mirror the header in
     /// FRAM (the worklist already derived), or hold a silent delivery
     /// made since, which then answers for the header until the epoch
@@ -629,23 +631,31 @@ struct ShadowCache {
 }
 
 impl ShadowCache {
-    /// A cold cache for `machines` machines and `verdict_slots`
+    /// A cold cache for the machines in `machines` and `verdict_slots`
     /// verdict cells, whose header image is a freshly allocated —
     /// all-zero — `head_len`-byte `event … done` prefix.
-    fn new(epoch: u64, machines: usize, verdict_slots: usize, head_len: usize) -> Self {
+    fn new(epoch: u64, machines: &[LoadedMachine], verdict_slots: usize, head_len: usize) -> Self {
+        let mut at = 0;
+        let machines: Vec<_> = machines
+            .iter()
+            .map(|lm| {
+                let image = at..at + lm.initial_image.len();
+                at = image.end;
+                MachineShadow {
+                    gen: 0,
+                    state: 0,
+                    vars: Vec::new(),
+                    image,
+                }
+            })
+            .collect();
         ShadowCache {
             epoch,
             gen: 1,
             journal_clean: false,
             verdicts: vec![(0, (0, (0, 0))); verdict_slots],
-            machines: vec![
-                MachineShadow {
-                    gen: 0,
-                    state: 0,
-                    vars: Vec::new(),
-                };
-                machines
-            ],
+            machines,
+            images: vec![0; at],
             armed: false,
             head: vec![0; head_len],
             head_gen: 1,
@@ -851,10 +861,22 @@ impl MonitorEngine {
             return Err(InstallError::Rejected(d.clone()));
         }
         let riders = riders(&compiled, bounds, &facts.feasibility, app, &profile);
-        for d in diags.iter() {
-            dev.trace_push(artemis_core::trace::TraceEvent::InstallWarning {
-                message: d.to_string(),
-            });
+        // A device that traces nothing renders nothing; the memo's
+        // warnings are rendered once, only the energy gate's merged list
+        // per install.
+        if dev.trace().is_enabled() {
+            let rendered: Vec<Arc<str>>;
+            let messages = match &diags {
+                std::borrow::Cow::Borrowed(_) => facts.messages(),
+                std::borrow::Cow::Owned(diags) => {
+                    rendered = diags.iter().map(|d| d.to_string().into()).collect();
+                    &rendered
+                }
+            };
+            for message in messages {
+                let message = Arc::clone(message);
+                dev.trace_push(artemis_core::trace::TraceEvent::InstallWarning { message });
+            }
         }
         // Both borrow `compiled`, which the engine takes below.
         drop(diags);
@@ -1051,7 +1073,7 @@ impl Engine {
                     .layout()
                     .encode(cmach.initial_state(), cmach.var_inits(), &mut image);
                 let addr = dev
-                    .nv_alloc_raw(image.len(), owner, format!("{}.block", m.name))
+                    .nv_alloc_raw(image.len(), owner, "monitor.block")
                     .map_err(dev_err)?;
                 dev.nv_write_raw(addr, &image).map_err(dev_err)?;
                 machines.push(LoadedMachine {
@@ -1075,7 +1097,6 @@ impl Engine {
             let scratch = RefCell::new(Scratch {
                 regs: vec![Value::Int(0); compiled.max_regs()],
                 vars: Vec::with_capacity(max_vars),
-                block: Vec::with_capacity(max_block),
                 block_new: Vec::with_capacity(max_block),
                 emits: Vec::with_capacity(slots),
                 head: vec![0; header.cell(0)],
@@ -1104,7 +1125,7 @@ impl Engine {
             sram.register(owner, header.cell(slots));
             let cache = RefCell::new(ShadowCache::new(
                 dev.sram().generation(),
-                machines.len(),
+                &machines,
                 slots,
                 header.cell(0),
             ));
@@ -1203,66 +1224,35 @@ impl Engine {
         Ok(())
     }
 
-    /// Fills `scratch.block` with the first `span` bytes of machine
-    /// `i`'s block image — from the shadow when warm, else one
-    /// whole-block FRAM read that also refills the shadow, so the
-    /// *next* touch is free. A cold block whose state word is past the
-    /// machine's state count faults with [`Fault::CorruptState`].
-    fn load_block(
-        &self,
-        dev: &mut Device,
-        i: usize,
-        span: usize,
-        scratch: &mut Scratch,
-    ) -> Result<(), Interrupt> {
-        let lm = &self.machines[i];
-        let layout = self.compiled.machines()[i].layout();
-        let cache = &self.cache;
-        let hit = {
-            let c = cache.borrow();
-            let ms = &c.machines[i];
-            if ms.gen == c.gen {
-                layout.encode(ms.state, &ms.vars, &mut scratch.block);
-                true
-            } else {
-                false
-            }
-        };
-        if hit {
-            cache.borrow_mut().stats.hits += 1;
-        } else {
-            {
-                let bytes = dev.nv_read_raw(lm.addr, lm.initial_image.len())?;
-                scratch.block.clear();
-                scratch.block.extend_from_slice(bytes);
-            }
-            let mut c = cache.borrow_mut();
-            let ShadowCache { gen, machines, .. } = &mut *c;
-            let ms = &mut machines[i];
-            layout.decode(&scratch.block, &mut ms.state, &mut ms.vars);
-            if ms.state as usize >= self.suite.machines()[i].states.len() {
-                return Err(Interrupt::Fault(Fault::CorruptState));
-            }
-            ms.gen = *gen;
-            c.stats.misses += 1;
-        }
-        scratch.block.truncate(span);
-        Ok(())
-    }
-
-    /// Write-through of a staged machine step: fold the new state and
-    /// the staged prefix `vars` (slots `0..len`) into machine `i`'s
-    /// shadow, so shadow and FRAM agree once the group commits (a
-    /// failed commit wipes the cache). The step loaded the machine
-    /// before staging, so its shadow is live; a dead one stays dead
-    /// (partial knowledge is never stored).
-    fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value]) {
+    /// Makes machine `i`'s shadow live: a hit when it is, else one
+    /// whole-block FRAM read that keeps the block's image and decodes
+    /// it, so the *next* touch is free. A cold block whose state word is
+    /// past the machine's state count faults with
+    /// [`Fault::CorruptState`].
+    fn load_block(&self, dev: &mut Device, i: usize) -> Result<(), Interrupt> {
         let c = &mut *self.cache.borrow_mut();
-        let ms = &mut c.machines[i];
-        if ms.gen == c.gen {
-            ms.state = state;
-            ms.vars[..vars.len()].copy_from_slice(vars);
+        let ShadowCache {
+            gen,
+            machines,
+            images,
+            stats,
+            ..
+        } = c;
+        let ms = &mut machines[i];
+        if ms.gen == *gen {
+            stats.hits += 1;
+            return Ok(());
         }
+        let image = &mut images[ms.image.clone()];
+        image.copy_from_slice(dev.nv_read_raw(self.machines[i].addr, image.len())?);
+        let layout = self.compiled.machines()[i].layout();
+        layout.decode(image, &mut ms.state, &mut ms.vars);
+        if ms.state as usize >= self.suite.machines()[i].states.len() {
+            return Err(Interrupt::Fault(Fault::CorruptState));
+        }
+        ms.gen = *gen;
+        stats.misses += 1;
+        Ok(())
     }
 
     /// Shadow-aware read of verdict cell `slot` — from the shadow when
@@ -1296,14 +1286,11 @@ impl Engine {
             }
         };
         let machine_index = packed as usize;
-        let m = self
-            .suite
-            .machines()
-            .get(machine_index)
-            .ok_or(Interrupt::Fault(Fault::CorruptState))?;
+        if machine_index >= self.machines.len() {
+            return Err(Interrupt::Fault(Fault::CorruptState));
+        }
         let verdict = decode_action(encoded).map(|action| MonitorVerdict {
             machine_index,
-            machine: m.name.clone(),
             action,
         });
         Ok(verdict)
@@ -1339,6 +1326,7 @@ impl Engine {
             if reset(m) {
                 cm.layout()
                     .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
+                c.images[ms.image.clone()].copy_from_slice(&lm.initial_image);
                 ms.gen = c.gen;
             }
         }
@@ -1640,7 +1628,9 @@ impl Engine {
     /// its group's record: the changed byte runs of the covered block
     /// prefix (the whole block image for degraded keys), and a verdict
     /// in `scratch.emits` if the step emits. A member the `Path:` filter
-    /// dismisses costs nothing.
+    /// dismisses costs nothing. The step starts from the shadow's
+    /// decoded `(state, vars)` and diffs its new image against the
+    /// shadow's block image; what it staged is written through to both.
     fn step_block(
         &self,
         dev: &mut Device,
@@ -1652,7 +1642,6 @@ impl Engine {
         if path_dismissed(lm, event) {
             return Ok(());
         }
-        let (addr, len) = (lm.addr, lm.initial_image.len());
         let cm = &self.compiled.machines()[i];
         let layout = cm.layout();
 
@@ -1663,29 +1652,33 @@ impl Engine {
         // exact same table. The key's access set gives the degrade flag
         // and the highest touched slot.
         let (kind, task) = (event.event_kind(), event.task);
-        if cm.dispatch_len(kind, task) == 0 {
+        let key = cm.step_key(kind, task);
+        if key.dispatch_len == 0 {
             return dev.compute(COMPILED_DISPATCH_CYCLES);
         }
-        dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, task).cycles)?;
-        let key = cm.access(kind, task);
-        let whole = key.whole_block;
-        let max_slot = key.max_touched_slot();
+        dev.compute(COMPILED_DISPATCH_CYCLES + key.cost.cycles)?;
+        let whole = key.access.whole_block;
 
-        // Degraded keys load and commit the full block image; sparse
-        // ones the covering span.
+        // Degraded keys commit the full block image; sparse ones the
+        // covering span.
         let (covered, span) = if whole {
-            (layout.var_count(), len)
+            (layout.var_count(), lm.initial_image.len())
         } else {
+            let max_slot = key.access.max_touched_slot();
             (
                 max_slot.map_or(0, |s| s as usize + 1),
                 layout.span(max_slot),
             )
         };
 
-        self.load_block(dev, i, span, scratch)?;
-        let mut state = 0u32;
-        layout.decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
-        scratch.vars.resize(cm.var_count(), Value::Int(0));
+        self.load_block(dev, i)?;
+        let mut state = {
+            let c = self.cache.borrow();
+            let ms = &c.machines[i];
+            scratch.vars.clear();
+            scratch.vars.extend_from_slice(&ms.vars);
+            ms.state
+        };
 
         let step_event = CompiledEvent {
             kind,
@@ -1720,26 +1713,29 @@ impl Engine {
             scratch.emits.push((i, fail.action, fail.path.or(lm.path)));
         }
 
-        // Re-encode and compare byte for byte against the loaded image
-        // (canonical encoding makes the comparison exact). A degraded
-        // key stages its whole block as one run whenever it changed at
-        // all; a sparse key stages only the changed runs.
+        // Encode and compare byte for byte against the shadow's image. A
+        // degraded key stages its whole block as one run whenever it
+        // changed at all; a sparse key stages only the changed runs.
+        let c = &mut *self.cache.borrow_mut();
+        let ms = &mut c.machines[i];
+        let old = &mut c.images[ms.image.start..ms.image.start + span];
         if whole {
             layout.encode(state, &scratch.vars, &mut scratch.block_new);
-            if scratch.block_new == scratch.block {
+            if scratch.block_new[..] == *old {
                 return Ok(());
             }
-            scratch.tx.write_raw(addr, &scratch.block_new);
+            scratch.tx.write_raw(lm.addr, &scratch.block_new);
         } else {
             layout.encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-            if !scratch
-                .tx
-                .write_diff(addr, &scratch.block, &scratch.block_new)
-            {
+            if !scratch.tx.write_diff(lm.addr, old, &scratch.block_new) {
                 return Ok(());
             }
         }
-        self.shadow_machine_update(i, state, &scratch.vars[..covered]);
+        // Write-through: shadow and FRAM agree once the group commits
+        // (a failed commit wipes the cache).
+        old.copy_from_slice(&scratch.block_new);
+        ms.state = state;
+        ms.vars[..covered].copy_from_slice(&scratch.vars[..covered]);
         Ok(())
     }
 
@@ -1965,7 +1961,8 @@ mod tests {
         let verdicts = deliver(&mut dev, MonitorEvent::start(accel, t(2)));
         assert_eq!(verdicts.len(), 1);
         assert_eq!(verdicts[0].action, Action::SkipPath(PathId(0)));
-        assert!(verdicts[0].machine.starts_with("accel_maxTries"));
+        let names = engine.machine_names();
+        assert!(names[verdicts[0].machine_index].starts_with("accel_maxTries"));
     }
 
     #[test]

@@ -104,7 +104,6 @@ impl Reference {
                     let path = fail.path.or(machine.path).unwrap_or(0);
                     verdicts.push(MonitorVerdict {
                         machine_index,
-                        machine: machine.name.clone(),
                         action: fail.action.action(PathId(path.saturating_sub(1))),
                     });
                 }

@@ -2,8 +2,8 @@
 //! a few events, a `call_monitor` that produces no verdict performs
 //! zero heap allocations — arming, routing, stepping, diffing and both
 //! journal commits all run in buffers sized at install — and an event
-//! with `k` verdicts allocates only the returned list and the `k`
-//! machine names.
+//! with verdicts allocates exactly once: the returned list (a verdict
+//! names its machine by index).
 //!
 //! A counting global allocator tallies allocations made by the test
 //! thread. Everything else the test does (event generation, verdict
@@ -136,8 +136,8 @@ fn warm_call_monitor_allocates_nothing_without_verdicts() {
             assert_eq!(spent, 0, "event {i} ({event:?}) allocated {spent} times");
             silent += 1;
         } else {
-            assert!(
-                spent <= 1 + k,
+            assert_eq!(
+                spent, 1,
                 "event {i} with {k} verdicts allocated {spent} times"
             );
             loud += 1;

@@ -29,7 +29,7 @@ use crate::energy::Energy;
 pub use crate::fram::MemOwner;
 use crate::fram::{Fram, FramTraffic, NvCell, NvData, Sram};
 use crate::harvester::Harvester;
-use crate::journal::{Journal, JournalOp, TxWriter};
+use crate::journal::{Journal, JournalOp, TxWriter, ENTRY_HEADER};
 use crate::mcu::{Cost, CostModel};
 use crate::peripherals::{Peripheral, PeripheralBank};
 
@@ -435,6 +435,65 @@ impl OpenRecord {
     }
 }
 
+/// What landing a record in full bills each category, indexed like
+/// [`DeviceStats`]: the write ops of [`TxWriter::commit_writes`] — the
+/// stage write, both flag writes and one apply per sub-write — each
+/// billed as [`Device::land_per_access`] bills it, with the stage bytes
+/// of the sub-writes not staged by the fixed category already moved to
+/// their stagers.
+struct RecordBill {
+    cost: [Cost; 3],
+    writes: [FramTraffic; 3],
+}
+
+impl RecordBill {
+    /// One pass over `tx`'s sub-writes and the owner runs (`owners` and
+    /// `fixed` as in [`Device::land`]).
+    fn new(
+        costs: &CostModel,
+        tx: &TxWriter,
+        owners: &[(usize, CostCategory)],
+        fixed: CostCategory,
+    ) -> Self {
+        let mut bill = RecordBill {
+            cost: [Cost::FREE; 3],
+            writes: [FramTraffic::default(); 3],
+        };
+        let mut write = |c: CostCategory, bytes: usize| {
+            let cost = &mut bill.cost[c.idx()];
+            *cost = cost.plus(costs.fram_write(bytes));
+            bill.writes[c.idx()].write(bytes);
+        };
+        write(fixed, tx.record_bytes());
+        write(fixed, 1);
+        write(fixed, 1);
+        let mut moved = [0usize; 3];
+        let (mut entries, mut start) = (tx.entry_bytes(), 0);
+        for &(end, c) in owners {
+            for entry in entries.by_ref().take(end - start) {
+                write(c, entry - ENTRY_HEADER);
+                if c != fixed {
+                    moved[c.idx()] += entry;
+                }
+            }
+            start = end;
+        }
+        for entry in entries {
+            write(fixed, entry - ENTRY_HEADER);
+        }
+        for (c, &bytes) in moved.iter().enumerate() {
+            let per_byte = costs.fram_write_per_byte.times(bytes as u64);
+            let (from, to) = (fixed.idx(), c);
+            bill.cost[from].time -= per_byte.time;
+            bill.cost[from].energy -= per_byte.energy;
+            bill.cost[to] = bill.cost[to].plus(per_byte);
+            bill.writes[from].write_bytes -= bytes as u64;
+            bill.writes[to].write_bytes += bytes as u64;
+        }
+        bill
+    }
+}
+
 impl Device {
     /// Current persistent-clock reading (`GetTime()` in the paper).
     pub fn now(&self) -> SimInstant {
@@ -779,7 +838,9 @@ impl Device {
 
     /// Commits `tx` to `journal` as one record: each sub-write — its
     /// share of the stage write and its apply — billed to its owner
-    /// (`owners` as in [`OpenRecord`]), the fixed costs to `fixed`.
+    /// (`owners` as in [`OpenRecord`]), the fixed costs to `fixed`. A
+    /// record the capacitor provably covers is billed in one step
+    /// ([`Device::land_covered`]), any other one access by access.
     /// Traces `landed` once the flag write landed, also if the commit
     /// fails after it: recovery then completes the record.
     fn land(
@@ -789,6 +850,78 @@ impl Device {
         owners: &[(usize, CostCategory)],
         fixed: CostCategory,
         landed: Option<TraceEvent>,
+    ) -> Result<(), Interrupt> {
+        let result = if self.land_covered(journal, tx, owners, fixed) {
+            Ok(())
+        } else {
+            self.land_per_access(journal, tx, owners, fixed)
+        };
+        if !tx.is_empty() && result.is_ok() {
+            self.journal_records += 1;
+            self.largest_journal_record = self.largest_journal_record.max(tx.record_bytes());
+        }
+        if result.is_ok() || journal.is_pending(&self.fram) {
+            if let Some(event) = landed {
+                self.trace_push(event);
+            }
+        }
+        result
+    }
+
+    /// Lands a record the capacitor provably covers with one bill:
+    /// returns `false`, having done nothing, unless no failure is
+    /// scheduled, no harvester trickle runs, the record is non-empty
+    /// and fits the journal, its end does not pass the deadline and,
+    /// off continuous power, the capacitor holds its whole price. Such
+    /// a record holds no crash point, so billing it in one step leaves
+    /// exactly what [`Device::land_per_access`] leaves.
+    fn land_covered(
+        &mut self,
+        journal: &Journal,
+        tx: &TxWriter,
+        owners: &[(usize, CostCategory)],
+        fixed: CostCategory,
+    ) -> bool {
+        let power = &mut self.power;
+        if power.writes_before_failure.is_some()
+            || power.harvester.runtime_power_nanowatts() != 0
+            || tx.is_empty()
+            || tx.record_bytes() > journal.capacity()
+        {
+            return false;
+        }
+        let bill = RecordBill::new(&self.costs, tx, owners, fixed);
+        let total = bill.cost.iter().fold(Cost::FREE, |a, b| a.plus(*b));
+        let end = power.clock.now() + total.time;
+        if power.deadline.is_some_and(|deadline| end > deadline)
+            || (!power.harvester.is_continuous() && total.energy > power.cap.stored())
+        {
+            return false;
+        }
+        power.clock.advance_running(total.time);
+        if !power.harvester.is_continuous() {
+            power.cap.draw(total.energy);
+        }
+        let s = &mut power.stats;
+        for c in 0..3 {
+            s.times[c] += bill.cost[c].time;
+            s.energies[c] += bill.cost[c].energy;
+            s.fram[c] = s.fram[c] + bill.writes[c];
+        }
+        s.consumed += total.energy;
+        let landed = journal.commit(&mut self.fram, tx, &mut |_, _| Ok(()));
+        debug_assert!(landed.is_ok(), "a covered record lands");
+        true
+    }
+
+    /// Lands a record one billed FRAM access at a time, each of which
+    /// may fail: the crash window.
+    fn land_per_access(
+        &mut self,
+        journal: &Journal,
+        tx: &TxWriter,
+        owners: &[(usize, CostCategory)],
+        fixed: CostCategory,
     ) -> Result<(), Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
@@ -812,7 +945,7 @@ impl Device {
         }
         let applies = 2..2 + tx.len();
         let mut access = 0;
-        let result = journal.commit(&mut self.fram, tx, &mut |bytes, op| {
+        journal.commit(&mut self.fram, tx, &mut |bytes, op| {
             let c = if applies.contains(&access) {
                 owner(access - 2)
             } else {
@@ -826,17 +959,7 @@ impl Device {
             }
             access += 1;
             Ok(())
-        });
-        if !tx.is_empty() && result.is_ok() {
-            self.journal_records += 1;
-            self.largest_journal_record = self.largest_journal_record.max(tx.record_bytes());
-        }
-        if result.is_ok() || journal.is_pending(&self.fram) {
-            if let Some(event) = landed {
-                self.trace_push(event);
-            }
-        }
-        result
+        })
     }
 
     /// Schedules a deterministic power failure in place of the `k`-th

@@ -397,7 +397,7 @@ impl Journal {
         &self,
         fram: &mut Fram,
         tx: &TxWriter,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
+        spend: &mut impl FnMut(usize, JournalOp) -> Result<(), Interrupt>,
     ) -> Result<(), Interrupt> {
         if tx.is_empty() {
             return Ok(());

@@ -25,11 +25,13 @@ use intermittent_sim::device::DeviceBuilder;
 /// Allocations + reallocations of one Fig. 5 install (1,168 before
 /// the install passes kept their temporaries in one scratch per call,
 /// 549 before the energy verdicts stopped copying task names and the
-/// SRAM registry its labels).
-const FIGURE5_CEILING: u64 = 550;
+/// SRAM registry its labels, 540 before machine blocks shared one
+/// FRAM label and an install on a device that traces nothing stopped
+/// rendering the gate's warnings).
+const FIGURE5_CEILING: u64 = 529;
 /// The same, averaged over generated suites of seeds 0..64 (651, then
-/// 334 before).
-const GENERATED_CEILING: u64 = 337;
+/// 334, then 327 before).
+const GENERATED_CEILING: u64 = 327;
 
 struct Counting;
 
