@@ -9,7 +9,6 @@
 //! graph without needing executable code.
 
 use core::fmt;
-use std::collections::HashMap;
 
 use crate::error::BuildError;
 use crate::time::SimDuration;
@@ -88,6 +87,62 @@ pub struct TaskCostDecl {
     pub extra_time_us: u64,
 }
 
+/// Task ids sorted by name: by length, then by the first seven bytes.
+///
+/// Each entry keeps its order key inline, one 64-bit word packing the
+/// name's length and first seven bytes, so a lookup is a binary search
+/// over integers, then a string compare against the few names that
+/// share the key (one, unless seven-byte prefixes collide). Nothing is
+/// hashed and the index keeps no copy of the names: every call takes
+/// the task declarations the ids index.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct NameIndex {
+    entries: Vec<NameEntry>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct NameEntry {
+    key: u64,
+    id: u32,
+}
+
+impl NameIndex {
+    /// The order key of `name`: its length (saturated to one byte),
+    /// then its first seven bytes, zero-padded, big-endian.
+    fn key(name: &str) -> u64 {
+        let bytes = name.as_bytes();
+        let len = bytes.len().min(u8::MAX as usize) as u64;
+        (bytes.iter().take(7).enumerate())
+            .fold(len << 56, |key, (i, &b)| key | u64::from(b) << (48 - 8 * i))
+    }
+
+    /// The id of the task named `name`.
+    fn get(&self, name: &str, tasks: &[TaskDecl]) -> Option<TaskId> {
+        let key = Self::key(name);
+        let start = self.entries.partition_point(|e| e.key < key);
+        (self.entries[start..].iter())
+            .take_while(|e| e.key == key)
+            .find(|e| tasks[e.id as usize].name == name)
+            .map(|e| TaskId(e.id))
+    }
+
+    /// Indexes `id` under `name`, unless a task of `tasks` is indexed
+    /// under `name` already: then nothing changes and its id is the
+    /// error.
+    fn insert(&mut self, id: u32, name: &str, tasks: &[TaskDecl]) -> Result<(), TaskId> {
+        let key = Self::key(name);
+        let mut at = self.entries.partition_point(|e| e.key < key);
+        while let Some(e) = self.entries.get(at).filter(|e| e.key == key) {
+            if tasks[e.id as usize].name == name {
+                return Err(TaskId(e.id));
+            }
+            at += 1;
+        }
+        self.entries.insert(at, NameEntry { key, id });
+        Ok(())
+    }
+}
+
 /// Static declaration of one task.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskDecl {
@@ -134,7 +189,8 @@ pub struct PathDecl {
 pub struct AppGraph {
     tasks: Vec<TaskDecl>,
     paths: Vec<PathDecl>,
-    by_name: HashMap<String, TaskId>,
+    /// Task ids by name.
+    by_name: NameIndex,
 }
 
 impl AppGraph {
@@ -168,7 +224,7 @@ impl AppGraph {
 
     /// Looks a task up by source name.
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
-        self.by_name.get(name).copied()
+        self.by_name.get(name, &self.tasks)
     }
 
     /// Returns the declared body cost of `id` (zero if undeclared).
@@ -247,7 +303,7 @@ impl AppGraph {
 pub struct AppGraphBuilder {
     tasks: Vec<TaskDecl>,
     paths: Vec<PathDecl>,
-    by_name: HashMap<String, TaskId>,
+    by_name: NameIndex,
     errors: Vec<BuildError>,
 }
 
@@ -272,20 +328,19 @@ impl AppGraphBuilder {
     }
 
     fn declare(&mut self, name: &str, var: Option<String>) -> TaskId {
-        if let Some(&existing) = self.by_name.get(name) {
+        let id = self.tasks.len() as u32;
+        if let Err(existing) = self.by_name.insert(id, name, &self.tasks) {
             self.errors.push(BuildError::DuplicateTask {
                 name: name.to_string(),
             });
             return existing;
         }
-        let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(TaskDecl {
             name: name.to_string(),
             monitored_var: var,
             cost: TaskCostDecl::default(),
         });
-        self.by_name.insert(name.to_string(), id);
-        id
+        TaskId(id)
     }
 
     /// Declares the energy cost of one execution of `task`'s body (see
@@ -391,9 +446,45 @@ mod tests {
     fn duplicate_task_is_rejected() {
         let mut b = AppGraphBuilder::new();
         b.task("a");
-        b.task("a");
+        b.task("b");
+        // The redeclaring call reports it and answers the first id.
+        assert_eq!(b.task("a"), TaskId(0));
+        assert_eq!(b.errors.len(), 1);
+        assert_eq!(b.task_with_var("b", "v"), TaskId(1));
+        assert_eq!(b.errors.len(), 2);
         b.path(&[TaskId(0)]);
         assert!(matches!(b.build(), Err(BuildError::DuplicateTask { .. })));
+    }
+
+    /// Every name resolves to its own id, whatever the declaration
+    /// order, among names that share lengths and prefixes.
+    #[test]
+    fn names_resolve_in_any_declaration_order() {
+        let long = "x".repeat(300);
+        let longer = "x".repeat(301);
+        let mut names = vec![
+            "b", "a", "ab", "ba", "abc", "aa", "", "zz", "a0", "send", "sense",
+        ];
+        // Names past seven bytes that share their first seven, and
+        // names past 255 bytes.
+        names.extend([
+            "calcAvgB",
+            "calcAvgA",
+            "calcAvg",
+            "calcAvgAB",
+            &longer,
+            &long,
+        ]);
+        let mut b = AppGraphBuilder::new();
+        let ids: Vec<_> = names.iter().map(|n| b.task(n)).collect();
+        b.path(&ids);
+        let app = b.build().unwrap();
+        for (n, id) in names.iter().zip(&ids) {
+            assert_eq!(app.task_by_name(n), Some(*id), "{n:?}");
+        }
+        for missing in ["c", "abcd", "b0", "sens", "A", "calcAvgC", &"x".repeat(302)] {
+            assert_eq!(app.task_by_name(missing), None, "{missing:?}");
+        }
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub fn check_reachability(
     let mut flags = vec![false; tcount + state_count];
     let (dispatched, reachable) = flags.split_at_mut(tcount);
     for k in 0..2 {
-        for list in m.dispatch[k].iter().chain([&m.wildcard[k]]) {
+        let (tasks, wildcard) = m.kind_lists(k);
+        for list in tasks.chain([wildcard]) {
             for &ti in list {
                 if let Some(d) = dispatched.get_mut(ti as usize) {
                     *d = true;

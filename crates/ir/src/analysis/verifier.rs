@@ -134,7 +134,8 @@ pub(crate) fn verify_machine_in(
     // Dispatch tables may only reference existing transitions.
     let tcount = m.transitions.len();
     for (k, kind) in ["startTask", "endTask"].into_iter().enumerate() {
-        for (task, list) in m.dispatch[k].iter().enumerate() {
+        let (tasks, wildcard) = m.kind_lists(k);
+        for (task, list) in tasks.enumerate() {
             for &ti in list {
                 if ti as usize >= tcount {
                     err(
@@ -147,7 +148,7 @@ pub(crate) fn verify_machine_in(
                 }
             }
         }
-        for &ti in &m.wildcard[k] {
+        for &ti in wildcard {
             if ti as usize >= tcount {
                 err(
                     &mut diags,

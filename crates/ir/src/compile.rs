@@ -170,14 +170,22 @@ impl Op {
     /// One past the highest register the instruction names (0 when it
     /// names none): the scratch file it needs.
     pub(crate) fn reg_span(&self) -> usize {
-        let (reads, write) = self.regs();
-        reads
-            .into_iter()
-            .chain([write])
-            .flatten()
-            .map(|r| r as usize + 1)
-            .max()
-            .unwrap_or(0)
+        let top = match *self {
+            Op::Const { dst, .. }
+            | Op::LoadVar { dst, .. }
+            | Op::LoadEventTime { dst }
+            | Op::LoadDepData { dst }
+            | Op::LoadEnergy { dst }
+            | Op::LoadCmpBranch { dst, .. } => dst,
+            Op::Bin { dst, a, b, .. } | Op::CmpBranch { dst, a, b, .. } => dst.max(a).max(b),
+            Op::Not { dst, src } => dst.max(src),
+            Op::AssertBool { src }
+            | Op::JumpIfFalse { src, .. }
+            | Op::JumpIfTrue { src, .. }
+            | Op::StoreVar { src, .. } => src,
+            Op::Jump { .. } | Op::ConstStore { .. } => return 0,
+        };
+        top as usize + 1
     }
 }
 
@@ -537,13 +545,16 @@ fn push_slots(bits: &[u64], pool: &mut Vec<u16>) -> u32 {
     (pool.len() - before) as u32
 }
 
-/// The derived data of one dispatch key: its access set, as two runs
-/// of the machine's slot pool, and its step cost.
+/// One dispatch key: its transition list, read slots and write slots,
+/// as three consecutive runs of the machine's pool, and its step cost.
+/// A key with an empty list (an unrouted key) has no slots, zero cost,
+/// and is whole-block only for a state-only machine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct KeyFacts {
-    /// Where the key's read slots start in the pool; its write slots
-    /// follow them.
+    /// Where the key's runs start in the pool.
     at: u32,
+    /// Number of transitions in the dispatch list, in priority order.
+    list: u32,
     /// Number of read slots.
     reads: u32,
     /// Number of write slots.
@@ -554,18 +565,26 @@ struct KeyFacts {
     cost: StepCost,
 }
 
-/// Buffers one compile or derivation call reuses across the machines
-/// it handles: codegen's instruction and literal streams, the
-/// optimizer's, the per-transition facts, the slot pool and the
-/// interval analysis. They die with the call; only exact-size copies
-/// reach the compiled machines.
+/// Buffers one compile call reuses across the machines it handles:
+/// codegen's instruction and literal streams and per-key dispatch
+/// lists, the optimizer's, and the derivation's. They die with the
+/// call; only exact-size copies reach the compiled machines.
 #[derive(Default)]
 pub(crate) struct Scratch {
     code: Vec<Op>,
     lits: Vec<Value>,
+    /// One dispatch list per key, in [`CompiledMachine`]'s key order.
+    lists: Vec<Vec<u16>>,
     opt: crate::opt::Scratch,
+    derive: DeriveScratch,
+}
+
+/// The derivation's buffers: the per-transition facts, the key pool
+/// and the interval analysis.
+#[derive(Default)]
+struct DeriveScratch {
     facts: TransitionFacts,
-    slots: Vec<u16>,
+    pool: Vec<u16>,
     bounds: crate::layout::BoundsScratch,
 }
 
@@ -577,13 +596,6 @@ pub struct CompiledMachine {
     /// Literal pool.
     pub(crate) lits: Vec<Value>,
     pub(crate) transitions: Vec<CompiledTransition>,
-    /// `dispatch[kind][task id]` → indices of transitions whose trigger
-    /// can match that event, in priority order.
-    pub(crate) dispatch: [Vec<Vec<u16>>; 2],
-    /// Fallback lists for task ids beyond the graph (wildcard-matching
-    /// transitions only); events from installed applications never need
-    /// them.
-    pub(crate) wildcard: [Vec<u16>; 2],
     /// Scratch registers [`CompiledMachine::step`] needs.
     pub(crate) max_regs: usize,
     pub(crate) initial_state: u32,
@@ -595,13 +607,20 @@ pub struct CompiledMachine {
     /// Packed FRAM block layout. Derived from `code` + `var_inits`
     /// (never serialised in [`RawMachine`]) like the access sets.
     pub(crate) layout: MachineLayout,
-    /// Derived data of every dispatch key: `dispatch[0]`'s keys, then
-    /// `dispatch[1]`'s, then the two wildcard lists. Derived from
-    /// `code` (never serialised in [`RawMachine`]), so mutation can't
-    /// make it lie.
+    /// Every dispatch key: the `startTask` keys by task id, then the
+    /// `endTask` keys, then the two per-kind wildcard keys, whose lists
+    /// (wildcard-matching transitions only) serve task ids beyond the
+    /// graph. Each key's transition list is the indices of the
+    /// transitions whose trigger can match its events, in priority
+    /// order; its access set and step cost are derived from `code`
+    /// (never serialised in [`RawMachine`]), so mutation can't make
+    /// them lie.
     keys: Vec<KeyFacts>,
-    /// The keys' access-set slots.
-    slots: Vec<u16>,
+    /// Number of `startTask` keys.
+    start_keys: u32,
+    /// The keys' runs: each key's transition list, read slots and
+    /// write slots.
+    pool: Vec<u16>,
 }
 
 /// The exploded parts of a [`CompiledMachine`].
@@ -671,7 +690,7 @@ impl CompiledMachine {
         opt: crate::opt::OptLevel,
         s: &mut Scratch,
     ) -> Result<Self, Diagnostic> {
-        let mut raw = Compiler::new(machine, app, &mut s.code, &mut s.lits).run()?;
+        let mut raw = Compiler::new(machine, app, &mut s.code, &mut s.lits, &mut s.lists).run()?;
         raw.code = match opt {
             crate::opt::OptLevel::None => None,
             crate::opt::OptLevel::Full => crate::opt::sweep(
@@ -683,7 +702,13 @@ impl CompiledMachine {
             ),
         }
         .unwrap_or_else(|| s.code.clone());
-        Ok(CompiledMachine::from_raw_in(raw, s))
+        let lists = s.lists.iter().map(Vec::as_slice);
+        Ok(CompiledMachine::derive(
+            raw,
+            app.task_count(),
+            lists,
+            &mut s.derive,
+        ))
     }
 
     /// Registers [`CompiledMachine::step`] requires in its scratch file.
@@ -729,7 +754,7 @@ impl CompiledMachine {
     /// the work a step actually considers (vs. the full transition
     /// count the interpreter scans).
     pub fn dispatch_len(&self, kind: EventKind, task: u32) -> usize {
-        self.transition_list(kind, task).len()
+        self.key(kind, task).list as usize
     }
 
     /// `true` when some transition the `(kind, task)` key dispatches
@@ -745,12 +770,17 @@ impl CompiledMachine {
 
     /// Explodes the machine into its raw parts (cloned).
     pub fn to_raw(&self) -> RawMachine {
+        let lists = |k| {
+            let (tasks, wildcard) = self.kind_lists(k);
+            (tasks.map(<[u16]>::to_vec).collect(), wildcard.to_vec())
+        };
+        let ((d0, w0), (d1, w1)) = (lists(0), lists(1));
         RawMachine {
             code: self.code.clone(),
             lits: self.lits.clone(),
             transitions: self.transitions.clone(),
-            dispatch: self.dispatch.clone(),
-            wildcard: self.wildcard.clone(),
+            dispatch: [d0, d1],
+            wildcard: [w0, w1],
             max_regs: self.max_regs,
             initial_state: self.initial_state,
             var_count: self.var_count,
@@ -763,35 +793,50 @@ impl CompiledMachine {
     /// packed layout are recomputed from the (possibly mutated) code,
     /// keeping derived data consistent; `var_inits` is padded with
     /// `Int(0)` / truncated to `var_count`.
-    pub fn from_raw(raw: RawMachine) -> Self {
-        Self::from_raw_in(raw, &mut Scratch::default())
+    pub fn from_raw(mut raw: RawMachine) -> Self {
+        let [d0, d1] = std::mem::take(&mut raw.dispatch);
+        let [w0, w1] = std::mem::take(&mut raw.wildcard);
+        let lists = d0.iter().chain(&d1).chain([&w0, &w1]).map(Vec::as_slice);
+        Self::derive(raw, d0.len(), lists, &mut DeriveScratch::default())
     }
 
-    /// [`CompiledMachine::from_raw`] in `s`: one pass over the
-    /// transitions, then every key's slots appended to one pool and
-    /// its facts to one table, each copied out at its exact size.
-    fn from_raw_in(raw: RawMachine, s: &mut Scratch) -> Self {
+    /// Assembles a machine from `raw`'s parts but its dispatch tables
+    /// and from the dispatch lists `lists`, in key order (`start_keys`
+    /// `startTask` lists, then the `endTask` ones, then the two
+    /// wildcard lists), in `s`: one pass over the transitions, then
+    /// every key's runs appended to one pool and its facts to one
+    /// table, each copied out at its exact size. An unrouted key costs
+    /// no more than its entry.
+    fn derive<'l>(
+        raw: RawMachine,
+        start_keys: usize,
+        lists: impl Iterator<Item = &'l [u16]>,
+        s: &mut DeriveScratch,
+    ) -> Self {
         let prices = OpCycles::default();
-        let Scratch {
+        let DeriveScratch {
             facts,
-            slots,
+            pool,
             bounds,
-            ..
         } = s;
         facts.derive(&raw.code, &raw.transitions, raw.var_count, &prices);
-        slots.clear();
-        let [d0, d1] = &raw.dispatch;
-        let mut keys = Vec::with_capacity(d0.len() + d1.len() + 2);
-        for list in d0.iter().chain(d1).chain(&raw.wildcard) {
-            let at = slots.len() as u32;
-            let (reads, writes, whole_block) = facts.access(list, raw.var_count, slots);
-            keys.push(KeyFacts {
-                at,
-                reads,
-                writes,
-                whole_block,
-                cost: facts.step_cost(&raw.transitions, list, prices.transition_scan),
-            });
+        pool.clear();
+        let mut keys = Vec::with_capacity(lists.size_hint().0);
+        for list in lists {
+            let mut key = KeyFacts {
+                at: pool.len() as u32,
+                list: list.len() as u32,
+                reads: 0,
+                writes: 0,
+                whole_block: raw.var_count == 0,
+                cost: StepCost::default(),
+            };
+            if !list.is_empty() {
+                pool.extend_from_slice(list);
+                (key.reads, key.writes, key.whole_block) = facts.access(list, raw.var_count, pool);
+                key.cost = facts.step_cost(&raw.transitions, list, prices.transition_scan);
+            }
+            keys.push(key);
         }
         let mut var_inits = raw.var_inits;
         var_inits.resize(raw.var_count, Value::Int(0));
@@ -807,34 +852,56 @@ impl CompiledMachine {
             code: raw.code,
             lits: raw.lits,
             transitions: raw.transitions,
-            dispatch: raw.dispatch,
-            wildcard: raw.wildcard,
             max_regs: raw.max_regs,
             initial_state: raw.initial_state,
             var_count: raw.var_count,
             var_inits,
             layout,
             keys,
-            slots: slots.clone(),
+            start_keys: start_keys as u32,
+            pool: pool.clone(),
         }
     }
 
-    pub(crate) fn transition_list(&self, kind: EventKind, task: u32) -> &[u16] {
-        let k = kind_index(kind);
-        self.dispatch[k]
-            .get(task as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&self.wildcard[k])
+    /// Where kind `k`'s per-task keys and its wildcard key sit in
+    /// `keys`.
+    fn kind_keys(&self, k: usize) -> (Range<usize>, usize) {
+        let n0 = self.start_keys as usize;
+        let n1 = self.keys.len() - 2 - n0;
+        let tasks = if k == 0 { 0..n0 } else { n0..n0 + n1 };
+        (tasks, n0 + n1 + k)
     }
 
-    /// The derived data of `(kind, task)` — same fallback rule as
+    /// Kind `k`'s per-task dispatch lists, in task order, and its
+    /// wildcard list.
+    pub(crate) fn kind_lists(&self, k: usize) -> (impl Iterator<Item = &[u16]>, &[u16]) {
+        let (tasks, wildcard) = self.kind_keys(k);
+        let tasks = self.keys[tasks].iter().map(|key| self.key_list(key));
+        (tasks, self.key_list(&self.keys[wildcard]))
+    }
+
+    /// The transitions `(kind, task)` dispatches, in priority order.
+    /// Task ids beyond the graph take the kind's wildcard list.
+    pub(crate) fn transition_list(&self, kind: EventKind, task: u32) -> &[u16] {
+        self.key_list(self.key(kind, task))
+    }
+
+    /// The dispatch list `key` describes.
+    fn key_list(&self, key: &KeyFacts) -> &[u16] {
+        &self.pool[key.at as usize..(key.at + key.list) as usize]
+    }
+
+    /// The key of `(kind, task)` — same fallback rule as
     /// `CompiledMachine::transition_list`.
     fn key(&self, kind: EventKind, task: u32) -> &KeyFacts {
         let k = kind_index(kind);
-        let [n0, n1] = [self.dispatch[0].len(), self.dispatch[1].len()];
-        let (base, len) = if k == 0 { (0, n0) } else { (n0, n1) };
+        let (tasks, wildcard) = self.kind_keys(k);
         let task = task as usize;
-        &self.keys[if task < len { base + task } else { n0 + n1 + k }]
+        &self.keys[if task < tasks.len() {
+            tasks.start + task
+        } else {
+            wildcard
+        }]
     }
 
     /// The static FRAM access set of `(kind, task)` — same fallback
@@ -845,10 +912,11 @@ impl CompiledMachine {
 
     /// The access set `key` describes.
     fn key_access(&self, key: &KeyFacts) -> AccessSet<'_> {
-        let (at, mid) = (key.at as usize, (key.at + key.reads) as usize);
+        let at = (key.at + key.list) as usize;
+        let mid = at + key.reads as usize;
         AccessSet {
-            reads: &self.slots[at..mid],
-            writes: &self.slots[mid..mid + key.writes as usize],
+            reads: &self.pool[at..mid],
+            writes: &self.pool[mid..mid + key.writes as usize],
             whole_block: key.whole_block,
         }
     }
@@ -859,7 +927,7 @@ impl CompiledMachine {
     pub fn step_key(&self, kind: EventKind, task: u32) -> StepKey<'_> {
         let key = self.key(kind, task);
         StepKey {
-            dispatch_len: self.dispatch_len(kind, task),
+            dispatch_len: key.list as usize,
             cost: key.cost,
             access: self.key_access(key),
         }
@@ -1034,14 +1102,17 @@ impl CompiledMachine {
 }
 
 /// Per-machine compilation state. The instruction and literal streams
-/// are the caller's scratch: [`Compiler::run`] returns the other raw
-/// parts with an exact-size copy of the literals, and leaves the
-/// instructions for the optimizer to read.
+/// and the dispatch lists are the caller's scratch: [`Compiler::run`]
+/// returns the other raw parts with an exact-size copy of the literals
+/// (and empty dispatch tables), and leaves the instructions for the
+/// optimizer to read and the lists, in [`CompiledMachine`]'s key
+/// order, for the derivation.
 struct Compiler<'a, 's> {
     machine: &'a StateMachine,
     app: &'a AppGraph,
     code: &'s mut Vec<Op>,
     lits: &'s mut Vec<Value>,
+    lists: &'s mut Vec<Vec<u16>>,
     max_regs: usize,
 }
 
@@ -1051,6 +1122,7 @@ impl<'a, 's> Compiler<'a, 's> {
         app: &'a AppGraph,
         code: &'s mut Vec<Op>,
         lits: &'s mut Vec<Value>,
+        lists: &'s mut Vec<Vec<u16>>,
     ) -> Self {
         code.clear();
         lits.clear();
@@ -1059,6 +1131,7 @@ impl<'a, 's> Compiler<'a, 's> {
             app,
             code,
             lits,
+            lists,
             max_regs: 0,
         }
     }
@@ -1091,11 +1164,13 @@ impl<'a, 's> Compiler<'a, 's> {
             transitions.push(self.compile_transition(t)?);
         }
 
-        // Dispatch tables: for each event kind and task id, the
-        // transitions (by priority) whose trigger can match.
+        // Dispatch lists: for each event kind and task id, and for each
+        // kind's wildcard key, the transitions (by priority) whose
+        // trigger can match.
         let task_count = self.app.task_count();
-        let mut dispatch = [vec![Vec::new(); task_count], vec![Vec::new(); task_count]];
-        let mut wildcard = [Vec::new(), Vec::new()];
+        self.lists.truncate(2 * task_count + 2);
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.lists.resize_with(2 * task_count + 2, Vec::new);
         for (ti, t) in self.machine.transitions.iter().enumerate() {
             let ti = ti as u16;
             let kinds: &[usize] = match &t.trigger {
@@ -1110,10 +1185,11 @@ impl<'a, 's> Compiler<'a, 's> {
             match pat {
                 TaskPat::Any => {
                     for &k in kinds {
-                        for list in dispatch[k].iter_mut() {
+                        let tasks = k * task_count..(k + 1) * task_count;
+                        for list in &mut self.lists[tasks] {
                             list.push(ti);
                         }
-                        wildcard[k].push(ti);
+                        self.lists[2 * task_count + k].push(ti);
                     }
                 }
                 TaskPat::Named(name) => {
@@ -1122,7 +1198,7 @@ impl<'a, 's> Compiler<'a, 's> {
                         .task_by_name(name)
                         .ok_or_else(|| self.error(format!("unknown task `{name}`")))?;
                     for &k in kinds {
-                        dispatch[k][id.0 as usize].push(ti);
+                        self.lists[k * task_count + id.index()].push(ti);
                     }
                 }
             }
@@ -1132,8 +1208,8 @@ impl<'a, 's> Compiler<'a, 's> {
             code: Vec::new(),
             lits: self.lits.clone(),
             transitions,
-            dispatch,
-            wildcard,
+            dispatch: Default::default(),
+            wildcard: Default::default(),
             max_regs: self.max_regs,
             initial_state: self.machine.initial,
             var_count: self.machine.vars.len(),
@@ -1832,7 +1908,7 @@ mod tests {
                 assert_eq!(full.lits, other.lits, "{}", m.name);
                 assert_eq!(full.max_regs, other.max_regs, "{}", m.name);
                 assert_eq!(full.keys, other.keys, "{}", m.name);
-                assert_eq!(full.slots, other.slots, "{}", m.name);
+                assert_eq!(full.pool, other.pool, "{}", m.name);
                 assert_eq!(full.layout, other.layout, "{}", m.name);
             }
         }

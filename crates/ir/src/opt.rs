@@ -28,7 +28,10 @@
 //! never passes the read index, then remaps branch targets through one
 //! old → new index map. Neither step creates work for the other or for
 //! itself, so the round is its own fixpoint: optimizing optimized code
-//! changes nothing. These are the only rewrites kept: each one,
+//! changes nothing. A range in which no window starts (no `AssertBool`
+//! and no first instructions of a fused shape) is copied and rebased
+//! without building any table, and elision runs only on a range with
+//! an `AssertBool`. These are the only rewrites kept: each one,
 //! disabled alone, moves the Fig. 15 monitor column (EXPERIMENTS.md,
 //! "Removed modes").
 //!
@@ -168,7 +171,8 @@ pub(crate) struct Scratch {
 
 impl Scratch {
     /// Runs the sweep on `code[range]` and appends the result to `out`;
-    /// returns the range it occupies there.
+    /// returns the range it occupies there. A range no rewrite window
+    /// starts in is only copied, with its targets rebased.
     fn range(
         &mut self,
         code: &[Op],
@@ -177,6 +181,18 @@ impl Scratch {
         is_guard: bool,
         out: &mut Vec<Op>,
     ) -> Range<u32> {
+        let src = &code[range.start as usize..range.end as usize];
+        if !rewritable(src) {
+            let start = out.len() as u32;
+            out.extend(src.iter().map(|&op| {
+                let mut op = op;
+                if let Some(t) = op.target_mut() {
+                    *t = *t - range.start + start;
+                }
+                op
+            }));
+            return start..out.len() as u32;
+        }
         let mut ops = std::mem::take(&mut self.ops);
         load_range(code, range, &mut ops);
         self.optimize(&mut ops, lits, is_guard);
@@ -187,7 +203,9 @@ impl Scratch {
 
     /// Runs the sweep on one range (local targets, exit = `len`).
     fn optimize(&mut self, ops: &mut Vec<Op>, lits: &[Value], is_guard: bool) {
-        self.elide_asserts(ops, lits);
+        if ops.iter().any(|op| matches!(op, Op::AssertBool { .. })) {
+            self.elide_asserts(ops, lits);
+        }
         self.fuse(ops, is_guard);
     }
 
@@ -298,6 +316,17 @@ impl Scratch {
         }
         retarget(ops, map, w);
     }
+}
+
+/// `true` when an elision or fusion window starts somewhere in `ops`:
+/// an `AssertBool`, or the first instructions of a fused shape.
+fn rewritable(ops: &[Op]) -> bool {
+    (0..ops.len()).any(|i| match ops[i..] {
+        [Op::AssertBool { .. }, ..] | [Op::Const { .. }, Op::StoreVar { .. }, ..] => true,
+        [Op::LoadVar { .. }, Op::Const { .. }, Op::Bin { op, .. }, ..]
+        | [Op::Bin { op, .. }, Op::JumpIfFalse { .. } | Op::JumpIfTrue { .. }, ..] => is_cmp(op),
+        _ => false,
+    })
 }
 
 /// Finishes a step that wrote `kept` instructions back in place:

@@ -265,3 +265,61 @@ fn arbitrary_raw_parts_derive_without_panicking_and_the_gate_decides() {
     assert!(rejected > 500, "{rejected} rejected");
     assert!(installed > 100, "{installed} installed");
 }
+
+/// `to_raw()` returns the parts `from_raw` took (`var_inits` at
+/// `var_count`), and a second reassembly gives every key, inside and
+/// outside the graph, the same list, access set, step cost and
+/// `may_emit`.
+#[test]
+fn arbitrary_raw_parts_round_trip() {
+    let cases = [
+        (FUZZ_SPEC, two_task_app()),
+        (health::HEALTH_SPEC, health::health_app()),
+    ];
+    let compiled: Vec<_> = cases
+        .iter()
+        .map(|(spec, app)| {
+            let suite = artemis_ir::compile(spec, app).unwrap();
+            let c = CompiledSuite::compile(&suite, app).unwrap();
+            (suite, c)
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x7a_11);
+    for round in 0..3_000 {
+        let (suite, c) = &compiled[round % cases.len()];
+        let tasks = cases[round % cases.len()].1.task_count();
+        let idx = rng.random_range(0..suite.len());
+        let mut raw = c.machines()[idx].to_raw();
+        for _ in 0..rng.random_range(1..5u32) {
+            mutate(
+                &mut raw,
+                &mut rng,
+                tasks,
+                suite.machines()[idx].states.len(),
+            );
+        }
+        let m = CompiledMachine::from_raw(raw.clone());
+        let back = m.to_raw();
+        let mut inits = raw.var_inits.clone();
+        inits.resize(raw.var_count, Value::Int(0));
+        assert_eq!(back.code, raw.code, "round {round}");
+        assert_eq!(back.lits, raw.lits, "round {round}");
+        assert_eq!(back.transitions, raw.transitions, "round {round}");
+        assert_eq!(back.dispatch, raw.dispatch, "round {round}");
+        assert_eq!(back.wildcard, raw.wildcard, "round {round}");
+        assert_eq!(
+            (back.max_regs, back.initial_state, back.var_count),
+            (raw.max_regs, raw.initial_state, raw.var_count),
+            "round {round}"
+        );
+        assert_eq!(back.var_inits, inits, "round {round}");
+        let again = CompiledMachine::from_raw(back);
+        for kind in [EventKind::StartTask, EventKind::EndTask] {
+            for task in (0..tasks as u32 + 4).chain([u32::MAX]) {
+                let key = format!("round {round}: {kind:?}/{task}");
+                assert_eq!(again.step_key(kind, task), m.step_key(kind, task), "{key}");
+                assert_eq!(again.may_emit(kind, task), m.may_emit(kind, task), "{key}");
+            }
+        }
+    }
+}
